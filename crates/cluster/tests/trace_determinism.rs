@@ -260,3 +260,69 @@ fn fault_free_monitored_run_fires_nothing() {
         assert_eq!(score.false_positives, 0);
     }
 }
+
+/// FNV-1a-64 of `text`, with its length: a fingerprint small enough to
+/// pin in source.
+fn fnv1a(text: &str) -> (u64, usize) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h, text.len())
+}
+
+/// Every byte `obs` derives from a trace, pinned. The values were
+/// captured from the code before the one-table / one-store refactor; a
+/// refactor of `obs` must reproduce them unchanged. (A deliberate change
+/// to the simulated run itself re-pins them, like any golden.)
+#[test]
+fn obs_outputs_match_pinned_fingerprints() {
+    let a = run_experiment(&crash_config(true));
+    let trace = obs::jsonl::encode_all(&a.trace);
+    let runs = obs::jsonl::decode_runs(&trace).expect("canonical trace decodes");
+    assert_eq!(runs.len(), 1);
+    assert!(runs[0].1 == a.trace, "decode must invert encode");
+    let reencoded = obs::jsonl::encode_all(&runs[0].1);
+
+    let cfg = obs::TimelineConfig::default();
+    let mut tl = obs::Timeline::from_records(&a.trace, cfg.window_us);
+    let spans = obs::SpanProfile::from_records(&a.trace);
+    tl.dominant_phase = spans.dominant_phases(tl.window_us, tl.windows.len());
+    let causal = obs::CausalProfile::from_records(&a.trace);
+
+    let got = [
+        ("trace", fnv1a(&trace)),
+        ("reencoded", fnv1a(&reencoded)),
+        ("timeline_csv", fnv1a(&tl.csv_rows("run"))),
+        ("timeline_jsonl", fnv1a(&tl.to_jsonl("run"))),
+        ("causal_jsonl", fnv1a(&causal.to_jsonl())),
+        ("blame_csv", fnv1a(&causal.blame_csv("run"))),
+        ("spans", fnv1a(&format!("{:?}", spans.spans))),
+        (
+            "recovery_breakdowns",
+            fnv1a(&format!("{:?}", obs::recovery_breakdowns(&a.trace))),
+        ),
+        (
+            "fd_incidents",
+            fnv1a(&format!("{:?}", obs::fd_quality(&a.trace).incidents)),
+        ),
+        (
+            "latency_summary",
+            fnv1a(&format!("{:?}", obs::latency_summary(&a.trace))),
+        ),
+    ];
+    let want: [(&str, (u64, usize)); 10] = [
+        ("trace", (0xf149_605a_49c4_28b7, 43931125)),
+        ("reencoded", (0xf149_605a_49c4_28b7, 43931125)),
+        ("timeline_csv", (0xb37c_1838_f546_4bc2, 1791)),
+        ("timeline_jsonl", (0x29f8_d2b1_c515_00ed, 5634)),
+        ("causal_jsonl", (0xfc78_b42d_e97d_5862, 1149795)),
+        ("blame_csv", (0x8a7e_bf76_1846_d37c, 934)),
+        ("spans", (0x3477_7eaa_1899_6eb6, 656187)),
+        ("recovery_breakdowns", (0x6770_bf89_0bf5_a659, 267)),
+        ("fd_incidents", (0x4ed0_2a9e_b77d_6291, 102)),
+        ("latency_summary", (0x2f0f_e571_2ad2_ed93, 312)),
+    ];
+    assert_eq!(got, want, "got {got:#x?}");
+}
