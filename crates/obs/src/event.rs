@@ -12,6 +12,8 @@
 //! `u64`; node/replica ids are `u32`; times and durations are
 //! microseconds of simulated time.
 
+use crate::jsonl::{put_field, Field, Fields};
+
 /// Mode tag for [`TraceEvent::ModeSwitch`] (`"fast"`, `"classic"`,
 /// `"blocked"`). Kept as strings so `obs` stays independent of the
 /// consensus crate.
@@ -21,31 +23,103 @@ pub const MODE_CLASSIC: &str = "classic";
 /// Blocked mode tag.
 pub const MODE_BLOCKED: &str = "blocked";
 
-/// One traced state transition.
-///
-/// Variants group into four families: the consensus protocol
-/// (proposal/promise/accept/decide, elections, mode switches), the
-/// replication middleware (batching, log appends, checkpoints, recovery
-/// phases, delivery), the simulated environment (crash/restart, message
-/// loss, disk faults), and the experiment harness (partitions, injected
-/// fault profiles, audit violations).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
+/// Declares the whole event vocabulary once. Each row is
+/// `Variant = "kind_tag" { field [as "json_key"]: type, … }`; from the
+/// rows the macro derives the [`TraceEvent`] enum, [`TraceEvent::kind`],
+/// the JSONL field encoder and decoder ([`crate::jsonl`] supplies the
+/// per-type [`Field`] codecs for `u64`/`u32`/`bool`/tag strings), and an
+/// all-variants sample list for tests. Adding an event is one row here
+/// (plus, for a new tag string, one entry in `jsonl`'s tag vocabulary).
+/// A field's JSON key is its name unless renamed with `as`.
+macro_rules! trace_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $kind:literal $({
+            $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)? : $ty:ty ),* $(,)?
+        })?
+    ),* $(,)?) => {
+        /// One traced state transition.
+        ///
+        /// Variants group into four families: the consensus protocol
+        /// (proposal/promise/accept/decide, elections, mode switches), the
+        /// replication middleware (batching, log appends, checkpoints, recovery
+        /// phases, delivery), the simulated environment (crash/restart, message
+        /// loss, disk faults), and the experiment harness (partitions, injected
+        /// fault profiles, audit violations).
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $( $(#[$vmeta])* $variant $({ $( $(#[$fmeta])* $field: $ty ),* })? ),*
+        }
+
+        impl TraceEvent {
+            /// Canonical snake_case tag identifying the variant; used as the
+            /// JSONL `e` field and as the per-node counter name.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// Appends the variant's fields as `,"key":value` pairs in
+            /// declaration order (the canonical JSONL field order).
+            pub(crate) fn encode_fields(&self, out: &mut String) {
+                match self {
+                    $( TraceEvent::$variant $({ $($field),* })? => {
+                        $($( put_field(out, json_key!($field $($key)?), $field); )*)?
+                    } )*
+                }
+            }
+
+            /// Rebuilds an event of `kind` from a parsed line's fields;
+            /// `Ok(None)` means the kind is not in this build's vocabulary
+            /// (the caller decides strict vs skip).
+            pub(crate) fn decode_fields(kind: &str, f: &Fields) -> Result<Option<TraceEvent>, String> {
+                Ok(Some(match kind {
+                    $( $kind => TraceEvent::$variant $({
+                        $( $field: Field::get(f, json_key!($field $($key)?))? ),*
+                    })?, )*
+                    _ => return Ok(None),
+                }))
+            }
+
+            /// One event per variant, in table order, every field built
+            /// from the next integer `next` yields.
+            #[cfg(test)]
+            pub(crate) fn samples(next: &mut dyn FnMut() -> u64) -> Vec<TraceEvent> {
+                vec![
+                    $( TraceEvent::$variant $({ $( $field: Field::from_int(next()) ),* })? ),*
+                ]
+            }
+        }
+    };
+}
+
+/// A field's JSON key: its own name unless the table renames it.
+macro_rules! json_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+trace_events! {
     // --- consensus protocol ---
     /// A proposer issued a new client proposal (its per-epoch sequence).
-    ProposalIssued {
+    ProposalIssued = "proposal_issued" {
         /// Proposer-local sequence number within the current epoch.
         seq: u64,
     },
     /// The local acceptor promised ballot `(round, by)`.
-    Promised {
+    Promised = "promised" {
         /// Ballot round number.
         round: u64,
         /// Replica owning the ballot.
         by: u32,
     },
     /// The local acceptor accepted a decree.
-    Accepted {
+    Accepted = "accepted" {
         /// Consensus slot.
         slot: u64,
         /// Ballot round of the acceptance.
@@ -54,35 +128,35 @@ pub enum TraceEvent {
         fast: bool,
     },
     /// The local learner marked a slot decided.
-    Decided {
+    Decided = "decided" {
         /// The decided slot.
         slot: u64,
         /// Whether the decree was a gap-filling no-op.
         noop: bool,
     },
     /// The local coordinator started phase 1 for a new ballot.
-    PrepareStarted {
+    PrepareStarted = "prepare_started" {
         /// Ballot round being prepared.
         round: u64,
         /// Whether it is a fast ballot.
         fast: bool,
     },
     /// The local coordinator gathered its promise quorum and took over.
-    LeaderElected {
+    LeaderElected = "leader_elected" {
         /// Round of the winning ballot.
         round: u64,
         /// Whether the new round is fast.
         fast: bool,
     },
     /// The failure detector's availability mode changed.
-    ModeSwitch {
+    ModeSwitch = "mode_switch" {
         /// Previous mode (`"fast"` / `"classic"` / `"blocked"`).
         from: &'static str,
         /// New mode.
         to: &'static str,
     },
     /// The local leader proposed a configuration change.
-    ReconfigProposed {
+    ReconfigProposed = "reconfig_proposed" {
         /// The configuration epoch the change would create.
         epoch: u64,
         /// Replicas being added.
@@ -92,18 +166,20 @@ pub enum TraceEvent {
     },
     /// The replica switched to a new configuration epoch at its fenced
     /// slot (or adopted one wholesale from a snapshot, `slot` 0).
-    EpochChanged {
+    EpochChanged = "epoch_change" {
         /// The configuration epoch now in force.
         epoch: u64,
         /// Ensemble size of the new configuration.
-        n: u32,
+        // "replicas", not "n": the envelope already uses "n" for the
+        // node id and duplicate keys would corrupt the decode.
+        n as "replicas": u32,
         /// Fence slot of the reconfiguration decree (0 for adoption via
         /// state transfer).
         slot: u64,
     },
     /// The middleware dropped a protocol message stamped with an older
     /// configuration epoch than the local one.
-    StaleEpochRejected {
+    StaleEpochRejected = "stale_epoch_rejected" {
         /// Sending replica.
         from: u32,
         /// Epoch the message was stamped with.
@@ -116,7 +192,7 @@ pub enum TraceEvent {
     /// A locally submitted update received its per-epoch sequence number
     /// and entered the group-commit pipeline. The span profiler uses
     /// this as the root of each update's critical path.
-    UpdateSubmitted {
+    UpdateSubmitted = "update_submitted" {
         /// Submitter-local sequence number within the current epoch.
         seq: u64,
     },
@@ -124,7 +200,7 @@ pub enum TraceEvent {
     /// carries the consecutive local sequence numbers
     /// `[first_seq, first_seq + updates)`, which is how the span
     /// profiler joins each update to its flush edge.
-    BatchFlushed {
+    BatchFlushed = "batch_flushed" {
         /// Updates coalesced into the batch.
         updates: u64,
         /// What closed the batch: `"size"`, `"window"`, or `"single"`.
@@ -133,14 +209,14 @@ pub enum TraceEvent {
         first_seq: u64,
     },
     /// A consensus record was appended to the stable log.
-    LogAppend {
+    LogAppend = "log_append" {
         /// Serialized entry size in bytes.
         bytes: u64,
     },
     /// A previously issued log append reached the platter (fsync ok).
-    AppendDurable,
+    AppendDurable = "append_durable",
     /// A checkpoint write was issued.
-    CheckpointWrite {
+    CheckpointWrite = "checkpoint_write" {
         /// Checkpoint generation number.
         generation: u64,
         /// Application watermark covered by the checkpoint.
@@ -149,38 +225,38 @@ pub enum TraceEvent {
         bytes: u64,
     },
     /// A checkpoint write became durable.
-    CheckpointDurable {
+    CheckpointDurable = "checkpoint_durable" {
         /// Checkpoint generation number.
         generation: u64,
     },
     /// Recovery started loading the newest durable checkpoint.
-    CheckpointLoadStart {
+    CheckpointLoadStart = "checkpoint_load_start" {
         /// Modeled checkpoint size in bytes.
         bytes: u64,
     },
     /// The checkpoint finished loading.
-    CheckpointLoaded {
+    CheckpointLoaded = "checkpoint_loaded" {
         /// Watermark slot restored from the checkpoint.
         slot: u64,
     },
     /// Recovery started replaying the stable consensus log.
-    LogReplayStart {
+    LogReplayStart = "log_replay_start" {
         /// Log size in bytes to stream back.
         bytes: u64,
     },
     /// The stable log finished replaying.
-    LogReplayed {
+    LogReplayed = "log_replayed" {
         /// Records recovered from the log.
         records: u64,
     },
     /// Recovery finished: checkpoint loaded, log replayed, and the
     /// backlog re-learned from peers up to the cluster watermark.
-    RecoveryComplete {
+    RecoveryComplete = "recovery_complete" {
         /// First slot this replica will apply next.
         slot: u64,
     },
     /// An update was applied to the local state machine.
-    UpdateDelivered {
+    UpdateDelivered = "update_delivered" {
         /// Consensus slot of the containing batch.
         slot: u64,
         /// Index of the update inside its batch.
@@ -196,7 +272,7 @@ pub enum TraceEvent {
     /// The web tier sent the blocked client its reply after applying the
     /// client's update locally (the end of the paper's blocking
     /// `execute()` path).
-    ReplySent {
+    ReplySent = "reply_sent" {
         /// Submitter-local sequence number of the answered update.
         seq: u64,
     },
@@ -205,7 +281,7 @@ pub enum TraceEvent {
     /// One second of client-side interaction completions (emitted by a
     /// client node when its clock crosses into a new second; seconds
     /// with no completions emit nothing).
-    ClientSample {
+    ClientSample = "client_sample" {
         /// The sampled second (index from run start).
         sec: u64,
         /// Successful interactions completed in that second.
@@ -216,40 +292,40 @@ pub enum TraceEvent {
     /// Cumulative network totals, sampled by the proxy each probe round
     /// (the proxy never crashes, so the series is monotone and the
     /// timeline can difference it into per-window traffic).
-    NetSample {
+    NetSample = "net_sample" {
         /// Messages submitted to the network so far.
         messages: u64,
         /// Payload bytes carried so far.
         bytes: u64,
     },
     /// A server's work-queue depth, sampled on its middleware tick.
-    QueueSample {
+    QueueSample = "queue_sample" {
         /// Queued work items (pages being rendered + updates applying).
         depth: u64,
     },
 
     // --- simulated environment ---
     /// The node crashed (volatile state lost).
-    Crash,
+    Crash = "crash",
     /// The node restarted with a fresh incarnation.
-    Restart {
+    Restart = "restart" {
         /// New incarnation number.
         incarnation: u64,
     },
     /// A crash tore the in-flight log append: a strict prefix survived.
-    TornWrite {
+    TornWrite = "torn_write" {
         /// Bytes of the entry that reached the platter.
         bytes_kept: u64,
     },
     /// An injected media error failed a durable write (fsync failure).
-    DiskWriteFailed,
+    DiskWriteFailed = "disk_write_failed",
     /// A message left its sender (traced against the sender at the
     /// moment the engine accepted the transmission). Every send attempt
     /// gets a fresh engine-global transmission id `xid`; the matching
     /// [`TraceEvent::MsgRecv`] (or `MsgDropped` / `MsgDuplicated`)
     /// carries the same id, which is how the causal reconstructor pairs
     /// the two ends of a wire crossing.
-    MsgSent {
+    MsgSent = "msg_sent" {
         /// Engine-global transmission id.
         xid: u64,
         /// Intended receiver.
@@ -259,7 +335,7 @@ pub enum TraceEvent {
     },
     /// A message arrived at its destination (traced against the
     /// receiver at delivery time, just before the handler runs).
-    MsgRecv {
+    MsgRecv = "msg_recv" {
         /// Transmission id of the matching [`TraceEvent::MsgSent`].
         xid: u64,
         /// Sending node.
@@ -270,7 +346,7 @@ pub enum TraceEvent {
     /// The causal tag a protocol message carried on the wire (traced
     /// against the sender right after its `MsgSent`). `slot` / `round`
     /// use `u64::MAX` for "not applicable to this message kind".
-    MsgTag {
+    MsgTag = "msg_tag" {
         /// Transmission id of the tagged send.
         xid: u64,
         /// Protocol message kind (`"accept"`, `"accepted"`, …).
@@ -285,7 +361,7 @@ pub enum TraceEvent {
         round: u64,
     },
     /// The network model dropped an outgoing message.
-    MsgDropped {
+    MsgDropped = "msg_dropped" {
         /// Transmission id of the lost send.
         xid: u64,
         /// Intended receiver.
@@ -297,7 +373,7 @@ pub enum TraceEvent {
     },
     /// The network model duplicated an outgoing message (both copies
     /// share the original send's `xid`).
-    MsgDuplicated {
+    MsgDuplicated = "msg_duplicated" {
         /// Transmission id of the duplicated send.
         xid: u64,
         /// Receiver of both copies.
@@ -305,7 +381,7 @@ pub enum TraceEvent {
     },
     /// The local failure detector started suspecting a peer (silence
     /// exceeded the timeout).
-    PeerSuspected {
+    PeerSuspected = "peer_suspected" {
         /// The suspected replica.
         peer: u32,
         /// How long the peer had been silent when suspicion began, µs.
@@ -313,7 +389,7 @@ pub enum TraceEvent {
     },
     /// The local failure detector cleared a suspicion (the peer was
     /// heard from again, or a membership change absolved it).
-    PeerCleared {
+    PeerCleared = "peer_cleared" {
         /// The no-longer-suspected replica.
         peer: u32,
         /// How long the suspicion lasted, µs.
@@ -322,45 +398,45 @@ pub enum TraceEvent {
 
     // --- experiment harness ---
     /// The harness cut this node off from `peers` other nodes.
-    PartitionCut {
+    PartitionCut = "partition_cut" {
         /// Number of peers now unreachable.
         peers: u64,
     },
     /// The harness healed all partitions involving this node.
-    PartitionHealed,
+    PartitionHealed = "partition_healed",
     /// The harness installed a lossy link-fault profile on this node's
     /// links (loss/duplicate probabilities in percent).
-    NetFaultSet {
+    NetFaultSet = "net_fault_set" {
         /// Drop probability, percent.
         loss_pct: u64,
         /// Duplication probability, percent.
         dup_pct: u64,
     },
     /// The harness cleared this node's link faults.
-    NetFaultCleared,
+    NetFaultCleared = "net_fault_cleared",
     /// The harness armed a disk-fault profile on this node.
-    DiskFaultSet {
+    DiskFaultSet = "disk_fault_set" {
         /// Write-failure probability, percent.
         fail_pct: u64,
         /// Whether crashes tear the in-flight append.
         torn: bool,
     },
     /// The harness disarmed this node's disk faults.
-    DiskFaultCleared,
+    DiskFaultCleared = "disk_fault_cleared",
     /// The invariant auditor recorded one or more new violations.
-    AuditViolation {
+    AuditViolation = "audit_violation" {
         /// Cumulative violation count after this check.
         count: u64,
     },
     /// The online monitor saw a rule breach (not yet debounced).
-    AlertPending {
+    AlertPending = "alert_pending" {
         /// Rule name from the monitor's declarative rule set.
         rule: &'static str,
         /// Node the alert is about, or `u32::MAX` for cluster scope.
         subject: u32,
     },
     /// A monitor alert debounced into the firing state (a page).
-    AlertFiring {
+    AlertFiring = "alert_firing" {
         /// Rule name.
         rule: &'static str,
         /// Node the alert is about, or `u32::MAX` for cluster scope.
@@ -369,7 +445,7 @@ pub enum TraceEvent {
         pending_us: u64,
     },
     /// A firing monitor alert stayed clean long enough to resolve.
-    AlertResolved {
+    AlertResolved = "alert_resolved" {
         /// Rule name.
         rule: &'static str,
         /// Node the alert is about, or `u32::MAX` for cluster scope.
@@ -377,62 +453,6 @@ pub enum TraceEvent {
         /// Time spent firing before resolving, µs.
         firing_us: u64,
     },
-}
-
-impl TraceEvent {
-    /// Canonical snake_case tag identifying the variant; used as the
-    /// JSONL `e` field and as the per-node counter name.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::ProposalIssued { .. } => "proposal_issued",
-            TraceEvent::Promised { .. } => "promised",
-            TraceEvent::Accepted { .. } => "accepted",
-            TraceEvent::Decided { .. } => "decided",
-            TraceEvent::PrepareStarted { .. } => "prepare_started",
-            TraceEvent::LeaderElected { .. } => "leader_elected",
-            TraceEvent::ModeSwitch { .. } => "mode_switch",
-            TraceEvent::ReconfigProposed { .. } => "reconfig_proposed",
-            TraceEvent::EpochChanged { .. } => "epoch_change",
-            TraceEvent::StaleEpochRejected { .. } => "stale_epoch_rejected",
-            TraceEvent::UpdateSubmitted { .. } => "update_submitted",
-            TraceEvent::BatchFlushed { .. } => "batch_flushed",
-            TraceEvent::LogAppend { .. } => "log_append",
-            TraceEvent::AppendDurable => "append_durable",
-            TraceEvent::CheckpointWrite { .. } => "checkpoint_write",
-            TraceEvent::CheckpointDurable { .. } => "checkpoint_durable",
-            TraceEvent::CheckpointLoadStart { .. } => "checkpoint_load_start",
-            TraceEvent::CheckpointLoaded { .. } => "checkpoint_loaded",
-            TraceEvent::LogReplayStart { .. } => "log_replay_start",
-            TraceEvent::LogReplayed { .. } => "log_replayed",
-            TraceEvent::RecoveryComplete { .. } => "recovery_complete",
-            TraceEvent::UpdateDelivered { .. } => "update_delivered",
-            TraceEvent::ReplySent { .. } => "reply_sent",
-            TraceEvent::ClientSample { .. } => "client_sample",
-            TraceEvent::NetSample { .. } => "net_sample",
-            TraceEvent::QueueSample { .. } => "queue_sample",
-            TraceEvent::Crash => "crash",
-            TraceEvent::Restart { .. } => "restart",
-            TraceEvent::TornWrite { .. } => "torn_write",
-            TraceEvent::DiskWriteFailed => "disk_write_failed",
-            TraceEvent::MsgSent { .. } => "msg_sent",
-            TraceEvent::MsgRecv { .. } => "msg_recv",
-            TraceEvent::MsgTag { .. } => "msg_tag",
-            TraceEvent::MsgDropped { .. } => "msg_dropped",
-            TraceEvent::MsgDuplicated { .. } => "msg_duplicated",
-            TraceEvent::PeerSuspected { .. } => "peer_suspected",
-            TraceEvent::PeerCleared { .. } => "peer_cleared",
-            TraceEvent::PartitionCut { .. } => "partition_cut",
-            TraceEvent::PartitionHealed => "partition_healed",
-            TraceEvent::NetFaultSet { .. } => "net_fault_set",
-            TraceEvent::NetFaultCleared => "net_fault_cleared",
-            TraceEvent::DiskFaultSet { .. } => "disk_fault_set",
-            TraceEvent::DiskFaultCleared => "disk_fault_cleared",
-            TraceEvent::AuditViolation { .. } => "audit_violation",
-            TraceEvent::AlertPending { .. } => "alert_pending",
-            TraceEvent::AlertFiring { .. } => "alert_firing",
-            TraceEvent::AlertResolved { .. } => "alert_resolved",
-        }
-    }
 }
 
 /// One trace record: an event stamped with simulated time and node id.
@@ -452,148 +472,10 @@ mod tests {
 
     #[test]
     fn kinds_are_unique() {
-        let events = [
-            TraceEvent::ProposalIssued { seq: 0 },
-            TraceEvent::Promised { round: 0, by: 0 },
-            TraceEvent::Accepted {
-                slot: 0,
-                round: 0,
-                fast: false,
-            },
-            TraceEvent::Decided {
-                slot: 0,
-                noop: false,
-            },
-            TraceEvent::PrepareStarted {
-                round: 0,
-                fast: false,
-            },
-            TraceEvent::LeaderElected {
-                round: 0,
-                fast: false,
-            },
-            TraceEvent::ModeSwitch {
-                from: MODE_FAST,
-                to: MODE_CLASSIC,
-            },
-            TraceEvent::ReconfigProposed {
-                epoch: 1,
-                adds: 1,
-                removes: 1,
-            },
-            TraceEvent::EpochChanged {
-                epoch: 1,
-                n: 5,
-                slot: 0,
-            },
-            TraceEvent::StaleEpochRejected {
-                from: 0,
-                msg_epoch: 0,
-                local_epoch: 1,
-            },
-            TraceEvent::UpdateSubmitted { seq: 0 },
-            TraceEvent::BatchFlushed {
-                updates: 1,
-                trigger: "size",
-                first_seq: 0,
-            },
-            TraceEvent::LogAppend { bytes: 0 },
-            TraceEvent::AppendDurable,
-            TraceEvent::CheckpointWrite {
-                generation: 0,
-                slot: 0,
-                bytes: 0,
-            },
-            TraceEvent::CheckpointDurable { generation: 0 },
-            TraceEvent::CheckpointLoadStart { bytes: 0 },
-            TraceEvent::CheckpointLoaded { slot: 0 },
-            TraceEvent::LogReplayStart { bytes: 0 },
-            TraceEvent::LogReplayed { records: 0 },
-            TraceEvent::RecoveryComplete { slot: 0 },
-            TraceEvent::UpdateDelivered {
-                slot: 0,
-                index: 0,
-                submitter: 0,
-                seq: 0,
-                latency_us: 0,
-            },
-            TraceEvent::ReplySent { seq: 0 },
-            TraceEvent::ClientSample {
-                sec: 0,
-                ok: 1,
-                err: 0,
-            },
-            TraceEvent::NetSample {
-                messages: 0,
-                bytes: 0,
-            },
-            TraceEvent::QueueSample { depth: 0 },
-            TraceEvent::Crash,
-            TraceEvent::Restart { incarnation: 1 },
-            TraceEvent::TornWrite { bytes_kept: 1 },
-            TraceEvent::DiskWriteFailed,
-            TraceEvent::MsgSent {
-                xid: 0,
-                to: 0,
-                bytes: 0,
-            },
-            TraceEvent::MsgRecv {
-                xid: 0,
-                from: 0,
-                bytes: 0,
-            },
-            TraceEvent::MsgTag {
-                xid: 0,
-                kind: "accept",
-                origin: 0,
-                cseq: 0,
-                slot: 0,
-                round: 0,
-            },
-            TraceEvent::MsgDropped {
-                xid: 0,
-                to: 0,
-                bytes: 0,
-                reason: "loss",
-            },
-            TraceEvent::MsgDuplicated { xid: 0, to: 0 },
-            TraceEvent::PeerSuspected {
-                peer: 0,
-                silent_us: 0,
-            },
-            TraceEvent::PeerCleared {
-                peer: 0,
-                suspected_us: 0,
-            },
-            TraceEvent::PartitionCut { peers: 1 },
-            TraceEvent::PartitionHealed,
-            TraceEvent::NetFaultSet {
-                loss_pct: 1,
-                dup_pct: 0,
-            },
-            TraceEvent::NetFaultCleared,
-            TraceEvent::DiskFaultSet {
-                fail_pct: 1,
-                torn: true,
-            },
-            TraceEvent::DiskFaultCleared,
-            TraceEvent::AuditViolation { count: 1 },
-            TraceEvent::AlertPending {
-                rule: "replica_down",
-                subject: 0,
-            },
-            TraceEvent::AlertFiring {
-                rule: "replica_down",
-                subject: 0,
-                pending_us: 1,
-            },
-            TraceEvent::AlertResolved {
-                rule: "replica_down",
-                subject: 0,
-                firing_us: 1,
-            },
-        ];
-        let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        let mut kinds: Vec<&str> = TraceEvent::samples(&mut || 0)
+            .iter()
+            .map(TraceEvent::kind)
+            .collect();
         kinds.sort_unstable();
         let before = kinds.len();
         kinds.dedup();

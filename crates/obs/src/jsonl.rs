@@ -22,6 +22,8 @@
 /// lifecycle (alert_pending/alert_firing/alert_resolved).
 pub const SCHEMA_VERSION: u64 = 3;
 
+use std::fmt::Write as _;
+
 use crate::event::{TraceEvent, TraceRecord};
 
 /// A parsed trace line.
@@ -41,127 +43,20 @@ pub fn encode_run_header(label: &str) -> String {
 
 /// Renders one record as a canonical JSONL line (no trailing newline).
 pub fn encode(rec: &TraceRecord) -> String {
-    use TraceEvent::*;
-    let head = format!(
-        "{{\"t\":{},\"n\":{},\"e\":\"{}\"",
-        rec.t_us,
-        rec.node,
-        rec.event.kind()
-    );
-    let fields = match &rec.event {
-        ProposalIssued { seq } => format!(",\"seq\":{seq}"),
-        Promised { round, by } => format!(",\"round\":{round},\"by\":{by}"),
-        Accepted { slot, round, fast } => {
-            format!(",\"slot\":{slot},\"round\":{round},\"fast\":{fast}")
-        }
-        Decided { slot, noop } => format!(",\"slot\":{slot},\"noop\":{noop}"),
-        PrepareStarted { round, fast } => format!(",\"round\":{round},\"fast\":{fast}"),
-        LeaderElected { round, fast } => format!(",\"round\":{round},\"fast\":{fast}"),
-        ModeSwitch { from, to } => format!(",\"from\":\"{from}\",\"to\":\"{to}\""),
-        ReconfigProposed {
-            epoch,
-            adds,
-            removes,
-        } => format!(",\"epoch\":{epoch},\"adds\":{adds},\"removes\":{removes}"),
-        // "replicas", not "n": the envelope already uses "n" for the
-        // node id and duplicate keys would corrupt the decode.
-        EpochChanged { epoch, n, slot } => {
-            format!(",\"epoch\":{epoch},\"replicas\":{n},\"slot\":{slot}")
-        }
-        StaleEpochRejected {
-            from,
-            msg_epoch,
-            local_epoch,
-        } => format!(",\"from\":{from},\"msg_epoch\":{msg_epoch},\"local_epoch\":{local_epoch}"),
-        UpdateSubmitted { seq } => format!(",\"seq\":{seq}"),
-        BatchFlushed {
-            updates,
-            trigger,
-            first_seq,
-        } => {
-            format!(",\"updates\":{updates},\"trigger\":\"{trigger}\",\"first_seq\":{first_seq}")
-        }
-        LogAppend { bytes } => format!(",\"bytes\":{bytes}"),
-        AppendDurable => String::new(),
-        CheckpointWrite {
-            generation,
-            slot,
-            bytes,
-        } => format!(",\"generation\":{generation},\"slot\":{slot},\"bytes\":{bytes}"),
-        CheckpointDurable { generation } => format!(",\"generation\":{generation}"),
-        CheckpointLoadStart { bytes } => format!(",\"bytes\":{bytes}"),
-        CheckpointLoaded { slot } => format!(",\"slot\":{slot}"),
-        LogReplayStart { bytes } => format!(",\"bytes\":{bytes}"),
-        LogReplayed { records } => format!(",\"records\":{records}"),
-        RecoveryComplete { slot } => format!(",\"slot\":{slot}"),
-        UpdateDelivered {
-            slot,
-            index,
-            submitter,
-            seq,
-            latency_us,
-        } => format!(
-            ",\"slot\":{slot},\"index\":{index},\"submitter\":{submitter},\"seq\":{seq},\"latency_us\":{latency_us}"
-        ),
-        ReplySent { seq } => format!(",\"seq\":{seq}"),
-        ClientSample { sec, ok, err } => format!(",\"sec\":{sec},\"ok\":{ok},\"err\":{err}"),
-        NetSample { messages, bytes } => format!(",\"messages\":{messages},\"bytes\":{bytes}"),
-        QueueSample { depth } => format!(",\"depth\":{depth}"),
-        Crash => String::new(),
-        Restart { incarnation } => format!(",\"incarnation\":{incarnation}"),
-        TornWrite { bytes_kept } => format!(",\"bytes_kept\":{bytes_kept}"),
-        DiskWriteFailed => String::new(),
-        MsgSent { xid, to, bytes } => format!(",\"xid\":{xid},\"to\":{to},\"bytes\":{bytes}"),
-        MsgRecv { xid, from, bytes } => {
-            format!(",\"xid\":{xid},\"from\":{from},\"bytes\":{bytes}")
-        }
-        MsgTag {
-            xid,
-            kind,
-            origin,
-            cseq,
-            slot,
-            round,
-        } => format!(
-            ",\"xid\":{xid},\"kind\":\"{kind}\",\"origin\":{origin},\"cseq\":{cseq},\"slot\":{slot},\"round\":{round}"
-        ),
-        MsgDropped {
-            xid,
-            to,
-            bytes,
-            reason,
-        } => {
-            format!(",\"xid\":{xid},\"to\":{to},\"bytes\":{bytes},\"reason\":\"{reason}\"")
-        }
-        MsgDuplicated { xid, to } => format!(",\"xid\":{xid},\"to\":{to}"),
-        PeerSuspected { peer, silent_us } => {
-            format!(",\"peer\":{peer},\"silent_us\":{silent_us}")
-        }
-        PeerCleared { peer, suspected_us } => {
-            format!(",\"peer\":{peer},\"suspected_us\":{suspected_us}")
-        }
-        PartitionCut { peers } => format!(",\"peers\":{peers}"),
-        PartitionHealed => String::new(),
-        NetFaultSet { loss_pct, dup_pct } => {
-            format!(",\"loss_pct\":{loss_pct},\"dup_pct\":{dup_pct}")
-        }
-        NetFaultCleared => String::new(),
-        DiskFaultSet { fail_pct, torn } => format!(",\"fail_pct\":{fail_pct},\"torn\":{torn}"),
-        DiskFaultCleared => String::new(),
-        AuditViolation { count } => format!(",\"count\":{count}"),
-        AlertPending { rule, subject } => format!(",\"rule\":\"{rule}\",\"subject\":{subject}"),
-        AlertFiring {
-            rule,
-            subject,
-            pending_us,
-        } => format!(",\"rule\":\"{rule}\",\"subject\":{subject},\"pending_us\":{pending_us}"),
-        AlertResolved {
-            rule,
-            subject,
-            firing_us,
-        } => format!(",\"rule\":\"{rule}\",\"subject\":{subject},\"firing_us\":{firing_us}"),
-    };
-    format!("{head}{fields}}}")
+    let mut out = String::new();
+    encode_into(rec, &mut out);
+    out
+}
+
+fn encode_into(rec: &TraceRecord, out: &mut String) {
+    out.push_str("{\"t\":");
+    rec.t_us.put(out);
+    out.push_str(",\"n\":");
+    rec.node.put(out);
+    out.push_str(",\"e\":");
+    rec.event.kind().put(out);
+    rec.event.encode_fields(out);
+    out.push('}');
 }
 
 /// Renders a whole trace (records only) with one record per line and a
@@ -169,7 +64,7 @@ pub fn encode(rec: &TraceRecord) -> String {
 pub fn encode_all(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for rec in records {
-        out.push_str(&encode(rec));
+        encode_into(rec, &mut out);
         out.push('\n');
     }
     out
@@ -192,13 +87,13 @@ fn decode_line(line: &str) -> Result<Option<Line>, DecodeErr> {
     if let Some(Val::Str(label)) = get(&fields, "run") {
         return Ok(Some(Line::Run(label.clone())));
     }
-    let t_us = get_num(&fields, "t").map_err(DecodeErr::Other)?;
-    let node = get_num(&fields, "n").map_err(DecodeErr::Other)? as u32;
+    let t_us = u64::get(&fields, "t").map_err(DecodeErr::Other)?;
+    let node = u32::get(&fields, "n").map_err(DecodeErr::Other)?;
     let kind = match get(&fields, "e") {
         Some(Val::Str(s)) => s.clone(),
         _ => return Err(DecodeErr::Other("missing event kind `e`".into())),
     };
-    let event = match decode_event(&kind, &fields).map_err(DecodeErr::Other)? {
+    let event = match TraceEvent::decode_fields(&kind, &fields).map_err(DecodeErr::Other)? {
         Some(ev) => ev,
         None => return Err(DecodeErr::UnknownKind(kind)),
     };
@@ -250,255 +145,140 @@ pub fn decode_runs_counting(text: &str) -> Result<(Vec<Run>, u64), String> {
     Ok((runs, skipped))
 }
 
-/// Decodes a record's event payload; `Ok(None)` means the kind is not
-/// in this build's vocabulary (the caller decides strict vs skip).
-fn decode_event(kind: &str, f: &[(String, Val)]) -> Result<Option<TraceEvent>, String> {
-    use TraceEvent::*;
-    let ev = match kind {
-        "proposal_issued" => ProposalIssued {
-            seq: get_num(f, "seq")?,
-        },
-        "promised" => Promised {
-            round: get_num(f, "round")?,
-            by: get_num(f, "by")? as u32,
-        },
-        "accepted" => Accepted {
-            slot: get_num(f, "slot")?,
-            round: get_num(f, "round")?,
-            fast: get_bool(f, "fast")?,
-        },
-        "decided" => Decided {
-            slot: get_num(f, "slot")?,
-            noop: get_bool(f, "noop")?,
-        },
-        "prepare_started" => PrepareStarted {
-            round: get_num(f, "round")?,
-            fast: get_bool(f, "fast")?,
-        },
-        "leader_elected" => LeaderElected {
-            round: get_num(f, "round")?,
-            fast: get_bool(f, "fast")?,
-        },
-        "mode_switch" => ModeSwitch {
-            from: get_tag(f, "from")?,
-            to: get_tag(f, "to")?,
-        },
-        "reconfig_proposed" => ReconfigProposed {
-            epoch: get_num(f, "epoch")?,
-            adds: get_num(f, "adds")? as u32,
-            removes: get_num(f, "removes")? as u32,
-        },
-        "epoch_change" => EpochChanged {
-            epoch: get_num(f, "epoch")?,
-            n: get_num(f, "replicas")? as u32,
-            slot: get_num(f, "slot")?,
-        },
-        "stale_epoch_rejected" => StaleEpochRejected {
-            from: get_num(f, "from")? as u32,
-            msg_epoch: get_num(f, "msg_epoch")?,
-            local_epoch: get_num(f, "local_epoch")?,
-        },
-        "update_submitted" => UpdateSubmitted {
-            seq: get_num(f, "seq")?,
-        },
-        "batch_flushed" => BatchFlushed {
-            updates: get_num(f, "updates")?,
-            trigger: get_tag(f, "trigger")?,
-            first_seq: get_num(f, "first_seq")?,
-        },
-        "log_append" => LogAppend {
-            bytes: get_num(f, "bytes")?,
-        },
-        "append_durable" => AppendDurable,
-        "checkpoint_write" => CheckpointWrite {
-            generation: get_num(f, "generation")?,
-            slot: get_num(f, "slot")?,
-            bytes: get_num(f, "bytes")?,
-        },
-        "checkpoint_durable" => CheckpointDurable {
-            generation: get_num(f, "generation")?,
-        },
-        "checkpoint_load_start" => CheckpointLoadStart {
-            bytes: get_num(f, "bytes")?,
-        },
-        "checkpoint_loaded" => CheckpointLoaded {
-            slot: get_num(f, "slot")?,
-        },
-        "log_replay_start" => LogReplayStart {
-            bytes: get_num(f, "bytes")?,
-        },
-        "log_replayed" => LogReplayed {
-            records: get_num(f, "records")?,
-        },
-        "recovery_complete" => RecoveryComplete {
-            slot: get_num(f, "slot")?,
-        },
-        "update_delivered" => UpdateDelivered {
-            slot: get_num(f, "slot")?,
-            index: get_num(f, "index")?,
-            submitter: get_num(f, "submitter")? as u32,
-            seq: get_num(f, "seq")?,
-            latency_us: get_num(f, "latency_us")?,
-        },
-        "reply_sent" => ReplySent {
-            seq: get_num(f, "seq")?,
-        },
-        "client_sample" => ClientSample {
-            sec: get_num(f, "sec")?,
-            ok: get_num(f, "ok")?,
-            err: get_num(f, "err")?,
-        },
-        "net_sample" => NetSample {
-            messages: get_num(f, "messages")?,
-            bytes: get_num(f, "bytes")?,
-        },
-        "queue_sample" => QueueSample {
-            depth: get_num(f, "depth")?,
-        },
-        "crash" => Crash,
-        "restart" => Restart {
-            incarnation: get_num(f, "incarnation")?,
-        },
-        "torn_write" => TornWrite {
-            bytes_kept: get_num(f, "bytes_kept")?,
-        },
-        "disk_write_failed" => DiskWriteFailed,
-        "msg_sent" => MsgSent {
-            xid: get_num(f, "xid")?,
-            to: get_num(f, "to")? as u32,
-            bytes: get_num(f, "bytes")?,
-        },
-        "msg_recv" => MsgRecv {
-            xid: get_num(f, "xid")?,
-            from: get_num(f, "from")? as u32,
-            bytes: get_num(f, "bytes")?,
-        },
-        "msg_tag" => MsgTag {
-            xid: get_num(f, "xid")?,
-            kind: get_tag(f, "kind")?,
-            origin: get_num(f, "origin")? as u32,
-            cseq: get_num(f, "cseq")?,
-            slot: get_num(f, "slot")?,
-            round: get_num(f, "round")?,
-        },
-        "msg_dropped" => MsgDropped {
-            xid: get_num(f, "xid")?,
-            to: get_num(f, "to")? as u32,
-            bytes: get_num(f, "bytes")?,
-            reason: get_tag(f, "reason")?,
-        },
-        "msg_duplicated" => MsgDuplicated {
-            xid: get_num(f, "xid")?,
-            to: get_num(f, "to")? as u32,
-        },
-        "peer_suspected" => PeerSuspected {
-            peer: get_num(f, "peer")? as u32,
-            silent_us: get_num(f, "silent_us")?,
-        },
-        "peer_cleared" => PeerCleared {
-            peer: get_num(f, "peer")? as u32,
-            suspected_us: get_num(f, "suspected_us")?,
-        },
-        "partition_cut" => PartitionCut {
-            peers: get_num(f, "peers")?,
-        },
-        "partition_healed" => PartitionHealed,
-        "net_fault_set" => NetFaultSet {
-            loss_pct: get_num(f, "loss_pct")?,
-            dup_pct: get_num(f, "dup_pct")?,
-        },
-        "net_fault_cleared" => NetFaultCleared,
-        "disk_fault_set" => DiskFaultSet {
-            fail_pct: get_num(f, "fail_pct")?,
-            torn: get_bool(f, "torn")?,
-        },
-        "disk_fault_cleared" => DiskFaultCleared,
-        "audit_violation" => AuditViolation {
-            count: get_num(f, "count")?,
-        },
-        "alert_pending" => AlertPending {
-            rule: get_tag(f, "rule")?,
-            subject: get_num(f, "subject")? as u32,
-        },
-        "alert_firing" => AlertFiring {
-            rule: get_tag(f, "rule")?,
-            subject: get_num(f, "subject")? as u32,
-            pending_us: get_num(f, "pending_us")?,
-        },
-        "alert_resolved" => AlertResolved {
-            rule: get_tag(f, "rule")?,
-            subject: get_num(f, "subject")? as u32,
-            firing_us: get_num(f, "firing_us")?,
-        },
-        _ => return Ok(None),
-    };
-    Ok(Some(ev))
-}
-
 /// Tag strings appear in events as `&'static str`; the decoder interns
-/// the known vocabulary back to statics.
-fn get_tag(f: &[(String, Val)], key: &str) -> Result<&'static str, String> {
-    const TAGS: &[&str] = &[
-        "fast",
-        "classic",
-        "blocked",
-        "size",
-        "window",
-        "single",
-        "partition",
-        "loss",
-        "dest_down",
-        // Protocol message kinds carried by msg_tag records.
-        "prepare",
-        "promise",
-        "accept",
-        "any",
-        "fast_propose",
-        "propose",
-        "accepted",
-        "alive",
-        "learn_request",
-        "learn_reply",
-        "reconfig",
-        // Monitor rule names carried by alert_* records.
-        "replica_down",
-        "error_rate",
-        "slo_fast_burn",
-        "slo_slow_burn",
-        "wips_drop",
-    ];
-    match get(f, key) {
-        Some(Val::Str(s)) => TAGS
-            .iter()
-            .find(|t| *t == s)
-            .copied()
-            .ok_or_else(|| format!("unknown tag {s:?} for field {key:?}")),
-        _ => Err(format!("missing string field {key:?}")),
-    }
-}
+/// the known vocabulary back to statics. This list is the one place
+/// that knows the tag vocabulary.
+const TAGS: &[&str] = &[
+    "fast",
+    "classic",
+    "blocked",
+    "size",
+    "window",
+    "single",
+    "partition",
+    "loss",
+    "dest_down",
+    // Protocol message kinds carried by msg_tag records.
+    "prepare",
+    "promise",
+    "accept",
+    "any",
+    "fast_propose",
+    "propose",
+    "accepted",
+    "alive",
+    "learn_request",
+    "learn_reply",
+    "reconfig",
+    // Monitor rule names carried by alert_* records.
+    "replica_down",
+    "error_rate",
+    "slo_fast_burn",
+    "slo_slow_burn",
+    "wips_drop",
+];
 
 #[derive(Debug, Clone, PartialEq)]
-enum Val {
+pub(crate) enum Val {
     Num(u64),
     Bool(bool),
     Str(String),
 }
 
-fn get<'a>(fields: &'a [(String, Val)], key: &str) -> Option<&'a Val> {
+/// One parsed line: its `(key, value)` pairs in file order.
+pub(crate) type Fields = [(String, Val)];
+
+fn get<'a>(fields: &'a Fields, key: &str) -> Option<&'a Val> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn get_num(fields: &[(String, Val)], key: &str) -> Result<u64, String> {
-    match get(fields, key) {
-        Some(Val::Num(n)) => Ok(*n),
-        _ => Err(format!("missing numeric field {key:?}")),
+/// The JSONL codec of one event-field type. The event table
+/// ([`crate::event`]) names a type per field; these four impls are all
+/// the per-type encode/decode code there is.
+pub(crate) trait Field: Sized {
+    /// Appends the value's JSON rendering.
+    fn put(&self, out: &mut String);
+    /// Reads the value stored under `key`.
+    fn get(f: &Fields, key: &str) -> Result<Self, String>;
+    /// Some value of the type, derived from `v` (for generated tests).
+    #[cfg(test)]
+    fn from_int(v: u64) -> Self;
+}
+
+/// Appends `,"key":value`.
+pub(crate) fn put_field<T: Field>(out: &mut String, key: &str, value: &T) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    value.put(out);
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut String) {
+        // Writing to a String cannot fail.
+        let _ = write!(out, "{self}");
+    }
+    fn get(f: &Fields, key: &str) -> Result<u64, String> {
+        match get(f, key) {
+            Some(Val::Num(n)) => Ok(*n),
+            _ => Err(format!("missing numeric field {key:?}")),
+        }
+    }
+    #[cfg(test)]
+    fn from_int(v: u64) -> u64 {
+        v
     }
 }
 
-fn get_bool(fields: &[(String, Val)], key: &str) -> Result<bool, String> {
-    match get(fields, key) {
-        Some(Val::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing boolean field {key:?}")),
+impl Field for u32 {
+    fn put(&self, out: &mut String) {
+        u64::from(*self).put(out);
+    }
+    fn get(f: &Fields, key: &str) -> Result<u32, String> {
+        u32::try_from(u64::get(f, key)?).map_err(|_| format!("field {key:?} exceeds 32 bits"))
+    }
+    #[cfg(test)]
+    fn from_int(v: u64) -> u32 {
+        v as u32
+    }
+}
+
+impl Field for bool {
+    fn put(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn get(f: &Fields, key: &str) -> Result<bool, String> {
+        match get(f, key) {
+            Some(Val::Bool(b)) => Ok(*b),
+            _ => Err(format!("missing boolean field {key:?}")),
+        }
+    }
+    #[cfg(test)]
+    fn from_int(v: u64) -> bool {
+        v & 1 == 1
+    }
+}
+
+impl Field for &'static str {
+    fn put(&self, out: &mut String) {
+        // Tags are plain identifiers: no escaping needed.
+        out.push('"');
+        out.push_str(self);
+        out.push('"');
+    }
+    fn get(f: &Fields, key: &str) -> Result<&'static str, String> {
+        match get(f, key) {
+            Some(Val::Str(s)) => TAGS
+                .iter()
+                .find(|t| *t == s)
+                .copied()
+                .ok_or_else(|| format!("unknown tag {s:?} for field {key:?}")),
+            _ => Err(format!("missing string field {key:?}")),
+        }
+    }
+    #[cfg(test)]
+    fn from_int(v: u64) -> &'static str {
+        TAGS[(v % TAGS.len() as u64) as usize]
     }
 }
 
@@ -618,125 +398,67 @@ mod tests {
         }
     }
 
+    /// One record per table row, fields drawn from `next`.
+    fn sample_records(next: &mut dyn FnMut() -> u64) -> Vec<TraceRecord> {
+        let t_us = next();
+        let node = next() as u32;
+        TraceEvent::samples(next)
+            .into_iter()
+            .map(|event| TraceRecord { t_us, node, event })
+            .collect()
+    }
+
     #[test]
-    fn record_roundtrips() {
-        use TraceEvent::*;
-        let events = vec![
-            ProposalIssued { seq: 42 },
-            Accepted {
-                slot: 7,
-                round: 3,
-                fast: true,
-            },
-            ModeSwitch {
-                from: "fast",
-                to: "classic",
-            },
-            ReconfigProposed {
-                epoch: 2,
-                adds: 1,
-                removes: 2,
-            },
-            EpochChanged {
-                epoch: 2,
-                n: 5,
-                slot: 977,
-            },
-            StaleEpochRejected {
-                from: 3,
-                msg_epoch: 1,
-                local_epoch: 2,
-            },
-            UpdateSubmitted { seq: 12 },
-            BatchFlushed {
-                updates: 8,
-                trigger: "size",
-                first_seq: 5,
-            },
-            AppendDurable,
-            UpdateDelivered {
-                slot: 9,
-                index: 2,
-                submitter: 3,
-                seq: 12,
-                latency_us: 531,
-            },
-            ReplySent { seq: 12 },
-            ClientSample {
-                sec: 41,
-                ok: 17,
-                err: 2,
-            },
-            NetSample {
-                messages: 120_000,
-                bytes: 48_000_000,
-            },
-            QueueSample { depth: 7 },
-            Crash,
-            Restart { incarnation: 2 },
-            MsgSent {
-                xid: 17,
-                to: 2,
-                bytes: 256,
-            },
-            MsgRecv {
-                xid: 17,
-                from: 0,
-                bytes: 256,
-            },
-            MsgTag {
-                xid: 17,
-                kind: "accept",
-                origin: 0,
-                cseq: 9,
-                slot: 4,
-                round: 1,
-            },
-            MsgTag {
-                xid: 18,
-                kind: "propose",
-                origin: 1,
-                cseq: 10,
-                slot: u64::MAX,
-                round: u64::MAX,
-            },
-            MsgDropped {
-                xid: 19,
-                to: 4,
-                bytes: 512,
-                reason: "partition",
-            },
-            MsgDuplicated { xid: 20, to: 3 },
-            PeerSuspected {
-                peer: 2,
-                silent_us: 350_000,
-            },
-            PeerCleared {
-                peer: 2,
-                suspected_us: 4_200_000,
-            },
-            AuditViolation { count: 3 },
-            AlertPending {
-                rule: "replica_down",
-                subject: 2,
-            },
-            AlertFiring {
-                rule: "slo_fast_burn",
-                subject: u32::MAX,
-                pending_us: 2_000_000,
-            },
-            AlertResolved {
-                rule: "wips_drop",
-                subject: u32::MAX,
-                firing_us: 17_000_000,
-            },
-        ];
-        for (i, event) in events.into_iter().enumerate() {
-            roundtrip(TraceRecord {
-                t_us: 1000 + i as u64,
-                node: i as u32,
-                event,
-            });
+    fn every_variant_roundtrips_at_both_extremes() {
+        // All-zero fields, then all-max: `u64::MAX` is the `TAG_NONE`
+        // slot/round of a slot-less msg_tag, `u32::MAX` the cluster-scope
+        // alert subject.
+        for fill in [0, u64::MAX] {
+            let records = sample_records(&mut || fill);
+            assert_eq!(records.len(), 47, "one sample per event kind");
+            for rec in records {
+                roundtrip(rec);
+            }
+        }
+        let max = sample_records(&mut || u64::MAX);
+        let line = |kind: &str| {
+            let rec = max.iter().find(|r| r.event.kind() == kind).expect(kind);
+            encode(rec)
+        };
+        assert!(line("msg_tag").contains(&format!("\"slot\":{}", crate::TAG_NONE)));
+        // The one renamed key: `n` is taken by the envelope's node id.
+        assert!(line("epoch_change").contains(",\"replicas\":4294967295,"));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_inverts_encode(ints in proptest::collection::vec(0..=u64::MAX, 1..64)) {
+            let mut i = 0;
+            let mut next = || {
+                i += 1;
+                ints[i % ints.len()]
+            };
+            for rec in sample_records(&mut next) {
+                roundtrip(rec);
+            }
+        }
+
+        #[test]
+        fn decode_never_panics(bytes in proptest::collection::vec(proptest::any::<u8>(), 0..256)) {
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = decode(&text);
+            let _ = decode_runs_counting(&text);
+        }
+
+        /// Damaged but line-shaped input: a valid line with one byte
+        /// replaced reaches the field decoders, not just the tokenizer.
+        #[test]
+        fn decode_of_damaged_lines_never_panics(at in 0usize..200, with in proptest::any::<u8>(), pick in 0usize..47) {
+            let rec = sample_records(&mut || u64::MAX).swap_remove(pick);
+            let mut bytes = encode(&rec).into_bytes();
+            let at = at % bytes.len();
+            bytes[at] = with;
+            let _ = decode(&String::from_utf8_lossy(&bytes));
         }
     }
 
