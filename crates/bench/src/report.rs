@@ -197,7 +197,7 @@ pub fn write_file_or_die(path: &PathBuf, doc: &str) {
 
 /// Accumulates per-run trace records and writes them as one JSONL file
 /// when `--trace <path>` was given. Each run's records are preceded by
-/// a `{"run":"label"}` header line so `exp_trace_analyze` can split a
+/// a `{"run":"label"}` header line so `exp_trace` can split a
 /// multi-configuration file back into runs. The rendering is the
 /// canonical form from [`obs::jsonl`], so two deterministic runs
 /// produce byte-identical files.
@@ -320,19 +320,13 @@ pub fn run_markers(report: &RunReport) -> Vec<(u64, u32, &'static str)> {
 }
 
 /// Scores the run's alert log against its own ground-truth injection
-/// log (disk-fault arming excluded — see
-/// [`faultload::InjectionLog::incidents`]).
+/// log ([`RunReport::ground_truth`]).
 pub fn alert_score_from_run(report: &RunReport) -> obs::AlertScore {
-    let truth: Vec<obs::GroundTruth> = report
-        .injections
-        .incidents()
-        .map(|i| obs::GroundTruth {
-            at_us: i.at_us,
-            node: i.node,
-            kind: i.kind,
-        })
-        .collect();
-    obs::score_alerts(&report.alerts, &truth, &obs::ScoreConfig::default())
+    obs::score_alerts(
+        &report.alerts,
+        &report.ground_truth(),
+        &obs::ScoreConfig::default(),
+    )
 }
 
 /// The monitor's JSON fields for a monitored run: alert counts, the
@@ -365,7 +359,7 @@ pub fn monitor_fields(report: &RunReport) -> Vec<(&'static str, f64)> {
 /// The run's WIPS curve as an [`obs::Timeline`], with the markers from
 /// [`run_markers`] attached — the untraced path to the paper's
 /// availability decomposition (the traced path goes through
-/// `exp_timeline` on a full trace).
+/// `exp_trace timeline` on a full trace).
 pub fn timeline_from_run(report: &RunReport, cfg: &obs::TimelineConfig) -> obs::Timeline {
     obs::Timeline::from_series(
         report.recorder.wips_series(),

@@ -201,6 +201,22 @@ pub struct RunReport {
     pub alerts: obs::AlertLog,
 }
 
+impl RunReport {
+    /// The run's injection log as the alert scorer's ground truth: one
+    /// entry per operator-visible incident (disk-fault arming excluded —
+    /// see [`InjectionLog::incidents`]).
+    pub fn ground_truth(&self) -> Vec<obs::GroundTruth> {
+        self.injections
+            .incidents()
+            .map(|i| obs::GroundTruth {
+                at_us: i.at_us,
+                node: i.node,
+                kind: i.kind,
+            })
+            .collect()
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Admin {
     Crash {

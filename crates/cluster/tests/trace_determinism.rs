@@ -221,16 +221,7 @@ fn same_seed_alert_logs_are_byte_identical_and_score_the_crash() {
         "the faultload's injections must be recorded as ground truth"
     );
 
-    let truth: Vec<obs::GroundTruth> = a
-        .injections
-        .incidents()
-        .map(|i| obs::GroundTruth {
-            at_us: i.at_us,
-            node: i.node,
-            kind: i.kind,
-        })
-        .collect();
-    let score = obs::score_alerts(&a.alerts, &truth, &obs::ScoreConfig::default());
+    let score = obs::score_alerts(&a.alerts, &a.ground_truth(), &obs::ScoreConfig::default());
     assert_eq!(score.incidents.len(), 1, "one crash incident expected");
     assert_eq!(score.missed(), 0, "the crash must be detected");
     assert_eq!(score.false_positives, 0, "no spurious firings");

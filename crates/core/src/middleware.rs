@@ -52,12 +52,6 @@ pub struct TreplicaConfig {
     /// transfer. If a peer falls further behind than this, the snapshot
     /// transfer path ([`MwMsg::SnapshotRequest`]) takes over.
     pub retention_slots: u64,
-    /// Optional flow control: at most this many of this node's updates
-    /// may be outstanding (submitted but not yet applied locally);
-    /// excess `execute`s queue inside the middleware and are released as
-    /// earlier ones commit. Bounds the retry/collision amplification a
-    /// single overloaded node can inject into the ensemble.
-    pub max_outstanding: Option<usize>,
     /// Group commit: maximum updates coalesced into one consensus
     /// decree. `1` disables batching (every update is its own decree,
     /// the pre-batching behavior).
@@ -77,7 +71,6 @@ impl TreplicaConfig {
             paxos: PaxosConfig::lan(n),
             checkpoint_interval: 2_000,
             retention_slots: 200_000,
-            max_outstanding: None,
             batch_max_updates: 1,
             batch_window_us: 0,
             trace: TraceConfig::default(),
@@ -393,9 +386,6 @@ pub struct MwStatus {
     pub checkpoints: u64,
     /// Current durable-log size (mirror estimate).
     pub log_bytes: u64,
-    /// Locally-submitted updates parked by flow control, waiting for an
-    /// outstanding slot to free before they join a batch.
-    pub withheld: usize,
     /// Updates buffered in the open (not yet proposed) batch.
     pub pending_batch: usize,
 }
@@ -422,11 +412,6 @@ pub struct Middleware<App: Application> {
     now: u64,
     epoch: u64,
     recovery_completed_at: Option<u64>,
-    /// Flow control: locally-submitted updates not yet applied here.
-    outstanding_local: usize,
-    /// Updates accepted but whose submission is withheld until a
-    /// flow-control slot frees.
-    withheld: std::collections::VecDeque<(ProposalId, App::Action)>,
     /// Group commit: updates buffered for the next batch proposal.
     pending_batch: Vec<(ProposalId, App::Action)>,
     /// When the open batch must be flushed even if not full.
@@ -522,8 +507,6 @@ impl<App: Application> Middleware<App> {
             now,
             epoch: 0,
             recovery_completed_at: None,
-            outstanding_local: 0,
-            withheld: std::collections::VecDeque::new(),
             pending_batch: Vec::new(),
             batch_deadline: None,
             update_seq: 0,
@@ -626,8 +609,6 @@ impl<App: Application> Middleware<App> {
             now,
             epoch,
             recovery_completed_at: None,
-            outstanding_local: 0,
-            withheld: std::collections::VecDeque::new(),
             pending_batch: Vec::new(),
             batch_deadline: None,
             update_seq: 0,
@@ -710,7 +691,6 @@ impl<App: Application> Middleware<App> {
             checkpoint_slot: self.checkpoint_slot,
             checkpoints: self.checkpoints_completed,
             log_bytes: self.log.bytes(),
-            withheld: self.withheld.len(),
             pending_batch: self.pending_batch.len(),
         }
     }
@@ -762,16 +742,6 @@ impl<App: Application> Middleware<App> {
             self.trace
                 .push(TraceEvent::UpdateSubmitted { seq: pid.seq });
         }
-        if let Some(cap) = self.config.max_outstanding {
-            if self.outstanding_local >= cap {
-                // Accept the update (so the caller has an id to wait on)
-                // but withhold it from batching until a slot frees.
-                self.outstanding_local += 1;
-                self.withheld.push_back((pid, action));
-                return Ok((pid, Vec::new()));
-            }
-        }
-        self.outstanding_local += 1;
         let mut out = Vec::new();
         self.buffer_update(pid, action, &mut out);
         Ok((pid, out))
@@ -1233,15 +1203,10 @@ impl<App: Application> Middleware<App> {
             Some(a) => a,
             None => return,
         };
-        let mut freed = 0usize;
         while let Some(entry) = self.queue.try_dequeue() {
             let reply = app.apply(&entry.action);
             self.applied += 1;
             self.applied_since_checkpoint += 1;
-            if entry.pid.node == self.id {
-                self.outstanding_local = self.outstanding_local.saturating_sub(1);
-                freed += 1;
-            }
             if self.trace.enabled() {
                 // `latency_us` 0 marks an unknown submit time (remote or
                 // replayed updates); the analyzer excludes those.
@@ -1265,14 +1230,6 @@ impl<App: Application> Middleware<App> {
                 epoch: entry.epoch,
                 reply,
             });
-        }
-        // Release withheld updates into the freed flow-control slots:
-        // they join the open batch like fresh `execute`s.
-        for _ in 0..freed {
-            match self.withheld.pop_front() {
-                Some((pid, action)) => self.buffer_update(pid, action, out),
-                None => break,
-            }
         }
         if self.applied_since_checkpoint >= self.config.checkpoint_interval
             && !self.checkpoint_in_flight

@@ -641,63 +641,3 @@ fn crash_during_checkpoint_write_keeps_previous_generation() {
     c.assert_replicas_agree();
     assert_eq!(c.state(3).applied.len(), 15, "no updates lost");
 }
-
-#[test]
-fn flow_control_bounds_outstanding_proposals() {
-    // With max_outstanding = 2, a burst of 12 executes from one node
-    // trickles through the ensemble two at a time — and still all
-    // apply, in order, everywhere.
-    let mut c = Cluster::new(5, 47);
-    c.config = TreplicaConfig {
-        checkpoint_interval: 100,
-        max_outstanding: Some(2),
-        ..TreplicaConfig::lan(5)
-    };
-    for i in 0..5 {
-        c.nodes[i] = Some(Middleware::new(
-            ReplicaId(i as u32),
-            Register {
-                applied: Vec::new(),
-            },
-            c.config.clone(),
-            0,
-        ));
-    }
-    c.run_until(SimTime::from_secs(1));
-    // Burst without interleaved settling.
-    for v in 0..12u64 {
-        c.execute(0, v);
-    }
-    let status = c.nodes[0].as_ref().unwrap().status();
-    assert!(
-        status.withheld >= 10,
-        "most updates withheld by flow control right after the burst (withheld={})",
-        status.withheld
-    );
-    assert!(
-        status.paxos.pending_proposals <= 2,
-        "at most max_outstanding decrees in flight (pending={})",
-        status.paxos.pending_proposals
-    );
-    c.run_until(SimTime::from_secs(20));
-    c.assert_replicas_agree();
-    assert_eq!(
-        c.state(0).applied.len(),
-        12,
-        "all throttled proposals eventually apply"
-    );
-    assert_eq!(
-        c.nodes[0]
-            .as_ref()
-            .unwrap()
-            .status()
-            .paxos
-            .pending_proposals,
-        0
-    );
-    // Each value applied exactly once (the total order may permute
-    // concurrently released proposals — that is Fast Paxos semantics).
-    let mut seen = c.state(0).applied.clone();
-    seen.sort_unstable();
-    assert_eq!(seen, (0..12).collect::<Vec<_>>());
-}

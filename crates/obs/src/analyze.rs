@@ -10,8 +10,9 @@
 //! complete. All durations come from the records' sim-time stamps, so
 //! the analyzer needs nothing but the JSONL file.
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::TraceRecord;
 use crate::metrics::Hist;
+use crate::store::TraceStore;
 
 /// One crash incident reconstructed from a trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -42,106 +43,53 @@ pub struct RecoveryBreakdown {
 }
 
 /// Reconstructs all crash incidents from `records` (one run's trace,
-/// in engine order).
-///
-/// A second crash of the same node closes the open incident as
-/// incomplete and starts a new one. Election and phase events are
-/// attributed to the oldest open incident they can explain: elections
-/// to the earliest incident still lacking one, load/replay/complete
-/// events to the incident of their own node.
+/// in engine order); see [`TraceStore::recovery_breakdowns`].
 pub fn recovery_breakdowns(records: &[TraceRecord]) -> Vec<RecoveryBreakdown> {
-    let mut done: Vec<RecoveryBreakdown> = Vec::new();
-    let mut open: Vec<RecoveryBreakdown> = Vec::new();
+    TraceStore::build(records).recovery_breakdowns()
+}
 
-    fn open_idx(open: &[RecoveryBreakdown], node: u32) -> Option<usize> {
-        open.iter().position(|b| b.node == node)
+impl TraceStore<'_> {
+    /// One breakdown per crash incident, ordered by crash time.
+    ///
+    /// A second crash of the same node closes the open incident as
+    /// incomplete and starts a new one. Election and phase events are
+    /// attributed to the oldest open incident they can explain: elections
+    /// to the earliest incident still lacking one, load/replay/complete
+    /// events to the incident of their own node. A phase has a duration
+    /// once both its edges were traced.
+    pub fn recovery_breakdowns(&self) -> Vec<RecoveryBreakdown> {
+        let mut out: Vec<RecoveryBreakdown> = self
+            .incidents
+            .iter()
+            .map(|i| {
+                let since_crash = |t: u64| t.saturating_sub(i.crash_at_us);
+                let duration =
+                    |(start, end): (Option<u64>, Option<u64>)| Some(end?.saturating_sub(start?));
+                let checkpoint_load_us = duration(i.checkpoint_load_us);
+                let log_replay_us = duration(i.log_replay_us);
+                // Local replay ends when both parallel restart reads are
+                // done; the backlog re-learn covers the rest.
+                let local_done = i.restart_at_us.unwrap_or(i.crash_at_us)
+                    + checkpoint_load_us
+                        .unwrap_or(0)
+                        .max(log_replay_us.unwrap_or(0));
+                RecoveryBreakdown {
+                    node: i.node,
+                    crash_at_us: i.crash_at_us,
+                    restart_at_us: i.restart_at_us,
+                    detection_us: i.restart_at_us.map(since_crash),
+                    reelection_us: i.reelected_at_us.map(since_crash),
+                    checkpoint_load_us,
+                    log_replay_us,
+                    backlog_replay_us: i.recovered_at_us.map(|t| t.saturating_sub(local_done)),
+                    total_us: i.recovered_at_us.map(since_crash),
+                    complete: i.recovered_at_us.is_some(),
+                }
+            })
+            .collect();
+        out.sort_by_key(|b| (b.crash_at_us, b.node));
+        out
     }
-
-    for rec in records {
-        match rec.event {
-            TraceEvent::Crash => {
-                if let Some(i) = open_idx(&open, rec.node) {
-                    done.push(open.remove(i));
-                }
-                open.push(RecoveryBreakdown {
-                    node: rec.node,
-                    crash_at_us: rec.t_us,
-                    ..RecoveryBreakdown::default()
-                });
-            }
-            TraceEvent::Restart { .. } => {
-                if let Some(i) = open_idx(&open, rec.node) {
-                    let b = &mut open[i];
-                    b.restart_at_us = Some(rec.t_us);
-                    b.detection_us = Some(rec.t_us - b.crash_at_us);
-                }
-            }
-            TraceEvent::LeaderElected { .. } => {
-                // A post-crash election on any surviving node answers the
-                // oldest incident still waiting for one.
-                if let Some(b) = open
-                    .iter_mut()
-                    .filter(|b| b.reelection_us.is_none() && rec.t_us >= b.crash_at_us)
-                    .min_by_key(|b| b.crash_at_us)
-                {
-                    b.reelection_us = Some(rec.t_us - b.crash_at_us);
-                }
-            }
-            TraceEvent::CheckpointLoadStart { .. } => {
-                if let Some(i) = open_idx(&open, rec.node) {
-                    // Temporarily park the start time in the duration slot;
-                    // `CheckpointLoaded` converts it to a duration.
-                    open[i].checkpoint_load_us = Some(rec.t_us);
-                }
-            }
-            TraceEvent::CheckpointLoaded { .. } => {
-                if let Some(i) = open_idx(&open, rec.node) {
-                    let b = &mut open[i];
-                    if let Some(start) = b.checkpoint_load_us {
-                        if start >= b.crash_at_us {
-                            b.checkpoint_load_us = Some(rec.t_us - start);
-                        }
-                    }
-                }
-            }
-            TraceEvent::LogReplayStart { .. } => {
-                if let Some(i) = open_idx(&open, rec.node) {
-                    open[i].log_replay_us = Some(rec.t_us);
-                }
-            }
-            TraceEvent::LogReplayed { .. } => {
-                if let Some(i) = open_idx(&open, rec.node) {
-                    let b = &mut open[i];
-                    if let Some(start) = b.log_replay_us {
-                        if start >= b.crash_at_us {
-                            b.log_replay_us = Some(rec.t_us - start);
-                        }
-                    }
-                }
-            }
-            TraceEvent::RecoveryComplete { .. } => {
-                if let Some(i) = open_idx(&open, rec.node) {
-                    let mut b = open.remove(i);
-                    b.total_us = Some(rec.t_us - b.crash_at_us);
-                    b.complete = true;
-                    // Local replay ends when both parallel restart reads
-                    // are done; the backlog re-learn covers the rest.
-                    let restart = b.restart_at_us.unwrap_or(b.crash_at_us);
-                    let local_done = restart
-                        + b.checkpoint_load_us
-                            .unwrap_or(0)
-                            .max(b.log_replay_us.unwrap_or(0));
-                    b.backlog_replay_us = Some(rec.t_us.saturating_sub(local_done));
-                    done.push(b);
-                }
-            }
-            _ => {}
-        }
-    }
-    // Incidents still open at end of trace are reported as incomplete.
-    done.append(&mut open);
-    done.sort_by_key(|b| (b.crash_at_us, b.node));
-    done
 }
 
 /// Commit-latency aggregation of one run.
@@ -174,26 +122,26 @@ impl LatencySummary {
 /// Aggregates consensus round-trip latency and coalescing counters
 /// over one run's records.
 pub fn latency_summary(records: &[TraceRecord]) -> LatencySummary {
-    let mut s = LatencySummary::default();
-    for rec in records {
-        match rec.event {
-            TraceEvent::UpdateDelivered { latency_us, .. } => {
-                s.updates_delivered += 1;
-                if latency_us > 0 {
-                    s.commit_latency.observe(latency_us);
-                }
-            }
-            TraceEvent::BatchFlushed { updates, .. } => {
-                s.batches += 1;
-                s.batched_updates += updates;
-            }
-            TraceEvent::LogAppend { .. } => {
-                s.log_appends += 1;
-            }
-            _ => {}
+    TraceStore::build(records).latency_summary()
+}
+
+impl TraceStore<'_> {
+    /// Commit latency and group-commit coalescing of the run.
+    pub fn latency_summary(&self) -> LatencySummary {
+        let mut s = LatencySummary {
+            updates_delivered: self.updates_delivered,
+            ..LatencySummary::default()
+        };
+        for d in &self.deliveries {
+            s.commit_latency.observe(d.latency_us);
         }
+        for (_, _, updates) in self.flushes.values().flatten() {
+            s.batches += 1;
+            s.batched_updates += updates;
+        }
+        s.log_appends = self.appends.values().map(|v| v.len() as u64).sum();
+        s
     }
-    s
 }
 
 /// One real crash, as the failure detectors saw it.
@@ -237,90 +185,61 @@ impl FdQuality {
     }
 }
 
-/// Scores the failure detectors against the trace's ground truth:
-/// `Crash`/`Restart` records say when a peer was really down, so a
-/// suspicion of a down peer measures detection latency and a suspicion
-/// of a live peer counts as a false suspicion (its eventual
-/// `PeerCleared` contributes the mistake duration).
+/// Scores the failure detectors against the trace's ground truth; see
+/// [`TraceStore::fd_quality`].
 pub fn fd_quality(records: &[TraceRecord]) -> FdQuality {
-    use std::collections::{BTreeMap, BTreeSet};
-    let mut q = FdQuality::default();
-    // Peers currently down, with the index of their open incident.
-    let mut down: BTreeMap<u32, usize> = BTreeMap::new();
-    // (observer, peer) suspicions that began while the peer was up.
-    let mut false_open: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for rec in records {
-        match rec.event {
-            TraceEvent::Crash => {
-                q.incidents.push(FdIncident {
-                    peer: rec.node,
-                    crash_at_us: rec.t_us,
-                    ..FdIncident::default()
-                });
-                down.insert(rec.node, q.incidents.len() - 1);
+    TraceStore::build(records).fd_quality()
+}
+
+impl TraceStore<'_> {
+    /// Scores the failure detectors against the incident list: a peer
+    /// is really down from its crash to its restart, so a suspicion of
+    /// a down peer measures detection latency and a suspicion of a live
+    /// peer counts as a false suspicion (its eventual `PeerCleared`
+    /// contributes the mistake duration).
+    pub fn fd_quality(&self) -> FdQuality {
+        let mut q = FdQuality {
+            false_suspicions: self.false_suspicions.len() as u64,
+            ..FdQuality::default()
+        };
+        for i in &self.incidents {
+            let detection = i
+                .suspected
+                .map(|(t, by)| (t.saturating_sub(i.crash_at_us), by));
+            if let Some((latency, _)) = detection {
+                q.detection_latency.observe(latency);
             }
-            TraceEvent::Restart { .. } => {
-                down.remove(&rec.node);
-            }
-            TraceEvent::PeerSuspected { peer, .. } => {
-                if let Some(&i) = down.get(&peer) {
-                    let inc = &mut q.incidents[i];
-                    if inc.detection_latency_us.is_none() {
-                        let lat = rec.t_us.saturating_sub(inc.crash_at_us);
-                        inc.detection_latency_us = Some(lat);
-                        inc.detector = Some(rec.node);
-                        q.detection_latency.observe(lat);
-                    }
-                } else {
-                    q.false_suspicions += 1;
-                    false_open.insert((rec.node, peer));
-                }
-            }
-            TraceEvent::PeerCleared { peer, suspected_us }
-                if false_open.remove(&(rec.node, peer)) =>
-            {
-                q.mistake_duration.observe(suspected_us);
-            }
-            _ => {}
+            q.incidents.push(FdIncident {
+                peer: i.node,
+                crash_at_us: i.crash_at_us,
+                detection_latency_us: detection.map(|d| d.0),
+                detector: detection.map(|d| d.1),
+            });
         }
+        for lasted in self.false_suspicions.iter().flatten() {
+            q.mistake_duration.observe(*lasted);
+        }
+        q
     }
-    q
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(t_us: u64, node: u32, event: TraceEvent) -> TraceRecord {
-        TraceRecord { t_us, node, event }
-    }
+    use crate::event::TraceEvent;
+    use crate::testkit::*;
 
     /// Hand-built trace: leader crashes mid-batch, a survivor is
     /// elected, the victim restarts, loads its checkpoint while the log
     /// replays, then re-learns the backlog.
     fn crash_mid_batch_trace() -> Vec<TraceRecord> {
         vec![
-            rec(
-                900,
-                0,
-                TraceEvent::BatchFlushed {
-                    updates: 4,
-                    trigger: "size",
-                    first_seq: 0,
-                },
-            ),
-            rec(950, 0, TraceEvent::LogAppend { bytes: 400 }),
+            flushed(900, 0, 0, 4),
+            appended(950, 0),
             // Crash strikes while the batch's append is in flight.
-            rec(1_000, 0, TraceEvent::Crash),
-            rec(
-                1_400,
-                1,
-                TraceEvent::LeaderElected {
-                    round: 2,
-                    fast: true,
-                },
-            ),
-            rec(3_000, 0, TraceEvent::Restart { incarnation: 1 }),
+            crash(1_000, 0),
+            elected(1_400, 1),
+            restart(3_000, 0),
             rec(3_010, 0, TraceEvent::LogReplayStart { bytes: 4_000 }),
             rec(3_020, 0, TraceEvent::CheckpointLoadStart { bytes: 1 << 20 }),
             rec(3_510, 0, TraceEvent::LogReplayed { records: 10 }),
@@ -354,8 +273,8 @@ mod tests {
         // streaming — the incident must end at the checkpoint, and the
         // backlog phase must account only for the tail after it.
         let trace = vec![
-            rec(1_000, 2, TraceEvent::Crash),
-            rec(2_000, 2, TraceEvent::Restart { incarnation: 1 }),
+            crash(1_000, 2),
+            restart(2_000, 2),
             rec(2_010, 2, TraceEvent::LogReplayStart { bytes: 100 }),
             rec(
                 2_020,
@@ -381,10 +300,7 @@ mod tests {
 
     #[test]
     fn unfinished_incident_reported_incomplete() {
-        let trace = vec![
-            rec(1_000, 0, TraceEvent::Crash),
-            rec(2_000, 0, TraceEvent::Restart { incarnation: 1 }),
-        ];
+        let trace = vec![crash(1_000, 0), restart(2_000, 0)];
         let out = recovery_breakdowns(&trace);
         assert_eq!(out.len(), 1);
         assert!(!out[0].complete);
@@ -395,10 +311,10 @@ mod tests {
     #[test]
     fn double_crash_opens_two_incidents() {
         let trace = vec![
-            rec(1_000, 0, TraceEvent::Crash),
-            rec(2_000, 0, TraceEvent::Restart { incarnation: 1 }),
-            rec(5_000, 0, TraceEvent::Crash),
-            rec(6_000, 0, TraceEvent::Restart { incarnation: 2 }),
+            crash(1_000, 0),
+            restart(2_000, 0),
+            crash(5_000, 0),
+            restart(6_000, 0),
             rec(7_000, 0, TraceEvent::RecoveryComplete { slot: 4 }),
         ];
         let out = recovery_breakdowns(&trace);
@@ -411,24 +327,10 @@ mod tests {
     #[test]
     fn elections_attributed_to_oldest_waiting_incident() {
         let trace = vec![
-            rec(1_000, 0, TraceEvent::Crash),
-            rec(1_500, 1, TraceEvent::Crash),
-            rec(
-                2_000,
-                2,
-                TraceEvent::LeaderElected {
-                    round: 5,
-                    fast: false,
-                },
-            ),
-            rec(
-                2_500,
-                2,
-                TraceEvent::LeaderElected {
-                    round: 6,
-                    fast: true,
-                },
-            ),
+            crash(1_000, 0),
+            crash(1_500, 1),
+            elected(2_000, 2),
+            elected(2_500, 2),
         ];
         let out = recovery_breakdowns(&trace);
         assert_eq!(out.len(), 2);
@@ -441,51 +343,16 @@ mod tests {
         let trace = vec![
             // A false suspicion before any crash: node 1 wrongly
             // suspects node 2 for 300µs.
-            rec(
-                500,
-                1,
-                TraceEvent::PeerSuspected {
-                    peer: 2,
-                    silent_us: 400_000,
-                },
-            ),
-            rec(
-                800,
-                1,
-                TraceEvent::PeerCleared {
-                    peer: 2,
-                    suspected_us: 300,
-                },
-            ),
+            suspected(500, 1, 2),
+            cleared(800, 1, 2, 300),
             // A real crash of node 0, detected first by node 2.
-            rec(1_000, 0, TraceEvent::Crash),
-            rec(
-                1_450,
-                2,
-                TraceEvent::PeerSuspected {
-                    peer: 0,
-                    silent_us: 450_000,
-                },
-            ),
+            crash(1_000, 0),
+            suspected(1_450, 2, 0),
             // A second detector firing later must not overwrite.
-            rec(
-                1_500,
-                1,
-                TraceEvent::PeerSuspected {
-                    peer: 0,
-                    silent_us: 500_000,
-                },
-            ),
-            rec(4_000, 0, TraceEvent::Restart { incarnation: 1 }),
+            suspected(1_500, 1, 0),
+            restart(4_000, 0),
             // Clears after restart: real suspicions, not mistakes.
-            rec(
-                4_100,
-                2,
-                TraceEvent::PeerCleared {
-                    peer: 0,
-                    suspected_us: 2_650,
-                },
-            ),
+            cleared(4_100, 2, 0, 2_650),
         ];
         let q = fd_quality(&trace);
         assert_eq!(q.incidents.len(), 1);
@@ -500,7 +367,7 @@ mod tests {
 
     #[test]
     fn fd_quality_undetected_crash_stays_open() {
-        let trace = vec![rec(1_000, 3, TraceEvent::Crash)];
+        let trace = vec![crash(1_000, 3)];
         let q = fd_quality(&trace);
         assert_eq!(q.incidents.len(), 1);
         assert_eq!(q.detected(), 0);
@@ -510,38 +377,10 @@ mod tests {
     #[test]
     fn latency_summary_aggregates() {
         let trace = vec![
-            rec(
-                10,
-                0,
-                TraceEvent::BatchFlushed {
-                    updates: 3,
-                    trigger: "window",
-                    first_seq: 0,
-                },
-            ),
-            rec(11, 0, TraceEvent::LogAppend { bytes: 300 }),
-            rec(
-                50,
-                0,
-                TraceEvent::UpdateDelivered {
-                    slot: 0,
-                    index: 0,
-                    submitter: 0,
-                    seq: 0,
-                    latency_us: 40,
-                },
-            ),
-            rec(
-                51,
-                0,
-                TraceEvent::UpdateDelivered {
-                    slot: 0,
-                    index: 1,
-                    submitter: 1,
-                    seq: 0,
-                    latency_us: 0,
-                },
-            ),
+            flushed(10, 0, 0, 3),
+            appended(11, 0),
+            delivered(50, 0, 0, 0, 40),
+            delivered_for(51, 0, 0, 1, 0, 0),
         ];
         let s = latency_summary(&trace);
         assert_eq!(s.updates_delivered, 2);

@@ -35,11 +35,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::{TraceEvent, TraceRecord};
-
-/// Sentinel for "no slot/ballot provenance" in causal tags
-/// (`msg_tag.slot`/`msg_tag.round`).
-pub const TAG_NONE: u64 = u64::MAX;
+use crate::event::TraceRecord;
+use crate::store::{latest_at_or_before, Delivery, TraceStore};
 
 /// Where a microsecond of commit latency went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -134,7 +131,7 @@ pub struct CausalPath {
 impl CausalPath {
     /// The exactness invariant: segments telescope to the measured
     /// commit latency. True by construction; asserted in tests and
-    /// `exp_causal --gate`.
+    /// `exp_trace blame --gate`.
     pub fn telescopes(&self) -> bool {
         self.segments.iter().map(|s| s.dur_us).sum::<u64>() == self.total_us
     }
@@ -174,291 +171,66 @@ pub struct CausalProfile {
     pub paths: Vec<CausalPath>,
 }
 
-/// Causal tag carried by a `msg_tag` record, joined to transmissions by
-/// xid.
-#[derive(Debug, Clone, Copy)]
-struct TagInfo {
-    kind: &'static str,
-    origin: u32,
-    cseq: u64,
-    slot: u64,
-    round: u64,
-}
-
-/// Per-run lookup tables built in one pass over the records.
-#[derive(Default)]
-struct Index {
-    /// xid → causal tag (protocol messages only).
-    tags: BTreeMap<u64, TagInfo>,
-    /// xid → (send time, sender, destination).
-    sends: BTreeMap<u64, (u64, u32, u32)>,
-    /// (receiver, kind, slot) → tagged receives in trace order. Keyed
-    /// so slot-bearing lookups are a `partition_point`, not a scan over
-    /// the node's whole receive history.
-    recvs_by_slot: BTreeMap<(u32, &'static str, u64), Vec<RecvEntry>>,
-    /// (receiver, kind, origin) → tagged receives in trace order, for
-    /// slot-less origin-filtered lookups (propose / fast_propose).
-    recvs_by_origin: BTreeMap<(u32, &'static str, u32), Vec<RecvEntry>>,
-    /// Logical-message group → earliest send time. Key: (sender, kind,
-    /// dest, slot, round, cseq-for-slotless).
-    groups: BTreeMap<(u32, &'static str, u32, u64, u64, u64), u64>,
-    /// node → log-append times, in order.
-    appends: BTreeMap<u32, Vec<u64>>,
-    /// node → append-durable times, in order.
-    durables: BTreeMap<u32, Vec<u64>>,
-    /// node → (flush time, first_seq, updates), in order.
-    flushes: BTreeMap<u32, Vec<(u64, u64, u64)>>,
-    /// (node, slot) → first decide time.
-    decides: BTreeMap<(u32, u64), u64>,
-}
-
-/// `(recv time, trace order, xid, sender)`. The trace-order counter
-/// breaks same-microsecond ties the way the original receive log would.
-type RecvEntry = (u64, u64, u64, u32);
-
-impl Index {
-    fn group_key(node: u32, tag: &TagInfo, dest: u32) -> (u32, &'static str, u32, u64, u64, u64) {
-        // Slot-bearing messages group retransmissions by (slot, round);
-        // slot-less ones get a fresh cseq per transmission, so each is
-        // its own group (stall invisible — charged as sender CPU).
-        let cseq = if tag.slot == TAG_NONE { tag.cseq } else { 0 };
-        (node, tag.kind, dest, tag.slot, tag.round, cseq)
-    }
-
-    fn build(records: &[TraceRecord]) -> Index {
-        let mut idx = Index::default();
-        let mut ord: u64 = 0;
-        for rec in records {
-            match rec.event {
-                TraceEvent::MsgSent { xid, to, .. } => {
-                    idx.sends.insert(xid, (rec.t_us, rec.node, to));
-                }
-                TraceEvent::MsgRecv { xid, from, .. } => {
-                    // The tag was traced at send time, so it precedes
-                    // the receive in record order. Untagged receives
-                    // (non-protocol traffic) never match a blame
-                    // lookup, so they are not indexed.
-                    if let Some(tag) = idx.tags.get(&xid) {
-                        let entry = (rec.t_us, ord, xid, from);
-                        ord += 1;
-                        idx.recvs_by_slot
-                            .entry((rec.node, tag.kind, tag.slot))
-                            .or_default()
-                            .push(entry);
-                        idx.recvs_by_origin
-                            .entry((rec.node, tag.kind, tag.origin))
-                            .or_default()
-                            .push(entry);
-                    }
-                }
-                TraceEvent::MsgTag {
-                    xid,
-                    kind,
-                    origin,
-                    cseq,
-                    slot,
-                    round,
-                } => {
-                    let tag = TagInfo {
-                        kind,
-                        origin,
-                        cseq,
-                        slot,
-                        round,
-                    };
-                    if let Some(&(t, node, dest)) = idx.sends.get(&xid) {
-                        let key = Index::group_key(node, &tag, dest);
-                        let e = idx.groups.entry(key).or_insert(t);
-                        *e = (*e).min(t);
-                    }
-                    idx.tags.insert(xid, tag);
-                }
-                TraceEvent::LogAppend { .. } => {
-                    idx.appends.entry(rec.node).or_default().push(rec.t_us);
-                }
-                TraceEvent::AppendDurable => {
-                    idx.durables.entry(rec.node).or_default().push(rec.t_us);
-                }
-                TraceEvent::BatchFlushed {
-                    updates, first_seq, ..
-                } => {
-                    idx.flushes
-                        .entry(rec.node)
-                        .or_default()
-                        .push((rec.t_us, first_seq, updates));
-                }
-                TraceEvent::Decided { slot, .. } => {
-                    idx.decides.entry((rec.node, slot)).or_insert(rec.t_us);
-                }
-                _ => {}
-            }
-        }
-        idx
-    }
-
-    /// Latest entry with `t <= t_max` in one keyed receive vector.
-    fn latest_entry<K: Ord>(
-        map: &BTreeMap<K, Vec<RecvEntry>>,
-        key: K,
-        t_max: u64,
-    ) -> Option<RecvEntry> {
-        let v = map.get(&key)?;
-        let i = v.partition_point(|r| r.0 <= t_max);
-        if i == 0 {
-            None
-        } else {
-            Some(v[i - 1])
-        }
-    }
-
-    /// Latest receive at `node` of a `kind` message for `slot` with
-    /// `t <= t_max`.
-    fn latest_recv_slot(
-        &self,
-        node: u32,
-        kind: &'static str,
-        slot: u64,
-        t_max: u64,
-    ) -> Option<(u64, u64, u32)> {
-        Index::latest_entry(&self.recvs_by_slot, (node, kind, slot), t_max)
-            .map(|(t, _, xid, from)| (t, xid, from))
-    }
-
-    /// Latest receive at `node` of any of `kinds` originated by
-    /// `origin` with `t <= t_max`; ties across kinds break on trace
-    /// order, like the single receive log they were split from.
-    fn latest_recv_origin(
-        &self,
-        node: u32,
-        kinds: &[&'static str],
-        origin: u32,
-        t_max: u64,
-    ) -> Option<(u64, u64, u32)> {
-        kinds
-            .iter()
-            .filter_map(|k| Index::latest_entry(&self.recvs_by_origin, (node, *k, origin), t_max))
-            .max_by_key(|&(t, ord, _, _)| (t, ord))
-            .map(|(t, _, xid, from)| (t, xid, from))
-    }
-
-    /// Latest entry `<= t` in a sorted time vector.
-    fn latest_at_or_before(v: Option<&Vec<u64>>, t: u64) -> Option<u64> {
-        let v = v?;
-        let i = v.partition_point(|&x| x <= t);
-        if i == 0 {
-            None
-        } else {
-            Some(v[i - 1])
-        }
-    }
-
-    /// Earliest transmission of the logical message behind `xid` (the
-    /// retransmit group); the actual send time if untagged/unknown.
-    fn group_earliest(&self, xid: u64, actual: u64) -> u64 {
-        let Some(&(_, node, dest)) = self.sends.get(&xid) else {
-            return actual;
-        };
-        let Some(tag) = self.tags.get(&xid) else {
-            return actual;
-        };
-        let key = Index::group_key(node, tag, dest);
-        self.groups.get(&key).copied().unwrap_or(actual).min(actual)
-    }
-
-    /// The flush that carried `(node, seq)`, searching forward from
-    /// `t_min`.
-    fn flush_for(&self, node: u32, seq: u64, t_min: u64, t_max: u64) -> Option<u64> {
-        let v = self.flushes.get(&node)?;
-        let start = v.partition_point(|f| f.0 < t_min);
-        for &(t, first_seq, updates) in v.get(start..)? {
-            if t > t_max {
-                break;
-            }
-            if first_seq <= seq && seq < first_seq.saturating_add(updates) {
-                return Some(t);
-            }
-        }
-        None
-    }
-}
-
-/// One leg of the path: "the previous anchor up to `at` was `category`
-/// on `node`".
-struct Leg {
-    at: Option<u64>,
-    category: BlameCategory,
-    node: u32,
-    peer: Option<u32>,
-}
-
-fn leg(at: Option<u64>, category: BlameCategory, node: u32, peer: Option<u32>) -> Leg {
-    Leg {
-        at,
-        category,
-        node,
-        peer,
-    }
-}
+/// One leg of the path, `(at, category, node, peer)`: "the previous
+/// anchor up to `at` was `category` on `node`".
+type Leg = (Option<u64>, BlameCategory, u32, Option<u32>);
 
 impl CausalProfile {
     /// Reconstructs every causal path from one run's records (engine
-    /// order). Only locally-submitted updates carry a latency, so only
-    /// those become paths.
+    /// order).
     pub fn from_records(records: &[TraceRecord]) -> CausalProfile {
-        let idx = Index::build(records);
-        let mut paths = Vec::new();
-        for rec in records {
-            if let TraceEvent::UpdateDelivered {
-                slot,
-                submitter,
-                seq,
-                latency_us,
-                ..
-            } = rec.event
-            {
-                if latency_us == 0 || submitter != rec.node {
-                    continue;
-                }
-                paths.push(build_path(&idx, rec.node, seq, slot, rec.t_us, latency_us));
+        CausalProfile::from_store(&TraceStore::build(records))
+    }
+
+    /// One path per local delivery: only locally-submitted updates
+    /// carry a latency, so only those become paths.
+    pub fn from_store(store: &TraceStore) -> CausalProfile {
+        CausalProfile {
+            paths: store
+                .deliveries
+                .iter()
+                .map(|d| build_path(store, d))
+                .collect(),
+        }
+    }
+
+    /// `(segments, µs)` of blame per `key`, over every segment of every
+    /// path for which `key` is `Some`.
+    fn blame_by<K: Ord>(
+        &self,
+        key: impl Fn(&BlameSegment) -> Option<K>,
+    ) -> BTreeMap<K, (u64, u64)> {
+        let mut map: BTreeMap<K, (u64, u64)> = BTreeMap::new();
+        for s in self.paths.iter().flat_map(|p| &p.segments) {
+            if let Some(k) = key(s) {
+                let e = map.entry(k).or_default();
+                e.0 += 1;
+                e.1 += s.dur_us;
             }
         }
-        CausalProfile { paths }
+        map
     }
 
     /// Per-category blame totals across all paths,
     /// [`BlameCategory::ALL`] order.
     pub fn blame_by_category(&self) -> [u64; 5] {
-        let mut totals = [0u64; 5];
-        for p in &self.paths {
-            for s in &p.segments {
-                totals[s.category.index()] += s.dur_us;
-            }
-        }
-        totals
+        let by_cat = self.blame_by(|s| Some(s.category.index()));
+        std::array::from_fn(|cat| by_cat.get(&cat).map_or(0, |e| e.1))
     }
 
     /// Per-node blame totals (all categories), sorted by node id.
     pub fn blame_by_node(&self) -> Vec<(u32, u64)> {
-        let mut map: BTreeMap<u32, u64> = BTreeMap::new();
-        for p in &self.paths {
-            for s in &p.segments {
-                *map.entry(s.node).or_default() += s.dur_us;
-            }
-        }
-        map.into_iter().collect()
+        let by_node = self.blame_by(|s| Some(s.node));
+        by_node.into_iter().map(|(k, e)| (k, e.1)).collect()
     }
 
     /// Net-transit blame per directed link `(sender, receiver)`.
     pub fn blame_by_link(&self) -> Vec<((u32, u32), u64)> {
-        let mut map: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        for p in &self.paths {
-            for s in &p.segments {
-                if let (BlameCategory::NetTransit, Some(peer)) = (s.category, s.peer) {
-                    *map.entry((s.node, peer)).or_default() += s.dur_us;
-                }
-            }
-        }
-        map.into_iter().collect()
+        let by_link = self.blame_by(|s| match (s.category, s.peer) {
+            (BlameCategory::NetTransit, Some(peer)) => Some((s.node, peer)),
+            _ => None,
+        });
+        by_link.into_iter().map(|(k, e)| (k, e.1)).collect()
     }
 
     /// Blame totals bucketed by delivery-time window.
@@ -526,25 +298,14 @@ impl CausalProfile {
     /// one row per (category, node, peer) with nonzero blame, in
     /// canonical order.
     pub fn blame_csv(&self, run: &str) -> String {
-        let mut agg: BTreeMap<(usize, u32, i64), (u64, u64)> = BTreeMap::new();
-        for p in &self.paths {
-            for s in &p.segments {
-                let peer = s.peer.map(|p| p as i64).unwrap_or(-1);
-                let e = agg.entry((s.category.index(), s.node, peer)).or_default();
-                e.0 += 1;
-                e.1 += s.dur_us;
-            }
-        }
+        // `None` (no peer) sorts before every `Some(peer)`.
+        let agg = self.blame_by(|s| Some((s.category, s.node, s.peer)));
         let mut out = String::from("run,category,node,peer,count,total_us\n");
         for ((cat, node, peer), (count, total)) in agg {
-            let peer = if peer < 0 {
-                String::new()
-            } else {
-                peer.to_string()
-            };
+            let peer = peer.map_or(String::new(), |p| p.to_string());
             out.push_str(&format!(
                 "{run},{},{node},{peer},{count},{total}\n",
-                BlameCategory::ALL[cat].name()
+                cat.name()
             ));
         }
         out
@@ -553,83 +314,76 @@ impl CausalProfile {
 
 /// Backward-chains one delivered update through the quorum and lays the
 /// anchors out as monotonically clamped blame segments.
-fn build_path(
-    idx: &Index,
-    node: u32,
-    seq: u64,
-    slot: u64,
-    deliver_us: u64,
-    latency_us: u64,
-) -> CausalPath {
+fn build_path(store: &TraceStore, d: &Delivery) -> CausalPath {
     use BlameCategory::*;
+    let (node, seq, slot) = (d.node, d.seq, d.slot);
+    let (deliver_us, latency_us) = (d.t_us, d.latency_us);
     let submit_us = deliver_us.saturating_sub(latency_us);
-    let t1 = idx.flush_for(node, seq, submit_us, deliver_us);
-    let t10 = idx
+    let t1 = store.flush_for(node, seq, submit_us, deliver_us);
+    let t10 = store
         .decides
-        .get(&(node, slot))
+        .get(&(node, d.incarnation, slot))
         .copied()
         .filter(|&t| t <= deliver_us);
 
     let mut legs: Vec<Leg> = Vec::new();
-    legs.push(leg(t1, Queueing, node, None)); // submit → flush: batch wait
+    legs.push((t1, Queueing, node, None)); // submit → flush: batch wait
 
     // Decide ← the accepted reply that completed the quorum.
     let quorum_by = t10.unwrap_or(deliver_us);
-    let r_acc = idx.latest_recv_slot(node, "accepted", slot, quorum_by);
-    if let Some((t9, acc_xid, acceptor)) = r_acc {
-        // Accepted send on the acceptor (actual + retransmit-group
-        // earliest), then its durability and append anchors.
-        let t8p = idx.sends.get(&acc_xid).map(|s| s.0).unwrap_or(t9);
-        let t8 = idx.group_earliest(acc_xid, t8p);
-        let t7 = Index::latest_at_or_before(idx.durables.get(&acceptor), t8);
-        let t6 = Index::latest_at_or_before(idx.appends.get(&acceptor), t7.unwrap_or(t8));
+    let r_acc = store.latest_recv_slot(node, "accepted", slot, quorum_by);
+    if let Some((t9, _, acc_xid, acceptor)) = r_acc {
+        // Accepted send on the acceptor (retransmit-group earliest +
+        // actual), then its durability and append anchors.
+        let (t8, t8p) = store.send_times(acc_xid, t9);
+        let t7 = latest_at_or_before(store.durables.get(&acceptor), t8);
+        let t6 = latest_at_or_before(store.appends.get(&acceptor), t7.unwrap_or(t8));
 
         // The proposal that triggered the append: a slot-matched accept
         // (classic), else the submitter's own fast/classic propose
         // (fast path or leader == submitter).
         let trig_by = t6.unwrap_or(t8);
-        let r_trig = idx
+        let r_trig = store
             .latest_recv_slot(acceptor, "accept", slot, trig_by)
             .or_else(|| {
-                idx.latest_recv_origin(acceptor, &["fast_propose", "any", "propose"], node, trig_by)
+                let kinds = ["fast_propose", "any", "propose"];
+                store.latest_recv_origin(acceptor, &kinds, node, trig_by)
             });
 
-        if let Some((t5, trig_xid, proposer)) = r_trig {
-            let t4p = idx.sends.get(&trig_xid).map(|s| s.0).unwrap_or(t5);
-            let t4 = idx.group_earliest(trig_xid, t4p);
+        if let Some((t5, _, trig_xid, proposer)) = r_trig {
+            let (t4, t4p) = store.send_times(trig_xid, t5);
             if proposer != node {
                 // Classic path through a remote leader: find the
                 // middleware propose that reached it.
-                let r_prop = idx.latest_recv_origin(proposer, &["propose"], node, t4);
-                if let Some((t3, prop_xid, _)) = r_prop {
-                    let t2p = idx.sends.get(&prop_xid).map(|s| s.0).unwrap_or(t3);
-                    let t2 = idx.group_earliest(prop_xid, t2p);
-                    legs.push(leg(Some(t2), CpuService, node, None));
-                    legs.push(leg(Some(t2p), RetransmitStall, node, None));
-                    legs.push(leg(Some(t3), NetTransit, node, Some(proposer)));
-                    legs.push(leg(Some(t4), CpuService, proposer, None));
+                let r_prop = store.latest_recv_origin(proposer, &["propose"], node, t4);
+                if let Some((t3, _, prop_xid, _)) = r_prop {
+                    let (t2, t2p) = store.send_times(prop_xid, t3);
+                    legs.push((Some(t2), CpuService, node, None));
+                    legs.push((Some(t2p), RetransmitStall, node, None));
+                    legs.push((Some(t3), NetTransit, node, Some(proposer)));
+                    legs.push((Some(t4), CpuService, proposer, None));
                 } else {
                     // No propose found (e.g. leader learned the value
                     // another way): charge the whole gap as transit to
                     // the leader — rare and clamped.
-                    legs.push(leg(Some(t4), NetTransit, node, Some(proposer)));
+                    legs.push((Some(t4), NetTransit, node, Some(proposer)));
                 }
             } else {
-                legs.push(leg(Some(t4), CpuService, node, None));
+                legs.push((Some(t4), CpuService, node, None));
             }
-            legs.push(leg(Some(t4p), RetransmitStall, proposer, None));
-            legs.push(leg(Some(t5), NetTransit, proposer, Some(acceptor)));
+            legs.push((Some(t4p), RetransmitStall, proposer, None));
+            legs.push((Some(t5), NetTransit, proposer, Some(acceptor)));
         }
 
-        legs.push(leg(t6, CpuService, acceptor, None)); // recv → append
-        legs.push(leg(t7, DiskFsync, acceptor, None)); // append → durable
-        legs.push(leg(Some(t8), CpuService, acceptor, None)); // durable → send
-        legs.push(leg(Some(t8p), RetransmitStall, acceptor, None));
-        legs.push(leg(Some(t9), NetTransit, acceptor, Some(node)));
+        legs.push((t6, CpuService, acceptor, None)); // recv → append
+        legs.push((t7, DiskFsync, acceptor, None)); // append → durable
+        legs.push((Some(t8), CpuService, acceptor, None)); // durable → send
+        legs.push((Some(t8p), RetransmitStall, acceptor, None));
+        legs.push((Some(t9), NetTransit, acceptor, Some(node)));
     }
 
-    legs.push(leg(t10, CpuService, node, None)); // accepted → decide
-    legs.push(leg(Some(deliver_us), Queueing, node, None)); // decide → apply
+    legs.push((t10, CpuService, node, None)); // accepted → decide
+    legs.push((Some(deliver_us), Queueing, node, None)); // decide → apply
 
     // Monotone clamp: every anchor is pulled into [cur, deliver], so
     // the segment durations telescope to the latency by construction.
@@ -637,8 +391,8 @@ fn build_path(
     let mut cur = submit_us;
     let mut flush_c = submit_us;
     let mut decide_c = deliver_us;
-    for (i, l) in legs.iter().enumerate() {
-        let Some(at) = l.at else { continue };
+    for (i, &(at, category, node, peer)) in legs.iter().enumerate() {
+        let Some(at) = at else { continue };
         let at = at.clamp(cur, deliver_us);
         if i == 0 {
             flush_c = at;
@@ -648,9 +402,9 @@ fn build_path(
         }
         if at > cur {
             segments.push(BlameSegment {
-                category: l.category,
-                node: l.node,
-                peer: l.peer,
+                category,
+                node,
+                peer,
                 start_us: cur,
                 dur_us: at - cur,
             });
@@ -674,10 +428,9 @@ fn build_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(t_us: u64, node: u32, event: TraceEvent) -> TraceRecord {
-        TraceRecord { t_us, node, event }
-    }
+    use crate::event::TraceEvent;
+    use crate::store::TAG_NONE;
+    use crate::testkit::*;
 
     fn sent(t: u64, node: u32, xid: u64, to: u32) -> TraceRecord {
         rec(
@@ -728,54 +481,25 @@ mod tests {
         )
     }
 
-    fn delivered(t: u64, node: u32, slot: u64, seq: u64, latency_us: u64) -> TraceRecord {
-        rec(
-            t,
-            node,
-            TraceEvent::UpdateDelivered {
-                slot,
-                index: 0,
-                submitter: node,
-                seq,
-                latency_us,
-            },
-        )
-    }
-
     /// submit(100) → flush(150) → propose 0→1 (160..200) → accept
     /// 1→2 (220..260) → append(270) → durable(320) → accepted 2→0
     /// (320..360) → decide(365) → deliver(400).
     fn classic_trace() -> Vec<TraceRecord> {
         vec![
-            rec(100, 0, TraceEvent::UpdateSubmitted { seq: 0 }),
-            rec(
-                150,
-                0,
-                TraceEvent::BatchFlushed {
-                    updates: 1,
-                    trigger: "single",
-                    first_seq: 0,
-                },
-            ),
+            submitted(100, 0, 0),
+            flushed(150, 0, 0, 1),
             sent(160, 0, 1, 1),
             tag(160, 0, 1, "propose", 0, 0, TAG_NONE, TAG_NONE),
             recv(200, 1, 1, 0),
             sent(220, 1, 2, 2),
             tag(220, 1, 2, "accept", 1, 1, 5, 1),
             recv(260, 2, 2, 1),
-            rec(270, 2, TraceEvent::LogAppend { bytes: 100 }),
-            rec(320, 2, TraceEvent::AppendDurable),
+            appended(270, 2),
+            durable(320, 2),
             sent(320, 2, 3, 0),
             tag(320, 2, 3, "accepted", 2, 2, 5, 1),
             recv(360, 0, 3, 2),
-            rec(
-                365,
-                0,
-                TraceEvent::Decided {
-                    slot: 5,
-                    noop: false,
-                },
-            ),
+            decided(365, 0, 5),
             delivered(400, 0, 5, 0, 300),
         ]
     }
@@ -822,16 +546,8 @@ mod tests {
         // The first accept (xid 2) is lost; the leader retransmits the
         // same (slot, round) as xid 4 at 500, which gets through.
         let trace = vec![
-            rec(100, 0, TraceEvent::UpdateSubmitted { seq: 0 }),
-            rec(
-                150,
-                0,
-                TraceEvent::BatchFlushed {
-                    updates: 1,
-                    trigger: "single",
-                    first_seq: 0,
-                },
-            ),
+            submitted(100, 0, 0),
+            flushed(150, 0, 0, 1),
             sent(160, 0, 1, 1),
             tag(160, 0, 1, "propose", 0, 0, TAG_NONE, TAG_NONE),
             recv(200, 1, 1, 0),
@@ -850,19 +566,12 @@ mod tests {
             sent(500, 1, 4, 2),
             tag(500, 1, 4, "accept", 1, 2, 5, 1),
             recv(540, 2, 4, 1),
-            rec(550, 2, TraceEvent::LogAppend { bytes: 100 }),
-            rec(600, 2, TraceEvent::AppendDurable),
+            appended(550, 2),
+            durable(600, 2),
             sent(600, 2, 5, 0),
             tag(600, 2, 5, "accepted", 2, 3, 5, 1),
             recv(640, 0, 5, 2),
-            rec(
-                645,
-                0,
-                TraceEvent::Decided {
-                    slot: 5,
-                    noop: false,
-                },
-            ),
+            decided(645, 0, 5),
             delivered(680, 0, 5, 0, 580),
         ];
         let profile = CausalProfile::from_records(&trace);
@@ -887,16 +596,8 @@ mod tests {
         // quorum completes through acceptor 3. The path must follow the
         // reply that actually arrived and still telescope.
         let trace = vec![
-            rec(100, 0, TraceEvent::UpdateSubmitted { seq: 0 }),
-            rec(
-                150,
-                0,
-                TraceEvent::BatchFlushed {
-                    updates: 1,
-                    trigger: "single",
-                    first_seq: 0,
-                },
-            ),
+            submitted(100, 0, 0),
+            flushed(150, 0, 0, 1),
             sent(160, 0, 1, 1),
             tag(160, 0, 1, "propose", 0, 0, TAG_NONE, TAG_NONE),
             recv(200, 1, 1, 0),
@@ -906,21 +607,14 @@ mod tests {
             sent(220, 1, 3, 3),
             tag(220, 1, 3, "accept", 1, 2, 5, 1),
             recv(260, 2, 2, 1),
-            rec(262, 2, TraceEvent::Crash),
+            crash(262, 2),
             recv(270, 3, 3, 1),
-            rec(280, 3, TraceEvent::LogAppend { bytes: 100 }),
-            rec(340, 3, TraceEvent::AppendDurable),
+            appended(280, 3),
+            durable(340, 3),
             sent(340, 3, 4, 0),
             tag(340, 3, 4, "accepted", 3, 3, 5, 1),
             recv(390, 0, 4, 3),
-            rec(
-                395,
-                0,
-                TraceEvent::Decided {
-                    slot: 5,
-                    noop: false,
-                },
-            ),
+            decided(395, 0, 5),
             delivered(430, 0, 5, 0, 330),
         ];
         let profile = CausalProfile::from_records(&trace);
@@ -941,17 +635,9 @@ mod tests {
         // middleware split the batch): each gets its own path against
         // the same flush record, and both telescope.
         let mut trace = vec![
-            rec(100, 0, TraceEvent::UpdateSubmitted { seq: 0 }),
-            rec(110, 0, TraceEvent::UpdateSubmitted { seq: 1 }),
-            rec(
-                150,
-                0,
-                TraceEvent::BatchFlushed {
-                    updates: 2,
-                    trigger: "size",
-                    first_seq: 0,
-                },
-            ),
+            submitted(100, 0, 0),
+            submitted(110, 0, 1),
+            flushed(150, 0, 0, 2),
         ];
         // Slot 5 carries seq 0, slot 6 carries seq 1; fast path
         // (submitter sends fast_propose straight to the acceptor).
@@ -962,12 +648,12 @@ mod tests {
                 sent(base, 0, xid, 2),
                 tag(base, 0, xid, "fast_propose", 0, i, TAG_NONE, TAG_NONE),
                 recv(base + 40, 2, xid, 0),
-                rec(base + 50, 2, TraceEvent::LogAppend { bytes: 100 }),
-                rec(base + 90, 2, TraceEvent::AppendDurable),
+                appended(base + 50, 2),
+                durable(base + 90, 2),
                 sent(base + 90, 2, xid + 1, 0),
                 tag(base + 90, 2, xid + 1, "accepted", 2, i, slot, 0),
                 recv(base + 130, 0, xid + 1, 2),
-                rec(base + 135, 0, TraceEvent::Decided { slot, noop: false }),
+                decided(base + 135, 0, slot),
             ]);
             trace.push(delivered(
                 base + 160,

@@ -7,7 +7,9 @@
 //! visible in our reproduction:
 //!
 //! * [`TraceEvent`] / [`TraceRecord`] — the typed event taxonomy, each
-//!   record stamped with simulated time and node id;
+//!   record stamped with simulated time and node id. The vocabulary is
+//!   declared once, as a table in [`event`], from which the enum, its
+//!   kind tags and the JSONL codec are derived;
 //! * [`Tracer`] — the run-global sink, owned by the simulation engine so
 //!   record order follows the engine's deterministic event order and the
 //!   trace of a `(seed, config)` pair is bit-identical across runs;
@@ -16,8 +18,15 @@
 //! * [`NodeMetrics`] / [`Hist`] — lightweight per-node counters and
 //!   log₂ histograms (commit latency, batch sizes, queue depths);
 //! * [`jsonl`] — a canonical JSONL codec for traces (stdlib only);
-//! * [`analyze`] — offline reconstruction of per-incident recovery
-//!   breakdowns and commit-latency tables from a trace alone;
+//! * [`TraceStore`] — one run's records indexed in a single pass: the
+//!   commit-path join tables, the send/receive/tag index, and the list
+//!   of crash incidents. Every offline reducer below is a query over it
+//!   (`from_store`), with `from_records` as the build-then-query
+//!   shorthand; the `exp_trace` binary is the command-line front end;
+//! * [`analyze`] — per-incident recovery breakdowns, commit-latency
+//!   tables, and failure-detector scoring ([`fd_quality`]: detection
+//!   latency, false suspicions, mistake durations against the store's
+//!   incident list);
 //! * [`timeline`] — windowed WIPS/commit/resource series with fault
 //!   markers, plus per-crash [`AvailabilityReport`]s (time to detect /
 //!   failover, dip depth, ramp back to 95 % of baseline);
@@ -29,9 +38,6 @@
 //!   `msg_tag` records, distributed critical paths, and per-node /
 //!   per-link *blame* (net transit, retransmit stalls, disk fsync, CPU
 //!   service, queueing) telescoping exactly to each commit latency;
-//! * [`analyze::fd_quality`] — failure-detector scoring (detection
-//!   latency, false suspicions, mistake durations) against the trace's
-//!   crash/restart ground truth;
 //! * [`monitor`] — the one *online* layer: an in-sim SLO monitor fed
 //!   deterministic scrape ticks during the run (rolling windows,
 //!   threshold + multi-window burn-rate rules, a pending→firing→
@@ -53,6 +59,9 @@ pub mod jsonl;
 pub mod metrics;
 pub mod monitor;
 pub mod spans;
+pub mod store;
+#[cfg(test)]
+mod testkit;
 pub mod timeline;
 pub mod tracer;
 
@@ -60,7 +69,7 @@ pub use analyze::{
     fd_quality, latency_summary, recovery_breakdowns, FdIncident, FdQuality, LatencySummary,
     RecoveryBreakdown,
 };
-pub use causal::{BlameCategory, BlameSegment, CausalPath, CausalProfile, TAG_NONE};
+pub use causal::{BlameCategory, BlameSegment, CausalPath, CausalProfile};
 pub use event::{TraceEvent, TraceRecord, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
 pub use metrics::{Hist, NodeMetrics};
 pub use monitor::{
@@ -68,6 +77,7 @@ pub use monitor::{
     Monitor, MonitorConfig, NodeHealth, Rule, RuleExpr, ScoreConfig, Scrape, SUBJECT_CLUSTER,
 };
 pub use spans::{SpanProfile, UpdateSpan, PHASES};
+pub use store::{TraceStore, TAG_NONE};
 pub use timeline::{
     availability_reports, availability_reports_for, AvailabilityReport, Timeline, TimelineConfig,
 };

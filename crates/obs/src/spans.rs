@@ -17,8 +17,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::TraceRecord;
 use crate::metrics::Hist;
+use crate::store::TraceStore;
 
 /// Critical-path phase names, pipeline order. The first four partition
 /// the submit→apply latency; `reply` is the tail from apply to the
@@ -86,118 +87,49 @@ pub struct SpanProfile {
     pub phase_hists: BTreeMap<&'static str, Hist>,
 }
 
-/// Per-node stitching state; cleared on the node's crash because its
-/// volatile pipeline (and its per-epoch sequence space) restarts.
-#[derive(Default)]
-struct NodeState {
-    /// seq → submit time.
-    submits: BTreeMap<u64, u64>,
-    /// first_seq → (updates, flush time); a range query joins a seq to
-    /// its batch.
-    flushes: BTreeMap<u64, (u64, u64)>,
-    /// slot → first local acceptance time.
-    accepts: BTreeMap<u64, u64>,
-    /// slot → decision time.
-    decides: BTreeMap<u64, u64>,
-    /// seq → span index awaiting its `reply_sent`.
-    pending_reply: BTreeMap<u64, usize>,
-}
-
-impl NodeState {
-    /// The flush covering `seq`, if traced: the batch whose
-    /// `[first_seq, first_seq + updates)` range contains it. When `seq`
-    /// is the batch's last update the entry is dropped (deliveries run
-    /// in index order, so nothing still needs it).
-    fn flush_for(&mut self, seq: u64) -> Option<u64> {
-        let (&first, &(updates, t)) = self.flushes.range(..=seq).next_back()?;
-        if seq >= first + updates {
-            return None;
-        }
-        if seq + 1 == first + updates {
-            self.flushes.remove(&first);
-        }
-        Some(t)
-    }
-}
-
 impl SpanProfile {
     /// Stitches `records` (one run's trace, in engine order) into
     /// per-update spans.
     pub fn from_records(records: &[TraceRecord]) -> SpanProfile {
-        let mut nodes: BTreeMap<u32, NodeState> = BTreeMap::new();
+        SpanProfile::from_store(&TraceStore::build(records))
+    }
+
+    /// Stitches one span per local delivery whose submit was traced.
+    pub fn from_store(store: &TraceStore) -> SpanProfile {
         let mut profile = SpanProfile::default();
-        for rec in records {
-            let state = nodes.entry(rec.node).or_default();
-            match rec.event {
-                TraceEvent::UpdateSubmitted { seq } => {
-                    state.submits.insert(seq, rec.t_us);
-                }
-                TraceEvent::BatchFlushed {
-                    updates, first_seq, ..
-                } => {
-                    state.flushes.insert(first_seq, (updates, rec.t_us));
-                }
-                TraceEvent::Accepted { slot, .. } => {
-                    state.accepts.entry(slot).or_insert(rec.t_us);
-                }
-                TraceEvent::Decided { slot, .. } => {
-                    state.decides.entry(slot).or_insert(rec.t_us);
-                }
-                TraceEvent::UpdateDelivered {
-                    slot,
-                    submitter,
-                    seq,
-                    latency_us,
-                    ..
-                } => {
-                    // Only the submitter saw the submit, so only its
-                    // own delivery closes the span.
-                    if submitter != rec.node || latency_us == 0 {
-                        continue;
-                    }
-                    let Some(submit) = state.submits.remove(&seq) else {
-                        continue; // submitted before tracing started
-                    };
-                    let flush = state.flush_for(seq);
-                    let accept = state.accepts.get(&slot).copied();
-                    let decide = state.decides.get(&slot).copied();
-                    // Clamp each stamp to be monotone so a missing edge
-                    // collapses its phase to zero instead of skewing
-                    // the others; the phases then telescope to exactly
-                    // deliver − submit.
-                    let s1 = flush.unwrap_or(submit).max(submit);
-                    let s2 = accept.unwrap_or(s1).max(s1);
-                    let s3 = decide.unwrap_or(s2).max(s2);
-                    let s4 = rec.t_us.max(s3);
-                    let span = UpdateSpan {
-                        node: rec.node,
-                        seq,
-                        slot,
-                        submit_us: submit,
-                        deliver_us: rec.t_us,
-                        batch_wait_us: s1 - submit,
-                        persist_accept_us: s2 - s1,
-                        quorum_decide_us: s3 - s2,
-                        apply_us: s4 - s3,
-                        reply_us: None,
-                        total_us: latency_us,
-                    };
-                    state.pending_reply.insert(seq, profile.spans.len());
-                    profile.spans.push(span);
-                }
-                TraceEvent::ReplySent { seq } => {
-                    if let Some(idx) = state.pending_reply.remove(&seq) {
-                        let span = &mut profile.spans[idx];
-                        span.reply_us = Some(rec.t_us.saturating_sub(span.deliver_us));
-                    }
-                }
-                TraceEvent::Crash => {
-                    // Volatile pipeline lost; the next incarnation
-                    // reuses its sequence space from zero.
-                    *state = NodeState::default();
-                }
-                _ => {}
-            }
+        for d in &store.deliveries {
+            let key = |id: u64| (d.node, d.incarnation, id);
+            let Some(&submit) = store.submits.get(&key(d.seq)) else {
+                continue; // submitted before tracing started
+            };
+            let flush = store.flush_for(d.node, d.seq, submit, d.t_us);
+            // An edge first seen only after the apply (a late accept on
+            // the fast path) is not on this update's path.
+            let before_apply = |t: &u64| *t <= d.t_us;
+            let accept = store.accepts.get(&key(d.slot)).copied();
+            let decide = store.decides.get(&key(d.slot)).copied();
+            // Clamp each stamp to be monotone so a missing edge
+            // collapses its phase to zero instead of skewing the
+            // others; the phases then telescope to exactly
+            // deliver − submit.
+            let s1 = flush.unwrap_or(submit).max(submit);
+            let s2 = accept.filter(before_apply).map_or(s1, |t| t.max(s1));
+            let s3 = decide.filter(before_apply).map_or(s2, |t| t.max(s2));
+            let s4 = d.t_us.max(s3);
+            let reply = store.replies.get(&key(d.seq));
+            profile.spans.push(UpdateSpan {
+                node: d.node,
+                seq: d.seq,
+                slot: d.slot,
+                submit_us: submit,
+                deliver_us: d.t_us,
+                batch_wait_us: s1 - submit,
+                persist_accept_us: s2 - s1,
+                quorum_decide_us: s3 - s2,
+                apply_us: s4 - s3,
+                reply_us: reply.map(|t| t.saturating_sub(d.t_us)),
+                total_us: d.latency_us,
+            });
         }
         for span in &profile.spans {
             for (phase, dur) in span.phase_durations() {
@@ -255,65 +187,19 @@ impl SpanProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(t_us: u64, node: u32, event: TraceEvent) -> TraceRecord {
-        TraceRecord { t_us, node, event }
-    }
+    use crate::testkit::*;
 
     fn full_path(node: u32) -> Vec<TraceRecord> {
         vec![
-            rec(100, node, TraceEvent::UpdateSubmitted { seq: 0 }),
-            rec(150, node, TraceEvent::UpdateSubmitted { seq: 1 }),
-            rec(
-                300,
-                node,
-                TraceEvent::BatchFlushed {
-                    updates: 2,
-                    trigger: "window",
-                    first_seq: 0,
-                },
-            ),
-            rec(
-                450,
-                node,
-                TraceEvent::Accepted {
-                    slot: 5,
-                    round: 1,
-                    fast: true,
-                },
-            ),
-            rec(
-                600,
-                node,
-                TraceEvent::Decided {
-                    slot: 5,
-                    noop: false,
-                },
-            ),
-            rec(
-                700,
-                node,
-                TraceEvent::UpdateDelivered {
-                    slot: 5,
-                    index: 0,
-                    submitter: node,
-                    seq: 0,
-                    latency_us: 600,
-                },
-            ),
-            rec(
-                700,
-                node,
-                TraceEvent::UpdateDelivered {
-                    slot: 5,
-                    index: 1,
-                    submitter: node,
-                    seq: 1,
-                    latency_us: 550,
-                },
-            ),
-            rec(720, node, TraceEvent::ReplySent { seq: 0 }),
-            rec(730, node, TraceEvent::ReplySent { seq: 1 }),
+            submitted(100, node, 0),
+            submitted(150, node, 1),
+            flushed(300, node, 0, 2),
+            accepted(450, node, 5),
+            decided(600, node, 5),
+            delivered(700, node, 5, 0, 600),
+            delivered(700, node, 5, 1, 550),
+            replied(720, node, 0),
+            replied(730, node, 1),
         ]
     }
 
@@ -348,19 +234,9 @@ mod tests {
     #[test]
     fn remote_deliveries_do_not_close_spans() {
         let records = vec![
-            rec(100, 0, TraceEvent::UpdateSubmitted { seq: 0 }),
+            submitted(100, 0, 0),
             // Node 1 applies node 0's update; no span for node 1.
-            rec(
-                500,
-                1,
-                TraceEvent::UpdateDelivered {
-                    slot: 1,
-                    index: 0,
-                    submitter: 0,
-                    seq: 0,
-                    latency_us: 0,
-                },
-            ),
+            delivered_for(500, 1, 1, 0, 0, 0),
         ];
         let profile = SpanProfile::from_records(&records);
         assert!(profile.spans.is_empty());
@@ -371,20 +247,7 @@ mod tests {
         // No flush/accept/decide traced (e.g. trace started late): the
         // whole latency lands in batch_wait = 0 and apply picks up the
         // rest, but the sum stays exact.
-        let records = vec![
-            rec(100, 0, TraceEvent::UpdateSubmitted { seq: 3 }),
-            rec(
-                900,
-                0,
-                TraceEvent::UpdateDelivered {
-                    slot: 2,
-                    index: 0,
-                    submitter: 0,
-                    seq: 3,
-                    latency_us: 800,
-                },
-            ),
-        ];
+        let records = vec![submitted(100, 0, 3), delivered(900, 0, 2, 3, 800)];
         let profile = SpanProfile::from_records(&records);
         assert_eq!(profile.spans.len(), 1);
         let s = &profile.spans[0];
@@ -398,34 +261,16 @@ mod tests {
     #[test]
     fn crash_clears_pending_pipeline_state() {
         let mut records = vec![
-            rec(100, 0, TraceEvent::UpdateSubmitted { seq: 0 }),
-            rec(200, 0, TraceEvent::Crash),
-            rec(5_000, 0, TraceEvent::Restart { incarnation: 1 }),
+            submitted(100, 0, 0),
+            crash(200, 0),
+            restart(5_000, 0),
             // New incarnation reuses seq 0; its span must use the
             // post-restart submit stamp, not the stale one.
-            rec(6_000, 0, TraceEvent::UpdateSubmitted { seq: 0 }),
+            submitted(6_000, 0, 0),
         ];
         records.extend(vec![
-            rec(
-                6_100,
-                0,
-                TraceEvent::BatchFlushed {
-                    updates: 1,
-                    trigger: "single",
-                    first_seq: 0,
-                },
-            ),
-            rec(
-                6_500,
-                0,
-                TraceEvent::UpdateDelivered {
-                    slot: 9,
-                    index: 0,
-                    submitter: 0,
-                    seq: 0,
-                    latency_us: 500,
-                },
-            ),
+            flushed(6_100, 0, 0, 1),
+            delivered(6_500, 0, 9, 0, 500),
         ]);
         let profile = SpanProfile::from_records(&records);
         assert_eq!(profile.spans.len(), 1);

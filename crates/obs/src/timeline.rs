@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 
 use crate::event::{TraceEvent, TraceRecord};
 use crate::metrics::Hist;
+use crate::store::TraceStore;
 
 /// Tuning knobs for windowing and availability detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,35 +127,38 @@ pub struct Timeline {
     pub dominant_phase: Vec<Option<&'static str>>,
 }
 
-/// Event kinds that become timeline markers.
-fn marker_kind(event: &TraceEvent) -> Option<&'static str> {
-    use TraceEvent::*;
-    match event {
-        Crash
-        | Restart { .. }
-        | RecoveryComplete { .. }
-        | LeaderElected { .. }
-        | ReconfigProposed { .. }
-        | EpochChanged { .. }
-        | PartitionCut { .. }
-        | PartitionHealed
-        | NetFaultSet { .. }
-        | NetFaultCleared
-        | DiskFaultSet { .. }
-        | DiskFaultCleared
-        // Operator-visible alert windows next to the fault markers
-        // (pending transitions are deliberately omitted: they mark
-        // sub-debounce blips and would drown the plot).
-        | AlertFiring { .. }
-        | AlertResolved { .. } => Some(event.kind()),
-        _ => None,
-    }
-}
-
 impl Timeline {
+    /// `n` empty windows of `window_us`, with the raw `(t_us, node,
+    /// kind)` events snapped to their containing window as markers.
+    fn blank(window_us: u64, n: usize, events: &[(u64, u32, &'static str)]) -> Timeline {
+        let window = |w: usize| Window {
+            start_us: w as u64 * window_us,
+            ..Window::default()
+        };
+        let marker = |&(t_us, node, kind): &(u64, u32, &'static str)| Marker {
+            t_us,
+            node,
+            kind,
+            window: ((t_us / window_us) as usize).min(n - 1),
+        };
+        Timeline {
+            window_us,
+            windows: (0..n).map(window).collect(),
+            markers: events.iter().map(marker).collect(),
+            dominant_phase: vec![None; n],
+        }
+    }
+
     /// Reduces one run's records into a timeline with `window_us`
     /// windows. Records must be in engine (time) order, as traced.
     pub fn from_records(records: &[TraceRecord], window_us: u64) -> Timeline {
+        Timeline::from_store(&TraceStore::build(records), window_us)
+    }
+
+    /// Windows the run's load and resource samples and snaps the
+    /// store's fault markers to their windows.
+    pub fn from_store(store: &TraceStore, window_us: u64) -> Timeline {
+        let records = store.records;
         let window_us = window_us.max(1);
         // The run extends to the latest stamp we can see; a client
         // sample describes a whole second, which may end after the
@@ -167,17 +171,7 @@ impl Timeline {
             }
         }
         let n = (end_us / window_us) as usize + 1;
-        let mut tl = Timeline {
-            window_us,
-            windows: (0..n)
-                .map(|w| Window {
-                    start_us: w as u64 * window_us,
-                    ..Window::default()
-                })
-                .collect(),
-            markers: Vec::new(),
-            dominant_phase: vec![None; n],
-        };
+        let mut tl = Timeline::blank(window_us, n, &store.markers);
         // Per-node last cumulative network sample, for differencing.
         let mut net_prev: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
         for rec in records {
@@ -191,18 +185,16 @@ impl Timeline {
                     tl.windows[sw].ok += ok;
                     tl.windows[sw].err += err;
                 }
+                // Every replica applies every update; count each once,
+                // on its submitter.
                 TraceEvent::UpdateDelivered {
                     submitter,
                     latency_us,
                     ..
-                } => {
-                    // Every replica applies every update; count each
-                    // once, on its submitter.
-                    if submitter == rec.node {
-                        tl.windows[w].committed += 1;
-                        if latency_us > 0 {
-                            tl.windows[w].latency.observe(latency_us);
-                        }
+                } if submitter == rec.node => {
+                    tl.windows[w].committed += 1;
+                    if latency_us > 0 {
+                        tl.windows[w].latency.observe(latency_us);
                     }
                 }
                 TraceEvent::QueueSample { depth } => {
@@ -218,16 +210,7 @@ impl Timeline {
                     tl.windows[w].net_messages += messages.saturating_sub(pm);
                     tl.windows[w].net_bytes += bytes.saturating_sub(pb);
                 }
-                _ => {
-                    if let Some(kind) = marker_kind(&rec.event) {
-                        tl.markers.push(Marker {
-                            t_us: rec.t_us,
-                            node: rec.node,
-                            kind,
-                            window: w,
-                        });
-                    }
-                }
+                _ => {}
             }
         }
         tl
@@ -249,17 +232,7 @@ impl Timeline {
             end_us = end_us.max(*t);
         }
         let n = (end_us.saturating_sub(1) / window_us) as usize + 1;
-        let mut tl = Timeline {
-            window_us,
-            windows: (0..n)
-                .map(|w| Window {
-                    start_us: w as u64 * window_us,
-                    ..Window::default()
-                })
-                .collect(),
-            markers: Vec::new(),
-            dominant_phase: vec![None; n],
-        };
+        let mut tl = Timeline::blank(window_us, n, markers);
         for (sec, count) in ok.iter().enumerate() {
             let w = (((sec as u64) * 1_000_000 / window_us) as usize).min(n - 1);
             tl.windows[w].ok += *count as u64;
@@ -267,14 +240,6 @@ impl Timeline {
         for (sec, count) in err.iter().enumerate() {
             let w = (((sec as u64) * 1_000_000 / window_us) as usize).min(n - 1);
             tl.windows[w].err += *count as u64;
-        }
-        for (t_us, node, kind) in markers {
-            tl.markers.push(Marker {
-                t_us: *t_us,
-                node: *node,
-                kind,
-                window: ((*t_us / window_us) as usize).min(n - 1),
-            });
         }
         tl
     }
@@ -520,10 +485,7 @@ pub fn availability_reports_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(t_us: u64, node: u32, event: TraceEvent) -> TraceRecord {
-        TraceRecord { t_us, node, event }
-    }
+    use crate::testkit::*;
 
     fn sample(sec: u64, ok: u64) -> TraceRecord {
         rec(
@@ -550,10 +512,7 @@ mod tests {
 
     #[test]
     fn run_shorter_than_one_window() {
-        let records = vec![
-            sample(0, 7),
-            rec(800_000, 0, TraceEvent::LogAppend { bytes: 100 }),
-        ];
+        let records = vec![sample(0, 7), appended(800_000, 0)];
         let tl = Timeline::from_records(&records, 5_000_000);
         assert_eq!(tl.windows.len(), 1);
         assert_eq!(tl.windows[0].ok, 7);
@@ -567,8 +526,8 @@ mod tests {
         // Baseline 10 wips for 10 s, crash at exactly t = 10 s (the
         // first µs of window 2), outage for 5 s, recovery after.
         let mut records: Vec<TraceRecord> = (0..10).map(|s| sample(s, 10)).collect();
-        records.push(rec(10_000_000, 0, TraceEvent::Crash));
-        records.push(rec(12_000_000, 0, TraceEvent::Restart { incarnation: 1 }));
+        records.push(crash(10_000_000, 0));
+        records.push(restart(12_000_000, 0));
         records.extend((15..20).map(|s| sample(s, 10)));
         let tl = Timeline::from_records(&records, 5_000_000);
         let marker = tl.markers.iter().find(|m| m.kind == "crash").unwrap();
@@ -598,7 +557,7 @@ mod tests {
     #[test]
     fn degradation_running_off_the_end_has_no_ramp() {
         let mut records: Vec<TraceRecord> = (0..10).map(|s| sample(s, 10)).collect();
-        records.push(rec(10_500_000, 1, TraceEvent::Crash));
+        records.push(crash(10_500_000, 1));
         // Trace ends while still degraded (a lone empty-window tail).
         records.push(rec(14_000_000, 1, TraceEvent::QueueSample { depth: 3 }));
         let tl = Timeline::from_records(&records, 5_000_000);
@@ -612,29 +571,9 @@ mod tests {
     #[test]
     fn commit_and_resource_columns_aggregate() {
         let records = vec![
-            rec(
-                1_000,
-                0,
-                TraceEvent::UpdateDelivered {
-                    slot: 1,
-                    index: 0,
-                    submitter: 0,
-                    seq: 0,
-                    latency_us: 400,
-                },
-            ),
+            delivered(1_000, 0, 1, 0, 400),
             // Remote application of the same update: not re-counted.
-            rec(
-                1_200,
-                1,
-                TraceEvent::UpdateDelivered {
-                    slot: 1,
-                    index: 0,
-                    submitter: 0,
-                    seq: 0,
-                    latency_us: 0,
-                },
-            ),
+            delivered_for(1_200, 1, 1, 0, 0, 0),
             rec(2_000, 0, TraceEvent::QueueSample { depth: 4 }),
             rec(2_500, 0, TraceEvent::QueueSample { depth: 2 }),
             rec(
@@ -685,7 +624,7 @@ mod tests {
     fn alert_lifecycle_events_become_markers() {
         let records = vec![
             sample(0, 3),
-            rec(500_000, 0, TraceEvent::Crash),
+            crash(500_000, 0),
             rec(
                 2_000_000,
                 5,
@@ -722,7 +661,7 @@ mod tests {
 
     #[test]
     fn csv_and_jsonl_are_stable() {
-        let records = vec![sample(0, 3), rec(500_000, 0, TraceEvent::Crash)];
+        let records = vec![sample(0, 3), crash(500_000, 0)];
         let tl = Timeline::from_records(&records, 5_000_000);
         let csv = tl.csv_rows("run A");
         assert_eq!(

@@ -415,9 +415,8 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         fx.into_vec()
     }
 
-    /// Re-routes a still-pending proposal immediately (used by
-    /// middleware flow control to release withheld submissions without
-    /// waiting for the retry timer). No-op if already delivered.
+    /// Re-routes a still-pending proposal immediately, without waiting
+    /// for the retry timer. No-op if already delivered.
     pub fn nudge(&mut self, pid: ProposalId) -> Vec<Effect<V>> {
         let mut fx = Effects::new();
         if self.learner.was_delivered(pid) {

@@ -61,10 +61,19 @@ pub struct Graph {
     pub edges: Vec<Vec<(usize, u32)>>,
     by_name: BTreeMap<String, Vec<usize>>,
     by_ty_name: BTreeMap<(String, String), Vec<usize>>,
-    /// `(self_ty, field name) → type idents` from struct definitions.
-    field_ty: BTreeMap<(String, String), Vec<String>>,
-    /// Struct definitions by name (first definition wins on collision).
-    pub structs: BTreeMap<String, (usize, StructItem)>,
+    /// Struct definitions by name, one per defining crate (the first
+    /// definition inside a crate wins). Look up with
+    /// [`Graph::struct_in`].
+    structs: BTreeMap<String, Vec<StructDef>>,
+}
+
+/// One struct definition and where it lives.
+#[derive(Debug, Clone)]
+pub struct StructDef {
+    pub krate: String,
+    /// Index of the defining file in the workspace file list.
+    pub file: usize,
+    pub item: StructItem,
 }
 
 /// Methods that are overwhelmingly std-library calls; name-wide
@@ -172,14 +181,14 @@ pub fn build(files: &[FileInput<'_>]) -> Graph {
             if s.is_test {
                 continue;
             }
-            for fld in &s.fields {
-                g.field_ty
-                    .entry((s.name.clone(), fld.name.clone()))
-                    .or_insert_with(|| fld.ty_idents.clone());
+            let defs = g.structs.entry(s.name.clone()).or_default();
+            if defs.iter().all(|d| d.krate != f.krate) {
+                defs.push(StructDef {
+                    krate: f.krate.to_string(),
+                    file: fi,
+                    item: s.clone(),
+                });
             }
-            g.structs
-                .entry(s.name.clone())
-                .or_insert_with(|| (fi, s.clone()));
         }
         for it in &f.items.fns {
             if it.is_test {
@@ -210,6 +219,19 @@ pub fn build(files: &[FileInput<'_>]) -> Graph {
 }
 
 impl Graph {
+    /// The struct a type name written inside `krate` refers to: that
+    /// crate's own definition, else the only definition in the
+    /// workspace. Same-named structs in other crates never shadow each
+    /// other; a name that is ambiguous from `krate` resolves to nothing.
+    pub fn struct_in(&self, krate: &str, name: &str) -> Option<&StructDef> {
+        let defs = self.structs.get(name)?;
+        match defs.iter().find(|d| d.krate == krate) {
+            Some(own) => Some(own),
+            None if defs.len() == 1 => defs.first(),
+            None => None,
+        }
+    }
+
     /// Resolves one call site from `caller` and records the edges.
     /// `calls` must come from the caller's body token range.
     pub fn add_calls(&mut self, caller: usize, calls: &[Call]) {
@@ -236,15 +258,18 @@ impl Graph {
                     self.name_wide_method(name, *line, out);
                 }
                 Recv::SelfField(field) => {
-                    if let Some(ty) = &node.self_ty {
-                        if let Some(tys) = self.field_ty.get(&(ty.clone(), field.clone())) {
-                            // First type ident that owns a matching
-                            // method wins (skips wrappers like Vec<…>).
-                            for t in tys {
-                                if let Some(ids) = self.by_ty_name.get(&(t.clone(), name.clone())) {
-                                    out.extend(ids.iter().map(|&id| (id, *line)));
-                                    return;
-                                }
+                    let field_ty = node
+                        .self_ty
+                        .as_ref()
+                        .and_then(|ty| self.struct_in(&node.krate, ty))
+                        .and_then(|def| def.item.fields.iter().find(|f| f.name == *field));
+                    if let Some(fld) = field_ty {
+                        // First type ident that owns a matching
+                        // method wins (skips wrappers like Vec<…>).
+                        for t in &fld.ty_idents {
+                            if let Some(ids) = self.by_ty_name.get(&(t.clone(), name.clone())) {
+                                out.extend(ids.iter().map(|&id| (id, *line)));
+                                return;
                             }
                         }
                     }

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use crate::diag::Diagnostic;
-use crate::graph::Graph;
+use crate::graph::{Graph, StructDef};
 use crate::items::FileItems;
 use crate::lexer::{in_spans, test_spans, Lexed, TokKind, Token};
 use crate::reach::{chain, Parents};
@@ -542,44 +542,47 @@ fn cast_ordinal_on_left(toks: &[Token], as_idx: usize) -> Option<String> {
     None
 }
 
-/// A root-held struct and the provenance chain that makes it root-held.
-type HeldTypes = BTreeMap<String, Vec<String>>;
+/// Root-held structs, keyed `(crate, name)`, each with its definition
+/// and the provenance chain that makes it root-held.
+type HeldTypes<'g> = BTreeMap<(String, String), (&'g StructDef, Vec<String>)>;
 
 /// Computes the set of workspace struct types transitively held by the
 /// given root functions' `self` types, with provenance chains for
 /// diagnostics.
-fn held_types<'a>(ctx: &GraphCtx<'_>, roots: impl Iterator<Item = &'a usize>) -> HeldTypes {
+fn held_types<'g>(ctx: &GraphCtx<'g>, roots: impl Iterator<Item = &'g usize>) -> HeldTypes<'g> {
+    /// Holds `def` (reached via `prov`) unless it is already held.
+    fn hold<'g>(
+        held: &mut HeldTypes<'g>,
+        queue: &mut Vec<(&'g StructDef, Vec<String>)>,
+        def: &'g StructDef,
+        prov: Vec<String>,
+    ) {
+        let key = (def.krate.clone(), def.item.name.clone());
+        if let std::collections::btree_map::Entry::Vacant(e) = held.entry(key) {
+            e.insert((def, prov.clone()));
+            queue.push((def, prov));
+        }
+    }
     let mut held: HeldTypes = BTreeMap::new();
-    let mut queue: Vec<String> = Vec::new();
+    let mut queue = Vec::new();
     for &r in roots {
         let node = &ctx.graph.nodes[r];
         let Some(ty) = &node.self_ty else { continue };
-        if ctx.graph.structs.contains_key(ty) && !held.contains_key(ty) {
-            held.insert(
-                ty.clone(),
-                vec![format!(
-                    "root {} ({}:{})",
-                    node.label(),
-                    node.path,
-                    node.line
-                )],
-            );
-            queue.push(ty.clone());
+        if let Some(def) = ctx.graph.struct_in(&node.krate, ty) {
+            let prov = format!("root {} ({}:{})", node.label(), node.path, node.line);
+            hold(&mut held, &mut queue, def, vec![prov]);
         }
     }
-    while let Some(ty) = queue.pop() {
-        let prov = held[&ty].clone();
-        let Some((file, def)) = ctx.graph.structs.get(&ty) else {
-            continue;
-        };
-        let path = &ctx.files[*file].rel;
-        for fld in &def.fields {
+    while let Some((def, prov)) = queue.pop() {
+        let ty = &def.item.name;
+        let path = &ctx.files[def.file].rel;
+        for fld in &def.item.fields {
+            // A field's type resolves inside the declaring crate first.
             for inner in &fld.ty_idents {
-                if ctx.graph.structs.contains_key(inner) && !held.contains_key(inner) {
+                if let Some(inner_def) = ctx.graph.struct_in(&def.krate, inner) {
                     let mut p = prov.clone();
                     p.push(format!("{ty}.{}: {inner} ({path}:{})", fld.name, fld.line));
-                    held.insert(inner.clone(), p);
-                    queue.push(inner.clone());
+                    hold(&mut held, &mut queue, inner_def, p);
                 }
             }
         }
@@ -603,10 +606,9 @@ fn collection_head(ty_idents: &[String]) -> Option<&str> {
 /// `state-growth`: collection fields of root-held structs with at least
 /// one grow site and no shrink site anywhere in the workspace.
 fn state_growth(ctx: &GraphCtx<'_>, held: &HeldTypes, out: &mut Vec<Diagnostic>) {
-    for (ty, prov) in held {
-        let (file, def) = &ctx.graph.structs[ty];
-        let f = &ctx.files[*file];
-        for fld in &def.fields {
+    for ((_, ty), (def, prov)) in held {
+        let f = &ctx.files[def.file];
+        for fld in &def.item.fields {
             let Some(head) = collection_head(&fld.ty_idents) else {
                 continue;
             };
@@ -682,10 +684,9 @@ fn field_usage(ctx: &GraphCtx<'_>, field: &str) -> (bool, bool) {
 
 /// `float-state`: f32/f64 fields in root-held structs.
 fn float_state(ctx: &GraphCtx<'_>, held: &HeldTypes, out: &mut Vec<Diagnostic>) {
-    for (ty, prov) in held {
-        let (file, def) = &ctx.graph.structs[ty];
-        let f = &ctx.files[*file];
-        for fld in &def.fields {
+    for ((_, ty), (def, prov)) in held {
+        let f = &ctx.files[def.file];
+        for fld in &def.item.fields {
             if let Some(fl) = fld.ty_idents.iter().find(|id| *id == "f32" || *id == "f64") {
                 out.push(Diagnostic {
                     rule: "float-state",

@@ -19,3 +19,11 @@ pub fn narrowed(slot: u64) -> u32 {
 fn narrow(slot: u64) -> u32 {
     slot as u32
 }
+
+/// Same name as `paxos::Log`, different crate, held by no root: an
+/// offline table nobody replicates. It must neither shadow the
+/// root-held `paxos::Log` (this crate is scanned first) nor be reported
+/// in its place.
+pub struct Log {
+    pub entries: Vec<String>,
+}

@@ -33,11 +33,11 @@ with::
     cargo run --release -p bench --bin exp_batching -- --gate --json /tmp/batching.json
     cargo run --release -p bench --bin exp_reconfig -- --gate --json /tmp/reconfig.json
     cargo run --release -p bench --bin exp_reconfig -- --scenarios crash --quiet --trace /tmp/causal.jsonl
-    cargo run --release -p bench --bin exp_causal -- /tmp/causal.jsonl --gate --quiet --json /tmp/causal.json
+    cargo run --release -p bench --bin exp_trace -- blame /tmp/causal.jsonl --gate --quiet --json /tmp/causal.json
     cargo run --release -p bench --bin exp_monitor -- --gate --json /tmp/monitor.json
     scripts/merge_gate_json.py BENCH_baseline.json /tmp/batching.json /tmp/reconfig.json /tmp/causal.json /tmp/monitor.json
 
-Points produced by ``exp_causal --json`` carry no throughput numbers;
+Points produced by ``exp_trace blame --json`` carry no throughput numbers;
 instead their ``causal_quorum_decide_mean_us`` (mean flush→decide
 latency over every reconstructed critical path) gates the distributed
 consensus round-trip, with ``causal_paths`` and ``blame_disk_fsync_us``

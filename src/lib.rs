@@ -5,6 +5,7 @@
 
 pub use cluster;
 pub use faultload;
+pub use obs;
 pub use paxos;
 pub use robuststore;
 pub use simnet;

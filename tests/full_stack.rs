@@ -4,6 +4,8 @@
 
 use robuststore_repro::cluster::{run_experiment, ExperimentConfig};
 use robuststore_repro::faultload::Faultload;
+use robuststore_repro::obs::{self, CausalProfile, SpanProfile, TraceStore};
+use robuststore_repro::simnet::TraceConfig;
 use robuststore_repro::tpcw::{Profile, Schedule};
 
 fn quick(replicas: usize, profile: Profile) -> ExperimentConfig {
@@ -172,4 +174,46 @@ fn network_partition_starves_minority_then_heals() {
     let min = decided.iter().min().unwrap();
     let max = decided.iter().max().unwrap();
     assert!(max - min < 50, "post-heal convergence: {decided:?}");
+}
+
+/// The offline trace pipeline end to end: a traced crash run indexed
+/// once into a `TraceStore`, then every reducer queried off that one
+/// store.
+#[test]
+fn traced_crash_run_explains_itself_from_one_store() {
+    let mut config = ExperimentConfig::quick(3, Profile::Shopping);
+    config.rbes = 100;
+    config.client_nodes = 2;
+    config.schedule = Schedule::quick(60);
+    config.faultload = Faultload::single_crash().scaled(1, 12); // crash at 20 s
+    config.trace = TraceConfig::on();
+    let report = run_experiment(&config);
+    let store = TraceStore::build(&report.trace);
+
+    let breakdowns = store.recovery_breakdowns();
+    assert_eq!(breakdowns.len(), 1, "one crash incident expected");
+    let b = &breakdowns[0];
+    assert!(b.complete, "recovery must complete in trace: {b:?}");
+    assert!(b.detection_us.is_some() && b.backlog_replay_us.is_some());
+
+    let causal = CausalProfile::from_store(&store);
+    assert!(!causal.paths.is_empty(), "traced run must yield paths");
+    assert!(causal.paths.iter().all(|p| p.telescopes()));
+
+    let spans = SpanProfile::from_store(&store);
+    assert_eq!(spans.spans.len(), causal.paths.len(), "one span per path");
+    for span in &spans.spans {
+        assert_eq!(span.phase_sum_us(), span.total_us, "span {span:?}");
+    }
+    assert_eq!(
+        store.latency_summary().commit_latency.count(),
+        spans.spans.len() as u64
+    );
+
+    let text = obs::jsonl::encode_all(&report.trace);
+    let runs = obs::jsonl::decode_runs(&text).expect("canonical trace decodes");
+    assert!(
+        runs.len() == 1 && runs[0].1 == report.trace,
+        "JSONL round-trips"
+    );
 }
