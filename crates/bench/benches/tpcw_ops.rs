@@ -1,13 +1,16 @@
 //! Bookstore operation micro-benchmarks: the database functionality
-//! behind the 14 interactions (read paths and replicated updates).
+//! behind the 14 interactions (read paths and replicated updates), at
+//! the population of the repo benchmark's two large workloads (10 000
+//! items, 50 EB), so the rows here are the terms of its
+//! `tpcw.store.read_ns.*` and `tpcw.store.update_ns`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tpcw::{Bookstore, CartLine, CustomerId, ItemId, Payment, PopulationParams};
+use tpcw::{c_uname, Bookstore, CartLine, CustomerId, ItemId, Payment, PopulationParams};
 
 fn store() -> Bookstore {
     Bookstore::open(PopulationParams {
         items: 10_000,
-        ebs: 1,
+        ebs: 50,
         seed: 5,
     })
 }
@@ -39,8 +42,38 @@ fn bench_reads(c: &mut Criterion) {
             std::hint::black_box(s.get_new_products(subj))
         })
     });
+    c.bench_function("search_by_subject", |b| {
+        let mut subj = 0u8;
+        b.iter(|| {
+            subj = (subj + 1) % 24;
+            std::hint::black_box(s.search_by_subject(subj))
+        })
+    });
+    // The emulated browsers search for one or two random letters.
+    let terms = ["ab", "q", "zx", "e", "ou", "kq"];
     c.bench_function("search_by_title", |b| {
-        b.iter(|| std::hint::black_box(s.search_by_title("ab")))
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % terms.len();
+            std::hint::black_box(s.search_by_title(terms[i]))
+        })
+    });
+    c.bench_function("search_by_author", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % terms.len();
+            std::hint::black_box(s.search_by_author(terms[i]))
+        })
+    });
+    // One customer in three has no initial order: the case that used to
+    // scan the whole order history.
+    let unames: Vec<String> = (0..64).map(|i| c_uname(CustomerId(i * 2_111))).collect();
+    c.bench_function("most_recent_order", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % unames.len();
+            std::hint::black_box(s.most_recent_order(&unames[i]).unwrap())
+        })
     });
     c.bench_function("item_lookup", |b| {
         let mut i = 0u32;

@@ -187,12 +187,15 @@ impl InvariantAuditor {
         self.pending[idx].remove(&token);
     }
 
-    /// A replica is sending a middleware message.
+    /// A replica is sending a middleware message. `sender_status` is
+    /// asked for only when the message is one the mode rule constrains
+    /// (`FastPropose`/`Any`): most sends are not, and building a status
+    /// costs a failure-detector sweep.
     pub fn on_send(
         &mut self,
         idx: usize,
         msg: &MwMsg<ActionBatch>,
-        status: &ReplicaStatus,
+        sender_status: impl FnOnce() -> ReplicaStatus,
         now_us: u64,
     ) {
         self.ensure(idx);
@@ -226,6 +229,7 @@ impl InvariantAuditor {
             }
             Msg::FastPropose { .. } | Msg::Any { .. } => {
                 self.checks += 1;
+                let status = sender_status();
                 // The mode rule tracks the sender's *current epoch*: its
                 // fast quorum is ⌈3N/4⌉ of that epoch's ensemble size,
                 // not of the size the run started with.
@@ -394,7 +398,7 @@ mod tests {
         let mut audit = InvariantAuditor::new(3);
         let ballot = Ballot::classic(1, paxos::ReplicaId(0));
         let st = status(Mode::Classic, 2);
-        audit.on_send(0, &promise_msg(ballot), &st, 10);
+        audit.on_send(0, &promise_msg(ballot), || st.clone(), 10);
         assert_eq!(audit.report().total_violations, 1, "send before persist");
 
         let record = Record::<ActionBatch>::Promised(ballot);
@@ -408,10 +412,10 @@ mod tests {
             20,
         );
         // Not yet durable: still a violation.
-        audit.on_send(1, &promise_msg(ballot), &st, 21);
+        audit.on_send(1, &promise_msg(ballot), || st.clone(), 21);
         assert_eq!(audit.report().total_violations, 2);
         audit.on_disk_write_done(1, 7);
-        audit.on_send(1, &promise_msg(ballot), &st, 22);
+        audit.on_send(1, &promise_msg(ballot), || st.clone(), 22);
         assert_eq!(audit.report().total_violations, 2, "durable promise passes");
     }
 
@@ -490,15 +494,15 @@ mod tests {
                 from_slot: Slot(0),
             },
         };
-        audit.on_send(0, &any, &status(Mode::Fast, 4), 10);
+        audit.on_send(0, &any, || status(Mode::Fast, 4), 10);
         assert_eq!(audit.report().total_violations, 0);
-        audit.on_send(0, &any, &status(Mode::Classic, 3), 20);
+        audit.on_send(0, &any, || status(Mode::Classic, 3), 20);
         assert_eq!(audit.report().total_violations, 1, "classic mode fast send");
-        audit.on_send(0, &any, &status(Mode::Fast, 2), 30);
+        audit.on_send(0, &any, || status(Mode::Fast, 2), 30);
         assert_eq!(audit.report().total_violations, 2, "mode/FD mismatch");
         // The quorum check follows the sender's current epoch: after a
         // remove shrinks the ensemble to 3, ⌈3·3/4⌉ = 3 alive suffices.
-        audit.on_send(0, &any, &status_in(Mode::Fast, 3, 1, 3), 40);
+        audit.on_send(0, &any, || status_in(Mode::Fast, 3, 1, 3), 40);
         assert_eq!(audit.report().total_violations, 2, "shrunk epoch quorum");
     }
 }

@@ -263,7 +263,7 @@ impl ServerNode {
             match e {
                 MwEffect::Send { to, msg, bytes } => {
                     let now_us = engine.now().as_micros();
-                    auditor.on_send(self.idx, &msg, &self.mw.status().paxos, now_us);
+                    auditor.on_send(self.idx, &msg, || self.mw.status().paxos, now_us);
                     // Note the causal tag before the message moves into the
                     // engine; the `MsgTag` record joins the transmission id
                     // with the protocol-level provenance for `obs::causal`.

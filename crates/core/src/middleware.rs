@@ -270,15 +270,18 @@ enum TokenKind {
 struct LogMirror {
     first_index: u64,
     entries: Vec<(Option<Slot>, u64)>,
+    /// Sum of the entries' sizes, kept by `push` and `truncate_front`.
+    bytes: u64,
 }
 
 impl LogMirror {
     fn push(&mut self, slot: Option<Slot>, bytes: u64) {
         self.entries.push((slot, bytes));
+        self.bytes += bytes;
     }
 
     fn bytes(&self) -> u64 {
-        self.entries.iter().map(|(_, b)| *b).sum()
+        self.bytes
     }
 
     /// Stable index of the first entry with an `Accepted` slot ≥ `cut`;
@@ -299,7 +302,8 @@ impl LogMirror {
             return;
         }
         let drop = ((keep_from - self.first_index) as usize).min(self.entries.len());
-        self.entries.drain(..drop);
+        let dropped: u64 = self.entries.drain(..drop).map(|(_, b)| b).sum();
+        self.bytes -= dropped;
         self.first_index = keep_from.max(self.first_index);
     }
 }
@@ -555,7 +559,7 @@ impl<App: Application> Middleware<App> {
         let mut records: Vec<Record<Batch<App::Action>>> = Vec::new();
         let mut mirror = LogMirror {
             first_index: disk.log_first_index,
-            entries: Vec::new(),
+            ..LogMirror::default()
         };
         for entry in &disk.log_entries {
             match Record::from_bytes(entry) {
@@ -1673,6 +1677,42 @@ mod tests {
             first_after > truncated_first,
             "post-recovery truncation must advance: {first_after} vs {truncated_first}"
         );
+    }
+
+    #[test]
+    fn mirror_bytes_track_the_entries() {
+        let sum = |m: &LogMirror| m.entries.iter().map(|(_, b)| *b).sum::<u64>();
+        let mut m = LogMirror {
+            first_index: 10,
+            ..LogMirror::default()
+        };
+        for (i, bytes) in [7u64, 0, 300, 41, 5].into_iter().enumerate() {
+            m.push((i % 2 == 0).then_some(Slot(i as u64)), bytes);
+        }
+        assert_eq!((m.bytes(), sum(&m)), (353, 353));
+        m.truncate_front(9); // below the log: nothing leaves
+        assert_eq!(m.bytes(), 353);
+        m.truncate_front(12); // inside the log
+        assert_eq!((m.entries.len(), m.bytes(), sum(&m)), (3, 346, 346));
+        m.push(None, 9);
+        m.truncate_front(99); // past its end
+        assert_eq!((m.entries.len(), m.bytes(), m.first_index), (0, 0, 99));
+
+        // A recovered mirror counts the torn entry it keeps as a
+        // placeholder, like the stable log does.
+        let (mut mw, mut store) = active_single();
+        for v in 1..=5u64 {
+            let (_pid, fx) = mw.execute(v, 0).expect("active");
+            drain(&mut mw, fx, &mut store);
+        }
+        drop(mw);
+        tear_last_record(&mut store);
+        let disk = RecoveredDisk::from_store(&store).expect("disk");
+        let log_bytes = disk.log_bytes;
+        let (mw2, _fx) = Middleware::<Counter>::recover(ReplicaId(0), disk, config(), 1, 0);
+        assert!(mw2.log.entries.len() >= 2);
+        assert_eq!(mw2.log.bytes(), sum(&mw2.log));
+        assert_eq!(mw2.status().log_bytes, log_bytes);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! re-proposals and proposer retries stay exactly-once.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use crate::types::{Ballot, Decree, ProposalId, Quorums, Reconfig, ReplicaId, Slot};
 
@@ -264,12 +265,18 @@ impl<V: Clone + Eq> Learner<V> {
     /// votes have been sitting above an undelivered hole for longer
     /// than `timeout_us`.
     pub fn gapped(&self, now: u64, timeout_us: u64) -> bool {
-        if self.decided.keys().any(|s| *s > self.next_deliver) {
-            return true;
-        }
-        self.votes.iter().any(|(s, sv)| {
-            *s > self.next_deliver && now.saturating_sub(sv.first_vote_at) >= timeout_us
-        })
+        // `decided` keeps the history retained for catch-up: look at its
+        // last key and at the votes above the watermark, not at all of it.
+        let decided_above = self
+            .decided
+            .last_key_value()
+            .is_some_and(|(s, _)| *s > self.next_deliver);
+        let above = (Bound::Excluded(self.next_deliver), Bound::Unbounded);
+        decided_above
+            || self
+                .votes
+                .range(above)
+                .any(|(_, sv)| now.saturating_sub(sv.first_vote_at) >= timeout_us)
     }
 
     /// The votes recorded for `slot` at `ballot` (coordinator recovery
@@ -552,6 +559,54 @@ mod tests {
             .is_empty());
         let out = l.on_accepted(ReplicaId(2), b, Slot(3), d, 0);
         assert_eq!(out.len(), 1, "3 of 4 decides under the new epoch");
+    }
+
+    /// `gapped` as it was before it stopped walking the whole maps.
+    fn gapped_by_scan(l: &Learner<&'static str>, now: u64, timeout_us: u64) -> bool {
+        l.decided.keys().any(|s| *s > l.next_deliver)
+            || l.votes.iter().any(|(s, sv)| {
+                *s > l.next_deliver && now.saturating_sub(sv.first_vote_at) >= timeout_us
+            })
+    }
+
+    #[test]
+    fn gapped_equals_the_full_scan() {
+        let check = |l: &Learner<&'static str>, expect: bool, what: &str| {
+            for now in [0, 999, 1_000, 5_000] {
+                assert_eq!(
+                    l.gapped(now, 1_000),
+                    gapped_by_scan(l, now, 1_000),
+                    "{what}, now {now}"
+                );
+            }
+            assert_eq!(l.gapped(5_000, 1_000), expect, "{what}");
+        };
+        let b = Ballot::fast(1, ReplicaId(0));
+        let mut l = learner();
+        check(&l, false, "empty");
+        // A long decided, delivered prefix retained for catch-up.
+        l.on_learned((0..500).map(|s| (Slot(s), Decree::Noop)).collect());
+        assert_eq!((l.next_deliver(), l.decided_len()), (Slot(500), 500));
+        check(&l, false, "decided prefix only");
+        // A vote at the watermark is not above a hole, however stale.
+        l.on_accepted(ReplicaId(0), b, Slot(500), Decree::Noop, 0);
+        check(&l, false, "stale vote at the watermark");
+        // Votes above the hole: gapped once they are stale.
+        l.on_accepted(ReplicaId(0), b, Slot(502), Decree::Noop, 4_500);
+        check(&l, false, "fresh vote above the hole");
+        l.on_accepted(ReplicaId(1), b, Slot(503), Decree::Noop, 100);
+        check(&l, true, "stale vote above the hole");
+        // A decided slot above the hole: gapped at once.
+        let mut l = learner();
+        l.on_learned((0..500).map(|s| (Slot(s), Decree::Noop)).collect());
+        l.on_learned(vec![(Slot(501), Decree::Noop)]);
+        assert!(l.gapped(0, 1_000));
+        check(&l, true, "decided slot above the hole");
+        // Truncation and fast-forward keep the answers equal.
+        l.truncate(Slot(400));
+        check(&l, true, "after truncate");
+        l.fast_forward(Slot(502));
+        check(&l, false, "after fast-forward past the hole");
     }
 
     #[test]

@@ -237,6 +237,11 @@ impl TpcwDatabase {
             session: SessionUpdate::default(),
             page_bytes: bytes,
         };
+        let error_page = PageResult {
+            ok: false,
+            session: SessionUpdate::default(),
+            page_bytes: 500,
+        };
         match op {
             ReadOp::Home { customer } => {
                 let (_name, promos) = store.get_home(*customer);
@@ -250,14 +255,7 @@ impl TpcwDatabase {
                 let items = store.get_best_sellers(*subject);
                 ok_page(2_000 + items.len() as u64 * 120)
             }
-            ReadOp::ProductDetail { item } => match store.item(*item) {
-                Ok(_) => ok_page(6_000),
-                Err(_) => PageResult {
-                    ok: false,
-                    session: SessionUpdate::default(),
-                    page_bytes: 500,
-                },
-            },
+            ReadOp::ProductDetail { item } if store.has_item(*item) => ok_page(6_000),
             ReadOp::SearchRequest => ok_page(1_500),
             ReadOp::SearchResults {
                 kind,
@@ -278,20 +276,10 @@ impl TpcwDatabase {
                     ok_page(3_000 + detail.map(|(_, l, _)| l.len() as u64 * 150).unwrap_or(0))
                 }
                 Ok(None) => ok_page(1_200),
-                Err(_) => PageResult {
-                    ok: false,
-                    session: SessionUpdate::default(),
-                    page_bytes: 500,
-                },
+                Err(_) => error_page,
             },
-            ReadOp::AdminRequest { item } => match store.item(*item) {
-                Ok(_) => ok_page(3_000),
-                Err(_) => PageResult {
-                    ok: false,
-                    session: SessionUpdate::default(),
-                    page_bytes: 500,
-                },
-            },
+            ReadOp::AdminRequest { item } if store.has_item(*item) => ok_page(3_000),
+            ReadOp::ProductDetail { .. } | ReadOp::AdminRequest { .. } => error_page,
         }
     }
 

@@ -9,13 +9,14 @@
 //!
 //! Because several simulated replicas coexist in one process and the
 //! base population is immutable, [`base_population`] memoizes it behind
-//! an `Arc` keyed by parameters.
+//! an `Arc` keyed by parameters. For the same reason the read indexes
+//! of the catalogue and the order history live here: built once in
+//! [`generate`], shared by every replica, never serialized, and never
+//! stale, because the workload only ever changes an item's cost, images
+//! and stock.
 
-// The maps here are point-lookup indexes and a process-wide memo
-// cache; none is ever iterated, so hash ordering cannot leak into
-// replicated state or traces (clippy allows are site-by-site below).
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
@@ -28,7 +29,7 @@ use crate::model::{
 };
 
 /// Scaling parameters of a population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PopulationParams {
     /// Number of items (the paper uses 10 000).
     pub items: u32,
@@ -92,11 +93,109 @@ pub struct BasePopulation {
     pub order_lines: Vec<Vec<OrderLine>>,
     /// One credit-card transaction per order (same index).
     pub cc_xacts: Vec<CcXact>,
-    /// Items per subject (indices into `items`), precomputed.
+    /// Items per subject, in id order.
     pub by_subject: Vec<Vec<ItemId>>,
-    /// Customer ids by user name (lookup-only: never iterated).
-    #[allow(clippy::disallowed_types)]
-    pub by_uname: HashMap<String, CustomerId>,
+    /// Per subject, its [`PAGE`] newest items: publication date
+    /// descending, equal dates in id order.
+    pub newest_by_subject: Vec<Vec<ItemId>>,
+    /// Per subject, its first [`PAGE`] items by title, equal titles in
+    /// id order.
+    pub titles_by_subject: Vec<Vec<ItemId>>,
+    /// Each customer's newest initial order, indexed by customer id.
+    pub newest_order: Vec<Option<OrderId>>,
+    /// Substring index over the item titles.
+    pub title_grams: GramIndex,
+    /// Substring index over the last name of each item's author.
+    pub author_grams: GramIndex,
+}
+
+/// Rows on a listing page: every search and listing shows at most this
+/// many items (TPC-W clauses 2.6–2.8, 2.10).
+pub const PAGE: usize = 50;
+
+/// Which items' text contains each 1- and 2-byte string, in id order.
+///
+/// Answers "the first [`PAGE`] items whose text contains `term`" by
+/// reading one posting list instead of every text: the items that
+/// contain a term all contain its first two bytes.
+#[derive(Debug)]
+pub struct GramIndex {
+    texts: u32,
+    /// The items under gram `g` are `ids[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    ids: Vec<ItemId>,
+}
+
+/// Grams are numbered: the byte `b` is `b`, the bytes `ab` are
+/// `256 + (a << 8 | b)`.
+const GRAMS: usize = 256 + 65_536;
+
+fn two_gram(a: u8, b: u8) -> usize {
+    256 + ((a as usize) << 8 | b as usize)
+}
+
+impl GramIndex {
+    /// Indexes `texts`, the `i`-th being the text of item `i`.
+    fn build(texts: &[&str]) -> GramIndex {
+        // Calls `first(id, gram)` the first time each text shows each
+        // gram: `seen[g]` is the last text that showed `g`.
+        fn each_posting(texts: &[&str], seen: &mut [u32], mut first: impl FnMut(u32, usize)) {
+            seen.fill(u32::MAX);
+            for (id, text) in (0u32..).zip(texts) {
+                let bytes = text.as_bytes();
+                let one = bytes.iter().map(|b| *b as usize);
+                for g in one.chain(bytes.windows(2).map(|w| two_gram(w[0], w[1]))) {
+                    if seen[g] != id {
+                        seen[g] = id;
+                        first(id, g);
+                    }
+                }
+            }
+        }
+        // Count the postings of each gram, then lay the lists end to end.
+        let mut seen = vec![0; GRAMS];
+        let mut starts = vec![0u32; GRAMS + 1];
+        each_posting(texts, &mut seen, |_, g| starts[g + 1] += 1);
+        for g in 0..GRAMS {
+            starts[g + 1] += starts[g];
+        }
+        let mut ids = vec![ItemId(0); starts[GRAMS] as usize];
+        let mut next = starts.clone();
+        each_posting(texts, &mut seen, |id, g| {
+            ids[next[g] as usize] = ItemId(id);
+            next[g] += 1;
+        });
+        GramIndex {
+            texts: texts.len() as u32,
+            starts,
+            ids,
+        }
+    }
+
+    fn postings(&self, gram: usize) -> &[ItemId] {
+        let bounds = self.starts.get(gram).zip(self.starts.get(gram + 1));
+        let list = bounds.and_then(|(from, to)| self.ids.get(*from as usize..*to as usize));
+        list.unwrap_or(&[])
+    }
+
+    /// The first [`PAGE`] items, in id order, whose text contains
+    /// `term` — what a scan of `text(id).contains(term)` over all items
+    /// returns. `text` must give the texts the index was built from.
+    pub fn search<'a>(&self, term: &str, text: impl Fn(ItemId) -> &'a str) -> Vec<ItemId> {
+        let first = |candidates: &[ItemId], whole_term: bool| {
+            candidates
+                .iter()
+                .copied()
+                .filter(|id| whole_term || text(*id).contains(term))
+                .take(PAGE)
+                .collect()
+        };
+        match *term.as_bytes() {
+            [] => (0..self.texts).take(PAGE).map(ItemId).collect(),
+            [b] => first(self.postings(b as usize), true),
+            [a, b, ref rest @ ..] => first(self.postings(two_gram(a, b)), rest.is_empty()),
+        }
+    }
 }
 
 /// TPC-W user name derivation: a digit-letter encoding of the id.
@@ -114,6 +213,21 @@ pub fn c_uname(id: CustomerId) -> String {
     s
 }
 
+/// Inverse of [`c_uname`]. A name with trailing `A`s (leading zero
+/// digits) also decodes, to an id whose own name is shorter, so a lookup
+/// compares the found customer's name with the one asked for.
+pub(crate) fn uname_id(uname: &str) -> Option<CustomerId> {
+    let digits = uname.strip_prefix('U')?.as_bytes();
+    let mut n = 0u32;
+    for &d in digits.iter().rev() {
+        if !d.is_ascii_uppercase() {
+            return None;
+        }
+        n = n.checked_mul(26)?.checked_add((d - b'A') as u32)?;
+    }
+    Some(CustomerId(n))
+}
+
 fn rand_string(rng: &mut StdRng, min: usize, max: usize) -> String {
     let len = rng.gen_range(min..=max);
     (0..len)
@@ -128,7 +242,6 @@ fn rand_digits(rng: &mut StdRng, len: usize) -> String {
 }
 
 /// Generates a base population (deterministic in `params`).
-#[allow(clippy::disallowed_types)] // builds the lookup-only uname index
 pub fn generate(params: PopulationParams) -> BasePopulation {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let today: u32 = 14_000; // days since epoch, fixed reference date
@@ -203,12 +316,10 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
         })
         .collect();
 
-    let mut by_uname = HashMap::with_capacity(params.customers() as usize);
     let customers: Vec<Customer> = (0..params.customers())
         .map(|i| {
             let id = CustomerId(i);
             let uname = c_uname(id);
-            by_uname.insert(uname.clone(), id);
             Customer {
                 id,
                 passwd: uname.to_lowercase(),
@@ -296,6 +407,30 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
     for item in &items {
         by_subject[item.subject as usize].push(item.id);
     }
+    // The stable sort keeps equal keys in the id order of `by_subject`.
+    let first_page = |order: &dyn Fn(&Item, &Item) -> Ordering| -> Vec<Vec<ItemId>> {
+        let mut pages = by_subject.clone();
+        for page in &mut pages {
+            page.sort_by(|a, b| order(&items[a.0 as usize], &items[b.0 as usize]));
+            page.truncate(PAGE);
+        }
+        pages
+    };
+    let newest_by_subject = first_page(&|a, b| b.pub_date.cmp(&a.pub_date));
+    let titles_by_subject = first_page(&|a, b| a.title.cmp(&b.title));
+
+    let mut newest_order = vec![None; customers.len()];
+    for order in &orders {
+        newest_order[order.customer.0 as usize] = Some(order.id);
+    }
+
+    let titles: Vec<&str> = items.iter().map(|i| i.title.as_str()).collect();
+    let title_grams = GramIndex::build(&titles);
+    let lnames: Vec<&str> = items
+        .iter()
+        .map(|i| authors[i.author.0 as usize].lname.as_str())
+        .collect();
+    let author_grams = GramIndex::build(&lnames);
 
     BasePopulation {
         params,
@@ -308,7 +443,11 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
         order_lines,
         cc_xacts,
         by_subject,
-        by_uname,
+        newest_by_subject,
+        titles_by_subject,
+        newest_order,
+        title_grams,
+        author_grams,
     }
 }
 
@@ -330,10 +469,10 @@ impl BasePopulation {
 }
 
 /// Memoized shared base populations (one per parameter set per process).
-#[allow(clippy::disallowed_types)] // memo cache: keyed lookups only
 pub fn base_population(params: PopulationParams) -> Arc<BasePopulation> {
-    static CACHE: OnceLock<Mutex<HashMap<PopulationParams, Arc<BasePopulation>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    static CACHE: OnceLock<Mutex<BTreeMap<PopulationParams, Arc<BasePopulation>>>> =
+        OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut guard = cache.lock().expect("population cache poisoned");
     guard
         .entry(params)
@@ -389,18 +528,23 @@ mod tests {
         assert_eq!(p.cc_xacts.len(), p.orders.len());
         let subject_total: usize = p.by_subject.iter().map(Vec::len).sum();
         assert_eq!(subject_total, 100);
-        // uname index is complete and consistent.
-        assert_eq!(p.by_uname.len(), 2_880);
-        let c = &p.customers[17];
-        assert_eq!(p.by_uname[&c.uname], c.id);
+        assert_eq!(p.newest_order.len(), 2_880);
     }
 
+    /// Decoding inverts the derivation, so no two ids share a name.
     #[test]
-    #[allow(clippy::disallowed_types)] // membership set in a test
-    fn uname_derivation_is_injective_for_small_ids() {
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..10_000 {
-            assert!(seen.insert(c_uname(CustomerId(i))), "collision at {i}");
+    fn uname_decodes_to_its_customer() {
+        for id in (0..10_000)
+            .chain([17_575, 17_576, u32::MAX])
+            .map(CustomerId)
+        {
+            assert_eq!(uname_id(&c_uname(id)), Some(id));
+        }
+        // A leading zero digit decodes; the lookup's name comparison is
+        // what rejects it.
+        assert_eq!(uname_id("UBA"), Some(CustomerId(1)));
+        for not_a_uname in ["", "B", "ub", "U B", "UÉ", "UZZZZZZZ"] {
+            assert_eq!(uname_id(not_a_uname), None, "{not_a_uname:?}");
         }
     }
 

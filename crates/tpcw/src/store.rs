@@ -4,13 +4,15 @@
 //! RobustStore replaces TPC-W's relational database with an object
 //! model (paper §4): the methods here "represent all the database
 //! functionality required by the bookstore". The store is split into an
-//! immutable, regenerable [`BasePopulation`] (shared by every replica
-//! via `Arc`) and a mutable [`Overlay`] holding everything the workload
-//! changes — carts, new customers/orders, stock and item updates. A
-//! checkpoint serializes only the parameters plus the overlay, and
-//! restore regenerates the base and replays the overlay, which keeps
-//! simulated checkpoints cheap while the *modeled* checkpoint size
-//! tracks the paper's 300–700 MB states.
+//! immutable, regenerable, indexed [`BasePopulation`] (shared by every
+//! replica via `Arc`) and a mutable [`Overlay`] holding everything the
+//! workload changes — carts, new customers/orders, stock and item
+//! updates. A checkpoint serializes only the parameters plus the
+//! overlay, and restore regenerates the base and replays the overlay,
+//! which keeps simulated checkpoints cheap while the *modeled*
+//! checkpoint size tracks the paper's 300–700 MB states. A catalogue
+//! read costs what its page shows; only the best-seller listing still
+//! walks the order history.
 //!
 //! Every mutating method takes its timestamps/random values as
 //! arguments: determinism is the caller's job (the `robuststore` facade
@@ -25,7 +27,7 @@ use crate::model::{
     nominal, Cart, CartId, CartLine, CcXact, Customer, CustomerId, Item, ItemId, Order, OrderId,
     OrderLine, OrderStatus, SUBJECTS,
 };
-use crate::population::{base_population, c_uname, BasePopulation, PopulationParams};
+use crate::population::{base_population, c_uname, uname_id, BasePopulation, PopulationParams};
 
 /// Fields of a new-customer registration supplied by the web tier
 /// (timestamps and discount pre-sampled for determinism).
@@ -121,28 +123,34 @@ type ItemUpdateWire = (u32, (u64, (String, String)));
 
 impl Wire for Overlay {
     fn encode(&self, buf: &mut Vec<u8>) {
-        // BTreeMap iteration is already key-ordered, so the encoded
-        // form is canonical without a sorting pass.
-        let carts: Vec<(u32, Cart)> = self.carts.iter().map(|(k, c)| (*k, c.clone())).collect();
-        carts.encode(buf);
+        // A map goes out as the `Vec` of its `(key, value)` pairs that
+        // `decode` reads back. BTreeMap iteration is already key-ordered,
+        // so the encoded form is canonical without a sorting pass.
+        fn encode_map<'a, V: 'a>(
+            buf: &mut Vec<u8>,
+            map: &'a BTreeMap<u32, V>,
+            encode_value: impl Fn(&'a V, &mut Vec<u8>),
+        ) {
+            (map.len() as u32).encode(buf);
+            for (key, value) in map {
+                key.encode(buf);
+                encode_value(value, buf);
+            }
+        }
+        encode_map(buf, &self.carts, Cart::encode);
         self.next_cart.encode(buf);
         self.new_customers.encode(buf);
         self.new_orders.encode(buf);
         self.new_order_lines.encode(buf);
         self.new_cc_xacts.encode(buf);
-        let stock: Vec<(u32, i32)> = self.stock.iter().map(|(k, v)| (*k, *v)).collect();
-        stock.encode(buf);
-        let updates: Vec<ItemUpdateWire> = self
-            .item_updates
-            .iter()
-            .map(|(k, (c, i, t))| (*k, (*c, (i.clone(), t.clone()))))
-            .collect();
-        updates.encode(buf);
-        let sessions: Vec<(u32, (u64, u64))> =
-            self.sessions.iter().map(|(k, v)| (*k, *v)).collect();
-        sessions.encode(buf);
-        let last: Vec<(u32, u32)> = self.last_order.iter().map(|(k, v)| (*k, *v)).collect();
-        last.encode(buf);
+        encode_map(buf, &self.stock, i32::encode);
+        encode_map(buf, &self.item_updates, |(cost, image, thumbnail), buf| {
+            cost.encode(buf);
+            image.encode(buf);
+            thumbnail.encode(buf);
+        });
+        encode_map(buf, &self.sessions, <(u64, u64)>::encode);
+        encode_map(buf, &self.last_order, u32::encode);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -291,15 +299,21 @@ impl Bookstore {
     }
 
     /// Looks a customer up by user name.
+    ///
+    /// A user name encodes its customer's id, so this is a decode and a
+    /// fetch; a name no customer carries decodes to nobody or to
+    /// somebody else.
     pub fn customer_by_uname(&self, uname: &str) -> Result<&Customer, StoreError> {
-        if let Some(id) = self.base.by_uname.get(uname) {
-            return self.customer(*id);
-        }
-        self.overlay
-            .new_customers
-            .iter()
-            .find(|c| c.uname == uname)
+        let id = uname_id(uname).ok_or(StoreError::NoSuchCustomer)?;
+        self.customer(id)
+            .ok()
+            .filter(|c| c.uname == uname)
             .ok_or(StoreError::NoSuchCustomer)
+    }
+
+    /// Whether the catalogue has the item.
+    pub fn has_item(&self, id: ItemId) -> bool {
+        (id.0 as usize) < self.base.items.len()
     }
 
     /// Fetches an item with any admin updates applied.
@@ -382,11 +396,11 @@ impl Bookstore {
 
     /// New Products: the 50 newest items of a subject.
     pub fn get_new_products(&self, subject: u8) -> Vec<ItemId> {
-        let ids = &self.base.by_subject[subject as usize % SUBJECTS.len()];
-        let mut v: Vec<ItemId> = ids.clone();
-        v.sort_by_key(|id| std::cmp::Reverse(self.base.items[id.0 as usize].pub_date));
-        v.truncate(50);
-        v
+        let page = self
+            .base
+            .newest_by_subject
+            .get(subject as usize % SUBJECTS.len());
+        page.cloned().unwrap_or_default()
     }
 
     /// Best Sellers: top-50 items by quantity over the 3333 most recent
@@ -431,54 +445,42 @@ impl Bookstore {
 
     /// Search by subject: first 50 items of the subject by title.
     pub fn search_by_subject(&self, subject: u8) -> Vec<ItemId> {
-        let ids = &self.base.by_subject[subject as usize % SUBJECTS.len()];
-        let mut v = ids.clone();
-        v.sort_by(|a, b| {
-            self.base.items[a.0 as usize]
-                .title
-                .cmp(&self.base.items[b.0 as usize].title)
-        });
-        v.truncate(50);
-        v
+        let page = self
+            .base
+            .titles_by_subject
+            .get(subject as usize % SUBJECTS.len());
+        page.cloned().unwrap_or_default()
     }
 
     /// Search by title substring.
     pub fn search_by_title(&self, term: &str) -> Vec<ItemId> {
-        self.base
-            .items
-            .iter()
-            .filter(|i| i.title.contains(term))
-            .take(50)
-            .map(|i| i.id)
-            .collect()
+        self.base.title_grams.search(term, |id| {
+            let item = self.base.items.get(id.0 as usize);
+            item.map_or("", |i| &i.title)
+        })
     }
 
     /// Search by author last-name substring.
     pub fn search_by_author(&self, term: &str) -> Vec<ItemId> {
-        self.base
-            .items
-            .iter()
-            .filter(|i| self.base.authors[i.author.0 as usize].lname.contains(term))
-            .take(50)
-            .map(|i| i.id)
-            .collect()
+        self.base.author_grams.search(term, |id| {
+            let item = self.base.items.get(id.0 as usize);
+            let author = item.and_then(|i| self.base.authors.get(i.author.0 as usize));
+            author.map_or("", |a| &a.lname)
+        })
     }
 
     /// The customer's most recent order, if any.
     pub fn most_recent_order(&self, uname: &str) -> Result<Option<OrderId>, StoreError> {
         let c = self.customer_by_uname(uname)?;
-        if let Some(o) = self.overlay.last_order.get(&c.id.0) {
-            return Ok(Some(OrderId(*o)));
-        }
-        // Scan the base orders (newest last id wins; base has no index).
-        let found = self
-            .base
-            .orders
-            .iter()
-            .rev()
-            .find(|o| o.customer == c.id)
-            .map(|o| o.id);
-        Ok(found)
+        let during_run = self.overlay.last_order.get(&c.id.0).map(|o| OrderId(*o));
+        let initial = || {
+            self.base
+                .newest_order
+                .get(c.id.0 as usize)
+                .copied()
+                .flatten()
+        };
+        Ok(during_run.or_else(initial))
     }
 
     /// Fetches a cart.

@@ -1,9 +1,13 @@
-//! Property tests on the bookstore: overlay serialization round-trips
-//! and state-machine determinism under random operation sequences.
+//! Property tests on the bookstore: overlay serialization round-trips,
+//! state-machine determinism under random operation sequences, and the
+//! indexed reads against the scans they replaced.
 
 use proptest::prelude::*;
 
-use tpcw::{Bookstore, CartId, CartLine, CustomerId, ItemId, Overlay, Payment, PopulationParams};
+use tpcw::{
+    base_population, c_uname, Bookstore, CartId, CartLine, CustomerId, ItemId, NewCustomer,
+    Overlay, Payment, PopulationParams,
+};
 use treplica::Wire;
 
 const ITEMS: u32 = 120;
@@ -16,7 +20,19 @@ fn params() -> PopulationParams {
     }
 }
 
-/// One random bookstore operation.
+/// 100 items a subject, so the listings overflow their 50 rows (the
+/// 120 items of [`params`] never fill a page).
+fn listing_params() -> PopulationParams {
+    PopulationParams {
+        items: 2_400,
+        ebs: 1,
+        seed: 18,
+    }
+}
+
+/// One random bookstore operation. `Purchase(lines, customer)` fills a
+/// fresh cart and buys it: an order every time, where `Buy` mostly
+/// misses its cart.
 #[derive(Debug, Clone)]
 enum Op {
     NewCart { item: u32, qty: u32 },
@@ -24,15 +40,30 @@ enum Op {
     Buy { cart: u32, customer: u32 },
     Admin { item: u32, cost: u64 },
     Refresh { customer: u32 },
+    Register,
+    Purchase(Vec<(u32, u32)>, u32),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy(items: u32, customers: u32) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..ITEMS, 1..4u32).prop_map(|(item, qty)| Op::NewCart { item, qty }),
-        (0..8u32, 0..ITEMS, 0..4u32).prop_map(|(cart, item, qty)| Op::Update { cart, item, qty }),
-        (0..8u32, 0..2880u32).prop_map(|(cart, customer)| Op::Buy { cart, customer }),
-        (0..ITEMS, 100..5000u64).prop_map(|(item, cost)| Op::Admin { item, cost }),
-        (0..2880u32).prop_map(|customer| Op::Refresh { customer }),
+        (0..items, 1..4u32).prop_map(|(item, qty)| Op::NewCart { item, qty }),
+        (0..8u32, 0..items, 0..4u32).prop_map(|(cart, item, qty)| Op::Update { cart, item, qty }),
+        (0..8u32, 0..customers).prop_map(|(cart, customer)| Op::Buy { cart, customer }),
+        (0..items, 100..5000u64).prop_map(|(item, cost)| Op::Admin { item, cost }),
+        (0..customers).prop_map(|customer| Op::Refresh { customer }),
+    ]
+}
+
+/// Registrations and purchases among the other ops; customers up to a
+/// few past the end of the initial ones, so the registered ones buy too.
+fn buying_op_strategy(params: PopulationParams) -> impl Strategy<Value = Op> {
+    let (items, customers) = (params.items, params.customers() + 4);
+    let line = (0..items, 1..5u32);
+    prop_oneof![
+        3 => (proptest::collection::vec(line, 1..5), 0..customers)
+            .prop_map(|(lines, customer)| Op::Purchase(lines, customer)),
+        1 => (0..1u32).prop_map(|_| Op::Register),
+        2 => op_strategy(items, customers),
     ]
 }
 
@@ -73,6 +104,203 @@ fn apply(store: &mut Bookstore, op: &Op, t: u64) {
         Op::Refresh { customer } => {
             let _ = store.refresh_session(CustomerId(*customer), t);
         }
+        Op::Register => {
+            store.create_customer(&NewCustomer {
+                fname: "F".into(),
+                lname: "L".into(),
+                phone: "5550000".into(),
+                email: "f@l.example".into(),
+                birthdate: 4_000,
+                data: "d".into(),
+                discount_bp: 100,
+                now: t,
+            });
+        }
+        Op::Purchase(lines, customer) => {
+            let cart = store.create_cart(t);
+            for (item, qty) in lines {
+                let add = Some((ItemId(*item), *qty));
+                store.do_cart(Some(cart), add, &[], ItemId(0), t).unwrap();
+            }
+            let _ = store.buy_confirm(cart, CustomerId(*customer), &payment(), 1, t);
+        }
+    }
+}
+
+/// The scans the store answered its reads with before the base
+/// population was indexed, and the copying checkpoint encoder: the
+/// reference the indexed store is held to.
+mod oracle {
+    use tpcw::{
+        BasePopulation, Cart, Customer, CustomerId, ItemId, OrderId, Overlay, StoreError, SUBJECTS,
+    };
+    use treplica::Wire;
+
+    fn subject_items(base: &BasePopulation, subject: u8) -> Vec<ItemId> {
+        let subject = subject as usize % SUBJECTS.len();
+        let of_subject = base.items.iter().filter(|i| i.subject as usize == subject);
+        of_subject.map(|i| i.id).collect()
+    }
+
+    pub fn new_products(base: &BasePopulation, subject: u8) -> Vec<ItemId> {
+        let mut v = subject_items(base, subject);
+        v.sort_by_key(|id| std::cmp::Reverse(base.items[id.0 as usize].pub_date));
+        v.truncate(50);
+        v
+    }
+
+    pub fn search_by_subject(base: &BasePopulation, subject: u8) -> Vec<ItemId> {
+        let mut v = subject_items(base, subject);
+        v.sort_by(|a, b| {
+            base.items[a.0 as usize]
+                .title
+                .cmp(&base.items[b.0 as usize].title)
+        });
+        v.truncate(50);
+        v
+    }
+
+    pub fn search_by_title(base: &BasePopulation, term: &str) -> Vec<ItemId> {
+        let hits = base.items.iter().filter(|i| i.title.contains(term));
+        hits.take(50).map(|i| i.id).collect()
+    }
+
+    pub fn search_by_author(base: &BasePopulation, term: &str) -> Vec<ItemId> {
+        let hits = base
+            .items
+            .iter()
+            .filter(|i| base.authors[i.author.0 as usize].lname.contains(term));
+        hits.take(50).map(|i| i.id).collect()
+    }
+
+    pub fn customer_by_uname<'a>(
+        base: &'a BasePopulation,
+        overlay: &'a Overlay,
+        uname: &str,
+    ) -> Result<&'a Customer, StoreError> {
+        let mut all = base.customers.iter().chain(&overlay.new_customers);
+        all.find(|c| c.uname == uname)
+            .ok_or(StoreError::NoSuchCustomer)
+    }
+
+    pub fn most_recent_order(
+        base: &BasePopulation,
+        overlay: &Overlay,
+        uname: &str,
+    ) -> Result<Option<OrderId>, StoreError> {
+        let c: CustomerId = customer_by_uname(base, overlay, uname)?.id;
+        if let Some(o) = overlay.last_order.get(&c.0) {
+            return Ok(Some(OrderId(*o)));
+        }
+        let mut newest_first = base.orders.iter().rev();
+        Ok(newest_first.find(|o| o.customer == c).map(|o| o.id))
+    }
+
+    pub fn encode_overlay(o: &Overlay) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let carts: Vec<(u32, Cart)> = o.carts.iter().map(|(k, c)| (*k, c.clone())).collect();
+        carts.encode(&mut buf);
+        o.next_cart.encode(&mut buf);
+        o.new_customers.encode(&mut buf);
+        o.new_orders.encode(&mut buf);
+        o.new_order_lines.encode(&mut buf);
+        o.new_cc_xacts.encode(&mut buf);
+        let stock: Vec<(u32, i32)> = o.stock.iter().map(|(k, v)| (*k, *v)).collect();
+        stock.encode(&mut buf);
+        type ItemUpdateWire = (u32, (u64, (String, String)));
+        let updates: Vec<ItemUpdateWire> = o
+            .item_updates
+            .iter()
+            .map(|(k, (c, i, t))| (*k, (*c, (i.clone(), t.clone()))))
+            .collect();
+        updates.encode(&mut buf);
+        let sessions: Vec<(u32, (u64, u64))> = o.sessions.iter().map(|(k, v)| (*k, *v)).collect();
+        sessions.encode(&mut buf);
+        let last: Vec<(u32, u32)> = o.last_order.iter().map(|(k, v)| (*k, *v)).collect();
+        last.encode(&mut buf);
+        buf
+    }
+}
+
+/// Every indexed read of `store` against the oracle: all subjects (and
+/// subject numbers that wrap), search terms of every shape, and user
+/// names that exist, never existed, or are spelt wrongly.
+fn assert_reads_match_oracle(store: &Bookstore) {
+    let base = base_population(store.params());
+    let overlay = store.overlay();
+
+    for subject in (0..=26u8).chain([47, 255]) {
+        assert_eq!(
+            store.get_new_products(subject),
+            oracle::new_products(&base, subject),
+            "new products of subject {subject}"
+        );
+        assert_eq!(
+            store.search_by_subject(subject),
+            oracle::search_by_subject(&base, subject),
+            "titles of subject {subject}"
+        );
+    }
+
+    let title = |i: usize| base.items[i].title.as_str();
+    let lname = |i: usize| base.authors[base.items[i].author.0 as usize].lname.as_str();
+    // Empty; 1, 2 and 3 bytes; upper case; not ASCII (one char of two
+    // bytes, and a char split after its first byte by the 2-byte gram);
+    // NUL; absent.
+    let mut terms: Vec<&str> = vec![
+        "", "a", "q", " ", "7", "ab", "er", "e ", " 1", "42", "abc", "A", "AB", "é", "añ", "\0",
+        "a\0", "zzzzqqqq",
+    ];
+    for i in [0, 7, base.items.len() / 2] {
+        for text in [title(i), lname(i)] {
+            terms.extend([text, &text[..3], &text[1..], &text[text.len() - 2..]]);
+        }
+    }
+    for term in terms {
+        assert_eq!(
+            store.search_by_title(term),
+            oracle::search_by_title(&base, term),
+            "title search for {term:?}"
+        );
+        assert_eq!(
+            store.search_by_author(term),
+            oracle::search_by_author(&base, term),
+            "author search for {term:?}"
+        );
+    }
+
+    let customers = store.params().customers() + overlay.new_customers.len() as u32;
+    let ids = (0..60)
+        .chain([675, 676, 677]) // "UZZ", "UAAB", "UBAB"
+        .chain(customers.saturating_sub(4)..customers + 2) // registered during the run, and nobody
+        .chain(overlay.last_order.keys().copied());
+    let mut unames: Vec<String> = ids.map(|id| c_uname(CustomerId(id))).collect();
+    // Spelt wrongly: trailing zero digits ("UAA" decodes to the id of
+    // "UA"), no digits, no prefix, lower case, not ASCII, too long for
+    // an id.
+    let misspelt = [
+        "UAA",
+        "UBA",
+        "U",
+        "",
+        "B",
+        "ub",
+        "UÉ",
+        "U B",
+        "UZZZZZZZZZZZZZZ",
+    ];
+    unames.extend(misspelt.map(String::from));
+    for uname in &unames {
+        assert_eq!(
+            store.customer_by_uname(uname),
+            oracle::customer_by_uname(&base, overlay, uname),
+            "customer named {uname:?}"
+        );
+        assert_eq!(
+            store.most_recent_order(uname),
+            oracle::most_recent_order(&base, overlay, uname),
+            "most recent order of {uname:?}"
+        );
     }
 }
 
@@ -82,7 +310,7 @@ proptest! {
     /// Two replicas applying the same op sequence converge, and the
     /// overlay round-trips through the wire at every point.
     #[test]
-    fn deterministic_and_serializable(ops in proptest::collection::vec(op_strategy(), 1..40)) {
+    fn deterministic_and_serializable(ops in proptest::collection::vec(op_strategy(ITEMS, 2880), 1..40)) {
         let mut a = Bookstore::open(params());
         let mut b = Bookstore::open(params());
         for (t, op) in ops.iter().enumerate() {
@@ -101,7 +329,7 @@ proptest! {
     /// negative (the replenishment rule kicks in), nominal size is
     /// monotone in orders, and order records stay internally consistent.
     #[test]
-    fn invariants_under_random_ops(ops in proptest::collection::vec(op_strategy(), 1..60)) {
+    fn invariants_under_random_ops(ops in proptest::collection::vec(op_strategy(ITEMS, 2880), 1..60)) {
         let mut s = Bookstore::open(params());
         let base_nominal = s.nominal_bytes();
         for (t, op) in ops.iter().enumerate() {
@@ -121,6 +349,31 @@ proptest! {
             prop_assert_eq!(overlay.new_cc_xacts[i].order, order.id);
             prop_assert_eq!(overlay.new_cc_xacts[i].amount_cents, order.total_cents);
             prop_assert!(order.total_cents >= order.subtotal_cents + order.tax_cents);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// After any session with registrations and purchases, on a
+    /// catalogue whose subjects fill a page and one whose subjects do
+    /// not, every indexed read equals the scan it replaced; so do the
+    /// reads of a store restored from the overlay, and the checkpoint
+    /// bytes equal the copying encoder's.
+    #[test]
+    fn indexed_reads_equal_scans(
+        small in proptest::collection::vec(buying_op_strategy(params()), 1..80),
+        large in proptest::collection::vec(buying_op_strategy(listing_params()), 1..80),
+    ) {
+        for (params, ops) in [(params(), small), (listing_params(), large)] {
+            let mut store = Bookstore::open(params);
+            for (t, op) in ops.iter().enumerate() {
+                apply(&mut store, op, t as u64);
+            }
+            assert_reads_match_oracle(&store);
+            assert_reads_match_oracle(&Bookstore::from_parts(params, store.overlay().clone()));
+            prop_assert_eq!(store.overlay().to_bytes(), oracle::encode_overlay(store.overlay()));
         }
     }
 }

@@ -217,3 +217,24 @@ fn traced_crash_run_explains_itself_from_one_store() {
         "JSONL round-trips"
     );
 }
+
+/// Reads are modelled, not measured: their simulated cost is a
+/// `ServiceModel` constant, so however the store answers them, a run's
+/// bits stay where they were when they were first recorded (commit
+/// 3a7609d, before the base population was indexed).
+#[test]
+fn browsing_run_reproduces_pinned_bits() {
+    let mut config = ExperimentConfig::quick(3, Profile::Browsing);
+    config.ebs = 2;
+    config.rbes = 100;
+    let report = run_experiment(&config);
+    assert_eq!(
+        (
+            report.engine_events,
+            report.net_bytes,
+            report.recorder.total_ok(),
+            report.awips.to_bits(),
+        ),
+        (83_691, 108_522_429, 8_763, 4_636_588_344_179_460_233)
+    );
+}
