@@ -4,16 +4,17 @@
 //! Every sweep in this crate is embarrassingly parallel — each point is
 //! a self-contained deterministic simulation owning its engine, RNG,
 //! and state — so the only coordination needed is handing out work and
-//! collecting results. [`run_parallel`] does exactly that with two
-//! unbounded crossbeam channels (task queue and result queue) and a
-//! scoped thread per core.
+//! collecting results. [`run_parallel`] does exactly that with the
+//! standard library: the tasks sit in one `Mutex<vec::IntoIter>` the
+//! workers pull from, the results come back over an `mpsc` channel, and
+//! a scoped thread runs per core.
 //!
 //! Determinism is preserved: each point's *result* is a pure function of
 //! its config/seed regardless of which thread runs it, and results are
 //! reassembled by index, so the output `Vec` is identical to what the
 //! sequential loop produced. Only wall-clock time changes.
 
-use crossbeam::channel;
+use std::sync::{mpsc, Mutex};
 
 /// Runs `run` over every item of `points` on up to
 /// `available_parallelism` worker threads, returning the results in
@@ -36,31 +37,30 @@ where
     }
 
     let n = points.len();
-    let (task_tx, task_rx) = channel::unbounded::<(usize, I)>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, O)>();
-    for task in points.into_iter().enumerate() {
-        task_tx.send(task).expect("receivers alive");
-    }
-    // Drop the main sender so workers see disconnection once the queue
-    // drains instead of blocking forever.
-    drop(task_tx);
+    let tasks = Mutex::new(points.into_iter().enumerate());
+    let (result_tx, result_rx) = mpsc::channel::<(usize, O)>();
 
     let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let task_rx = task_rx.clone();
             let result_tx = result_tx.clone();
-            let run = &run;
-            scope.spawn(move || {
-                while let Ok((idx, item)) = task_rx.recv() {
-                    let out = run(item);
-                    if result_tx.send((idx, out)).is_err() {
-                        break;
-                    }
+            let (tasks, run) = (&tasks, &run);
+            scope.spawn(move || loop {
+                // A statement of its own: the guard is dropped before
+                // `run`, so the lock is held only to take the next task
+                // and a panicking task cannot poison it.
+                let next = tasks
+                    .lock()
+                    .expect("never poisoned: no task runs under it")
+                    .next();
+                let Some((idx, item)) = next else { break };
+                if result_tx.send((idx, run(item))).is_err() {
+                    break;
                 }
             });
         }
-        drop(task_rx);
+        // Only the workers' clones remain: if one dies, `recv` fails
+        // once the others finish instead of blocking forever.
         drop(result_tx);
         for _ in 0..n {
             let (idx, out) = result_rx.recv().expect("workers deliver every result");

@@ -54,7 +54,6 @@ mod app;
 mod codec;
 mod middleware;
 mod queue;
-pub mod runtime;
 mod wire;
 
 pub use app::{Application, Snapshot};
@@ -64,5 +63,4 @@ pub use middleware::{
     LOG_NAME, META_KEY,
 };
 pub use queue::{PersistentQueue, QueueEntry};
-pub use runtime::{LocalCluster, ReplicaHandle};
 pub use wire::{EncodeScratch, Wire, WireError};

@@ -202,13 +202,24 @@ impl Cluster {
 fn five_replicas_converge_under_load() {
     let mut c = Cluster::new(5, 11);
     c.run_until(SimTime::from_secs(1)); // stabilize: election + Any
+    let mut issued = Vec::new();
     for i in 0..40 {
-        c.execute((i % 5) as usize, 1000 + i);
+        let node = (i % 5) as usize;
+        issued.push((node, 1000 + i, c.execute(node, 1000 + i)));
         c.run_until(SimTime::from_secs(1) + SimDuration::from_millis(50 * (i + 1)));
     }
     c.run_until(SimTime::from_secs(5));
     c.assert_replicas_agree();
     assert_eq!(c.state(0).applied.len(), 40);
+    // What a blocking `execute()` waits for: the proposing node reports
+    // the id it was given as applied, with the post-apply reply.
+    for (node, value, pid) in issued {
+        let (_, len) = c.applied[node]
+            .iter()
+            .find(|(applied, _)| *applied == pid)
+            .expect("proposer sees its own action applied");
+        assert_eq!(c.state(node).applied[*len as usize - 1], value);
+    }
     assert_eq!(c.nodes[0].as_ref().unwrap().mode(), Mode::Fast);
 }
 
@@ -257,6 +268,10 @@ fn crash_and_recover_preserves_state_and_rejoins() {
     c.run_until(SimTime::from_secs(6));
 
     c.restart(4);
+    assert!(
+        c.nodes[4].as_mut().unwrap().execute(99, 6_000_000).is_err(),
+        "execute is rejected until recovery completes"
+    );
     c.run_until(SimTime::from_secs(20));
     assert_eq!(
         c.recovered[4].len(),
@@ -265,6 +280,11 @@ fn crash_and_recover_preserves_state_and_rejoins() {
     );
     c.assert_replicas_agree();
     assert_eq!(c.state(4).applied.len(), 45, "backlog replayed");
+    // ... and accepted again after `MwEffect::RecoveryComplete`.
+    c.execute(4, 45);
+    c.run_until(SimTime::from_secs(21));
+    c.assert_replicas_agree();
+    assert_eq!(c.state(0).applied.len(), 46);
 }
 
 #[test]

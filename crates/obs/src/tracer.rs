@@ -265,11 +265,6 @@ impl EventBuf {
     pub fn take(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events)
     }
-
-    /// Moves buffered events into `out`, preserving order.
-    pub fn drain_into(&mut self, out: &mut Vec<TraceEvent>) {
-        out.append(&mut self.events);
-    }
 }
 
 #[cfg(test)]

@@ -88,11 +88,6 @@ impl<V: Clone> Proposer<V> {
         self.pending.len()
     }
 
-    /// The value of a still-pending proposal (for explicit re-routing).
-    pub fn pending_value(&self, pid: ProposalId) -> Option<V> {
-        self.pending.get(&pid).map(|p| p.value.clone())
-    }
-
     /// Iterates over pending proposals (for tests/metrics).
     pub fn pending(&self) -> impl Iterator<Item = (&ProposalId, &PendingProposal<V>)> {
         self.pending.iter()
@@ -139,19 +134,5 @@ mod tests {
         p.expired(20_000, 100);
         let last = p.pending().next().unwrap().1;
         assert!(last.deadline <= 20_000 + 800);
-    }
-}
-
-#[cfg(test)]
-mod pending_value_tests {
-    use super::*;
-
-    #[test]
-    fn pending_value_lookup() {
-        let mut p: Proposer<&str> = Proposer::new(ReplicaId(0), 0);
-        let a = p.submit("x", 0, 100);
-        assert_eq!(p.pending_value(a), Some("x"));
-        p.delivered(a);
-        assert_eq!(p.pending_value(a), None);
     }
 }

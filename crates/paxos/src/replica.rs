@@ -15,7 +15,11 @@ use std::collections::BTreeMap;
 use obs::{EventBuf, TraceEvent, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
 
 use crate::acceptor::{Acceptor, AcceptorOut, Dest};
-use crate::config::PaxosConfig;
+use crate::config::{
+    PaxosConfig, ALIVE_CATCHUP_THROTTLE_US, CATCHUP_LAG_SLOTS, COLLISION_TIMEOUT_US, FD_TIMEOUT_US,
+    GAP_REPAIR_THROTTLE_US, HEARTBEAT_INTERVAL_US, LEARN_CHUNK, PREPARE_GRACE_US, PROPOSE_RETRY_US,
+    TAIL_CATCHUP_GRACE_US,
+};
 use crate::fd::{FailureDetector, Mode};
 use crate::leader::{Leader, LeaderPhase};
 use crate::learner::{Delivery, Learner};
@@ -72,7 +76,7 @@ pub struct Replica<V> {
     last_learn_request: u64,
     /// Watermark + first-observed time of an uncleared small lag behind
     /// a peer; drives the stalled-tail catch-up (see
-    /// [`PaxosConfig::tail_catchup_grace_us`]).
+    /// [`TAIL_CATCHUP_GRACE_US`]).
     lag_since: Option<(Slot, u64)>,
     /// Set by [`Replica::recover`]: aggressively catch up (any positive
     /// lag triggers a learn request) until level with the ensemble.
@@ -196,7 +200,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         now: u64,
     ) -> Self {
         let quorums = membership.quorums();
-        let mut fd = FailureDetector::new(id, quorums, config.fd_timeout_us, now);
+        let mut fd = FailureDetector::new(id, quorums, FD_TIMEOUT_US, now);
         fd.set_membership(&membership, now);
         let retired = !membership.contains(id);
         Replica {
@@ -342,11 +346,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         self.fd.mode(self.now)
     }
 
-    /// Whether this replica is the active coordinator.
-    pub fn is_leader(&self) -> bool {
-        self.leader.is_leading()
-    }
-
     /// Whether this replica is still re-learning the backlog after a
     /// [`Replica::recover`] (clears once a peer reports no remaining lag).
     pub fn is_recovering(&self) -> bool {
@@ -415,24 +414,11 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         fx.into_vec()
     }
 
-    /// Re-routes a still-pending proposal immediately, without waiting
-    /// for the retry timer. No-op if already delivered.
-    pub fn nudge(&mut self, pid: ProposalId) -> Vec<Effect<V>> {
-        let mut fx = Effects::new();
-        if self.learner.was_delivered(pid) {
-            return fx.into_vec();
-        }
-        if let Some(value) = self.proposer.pending_value(pid) {
-            self.route(pid, value, &mut fx);
-        }
-        fx.into_vec()
-    }
-
     /// Submits a new proposal; returns its id and the immediate effects.
     pub fn propose(&mut self, value: V) -> (ProposalId, Vec<Effect<V>>) {
         let pid = self
             .proposer
-            .submit(value.clone(), self.now, self.config.propose_retry_us);
+            .submit(value.clone(), self.now, PROPOSE_RETRY_US);
         self.trace.push(TraceEvent::ProposalIssued { seq: pid.seq });
         let mut fx = Effects::new();
         self.route(pid, value, &mut fx);
@@ -474,7 +460,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             let mut fx = Effects::new();
             if let Msg::LearnRequest { from_slot } = msg {
                 let (entries, truncated_below, decided_upto) =
-                    self.learner.serve_learn(from_slot, self.config.learn_chunk);
+                    self.learner.serve_learn(from_slot, LEARN_CHUNK);
                 fx.send(
                     from,
                     Msg::LearnReply {
@@ -645,7 +631,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 let threshold = if self.recovering {
                     0
                 } else {
-                    self.config.catchup_lag_slots
+                    CATCHUP_LAG_SLOTS
                 };
                 // A small lag is normally transient (broadcasts still in
                 // flight) — but if it persists with no delivery progress,
@@ -658,7 +644,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 } else {
                     match self.lag_since {
                         Some((mark, since)) if mark == next => {
-                            self.now.saturating_sub(since) > self.config.tail_catchup_grace_us
+                            self.now.saturating_sub(since) > TAIL_CATCHUP_GRACE_US
                         }
                         _ => {
                             self.lag_since = Some((next, self.now));
@@ -667,8 +653,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                     }
                 };
                 if (behind > threshold || tail_stalled)
-                    && self.now.saturating_sub(self.last_learn_request)
-                        > self.config.alive_catchup_throttle_us
+                    && self.now.saturating_sub(self.last_learn_request) > ALIVE_CATCHUP_THROTTLE_US
                 {
                     self.last_learn_request = self.now;
                     fx.send(
@@ -681,7 +666,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             }
             Msg::LearnRequest { from_slot } => {
                 let (entries, truncated_below, decided_upto) =
-                    self.learner.serve_learn(from_slot, self.config.learn_chunk);
+                    self.learner.serve_learn(from_slot, LEARN_CHUNK);
                 fx.send(
                     from,
                     Msg::LearnReply {
@@ -987,9 +972,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         if !self.leader.is_leading() || !self.leader.ballot.is_fast() {
             return;
         }
-        let stuck = self
-            .learner
-            .stuck_slots(self.now, self.config.collision_timeout_us);
+        let stuck = self.learner.stuck_slots(self.now, COLLISION_TIMEOUT_US);
         for slot in stuck {
             if self.learner.is_decided(slot) {
                 continue;
@@ -1026,7 +1009,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         }
 
         // Heartbeats.
-        if self.now.saturating_sub(self.last_heartbeat) >= self.config.heartbeat_interval_us {
+        if self.now.saturating_sub(self.last_heartbeat) >= HEARTBEAT_INTERVAL_US {
             self.last_heartbeat = self.now;
             fx.broadcast(
                 self.membership.members(),
@@ -1059,7 +1042,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 }
                 LeaderPhase::Preparing => {
                     // Election stalled (lost messages): retry.
-                    if self.now.saturating_sub(self.prepare_started) > self.config.prepare_grace_us
+                    if self.now.saturating_sub(self.prepare_started) > PREPARE_GRACE_US
                         && self.leader.promise_count() >= 1
                     {
                         // Grace expired: finalize with the quorum we have.
@@ -1068,7 +1051,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                             self.issue_plan(ballot, plan, next_free, &mut fx);
                         }
                     }
-                    self.now.saturating_sub(self.prepare_started) > self.config.fd_timeout_us
+                    self.now.saturating_sub(self.prepare_started) > FD_TIMEOUT_US
                 }
                 LeaderPhase::Leading => class_mismatch,
             };
@@ -1097,10 +1080,8 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         // decided while we were down (or deaf), ongoing traffic can
         // never fill it — fetch it explicitly from a live peer.
         if mode != Mode::Blocked
-            && self
-                .learner
-                .gapped(self.now, 2 * self.config.collision_timeout_us)
-            && self.now.saturating_sub(self.last_learn_request) > self.config.gap_repair_throttle_us
+            && self.learner.gapped(self.now, 2 * COLLISION_TIMEOUT_US)
+            && self.now.saturating_sub(self.last_learn_request) > GAP_REPAIR_THROTTLE_US
         {
             let target = if self.highest_ballot != Ballot::BOTTOM
                 && self.highest_ballot.node != self.id
@@ -1123,9 +1104,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
 
         // Proposal retries and parked proposals.
         if mode != Mode::Blocked {
-            let expired = self
-                .proposer
-                .expired(self.now, self.config.propose_retry_us);
+            let expired = self.proposer.expired(self.now, PROPOSE_RETRY_US);
             for (pid, value) in expired {
                 if !self.learner.was_delivered(pid) {
                     self.route(pid, value, &mut fx);
@@ -1139,7 +1118,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         if self.leader.is_leading() {
             for slot in self
                 .leader
-                .stalled_recoveries(self.now, 4 * self.config.collision_timeout_us)
+                .stalled_recoveries(self.now, 4 * COLLISION_TIMEOUT_US)
             {
                 self.leader.cancel_recovery(slot);
                 if let Some(ballot) = self.leader.start_recovery(slot, self.now) {

@@ -576,29 +576,6 @@ fn survives_heavy_deterministic_message_loss() {
 }
 
 #[test]
-fn nudge_rebroadcasts_pending_proposal() {
-    let mut e = stabilized(PaxosConfig::lan(5));
-    // Submit but drop every outgoing send: the proposal stays pending.
-    let (pid, fx) = e.replicas[0].as_mut().unwrap().propose(7);
-    let filtered: Vec<_> = fx
-        .into_iter()
-        .filter(|eff| !matches!(eff, Effect::Send { .. }))
-        .collect();
-    e.apply_effects(0, filtered);
-    e.settle();
-    assert_eq!(e.delivered[0].len(), 0, "suppressed proposal undelivered");
-    // Nudge resubmits immediately (no retry-timer wait).
-    let fx = e.replicas[0].as_mut().unwrap().nudge(pid);
-    assert!(!fx.is_empty(), "nudge must emit sends");
-    e.apply_effects(0, fx);
-    e.settle();
-    e.run(5, TICK);
-    assert_eq!(e.delivered[0].len(), 1);
-    // Nudging a delivered proposal is a no-op.
-    assert!(e.replicas[0].as_mut().unwrap().nudge(pid).is_empty());
-}
-
-#[test]
 fn reconfig_replaces_member_and_new_node_catches_up() {
     let mut e = stabilized(PaxosConfig::lan_classic_only(5));
     for i in 0..5 {

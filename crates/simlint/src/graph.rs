@@ -346,18 +346,6 @@ impl Graph {
         }
     }
 
-    /// All node ids whose `(self_ty, name)` matches `ty::name`.
-    pub fn ids_for(&self, ty: &str, name: &str) -> Option<&[usize]> {
-        self.by_ty_name
-            .get(&(ty.to_string(), name.to_string()))
-            .map(Vec::as_slice)
-    }
-
-    /// All node ids with the given bare name.
-    pub fn ids_named(&self, name: &str) -> Option<&[usize]> {
-        self.by_name.get(name).map(Vec::as_slice)
-    }
-
     /// Renders the subgraph induced by `keep` (node ids) as Graphviz
     /// DOT, clustered by crate. Used by `--graph-dot`.
     pub fn to_dot(&self, keep: &[bool]) -> String {

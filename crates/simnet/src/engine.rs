@@ -249,11 +249,6 @@ impl<M: std::fmt::Debug> Engine<M> {
         self.now
     }
 
-    /// Number of node slots.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The run's random number generator.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng

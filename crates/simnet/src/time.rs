@@ -96,11 +96,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The span in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// The span in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6

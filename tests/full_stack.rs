@@ -64,6 +64,19 @@ fn two_overlapped_crashes_recover_autonomously() {
     let min = decided.iter().min().unwrap();
     let max = decided.iter().max().unwrap();
     assert!(max - min < 50, "decided spread {decided:?}");
+    // The failover path's bits (failure detection, prepare grace,
+    // collision recovery, gap repair, tail catch-up), as recorded at
+    // commit fad4bc7 while those timings were still `PaxosConfig`
+    // fields: the browsing pin below exercises none of them.
+    assert_eq!(
+        (
+            report.engine_events,
+            report.net_bytes,
+            report.recorder.total_ok(),
+            report.awips.to_bits(),
+        ),
+        (641_961, 408_002_765, 34_078, 4_643_812_282_175_498_923)
+    );
 }
 
 #[test]
