@@ -11,7 +11,7 @@ use paxos::{
     Record, ReplicaId, Slot,
 };
 
-use crate::wire::{Wire, WireError};
+use crate::wire::{encode_slice, slice_wire_size, Wire, WireError};
 
 /// Hard wire-format cap on updates per batch. Protects decoders from a
 /// corrupt length prefix; far above any useful `batch_max_updates`.
@@ -22,7 +22,7 @@ pub const MAX_BATCH_ITEMS: usize = 4_096;
 /// a seek for nothing) and never above [`MAX_BATCH_ITEMS`].
 impl<A: Wire> Wire for Batch<A> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.items.encode(buf);
+        encode_slice(&self.items, buf);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let items: Vec<(ProposalId, A)> = Vec::decode(input)?;
@@ -32,10 +32,12 @@ impl<A: Wire> Wire for Batch<A> {
         if items.len() > MAX_BATCH_ITEMS {
             return Err(WireError::Invalid("batch exceeds MAX_BATCH_ITEMS"));
         }
-        Ok(Batch { items })
+        Ok(Batch {
+            items: items.into(),
+        })
     }
     fn wire_size(&self) -> u64 {
-        self.items.wire_size()
+        slice_wire_size(&self.items)
     }
 }
 

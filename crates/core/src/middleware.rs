@@ -1175,9 +1175,7 @@ impl<App: Application> Middleware<App> {
                     // switches epoch mid-drain, so by the time a
                     // pre-fence slot is lowered it may already read the
                     // new configuration.
-                    for (i, (pid, action)) in value.items.into_iter().enumerate() {
-                        self.queue.push(slot, i as u32, pid, epoch, action);
-                    }
+                    self.queue.push_batch(slot, epoch, &value);
                 }
                 PaxosEffect::Reconfigured { slot, membership } => {
                     out.push(MwEffect::Reconfigured {
@@ -1208,7 +1206,11 @@ impl<App: Application> Middleware<App> {
             None => return,
         };
         while let Some(entry) = self.queue.try_dequeue() {
-            let reply = app.apply(&entry.action);
+            let Some(action) = entry.action() else {
+                debug_assert!(false, "queue entry outside its batch");
+                continue;
+            };
+            let reply = app.apply(action);
             self.applied += 1;
             self.applied_since_checkpoint += 1;
             if self.trace.enabled() {
@@ -1325,7 +1327,7 @@ impl<App: Application> Middleware<App> {
     /// Drains the trace events buffered since the last call (middleware
     /// and consensus core interleaved in emission order). The driver
     /// stamps them with its clock and node id.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+    pub fn take_trace(&mut self) -> std::vec::Drain<'_, TraceEvent> {
         if self.trace.enabled() {
             for e in self.paxos.take_trace_events() {
                 self.trace.push(e);
@@ -1865,7 +1867,7 @@ mod tests {
         };
         let fx = mw.on_message(ReplicaId(1), stale, 0);
         assert!(fx.is_empty(), "stale-epoch accept produces no effects");
-        let trace = mw.take_trace();
+        let trace: Vec<TraceEvent> = mw.take_trace().collect();
         assert!(
             trace.iter().any(|e| matches!(
                 e,
@@ -1902,7 +1904,7 @@ mod tests {
         };
         let fx = mw.on_message(ReplicaId(1), learn, 0);
         assert!(!fx.is_empty(), "stale-epoch learn request is answered");
-        let trace = mw.take_trace();
+        let trace: Vec<TraceEvent> = mw.take_trace().collect();
         assert!(
             trace
                 .iter()

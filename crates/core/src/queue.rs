@@ -17,9 +17,13 @@
 
 use std::collections::VecDeque;
 
-use paxos::{ProposalId, Slot};
+use paxos::{Batch, ProposalId, Slot};
 
 /// One totally ordered element.
+///
+/// The element stays in the batch consensus decided: the entry holds a
+/// handle on that shared batch and the element's position in it, so
+/// queueing an update copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueEntry<A> {
     /// The consensus slot that ordered this element.
@@ -33,25 +37,33 @@ pub struct QueueEntry<A> {
     /// reconfiguration fence carry the old epoch, slots at or above it
     /// the new one).
     pub epoch: u64,
-    /// The element itself.
-    pub action: A,
+    batch: Batch<A>,
+}
+
+impl<A> QueueEntry<A> {
+    /// The element itself, borrowed from the shared batch.
+    /// [`PersistentQueue::push_batch`] makes one entry per item, so this
+    /// is `None` for no entry the queue hands out.
+    pub fn action(&self) -> Option<&A> {
+        self.batch.items.get(self.index as usize).map(|(_, a)| a)
+    }
 }
 
 /// Delivery-side view of the asynchronous persistent queue.
 ///
 /// ```
 /// use treplica::PersistentQueue;
-/// use paxos::{ProposalId, ReplicaId, Slot};
+/// use paxos::{Batch, ProposalId, ReplicaId, Slot};
 /// let mut q = PersistentQueue::new();
 /// let pid = ProposalId { node: ReplicaId(0), epoch: 0, seq: 1 };
-/// q.push(Slot(4), 0, pid, 0, "action");
-/// assert_eq!(q.try_dequeue().unwrap().action, "action");
+/// q.push_batch(Slot(4), 0, &Batch::single(pid, "action"));
+/// assert_eq!(q.try_dequeue().unwrap().action(), Some(&"action"));
 /// ```
 #[derive(Debug)]
 pub struct PersistentQueue<A> {
     entries: VecDeque<QueueEntry<A>>,
-    /// All pushed positions are strictly above this.
-    last_pos: Option<(Slot, u32)>,
+    /// All pushed slots are strictly above this.
+    last_slot: Option<Slot>,
     enqueued: u64,
     dequeued: u64,
 }
@@ -61,36 +73,39 @@ impl<A> PersistentQueue<A> {
     pub fn new() -> Self {
         PersistentQueue {
             entries: VecDeque::new(),
-            last_pos: None,
+            last_slot: None,
             enqueued: 0,
             dequeued: 0,
         }
     }
 
-    /// Pushes a decided element in total order.
+    /// Pushes the updates of a decided batch in total order: one element
+    /// per item, front to back, at positions `(slot, 0)`, `(slot, 1)`, ….
     ///
     /// # Panics
     ///
-    /// Panics if `(slot, index)` is not strictly greater than every
-    /// position pushed before — the consensus layer guarantees in-order,
-    /// gap-checked delivery and the middleware unpacks batches front to
-    /// back, so a violation here is a protocol bug, not an input error.
-    pub fn push(&mut self, slot: Slot, index: u32, pid: ProposalId, epoch: u64, action: A) {
-        if let Some((last_slot, last_index)) = self.last_pos {
+    /// Panics if `slot` is not strictly greater than every slot pushed
+    /// before — the consensus layer guarantees in-order, gap-checked
+    /// delivery, so a violation here is a protocol bug, not an input
+    /// error.
+    pub fn push_batch(&mut self, slot: Slot, epoch: u64, batch: &Batch<A>) {
+        if let Some(last_slot) = self.last_slot {
             assert!(
-                (slot, index) > (last_slot, last_index),
-                "total order violation: ({slot}, {index}) after ({last_slot}, {last_index})"
+                slot > last_slot,
+                "total order violation: {slot} after {last_slot}"
             );
         }
-        self.last_pos = Some((slot, index));
-        self.enqueued += 1;
-        self.entries.push_back(QueueEntry {
-            slot,
-            index,
-            pid,
-            epoch,
-            action,
-        });
+        self.last_slot = Some(slot);
+        for (index, (pid, _)) in batch.items.iter().enumerate() {
+            self.enqueued += 1;
+            self.entries.push_back(QueueEntry {
+                slot,
+                index: index as u32,
+                pid: *pid,
+                epoch,
+                batch: batch.clone(),
+            });
+        }
     }
 
     /// Removes and returns the next element, if any (the non-blocking
@@ -125,7 +140,7 @@ impl<A> PersistentQueue<A> {
 
     /// The highest slot observed.
     pub fn last_slot(&self) -> Option<Slot> {
-        self.last_pos.map(|(s, _)| s)
+        self.last_slot
     }
 }
 
@@ -148,54 +163,60 @@ mod tests {
         }
     }
 
+    fn batch(items: &[(u64, &'static str)]) -> Batch<&'static str> {
+        Batch::new(items.iter().map(|&(seq, a)| (pid(seq), a)).collect())
+    }
+
+    fn drain(q: &mut PersistentQueue<&'static str>) -> Vec<&'static str> {
+        std::iter::from_fn(|| q.try_dequeue())
+            .map(|e| *e.action().expect("one entry per item"))
+            .collect()
+    }
+
     #[test]
     fn fifo_order_preserved() {
         let mut q = PersistentQueue::new();
-        q.push(Slot(1), 0, pid(1), 0, "a");
-        q.push(Slot(2), 0, pid(2), 0, "b");
+        q.push_batch(Slot(1), 0, &batch(&[(1, "a")]));
+        q.push_batch(Slot(2), 0, &batch(&[(2, "b")]));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.try_dequeue().unwrap().action, "a");
-        assert_eq!(q.try_dequeue().unwrap().action, "b");
+        assert_eq!(drain(&mut q), vec!["a", "b"]);
         assert!(q.try_dequeue().is_none());
         assert_eq!(q.total_enqueued(), 2);
         assert_eq!(q.total_dequeued(), 2);
     }
 
     #[test]
-    fn same_slot_batch_entries_ordered_by_index() {
+    fn batch_entries_ordered_by_index_and_share_the_batch() {
         let mut q = PersistentQueue::new();
-        q.push(Slot(5), 0, pid(1), 0, "a");
-        q.push(Slot(5), 1, pid(2), 0, "b");
-        q.push(Slot(5), 2, pid(3), 0, "c");
-        q.push(Slot(6), 0, pid(4), 0, "d");
-        let order: Vec<&str> = std::iter::from_fn(|| q.try_dequeue())
-            .map(|e| e.action)
-            .collect();
-        assert_eq!(order, vec!["a", "b", "c", "d"]);
+        let b = batch(&[(1, "a"), (2, "b"), (3, "c")]);
+        q.push_batch(Slot(5), 7, &b);
+        q.push_batch(Slot(6), 7, &batch(&[(4, "d")]));
+        let entries: Vec<_> = std::iter::from_fn(|| q.try_dequeue()).collect();
+        let positions: Vec<_> = entries.iter().map(|e| (e.slot.0, e.index)).collect();
+        assert_eq!(positions, vec![(5, 0), (5, 1), (5, 2), (6, 0)]);
+        let pids: Vec<_> = entries.iter().map(|e| e.pid.seq).collect();
+        assert_eq!(pids, vec![1, 2, 3, 4]);
+        let actions: Vec<_> = entries.iter().map(|e| *e.action().unwrap()).collect();
+        assert_eq!(actions, vec!["a", "b", "c", "d"]);
+        assert!(entries.iter().all(|e| e.epoch == 7));
+        // Queueing copied nothing: the entries point into the batch.
+        assert!(std::ptr::eq(entries[1].action().unwrap(), &b.items[1].1));
     }
 
     #[test]
     #[should_panic(expected = "total order violation")]
     fn out_of_order_push_panics() {
         let mut q = PersistentQueue::new();
-        q.push(Slot(5), 0, pid(1), 0, "a");
-        q.push(Slot(5), 0, pid(2), 0, "b");
-    }
-
-    #[test]
-    #[should_panic(expected = "total order violation")]
-    fn intra_batch_index_regression_panics() {
-        let mut q = PersistentQueue::new();
-        q.push(Slot(5), 3, pid(1), 0, "a");
-        q.push(Slot(5), 2, pid(2), 0, "b");
+        q.push_batch(Slot(5), 0, &batch(&[(1, "a")]));
+        q.push_batch(Slot(5), 0, &batch(&[(2, "b")]));
     }
 
     #[test]
     fn gaps_in_slots_are_fine() {
         // No-op slots are filtered before the queue; gaps are expected.
         let mut q = PersistentQueue::new();
-        q.push(Slot(1), 0, pid(1), 0, "a");
-        q.push(Slot(7), 0, pid(2), 0, "b");
+        q.push_batch(Slot(1), 0, &batch(&[(1, "a")]));
+        q.push_batch(Slot(7), 0, &batch(&[(2, "b")]));
         assert_eq!(q.last_slot(), Some(Slot(7)));
     }
 

@@ -67,10 +67,13 @@ pub trait Wire: Sized {
         Self::decode(&mut input)
     }
 
-    /// Encoded size in bytes (default: encodes and measures).
-    fn wire_size(&self) -> u64 {
-        self.to_bytes().len() as u64
-    }
+    /// Encoded size in bytes: exactly what [`Wire::encode`] appends.
+    ///
+    /// There is no default body: every type computes its size from its
+    /// fields' sizes and never encodes to measure. The middleware sizes
+    /// each outgoing message with this, so an encoding here would be
+    /// paid once per `Send`.
+    fn wire_size(&self) -> u64;
 }
 
 /// Reusable encode buffer for hot wire paths.
@@ -184,12 +187,23 @@ impl Wire for String {
     }
 }
 
+/// Encodes `items` as a `u32` length prefix and the items in order:
+/// the framing of `Vec<T>` and of every other sequence.
+pub(crate) fn encode_slice<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
+    (items.len() as u32).encode(buf);
+    for item in items {
+        item.encode(buf);
+    }
+}
+
+/// Bytes [`encode_slice`] writes for `items`.
+pub(crate) fn slice_wire_size<T: Wire>(items: &[T]) -> u64 {
+    4 + items.iter().map(Wire::wire_size).sum::<u64>()
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        encode_slice(self, buf);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = u32::decode(input)? as usize;
@@ -200,7 +214,7 @@ impl<T: Wire> Wire for Vec<T> {
         Ok(out)
     }
     fn wire_size(&self) -> u64 {
-        4 + self.iter().map(Wire::wire_size).sum::<u64>()
+        slice_wire_size(self)
     }
 }
 

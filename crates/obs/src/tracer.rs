@@ -260,10 +260,11 @@ impl EventBuf {
         }
     }
 
-    /// Takes the buffered events (empty and allocation-free when
-    /// disabled).
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
+    /// Drains the buffered events in order (nothing when disabled). The
+    /// buffer keeps its capacity, so the pushes after a drain do not
+    /// allocate again.
+    pub fn take(&mut self) -> std::vec::Drain<'_, TraceEvent> {
+        self.events.drain(..)
     }
 }
 
@@ -359,10 +360,25 @@ mod tests {
     fn event_buf_respects_enabled_flag() {
         let mut b = EventBuf::default();
         b.push(TraceEvent::Crash);
-        assert!(b.take().is_empty());
+        assert_eq!(b.take().len(), 0);
         b.set_enabled(true);
         b.push(TraceEvent::Crash);
         assert_eq!(b.take().len(), 1);
-        assert!(b.take().is_empty(), "take drains");
+        assert_eq!(b.take().len(), 0, "take drains");
+    }
+
+    #[test]
+    fn event_buf_keeps_its_capacity_across_drains() {
+        let mut b = EventBuf::new(true);
+        b.push(TraceEvent::Crash);
+        let capacity = b.events.capacity();
+        assert!(capacity > 0);
+        drop(b.take());
+        assert_eq!(b.events.capacity(), capacity, "drained in place");
+        // A drain dropped half-way still empties the buffer.
+        b.push(TraceEvent::Crash);
+        b.push(TraceEvent::Crash);
+        b.take().next();
+        assert_eq!(b.take().len(), 0);
     }
 }

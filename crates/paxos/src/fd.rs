@@ -139,18 +139,21 @@ impl FailureDetector {
         }
     }
 
-    /// The replicas currently considered alive.
-    pub fn alive(&self, now: u64) -> Vec<ReplicaId> {
+    fn alive_iter(&self, now: u64) -> impl Iterator<Item = ReplicaId> + '_ {
         self.members
             .iter()
             .copied()
-            .filter(|p| self.is_alive(*p, now))
-            .collect()
+            .filter(move |p| self.is_alive(*p, now))
+    }
+
+    /// The replicas currently considered alive.
+    pub fn alive(&self, now: u64) -> Vec<ReplicaId> {
+        self.alive_iter(now).collect()
     }
 
     /// Count of live replicas (including self).
     pub fn alive_count(&self, now: u64) -> usize {
-        self.alive(now).len()
+        self.alive_iter(now).count()
     }
 
     /// The paper's mode rule applied to the current estimate.
@@ -167,7 +170,7 @@ impl FailureDetector {
 
     /// The live replica with the lowest id — the election candidate.
     pub fn candidate(&self, now: u64) -> ReplicaId {
-        self.alive(now).into_iter().min().unwrap_or(self.id)
+        self.alive_iter(now).min().unwrap_or(self.id)
     }
 
     /// Compares the liveness estimate against the recorded suspicion

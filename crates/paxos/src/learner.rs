@@ -48,20 +48,22 @@ pub struct Learner<V> {
     pending_reconfig: Option<(Slot, Reconfig)>,
 }
 
-/// Counts occurrences of each decree in `votes` without hashing: quorums
-/// are tiny (N ≤ a handful of replicas), so a linear-scan Vec counter is
-/// both deterministic and faster than building a map.
-fn count_votes<'a, V: Eq>(
-    votes: impl Iterator<Item = &'a Decree<V>>,
-) -> Vec<(&'a Decree<V>, usize)> {
-    let mut counts: Vec<(&Decree<V>, usize)> = Vec::new();
-    for d in votes {
-        match counts.iter_mut().find(|(k, _)| *k == d) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((d, 1)),
+/// The distinct decrees among `votes` with their vote counts, in order
+/// of first appearance (acceptor order). Quorums are tiny (N ≤ a handful
+/// of replicas), so each decree is counted by comparing it against the
+/// other votes in place: deterministic, and nothing to allocate.
+fn count_votes<V: Eq>(
+    votes: &BTreeMap<ReplicaId, Decree<V>>,
+) -> impl Iterator<Item = (&Decree<V>, usize)> {
+    votes.values().enumerate().filter_map(move |(i, d)| {
+        if votes.values().take(i).any(|seen| seen == d) {
+            return None;
         }
-    }
-    counts
+        Some((
+            d,
+            1 + votes.values().skip(i + 1).filter(|v| *v == d).count(),
+        ))
+    })
 }
 
 impl<V: Clone + Eq> Learner<V> {
@@ -131,13 +133,12 @@ impl<V: Clone + Eq> Learner<V> {
         let ballot_votes = entry.by_ballot.entry(ballot).or_default();
         ballot_votes.insert(from, decree);
 
-        let counts = count_votes(ballot_votes.values());
         // Scan votes in acceptor order, not hash order: at most one
         // decree can reach the quorum, but replays must take identical
         // paths bit-for-bit.
-        let winner = ballot_votes
-            .values()
-            .find(|d| counts.iter().any(|(k, n)| k == d && *n >= needed))
+        let winner = count_votes(ballot_votes)
+            .find(|(_, n)| *n >= needed)
+            .map(|(d, _)| d)
             .cloned();
         match winner {
             Some(decree) => {
@@ -246,8 +247,7 @@ impl<V: Clone + Eq> Learner<V> {
                     return false;
                 }
                 let needed = self.quorums.fast();
-                let counts = count_votes(votes.values());
-                let top = counts.iter().map(|(_, n)| *n).max().unwrap_or(0);
+                let top = count_votes(votes).map(|(_, n)| n).max().unwrap_or(0);
                 let unvoted = self.quorums.n() - votes.len();
                 top + unvoted < needed
             });
@@ -450,6 +450,26 @@ mod tests {
         );
         l.on_accepted(ReplicaId(3), b, Slot(0), Decree::Value(pid(1, 1), "z"), 10);
         assert_eq!(l.stuck_slots(10, 1_000_000), vec![Slot(0)]);
+    }
+
+    #[test]
+    fn votes_are_counted_per_distinct_decree_in_acceptor_order() {
+        let votes: BTreeMap<ReplicaId, Decree<&str>> = ["a", "b", "a", "c", "b", "a"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| (ReplicaId(i as u32), Decree::Value(pid(0, 1), v)))
+            .collect();
+        let counts: Vec<(&str, usize)> = count_votes(&votes)
+            .map(|(d, n)| match d {
+                Decree::Value(_, v) => (*v, n),
+                other => panic!("only values were cast: {other:?}"),
+            })
+            .collect();
+        assert_eq!(counts, vec![("a", 3), ("b", 2), ("c", 1)]);
+        assert_eq!(
+            count_votes(&BTreeMap::<ReplicaId, Decree<&str>>::new()).count(),
+            0
+        );
     }
 
     #[test]

@@ -304,12 +304,16 @@ impl<V> Effects<V> {
     where
         Msg<V>: Clone,
     {
-        for &to in members {
+        let Some((&last, rest)) = members.split_last() else {
+            return;
+        };
+        for &to in rest {
             self.inner.push(Effect::Send {
                 to,
                 msg: msg.clone(),
             });
         }
+        self.inner.push(Effect::Send { to: last, msg });
     }
 
     /// Queues a persist effect.

@@ -251,12 +251,14 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
 
     /// Drains the trace events buffered since the last call, in the
     /// order the protocol emitted them.
-    pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
+    pub fn take_trace_events(&mut self) -> std::vec::Drain<'_, TraceEvent> {
         self.trace.take()
     }
 
     /// Records a `ModeSwitch` edge if the detector's mode changed since
-    /// the last check. No-op (one branch) when tracing is off.
+    /// the last check. One branch when the buffer is off; it is on
+    /// whenever the flight ring is, which is the default, so the mode
+    /// rule must stay allocation-free.
     fn trace_mode_edge(&mut self) {
         if self.trace.enabled() {
             let mode = self.fd.mode(self.now);

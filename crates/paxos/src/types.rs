@@ -1,6 +1,7 @@
 //! Core identifier types of the consensus protocol.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies one of the `N` replicas participating in consensus.
 ///
@@ -162,11 +163,25 @@ impl fmt::Display for ProposalId {
 ///
 /// Invariant: a batch is never empty (the wire codec rejects empty
 /// batches on decode; [`Batch::new`] asserts on construction).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The items are allocated once and shared: a clone is a
+/// reference-count bump, so every message, log record, vote and queue
+/// entry that carries the batch on one replica points at the same
+/// slice.
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Batch<V> {
     /// The batched updates in submission order, each with the id its
     /// submitter waits on.
-    pub items: Vec<(ProposalId, V)>,
+    pub items: Arc<[(ProposalId, V)]>,
+}
+
+/// Not derived: a handle on the shared items needs no `V: Clone`.
+impl<V> Clone for Batch<V> {
+    fn clone(&self) -> Self {
+        Batch {
+            items: Arc::clone(&self.items),
+        }
+    }
 }
 
 impl<V> Batch<V> {
@@ -178,13 +193,15 @@ impl<V> Batch<V> {
     /// consensus slot and a disk seek for nothing.
     pub fn new(items: Vec<(ProposalId, V)>) -> Batch<V> {
         assert!(!items.is_empty(), "batches must carry at least one update");
-        Batch { items }
+        Batch {
+            items: items.into(),
+        }
     }
 
     /// Wraps a single update (the unbatched degenerate case).
     pub fn single(pid: ProposalId, value: V) -> Batch<V> {
         Batch {
-            items: vec![(pid, value)],
+            items: Arc::new([(pid, value)]),
         }
     }
 

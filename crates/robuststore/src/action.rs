@@ -6,7 +6,7 @@
 //! travels inside it, so all replicas apply identical state changes.
 
 use tpcw::{CartId, CartLine, CustomerId, ItemId, NewCustomer, OrderId, Payment, StoreError};
-use treplica::{Wire, WireError};
+use treplica::impl_wire_enum;
 
 /// A replicated update to the bookstore.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -64,94 +64,13 @@ pub enum Action {
     },
 }
 
-impl Wire for Action {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Action::DoCart {
-                cart,
-                add,
-                updates,
-                default_item,
-                now,
-            } => {
-                buf.push(0);
-                cart.encode(buf);
-                add.encode(buf);
-                updates.encode(buf);
-                default_item.encode(buf);
-                now.encode(buf);
-            }
-            Action::RegisterCustomer { reg } => {
-                buf.push(1);
-                reg.encode(buf);
-            }
-            Action::RefreshSession { customer, now } => {
-                buf.push(2);
-                customer.encode(buf);
-                now.encode(buf);
-            }
-            Action::BuyConfirm {
-                cart,
-                customer,
-                payment,
-                ship_type,
-                now,
-            } => {
-                buf.push(3);
-                cart.encode(buf);
-                customer.encode(buf);
-                payment.encode(buf);
-                ship_type.encode(buf);
-                now.encode(buf);
-            }
-            Action::AdminUpdate {
-                item,
-                cost_cents,
-                image,
-                thumbnail,
-            } => {
-                buf.push(4);
-                item.encode(buf);
-                cost_cents.encode(buf);
-                image.encode(buf);
-                thumbnail.encode(buf);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(Action::DoCart {
-                cart: Option::decode(input)?,
-                add: Option::decode(input)?,
-                updates: Vec::decode(input)?,
-                default_item: ItemId::decode(input)?,
-                now: u64::decode(input)?,
-            }),
-            1 => Ok(Action::RegisterCustomer {
-                reg: NewCustomer::decode(input)?,
-            }),
-            2 => Ok(Action::RefreshSession {
-                customer: CustomerId::decode(input)?,
-                now: u64::decode(input)?,
-            }),
-            3 => Ok(Action::BuyConfirm {
-                cart: CartId::decode(input)?,
-                customer: CustomerId::decode(input)?,
-                payment: Payment::decode(input)?,
-                ship_type: u8::decode(input)?,
-                now: u64::decode(input)?,
-            }),
-            4 => Ok(Action::AdminUpdate {
-                item: ItemId::decode(input)?,
-                cost_cents: u64::decode(input)?,
-                image: String::decode(input)?,
-                thumbnail: String::decode(input)?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+impl_wire_enum!(Action {
+    0 => DoCart { cart, add, updates, default_item, now },
+    1 => RegisterCustomer { reg },
+    2 => RefreshSession { customer, now },
+    3 => BuyConfirm { cart, customer, payment, ship_type, now },
+    4 => AdminUpdate { item, cost_cents, image, thumbnail },
+});
 
 /// What applying an action produced (identical at every replica).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,9 +100,11 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treplica::Wire;
 
     fn roundtrip(a: Action) {
         let bytes = a.to_bytes();
+        assert_eq!(a.wire_size(), bytes.len() as u64, "wire_size of {a:?}");
         assert_eq!(Action::from_bytes(&bytes).unwrap(), a);
     }
 

@@ -205,6 +205,26 @@ impl Wire for Item {
             ],
         })
     }
+    fn wire_size(&self) -> u64 {
+        self.id.wire_size()
+            + self.title.wire_size()
+            + self.author.wire_size()
+            + self.pub_date.wire_size()
+            + self.publisher.wire_size()
+            + self.subject.wire_size()
+            + self.desc.wire_size()
+            + self.thumbnail.wire_size()
+            + self.image.wire_size()
+            + self.srp_cents.wire_size()
+            + self.cost_cents.wire_size()
+            + self.avail.wire_size()
+            + self.stock.wire_size()
+            + self.isbn.wire_size()
+            + self.pages.wire_size()
+            + self.backing.wire_size()
+            + self.dimensions.wire_size()
+            + self.related.iter().map(Wire::wire_size).sum::<u64>()
+    }
 }
 
 /// A country (TPC-W `COUNTRY`).

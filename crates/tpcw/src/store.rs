@@ -180,6 +180,25 @@ impl Wire for Overlay {
             last_order: last_v.into_iter().collect(),
         })
     }
+
+    fn wire_size(&self) -> u64 {
+        // Mirrors `encode_map`: a length prefix, then key and value.
+        fn map_size<V>(map: &BTreeMap<u32, V>, value_size: impl Fn(&V) -> u64) -> u64 {
+            4 + map.values().map(|v| 4 + value_size(v)).sum::<u64>()
+        }
+        map_size(&self.carts, Cart::wire_size)
+            + self.next_cart.wire_size()
+            + self.new_customers.wire_size()
+            + self.new_orders.wire_size()
+            + self.new_order_lines.wire_size()
+            + self.new_cc_xacts.wire_size()
+            + map_size(&self.stock, i32::wire_size)
+            + map_size(&self.item_updates, |(cost, image, thumbnail)| {
+                cost.wire_size() + image.wire_size() + thumbnail.wire_size()
+            })
+            + map_size(&self.sessions, <(u64, u64)>::wire_size)
+            + map_size(&self.last_order, u32::wire_size)
+    }
 }
 
 /// Errors from bookstore operations (malformed requests surface to the

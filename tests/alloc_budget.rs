@@ -1,0 +1,183 @@
+//! Allocation budgets for the consensus hot path, in tier-1.
+//!
+//! A decree is allocated once on a replica and shared from then on:
+//! sizing a message is arithmetic and cloning one is a reference-count
+//! bump. The repo benchmark counts allocations per simulated second,
+//! but only when someone runs it; these tests make a reintroduced
+//! encode-to-measure or deep clone fail `cargo test -q`.
+//!
+//! The counter is per thread, so the tests of this binary can run in
+//! parallel without counting each other's work.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use robuststore_repro::cluster::{run_experiment, ExperimentConfig};
+use robuststore_repro::paxos::{Ballot, Batch, Decree, Msg, ProposalId, ReplicaId, Slot};
+use robuststore_repro::robuststore::Action;
+use robuststore_repro::tpcw::{CartId, CustomerId, Payment, Profile, Schedule};
+use robuststore_repro::treplica::{MwMsg, Wire};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count_one() {
+    // `try_with`: the allocator still runs while a thread's locals are
+    // being torn down; those allocations belong to no test.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose `GlobalAlloc` contract the caller already upholds; the counter
+// is a const-initialised thread-local `Cell` with no destructor, so
+// touching it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Allocations `work` makes on this thread, and its result.
+fn counted<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// What every acceptor broadcasts for a full group commit of orders: a
+/// phase-2b message carrying a batch of eight `BuyConfirm` actions, five
+/// strings each.
+fn accepted_batch8() -> MwMsg<Batch<Action>> {
+    let pid = |seq| ProposalId {
+        node: ReplicaId(2),
+        epoch: 1,
+        seq,
+    };
+    let items = (0..8u64)
+        .map(|seq| {
+            let action = Action::BuyConfirm {
+                cart: CartId(seq as u32),
+                customer: CustomerId(40 + seq as u32),
+                payment: Payment {
+                    cc_type: "VISA".into(),
+                    cc_num: "4111111111111111".into(),
+                    cc_name: "Test Buyer".into(),
+                    cc_expiry: 15_000,
+                    auth_id: format!("AUTH{seq:06}"),
+                    country: 7,
+                },
+                ship_type: 2,
+                now: 1_000_000 + seq,
+            };
+            (pid(seq), action)
+        })
+        .collect();
+    let msg = Msg::Accepted {
+        ballot: Ballot::fast(7, ReplicaId(2)),
+        slot: Slot(123_456),
+        decree: Decree::Value(pid(999), Batch::new(items)),
+    };
+    MwMsg::Paxos {
+        epoch: 0,
+        tag: Default::default(),
+        msg,
+    }
+}
+
+#[test]
+fn sizing_a_batch_message_allocates_nothing() {
+    let msg = accepted_batch8();
+    let (allocations, bytes) = counted(|| msg.wire_bytes());
+    assert_eq!(allocations, 0, "wire_bytes must not encode to measure");
+    let MwMsg::Paxos { msg: inner, .. } = &msg else {
+        unreachable!("built as a Paxos message");
+    };
+    assert_eq!(counted(|| inner.wire_size()).0, 0);
+    // Headers (46) + kind, epoch and causal tag (1 + 8 + 28) + payload.
+    assert_eq!(bytes, 46 + 37 + inner.to_bytes().len() as u64);
+}
+
+#[test]
+fn cloning_a_batch_message_allocates_nothing() {
+    let msg = accepted_batch8();
+    let (allocations, copy) = counted(|| msg.clone());
+    assert_eq!(allocations, 0, "a clone shares the batch");
+    assert_eq!(copy, msg);
+}
+
+/// The shape of the benchmark's `order_sat_b8` workload at test size:
+/// ordering mix, eight replicas, group commit of eight, offered load far
+/// above capacity so batches fill.
+fn ordering_b8(interval_s: u64) -> ExperimentConfig {
+    let mut config = ExperimentConfig::quick(8, Profile::Ordering);
+    config.rbes = 2_400;
+    config.client_nodes = 4;
+    config.batch_max_updates = 8;
+    config.batch_window_us = 80_000;
+    config.schedule = Schedule {
+        ramp_up_us: 2_000_000,
+        interval_us: interval_s * 1_000_000,
+        ramp_down_us: 500_000,
+    };
+    config
+}
+
+/// Allocations and updates committed (applied at replica 0) by one run.
+fn run_cost(config: &ExperimentConfig) -> (u64, u64) {
+    let (allocations, report) = counted(|| run_experiment(config));
+    let applied = report
+        .server_status
+        .first()
+        .and_then(|s| s.as_ref())
+        .map_or(0, |s| s.applied);
+    (allocations, applied)
+}
+
+/// Measured 27.2 when the budget was set (394.3 at the commit before,
+/// which sized by encoding and deep-copied batches); the budget leaves
+/// 25 %.
+const BUDGET_ALLOCS_PER_UPDATE: f64 = 34.0;
+
+/// Whole-stack budget: what one more committed update costs the host in
+/// allocations — clients, proxy, page handling, eight replicas'
+/// consensus, logging and apply together — taken as the difference of a
+/// longer and a shorter run so that set-up (population, bootstrap
+/// checkpoints) cancels. The count is exact for a seed.
+#[test]
+fn ordering_mix_stays_within_its_allocation_budget() {
+    let (short_allocs, short_updates) = run_cost(&ordering_b8(2));
+    let (long_allocs, long_updates) = run_cost(&ordering_b8(5));
+    let updates = long_updates - short_updates;
+    assert!(updates > 1_000, "the load commits updates: {updates}");
+    let per_update = (long_allocs - short_allocs) as f64 / updates as f64;
+    println!("allocations per committed update: {per_update:.1} over {updates} updates");
+    assert!(
+        per_update <= BUDGET_ALLOCS_PER_UPDATE,
+        "{per_update:.1} allocations per committed update, budget {BUDGET_ALLOCS_PER_UPDATE}"
+    );
+}
