@@ -8,46 +8,34 @@
 //! at a saturating offered load and reports committed-update throughput
 //! next to the consensus-log append count — the batching win is real
 //! only if both move: more updates per second, proportionally fewer
-//! appends, and a zero-violation audit.
-//!
-//! `--gate` runs the two points the CI perf-regression gate compares
-//! (ordering mix, batch 1 and 8); combine with `--json <path>` to emit
-//! the machine-readable report `scripts/perf_gate.py` consumes.
+//! appends, and a zero-violation audit. The ordering-mix pair
+//! batch 1 / batch 8 is held at ≥ 1.8× by
+//! `tests/full_stack.rs::group_commit_speeds_up_the_saturated_ordering_mix`.
 
-use bench::{
-    base_config, committed_updates, run_experiment_timed, Console, JsonReport, Mode, TraceSink,
-};
-use cluster::ServiceModel;
-use faultload::{FaultEvent, Faultload, RecoveryKind};
+use bench::{base_config, committed_updates, Console, JsonReport, Mode, TraceSink};
+use cluster::{run_experiment, ServiceModel};
 use tpcw::Profile;
 
 fn main() {
     let con = Console::from_args();
     let mode = Mode::from_args();
-    let gate = std::env::args().any(|a| a == "--gate");
     let service = ServiceModel::default();
     let replicas = 8;
-    let batches: &[usize] = if gate { &[1, 8] } else { &[1, 2, 4, 8, 16, 32] };
-    let profiles: &[Profile] = if gate {
-        &[Profile::Ordering]
-    } else {
-        &Profile::ALL
-    };
 
     let mut json = JsonReport::new("exp_batching", mode);
     let mut trace = TraceSink::from_args();
     con.say(format_args!(
         "Group-commit batching, {replicas} replicas, saturating load ({mode:?} schedule):"
     ));
-    for &profile in profiles {
+    for profile in Profile::ALL {
         let mut baseline: Option<(f64, u64)> = None;
-        for &batch in batches {
+        for batch in [1usize, 2, 4, 8, 16, 32] {
             let mut config = base_config(mode, replicas, profile);
             config.ebs = 50;
             if matches!(mode, Mode::Quick) {
-                // Half-length schedule keeps the CI gate and the quick
-                // sweep under a few minutes; the sim is deterministic,
-                // so shorter runs are still exactly reproducible.
+                // Half-length schedule keeps the quick sweep under a
+                // few minutes; the sim is deterministic, so shorter
+                // runs are still exactly reproducible.
                 config.schedule = tpcw::Schedule::quick(30);
             }
             // Saturating load: several times the analytic capacity
@@ -64,9 +52,8 @@ fn main() {
             // update gives 2× headroom; batch = 1 keeps the
             // pre-batching immediate flush.
             config.batch_window_us = if batch == 1 { 0 } else { batch as u64 * 10_000 };
-            let timed = run_experiment_timed(&config);
-            let report = &timed.report;
-            let committed = committed_updates(report);
+            let report = run_experiment(&config);
+            let committed = committed_updates(&report);
             let secs = report.schedule.total_us() as f64 / 1e6;
             let ups = committed as f64 / secs;
             let (base_ups, base_appends) = *baseline.get_or_insert((ups, report.disk_appends));
@@ -82,49 +69,9 @@ fn main() {
                 report.audit.checks,
                 report.audit.total_violations,
             ));
-            json.push_timed(&label, &timed, &[("batch", batch as f64)]);
-            trace.record_run(&label, report);
+            json.push_with(&label, &report, &[("batch", batch as f64)]);
+            trace.record_run(&label, &report);
         }
-    }
-    if gate {
-        // Third gate point: the ordering mix again, batch 8, with one
-        // mid-run crash. Its report carries the availability
-        // decomposition (time to failover, ramp back to 95 % of
-        // baseline), so the committed baseline lets the perf gate catch
-        // recovery-path regressions, not just throughput ones. No
-        // "batch" field — the speedup check must keep comparing the
-        // crash-free points.
-        let mut config = base_config(mode, replicas, Profile::Ordering);
-        config.ebs = 30;
-        config.schedule = tpcw::Schedule::quick(120);
-        config.rbes = 1_000;
-        config.batch_max_updates = 8;
-        config.batch_window_us = 80_000;
-        // Crash at 90 s: late enough that the availability baseline's
-        // 12-window lookback (60 s at 5 s windows) sits entirely in the
-        // post-ramp-up steady state.
-        config.faultload = Faultload {
-            events: vec![FaultEvent {
-                at_us: 90_000_000,
-                victim: 0,
-                recovery: RecoveryKind::Autonomous,
-            }],
-            ..Faultload::default()
-        };
-        let timed = run_experiment_timed(&config);
-        let report = &timed.report;
-        let label = "Ordering batch=8 crash";
-        let ramp = bench::report::availability_from_run(report)
-            .first()
-            .and_then(|r| r.ramp_to_95pct_us)
-            .map(|us| format!("{:.1}s", us as f64 / 1e6))
-            .unwrap_or_else(|| "-".to_string());
-        con.say(format_args!(
-            "{label:<22} AWIPS {:7.1}  availability {:.5}  ramp95 {ramp}",
-            report.awips, report.dependability.availability,
-        ));
-        json.push_timed(label, &timed, &[("crash", 1.0)]);
-        trace.record_run(label, report);
     }
     json.write_if_requested();
     trace.write_if_requested();

@@ -10,19 +10,14 @@
 //! side-by-side when tracing is on so the alerting pipeline's debounce
 //! cost over the raw detector is visible.
 //!
-//! Flags: `--gate` runs the two points the CI perf gate compares (the
-//! monitored crash and the monitored fault-free baseline); `--json
-//! <path>` emits the machine-readable report `scripts/perf_gate.py`
-//! consumes; `--trace <path>` records structured traces (and enables
-//! the fd-quality comparison); `--csv <path>` exports the windowed
-//! availability timelines, alert markers included.
+//! Flags: `--json <path>` emits the machine-readable report; `--trace
+//! <path>` records structured traces (and enables the fd-quality
+//! comparison); `--csv <path>` exports the windowed availability
+//! timelines, alert markers included.
 
 use bench::render::render_alert_quality;
-use bench::{
-    base_config, monitor_fields, run_experiment_timed, timeline_from_run, Console, JsonReport,
-    Mode, TraceSink,
-};
-use cluster::RunReport;
+use bench::{base_config, monitor_fields, timeline_from_run, Console, JsonReport, Mode, TraceSink};
+use cluster::{run_experiment, RunReport};
 use faultload::Faultload;
 use obs::MonitorConfig;
 
@@ -122,25 +117,18 @@ fn say_fd_side_by_side(con: &Console, report: &RunReport) {
 fn main() {
     let con = Console::from_args();
     let mode = Mode::from_args();
-    let gate = std::env::args().any(|a| a == "--gate");
     let csv_path = bench::report::csv_path_from_args();
     let replicas = 8;
 
-    let intervals_us: Vec<u64> = match (gate, mode) {
-        (true, _) => vec![1_000_000],
-        (false, Mode::Quick) => vec![1_000_000, 5_000_000],
-        (false, Mode::Full) => vec![500_000, 1_000_000, 5_000_000],
+    let intervals_us: Vec<u64> = match mode {
+        Mode::Quick => vec![1_000_000, 5_000_000],
+        Mode::Full => vec![500_000, 1_000_000, 5_000_000],
     };
-    let sensitivities: Vec<&Sensitivity> = match (gate, mode) {
-        (true, _) => vec![&DEFAULT],
-        (false, Mode::Quick) => vec![&EAGER, &DEFAULT],
-        (false, Mode::Full) => vec![&EAGER, &DEFAULT, &PATIENT],
+    let sensitivities: Vec<&Sensitivity> = match mode {
+        Mode::Quick => vec![&EAGER, &DEFAULT],
+        Mode::Full => vec![&EAGER, &DEFAULT, &PATIENT],
     };
-    let families: Vec<&str> = if gate {
-        vec!["crash", "fault-free"]
-    } else {
-        vec!["crash", "partition", "reconfig", "fault-free"]
-    };
+    let families = ["crash", "partition", "reconfig", "fault-free"];
 
     let mut json = JsonReport::new("exp_monitor", mode);
     let mut trace = TraceSink::from_args();
@@ -154,33 +142,28 @@ fn main() {
     for family in &families {
         for &interval_us in &intervals_us {
             for sens in &sensitivities {
-                let label = if gate {
-                    format!("monitored {family}")
-                } else {
-                    format!(
-                        "{family} scrape={}s sens={}",
-                        interval_us as f64 / 1e6,
-                        sens.name
-                    )
-                };
+                let label = format!(
+                    "{family} scrape={}s sens={}",
+                    interval_us as f64 / 1e6,
+                    sens.name
+                );
                 let config = monitored_config(mode, replicas, family, interval_us, sens);
-                let timed = run_experiment_timed(&config);
-                let report = &timed.report;
+                let report = run_experiment(&config);
                 con.say(format_args!(
                     "{label:<34} AWIPS {:7.1}  availability {:.5}  alerts fired {}",
                     report.awips,
                     report.dependability.availability,
                     report.alerts.firings(),
                 ));
-                say_fd_side_by_side(&con, report);
+                say_fd_side_by_side(&con, &report);
 
-                let mut extra = monitor_fields(report);
+                let mut extra = monitor_fields(&report);
                 extra.push(("scrape_interval_us", interval_us as f64));
-                json.push_timed(&label, &timed, &extra);
-                trace.record_run(&label, report);
+                json.push_with(&label, &report, &extra);
+                trace.record_run(&label, &report);
                 let cfg = obs::TimelineConfig::default();
-                csv.push_str(&timeline_from_run(report, &cfg).csv_rows(&label));
-                scored.push((label, timed.report));
+                csv.push_str(&timeline_from_run(&report, &cfg).csv_rows(&label));
+                scored.push((label, report));
             }
         }
     }

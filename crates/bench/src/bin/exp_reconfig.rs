@@ -10,17 +10,14 @@
 //! plain-crash baseline: time to detect, time to failover, WIPS dip
 //! depth, and the ramp back to 95 % of the pre-incident baseline.
 //!
-//! Flags: `--scenarios a,b,…` filters the scenario list; `--gate` runs
-//! the two points the CI perf gate compares (replace +
-//! rolling-restart); `--json <path>` emits the machine-readable report
-//! `scripts/perf_gate.py` consumes; `--csv <path>` exports the
-//! windowed availability timelines as one CSV artifact.
+//! Flags: `--scenarios a,b,…` filters the scenario list; `--json
+//! <path>` emits the machine-readable report; `--csv <path>` exports
+//! the windowed availability timelines as one CSV artifact.
 
 use bench::{
-    base_config, reconfig_availability, run_experiment_timed, timeline_from_run, Console,
-    JsonReport, Mode, TraceSink,
+    base_config, reconfig_availability, timeline_from_run, Console, JsonReport, Mode, TraceSink,
 };
-use cluster::RunReport;
+use cluster::{run_experiment, RunReport};
 use faultload::Faultload;
 
 const SCENARIOS: &[&str] = &[
@@ -51,7 +48,7 @@ fn scenario_faultload(name: &str, schedule: &tpcw::Schedule) -> Faultload {
     }
 }
 
-fn scenarios_from_args(gate: bool) -> Vec<String> {
+fn scenarios_from_args() -> Vec<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == "--scenarios" {
@@ -69,13 +66,7 @@ fn scenarios_from_args(gate: bool) -> Vec<String> {
             return picked;
         }
     }
-    if gate {
-        // The CI gate's two points: the canonical planned change and
-        // the upgrade drill.
-        vec!["replace".to_string(), "rolling-restart".to_string()]
-    } else {
-        SCENARIOS.iter().map(|s| s.to_string()).collect()
-    }
+    SCENARIOS.iter().map(|s| s.to_string()).collect()
 }
 
 fn opt_secs(v: Option<u64>) -> String {
@@ -116,8 +107,7 @@ fn say_incidents(con: &Console, report: &RunReport) {
 fn main() {
     let con = Console::from_args();
     let mode = Mode::from_args();
-    let gate = std::env::args().any(|a| a == "--gate");
-    let scenarios = scenarios_from_args(gate);
+    let scenarios = scenarios_from_args();
     let csv_path = bench::report::csv_path_from_args();
     let replicas = 8;
 
@@ -140,8 +130,7 @@ fn main() {
             config.schedule = tpcw::Schedule::quick(120);
         }
         config.faultload = scenario_faultload(name, &config.schedule);
-        let timed = run_experiment_timed(&config);
-        let report = &timed.report;
+        let report = &run_experiment(&config);
         con.say(format_args!(
             "{name:<16} AWIPS {:7.1}  availability {:.5}  audit: {} checks, {} violations",
             report.awips,
@@ -182,14 +171,14 @@ fn main() {
                 extra.push(("reconfig_complete_us", us as f64));
             }
             // 0 = the change never degraded the service below the 95 %
-            // threshold (the gate skips zero baselines).
+            // threshold.
             let ramp = reconfig_reports
                 .first()
                 .and_then(|r| r.ramp_to_95pct_us)
                 .unwrap_or(0);
             extra.push(("reconfig_ramp_to_95pct_us", ramp as f64));
         }
-        json.push_timed(name, &timed, &extra);
+        json.push_with(name, report, &extra);
         trace.record_run(name, report);
         let cfg = obs::TimelineConfig::default();
         csv.push_str(&timeline_from_run(report, &cfg).csv_rows(name));

@@ -26,18 +26,17 @@
 //!   CPU service, net transit, retransmit stalls or disk fsync, per
 //!   node and per link. `--csv <path>` writes aggregated blame rows
 //!   (`run,category,node,peer,count,total_us`), `--jsonl <path>` one
-//!   line per causal path, `--json <path>` the per-run summary
-//!   `scripts/perf_gate.py` compares. `--gate` exits nonzero unless
-//!   every run yields causal paths, every path's segments telescope
-//!   exactly to its commit latency, and log appends show up as nonzero
-//!   disk-fsync blame.
+//!   line per causal path. `--gate` exits nonzero unless every run
+//!   yields causal paths, every path's segments telescope exactly to
+//!   its commit latency, and log appends show up as nonzero disk-fsync
+//!   blame.
 //!
 //! All exports are byte-identical across same-seed runs.
 
 use std::path::PathBuf;
 
 use bench::report::write_file_or_die;
-use bench::{Console, JsonReport, Mode};
+use bench::Console;
 use obs::jsonl::Run;
 use obs::{
     availability_reports, AvailabilityReport, BlameCategory, CausalProfile, RecoveryBreakdown,
@@ -47,8 +46,8 @@ use obs::{
 const USAGE: &str = "usage: exp_trace breakdown <trace.jsonl> [--require-breakdown] [--quiet]
        exp_trace timeline  <trace.jsonl> [--csv <path>] [--jsonl <path>] [--window-us <n>] \
 [--require-one-incident] [--quiet]
-       exp_trace blame     <trace.jsonl> [--csv <path>] [--jsonl <path>] [--json <path>] \
-[--window-us <n>] [--gate] [--quiet]";
+       exp_trace blame     <trace.jsonl> [--csv <path>] [--jsonl <path>] [--window-us <n>] \
+[--gate] [--quiet]";
 
 fn usage(why: &str) -> ! {
     eprintln!("exp_trace: {why}\n{USAGE}");
@@ -80,11 +79,7 @@ impl Args {
                 "--require-one-incident",
                 &["--csv", "--jsonl", "--window-us"],
             ),
-            "blame" => (
-                blame,
-                "--gate",
-                &["--csv", "--jsonl", "--json", "--window-us"],
-            ),
+            "blame" => (blame, "--gate", &["--csv", "--jsonl", "--window-us"]),
             other => usage(&format!("unknown subcommand {other:?}")),
         };
         let mut args = Args {
@@ -108,7 +103,7 @@ impl Args {
                             usage(&format!("--window-us wants an integer, got {v:?}"))
                         });
                     }
-                    _ => {} // --json: read by JsonReport::write_if_requested
+                    _ => unreachable!("{a} is in no subcommand's flag list"),
                 }
             } else if a == assert_flag {
                 args.assert = true;
@@ -359,7 +354,6 @@ fn render_phase_table(profile: &SpanProfile) -> String {
 }
 
 fn blame(con: &Console, args: &Args, runs: &[Run]) -> Vec<String> {
-    let mut json = JsonReport::new("exp_trace blame", Mode::Quick);
     let mut csv = String::from("run,category,node,peer,count,total_us\n");
     let mut jsonl = String::new();
     let mut failures: Vec<String> = Vec::new();
@@ -378,26 +372,6 @@ fn blame(con: &Console, args: &Args, runs: &[Run]) -> Vec<String> {
         con.say(render_link_table(&profile));
         con.say(render_window_table(&profile, args.window_us));
         con.say("");
-
-        let mut fields: Vec<(&str, f64)> = vec![
-            ("causal_paths", profile.paths.len() as f64),
-            (
-                "causal_quorum_decide_mean_us",
-                profile.quorum_decide_mean_us(),
-            ),
-            ("blame_total_us", total as f64),
-        ];
-        let field_names = [
-            "blame_queueing_us",
-            "blame_cpu_service_us",
-            "blame_net_transit_us",
-            "blame_retransmit_stall_us",
-            "blame_disk_fsync_us",
-        ];
-        for (name, v) in field_names.iter().zip(by_cat.iter()) {
-            fields.push((name, *v as f64));
-        }
-        json.push_raw(label, &fields);
 
         // The per-run CSVs share one header: keep only the rows.
         let rows = profile.blame_csv(label);
@@ -423,7 +397,6 @@ fn blame(con: &Console, args: &Args, runs: &[Run]) -> Vec<String> {
             ));
         }
     }
-    json.write_if_requested();
     export(con, &args.csv, &csv);
     export(con, &args.jsonl, &jsonl);
     con.say(format_args!("{} run(s) profiled", runs.len()));

@@ -35,6 +35,26 @@ use cluster::{run_experiment, ExperimentConfig, RunReport, ServiceModel};
 use faultload::Faultload;
 use tpcw::{linear_fit, r_squared, Profile, Schedule};
 
+/// The switches and the value-taking flags the `exp_*` binaries built
+/// on [`Mode::from_args`] define between them.
+const SWITCHES: &[&str] = &["--full", "--quiet"];
+const VALUE_FLAGS: &[&str] = &["--json", "--trace", "--csv", "--scenarios", "--out"];
+
+/// The first `--…` argument that is none of those flags, if any. The
+/// argument after a value-taking flag is its value whatever it looks
+/// like, as the parsers of those flags read it.
+fn unknown_flag(args: impl IntoIterator<Item = String>) -> Option<String> {
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            args.next();
+        } else if a.starts_with("--") && !SWITCHES.contains(&a.as_str()) {
+            return Some(a);
+        }
+    }
+    None
+}
+
 /// Harness fidelity mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -45,8 +65,18 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Parses `--full` from argv.
+    /// Parses `--full` from argv. Every `exp_*` binary except
+    /// `exp_trace` starts here, so this is also where a flag none of
+    /// them defines exits 2 rather than running the default sweep.
     pub fn from_args() -> Mode {
+        if let Some(flag) = unknown_flag(std::env::args().skip(1)) {
+            eprintln!(
+                "unknown flag {flag}; known: {} and, with a value, {}",
+                SWITCHES.join(" "),
+                VALUE_FLAGS.join(" ")
+            );
+            std::process::exit(2);
+        }
         if std::env::args().any(|a| a == "--full") {
             Mode::Full
         } else {
@@ -118,32 +148,6 @@ pub fn trace_config_from_args() -> simnet::TraceConfig {
         simnet::TraceConfig::on()
     } else {
         simnet::TraceConfig::default()
-    }
-}
-
-/// A run report plus the real time it took to produce — the raw
-/// material for the events-per-second and wall-clock points the perf
-/// gate tracks. Wall-clock here is host time (this is the harness, not
-/// the simulation), so these fields are machine-dependent and gated
-/// loosely.
-pub struct TimedRun {
-    /// The simulation's report.
-    pub report: RunReport,
-    /// Host seconds spent producing it.
-    pub wall_secs: f64,
-}
-
-/// Runs one experiment and measures the host wall-clock cost.
-pub fn run_experiment_timed(config: &ExperimentConfig) -> TimedRun {
-    // Host timing is the point here: this measures the harness, not the
-    // simulation, and the fields it feeds are gated loosely for exactly
-    // that reason.
-    #[allow(clippy::disallowed_methods)]
-    let start = std::time::Instant::now();
-    let report = run_experiment(config);
-    TimedRun {
-        report,
-        wall_secs: start.elapsed().as_secs_f64(),
     }
 }
 
@@ -308,4 +312,25 @@ pub fn speedups(points: &[SweepPoint]) -> Vec<(usize, f64)> {
         .map(|p| p.wips)
         .unwrap_or(1.0);
     points.iter().map(|p| (p.replicas, p.wips / base)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    fn unknown_flag(args: &str) -> Option<String> {
+        super::unknown_flag(args.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn only_flags_the_workspace_defines_pass() {
+        assert_eq!(unknown_flag(""), None);
+        let all = "--full --quiet --json out.json --trace t.jsonl --csv t.csv \
+                   --scenarios replace,rolling-restart --out report.md";
+        assert_eq!(unknown_flag(all), None);
+        assert_eq!(unknown_flag("--gate"), Some("--gate".into()));
+        assert_eq!(unknown_flag("--quiet --ful"), Some("--ful".into()));
+        assert_eq!(unknown_flag("--json g.json --gate"), Some("--gate".into()));
+        // A value is never a flag: `-` (stdout), or a path with dashes.
+        assert_eq!(unknown_flag("--json - --full"), None);
+        assert_eq!(unknown_flag("--json --odd-name.json"), None);
+    }
 }

@@ -2,9 +2,8 @@
 //! `--json <path>` and writes its [`RunReport`]s there as a single JSON
 //! document (hand-rolled — the repo carries no serialization crates).
 //!
-//! The document shape is stable so CI jobs (artifact upload, the perf
-//! regression gate) can consume it without knowing which experiment
-//! produced it:
+//! The document shape is stable so a consumer (CI's artifact upload)
+//! can read it without knowing which experiment produced it:
 //!
 //! ```json
 //! {
@@ -55,7 +54,7 @@ pub fn trace_path_from_args() -> Option<PathBuf> {
 }
 
 /// Parses `--csv <path>` from argv: where a binary's windowed-timeline
-/// CSV export goes (the CI artifact the reconfig smoke job uploads).
+/// CSV export goes (one of the artifacts CI's `experiments` job uploads).
 pub fn csv_path_from_args() -> Option<PathBuf> {
     path_arg("--csv")
 }
@@ -123,26 +122,6 @@ impl JsonReport {
         self.runs.push(format!("    {{{}}}", fields.join(", ")));
     }
 
-    /// Adds one timed run: the usual report fields plus the engine's
-    /// event count, events-per-host-second, and host wall-clock time.
-    ///
-    /// The timing fields are machine-dependent — unlike everything else
-    /// in the document they are not bit-for-bit reproducible across
-    /// hosts, and the perf gate checks them only against loose
-    /// tolerances.
-    pub fn push_timed(&mut self, label: &str, run: &crate::TimedRun, extra: &[(&str, f64)]) {
-        let mut fields: Vec<(&str, f64)> = vec![
-            ("engine_events", run.report.engine_events as f64),
-            (
-                "events_per_sec",
-                run.report.engine_events as f64 / run.wall_secs.max(1e-9),
-            ),
-            ("wall_clock_s", run.wall_secs),
-        ];
-        fields.extend_from_slice(extra);
-        self.push_with(label, &run.report, &fields);
-    }
-
     /// Adds one row of bare numeric fields (sweep experiments that
     /// aggregate away the underlying [`RunReport`]s).
     pub fn push_raw(&mut self, label: &str, fields: &[(&str, f64)]) {
@@ -168,7 +147,7 @@ impl JsonReport {
 
     /// Writes the document to the `--json` path, if one was given on the
     /// command line (`-` prints it to stdout). Terminates with an error
-    /// if the write fails (a CI gate consuming a half-written file would
+    /// if the write fails (a CI job consuming a half-written file would
     /// be worse than a loud failure).
     pub fn write_if_requested(&self) {
         let Some(path) = json_path_from_args() else {
@@ -419,8 +398,8 @@ fn json_f64(v: f64) -> String {
     if !v.is_finite() {
         return "null".to_string();
     }
-    // Fixed 4-decimal formatting: a committed baseline regenerated on
-    // another machine diffs in values, not in 16-digit float noise.
+    // Fixed 4-decimal formatting: two reports diff in values, not in
+    // 16-digit float noise.
     let s = format!("{v:.4}");
     let s = s.trim_end_matches('0').trim_end_matches('.');
     if s.is_empty() || s == "-" || s == "-0" {

@@ -98,8 +98,10 @@ fn timeline_exports_are_deterministic_and_bracket_the_crash() {
         "nonzero time to failover: {r:?}"
     );
     assert!(
-        r.ramp_to_95pct_us.is_some_and(|us| us > 0),
-        "nonzero ramp back to 95% of baseline: {r:?}"
+        r.ramp_to_95pct_us
+            .is_some_and(|us| us > 0 && us <= 5_750_000),
+        "a ramp back to 95% of baseline within 1.15x the 5 000 000 us \
+         measured at commit 8c73ea0: {r:?}"
     );
     assert!(
         r.time_to_detect_us.is_some_and(|us| us > 0),
@@ -225,11 +227,11 @@ fn same_seed_alert_logs_are_byte_identical_and_score_the_crash() {
     assert_eq!(score.incidents.len(), 1, "one crash incident expected");
     assert_eq!(score.missed(), 0, "the crash must be detected");
     assert_eq!(score.false_positives, 0, "no spurious firings");
+    let latency = score.incidents[0].detection_latency_us;
     assert!(
-        score.incidents[0]
-            .detection_latency_us
-            .is_some_and(|us| us > 0),
-        "detection latency must be positive"
+        latency.is_some_and(|us| us > 0 && us <= 2_300_000),
+        "detection latency must be positive and within 1.15x the \
+         2 000 000 us measured at commit 8c73ea0: {latency:?}"
     );
 }
 

@@ -146,7 +146,7 @@ impl CausalPath {
     }
 
     /// Flush → decide on the submitter: the distributed consensus
-    /// round-trip this PR wires into the perf gate.
+    /// round-trip (the repo benchmark's `paxos.quorum_decide_mean_us`).
     pub fn quorum_decide_us(&self) -> u64 {
         self.decide_us.saturating_sub(self.flush_us)
     }

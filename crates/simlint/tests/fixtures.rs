@@ -345,6 +345,17 @@ fn cli_fails_on_seeded_violations_and_passes_clean_tree() {
         !stdout.contains("simlint: "),
         "--json - must keep stdout pure JSON"
     );
+
+    // A justified inline allow is reported, not failed.
+    let waived = Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .args(["--root"])
+        .arg(fixture("waived_ws"))
+        .args(["--json", "-"])
+        .output()
+        .expect("run simlint");
+    assert_eq!(waived.status.code(), Some(0), "waived_ws must exit 0");
+    let stdout = String::from_utf8(waived.stdout).expect("utf8 json");
+    assert!(stdout.contains("\"errors\": 0, \"waived\": 1"), "{stdout}");
 }
 
 #[test]

@@ -30,8 +30,9 @@
 //! [`HeapQueue`], the retained reference implementation.
 //!
 //! The module is exposed (`#[doc(hidden)]`) so the differential tests
-//! and the criterion dispatch benches can drive both queues directly;
-//! it is not part of the crate's supported API.
+//! can drive both queues directly and the repo benchmark's dispatch
+//! probe can time the wheel; it is not part of the crate's supported
+//! API.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
