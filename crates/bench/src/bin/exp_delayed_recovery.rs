@@ -1,46 +1,19 @@
 //! Figure 8 + Tables 5–6 — two crashes, one autonomous and one delayed
 //! (operator-triggered) recovery.
-use bench::render::{
-    render_accuracy, render_autonomy, render_availability, render_fault_histogram,
-    render_fd_quality, render_performability_delayed,
-};
-use bench::{dependability_grid, Console, JsonReport, Mode, TraceSink};
+use bench::render::render_performability_delayed;
 use faultload::Faultload;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let runs = dependability_grid(mode, &Faultload::double_crash_delayed());
-    let mut json = JsonReport::new("exp_delayed_recovery", mode);
-    let mut trace = TraceSink::from_args();
-    for run in &runs {
-        let label = format!("{}r {:?} ebs={}", run.replicas, run.profile, run.ebs);
-        json.push(&label, &run.report);
-        trace.record_run(&label, &run.report);
-    }
-    json.write_if_requested();
-    trace.write_if_requested();
-    for run in runs.iter().filter(|r| r.replicas == 5) {
-        con.say(render_fault_histogram(run));
-    }
-    con.say(render_performability_delayed(
-        "Table 5 — delayed recovery: performability",
-        &runs,
-    ));
-    con.say(render_accuracy(
-        "Table 6 — delayed recovery: accuracy (%)",
-        &runs,
-    ));
-    con.say(render_autonomy(
-        "Delayed recovery: availability/autonomy",
-        &runs,
-    ));
-    con.say(render_availability(
-        "Delayed recovery: availability decomposition",
-        &runs,
-    ));
-    con.say(render_fd_quality(
-        "Delayed recovery: failure-detector quality",
-        &runs,
-    ));
+    bench::crash_experiment(
+        "exp_delayed_recovery",
+        &Faultload::double_crash_delayed(),
+        render_performability_delayed,
+        [
+            "Table 5 — delayed recovery: performability",
+            "Table 6 — delayed recovery: accuracy (%)",
+            "Delayed recovery: availability/autonomy",
+            "Delayed recovery: availability decomposition",
+            "Delayed recovery: failure-detector quality",
+        ],
+    );
 }

@@ -1,42 +1,18 @@
 //! Figure 5 + Tables 1–2 — one crash, one autonomous recovery.
-use bench::render::{
-    render_accuracy, render_autonomy, render_availability, render_fault_histogram,
-    render_fd_quality, render_performability,
-};
-use bench::{dependability_grid, Console, JsonReport, Mode, TraceSink};
+use bench::render::render_performability;
 use faultload::Faultload;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let runs = dependability_grid(mode, &Faultload::single_crash());
-    let mut json = JsonReport::new("exp_one_crash", mode);
-    let mut trace = TraceSink::from_args();
-    for run in &runs {
-        let label = format!("{}r {:?} ebs={}", run.replicas, run.profile, run.ebs);
-        json.push(&label, &run.report);
-        trace.record_run(&label, &run.report);
-    }
-    json.write_if_requested();
-    trace.write_if_requested();
-    for run in runs.iter().filter(|r| r.replicas == 5) {
-        con.say(render_fault_histogram(run));
-    }
-    con.say(render_performability(
-        "Table 1 — one failure: performability",
-        &runs,
-    ));
-    con.say(render_accuracy(
-        "Table 2 — one failure: accuracy (%)",
-        &runs,
-    ));
-    con.say(render_autonomy("One failure: availability/autonomy", &runs));
-    con.say(render_availability(
-        "One failure: availability decomposition",
-        &runs,
-    ));
-    con.say(render_fd_quality(
-        "One failure: failure-detector quality",
-        &runs,
-    ));
+    bench::crash_experiment(
+        "exp_one_crash",
+        &Faultload::single_crash(),
+        render_performability,
+        [
+            "Table 1 — one failure: performability",
+            "Table 2 — one failure: accuracy (%)",
+            "One failure: availability/autonomy",
+            "One failure: availability decomposition",
+            "One failure: failure-detector quality",
+        ],
+    );
 }

@@ -1,42 +1,18 @@
 //! Figure 7 + Tables 3–4 — two overlapped crashes, autonomous recoveries.
-use bench::render::{
-    render_accuracy, render_autonomy, render_availability, render_fault_histogram,
-    render_fd_quality, render_performability,
-};
-use bench::{dependability_grid, Console, JsonReport, Mode, TraceSink};
+use bench::render::render_performability;
 use faultload::Faultload;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let runs = dependability_grid(mode, &Faultload::double_crash());
-    let mut json = JsonReport::new("exp_two_crashes", mode);
-    let mut trace = TraceSink::from_args();
-    for run in &runs {
-        let label = format!("{}r {:?} ebs={}", run.replicas, run.profile, run.ebs);
-        json.push(&label, &run.report);
-        trace.record_run(&label, &run.report);
-    }
-    json.write_if_requested();
-    trace.write_if_requested();
-    for run in runs.iter().filter(|r| r.replicas == 5) {
-        con.say(render_fault_histogram(run));
-    }
-    con.say(render_performability(
-        "Table 3 — two overlapped crashes: performability",
-        &runs,
-    ));
-    con.say(render_accuracy(
-        "Table 4 — two overlapped crashes: accuracy (%)",
-        &runs,
-    ));
-    con.say(render_autonomy("Two crashes: availability/autonomy", &runs));
-    con.say(render_availability(
-        "Two crashes: availability decomposition",
-        &runs,
-    ));
-    con.say(render_fd_quality(
-        "Two crashes: failure-detector quality",
-        &runs,
-    ));
+    bench::crash_experiment(
+        "exp_two_crashes",
+        &Faultload::double_crash(),
+        render_performability,
+        [
+            "Table 3 — two overlapped crashes: performability",
+            "Table 4 — two overlapped crashes: accuracy (%)",
+            "Two crashes: availability/autonomy",
+            "Two crashes: availability decomposition",
+            "Two crashes: failure-detector quality",
+        ],
+    );
 }

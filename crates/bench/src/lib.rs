@@ -263,6 +263,40 @@ pub fn dependability_grid(mode: Mode, faultload: &Faultload) -> Vec<FaultRun> {
     })
 }
 
+/// The body of `exp_one_crash`, `exp_two_crashes` and
+/// `exp_delayed_recovery`: the dependability grid under `faultload`,
+/// `--json` / `--trace` if asked, the 5-replica fault histograms, then
+/// five tables under `titles` — performability (in the given layout),
+/// accuracy, autonomy, availability, failure-detector quality.
+pub fn crash_experiment(
+    name: &str,
+    faultload: &Faultload,
+    performability: fn(&str, &[FaultRun]) -> String,
+    titles: [&str; 5],
+) {
+    let con = Console::from_args();
+    let mode = Mode::from_args();
+    let runs = dependability_grid(mode, faultload);
+    let mut json = JsonReport::new(name, mode);
+    let mut trace = TraceSink::from_args();
+    for run in &runs {
+        let label = format!("{}r {:?} ebs={}", run.replicas, run.profile, run.ebs);
+        json.push(&label, &run.report);
+        trace.record_run(&label, &run.report);
+    }
+    json.write_if_requested();
+    trace.write_if_requested();
+    for run in runs.iter().filter(|r| r.replicas == 5) {
+        con.say(render::render_fault_histogram(run));
+    }
+    let [perf, accuracy, autonomy, availability, fd_quality] = titles;
+    con.say(performability(perf, &runs));
+    con.say(render::render_accuracy(accuracy, &runs));
+    con.say(render::render_autonomy(autonomy, &runs));
+    con.say(render::render_availability(availability, &runs));
+    con.say(render::render_fd_quality(fd_quality, &runs));
+}
+
 /// One cell of the Figure 6 recovery-time grid.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryTimePoint {

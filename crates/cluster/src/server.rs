@@ -76,8 +76,8 @@ pub struct ServerNode {
 }
 
 impl ServerNode {
-    /// Boots a fresh replica (first start, empty disk) and arms its
-    /// middleware tick.
+    /// Boots a fresh replica (first start, empty disk) under the initial
+    /// member set and arms its middleware tick.
     pub fn new(
         idx: usize,
         params: PopulationParams,
@@ -86,30 +86,8 @@ impl ServerNode {
         engine: &mut Engine<ClusterMsg>,
         auditor: &mut InvariantAuditor,
     ) -> ServerNode {
-        let node = NodeId(idx);
-        let (mw, boot_fx) = Middleware::bootstrap(
-            paxos::ReplicaId(idx as u32),
-            RobustStore::new(params),
-            config,
-            engine.now().as_micros(),
-        );
-        engine.set_timer(node, SimDuration::from_micros(TICK_US), TOKEN_TICK);
-        let mut server = ServerNode {
-            idx,
-            node,
-            mw,
-            facade: TpcwDatabase::new(0x00fa_cade ^ idx as u64),
-            service,
-            queue: VecDeque::new(),
-            busy: false,
-            outstanding: BTreeMap::new(),
-            ready: true,
-            cpu_debt_us: 0,
-            batch_timer_armed: None,
-            queue_sampled_sec: 0,
-        };
-        server.apply_mw_effects(engine, boot_fx, auditor);
-        server
+        let membership = paxos::Membership::initial(config.paxos.n);
+        Self::join(idx, params, config, membership, service, engine, auditor)
     }
 
     /// Boots a brand-new replica joining an already-running ensemble
@@ -126,7 +104,6 @@ impl ServerNode {
         engine: &mut Engine<ClusterMsg>,
         auditor: &mut InvariantAuditor,
     ) -> ServerNode {
-        let node = NodeId(idx);
         let (mw, boot_fx) = Middleware::bootstrap_with_membership(
             paxos::ReplicaId(idx as u32),
             RobustStore::new(params),
@@ -134,21 +111,7 @@ impl ServerNode {
             membership,
             engine.now().as_micros(),
         );
-        engine.set_timer(node, SimDuration::from_micros(TICK_US), TOKEN_TICK);
-        let mut server = ServerNode {
-            idx,
-            node,
-            mw,
-            facade: TpcwDatabase::new(0x00fa_cade ^ idx as u64),
-            service,
-            queue: VecDeque::new(),
-            busy: false,
-            outstanding: BTreeMap::new(),
-            ready: true,
-            cpu_debt_us: 0,
-            batch_timer_armed: None,
-            queue_sampled_sec: engine.now().as_micros() / 1_000_000,
-        };
+        let mut server = Self::start(idx, mw, 0, service, engine);
         server.apply_mw_effects(engine, boot_fx, auditor);
         server
     }
@@ -176,23 +139,37 @@ impl ServerNode {
         let (mut mw, fx) =
             Middleware::recover(paxos::ReplicaId(idx as u32), disk, config, epoch, now);
         mw.install_initial_state(RobustStore::new(params));
+        let mut server = Self::start(idx, mw, epoch, service, engine);
+        server.apply_mw_effects(engine, fx, auditor);
+        server
+    }
+
+    /// The idle node around `mw`, its middleware tick armed; ready
+    /// unless `mw` is recovering. `epoch` is the incarnation (0 on first
+    /// boot) and goes into the facade's sampling seed.
+    fn start(
+        idx: usize,
+        mw: Middleware<RobustStore>,
+        epoch: u64,
+        service: ServiceModel,
+        engine: &mut Engine<ClusterMsg>,
+    ) -> ServerNode {
+        let node = NodeId(idx);
         engine.set_timer(node, SimDuration::from_micros(TICK_US), TOKEN_TICK);
-        let mut server = ServerNode {
+        ServerNode {
             idx,
             node,
-            mw,
             facade: TpcwDatabase::new(0x00fa_cade ^ idx as u64 ^ (epoch << 32)),
             service,
             queue: VecDeque::new(),
             busy: false,
             outstanding: BTreeMap::new(),
-            ready: false,
+            ready: !mw.is_recovering(),
+            mw,
             cpu_debt_us: 0,
             batch_timer_armed: None,
             queue_sampled_sec: engine.now().as_micros() / 1_000_000,
-        };
-        server.apply_mw_effects(engine, fx, auditor);
-        server
+        }
     }
 
     /// Whether the application is serving (post-recovery).

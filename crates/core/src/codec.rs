@@ -1,4 +1,5 @@
-//! [`Wire`] encodings for the consensus types.
+//! [`Wire`] encodings for the consensus types: one field table each,
+//! fields in *wire* order.
 //!
 //! The durable log stores encoded [`Record`]s (slot-first layout for
 //! `Accepted` so the checkpoint-truncation scan can cheaply find the cut
@@ -11,7 +12,8 @@ use paxos::{
     Record, ReplicaId, Slot,
 };
 
-use crate::wire::{encode_slice, slice_wire_size, Wire, WireError};
+use crate::wire::{encode_slice, Sink, Wire, WireError};
+use crate::{impl_wire_enum, impl_wire_struct};
 
 /// Hard wire-format cap on updates per batch. Protects decoders from a
 /// corrupt length prefix; far above any useful `batch_max_updates`.
@@ -19,10 +21,11 @@ pub const MAX_BATCH_ITEMS: usize = 4_096;
 
 /// Batch framing: a length-prefixed item vector. Decoding enforces the
 /// batch invariants — never empty (an empty batch would burn a slot and
-/// a seek for nothing) and never above [`MAX_BATCH_ITEMS`].
+/// a seek for nothing) and never above [`MAX_BATCH_ITEMS`] — which is
+/// why this is the one consensus type without a table.
 impl<A: Wire> Wire for Batch<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_slice(&self.items, buf);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        encode_slice(&self.items, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let items: Vec<(ProposalId, A)> = Vec::decode(input)?;
@@ -36,198 +39,44 @@ impl<A: Wire> Wire for Batch<A> {
             items: items.into(),
         })
     }
-    fn wire_size(&self) -> u64 {
-        slice_wire_size(&self.items)
-    }
 }
 
-impl Wire for Slot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Slot(u64::decode(input)?))
-    }
-    fn wire_size(&self) -> u64 {
-        8
-    }
-}
-
-impl Wire for Ballot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.round.encode(buf);
-        self.node.0.encode(buf);
-        buf.push(match self.class {
-            BallotClass::Classic => 0,
-            BallotClass::Fast => 1,
-        });
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let round = u64::decode(input)?;
-        let node = paxos::ReplicaId(u32::decode(input)?);
-        let class = match u8::decode(input)? {
-            0 => BallotClass::Classic,
-            1 => BallotClass::Fast,
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(Ballot { round, node, class })
-    }
-    fn wire_size(&self) -> u64 {
-        13
-    }
-}
-
-impl Wire for ProposalId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.node.0.encode(buf);
-        self.epoch.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ProposalId {
-            node: paxos::ReplicaId(u32::decode(input)?),
-            epoch: u64::decode(input)?,
-            seq: u64::decode(input)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        20
-    }
-}
-
-impl Wire for ReplicaId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ReplicaId(u32::decode(input)?))
-    }
-    fn wire_size(&self) -> u64 {
-        4
-    }
-}
-
-/// Fixed-size causal provenance stamp carried by every protocol
-/// message (see `paxos::CausalTag`): origin, monotone send counter,
-/// and slot/round provenance, `u64::MAX` marking "none".
-impl Wire for CausalTag {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.origin.encode(buf);
-        self.seq.encode(buf);
-        self.slot.encode(buf);
-        self.round.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(CausalTag {
-            origin: u32::decode(input)?,
-            seq: u64::decode(input)?,
-            slot: u64::decode(input)?,
-            round: u64::decode(input)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        CausalTag::WIRE_SIZE
-    }
-}
-
-impl Wire for Reconfig {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.epoch.encode(buf);
-        self.add.encode(buf);
-        self.remove.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Reconfig {
-            epoch: u64::decode(input)?,
-            add: Vec::decode(input)?,
-            remove: Vec::decode(input)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        self.epoch.wire_size() + self.add.wire_size() + self.remove.wire_size()
-    }
-}
-
-impl<A: Wire> Wire for Decree<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Decree::Noop => buf.push(0),
-            Decree::Value(pid, a) => {
-                buf.push(1);
-                pid.encode(buf);
-                a.encode(buf);
-            }
-            Decree::Reconfig(rc) => {
-                buf.push(2);
-                rc.encode(buf);
-            }
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(Decree::Noop),
-            1 => Ok(Decree::Value(ProposalId::decode(input)?, A::decode(input)?)),
-            2 => Ok(Decree::Reconfig(Reconfig::decode(input)?)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-    fn wire_size(&self) -> u64 {
-        match self {
-            Decree::Noop => 1,
-            Decree::Value(pid, a) => 1 + pid.wire_size() + a.wire_size(),
-            Decree::Reconfig(rc) => 1 + rc.wire_size(),
-        }
-    }
-}
-
-/// Layout note: `Accepted` records lead with the slot so the checkpoint
-/// truncation scan can decode just the prefix (`tag + slot`).
-impl<A: Wire> Wire for Record<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Record::Promised(b) => {
-                buf.push(0);
-                b.encode(buf);
-            }
-            Record::Accepted {
-                ballot,
-                slot,
-                decree,
-            } => {
-                buf.push(1);
-                slot.encode(buf);
-                ballot.encode(buf);
-                decree.encode(buf);
-            }
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(Record::Promised(Ballot::decode(input)?)),
-            1 => {
-                let slot = Slot::decode(input)?;
-                let ballot = Ballot::decode(input)?;
-                let decree = Decree::decode(input)?;
-                Ok(Record::Accepted {
-                    ballot,
-                    slot,
-                    decree,
-                })
-            }
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-    fn wire_size(&self) -> u64 {
-        match self {
-            Record::Promised(b) => 1 + b.wire_size(),
-            Record::Accepted {
-                ballot,
-                slot,
-                decree,
-            } => 1 + slot.wire_size() + ballot.wire_size() + decree.wire_size(),
-        }
-    }
-}
+impl_wire_struct!(Slot { 0 });
+impl_wire_struct!(ReplicaId { 0 });
+impl_wire_enum!(BallotClass { 0 => Classic, 1 => Fast });
+impl_wire_struct!(Ballot { round, node, class });
+impl_wire_struct!(ProposalId { node, epoch, seq });
+impl_wire_struct!(CausalTag {
+    origin,
+    seq,
+    slot,
+    round
+});
+impl_wire_struct!(Reconfig { epoch, add, remove });
+impl_wire_enum!(Decree<A> {
+    0 => Noop,
+    1 => Value(0: pid, 1: value),
+    2 => Reconfig(0: reconfig),
+});
+// `Accepted` records lead with the slot, not the ballot its declaration
+// starts with, so `record_slot` can decode just the prefix (tag + slot).
+impl_wire_enum!(Record<A> {
+    0 => Promised(0: ballot),
+    1 => Accepted { slot, ballot, decree },
+});
+impl_wire_struct!(AcceptedReport<A> { slot, ballot, decree });
+impl_wire_enum!(Msg<A> {
+    0 => Prepare { ballot, from_slot, only_slot },
+    1 => Promise { ballot, from_slot, only_slot, accepted },
+    2 => Accept { ballot, slot, decree },
+    3 => Any { ballot, from_slot },
+    4 => FastPropose { pid, value },
+    5 => Propose { pid, value },
+    6 => Accepted { ballot, slot, decree },
+    7 => Alive { ballot, decided_upto },
+    8 => LearnRequest { from_slot },
+    9 => LearnReply { entries, truncated_below, decided_upto },
+});
 
 /// Decodes only the slot of an encoded record, if it is an `Accepted`
 /// entry (used by the log-truncation scan).
@@ -239,209 +88,10 @@ pub fn record_slot(entry: &[u8]) -> Option<Slot> {
     }
 }
 
-impl<A: Wire> Wire for AcceptedReport<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.slot.encode(buf);
-        self.ballot.encode(buf);
-        self.decree.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(AcceptedReport {
-            slot: Slot::decode(input)?,
-            ballot: Ballot::decode(input)?,
-            decree: Decree::decode(input)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        self.slot.wire_size() + self.ballot.wire_size() + self.decree.wire_size()
-    }
-}
-
-impl<A: Wire> Wire for Msg<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Msg::Prepare {
-                ballot,
-                from_slot,
-                only_slot,
-            } => {
-                buf.push(0);
-                ballot.encode(buf);
-                from_slot.encode(buf);
-                only_slot.encode(buf);
-            }
-            Msg::Promise {
-                ballot,
-                from_slot,
-                only_slot,
-                accepted,
-            } => {
-                buf.push(1);
-                ballot.encode(buf);
-                from_slot.encode(buf);
-                only_slot.encode(buf);
-                accepted.encode(buf);
-            }
-            Msg::Accept {
-                ballot,
-                slot,
-                decree,
-            } => {
-                buf.push(2);
-                ballot.encode(buf);
-                slot.encode(buf);
-                decree.encode(buf);
-            }
-            Msg::Any { ballot, from_slot } => {
-                buf.push(3);
-                ballot.encode(buf);
-                from_slot.encode(buf);
-            }
-            Msg::FastPropose { pid, value } => {
-                buf.push(4);
-                pid.encode(buf);
-                value.encode(buf);
-            }
-            Msg::Propose { pid, value } => {
-                buf.push(5);
-                pid.encode(buf);
-                value.encode(buf);
-            }
-            Msg::Accepted {
-                ballot,
-                slot,
-                decree,
-            } => {
-                buf.push(6);
-                ballot.encode(buf);
-                slot.encode(buf);
-                decree.encode(buf);
-            }
-            Msg::Alive {
-                ballot,
-                decided_upto,
-            } => {
-                buf.push(7);
-                ballot.encode(buf);
-                decided_upto.encode(buf);
-            }
-            Msg::LearnRequest { from_slot } => {
-                buf.push(8);
-                from_slot.encode(buf);
-            }
-            Msg::LearnReply {
-                entries,
-                truncated_below,
-                decided_upto,
-            } => {
-                buf.push(9);
-                entries.encode(buf);
-                truncated_below.encode(buf);
-                decided_upto.encode(buf);
-            }
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(Msg::Prepare {
-                ballot: Ballot::decode(input)?,
-                from_slot: Slot::decode(input)?,
-                only_slot: Option::decode(input)?,
-            }),
-            1 => Ok(Msg::Promise {
-                ballot: Ballot::decode(input)?,
-                from_slot: Slot::decode(input)?,
-                only_slot: Option::decode(input)?,
-                accepted: Vec::decode(input)?,
-            }),
-            2 => Ok(Msg::Accept {
-                ballot: Ballot::decode(input)?,
-                slot: Slot::decode(input)?,
-                decree: Decree::decode(input)?,
-            }),
-            3 => Ok(Msg::Any {
-                ballot: Ballot::decode(input)?,
-                from_slot: Slot::decode(input)?,
-            }),
-            4 => Ok(Msg::FastPropose {
-                pid: ProposalId::decode(input)?,
-                value: A::decode(input)?,
-            }),
-            5 => Ok(Msg::Propose {
-                pid: ProposalId::decode(input)?,
-                value: A::decode(input)?,
-            }),
-            6 => Ok(Msg::Accepted {
-                ballot: Ballot::decode(input)?,
-                slot: Slot::decode(input)?,
-                decree: Decree::decode(input)?,
-            }),
-            7 => Ok(Msg::Alive {
-                ballot: Ballot::decode(input)?,
-                decided_upto: Slot::decode(input)?,
-            }),
-            8 => Ok(Msg::LearnRequest {
-                from_slot: Slot::decode(input)?,
-            }),
-            9 => Ok(Msg::LearnReply {
-                entries: Vec::decode(input)?,
-                truncated_below: Slot::decode(input)?,
-                decided_upto: Slot::decode(input)?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-    fn wire_size(&self) -> u64 {
-        // 1-byte tag + fields; computed structurally to avoid encoding.
-        match self {
-            Msg::Prepare {
-                ballot,
-                from_slot,
-                only_slot,
-            } => 1 + ballot.wire_size() + from_slot.wire_size() + only_slot.wire_size(),
-            Msg::Promise {
-                ballot,
-                from_slot,
-                only_slot,
-                accepted,
-            } => {
-                1 + ballot.wire_size()
-                    + from_slot.wire_size()
-                    + only_slot.wire_size()
-                    + accepted.wire_size()
-            }
-            Msg::Accept {
-                ballot,
-                slot,
-                decree,
-            } => 1 + ballot.wire_size() + slot.wire_size() + decree.wire_size(),
-            Msg::Any { ballot, from_slot } => 1 + ballot.wire_size() + from_slot.wire_size(),
-            Msg::FastPropose { pid, value } | Msg::Propose { pid, value } => {
-                1 + pid.wire_size() + value.wire_size()
-            }
-            Msg::Accepted {
-                ballot,
-                slot,
-                decree,
-            } => 1 + ballot.wire_size() + slot.wire_size() + decree.wire_size(),
-            Msg::Alive {
-                ballot,
-                decided_upto,
-            } => 1 + ballot.wire_size() + decided_upto.wire_size(),
-            Msg::LearnRequest { from_slot } => 1 + from_slot.wire_size(),
-            Msg::LearnReply {
-                entries,
-                truncated_below,
-                decided_upto,
-            } => 1 + entries.wire_size() + truncated_below.wire_size() + decided_upto.wire_size(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paxos::ReplicaId;
+    use crate::wire::tests::roundtrip;
 
     fn pid(n: u32, seq: u64) -> ProposalId {
         ProposalId {
@@ -449,12 +99,6 @@ mod tests {
             epoch: 2,
             seq,
         }
-    }
-
-    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = v.to_bytes();
-        assert_eq!(bytes.len() as u64, v.wire_size(), "wire_size mismatch");
-        assert_eq!(T::from_bytes(&bytes).unwrap(), v);
     }
 
     #[test]

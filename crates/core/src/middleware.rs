@@ -28,6 +28,7 @@ use simnet::{StableOp, StableStore};
 
 use crate::app::{Application, Snapshot};
 use crate::codec::record_slot;
+use crate::impl_wire_struct;
 use crate::queue::PersistentQueue;
 use crate::wire::{Wire, WireError};
 
@@ -102,31 +103,13 @@ impl Meta {
     }
 }
 
-impl Wire for Meta {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.checkpoint_slot.encode(buf);
-        self.generation.encode(buf);
-        self.promised.encode(buf);
-        self.epoch.encode(buf);
-        self.members.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Meta {
-            checkpoint_slot: Slot::decode(input)?,
-            generation: u64::decode(input)?,
-            promised: Ballot::decode(input)?,
-            epoch: u64::decode(input)?,
-            members: Vec::decode(input)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        self.checkpoint_slot.wire_size()
-            + 8
-            + self.promised.wire_size()
-            + 8
-            + self.members.wire_size()
-    }
-}
+impl_wire_struct!(Meta {
+    checkpoint_slot,
+    generation,
+    promised,
+    epoch,
+    members
+});
 
 /// Messages exchanged between middleware nodes: consensus traffic plus
 /// the snapshot-transfer protocol used when a recovering replica's
@@ -486,7 +469,22 @@ impl<App: Application> Middleware<App> {
         membership: Membership,
         now: u64,
     ) -> Self {
-        let mut paxos = Replica::new_with_membership(id, config.paxos.clone(), membership, now);
+        let paxos = Replica::new_with_membership(id, config.paxos.clone(), membership, now);
+        Middleware {
+            app: Some(app),
+            ..Self::base(id, config, paxos, now)
+        }
+    }
+
+    /// A node at time `now` around `paxos` with nothing hosted, applied,
+    /// checkpointed or in flight: what `new_with_membership` and
+    /// `recover` both start from.
+    fn base(
+        id: ReplicaId,
+        config: TreplicaConfig,
+        mut paxos: Replica<Batch<App::Action>>,
+        now: u64,
+    ) -> Self {
         // Events feed both the full trace and the flight recorder, so
         // the buffers run whenever either sink is configured.
         paxos.set_tracing(config.trace.record_events());
@@ -495,7 +493,7 @@ impl<App: Application> Middleware<App> {
             id,
             config,
             paxos,
-            app: Some(app),
+            app: None,
             queue: PersistentQueue::new(),
             phase: Phase::Active,
             tokens: BTreeMap::new(),
@@ -577,7 +575,7 @@ impl<App: Application> Middleware<App> {
             }
         }
         let floor_record = Record::Promised(promised_floor);
-        let mut paxos = Replica::recover_with_membership(
+        let paxos = Replica::recover_with_membership(
             id,
             config.paxos.clone(),
             membership,
@@ -586,40 +584,17 @@ impl<App: Application> Middleware<App> {
             epoch,
             now,
         );
-        paxos.set_tracing(config.trace.record_events());
-        let trace = EventBuf::new(config.trace.record_events());
-
         let mut mw = Middleware {
-            id,
-            config,
-            paxos,
-            app: None,
-            queue: PersistentQueue::new(),
             phase: Phase::Recovering {
                 log_done: false,
                 checkpoint_done: false,
                 announced: false,
             },
-            tokens: BTreeMap::new(),
-            next_token: 0,
             log: mirror,
-            applied: 0,
-            applied_since_checkpoint: 0,
             checkpoint_slot: start_slot,
             checkpoint_generation: meta.as_ref().map(|m| m.generation).unwrap_or(0),
-            checkpoints_completed: 0,
-            checkpoint_in_flight: false,
-            pending_meta: None,
-            now,
             epoch,
-            recovery_completed_at: None,
-            pending_batch: Vec::new(),
-            batch_deadline: None,
-            update_seq: 0,
-            trace,
-            submit_times: BTreeMap::new(),
-            causal_seq: 0,
-            scratch: crate::wire::EncodeScratch::new(),
+            ..Self::base(id, config, paxos, now)
         };
         let mut fx = Vec::new();
         let log_token = mw.alloc(TokenKind::LogRead);

@@ -7,9 +7,13 @@
 //! serialization-latency term of the simulated 1 Gbps links.
 //!
 //! The format is little-endian, length-prefixed, non-self-describing
-//! (schema lives in the types). [`impl_wire_struct!`] and
-//! [`impl_wire_enum!`] remove the per-type boilerplate.
+//! (schema lives in the types). A type states it once, as the list of
+//! its fields in wire order handed to [`impl_wire_struct!`] or
+//! [`impl_wire_enum!`]: the list is what `encode` writes, what `decode`
+//! reads back, and — because [`Wire::wire_size`] is `encode` run into a
+//! [`ByteCount`] — what the type weighs on the simulated network.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Decoding error.
@@ -39,10 +43,36 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Where [`Wire::encode`] writes. There are two sinks: a `Vec<u8>`
+/// keeps the bytes, a [`ByteCount`] only counts them.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The sink behind [`Wire::wire_size`]: adds up lengths and stores
+/// nothing, so sizing a value never allocates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ByteCount(pub u64);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
 /// Types with a binary encoding that round-trips exactly.
 pub trait Wire: Sized {
-    /// Appends this value's encoding to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    /// Appends this value's encoding to `out`.
+    fn encode<S: Sink>(&self, out: &mut S);
     /// Decodes a value from the front of `input`, advancing it.
     ///
     /// # Errors
@@ -67,13 +97,16 @@ pub trait Wire: Sized {
         Self::decode(&mut input)
     }
 
-    /// Encoded size in bytes: exactly what [`Wire::encode`] appends.
-    ///
-    /// There is no default body: every type computes its size from its
-    /// fields' sizes and never encodes to measure. The middleware sizes
-    /// each outgoing message with this, so an encoding here would be
-    /// paid once per `Send`.
-    fn wire_size(&self) -> u64;
+    /// Encoded size in bytes: [`Wire::encode`] run into a [`ByteCount`],
+    /// so it is what `encode` appends by construction and no type states
+    /// it separately. The middleware sizes each outgoing message with
+    /// this; counting allocates nothing and, once inlined, is the sum of
+    /// the fields' sizes.
+    fn wire_size(&self) -> u64 {
+        let mut count = ByteCount(0);
+        self.encode(&mut count);
+        count.0
+    }
 }
 
 /// Reusable encode buffer for hot wire paths.
@@ -119,11 +152,11 @@ fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     Ok(head)
 }
 
-macro_rules! impl_wire_int {
+macro_rules! impl_wire_num {
     ($($t:ty),*) => {$(
         impl Wire for $t {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
+            fn encode<S: Sink>(&self, out: &mut S) {
+                out.put(&self.to_le_bytes());
             }
             fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
                 let bytes = take(input, std::mem::size_of::<$t>())?;
@@ -133,18 +166,15 @@ macro_rules! impl_wire_int {
                 let bytes = bytes.try_into().map_err(|_| WireError::UnexpectedEnd)?;
                 Ok(<$t>::from_le_bytes(bytes))
             }
-            fn wire_size(&self) -> u64 {
-                std::mem::size_of::<$t>() as u64
-            }
         }
     )*};
 }
 
-impl_wire_int!(u8, u16, u32, u64, i32, i64);
+impl_wire_num!(u8, u16, u32, u64, i32, i64, f64);
 
 impl Wire for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self as u8);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&[*self as u8]);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         match u8::decode(input)? {
@@ -153,57 +183,32 @@ impl Wire for bool {
             t => Err(WireError::BadTag(t)),
         }
     }
-    fn wire_size(&self) -> u64 {
-        1
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let bytes = take(input, 8)?;
-        let bytes = bytes.try_into().map_err(|_| WireError::UnexpectedEnd)?;
-        Ok(f64::from_le_bytes(bytes))
-    }
-    fn wire_size(&self) -> u64 {
-        8
-    }
 }
 
 impl Wire for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        buf.extend_from_slice(self.as_bytes());
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (self.len() as u32).encode(out);
+        out.put(self.as_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = u32::decode(input)? as usize;
         let bytes = take(input, len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
-    fn wire_size(&self) -> u64 {
-        4 + self.len() as u64
-    }
 }
 
 /// Encodes `items` as a `u32` length prefix and the items in order:
 /// the framing of `Vec<T>` and of every other sequence.
-pub(crate) fn encode_slice<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
-    (items.len() as u32).encode(buf);
+pub(crate) fn encode_slice<T: Wire, S: Sink>(items: &[T], out: &mut S) {
+    (items.len() as u32).encode(out);
     for item in items {
-        item.encode(buf);
+        item.encode(out);
     }
 }
 
-/// Bytes [`encode_slice`] writes for `items`.
-pub(crate) fn slice_wire_size<T: Wire>(items: &[T]) -> u64 {
-    4 + items.iter().map(Wire::wire_size).sum::<u64>()
-}
-
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_slice(self, buf);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        encode_slice(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = u32::decode(input)? as usize;
@@ -213,123 +218,137 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(out)
     }
-    fn wire_size(&self) -> u64 {
-        slice_wire_size(self)
+}
+
+/// A map is the `Vec` of its `(key, value)` pairs. `BTreeMap` iterates
+/// in key order, so the encoding is canonical without a sorting pass
+/// and two maps that are `==` encode to identical bytes.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (self.len() as u32).encode(out);
+        for (key, value) in self {
+            key.encode(out);
+            value.encode(out);
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Vec::<(K, V)>::decode(input)?.into_iter().collect())
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            None => buf.push(0),
-            Some(v) => {
-                buf.push(1);
-                v.encode(buf);
+/// A fixed array is its elements with no length prefix. Decoding fills
+/// a `[T::default(); N]` in place — hence the bounds — and allocates
+/// nothing.
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        for item in self {
+            item.encode(out);
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        let mut out = [T::default(); N];
+        for item in &mut out {
+            *item = T::decode(input)?;
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! impl_wire_tuple {
+    ($($t:ident $i:tt),*) => {
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            fn encode<S: Sink>(&self, out: &mut S) {
+                $( self.$i.encode(out); )*
+            }
+            fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(($( $t::decode(input)?, )*))
             }
         }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(input)?)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-    fn wire_size(&self) -> u64 {
-        1 + self.as_ref().map(Wire::wire_size).unwrap_or(0)
-    }
+    };
 }
 
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok((A::decode(input)?, B::decode(input)?))
-    }
-    fn wire_size(&self) -> u64 {
-        self.0.wire_size() + self.1.wire_size()
-    }
-}
+impl_wire_tuple!(A 0, B 1);
+impl_wire_tuple!(A 0, B 1, C 2);
 
-/// Implements [`Wire`] for a struct by listing its fields in order.
+/// Implements [`Wire`] for a struct from the list of its fields in wire
+/// order — which need not be declaration order. A tuple struct lists
+/// its indices (`Id { 0 }`); a generic one names its parameter, which
+/// gets a `Wire` bound.
 ///
 /// ```
 /// use treplica::{impl_wire_struct, Wire};
 /// #[derive(Debug, PartialEq)]
-/// struct Point { x: u32, y: u32 }
-/// impl_wire_struct!(Point { x, y });
-/// let p = Point { x: 1, y: 2 };
+/// struct Point<T> { x: T, y: u8 }
+/// impl_wire_struct!(Point<T> { y, x });
+/// let p = Point { x: 1u16, y: 2 };
+/// assert_eq!(p.to_bytes(), [2, 1, 0]);
 /// assert_eq!(Point::from_bytes(&p.to_bytes()).unwrap(), p);
 /// ```
 #[macro_export]
 macro_rules! impl_wire_struct {
-    ($name:ident { $($field:ident),* $(,)? }) => {
-        impl $crate::Wire for $name {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                $( $crate::Wire::encode(&self.$field, buf); )*
+    ($name:ident $(<$param:ident>)? { $($field:tt),* $(,)? }) => {
+        impl $(<$param: $crate::Wire>)? $crate::Wire for $name $(<$param>)? {
+            fn encode<S: $crate::Sink>(&self, out: &mut S) {
+                $( $crate::Wire::encode(&self.$field, out); )*
             }
             fn decode(input: &mut &[u8]) -> Result<Self, $crate::WireError> {
                 Ok($name {
                     $( $field: $crate::Wire::decode(input)?, )*
                 })
             }
-            fn wire_size(&self) -> u64 {
-                0 $( + $crate::Wire::wire_size(&self.$field) )*
-            }
         }
     };
 }
 
-/// Implements [`Wire`] for an enum of struct-like or unit variants.
+/// Implements [`Wire`] for an enum: a one-byte tag, then the variant's
+/// fields in the order listed. A struct-like variant lists its field
+/// names, a tuple variant `index: name` pairs, a unit variant nothing.
 ///
 /// ```
 /// use treplica::{impl_wire_enum, Wire};
 /// #[derive(Debug, PartialEq)]
-/// enum Cmd { Ping, Set { key: u32, val: u64 } }
-/// impl_wire_enum!(Cmd { 0 => Ping, 1 => Set { key, val } });
-/// let c = Cmd::Set { key: 7, val: 9 };
+/// enum Cmd<T> { Ping, Set { key: u32, val: u64 }, Put(u8, T) }
+/// impl_wire_enum!(Cmd<T> { 0 => Ping, 1 => Set { key, val }, 2 => Put(0: at, 1: what) });
+/// let c = Cmd::Put(7, 9u16);
+/// assert_eq!(c.to_bytes(), [2, 7, 9, 0]);
 /// assert_eq!(Cmd::from_bytes(&c.to_bytes()).unwrap(), c);
 /// ```
 #[macro_export]
 macro_rules! impl_wire_enum {
-    ($name:ident { $($tag:literal => $variant:ident $({ $($field:ident),* $(,)? })?),* $(,)? }) => {
-        impl $crate::Wire for $name {
-            fn encode(&self, buf: &mut Vec<u8>) {
+    ($name:ident $(<$param:ident>)? { $(
+        $tag:literal => $variant:ident
+            $({ $($field:ident),* $(,)? })?
+            $(( $($index:tt : $bind:ident),* $(,)? ))?
+    ),* $(,)? }) => {
+        impl $(<$param: $crate::Wire>)? $crate::Wire for $name $(<$param>)? {
+            fn encode<S: $crate::Sink>(&self, out: &mut S) {
                 match self {
-                    $( $name::$variant $({ $($field),* })? => {
-                        buf.push($tag);
-                        $( $( $crate::Wire::encode($field, buf); )* )?
+                    $( $name::$variant $({ $($field),* })? $({ $($index: $bind),* })? => {
+                        out.put(&[$tag]);
+                        $( $( $crate::Wire::encode($field, out); )* )?
+                        $( $( $crate::Wire::encode($bind, out); )* )?
                     } )*
                 }
             }
             fn decode(input: &mut &[u8]) -> Result<Self, $crate::WireError> {
-                let Some((&tag, rest)) = input.split_first() else {
-                    return Err($crate::WireError::UnexpectedEnd);
-                };
-                *input = rest;
-                match tag {
-                    $( $tag => Ok($name::$variant $({ $($field: $crate::Wire::decode(input)?),* })?), )*
+                match <u8 as $crate::Wire>::decode(input)? {
+                    $( $tag => Ok($name::$variant
+                        $({ $($field: $crate::Wire::decode(input)?),* })?
+                        $({ $($index: $crate::Wire::decode(input)?),* })?), )*
                     t => Err($crate::WireError::BadTag(t)),
-                }
-            }
-            fn wire_size(&self) -> u64 {
-                match self {
-                    $( $name::$variant $({ $($field),* })? => {
-                        1 $( $( + $crate::Wire::wire_size($field) )* )?
-                    } )*
                 }
             }
         }
     };
 }
 
+impl_wire_enum!(Option<T> { 0 => None, 1 => Some(0: value) });
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
+    pub(crate) fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
         assert_eq!(bytes.len() as u64, v.wire_size(), "wire_size mismatch");
         assert_eq!(T::from_bytes(&bytes).unwrap(), v);
@@ -357,7 +376,15 @@ mod tests {
         roundtrip(Some(9u32));
         roundtrip(Option::<u32>::None);
         roundtrip((7u32, String::from("x")));
+        roundtrip((1u8, String::from("two"), Some(3u64)));
         roundtrip(vec![Some(1u8), None, Some(3)]);
+        // An array has no length prefix; a map is the `Vec` of its pairs.
+        roundtrip([1u16, 2, 3]);
+        assert_eq!([1u16, 2, 3].to_bytes(), [1, 0, 2, 0, 3, 0]);
+        let pairs = vec![(1u32, String::from("a")), (5, String::from("bc"))];
+        let map: BTreeMap<u32, String> = pairs.iter().cloned().collect();
+        assert_eq!(map.to_bytes(), pairs.to_bytes());
+        roundtrip(map);
     }
 
     #[test]
@@ -365,6 +392,11 @@ mod tests {
         assert_eq!(u64::from_bytes(&[1, 2, 3]), Err(WireError::UnexpectedEnd));
         let s = String::from("abcdef").to_bytes();
         assert_eq!(String::from_bytes(&s[..5]), Err(WireError::UnexpectedEnd));
+        let short_array = <[u16; 3]>::from_bytes(&[1, 0, 2, 0, 3]);
+        assert_eq!(short_array, Err(WireError::UnexpectedEnd));
+        // A map that promises two entries and holds one.
+        let short_map = BTreeMap::<u8, u8>::from_bytes(&[2, 0, 0, 0, 1, 1]);
+        assert_eq!(short_map, Err(WireError::UnexpectedEnd));
     }
 
     #[test]
@@ -410,11 +442,13 @@ mod tests {
         Unit,
         Pair { x: u8, y: u8 },
         Wrapped { inner: String },
+        Tuple(u8, u16),
     }
     impl_wire_enum!(DemoEnum {
         0 => Unit,
-        1 => Pair { x, y },
+        1 => Pair { y, x },
         2 => Wrapped { inner },
+        3 => Tuple(0: tag, 1: body),
     });
 
     #[test]
@@ -433,7 +467,13 @@ mod tests {
         roundtrip(DemoEnum::Wrapped {
             inner: "abc".into(),
         });
+        roundtrip(DemoEnum::Tuple(7, 9));
+        assert_eq!(DemoEnum::Tuple(7, 9).to_bytes(), [3, 7, 9, 0]);
+        // Fields go out in table order, which is not declaration order.
+        assert_eq!(DemoEnum::Pair { x: 1, y: 2 }.to_bytes(), [1, 2, 1]);
         assert_eq!(DemoEnum::from_bytes(&[9]), Err(WireError::BadTag(9)));
+        let short = DemoEnum::from_bytes(&[3, 7, 9]);
+        assert_eq!(short, Err(WireError::UnexpectedEnd));
     }
 
     #[test]

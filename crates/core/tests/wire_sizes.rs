@@ -1,8 +1,9 @@
-//! `Wire::wire_size` has no default body, so every type states its size
-//! by arithmetic over its fields. This suite holds each of those
-//! statements to the encoder: `v.wire_size() == v.to_bytes().len()` for
-//! the replicated actions, the two hand-sized `tpcw` types, batches and
-//! every kind of protocol message.
+//! A field table gives a type's `encode` and, through a byte counter,
+//! its `wire_size`; `decode` is a second walk over the table, and
+//! `Batch`, the primitives and the containers write both by hand. This
+//! suite holds the pair together on arbitrary actions, `tpcw` checkpoint
+//! types, batches, log records and every kind of protocol message:
+//! decoding an encoding gives the value back and consumes all of it.
 
 use proptest::prelude::*;
 
@@ -19,8 +20,12 @@ use treplica::{Application, Wire};
 /// Number of `Msg` variants; `msg_of_kind` covers `0..MSG_KINDS`.
 const MSG_KINDS: usize = 10;
 
-fn assert_sized<T: Wire + std::fmt::Debug>(v: &T) {
-    assert_eq!(v.wire_size(), v.to_bytes().len() as u64, "{v:?}");
+fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
+    let bytes = v.to_bytes();
+    assert_eq!(v.wire_size(), bytes.len() as u64, "{v:?}");
+    let mut input = bytes.as_slice();
+    assert_eq!(T::decode(&mut input).as_ref(), Ok(v));
+    assert!(input.is_empty(), "{} bytes left over: {v:?}", input.len());
 }
 
 /// Strings of one- to three-byte characters, so a size that counted
@@ -382,7 +387,7 @@ fn msg_strategy_covers_every_kind() {
                 decrees.clone(),
                 batch.clone(),
             );
-            assert_sized(&msg);
+            assert_roundtrip(&msg);
             msg.kind()
         })
         .collect();
@@ -393,30 +398,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn action_size_is_its_encoded_length(action in arb_action()) {
-        assert_sized(&action);
+    fn actions_roundtrip(action in arb_action()) {
+        assert_roundtrip(&action);
     }
 
     #[test]
-    fn item_size_is_its_encoded_length(item in arb_item()) {
-        assert_sized(&item);
+    fn items_roundtrip(item in arb_item()) {
+        assert_roundtrip(&item);
     }
 
     #[test]
-    fn batch_size_is_its_encoded_length(batch in arb_batch()) {
-        assert_sized(&batch);
+    fn batches_roundtrip(batch in arb_batch()) {
+        assert_roundtrip(&batch);
     }
 
     /// Log records carry the same decrees as messages in another field
-    /// order; they are sized on the persist path.
+    /// order (slot first).
     #[test]
-    fn msg_and_record_sizes_are_their_encoded_lengths(
+    fn msgs_and_records_roundtrip(
         msg in arb_msg(),
         ballot in arb_ballot(),
         decree in arb_decree(),
     ) {
-        assert_sized(&msg);
-        assert_sized(&Record::Accepted { ballot, slot: Slot(9), decree });
+        assert_roundtrip(&msg);
+        assert_roundtrip(&Record::Accepted { ballot, slot: Slot(9), decree });
     }
 }
 
@@ -424,13 +429,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn overlay_size_is_its_encoded_length(
+    fn overlays_roundtrip(
         actions in proptest::collection::vec(arb_action(), 0..40),
     ) {
         let overlay = overlay_after(&actions);
         prop_assert!(!overlay.carts.is_empty() && !overlay.new_orders.is_empty());
         prop_assert!(!overlay.new_customers.is_empty() && !overlay.stock.is_empty());
         prop_assert!(!overlay.item_updates.is_empty() && !overlay.sessions.is_empty());
-        assert_sized(&overlay);
+        assert_roundtrip(&overlay);
     }
 }

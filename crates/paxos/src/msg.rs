@@ -183,9 +183,6 @@ impl CausalTag {
     /// Sentinel for "no slot/round provenance".
     pub const NONE: u64 = u64::MAX;
 
-    /// Encoded size on the wire.
-    pub const WIRE_SIZE: u64 = 4 + 8 + 8 + 8;
-
     /// Stamps `msg` as transmission `seq` from `origin`.
     pub fn for_msg<V>(origin: ReplicaId, seq: u64, msg: &Msg<V>) -> CausalTag {
         let (slot, round) = msg.provenance();

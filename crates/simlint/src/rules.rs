@@ -1047,6 +1047,30 @@ mod tests {
         assert_eq!(d[0].chain.len(), 3);
     }
 
+    /// Most decoders of the workspace are one of two macro bodies: a
+    /// `fn decode` in a `macro_rules!` arm must be a function and a root.
+    #[test]
+    fn panic_taint_reaches_macro_generated_decoders() {
+        let d = check_transitive(
+            &[(
+                "crates/core/src/wire.rs",
+                "treplica",
+                "macro_rules! impl_wire_struct {
+                    ($name:ident { $($field:tt),* }) => { impl Wire for $name {
+                        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+                            Ok($name { $( $field: Wire::decode(input).ok().unwrap(), )* })
+                        }
+                    } };
+                }",
+            )],
+            &[],
+            &["decode"],
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "panic-taint");
+        assert!(d[0].chain[0].contains("decode"), "{:?}", d[0].chain);
+    }
+
     #[test]
     fn state_growth_flags_grow_only_collections() {
         let d = check_transitive(

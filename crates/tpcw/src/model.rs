@@ -6,7 +6,7 @@
 //! transaction, and shopping cart. Field sets follow the TPC-W v1.8
 //! schema closely (names shortened to Rust conventions).
 
-use treplica::{impl_wire_struct, Wire, WireError};
+use treplica::{impl_wire_enum, impl_wire_struct};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -14,17 +14,7 @@ macro_rules! id_type {
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u32);
 
-        impl Wire for $name {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                self.0.encode(buf);
-            }
-            fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-                Ok($name(u32::decode(input)?))
-            }
-            fn wire_size(&self) -> u64 {
-                4
-            }
-        }
+        impl_wire_struct!($name { 0 });
 
         impl std::fmt::Display for $name {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -154,78 +144,26 @@ pub struct Item {
     pub related: [ItemId; 5],
 }
 
-impl Wire for Item {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.title.encode(buf);
-        self.author.encode(buf);
-        self.pub_date.encode(buf);
-        self.publisher.encode(buf);
-        self.subject.encode(buf);
-        self.desc.encode(buf);
-        self.thumbnail.encode(buf);
-        self.image.encode(buf);
-        self.srp_cents.encode(buf);
-        self.cost_cents.encode(buf);
-        self.avail.encode(buf);
-        self.stock.encode(buf);
-        self.isbn.encode(buf);
-        self.pages.encode(buf);
-        self.backing.encode(buf);
-        self.dimensions.encode(buf);
-        for r in &self.related {
-            r.encode(buf);
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Item {
-            id: ItemId::decode(input)?,
-            title: String::decode(input)?,
-            author: AuthorId::decode(input)?,
-            pub_date: u32::decode(input)?,
-            publisher: String::decode(input)?,
-            subject: u8::decode(input)?,
-            desc: String::decode(input)?,
-            thumbnail: String::decode(input)?,
-            image: String::decode(input)?,
-            srp_cents: u64::decode(input)?,
-            cost_cents: u64::decode(input)?,
-            avail: u32::decode(input)?,
-            stock: i32::decode(input)?,
-            isbn: String::decode(input)?,
-            pages: u32::decode(input)?,
-            backing: u8::decode(input)?,
-            dimensions: String::decode(input)?,
-            related: [
-                ItemId::decode(input)?,
-                ItemId::decode(input)?,
-                ItemId::decode(input)?,
-                ItemId::decode(input)?,
-                ItemId::decode(input)?,
-            ],
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        self.id.wire_size()
-            + self.title.wire_size()
-            + self.author.wire_size()
-            + self.pub_date.wire_size()
-            + self.publisher.wire_size()
-            + self.subject.wire_size()
-            + self.desc.wire_size()
-            + self.thumbnail.wire_size()
-            + self.image.wire_size()
-            + self.srp_cents.wire_size()
-            + self.cost_cents.wire_size()
-            + self.avail.wire_size()
-            + self.stock.wire_size()
-            + self.isbn.wire_size()
-            + self.pages.wire_size()
-            + self.backing.wire_size()
-            + self.dimensions.wire_size()
-            + self.related.iter().map(Wire::wire_size).sum::<u64>()
-    }
-}
+impl_wire_struct!(Item {
+    id,
+    title,
+    author,
+    pub_date,
+    publisher,
+    subject,
+    desc,
+    thumbnail,
+    image,
+    srp_cents,
+    cost_cents,
+    avail,
+    stock,
+    isbn,
+    pages,
+    backing,
+    dimensions,
+    related
+});
 
 /// A country (TPC-W `COUNTRY`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -345,28 +283,12 @@ pub enum OrderStatus {
     Denied,
 }
 
-impl Wire for OrderStatus {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            OrderStatus::Pending => 0,
-            OrderStatus::Processing => 1,
-            OrderStatus::Shipped => 2,
-            OrderStatus::Denied => 3,
-        });
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(OrderStatus::Pending),
-            1 => Ok(OrderStatus::Processing),
-            2 => Ok(OrderStatus::Shipped),
-            3 => Ok(OrderStatus::Denied),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-    fn wire_size(&self) -> u64 {
-        1
-    }
-}
+impl_wire_enum!(OrderStatus {
+    0 => Pending,
+    1 => Processing,
+    2 => Shipped,
+    3 => Denied,
+});
 
 /// Shipping methods (TPC-W defines six).
 pub const SHIP_TYPES: [&str; 6] = ["AIR", "UPS", "FEDEX", "SHIP", "COURIER", "MAIL"];
@@ -555,6 +477,7 @@ pub mod nominal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treplica::Wire;
 
     #[test]
     fn cart_update_semantics() {

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use treplica::{impl_wire_struct, Wire, WireError};
+use treplica::impl_wire_struct;
 
 use crate::model::{
     nominal, Cart, CartId, CartLine, CcXact, Customer, CustomerId, Item, ItemId, Order, OrderId,
@@ -118,88 +118,18 @@ pub struct Overlay {
     pub last_order: BTreeMap<u32, u32>,
 }
 
-/// Encoded form of one item update: `(item, (cost, (image, thumbnail)))`.
-type ItemUpdateWire = (u32, (u64, (String, String)));
-
-impl Wire for Overlay {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        // A map goes out as the `Vec` of its `(key, value)` pairs that
-        // `decode` reads back. BTreeMap iteration is already key-ordered,
-        // so the encoded form is canonical without a sorting pass.
-        fn encode_map<'a, V: 'a>(
-            buf: &mut Vec<u8>,
-            map: &'a BTreeMap<u32, V>,
-            encode_value: impl Fn(&'a V, &mut Vec<u8>),
-        ) {
-            (map.len() as u32).encode(buf);
-            for (key, value) in map {
-                key.encode(buf);
-                encode_value(value, buf);
-            }
-        }
-        encode_map(buf, &self.carts, Cart::encode);
-        self.next_cart.encode(buf);
-        self.new_customers.encode(buf);
-        self.new_orders.encode(buf);
-        self.new_order_lines.encode(buf);
-        self.new_cc_xacts.encode(buf);
-        encode_map(buf, &self.stock, i32::encode);
-        encode_map(buf, &self.item_updates, |(cost, image, thumbnail), buf| {
-            cost.encode(buf);
-            image.encode(buf);
-            thumbnail.encode(buf);
-        });
-        encode_map(buf, &self.sessions, <(u64, u64)>::encode);
-        encode_map(buf, &self.last_order, u32::encode);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let carts_v: Vec<(u32, Cart)> = Vec::decode(input)?;
-        let next_cart = u32::decode(input)?;
-        let new_customers = Vec::decode(input)?;
-        let new_orders = Vec::decode(input)?;
-        let new_order_lines = Vec::decode(input)?;
-        let new_cc_xacts = Vec::decode(input)?;
-        let stock_v: Vec<(u32, i32)> = Vec::decode(input)?;
-        let updates_v: Vec<ItemUpdateWire> = Vec::decode(input)?;
-        let sessions_v: Vec<(u32, (u64, u64))> = Vec::decode(input)?;
-        let last_v: Vec<(u32, u32)> = Vec::decode(input)?;
-        Ok(Overlay {
-            carts: carts_v.into_iter().collect(),
-            next_cart,
-            new_customers,
-            new_orders,
-            new_order_lines,
-            new_cc_xacts,
-            stock: stock_v.into_iter().collect(),
-            item_updates: updates_v
-                .into_iter()
-                .map(|(k, (c, (i, t)))| (k, (c, i, t)))
-                .collect(),
-            sessions: sessions_v.into_iter().collect(),
-            last_order: last_v.into_iter().collect(),
-        })
-    }
-
-    fn wire_size(&self) -> u64 {
-        // Mirrors `encode_map`: a length prefix, then key and value.
-        fn map_size<V>(map: &BTreeMap<u32, V>, value_size: impl Fn(&V) -> u64) -> u64 {
-            4 + map.values().map(|v| 4 + value_size(v)).sum::<u64>()
-        }
-        map_size(&self.carts, Cart::wire_size)
-            + self.next_cart.wire_size()
-            + self.new_customers.wire_size()
-            + self.new_orders.wire_size()
-            + self.new_order_lines.wire_size()
-            + self.new_cc_xacts.wire_size()
-            + map_size(&self.stock, i32::wire_size)
-            + map_size(&self.item_updates, |(cost, image, thumbnail)| {
-                cost.wire_size() + image.wire_size() + thumbnail.wire_size()
-            })
-            + map_size(&self.sessions, <(u64, u64)>::wire_size)
-            + map_size(&self.last_order, u32::wire_size)
-    }
-}
+impl_wire_struct!(Overlay {
+    carts,
+    next_cart,
+    new_customers,
+    new_orders,
+    new_order_lines,
+    new_cc_xacts,
+    stock,
+    item_updates,
+    sessions,
+    last_order
+});
 
 /// Errors from bookstore operations (malformed requests surface to the
 /// client as HTTP errors, not replica failures).
@@ -699,6 +629,7 @@ impl Bookstore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treplica::Wire;
 
     fn store() -> Bookstore {
         Bookstore::open(PopulationParams {

@@ -5,8 +5,15 @@
 use robuststore_repro::cluster::{run_experiment, ExperimentConfig};
 use robuststore_repro::faultload::Faultload;
 use robuststore_repro::obs::{self, CausalProfile, SpanProfile, TraceStore};
+use robuststore_repro::paxos::{
+    AcceptedReport, Ballot, Batch, Decree, Msg, ProposalId, Reconfig, Record, ReplicaId, Slot,
+};
+use robuststore_repro::robuststore::Action;
 use robuststore_repro::simnet::TraceConfig;
-use robuststore_repro::tpcw::{Profile, Schedule};
+use robuststore_repro::tpcw::{
+    Bookstore, CustomerId, ItemId, Payment, PopulationParams, Profile, Schedule,
+};
+use robuststore_repro::treplica::{Meta, Wire};
 
 fn quick(replicas: usize, profile: Profile) -> ExperimentConfig {
     let mut config = ExperimentConfig::quick(replicas, profile);
@@ -285,4 +292,109 @@ fn browsing_run_reproduces_pinned_bits() {
         ),
         (83_691, 108_522_429, 8_763, 4_636_588_344_179_460_233)
     );
+}
+
+/// Length and FNV-1a-64 of `value`'s encoding: a fingerprint small
+/// enough to pin in source.
+fn encoded<T: Wire>(value: &T) -> String {
+    let bytes = value.to_bytes();
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{}:{hash:016x}", bytes.len())
+}
+
+/// The wire format itself, pinned: what goes over the simulated links
+/// (`Msg`), into the acceptor log (`Record`) and into a checkpoint
+/// (`Meta`, `Overlay`; `Item` for the catalogue rows). The literals come
+/// from the hand-written encoders of commit c106ac6, before the codecs
+/// became field tables; neighbouring fields hold different values, so
+/// swapping two entries of a table moves a byte and fails here. (A
+/// deliberate format change re-pins them, like any golden.)
+#[test]
+fn wire_format_matches_pinned_encodings() {
+    let pid = |node, seq| ProposalId {
+        node: ReplicaId(node),
+        epoch: 2,
+        seq,
+    };
+    let admin = Action::AdminUpdate {
+        item: ItemId(7),
+        cost_cents: 99,
+        image: "img/7.png".into(),
+        thumbnail: "t/7.png".into(),
+    };
+    let ballot = Ballot::fast(6, ReplicaId(4));
+    let batch = Batch::new(vec![
+        (pid(1, 30), admin.clone()),
+        (pid(3, 31), admin.clone()),
+    ]);
+    let record = Record::Accepted {
+        ballot,
+        slot: Slot(17),
+        decree: Decree::Value(pid(1, 30), batch),
+    };
+    let reconfig = Reconfig {
+        epoch: 3,
+        add: vec![ReplicaId(5), ReplicaId(6)],
+        remove: vec![ReplicaId(0)],
+    };
+    let promise: Msg<Batch<Action>> = Msg::Promise {
+        ballot: Ballot::classic(7, ReplicaId(2)),
+        from_slot: Slot(40),
+        only_slot: Some(Slot(41)),
+        accepted: vec![AcceptedReport {
+            slot: Slot(41),
+            ballot,
+            decree: Decree::Reconfig(reconfig),
+        }],
+    };
+    let decided = Decree::Value(pid(0, 5), Batch::single(pid(0, 5), admin));
+    let reply = Msg::LearnReply {
+        entries: vec![(Slot(8), decided), (Slot(9), Decree::Noop)],
+        truncated_below: Slot(2),
+        decided_upto: Slot(10),
+    };
+    let meta = Meta {
+        checkpoint_slot: Slot(2_000),
+        generation: 3,
+        promised: ballot,
+        epoch: 1,
+        members: vec![ReplicaId(0), ReplicaId(2), ReplicaId(5)],
+    };
+
+    // Two carts, one updated and bought, then an admin update and a
+    // session refresh: every overlay table but `new_customers` has a row.
+    let mut store = Bookstore::open(PopulationParams {
+        items: 100,
+        ebs: 1,
+        seed: 5,
+    });
+    let payment = Payment {
+        cc_type: "VISA".into(),
+        cc_num: "4111".into(),
+        cc_name: "A L".into(),
+        cc_expiry: 9,
+        auth_id: "é7".into(),
+        country: 1,
+    };
+    let cart = store.do_cart(None, Some((ItemId(3), 2)), &[], ItemId(9), 11);
+    let cart = cart.expect("a new cart");
+    let spare = store.do_cart(None, None, &[], ItemId(9), 12);
+    assert!(spare.is_ok(), "{spare:?}");
+    let updated = store.do_cart(Some(cart), Some((ItemId(4), 1)), &[], ItemId(8), 13);
+    assert_eq!(updated, Ok(cart));
+    let bought = store.buy_confirm(cart, CustomerId(5), &payment, 3, 14);
+    assert!(bought.is_ok(), "{bought:?}");
+    let update = store.admin_update(ItemId(7), 99, "img/7.png".into(), "t/7.png".into());
+    assert_eq!(update, Ok(()));
+    assert_eq!(store.refresh_session(CustomerId(5), 15), Ok(()));
+    let item = store.item(ItemId(7)).expect("item 7 of 100");
+
+    assert_eq!(encoded(&record), "161:b7501208b5b7ab53", "Record::Accepted");
+    assert_eq!(encoded(&promise), "85:45650ad93c9c8b59", "Msg::Promise");
+    assert_eq!(encoded(&reply), "120:055ba039881a8402", "Msg::LearnReply");
+    assert_eq!(encoded(&meta), "53:4acc1259b39306ad", "Meta");
+    assert_eq!(encoded(&item), "207:5c483932261843e8", "Item");
+    assert_eq!(encoded(store.overlay()), "304:aab20fe948507211", "Overlay");
 }
