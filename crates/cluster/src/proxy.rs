@@ -195,10 +195,12 @@ impl ProxyNode {
     /// Picks a server for `client_id` among healthy servers, excluding
     /// servers this request already gave up on.
     fn pick_server(&self, client_id: u64, excluded: &[usize]) -> Option<usize> {
-        let usable: Vec<usize> = (0..self.servers.len())
-            .filter(|i| self.servers[*i].healthy && !excluded.contains(i))
-            .collect();
-        if usable.is_empty() {
+        // Counted, then indexed by the same filter: no list is built.
+        let usable = || {
+            (0..self.servers.len()).filter(|i| self.servers[*i].healthy && !excluded.contains(i))
+        };
+        let count = usable().count();
+        if count == 0 {
             return None;
         }
         // FNV-1a over the stable client id (the paper's hash balancing
@@ -208,7 +210,7 @@ impl ProxyNode {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        Some(usable[(h % usable.len() as u64) as usize])
+        usable().nth((h % count as u64) as usize)
     }
 
     /// Attempts to deliver a request to its chosen server, emulating

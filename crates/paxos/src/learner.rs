@@ -8,6 +8,7 @@
 //! re-proposals and proposer retries stay exactly-once.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use crate::types::{Ballot, Decree, ProposalId, Quorums, Reconfig, ReplicaId, Slot};
 
@@ -263,13 +264,26 @@ impl<V: Clone + Eq> Learner<V> {
     /// never be filled by ongoing traffic — it must be learned), or
     /// votes have been sitting above an undelivered hole for longer
     /// than `timeout_us`.
+    ///
+    /// Asked on every tick, so it reads the two map ends that decide the
+    /// answer instead of the retained history. It relies on two facts:
+    /// both maps are sorted by slot, so `decided` has a key above the
+    /// watermark iff its last key is one; and `votes` holds undecided
+    /// slots only (a slot leaves it when it decides), so the range above
+    /// the watermark is the in-flight window, however much of `decided`
+    /// is kept for peers' catch-up. The bound is excluded rather than
+    /// `next_deliver.next()..` because `Slot::next` saturates.
     pub fn gapped(&self, now: u64, timeout_us: u64) -> bool {
-        if self.decided.keys().any(|s| *s > self.next_deliver) {
+        if self
+            .decided
+            .last_key_value()
+            .is_some_and(|(s, _)| *s > self.next_deliver)
+        {
             return true;
         }
-        self.votes.iter().any(|(s, sv)| {
-            *s > self.next_deliver && now.saturating_sub(sv.first_vote_at) >= timeout_us
-        })
+        self.votes
+            .range((Bound::Excluded(self.next_deliver), Bound::Unbounded))
+            .any(|(_, sv)| now.saturating_sub(sv.first_vote_at) >= timeout_us)
     }
 
     /// The votes recorded for `slot` at `ballot` (coordinator recovery
@@ -329,6 +343,8 @@ impl<V: Clone + Eq> Learner<V> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn pid(node: u32, seq: u64) -> ProposalId {
@@ -574,9 +590,27 @@ mod tests {
         assert_eq!(out.len(), 1, "3 of 4 decides under the new epoch");
     }
 
+    /// `gapped` as it was while it walked everything retained: the
+    /// oracle the two-ended read is compared against.
+    fn gapped_by_scan(l: &Learner<&'static str>, now: u64, timeout_us: u64) -> bool {
+        if l.decided.keys().any(|s| *s > l.next_deliver) {
+            return true;
+        }
+        l.votes.iter().any(|(s, sv)| {
+            *s > l.next_deliver && now.saturating_sub(sv.first_vote_at) >= timeout_us
+        })
+    }
+
     #[test]
     fn gapped_by_a_decided_slot_or_a_stale_vote_above_a_hole() {
         let check = |l: &Learner<&'static str>, expect: bool, what: &str| {
+            for now in [0, 999, 1_000, 5_000] {
+                assert_eq!(
+                    l.gapped(now, 1_000),
+                    gapped_by_scan(l, now, 1_000),
+                    "{what}, now {now}"
+                );
+            }
             assert_eq!(l.gapped(5_000, 1_000), expect, "{what}");
         };
         let b = Ballot::fast(1, ReplicaId(0));
@@ -605,6 +639,141 @@ mod tests {
         check(&l, true, "after truncate");
         l.fast_forward(Slot(502));
         check(&l, false, "after fast-forward past the hole");
+        // `Slot::next` saturates: at the last slot "above the watermark"
+        // is empty, and a stale vote there is still a vote at it.
+        let mut l = Learner::new(Quorums::new(5), Slot(u64::MAX));
+        l.on_accepted(ReplicaId(0), b, Slot(u64::MAX), Decree::Noop, 0);
+        check(&l, false, "stale vote at the saturated watermark");
+    }
+
+    /// One step of the differential case below. Slots are offsets from
+    /// the delivery watermark at the time the step runs.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Accepted {
+            acceptor: u32,
+            fast: bool,
+            offset: u64,
+            value: u32,
+            dt: u64,
+        },
+        Learned {
+            offset: u64,
+            len: u64,
+        },
+        LearnedReconfig {
+            offset: u64,
+        },
+        AckReconfig,
+        Truncate {
+            back: u64,
+        },
+        FastForward {
+            ahead: u64,
+        },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let accepted = (0u32..5, 0u8..2, 0u64..6, 0u32..2, 0u64..600).prop_map(
+            |(acceptor, fast, offset, value, dt)| Op::Accepted {
+                acceptor,
+                fast: fast == 0,
+                offset,
+                value,
+                dt,
+            },
+        );
+        prop_oneof![
+            12 => accepted,
+            3 => (0u64..4, 1u64..4).prop_map(|(offset, len)| Op::Learned { offset, len }),
+            1 => (0u64..3).prop_map(|offset| Op::LearnedReconfig { offset }),
+            // The shim has no `Just`.
+            1 => (0u8..1).prop_map(|_| Op::AckReconfig),
+            1 => (0u64..8).prop_map(|back| Op::Truncate { back }),
+            1 => (0u64..4).prop_map(|ahead| Op::FastForward { ahead }),
+        ]
+    }
+
+    /// Applies one step; `clock` advances with each vote.
+    fn apply(l: &mut Learner<&'static str>, clock: &mut u64, op: Op) {
+        let at = |offset: u64| Slot(l.next_deliver().0 + offset);
+        match op {
+            Op::Accepted {
+                acceptor,
+                fast,
+                offset,
+                value,
+                dt,
+            } => {
+                *clock += dt;
+                let ballot = if fast {
+                    Ballot::fast(1, ReplicaId(0))
+                } else {
+                    Ballot::classic(2, ReplicaId(0))
+                };
+                let slot = at(offset);
+                let decree = Decree::Value(pid(value, slot.0), "v");
+                l.on_accepted(ReplicaId(acceptor), ballot, slot, decree, *clock);
+            }
+            Op::Learned { offset, len } => {
+                let from = at(offset).0;
+                l.on_learned(
+                    (from..from + len)
+                        .map(|s| (Slot(s), Decree::Noop))
+                        .collect(),
+                );
+            }
+            // At offset 0 this parks the fence: `decided` then holds the
+            // watermark slot itself until the acknowledgement.
+            Op::LearnedReconfig { offset } => {
+                let rc = Reconfig {
+                    epoch: 1,
+                    add: vec![],
+                    remove: vec![],
+                };
+                l.on_learned(vec![(at(offset), Decree::Reconfig(rc))]);
+            }
+            Op::AckReconfig => {
+                if let Some((slot, _)) = l.take_reconfig() {
+                    l.ack_reconfig(slot);
+                }
+            }
+            Op::Truncate { back } => l.truncate(Slot(l.next_deliver().0.saturating_sub(back))),
+            Op::FastForward { ahead } => {
+                l.fast_forward(at(ahead));
+                l.drain();
+            }
+        }
+    }
+
+    proptest! {
+        // The CI `miri` job runs this crate's unit tests: a hundredth of
+        // the steps there keeps it inside its time limit.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// Random histories — votes around the watermark on a fast and a
+        /// classic ballot, learned runs, a `Reconfig` left at the fence,
+        /// truncation, fast-forward — with `gapped` compared against the
+        /// scan after every step.
+        #[test]
+        fn gapped_equals_the_scan_over_random_histories(
+            ops in proptest::collection::vec(op(), 1..if cfg!(miri) { 60 } else { 400 })
+        ) {
+            let mut l = learner();
+            let mut clock = 0;
+            for (step, op) in ops.into_iter().enumerate() {
+                apply(&mut l, &mut clock, op);
+                for now in [0, clock, clock + 1_000, u64::MAX] {
+                    for timeout_us in [0, 1, 1_000] {
+                        prop_assert_eq!(
+                            l.gapped(now, timeout_us),
+                            gapped_by_scan(&l, now, timeout_us),
+                            "step {}, now {}, timeout {}", step, now, timeout_us
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -194,6 +194,19 @@ fn network_partition_starves_minority_then_heals() {
     let min = decided.iter().min().unwrap();
     let max = decided.iter().max().unwrap();
     assert!(max - min < 50, "post-heal convergence: {decided:?}");
+    // The isolated pair comes back deaf to 30 s of decisions and can
+    // only converge through `Learner::gapped` → `LearnRequest`: a
+    // request sent one tick earlier or later moves all four. Recorded
+    // at commit 1a949e0, before `gapped` stopped scanning `decided`.
+    assert_eq!(
+        (
+            report.engine_events,
+            report.net_bytes,
+            report.recorder.total_ok(),
+            report.awips.to_bits(),
+        ),
+        (605_250, 465_698_029, 40_812, 4_643_506_911_146_077_935)
+    );
 }
 
 /// Group commit pays for itself where one decree per update saturates:
