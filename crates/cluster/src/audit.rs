@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use paxos::{Ballot, Batch, Mode, Msg, ProposalId, Quorums, Record, ReplicaStatus, Slot};
 use robuststore::Action;
 use simnet::{StableOp, StableStore};
-use treplica::{Meta, MwMsg, Wire, LOG_NAME, META_KEY};
+use treplica::{Meta, MwMsg, Sink, Wire, WireError, LOG_NAME, META_KEY};
 
 /// The consensus value type: a group-commit batch of store actions.
 type ActionBatch = Batch<Action>;
@@ -43,6 +43,35 @@ enum DurableKey {
     /// A `Record::Accepted { slot, ballot, decree }` reached disk
     /// (decrees are identified by their proposal id; `None` is a no-op).
     Accept(Slot, Ballot, Option<ProposalId>),
+}
+
+/// What the auditor reads in a record's value position: the batch is
+/// checked where it lies ([`Wire::check`]) and nothing is built. The
+/// record's own table still parses everything a [`DurableKey`] is made
+/// of, so the auditor stays an independent reader of the bytes on their
+/// way to disk without rebuilding eight actions per append.
+#[derive(Debug)]
+struct Unbuilt;
+
+impl Wire for Unbuilt {
+    /// Never written: the auditor only reads.
+    fn encode<S: Sink>(&self, _out: &mut S) {}
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        ActionBatch::check(input).map(|()| Unbuilt)
+    }
+}
+
+/// The key an encoded log record stands for, read through `Record`'s
+/// table with a `V` in the value position.
+fn durable_key<V: Wire>(entry: &[u8]) -> Result<DurableKey, WireError> {
+    Ok(match Record::<V>::from_bytes(entry)? {
+        Record::Promised(ballot) => DurableKey::Promise(ballot),
+        Record::Accepted {
+            ballot,
+            slot,
+            decree,
+        } => DurableKey::Accept(slot, ballot, decree.proposal_id()),
+    })
 }
 
 /// Outcome of one audited run.
@@ -127,26 +156,17 @@ impl InvariantAuditor {
         }
     }
 
-    /// A replica issued a durable write. Decodes consensus records so the
-    /// later completion can be matched against sends.
+    /// A replica issued a durable write. Reads the key of a consensus
+    /// record off its bytes so the later completion can be matched
+    /// against sends.
     pub fn on_disk_write(&mut self, idx: usize, op: &StableOp, token: u64, now_us: u64) {
         self.ensure(idx);
         match op {
             StableOp::Append { log, entry } if log == LOG_NAME => {
                 self.checks += 1;
-                match Record::<ActionBatch>::from_bytes(entry) {
-                    Ok(Record::Promised(ballot)) => {
-                        self.pending[idx].insert(token, DurableKey::Promise(ballot));
-                    }
-                    Ok(Record::Accepted {
-                        ballot,
-                        slot,
-                        decree,
-                    }) => {
-                        self.pending[idx].insert(
-                            token,
-                            DurableKey::Accept(slot, ballot, decree.proposal_id()),
-                        );
+                match durable_key::<Unbuilt>(entry) {
+                    Ok(key) => {
+                        self.pending[idx].insert(token, key);
                     }
                     Err(_) => self.violation(format!(
                         "[{now_us}us] server {idx}: appended undecodable consensus record \
@@ -324,18 +344,8 @@ impl InvariantAuditor {
         }
         if let Some(log) = store.log(LOG_NAME) {
             for (_, entry) in log.iter() {
-                match Record::<ActionBatch>::from_bytes(entry) {
-                    Ok(Record::Promised(ballot)) => {
-                        durable.insert(DurableKey::Promise(ballot));
-                    }
-                    Ok(Record::Accepted {
-                        ballot,
-                        slot,
-                        decree,
-                    }) => {
-                        durable.insert(DurableKey::Accept(slot, ballot, decree.proposal_id()));
-                    }
-                    Err(_) => {}
+                if let Ok(key) = durable_key::<Unbuilt>(entry) {
+                    durable.insert(key);
                 }
             }
         }
@@ -417,6 +427,123 @@ mod tests {
         audit.on_disk_write_done(1, 7);
         audit.on_send(1, &promise_msg(ballot), || st.clone(), 22);
         assert_eq!(audit.report().total_violations, 2, "durable promise passes");
+    }
+
+    fn pid(seq: u64) -> ProposalId {
+        ProposalId {
+            node: paxos::ReplicaId(2),
+            epoch: 1,
+            seq,
+        }
+    }
+
+    /// A full group commit of orders: eight actions, five strings each.
+    fn batch8() -> ActionBatch {
+        let order = |seq: u64| Action::BuyConfirm {
+            cart: tpcw::CartId(seq as u32),
+            customer: tpcw::CustomerId(40),
+            payment: tpcw::Payment {
+                cc_type: "VISA".into(),
+                cc_num: "4111111111111111".into(),
+                cc_name: "Test Buyer".into(),
+                cc_expiry: 15_000,
+                auth_id: format!("AUTH{seq:06}"),
+                country: 7,
+            },
+            ship_type: 2,
+            now: seq,
+        };
+        Batch::new((0..8).map(|seq| (pid(seq), order(seq))).collect())
+    }
+
+    fn accepted(decree: paxos::Decree<ActionBatch>) -> Record<ActionBatch> {
+        Record::Accepted {
+            ballot: Ballot::fast(7, paxos::ReplicaId(2)),
+            slot: Slot(123),
+            decree,
+        }
+    }
+
+    fn append(entry: Vec<u8>) -> StableOp {
+        StableOp::Append {
+            log: LOG_NAME.to_string(),
+            entry,
+        }
+    }
+
+    /// The oracle is the path the auditor used to take: decode the whole
+    /// record, batch and all, and read the key off the value.
+    #[test]
+    fn pending_key_is_the_one_a_full_decode_yields() {
+        let records = [
+            Record::Promised(Ballot::classic(3, paxos::ReplicaId(1))),
+            accepted(paxos::Decree::Value(pid(999), batch8())),
+            accepted(paxos::Decree::Noop),
+            accepted(paxos::Decree::Reconfig(paxos::Reconfig {
+                epoch: 3,
+                add: vec![paxos::ReplicaId(5)],
+                remove: vec![paxos::ReplicaId(0)],
+            })),
+        ];
+        let mut audit = InvariantAuditor::new(3);
+        for (token, record) in (0u64..).zip(&records) {
+            let entry = record.to_bytes();
+            let oracle = durable_key::<ActionBatch>(&entry).expect("a valid record");
+            audit.on_disk_write(1, &append(entry), token, 10);
+            assert_eq!(audit.pending[1].get(&token), Some(&oracle), "{record:?}");
+        }
+        assert_eq!(audit.report().total_violations, 0);
+        assert_eq!(audit.report().checks, records.len() as u64);
+    }
+
+    #[test]
+    fn undecodable_appends_are_one_violation_each_and_gate_nothing() {
+        let good = accepted(paxos::Decree::Value(pid(999), batch8())).to_bytes();
+        // Everything before the batch's item count: tag, slot, ballot,
+        // decree tag, proposal id.
+        let count_at = good.len() - batch8().to_bytes().len();
+        let mut empty = good[..count_at].to_vec();
+        empty.extend(0u32.to_le_bytes());
+        let mut bad_utf8 = good.clone();
+        let visa = good
+            .windows(4)
+            .position(|w| w == b"VISA")
+            .expect("a string");
+        bad_utf8[visa] = 0xff;
+        let oversized = {
+            let items: Vec<_> = (0..=treplica::MAX_BATCH_ITEMS as u64)
+                .map(|seq| {
+                    let customer = tpcw::CustomerId(1);
+                    (pid(seq), Action::RefreshSession { customer, now: seq })
+                })
+                .collect();
+            let mut bytes = good[..count_at].to_vec();
+            bytes.extend(items.to_bytes());
+            bytes
+        };
+        let cases = [
+            (WireError::BadUtf8, bad_utf8),
+            (WireError::Invalid("empty batch"), empty),
+            (
+                WireError::Invalid("batch exceeds MAX_BATCH_ITEMS"),
+                oversized,
+            ),
+            (WireError::UnexpectedEnd, good[..good.len() - 1].to_vec()),
+        ];
+        let mut audit = InvariantAuditor::new(3);
+        for (seen, (what, entry)) in (1u64..).zip(cases) {
+            assert_eq!(durable_key::<ActionBatch>(&entry), Err(what.clone()));
+            assert_eq!(durable_key::<Unbuilt>(&entry), Err(what.clone()));
+            audit.on_disk_write(0, &append(entry), seen, 10);
+            let report = audit.report();
+            assert_eq!(report.total_violations, seen, "{what:?}");
+            let text = report.violations.last().expect("recorded");
+            assert!(
+                text.contains("appended undecodable consensus record"),
+                "{what:?}: {text}"
+            );
+            assert!(audit.pending[0].is_empty(), "{what:?} gates nothing");
+        }
     }
 
     #[test]

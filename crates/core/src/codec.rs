@@ -12,32 +12,42 @@ use paxos::{
     Record, ReplicaId, Slot,
 };
 
-use crate::wire::{encode_slice, Sink, Wire, WireError};
+use crate::wire::{check_slice, encode_slice, Sink, Wire, WireError};
 use crate::{impl_wire_enum, impl_wire_struct};
 
 /// Hard wire-format cap on updates per batch. Protects decoders from a
 /// corrupt length prefix; far above any useful `batch_max_updates`.
 pub const MAX_BATCH_ITEMS: usize = 4_096;
 
-/// Batch framing: a length-prefixed item vector. Decoding enforces the
-/// batch invariants — never empty (an empty batch would burn a slot and
-/// a seek for nothing) and never above [`MAX_BATCH_ITEMS`] — which is
-/// why this is the one consensus type without a table.
+/// The batch invariants, on the item count of a batch whose items all
+/// decoded: never empty (an empty batch would burn a slot and a seek for
+/// nothing) and never above [`MAX_BATCH_ITEMS`].
+fn batch_bounds(len: usize) -> Result<(), WireError> {
+    if len == 0 {
+        return Err(WireError::Invalid("empty batch"));
+    }
+    if len > MAX_BATCH_ITEMS {
+        return Err(WireError::Invalid("batch exceeds MAX_BATCH_ITEMS"));
+    }
+    Ok(())
+}
+
+/// Batch framing: a length-prefixed item vector. Decoding and checking
+/// enforce [`batch_bounds`], which is why this is the one consensus
+/// type without a table.
 impl<A: Wire> Wire for Batch<A> {
     fn encode<S: Sink>(&self, out: &mut S) {
         encode_slice(&self.items, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let items: Vec<(ProposalId, A)> = Vec::decode(input)?;
-        if items.is_empty() {
-            return Err(WireError::Invalid("empty batch"));
-        }
-        if items.len() > MAX_BATCH_ITEMS {
-            return Err(WireError::Invalid("batch exceeds MAX_BATCH_ITEMS"));
-        }
+        batch_bounds(items.len())?;
         Ok(Batch {
             items: items.into(),
         })
+    }
+    fn check(input: &mut &[u8]) -> Result<(), WireError> {
+        batch_bounds(check_slice::<(ProposalId, A)>(input)?)
     }
 }
 

@@ -63,4 +63,4 @@ pub use middleware::{
     LOG_NAME, META_KEY,
 };
 pub use queue::{PersistentQueue, QueueEntry};
-pub use wire::{ByteCount, EncodeScratch, Sink, Wire, WireError};
+pub use wire::{check_field, ByteCount, EncodeScratch, Sink, Wire, WireError};

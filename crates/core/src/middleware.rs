@@ -1105,7 +1105,7 @@ impl<App: Application> Middleware<App> {
                 self.trace.push(e);
             }
         }
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(fx.len());
         for e in fx {
             match e {
                 PaxosEffect::Send { to, msg } => {
@@ -1180,6 +1180,7 @@ impl<App: Application> Middleware<App> {
             Some(a) => a,
             None => return,
         };
+        out.reserve(self.queue.len());
         while let Some(entry) = self.queue.try_dequeue() {
             let Some(action) = entry.action() else {
                 debug_assert!(false, "queue entry outside its batch");

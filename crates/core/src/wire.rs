@@ -10,8 +10,9 @@
 //! (schema lives in the types). A type states it once, as the list of
 //! its fields in wire order handed to [`impl_wire_struct!`] or
 //! [`impl_wire_enum!`]: the list is what `encode` writes, what `decode`
-//! reads back, and — because [`Wire::wire_size`] is `encode` run into a
-//! [`ByteCount`] — what the type weighs on the simulated network.
+//! reads back, what [`Wire::check`] walks without building anything, and
+//! — because [`Wire::wire_size`] is `encode` run into a [`ByteCount`] —
+//! what the type weighs on the simulated network.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -79,6 +80,19 @@ pub trait Wire: Sized {
     ///
     /// Returns a [`WireError`] if the input is truncated or malformed.
     fn decode(input: &mut &[u8]) -> Result<Self, WireError>;
+
+    /// Validates the value at the front of `input` without building
+    /// it: `Ok` exactly when [`Wire::decode`] would be, the same error
+    /// otherwise, and `input` left where `decode` would leave it. Types
+    /// whose `decode` allocates (strings, sequences, and whatever holds
+    /// them) override the default with a walk that allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`WireError`] `decode` would return.
+    fn check(input: &mut &[u8]) -> Result<(), WireError> {
+        Self::decode(input).map(drop)
+    }
 
     /// Convenience: encode into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
@@ -195,6 +209,13 @@ impl Wire for String {
         let bytes = take(input, len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
+    fn check(input: &mut &[u8]) -> Result<(), WireError> {
+        let len = u32::decode(input)? as usize;
+        let bytes = take(input, len)?;
+        std::str::from_utf8(bytes)
+            .map(drop)
+            .map_err(|_| WireError::BadUtf8)
+    }
 }
 
 /// Encodes `items` as a `u32` length prefix and the items in order:
@@ -204,6 +225,16 @@ pub(crate) fn encode_slice<T: Wire, S: Sink>(items: &[T], out: &mut S) {
     for item in items {
         item.encode(out);
     }
+}
+
+/// Checks a sequence framed by [`encode_slice`] and returns how many
+/// items it holds.
+pub(crate) fn check_slice<T: Wire>(input: &mut &[u8]) -> Result<usize, WireError> {
+    let len = u32::decode(input)? as usize;
+    for _ in 0..len {
+        T::check(input)?;
+    }
+    Ok(len)
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -217,6 +248,9 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(input)?);
         }
         Ok(out)
+    }
+    fn check(input: &mut &[u8]) -> Result<(), WireError> {
+        check_slice::<T>(input).map(drop)
     }
 }
 
@@ -233,6 +267,9 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Vec::<(K, V)>::decode(input)?.into_iter().collect())
+    }
+    fn check(input: &mut &[u8]) -> Result<(), WireError> {
+        Vec::<(K, V)>::check(input)
     }
 }
 
@@ -263,6 +300,10 @@ macro_rules! impl_wire_tuple {
             fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
                 Ok(($( $t::decode(input)?, )*))
             }
+            fn check(input: &mut &[u8]) -> Result<(), WireError> {
+                $( $t::check(input)?; )*
+                Ok(())
+            }
         }
     };
 }
@@ -270,10 +311,27 @@ macro_rules! impl_wire_tuple {
 impl_wire_tuple!(A 0, B 1);
 impl_wire_tuple!(A 0, B 1, C 2);
 
+/// [`Wire::check`] of the type of a field. A field table names fields,
+/// not their types, so [`impl_wire_struct!`] and [`impl_wire_enum!`]
+/// hand over a projection onto the field and inference reads `T` off
+/// it; the projection is never called.
+///
+/// # Errors
+///
+/// Returns what `T::check` returns.
+#[doc(hidden)]
+pub fn check_field<S, T: Wire>(
+    _field: impl Fn(&S) -> Option<&T>,
+    input: &mut &[u8],
+) -> Result<(), WireError> {
+    T::check(input)
+}
+
 /// Implements [`Wire`] for a struct from the list of its fields in wire
-/// order — which need not be declaration order. A tuple struct lists
-/// its indices (`Id { 0 }`); a generic one names its parameter, which
-/// gets a `Wire` bound.
+/// order — which need not be declaration order: `encode`, `decode` and
+/// `check` are three walks over that one list. A tuple struct lists its
+/// indices (`Id { 0 }`); a generic one names its parameter, which gets a
+/// `Wire` bound.
 ///
 /// ```
 /// use treplica::{impl_wire_struct, Wire};
@@ -283,6 +341,7 @@ impl_wire_tuple!(A 0, B 1, C 2);
 /// let p = Point { x: 1u16, y: 2 };
 /// assert_eq!(p.to_bytes(), [2, 1, 0]);
 /// assert_eq!(Point::from_bytes(&p.to_bytes()).unwrap(), p);
+/// assert_eq!(Point::<u16>::check(&mut &[2, 1, 0][..]), Ok(()));
 /// ```
 #[macro_export]
 macro_rules! impl_wire_struct {
@@ -295,6 +354,10 @@ macro_rules! impl_wire_struct {
                 Ok($name {
                     $( $field: $crate::Wire::decode(input)?, )*
                 })
+            }
+            fn check(input: &mut &[u8]) -> Result<(), $crate::WireError> {
+                $( $crate::check_field(|s: &Self| ::core::option::Option::Some(&s.$field), input)?; )*
+                Ok(())
             }
         }
     };
@@ -338,6 +401,28 @@ macro_rules! impl_wire_enum {
                     t => Err($crate::WireError::BadTag(t)),
                 }
             }
+            fn check(input: &mut &[u8]) -> Result<(), $crate::WireError> {
+                match <u8 as $crate::Wire>::decode(input)? {
+                    $( $tag => {
+                        $( $( $crate::check_field(
+                            |v: &Self| match v {
+                                $name::$variant { $field, .. } => ::core::option::Option::Some($field),
+                                _ => ::core::option::Option::None,
+                            },
+                            input,
+                        )?; )* )?
+                        $( $( $crate::check_field(
+                            |v: &Self| match v {
+                                $name::$variant { $index: $bind, .. } => ::core::option::Option::Some($bind),
+                                _ => ::core::option::Option::None,
+                            },
+                            input,
+                        )?; )* )?
+                        Ok(())
+                    } )*
+                    t => Err($crate::WireError::BadTag(t)),
+                }
+            }
         }
     };
 }
@@ -352,6 +437,9 @@ pub(crate) mod tests {
         let bytes = v.to_bytes();
         assert_eq!(bytes.len() as u64, v.wire_size(), "wire_size mismatch");
         assert_eq!(T::from_bytes(&bytes).unwrap(), v);
+        let mut input = bytes.as_slice();
+        assert_eq!(T::check(&mut input), Ok(()));
+        assert!(input.is_empty(), "check left {} bytes", input.len());
     }
 
     #[test]
@@ -427,6 +515,7 @@ pub(crate) mod tests {
         2u32.encode(&mut buf);
         buf.extend_from_slice(&[0xff, 0xfe]);
         assert_eq!(String::from_bytes(&buf), Err(WireError::BadUtf8));
+        assert_eq!(String::check(&mut buf.as_slice()), Err(WireError::BadUtf8));
     }
 
     #[derive(Debug, PartialEq)]
@@ -474,6 +563,14 @@ pub(crate) mod tests {
         assert_eq!(DemoEnum::from_bytes(&[9]), Err(WireError::BadTag(9)));
         let short = DemoEnum::from_bytes(&[3, 7, 9]);
         assert_eq!(short, Err(WireError::UnexpectedEnd));
+        // The generated `check` reads the same table: same errors, and
+        // on a bad string it stops where `decode` stops.
+        assert_eq!(DemoEnum::check(&mut &[9u8][..]), Err(WireError::BadTag(9)));
+        let mut torn: &[u8] = &[3, 7, 9];
+        assert_eq!(DemoEnum::check(&mut torn), Err(WireError::UnexpectedEnd));
+        let mut bad: &[u8] = &[2, 1, 0, 0, 0, 0xff, 5];
+        assert_eq!(DemoEnum::check(&mut bad), Err(WireError::BadUtf8));
+        assert_eq!(bad, [5]);
     }
 
     #[test]

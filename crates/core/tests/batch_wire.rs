@@ -1,8 +1,12 @@
 //! Group-commit batch framing: round-trip, invariant-rejection and
-//! determinism properties for the `Batch<V>` wire format.
+//! determinism properties for the `Batch<V>` wire format. The two bounds
+//! are held by `decode` and by `check`, which builds nothing.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::assert_check_matches_decode;
 use paxos::{Batch, ProposalId, ReplicaId};
 use robuststore::Action;
 use tpcw::CustomerId;
@@ -32,6 +36,7 @@ fn empty_batch_rejected_on_decode() {
         Err(WireError::Invalid(reason)) => assert!(reason.contains("empty")),
         other => panic!("empty batch must be rejected, got {other:?}"),
     }
+    assert_check_matches_decode::<Batch<Action>>(&bytes);
 }
 
 #[test]
@@ -45,6 +50,7 @@ fn oversized_batch_rejected_on_decode() {
         Err(WireError::Invalid(reason)) => assert!(reason.contains("MAX_BATCH_ITEMS")),
         other => panic!("oversized batch must be rejected, got {other:?}"),
     }
+    assert_check_matches_decode::<Batch<Action>>(&bytes);
 }
 
 #[test]
@@ -57,6 +63,7 @@ fn max_size_batch_round_trips() {
     let decoded = Batch::<Action>::from_bytes(&bytes).expect("max-size batch decodes");
     assert_eq!(decoded.len(), MAX_BATCH_ITEMS);
     assert_eq!(decoded, batch);
+    assert_eq!(Batch::<Action>::check(&mut bytes.as_slice()), Ok(()));
 }
 
 #[test]
@@ -101,10 +108,10 @@ proptest! {
     }
 
     /// No byte soup may panic the batch decoder (torn log tails, corrupt
-    /// wire data).
+    /// wire data), and the walk that builds nothing reads it the same.
     #[test]
-    fn batch_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Batch::<Action>::from_bytes(&bytes);
+    fn batch_check_agrees_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        assert_check_matches_decode::<Batch<Action>>(&bytes);
     }
 
     /// Truncating a valid batch encoding at any point errors cleanly.

@@ -1,9 +1,15 @@
 //! Decode-robustness property tests: no byte sequence may panic a
-//! decoder (malformed log entries and wire data must fail cleanly).
+//! decoder (malformed log entries and wire data must fail cleanly), and
+//! on every byte sequence the two readers of a format — `decode`, which
+//! builds the value, and `check`, which does not — agree on the verdict
+//! and on where they stop.
+
+mod common;
 
 use proptest::prelude::*;
 
-use paxos::{Msg, Record};
+use common::assert_check_matches_decode;
+use paxos::{Batch, Msg, Record};
 use robuststore::Action;
 use tpcw::Overlay;
 use treplica::{Meta, Wire};
@@ -11,29 +17,32 @@ use treplica::{Meta, Wire};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
+    /// `Record<Batch<Action>>` is the type the auditor reads off every
+    /// append.
     #[test]
-    fn record_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Record::<Action>::from_bytes(&bytes);
+    fn record_check_agrees_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        assert_check_matches_decode::<Record<Action>>(&bytes);
+        assert_check_matches_decode::<Record<Batch<Action>>>(&bytes);
     }
 
     #[test]
-    fn msg_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Msg::<Action>::from_bytes(&bytes);
+    fn msg_check_agrees_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        assert_check_matches_decode::<Msg<Action>>(&bytes);
     }
 
     #[test]
-    fn action_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Action::from_bytes(&bytes);
+    fn action_check_agrees_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        assert_check_matches_decode::<Action>(&bytes);
     }
 
     #[test]
-    fn overlay_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Overlay::from_bytes(&bytes);
+    fn overlay_check_agrees_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        assert_check_matches_decode::<Overlay>(&bytes);
     }
 
     #[test]
-    fn meta_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = Meta::from_bytes(&bytes);
+    fn meta_check_agrees_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        assert_check_matches_decode::<Meta>(&bytes);
     }
 
     /// Truncating a valid encoding at any point errors, never panics —

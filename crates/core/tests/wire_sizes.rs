@@ -1,11 +1,18 @@
 //! A field table gives a type's `encode` and, through a byte counter,
-//! its `wire_size`; `decode` is a second walk over the table, and
-//! `Batch`, the primitives and the containers write both by hand. This
-//! suite holds the pair together on arbitrary actions, `tpcw` checkpoint
-//! types, batches, log records and every kind of protocol message:
-//! decoding an encoding gives the value back and consumes all of it.
+//! its `wire_size`; `decode` and `check` are two more walks over the
+//! table, and `Batch`, the primitives and the containers write all three
+//! by hand. This suite holds them together on arbitrary actions, `tpcw`
+//! checkpoint types, batches, log records and every kind of protocol
+//! message: decoding an encoding gives the value back and consumes all
+//! of it, and on the encoding, on every strict prefix of it and on every
+//! single-bit flip of it `check` answers what `decode` answers and stops
+//! where `decode` stops.
+
+mod common;
 
 use proptest::prelude::*;
+
+use common::assert_check_matches_decode;
 
 use paxos::{
     AcceptedReport, Ballot, Batch, Decree, Msg, ProposalId, Reconfig, Record, ReplicaId, Slot,
@@ -26,6 +33,22 @@ fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
     let mut input = bytes.as_slice();
     assert_eq!(T::decode(&mut input).as_ref(), Ok(v));
     assert!(input.is_empty(), "{} bytes left over: {v:?}", input.len());
+    assert_check_matches_decode::<T>(&bytes);
+}
+
+/// `check` ≡ `decode` around a valid encoding: on the encoding itself,
+/// cut short at every length (a torn write) and with every single bit
+/// flipped (a length, tag, UTF-8 or count gone wrong somewhere).
+fn assert_check_agrees_around<T: Wire>(v: &T) {
+    let mut bytes = v.to_bytes();
+    for cut in 0..=bytes.len() {
+        assert_check_matches_decode::<T>(&bytes[..cut]);
+    }
+    for bit in 0..bytes.len() * 8 {
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        assert_check_matches_decode::<T>(&bytes);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
 }
 
 /// Strings of one- to three-byte characters, so a size that counted
@@ -388,6 +411,7 @@ fn msg_strategy_covers_every_kind() {
                 batch.clone(),
             );
             assert_roundtrip(&msg);
+            assert_check_agrees_around(&msg);
             msg.kind()
         })
         .collect();
@@ -437,5 +461,27 @@ proptest! {
         prop_assert!(!overlay.new_customers.is_empty() && !overlay.stock.is_empty());
         prop_assert!(!overlay.item_updates.is_empty() && !overlay.sessions.is_empty());
         assert_roundtrip(&overlay);
+    }
+
+    /// Nine readings per byte of the encoding, so fewer cases than the
+    /// round trips above. The record is what the auditor checks on every
+    /// append.
+    #[test]
+    fn check_agrees_with_decode_around_encodings(
+        action in arb_action(),
+        item in arb_item(),
+        batch in arb_batch(),
+        msg in arb_msg(),
+        ballot in arb_ballot(),
+        decree in arb_decree(),
+        actions in proptest::collection::vec(arb_action(), 0..6),
+    ) {
+        assert_check_agrees_around(&action);
+        assert_check_agrees_around(&item);
+        assert_check_agrees_around(&batch);
+        assert_check_agrees_around(&msg);
+        assert_check_agrees_around(&Record::Accepted { ballot, slot: Slot(9), decree });
+        assert_check_agrees_around(&Record::<Batch<Action>>::Promised(ballot));
+        assert_check_agrees_around(&overlay_after(&actions));
     }
 }

@@ -304,6 +304,7 @@ impl<V> Effects<V> {
         let Some((&last, rest)) = members.split_last() else {
             return;
         };
+        self.inner.reserve(members.len());
         for &to in rest {
             self.inner.push(Effect::Send {
                 to,

@@ -1,6 +1,7 @@
 //! Core identifier types of the consensus protocol.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Identifies one of the `N` replicas participating in consensus.
@@ -168,11 +169,30 @@ impl fmt::Display for ProposalId {
 /// reference-count bump, so every message, log record, vote and queue
 /// entry that carries the batch on one replica points at the same
 /// slice.
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Debug)]
 pub struct Batch<V> {
     /// The batched updates in submission order, each with the id its
     /// submitter waits on.
     pub items: Arc<[(ProposalId, V)]>,
+}
+
+/// Not derived: every copy of a batch on a replica is the same
+/// allocation, so the learner's per-vote comparison is answered by the
+/// pointer and only batches built separately are compared by content.
+impl<V: PartialEq> PartialEq for Batch<V> {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.items, &other.items) || self.items == other.items
+    }
+}
+
+impl<V: Eq> Eq for Batch<V> {}
+
+/// By content, like equality: equal batches hash alike whether or not
+/// they share their items.
+impl<V: Hash> Hash for Batch<V> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.items.hash(state);
+    }
 }
 
 /// Not derived: a handle on the shared items needs no `V: Clone`.

@@ -2,7 +2,9 @@
 //! replica — messages, log records, votes, decided entries, deliveries —
 //! holds a handle on the items the proposer allocated, never a copy.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use paxos::{
@@ -47,6 +49,24 @@ fn a_learned_and_delivered_batch_is_the_proposers_allocation() {
     // and the one inside `decree`), the decided entry, the delivery and
     // the served copy. The six votes went when the slot decided.
     assert_eq!(Arc::strong_count(&proposed.items), 5);
+}
+
+/// Equality answers from the pointer when it can, and from the content
+/// when it must: two batches built separately are still equal and hash
+/// alike.
+#[test]
+fn separately_built_equal_batches_compare_equal_and_hash_alike() {
+    let hash_of = |batch: &Value| {
+        let mut hasher = DefaultHasher::new();
+        batch.hash(&mut hasher);
+        hasher.finish()
+    };
+    let (a, b) = (proposal(), proposal());
+    assert!(!Arc::ptr_eq(&a.items, &b.items));
+    assert_eq!(a, b);
+    assert_eq!(hash_of(&a), hash_of(&b));
+    assert_eq!(a, a.clone());
+    assert_ne!(a, Batch::single(pid(1, 1), "a"));
 }
 
 /// Replicas on a synchronous bus with an instant disk.

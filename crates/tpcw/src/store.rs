@@ -535,12 +535,13 @@ impl Bookstore {
         now: u64,
     ) -> Result<OrderId, StoreError> {
         let discount_bp = self.customer(c_id)?.discount_bp;
+        // Read in place: the cart leaves the store once, at the end, after
+        // the last lookup that can fail.
         let cart = self
             .overlay
             .carts
             .get(&cart_id.0)
-            .ok_or(StoreError::NoSuchCart)?
-            .clone();
+            .ok_or(StoreError::NoSuchCart)?;
         if cart.lines.is_empty() {
             return Err(StoreError::EmptyCart);
         }
@@ -737,6 +738,28 @@ mod tests {
             s.buy_confirm(cart, CustomerId(0), &payment(), 0, 0),
             Err(StoreError::EmptyCart)
         );
+    }
+
+    #[test]
+    fn buy_confirm_errors_leave_the_cart_in_the_store() {
+        let mut s = store();
+        let empty = s.create_cart(0);
+        let full = s
+            .do_cart(None, Some((ItemId(3), 2)), &[], ItemId(0), 1_000)
+            .unwrap();
+        let before = s.overlay().clone();
+        assert_eq!(
+            s.buy_confirm(empty, CustomerId(0), &payment(), 0, 0),
+            Err(StoreError::EmptyCart)
+        );
+        let nobody = CustomerId(u32::MAX);
+        assert_eq!(
+            s.buy_confirm(full, nobody, &payment(), 0, 0),
+            Err(StoreError::NoSuchCustomer)
+        );
+        assert_eq!(s.overlay(), &before, "a refused purchase changes nothing");
+        assert_eq!(s.cart(full).unwrap().units(), 2);
+        assert!(s.cart(empty).is_ok());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use robuststore_repro::cluster::{run_experiment, ExperimentConfig};
-use robuststore_repro::paxos::{Ballot, Batch, Decree, Msg, ProposalId, ReplicaId, Slot};
+use robuststore_repro::paxos::{Ballot, Batch, Decree, Msg, ProposalId, Record, ReplicaId, Slot};
 use robuststore_repro::robuststore::Action;
 use robuststore_repro::tpcw::{CartId, CustomerId, Payment, Profile, Schedule};
 use robuststore_repro::treplica::{MwMsg, Wire};
@@ -120,6 +120,28 @@ fn sizing_a_batch_message_allocates_nothing() {
     assert_eq!(counted(|| inner.wire_size()).0, 0);
     // Headers (46) + kind, epoch and causal tag (1 + 8 + 28) + payload.
     assert_eq!(bytes, 46 + 37 + inner.to_bytes().len() as u64);
+
+    // The third walk over the same tables: the log record of that
+    // acceptance, validated the way the auditor does on every append.
+    let Msg::Accepted {
+        ballot,
+        slot,
+        decree,
+    } = inner.clone()
+    else {
+        unreachable!("built as an Accepted message");
+    };
+    let entry = Record::Accepted {
+        ballot,
+        slot,
+        decree,
+    }
+    .to_bytes();
+    let mut input = entry.as_slice();
+    let (allocations, checked) = counted(|| Record::<Batch<Action>>::check(&mut input));
+    assert_eq!(checked, Ok(()));
+    assert!(input.is_empty(), "check reads the whole record");
+    assert_eq!(allocations, 0, "check must not build what it validates");
 }
 
 #[test]
@@ -158,11 +180,14 @@ fn run_cost(config: &ExperimentConfig) -> (u64, u64) {
     (allocations, applied)
 }
 
-/// Measured 23.1 when the budget was last set (27.2, budget 34.0, while
-/// `ProxyNode::pick_server` still collected the usable servers into a
-/// `Vec` per request; 394.3 before that, while sizes came from encoding
-/// and batches were deep-copied); the budget leaves 25 %.
-const BUDGET_ALLOCS_PER_UPDATE: f64 = 28.9;
+/// Measured 10.4 when the budget was last set (23.1, budget 28.9, while
+/// the auditor decoded every appended record to read its key and the
+/// effect vectors of a broadcast and of a lowered batch grew from
+/// empty; 27.2, budget 34.0, while `ProxyNode::pick_server` still
+/// collected the usable servers into a `Vec` per request; 394.3 before
+/// that, while sizes came from encoding and batches were deep-copied);
+/// the budget leaves 25 %.
+const BUDGET_ALLOCS_PER_UPDATE: f64 = 13.0;
 
 /// Whole-stack budget: what one more committed update costs the host in
 /// allocations — clients, proxy, page handling, eight replicas'

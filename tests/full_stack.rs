@@ -13,7 +13,7 @@ use robuststore_repro::simnet::TraceConfig;
 use robuststore_repro::tpcw::{
     Bookstore, CustomerId, ItemId, Payment, PopulationParams, Profile, Schedule,
 };
-use robuststore_repro::treplica::{Meta, Wire};
+use robuststore_repro::treplica::{Meta, Wire, WireError};
 
 fn quick(replicas: usize, profile: Profile) -> ExperimentConfig {
     let mut config = ExperimentConfig::quick(replicas, profile);
@@ -308,9 +308,15 @@ fn browsing_run_reproduces_pinned_bits() {
 }
 
 /// Length and FNV-1a-64 of `value`'s encoding: a fingerprint small
-/// enough to pin in source.
+/// enough to pin in source. The encoding also passes `T::check` whole,
+/// to its last byte, and fails it with that byte removed.
 fn encoded<T: Wire>(value: &T) -> String {
     let bytes = value.to_bytes();
+    let mut input = bytes.as_slice();
+    assert_eq!(T::check(&mut input), Ok(()));
+    assert!(input.is_empty(), "check left {} bytes", input.len());
+    let mut torn = &bytes[..bytes.len() - 1];
+    assert_eq!(T::check(&mut torn), Err(WireError::UnexpectedEnd));
     let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
