@@ -449,6 +449,12 @@ pub fn run_experiment(config: &ExperimentConfig) -> RunReport {
     }
     admin.sort_by_key(|(t, _)| *t);
     let mut admin_idx = 0usize;
+    /// Schedules `action` for `at`, behind every entry not yet run (from
+    /// `pending`) that is due at or before `at`.
+    fn schedule(admin: &mut Vec<(u64, Admin)>, pending: usize, at: u64, action: Admin) {
+        let pos = admin[pending..].partition_point(|(t, _)| *t <= at) + pending;
+        admin.insert(pos, (at, action));
+    }
 
     // Ground truth for alert scoring: every fault stamped as applied.
     let mut injections = InjectionLog::default();
@@ -507,9 +513,8 @@ pub fn run_experiment(config: &ExperimentConfig) -> RunReport {
                         manual: false,
                     });
                     let restart_at = now_us + config.watchdog_delay_us;
-                    let pos =
-                        admin[admin_idx..].partition_point(|(at, _)| *at <= restart_at) + admin_idx;
-                    admin.insert(pos, (restart_at, Admin::Restart { server, span }));
+                    let restart = Admin::Restart { server, span };
+                    schedule(&mut admin, admin_idx, restart_at, restart);
                 }
             }
             Some((_, event)) => {
@@ -742,9 +747,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> RunReport {
                                     (500_000, Admin::Reconfig { incident })
                                 };
                                 let at = engine.now().as_micros() + delay;
-                                let pos = admin[admin_idx..].partition_point(|(t, _)| *t <= at)
-                                    + admin_idx;
-                                admin.insert(pos, (at, next));
+                                schedule(&mut admin, admin_idx, at, next);
                             }
                             Admin::AwaitEpoch { incident } => {
                                 let target = incidents[incident].target_epoch;
@@ -785,10 +788,8 @@ pub fn run_experiment(config: &ExperimentConfig) -> RunReport {
                                     }
                                     None => {
                                         let at = engine.now().as_micros() + 200_000;
-                                        let pos = admin[admin_idx..]
-                                            .partition_point(|(t, _)| *t <= at)
-                                            + admin_idx;
-                                        admin.insert(pos, (at, Admin::AwaitEpoch { incident }));
+                                        let again = Admin::AwaitEpoch { incident };
+                                        schedule(&mut admin, admin_idx, at, again);
                                     }
                                 }
                             }

@@ -1,11 +1,9 @@
 //! [`Wire`] encodings for the consensus types: one field table each,
 //! fields in *wire* order.
 //!
-//! The durable log stores encoded [`Record`]s (slot-first layout for
-//! `Accepted` so the checkpoint-truncation scan can cheaply find the cut
-//! point), and outgoing protocol messages are sized with
-//! [`Wire::wire_size`] to charge serialization latency on the simulated
-//! network.
+//! The durable log stores encoded [`Record`]s, and outgoing protocol
+//! messages are sized with [`Wire::wire_size`] to charge serialization
+//! latency on the simulated network.
 
 use paxos::{
     AcceptedReport, Ballot, BallotClass, Batch, CausalTag, Decree, Msg, ProposalId, Reconfig,
@@ -69,7 +67,9 @@ impl_wire_enum!(Decree<A> {
     2 => Reconfig(0: reconfig),
 });
 // `Accepted` records lead with the slot, not the ballot its declaration
-// starts with, so `record_slot` can decode just the prefix (tag + slot).
+// starts with: nothing reads that prefix alone any more, but logs written
+// this way are on disk, so the layout stays (pinned in tier-1 by
+// `wire_format_matches_pinned_encodings`).
 impl_wire_enum!(Record<A> {
     0 => Promised(0: ballot),
     1 => Accepted { slot, ballot, decree },
@@ -87,16 +87,6 @@ impl_wire_enum!(Msg<A> {
     8 => LearnRequest { from_slot },
     9 => LearnReply { entries, truncated_below, decided_upto },
 });
-
-/// Decodes only the slot of an encoded record, if it is an `Accepted`
-/// entry (used by the log-truncation scan).
-pub fn record_slot(entry: &[u8]) -> Option<Slot> {
-    let mut input = entry;
-    match u8::decode(&mut input).ok()? {
-        1 => Slot::decode(&mut input).ok(),
-        _ => None,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -152,19 +142,6 @@ mod tests {
             slot: Slot(17),
             decree: Decree::Value(pid(4, 4), 1234u64),
         });
-    }
-
-    #[test]
-    fn record_slot_prefix_scan() {
-        let rec = Record::Accepted {
-            ballot: Ballot::classic(3, ReplicaId(1)),
-            slot: Slot(17),
-            decree: Decree::Value(pid(4, 4), 1234u64),
-        };
-        assert_eq!(record_slot(&rec.to_bytes()), Some(Slot(17)));
-        let promised = Record::<u64>::Promised(Ballot::classic(1, ReplicaId(0)));
-        assert_eq!(record_slot(&promised.to_bytes()), None);
-        assert_eq!(record_slot(&[]), None);
     }
 
     #[test]

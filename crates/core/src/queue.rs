@@ -64,8 +64,6 @@ pub struct PersistentQueue<A> {
     entries: VecDeque<QueueEntry<A>>,
     /// All pushed slots are strictly above this.
     last_slot: Option<Slot>,
-    enqueued: u64,
-    dequeued: u64,
 }
 
 impl<A> PersistentQueue<A> {
@@ -74,8 +72,6 @@ impl<A> PersistentQueue<A> {
         PersistentQueue {
             entries: VecDeque::new(),
             last_slot: None,
-            enqueued: 0,
-            dequeued: 0,
         }
     }
 
@@ -97,7 +93,6 @@ impl<A> PersistentQueue<A> {
         }
         self.last_slot = Some(slot);
         for (index, (pid, _)) in batch.items.iter().enumerate() {
-            self.enqueued += 1;
             self.entries.push_back(QueueEntry {
                 slot,
                 index: index as u32,
@@ -111,11 +106,7 @@ impl<A> PersistentQueue<A> {
     /// Removes and returns the next element, if any (the non-blocking
     /// core of the paper's blocking `dequeue`).
     pub fn try_dequeue(&mut self) -> Option<QueueEntry<A>> {
-        let e = self.entries.pop_front();
-        if e.is_some() {
-            self.dequeued += 1;
-        }
-        e
+        self.entries.pop_front()
     }
 
     /// Elements currently waiting.
@@ -126,16 +117,6 @@ impl<A> PersistentQueue<A> {
     /// Whether no elements are waiting.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total elements ever pushed.
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Total elements ever dequeued.
-    pub fn total_dequeued(&self) -> u64 {
-        self.dequeued
     }
 
     /// The highest slot observed.
@@ -181,8 +162,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(drain(&mut q), vec!["a", "b"]);
         assert!(q.try_dequeue().is_none());
-        assert_eq!(q.total_enqueued(), 2);
-        assert_eq!(q.total_dequeued(), 2);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! driven by the discrete-event engine.
 
 use paxos::{Batch, Mode, ProposalId, ReplicaId};
-use simnet::{Engine, Event, NodeId, SimConfig, SimDuration, SimTime};
+use simnet::{Engine, Event, NodeId, SimConfig, SimDuration, SimTime, StableOp};
 use treplica::{
-    Application, Middleware, MwEffect, MwMsg, RecoveredDisk, Snapshot, TreplicaConfig, Wire,
+    Application, Meta, Middleware, MwEffect, MwMsg, RecoveredDisk, Snapshot, TreplicaConfig, Wire,
     WireError,
 };
 
@@ -37,12 +37,27 @@ impl Application for Register {
 const TICK_TOKEN: u64 = u64::MAX;
 const TICK_US: u64 = 20_000;
 
+/// Where to crash a node inside one of its checkpoints: once `after` of
+/// the four writes of checkpoint `generation` (data, metadata, log
+/// truncation, deletion of the previous generation) are durable. The
+/// harness sees every `MwEffect::DiskWrite`, so it picks the instant by
+/// counting completions, not by the clock.
+struct CrashPoint {
+    node: usize,
+    generation: u64,
+    after: usize,
+    /// Tokens of the checkpoint's writes issued so far.
+    tokens: Vec<u64>,
+    done: usize,
+}
+
 struct Cluster {
     engine: Engine<MwMsg<Batch<u64>>>,
     nodes: Vec<Option<Middleware<Register>>>,
     applied: Vec<Vec<(ProposalId, u64)>>, // not strictly the value; reply len
     recovered: Vec<Vec<u64>>,             // recovery completion times (µs)
     config: TreplicaConfig,
+    crash_point: Option<CrashPoint>,
 }
 
 impl Cluster {
@@ -71,7 +86,50 @@ impl Cluster {
             applied: vec![Vec::new(); n],
             recovered: vec![Vec::new(); n],
             config,
+            crash_point: None,
         }
+    }
+
+    /// Notes a write of the crash point's checkpoint: the data write of
+    /// its generation opens it, and the next three writes of the node
+    /// that are not consensus appends are its metadata, truncation and
+    /// deletion. Crashes the node on the spot, before the write can
+    /// complete, at crash point 0; returns whether it did.
+    fn watch_write(&mut self, node: usize, op: &StableOp, token: u64) -> bool {
+        let Some(cp) = self.crash_point.as_mut().filter(|cp| cp.node == node) else {
+            return false;
+        };
+        let opens =
+            matches!(op, StableOp::Put { key, .. } if *key == Meta::ckpt_key(cp.generation));
+        let follows = !cp.tokens.is_empty() && !matches!(op, StableOp::Append { .. });
+        if (opens || follows) && cp.tokens.len() < 4 {
+            cp.tokens.push(token);
+        }
+        self.crash_if_reached(node)
+    }
+
+    /// Counts a completed write of the crash point's checkpoint.
+    fn watch_write_done(&mut self, node: usize, token: u64) {
+        if let Some(cp) = self.crash_point.as_mut().filter(|cp| cp.node == node) {
+            if cp.tokens.contains(&token) {
+                cp.done += 1;
+                self.crash_if_reached(node);
+            }
+        }
+    }
+
+    /// Crashes `node` and disarms the crash point once the checkpoint is
+    /// open and as many of its writes as asked for are durable.
+    fn crash_if_reached(&mut self, node: usize) -> bool {
+        let reached = self
+            .crash_point
+            .as_ref()
+            .is_some_and(|cp| !cp.tokens.is_empty() && cp.done == cp.after);
+        if reached {
+            self.crash_point = None;
+            self.crash(node);
+        }
+        reached
     }
 
     fn apply_effects(&mut self, node: usize, effects: Vec<MwEffect<Register>>) {
@@ -85,6 +143,9 @@ impl Cluster {
                     if let (Some(nom), simnet::StableOp::Put { key, .. }) = (nominal, &op) {
                         let key = key.clone();
                         self.engine.set_nominal(NodeId(node), &key, nom);
+                    }
+                    if self.watch_write(node, &op, token) {
+                        return; // the dead node's remaining effects go nowhere
                     }
                     self.engine.disk_write(NodeId(node), op, token);
                 }
@@ -129,6 +190,7 @@ impl Cluster {
                     if let Some(mw) = self.nodes[node.index()].as_mut() {
                         let fx = mw.on_disk_write_done(token);
                         self.apply_effects(node.index(), fx);
+                        self.watch_write_done(node.index(), token);
                     }
                 }
                 Event::DiskReadDone { node, token, value } => {
@@ -635,29 +697,75 @@ fn crash_during_recovery_recovers_again() {
 
 #[test]
 fn crash_during_checkpoint_write_keeps_previous_generation() {
-    // Kill a replica while its checkpoint data write is in flight: the
-    // metadata still points at the previous generation, so recovery
-    // restores from it and replays the suffix.
-    let mut c = Cluster::new(5, 43);
-    c.run_until(SimTime::from_secs(1));
-    // checkpoint_interval = 10 (Cluster::new) → first periodic
-    // checkpoint fires at the 10th apply; crash right after issuing it.
-    for i in 0..9 {
-        c.execute(0, i);
-        c.run_until(SimTime::from_secs(1) + SimDuration::from_millis(50 * (i + 1)));
+    // Kill a replica at every durable step of one periodic checkpoint:
+    // before its data write completes, and after the data, the metadata,
+    // the log truncation and the deletion of the previous generation.
+    // Whichever generation the surviving metadata names must exist, and
+    // recovery restores from it and replays or re-learns the rest.
+    let mut uncut = None;
+    for after in 0..=4 {
+        let mut c = Cluster::new(5, 43);
+        c.crash_point = Some(CrashPoint {
+            node: 3,
+            generation: 2,
+            after,
+            tokens: Vec::new(),
+            done: 0,
+        });
+        c.run_until(SimTime::from_secs(1));
+        // checkpoint_interval = 10 (Cluster::new): generation 1 follows
+        // the 10th apply and completes; generation 2, the one crashed
+        // into, follows the 20th.
+        for i in 0..20 {
+            c.execute(0, i);
+            c.run_until(SimTime::from_secs(1) + SimDuration::from_millis(50 * (i + 1)));
+        }
+        c.run_until(SimTime::from_secs(3));
+        assert!(c.nodes[3].is_none(), "crash point {after} was reached");
+
+        let store = c.engine.store(NodeId(3));
+        let meta = Meta::from_bytes(
+            store
+                .get(treplica::META_KEY)
+                .expect("generation 1 completed"),
+        )
+        .expect("metadata decodes");
+        assert!(
+            store.get(&Meta::ckpt_key(meta.generation)).is_some(),
+            "crash point {after}: the metadata names a checkpoint that is not on disk"
+        );
+        assert_eq!(
+            meta.generation,
+            if after >= 2 { 2 } else { 1 },
+            "crash point {after}: the metadata moves on once its own write is durable"
+        );
+        assert_eq!(
+            store.get(&Meta::ckpt_key(1)).is_some(),
+            after < 4,
+            "crash point {after}: generation 1 goes with the last write, not before"
+        );
+        // Crash point 0 leaves the log as generation 1 cut it.
+        let first_kept = store.log(treplica::LOG_NAME).expect("log").first_index();
+        let uncut = *uncut.get_or_insert(first_kept);
+        assert_eq!(
+            first_kept > uncut,
+            after >= 3,
+            "crash point {after}: the log is cut once the metadata is durable, not before \
+             ({uncut} → {first_kept})"
+        );
+
+        for i in 20..25 {
+            c.execute(0, i);
+            c.run_until(SimTime::from_secs(3) + SimDuration::from_millis(50 * (i - 19)));
+        }
+        c.restart(3);
+        c.run_until(SimTime::from_secs(30));
+        assert_eq!(c.recovered[3].len(), 1, "crash point {after}: recovery");
+        c.assert_replicas_agree();
+        assert_eq!(
+            c.state(3).applied.len(),
+            25,
+            "crash point {after}: no update lost"
+        );
     }
-    // The 10th execute triggers the snapshot + Put; crash node 3 before
-    // its disk write can complete (writes take ≥ append/seek time).
-    c.execute(0, 9);
-    c.crash(3);
-    c.run_until(SimTime::from_secs(3));
-    for i in 10..15 {
-        c.execute(0, i);
-        c.run_until(SimTime::from_secs(3) + SimDuration::from_millis(50 * (i - 9)));
-    }
-    c.restart(3);
-    c.run_until(SimTime::from_secs(30));
-    assert_eq!(c.recovered[3].len(), 1, "recovery completes");
-    c.assert_replicas_agree();
-    assert_eq!(c.state(3).applied.len(), 15, "no updates lost");
 }

@@ -223,6 +223,16 @@ pub enum Record<V> {
     },
 }
 
+impl<V> Record<V> {
+    /// The slot an `Accepted` record votes in; a promise has none.
+    pub fn slot(&self) -> Option<Slot> {
+        match self {
+            Record::Accepted { slot, .. } => Some(*slot),
+            Record::Promised(_) => None,
+        }
+    }
+}
+
 /// Opaque token correlating an [`Effect::Persist`] with the driver's
 /// completion callback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -67,7 +67,7 @@ pub struct Replica<V> {
     prepare_started: u64,
     /// Highest ballot observed anywhere (election and routing hints).
     highest_ballot: Ballot,
-    /// The fast window as announced by the coordinator's `Any`; cleared
+    /// The fast window as opened by the coordinator's `Any`; cleared
     /// by any higher whole-range prepare (single-slot recovery prepares
     /// leave it open).
     fast_window: Option<Ballot>,
