@@ -22,20 +22,23 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 mod audit;
 mod client;
 mod experiment;
 mod msg;
+mod plan;
 mod proxy;
 mod server;
 mod service;
+mod testbed;
 
 pub use audit::{AuditReport, InvariantAuditor};
 pub use client::ClientNode;
 pub use experiment::{run_experiment, ExperimentConfig, ReconfigIncident, RunReport};
 pub use msg::ClusterMsg;
-pub use proxy::{ProxyConfig, ProxyNode};
+pub use proxy::ProxyNode;
 pub use server::ServerNode;
 pub use service::ServiceModel;

@@ -1,0 +1,459 @@
+//! The operator's plan for one run.
+//!
+//! A [`faultload::Faultload`] names victims by index into a pseudo-random
+//! permutation and spares by count; the plan resolves both against the
+//! run's seed and lays every prescribed step out as one time-ordered
+//! queue of [`Action`]s, beside the two ledgers those actions fill in
+//! as the testbed applies them (recovery spans, reconfiguration
+//! incidents). It is pure data — it never sees the engine — so its
+//! ordering rules are testable without a run.
+
+use std::collections::VecDeque;
+
+use faultload::{RecoveryKind, RecoverySpan};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use simnet::{DiskFault, LinkFault, SimDuration};
+
+use crate::experiment::{ExperimentConfig, ReconfigIncident};
+
+/// One step the operator (or the watchdog acting for them) takes.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Action {
+    /// Crash the server of recovery span `span`.
+    Crash {
+        span: usize,
+    },
+    /// Re-instantiate it.
+    Restart {
+        span: usize,
+    },
+    Cut {
+        minority: Vec<usize>,
+    },
+    Heal,
+    /// Degrade (`Some`) or restore (`None`) every server-to-server link.
+    NetFault {
+        fault: Option<LinkFault>,
+    },
+    /// Arm (`Some`) or disarm (`None`) one server's disk fault model.
+    DiskFault {
+        server: usize,
+        fault: Option<DiskFault>,
+    },
+    /// Submit membership change `incident` at some live replica: the
+    /// first attempt, which is the one the injection log records.
+    Reconfig {
+        incident: usize,
+    },
+    /// Submit it again after no leader accepted it.
+    RetryReconfig {
+        incident: usize,
+    },
+    /// Poll for membership change `incident` taking effect, then
+    /// provision its joiners and take its removed nodes out of rotation.
+    AwaitEpoch {
+        incident: usize,
+    },
+}
+
+/// Everything a faultload prescribes for one run, resolved and ordered.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    /// One span per crash, planned or induced; the testbed stamps the
+    /// times it observes.
+    pub spans: Vec<RecoverySpan>,
+    /// One incident per membership change, with its concrete node ids.
+    pub incidents: Vec<ReconfigIncident>,
+    /// Pending actions, earliest first; same-instant actions run in the
+    /// order they were scheduled.
+    queue: VecDeque<(u64, Action)>,
+    watchdog_delay_us: u64,
+}
+
+impl Plan {
+    /// Resolves `config`'s faultload for its ensemble, seed and watchdog
+    /// delay. Actions prescribed for the same instant run crashes
+    /// first, then reconfigurations, link faults, disk faults and
+    /// partitions.
+    pub fn new(config: &ExperimentConfig) -> Plan {
+        let (faultload, watchdog_delay_us) = (&config.faultload, config.watchdog_delay_us);
+        // Distinct victims, picked pseudo-randomly (paper §5.5:
+        // "replicas to be crashed were chosen at random").
+        let mut victim_rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0xfau64);
+        let mut victims: Vec<usize> = (0..config.replicas).collect();
+        victims.shuffle(&mut victim_rng);
+        let victim = |v: usize| victims[v % victims.len()];
+
+        let mut plan = Plan {
+            spans: Vec::new(),
+            incidents: Vec::new(),
+            queue: VecDeque::new(),
+            watchdog_delay_us,
+        };
+        for event in &faultload.events {
+            let manual = matches!(event.recovery, RecoveryKind::Manual { .. });
+            let span = plan.open_span(victim(event.victim), event.at_us, manual);
+            plan.schedule(event.at_us, Action::Crash { span });
+            match event.recovery {
+                RecoveryKind::Autonomous => {
+                    plan.schedule(event.at_us + watchdog_delay_us, Action::Restart { span })
+                }
+                RecoveryKind::Manual { at_us } => plan.schedule(at_us, Action::Restart { span }),
+                // Permanent hardware loss: only a reconfiguration replacing
+                // the machine restores the ensemble's spare capacity.
+                RecoveryKind::Never => {}
+            }
+        }
+        // Spare node ids follow the initial replicas, handed out in order;
+        // removals go through the victim permutation.
+        let mut next_spare = config.replicas;
+        for rc in &faultload.reconfigs {
+            let incident = plan.incidents.len();
+            plan.incidents.push(ReconfigIncident {
+                submitted_at_us: rc.at_us,
+                accepted_at_us: None,
+                completed_at_us: None,
+                target_epoch: 0,
+                add: (next_spare..next_spare + rc.add_spares).collect(),
+                remove: rc.remove.iter().map(|v| victim(*v)).collect(),
+            });
+            next_spare += rc.add_spares;
+            plan.schedule(rc.at_us, Action::Reconfig { incident });
+        }
+        for nf in &faultload.net_faults {
+            let fault = LinkFault {
+                loss: nf.fault.loss,
+                duplicate: nf.fault.duplicate,
+                reorder: nf.fault.reorder,
+                reorder_delay: SimDuration::from_micros(nf.fault.reorder_delay_us),
+            };
+            plan.schedule(nf.at_us, Action::NetFault { fault: Some(fault) });
+            plan.schedule(nf.until_us, Action::NetFault { fault: None });
+        }
+        for df in &faultload.disk_faults {
+            let server = victim(df.victim);
+            let fault = Some(DiskFault {
+                write_fail_probability: df.write_fail,
+                torn_tail_on_crash: df.torn_tail,
+            });
+            plan.schedule(df.at_us, Action::DiskFault { server, fault });
+            let fault = None;
+            plan.schedule(df.until_us, Action::DiskFault { server, fault });
+        }
+        for partition in &faultload.partitions {
+            let minority = partition.minority.iter().map(|v| victim(*v)).collect();
+            plan.schedule(partition.at_us, Action::Cut { minority });
+            plan.schedule(partition.heal_at_us, Action::Heal);
+        }
+        plan
+    }
+
+    /// When the next pending action is due (µs).
+    pub fn next_due(&self) -> Option<u64> {
+        self.queue.front().map(|(at, _)| *at)
+    }
+
+    /// Takes the next pending action if it is due at `now_us`.
+    pub fn pop_due(&mut self, now_us: u64) -> Option<Action> {
+        if self.next_due()? > now_us {
+            return None;
+        }
+        self.queue.pop_front().map(|(_, action)| action)
+    }
+
+    /// Schedules `action` for `at_us`, behind every pending action due
+    /// at or before then.
+    pub fn schedule(&mut self, at_us: u64, action: Action) {
+        let pos = self.queue.partition_point(|(at, _)| *at <= at_us);
+        self.queue.insert(pos, (at_us, action));
+    }
+
+    fn open_span(&mut self, server: usize, crash_at: u64, manual: bool) -> usize {
+        self.spans.push(RecoverySpan {
+            server,
+            crash_at,
+            restart_at: 0,
+            recovered_at: None,
+            manual,
+        });
+        self.spans.len() - 1
+    }
+
+    /// A crash nobody planned (a failed fsync is fail-stop): opens its
+    /// span and has the watchdog re-instantiate the server.
+    pub fn unplanned_crash(&mut self, server: usize, now_us: u64) {
+        let span = self.open_span(server, now_us, false);
+        self.schedule(now_us + self.watchdog_delay_us, Action::Restart { span });
+    }
+
+    /// The span whose restart started `server`'s current incarnation
+    /// (its latest restart); `None` for a server still on its first.
+    pub fn incarnation_span(&mut self, server: usize) -> Option<&mut RecoverySpan> {
+        self.spans
+            .iter_mut()
+            .filter(|span| span.server == server && span.restart_at > 0)
+            .max_by_key(|span| span.restart_at)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use faultload::{
+        DiskFaultEvent, FaultEvent, Faultload, LinkFaultSpec, NetFaultEvent, PartitionEvent,
+        ReconfigEvent,
+    };
+
+    use super::*;
+
+    const WATCHDOG_US: u64 = 3_000_000;
+
+    fn plan(replicas: usize, faultload: Faultload) -> Plan {
+        let mut config = ExperimentConfig::quick(replicas, tpcw::Profile::Shopping);
+        config.faultload = faultload;
+        config.watchdog_delay_us = WATCHDOG_US;
+        Plan::new(&config)
+    }
+
+    /// Every pending action with its due time, in the order a run would
+    /// apply them.
+    fn drain(plan: &mut Plan) -> Vec<(u64, Action)> {
+        let mut out = Vec::new();
+        while let Some(at) = plan.next_due() {
+            assert_eq!(plan.pop_due(at.saturating_sub(1)), None, "not due yet");
+            out.push((at, plan.pop_due(at).expect("due now")));
+        }
+        out
+    }
+
+    fn crash(at_us: u64, victim: usize, recovery: RecoveryKind) -> FaultEvent {
+        FaultEvent {
+            at_us,
+            victim,
+            recovery,
+        }
+    }
+
+    fn kind(action: &Action) -> &'static str {
+        match action {
+            Action::Crash { .. } => "crash",
+            Action::Restart { .. } => "restart",
+            Action::Cut { .. } => "cut",
+            Action::Heal => "heal",
+            Action::NetFault { fault: Some(_) } => "net",
+            Action::NetFault { fault: None } => "net-clear",
+            Action::DiskFault { fault: Some(_), .. } => "disk",
+            Action::DiskFault { fault: None, .. } => "disk-clear",
+            Action::Reconfig { .. } => "reconfig",
+            Action::RetryReconfig { .. } => "retry-reconfig",
+            Action::AwaitEpoch { .. } => "await-epoch",
+        }
+    }
+
+    #[test]
+    fn same_instant_actions_run_crashes_reconfigs_links_disks_partitions() {
+        // Everything the faultload can prescribe, all at 10 s and all
+        // lifted at 20 s, listed here in the reverse of the order a run
+        // applies them.
+        let (t, u) = (10_000_000, 20_000_000);
+        let fault = LinkFaultSpec {
+            loss: 0.1,
+            duplicate: 0.0,
+            reorder: 0.0,
+            reorder_delay_us: 0,
+        };
+        let faultload = Faultload {
+            partitions: vec![PartitionEvent {
+                at_us: t,
+                heal_at_us: u,
+                minority: vec![1],
+            }],
+            disk_faults: vec![DiskFaultEvent {
+                at_us: t,
+                until_us: u,
+                victim: 2,
+                write_fail: 0.5,
+                torn_tail: true,
+            }],
+            net_faults: vec![NetFaultEvent {
+                at_us: t,
+                until_us: u,
+                fault,
+            }],
+            reconfigs: vec![ReconfigEvent {
+                at_us: t,
+                add_spares: 1,
+                remove: vec![],
+            }],
+            events: vec![
+                crash(t, 0, RecoveryKind::Manual { at_us: u }),
+                crash(t, 3, RecoveryKind::Autonomous),
+            ],
+        };
+        let order: Vec<(u64, &str)> = drain(&mut plan(5, faultload))
+            .iter()
+            .map(|(at, action)| (*at, kind(action)))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (t, "crash"),
+                (t, "crash"),
+                (t, "reconfig"),
+                (t, "net"),
+                (t, "disk"),
+                (t, "cut"),
+                (t + WATCHDOG_US, "restart"),
+                (u, "restart"),
+                (u, "net-clear"),
+                (u, "disk-clear"),
+                (u, "heal"),
+            ]
+        );
+    }
+
+    #[test]
+    fn schedule_lands_behind_every_pending_action_due_at_or_before() {
+        let cut = |at_us, heal_at_us| PartitionEvent {
+            at_us,
+            heal_at_us,
+            minority: vec![],
+        };
+        let mut plan = plan(
+            5,
+            Faultload {
+                partitions: vec![cut(10, 20), cut(20, 30)],
+                ..Faultload::default()
+            },
+        );
+        let poll = |incident| Action::AwaitEpoch { incident };
+        plan.schedule(20, poll(1));
+        plan.schedule(30, poll(2));
+        plan.schedule(25, poll(3));
+        assert_eq!(plan.next_due(), Some(10));
+        assert_eq!(plan.pop_due(9), None);
+        let due_by_20: Vec<Action> = std::iter::from_fn(|| plan.pop_due(20)).collect();
+        assert_eq!(
+            due_by_20,
+            [
+                Action::Cut { minority: vec![] },
+                Action::Heal,
+                Action::Cut { minority: vec![] },
+                poll(1)
+            ]
+        );
+        // The clock stands at 20: whatever is scheduled now, even for an
+        // instant already gone, runs after what has run and in the order
+        // it was scheduled.
+        plan.schedule(5, poll(4));
+        plan.schedule(20, poll(5));
+        assert_eq!(
+            drain(&mut plan),
+            [
+                (5, poll(4)),
+                (20, poll(5)),
+                (25, poll(3)),
+                (30, Action::Heal),
+                (30, poll(2))
+            ]
+        );
+    }
+
+    #[test]
+    fn victims_wrap_around_the_ensemble_and_spares_follow_it() {
+        let n = 5;
+        let mut faultload = Faultload::permanent_loss(10, 50);
+        faultload.events.extend([
+            crash(20, n, RecoveryKind::Autonomous),
+            crash(30, 1, RecoveryKind::Autonomous),
+        ]);
+        faultload.reconfigs.push(ReconfigEvent {
+            at_us: 60,
+            add_spares: 2,
+            remove: vec![],
+        });
+        faultload
+            .reconfigs
+            .extend(Faultload::reconfig_replace(70, n + 1).reconfigs);
+        let plan = plan(n, faultload);
+
+        let servers: Vec<usize> = plan.spans.iter().map(|span| span.server).collect();
+        assert_eq!(servers[0], servers[1], "victim n is victim 0");
+        assert_ne!(servers[0], servers[2], "victims 0 and 1 are distinct");
+        assert!(servers.iter().all(|server| *server < n));
+        // The lost machine is the one the operator replaces; spare ids
+        // start at n and are handed out in submission order.
+        let changes: Vec<(&[usize], &[usize])> = plan
+            .incidents
+            .iter()
+            .map(|i| (i.add.as_slice(), i.remove.as_slice()))
+            .collect();
+        assert_eq!(
+            changes,
+            [
+                (&[n][..], &servers[..1]),
+                (&[n + 1, n + 2][..], &[][..]),
+                (&[n + 3][..], &servers[2..])
+            ]
+        );
+    }
+
+    #[test]
+    fn restarts_come_from_the_watchdog_the_operator_or_nobody() {
+        let mut plan = plan(
+            5,
+            Faultload {
+                events: vec![
+                    crash(10, 0, RecoveryKind::Autonomous),
+                    crash(20, 1, RecoveryKind::Manual { at_us: 90 }),
+                    crash(30, 2, RecoveryKind::Never),
+                ],
+                ..Faultload::default()
+            },
+        );
+        let manual: Vec<bool> = plan.spans.iter().map(|span| span.manual).collect();
+        assert_eq!(manual, [false, true, false]);
+        assert_eq!(
+            drain(&mut plan),
+            [
+                (10, Action::Crash { span: 0 }),
+                (20, Action::Crash { span: 1 }),
+                (30, Action::Crash { span: 2 }),
+                (90, Action::Restart { span: 1 }),
+                (10 + WATCHDOG_US, Action::Restart { span: 0 }),
+            ]
+        );
+        // A fail-stop nobody planned gets a span of its own and the
+        // watchdog's restart.
+        plan.unplanned_crash(4, 500);
+        assert_eq!((plan.spans[3].server, plan.spans[3].crash_at), (4, 500));
+        assert_eq!(
+            drain(&mut plan),
+            [(500 + WATCHDOG_US, Action::Restart { span: 3 })]
+        );
+    }
+
+    #[test]
+    fn an_incarnation_belongs_to_the_latest_restart_of_its_server() {
+        let twice = |at_us| crash(at_us, 0, RecoveryKind::Autonomous);
+        let mut plan = plan(
+            5,
+            Faultload {
+                events: vec![
+                    twice(10),
+                    crash(20, 1, RecoveryKind::Autonomous),
+                    twice(30),
+                    twice(40),
+                ],
+                ..Faultload::default()
+            },
+        );
+        let (server, other) = (plan.spans[0].server, plan.spans[1].server);
+        assert!(plan.incarnation_span(server).is_none(), "first incarnation");
+        // Restarts stamp their span; the third crash has not restarted.
+        plan.spans[2].restart_at = 33;
+        plan.spans[0].restart_at = 13;
+        assert_eq!(plan.incarnation_span(server).map(|s| s.crash_at), Some(30));
+        assert!(plan.incarnation_span(other).is_none());
+    }
+}

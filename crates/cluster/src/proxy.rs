@@ -19,40 +19,25 @@ pub const TOKEN_PROBE: u64 = 0;
 /// !TOKEN_RETRY_FLAG`.
 pub const TOKEN_RETRY_FLAG: u64 = 1 << 63;
 
-/// Proxy tuning (HAProxy-like defaults: `inter 2s fall 4 rise 2`).
-#[derive(Debug, Clone)]
-pub struct ProxyConfig {
-    /// Probe round period.
-    pub probe_interval_us: u64,
-    /// Consecutive failed probes before removal (paper: 4).
-    pub fall: u32,
-    /// Consecutive successful probes before re-admission.
-    pub rise: u32,
-    /// Per-request timeout before the client sees an error.
-    pub request_timeout_us: u64,
-    /// Redispatch attempts on refused connections (HAProxy `option
-    /// redispatch` + `retries`): a request hitting a dead or
-    /// still-booting server is silently retried on another one, so only
-    /// genuinely interrupted requests surface as client errors.
-    pub redispatch_retries: u32,
-    /// Delay between connect retries (HAProxy 1.3 waits ~1 s and retries
-    /// the *same* server before redispatching — this stall is what
-    /// carves the throughput valley right after a crash, paper §5.4).
-    pub retry_delay_us: u64,
-}
+// Proxy tuning, HAProxy-like: `inter 2s fall 4 rise 2`.
 
-impl Default for ProxyConfig {
-    fn default() -> Self {
-        ProxyConfig {
-            probe_interval_us: 2_000_000,
-            fall: 4,
-            rise: 2,
-            request_timeout_us: 30_000_000,
-            redispatch_retries: 3,
-            retry_delay_us: 1_000_000,
-        }
-    }
-}
+/// Probe round period.
+pub const PROBE_INTERVAL_US: u64 = 2_000_000;
+/// Consecutive failed probes before removal (paper: 4).
+pub const FALL: u32 = 4;
+/// Consecutive successful probes before re-admission.
+pub const RISE: u32 = 2;
+/// Per-request timeout before the client sees an error.
+pub const REQUEST_TIMEOUT_US: u64 = 30_000_000;
+/// Redispatch attempts on refused connections (HAProxy `option
+/// redispatch` + `retries`): a request hitting a dead or
+/// still-booting server is silently retried on another one, so only
+/// genuinely interrupted requests surface as client errors.
+pub const REDISPATCH_RETRIES: u32 = 3;
+/// Delay between connect retries (HAProxy 1.3 waits ~1 s and retries
+/// the *same* server before redispatching — this stall is what
+/// carves the throughput valley right after a crash, paper §5.4).
+pub const RETRY_DELAY_US: u64 = 1_000_000;
 
 #[derive(Debug)]
 struct ServerHealth {
@@ -77,7 +62,6 @@ struct InFlight {
 #[derive(Debug)]
 pub struct ProxyNode {
     node: NodeId,
-    config: ProxyConfig,
     servers: Vec<ServerHealth>,
     seq: u64,
     /// Ordered so timeout/kill sweeps emit errors in req-id order —
@@ -89,20 +73,14 @@ pub struct ProxyNode {
 impl ProxyNode {
     /// Creates the proxy balancing across `servers` and arms its probe
     /// timer.
-    pub fn new(
-        node: NodeId,
-        servers: Vec<NodeId>,
-        config: ProxyConfig,
-        engine: &mut Engine<ClusterMsg>,
-    ) -> ProxyNode {
+    pub fn new(node: NodeId, servers: Vec<NodeId>, engine: &mut Engine<ClusterMsg>) -> ProxyNode {
         engine.set_timer(
             node,
-            SimDuration::from_micros(config.probe_interval_us),
+            SimDuration::from_micros(PROBE_INTERVAL_US),
             TOKEN_PROBE,
         );
         ProxyNode {
             node,
-            config,
             servers: servers
                 .into_iter()
                 .map(|node| ServerHealth {
@@ -172,7 +150,7 @@ impl ProxyNode {
         let s = &mut self.servers[server];
         s.rises = 0;
         s.fails += 1;
-        if s.healthy && s.fails >= self.config.fall {
+        if s.healthy && s.fails >= FALL {
             s.healthy = false;
             self.kill_in_flight(engine, server);
         }
@@ -232,13 +210,12 @@ impl ProxyNode {
         }
         // Connection refused.
         flight.attempts += 1;
-        if flight.attempts <= self.config.redispatch_retries {
+        if flight.attempts <= REDISPATCH_RETRIES {
             // Park and retry the same server after the retry delay.
-            let delay = self.config.retry_delay_us;
             self.in_flight.insert(req_id, flight);
             engine.set_timer(
                 self.node,
-                SimDuration::from_micros(delay),
+                SimDuration::from_micros(RETRY_DELAY_US),
                 TOKEN_RETRY_FLAG | req_id,
             );
             return;
@@ -294,11 +271,10 @@ impl ProxyNode {
         }
         // Request timeouts.
         let now = engine.now().as_micros();
-        let timeout = self.config.request_timeout_us;
         let stale: Vec<u64> = self
             .in_flight
             .iter()
-            .filter(|(_, f)| now.saturating_sub(f.sent_at) > timeout)
+            .filter(|(_, f)| now.saturating_sub(f.sent_at) > REQUEST_TIMEOUT_US)
             .map(|(id, _)| *id)
             .collect();
         for req_id in stale {
@@ -308,7 +284,7 @@ impl ProxyNode {
         }
         engine.set_timer(
             self.node,
-            SimDuration::from_micros(self.config.probe_interval_us),
+            SimDuration::from_micros(PROBE_INTERVAL_US),
             TOKEN_PROBE,
         );
     }
@@ -381,7 +357,7 @@ impl ProxyNode {
                     if ready {
                         s.fails = 0;
                         s.rises += 1;
-                        if !s.healthy && s.rises >= self.config.rise {
+                        if !s.healthy && s.rises >= RISE {
                             s.healthy = true;
                         }
                     } else {

@@ -6,7 +6,9 @@
 //! of seeded fault injection.
 
 use cluster::{run_experiment, ExperimentConfig};
-use faultload::{Faultload, LinkFaultSpec};
+use faultload::{
+    Faultload, LinkFaultSpec, INJECT_CRASH, INJECT_DISK_FAULT, INJECT_NET_FAULT, INJECT_PARTITION,
+};
 use tpcw::Profile;
 
 fn quick(seed: u64) -> ExperimentConfig {
@@ -89,6 +91,30 @@ fn adversarial_mix_survives_and_recovers() {
             "watchdog restarted {span:?}"
         );
     }
+    // The ledger closes what the run closed: a bounded fault at its
+    // bound, a crash at the restart of its span.
+    let (faults, entries) = (&config.faultload, &report.injections.entries);
+    let lifted_at = |e: &faultload::Injection| match e.kind {
+        INJECT_CRASH => report
+            .spans
+            .iter()
+            .find(|s| (s.server as u32, s.crash_at) == (e.node, e.at_us))
+            .map(|s| s.restart_at)
+            .filter(|at| *at > 0),
+        INJECT_PARTITION => faults
+            .partitions
+            .iter()
+            .find(|p| p.at_us == e.at_us)
+            .map(|p| p.heal_at_us),
+        INJECT_NET_FAULT => faults.net_faults.first().map(|f| f.until_us),
+        INJECT_DISK_FAULT => faults.disk_faults.first().map(|f| f.until_us),
+        other => panic!("the mix injects no {other}"),
+    };
+    assert_eq!(
+        entries.iter().map(|e| e.cleared_us).collect::<Vec<_>>(),
+        entries.iter().map(lifted_at).collect::<Vec<_>>(),
+        "{entries:?}"
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 // their ordering never reaches replicated state or traces.
 #![allow(clippy::disallowed_types)]
 
-use cluster::{ClusterMsg, ProxyConfig, ProxyNode};
+use cluster::{ClusterMsg, ProxyNode};
 use simnet::{Engine, Event, NodeId, SimConfig, SimTime};
 use tpcw::{CustomerId, RequestBody, WebRequest};
 
@@ -17,12 +17,7 @@ fn engine() -> Engine<ClusterMsg> {
 }
 
 fn proxy(engine: &mut Engine<ClusterMsg>) -> ProxyNode {
-    ProxyNode::new(
-        NodeId(SERVERS),
-        (0..SERVERS).map(NodeId).collect(),
-        ProxyConfig::default(),
-        engine,
-    )
+    ProxyNode::new(NodeId(SERVERS), (0..SERVERS).map(NodeId).collect(), engine)
 }
 
 fn request(client_id: u64) -> WebRequest {

@@ -3,7 +3,7 @@
 //! the paper's faultloads, on scaled-down schedules.
 
 use robuststore_repro::cluster::{run_experiment, ExperimentConfig};
-use robuststore_repro::faultload::Faultload;
+use robuststore_repro::faultload::{FaultEvent, Faultload, RecoveryKind};
 use robuststore_repro::obs::{self, CausalProfile, SpanProfile, TraceStore};
 use robuststore_repro::paxos::{
     AcceptedReport, Ballot, Batch, Decree, Msg, ProposalId, Reconfig, Record, ReplicaId, Slot,
@@ -84,6 +84,43 @@ fn two_overlapped_crashes_recover_autonomously() {
         ),
         (641_961, 408_002_765, 34_078, 4_643_812_282_175_498_923)
     );
+}
+
+/// Victims 0 and 5 of five are one server: crashed during ramp-up and
+/// again inside the measurement interval (30–90 s), it recovers twice,
+/// and each span carries its own incarnation's recovery time. Stamped
+/// with the last incarnation's, the first recovery read 31.34 s and
+/// opened a second window from 30 s to 49.34 s.
+#[test]
+fn a_server_crashed_twice_recovers_twice() {
+    let mut config = ExperimentConfig::quick(5, Profile::Shopping);
+    config.faultload.events = [(15_000_000, 0), (45_000_000, 5)]
+        .map(|(at_us, victim)| FaultEvent {
+            at_us,
+            victim,
+            recovery: RecoveryKind::Autonomous,
+        })
+        .to_vec();
+    let report = run_experiment(&config);
+    let spans = &report.spans;
+    assert_eq!(spans.len(), 2);
+    assert_eq!(spans[0].server, spans[1].server);
+    assert!(
+        spans[0]
+            .recovered_at
+            .is_some_and(|at| at < spans[1].crash_at),
+        "first recovery precedes the second crash: {spans:?}"
+    );
+    for span in spans {
+        assert!(
+            span.recovery_secs().is_some_and(|secs| secs < 5.0),
+            "each restart recovers in seconds: {spans:?}"
+        );
+    }
+    let windows = &report.dependability.recovery;
+    assert_eq!(windows.len(), 1, "only the second crash is measured");
+    assert_eq!(windows[0].from_us, spans[1].crash_at);
+    assert_eq!(Some(windows[0].to_us), spans[1].recovered_at);
 }
 
 #[test]
