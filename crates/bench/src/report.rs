@@ -301,11 +301,7 @@ pub fn run_markers(report: &RunReport) -> Vec<(u64, u32, &'static str)> {
 /// Scores the run's alert log against its own ground-truth injection
 /// log ([`RunReport::ground_truth`]).
 pub fn alert_score_from_run(report: &RunReport) -> obs::AlertScore {
-    obs::score_alerts(
-        &report.alerts,
-        &report.ground_truth(),
-        &obs::ScoreConfig::default(),
-    )
+    obs::score_alerts(&report.alerts, &report.ground_truth())
 }
 
 /// The monitor's JSON fields for a monitored run: alert counts, the

@@ -25,6 +25,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 mod injection;

@@ -36,6 +36,18 @@ use crate::metrics::Hist;
 /// One million, the fixed-point base for rates (parts per million).
 const PPM: u64 = 1_000_000;
 
+/// The SLO error budget the burn-rate rules measure against, in parts
+/// per million of interactions: 1 000 ppm is the 99.9 % availability
+/// SLO.
+const SLO_ERROR_BUDGET_PPM: u64 = 1_000;
+
+/// An alert firing within this long after an injection detects it.
+const DETECT_HORIZON_US: u64 = 30_000_000;
+
+/// A firing within this long after *any* injection is attributed to
+/// its aftermath rather than counted as a false positive.
+const CLEAR_GRACE_US: u64 = 120_000_000;
+
 /// Subject id for cluster-scoped alerts (rules that watch aggregate
 /// signals rather than one node).
 pub const SUBJECT_CLUSTER: u32 = u32::MAX;
@@ -179,9 +191,6 @@ pub struct MonitorConfig {
     pub enabled: bool,
     /// Scrape period in simulated µs (default 1 s).
     pub scrape_interval_us: u64,
-    /// SLO error budget in parts per million of interactions (default
-    /// 1 000 ppm = the 99.9 % availability SLO).
-    pub slo_error_budget_ppm: u64,
     /// The rule set to evaluate each tick.
     pub rules: Vec<Rule>,
 }
@@ -191,7 +200,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             enabled: false,
             scrape_interval_us: 1_000_000,
-            slo_error_budget_ppm: 1_000,
             rules: standard_rules(),
         }
     }
@@ -376,7 +384,6 @@ struct RuleRt {
 /// [`Monitor::on_scrape`]; collect the [`AlertLog`] at run end.
 #[derive(Debug)]
 pub struct Monitor {
-    budget_ppm: u64,
     rules: Vec<Rule>,
     rt: Vec<RuleRt>,
     /// Rolling per-tick (ok, err) deltas, newest last.
@@ -415,7 +422,6 @@ impl Monitor {
             .max()
             .unwrap_or(0) as usize;
         Monitor {
-            budget_ppm: config.slo_error_budget_ppm.max(1),
             rules: config.rules.clone(),
             rt: config.rules.iter().map(|_| RuleRt::default()).collect(),
             window: VecDeque::with_capacity(window_cap),
@@ -499,7 +505,7 @@ impl Monitor {
                         total > 0
                             && err.saturating_mul(PPM).saturating_mul(1_000)
                                 > factor_x1000
-                                    .saturating_mul(self.budget_ppm)
+                                    .saturating_mul(SLO_ERROR_BUDGET_PPM)
                                     .saturating_mul(total)
                     };
                     let breach = over(short_ticks) && over(long_ticks);
@@ -663,25 +669,6 @@ pub struct GroundTruth {
     pub kind: &'static str,
 }
 
-/// Knobs for the alert↔injection join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScoreConfig {
-    /// An alert firing within this long after an injection detects it.
-    pub detect_horizon_us: u64,
-    /// A firing within this long after *any* injection is attributed to
-    /// its aftermath rather than counted as a false positive.
-    pub clear_grace_us: u64,
-}
-
-impl Default for ScoreConfig {
-    fn default() -> ScoreConfig {
-        ScoreConfig {
-            detect_horizon_us: 30_000_000,
-            clear_grace_us: 120_000_000,
-        }
-    }
-}
-
 /// One incident's alert-quality verdict.
 #[derive(Debug, Clone)]
 pub struct IncidentScore {
@@ -734,7 +721,7 @@ impl AlertScore {
 /// Each firing detects at most one injection; injections claim firings
 /// in time order, preferring a firing whose subject matches the victim
 /// node before settling for any unclaimed firing in the horizon.
-pub fn score_alerts(log: &AlertLog, truth: &[GroundTruth], cfg: &ScoreConfig) -> AlertScore {
+pub fn score_alerts(log: &AlertLog, truth: &[GroundTruth]) -> AlertScore {
     let firings: Vec<(usize, &AlertTransition)> = log
         .entries
         .iter()
@@ -750,9 +737,8 @@ pub fn score_alerts(log: &AlertLog, truth: &[GroundTruth], cfg: &ScoreConfig) ->
     let mut injections: Vec<GroundTruth> = truth.to_vec();
     injections.sort_by_key(|i| i.at_us);
     for inj in &injections {
-        let in_horizon = |e: &AlertTransition| {
-            e.t_us >= inj.at_us && e.t_us - inj.at_us <= cfg.detect_horizon_us
-        };
+        let in_horizon =
+            |e: &AlertTransition| e.t_us >= inj.at_us && e.t_us - inj.at_us <= DETECT_HORIZON_US;
         // Pass 1: a firing about the victim itself. Pass 2: any firing.
         let mut chosen: Option<usize> = None;
         for (slot, (_, e)) in firings.iter().enumerate() {
@@ -801,7 +787,7 @@ pub fn score_alerts(log: &AlertLog, truth: &[GroundTruth], cfg: &ScoreConfig) ->
     for (_, fire) in &firings {
         let excused = injections
             .iter()
-            .any(|inj| fire.t_us >= inj.at_us && fire.t_us - inj.at_us <= cfg.clear_grace_us);
+            .any(|inj| fire.t_us >= inj.at_us && fire.t_us - inj.at_us <= CLEAR_GRACE_US);
         if !excused {
             score.false_positives += 1;
         }
@@ -1058,7 +1044,7 @@ mod tests {
             node: 3,
             kind: "crash",
         }];
-        let score = score_alerts(&log, &truth, &ScoreConfig::default());
+        let score = score_alerts(&log, &truth);
         assert_eq!(score.detected(), 1);
         assert_eq!(score.missed(), 0);
         let inc = &score.incidents[0];
@@ -1085,7 +1071,7 @@ mod tests {
             }],
         };
         // Fault-free run: the lone firing is a false positive.
-        let score = score_alerts(&log, &[], &ScoreConfig::default());
+        let score = score_alerts(&log, &[]);
         assert_eq!(score.false_positives, 1);
         assert!(score.incidents.is_empty());
         // An injection long after the firing: missed, and the firing
@@ -1095,7 +1081,7 @@ mod tests {
             node: 0,
             kind: "crash",
         }];
-        let score = score_alerts(&log, &truth, &ScoreConfig::default());
+        let score = score_alerts(&log, &truth);
         assert_eq!(score.missed(), 1);
         assert_eq!(score.false_positives, 1);
     }

@@ -21,6 +21,18 @@ use crate::event::{TraceEvent, TraceRecord};
 use crate::metrics::Hist;
 use crate::store::TraceStore;
 
+/// A window is *degraded* when its WIPS drops below this fraction of
+/// baseline (the paper's 95 % ramp-back criterion, inverted).
+const DEGRADED_FRAC: f64 = 0.95;
+
+/// Failover is reached at the first window back above this fraction of
+/// baseline (service is limping but answering again).
+const FAILOVER_FRAC: f64 = 0.5;
+
+/// Degradation must begin within this many windows after the crash to
+/// be attributed to it.
+const GRACE_WINDOWS: usize = 2;
+
 /// Tuning knobs for windowing and availability detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelineConfig {
@@ -29,15 +41,6 @@ pub struct TimelineConfig {
     pub window_us: u64,
     /// How many pre-crash windows form the WIPS baseline mean.
     pub baseline_windows: usize,
-    /// A window is *degraded* when its WIPS drops below this fraction
-    /// of baseline (the paper's 95 % ramp-back criterion, inverted).
-    pub degraded_frac: f64,
-    /// Failover is reached at the first window back above this fraction
-    /// of baseline (service is limping but answering again).
-    pub failover_frac: f64,
-    /// Degradation must begin within this many windows after the crash
-    /// to be attributed to it.
-    pub grace_windows: usize,
 }
 
 impl Default for TimelineConfig {
@@ -45,9 +48,6 @@ impl Default for TimelineConfig {
         TimelineConfig {
             window_us: 5_000_000,
             baseline_windows: 12,
-            degraded_frac: 0.95,
-            failover_frac: 0.5,
-            grace_windows: 2,
         }
     }
 }
@@ -371,7 +371,7 @@ pub struct AvailabilityReport {
     /// Deepest WIPS dip during the degraded stretch, as a percentage
     /// of baseline lost (100 = total outage, 0 = no dip).
     pub wips_dip_pct: f64,
-    /// Crash → start of the first window back at ≥ `degraded_frac` of
+    /// Crash → start of the first window back at ≥ `DEGRADED_FRAC` of
     /// baseline. `None` when the run never degraded or never ramped
     /// back inside the trace.
     pub ramp_to_95pct_us: Option<u64>,
@@ -423,10 +423,10 @@ pub fn availability_reports_for(
         } else {
             wips[cw]
         };
-        let degraded_threshold = cfg.degraded_frac * baseline;
+        let degraded_threshold = DEGRADED_FRAC * baseline;
         // Find the degraded stretch: first window at/after the crash
         // (within grace) below threshold, extended while still below.
-        let from = (cw..n.min(cw + cfg.grace_windows + 1)).find(|&w| wips[w] < degraded_threshold);
+        let from = (cw..n.min(cw + GRACE_WINDOWS + 1)).find(|&w| wips[w] < degraded_threshold);
         let until = from.map(|f| {
             let mut u = f;
             while u < n && wips[u] < degraded_threshold {
@@ -456,7 +456,7 @@ pub fn availability_reports_for(
         // Failover: first window (from the degradation start, else the
         // crash window) whose WIPS is back above the failover fraction;
         // the service has failed over once that window *ends*.
-        let failover_threshold = cfg.failover_frac * baseline;
+        let failover_threshold = FAILOVER_FRAC * baseline;
         let time_to_failover = (from.unwrap_or(cw)..n)
             .find(|w| wips[*w] >= failover_threshold)
             .map(|w| ((w as u64 + 1) * tl.window_us).saturating_sub(marker.t_us));

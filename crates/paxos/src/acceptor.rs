@@ -597,19 +597,6 @@ mod tests {
         let out = a.on_accept(b2, Slot(0), Decree::Noop);
         assert!(matches!(out.record, Some(Record::Accepted { ballot, .. }) if ballot == b2));
     }
-}
-// (test appended by maintenance; see tests module above for the rest)
-#[cfg(test)]
-mod orphan_tests {
-    use super::*;
-
-    fn pid(node: u32, seq: u64) -> ProposalId {
-        ProposalId {
-            node: ReplicaId(node),
-            epoch: 0,
-            seq,
-        }
-    }
 
     #[test]
     fn collision_loser_can_be_fast_accepted_again() {
@@ -633,20 +620,6 @@ mod orphan_tests {
             "orphaned proposal must be re-acceptable"
         );
     }
-}
-
-#[cfg(test)]
-mod round_scope_tests {
-    use super::*;
-
-    fn pid(node: u32, seq: u64) -> ProposalId {
-        ProposalId {
-            node: ReplicaId(node),
-            epoch: 0,
-            seq,
-        }
-    }
-
     #[test]
     fn dedup_cleared_by_new_ballot() {
         let mut a: Acceptor<&str> = Acceptor::new();
@@ -665,20 +638,6 @@ mod round_scope_tests {
             "retry must land under the new round"
         );
     }
-}
-
-#[cfg(test)]
-mod single_vote_tests {
-    use super::*;
-
-    fn pid(node: u32, seq: u64) -> ProposalId {
-        ProposalId {
-            node: ReplicaId(node),
-            epoch: 0,
-            seq,
-        }
-    }
-
     #[test]
     fn never_votes_twice_in_one_round() {
         let mut a: Acceptor<&str> = Acceptor::new();

@@ -23,7 +23,7 @@ use crate::config::{
 use crate::fd::{FailureDetector, Mode};
 use crate::leader::{Leader, LeaderPhase};
 use crate::learner::{Delivery, Learner};
-use crate::msg::{Effect, Effects, Msg, PersistToken, Record};
+use crate::msg::{AcceptedReport, Effect, Effects, Msg, PersistToken, Record};
 use crate::proposer::Proposer;
 use crate::types::{Ballot, Decree, Membership, ProposalId, Reconfig, ReplicaId, Slot};
 
@@ -38,7 +38,8 @@ pub struct ReplicaStatus {
     pub ballot: Ballot,
     /// Contiguously decided/delivered watermark.
     pub decided_upto: Slot,
-    /// Proposals issued here and not yet delivered.
+    /// Proposals issued here and not yet delivered, plus other
+    /// replicas' proposals parked here for routing; each counted once.
     pub pending_proposals: usize,
     /// Replicas the failure detector currently counts alive (self
     /// included) — the mode rule requires ⌈3N/4⌉ of them for `Fast`.
@@ -95,10 +96,6 @@ pub struct Replica<V> {
     /// coordinator parks new assignments so no slot above the fence is
     /// decided under the old epoch; delivery of the fence slot clears it.
     reconfig_fence: Option<Slot>,
-    /// This replica was removed from the configuration: it stops
-    /// participating (it only answers catch-up requests) until the
-    /// driver decommissions it.
-    retired: bool,
     /// The configuration epoch in force at the delivery watermark: the
     /// epoch stamped onto [`Effect::Deliver`]. Starts at the replay
     /// base (0 for an empty log, the checkpoint's epoch after recovery
@@ -202,7 +199,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         let quorums = membership.quorums();
         let mut fd = FailureDetector::new(id, quorums, FD_TIMEOUT_US, now);
         fd.set_membership(&membership, now);
-        let retired = !membership.contains(id);
         Replica {
             id,
             acceptor,
@@ -233,7 +229,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             membership,
             pending_reconfig: None,
             reconfig_fence: None,
-            retired,
             trace: EventBuf::default(),
             last_mode: Mode::Blocked,
             config,
@@ -255,31 +250,25 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         self.trace.take()
     }
 
-    /// Records a `ModeSwitch` edge if the detector's mode changed since
-    /// the last check. One branch when the buffer is off; it is on
-    /// whenever the flight ring is, which is the default, so the mode
-    /// rule must stay allocation-free.
-    fn trace_mode_edge(&mut self) {
-        if self.trace.enabled() {
-            let mode = self.fd.mode(self.now);
-            if mode != self.last_mode {
-                self.trace.push(TraceEvent::ModeSwitch {
-                    from: mode_tag(self.last_mode),
-                    to: mode_tag(mode),
-                });
-                self.last_mode = mode;
-            }
-        }
-    }
-
-    /// Polls the failure detector's suspicion edges into the trace
-    /// buffer ([`crate::FdTransition`] → `peer_suspected`/
-    /// `peer_cleared`). Pure observation: the edges never feed back
+    /// Records the failure detector's edges since the last check: a
+    /// `ModeSwitch` if the mode changed, then each suspicion edge
+    /// ([`crate::FdTransition`] → `peer_suspected`/`peer_cleared`). One
+    /// branch when the buffer is off; it is on whenever the flight ring
+    /// is, which is the default, so the mode rule must stay
+    /// allocation-free. Pure observation: the edges never feed back
     /// into `mode()` or any protocol decision, so tracing on or off
     /// cannot perturb a run.
-    fn trace_fd_edges(&mut self) {
+    fn trace_edges(&mut self) {
         if !self.trace.enabled() {
             return;
+        }
+        let mode = self.fd.mode(self.now);
+        if mode != self.last_mode {
+            self.trace.push(TraceEvent::ModeSwitch {
+                from: mode_tag(self.last_mode),
+                to: mode_tag(mode),
+            });
+            self.last_mode = mode;
         }
         for tr in self.fd.poll_transitions(self.now) {
             self.trace.push(match tr {
@@ -302,12 +291,14 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
 
     /// Introspection snapshot.
     pub fn status(&self) -> ReplicaStatus {
+        // Our own parked proposals are already in the proposer's table.
+        let parked_for_peers = self.unrouted.iter().filter(|(pid, _)| pid.node != self.id);
         ReplicaStatus {
             mode: self.fd.mode(self.now),
             leading: self.leader.is_leading(),
             ballot: self.highest_ballot,
             decided_upto: self.learner.next_deliver(),
-            pending_proposals: self.proposer.pending_len() + self.unrouted.len(),
+            pending_proposals: self.proposer.pending_len() + parked_for_peers.count(),
             alive: self.fd.alive_count(self.now),
             epoch: self.membership.epoch(),
             n: self.membership.n(),
@@ -335,7 +326,13 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
     /// Whether this replica was removed by a reconfiguration and is
     /// waiting to be decommissioned.
     pub fn is_retired(&self) -> bool {
-        self.retired
+        self.retired()
+    }
+
+    /// Removed from the configuration: the replica only answers
+    /// catch-up requests until the driver decommissions it.
+    fn retired(&self) -> bool {
+        !self.membership.contains(self.id)
     }
 
     /// Contiguously decided watermark.
@@ -456,28 +453,15 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
     /// Handles one incoming message.
     pub fn on_message(&mut self, from: ReplicaId, msg: Msg<V>, now: u64) -> Vec<Effect<V>> {
         self.now = self.now.max(now);
-        if self.retired {
-            // A removed replica no longer participates; it only answers
-            // catch-up requests until the driver decommissions it.
-            let mut fx = Effects::new();
+        let mut fx = Effects::new();
+        if self.retired() {
             if let Msg::LearnRequest { from_slot } = msg {
-                let (entries, truncated_below, decided_upto) =
-                    self.learner.serve_learn(from_slot, LEARN_CHUNK);
-                fx.send(
-                    from,
-                    Msg::LearnReply {
-                        entries,
-                        truncated_below,
-                        decided_upto,
-                    },
-                );
+                self.answer_learn(from, from_slot, &mut fx);
             }
             return fx.into_vec();
         }
         self.fd.heard(from, self.now);
-        self.trace_mode_edge();
-        self.trace_fd_edges();
-        let mut fx = Effects::new();
+        self.trace_edges();
         match msg {
             Msg::Prepare {
                 ballot,
@@ -493,54 +477,10 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             }
             Msg::Promise {
                 ballot,
-                from_slot: _,
                 only_slot,
                 accepted,
-            } => match only_slot {
-                Some(slot) => {
-                    if let Some((decree, losers)) = self
-                        .leader
-                        .on_recovery_promise(from, ballot, slot, accepted)
-                    {
-                        fx.broadcast(
-                            self.membership.members(),
-                            Msg::Accept {
-                                ballot,
-                                slot,
-                                decree,
-                            },
-                        );
-                        // Rescue collision losers right away: assign them
-                        // fresh slots under the main ballot instead of
-                        // waiting out their proposers' retry timers (or
-                        // park them while a reconfiguration fence holds).
-                        for (pid, value) in losers {
-                            if !self.learner.was_delivered(pid) && self.leader.is_leading() {
-                                if self.reconfig_fence.is_some() {
-                                    self.unrouted.push((pid, value));
-                                    continue;
-                                }
-                                let rescue_slot = self.leader.assign_slot();
-                                let main = self.leader.ballot;
-                                fx.broadcast(
-                                    self.membership.members(),
-                                    Msg::Accept {
-                                        ballot: main,
-                                        slot: rescue_slot,
-                                        decree: Decree::Value(pid, value),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                None => {
-                    if let Some((plan, next_free)) = self.leader.on_promise(from, ballot, accepted)
-                    {
-                        self.issue_plan(ballot, plan, next_free, &mut fx);
-                    }
-                }
-            },
+                ..
+            } => self.handle_promise(from, ballot, only_slot, accepted, &mut fx),
             Msg::Accept {
                 ballot,
                 slot,
@@ -570,32 +510,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                     self.classic_assign(pid, value, &mut fx);
                 }
             }
-            Msg::Propose { pid, value } => {
-                if self.learner.was_delivered(pid) {
-                    // Already decided; drop the retry.
-                } else if self.leader.is_leading() {
-                    if self.leader.ballot.is_fast() {
-                        if self.fd.mode(self.now) == Mode::Fast {
-                            // Relay onto the fast path on the proposer's behalf.
-                            fx.broadcast(
-                                self.membership.members(),
-                                Msg::FastPropose { pid, value },
-                            );
-                        } else {
-                            // Fast ballot but the detector has degraded:
-                            // park until the class-mismatch election
-                            // re-prepares with a classic ballot.
-                            self.unrouted.push((pid, value));
-                        }
-                    } else {
-                        self.classic_assign(pid, value, &mut fx);
-                    }
-                } else if self.leader.phase == LeaderPhase::Preparing {
-                    // Phase 1 in flight: park and serve once leading.
-                    self.unrouted.push((pid, value));
-                }
-                // Otherwise drop; the proposer's retry will re-route.
-            }
+            Msg::Propose { pid, value } => self.handle_propose(pid, value, &mut fx),
             Msg::Accepted {
                 ballot,
                 slot,
@@ -617,67 +532,8 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             Msg::Alive {
                 ballot,
                 decided_upto,
-            } => {
-                self.observe_ballot(ballot);
-                if from == self.id {
-                    // Our own looped-back heartbeat carries no catch-up
-                    // information.
-                    return fx.into_vec();
-                }
-                // Catch-up: a peer is decidedly ahead of us.
-                let next = self.learner.next_deliver();
-                let behind = decided_upto.0.saturating_sub(next.0);
-                if self.recovering && behind == 0 {
-                    self.recovering = false;
-                }
-                let threshold = if self.recovering {
-                    0
-                } else {
-                    CATCHUP_LAG_SLOTS
-                };
-                // A small lag is normally transient (broadcasts still in
-                // flight) — but if it persists with no delivery progress,
-                // the missing `Accepted`s were lost for good (e.g. the
-                // tail of a burst over a lossy link) and only an explicit
-                // learn request can close it.
-                let tail_stalled = if behind == 0 {
-                    self.lag_since = None;
-                    false
-                } else {
-                    match self.lag_since {
-                        Some((mark, since)) if mark == next => {
-                            self.now.saturating_sub(since) > TAIL_CATCHUP_GRACE_US
-                        }
-                        _ => {
-                            self.lag_since = Some((next, self.now));
-                            false
-                        }
-                    }
-                };
-                if (behind > threshold || tail_stalled)
-                    && self.now.saturating_sub(self.last_learn_request) > ALIVE_CATCHUP_THROTTLE_US
-                {
-                    self.last_learn_request = self.now;
-                    fx.send(
-                        from,
-                        Msg::LearnRequest {
-                            from_slot: self.learner.next_deliver(),
-                        },
-                    );
-                }
-            }
-            Msg::LearnRequest { from_slot } => {
-                let (entries, truncated_below, decided_upto) =
-                    self.learner.serve_learn(from_slot, LEARN_CHUNK);
-                fx.send(
-                    from,
-                    Msg::LearnReply {
-                        entries,
-                        truncated_below,
-                        decided_upto,
-                    },
-                );
-            }
+            } => self.handle_alive(from, ballot, decided_upto, &mut fx),
+            Msg::LearnRequest { from_slot } => self.answer_learn(from, from_slot, &mut fx),
             Msg::LearnReply {
                 entries,
                 truncated_below,
@@ -690,17 +546,143 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                     // flag for a middleware-level snapshot transfer.
                     self.snapshot_needed = Some((from, truncated_below));
                 } else if decided_upto > self.learner.next_deliver() {
-                    self.last_learn_request = self.now;
-                    fx.send(
-                        from,
-                        Msg::LearnRequest {
-                            from_slot: self.learner.next_deliver(),
-                        },
-                    );
+                    self.request_learn(from, &mut fx);
                 }
             }
         }
         fx.into_vec()
+    }
+
+    /// A phase-1b reply. A single-slot recovery's decree goes out as
+    /// soon as its quorum answers, with the collision losers rescued; a
+    /// whole-range prepare issues its plan once complete.
+    fn handle_promise(
+        &mut self,
+        from: ReplicaId,
+        ballot: Ballot,
+        only_slot: Option<Slot>,
+        accepted: Vec<AcceptedReport<V>>,
+        fx: &mut Effects<V>,
+    ) {
+        let Some(slot) = only_slot else {
+            if let Some((plan, next_free)) = self.leader.on_promise(from, ballot, accepted) {
+                self.issue_plan(ballot, plan, next_free, fx);
+            }
+            return;
+        };
+        let Some((decree, losers)) = self
+            .leader
+            .on_recovery_promise(from, ballot, slot, accepted)
+        else {
+            return;
+        };
+        self.send_accept(ballot, slot, decree, fx);
+        // Rescue collision losers right away: assign them fresh slots
+        // under the main ballot instead of waiting out their proposers'
+        // retry timers (or park them while a reconfiguration fence
+        // holds). Unlike `classic_assign` this assigns even while the
+        // detector reads `Blocked`.
+        for (pid, value) in losers {
+            if self.learner.was_delivered(pid) || !self.leader.is_leading() {
+                continue;
+            }
+            if self.reconfig_fence.is_some() {
+                self.unrouted.push((pid, value));
+            } else {
+                let fresh = self.leader.assign_slot();
+                self.send_accept(self.leader.ballot, fresh, Decree::Value(pid, value), fx);
+            }
+        }
+    }
+
+    /// A heartbeat: adopt its ballot and, when the sender is decidedly
+    /// ahead of us (or a small lag behind it has stalled), ask it for
+    /// the missing slots.
+    fn handle_alive(&mut self, from: ReplicaId, ballot: Ballot, upto: Slot, fx: &mut Effects<V>) {
+        self.observe_ballot(ballot);
+        if from == self.id {
+            // Our own looped-back heartbeat carries no catch-up
+            // information.
+            return;
+        }
+        let next = self.learner.next_deliver();
+        let behind = upto.0.saturating_sub(next.0);
+        if self.recovering && behind == 0 {
+            self.recovering = false;
+        }
+        let threshold = if self.recovering {
+            0
+        } else {
+            CATCHUP_LAG_SLOTS
+        };
+        // A small lag is normally transient (broadcasts still in
+        // flight) — but if it persists with no delivery progress, the
+        // missing `Accepted`s were lost for good (e.g. the tail of a
+        // burst over a lossy link) and only an explicit learn request
+        // can close it.
+        let tail_stalled = if behind == 0 {
+            self.lag_since = None;
+            false
+        } else {
+            match self.lag_since {
+                Some((mark, since)) if mark == next => {
+                    self.now.saturating_sub(since) > TAIL_CATCHUP_GRACE_US
+                }
+                _ => {
+                    self.lag_since = Some((next, self.now));
+                    false
+                }
+            }
+        };
+        if (behind > threshold || tail_stalled)
+            && self.now.saturating_sub(self.last_learn_request) > ALIVE_CATCHUP_THROTTLE_US
+        {
+            self.request_learn(from, fx);
+        }
+    }
+
+    /// A proposal sent to us as coordinator: ordered under a classic
+    /// ballot, relayed onto the fast path under a fast one, parked while
+    /// neither can proceed yet, and otherwise dropped — the proposer's
+    /// retry re-routes it.
+    fn handle_propose(&mut self, pid: ProposalId, value: V, fx: &mut Effects<V>) {
+        if self.learner.was_delivered(pid) {
+            // Already decided; drop the retry.
+        } else if self.leader.is_leading() {
+            if !self.leader.ballot.is_fast() {
+                self.classic_assign(pid, value, fx);
+            } else if self.fd.mode(self.now) == Mode::Fast {
+                // Relay onto the fast path on the proposer's behalf.
+                fx.broadcast(self.membership.members(), Msg::FastPropose { pid, value });
+            } else {
+                // Fast ballot but the detector has degraded: park until
+                // the class-mismatch election re-prepares with a classic
+                // ballot.
+                self.unrouted.push((pid, value));
+            }
+        } else if self.leader.phase == LeaderPhase::Preparing {
+            // Phase 1 in flight: park and serve once leading.
+            self.unrouted.push((pid, value));
+        }
+    }
+
+    /// Asks `peer` for the decided slots from our delivery watermark on.
+    fn request_learn(&mut self, peer: ReplicaId, fx: &mut Effects<V>) {
+        self.last_learn_request = self.now;
+        let from_slot = self.learner.next_deliver();
+        fx.send(peer, Msg::LearnRequest { from_slot });
+    }
+
+    /// Serves `peer`'s catch-up request from the decided log.
+    fn answer_learn(&self, peer: ReplicaId, from_slot: Slot, fx: &mut Effects<V>) {
+        let (entries, truncated_below, decided_upto) =
+            self.learner.serve_learn(from_slot, LEARN_CHUNK);
+        let reply = Msg::LearnReply {
+            entries,
+            truncated_below,
+            decided_upto,
+        };
+        fx.send(peer, reply);
     }
 
     /// Takes the pending snapshot-transfer requirement, if a catch-up
@@ -780,7 +762,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         };
         self.install_membership(next, Some(slot));
         fx.reconfigured(slot, self.membership.clone());
-        if !self.retired {
+        if !self.retired() {
             // Proposals parked behind the fence can flow again.
             self.flush_unrouted(fx);
         }
@@ -792,7 +774,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         self.learner.set_quorums(quorums);
         self.leader.set_quorums(quorums);
         self.fd.set_membership(&self.membership, self.now);
-        self.retired = !self.membership.contains(self.id);
         self.trace.push(TraceEvent::EpochChanged {
             epoch: self.membership.epoch(),
             n: self.membership.n() as u32,
@@ -822,7 +803,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         remove: Vec<ReplicaId>,
     ) -> (bool, Vec<Effect<V>>) {
         let mut fx = Effects::new();
-        if self.retired
+        if self.retired()
             || !self.leader.is_leading()
             || self.pending_reconfig.is_some()
             || self.reconfig_fence.is_some()
@@ -845,23 +826,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         });
         if self.leader.ballot.is_fast() {
             self.pending_reconfig = Some(rc);
-            let from_slot = self.learner.next_deliver();
-            let ballot = self.leader.start_prepare(false, from_slot);
-            self.trace.push(TraceEvent::PrepareStarted {
-                round: ballot.round,
-                fast: false,
-            });
-            self.highest_ballot = ballot;
-            self.fast_window = None;
-            self.prepare_started = self.now;
-            fx.broadcast(
-                self.membership.members(),
-                Msg::Prepare {
-                    ballot,
-                    from_slot,
-                    only_slot: None,
-                },
-            );
+            self.start_phase1(false, &mut fx);
         } else {
             self.assign_reconfig(rc, &mut fx);
         }
@@ -876,15 +841,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         }
         let slot = self.leader.assign_slot();
         self.reconfig_fence = Some(slot);
-        let ballot = self.leader.ballot;
-        fx.broadcast(
-            self.membership.members(),
-            Msg::Accept {
-                ballot,
-                slot,
-                decree: Decree::Reconfig(rc),
-            },
-        );
+        self.send_accept(self.leader.ballot, slot, Decree::Reconfig(rc), fx);
     }
 
     fn classic_assign(&mut self, pid: ProposalId, value: V, fx: &mut Effects<V>) {
@@ -895,15 +852,51 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             return;
         }
         let slot = self.leader.assign_slot();
-        let ballot = self.leader.ballot;
-        fx.broadcast(
-            self.membership.members(),
-            Msg::Accept {
+        self.send_accept(self.leader.ballot, slot, Decree::Value(pid, value), fx);
+    }
+
+    /// Broadcasts a phase-2a `Accept` to the current members.
+    fn send_accept(&self, ballot: Ballot, slot: Slot, decree: Decree<V>, fx: &mut Effects<V>) {
+        let accept = Msg::Accept {
+            ballot,
+            slot,
+            decree,
+        };
+        fx.broadcast(self.membership.members(), accept);
+    }
+
+    /// Starts phase 1 over every slot from the delivery watermark with a
+    /// fresh ballot of the requested class. It closes the fast window:
+    /// the prepare outranks the `Any` that opened it.
+    fn start_phase1(&mut self, fast: bool, fx: &mut Effects<V>) {
+        let from_slot = self.learner.next_deliver();
+        let ballot = self.leader.start_prepare(fast, from_slot);
+        self.trace.push(TraceEvent::PrepareStarted {
+            round: ballot.round,
+            fast: ballot.is_fast(),
+        });
+        self.highest_ballot = ballot;
+        self.fast_window = None;
+        self.prepare_started = self.now;
+        let prepare = Msg::Prepare {
+            ballot,
+            from_slot,
+            only_slot: None,
+        };
+        fx.broadcast(self.membership.members(), prepare);
+    }
+
+    /// Starts a single-slot recovery round at `slot` unless one already
+    /// runs there.
+    fn prepare_slot(&mut self, slot: Slot, fx: &mut Effects<V>) {
+        if let Some(ballot) = self.leader.start_recovery(slot, self.now) {
+            let prepare = Msg::Prepare {
                 ballot,
-                slot,
-                decree: Decree::Value(pid, value),
-            },
-        );
+                from_slot: slot,
+                only_slot: Some(slot),
+            };
+            fx.broadcast(self.membership.members(), prepare);
+        }
     }
 
     fn issue_plan(
@@ -920,14 +913,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             fast: ballot.is_fast(),
         });
         for (slot, decree) in plan {
-            fx.broadcast(
-                self.membership.members(),
-                Msg::Accept {
-                    ballot,
-                    slot,
-                    decree,
-                },
-            );
+            self.send_accept(ballot, slot, decree, fx);
         }
         if ballot.is_fast() {
             // Only open the fast window if the mode rule still holds at
@@ -976,18 +962,8 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         }
         let stuck = self.learner.stuck_slots(self.now, COLLISION_TIMEOUT_US);
         for slot in stuck {
-            if self.learner.is_decided(slot) {
-                continue;
-            }
-            if let Some(ballot) = self.leader.start_recovery(slot, self.now) {
-                fx.broadcast(
-                    self.membership.members(),
-                    Msg::Prepare {
-                        ballot,
-                        from_slot: slot,
-                        only_slot: Some(slot),
-                    },
-                );
+            if !self.learner.is_decided(slot) {
+                self.prepare_slot(slot, fx);
             }
         }
     }
@@ -997,11 +973,10 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
     /// milliseconds of driver time.
     pub fn on_tick(&mut self, now: u64) -> Vec<Effect<V>> {
         self.now = self.now.max(now);
-        if self.retired {
+        if self.retired() {
             return Vec::new();
         }
-        self.trace_mode_edge();
-        self.trace_fd_edges();
+        self.trace_edges();
         let mut fx = Effects::new();
 
         if self.recovering && self.membership.n() == 1 {
@@ -1013,99 +988,20 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         // Heartbeats.
         if self.now.saturating_sub(self.last_heartbeat) >= HEARTBEAT_INTERVAL_US {
             self.last_heartbeat = self.now;
-            fx.broadcast(
-                self.membership.members(),
-                Msg::Alive {
-                    ballot: self.highest_ballot,
-                    decided_upto: self.learner.next_deliver(),
-                },
-            );
+            let heartbeat = Msg::Alive {
+                ballot: self.highest_ballot,
+                decided_upto: self.learner.next_deliver(),
+            };
+            fx.broadcast(self.membership.members(), heartbeat);
         }
 
         let mode = self.fd.mode(self.now);
-        // While a reconfiguration is in flight, hold the classic class:
-        // a fast re-prepare would reopen the window and let fast
-        // proposals claim slots above the fence under the old epoch.
-        let want_fast = mode == Mode::Fast
-            && self.config.fast_enabled
-            && self.pending_reconfig.is_none()
-            && self.reconfig_fence.is_none();
-
-        if mode != Mode::Blocked && self.fd.candidate(self.now) == self.id {
-            let owner_dead = self.highest_ballot != Ballot::BOTTOM
-                && !self.fd.is_alive(self.highest_ballot.node, self.now);
-            let class_mismatch =
-                self.leader.is_leading() && self.leader.ballot.is_fast() != want_fast;
-            let should_elect = match self.leader.phase {
-                LeaderPhase::Idle => {
-                    self.highest_ballot == Ballot::BOTTOM
-                        || owner_dead
-                        || self.highest_ballot.node == self.id
-                }
-                LeaderPhase::Preparing => {
-                    // Election stalled (lost messages): retry.
-                    if self.now.saturating_sub(self.prepare_started) > PREPARE_GRACE_US
-                        && self.leader.promise_count() >= 1
-                    {
-                        // Grace expired: finalize with the quorum we have.
-                        let ballot = self.leader.ballot;
-                        if let Some((plan, next_free)) = self.leader.finalize_prepare() {
-                            self.issue_plan(ballot, plan, next_free, &mut fx);
-                        }
-                    }
-                    self.now.saturating_sub(self.prepare_started) > FD_TIMEOUT_US
-                }
-                LeaderPhase::Leading => class_mismatch,
-            };
-            if should_elect {
-                let from_slot = self.learner.next_deliver();
-                let ballot = self.leader.start_prepare(want_fast, from_slot);
-                self.trace.push(TraceEvent::PrepareStarted {
-                    round: ballot.round,
-                    fast: ballot.is_fast(),
-                });
-                self.highest_ballot = ballot;
-                self.fast_window = None;
-                self.prepare_started = self.now;
-                fx.broadcast(
-                    self.membership.members(),
-                    Msg::Prepare {
-                        ballot,
-                        from_slot,
-                        only_slot: None,
-                    },
-                );
-            }
-        }
-
-        // Gap repair: if delivery is blocked by a hole whose slot was
-        // decided while we were down (or deaf), ongoing traffic can
-        // never fill it — fetch it explicitly from a live peer.
-        if mode != Mode::Blocked
-            && self.learner.gapped(self.now, 2 * COLLISION_TIMEOUT_US)
-            && self.now.saturating_sub(self.last_learn_request) > GAP_REPAIR_THROTTLE_US
-        {
-            let target = if self.highest_ballot != Ballot::BOTTOM
-                && self.highest_ballot.node != self.id
-                && self.fd.is_alive(self.highest_ballot.node, self.now)
-            {
-                Some(self.highest_ballot.node)
-            } else {
-                self.fd.alive(self.now).into_iter().find(|p| *p != self.id)
-            };
-            if let Some(target) = target {
-                self.last_learn_request = self.now;
-                fx.send(
-                    target,
-                    Msg::LearnRequest {
-                        from_slot: self.learner.next_deliver(),
-                    },
-                );
-            }
-        }
-
-        // Proposal retries and parked proposals.
         if mode != Mode::Blocked {
+            if self.fd.candidate(self.now) == self.id {
+                self.run_election(mode, &mut fx);
+            }
+            self.repair_gap(&mut fx);
+            // Proposal retries and parked proposals.
             let expired = self.proposer.expired(self.now, PROPOSE_RETRY_US);
             for (pid, value) in expired {
                 if !self.learner.was_delivered(pid) {
@@ -1123,19 +1019,74 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 .stalled_recoveries(self.now, 4 * COLLISION_TIMEOUT_US)
             {
                 self.leader.cancel_recovery(slot);
-                if let Some(ballot) = self.leader.start_recovery(slot, self.now) {
-                    fx.broadcast(
-                        self.membership.members(),
-                        Msg::Prepare {
-                            ballot,
-                            from_slot: slot,
-                            only_slot: Some(slot),
-                        },
-                    );
-                }
+                self.prepare_slot(slot, &mut fx);
             }
         }
 
         fx.into_vec()
+    }
+
+    /// The election rule, run by the failure detector's candidate: start
+    /// phase 1 when no live coordinator holds the highest ballot, when a
+    /// prepare has stalled past the detector timeout (finalizing with
+    /// the promises in hand once the grace expires), or when the leading
+    /// ballot's class no longer matches the mode.
+    fn run_election(&mut self, mode: Mode, fx: &mut Effects<V>) {
+        // While a reconfiguration is in flight, hold the classic class:
+        // a fast re-prepare would reopen the window and let fast
+        // proposals claim slots above the fence under the old epoch.
+        let want_fast = mode == Mode::Fast
+            && self.config.fast_enabled
+            && self.pending_reconfig.is_none()
+            && self.reconfig_fence.is_none();
+        let owner_dead = self.highest_ballot != Ballot::BOTTOM
+            && !self.fd.is_alive(self.highest_ballot.node, self.now);
+        let should_elect = match self.leader.phase {
+            LeaderPhase::Idle => {
+                self.highest_ballot == Ballot::BOTTOM
+                    || owner_dead
+                    || self.highest_ballot.node == self.id
+            }
+            LeaderPhase::Preparing => {
+                // Election stalled (lost messages): retry.
+                if self.now.saturating_sub(self.prepare_started) > PREPARE_GRACE_US
+                    && self.leader.promise_count() >= 1
+                {
+                    // Grace expired: finalize with the quorum we have.
+                    let ballot = self.leader.ballot;
+                    if let Some((plan, next_free)) = self.leader.finalize_prepare() {
+                        self.issue_plan(ballot, plan, next_free, fx);
+                    }
+                }
+                self.now.saturating_sub(self.prepare_started) > FD_TIMEOUT_US
+            }
+            LeaderPhase::Leading => self.leader.ballot.is_fast() != want_fast,
+        };
+        if should_elect {
+            self.start_phase1(want_fast, fx);
+        }
+    }
+
+    /// Gap repair: if delivery is blocked by a hole whose slot was
+    /// decided while we were down (or deaf), ongoing traffic can never
+    /// fill it — fetch it explicitly from a live peer.
+    fn repair_gap(&mut self, fx: &mut Effects<V>) {
+        if !self.learner.gapped(self.now, 2 * COLLISION_TIMEOUT_US)
+            || self.now.saturating_sub(self.last_learn_request) <= GAP_REPAIR_THROTTLE_US
+        {
+            return;
+        }
+        let owner = self.highest_ballot.node;
+        let target = if self.highest_ballot != Ballot::BOTTOM
+            && owner != self.id
+            && self.fd.is_alive(owner, self.now)
+        {
+            Some(owner)
+        } else {
+            self.fd.alive(self.now).into_iter().find(|p| *p != self.id)
+        };
+        if let Some(target) = target {
+            self.request_learn(target, fx);
+        }
     }
 }

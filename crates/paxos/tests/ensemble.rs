@@ -1,240 +1,21 @@
 //! Whole-ensemble protocol tests.
 //!
-//! A tiny deterministic harness drives N `Replica`s with synchronous
-//! message delivery and immediate persistence completion. It checks the
-//! two properties the middleware depends on:
+//! The shared in-memory ensemble (`common`) drives N `Replica`s with
+//! synchronous message delivery and immediate persistence completion.
+//! These tests check the two properties the middleware depends on:
 //!
 //! * **agreement / total order** — delivered sequences at all replicas
 //!   are consistent prefixes of one another;
 //! * **exactly-once** — no proposal id is delivered twice at a replica.
 
-use std::collections::VecDeque;
+mod common;
 
-use paxos::{Effect, Mode, Msg, PaxosConfig, ProposalId, Record, Replica, ReplicaId, Slot};
+use common::{Ensemble, TICK};
+use paxos::{Effect, Mode, PaxosConfig, Slot};
 
 type Value = u64;
 
-/// Deterministic in-memory ensemble driver.
-struct Ensemble {
-    replicas: Vec<Option<Replica<Value>>>,
-    /// Durable acceptor log per node (survives crashes).
-    logs: Vec<Vec<Record<Value>>>,
-    /// Delivered (slot, pid, value) per node, in delivery order.
-    delivered: Vec<Vec<(Slot, ProposalId, Value)>>,
-    /// Observed `Reconfigured` effects per node: (fence slot, new epoch).
-    reconfigs: Vec<Vec<(Slot, u64)>>,
-    inboxes: Vec<VecDeque<(ReplicaId, Msg<Value>)>>,
-    config: PaxosConfig,
-    now: u64,
-    epochs: Vec<u64>,
-}
-
-impl Ensemble {
-    fn new(config: PaxosConfig) -> Self {
-        let n = config.n;
-        Ensemble {
-            replicas: (0..n)
-                .map(|i| Some(Replica::new(ReplicaId(i as u32), config.clone(), 0)))
-                .collect(),
-            logs: vec![Vec::new(); n],
-            delivered: vec![Vec::new(); n],
-            reconfigs: vec![Vec::new(); n],
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
-            config,
-            now: 0,
-            epochs: vec![0; n],
-        }
-    }
-
-    /// Grows the per-node vectors so `idx` is addressable (joining
-    /// replicas get ids beyond the seed ensemble).
-    fn ensure_node(&mut self, idx: usize) {
-        while self.replicas.len() <= idx {
-            self.replicas.push(None);
-            self.logs.push(Vec::new());
-            self.delivered.push(Vec::new());
-            self.reconfigs.push(Vec::new());
-            self.inboxes.push(VecDeque::new());
-            self.epochs.push(0);
-        }
-    }
-
-    fn apply_effects(&mut self, node: usize, effects: Vec<Effect<Value>>) {
-        let mut queue = VecDeque::from(effects);
-        while let Some(effect) = queue.pop_front() {
-            match effect {
-                Effect::Send { to, msg } => {
-                    if let Some(Some(_)) = self.replicas.get(to.index()) {
-                        self.inboxes[to.index()].push_back((ReplicaId(node as u32), msg));
-                    }
-                }
-                Effect::Persist { record, token } => {
-                    // Synchronous "disk": durable immediately.
-                    self.logs[node].push(record);
-                    if let Some(r) = self.replicas[node].as_mut() {
-                        queue.extend(r.on_persisted(token));
-                    }
-                }
-                Effect::Deliver {
-                    slot, pid, value, ..
-                } => {
-                    self.delivered[node].push((slot, pid, value));
-                }
-                Effect::Reconfigured { slot, membership } => {
-                    self.reconfigs[node].push((slot, membership.epoch()));
-                }
-            }
-        }
-    }
-
-    /// Drains all inboxes until quiescent.
-    fn settle(&mut self) {
-        loop {
-            let mut progressed = false;
-            for i in 0..self.replicas.len() {
-                while let Some((from, msg)) = self.inboxes[i].pop_front() {
-                    progressed = true;
-                    if let Some(r) = self.replicas[i].as_mut() {
-                        let fx = r.on_message(from, msg, self.now);
-                        self.apply_effects(i, fx);
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    /// Advances time by `dt` µs, ticking every replica and settling.
-    fn step(&mut self, dt: u64) {
-        self.now += dt;
-        for i in 0..self.replicas.len() {
-            if let Some(r) = self.replicas[i].as_mut() {
-                let fx = r.on_tick(self.now);
-                self.apply_effects(i, fx);
-            }
-        }
-        self.settle();
-    }
-
-    /// Runs `steps` ticks of `dt` µs each.
-    fn run(&mut self, steps: usize, dt: u64) {
-        for _ in 0..steps {
-            self.step(dt);
-        }
-    }
-
-    fn propose(&mut self, node: usize, value: Value) -> ProposalId {
-        let (pid, fx) = self.replicas[node]
-            .as_mut()
-            .expect("proposing on a live node")
-            .propose(value);
-        self.apply_effects(node, fx);
-        self.settle();
-        pid
-    }
-
-    fn crash(&mut self, node: usize) {
-        self.replicas[node] = None;
-        self.inboxes[node].clear();
-    }
-
-    /// Asks `node`'s leader role to reconfigure the ensemble; applies
-    /// the resulting effects and settles. Returns whether the leader
-    /// took the request.
-    fn reconfig(&mut self, node: usize, add: &[u32], remove: &[u32]) -> bool {
-        let (ok, fx) = self.replicas[node]
-            .as_mut()
-            .expect("reconfig on a live node")
-            .propose_reconfig(
-                add.iter().map(|&i| ReplicaId(i)).collect(),
-                remove.iter().map(|&i| ReplicaId(i)).collect(),
-            );
-        self.apply_effects(node, fx);
-        self.settle();
-        ok
-    }
-
-    /// Boots a brand-new replica `node` with the membership currently
-    /// installed at live replica `from` (the driver-level analogue of
-    /// provisioning a spare and handing it the cluster config).
-    fn join(&mut self, node: usize, from: usize) {
-        self.ensure_node(node);
-        assert!(self.replicas[node].is_none());
-        let membership = self.replicas[from]
-            .as_ref()
-            .expect("seed member alive")
-            .membership()
-            .clone();
-        let r = Replica::new_with_membership(
-            ReplicaId(node as u32),
-            self.config.clone(),
-            membership,
-            self.now,
-        );
-        self.replicas[node] = Some(r);
-    }
-
-    /// Restarts a crashed node from its durable log; `start_slot` is the
-    /// application checkpoint watermark (0 = replay everything via
-    /// catch-up from peers).
-    fn restart(&mut self, node: usize, start_slot: Slot) {
-        assert!(self.replicas[node].is_none());
-        self.epochs[node] += 1;
-        let r = Replica::recover(
-            ReplicaId(node as u32),
-            self.config.clone(),
-            self.logs[node].iter(),
-            start_slot,
-            self.epochs[node],
-            self.now,
-        );
-        self.replicas[node] = Some(r);
-        self.delivered[node].clear(); // fresh incarnation delivers from start_slot
-    }
-
-    /// Asserts all live replicas' delivered sequences are consistent
-    /// prefixes (same slots in the same order with the same values).
-    fn assert_agreement(&self) {
-        let seqs: Vec<&Vec<(Slot, ProposalId, Value)>> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_some())
-            .map(|(i, _)| &self.delivered[i])
-            .collect();
-        for w in seqs.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            // Align by slot: a checkpoint-recovered replica starts
-            // delivering mid-log, so compare the overlapping slot range.
-            for (slot, pid, value) in a.iter() {
-                if let Some((_, pid2, value2)) = b.iter().find(|(s2, _, _)| s2 == slot) {
-                    assert_eq!((pid, value), (pid2, value2), "divergence at {slot:?}");
-                }
-            }
-        }
-        // Exactly-once per replica.
-        for d in &self.delivered {
-            let mut pids: Vec<ProposalId> = d.iter().map(|(_, p, _)| *p).collect();
-            pids.sort();
-            pids.dedup();
-            assert_eq!(pids.len(), d.len(), "duplicate delivery");
-        }
-    }
-
-    fn max_delivered(&self) -> usize {
-        self.delivered.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    fn live_status(&self, node: usize) -> paxos::ReplicaStatus {
-        self.replicas[node].as_ref().unwrap().status()
-    }
-}
-
-const TICK: u64 = 20_000; // 20 ms
-
-fn stabilized(config: PaxosConfig) -> Ensemble {
+fn stabilized(config: PaxosConfig) -> Ensemble<Value> {
     let mut e = Ensemble::new(config);
     e.run(30, TICK); // 600 ms: election + Any propagation
     e
@@ -463,6 +244,20 @@ fn pending_proposals_drain_to_zero() {
 }
 
 #[test]
+fn a_parked_proposal_is_pending_once() {
+    // Below a majority the survivor parks its proposal: it sits in the
+    // proposer's retry table and in the routing queue, and is still one
+    // proposal.
+    let mut e = stabilized(PaxosConfig::lan(3));
+    e.crash(1);
+    e.crash(2);
+    e.run(40, TICK); // past the failure detector's timeout
+    assert_eq!(e.live_status(0).mode, Mode::Blocked);
+    e.propose(0, 7);
+    assert_eq!(e.live_status(0).pending_proposals, 1);
+}
+
+#[test]
 fn four_replica_ensemble_matches_paper_minimum() {
     // The paper's baseline deployment is 4 replicas (fast quorum 3).
     let mut e = stabilized(PaxosConfig::lan(4));
@@ -492,50 +287,6 @@ fn twelve_replica_ensemble_scales() {
     e.run(80, TICK);
     e.assert_agreement();
     assert_eq!(e.delivered[0].len(), 24);
-}
-
-#[test]
-#[ignore]
-fn debug_two_crashes() {
-    let mut e = stabilized(PaxosConfig::lan(5));
-    for i in 0..10 {
-        e.propose(i as usize % 5, i);
-    }
-    e.run(10, TICK);
-    println!(
-        "after first 10: {:?}",
-        e.delivered.iter().map(Vec::len).collect::<Vec<_>>()
-    );
-    e.crash(1);
-    e.crash(2);
-    e.run(40, TICK);
-    println!("mode at 0: {:?}", e.live_status(0));
-    for i in 10..20 {
-        e.propose(i as usize % 2 * 3, i);
-    }
-    e.run(20, TICK);
-    println!(
-        "after 20: {:?}",
-        e.delivered.iter().map(Vec::len).collect::<Vec<_>>()
-    );
-    e.restart(1, Slot::ZERO);
-    e.restart(2, Slot::ZERO);
-    e.run(120, TICK);
-    println!(
-        "after restart: {:?}",
-        e.delivered.iter().map(Vec::len).collect::<Vec<_>>()
-    );
-    for i in 20..25 {
-        e.propose(1, i);
-    }
-    e.run(60, TICK);
-    println!(
-        "end: {:?}",
-        e.delivered.iter().map(Vec::len).collect::<Vec<_>>()
-    );
-    for i in 0..5 {
-        println!("status {i}: {:?}", e.live_status(i));
-    }
 }
 
 #[test]

@@ -3,103 +3,14 @@
 //! delivery, and must reach quiescence (all proposals decided) whenever
 //! a majority survives.
 
-use std::collections::VecDeque;
+mod common;
 
 use proptest::prelude::*;
 
-use paxos::{Effect, Msg, PaxosConfig, ProposalId, Record, Replica, ReplicaId, Slot};
+use common::{Ensemble, TICK};
+use paxos::{PaxosConfig, Slot};
 
 type Value = u64;
-
-struct Harness {
-    replicas: Vec<Option<Replica<Value>>>,
-    logs: Vec<Vec<Record<Value>>>,
-    delivered: Vec<Vec<(Slot, ProposalId, Value)>>,
-    inboxes: Vec<VecDeque<(ReplicaId, Msg<Value>)>>,
-    config: PaxosConfig,
-    epochs: Vec<u64>,
-    now: u64,
-    proposed: Vec<ProposalId>,
-}
-
-impl Harness {
-    fn new(n: usize, fast: bool) -> Self {
-        let config = if fast {
-            PaxosConfig::lan(n)
-        } else {
-            PaxosConfig::lan_classic_only(n)
-        };
-        Harness {
-            replicas: (0..n)
-                .map(|i| Some(Replica::new(ReplicaId(i as u32), config.clone(), 0)))
-                .collect(),
-            logs: vec![Vec::new(); n],
-            delivered: vec![Vec::new(); n],
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
-            config,
-            epochs: vec![0; n],
-            now: 0,
-            proposed: Vec::new(),
-        }
-    }
-
-    fn apply(&mut self, node: usize, effects: Vec<Effect<Value>>) {
-        let mut q = VecDeque::from(effects);
-        while let Some(e) = q.pop_front() {
-            match e {
-                Effect::Send { to, msg } => {
-                    if self.replicas[to.index()].is_some() {
-                        self.inboxes[to.index()].push_back((ReplicaId(node as u32), msg));
-                    }
-                }
-                Effect::Persist { record, token } => {
-                    self.logs[node].push(record);
-                    if let Some(r) = self.replicas[node].as_mut() {
-                        q.extend(r.on_persisted(token));
-                    }
-                }
-                Effect::Deliver {
-                    slot, pid, value, ..
-                } => self.delivered[node].push((slot, pid, value)),
-                // This harness never proposes reconfigurations.
-                Effect::Reconfigured { .. } => {}
-            }
-        }
-    }
-
-    fn settle(&mut self) {
-        loop {
-            let mut moved = false;
-            for i in 0..self.replicas.len() {
-                while let Some((from, msg)) = self.inboxes[i].pop_front() {
-                    moved = true;
-                    if let Some(r) = self.replicas[i].as_mut() {
-                        let fx = r.on_message(from, msg, self.now);
-                        self.apply(i, fx);
-                    }
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
-    }
-
-    fn step(&mut self) {
-        self.now += 20_000;
-        for i in 0..self.replicas.len() {
-            if let Some(r) = self.replicas[i].as_mut() {
-                let fx = r.on_tick(self.now);
-                self.apply(i, fx);
-            }
-        }
-        self.settle();
-    }
-
-    fn live(&self) -> usize {
-        self.replicas.iter().filter(|r| r.is_some()).count()
-    }
-}
 
 /// One step of a random schedule.
 #[derive(Debug, Clone)]
@@ -120,84 +31,57 @@ fn op_strategy(n: usize) -> impl Strategy<Value = Op> {
 }
 
 fn run_schedule(n: usize, fast: bool, ops: Vec<Op>) {
-    let mut h = Harness::new(n, fast);
+    let config = if fast {
+        PaxosConfig::lan(n)
+    } else {
+        PaxosConfig::lan_classic_only(n)
+    };
+    let mut h: Ensemble<Value> = Ensemble::new(config);
+    let mut proposed = Vec::new();
     // Stabilize: initial election.
-    for _ in 0..30 {
-        h.step();
-    }
+    h.run(30, TICK);
     let majority = n / 2 + 1;
     for op in ops {
         match op {
             Op::Propose { node, value } => {
                 if let Some(r) = h.replicas[node].as_mut() {
                     let (pid, fx) = r.propose(value);
-                    h.proposed.push(pid);
-                    h.apply(node, fx);
+                    proposed.push(pid);
+                    h.apply_effects(node, fx);
                     h.settle();
                 }
             }
             Op::Crash { node } => {
                 // Keep a majority alive so the schedule always terminates.
                 if h.replicas[node].is_some() && h.live() > majority {
-                    h.replicas[node] = None;
-                    h.inboxes[node].clear();
+                    h.crash(node);
                 }
             }
             Op::Recover { node } => {
                 if h.replicas[node].is_none() {
-                    h.epochs[node] += 1;
-                    let r = Replica::recover(
-                        ReplicaId(node as u32),
-                        h.config.clone(),
-                        h.logs[node].iter(),
-                        Slot::ZERO,
-                        h.epochs[node],
-                        h.now,
-                    );
-                    h.replicas[node] = Some(r);
-                    h.delivered[node].clear();
+                    h.restart(node, Slot::ZERO);
                 }
             }
-            Op::Ticks { count } => {
-                for _ in 0..count {
-                    h.step();
-                }
-            }
+            Op::Ticks { count } => h.run(count, TICK),
         }
     }
     // Quiesce: give retries (exponential backoff caps at 8× the 1 s
     // base), elections and catch-up ample time.
-    for _ in 0..1_200 {
-        h.step();
-    }
+    h.run(1_200, TICK);
 
-    // Safety: slot-aligned agreement across live replicas.
-    let live: Vec<usize> = (0..n).filter(|&i| h.replicas[i].is_some()).collect();
-    for w in live.windows(2) {
-        let (a, b) = (&h.delivered[w[0]], &h.delivered[w[1]]);
-        for (slot, pid, value) in a {
-            if let Some((_, p2, v2)) = b.iter().find(|(s2, _, _)| s2 == slot) {
-                assert_eq!((pid, value), (p2, v2), "divergence at {slot:?}");
-            }
-        }
-    }
-    // Exactly-once per replica.
-    for d in &h.delivered {
-        let mut pids: Vec<_> = d.iter().map(|(_, p, _)| *p).collect();
-        pids.sort();
-        pids.dedup();
-        assert_eq!(pids.len(), d.len(), "duplicate delivery");
-    }
+    // Safety: slot-aligned agreement across live replicas, and
+    // exactly-once per replica.
+    h.assert_agreement();
     // Liveness: every proposal issued at a replica that is alive at the
     // end must be decided (majority always survived).
-    for &i in &live {
-        let st = h.replicas[i].as_ref().unwrap().status();
+    for i in (0..n).filter(|&i| h.replicas[i].is_some()) {
+        let st = h.live_status(i);
         assert_eq!(st.pending_proposals, 0, "replica {i} has stuck proposals");
     }
     // Validity: every delivered value was proposed.
     for d in &h.delivered {
         for (_, pid, _) in d {
-            assert!(h.proposed.contains(pid), "delivered unproposed {pid:?}");
+            assert!(proposed.contains(pid), "delivered unproposed {pid:?}");
         }
     }
 }

@@ -2,15 +2,14 @@
 //! replica — messages, log records, votes, decided entries, deliveries —
 //! holds a handle on the items the proposer allocated, never a copy.
 
+mod common;
+
 use std::collections::hash_map::DefaultHasher;
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use paxos::{
-    Ballot, Batch, Decree, Effect, Learner, Msg, PaxosConfig, ProposalId, Quorums, Replica,
-    ReplicaId, Slot,
-};
+use common::{Ensemble, TICK};
+use paxos::{Ballot, Batch, Decree, Learner, PaxosConfig, ProposalId, Quorums, ReplicaId, Slot};
 
 type Value = Batch<&'static str>;
 
@@ -69,51 +68,6 @@ fn separately_built_equal_batches_compare_equal_and_hash_alike() {
     assert_ne!(a, Batch::single(pid(1, 1), "a"));
 }
 
-/// Replicas on a synchronous bus with an instant disk.
-struct Bus {
-    replicas: Vec<Replica<Value>>,
-    inbox: VecDeque<(usize, ReplicaId, Msg<Value>)>,
-    delivered: Vec<Vec<Value>>,
-    logged: usize,
-    now: u64,
-}
-
-impl Bus {
-    fn apply(&mut self, node: usize, effects: Vec<Effect<Value>>) {
-        let mut queue = VecDeque::from(effects);
-        while let Some(effect) = queue.pop_front() {
-            match effect {
-                Effect::Send { to, msg } => {
-                    self.inbox
-                        .push_back((to.index(), ReplicaId(node as u32), msg));
-                }
-                Effect::Persist { token, .. } => {
-                    self.logged += 1;
-                    queue.extend(self.replicas[node].on_persisted(token));
-                }
-                Effect::Deliver { value, .. } => self.delivered[node].push(value),
-                Effect::Reconfigured { .. } => {}
-            }
-        }
-    }
-
-    fn settle(&mut self) {
-        while let Some((to, from, msg)) = self.inbox.pop_front() {
-            let effects = self.replicas[to].on_message(from, msg, self.now);
-            self.apply(to, effects);
-        }
-    }
-
-    fn tick(&mut self) {
-        self.now += 20_000;
-        for node in 0..self.replicas.len() {
-            let effects = self.replicas[node].on_tick(self.now);
-            self.apply(node, effects);
-        }
-        self.settle();
-    }
-}
-
 /// A value proposed at one of five replicas travels proposer →
 /// `FastPropose`/`Propose` → acceptors → log records → `Accepted` →
 /// learners → `Deliver`, and comes out of every replica as the
@@ -121,31 +75,19 @@ impl Bus {
 #[test]
 fn every_replica_delivers_the_proposers_allocation() {
     const N: usize = 5;
-    let mut bus = Bus {
-        replicas: (0..N)
-            .map(|i| Replica::new(ReplicaId(i as u32), PaxosConfig::lan(N), 0))
-            .collect(),
-        inbox: VecDeque::new(),
-        delivered: vec![Vec::new(); N],
-        logged: 0,
-        now: 0,
-    };
+    let mut e: Ensemble<Value> = Ensemble::new(PaxosConfig::lan(N));
     // Elect a coordinator and open the fast window.
-    for _ in 0..30 {
-        bus.tick();
-    }
-    let logged_before = bus.logged;
+    e.run(30, TICK);
+    let logged_before = e.logged();
 
     let proposed = proposal();
-    let (_, effects) = bus.replicas[3].propose(proposed.clone());
-    bus.apply(3, effects);
-    bus.settle();
+    e.propose(3, proposed.clone());
 
-    assert_eq!(bus.logged - logged_before, N, "one log record a replica");
-    for (node, values) in bus.delivered.iter().enumerate() {
+    assert_eq!(e.logged() - logged_before, N, "one log record a replica");
+    for (node, values) in e.delivered.iter().enumerate() {
         assert_eq!(values.len(), 1, "replica {node} delivered the batch once");
         assert!(
-            Arc::ptr_eq(&values[0].items, &proposed.items),
+            Arc::ptr_eq(&values[0].2.items, &proposed.items),
             "replica {node} delivered a copy"
         );
     }
