@@ -261,9 +261,9 @@ struct Scraper {
 
 impl Scraper {
     /// Consumes the due tick: feeds the monitor its out-of-band view of
-    /// the cluster — cumulative client counters, per-slot
-    /// process/readiness state, the proxy's rotation size; pure reads,
-    /// scraping cannot perturb the run — and traces the alert
+    /// the cluster — cumulative client counters and per-slot
+    /// process/readiness state; pure reads, scraping cannot perturb the
+    /// run — and traces the alert
     /// transitions it answers with against the proxy/admin node.
     fn scrape(&mut self, bed: &mut Testbed) {
         self.ticks.advance();
@@ -283,7 +283,6 @@ impl Scraper {
                     },
                 })
                 .collect(),
-            healthy_backends: bed.proxy.healthy_count() as u64,
         };
         let admin_node = NodeId(bed.servers.len());
         for tr in self.monitor.on_scrape(bed.now_us(), &sample) {

@@ -51,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod analyze;
 pub mod causal;
@@ -74,7 +75,7 @@ pub use event::{TraceEvent, TraceRecord, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
 pub use metrics::{Hist, NodeMetrics};
 pub use monitor::{
     score_alerts, AlertLog, AlertPhase, AlertScore, AlertTransition, GroundTruth, IncidentScore,
-    Monitor, MonitorConfig, NodeHealth, Rule, RuleExpr, Scrape, SUBJECT_CLUSTER,
+    Monitor, MonitorConfig, NodeHealth, Scrape, SUBJECT_CLUSTER,
 };
 pub use spans::{SpanProfile, UpdateSpan, PHASES};
 pub use store::{TraceStore, TAG_NONE};

@@ -69,8 +69,8 @@ pub const RULE_WIPS_DROP: &str = "wips_drop";
 /// in thousandths (`14_400` = the classic 14.4× fast-burn factor),
 /// fractions in percent. Windows are counted in scrape ticks, so the
 /// same rule set sweeps cleanly across scrape intervals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RuleExpr {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RuleExpr {
     /// A replica that has been ready at least once is now unscrapeable
     /// or not ready (crashed, or restarted and still recovering).
     /// Evaluated per node; retired replicas leave the watch set.
@@ -78,11 +78,8 @@ pub enum RuleExpr {
     /// The error ratio over the last `window_ticks` exceeds
     /// `threshold_ppm`, given at least `min_samples` completions.
     ErrorRate {
-        /// Rolling window length, in scrape ticks.
         window_ticks: u32,
-        /// Minimum completions in the window before the rule can fire.
         min_samples: u64,
-        /// Error ratio threshold, parts per million.
         threshold_ppm: u64,
     },
     /// Multi-window burn rate over the SLO error budget: the error
@@ -91,11 +88,8 @@ pub enum RuleExpr {
     /// window keeps one bad tick from paging, the short window lets the
     /// alert resolve promptly once the error rate recovers).
     BurnRate {
-        /// Short window, in scrape ticks.
         short_ticks: u32,
-        /// Long window, in scrape ticks.
         long_ticks: u32,
-        /// Burn factor in thousandths (`14_400` = 14.4×).
         factor_x1000: u64,
     },
     /// Successful throughput over the last `window_ticks` fell below
@@ -103,82 +97,104 @@ pub enum RuleExpr {
     /// is the largest `baseline_ticks`-window throughput seen so far
     /// (self-learned, so ramp-up never trips it).
     WipsDrop {
-        /// Rolling window length, in scrape ticks.
         window_ticks: u32,
-        /// Baseline window length, in scrape ticks.
         baseline_ticks: u32,
-        /// Firing threshold as a percentage of baseline throughput.
         min_fraction_pct: u64,
     },
 }
 
-/// One declarative alerting rule: a named predicate plus the lifecycle
-/// debounce (how many consecutive breach ticks before firing, how many
-/// clean ticks before resolving).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rule {
-    /// Stable rule name; becomes the `rule` tag of alert events.
-    pub name: &'static str,
-    /// Consecutive breach ticks before the alert fires (1 = fire on
-    /// first breach, no pending phase).
-    pub pending_ticks: u32,
-    /// Consecutive clean ticks before a firing alert resolves.
-    pub clear_ticks: u32,
-    /// The predicate.
-    pub expr: RuleExpr,
+/// One alerting rule: a named predicate plus the lifecycle debounce
+/// (how many consecutive breach ticks before firing — 1 = fire on the
+/// first breach, no pending phase — and how many clean ticks before
+/// resolving).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rule {
+    name: &'static str,
+    pending_ticks: u32,
+    clear_ticks: u32,
+    expr: RuleExpr,
 }
 
-/// The standard rule set: per-replica liveness, an error-ratio
-/// threshold, fast and slow SLO burn rates, and throughput collapse.
-pub fn standard_rules() -> Vec<Rule> {
-    vec![
-        Rule {
-            name: RULE_REPLICA_DOWN,
-            pending_ticks: 2,
-            clear_ticks: 3,
-            expr: RuleExpr::ReplicaDown,
+/// The rule set: per-replica liveness, an error-ratio threshold, fast
+/// and slow SLO burn rates, and throughput collapse.
+const RULES: [Rule; 5] = [
+    Rule {
+        name: RULE_REPLICA_DOWN,
+        pending_ticks: 2,
+        clear_ticks: 3,
+        expr: RuleExpr::ReplicaDown,
+    },
+    Rule {
+        name: RULE_ERROR_RATE,
+        pending_ticks: 2,
+        clear_ticks: 3,
+        expr: RuleExpr::ErrorRate {
+            window_ticks: 5,
+            min_samples: 10,
+            threshold_ppm: 100_000, // 10 % of completions failing
         },
-        Rule {
-            name: RULE_ERROR_RATE,
-            pending_ticks: 2,
-            clear_ticks: 3,
-            expr: RuleExpr::ErrorRate {
-                window_ticks: 5,
-                min_samples: 10,
-                threshold_ppm: 100_000, // 10 % of completions failing
-            },
+    },
+    Rule {
+        name: RULE_FAST_BURN,
+        pending_ticks: 1,
+        clear_ticks: 3,
+        expr: RuleExpr::BurnRate {
+            short_ticks: 5,
+            long_ticks: 30,
+            factor_x1000: 14_400, // 14.4× budget burn
         },
-        Rule {
-            name: RULE_FAST_BURN,
-            pending_ticks: 1,
-            clear_ticks: 3,
-            expr: RuleExpr::BurnRate {
-                short_ticks: 5,
-                long_ticks: 30,
-                factor_x1000: 14_400, // 14.4× budget burn
-            },
+    },
+    Rule {
+        name: RULE_SLOW_BURN,
+        pending_ticks: 3,
+        clear_ticks: 5,
+        expr: RuleExpr::BurnRate {
+            short_ticks: 30,
+            long_ticks: 120,
+            factor_x1000: 3_000, // 3× budget burn
         },
-        Rule {
-            name: RULE_SLOW_BURN,
-            pending_ticks: 3,
-            clear_ticks: 5,
-            expr: RuleExpr::BurnRate {
-                short_ticks: 30,
-                long_ticks: 120,
-                factor_x1000: 3_000, // 3× budget burn
-            },
+    },
+    Rule {
+        name: RULE_WIPS_DROP,
+        pending_ticks: 2,
+        clear_ticks: 3,
+        expr: RuleExpr::WipsDrop {
+            window_ticks: 5,
+            baseline_ticks: 30,
+            min_fraction_pct: 50,
         },
-        Rule {
-            name: RULE_WIPS_DROP,
-            pending_ticks: 2,
-            clear_ticks: 3,
-            expr: RuleExpr::WipsDrop {
-                window_ticks: 5,
-                baseline_ticks: 30,
-                min_fraction_pct: 50,
-            },
-        },
-    ]
+    },
+];
+
+impl Rule {
+    /// This rule under `config`'s sensitivity: `pending_ticks`, when
+    /// set, replaces the rule's own, and every threshold is multiplied
+    /// by `threshold_scale_pct`/100 (100 leaves the table as it is).
+    fn tuned(mut self, config: &MonitorConfig) -> Rule {
+        let scale = config.threshold_scale_pct;
+        if let Some(pending_ticks) = config.pending_ticks {
+            self.pending_ticks = pending_ticks.max(1);
+        }
+        match &mut self.expr {
+            RuleExpr::ReplicaDown => {}
+            RuleExpr::ErrorRate { threshold_ppm, .. } => {
+                *threshold_ppm = (*threshold_ppm * scale / 100).max(1);
+            }
+            RuleExpr::BurnRate { factor_x1000, .. } => {
+                *factor_x1000 = (*factor_x1000 * scale / 100).max(1);
+            }
+            RuleExpr::WipsDrop {
+                min_fraction_pct, ..
+            } => {
+                // Scale the allowed *drop margin*, not the fraction:
+                // halving the margin (scale 50) moves 50 % → 75 %,
+                // never to a noise-level threshold near 100 %.
+                let margin = (100 - (*min_fraction_pct).min(100)) * scale / 100;
+                *min_fraction_pct = 100u64.saturating_sub(margin).clamp(1, 95);
+            }
+        }
+        self
+    }
 }
 
 /// Monitoring knob carried by experiment configs. Mirrors the tracer's
@@ -191,8 +207,12 @@ pub struct MonitorConfig {
     pub enabled: bool,
     /// Scrape period in simulated µs (default 1 s).
     pub scrape_interval_us: u64,
-    /// The rule set to evaluate each tick.
-    pub rules: Vec<Rule>,
+    /// Consecutive breach ticks every rule fires after; `None` (the
+    /// default) keeps each rule's own 1–3.
+    pub pending_ticks: Option<u32>,
+    /// Every rule threshold is scaled by this percentage (default 100;
+    /// 50 = twice as sensitive, 200 = half).
+    pub threshold_scale_pct: u64,
 }
 
 impl Default for MonitorConfig {
@@ -200,7 +220,8 @@ impl Default for MonitorConfig {
         MonitorConfig {
             enabled: false,
             scrape_interval_us: 1_000_000,
-            rules: standard_rules(),
+            pending_ticks: None,
+            threshold_scale_pct: 100,
         }
     }
 }
@@ -214,33 +235,15 @@ impl MonitorConfig {
         }
     }
 
-    /// Rescales rule sensitivity: every rule's `pending_ticks` is
-    /// replaced by `pending_ticks` and every threshold is multiplied by
-    /// `threshold_scale_pct`/100 (50 = twice as sensitive, 200 = half).
-    /// This is the knob `exp_monitor` sweeps.
-    pub fn with_sensitivity(mut self, pending_ticks: u32, threshold_scale_pct: u64) -> Self {
-        for rule in &mut self.rules {
-            rule.pending_ticks = pending_ticks.max(1);
-            match &mut rule.expr {
-                RuleExpr::ReplicaDown => {}
-                RuleExpr::ErrorRate { threshold_ppm, .. } => {
-                    *threshold_ppm = (*threshold_ppm * threshold_scale_pct / 100).max(1);
-                }
-                RuleExpr::BurnRate { factor_x1000, .. } => {
-                    *factor_x1000 = (*factor_x1000 * threshold_scale_pct / 100).max(1);
-                }
-                RuleExpr::WipsDrop {
-                    min_fraction_pct, ..
-                } => {
-                    // Scale the allowed *drop margin*, not the fraction:
-                    // halving the margin (scale 50) moves 50 % → 75 %,
-                    // never to a noise-level threshold near 100 %.
-                    let margin = (100 - (*min_fraction_pct).min(100)) * threshold_scale_pct / 100;
-                    *min_fraction_pct = 100u64.saturating_sub(margin).clamp(1, 95);
-                }
-            }
+    /// Rescales rule sensitivity: every rule fires after
+    /// `pending_ticks` and every threshold is scaled by
+    /// `threshold_scale_pct`. This is the knob `exp_monitor` sweeps.
+    pub fn with_sensitivity(self, pending_ticks: u32, threshold_scale_pct: u64) -> Self {
+        MonitorConfig {
+            pending_ticks: Some(pending_ticks),
+            threshold_scale_pct,
+            ..self
         }
-        self
     }
 }
 
@@ -270,8 +273,6 @@ pub struct Scrape {
     pub err_total: u64,
     /// Per-server-slot health, indexed by node id.
     pub nodes: Vec<NodeHealth>,
-    /// Backends the proxy currently keeps in rotation.
-    pub healthy_backends: u64,
 }
 
 /// Alert lifecycle phase of one transition.
@@ -384,8 +385,9 @@ struct RuleRt {
 /// [`Monitor::on_scrape`]; collect the [`AlertLog`] at run end.
 #[derive(Debug)]
 pub struct Monitor {
-    rules: Vec<Rule>,
-    rt: Vec<RuleRt>,
+    /// [`RULES`] under the config's sensitivity.
+    rules: [Rule; 5],
+    rt: [RuleRt; 5],
     /// Rolling per-tick (ok, err) deltas, newest last.
     window: VecDeque<(u64, u64)>,
     /// Longest window any rule needs.
@@ -400,10 +402,9 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor evaluating `config`'s rule set.
+    /// A monitor evaluating the rule set under `config`'s sensitivity.
     pub fn new(config: &MonitorConfig) -> Monitor {
-        let window_cap = config
-            .rules
+        let window_cap = RULES
             .iter()
             .map(|r| match r.expr {
                 RuleExpr::ReplicaDown => 0,
@@ -422,8 +423,8 @@ impl Monitor {
             .max()
             .unwrap_or(0) as usize;
         Monitor {
-            rules: config.rules.clone(),
-            rt: config.rules.iter().map(|_| RuleRt::default()).collect(),
+            rules: RULES.map(|rule| rule.tuned(config)),
+            rt: Default::default(),
             window: VecDeque::with_capacity(window_cap),
             window_cap: window_cap.max(1),
             prev_totals: None,
@@ -815,7 +816,6 @@ mod tests {
             ok_total: ok,
             err_total: err,
             nodes,
-            healthy_backends: 0,
         }
     }
 
@@ -897,75 +897,55 @@ mod tests {
         assert_eq!(mon.log().firings(), 0);
     }
 
+    /// Whether any transition of `rule` in `out` is a firing.
+    fn fired(out: &[AlertTransition], rule: &str) -> bool {
+        out.iter()
+            .any(|e| e.rule == rule && e.phase == AlertPhase::Firing)
+    }
+
     #[test]
     fn burn_rate_needs_both_windows() {
-        let mut cfg = MonitorConfig::on();
-        cfg.rules = vec![Rule {
-            name: RULE_FAST_BURN,
-            pending_ticks: 1,
-            clear_ticks: 2,
-            expr: RuleExpr::BurnRate {
-                short_ticks: 2,
-                long_ticks: 6,
-                factor_x1000: 14_400,
-            },
-        }];
-        let mut mon = Monitor::new(&cfg);
-        // Budget 1000 ppm × 14.4 = 14 400 ppm ≈ 1.44 % errors to burn.
-        // Six clean ticks: the long window is healthy.
-        steady(&mut mon, 0, 7, 100, 1);
-        // One very bad tick: short window breaches, long (still mostly
-        // clean) does not — 50 errors over ~600 completions ≈ 8 %,
-        // which *does* breach 1.44 %... use a long-window-diluting
-        // profile instead: tiny error count.
-        let out = mon.on_scrape(7_000_000, &scrape(800, 1, nodes_up(1)));
-        // 1 error / ~201 completions short-window ≈ 5000 ppm < 14400.
-        assert!(out.is_empty(), "{out:?}");
+        // Fast burn: 5- and 30-tick windows, 14.4 × the 1 000 ppm budget
+        // = 1.44 % of completions failing, fires on the first breach.
+        let mut mon = Monitor::new(&MonitorConfig::on());
+        // Thirty-one clean ticks of 100 fill the long window.
+        steady(&mut mon, 0, 31, 100, 1);
+        // One bad tick: 20 errors are ≈ 3.8 % of the short window's
+        // ≈ 520 completions but ≈ 0.66 % of the long window's ≈ 3 020.
+        let out = mon.on_scrape(31_000_000, &scrape(3_200, 20, nodes_up(1)));
+        assert!(!out.iter().any(|e| e.rule == RULE_FAST_BURN), "{out:?}");
         // Sustained heavy errors: both windows light up.
-        let mut fired = false;
-        for t in 8..14u64 {
+        let mut burned = false;
+        for t in 32..40u64 {
             let out = mon.on_scrape(
                 t * 1_000_000,
-                &scrape(800 + (t - 7) * 10, 1 + (t - 7) * 90, nodes_up(1)),
+                &scrape((t + 1) * 100, 20 + (t - 31) * 50, nodes_up(1)),
             );
-            if out.iter().any(|e| e.phase == AlertPhase::Firing) {
-                fired = true;
-            }
+            burned |= fired(out, RULE_FAST_BURN);
         }
-        assert!(fired, "sustained burn must fire: {:?}", mon.log());
+        assert!(burned, "sustained burn must fire: {:?}", mon.log());
     }
 
     #[test]
     fn wips_drop_learns_baseline_and_fires_on_collapse() {
-        let mut cfg = MonitorConfig::on();
-        cfg.rules = vec![Rule {
-            name: RULE_WIPS_DROP,
-            pending_ticks: 1,
-            clear_ticks: 2,
-            expr: RuleExpr::WipsDrop {
-                window_ticks: 2,
-                baseline_ticks: 4,
-                min_fraction_pct: 50,
-            },
-        }];
-        let mut mon = Monitor::new(&cfg);
-        // Ramp from 0: no baseline yet, never fires.
-        let ramp = [0u64, 2, 5, 8, 10, 10, 10, 10];
+        // 5-tick window against the best 30-tick baseline, 50 %.
+        let mut mon = Monitor::new(&MonitorConfig::on());
+        // Ramp from 0, then hold: the baseline is learned only from full
+        // windows and never exceeds the current rate, so nothing fires.
         let mut total = 0u64;
-        for (t, add) in ramp.iter().enumerate() {
-            total += add;
-            let out = mon.on_scrape(t as u64 * 1_000_000, &scrape(total, 0, nodes_up(1)));
+        for t in 0..40u64 {
+            total += [0, 2, 5, 8].get(t as usize).copied().unwrap_or(10);
+            let out = mon.on_scrape(t * 1_000_000, &scrape(total, 0, nodes_up(1)));
             assert!(out.is_empty(), "ramp tick {t}: {out:?}");
         }
-        // Collapse to zero: fires once the short window is empty.
-        let mut fired = false;
-        for t in 8..12u64 {
+        // Collapse to zero: fires once the short window is half empty
+        // and the two-tick debounce has passed.
+        let mut collapsed = false;
+        for t in 40..48u64 {
             let out = mon.on_scrape(t * 1_000_000, &scrape(total, 0, nodes_up(1)));
-            if out.iter().any(|e| e.phase == AlertPhase::Firing) {
-                fired = true;
-            }
+            collapsed |= fired(out, RULE_WIPS_DROP);
         }
-        assert!(fired, "collapse must fire: {:?}", mon.log());
+        assert!(collapsed, "collapse must fire: {:?}", mon.log());
     }
 
     #[test]
@@ -1088,58 +1068,38 @@ mod tests {
 
     #[test]
     fn sensitivity_rescaling_moves_thresholds() {
-        let eager = MonitorConfig::on().with_sensitivity(1, 50);
-        for rule in &eager.rules {
-            assert_eq!(rule.pending_ticks, 1);
-        }
-        let patient = MonitorConfig::on().with_sensitivity(3, 200);
-        let find = |cfg: &MonitorConfig, name: &str| {
-            cfg.rules
-                .iter()
+        let rule = |cfg: &MonitorConfig, name: &str| {
+            Monitor::new(cfg)
+                .rules
+                .into_iter()
                 .find(|r| r.name == name)
-                .cloned()
                 .expect("rule")
         };
-        match (
-            find(&eager, RULE_FAST_BURN).expr,
-            find(&patient, RULE_FAST_BURN).expr,
-        ) {
-            (
-                RuleExpr::BurnRate {
-                    factor_x1000: lo, ..
-                },
-                RuleExpr::BurnRate {
-                    factor_x1000: hi, ..
-                },
-            ) => {
-                assert_eq!(lo, 7_200);
-                assert_eq!(hi, 28_800);
-            }
+        // Scale 100 without a debounce override is the table itself.
+        assert_eq!(Monitor::new(&MonitorConfig::on()).rules, RULES);
+        let eager = MonitorConfig::on().with_sensitivity(1, 50);
+        assert!(Monitor::new(&eager)
+            .rules
+            .iter()
+            .all(|r| r.pending_ticks == 1));
+        let patient = MonitorConfig::on().with_sensitivity(3, 200);
+        let burn = |cfg| match rule(cfg, RULE_FAST_BURN).expr {
+            RuleExpr::BurnRate { factor_x1000, .. } => factor_x1000,
             other => panic!("{other:?}"),
-        }
+        };
+        assert_eq!((burn(&eager), burn(&patient)), (7_200, 28_800));
         // wips_drop scales the opposite way (more sensitive = higher
         // fraction) via the allowed drop margin: 50 % margin halves to
         // 25 % when eager, doubles to 100 % (clamped to an effective
         // floor) when patient.
-        match (
-            find(&eager, RULE_WIPS_DROP).expr,
-            find(&patient, RULE_WIPS_DROP).expr,
-        ) {
-            (
-                RuleExpr::WipsDrop {
-                    min_fraction_pct: lo,
-                    ..
-                },
-                RuleExpr::WipsDrop {
-                    min_fraction_pct: hi,
-                    ..
-                },
-            ) => {
-                assert_eq!(lo, 75);
-                assert_eq!(hi, 1); // clamped floor: effectively off
-            }
+        let fraction = |cfg| match rule(cfg, RULE_WIPS_DROP).expr {
+            RuleExpr::WipsDrop {
+                min_fraction_pct, ..
+            } => min_fraction_pct,
             other => panic!("{other:?}"),
-        }
+        };
+        assert_eq!(fraction(&eager), 75);
+        assert_eq!(fraction(&patient), 1); // clamped floor: effectively off
     }
 
     #[test]

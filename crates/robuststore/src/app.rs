@@ -121,7 +121,8 @@ impl Application for RobustStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpcw::{CartId, CustomerId, ItemId, Payment};
+    use crate::facade::{Prepared, TpcwDatabase};
+    use tpcw::{CartId, CustomerId, ItemId, Payment, Profile, Rbe, RbeConfig, SessionUpdate};
 
     fn tiny() -> PopulationParams {
         PopulationParams {
@@ -170,6 +171,40 @@ mod tests {
             assert_eq!(a.apply(act), b.apply(act));
         }
         assert_eq!(a, b);
+
+        // Then the web tier's stream: a Shopping-mix browser whose
+        // updates the facade turns into actions with their randomness
+        // and clock sampled up front (the paper's §4 tasks I and II).
+        let params = tiny();
+        let mut rbe = Rbe::new(
+            1,
+            RbeConfig {
+                profile: Profile::Shopping,
+                think_mean_us: 1,
+                items: params.items,
+                customers: params.customers(),
+            },
+            2024,
+        );
+        let mut facade = TpcwDatabase::new(7);
+        let mut writes = 0;
+        for i in 0..400u64 {
+            let request = rbe.next_request();
+            let session = match facade.prepare(&request, 1_000_000 + i * 137_000) {
+                Prepared::Read(_) => SessionUpdate::default(),
+                Prepared::Write(action) => {
+                    writes += 1;
+                    let reply = a.apply(&action);
+                    assert_eq!(reply, b.apply(&action), "replicas disagreed on {action:?}");
+                    TpcwDatabase::write_result(request.interaction, &reply).session
+                }
+            };
+            rbe.on_response(request.interaction, session);
+        }
+        assert!(writes > 20, "only {writes} updates in the stream");
+        assert_eq!(a, b);
+        // A third replica rebuilt from the checkpoint alone, as recovery does.
+        assert_eq!(RobustStore::restore(&a.snapshot().data).unwrap(), a);
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `hash-order` | no std `HashMap`/`HashSet` in sim-visible crates |
 //! | `sim-taint` | nothing reachable from a sim root touches wall-clock/entropy/env/threads |
 //! | `panic-taint` | nothing reachable from a protocol root can panic |
 //! | `state-growth` | root-held collections have a shrink site somewhere |
 //! | `float-state` | no f32/f64 in root-held consensus state |
 //! | `lossy-cast` | no `as` narrowing of ordinals on reachable paths |
-//! | `io-println` | no raw stdout/stderr printing in library crates |
 //! | `unchecked-slot-arith` | slot/watermark ordinals use checked ops |
+//!
+//! Hash-ordered containers and raw printing from library crates are
+//! clippy's to check (`clippy.toml`'s `disallowed-types`; the
+//! `print_stdout`, `print_stderr` and `dbg_macro` lints), not simlint's.
 //!
 //! The transitive rules run over a workspace call graph ([`items`] →
 //! [`graph`] → [`reach`]) rooted at the `[roots]` declared in

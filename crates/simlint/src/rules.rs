@@ -3,9 +3,8 @@
 //!
 //! Two rule families:
 //!
-//! * **File-scoped** (`hash-order`, `io-println`,
-//!   `unchecked-slot-arith`) — token patterns scoped by crate role,
-//!   exactly as in simlint v1.
+//! * **File-scoped** (`unchecked-slot-arith`) — a token pattern scoped
+//!   by crate role: clippy cannot tell an ordinal from a counter.
 //! * **Transitive** (`sim-taint`, `panic-taint`, `state-growth`,
 //!   `float-state`, `lossy-cast`) — run over the workspace call graph
 //!   ([`crate::graph`]) from the `[roots]` declared in `simlint.toml`.
@@ -24,8 +23,8 @@ use crate::items::FileItems;
 use crate::lexer::{in_spans, test_spans, Lexed, TokKind, Token};
 use crate::reach::{chain, Parents};
 
-/// Crates whose state or iteration order is visible to the simulation:
-/// a hash-ordered container here can silently break same-seed replay.
+/// Crates that hold consensus ordinals: `unchecked-slot-arith` scans
+/// these.
 pub const SIM_STATE_CRATES: &[&str] = &["paxos", "core", "cluster", "simnet"];
 
 /// Identifier fragments that mark consensus-ordinal arithmetic.
@@ -102,10 +101,6 @@ pub struct RuleInfo {
 /// All rules, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "hash-order",
-        summary: "no std HashMap/HashSet in sim-visible crates (paxos, core, cluster, simnet)",
-    },
-    RuleInfo {
         name: "sim-taint",
         summary:
             "nothing reachable from a [roots] sim entry may touch wall-clock/entropy/env/threads",
@@ -127,10 +122,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no `as` narrowing of slot/ballot/epoch ordinals on root-reachable paths",
     },
     RuleInfo {
-        name: "io-println",
-        summary: "no raw println!/eprintln! in library crates (use obs or the bench Console)",
-    },
-    RuleInfo {
         name: "unchecked-slot-arith",
         summary: "slot/watermark/generation arithmetic must use checked or saturating ops",
     },
@@ -141,9 +132,6 @@ pub fn is_known_rule(name: &str) -> bool {
     RULES.iter().any(|r| r.name == name)
 }
 
-const HELP_HASH_ORDER: &str = "use BTreeMap/BTreeSet (or a vendored IndexMap) so iteration order \
-     is deterministic across runs; waive with `// simlint: allow(hash-order): <why>` only for \
-     state that is provably never iterated";
 const HELP_SIM_TAINT: &str = "take time from the simnet clock handle and randomness from the \
      seeded simnet RNG; if this function is genuinely host-side, break the call edge from the \
      sim roots or add a simlint.toml waiver with the reason";
@@ -156,8 +144,6 @@ const HELP_FLOAT_STATE: &str = "floats in replicated state break cross-platform 
      have no total order; store integer fixed-point (e.g. micros as u64) instead";
 const HELP_LOSSY_CAST: &str = "use u64 end-to-end or an explicit try_into with error handling; \
      silently truncating an ordinal corrupts consensus ordering after 2^32 slots";
-const HELP_IO_PRINTLN: &str = "emit through obs trace/metrics or the bench Console; raw stdout \
-     from library code corrupts --json output and bypasses --quiet";
 const HELP_SLOT_ARITH: &str = "use checked_add/checked_sub/saturating_sub so ordinal overflow \
      or underflow is an explicit decision, not a silent wrap (or debug panic)";
 
@@ -179,17 +165,16 @@ fn snippet_of(src: &str, line: u32) -> String {
         .unwrap_or_default()
 }
 
-/// Runs the file-scoped rules over one lexed file. Test spans
-/// (`#[cfg(test)]`, `#[test]`) are exempt from all rules.
+/// Runs the one file-scoped rule, `unchecked-slot-arith`, over one
+/// lexed file. Only the sim-state crates are in scope, and test spans
+/// (`#[cfg(test)]`, `#[test]`) are exempt.
 pub fn check_file(ctx: &FileCtx<'_>, lexed: &Lexed) -> Vec<Diagnostic> {
-    let spans = test_spans(&lexed.tokens);
     let mut out = Vec::new();
+    if !SIM_STATE_CRATES.contains(&ctx.crate_name) {
+        return out;
+    }
+    let spans = test_spans(&lexed.tokens);
     let toks = &lexed.tokens;
-
-    let in_bin = ctx.rel_path.contains("/bin/");
-    let hash_scope = SIM_STATE_CRATES.contains(&ctx.crate_name);
-    let println_scope = ctx.crate_name != "bench" && ctx.crate_name != "simlint" && !in_bin;
-    let arith_scope = SIM_STATE_CRATES.contains(&ctx.crate_name);
 
     // Spans of `impl … Slot/Watermark …` blocks: inside them, `self`
     // arithmetic counts as ordinal arithmetic even though the receiver
@@ -200,91 +185,40 @@ pub fn check_file(ctx: &FileCtx<'_>, lexed: &Lexed) -> Vec<Diagnostic> {
         if in_spans(&spans, t.line) {
             continue;
         }
-
-        // --- hash-order ---------------------------------------------------
-        if hash_scope {
-            if let Some(id) = t.ident() {
-                if id == "HashMap" || id == "HashSet" {
-                    out.push(Diagnostic {
-                        rule: "hash-order",
-                        path: ctx.rel_path.to_string(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "`{id}` in sim-visible crate `{}`: hash iteration order varies \
-                             across runs and breaks same-seed determinism",
-                            ctx.crate_name
-                        ),
-                        snippet: snippet_of(ctx.src, t.line),
-                        help: HELP_HASH_ORDER,
-                        chain: Vec::new(),
-                    });
-                }
-            }
-        }
-
-        // --- io-println ---------------------------------------------------
-        if println_scope {
-            if let Some(id) = t.ident() {
-                if matches!(id, "println" | "eprintln" | "print" | "eprint" | "dbg")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-                {
-                    out.push(Diagnostic {
-                        rule: "io-println",
-                        path: ctx.rel_path.to_string(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!("raw `{id}!` in library crate `{}`", ctx.crate_name),
-                        snippet: snippet_of(ctx.src, t.line),
-                        help: HELP_IO_PRINTLN,
-                        chain: Vec::new(),
-                    });
-                }
-            }
-        }
-
-        // --- unchecked-slot-arith ----------------------------------------
-        if arith_scope {
-            let op = match &t.kind {
-                TokKind::Punct(p) if matches!(*p, "+=" | "-=" | "*=") => Some(*p),
-                TokKind::Char(c) if matches!(c, '+' | '-' | '*') => Some(match c {
-                    '+' => "+",
-                    '-' => "-",
-                    _ => "*",
-                }),
-                _ => None,
-            };
-            if let Some(op) = op {
-                // `*` is deref/multiply-ambiguous and `-` can be unary:
-                // require an expression terminator on the left so only
-                // binary uses are considered.
-                let left_end = i.checked_sub(1).map(|j| &toks[j]);
-                let left_is_expr = left_end.is_some_and(|p| match &p.kind {
-                    TokKind::Ident(id) => !is_keyword(id),
-                    TokKind::Number(_) => true,
-                    TokKind::Punct(p) => *p == "]",
-                    TokKind::Char(c) => *c == ')' || *c == ']',
-                    _ => false,
-                }) || matches!(op, "+=" | "-=" | "*=");
-                if left_is_expr && ordinal_operand(toks, i, &ordinal_impls, t.line) {
-                    out.push(Diagnostic {
-                        rule: "unchecked-slot-arith",
-                        path: ctx.rel_path.to_string(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "unchecked `{op}` on slot/watermark/generation ordinal: overflow \
-                             wraps in release builds and corrupts consensus ordering"
-                        ),
-                        snippet: snippet_of(ctx.src, t.line),
-                        help: HELP_SLOT_ARITH,
-                        chain: Vec::new(),
-                    });
-                }
-            }
+        let op = match &t.kind {
+            TokKind::Punct(p) if matches!(*p, "+=" | "-=" | "*=") => *p,
+            TokKind::Char('+') => "+",
+            TokKind::Char('-') => "-",
+            TokKind::Char('*') => "*",
+            _ => continue,
+        };
+        // `*` is deref/multiply-ambiguous and `-` can be unary: require
+        // an expression terminator on the left so only binary uses are
+        // considered.
+        let left_end = i.checked_sub(1).map(|j| &toks[j]);
+        let left_is_expr = left_end.is_some_and(|p| match &p.kind {
+            TokKind::Ident(id) => !is_keyword(id),
+            TokKind::Number(_) => true,
+            TokKind::Punct(p) => *p == "]",
+            TokKind::Char(c) => *c == ')' || *c == ']',
+            _ => false,
+        }) || matches!(op, "+=" | "-=" | "*=");
+        if left_is_expr && ordinal_operand(toks, i, &ordinal_impls, t.line) {
+            out.push(Diagnostic {
+                rule: "unchecked-slot-arith",
+                path: ctx.rel_path.to_string(),
+                line: t.line,
+                col: t.col,
+                message: format!(
+                    "unchecked `{op}` on slot/watermark/generation ordinal: overflow \
+                     wraps in release builds and corrupts consensus ordering"
+                ),
+                snippet: snippet_of(ctx.src, t.line),
+                help: HELP_SLOT_ARITH,
+                chain: Vec::new(),
+            });
         }
     }
-
     out
 }
 
@@ -944,29 +878,12 @@ mod tests {
     }
 
     #[test]
-    fn hash_order_fires_in_scope_only() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(check("paxos", "crates/paxos/src/x.rs", src).len(), 1);
-        assert_eq!(check("bench", "crates/bench/src/x.rs", src).len(), 0);
-    }
-
-    #[test]
-    fn println_in_library() {
-        let src = "fn f() { println!(\"x\"); }\n";
-        assert_eq!(check("cluster", "crates/cluster/src/x.rs", src).len(), 1);
-        assert_eq!(check("bench", "crates/bench/src/x.rs", src).len(), 0);
-        assert_eq!(
-            check("bench", "crates/bench/src/bin/exp_x.rs", src).len(),
-            0
-        );
-    }
-
-    #[test]
-    fn slot_arith_flags_bare_ops() {
+    fn slot_arith_flags_bare_ops_in_scope_only() {
         let src = "fn f(slot: u64) -> u64 { slot + 1 }\n";
         let d = check("paxos", "crates/paxos/src/x.rs", src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "unchecked-slot-arith");
+        assert!(check("tpcw", "crates/tpcw/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -990,7 +907,7 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let m = std::collections::HashMap::<u8,u8>::new(); m.len(); }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    fn t(slot: u64) -> u64 { slot + 1 }\n}\n";
         assert_eq!(check("paxos", "crates/paxos/src/x.rs", src).len(), 0);
     }
 

@@ -13,6 +13,11 @@ use crate::lexer::{lex, test_spans};
 use crate::reach::{match_roots, reachable};
 use crate::rules::{check_file, check_graph, is_known_rule, FileCtx, FileData, GraphCtx};
 
+/// Appended to an unknown-rule error: a waiver for hash ordering or
+/// printing belongs to clippy, which owns those two policies.
+const UNKNOWN_RULE_HINT: &str = "(`simlint --list-rules` names simlint's rules; HashMap/HashSet \
+     and printing are clippy's: clippy.toml and the crates' print lints)";
+
 /// A waiver or root pattern that matched nothing (or is malformed) —
 /// itself an error.
 #[derive(Debug, Clone)]
@@ -122,7 +127,7 @@ pub fn analyze(root: &Path, config_src: &str) -> Result<Report, ConfigError> {
         if !is_known_rule(&w.rule) {
             return Err(ConfigError {
                 line: w.decl_line,
-                message: format!("waiver names unknown rule {:?}", w.rule),
+                message: format!("waiver names unknown rule {:?} {UNKNOWN_RULE_HINT}", w.rule),
             });
         }
     }
@@ -250,7 +255,9 @@ pub fn analyze_sources(data: &[FileData], cfg: &Config) -> Report {
                     report.stale.push(StaleWaiver {
                         declared_at: format!("{rel}:{}", a.line),
                         rule: r.clone(),
-                        message: format!("inline allow names unknown rule {r:?}"),
+                        message: format!(
+                            "inline allow names unknown rule {r:?} {UNKNOWN_RULE_HINT}"
+                        ),
                     });
                 }
             }

@@ -1,8 +1,8 @@
 //! Fixture-corpus integration tests: each rule is exercised against
-//! committed mini-workspaces — seeded file-scoped violations
-//! (`bad_ws`), a clean twin (`good_ws`), an inline-waiver case
-//! (`waived_ws`), and a transitive corpus whose violations sit at the
-//! end of multi-hop cross-crate call chains (`taint_ws`). The CLI
+//! committed mini-workspaces — seeded violations (`bad_ws`), a clean
+//! twin with one justified inline allow (`good_ws`), and a transitive
+//! corpus whose violations sit at the end of multi-hop cross-crate call
+//! chains (`taint_ws`). The CLI
 //! binary is run end-to-end for exit codes (including the dedicated
 //! stale-only exit 3) and the `--json` schema; and the real repository
 //! is linted with its committed `simlint.toml` so a new violation or a
@@ -11,8 +11,12 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use simlint::config::Config;
 use simlint::diag::Diagnostic;
-use simlint::workspace::analyze;
+use simlint::items::parse_items;
+use simlint::lexer::{lex, test_spans};
+use simlint::rules::FileData;
+use simlint::workspace::{analyze, analyze_sources};
 use simlint::{report_to_json, JSON_VERSION};
 
 fn fixture(name: &str) -> PathBuf {
@@ -49,12 +53,14 @@ fn taint_roots() -> String {
 fn bad_workspace_flags_every_seeded_file_scoped_violation() {
     let report = analyze(&fixture("bad_ws"), "").expect("analyze");
     assert!(report.failed(), "seeded violations must fail the lint");
-    // Exact counts pin both the detectors and their span logic: the
-    // `#[cfg(test)]` Instant in clock.rs must NOT be in these numbers.
-    assert_eq!(rule_count(&report, "hash-order"), 2, "import + signature");
-    assert_eq!(rule_count(&report, "io-println"), 2, "println + eprintln");
-    assert_eq!(rule_count(&report, "unchecked-slot-arith"), 1, "slot + 1");
-    assert_eq!(report.errors.len(), 5);
+    // Exact counts pin both the detector and its span logic: without
+    // roots only the file-scoped rule runs.
+    assert_eq!(
+        rule_count(&report, "unchecked-slot-arith"),
+        2,
+        "slot + 1, slot - 1"
+    );
+    assert_eq!(report.errors.len(), 2);
     assert!(report.waived.is_empty());
     assert!(report.stale.is_empty());
 }
@@ -62,7 +68,8 @@ fn bad_workspace_flags_every_seeded_file_scoped_violation() {
 #[test]
 fn declaring_roots_adds_transitive_findings_to_bad_workspace() {
     // Without roots the wall-clock leak and the panics are invisible;
-    // declaring the fixture fns as roots surfaces them transitively.
+    // declaring the fixture fns as roots surfaces them transitively,
+    // and the `#[cfg(test)]` Instant in clock.rs stays exempt.
     let roots = r#"
         [roots]
         sim = ["now_us", "entropy"]
@@ -79,7 +86,7 @@ fn declaring_roots_adds_transitive_findings_to_bad_workspace() {
         3,
         "indexing + unwrap + panic!"
     );
-    assert_eq!(report.errors.len(), 10, "5 file-scoped + 5 transitive");
+    assert_eq!(report.errors.len(), 7, "2 file-scoped + 5 transitive");
     assert!(report.stale.is_empty(), "all root patterns match");
 }
 
@@ -189,68 +196,102 @@ fn deleting_a_root_is_caught_as_stale() {
     );
 }
 
-#[test]
-fn good_workspace_is_clean() {
-    let report = analyze(&fixture("good_ws"), "").expect("analyze");
-    assert!(!report.failed());
-    assert!(
-        report.errors.is_empty(),
-        "clean twin must produce no diagnostics"
-    );
-    assert_eq!(report.files_scanned, 2);
+/// One in-memory source file, loaded the way `analyze` loads a tree.
+fn file_data(rel: &str, src: String) -> FileData {
+    let lexed = lex(&src);
+    let items = parse_items(&lexed.tokens, &test_spans(&lexed.tokens));
+    FileData {
+        rel: rel.into(),
+        krate: simlint::workspace::crate_of(rel).into(),
+        src,
+        lexed,
+        items,
+    }
 }
 
 #[test]
-fn justified_inline_allow_waives_without_going_stale() {
-    let report = analyze(&fixture("waived_ws"), "").expect("analyze");
+fn good_workspace_is_clean_with_one_justified_allow() {
+    let report = analyze(&fixture("good_ws"), "").expect("analyze");
     assert!(
         !report.failed(),
-        "waived violation must not fail: {report:?}"
+        "a waived violation must not fail: {report:?}"
     );
-    assert!(report.errors.is_empty());
+    assert!(
+        report.errors.is_empty(),
+        "clean twin: no unwaived diagnostics"
+    );
+    assert_eq!(report.files_scanned, 2);
     assert_eq!(report.waived.len(), 1);
     assert_eq!(report.waived[0].0.rule, "unchecked-slot-arith");
     assert!(report.waived[0].1.contains("inline waiver path"));
-    assert!(report.stale.is_empty());
+    assert!(report.stale.is_empty(), "the allow is used, not stale");
+
+    // An inline allow naming a rule clippy now owns waives nothing: it
+    // is reported stale and pointed at clippy.
+    let rel = "crates/paxos/src/replica.rs";
+    let src = std::fs::read_to_string(fixture("good_ws").join(rel)).expect("fixture");
+    for retired in ["hash-order", "io-println"] {
+        let with_allow = format!("{src}// simlint: allow({retired}): clippy checks this now\n");
+        let report = analyze_sources(&[file_data(rel, with_allow)], &Config::default());
+        assert!(report.stale_only(), "{retired}: {report:?}");
+        assert!(
+            report
+                .stale
+                .iter()
+                .any(|w| w.message.contains("unknown rule") && w.message.contains("clippy")),
+            "{retired}: {:?}",
+            report.stale
+        );
+    }
 }
 
 #[test]
 fn toml_waiver_suppresses_matching_diagnostics() {
-    let waivers = r#"
+    // Roots on, so the same file also carries panic-taint findings the
+    // rule-scoped waiver must leave alone.
+    let config = r#"
+        [roots]
+        protocol = ["handle"]
+
         [[waiver]]
-        rule = "io-println"
-        path = "crates/tpcw/src/debug.rs"
+        rule = "unchecked-slot-arith"
+        path = "crates/paxos/src/replica.rs"
         reason = "fixture-level exemption used by the waiver test"
     "#;
-    let report = analyze(&fixture("bad_ws"), waivers).expect("analyze");
-    assert_eq!(rule_count(&report, "io-println"), 0);
+    let report = analyze(&fixture("bad_ws"), config).expect("analyze");
+    assert_eq!(rule_count(&report, "unchecked-slot-arith"), 0);
     assert_eq!(report.waived.len(), 2);
-    assert_eq!(report.errors.len(), 3, "other rules still fire");
+    assert_eq!(
+        rule_count(&report, "panic-taint"),
+        3,
+        "other rules still fire"
+    );
     assert!(report.stale.is_empty());
 }
 
 #[test]
 fn line_scoped_toml_waiver_covers_only_that_line() {
-    // debug.rs: println! on line 5, eprintln! on line 6.
+    // replica.rs: `slot + 1` on line 11, `slot - 1` on line 12.
     let waivers = r#"
         [[waiver]]
-        rule = "io-println"
-        path = "crates/tpcw/src/debug.rs"
-        line = 5
-        reason = "only the first print is exempted here"
+        rule = "unchecked-slot-arith"
+        path = "crates/paxos/src/replica.rs"
+        line = 11
+        reason = "only the first ordinal step is exempted here"
     "#;
     let report = analyze(&fixture("bad_ws"), waivers).expect("analyze");
-    assert_eq!(rule_count(&report, "io-println"), 1);
+    assert_eq!(rule_count(&report, "unchecked-slot-arith"), 1);
+    assert_eq!(report.errors[0].line, 12);
     assert_eq!(report.waived.len(), 1);
-    assert_eq!(report.waived[0].0.line, 5);
+    assert_eq!(report.waived[0].0.line, 11);
 }
 
 #[test]
 fn stale_toml_waiver_is_an_error() {
     let waivers = r#"
         [[waiver]]
-        rule = "hash-order"
-        path = "crates/paxos/src/replica.rs"
+        rule = "unchecked-slot-arith"
+        path = "crates/simnet/src/clock.rs"
         reason = "nothing in the clean tree matches this entry"
     "#;
     let report = analyze(&fixture("good_ws"), waivers).expect("analyze");
@@ -264,7 +305,7 @@ fn stale_toml_waiver_is_an_error() {
 fn waiver_for_missing_file_reports_the_path() {
     let waivers = r#"
         [[waiver]]
-        rule = "hash-order"
+        rule = "unchecked-slot-arith"
         path = "crates/paxos/src/gone.rs"
         reason = "this file was deleted but the waiver lingered"
     "#;
@@ -275,14 +316,20 @@ fn waiver_for_missing_file_reports_the_path() {
 
 #[test]
 fn waiver_naming_unknown_rule_is_a_config_error() {
-    let waivers = r#"
-        [[waiver]]
-        rule = "no-such-rule"
-        path = "crates/paxos/src/replica.rs"
-        reason = "long enough reason, wrong rule name"
-    "#;
-    let err = analyze(&fixture("bad_ws"), waivers).expect_err("must reject");
-    assert!(err.message.contains("unknown rule"));
+    // A typo, and the two rules clippy took over.
+    for rule in ["no-such-rule", "hash-order", "io-println"] {
+        let waivers = format!(
+            "[[waiver]]\nrule = \"{rule}\"\npath = \"crates/paxos/src/replica.rs\"\n\
+             reason = \"long enough reason, wrong rule name\"\n"
+        );
+        let err = analyze(&fixture("bad_ws"), &waivers).expect_err("must reject");
+        assert!(
+            err.message.contains("unknown rule"),
+            "{rule}: {}",
+            err.message
+        );
+        assert!(err.message.contains("clippy"), "{rule}: {}", err.message);
+    }
 }
 
 #[test]
@@ -345,16 +392,7 @@ fn cli_fails_on_seeded_violations_and_passes_clean_tree() {
         !stdout.contains("simlint: "),
         "--json - must keep stdout pure JSON"
     );
-
-    // A justified inline allow is reported, not failed.
-    let waived = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .args(["--root"])
-        .arg(fixture("waived_ws"))
-        .args(["--json", "-"])
-        .output()
-        .expect("run simlint");
-    assert_eq!(waived.status.code(), Some(0), "waived_ws must exit 0");
-    let stdout = String::from_utf8(waived.stdout).expect("utf8 json");
+    // Its justified inline allow is reported, not failed.
     assert!(stdout.contains("\"errors\": 0, \"waived\": 1"), "{stdout}");
 }
 

@@ -1,16 +1,17 @@
 //! Seeded-violation fixture (never compiled): a protocol message
-//! handler committing every sin the hash-order, panic-path and
+//! handler committing every sin the panic-taint and
 //! unchecked-slot-arith rules exist to catch. The integration suite
 //! asserts simlint flags exactly these sites and exits non-zero.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-pub fn handle(votes: &HashMap<u64, u64>, frame: &[u8], slot: u64) -> u64 {
+pub fn handle(votes: &BTreeMap<u64, u64>, frame: &[u8], slot: u64) -> u64 {
     let tag = frame[0];
     let count = votes.get(&slot).copied().unwrap();
     let next_slot = slot + 1;
+    let prev_slot = slot - 1;
     if tag == 0xff {
         panic!("bad tag");
     }
-    count.wrapping_add(next_slot)
+    count.wrapping_add(next_slot).wrapping_add(prev_slot)
 }

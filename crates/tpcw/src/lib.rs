@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![forbid(unsafe_code)]
 
 mod interactions;

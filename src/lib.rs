@@ -3,6 +3,8 @@
 //! Re-exports the public crates so the examples and integration tests can
 //! use a single dependency. See the README for an overview.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub use cluster;
 pub use faultload;
 pub use obs;
