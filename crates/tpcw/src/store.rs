@@ -604,8 +604,9 @@ impl Bookstore {
         Ok(order_id)
     }
 
-    /// Admin Confirm: updates an item's cost/images and refreshes its
-    /// related list from current best sellers of its subject.
+    /// Admin Confirm: updates an item's cost and images. TPC-W's refresh
+    /// of the item's related list is not modelled; `Item::related` keeps
+    /// its generated value.
     pub fn admin_update(
         &mut self,
         item: ItemId,
@@ -613,13 +614,9 @@ impl Bookstore {
         image: String,
         thumbnail: String,
     ) -> Result<(), StoreError> {
-        let subject = self
-            .base
-            .items
-            .get(item.0 as usize)
-            .ok_or(StoreError::NoSuchItem)?
-            .subject;
-        let _refresh = self.get_best_sellers(subject);
+        if !self.has_item(item) {
+            return Err(StoreError::NoSuchItem);
+        }
         self.overlay
             .item_updates
             .insert(item.0, (cost_cents, image, thumbnail));
@@ -845,14 +842,40 @@ mod tests {
     }
 
     #[test]
-    fn admin_update_changes_item() {
+    fn admin_update_changes_only_the_item() {
         let mut s = store();
+        let cart = s
+            .do_cart(None, Some((ItemId(7), 3)), &[], ItemId(0), 1_000)
+            .unwrap();
+        s.buy_confirm(cart, CustomerId(5), &payment(), 1, 5_000)
+            .unwrap();
+        let best_sellers =
+            |s: &Bookstore| (0..24).map(|k| s.get_best_sellers(k)).collect::<Vec<_>>();
+        let lists = best_sellers(&s);
+        let mut expected = s.overlay().clone();
         s.admin_update(ItemId(7), 1234, "new.gif".into(), "new_t.gif".into())
             .unwrap();
+        expected
+            .item_updates
+            .insert(7, (1234, "new.gif".into(), "new_t.gif".into()));
+        assert_eq!(s.overlay(), &expected, "only `item_updates` moves");
+        assert_eq!(best_sellers(&s), lists);
         let item = s.item(ItemId(7)).unwrap();
         assert_eq!(item.cost_cents, 1234);
         assert_eq!(item.image, "new.gif");
         assert_eq!(s.item_cost(ItemId(7)).unwrap(), 1234);
+    }
+
+    #[test]
+    fn admin_update_of_an_unknown_item_changes_nothing() {
+        let mut s = store();
+        let before = s.overlay().clone();
+        let unknown = ItemId(s.params().items);
+        assert_eq!(
+            s.admin_update(unknown, 1, "i".into(), "t".into()),
+            Err(StoreError::NoSuchItem)
+        );
+        assert_eq!(s.overlay(), &before);
     }
 
     #[test]
