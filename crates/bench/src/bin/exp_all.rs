@@ -1,8 +1,7 @@
 //! Runs the complete evaluation (Figures 3–8, Tables 1–6) and writes a
 //! markdown-ready report to `--out <path>` (default: stdout only).
-use std::io::Write;
-
 use bench::render::*;
+use bench::report::{out_path_from_args, write_file_or_die};
 use bench::{
     dependability_grid, fig3_speedup, fig4_scaleup, fig6_recovery_times, Console, JsonReport, Mode,
 };
@@ -13,12 +12,7 @@ fn main() {
     let con = Console::from_args();
     let mode = Mode::from_args();
     let mut json = JsonReport::new("exp_all", mode);
-    let out_path = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+    let out_path = out_path_from_args();
     let mut report = String::new();
     let mut emit = |s: String| {
         con.say(&s);
@@ -118,8 +112,7 @@ fn main() {
 
     json.write_if_requested();
     if let Some(path) = out_path {
-        let mut f = std::fs::File::create(&path).expect("create report file");
-        f.write_all(report.as_bytes()).expect("write report");
-        con.note(format_args!("report written to {path}"));
+        write_file_or_die(&path, &report);
+        con.note(format_args!("report written to {}", path.display()));
     }
 }

@@ -59,6 +59,12 @@ pub fn csv_path_from_args() -> Option<PathBuf> {
     path_arg("--csv")
 }
 
+/// Parses `--out <path>` from argv: where `exp_all` writes its
+/// markdown report.
+pub fn out_path_from_args() -> Option<PathBuf> {
+    path_arg("--out")
+}
+
 /// True when `--json -` routes the JSON document to stdout, which
 /// reroutes all human output to stderr (see [`Console`]).
 pub fn json_to_stdout() -> bool {

@@ -57,14 +57,13 @@ pub struct ExperimentConfig {
     /// Group commit: max µs the first buffered update waits for company
     /// (0 = flush immediately).
     pub batch_window_us: u64,
-    /// Structured tracing. Full record capture defaults off; the bounded
-    /// flight ring ([`simnet::TraceConfig::flight_records`]) stays on by
-    /// default so audit-violation panics always dump recent context.
+    /// Structured tracing. Full record capture defaults off; the flight
+    /// ring of the [`obs::FLIGHT_RECORDS`] newest records is always on, so
+    /// audit-violation panics always dump recent context.
     pub trace: simnet::TraceConfig,
-    /// Online SLO monitoring. Defaults off with the tracer's
-    /// zero-overhead guarantee: a disabled monitor schedules no scrape
-    /// ticks, so the engine's event stream is byte-identical to an
-    /// unmonitored run.
+    /// Online SLO monitoring. Defaults off, and off costs nothing: a
+    /// disabled monitor schedules no scrape ticks, so the engine's event
+    /// stream is byte-identical to an unmonitored run.
     pub monitor: MonitorConfig,
 }
 
@@ -166,9 +165,6 @@ pub struct RunReport {
     /// [`ExperimentConfig::trace`] enabled it), in the engine's
     /// deterministic dispatch order.
     pub trace: Vec<simnet::TraceRecord>,
-    /// Per-node metric registries accumulated by the tracer (index =
-    /// node id; empty when tracing is off).
-    pub metrics: Vec<obs::NodeMetrics>,
     /// Observable events the engine dispatched during the run — the
     /// denominator for events-per-second throughput reporting.
     pub engine_events: u64,
@@ -384,7 +380,6 @@ fn report(
         disk_appends,
         audit,
         trace: bed.engine.tracer_mut().take_records(),
-        metrics: bed.engine.tracer().metrics().to_vec(),
         engine_events: bed.engine.events_dispatched(),
         injections: bed.injections,
         alerts,

@@ -218,9 +218,6 @@ impl ServerNode {
     /// event if the auditor flagged anything since the last drain — so a
     /// violation sits in the trace right after the events that caused it.
     fn drain_trace(&mut self, engine: &mut Engine<ClusterMsg>, auditor: &mut InvariantAuditor) {
-        if !self.mw.trace_active() {
-            return;
-        }
         for ev in self.mw.take_trace() {
             engine.trace(self.node, ev);
         }
@@ -254,20 +251,18 @@ impl ServerNode {
                         ClusterMsg::Mw(msg),
                         bytes,
                     );
-                    if engine.trace_active() {
-                        if let Some((kind, tag)) = tag_info {
-                            engine.trace(
-                                self.node,
-                                obs::TraceEvent::MsgTag {
-                                    xid,
-                                    kind,
-                                    origin: tag.origin,
-                                    cseq: tag.seq,
-                                    slot: tag.slot,
-                                    round: tag.round,
-                                },
-                            );
-                        }
+                    if let Some((kind, tag)) = tag_info {
+                        engine.trace(
+                            self.node,
+                            obs::TraceEvent::MsgTag {
+                                xid,
+                                kind,
+                                origin: tag.origin,
+                                cseq: tag.seq,
+                                slot: tag.slot,
+                                round: tag.round,
+                            },
+                        );
                     }
                 }
                 MwEffect::DiskWrite { op, token, nominal } => {
@@ -334,12 +329,6 @@ impl ServerNode {
 
     fn enqueue(&mut self, engine: &mut Engine<ClusterMsg>, item: WorkItem) {
         self.queue.push_back(item);
-        if engine.trace_enabled() {
-            let depth = self.queue.len() as u64;
-            engine
-                .tracer_mut()
-                .observe(self.idx as u32, "work_queue_depth", depth);
-        }
         if !self.busy {
             self.busy = true;
             self.start_head(engine);

@@ -82,7 +82,6 @@ impl Testbed {
             checkpoint_interval: config.checkpoint_interval,
             batch_max_updates: config.batch_max_updates,
             batch_window_us: config.batch_window_us,
-            trace: config.trace,
             ..TreplicaConfig::lan(replicas)
         };
         if config.classic_only {

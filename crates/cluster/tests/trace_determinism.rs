@@ -39,8 +39,6 @@ fn same_seed_traces_are_byte_identical() {
     let jb = obs::jsonl::encode_all(&b.trace);
     assert_eq!(ja.len(), jb.len(), "trace sizes diverge");
     assert!(ja == jb, "same-seed traces must be byte-identical");
-    // The metrics registries are derived from the same stream.
-    assert_eq!(a.metrics, b.metrics);
     // And the trace actually covers the incident end to end.
     let breakdowns = obs::analyze::recovery_breakdowns(&a.trace);
     assert_eq!(breakdowns.len(), 1, "one crash incident expected");
@@ -169,27 +167,12 @@ fn tracing_does_not_perturb_the_run() {
     let traced = run_experiment(&crash_config(true));
     let untraced = run_experiment(&crash_config(false));
     assert!(untraced.trace.is_empty(), "default-off must record nothing");
-    assert!(untraced
-        .metrics
-        .iter()
-        .all(|m| { m.counters.is_empty() && m.hists.is_empty() }));
     assert_eq!(fingerprint(&traced), fingerprint(&untraced));
-
-    // The flight recorder (on by default) and a fully disabled tracer
-    // must agree too: causal tags and transmission ids advance
-    // unconditionally, so neither sink can perturb the run.
-    let mut dark = crash_config(false);
-    dark.trace.flight_records = 0;
-    let dark = run_experiment(&dark);
-    assert!(dark.trace.is_empty());
-    assert_eq!(fingerprint(&traced), fingerprint(&dark));
 
     // The monitor is the same kind of pure observer: scrapes read
     // counters the workload already maintains and alerts only add trace
-    // events, so a monitored run must fingerprint identically to the
-    // fully dark one.
+    // events, so a monitored run must fingerprint identically too.
     let mut monitored = crash_config(false);
-    monitored.trace.flight_records = 0;
     monitored.monitor = obs::MonitorConfig::on();
     let monitored = run_experiment(&monitored);
     assert!(

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use obs::{EventBuf, TraceConfig, TraceEvent};
+use obs::{EventBuf, TraceEvent};
 use paxos::{
     Ballot, Batch, Effect as PaxosEffect, Membership, Mode, PaxosConfig, PersistToken, ProposalId,
     Replica, ReplicaId, ReplicaStatus, Slot,
@@ -53,8 +53,6 @@ pub struct TreplicaConfig {
     /// wait for company before the batch is proposed anyway. `0` flushes
     /// every update immediately, regardless of `batch_max_updates`.
     pub batch_window_us: u64,
-    /// Structured tracing (off by default: zero overhead when off).
-    pub trace: TraceConfig,
 }
 
 impl TreplicaConfig {
@@ -66,7 +64,6 @@ impl TreplicaConfig {
             retention_slots: 200_000,
             batch_max_updates: 1,
             batch_window_us: 0,
-            trace: TraceConfig::default(),
         }
     }
 }
@@ -203,7 +200,7 @@ pub struct Middleware<App: Application> {
     /// [`Middleware::take_trace`].
     trace: EventBuf,
     /// Submit times of locally-issued updates, for commit-latency trace
-    /// points. Only populated while tracing is enabled.
+    /// points.
     submit_times: BTreeMap<ProposalId, u64>,
     /// Monotone causal-tag counter, advanced on every protocol send.
     /// Unconditional (not trace-gated): the counter shapes the bytes on
@@ -278,10 +275,9 @@ impl<App: Application> Middleware<App> {
         epoch: u64,
         now: u64,
     ) -> Self {
-        // Events feed both the full trace and the flight recorder, so
-        // the buffers run whenever either sink is configured.
-        paxos.set_tracing(config.trace.record_events());
-        let trace = EventBuf::new(config.trace.record_events());
+        // Every experiment tracer keeps a flight ring, so the buffers
+        // always run; the driver drains them after each handler.
+        paxos.set_tracing(true);
         let first = ProposalId {
             node: id,
             epoch,
@@ -302,7 +298,7 @@ impl<App: Application> Middleware<App> {
             now,
             recovery_completed_at: None,
             batcher: Batcher::new(first),
-            trace,
+            trace: EventBuf::new(true),
             submit_times: BTreeMap::new(),
             causal_seq: 0,
             scratch: crate::wire::EncodeScratch::new(),
@@ -467,11 +463,9 @@ impl<App: Application> Middleware<App> {
         }
         self.now = self.now.max(now);
         let pid = self.batcher.next_pid();
-        if self.trace.enabled() {
-            self.submit_times.insert(pid, self.now);
-            self.trace
-                .push(TraceEvent::UpdateSubmitted { seq: pid.seq });
-        }
+        self.submit_times.insert(pid, self.now);
+        self.trace
+            .push(TraceEvent::UpdateSubmitted { seq: pid.seq });
         let mut out = Vec::new();
         let flush = self.batcher.push((pid, action), self.now, &self.config);
         self.propose_batch(flush, &mut out);
@@ -749,10 +743,8 @@ impl<App: Application> Middleware<App> {
     fn lower(&mut self, fx: Vec<PaxosEffect<Batch<App::Action>>>) -> Vec<MwEffect<App>> {
         // Pull the consensus core's trace events first: they were emitted
         // while producing `fx`, so they precede the lowering below.
-        if self.trace.enabled() {
-            for e in self.paxos.take_trace_events() {
-                self.trace.push(e);
-            }
+        for e in self.paxos.take_trace_events() {
+            self.trace.push(e);
         }
         let mut out = Vec::with_capacity(fx.len());
         for e in fx {
@@ -825,22 +817,20 @@ impl<App: Application> Middleware<App> {
             let reply = app.apply(action);
             self.applied += 1;
             self.checkpoint.note_applied();
-            if self.trace.enabled() {
-                // `latency_us` 0 marks an unknown submit time (remote or
-                // replayed updates); the analyzer excludes those.
-                let latency_us = self
-                    .submit_times
-                    .remove(&entry.pid)
-                    .map(|t0| self.now.saturating_sub(t0))
-                    .unwrap_or(0);
-                self.trace.push(TraceEvent::UpdateDelivered {
-                    slot: entry.slot.0,
-                    index: u64::from(entry.index),
-                    submitter: entry.pid.node.0,
-                    seq: entry.pid.seq,
-                    latency_us,
-                });
-            }
+            // `latency_us` 0 marks an unknown submit time (remote or
+            // replayed updates); the analyzer excludes those.
+            let latency_us = self
+                .submit_times
+                .remove(&entry.pid)
+                .map(|t0| self.now.saturating_sub(t0))
+                .unwrap_or(0);
+            self.trace.push(TraceEvent::UpdateDelivered {
+                slot: entry.slot.0,
+                index: u64::from(entry.index),
+                submitter: entry.pid.node.0,
+                seq: entry.pid.seq,
+                latency_us,
+            });
             out.push(MwEffect::Applied {
                 slot: entry.slot,
                 index: entry.index,
@@ -902,21 +892,13 @@ impl<App: Application> Middleware<App> {
         }
     }
 
-    /// Whether trace events are being recorded at all — either full
-    /// tracing or just the bounded flight ring. Drivers use this to
-    /// decide whether draining [`Self::take_trace`] is worthwhile.
-    pub fn trace_active(&self) -> bool {
-        self.trace.enabled()
-    }
-
     /// Drains the trace events buffered since the last call (middleware
     /// and consensus core interleaved in emission order). The driver
-    /// stamps them with its clock and node id.
+    /// stamps them with its clock and node id; one that never drains
+    /// keeps every event.
     pub fn take_trace(&mut self) -> std::vec::Drain<'_, TraceEvent> {
-        if self.trace.enabled() {
-            for e in self.paxos.take_trace_events() {
-                self.trace.push(e);
-            }
+        for e in self.paxos.take_trace_events() {
+            self.trace.push(e);
         }
         self.trace.take()
     }

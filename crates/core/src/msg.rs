@@ -99,9 +99,9 @@ pub(crate) fn fence<A>(msg: &Msg<A>, msg_epoch: u64, local_epoch: u64) -> Fence 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{active_single_with, config};
-    use crate::{MwEffect, TreplicaConfig};
-    use obs::{TraceConfig, TraceEvent};
+    use crate::testkit::active_single;
+    use crate::MwEffect;
+    use obs::TraceEvent;
     use paxos::Ballot;
 
     #[test]
@@ -139,11 +139,7 @@ mod tests {
     /// learning traffic must keep flowing regardless of epoch.
     #[test]
     fn reconfig_switches_epoch_and_rejects_stale_messages() {
-        let config = TreplicaConfig {
-            trace: TraceConfig::on(),
-            ..config()
-        };
-        let (mut mw, mut store) = active_single_with(config);
+        let (mut mw, mut store) = active_single();
         let _ = mw.take_trace();
         assert_eq!(mw.membership().epoch(), 0);
 

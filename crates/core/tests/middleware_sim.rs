@@ -3,6 +3,8 @@
 //! crash/restart with checkpoint-load + backlog-replay recovery —
 //! driven by the discrete-event engine.
 
+use std::fmt::Debug;
+
 use paxos::{Batch, Mode, ProposalId, ReplicaId};
 use simnet::{Engine, Event, NodeId, SimConfig, SimDuration, SimTime, StableOp};
 use treplica::{
@@ -12,7 +14,7 @@ use treplica::{
 
 /// Replicated register log: applies (key, value) writes; state is the
 /// full history length plus a checksum, enough to detect divergence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Register {
     applied: Vec<u64>,
 }
@@ -51,38 +53,47 @@ struct CrashPoint {
     done: usize,
 }
 
-struct Cluster {
+/// The ensemble's configuration in most tests: checkpoints every ten
+/// applies.
+fn config(n: usize) -> TreplicaConfig {
+    TreplicaConfig {
+        checkpoint_interval: 10,
+        ..TreplicaConfig::lan(n)
+    }
+}
+
+/// `n` middlewares hosting `A` on the engine. Each node boots with, and
+/// restarts from, a clone of the cluster's initial application state.
+struct Cluster<A: Application<Action = u64, Reply = usize> + Clone> {
     engine: Engine<MwMsg<Batch<u64>>>,
-    nodes: Vec<Option<Middleware<Register>>>,
+    nodes: Vec<Option<Middleware<A>>>,
+    app: A,
     applied: Vec<Vec<(ProposalId, u64)>>, // not strictly the value; reply len
     recovered: Vec<Vec<u64>>,             // recovery completion times (µs)
     config: TreplicaConfig,
     crash_point: Option<CrashPoint>,
 }
 
-impl Cluster {
+impl Cluster<Register> {
     fn new(n: usize, seed: u64) -> Self {
-        let config = TreplicaConfig {
-            checkpoint_interval: 10,
-            ..TreplicaConfig::lan(n)
-        };
-        let mut engine = Engine::new(n, SimConfig::default(), seed);
+        Cluster::with(Register::default(), config(n), SimConfig::default(), seed)
+    }
+}
+
+impl<A: Application<Action = u64, Reply = usize> + Clone> Cluster<A> {
+    fn with(app: A, config: TreplicaConfig, sim: SimConfig, seed: u64) -> Self {
+        let n = config.paxos.n;
+        let mut engine = Engine::new(n, sim, seed);
         let mut nodes = Vec::new();
         for i in 0..n {
-            let mw = Middleware::new(
-                ReplicaId(i as u32),
-                Register {
-                    applied: Vec::new(),
-                },
-                config.clone(),
-                0,
-            );
+            let mw = Middleware::new(ReplicaId(i as u32), app.clone(), config.clone(), 0);
             engine.set_timer(NodeId(i), SimDuration::from_micros(TICK_US), TICK_TOKEN);
             nodes.push(Some(mw));
         }
         Cluster {
             engine,
             nodes,
+            app,
             applied: vec![Vec::new(); n],
             recovered: vec![Vec::new(); n],
             config,
@@ -132,7 +143,12 @@ impl Cluster {
         reached
     }
 
-    fn apply_effects(&mut self, node: usize, effects: Vec<MwEffect<Register>>) {
+    fn apply_effects(&mut self, node: usize, effects: Vec<MwEffect<A>>) {
+        // Nobody reads the trace here, but the middleware buffers it until
+        // drained, as `ServerNode` does after every handler.
+        if let Some(mw) = self.nodes[node].as_mut() {
+            let _ = mw.take_trace();
+        }
         for e in effects {
             match e {
                 MwEffect::Send { to, msg, bytes } => {
@@ -232,16 +248,14 @@ impl Cluster {
             epoch,
             self.engine.now().as_micros(),
         );
-        mw.install_initial_state(Register {
-            applied: Vec::new(),
-        });
+        mw.install_initial_state(self.app.clone());
+        self.nodes[node] = Some(mw);
         self.apply_effects(node, fx);
         self.engine
             .set_timer(NodeId(node), SimDuration::from_micros(TICK_US), TICK_TOKEN);
-        self.nodes[node] = Some(mw);
     }
 
-    fn state(&self, node: usize) -> &Register {
+    fn state(&self, node: usize) -> &A {
         self.nodes[node]
             .as_ref()
             .expect("live")
@@ -249,8 +263,11 @@ impl Cluster {
             .expect("has state")
     }
 
-    fn assert_replicas_agree(&self) {
-        let states: Vec<&Register> = (0..self.nodes.len())
+    fn assert_replicas_agree(&self)
+    where
+        A: PartialEq + Debug,
+    {
+        let states: Vec<&A> = (0..self.nodes.len())
             .filter(|&i| self.nodes[i].is_some())
             .map(|i| self.state(i))
             .collect();
@@ -377,146 +394,20 @@ fn recovery_time_scales_with_state_size() {
             }
         }
 
-        let n = 5;
-        let config = TreplicaConfig {
-            checkpoint_interval: 10,
-            ..TreplicaConfig::lan(n)
-        };
-        let mut engine: Engine<MwMsg<Batch<u64>>> = Engine::new(n, SimConfig::default(), seed);
-        let mut nodes: Vec<Option<Middleware<Sized>>> = (0..n)
-            .map(|i| {
-                engine.set_timer(NodeId(i), SimDuration::from_micros(TICK_US), TICK_TOKEN);
-                Some(Middleware::new(
-                    ReplicaId(i as u32),
-                    Sized(Vec::new(), nominal_mb * 1_000_000),
-                    config.clone(),
-                    0,
-                ))
-            })
-            .collect();
-        let mut recovered_at: Option<u64> = None;
-
-        // Local driver loop (mirrors Cluster, for the custom app type).
-        let apply = |engine: &mut Engine<MwMsg<Batch<u64>>>,
-                     _nodes: &mut Vec<Option<Middleware<Sized>>>,
-                     recovered_at: &mut Option<u64>,
-                     node: usize,
-                     fx: Vec<MwEffect<Sized>>| {
-            for e in fx {
-                match e {
-                    MwEffect::Send { to, msg, bytes } => {
-                        engine.send_sized(NodeId(node), NodeId(to.index()), msg, bytes);
-                    }
-                    MwEffect::DiskWrite { op, token, nominal } => {
-                        if let (Some(nom), simnet::StableOp::Put { key, .. }) = (nominal, &op) {
-                            let key = key.clone();
-                            engine.set_nominal(NodeId(node), &key, nom);
-                        }
-                        engine.disk_write(NodeId(node), op, token);
-                    }
-                    MwEffect::DiskRead { key, token } => {
-                        engine.disk_read(NodeId(node), &key, token)
-                    }
-                    MwEffect::DiskReadRaw { bytes, token } => {
-                        engine.disk_read_raw(NodeId(node), bytes, token)
-                    }
-                    MwEffect::Applied { .. } => {}
-                    MwEffect::RecoveryComplete => *recovered_at = Some(engine.now().as_micros()),
-                    MwEffect::Reconfigured { .. } => {}
-                }
-            }
-        };
-        let pump = |engine: &mut Engine<MwMsg<Batch<u64>>>,
-                    nodes: &mut Vec<Option<Middleware<Sized>>>,
-                    recovered_at: &mut Option<u64>,
-                    until: SimTime| {
-            while let Some((now, ev)) = engine.next_event_before(until) {
-                match ev {
-                    Event::Message { from, to, payload } => {
-                        if let Some(mw) = nodes[to.index()].as_mut() {
-                            let fx = mw.on_message(
-                                ReplicaId(from.index() as u32),
-                                payload,
-                                now.as_micros(),
-                            );
-                            apply(engine, nodes, recovered_at, to.index(), fx);
-                        }
-                    }
-                    Event::Timer { node, token } if token == TICK_TOKEN => {
-                        engine.set_timer(node, SimDuration::from_micros(TICK_US), TICK_TOKEN);
-                        if let Some(mw) = nodes[node.index()].as_mut() {
-                            let fx = mw.on_tick(now.as_micros());
-                            apply(engine, nodes, recovered_at, node.index(), fx);
-                        }
-                    }
-                    Event::Timer { .. } => {}
-                    Event::DiskWriteDone { node, token } => {
-                        if let Some(mw) = nodes[node.index()].as_mut() {
-                            let fx = mw.on_disk_write_done(token);
-                            apply(engine, nodes, recovered_at, node.index(), fx);
-                        }
-                    }
-                    Event::DiskReadDone { node, token, value } => {
-                        if let Some(mw) = nodes[node.index()].as_mut() {
-                            let fx = mw.on_disk_read_done(token, value);
-                            apply(engine, nodes, recovered_at, node.index(), fx);
-                        }
-                    }
-                    Event::DiskWriteFailed { .. } => unreachable!("no disk faults injected"),
-                }
-            }
-        };
-
-        pump(
-            &mut engine,
-            &mut nodes,
-            &mut recovered_at,
-            SimTime::from_secs(1),
-        );
+        let app = Sized(Vec::new(), nominal_mb * 1_000_000);
+        let mut c = Cluster::with(app, config(5), SimConfig::default(), seed);
+        c.run_until(SimTime::from_secs(1));
         for i in 0..25u64 {
-            let now = engine.now().as_micros();
-            let (pid, fx) = nodes[0].as_mut().unwrap().execute(i, now).unwrap();
-            let _ = pid;
-            apply(&mut engine, &mut nodes, &mut recovered_at, 0, fx);
-            pump(
-                &mut engine,
-                &mut nodes,
-                &mut recovered_at,
-                SimTime::from_secs(1) + SimDuration::from_millis(40 * (i + 1)),
-            );
+            c.execute(0, i);
+            c.run_until(SimTime::from_secs(1) + SimDuration::from_millis(40 * (i + 1)));
         }
-        pump(
-            &mut engine,
-            &mut nodes,
-            &mut recovered_at,
-            SimTime::from_secs(3),
-        );
-        // Crash node 4 and restart it.
-        engine.crash(NodeId(4));
-        nodes[4] = None;
-        pump(
-            &mut engine,
-            &mut nodes,
-            &mut recovered_at,
-            SimTime::from_secs(4),
-        );
-        engine.restart(NodeId(4));
-        let restart_at = engine.now().as_micros();
-        let disk = RecoveredDisk::from_store(engine.store(NodeId(4))).unwrap();
-        let epoch = engine.node_state(NodeId(4)).incarnation.0;
-        let (mut mw, fx) =
-            Middleware::recover(ReplicaId(4), disk, config.clone(), epoch, restart_at);
-        mw.install_initial_state(Sized(Vec::new(), nominal_mb * 1_000_000));
-        nodes[4] = Some(mw);
-        apply(&mut engine, &mut nodes, &mut recovered_at, 4, fx);
-        engine.set_timer(NodeId(4), SimDuration::from_micros(TICK_US), TICK_TOKEN);
-        pump(
-            &mut engine,
-            &mut nodes,
-            &mut recovered_at,
-            SimTime::from_secs(200),
-        );
-        recovered_at.expect("recovery completes") - restart_at
+        c.run_until(SimTime::from_secs(3));
+        c.crash(4);
+        c.run_until(SimTime::from_secs(4));
+        c.restart(4);
+        let restart_at = c.engine.now().as_micros();
+        c.run_until(SimTime::from_secs(200));
+        c.recovered[4].first().expect("recovery completes") - restart_at
     }
 
     let small = run(300, 77);
@@ -552,23 +443,12 @@ fn snapshot_transfer_when_backlog_outruns_retention() {
     // Shrink the retention window to force the recovering replica past
     // its peers' retained history: it must fall back to a full state
     // transfer (SnapshotRequest/Reply) and still converge.
-    let mut c = Cluster::new(5, 21);
-    c.config = TreplicaConfig {
+    let tight = TreplicaConfig {
         checkpoint_interval: 5,
         retention_slots: 2,
         ..TreplicaConfig::lan(5)
     };
-    // Rebuild nodes with the tight config.
-    for i in 0..5 {
-        c.nodes[i] = Some(Middleware::new(
-            ReplicaId(i as u32),
-            Register {
-                applied: Vec::new(),
-            },
-            c.config.clone(),
-            0,
-        ));
-    }
+    let mut c = Cluster::with(Register::default(), tight, SimConfig::default(), 21);
     c.run_until(SimTime::from_secs(1));
     c.crash(4);
     c.run_until(SimTime::from_secs(2));
@@ -590,30 +470,14 @@ fn snapshot_transfer_when_backlog_outruns_retention() {
 fn converges_over_a_lossy_network() {
     // 2% message loss: retries, catch-up and collision recovery must
     // still drive every proposal to delivery everywhere.
-    let mut c = Cluster::new(5, 31);
-    let lossy = simnet::SimConfig {
+    let lossy = SimConfig {
         net: simnet::NetConfig {
             drop_probability: 0.02,
             ..simnet::NetConfig::default()
         },
-        ..simnet::SimConfig::default()
+        ..SimConfig::default()
     };
-    c.engine = Engine::new(5, lossy, 31);
-    for i in 0..5 {
-        c.nodes[i] = Some(Middleware::new(
-            ReplicaId(i as u32),
-            Register {
-                applied: Vec::new(),
-            },
-            c.config.clone(),
-            0,
-        ));
-        c.engine.set_timer(
-            simnet::NodeId(i),
-            SimDuration::from_micros(TICK_US),
-            TICK_TOKEN,
-        );
-    }
+    let mut c = Cluster::with(Register::default(), config(5), lossy, 31);
     c.run_until(SimTime::from_secs(1));
     for i in 0..30 {
         c.execute((i % 5) as usize, i);

@@ -57,23 +57,30 @@ pub fn performability(series: &[u32], from_us: u64, to_us: u64) -> Performabilit
     } else {
         Vec::new()
     };
-    let awips = if vals.is_empty() {
-        0.0
-    } else {
-        vals.iter().sum::<f64>() / vals.len() as f64
-    };
-    let cv = if awips > 0.0 {
-        let var = vals.iter().map(|v| (v - awips).powi(2)).sum::<f64>() / vals.len() as f64;
-        var.sqrt() / awips
-    } else {
-        0.0
-    };
+    let (awips, cv) = mean_cv(&vals);
     PerformabilityWindow {
         from_us,
         to_us,
         awips,
         cv,
     }
+}
+
+/// The mean of `vals` and their coefficient of variation (0 for an
+/// empty or non-positive series).
+fn mean_cv(vals: &[f64]) -> (f64, f64) {
+    let mean = if vals.is_empty() {
+        0.0
+    } else {
+        vals.iter().sum::<f64>() / vals.len() as f64
+    };
+    let cv = if mean > 0.0 {
+        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
+        var.sqrt() / mean
+    } else {
+        0.0
+    };
+    (mean, cv)
 }
 
 /// The full dependability report for one experiment run.
@@ -150,18 +157,7 @@ impl DependabilityReport {
                 ff_vals.push(*value as f64);
             }
         }
-        let ff_awips = if ff_vals.is_empty() {
-            0.0
-        } else {
-            ff_vals.iter().sum::<f64>() / ff_vals.len() as f64
-        };
-        let ff_cv = if ff_awips > 0.0 {
-            let var =
-                ff_vals.iter().map(|v| (v - ff_awips).powi(2)).sum::<f64>() / ff_vals.len() as f64;
-            var.sqrt() / ff_awips
-        } else {
-            0.0
-        };
+        let (ff_awips, ff_cv) = mean_cv(&ff_vals);
         let failure_free = PerformabilityWindow {
             from_us: measure_from_us,
             to_us: measure_to_us,

@@ -1,4 +1,4 @@
-//! Deterministic structured tracing + metrics for the RobustStore stack.
+//! Deterministic structured tracing for the RobustStore stack.
 //!
 //! The paper's contribution is *explaining* availability dips, not just
 //! measuring them: failover and recovery time decompose into failure
@@ -12,11 +12,13 @@
 //!   kind tags and the JSONL codec are derived;
 //! * [`Tracer`] — the run-global sink, owned by the simulation engine so
 //!   record order follows the engine's deterministic event order and the
-//!   trace of a `(seed, config)` pair is bit-identical across runs;
+//!   trace of a `(seed, config)` pair is bit-identical across runs. It
+//!   keeps the full record vector when [`TraceConfig`] enables it, and a
+//!   ring of the [`FLIGHT_RECORDS`] newest records always;
 //! * [`EventBuf`] — a deferred buffer for sans-io actors that cannot see
 //!   the engine; drivers drain it into the tracer after each handler;
-//! * [`NodeMetrics`] / [`Hist`] — lightweight per-node counters and
-//!   log₂ histograms (commit latency, batch sizes, queue depths);
+//! * [`Hist`] — the log₂ histogram the reducers below summarise value
+//!   series with (commit latency, detection latency, phase durations);
 //! * [`jsonl`] — a canonical JSONL codec for traces (stdlib only);
 //! * [`TraceStore`] — one run's records indexed in a single pass: the
 //!   commit-path join tables, the send/receive/tag index, and the list
@@ -44,8 +46,8 @@
 //!   resolved alert lifecycle) plus a scorer that joins fired alerts
 //!   against the faultload's ground-truth injection log.
 //!
-//! Everything is gated on [`TraceConfig`], default off: a disabled
-//! tracer costs one branch per would-be event and allocates nothing.
+//! The full trace is gated on [`TraceConfig`], default off; an untraced
+//! run pays one push into the fixed-capacity flight ring per event.
 //! This crate deliberately depends on nothing — not even the simulator —
 //! so every layer of the stack can emit into it.
 
@@ -72,7 +74,7 @@ pub use analyze::{
 };
 pub use causal::{BlameCategory, BlameSegment, CausalPath, CausalProfile};
 pub use event::{TraceEvent, TraceRecord, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
-pub use metrics::{Hist, NodeMetrics};
+pub use metrics::Hist;
 pub use monitor::{
     score_alerts, AlertLog, AlertPhase, AlertScore, AlertTransition, GroundTruth, IncidentScore,
     Monitor, MonitorConfig, NodeHealth, Scrape, SUBJECT_CLUSTER,
@@ -82,4 +84,4 @@ pub use store::{TraceStore, TAG_NONE};
 pub use timeline::{
     availability_reports, availability_reports_for, AvailabilityReport, Timeline, TimelineConfig,
 };
-pub use tracer::{EventBuf, TraceConfig, Tracer};
+pub use tracer::{EventBuf, TraceConfig, Tracer, FLIGHT_RECORDS};

@@ -1,13 +1,7 @@
-//! Lightweight per-node metric registries: counters and log₂ histograms.
-//!
-//! Metrics are a *summary* companion to the trace: counters count events
-//! by kind, histograms aggregate values whose full per-sample stream
-//! would bloat the trace (commit latencies, batch sizes, queue depths).
-//! Everything is updated with a couple of integer operations, and all
-//! state is plain maps of `'static` names so registries never allocate
-//! per observation after the first sample of a series.
-
-use std::collections::BTreeMap;
+//! Log₂ histograms: the summary the offline reducers keep of a value
+//! series (commit latencies, detection latencies, phase durations) whose
+//! full per-sample stream would be too long to print. Each sample costs
+//! a couple of integer operations and no allocation.
 
 /// Number of power-of-two buckets; covers values up to 2⁴⁰−1 (~12 days
 /// in µs), far beyond any simulated run.
@@ -122,37 +116,6 @@ impl Hist {
     }
 }
 
-/// Counters and histograms of one node.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NodeMetrics {
-    /// Event counts by kind (plus caller-defined counters).
-    pub counters: BTreeMap<&'static str, u64>,
-    /// Named sample distributions.
-    pub hists: BTreeMap<&'static str, Hist>,
-}
-
-impl NodeMetrics {
-    /// Adds `delta` to counter `name`.
-    pub fn count(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Records `value` into histogram `name`.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().observe(value);
-    }
-
-    /// The value of counter `name` (0 when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The histogram `name`, if any sample was recorded.
-    pub fn hist(&self, name: &str) -> Option<&Hist> {
-        self.hists.get(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,16 +176,5 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn node_metrics_counters_and_hists() {
-        let mut m = NodeMetrics::default();
-        m.count("accepted", 1);
-        m.count("accepted", 2);
-        m.observe("commit_latency_us", 40);
-        assert_eq!(m.counter("accepted"), 3);
-        assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.hist("commit_latency_us").unwrap().count(), 1);
     }
 }

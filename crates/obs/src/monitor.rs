@@ -584,55 +584,39 @@ fn step(
     subject: u32,
     log: &mut AlertLog,
 ) {
+    let mut emit = |phase, elapsed_us| {
+        log.entries.push(AlertTransition {
+            t_us,
+            rule: rule.name,
+            subject,
+            phase,
+            elapsed_us,
+        });
+    };
     match state.phase {
-        Phase::Idle => {
-            if breach {
-                state.breach_streak = 1;
+        Phase::Idle | Phase::Pending if breach => {
+            if state.phase == Phase::Idle {
+                state.phase = Phase::Pending;
+                state.breach_streak = 0;
                 state.pending_since = t_us;
-                if state.breach_streak >= rule.pending_ticks {
-                    state.phase = Phase::Firing;
-                    state.firing_since = t_us;
-                    state.clean_streak = 0;
-                    log.entries.push(AlertTransition {
-                        t_us,
-                        rule: rule.name,
-                        subject,
-                        phase: AlertPhase::Firing,
-                        elapsed_us: 0,
-                    });
-                } else {
-                    state.phase = Phase::Pending;
-                    log.entries.push(AlertTransition {
-                        t_us,
-                        rule: rule.name,
-                        subject,
-                        phase: AlertPhase::Pending,
-                        elapsed_us: 0,
-                    });
-                }
+            }
+            state.breach_streak = state.breach_streak.saturating_add(1);
+            if state.breach_streak >= rule.pending_ticks {
+                state.phase = Phase::Firing;
+                state.firing_since = t_us;
+                state.clean_streak = 0;
+                emit(AlertPhase::Firing, t_us.saturating_sub(state.pending_since));
+            } else if state.breach_streak == 1 {
+                // Entered on this tick and not yet debounced.
+                emit(AlertPhase::Pending, 0);
             }
         }
+        Phase::Idle => {}
         Phase::Pending => {
-            if breach {
-                state.breach_streak = state.breach_streak.saturating_add(1);
-                if state.breach_streak >= rule.pending_ticks {
-                    state.phase = Phase::Firing;
-                    state.firing_since = t_us;
-                    state.clean_streak = 0;
-                    log.entries.push(AlertTransition {
-                        t_us,
-                        rule: rule.name,
-                        subject,
-                        phase: AlertPhase::Firing,
-                        elapsed_us: t_us.saturating_sub(state.pending_since),
-                    });
-                }
-            } else {
-                // The breach cleared before debounce: drop back to idle
-                // silently (the pending event already marks the blip).
-                state.phase = Phase::Idle;
-                state.breach_streak = 0;
-            }
+            // The breach cleared before debounce: drop back to idle
+            // silently (the pending event already marks the blip).
+            state.phase = Phase::Idle;
+            state.breach_streak = 0;
         }
         Phase::Firing => {
             if breach {
@@ -642,13 +626,10 @@ fn step(
                 if state.clean_streak >= rule.clear_ticks.max(1) {
                     state.phase = Phase::Idle;
                     state.breach_streak = 0;
-                    log.entries.push(AlertTransition {
-                        t_us,
-                        rule: rule.name,
-                        subject,
-                        phase: AlertPhase::Resolved,
-                        elapsed_us: t_us.saturating_sub(state.firing_since),
-                    });
+                    emit(
+                        AlertPhase::Resolved,
+                        t_us.saturating_sub(state.firing_since),
+                    );
                 }
             }
         }

@@ -200,7 +200,8 @@ impl<M: std::fmt::Debug> Engine<M> {
         }
     }
 
-    /// Installs the run's trace sink per `config` (disabled by default).
+    /// Installs the run's trace sink in place of the disabled default:
+    /// the flight ring, plus the full trace when `config` enables it.
     ///
     /// The engine owns the tracer so records are appended in its
     /// deterministic dispatch order: the trace of a `(seed, config)`
@@ -214,30 +215,20 @@ impl<M: std::fmt::Debug> Engine<M> {
         &self.tracer
     }
 
-    /// Mutable access to the trace sink (end-of-run extraction, metric
-    /// observations).
+    /// Mutable access to the trace sink (end-of-run extraction).
     pub fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer
     }
 
-    /// Whether tracing is on — lets drivers skip building events whose
-    /// construction is not free.
+    /// Whether the full trace is on — lets drivers skip building events
+    /// whose construction is not free.
     #[inline]
     pub fn trace_enabled(&self) -> bool {
         self.tracer.enabled()
     }
 
-    /// Whether any trace sink is live — full record capture *or* the
-    /// bounded flight ring. Drivers that build events for [`Engine::trace`]
-    /// should gate on this, not [`Engine::trace_enabled`], so the flight
-    /// recorder sees protocol events too.
-    #[inline]
-    pub fn trace_active(&self) -> bool {
-        self.tracer.active()
-    }
-
     /// Records `event` against `node`, stamped with the current
-    /// simulated time. No-op when tracing is off.
+    /// simulated time. No-op on the raw engine's disabled tracer.
     #[inline]
     pub fn trace(&mut self, node: NodeId, event: TraceEvent) {
         self.tracer
