@@ -36,7 +36,6 @@ fn main() {
                     loss: 0.02,
                     duplicate: 0.01,
                     reorder: 0.10,
-                    reorder_delay_us: 5_000,
                 },
             ),
         ),

@@ -13,13 +13,12 @@
 //! `tests/full_stack.rs::group_commit_speeds_up_the_saturated_ordering_mix`.
 
 use bench::{base_config, committed_updates, Console, JsonReport, Mode, TraceSink};
-use cluster::{run_experiment, ServiceModel};
+use cluster::{estimated_capacity, run_experiment};
 use tpcw::Profile;
 
 fn main() {
     let con = Console::from_args();
     let mode = Mode::from_args();
-    let service = ServiceModel::default();
     let replicas = 8;
 
     let mut json = JsonReport::new("exp_batching", mode);
@@ -43,7 +42,7 @@ fn main() {
             // time) stays the bottleneck even after batching lifts the
             // capacity — the closed loop must pin every batch size at
             // its own saturation point.
-            config.rbes = ((service.estimated_capacity(profile, replicas) * 5.0) as usize).max(600);
+            config.rbes = ((estimated_capacity(profile, replicas) * 5.0) as usize).max(600);
             config.batch_max_updates = batch;
             // Even at saturation the CPU admits updates one page at a
             // time (~5 ms apart — mean handle cost over the update

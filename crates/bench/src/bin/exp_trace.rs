@@ -17,10 +17,11 @@
 //!   dominant critical-path phase), the per-crash availability reports
 //!   and the per-phase latency table. `--csv <path>` writes one row per
 //!   (run, window), `--jsonl <path>` the same windows as JSONL;
-//!   `--window-us <n>` sets the window. `--require-one-incident` exits
-//!   nonzero unless every run carries exactly one crash incident and at
-//!   least one shows a degraded stretch bracketing the crash with a
-//!   measured ramp back to 95 % of baseline.
+//!   `--window-us <n>` sets the window (µs; 0 is a usage error, exit 2).
+//!   `--require-one-incident` exits nonzero unless every run carries
+//!   exactly one crash incident and at least one shows a degraded
+//!   stretch bracketing the crash with a measured ramp back to 95 % of
+//!   baseline.
 //! * `blame` — the cross-node critical path of every locally-submitted
 //!   update, each microsecond of commit latency attributed to queueing,
 //!   CPU service, net transit, retransmit stalls or disk fsync, per
@@ -99,8 +100,8 @@ impl Args {
                     "--csv" => args.csv = Some(v),
                     "--jsonl" => args.jsonl = Some(v),
                     "--window-us" => {
-                        args.window_us = v.parse().unwrap_or_else(|_| {
-                            usage(&format!("--window-us wants an integer, got {v:?}"))
+                        args.window_us = v.parse().ok().filter(|us| *us > 0).unwrap_or_else(|| {
+                            usage(&format!("--window-us must be positive (µs), got {v:?}"))
                         });
                     }
                     _ => unreachable!("{a} is in no subcommand's flag list"),

@@ -31,7 +31,7 @@ pub use report::{
     JsonReport, TraceSink,
 };
 
-use cluster::{run_experiment, ExperimentConfig, RunReport, ServiceModel};
+use cluster::{estimated_capacity, run_experiment, ExperimentConfig, RunReport};
 use faultload::Faultload;
 use tpcw::{linear_fit, r_squared, Profile, Schedule};
 
@@ -165,12 +165,11 @@ pub struct SweepPoint {
 /// Figure 3 — speedup: saturated WIPS and WIRT vs. replica count for
 /// each workload, 500 MB initial state.
 pub fn fig3_speedup(mode: Mode, profile: Profile) -> Vec<SweepPoint> {
-    let service = ServiceModel::default();
     run_parallel(mode.sweep_replicas(), |replicas| {
         let mut config = base_config(mode, replicas, profile);
         config.ebs = 50;
         // Saturating load: 1.35× the analytic capacity estimate.
-        config.rbes = ((service.estimated_capacity(profile, replicas) * 1.35) as usize).max(600);
+        config.rbes = ((estimated_capacity(profile, replicas) * 1.35) as usize).max(600);
         let report = run_experiment(&config);
         SweepPoint {
             replicas,

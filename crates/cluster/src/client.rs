@@ -200,7 +200,7 @@ impl ClientNode {
                 if let Some(idx) = self.outstanding.remove(&req_id) {
                     if let Some((_, sent_at, sent_interaction)) = self.slots[idx].waiting.take() {
                         if ok {
-                            rec.record_ok_typed(now, now - sent_at, sent_interaction);
+                            rec.record_ok(now, now - sent_at, sent_interaction);
                         } else {
                             rec.record_served_error(now);
                         }

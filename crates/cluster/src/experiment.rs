@@ -7,7 +7,7 @@
 //! watchdog re-instantiating crashed servers, and returns the per-second
 //! WIPS histogram plus the dependability report.
 
-use faultload::{DependabilityReport, Faultload, InjectionLog, RecoverySpan};
+use faultload::{performability, DependabilityReport, Faultload, InjectionLog, RecoverySpan};
 use obs::monitor::{Monitor, MonitorConfig, NodeHealth, Scrape};
 use simnet::{Event, NodeId, SimDuration, SimTime, TickSchedule};
 use tpcw::{Profile, Recorder, Schedule};
@@ -15,7 +15,6 @@ use tpcw::{Profile, Recorder, Schedule};
 use crate::audit::AuditReport;
 use crate::plan::Plan;
 use crate::server::ServerNode;
-use crate::service::ServiceModel;
 use crate::testbed::Testbed;
 
 /// Full description of one experiment run.
@@ -45,8 +44,6 @@ pub struct ExperimentConfig {
     pub watchdog_delay_us: u64,
     /// Run seed (drives all randomness).
     pub seed: u64,
-    /// CPU service model.
-    pub service: ServiceModel,
     /// Disable Fast Paxos (classic-only baseline).
     pub classic_only: bool,
     /// Actions between checkpoints.
@@ -84,7 +81,6 @@ impl ExperimentConfig {
             faultload: Faultload::none(),
             watchdog_delay_us: 3_000_000,
             seed: 42,
-            service: ServiceModel::default(),
             classic_only: false,
             checkpoint_interval: 20_000,
             batch_max_updates: 1,
@@ -362,7 +358,7 @@ fn report(
     }
 
     RunReport {
-        awips: bed.recorder.awips(measure_start, measure_end),
+        awips: performability(bed.recorder.wips_series(), measure_start, measure_end).awips,
         mean_wirt_ms: bed.recorder.mean_wirt(measure_start, measure_end) / 1_000.0,
         recorder: bed.recorder,
         spans: plan.spans,

@@ -42,4 +42,4 @@ pub use experiment::{run_experiment, ExperimentConfig, ReconfigIncident, RunRepo
 pub use msg::ClusterMsg;
 pub use proxy::ProxyNode;
 pub use server::ServerNode;
-pub use service::ServiceModel;
+pub use service::estimated_capacity;

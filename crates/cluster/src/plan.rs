@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use faultload::{RecoveryKind, RecoverySpan};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use simnet::{DiskFault, LinkFault, SimDuration};
+use simnet::{DiskFault, LinkFault};
 
 use crate::experiment::{ExperimentConfig, ReconfigIncident};
 
@@ -126,7 +126,6 @@ impl Plan {
                 loss: nf.fault.loss,
                 duplicate: nf.fault.duplicate,
                 reorder: nf.fault.reorder,
-                reorder_delay: SimDuration::from_micros(nf.fault.reorder_delay_us),
             };
             plan.schedule(nf.at_us, Action::NetFault { fault: Some(fault) });
             plan.schedule(nf.until_us, Action::NetFault { fault: None });
@@ -260,7 +259,6 @@ mod tests {
             loss: 0.1,
             duplicate: 0.0,
             reorder: 0.0,
-            reorder_delay_us: 0,
         };
         let faultload = Faultload {
             partitions: vec![PartitionEvent {

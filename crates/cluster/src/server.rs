@@ -1,8 +1,8 @@
 //! A server replica node: Tomcat + RobustStore + Treplica.
 //!
 //! Each node runs the web tier (a FIFO CPU queue handling interactions
-//! per the [`ServiceModel`](crate::ServiceModel)) over the Treplica
-//! middleware hosting the replicated bookstore. Reads are answered from
+//! at the `service` constants' costs) over the Treplica middleware
+//! hosting the replicated bookstore. Reads are answered from
 //! local state; updates are submitted to the persistent queue and
 //! answered when the action commits and applies locally — the paper's
 //! blocking `execute()` semantics, with the client connection standing
@@ -18,7 +18,7 @@ use treplica::{Middleware, MwEffect, RecoveredDisk, TreplicaConfig};
 
 use crate::audit::InvariantAuditor;
 use crate::msg::ClusterMsg;
-use crate::service::ServiceModel;
+use crate::service;
 
 /// Timer token: middleware tick.
 pub const TOKEN_TICK: u64 = 0;
@@ -57,7 +57,6 @@ pub struct ServerNode {
     node: NodeId,
     mw: Middleware<RobustStore>,
     facade: TpcwDatabase,
-    service: ServiceModel,
     queue: VecDeque<WorkItem>,
     busy: bool,
     outstanding: BTreeMap<ProposalId, (u64, NodeId, Interaction)>,
@@ -82,12 +81,11 @@ impl ServerNode {
         idx: usize,
         params: PopulationParams,
         config: TreplicaConfig,
-        service: ServiceModel,
         engine: &mut Engine<ClusterMsg>,
         auditor: &mut InvariantAuditor,
     ) -> ServerNode {
         let membership = paxos::Membership::initial(config.paxos.n);
-        Self::join(idx, params, config, membership, service, engine, auditor)
+        Self::join(idx, params, config, membership, engine, auditor)
     }
 
     /// Boots a brand-new replica joining an already-running ensemble
@@ -100,7 +98,6 @@ impl ServerNode {
         params: PopulationParams,
         config: TreplicaConfig,
         membership: paxos::Membership,
-        service: ServiceModel,
         engine: &mut Engine<ClusterMsg>,
         auditor: &mut InvariantAuditor,
     ) -> ServerNode {
@@ -111,7 +108,7 @@ impl ServerNode {
             membership,
             engine.now().as_micros(),
         );
-        let mut server = Self::start(idx, mw, 0, service, engine);
+        let mut server = Self::start(idx, mw, 0, engine);
         server.apply_mw_effects(engine, boot_fx, auditor);
         server
     }
@@ -122,7 +119,6 @@ impl ServerNode {
         idx: usize,
         params: PopulationParams,
         config: TreplicaConfig,
-        service: ServiceModel,
         engine: &mut Engine<ClusterMsg>,
         auditor: &mut InvariantAuditor,
     ) -> ServerNode {
@@ -139,7 +135,7 @@ impl ServerNode {
         let (mut mw, fx) =
             Middleware::recover(paxos::ReplicaId(idx as u32), disk, config, epoch, now);
         mw.install_initial_state(RobustStore::new(params));
-        let mut server = Self::start(idx, mw, epoch, service, engine);
+        let mut server = Self::start(idx, mw, epoch, engine);
         server.apply_mw_effects(engine, fx, auditor);
         server
     }
@@ -151,7 +147,6 @@ impl ServerNode {
         idx: usize,
         mw: Middleware<RobustStore>,
         epoch: u64,
-        service: ServiceModel,
         engine: &mut Engine<ClusterMsg>,
     ) -> ServerNode {
         let node = NodeId(idx);
@@ -160,7 +155,6 @@ impl ServerNode {
             idx,
             node,
             facade: TpcwDatabase::new(0x00fa_cade ^ idx as u64 ^ (epoch << 32)),
-            service,
             queue: VecDeque::new(),
             busy: false,
             outstanding: BTreeMap::new(),
@@ -285,12 +279,11 @@ impl ServerNode {
                     reply,
                 } => {
                     auditor.on_applied(self.idx, slot, index, pid, epoch, engine.now().as_micros());
-                    let cost_us = self.service.apply_cost_us();
                     self.enqueue(
                         engine,
                         WorkItem {
                             kind: WorkKind::Apply { pid, reply },
-                            cost_us,
+                            cost_us: service::APPLY_US,
                         },
                     );
                 }
@@ -440,7 +433,7 @@ impl ServerNode {
                 // Protocol handling is prompt (Treplica's threads and the
                 // network stack preempt page rendering), but its CPU is
                 // real: charge it as debt against the queued page work.
-                self.cpu_debt_us += self.service.per_msg_us;
+                self.cpu_debt_us += service::PER_MSG_US;
                 let now = engine.now().as_micros();
                 let fx = self
                     .mw
@@ -463,7 +456,7 @@ impl ServerNode {
                     engine.send(self.node, from, ClusterMsg::ConnError { req_id });
                     return;
                 }
-                let cost_us = self.service.handle_cost_us(request.interaction);
+                let cost_us = service::handle_cost_us(request.interaction);
                 self.enqueue(
                     engine,
                     WorkItem {

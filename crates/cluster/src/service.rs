@@ -11,164 +11,137 @@
 //! Calibration targets the paper's absolute operating points: a
 //! 4-replica browsing deployment saturates near 1100 WIPS and a
 //! 5-replica ordering deployment near 840 WIPSo (Figure 3, Table 1).
+//! The paper measured one testbed, so these are constants (µs of CPU
+//! per unit of work), not settings.
 
-use tpcw::Interaction;
+use tpcw::{Interaction, Profile};
 
-/// Service-time parameters (µs of CPU per unit of work).
+/// CPU to render the page of each read interaction, indexed in
+/// [`tpcw::ALL_INTERACTIONS`] order.
+pub(crate) const READ_CPU_US: [u64; 14] = [
+    3_000, // Home
+    4_000, // NewProducts
+    6_000, // BestSellers
+    3_000, // ProductDetail
+    1_500, // SearchRequest
+    4_500, // SearchResults
+    2_500, // ShoppingCart (prep side below is used)
+    2_000, // CustomerRegistration
+    2_500, // BuyRequest
+    3_500, // BuyConfirm
+    1_500, // OrderInquiry
+    3_500, // OrderDisplay
+    2_500, // AdminRequest
+    2_500, // AdminConfirm
+];
+/// CPU to parse/prepare an update interaction before it is submitted to
+/// the persistent queue.
+pub(crate) const WRITE_PREP_US: u64 = 1_000;
+/// CPU to apply one delivered action to the state machine (protocol
+/// message processing is charged separately per received message).
+pub(crate) const APPLY_US: u64 = 100;
+/// CPU to receive and process one consensus message. Protocol traffic
+/// shares the server's single CPU with page rendering, so each decided
+/// action costs every replica ≈ N+1 message receipts (the proposer's
+/// value plus one `Accepted` broadcast from each acceptor) — the paper's
+/// "message complexity" cost of Paxos.
+pub(crate) const PER_MSG_US: u64 = 130;
+
+/// CPU to handle (parse + render) `interaction` at the front end.
+pub(crate) fn handle_cost_us(interaction: Interaction) -> u64 {
+    let idx = tpcw::ALL_INTERACTIONS
+        .iter()
+        .position(|i| *i == interaction)
+        .expect("interaction in table");
+    if interaction.is_update() {
+        READ_CPU_US[idx] / 2 + WRITE_PREP_US
+    } else {
+        READ_CPU_US[idx]
+    }
+}
+
+/// Total protocol CPU one replica spends per decided action on an
+/// ensemble of `replicas` (N `Accepted` broadcasts + the proposal).
+pub(crate) fn protocol_cost_us(replicas: usize) -> u64 {
+    (replicas as u64 + 1) * PER_MSG_US
+}
+
+/// Mean handle cost under a profile (for sizing saturating RBE
+/// populations).
+pub(crate) fn mean_handle_us(profile: Profile) -> f64 {
+    let w = profile.weights();
+    let total: u32 = w.iter().sum();
+    tpcw::ALL_INTERACTIONS
+        .iter()
+        .zip(w.iter())
+        .map(|(i, weight)| handle_cost_us(*i) as f64 * *weight as f64)
+        .sum::<f64>()
+        / total as f64
+}
+
+/// Analytic single-server capacity estimate (interactions/s) for a
+/// `replicas`-node deployment under `profile`: per-node CPU spent per
+/// cluster interaction is `handle/k` (balanced front-end work) plus
+/// `update_ratio × apply` (every replica applies every write).
 ///
 /// ```
-/// use cluster::ServiceModel;
+/// use cluster::estimated_capacity;
 /// use tpcw::Profile;
-/// let m = ServiceModel::default();
 /// // Ordering pays for total order at every replica; browsing barely.
-/// let b = m.estimated_capacity(Profile::Browsing, 8);
-/// let o = m.estimated_capacity(Profile::Ordering, 8);
+/// let b = estimated_capacity(Profile::Browsing, 8);
+/// let o = estimated_capacity(Profile::Ordering, 8);
 /// assert!(b > 1.5 * o);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ServiceModel {
-    /// CPU to render the page of each read interaction.
-    pub read_cpu_us: [u64; 14],
-    /// CPU to parse/prepare an update interaction before it is
-    /// submitted to the persistent queue.
-    pub write_prep_us: u64,
-    /// CPU to apply one delivered action to the state machine.
-    pub apply_base_us: u64,
-    /// CPU to receive and process one consensus message. Protocol
-    /// traffic shares the server's single CPU with page rendering, so
-    /// each decided action costs every replica ≈ N+1 message receipts
-    /// (the proposer's value plus one `Accepted` broadcast from each
-    /// acceptor) — the paper's "message complexity" cost of Paxos.
-    pub per_msg_us: u64,
-}
-
-impl Default for ServiceModel {
-    fn default() -> Self {
-        ServiceModel {
-            // Indexed in ALL_INTERACTIONS order.
-            read_cpu_us: [
-                3_000, // Home
-                4_000, // NewProducts
-                6_000, // BestSellers
-                3_000, // ProductDetail
-                1_500, // SearchRequest
-                4_500, // SearchResults
-                2_500, // ShoppingCart (prep side below is used)
-                2_000, // CustomerRegistration
-                2_500, // BuyRequest
-                3_500, // BuyConfirm
-                1_500, // OrderInquiry
-                3_500, // OrderDisplay
-                2_500, // AdminRequest
-                2_500, // AdminConfirm
-            ],
-            write_prep_us: 1_000,
-            apply_base_us: 100,
-            per_msg_us: 130,
-        }
-    }
-}
-
-impl ServiceModel {
-    /// CPU to handle (parse + render) `interaction` at the front end.
-    pub fn handle_cost_us(&self, interaction: Interaction) -> u64 {
-        let idx = tpcw::ALL_INTERACTIONS
-            .iter()
-            .position(|i| *i == interaction)
-            .expect("interaction in table");
-        if interaction.is_update() {
-            self.read_cpu_us[idx] / 2 + self.write_prep_us
-        } else {
-            self.read_cpu_us[idx]
-        }
-    }
-
-    /// CPU to apply one delivered action (protocol message processing
-    /// is charged separately per received message).
-    pub fn apply_cost_us(&self) -> u64 {
-        self.apply_base_us
-    }
-
-    /// Total protocol CPU one replica spends per decided action on an
-    /// ensemble of `replicas` (N `Accepted` broadcasts + the proposal).
-    pub fn protocol_cost_us(&self, replicas: usize) -> u64 {
-        (replicas as u64 + 1) * self.per_msg_us
-    }
-
-    /// Mean handle cost under a profile (for sizing saturating RBE
-    /// populations).
-    pub fn mean_handle_us(&self, profile: tpcw::Profile) -> f64 {
-        let w = profile.weights();
-        let total: u32 = w.iter().sum();
-        tpcw::ALL_INTERACTIONS
-            .iter()
-            .zip(w.iter())
-            .map(|(i, weight)| self.handle_cost_us(*i) as f64 * *weight as f64)
-            .sum::<f64>()
-            / total as f64
-    }
-
-    /// Analytic single-server capacity estimate (interactions/s) for a
-    /// `replicas`-node deployment under `profile`: per-node CPU spent
-    /// per cluster interaction is `handle/k` (balanced front-end work)
-    /// plus `update_ratio × apply` (every replica applies every write).
-    pub fn estimated_capacity(&self, profile: tpcw::Profile, replicas: usize) -> f64 {
-        let handle = self.mean_handle_us(profile);
-        let u = profile.update_ratio();
-        let per_interaction_us = handle / replicas as f64
-            + u * (self.apply_cost_us() + self.protocol_cost_us(replicas)) as f64;
-        1e6 / per_interaction_us
-    }
+pub fn estimated_capacity(profile: Profile, replicas: usize) -> f64 {
+    let handle = mean_handle_us(profile);
+    let u = profile.update_ratio();
+    let per_interaction_us =
+        handle / replicas as f64 + u * (APPLY_US + protocol_cost_us(replicas)) as f64;
+    1e6 / per_interaction_us
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpcw::Profile;
 
     #[test]
     fn update_interactions_cost_prep_not_full_page() {
-        let m = ServiceModel::default();
-        assert!(m.handle_cost_us(Interaction::BuyConfirm) < m.read_cpu_us[9] + m.write_prep_us);
-        assert_eq!(m.handle_cost_us(Interaction::Home), 3_000);
+        assert!(handle_cost_us(Interaction::BuyConfirm) < READ_CPU_US[9] + WRITE_PREP_US);
+        assert_eq!(handle_cost_us(Interaction::Home), 3_000);
     }
 
     #[test]
     fn protocol_cost_grows_with_ensemble() {
-        let m = ServiceModel::default();
-        assert!(m.protocol_cost_us(12) > m.protocol_cost_us(4));
-        assert_eq!(m.protocol_cost_us(5), 6 * m.per_msg_us);
-        assert_eq!(m.apply_cost_us(), m.apply_base_us);
+        assert!(protocol_cost_us(12) > protocol_cost_us(4));
+        assert_eq!(protocol_cost_us(5), 6 * PER_MSG_US);
     }
 
     #[test]
     fn capacity_estimates_match_paper_operating_points() {
-        let m = ServiceModel::default();
         // 4-replica browsing saturates near 1100 WIPS (Figure 3).
-        let b4 = m.estimated_capacity(Profile::Browsing, 4);
+        let b4 = estimated_capacity(Profile::Browsing, 4);
         assert!((900.0..1_300.0).contains(&b4), "browsing/4 {b4}");
         // 5-replica ordering in the paper's 700–900 WIPSo band
         // (Table 1 failure-free AWIPS is 841 with CV 0.20).
-        let o5 = m.estimated_capacity(Profile::Ordering, 5);
+        let o5 = estimated_capacity(Profile::Ordering, 5);
         assert!((700.0..1_100.0).contains(&o5), "ordering/5 {o5}");
         // Ordering speedup 4→8 is weak-to-flat (paper S8 ≈ 1.29; the
         // qualitative claim is that ordering has "by far crossed the
         // threshold" where total ordering impedes speedup).
-        let o4 = m.estimated_capacity(Profile::Ordering, 4);
-        let o8 = m.estimated_capacity(Profile::Ordering, 8);
+        let o4 = estimated_capacity(Profile::Ordering, 4);
+        let o8 = estimated_capacity(Profile::Ordering, 8);
         let s8 = o8 / o4;
         assert!((0.9..1.5).contains(&s8), "ordering S8 {s8}");
         // Browsing speedup is much better.
-        let b12 = m.estimated_capacity(Profile::Browsing, 12);
+        let b12 = estimated_capacity(Profile::Browsing, 12);
         let s12 = b12 / b4;
         assert!(s12 > 1.8, "browsing S12 {s12}");
     }
 
     #[test]
     fn mean_handle_reflects_mix() {
-        let m = ServiceModel::default();
-        let b = m.mean_handle_us(Profile::Browsing);
-        let o = m.mean_handle_us(Profile::Ordering);
+        let b = mean_handle_us(Profile::Browsing);
+        let o = mean_handle_us(Profile::Ordering);
         // Ordering has more cheap prep-only updates.
         assert!(o < b, "ordering mean {o} vs browsing {b}");
     }

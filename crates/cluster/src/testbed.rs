@@ -23,7 +23,6 @@ use crate::msg::ClusterMsg;
 use crate::plan::{Action, Plan};
 use crate::proxy::ProxyNode;
 use crate::server::ServerNode;
-use crate::service::ServiceModel;
 
 /// How often the operator polls for a submitted membership change
 /// taking effect (µs).
@@ -52,7 +51,6 @@ pub(crate) struct Testbed {
     // What every server incarnation boots with.
     params: PopulationParams,
     treplica: TreplicaConfig,
-    service: ServiceModel,
 }
 
 impl Testbed {
@@ -92,14 +90,7 @@ impl Testbed {
         let servers = (0..server_nodes)
             .map(|i| {
                 (i < replicas).then(|| {
-                    ServerNode::new(
-                        i,
-                        params,
-                        treplica.clone(),
-                        config.service.clone(),
-                        &mut engine,
-                        &mut auditor,
-                    )
+                    ServerNode::new(i, params, treplica.clone(), &mut engine, &mut auditor)
                 })
             })
             .collect();
@@ -144,7 +135,6 @@ impl Testbed {
             replicas,
             params,
             treplica,
-            service: config.service.clone(),
         }
     }
 
@@ -231,7 +221,6 @@ impl Testbed {
                         server,
                         self.params,
                         self.treplica.clone(),
-                        self.service.clone(),
                         &mut self.engine,
                         &mut self.auditor,
                     ));
@@ -385,7 +374,6 @@ impl Testbed {
                     self.params,
                     self.treplica.clone(),
                     membership.clone(),
-                    self.service.clone(),
                     &mut self.engine,
                     &mut self.auditor,
                 ));

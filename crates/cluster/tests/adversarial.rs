@@ -29,7 +29,6 @@ fn lossy_duplicating_reordering_links_across_seeds() {
                 loss: 0.03,
                 duplicate: 0.02,
                 reorder: 0.15,
-                reorder_delay_us: 5_000,
             },
         );
         let report = run_experiment(&config);

@@ -1,5 +1,7 @@
-//! Group-commit batching at cluster scale: determinism, log-append
-//! coalescing, and invariant preservation across crash/recovery.
+//! Group-commit batching at cluster scale: determinism and invariant
+//! preservation across crash/recovery. (Log-append coalescing at
+//! saturation is held by the workspace's
+//! `group_commit_speeds_up_the_saturated_ordering_mix`.)
 //!
 //! `run_experiment` asserts a zero-violation audit before returning, so
 //! every test here implicitly checks that batching never breaks
@@ -36,39 +38,6 @@ fn batched_runs_are_bit_deterministic() {
     assert_eq!(a.disk_writes, b.disk_writes);
     assert_eq!(a.disk_appends, b.disk_appends);
     assert_eq!(committed(&a), committed(&b));
-}
-
-#[test]
-fn batching_coalesces_log_appends() {
-    // Heavy load plus a window comfortably above the per-node update
-    // inter-arrival time, so the group commit actually finds company.
-    let saturated = |batch| {
-        let mut config = batched(Profile::Ordering, batch);
-        config.rbes = 1_500;
-        config.think_us = 250_000;
-        config.schedule = tpcw::Schedule::quick(30);
-        if batch > 1 {
-            config.batch_window_us = 20_000;
-        }
-        config
-    };
-    let unbatched = run_experiment(&saturated(1));
-    let grouped = run_experiment(&saturated(8));
-    let (u_committed, g_committed) = (committed(&unbatched), committed(&grouped));
-    assert!(u_committed > 100, "baseline commits work: {u_committed}");
-    assert!(
-        g_committed as f64 >= u_committed as f64 * 0.8,
-        "batching must not cost meaningful throughput: {g_committed} vs {u_committed}"
-    );
-    // The group commit's whole point: fewer consensus-log appends for
-    // comparable committed work.
-    let u_rate = unbatched.disk_appends as f64 / u_committed as f64;
-    let g_rate = grouped.disk_appends as f64 / g_committed as f64;
-    assert!(
-        g_rate < u_rate * 0.8,
-        "appends per committed update must drop: {g_rate:.3} vs {u_rate:.3}"
-    );
-    assert!(grouped.audit.checks > 1_000, "auditor actually ran");
 }
 
 #[test]

@@ -1,17 +1,47 @@
 //! Tracing must be a pure observer: bit-deterministic across same-seed
 //! runs, and invisible to the simulation it watches.
+//!
+//! Every crash-scenario test reads the same five runs — a traced pair, a
+//! monitored pair and one bare run — made once per test binary.
+
+use std::sync::OnceLock;
 
 use cluster::{run_experiment, ExperimentConfig, RunReport};
 use faultload::Faultload;
 use tpcw::Profile;
 
-fn crash_config(traced: bool) -> ExperimentConfig {
+fn crash_config() -> ExperimentConfig {
     let mut config = ExperimentConfig::quick(5, Profile::Shopping);
     config.faultload = Faultload::single_crash().scaled(1, 6);
-    if traced {
-        config.trace = simnet::TraceConfig::on();
-    }
     config
+}
+
+/// Two same-seed runs of the crash scenario under `configure`, made on
+/// first use.
+fn pair(
+    cell: &'static OnceLock<[RunReport; 2]>,
+    configure: fn(&mut ExperimentConfig),
+) -> &'static [RunReport; 2] {
+    cell.get_or_init(|| {
+        let mut config = crash_config();
+        configure(&mut config);
+        [run_experiment(&config), run_experiment(&config)]
+    })
+}
+
+fn traced() -> &'static [RunReport; 2] {
+    static RUNS: OnceLock<[RunReport; 2]> = OnceLock::new();
+    pair(&RUNS, |config| config.trace = simnet::TraceConfig::on())
+}
+
+fn monitored() -> &'static [RunReport; 2] {
+    static RUNS: OnceLock<[RunReport; 2]> = OnceLock::new();
+    pair(&RUNS, |config| config.monitor = obs::MonitorConfig::on())
+}
+
+fn untraced() -> &'static RunReport {
+    static RUN: OnceLock<RunReport> = OnceLock::new();
+    RUN.get_or_init(|| run_experiment(&crash_config()))
 }
 
 /// A fingerprint of everything the workload can observe — if tracing
@@ -32,8 +62,7 @@ fn fingerprint(report: &RunReport) -> String {
 
 #[test]
 fn same_seed_traces_are_byte_identical() {
-    let a = run_experiment(&crash_config(true));
-    let b = run_experiment(&crash_config(true));
+    let [a, b] = traced();
     assert!(!a.trace.is_empty(), "traced run must produce records");
     let ja = obs::jsonl::encode_all(&a.trace);
     let jb = obs::jsonl::encode_all(&b.trace);
@@ -51,8 +80,7 @@ fn same_seed_traces_are_byte_identical() {
 /// describe the injected crash, not an artifact of windowing.
 #[test]
 fn timeline_exports_are_deterministic_and_bracket_the_crash() {
-    let a = run_experiment(&crash_config(true));
-    let b = run_experiment(&crash_config(true));
+    let [a, b] = traced();
     // Crash at 45 s; with 5 s windows a 12-window lookback would reach
     // into the ramp-up and depress the baseline, so use the post-ramp
     // steady state only.
@@ -66,8 +94,8 @@ fn timeline_exports_are_deterministic_and_bracket_the_crash() {
         tl.dominant_phase = profile.dominant_phases(tl.window_us, tl.windows.len());
         (tl, profile)
     };
-    let (tl, profile) = build(&a);
-    let (tl_b, _) = build(&b);
+    let (tl, profile) = build(a);
+    let (tl_b, _) = build(b);
     assert_eq!(
         tl.csv_rows("run"),
         tl_b.csv_rows("run"),
@@ -127,8 +155,7 @@ fn timeline_exports_are_deterministic_and_bracket_the_crash() {
 /// trace (byte-identical exports across same-seed runs).
 #[test]
 fn causal_blame_telescopes_and_exports_deterministically() {
-    let a = run_experiment(&crash_config(true));
-    let b = run_experiment(&crash_config(true));
+    let [a, b] = traced();
     let pa = obs::CausalProfile::from_records(&a.trace);
     let pb = obs::CausalProfile::from_records(&b.trace);
     assert!(
@@ -164,22 +191,19 @@ fn causal_blame_telescopes_and_exports_deterministically() {
 
 #[test]
 fn tracing_does_not_perturb_the_run() {
-    let traced = run_experiment(&crash_config(true));
-    let untraced = run_experiment(&crash_config(false));
+    let (traced, untraced) = (&traced()[0], untraced());
     assert!(untraced.trace.is_empty(), "default-off must record nothing");
-    assert_eq!(fingerprint(&traced), fingerprint(&untraced));
+    assert_eq!(fingerprint(traced), fingerprint(untraced));
 
     // The monitor is the same kind of pure observer: scrapes read
     // counters the workload already maintains and alerts only add trace
     // events, so a monitored run must fingerprint identically too.
-    let mut monitored = crash_config(false);
-    monitored.monitor = obs::MonitorConfig::on();
-    let monitored = run_experiment(&monitored);
+    let monitored = &monitored()[0];
     assert!(
         !monitored.alerts.entries.is_empty(),
         "a monitored crash run must produce alert transitions"
     );
-    assert_eq!(fingerprint(&traced), fingerprint(&monitored));
+    assert_eq!(fingerprint(traced), fingerprint(monitored));
 }
 
 /// Same-seed monitored runs must produce byte-identical alert logs, and
@@ -187,13 +211,7 @@ fn tracing_does_not_perturb_the_run() {
 /// a positive latency and no false positives.
 #[test]
 fn same_seed_alert_logs_are_byte_identical_and_score_the_crash() {
-    let monitored = || {
-        let mut config = crash_config(false);
-        config.monitor = obs::MonitorConfig::on();
-        run_experiment(&config)
-    };
-    let a = monitored();
-    let b = monitored();
+    let [a, b] = monitored();
     let lines = a.alerts.to_lines();
     assert!(!lines.is_empty(), "crash run must log alert transitions");
     assert_eq!(
@@ -254,7 +272,7 @@ fn fnv1a(text: &str) -> (u64, usize) {
 /// to the simulated run itself re-pins them, like any golden.)
 #[test]
 fn obs_outputs_match_pinned_fingerprints() {
-    let a = run_experiment(&crash_config(true));
+    let a = &traced()[0];
     let trace = obs::jsonl::encode_all(&a.trace);
     let runs = obs::jsonl::decode_runs(&trace).expect("canonical trace decodes");
     assert_eq!(runs.len(), 1);

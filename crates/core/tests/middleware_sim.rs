@@ -6,7 +6,7 @@
 use std::fmt::Debug;
 
 use paxos::{Batch, Mode, ProposalId, ReplicaId};
-use simnet::{Engine, Event, NodeId, SimConfig, SimDuration, SimTime, StableOp};
+use simnet::{Engine, Event, LinkFault, NodeId, SimConfig, SimDuration, SimTime, StableOp};
 use treplica::{
     Application, Meta, Middleware, MwEffect, MwMsg, RecoveredDisk, Snapshot, TreplicaConfig, Wire,
     WireError,
@@ -76,14 +76,14 @@ struct Cluster<A: Application<Action = u64, Reply = usize> + Clone> {
 
 impl Cluster<Register> {
     fn new(n: usize, seed: u64) -> Self {
-        Cluster::with(Register::default(), config(n), SimConfig::default(), seed)
+        Cluster::with(Register::default(), config(n), seed)
     }
 }
 
 impl<A: Application<Action = u64, Reply = usize> + Clone> Cluster<A> {
-    fn with(app: A, config: TreplicaConfig, sim: SimConfig, seed: u64) -> Self {
+    fn with(app: A, config: TreplicaConfig, seed: u64) -> Self {
         let n = config.paxos.n;
-        let mut engine = Engine::new(n, sim, seed);
+        let mut engine = Engine::new(n, SimConfig::default(), seed);
         let mut nodes = Vec::new();
         for i in 0..n {
             let mw = Middleware::new(ReplicaId(i as u32), app.clone(), config.clone(), 0);
@@ -395,7 +395,7 @@ fn recovery_time_scales_with_state_size() {
         }
 
         let app = Sized(Vec::new(), nominal_mb * 1_000_000);
-        let mut c = Cluster::with(app, config(5), SimConfig::default(), seed);
+        let mut c = Cluster::with(app, config(5), seed);
         c.run_until(SimTime::from_secs(1));
         for i in 0..25u64 {
             c.execute(0, i);
@@ -448,7 +448,7 @@ fn snapshot_transfer_when_backlog_outruns_retention() {
         retention_slots: 2,
         ..TreplicaConfig::lan(5)
     };
-    let mut c = Cluster::with(Register::default(), tight, SimConfig::default(), 21);
+    let mut c = Cluster::with(Register::default(), tight, 21);
     c.run_until(SimTime::from_secs(1));
     c.crash(4);
     c.run_until(SimTime::from_secs(2));
@@ -468,16 +468,20 @@ fn snapshot_transfer_when_backlog_outruns_retention() {
 
 #[test]
 fn converges_over_a_lossy_network() {
-    // 2% message loss: retries, catch-up and collision recovery must
-    // still drive every proposal to delivery everywhere.
-    let lossy = SimConfig {
-        net: simnet::NetConfig {
-            drop_probability: 0.02,
-            ..simnet::NetConfig::default()
-        },
-        ..SimConfig::default()
+    // 2% message loss on every link: retries, catch-up and collision
+    // recovery must still drive every proposal to delivery everywhere.
+    let mut c = Cluster::new(5, 31);
+    let lossy = LinkFault {
+        loss: 0.02,
+        ..LinkFault::default()
     };
-    let mut c = Cluster::with(Register::default(), config(5), lossy, 31);
+    for a in 0..5 {
+        for b in (a + 1)..5 {
+            c.engine
+                .network_mut()
+                .set_link_fault(NodeId(a), NodeId(b), lossy);
+        }
+    }
     c.run_until(SimTime::from_secs(1));
     for i in 0..30 {
         c.execute((i % 5) as usize, i);

@@ -48,16 +48,11 @@ pub struct PerformabilityWindow {
     pub cv: f64,
 }
 
-/// Computes AWIPS/CV over `[from, to)` of a per-second series.
+/// Computes AWIPS/CV over `[from, to)` of a per-second series: the
+/// run's AWIPS is this over the measurement interval.
 pub fn performability(series: &[u32], from_us: u64, to_us: u64) -> PerformabilityWindow {
-    let b0 = (from_us / 1_000_000) as usize;
-    let b1 = ((to_us / 1_000_000) as usize).min(series.len());
-    let vals: Vec<f64> = if b1 > b0 {
-        series[b0..b1].iter().map(|v| *v as f64).collect()
-    } else {
-        Vec::new()
-    };
-    let (awips, cv) = mean_cv(&vals);
+    let (_, window) = seconds(series, from_us, to_us);
+    let (awips, cv) = mean_cv(window.iter().map(|v| *v as f64));
     PerformabilityWindow {
         from_us,
         to_us,
@@ -66,16 +61,24 @@ pub fn performability(series: &[u32], from_us: u64, to_us: u64) -> Performabilit
     }
 }
 
+/// The one-second buckets of `series` that `[from, to)` covers, with
+/// the index of the first.
+fn seconds(series: &[u32], from_us: u64, to_us: u64) -> (usize, &[u32]) {
+    let b0 = (from_us / 1_000_000) as usize;
+    let b1 = ((to_us / 1_000_000) as usize).min(series.len());
+    (b0, series.get(b0..b1).unwrap_or_default())
+}
+
 /// The mean of `vals` and their coefficient of variation (0 for an
 /// empty or non-positive series).
-fn mean_cv(vals: &[f64]) -> (f64, f64) {
-    let mean = if vals.is_empty() {
-        0.0
-    } else {
-        vals.iter().sum::<f64>() / vals.len() as f64
-    };
+fn mean_cv(vals: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
+    let n = vals.clone().count();
+    if n == 0 {
+        return (0.0, 0.0);
+    }
+    let mean = vals.clone().sum::<f64>() / n as f64;
     let cv = if mean > 0.0 {
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
+        let var = vals.map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
         var.sqrt() / mean
     } else {
         0.0
@@ -141,23 +144,18 @@ impl DependabilityReport {
             .collect();
 
         // Failure-free = measurement seconds not inside any recovery.
-        let b0 = (measure_from_us / 1_000_000) as usize;
-        let b1 = ((measure_to_us / 1_000_000) as usize).min(series.len());
-        let mut ff_vals: Vec<f64> = Vec::new();
-        let mut up_seconds = 0usize;
-        let mut total_seconds = 0usize;
-        for (b, value) in series.iter().enumerate().take(b1).skip(b0) {
+        let (b0, measured) = seconds(series, measure_from_us, measure_to_us);
+        let in_recovery = |b: usize| {
             let t = b as u64 * 1_000_000;
-            total_seconds += 1;
-            if *value > 0 {
-                up_seconds += 1;
-            }
-            let in_recovery = windows.iter().any(|(a, z)| t >= *a && t < *z);
-            if !in_recovery {
-                ff_vals.push(*value as f64);
-            }
-        }
-        let (ff_awips, ff_cv) = mean_cv(&ff_vals);
+            windows.iter().any(|(a, z)| t >= *a && t < *z)
+        };
+        let (ff_awips, ff_cv) = mean_cv(
+            measured
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !in_recovery(b0 + i))
+                .map(|(_, v)| *v as f64),
+        );
         let failure_free = PerformabilityWindow {
             from_us: measure_from_us,
             to_us: measure_to_us,
@@ -180,10 +178,10 @@ impl DependabilityReport {
             })
             .collect();
 
-        let availability = if total_seconds == 0 {
+        let availability = if measured.is_empty() {
             1.0
         } else {
-            up_seconds as f64 / total_seconds as f64
+            measured.iter().filter(|v| **v > 0).count() as f64 / measured.len() as f64
         };
         let accuracy_percent = if total == 0 {
             100.0
@@ -229,6 +227,8 @@ mod tests {
         let s = flat_series(10, 5);
         let w = performability(&s, 5_000_000, 5_000_000);
         assert_eq!(w.awips, 0.0);
+        let past_the_end = performability(&s, 20_000_000, 30_000_000);
+        assert_eq!((past_the_end.awips, past_the_end.cv), (0.0, 0.0));
     }
 
     #[test]
@@ -271,10 +271,13 @@ mod tests {
     }
 
     #[test]
-    fn autonomy_reflects_interventions() {
+    fn autonomy_and_accuracy_match_paper_definitions() {
         let s = flat_series(10, 1);
-        let r = DependabilityReport::build(&s, 0, 10_000_000, vec![], 0, 10, 2, 1);
+        // 99 999 successes and one error read as the paper's 99.999 %.
+        let r = DependabilityReport::build(&s, 0, 10_000_000, vec![], 1, 100_000, 2, 1);
         assert!((r.autonomy - 0.5).abs() < 1e-9);
+        let acc = r.accuracy_percent;
+        assert!((acc - 99.999).abs() < 0.0005, "{acc}");
         let r = DependabilityReport::build(&s, 0, 10_000_000, vec![], 0, 10, 0, 0);
         assert_eq!(r.autonomy, 1.0);
     }

@@ -61,7 +61,8 @@ pub struct PartitionEvent {
 
 /// Adversarial per-link message faults applied to every server–server
 /// link for a bounded interval: probabilistic loss, duplication, and
-/// reordering (a message held back so later ones overtake it).
+/// reordering (a message held back so later ones overtake it; the
+/// network model fixes how long).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultSpec {
     /// Per-message loss probability in `[0, 1]`.
@@ -70,8 +71,6 @@ pub struct LinkFaultSpec {
     pub duplicate: f64,
     /// Per-message reorder probability in `[0, 1]`.
     pub reorder: f64,
-    /// Maximum hold-back applied to a reordered message (µs).
-    pub reorder_delay_us: u64,
 }
 
 /// An interval during which [`LinkFaultSpec`] faults afflict all
@@ -306,7 +305,6 @@ impl Faultload {
                     loss: 0.02,
                     duplicate: 0.01,
                     reorder: 0.10,
-                    reorder_delay_us: 5_000,
                 },
             }],
             disk_faults: vec![DiskFaultEvent {
@@ -562,7 +560,6 @@ mod tests {
             loss: 0.1,
             duplicate: 0.05,
             reorder: 0.2,
-            reorder_delay_us: 9_000,
         };
         let f = Faultload::lossy_links(30_000_000, 90_000_000, spec).scaled(1, 3);
         assert_eq!(f.net_faults[0].at_us, 10_000_000);

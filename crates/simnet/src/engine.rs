@@ -952,11 +952,6 @@ mod tests {
         e.crash(NodeId(0));
         assert_eq!(e.node_state(NodeId(0)).crashes, 2);
     }
-}
-
-#[cfg(test)]
-mod extended_tests {
-    use super::*;
 
     #[test]
     fn raw_read_pays_latency_without_data() {
@@ -1134,18 +1129,6 @@ mod extended_tests {
         e.disk_read(NodeId(0), "x", 1);
         e.disk_read_raw(NodeId(0), 1_000, 2);
         assert!(e.next_event_before(SimTime::from_secs(5)).is_none());
-    }
-
-    fn engine(nodes: usize) -> Engine<u32> {
-        Engine::new(nodes, SimConfig::default(), 99)
-    }
-
-    fn drain(e: &mut Engine<u32>, limit: SimTime) -> Vec<(SimTime, Event<u32>)> {
-        let mut out = Vec::new();
-        while let Some(ev) = e.next_event_before(limit) {
-            out.push(ev);
-        }
-        out
     }
 
     // Regression: messages popped for a down destination used to vanish

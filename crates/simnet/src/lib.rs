@@ -50,7 +50,7 @@ mod time;
 
 pub use disk::{DiskConfig, DiskModel, StableLog, StableOp, StableStore};
 pub use engine::{DiskFault, Engine, Event, SimConfig};
-pub use net::{DropReason, LinkFault, NetConfig, Network, Transmission};
+pub use net::{DropReason, LinkFault, NetConfig, Network, Transmission, REORDER_HOLD_US};
 pub use node::{Incarnation, NodeId, NodeState, NodeStatus};
 pub use time::{SimDuration, SimTime, TickSchedule};
 

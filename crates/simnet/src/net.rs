@@ -7,10 +7,10 @@
 //! delay = base_latency + jitter + size / bandwidth
 //! ```
 //!
-//! plus optional probabilistic loss and explicit partitions (used by the
-//! fault-injection tests; the paper's faultloads crash whole processes
-//! rather than links, but partitions are needed to exercise Paxos'
-//! liveness behaviour below quorum).
+//! plus per-link faults (loss, duplication, reordering) and explicit
+//! partitions (used by the fault-injection tests; the paper's faultloads
+//! crash whole processes rather than links, but partitions are needed to
+//! exercise Paxos' liveness behaviour below quorum).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -28,8 +28,6 @@ pub struct NetConfig {
     pub jitter: SimDuration,
     /// Link bandwidth in bytes per second (1 Gbps Ethernet by default).
     pub bandwidth_bytes_per_sec: u64,
-    /// Probability in `[0, 1]` that a message is silently dropped.
-    pub drop_probability: f64,
     /// Latency for a node sending a message to itself (loopback).
     pub loopback_latency: SimDuration,
 }
@@ -41,7 +39,6 @@ impl Default for NetConfig {
             base_latency: SimDuration::from_micros(120),
             jitter: SimDuration::from_micros(40),
             bandwidth_bytes_per_sec: 125_000_000,
-            drop_probability: 0.0,
             loopback_latency: SimDuration::from_micros(10),
         }
     }
@@ -64,7 +61,7 @@ pub enum Transmission {
 pub enum DropReason {
     /// The link is severed by an explicit partition.
     Partition,
-    /// Probabilistic loss (link fault or configured drop probability).
+    /// Probabilistic loss on a faulted link.
     Loss,
     /// The destination process was down when the message arrived. Unlike
     /// the other reasons this is decided at delivery time by the engine,
@@ -88,29 +85,20 @@ impl DropReason {
 ///
 /// All probabilities are independent per message; draws come from the
 /// engine's seeded RNG, so faulty runs stay deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFault {
     /// Probability in `[0, 1]` that a message is silently lost.
     pub loss: f64,
     /// Probability in `[0, 1]` that a message is delivered twice.
     pub duplicate: f64,
     /// Probability in `[0, 1]` that a message is held back by up to
-    /// `reorder_delay`, letting later messages overtake it.
+    /// [`REORDER_HOLD_US`], letting later messages overtake it.
     pub reorder: f64,
-    /// Maximum extra delay applied to a reordered message.
-    pub reorder_delay: SimDuration,
 }
 
-impl Default for LinkFault {
-    fn default() -> Self {
-        LinkFault {
-            loss: 0.0,
-            duplicate: 0.0,
-            reorder: 0.0,
-            reorder_delay: SimDuration::from_millis(5),
-        }
-    }
-}
+/// Maximum extra delay (µs) a faulted link applies to a reordered
+/// message.
+pub const REORDER_HOLD_US: u64 = 5_000;
 
 /// The simulated switch: computes delivery delays and tracks partitions.
 #[derive(Debug, Clone)]
@@ -210,8 +198,9 @@ impl Network {
 
     /// Computes the fate of a `size_bytes` message from `from` to `to`.
     ///
-    /// Draws jitter (and the drop decision, if configured) from `rng`, so
-    /// outcomes are deterministic for a fixed seed.
+    /// Draws jitter (and a faulted link's loss, reorder and duplication
+    /// decisions) from `rng`, so outcomes are deterministic for a fixed
+    /// seed.
     pub fn transmit<R: Rng>(
         &mut self,
         rng: &mut R,
@@ -235,13 +224,6 @@ impl Network {
                 return Transmission::Dropped(DropReason::Loss);
             }
         }
-        if self.config.drop_probability > 0.0 && from != to {
-            let p: f64 = rng.gen();
-            if p < self.config.drop_probability {
-                self.dropped += 1;
-                return Transmission::Dropped(DropReason::Loss);
-            }
-        }
         self.bytes += size_bytes;
         if from == to {
             return Transmission::Deliver(self.config.loopback_latency);
@@ -254,10 +236,7 @@ impl Network {
         if let Some(f) = fault {
             if f.reorder > 0.0 && rng.gen::<f64>() < f.reorder {
                 self.reordered += 1;
-                let held_us = f.reorder_delay.as_micros();
-                if held_us > 0 {
-                    delay += SimDuration::from_micros(rng.gen_range(0..=held_us));
-                }
+                delay += SimDuration::from_micros(rng.gen_range(0..=REORDER_HOLD_US));
             }
             if f.duplicate > 0.0 && rng.gen::<f64>() < f.duplicate {
                 self.duplicated += 1;
@@ -382,22 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_probability_one_drops_everything() {
-        let mut net = Network::new(NetConfig {
-            drop_probability: 1.0,
-            ..NetConfig::default()
-        });
-        let mut r = rng();
-        for _ in 0..10 {
-            assert_eq!(
-                net.transmit(&mut r, NodeId(0), NodeId(1), 1),
-                Transmission::Dropped(DropReason::Loss)
-            );
-        }
-        assert_eq!(net.messages_dropped(), 10);
-    }
-
-    #[test]
     fn counters_track_sent_and_bytes() {
         let mut net = Network::new(NetConfig::default());
         let mut r = rng();
@@ -465,13 +428,12 @@ mod tests {
             ..NetConfig::default()
         };
         let mut net = Network::new(cfg.clone());
-        let hold = SimDuration::from_millis(50);
+        let hold = SimDuration::from_micros(REORDER_HOLD_US);
         net.set_link_fault(
             NodeId(0),
             NodeId(1),
             LinkFault {
                 reorder: 1.0,
-                reorder_delay: hold,
                 ..LinkFault::default()
             },
         );
@@ -488,7 +450,7 @@ mod tests {
             }
         }
         assert!(
-            max_seen > cfg.base_latency + SimDuration::from_millis(10),
+            max_seen > cfg.base_latency + hold / 2,
             "holding should sometimes exceed normal delivery: {max_seen}"
         );
         assert_eq!(net.messages_reordered(), 50);

@@ -1,12 +1,15 @@
-//! Performance and dependability measurement.
+//! Performance recording.
 //!
 //! TPC-W measures WIPS (web interactions per second) with WIRT (web
 //! interaction response time) as the complementary metric, over a
 //! ramp-up / measurement-interval / ramp-down schedule (the paper uses
-//! 30 s / 9 min / 30 s). The dependability extension (§5.1) adds
-//! per-second histograms (Figures 5/7/8), AWIPS over sub-windows with
-//! the coefficient of variation (Tables 1/3/5), and accuracy (Tables
-//! 2/4/6).
+//! 30 s / 9 min / 30 s). The [`Recorder`] keeps the raw observables:
+//! the per-second completion and error histograms (Figures 5/7/8), the
+//! totals, and the typed WIRT samples with their percentiles and the
+//! clause 5.3.1 compliance check. The dependability extension's
+//! measures over those histograms — AWIPS and its coefficient of
+//! variation over sub-windows (Tables 1/3/5) and accuracy (Tables
+//! 2/4/6) — are computed by `faultload::measures`, and only there.
 
 /// Measurement schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,16 +93,10 @@ impl Recorder {
         }
     }
 
-    /// Records a successful interaction completing at `t` with response
-    /// time `rt_us`.
-    pub fn record_ok(&mut self, t: u64, rt_us: u64) {
-        self.record_ok_typed(t, rt_us, crate::Interaction::Home);
-    }
-
-    /// Records a successful interaction with its type (enables the
-    /// TPC-W clause 5.3.1 response-time compliance check and mix
-    /// validation).
-    pub fn record_ok_typed(&mut self, t: u64, rt_us: u64, interaction: crate::Interaction) {
+    /// Records a successful `interaction` completing at `t` with response
+    /// time `rt_us` (the type enables the TPC-W clause 5.3.1
+    /// response-time compliance check).
+    pub fn record_ok(&mut self, t: u64, rt_us: u64, interaction: crate::Interaction) {
         let b = (t / self.bucket_us) as usize;
         if b < self.completions.len() {
             self.completions[b] += 1;
@@ -153,42 +150,6 @@ impl Recorder {
     /// Total failed interactions.
     pub fn total_errors(&self) -> u64 {
         self.total_err
-    }
-
-    /// Average WIPS over `[from, to)` µs.
-    pub fn awips(&self, from: u64, to: u64) -> f64 {
-        let (sum, n) = self.window_stats(from, to);
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    /// Coefficient of variation of the per-second WIPS over `[from, to)`.
-    pub fn cv(&self, from: u64, to: u64) -> f64 {
-        let b0 = (from / self.bucket_us) as usize;
-        let b1 = ((to / self.bucket_us) as usize).min(self.completions.len());
-        if b1 <= b0 {
-            return 0.0;
-        }
-        let vals: Vec<f64> = self.completions[b0..b1].iter().map(|c| *c as f64).collect();
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
-        var.sqrt() / mean
-    }
-
-    fn window_stats(&self, from: u64, to: u64) -> (f64, usize) {
-        let b0 = (from / self.bucket_us) as usize;
-        let b1 = ((to / self.bucket_us) as usize).min(self.completions.len());
-        if b1 <= b0 {
-            return (0.0, 0);
-        }
-        let sum: u64 = self.completions[b0..b1].iter().map(|c| *c as u64).sum();
-        (sum as f64, b1 - b0)
     }
 
     /// Mean WIRT (µs) over `[from, to)` completion times.
@@ -245,41 +206,6 @@ impl Recorder {
         }
         out
     }
-
-    /// Measured interaction mix over `[from, to)`: fraction of
-    /// completions per interaction (mix-validity checks against the
-    /// profile's weights).
-    pub fn measured_mix(&self, from: u64, to: u64) -> Vec<(crate::Interaction, f64)> {
-        let total = self
-            .wirt
-            .iter()
-            .filter(|(t, _, _)| *t >= from && *t < to)
-            .count();
-        if total == 0 {
-            return Vec::new();
-        }
-        crate::ALL_INTERACTIONS
-            .iter()
-            .map(|interaction| {
-                let n = self
-                    .wirt
-                    .iter()
-                    .filter(|(t, _, i)| *t >= from && *t < to && i == interaction)
-                    .count();
-                (*interaction, n as f64 / total as f64)
-            })
-            .collect()
-    }
-
-    /// Accuracy over the whole run: `1 − errors/total`, as a percentage
-    /// (the paper reports e.g. 99.999).
-    pub fn accuracy_percent(&self) -> f64 {
-        let total = self.total_ok + self.total_err;
-        if total == 0 {
-            return 100.0;
-        }
-        100.0 * (1.0 - self.total_err as f64 / total as f64)
-    }
 }
 
 /// TPC-W clause 5.3.1.1 response-time limits (µs) per interaction.
@@ -334,6 +260,7 @@ pub fn r_squared(points: &[(f64, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Interaction;
 
     #[test]
     fn schedule_windows() {
@@ -349,9 +276,9 @@ mod tests {
     #[test]
     fn recorder_buckets_and_totals() {
         let mut r = Recorder::new(10_000_000);
-        r.record_ok(500_000, 20_000);
-        r.record_ok(1_500_000, 30_000);
-        r.record_ok(1_600_000, 30_000);
+        r.record_ok(500_000, 20_000, Interaction::Home);
+        r.record_ok(1_500_000, 30_000, Interaction::Home);
+        r.record_ok(1_600_000, 30_000, Interaction::Home);
         r.record_error(1_700_000);
         assert_eq!(r.wips_series()[0], 1);
         assert_eq!(r.wips_series()[1], 2);
@@ -361,31 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn awips_is_mean_of_buckets() {
-        let mut r = Recorder::new(5_000_000);
-        for t in [100_000u64, 200_000, 1_100_000, 1_200_000, 1_300_000] {
-            r.record_ok(t, 1_000);
-        }
-        // Buckets: [2, 3, 0, 0, 0] → mean over first 2 s = 2.5.
-        assert!((r.awips(0, 2_000_000) - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cv_zero_for_constant_series() {
-        let mut r = Recorder::new(5_000_000);
-        for s in 0..5u64 {
-            for k in 0..10u64 {
-                r.record_ok(s * 1_000_000 + k * 1_000, 500);
-            }
-        }
-        assert!(r.cv(0, 5_000_000) < 1e-9);
-    }
-
-    #[test]
     fn wirt_stats() {
         let mut r = Recorder::new(2_000_000);
         for (i, rt) in [10_000u64, 20_000, 30_000, 40_000].iter().enumerate() {
-            r.record_ok(i as u64 * 100_000, *rt);
+            r.record_ok(i as u64 * 100_000, *rt, Interaction::Home);
         }
         assert!((r.mean_wirt(0, 2_000_000) - 25_000.0).abs() < 1e-6);
         assert_eq!(r.wirt_percentile(0, 2_000_000, 100.0), 40_000);
@@ -397,54 +303,24 @@ mod tests {
         let mut r = Recorder::new(10_000_000);
         // 10 fast Home pages and one slow one: p90 under the 3 s limit.
         for k in 0..10u64 {
-            r.record_ok_typed(k * 100_000, 50_000, crate::Interaction::Home);
+            r.record_ok(k * 100_000, 50_000, Interaction::Home);
         }
-        r.record_ok_typed(1_500_000, 9_000_000, crate::Interaction::Home);
+        r.record_ok(1_500_000, 9_000_000, Interaction::Home);
         // SearchResults consistently slow but within its 10 s limit.
         for k in 0..5u64 {
-            r.record_ok_typed(2_000_000 + k, 8_000_000, crate::Interaction::SearchResults);
+            r.record_ok(2_000_000 + k, 8_000_000, Interaction::SearchResults);
         }
         // BestSellers blowing its 3 s limit.
         for k in 0..5u64 {
-            r.record_ok_typed(3_000_000 + k, 5_000_000, crate::Interaction::BestSellers);
+            r.record_ok(3_000_000 + k, 5_000_000, Interaction::BestSellers);
         }
         let report = r.wirt_compliance(0, 10_000_000);
         let get = |i: crate::Interaction| report.iter().find(|(x, ..)| *x == i).unwrap();
-        assert!(get(crate::Interaction::Home).3, "home compliant at p90");
-        assert!(get(crate::Interaction::SearchResults).3);
-        assert!(!get(crate::Interaction::BestSellers).3);
+        assert!(get(Interaction::Home).3, "home compliant at p90");
+        assert!(get(Interaction::SearchResults).3);
+        assert!(!get(Interaction::BestSellers).3);
         // Interactions with no samples are skipped.
-        assert!(report
-            .iter()
-            .all(|(i, ..)| *i != crate::Interaction::BuyConfirm));
-    }
-
-    #[test]
-    fn measured_mix_sums_to_one() {
-        let mut r = Recorder::new(1_000_000);
-        r.record_ok_typed(1, 1, crate::Interaction::Home);
-        r.record_ok_typed(2, 1, crate::Interaction::Home);
-        r.record_ok_typed(3, 1, crate::Interaction::BuyConfirm);
-        let mix = r.measured_mix(0, 1_000_000);
-        let total: f64 = mix.iter().map(|(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        let home = mix
-            .iter()
-            .find(|(i, _)| *i == crate::Interaction::Home)
-            .unwrap()
-            .1;
-        assert!((home - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accuracy_matches_paper_definition() {
-        let mut r = Recorder::new(1_000_000);
-        for _ in 0..99_999 {
-            r.record_ok(1, 1);
-        }
-        r.record_error(2);
-        let acc = r.accuracy_percent();
-        assert!((acc - 99.999).abs() < 0.0005, "{acc}");
+        assert!(report.iter().all(|(i, ..)| *i != Interaction::BuyConfirm));
     }
 
     #[test]
@@ -466,9 +342,8 @@ mod tests {
     #[test]
     fn empty_recorder_is_benign() {
         let r = Recorder::new(1_000_000);
-        assert_eq!(r.awips(0, 1_000_000), 0.0);
-        assert_eq!(r.cv(0, 1_000_000), 0.0);
-        assert_eq!(r.accuracy_percent(), 100.0);
         assert_eq!(r.mean_wirt(0, 1_000_000), 0.0);
+        assert_eq!(r.wirt_percentile(0, 1_000_000, 50.0), 0);
+        assert!(r.wirt_compliance(0, 1_000_000).is_empty());
     }
 }

@@ -21,7 +21,6 @@ fn lossy_config(seed: u64, loss: f64, duplicate: f64, reorder: f64) -> Experimen
             loss,
             duplicate,
             reorder,
-            reorder_delay_us: 5_000,
         },
     );
     config
