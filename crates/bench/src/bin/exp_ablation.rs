@@ -9,6 +9,7 @@
 //!    log suffix a recovering replica replays but cost more disk writes;
 //!    this sweep measures both sides.
 
+use bench::render::render_checkpoint_sweep;
 use bench::{base_config, Console, JsonReport, Mode, TraceSink};
 use cluster::run_experiment;
 use faultload::Faultload;
@@ -49,7 +50,7 @@ fn main() {
     }
 
     con.say("\n== Ablation 2: checkpoint interval (5 replicas, shopping, one crash) ==");
-    con.say("  interval | AWIPS | recovery(s) | disk writes at survivor");
+    let mut rows = Vec::new();
     for interval in [2_000u64, 20_000, 100_000] {
         let mut config = base_config(mode, 5, Profile::Shopping);
         config.ebs = 30;
@@ -65,11 +66,9 @@ fn main() {
             .first()
             .and_then(|s| s.recovery_secs())
             .unwrap_or(f64::NAN);
-        con.say(format_args!(
-            "  {interval:8} | {:5.1} | {:11.1} | (see bench output)",
-            report.awips, recovery
-        ));
+        rows.push((interval, report.awips, recovery, report.disk_writes));
     }
+    con.say(render_checkpoint_sweep(&rows).trim_end());
     json.write_if_requested();
     trace.write_if_requested();
 }

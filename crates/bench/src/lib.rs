@@ -102,32 +102,15 @@ impl Mode {
 
     /// Replica counts for sweep experiments.
     pub fn sweep_replicas(self) -> Vec<usize> {
-        self.sweep_memberships().iter().map(|m| m.n()).collect()
-    }
-
-    /// The epoch-0 replica sets sweep experiments run on. Ensemble
-    /// sizing flows through the same membership type the cluster's
-    /// quorum arithmetic uses, so a future change to how replica sets
-    /// are constructed (sparse ids, non-zero epochs) reaches every
-    /// experiment from one place.
-    pub fn sweep_memberships(self) -> Vec<paxos::Membership> {
-        let counts: Vec<usize> = match self {
+        match self {
             Mode::Quick => vec![4, 6, 8, 10, 12],
             Mode::Full => (4..=12).collect(),
-        };
-        counts.into_iter().map(paxos::Membership::initial).collect()
+        }
     }
 }
 
-/// The paper's {5, 8}-replica ensembles the dependability grids run on,
-/// as epoch-0 memberships (see [`Mode::sweep_memberships`] for why the
-/// membership type is the source of truth).
-pub fn grid_memberships() -> Vec<paxos::Membership> {
-    [5usize, 8]
-        .into_iter()
-        .map(paxos::Membership::initial)
-        .collect()
-}
+/// The paper's {5, 8}-replica ensembles the dependability grids run on.
+pub const GRID_REPLICAS: [usize; 2] = [5, 8];
 
 /// Base configuration shared by all experiments in a mode. Tracing is
 /// enabled when `--trace <path>` is on the command line, so every
@@ -193,8 +176,7 @@ pub struct ScaleupResult {
 /// Figure 4 — scaleup: WIPS and WIRT at a fixed offered load of 1000
 /// WIPS (1000 RBEs at 1 s think time), 300 MB state.
 pub fn fig4_scaleup(mode: Mode, profile: Profile) -> ScaleupResult {
-    let points: Vec<SweepPoint> = run_parallel(mode.sweep_memberships(), |membership| {
-        let replicas = membership.n();
+    let points: Vec<SweepPoint> = run_parallel(mode.sweep_replicas(), |replicas| {
         let mut config = base_config(mode, replicas, profile);
         config.ebs = 30;
         config.rbes = 1_000;
@@ -252,9 +234,9 @@ pub fn fault_run(
 /// faultload: replicas {5, 8} × the three profiles, 500 MB state.
 pub fn dependability_grid(mode: Mode, faultload: &Faultload) -> Vec<FaultRun> {
     let mut points = Vec::new();
-    for membership in grid_memberships() {
+    for replicas in GRID_REPLICAS {
         for profile in Profile::ALL {
-            points.push((membership.n(), profile));
+            points.push((replicas, profile));
         }
     }
     run_parallel(points, |(replicas, profile)| {
@@ -313,10 +295,10 @@ pub struct RecoveryTimePoint {
 /// state sizes, profiles and replica counts.
 pub fn fig6_recovery_times(mode: Mode) -> Vec<RecoveryTimePoint> {
     let mut points = Vec::new();
-    for membership in grid_memberships() {
+    for replicas in GRID_REPLICAS {
         for profile in Profile::ALL {
             for ebs in [30u32, 50, 70] {
-                points.push((membership.n(), profile, ebs));
+                points.push((replicas, profile, ebs));
             }
         }
     }
@@ -335,16 +317,6 @@ pub fn fig6_recovery_times(mode: Mode) -> Vec<RecoveryTimePoint> {
             recovery_secs,
         }
     })
-}
-
-/// Computes relative speedups `S_k = π_k / π_4` from a sweep.
-pub fn speedups(points: &[SweepPoint]) -> Vec<(usize, f64)> {
-    let base = points
-        .iter()
-        .find(|p| p.replicas == 4)
-        .map(|p| p.wips)
-        .unwrap_or(1.0);
-    points.iter().map(|p| (p.replicas, p.wips / base)).collect()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use faultload::DependabilityReport;
 use tpcw::Profile;
 
-use crate::{FaultRun, RecoveryTimePoint, ScaleupResult, SweepPoint};
+use crate::{FaultRun, RecoveryTimePoint, ScaleupResult, SweepPoint, GRID_REPLICAS};
 
 /// Console output shared by the `exp_*` binaries.
 ///
@@ -179,7 +179,7 @@ pub fn render_performability_delayed(title: &str, runs: &[FaultRun]) -> String {
 /// Renders an accuracy table (Tables 2/4/6).
 pub fn render_accuracy(title: &str, runs: &[FaultRun]) -> String {
     let mut out = format!("{title}\n  replicas | browsing | shopping | ordering\n");
-    for replicas in [5usize, 8] {
+    for replicas in GRID_REPLICAS {
         let row: Vec<String> = Profile::ALL
             .iter()
             .map(|p| {
@@ -199,7 +199,7 @@ pub fn render_recovery_times(points: &[RecoveryTimePoint]) -> String {
     let mut out = String::from(
         "Figure 6 — one-failure recovery times (s) by state size\n  R  profile   |  300MB |  500MB |  700MB\n",
     );
-    for replicas in [5usize, 8] {
+    for replicas in GRID_REPLICAS {
         for profile in Profile::ALL {
             let cells: Vec<String> = [30u32, 50, 70]
                 .iter()
@@ -218,6 +218,19 @@ pub fn render_recovery_times(points: &[RecoveryTimePoint]) -> String {
                 cells.join(" | ")
             ));
         }
+    }
+    out
+}
+
+/// Renders `exp_ablation`'s checkpoint-interval sweep, one row per
+/// `(interval, awips, recovery_s, disk_writes)`: what a shorter interval
+/// saves on recovery beside what it costs in disk writes.
+pub fn render_checkpoint_sweep(rows: &[(u64, f64, f64, u64)]) -> String {
+    let mut out = String::from("  interval | AWIPS | recovery(s) | disk writes (all servers)\n");
+    for (interval, awips, recovery_s, disk_writes) in rows {
+        out.push_str(&format!(
+            "  {interval:8} | {awips:5.1} | {recovery_s:11.1} | {disk_writes:25}\n"
+        ));
     }
     out
 }

@@ -19,6 +19,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 use cluster::RunReport;
+use obs::jsonl::quote;
 
 use crate::render::Console;
 use crate::Mode;
@@ -98,7 +99,7 @@ impl JsonReport {
         let committed = committed_updates(report);
         let secs = report.schedule.total_us() as f64 / 1e6;
         let mut fields = vec![
-            format!("\"label\": {}", json_string(label)),
+            format!("\"label\": {}", quote(label)),
             format!("\"awips\": {}", json_f64(report.awips)),
             format!("\"mean_wirt_ms\": {}", json_f64(report.mean_wirt_ms)),
             format!("\"committed_updates\": {committed}"),
@@ -123,7 +124,7 @@ impl JsonReport {
         ];
         fields.extend(availability_fields(report));
         for (k, v) in extra {
-            fields.push(format!("{}: {}", json_string(k), json_f64(*v)));
+            fields.push(format!("{}: {}", quote(k), json_f64(*v)));
         }
         self.runs.push(format!("    {{{}}}", fields.join(", ")));
     }
@@ -131,9 +132,9 @@ impl JsonReport {
     /// Adds one row of bare numeric fields (sweep experiments that
     /// aggregate away the underlying [`RunReport`]s).
     pub fn push_raw(&mut self, label: &str, fields: &[(&str, f64)]) {
-        let mut parts = vec![format!("\"label\": {}", json_string(label))];
+        let mut parts = vec![format!("\"label\": {}", quote(label))];
         for (k, v) in fields {
-            parts.push(format!("{}: {}", json_string(k), json_f64(*v)));
+            parts.push(format!("{}: {}", quote(k), json_f64(*v)));
         }
         self.runs.push(format!("    {{{}}}", parts.join(", ")));
     }
@@ -146,7 +147,7 @@ impl JsonReport {
         };
         format!(
             "{{\n  \"experiment\": {},\n  \"mode\": \"{mode}\",\n  \"runs\": [\n{}\n  ]\n}}\n",
-            json_string(&self.experiment),
+            quote(&self.experiment),
             self.runs.join(",\n"),
         )
     }
@@ -236,24 +237,6 @@ pub fn committed_updates(report: &RunReport) -> u64 {
         .map(|s| s.applied)
         .max()
         .unwrap_or(0)
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Fault and reconfiguration markers of a run: one `crash`/`restart`/
@@ -414,12 +397,6 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn json_f64_rejects_non_finite() {

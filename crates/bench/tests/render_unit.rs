@@ -1,8 +1,8 @@
 //! Tests of the report renderers (they feed EXPERIMENTS.md, so their
 //! layout is part of the deliverable).
 
-use bench::render::{render_recovery_times, render_speedup, wips_plot};
-use bench::{speedups, RecoveryTimePoint, SweepPoint};
+use bench::render::{render_checkpoint_sweep, render_recovery_times, render_speedup, wips_plot};
+use bench::{RecoveryTimePoint, SweepPoint};
 use tpcw::Profile;
 
 #[test]
@@ -51,8 +51,24 @@ fn speedup_table_contains_all_rows_and_ratios() {
     assert!(s.contains("WIPSb"));
     assert!(s.contains("1.60"));
     assert!(s.contains("2.00"));
-    let sp = speedups(&points);
-    assert_eq!(sp[2], (12, 2.0));
+}
+
+#[test]
+fn checkpoint_sweep_shows_each_rows_disk_writes() {
+    let rows = [
+        (2_000u64, 180.5, 41.0, 91_234u64),
+        (20_000, 181.0, 44.5, 12_345),
+        (100_000, 179.9, 52.0, 6_789),
+    ];
+    let s = render_checkpoint_sweep(&rows);
+    assert!(s.starts_with("  interval | AWIPS | recovery(s) | disk writes (all servers)\n"));
+    let body: Vec<&str> = s.lines().skip(1).collect();
+    assert_eq!(body.len(), rows.len());
+    for (line, (interval, _, _, disk_writes)) in body.iter().zip(rows) {
+        assert!(line.contains(&interval.to_string()), "{line}");
+        assert!(line.ends_with(&format!(" {disk_writes}")), "{line}");
+    }
+    assert!(!s.contains("see bench output"), "{s}");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use cluster::{ClientNode, ClusterMsg};
 use simnet::{Engine, Event, NodeId, SimConfig, SimTime};
-use tpcw::{Profile, RbeConfig, Recorder, SessionUpdate};
+use tpcw::{Profile, RbeConfig, Recorder, SessionUpdate, WebRequest};
 
 const PROXY: usize = 0;
 const CLIENT: usize = 1;
@@ -28,14 +28,26 @@ fn setup(count: usize) -> (Engine<ClusterMsg>, ClientNode, Recorder) {
     (engine, client, Recorder::new(300_000_000))
 }
 
-/// Runs the client, answering every request after `reply_after` µs of
-/// simulated service (or never, if `None`). Returns requests seen.
+/// A served page for request `req_id`: ok, or a business error page.
+fn page(req_id: u64, request: &WebRequest, ok: bool, bytes: u64) -> ClusterMsg {
+    ClusterMsg::Response {
+        req_id,
+        interaction: request.interaction,
+        ok,
+        session: SessionUpdate::default(),
+        bytes,
+    }
+}
+
+/// Runs the client against a fake proxy that sends back whatever
+/// `answer` makes of each request, at once (or nothing, for `None`).
+/// Returns requests seen.
 fn run(
     engine: &mut Engine<ClusterMsg>,
     client: &mut ClientNode,
     rec: &mut Recorder,
     until: SimTime,
-    reply: bool,
+    answer: impl Fn(u64, &WebRequest) -> Option<ClusterMsg>,
 ) -> usize {
     let mut seen = 0;
     while let Some((_, ev)) = engine.next_event_before(until) {
@@ -46,18 +58,8 @@ fn run(
                 ..
             } if to.index() == PROXY => {
                 seen += 1;
-                if reply {
-                    engine.send(
-                        NodeId(PROXY),
-                        NodeId(CLIENT),
-                        ClusterMsg::Response {
-                            req_id,
-                            interaction: request.interaction,
-                            ok: true,
-                            session: SessionUpdate::default(),
-                            bytes: 2_000,
-                        },
-                    );
+                if let Some(reply) = answer(req_id, &request) {
+                    engine.send(NodeId(PROXY), NodeId(CLIENT), reply);
                 }
             }
             Event::Message { to, payload, .. } if to.index() == CLIENT => {
@@ -82,7 +84,7 @@ fn closed_loop_throughput_matches_think_time() {
         &mut client,
         &mut rec,
         SimTime::from_secs(30),
-        true,
+        |req_id, request| Some(page(req_id, request, true, 2_000)),
     );
     assert!(seen > 800, "issued {seen}");
     assert_eq!(rec.total_ok() as usize, seen, "every reply recorded");
@@ -96,13 +98,8 @@ fn unanswered_requests_time_out_via_sweep() {
     let (mut engine, mut client, mut rec) = setup(5);
     // Nothing ever answers: the 60 s client timeout + 5 s sweep must
     // reclaim each browser and record an error.
-    run(
-        &mut engine,
-        &mut client,
-        &mut rec,
-        SimTime::from_secs(80),
-        false,
-    );
+    let until = SimTime::from_secs(80);
+    run(&mut engine, &mut client, &mut rec, until, |_, _| None);
     assert_eq!(rec.total_ok(), 0);
     assert!(
         rec.total_errors() >= 5,
@@ -115,30 +112,13 @@ fn unanswered_requests_time_out_via_sweep() {
 #[test]
 fn conn_errors_count_and_browser_continues() {
     let (mut engine, mut client, mut rec) = setup(3);
-    let mut errored = 0;
-    while let Some((_, ev)) = engine.next_event_before(SimTime::from_secs(20)) {
-        match ev {
-            Event::Message {
-                to,
-                payload: ClusterMsg::Request { req_id, .. },
-                ..
-            } if to.index() == PROXY => {
-                errored += 1;
-                engine.send(
-                    NodeId(PROXY),
-                    NodeId(CLIENT),
-                    ClusterMsg::ConnError { req_id },
-                );
-            }
-            Event::Message { to, payload, .. } if to.index() == CLIENT => {
-                client.on_message(&mut engine, payload, &mut rec);
-            }
-            Event::Timer { node, token } if node.index() == CLIENT => {
-                client.on_timer(&mut engine, token, &mut rec);
-            }
-            _ => {}
-        }
-    }
+    let errored = run(
+        &mut engine,
+        &mut client,
+        &mut rec,
+        SimTime::from_secs(20),
+        |req_id, _| Some(ClusterMsg::ConnError { req_id }),
+    );
     assert!(
         errored > 30,
         "browsers keep retrying after errors: {errored}"
@@ -150,34 +130,13 @@ fn conn_errors_count_and_browser_continues() {
 #[test]
 fn served_error_pages_recorded_against_accuracy() {
     let (mut engine, mut client, mut rec) = setup(2);
-    while let Some((_, ev)) = engine.next_event_before(SimTime::from_secs(10)) {
-        match ev {
-            Event::Message {
-                to,
-                payload: ClusterMsg::Request { req_id, request },
-                ..
-            } if to.index() == PROXY => {
-                engine.send(
-                    NodeId(PROXY),
-                    NodeId(CLIENT),
-                    ClusterMsg::Response {
-                        req_id,
-                        interaction: request.interaction,
-                        ok: false, // business error page
-                        session: SessionUpdate::default(),
-                        bytes: 800,
-                    },
-                );
-            }
-            Event::Message { to, payload, .. } if to.index() == CLIENT => {
-                client.on_message(&mut engine, payload, &mut rec);
-            }
-            Event::Timer { node, token } if node.index() == CLIENT => {
-                client.on_timer(&mut engine, token, &mut rec);
-            }
-            _ => {}
-        }
-    }
+    run(
+        &mut engine,
+        &mut client,
+        &mut rec,
+        SimTime::from_secs(10),
+        |req_id, request| Some(page(req_id, request, false, 800)),
+    );
     let (conn, served) = rec.error_breakdown();
     assert_eq!(conn, 0);
     assert!(served > 5, "served error pages recorded: {served}");

@@ -30,29 +30,43 @@ fn request(client_id: u64) -> WebRequest {
     }
 }
 
-/// Pumps the engine, returning messages delivered per node.
+/// Pumps the engine until `until`. The proxy handles its own messages
+/// and timers; every message delivered to another node goes to
+/// `on_delivery` with that node's index.
 fn pump(
     engine: &mut Engine<ClusterMsg>,
     proxy: &mut ProxyNode,
     until: SimTime,
-) -> Vec<(usize, ClusterMsg)> {
-    let mut out = Vec::new();
+    mut on_delivery: impl FnMut(&mut Engine<ClusterMsg>, usize, ClusterMsg),
+) {
     while let Some((_, ev)) = engine.next_event_before(until) {
         match ev {
-            Event::Message { from, to, payload } => {
-                if to.index() == SERVERS {
-                    proxy.on_message(engine, from, payload);
-                } else {
-                    out.push((to.index(), payload));
-                }
+            Event::Message { from, to, payload } if to.index() == SERVERS => {
+                proxy.on_message(engine, from, payload);
             }
+            Event::Message { to, payload, .. } => on_delivery(engine, to.index(), payload),
             Event::Timer { node, token } if node.index() == SERVERS => {
                 proxy.on_timer(engine, token);
             }
             _ => {}
         }
     }
-    out
+}
+
+/// Fake server `node` answers `msg` at once if it is a probe: ready, or
+/// still recovering.
+fn answer_probe(engine: &mut Engine<ClusterMsg>, node: usize, msg: &ClusterMsg, ready: bool) {
+    if let ClusterMsg::Probe { seq } = *msg {
+        engine.send(
+            NodeId(node),
+            NodeId(SERVERS),
+            ClusterMsg::ProbeReply {
+                seq,
+                server: node,
+                ready,
+            },
+        );
+    }
 }
 
 #[test]
@@ -61,28 +75,13 @@ fn probes_mark_silent_server_down_after_fall_threshold() {
     let mut p = proxy(&mut e);
     assert_eq!(p.healthy_count(), 3);
     // Server 2 never answers probes. After 4 failed rounds (~2s apart,
-    // settled one round later) it must be out of rotation.
-    let mut t = 0u64;
-    while t < 14 {
-        t += 1;
-        let delivered = pump(&mut e, &mut p, SimTime::from_secs(t));
-        // Servers 0 and 1 answer their probes; server 2 stays silent.
-        for (node, msg) in delivered {
-            if let ClusterMsg::Probe { seq } = msg {
-                if node != 2 {
-                    e.send(
-                        NodeId(node),
-                        NodeId(SERVERS),
-                        ClusterMsg::ProbeReply {
-                            seq,
-                            server: node,
-                            ready: true,
-                        },
-                    );
-                }
-            }
+    // settled one round later) it must be out of rotation. Servers 0
+    // and 1 answer theirs.
+    pump(&mut e, &mut p, SimTime::from_secs(14), |e, node, msg| {
+        if node != 2 {
+            answer_probe(e, node, &msg, true);
         }
-    }
+    });
     assert!(!p.is_healthy(2), "silent server must fall out");
     assert!(p.is_healthy(0) && p.is_healthy(1));
     assert_eq!(p.healthy_count(), 2);
@@ -92,33 +91,14 @@ fn probes_mark_silent_server_down_after_fall_threshold() {
 fn not_ready_replies_also_count_as_failures_and_rise_readmits() {
     let mut e = engine();
     let mut p = proxy(&mut e);
-    let mut ready = false;
-    let mut t = 0u64;
-    while t < 30 {
-        t += 1;
-        if t == 16 {
-            // The server finishes recovering: starts answering ready.
-            ready = true;
-        }
-        let delivered = pump(&mut e, &mut p, SimTime::from_secs(t));
-        for (node, msg) in delivered {
-            if let ClusterMsg::Probe { seq } = msg {
-                let is_ready = if node == 2 { ready } else { true };
-                e.send(
-                    NodeId(node),
-                    NodeId(SERVERS),
-                    ClusterMsg::ProbeReply {
-                        seq,
-                        server: node,
-                        ready: is_ready,
-                    },
-                );
-            }
-        }
-        if t == 15 {
-            assert!(!p.is_healthy(2), "503s must take the server out");
-        }
-    }
+    pump(&mut e, &mut p, SimTime::from_secs(15), |e, node, msg| {
+        answer_probe(e, node, &msg, node != 2);
+    });
+    assert!(!p.is_healthy(2), "503s must take the server out");
+    // The server finishes recovering: starts answering ready.
+    pump(&mut e, &mut p, SimTime::from_secs(30), |e, node, msg| {
+        answer_probe(e, node, &msg, true);
+    });
     assert!(p.is_healthy(2), "two good probes re-admit it");
 }
 
@@ -127,7 +107,6 @@ fn hash_balancing_is_stable_per_client() {
     let mut e = engine();
     let mut p = proxy(&mut e);
     // Same client twice → same server; different clients spread.
-    let mut targets = Vec::new();
     for round in 0..2 {
         for client in 0..12u64 {
             let req_id = round * 100 + client;
@@ -141,14 +120,14 @@ fn hash_balancing_is_stable_per_client() {
             );
         }
     }
-    let delivered = pump(&mut e, &mut p, SimTime::from_secs(1));
+    let mut targets = Vec::new();
     let mut per_client: std::collections::HashMap<u64, Vec<usize>> = Default::default();
-    for (node, msg) in delivered {
+    pump(&mut e, &mut p, SimTime::from_secs(1), |_, node, msg| {
         if let ClusterMsg::Request { request, .. } = msg {
             per_client.entry(request.client_id).or_default().push(node);
             targets.push(node);
         }
-    }
+    });
     for (client, nodes) in &per_client {
         assert!(
             nodes.windows(2).all(|w| w[0] == w[1]),
@@ -178,39 +157,17 @@ fn dead_server_requests_redispatch_after_retry_delays() {
     // live server — zero client-visible errors. Live servers keep
     // answering their probes so they stay in rotation.
     let mut reached = 0;
-    while let Some((_, ev)) = e.next_event_before(SimTime::from_secs(10)) {
-        match ev {
-            Event::Message { from, to, payload } if to.index() == SERVERS => {
-                p.on_message(&mut e, from, payload);
+    pump(&mut e, &mut p, SimTime::from_secs(10), |e, node, msg| {
+        answer_probe(e, node, &msg, true);
+        match msg {
+            ClusterMsg::Request { .. } => {
+                assert_ne!(node, 0, "request delivered to a dead server");
+                reached += 1;
             }
-            Event::Message { to, payload, .. } => match payload {
-                ClusterMsg::Probe { seq } => {
-                    let node = to.index();
-                    e.send(
-                        NodeId(node),
-                        NodeId(SERVERS),
-                        ClusterMsg::ProbeReply {
-                            seq,
-                            server: node,
-                            ready: true,
-                        },
-                    );
-                }
-                ClusterMsg::Request { .. } => {
-                    assert_ne!(to.index(), 0, "request delivered to a dead server");
-                    reached += 1;
-                }
-                ClusterMsg::ConnError { .. } => {
-                    panic!("redispatch must avoid client errors")
-                }
-                _ => {}
-            },
-            Event::Timer { node, token } if node.index() == SERVERS => {
-                p.on_timer(&mut e, token);
-            }
+            ClusterMsg::ConnError { .. } => panic!("redispatch must avoid client errors"),
             _ => {}
         }
-    }
+    });
     assert_eq!(reached, 64);
     assert_eq!(p.errors_emitted(), 0);
 }
@@ -233,22 +190,9 @@ fn all_servers_down_surfaces_an_error() {
     // The retries exhaust against dead machines; the client must get an
     // explicit error rather than silence.
     let mut got_error = false;
-    while let Some((_, ev)) = e.next_event_before(SimTime::from_secs(20)) {
-        match ev {
-            Event::Message { to, payload, .. } if to.index() == 4 => {
-                if matches!(payload, ClusterMsg::ConnError { req_id: 7 }) {
-                    got_error = true;
-                }
-            }
-            Event::Message { from, to, payload } if to.index() == SERVERS => {
-                p.on_message(&mut e, from, payload);
-            }
-            Event::Timer { node, token } if node.index() == SERVERS => {
-                p.on_timer(&mut e, token);
-            }
-            _ => {}
-        }
-    }
+    pump(&mut e, &mut p, SimTime::from_secs(20), |_, node, msg| {
+        got_error |= node == 4 && matches!(msg, ClusterMsg::ConnError { req_id: 7 });
+    });
     assert!(got_error);
     assert!(p.errors_emitted() >= 1);
 }
@@ -266,14 +210,15 @@ fn responses_flow_back_to_the_requesting_client() {
         },
     );
     // Deliver to the chosen server, then answer.
-    let delivered = pump(&mut e, &mut p, SimTime::from_secs(1));
-    let (server, _) = delivered
-        .iter()
-        .find(|(_, m)| matches!(m, ClusterMsg::Request { .. }))
-        .expect("forwarded");
+    let mut server = None;
+    pump(&mut e, &mut p, SimTime::from_secs(1), |_, node, msg| {
+        if matches!(msg, ClusterMsg::Request { .. }) {
+            server = Some(node);
+        }
+    });
     p.on_message(
         &mut e,
-        NodeId(*server),
+        NodeId(server.expect("forwarded")),
         ClusterMsg::Response {
             req_id: 9,
             interaction: tpcw::Interaction::Home,
@@ -283,12 +228,8 @@ fn responses_flow_back_to_the_requesting_client() {
         },
     );
     let mut client_got = false;
-    while let Some((_, ev)) = e.next_event_before(SimTime::from_secs(2)) {
-        if let Event::Message { to, payload, .. } = ev {
-            if to.index() == 4 && matches!(payload, ClusterMsg::Response { req_id: 9, .. }) {
-                client_got = true;
-            }
-        }
-    }
+    pump(&mut e, &mut p, SimTime::from_secs(2), |_, node, msg| {
+        client_got |= node == 4 && matches!(msg, ClusterMsg::Response { req_id: 9, .. });
+    });
     assert!(client_got);
 }

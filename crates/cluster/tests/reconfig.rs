@@ -9,7 +9,10 @@
 //! a rolling restart, plus a property test interleaving a reconfig
 //! with crashes and partition flaps.
 
+mod common;
+
 use cluster::{run_experiment, ExperimentConfig};
+use common::fingerprint;
 use faultload::{FaultEvent, Faultload, RecoveryKind};
 use proptest::prelude::*;
 use tpcw::Profile;
@@ -26,6 +29,11 @@ fn replace_completes_and_the_joiner_serves() {
     let at = config.schedule.measure_start_us() + 10_000_000;
     config.faultload = Faultload::reconfig_replace(at, 0);
     let report = run_experiment(&config);
+    assert_eq!(
+        fingerprint(&report),
+        fingerprint(&run_experiment(&config)),
+        "a same-seed run must repeat bit for bit under reconfiguration"
+    );
 
     assert_eq!(report.reconfigs.len(), 1);
     let incident = &report.reconfigs[0];
@@ -139,27 +147,6 @@ fn rolling_restart_keeps_the_service_up() {
     assert!(report.reconfigs.is_empty());
     assert!(report.audit.checks > 1_000, "auditor must be active");
     assert!(report.awips > 50.0, "AWIPS {}", report.awips);
-}
-
-#[test]
-fn same_seed_same_reconfig_is_bit_identical() {
-    let run = || {
-        let mut config = quick(3);
-        let at = config.schedule.measure_start_us() + 10_000_000;
-        config.faultload = Faultload::reconfig_replace(at, 1);
-        run_experiment(&config)
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(
-        a.recorder.wips_series(),
-        b.recorder.wips_series(),
-        "WIPS series must be deterministic under reconfiguration"
-    );
-    assert_eq!(a.audit, b.audit, "audit report must be deterministic");
-    assert_eq!(
-        a.reconfigs[0].completed_at_us,
-        b.reconfigs[0].completed_at_us
-    );
 }
 
 proptest! {

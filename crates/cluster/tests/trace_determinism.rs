@@ -4,9 +4,12 @@
 //! Every crash-scenario test reads the same five runs — a traced pair, a
 //! monitored pair and one bare run — made once per test binary.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use cluster::{run_experiment, ExperimentConfig, RunReport};
+use common::fingerprint;
 use faultload::Faultload;
 use tpcw::Profile;
 
@@ -42,22 +45,6 @@ fn monitored() -> &'static [RunReport; 2] {
 fn untraced() -> &'static RunReport {
     static RUN: OnceLock<RunReport> = OnceLock::new();
     RUN.get_or_init(|| run_experiment(&crash_config()))
-}
-
-/// A fingerprint of everything the workload can observe — if tracing
-/// perturbed the run, at least one of these diverges.
-fn fingerprint(report: &RunReport) -> String {
-    format!(
-        "awips={:x} wirt={:x} net={}:{} disk={}:{} status={:?} spans={:?}",
-        report.awips.to_bits(),
-        report.mean_wirt_ms.to_bits(),
-        report.net_messages,
-        report.net_bytes,
-        report.disk_writes,
-        report.disk_appends,
-        report.server_status,
-        report.spans,
-    )
 }
 
 #[test]
@@ -194,6 +181,15 @@ fn tracing_does_not_perturb_the_run() {
     let (traced, untraced) = (&traced()[0], untraced());
     assert!(untraced.trace.is_empty(), "default-off must record nothing");
     assert_eq!(fingerprint(traced), fingerprint(untraced));
+    // The bare run is the paper's single crash, recovered by the
+    // watchdog alone.
+    assert_eq!(untraced.spans.len(), 1);
+    assert!(
+        untraced.spans[0].recovered_at.is_some(),
+        "recovery must complete"
+    );
+    assert!(untraced.dependability.autonomy == 1.0);
+    assert!(untraced.awips > 100.0, "AWIPS {}", untraced.awips);
 
     // The monitor is the same kind of pure observer: scrapes read
     // counters the workload already maintains and alerts only add trace
@@ -237,13 +233,19 @@ fn same_seed_alert_logs_are_byte_identical_and_score_the_crash() {
 }
 
 /// A fault-free monitored run must stay silent: no firings, no false
-/// positives, at any of the swept sensitivities.
+/// positives, at any of the swept sensitivities. The monitor only
+/// observes, so each run is also the plain fault-free one, and it
+/// delivers the offered load.
 #[test]
 fn fault_free_monitored_run_fires_nothing() {
     for (pending, scale) in [(1u32, 50u64), (2, 100)] {
         let mut config = ExperimentConfig::quick(5, Profile::Shopping);
         config.monitor = obs::MonitorConfig::on().with_sensitivity(pending, scale);
         let report = run_experiment(&config);
+        // 200 RBEs with 1 s think → close to 200 WIPS delivered.
+        assert!(report.awips > 150.0, "AWIPS {}", report.awips);
+        assert!(report.mean_wirt_ms < 500.0, "WIRT {}", report.mean_wirt_ms);
+        assert!(report.dependability.accuracy_percent > 99.0);
         assert_eq!(
             report.alerts.firings(),
             0,

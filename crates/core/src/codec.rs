@@ -102,26 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn consensus_primitives_roundtrip() {
-        roundtrip(Slot(42));
-        roundtrip(Ballot::classic(7, ReplicaId(3)));
-        roundtrip(Ballot::fast(9, ReplicaId(0)));
-        roundtrip(pid(1, 5));
-        roundtrip(Decree::<u64>::Noop);
-        roundtrip(Decree::Value(pid(0, 1), 99u64));
-        roundtrip(Decree::<u64>::Reconfig(Reconfig {
-            epoch: 3,
-            add: vec![ReplicaId(5), ReplicaId(6)],
-            remove: vec![ReplicaId(0)],
-        }));
-        roundtrip(Decree::<u64>::Reconfig(Reconfig {
-            epoch: 1,
-            add: vec![],
-            remove: vec![ReplicaId(4)],
-        }));
-    }
-
-    #[test]
     fn causal_tags_roundtrip() {
         roundtrip(CausalTag {
             origin: 3,
@@ -132,73 +112,6 @@ mod tests {
         // The sentinel for slot-less kinds survives the wire.
         roundtrip(CausalTag::default());
         assert_eq!(CausalTag::default().wire_size(), 28);
-    }
-
-    #[test]
-    fn records_roundtrip() {
-        roundtrip(Record::<u64>::Promised(Ballot::fast(1, ReplicaId(2))));
-        roundtrip(Record::Accepted {
-            ballot: Ballot::classic(3, ReplicaId(1)),
-            slot: Slot(17),
-            decree: Decree::Value(pid(4, 4), 1234u64),
-        });
-    }
-
-    #[test]
-    fn all_message_variants_roundtrip() {
-        let b = Ballot::fast(4, ReplicaId(2));
-        let msgs: Vec<Msg<u64>> = vec![
-            Msg::Prepare {
-                ballot: b,
-                from_slot: Slot(1),
-                only_slot: Some(Slot(1)),
-            },
-            Msg::Promise {
-                ballot: b,
-                from_slot: Slot(0),
-                only_slot: None,
-                accepted: vec![AcceptedReport {
-                    slot: Slot(2),
-                    ballot: b,
-                    decree: Decree::Value(pid(0, 9), 5),
-                }],
-            },
-            Msg::Accept {
-                ballot: b,
-                slot: Slot(3),
-                decree: Decree::Noop,
-            },
-            Msg::Any {
-                ballot: b,
-                from_slot: Slot(4),
-            },
-            Msg::FastPropose {
-                pid: pid(1, 1),
-                value: 8,
-            },
-            Msg::Propose {
-                pid: pid(1, 2),
-                value: 9,
-            },
-            Msg::Accepted {
-                ballot: b,
-                slot: Slot(5),
-                decree: Decree::Value(pid(2, 2), 10),
-            },
-            Msg::Alive {
-                ballot: b,
-                decided_upto: Slot(6),
-            },
-            Msg::LearnRequest { from_slot: Slot(7) },
-            Msg::LearnReply {
-                entries: vec![(Slot(8), Decree::Value(pid(3, 3), 11))],
-                truncated_below: Slot(2),
-                decided_upto: Slot(9),
-            },
-        ];
-        for m in msgs {
-            roundtrip(m);
-        }
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! A field table gives a type's `encode` and, through a byte counter,
-//! its `wire_size`; `decode` and `check` are two more walks over the
-//! table, and `Batch`, the primitives and the containers write all three
-//! by hand. This suite holds them together on arbitrary actions, `tpcw`
-//! checkpoint types, batches, log records and every kind of protocol
-//! message: decoding an encoding gives the value back and consumes all
-//! of it, and on the encoding, on every strict prefix of it and on every
-//! single-bit flip of it `check` answers what `decode` answers and stops
-//! where `decode` stops.
-
-mod common;
+//! The codec suite. A field table gives a type's `encode` and, through a
+//! byte counter, its `wire_size`; `decode` and `check` are two more walks
+//! over the table, and `Batch`, the primitives and the containers write
+//! all three by hand. This suite holds them together on arbitrary
+//! actions, `tpcw` checkpoint types, batches, log records and every kind
+//! of protocol message: decoding an encoding gives the value back and
+//! consumes all of it, no strict prefix of it decodes (a torn write), and
+//! on the encoding, on every strict prefix of it and on every single-bit
+//! flip of it `check` answers what `decode` answers and stops where
+//! `decode` stops. The two readers also agree on arbitrary bytes and at
+//! the batch bounds.
 
 use proptest::prelude::*;
-
-use common::assert_check_matches_decode;
 
 use paxos::{
     AcceptedReport, Ballot, Batch, Decree, Msg, ProposalId, Reconfig, Record, ReplicaId, Slot,
@@ -22,10 +20,25 @@ use tpcw::{
     AuthorId, CartId, CartLine, CustomerId, Item, ItemId, NewCustomer, Overlay, Payment,
     PopulationParams,
 };
-use treplica::{Application, Wire};
+use treplica::{Application, Meta, Wire, WireError, MAX_BATCH_ITEMS};
 
 /// Number of `Msg` variants; `msg_of_kind` covers `0..MSG_KINDS`.
 const MSG_KINDS: usize = 10;
+
+/// `T::check` against `T::decode` on the same bytes: the same `Result`
+/// — `Ok` together, the same error otherwise — and the input left at
+/// the same place, whichever it is.
+fn assert_check_matches_decode<T: Wire>(bytes: &[u8]) {
+    let (mut checked, mut decoded) = (bytes, bytes);
+    let check = T::check(&mut checked);
+    let decode = T::decode(&mut decoded).map(drop);
+    assert_eq!(check, decode, "check vs decode on {bytes:?}");
+    assert_eq!(
+        checked.len(),
+        decoded.len(),
+        "bytes left by check vs decode ({check:?}) on {bytes:?}"
+    );
+}
 
 fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
     let bytes = v.to_bytes();
@@ -37,11 +50,16 @@ fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
 }
 
 /// `check` ≡ `decode` around a valid encoding: on the encoding itself,
-/// cut short at every length (a torn write) and with every single bit
-/// flipped (a length, tag, UTF-8 or count gone wrong somewhere).
+/// cut short at every length (a torn write, which `decode` must reject:
+/// it consumes the whole encoding, so a prefix runs out) and with every
+/// single bit flipped (a length, tag, UTF-8 or count gone wrong
+/// somewhere).
 fn assert_check_agrees_around<T: Wire>(v: &T) {
     let mut bytes = v.to_bytes();
-    for cut in 0..=bytes.len() {
+    assert_check_matches_decode::<T>(&bytes);
+    for cut in 0..bytes.len() {
+        let mut torn = &bytes[..cut];
+        assert!(T::decode(&mut torn).is_err(), "a {cut}-byte prefix decodes");
         assert_check_matches_decode::<T>(&bytes[..cut]);
     }
     for bit in 0..bytes.len() * 8 {
@@ -446,7 +464,75 @@ proptest! {
     ) {
         assert_roundtrip(&msg);
         assert_roundtrip(&Record::Accepted { ballot, slot: Slot(9), decree });
+        assert_roundtrip(&Record::<Batch<Action>>::Promised(ballot));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// No byte soup may panic a decoder (a torn log tail, corrupt wire
+    /// data), and `check` reads every soup as `decode` does. The records
+    /// are what the auditor checks on every append.
+    #[test]
+    fn check_agrees_with_decode_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        assert_check_matches_decode::<Record<Action>>(&bytes);
+        assert_check_matches_decode::<Record<Batch<Action>>>(&bytes);
+        assert_check_matches_decode::<Msg<Action>>(&bytes);
+        assert_check_matches_decode::<Action>(&bytes);
+        assert_check_matches_decode::<Overlay>(&bytes);
+        assert_check_matches_decode::<Meta>(&bytes);
+        assert_check_matches_decode::<Batch<Action>>(&bytes);
+    }
+}
+
+/// `n` one-action items: the framing of a batch, bounds unchecked.
+fn batch_items(n: usize) -> Vec<(ProposalId, Action)> {
+    (0..n as u64)
+        .map(|seq| {
+            let pid = ProposalId {
+                node: ReplicaId(1),
+                epoch: 0,
+                seq,
+            };
+            let customer = CustomerId(seq as u32);
+            (pid, Action::RefreshSession { customer, now: seq })
+        })
+        .collect()
+}
+
+#[test]
+fn empty_batch_rejected_on_decode() {
+    // An empty batch cannot be constructed (`Batch::new` panics), so
+    // encode its framing by hand: a zero-length item vector.
+    let bytes = batch_items(0).to_bytes();
+    match Batch::<Action>::from_bytes(&bytes) {
+        Err(WireError::Invalid(reason)) => assert!(reason.contains("empty")),
+        other => panic!("empty batch must be rejected, got {other:?}"),
+    }
+    assert_check_matches_decode::<Batch<Action>>(&bytes);
+}
+
+#[test]
+fn oversized_batch_rejected_on_decode() {
+    let bytes = batch_items(MAX_BATCH_ITEMS + 1).to_bytes();
+    match Batch::<Action>::from_bytes(&bytes) {
+        Err(WireError::Invalid(reason)) => assert!(reason.contains("MAX_BATCH_ITEMS")),
+        other => panic!("oversized batch must be rejected, got {other:?}"),
+    }
+    assert_check_matches_decode::<Batch<Action>>(&bytes);
+}
+
+#[test]
+fn max_size_batch_round_trips() {
+    let batch = Batch::new(batch_items(MAX_BATCH_ITEMS));
+    let bytes = batch.to_bytes();
+    let decoded = Batch::<Action>::from_bytes(&bytes).expect("max-size batch decodes");
+    assert_eq!(decoded.len(), MAX_BATCH_ITEMS);
+    assert_eq!(decoded, batch);
+    assert_eq!(Batch::<Action>::check(&mut bytes.as_slice()), Ok(()));
 }
 
 proptest! {

@@ -51,28 +51,18 @@ pub struct InjectionLog {
 }
 
 impl InjectionLog {
-    /// Records an applied fault; returns its entry index so the caller
-    /// can [`clear`](InjectionLog::clear) it later.
-    pub fn record(&mut self, at_us: u64, node: u32, kind: &'static str) -> usize {
+    /// Records an applied fault.
+    pub fn record(&mut self, at_us: u64, node: u32, kind: &'static str) {
         self.entries.push(Injection {
             at_us,
             node,
             kind,
             cleared_us: None,
         });
-        self.entries.len() - 1
     }
 
-    /// Marks entry `idx` as lifted at `at_us`.
-    pub fn clear(&mut self, idx: usize, at_us: u64) {
-        if let Some(entry) = self.entries.get_mut(idx) {
-            entry.cleared_us = Some(at_us);
-        }
-    }
-
-    /// Marks the most recent uncleared `(node, kind)` entry as lifted —
-    /// for callers that do not track entry indices (restart after
-    /// crash, heal after cut).
+    /// Marks the most recent uncleared `(node, kind)` entry as lifted
+    /// (restart after crash, heal after cut).
     pub fn clear_open(&mut self, node: u32, kind: &'static str, at_us: u64) {
         if let Some(entry) = self
             .entries
@@ -105,10 +95,10 @@ mod tests {
     #[test]
     fn record_clear_and_incident_filtering() {
         let mut log = InjectionLog::default();
-        let disk = log.record(10, 2, INJECT_DISK_FAULT);
+        log.record(10, 2, INJECT_DISK_FAULT);
         log.record(45_000_000, 1, INJECT_CRASH);
         log.record(50_000_000, INJECT_CLUSTER, INJECT_PARTITION);
-        log.clear(disk, 99);
+        log.clear_open(2, INJECT_DISK_FAULT, 99);
         log.clear_open(1, INJECT_CRASH, 75_000_000);
         assert_eq!(log.entries.len(), 3);
         assert_eq!(log.entries[0].cleared_us, Some(99));

@@ -370,7 +370,9 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<Stri
     }
 }
 
-pub(crate) fn quote(s: &str) -> String {
+/// `s` as a JSON string literal: quotes, backslashes, newlines and tabs
+/// escaped, the rest as is.
+pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
