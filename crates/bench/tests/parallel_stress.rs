@@ -5,6 +5,9 @@
 //! durations that force out-of-order completion — the conditions under
 //! which a bug in the index-reassembly plumbing would actually show.
 
+// Real threads, sleeps and the core count are what these tests exercise.
+#![allow(clippy::disallowed_methods)]
+
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -439,8 +439,8 @@ mod tests {
 
     /// A full group commit of orders: eight actions, five strings each.
     fn batch8() -> ActionBatch {
-        let order = |seq: u64| Action::BuyConfirm {
-            cart: tpcw::CartId(seq as u32),
+        let order = |seq: u32| Action::BuyConfirm {
+            cart: tpcw::CartId(seq),
             customer: tpcw::CustomerId(40),
             payment: tpcw::Payment {
                 cc_type: "VISA".into(),
@@ -451,9 +451,9 @@ mod tests {
                 country: 7,
             },
             ship_type: 2,
-            now: seq,
+            now: seq.into(),
         };
-        Batch::new((0..8).map(|seq| (pid(seq), order(seq))).collect())
+        Batch::new((0..8).map(|seq| (pid(seq.into()), order(seq))).collect())
     }
 
     fn accepted(decree: paxos::Decree<ActionBatch>) -> Record<ActionBatch> {

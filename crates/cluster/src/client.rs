@@ -175,7 +175,7 @@ impl ClientNode {
             engine.set_timer(self.node, SimDuration::from_micros(5_000_000), TOKEN_SWEEP);
             return;
         }
-        let idx = token as usize;
+        let idx = usize::try_from(token).unwrap_or(usize::MAX);
         if idx < self.slots.len() {
             self.issue(engine, idx);
         }

@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![forbid(unsafe_code)]
 

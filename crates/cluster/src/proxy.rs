@@ -188,7 +188,7 @@ impl ProxyNode {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        usable().nth((h % count as u64) as usize)
+        usable().nth(usize::try_from(h % count as u64).unwrap_or(usize::MAX))
     }
 
     /// Attempts to deliver a request to its chosen server, emulating

@@ -10,7 +10,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use paxos::ProposalId;
+use obs::node_u32;
+use paxos::{ProposalId, ReplicaId};
 use robuststore::{Prepared, Reply, RobustStore, TpcwDatabase};
 use simnet::{Engine, NodeId, SimDuration, StableOp};
 use tpcw::{Interaction, PopulationParams, WebRequest};
@@ -102,7 +103,7 @@ impl ServerNode {
         auditor: &mut InvariantAuditor,
     ) -> ServerNode {
         let (mw, boot_fx) = Middleware::bootstrap_with_membership(
-            paxos::ReplicaId(idx as u32),
+            ReplicaId(node_u32(idx)),
             RobustStore::new(params),
             config,
             membership,
@@ -132,8 +133,7 @@ impl ServerNode {
         });
         let epoch = engine.node_state(node).incarnation.0;
         let now = engine.now().as_micros();
-        let (mut mw, fx) =
-            Middleware::recover(paxos::ReplicaId(idx as u32), disk, config, epoch, now);
+        let (mut mw, fx) = Middleware::recover(ReplicaId(node_u32(idx)), disk, config, epoch, now);
         mw.install_initial_state(RobustStore::new(params));
         let mut server = Self::start(idx, mw, epoch, engine);
         server.apply_mw_effects(engine, fx, auditor);
@@ -187,8 +187,8 @@ impl ServerNode {
     pub fn execute_reconfig(
         &mut self,
         engine: &mut Engine<ClusterMsg>,
-        add: Vec<paxos::ReplicaId>,
-        remove: Vec<paxos::ReplicaId>,
+        add: Vec<ReplicaId>,
+        remove: Vec<ReplicaId>,
         auditor: &mut InvariantAuditor,
     ) -> bool {
         let now = engine.now().as_micros();
@@ -291,7 +291,7 @@ impl ServerNode {
                     // A node the new configuration removed stops serving:
                     // health probes answer 503, the proxy routes around
                     // it, and the driver decommissions it.
-                    if !members.contains(&paxos::ReplicaId(self.idx as u32)) {
+                    if !members.contains(&ReplicaId(node_u32(self.idx))) {
                         self.ready = false;
                     }
                 }
@@ -437,7 +437,7 @@ impl ServerNode {
                 let now = engine.now().as_micros();
                 let fx = self
                     .mw
-                    .on_message(paxos::ReplicaId(from.index() as u32), m, now);
+                    .on_message(ReplicaId(node_u32(from.index())), m, now);
                 self.apply_mw_effects(engine, fx, auditor);
             }
             ClusterMsg::Probe { seq } => {

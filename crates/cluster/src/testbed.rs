@@ -11,7 +11,8 @@ use faultload::{
     InjectionLog, INJECT_CLUSTER, INJECT_CRASH, INJECT_DISK_FAULT, INJECT_NET_FAULT,
     INJECT_PARTITION, INJECT_RECONFIG,
 };
-use obs::TraceEvent;
+use obs::{node_u32, TraceEvent};
+use paxos::ReplicaId;
 use simnet::{Engine, Event, NodeId, SimConfig};
 use tpcw::{PopulationParams, RbeConfig, Recorder};
 use treplica::TreplicaConfig;
@@ -31,8 +32,16 @@ pub(crate) const RECONFIG_POLL_US: u64 = 200_000;
 /// again when no leader took it (µs).
 pub(crate) const RECONFIG_RETRY_US: u64 = 500_000;
 
-fn replica_ids(nodes: &[usize]) -> Vec<paxos::ReplicaId> {
-    nodes.iter().map(|i| paxos::ReplicaId(*i as u32)).collect()
+fn replica_ids(nodes: &[usize]) -> Vec<ReplicaId> {
+    nodes.iter().map(|&i| ReplicaId(node_u32(i))).collect()
+}
+
+/// A fault probability in parts per million, as the trace records it.
+/// Rounded, since `0.29 * 100.0` is 28.999…; a probability in `[0, 1]`
+/// fits a `u64` many times over.
+#[allow(clippy::cast_possible_truncation)]
+fn ppm(p: f64) -> u64 {
+    (p * 1e6).round() as u64
 }
 
 pub(crate) struct Testbed {
@@ -216,7 +225,7 @@ impl Testbed {
                 if self.servers[server].is_none() {
                     self.engine.restart(NodeId(server));
                     plan.spans[span].restart_at = self.now_us();
-                    self.lift(server as u32, INJECT_CRASH, None);
+                    self.lift(node_u32(server), INJECT_CRASH, None);
                     self.servers[server] = Some(ServerNode::recover(
                         server,
                         self.params,
@@ -228,8 +237,8 @@ impl Testbed {
             }
             Action::NetFault { fault: Some(f) } => {
                 let event = TraceEvent::NetFaultSet {
-                    loss_pct: (f.loss * 100.0) as u64,
-                    dup_pct: (f.duplicate * 100.0) as u64,
+                    loss_ppm: ppm(f.loss),
+                    dup_ppm: ppm(f.duplicate),
                 };
                 self.inject(INJECT_CLUSTER, INJECT_NET_FAULT, Some(event));
                 for a in 0..self.replicas {
@@ -248,14 +257,14 @@ impl Testbed {
                 match &fault {
                     Some(f) => {
                         let event = TraceEvent::DiskFaultSet {
-                            fail_pct: (f.write_fail_probability * 100.0) as u64,
+                            fail_ppm: ppm(f.write_fail_probability),
                             torn: f.torn_tail_on_crash,
                         };
-                        self.inject(server as u32, INJECT_DISK_FAULT, Some(event));
+                        self.inject(node_u32(server), INJECT_DISK_FAULT, Some(event));
                     }
                     None => {
                         let event = TraceEvent::DiskFaultCleared;
-                        self.lift(server as u32, INJECT_DISK_FAULT, Some(event));
+                        self.lift(node_u32(server), INJECT_DISK_FAULT, Some(event));
                     }
                 }
                 self.engine.set_disk_fault(NodeId(server), fault);
@@ -297,7 +306,7 @@ impl Testbed {
         if let Some(span) = plan.incarnation_span(server) {
             span.recovered_at = dying.recovery_completed_at();
         }
-        self.inject(server as u32, INJECT_CRASH, None);
+        self.inject(node_u32(server), INJECT_CRASH, None);
         Some(self.now_us())
     }
 
@@ -383,5 +392,14 @@ impl Testbed {
         for &idx in &change.remove {
             self.proxy.mark_down(&mut self.engine, idx);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fault_probabilities_trace_in_whole_ppm() {
+        let traced = [0.002, 0.29, 0.58, 1.0].map(super::ppm);
+        assert_eq!(traced, [2_000, 290_000, 580_000, 1_000_000]);
     }
 }

@@ -101,7 +101,9 @@ impl LogMirror {
         if keep_from <= self.first_index {
             return;
         }
-        let drop = ((keep_from - self.first_index) as usize).min(self.entries.len());
+        let drop = usize::try_from(keep_from - self.first_index)
+            .unwrap_or(usize::MAX)
+            .min(self.entries.len());
         let dropped: u64 = self.entries.drain(..drop).map(|(_, b)| b).sum();
         self.bytes -= dropped;
         self.first_index = keep_from;

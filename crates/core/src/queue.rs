@@ -95,7 +95,7 @@ impl<A> PersistentQueue<A> {
         for (index, (pid, _)) in batch.items.iter().enumerate() {
             self.entries.push_back(QueueEntry {
                 slot,
-                index: index as u32,
+                index: crate::wire::len_u32(index),
                 pid: *pid,
                 epoch,
                 batch: batch.clone(),

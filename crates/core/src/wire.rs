@@ -201,7 +201,7 @@ impl Wire for bool {
 
 impl Wire for String {
     fn encode<S: Sink>(&self, out: &mut S) {
-        (self.len() as u32).encode(out);
+        len_u32(self.len()).encode(out);
         out.put(self.as_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -218,10 +218,18 @@ impl Wire for String {
     }
 }
 
+/// A sequence's length, or a position inside one, as the `u32` of the
+/// wire's length prefix. Nothing the protocol encodes holds 2^32 items.
+#[allow(clippy::cast_possible_truncation)]
+#[inline]
+pub(crate) const fn len_u32(len: usize) -> u32 {
+    len as u32
+}
+
 /// Encodes `items` as a `u32` length prefix and the items in order:
 /// the framing of `Vec<T>` and of every other sequence.
 pub(crate) fn encode_slice<T: Wire, S: Sink>(items: &[T], out: &mut S) {
-    (items.len() as u32).encode(out);
+    len_u32(items.len()).encode(out);
     for item in items {
         item.encode(out);
     }
@@ -259,7 +267,7 @@ impl<T: Wire> Wire for Vec<T> {
 /// and two maps that are `==` encode to identical bytes.
 impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
     fn encode<S: Sink>(&self, out: &mut S) {
-        (self.len() as u32).encode(out);
+        len_u32(self.len()).encode(out);
         for (key, value) in self {
             key.encode(out);
             value.encode(out);

@@ -405,19 +405,19 @@ trace_events! {
     /// The harness healed all partitions involving this node.
     PartitionHealed = "partition_healed",
     /// The harness installed a lossy link-fault profile on this node's
-    /// links (loss/duplicate probabilities in percent).
+    /// links (loss/duplicate probabilities in parts per million).
     NetFaultSet = "net_fault_set" {
-        /// Drop probability, percent.
-        loss_pct: u64,
-        /// Duplication probability, percent.
-        dup_pct: u64,
+        /// Drop probability, ppm.
+        loss_ppm: u64,
+        /// Duplication probability, ppm.
+        dup_ppm: u64,
     },
     /// The harness cleared this node's link faults.
     NetFaultCleared = "net_fault_cleared",
     /// The harness armed a disk-fault profile on this node.
     DiskFaultSet = "disk_fault_set" {
-        /// Write-failure probability, percent.
-        fail_pct: u64,
+        /// Write-failure probability, ppm.
+        fail_ppm: u64,
         /// Whether crashes tear the in-flight append.
         torn: bool,
     },
@@ -464,6 +464,15 @@ pub struct TraceRecord {
     pub node: u32,
     /// The event.
     pub event: TraceEvent,
+}
+
+/// A dense node index, or a count of nodes, as the `u32` that trace
+/// records, replica ids and the injection log carry. A cluster has a
+/// handful of nodes, so the narrowing never drops a bit.
+#[allow(clippy::cast_possible_truncation)]
+#[inline]
+pub const fn node_u32(index: usize) -> u32 {
+    index as u32
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! the variant's fields in declaration order), no whitespace: the
 //! rendering of a record vector is a *canonical form*, so two runs
 //! whose traces are equal produce byte-identical files. A trace file
-//! may also contain run-header lines (`{"run":"label","v":3}`)
+//! may also contain run-header lines (`{"run":"label","v":4}`)
 //! separating the runs of a multi-configuration experiment; `v` is the
 //! trace schema version ([`SCHEMA_VERSION`]) and is tolerated missing
 //! (v1 files carried none).
@@ -19,8 +19,11 @@
 /// Trace schema version written into run headers. v2 added the causal
 /// vocabulary (msg_sent/msg_recv/msg_tag, xids on drops/dups) and the
 /// failure-detector events; v3 added the online-monitor alert
-/// lifecycle (alert_pending/alert_firing/alert_resolved).
-pub const SCHEMA_VERSION: u64 = 3;
+/// lifecycle (alert_pending/alert_firing/alert_resolved); v4 records
+/// fault probabilities in parts per million (net_fault_set's
+/// loss_ppm/dup_ppm, disk_fault_set's fail_ppm; v3 truncated them to
+/// whole percents).
+pub const SCHEMA_VERSION: u64 = 4;
 
 use std::fmt::Write as _;
 
@@ -510,7 +513,7 @@ mod tests {
     #[test]
     fn run_header_carries_schema_version() {
         let line = encode_run_header("x");
-        assert_eq!(line, "{\"run\":\"x\",\"v\":3}");
+        assert_eq!(line, "{\"run\":\"x\",\"v\":4}");
         // Old v1 headers (no "v") still parse.
         match decode("{\"run\":\"old\"}").expect("parse").expect("line") {
             Line::Run(label) => assert_eq!(label, "old"),

@@ -73,7 +73,7 @@ pub use analyze::{
     RecoveryBreakdown,
 };
 pub use causal::{BlameCategory, BlameSegment, CausalPath, CausalProfile};
-pub use event::{TraceEvent, TraceRecord, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
+pub use event::{node_u32, TraceEvent, TraceRecord, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
 pub use metrics::Hist;
 pub use monitor::{
     score_alerts, AlertLog, AlertPhase, AlertScore, AlertTransition, GroundTruth, IncidentScore,

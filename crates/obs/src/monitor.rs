@@ -17,10 +17,10 @@
 //! zero-overhead: no ticks are scheduled at all.
 //!
 //! All rule arithmetic is integer fixed-point (parts-per-million rates,
-//! thousandths for burn factors): no floats are held or compared, so
-//! the evaluation path is deterministic by construction and passes the
-//! lint wall's `float-state` rule; it is also written panic-free
-//! (`panic-taint` covers [`Monitor::on_scrape`]).
+//! thousandths for burn factors): no floats are computed on, so the
+//! evaluation path is deterministic by construction
+//! (`clippy::float_arithmetic` is on for this module); it is also
+//! written panic-free (`panic-taint` covers [`Monitor::on_scrape`]).
 //!
 //! The second half of the module is the *scorer*: it joins fired
 //! alerts against the faultload's ground-truth injection log (the
@@ -28,6 +28,8 @@
 //! measure what an operator would experience — detection latency per
 //! incident, missed incidents, false positives on fault-free runs, and
 //! time-to-resolve.
+
+#![warn(clippy::float_arithmetic)]
 
 use std::collections::VecDeque;
 

@@ -72,7 +72,7 @@ impl FailureDetector {
             id,
             quorums,
             timeout_us,
-            members: (0..quorums.n() as u32).map(ReplicaId).collect(),
+            members: (0..obs::node_u32(quorums.n())).map(ReplicaId).collect(),
             last_heard: vec![u64::MAX; quorums.n()],
             suspected_at: vec![None; quorums.n()],
             started_at: now,

@@ -472,8 +472,8 @@ mod tests {
     fn votes_are_counted_per_distinct_decree_in_acceptor_order() {
         let votes: BTreeMap<ReplicaId, Decree<&str>> = ["a", "b", "a", "c", "b", "a"]
             .into_iter()
-            .enumerate()
-            .map(|(i, v)| (ReplicaId(i as u32), Decree::Value(pid(0, 1), v)))
+            .zip(0..)
+            .map(|(v, i)| (ReplicaId(i), Decree::Value(pid(0, 1), v)))
             .collect();
         let counts: Vec<(&str, usize)> = count_votes(&votes)
             .map(|(d, n)| match d {

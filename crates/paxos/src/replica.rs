@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use obs::{EventBuf, TraceEvent, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
+use obs::{node_u32, EventBuf, TraceEvent, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
 
 use crate::acceptor::{Acceptor, AcceptorOut, Dest};
 use crate::config::{
@@ -776,7 +776,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         self.fd.set_membership(&self.membership, self.now);
         self.trace.push(TraceEvent::EpochChanged {
             epoch: self.membership.epoch(),
-            n: self.membership.n() as u32,
+            n: node_u32(self.membership.n()),
             slot: slot.map(|s| s.0).unwrap_or(0),
         });
     }
@@ -821,8 +821,8 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         }
         self.trace.push(TraceEvent::ReconfigProposed {
             epoch: rc.epoch,
-            adds: rc.add.len() as u32,
-            removes: rc.remove.len() as u32,
+            adds: node_u32(rc.add.len()),
+            removes: node_u32(rc.remove.len()),
         });
         if self.leader.ballot.is_fast() {
             self.pending_reconfig = Some(rc);

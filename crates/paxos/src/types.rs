@@ -279,7 +279,7 @@ impl Membership {
         assert!(n > 0, "ensemble must have at least one replica");
         Membership {
             epoch: 0,
-            members: (0..n as u32).map(ReplicaId).collect(),
+            members: (0..obs::node_u32(n)).map(ReplicaId).collect(),
         }
     }
 

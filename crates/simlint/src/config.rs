@@ -19,10 +19,10 @@
 //!
 //!    ```toml
 //!    [[waiver]]
-//!    rule = "sim-taint"
-//!    path = "crates/core/src/runtime.rs"   # whole file …
+//!    rule = "state-growth"
+//!    path = "crates/simnet/src/disk.rs"    # whole file …
 //!    line = 295                            # … or one line (optional)
-//!    reason = "LocalCluster is the real-thread runtime, not sim-reachable"
+//!    reason = "StableStore.logs is keyed by the replica's fixed log names"
 //!    ```
 //!
 //! Waivers that no longer match any diagnostic are *stale* and are
@@ -55,8 +55,8 @@ pub struct ConfigError {
 #[derive(Debug, Default)]
 pub struct Config {
     pub waivers: Vec<Waiver>,
-    /// `[roots] sim = […]`: entry points of simulated execution
-    /// (determinism wall — `sim-taint`).
+    /// `[roots] sim = […]`: entry points of simulated execution, whose
+    /// self types are held state for `state-growth`.
     pub sim_roots: Vec<String>,
     /// `[roots] protocol = […]`: protocol step / codec entry points
     /// (panic wall — `panic-taint`).

@@ -1,9 +1,9 @@
 //! Item extraction: a dependency-free structural pass layered on the
 //! lexer.
 //!
-//! The transitive rules (sim-taint, panic-taint, state-growth,
-//! float-state, lossy-cast) need to know *which function* a token
-//! belongs to and *which functions it calls* — not just which file.
+//! The transitive rules (panic-taint, state-growth) need to know
+//! *which function* a token belongs to and *which functions it calls* —
+//! not just which file.
 //! This module extracts `fn`, `impl`, `mod`, `struct`, and `use` items
 //! from the token stream with exact body token ranges, plus the call
 //! sites inside each body, so [`crate::graph`] can assemble a workspace

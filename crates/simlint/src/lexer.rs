@@ -454,7 +454,7 @@ fn attr_is_test(tokens: &[Token], start: usize, end: usize) -> bool {
 /// `#[cfg(test)]` or `#[test]`, including everything inside their braces
 /// (nested modules, closures, and inner items track brace depth exactly).
 /// Rules skip diagnostics inside these spans — test code may freely
-/// unwrap, print, and use wall-clock time.
+/// unwrap, index and step ordinals unchecked.
 pub fn test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut idx = 0;

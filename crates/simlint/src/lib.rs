@@ -9,16 +9,16 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `sim-taint` | nothing reachable from a sim root touches wall-clock/entropy/env/threads |
 //! | `panic-taint` | nothing reachable from a protocol root can panic |
 //! | `state-growth` | root-held collections have a shrink site somewhere |
-//! | `float-state` | no f32/f64 in root-held consensus state |
-//! | `lossy-cast` | no `as` narrowing of ordinals on reachable paths |
 //! | `unchecked-slot-arith` | slot/watermark ordinals use checked ops |
 //!
-//! Hash-ordered containers and raw printing from library crates are
-//! clippy's to check (`clippy.toml`'s `disallowed-types`; the
-//! `print_stdout`, `print_stderr` and `dbg_macro` lints), not simlint's.
+//! The rest of the determinism policy is clippy's, which resolves paths
+//! and types where a token rule guesses: hash-ordered containers and
+//! wall-clock, thread and environment calls (`clippy.toml`), narrowing
+//! casts (`cast_possible_truncation`), float arithmetic in the
+//! replicated state machines (`float_arithmetic`) and raw printing from
+//! library crates (`print_stdout`, `print_stderr`, `dbg_macro`).
 //!
 //! The transitive rules run over a workspace call graph ([`items`] →
 //! [`graph`] → [`reach`]) rooted at the `[roots]` declared in
@@ -136,7 +136,7 @@ mod tests {
             ..Report::default()
         };
         r.errors.push(Diagnostic {
-            rule: "sim-taint",
+            rule: "panic-taint",
             path: "crates/paxos/src/x.rs".into(),
             line: 5,
             col: 2,
@@ -151,7 +151,7 @@ mod tests {
         assert!(j.contains("\"version\": 2"));
         assert!(j.contains("\"errors\": 1"));
         assert!(j.contains("\"files_scanned\": 3"));
-        assert!(j.contains("\"rule\":\"sim-taint\""));
+        assert!(j.contains("\"rule\":\"panic-taint\""));
         assert!(j.contains("\"chain\":[\"a (f.rs:1)\",\"b (g.rs:2)\"]"));
         assert!(j.contains("\"graph\": {\"functions\": 10,"));
         assert!(j.contains("\"sim_reachable\": 4"));

@@ -5,15 +5,16 @@
 //!
 //! * **File-scoped** (`unchecked-slot-arith`) — a token pattern scoped
 //!   by crate role: clippy cannot tell an ordinal from a counter.
-//! * **Transitive** (`sim-taint`, `panic-taint`, `state-growth`,
-//!   `float-state`, `lossy-cast`) — run over the workspace call graph
-//!   ([`crate::graph`]) from the `[roots]` declared in `simlint.toml`.
-//!   They replace v1's crate-scoped `wall-clock` rule and the
-//!   hardcoded `panic-path` file list: the wall now follows the *call
-//!   structure*, so a helper in an unscoped file can no longer smuggle
-//!   wall-clock or an `unwrap` into a protocol path, and host-side code
-//!   (e.g. a real TCP backend) needs no waiver as long as it is not
-//!   reachable from a sim root.
+//! * **Transitive** (`panic-taint`, `state-growth`) — run over the
+//!   workspace call graph ([`crate::graph`]) from the `[roots]` declared
+//!   in `simlint.toml`. The wall follows the *call structure*, so a
+//!   helper in an unscoped file can no longer smuggle an `unwrap` into a
+//!   protocol path, and host-side code needs no waiver as long as no
+//!   root reaches it.
+//!
+//! Wall-clock, thread and environment calls, narrowing casts and float
+//! arithmetic are clippy's (`clippy.toml`, the crates' cast and float
+//! lints): it resolves paths and types where a token rule guesses.
 
 use std::collections::BTreeMap;
 
@@ -29,14 +30,6 @@ pub const SIM_STATE_CRATES: &[&str] = &["paxos", "core", "cluster", "simnet"];
 
 /// Identifier fragments that mark consensus-ordinal arithmetic.
 const ORDINAL_NAMES: &[&str] = &["slot", "watermark", "generation"];
-
-/// Identifier fragments that mark consensus ordinals for `lossy-cast`
-/// (wider than [`ORDINAL_NAMES`]: ballots and epochs are compared, not
-/// incremented, so arithmetic on them is rare but narrowing is fatal).
-const CAST_ORDINAL_NAMES: &[&str] = &["slot", "ballot", "epoch", "watermark", "generation"];
-
-/// Cast targets that can truncate a u64 ordinal.
-const NARROW_TARGETS: &[&str] = &["f32", "f64", "i16", "i32", "i8", "u16", "u32", "u8"];
 
 /// Collection type heads whose unbounded growth `state-growth` tracks.
 const COLLECTIONS: &[&str] = &[
@@ -101,25 +94,12 @@ pub struct RuleInfo {
 /// All rules, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "sim-taint",
-        summary:
-            "nothing reachable from a [roots] sim entry may touch wall-clock/entropy/env/threads",
-    },
-    RuleInfo {
         name: "panic-taint",
         summary: "nothing reachable from a [roots] protocol entry may unwrap/expect/panic!/index",
     },
     RuleInfo {
         name: "state-growth",
         summary: "root-held collections need a remove/clear/truncate/drain site somewhere",
-    },
-    RuleInfo {
-        name: "float-state",
-        summary: "no f32/f64 fields in root-held consensus state structs",
-    },
-    RuleInfo {
-        name: "lossy-cast",
-        summary: "no `as` narrowing of slot/ballot/epoch ordinals on root-reachable paths",
     },
     RuleInfo {
         name: "unchecked-slot-arith",
@@ -132,18 +112,11 @@ pub fn is_known_rule(name: &str) -> bool {
     RULES.iter().any(|r| r.name == name)
 }
 
-const HELP_SIM_TAINT: &str = "take time from the simnet clock handle and randomness from the \
-     seeded simnet RNG; if this function is genuinely host-side, break the call edge from the \
-     sim roots or add a simlint.toml waiver with the reason";
 const HELP_PANIC_TAINT: &str = "route the failure through a typed error event so the invariant \
      auditor observes it; use get()/checked access instead of indexing";
 const HELP_STATE_GROWTH: &str = "add a compaction/GC path (remove/clear/truncate/drain) or bound \
      the collection; a root-held collection that only grows leaks across million-event runs and \
      skews the paper's recovery-time measurements";
-const HELP_FLOAT_STATE: &str = "floats in replicated state break cross-platform determinism and \
-     have no total order; store integer fixed-point (e.g. micros as u64) instead";
-const HELP_LOSSY_CAST: &str = "use u64 end-to-end or an explicit try_into with error handling; \
-     silently truncating an ordinal corrupts consensus ordering after 2^32 slots";
 const HELP_SLOT_ARITH: &str = "use checked_add/checked_sub/saturating_sub so ordinal overflow \
      or underflow is an explicit decision, not a silent wrap (or debug panic)";
 
@@ -236,9 +209,8 @@ pub struct FileData {
 pub struct GraphCtx<'a> {
     pub files: &'a [FileData],
     pub graph: &'a Graph,
-    /// Root node ids and BFS parents for the sim wall.
+    /// Root node ids of the sim wall (their self types are held state).
     pub sim_roots: &'a [usize],
-    pub sim: &'a Parents,
     /// Root node ids and BFS parents for the protocol wall.
     pub protocol_roots: &'a [usize],
     pub protocol: &'a Parents,
@@ -247,17 +219,11 @@ pub struct GraphCtx<'a> {
 /// Runs the transitive rules over the workspace graph.
 pub fn check_graph(ctx: &GraphCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    sim_taint(ctx, &mut out);
     panic_taint(ctx, &mut out);
-    lossy_cast(ctx, &mut out);
-    // state-growth covers everything a root holds (sim infrastructure
-    // leaks matter too); float-state is about *replicated* state, so it
-    // only covers types held from protocol roots — fault-injection
-    // probabilities in sim config structs are inputs, not state.
-    let held_all = held_types(ctx, ctx.sim_roots.iter().chain(ctx.protocol_roots));
-    let held_protocol = held_types(ctx, ctx.protocol_roots.iter());
-    state_growth(ctx, &held_all, &mut out);
-    float_state(ctx, &held_protocol, &mut out);
+    // state-growth covers everything a root holds: sim infrastructure
+    // leaks matter too.
+    let held = held_types(ctx, ctx.sim_roots.iter().chain(ctx.protocol_roots));
+    state_growth(ctx, &held, &mut out);
     out
 }
 
@@ -266,54 +232,6 @@ pub fn check_graph(ctx: &GraphCtx<'_>) -> Vec<Diagnostic> {
 fn body_tokens(toks: &[Token], body: (usize, usize)) -> impl Iterator<Item = (usize, &Token)> {
     let (open, close) = body;
     toks.iter().enumerate().take(close).skip(open + 1)
-}
-
-/// `sim-taint`: wall-clock / entropy / env / thread APIs in any
-/// function reachable from a sim root.
-fn sim_taint(ctx: &GraphCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for node in &ctx.graph.nodes {
-        if ctx.sim[node.id].is_none() {
-            continue;
-        }
-        let Some(body) = node.body else { continue };
-        let f = &ctx.files[node.file];
-        let toks = &f.lexed.tokens;
-        for (i, t) in body_tokens(toks, body) {
-            let Some(id) = t.ident() else { continue };
-            let flagged: Option<String> = match id {
-                "SystemTime" => Some("`std::time::SystemTime`".into()),
-                "Instant" => Some("`std::time::Instant`".into()),
-                "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => {
-                    Some(format!("OS entropy source `{id}`"))
-                }
-                "random" if prev_is_path(toks, i, "rand") => Some("`rand::random`".into()),
-                "var" | "var_os" | "vars" if prev_is_path(toks, i, "env") => {
-                    Some(format!("environment read `env::{id}`"))
-                }
-                "spawn" | "sleep" | "park" | "yield_now" if prev_is_path(toks, i, "thread") => {
-                    Some(format!("thread API `thread::{id}`"))
-                }
-                "available_parallelism" => Some("`thread::available_parallelism`".into()),
-                _ => None,
-            };
-            if let Some(what) = flagged {
-                out.push(Diagnostic {
-                    rule: "sim-taint",
-                    path: node.path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "{what} in `{}`, which is reachable from a sim root: \
-                         nondeterministic input inside the simulation wall",
-                        node.label()
-                    ),
-                    snippet: snippet_of(&f.src, t.line),
-                    help: HELP_SIM_TAINT,
-                    chain: chain(ctx.graph, ctx.sim, node.id),
-                });
-            }
-        }
-    }
 }
 
 /// `panic-taint`: unwrap/expect/panic-macros/indexing in any function
@@ -396,84 +314,6 @@ fn panic_taint(ctx: &GraphCtx<'_>, out: &mut Vec<Diagnostic>) {
             }
         }
     }
-}
-
-/// `lossy-cast`: `<ordinal> as <narrow>` in any function reachable from
-/// either root set.
-fn lossy_cast(ctx: &GraphCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for node in &ctx.graph.nodes {
-        let (parents, _root_kind) = if ctx.sim[node.id].is_some() {
-            (ctx.sim, "sim")
-        } else if ctx.protocol[node.id].is_some() {
-            (ctx.protocol, "protocol")
-        } else {
-            continue;
-        };
-        let Some(body) = node.body else { continue };
-        let f = &ctx.files[node.file];
-        let toks = &f.lexed.tokens;
-        for (i, t) in body_tokens(toks, body) {
-            if t.ident() != Some("as") {
-                continue;
-            }
-            let Some(target) = toks.get(i + 1).and_then(|n| n.ident()) else {
-                continue;
-            };
-            if !NARROW_TARGETS.contains(&target) {
-                continue;
-            }
-            if let Some(ord) = cast_ordinal_on_left(toks, i) {
-                out.push(Diagnostic {
-                    rule: "lossy-cast",
-                    path: node.path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "`{ord} as {target}` narrows a consensus ordinal in `{}`, which is \
-                         reachable from a declared root",
-                        node.label()
-                    ),
-                    snippet: snippet_of(&f.src, t.line),
-                    help: HELP_LOSSY_CAST,
-                    chain: chain(ctx.graph, parents, node.id),
-                });
-            }
-        }
-    }
-}
-
-/// Scans the postfix chain left of an `as` token for an ordinal-named
-/// identifier (`slot as u32`, `self.ballot.0 as u16`).
-fn cast_ordinal_on_left(toks: &[Token], as_idx: usize) -> Option<String> {
-    let mut j = as_idx;
-    let mut steps = 0;
-    while j > 0 && steps < 8 {
-        j -= 1;
-        steps += 1;
-        match &toks[j].kind {
-            TokKind::Ident(id) => {
-                let lower = id.to_ascii_lowercase();
-                if CAST_ORDINAL_NAMES.iter().any(|n| lower.contains(n)) {
-                    return Some(id.clone());
-                }
-                if is_keyword(id) {
-                    return None;
-                }
-                if j == 0 || !(toks[j - 1].is_punct(".") || toks[j - 1].is_punct("::")) {
-                    return None;
-                }
-            }
-            TokKind::Number(_) => {
-                if j == 0 || !toks[j - 1].is_punct(".") {
-                    return None;
-                }
-            }
-            TokKind::Punct(p) if *p == "]" || *p == "." || *p == "::" => {}
-            TokKind::Char(c) if *c == ')' || *c == ']' || *c == '?' || *c == '.' => {}
-            _ => return None,
-        }
-    }
-    None
 }
 
 /// Root-held structs, keyed `(crate, name)`, each with its definition
@@ -614,31 +454,6 @@ fn field_usage(ctx: &GraphCtx<'_>, field: &str) -> (bool, bool) {
         }
     }
     (grows, shrinks)
-}
-
-/// `float-state`: f32/f64 fields in root-held structs.
-fn float_state(ctx: &GraphCtx<'_>, held: &HeldTypes, out: &mut Vec<Diagnostic>) {
-    for ((_, ty), (def, prov)) in held {
-        let f = &ctx.files[def.file];
-        for fld in &def.item.fields {
-            if let Some(fl) = fld.ty_idents.iter().find(|id| *id == "f32" || *id == "f64") {
-                out.push(Diagnostic {
-                    rule: "float-state",
-                    path: f.rel.clone(),
-                    line: fld.line,
-                    col: 1,
-                    message: format!(
-                        "`{ty}.{}` is `{fl}` inside root-held consensus state: floats have \
-                         platform-dependent rounding and no total order",
-                        fld.name
-                    ),
-                    snippet: snippet_of(&f.src, fld.line),
-                    help: HELP_FLOAT_STATE,
-                    chain: prov.clone(),
-                });
-            }
-        }
-    }
 }
 
 /// Whether token `i` is preceded by `prefix ::` (e.g. `rand :: random`).
@@ -807,10 +622,10 @@ fn ordinal_operand(toks: &[Token], i: usize, ordinal_impls: &[(u32, u32)], line:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{build, FileInput};
-    use crate::items::{extract_calls, parse_items};
+    use crate::config::Config;
+    use crate::items::parse_items;
     use crate::lexer::lex;
-    use crate::reach::{match_roots, reachable};
+    use crate::workspace::analyze_sources;
 
     fn check(crate_name: &str, rel_path: &str, src: &str) -> Vec<Diagnostic> {
         let lexed = lex(src);
@@ -824,18 +639,13 @@ mod tests {
         )
     }
 
-    /// Builds a tiny in-memory workspace and runs the transitive rules.
-    fn check_transitive(
-        files: &[(&str, &str, &str)],
-        sim: &[&str],
-        protocol: &[&str],
-    ) -> Vec<Diagnostic> {
+    /// Lints a tiny in-memory workspace from the given protocol roots.
+    fn check_transitive(files: &[(&str, &str, &str)], protocol: &[&str]) -> Vec<Diagnostic> {
         let data: Vec<FileData> = files
             .iter()
             .map(|(rel, krate, src)| {
                 let lexed = lex(src);
-                let spans = test_spans(&lexed.tokens);
-                let items = parse_items(&lexed.tokens, &spans);
+                let items = parse_items(&lexed.tokens, &test_spans(&lexed.tokens));
                 FileData {
                     rel: rel.to_string(),
                     krate: krate.to_string(),
@@ -845,36 +655,11 @@ mod tests {
                 }
             })
             .collect();
-        let inputs: Vec<FileInput<'_>> = data
-            .iter()
-            .map(|f| FileInput {
-                path: &f.rel,
-                krate: &f.krate,
-                items: &f.items,
-            })
-            .collect();
-        let mut graph = build(&inputs);
-        for id in 0..graph.nodes.len() {
-            let (file, body) = (graph.nodes[id].file, graph.nodes[id].body);
-            if let Some(body) = body {
-                let calls = extract_calls(&data[file].lexed.tokens, body);
-                graph.add_calls(id, &calls);
-            }
-        }
-        let sim_pats: Vec<String> = sim.iter().map(|s| s.to_string()).collect();
-        let proto_pats: Vec<String> = protocol.iter().map(|s| s.to_string()).collect();
-        let sim_r = match_roots(&graph, &sim_pats);
-        let proto_r = match_roots(&graph, &proto_pats);
-        let sim_p = reachable(&graph, &sim_r.ids);
-        let proto_p = reachable(&graph, &proto_r.ids);
-        check_graph(&GraphCtx {
-            files: &data,
-            graph: &graph,
-            sim_roots: &sim_r.ids,
-            sim: &sim_p,
-            protocol_roots: &proto_r.ids,
-            protocol: &proto_p,
-        })
+        let cfg = Config {
+            protocol_roots: protocol.iter().map(|s| s.to_string()).collect(),
+            ..Config::default()
+        };
+        analyze_sources(&data, &cfg).errors
     }
 
     #[test]
@@ -912,38 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_taint_follows_calls_across_files() {
-        let d = check_transitive(
-            &[
-                (
-                    "crates/simnet/src/engine.rs",
-                    "simnet",
-                    "impl Engine { pub fn dispatch(&mut self) { helper_tick(); } }",
-                ),
-                (
-                    "crates/obs/src/util.rs",
-                    "obs",
-                    "pub fn helper_tick() { let _ = std::time::Instant::now(); }",
-                ),
-                (
-                    "crates/bench/src/host.rs",
-                    "bench",
-                    "pub fn host_only() { let _ = std::time::Instant::now(); }",
-                ),
-            ],
-            &["Engine::dispatch"],
-            &[],
-        );
-        // Only the reachable helper is flagged; host_only is outside the wall.
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "sim-taint");
-        assert_eq!(d[0].path, "crates/obs/src/util.rs");
-        assert_eq!(d[0].chain.len(), 2);
-        assert!(d[0].chain[0].starts_with("Engine::dispatch"));
-        assert!(d[0].chain[1].starts_with("helper_tick"));
-    }
-
-    #[test]
     fn panic_taint_multi_hop() {
         let d = check_transitive(
             &[(
@@ -956,7 +709,6 @@ mod tests {
                 fn decode_inner() { let v: Vec<u8> = Vec::new(); let _ = v[0]; }
                 fn unrelated(x: Option<u8>) { x.unwrap(); }",
             )],
-            &[],
             &["Replica::on_message"],
         );
         assert_eq!(d.len(), 1);
@@ -980,7 +732,6 @@ mod tests {
                     } };
                 }",
             )],
-            &[],
             &["decode"],
         );
         assert_eq!(d.len(), 1, "{d:?}");
@@ -1002,7 +753,6 @@ mod tests {
                      pub fn compact(&mut self) { self.acked.truncate(0); }
                  }",
             )],
-            &[],
             &["Replica::on_message"],
         );
         let growth: Vec<&Diagnostic> = d.iter().filter(|d| d.rule == "state-growth").collect();
@@ -1012,58 +762,5 @@ mod tests {
         assert_eq!(growth[0].chain.len(), 2);
         assert!(growth[0].chain[0].starts_with("root Replica::on_message"));
         assert!(growth[0].chain[1].starts_with("Replica.log: Log"));
-    }
-
-    #[test]
-    fn float_state_flags_transitively_held_fields() {
-        let d = check_transitive(
-            &[(
-                "crates/paxos/src/replica.rs",
-                "paxos",
-                "pub struct Replica { stats: Stats }
-                 pub struct Stats { ewma: f64, count: u64 }
-                 impl Replica { pub fn on_message(&mut self) {} }",
-            )],
-            &[],
-            &["Replica::on_message"],
-        );
-        let floats: Vec<&Diagnostic> = d.iter().filter(|d| d.rule == "float-state").collect();
-        assert_eq!(floats.len(), 1);
-        assert!(floats[0].message.contains("Stats.ewma"));
-        assert_eq!(floats[0].chain.len(), 2);
-    }
-
-    #[test]
-    fn lossy_cast_on_reachable_paths_only() {
-        let d = check_transitive(
-            &[(
-                "crates/paxos/src/replica.rs",
-                "paxos",
-                "impl Replica { pub fn on_message(&mut self, slot: u64) { encode(slot); } }
-                 fn encode(slot: u64) -> u32 { slot as u32 }
-                 fn host_side(slot: u64) -> u32 { slot as u32 }",
-            )],
-            &[],
-            &["Replica::on_message"],
-        );
-        let casts: Vec<&Diagnostic> = d.iter().filter(|d| d.rule == "lossy-cast").collect();
-        assert_eq!(casts.len(), 1);
-        assert_eq!(casts[0].chain.len(), 2);
-        assert!(casts[0].message.contains("slot as u32"));
-    }
-
-    #[test]
-    fn widening_cast_is_fine() {
-        let d = check_transitive(
-            &[(
-                "crates/paxos/src/replica.rs",
-                "paxos",
-                "impl Replica { pub fn on_message(&mut self, slot: u32) { widen(slot); } }
-                 fn widen(slot: u32) -> u64 { slot as u64 }",
-            )],
-            &[],
-            &["Replica::on_message"],
-        );
-        assert!(d.iter().all(|d| d.rule != "lossy-cast"));
     }
 }

@@ -13,10 +13,11 @@ use crate::lexer::{lex, test_spans};
 use crate::reach::{match_roots, reachable};
 use crate::rules::{check_file, check_graph, is_known_rule, FileCtx, FileData, GraphCtx};
 
-/// Appended to an unknown-rule error: a waiver for hash ordering or
-/// printing belongs to clippy, which owns those two policies.
-const UNKNOWN_RULE_HINT: &str = "(`simlint --list-rules` names simlint's rules; HashMap/HashSet \
-     and printing are clippy's: clippy.toml and the crates' print lints)";
+/// Appended to an unknown-rule error: the five rules simlint retired
+/// are clippy's, and the hint says where each one went.
+const UNKNOWN_RULE_HINT: &str = "(`simlint --list-rules` names simlint's rules; clippy owns \
+     `hash-order` and `sim-taint` in clippy.toml, `io-println` as the print lints, `lossy-cast` \
+     as cast_possible_truncation and `float-state` as float_arithmetic)";
 
 /// A waiver or root pattern that matched nothing (or is malformed) —
 /// itself an error.
@@ -228,7 +229,6 @@ pub fn analyze_sources(data: &[FileData], cfg: &Config) -> Report {
         files: data,
         graph: &graph,
         sim_roots: &sim_roots.ids,
-        sim: &sim,
         protocol_roots: &protocol_roots.ids,
         protocol: &protocol,
     });

@@ -32,6 +32,16 @@ fn repo_root() -> PathBuf {
         .expect("repo root")
 }
 
+/// The rules simlint handed to clippy: naming one in a waiver is an
+/// error whose hint points at clippy.
+const RETIRED_TO_CLIPPY: [&str; 5] = [
+    "hash-order",
+    "io-println",
+    "sim-taint",
+    "lossy-cast",
+    "float-state",
+];
+
 fn rule_count(report: &simlint::workspace::Report, rule: &str) -> usize {
     report.errors.iter().filter(|d| d.rule == rule).count()
 }
@@ -67,39 +77,35 @@ fn bad_workspace_flags_every_seeded_file_scoped_violation() {
 
 #[test]
 fn declaring_roots_adds_transitive_findings_to_bad_workspace() {
-    // Without roots the wall-clock leak and the panics are invisible;
-    // declaring the fixture fns as roots surfaces them transitively,
-    // and the `#[cfg(test)]` Instant in clock.rs stays exempt.
+    // Without roots the panics are invisible; declaring the fixture fn
+    // as a root surfaces them transitively.
     let roots = r#"
         [roots]
-        sim = ["now_us", "entropy"]
         protocol = ["handle"]
     "#;
     let report = analyze(&fixture("bad_ws"), roots).expect("analyze");
-    assert_eq!(
-        rule_count(&report, "sim-taint"),
-        2,
-        "Instant + rand::random"
-    );
     assert_eq!(
         rule_count(&report, "panic-taint"),
         3,
         "indexing + unwrap + panic!"
     );
-    assert_eq!(report.errors.len(), 7, "2 file-scoped + 5 transitive");
+    assert_eq!(report.errors.len(), 5, "2 file-scoped + 3 transitive");
     assert!(report.stale.is_empty(), "all root patterns match");
 }
 
 #[test]
 fn transitive_corpus_flags_every_rule_with_call_chains() {
     let report = analyze(&fixture("taint_ws"), &taint_roots()).expect("analyze");
-    assert_eq!(report.errors.len(), 5, "one finding per transitive rule");
+    assert_eq!(report.errors.len(), 2, "one finding per transitive rule");
     assert!(report.stale.is_empty());
 
-    // sim-taint: SystemTime four hops from the root, across crates.
-    let d = only(&report, "sim-taint");
-    assert_eq!(d.path, "crates/core/src/helpers.rs");
-    assert_eq!(d.line, 10);
+    // panic-taint: the indexing expression four hops from the root,
+    // across crates.
+    let d = only(&report, "panic-taint");
+    assert_eq!(
+        (d.path.as_str(), d.line),
+        ("crates/core/src/helpers.rs", 11)
+    );
     assert_eq!(
         d.chain.len(),
         4,
@@ -111,34 +117,12 @@ fn transitive_corpus_flags_every_rule_with_call_chains() {
     assert!(d.chain[2].starts_with("persist (crates/core/src/helpers.rs:"));
     assert!(d.chain[3].starts_with("stamp ("));
 
-    // panic-taint: the indexing expression in the same leaf fn.
-    let d = only(&report, "panic-taint");
-    assert_eq!(
-        (d.path.as_str(), d.line),
-        ("crates/core/src/helpers.rs", 12)
-    );
-    assert_eq!(d.chain.len(), 4);
-
-    // lossy-cast: `slot as u32` down the other helper chain.
-    let d = only(&report, "lossy-cast");
-    assert_eq!(
-        (d.path.as_str(), d.line),
-        ("crates/core/src/helpers.rs", 20)
-    );
-    assert_eq!(
-        d.chain.len(),
-        4,
-        "on_message → step → narrowed → narrow: {:?}",
-        d.chain
-    );
-    assert!(d.chain[3].starts_with("narrow ("));
-
     // state-growth: `Log.entries` held via the `Replica.log` field; the
     // chain is the held-type provenance, not a call path.
     let d = only(&report, "state-growth");
     assert_eq!(
         (d.path.as_str(), d.line),
-        ("crates/paxos/src/replica.rs", 19)
+        ("crates/paxos/src/replica.rs", 16)
     );
     assert!(d.message.contains("`Log.entries` (Vec)"));
     assert!(d.chain[0].starts_with("root Replica::on_message ("));
@@ -150,25 +134,16 @@ fn transitive_corpus_flags_every_rule_with_call_chains() {
         .errors
         .iter()
         .all(|e| e.rule != "state-growth" || e.path != "crates/core/src/helpers.rs"));
-
-    // float-state: the f64 directly inside the root-held struct.
-    let d = only(&report, "float-state");
-    assert_eq!(
-        (d.path.as_str(), d.line),
-        ("crates/paxos/src/replica.rs", 15)
-    );
-    assert!(d.message.contains("`Replica.load_factor` is `f64`"));
-    assert!(d.chain[0].starts_with("root Replica::on_message ("));
 }
 
 #[test]
 fn transitive_corpus_graph_stats_and_dot_export() {
     let report = analyze(&fixture("taint_ws"), &taint_roots()).expect("analyze");
-    assert_eq!(report.stats.functions, 6);
-    assert_eq!(report.stats.edges, 5);
+    assert_eq!(report.stats.functions, 4);
+    assert_eq!(report.stats.edges, 3);
     assert_eq!(report.stats.sim_roots, 1);
-    assert_eq!(report.stats.sim_reachable, 6, "every fn is on a chain");
-    assert_eq!(report.stats.protocol_reachable, 6);
+    assert_eq!(report.stats.sim_reachable, 4, "every fn is on the chain");
+    assert_eq!(report.stats.protocol_reachable, 4);
     assert!(report.dot.starts_with("digraph simlint {"));
     assert!(report.dot.contains("Replica::step"));
     assert!(report.dot.contains("cluster_core"), "crate clustering");
@@ -220,7 +195,7 @@ fn good_workspace_is_clean_with_one_justified_allow() {
         report.errors.is_empty(),
         "clean twin: no unwaived diagnostics"
     );
-    assert_eq!(report.files_scanned, 2);
+    assert_eq!(report.files_scanned, 1);
     assert_eq!(report.waived.len(), 1);
     assert_eq!(report.waived[0].0.rule, "unchecked-slot-arith");
     assert!(report.waived[0].1.contains("inline waiver path"));
@@ -230,7 +205,7 @@ fn good_workspace_is_clean_with_one_justified_allow() {
     // is reported stale and pointed at clippy.
     let rel = "crates/paxos/src/replica.rs";
     let src = std::fs::read_to_string(fixture("good_ws").join(rel)).expect("fixture");
-    for retired in ["hash-order", "io-println"] {
+    for retired in RETIRED_TO_CLIPPY {
         let with_allow = format!("{src}// simlint: allow({retired}): clippy checks this now\n");
         let report = analyze_sources(&[file_data(rel, with_allow)], &Config::default());
         assert!(report.stale_only(), "{retired}: {report:?}");
@@ -290,8 +265,8 @@ fn line_scoped_toml_waiver_covers_only_that_line() {
 fn stale_toml_waiver_is_an_error() {
     let waivers = r#"
         [[waiver]]
-        rule = "unchecked-slot-arith"
-        path = "crates/simnet/src/clock.rs"
+        rule = "panic-taint"
+        path = "crates/paxos/src/replica.rs"
         reason = "nothing in the clean tree matches this entry"
     "#;
     let report = analyze(&fixture("good_ws"), waivers).expect("analyze");
@@ -316,8 +291,8 @@ fn waiver_for_missing_file_reports_the_path() {
 
 #[test]
 fn waiver_naming_unknown_rule_is_a_config_error() {
-    // A typo, and the two rules clippy took over.
-    for rule in ["no-such-rule", "hash-order", "io-println"] {
+    // A typo, and the rules clippy took over.
+    for rule in ["no-such-rule"].iter().chain(&RETIRED_TO_CLIPPY) {
         let waivers = format!(
             "[[waiver]]\nrule = \"{rule}\"\npath = \"crates/paxos/src/replica.rs\"\n\
              reason = \"long enough reason, wrong rule name\"\n"
@@ -350,7 +325,7 @@ fn json_report_matches_schema() {
         assert!(doc.contains(key), "missing {key} in:\n{doc}");
     }
     assert!(doc.contains(&format!("\"version\": {JSON_VERSION}")));
-    assert!(doc.contains("\"errors\": 5"));
+    assert!(doc.contains("\"errors\": 2"));
     // Every diagnostic row carries the fields a consumer needs to
     // locate it — including the v2 call chain.
     for field in [
@@ -363,8 +338,8 @@ fn json_report_matches_schema() {
     ] {
         assert!(doc.contains(field), "diagnostic rows need {field}");
     }
-    assert!(doc.contains("\"functions\": 6"));
-    assert!(doc.contains("\"sim_reachable\": 6"));
+    assert!(doc.contains("\"functions\": 4"));
+    assert!(doc.contains("\"sim_reachable\": 4"));
 }
 
 #[test]
@@ -406,7 +381,7 @@ fn cli_picks_up_fixture_roots_and_exports_the_graph() {
         .args(["--graph-dot", "-"])
         .output()
         .expect("run simlint");
-    assert_eq!(out.status.code(), Some(1), "five seeded violations");
+    assert_eq!(out.status.code(), Some(1), "two seeded violations");
     let dot = String::from_utf8(out.stdout).expect("utf8 dot");
     assert!(dot.starts_with("digraph simlint {"));
     assert!(dot.contains("Replica::on_message"));

@@ -1,23 +1,14 @@
-//! Helper crate for the transitive fixture: the actual violation
-//! tokens sit at the far end of cross-crate call chains, so a
-//! file-scoped scan of `replica.rs` alone would find nothing.
+//! Helper crate for the transitive fixture: the violation token sits at
+//! the far end of a cross-crate call chain, so a file-scoped scan of
+//! `replica.rs` alone would find nothing.
 
 pub fn persist(v: u64) -> u64 {
     stamp(v)
 }
 
 fn stamp(v: u64) -> u64 {
-    let _t = std::time::SystemTime::now();
     let arr = [v, 1];
     arr[0]
-}
-
-pub fn narrowed(slot: u64) -> u32 {
-    narrow(slot)
-}
-
-fn narrow(slot: u64) -> u32 {
-    slot as u32
 }
 
 /// Same name as `paxos::Log`, different crate, held by no root: an

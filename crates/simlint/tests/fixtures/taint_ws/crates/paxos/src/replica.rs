@@ -1,18 +1,15 @@
 //! Transitive-rule fixture (never compiled): a protocol handler whose
 //! violations live two crates and several hops away. The integration
 //! suite declares `Replica::on_message` as both a sim and a protocol
-//! root and pins the multi-hop call chains simlint reports:
+//! root and pins the multi-hop call chain simlint reports:
 //!
-//!   on_message → step → persist → stamp    (sim-taint, panic-taint)
-//!   on_message → step → narrowed → narrow  (lossy-cast)
+//!   on_message → step → persist → stamp    (panic-taint)
 //!
-//! The struct itself seeds the held-state rules: `log.entries` only
-//! ever grows (state-growth) and `load_factor` is an `f64` inside the
-//! root-held state (float-state).
+//! The struct itself seeds the held-state rule: `log.entries` only ever
+//! grows (state-growth).
 
 pub struct Replica {
     pub log: Log,
-    pub load_factor: f64,
 }
 
 pub struct Log {
@@ -27,6 +24,5 @@ impl Replica {
     fn step(&mut self, slot: u64) {
         self.log.entries.push(slot);
         helpers::persist(slot);
-        let _ = helpers::narrowed(slot);
     }
 }

@@ -230,7 +230,7 @@ impl StableLog {
             return None;
         }
         self.entries
-            .get((index - self.first_index) as usize)
+            .get(usize::try_from(index - self.first_index).unwrap_or(usize::MAX))
             .map(Vec::as_slice)
     }
 
@@ -251,7 +251,9 @@ impl StableLog {
         if keep_from <= self.first_index {
             return;
         }
-        let drop = ((keep_from - self.first_index) as usize).min(self.entries.len());
+        let drop = usize::try_from(keep_from - self.first_index)
+            .unwrap_or(usize::MAX)
+            .min(self.entries.len());
         self.entries.drain(..drop);
         self.first_index += drop as u64;
     }

@@ -12,7 +12,7 @@
 //! increasing sequence number, so a run is a pure function of
 //! `(seed, configuration, driver logic)`.
 
-use obs::{TraceConfig, TraceEvent, Tracer};
+use obs::{node_u32, TraceConfig, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -232,7 +232,7 @@ impl<M: std::fmt::Debug> Engine<M> {
     #[inline]
     pub fn trace(&mut self, node: NodeId, event: TraceEvent) {
         self.tracer
-            .emit(self.now.as_micros(), node.index() as u32, event);
+            .emit(self.now.as_micros(), node_u32(node.index()), event);
     }
 
     /// Current simulated time.
@@ -319,7 +319,7 @@ impl<M: std::fmt::Debug> Engine<M> {
             from,
             TraceEvent::MsgSent {
                 xid,
-                to: to.index() as u32,
+                to: node_u32(to.index()),
                 bytes,
             },
         );
@@ -364,7 +364,7 @@ impl<M: std::fmt::Debug> Engine<M> {
                     from,
                     TraceEvent::MsgDuplicated {
                         xid,
-                        to: to.index() as u32,
+                        to: node_u32(to.index()),
                     },
                 );
             }
@@ -373,7 +373,7 @@ impl<M: std::fmt::Debug> Engine<M> {
                     from,
                     TraceEvent::MsgDropped {
                         xid,
-                        to: to.index() as u32,
+                        to: node_u32(to.index()),
                         bytes,
                         reason: reason.tag(),
                     },
@@ -632,7 +632,7 @@ impl<M: std::fmt::Debug> Engine<M> {
                             to,
                             TraceEvent::MsgRecv {
                                 xid,
-                                from: from.index() as u32,
+                                from: node_u32(from.index()),
                                 bytes,
                             },
                         );
@@ -646,7 +646,7 @@ impl<M: std::fmt::Debug> Engine<M> {
                         from,
                         TraceEvent::MsgDropped {
                             xid,
-                            to: to.index() as u32,
+                            to: node_u32(to.index()),
                             bytes,
                             reason: DropReason::DestDown.tag(),
                         },
@@ -917,8 +917,8 @@ mod tests {
     fn determinism_same_seed_same_trace() {
         let run = |seed: u64| {
             let mut e: E = Engine::new(3, SimConfig::default(), seed);
-            for i in 0..50 {
-                e.send(NodeId(i % 3), NodeId((i + 1) % 3), i as u32);
+            for (i, msg) in (0..50).zip(0u32..) {
+                e.send(NodeId(i % 3), NodeId((i + 1) % 3), msg);
             }
             drain(&mut e, SimTime::from_secs(1))
                 .into_iter()
@@ -1229,24 +1229,22 @@ mod tests {
     #[test]
     fn crash_churn_drains_queue_to_zero() {
         let mut e = engine(3);
-        for round in 0u64..20 {
-            for n in 0..3u64 {
-                e.set_timer(NodeId(n as usize), SimDuration::from_millis(1 + n), round);
-                e.send(
-                    NodeId(n as usize),
-                    NodeId(((n + 1) % 3) as usize),
-                    round as u32,
-                );
+        for round in 0u8..20 {
+            for n in 0..3u8 {
+                let node = NodeId(n.into());
+                let at = SimDuration::from_millis((1 + n).into());
+                e.set_timer(node, at, round.into());
+                e.send(node, NodeId(((n + 1) % 3).into()), round.into());
                 e.disk_write(
-                    NodeId(n as usize),
+                    node,
                     StableOp::Put {
                         key: format!("k{n}"),
-                        value: vec![round as u8],
+                        value: vec![round],
                     },
-                    round,
+                    round.into(),
                 );
             }
-            let victim = NodeId((round % 3) as usize);
+            let victim = NodeId((round % 3).into());
             e.crash(victim);
             let horizon = e.now() + SimDuration::from_millis(2);
             drain(&mut e, horizon);

@@ -415,8 +415,8 @@ mod tests {
     fn overflow_rebase_preserves_order() {
         let mut w = EventWheel::new();
         // All far past the initial horizon, spread over many rebases.
-        for i in 0..100u64 {
-            w.push(10_000_000 + i * 3_000_000, i, i as u32);
+        for (i, tag) in (0..100u64).zip(0u32..) {
+            w.push(10_000_000 + i * 3_000_000, i, tag);
         }
         let popped: Vec<u64> = drain(&mut w).into_iter().map(|(at, _, _)| at).collect();
         let mut sorted = popped.clone();
@@ -500,15 +500,15 @@ mod tests {
         let mut heap = HeapQueue::new();
         let mut state = 42u64;
         let mut at = 0u64;
-        for seq in 0..10_000u64 {
+        for (seq, tag) in (0..10_000u64).zip(0u32..) {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let delta = (state >> 33) % 3_000_000;
             at += delta % 7; // mostly ties and small steps
             let t = at + delta;
-            wheel.push(t, seq, seq as u32);
-            heap.push(t, seq, seq as u32);
+            wheel.push(t, seq, tag);
+            heap.push(t, seq, tag);
         }
         loop {
             let a = wheel.pop_before(u64::MAX);

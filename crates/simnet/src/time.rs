@@ -50,11 +50,6 @@ impl SimTime {
         self.0
     }
 
-    /// This time point expressed in (fractional) seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Time elapsed since `earlier`, saturating to zero if `earlier` is
     /// in this point's future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -81,24 +76,9 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Creates a span from fractional seconds, rounding to the nearest
-    /// microsecond. Negative inputs clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            SimDuration(0)
-        } else {
-            SimDuration((s * 1e6).round() as u64)
-        }
-    }
-
     /// The span in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// The span in (fractional) seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Returns whether this span is zero.
@@ -227,15 +207,20 @@ impl Div<u64> for SimDuration {
     }
 }
 
+/// Seconds with six decimals, from the integer microseconds.
+fn fmt_micros(us: u64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "{}.{:06}s", us / 1_000_000, us % 1_000_000)
+}
+
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        fmt_micros(self.0, f)
     }
 }
 
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        fmt_micros(self.0, f)
     }
 }
 
@@ -254,12 +239,6 @@ mod tests {
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_and_clamps() {
-        assert_eq!(SimDuration::from_secs_f64(0.0000015).as_micros(), 2);
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]
