@@ -90,7 +90,8 @@ fn say_fd_side_by_side(con: &Console, report: &RunReport) {
     if report.trace.is_empty() {
         return;
     }
-    let fd = obs::fd_quality(&report.trace);
+    let store = obs::TraceStore::build(&report.trace);
+    let fd = store.fd_quality();
     let alerts = bench::alert_score_from_run(report);
     let alert_p50: Vec<u64> = alerts
         .incidents
@@ -106,8 +107,8 @@ fn say_fd_side_by_side(con: &Console, report: &RunReport) {
         "    detector vs. alert: fd p50 {:.1}s ({}/{} crashes) | alert mean {:.1}s \
          ({}/{} incidents) — gap is the monitor's scrape + debounce cost",
         fd.detection_latency.quantile(0.5) as f64 / 1e6,
-        fd.detected(),
-        fd.incidents.len(),
+        fd.detection_latency.count(),
+        store.incidents.len(),
         alert_mean,
         alerts.detected(),
         alerts.incidents.len(),

@@ -149,12 +149,13 @@ fn main() {
             say_breakdown(&con, "reconfig (from submit)", r);
         }
         if !report.trace.is_empty() {
-            let fd = obs::fd_quality(&report.trace);
+            let store = obs::TraceStore::build(&report.trace);
+            let fd = store.fd_quality();
             con.say(format_args!(
                 "    fd quality: {}/{} crash(es) detected (p50 {:.1}s), \
                  {} false suspicion(s), mistake p50 {:.1}s",
-                fd.detected(),
-                fd.incidents.len(),
+                fd.detection_latency.count(),
+                store.incidents.len(),
                 fd.detection_latency.quantile(0.5) as f64 / 1e6,
                 fd.false_suspicions,
                 fd.mistake_duration.quantile(0.5) as f64 / 1e6,

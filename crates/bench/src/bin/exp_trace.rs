@@ -40,8 +40,8 @@ use bench::report::write_file_or_die;
 use bench::Console;
 use obs::jsonl::Run;
 use obs::{
-    availability_reports, AvailabilityReport, BlameCategory, CausalProfile, RecoveryBreakdown,
-    SpanProfile, Timeline, TimelineConfig, TraceStore,
+    availability_reports, AvailabilityReport, BlameCategory, CausalProfile, Incident, SpanProfile,
+    Timeline, TimelineConfig, TraceStore,
 };
 
 const USAGE: &str = "usage: exp_trace breakdown <trace.jsonl> [--require-breakdown] [--quiet]
@@ -181,11 +181,10 @@ fn breakdown(con: &Console, args: &Args, runs: &[Run]) -> Vec<String> {
             "== {label} ({} records) ==",
             store.records.len()
         ));
-        let breakdowns = store.recovery_breakdowns();
-        if breakdowns.is_empty() {
+        if store.incidents.is_empty() {
             con.say("  no crash incidents");
         }
-        for b in &breakdowns {
+        for b in &store.incidents {
             incidents += 1;
             complete += b.complete as usize;
             con.say(render_breakdown(b));
@@ -224,7 +223,7 @@ fn breakdown(con: &Console, args: &Args, runs: &[Run]) -> Vec<String> {
     vec![format!("no complete recovery breakdown in {}", args.path)]
 }
 
-fn render_breakdown(b: &RecoveryBreakdown) -> String {
+fn render_breakdown(b: &Incident) -> String {
     let phase = |v: Option<u64>, absent: &str| match v {
         Some(us) => format!("{:10.1} ms", us as f64 / 1e3),
         None => format!("{absent:>13}"),
@@ -257,7 +256,7 @@ fn timeline(con: &Console, args: &Args, runs: &[Run]) -> Vec<String> {
         let mut tl = Timeline::from_store(&store, cfg.window_us);
         let profile = SpanProfile::from_store(&store);
         tl.dominant_phase = profile.dominant_phases(tl.window_us, tl.windows.len());
-        let reports = availability_reports(&tl, &cfg);
+        let reports = availability_reports(&tl, &cfg, &["crash"]);
 
         con.say(format_args!(
             "== {label} ({} windows of {}s, {} markers, {} spans) ==",

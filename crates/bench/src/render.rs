@@ -309,8 +309,9 @@ pub fn render_fd_quality(title: &str, runs: &[FaultRun]) -> String {
         if run.report.trace.is_empty() {
             continue;
         }
-        let fd = obs::fd_quality(&run.report.trace);
-        if fd.incidents.is_empty() && fd.false_suspicions == 0 {
+        let store = obs::TraceStore::build(&run.report.trace);
+        let fd = store.fd_quality();
+        if store.incidents.is_empty() && fd.false_suspicions == 0 {
             continue;
         }
         any = true;
@@ -319,8 +320,8 @@ pub fn render_fd_quality(title: &str, runs: &[FaultRun]) -> String {
             "  {}/{} | {:7} | {:8} | {:13.1} | {:13.1} | {:10} | {:14.1}\n",
             run.replicas,
             &run.profile.name()[..1],
-            fd.incidents.len(),
-            fd.detected(),
+            store.incidents.len(),
+            fd.detection_latency.count(),
             secs(fd.detection_latency.quantile(0.5)),
             secs(fd.detection_latency.max()),
             fd.false_suspicions,

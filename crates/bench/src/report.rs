@@ -341,7 +341,7 @@ pub fn availability_from_run(report: &RunReport) -> Vec<obs::AvailabilityReport>
     }
     let cfg = obs::TimelineConfig::default();
     let tl = timeline_from_run(report, &cfg);
-    obs::availability_reports(&tl, &cfg)
+    obs::availability_reports(&tl, &cfg, &["crash"])
 }
 
 /// Derives one [`obs::AvailabilityReport`] per membership change,
@@ -354,7 +354,7 @@ pub fn reconfig_availability(report: &RunReport) -> Vec<obs::AvailabilityReport>
     }
     let cfg = obs::TimelineConfig::default();
     let tl = timeline_from_run(report, &cfg);
-    obs::availability_reports_for(&tl, &cfg, &["reconfig_proposed"])
+    obs::availability_reports(&tl, &cfg, &["reconfig_proposed"])
 }
 
 /// The availability-report JSON fields of a run's first crash incident

@@ -225,7 +225,6 @@ impl Testbed {
                 if self.servers[server].is_none() {
                     self.engine.restart(NodeId(server));
                     plan.spans[span].restart_at = self.now_us();
-                    self.lift(node_u32(server), INJECT_CRASH, None);
                     self.servers[server] = Some(ServerNode::recover(
                         server,
                         self.params,
@@ -250,7 +249,7 @@ impl Testbed {
             }
             Action::NetFault { fault: None } => {
                 let event = TraceEvent::NetFaultCleared;
-                self.lift(INJECT_CLUSTER, INJECT_NET_FAULT, Some(event));
+                self.lift(INJECT_CLUSTER, event);
                 self.engine.network_mut().clear_link_faults();
             }
             Action::DiskFault { server, fault } => {
@@ -264,7 +263,7 @@ impl Testbed {
                     }
                     None => {
                         let event = TraceEvent::DiskFaultCleared;
-                        self.lift(node_u32(server), INJECT_DISK_FAULT, Some(event));
+                        self.lift(node_u32(server), event);
                     }
                 }
                 self.engine.set_disk_fault(NodeId(server), fault);
@@ -283,7 +282,7 @@ impl Testbed {
             }
             Action::Heal => {
                 let event = TraceEvent::PartitionHealed;
-                self.lift(INJECT_CLUSTER, INJECT_PARTITION, Some(event));
+                self.lift(INJECT_CLUSTER, event);
                 self.engine.network_mut().heal_all();
             }
             Action::Reconfig { incident } => {
@@ -319,11 +318,10 @@ impl Testbed {
         self.trace_fault(node, event);
     }
 
-    /// Marks the open `(node, kind)` fault lifted, in the log and the
-    /// trace.
-    fn lift(&mut self, node: u32, kind: &'static str, event: Option<TraceEvent>) {
-        self.injections.clear_open(node, kind, self.now_us());
-        self.trace_fault(node, event);
+    /// Traces the lift of a fault on `node`; the injection log records
+    /// only when faults hit.
+    fn lift(&mut self, node: u32, event: TraceEvent) {
+        self.trace_fault(node, Some(event));
     }
 
     fn trace_fault(&mut self, node: u32, event: Option<TraceEvent>) {
@@ -375,7 +373,6 @@ impl Testbed {
             return;
         };
         change.completed_at_us = Some(now_us);
-        self.lift(INJECT_CLUSTER, INJECT_RECONFIG, None);
         for &idx in &change.add {
             if self.servers[idx].is_none() {
                 self.servers[idx] = Some(ServerNode::join(

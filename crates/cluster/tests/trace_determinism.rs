@@ -55,10 +55,15 @@ fn same_seed_traces_are_byte_identical() {
     let jb = obs::jsonl::encode_all(&b.trace);
     assert_eq!(ja.len(), jb.len(), "trace sizes diverge");
     assert!(ja == jb, "same-seed traces must be byte-identical");
-    // And the trace actually covers the incident end to end.
-    let breakdowns = obs::analyze::recovery_breakdowns(&a.trace);
-    assert_eq!(breakdowns.len(), 1, "one crash incident expected");
-    assert!(breakdowns[0].complete, "recovery must complete in trace");
+    // And the trace actually covers the incident end to end, from the
+    // first suspicion of the crashed peer to its recovery.
+    let incidents = obs::recovery_breakdowns(&a.trace);
+    assert_eq!(incidents.len(), 1, "one crash incident expected");
+    assert!(incidents[0].complete, "recovery must complete in trace");
+    assert!(
+        incidents[0].suspected_after_us.is_some(),
+        "some replica must suspect the crashed peer"
+    );
 }
 
 /// The windowed timeline and span profile are pure functions of the
@@ -76,8 +81,9 @@ fn timeline_exports_are_deterministic_and_bracket_the_crash() {
         ..Default::default()
     };
     let build = |r: &RunReport| {
-        let mut tl = obs::Timeline::from_records(&r.trace, cfg.window_us);
-        let profile = obs::SpanProfile::from_records(&r.trace);
+        let store = obs::TraceStore::build(&r.trace);
+        let mut tl = obs::Timeline::from_store(&store, cfg.window_us);
+        let profile = obs::SpanProfile::from_store(&store);
         tl.dominant_phase = profile.dominant_phases(tl.window_us, tl.windows.len());
         (tl, profile)
     };
@@ -96,7 +102,7 @@ fn timeline_exports_are_deterministic_and_bracket_the_crash() {
 
     // Exactly one crash incident, with the degraded stretch bracketing
     // the crash and a measured failover, ramp-back and detection.
-    let reports = obs::availability_reports(&tl, &cfg);
+    let reports = obs::availability_reports(&tl, &cfg, &["crash"]);
     assert_eq!(reports.len(), 1, "one crash incident expected");
     let r = &reports[0];
     assert!(r.baseline_wips > 0.0);
@@ -166,13 +172,6 @@ fn causal_blame_telescopes_and_exports_deterministically() {
         pa.blame_csv("run"),
         pb.blame_csv("run"),
         "same-seed blame CSV must be byte-identical"
-    );
-    // The trace names failure-detector incidents for the injected crash.
-    let fd = obs::fd_quality(&a.trace);
-    assert_eq!(fd.incidents.len(), 1, "one crash incident expected");
-    assert!(
-        fd.incidents[0].detection_latency_us.is_some(),
-        "some replica must suspect the crashed peer"
     );
 }
 
@@ -282,10 +281,11 @@ fn obs_outputs_match_pinned_fingerprints() {
     let reencoded = obs::jsonl::encode_all(&runs[0].1);
 
     let cfg = obs::TimelineConfig::default();
-    let mut tl = obs::Timeline::from_records(&a.trace, cfg.window_us);
-    let spans = obs::SpanProfile::from_records(&a.trace);
+    let store = obs::TraceStore::build(&a.trace);
+    let mut tl = obs::Timeline::from_store(&store, cfg.window_us);
+    let spans = obs::SpanProfile::from_store(&store);
     tl.dominant_phase = spans.dominant_phases(tl.window_us, tl.windows.len());
-    let causal = obs::CausalProfile::from_records(&a.trace);
+    let causal = obs::CausalProfile::from_store(&store);
 
     let got = [
         ("trace", fnv1a(&trace)),
@@ -295,20 +295,13 @@ fn obs_outputs_match_pinned_fingerprints() {
         ("causal_jsonl", fnv1a(&causal.to_jsonl())),
         ("blame_csv", fnv1a(&causal.blame_csv("run"))),
         ("spans", fnv1a(&format!("{:?}", spans.spans))),
-        (
-            "recovery_breakdowns",
-            fnv1a(&format!("{:?}", obs::recovery_breakdowns(&a.trace))),
-        ),
-        (
-            "fd_incidents",
-            fnv1a(&format!("{:?}", obs::fd_quality(&a.trace).incidents)),
-        ),
+        ("incidents", fnv1a(&format!("{:?}", store.incidents))),
         (
             "latency_summary",
-            fnv1a(&format!("{:?}", obs::latency_summary(&a.trace))),
+            fnv1a(&format!("{:?}", store.latency_summary())),
         ),
     ];
-    let want: [(&str, (u64, usize)); 10] = [
+    let want: [(&str, (u64, usize)); 9] = [
         ("trace", (0xf149_605a_49c4_28b7, 43931125)),
         ("reencoded", (0xf149_605a_49c4_28b7, 43931125)),
         ("timeline_csv", (0xb37c_1838_f546_4bc2, 1791)),
@@ -316,8 +309,7 @@ fn obs_outputs_match_pinned_fingerprints() {
         ("causal_jsonl", (0xfc78_b42d_e97d_5862, 1149795)),
         ("blame_csv", (0x8a7e_bf76_1846_d37c, 934)),
         ("spans", (0x3477_7eaa_1899_6eb6, 656187)),
-        ("recovery_breakdowns", (0x6770_bf89_0bf5_a659, 267)),
-        ("fd_incidents", (0x4ed0_2a9e_b77d_6291, 102)),
+        ("incidents", (0xee5b_f0c5_34ac_cad1, 284)),
         ("latency_summary", (0x2f0f_e571_2ad2_ed93, 312)),
     ];
     assert_eq!(got, want, "got {got:#x?}");

@@ -31,7 +31,7 @@ fn batch_bounds(len: usize) -> Result<(), WireError> {
 }
 
 /// Batch framing: a length-prefixed item vector. Decoding and checking
-/// enforce [`batch_bounds`], which is why this is the one consensus
+/// enforce `batch_bounds`, which is why this is the one consensus
 /// type without a table.
 impl<A: Wire> Wire for Batch<A> {
     fn encode<S: Sink>(&self, out: &mut S) {

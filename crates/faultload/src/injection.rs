@@ -37,9 +37,6 @@ pub struct Injection {
     pub node: u32,
     /// Kind tag (one of the `INJECT_*` constants).
     pub kind: &'static str,
-    /// When the fault was lifted (restart completed, partition healed,
-    /// fault profile cleared, reconfig epoch installed), if it was.
-    pub cleared_us: Option<u64>,
 }
 
 /// Append-only record of every fault the driver applied, in
@@ -53,25 +50,7 @@ pub struct InjectionLog {
 impl InjectionLog {
     /// Records an applied fault.
     pub fn record(&mut self, at_us: u64, node: u32, kind: &'static str) {
-        self.entries.push(Injection {
-            at_us,
-            node,
-            kind,
-            cleared_us: None,
-        });
-    }
-
-    /// Marks the most recent uncleared `(node, kind)` entry as lifted
-    /// (restart after crash, heal after cut).
-    pub fn clear_open(&mut self, node: u32, kind: &'static str, at_us: u64) {
-        if let Some(entry) = self
-            .entries
-            .iter_mut()
-            .rev()
-            .find(|e| e.node == node && e.kind == kind && e.cleared_us.is_none())
-        {
-            entry.cleared_us = Some(at_us);
-        }
+        self.entries.push(Injection { at_us, node, kind });
     }
 
     /// The entries that count as operator-visible *incidents* for
@@ -98,29 +77,12 @@ mod tests {
         log.record(10, 2, INJECT_DISK_FAULT);
         log.record(45_000_000, 1, INJECT_CRASH);
         log.record(50_000_000, INJECT_CLUSTER, INJECT_PARTITION);
-        log.clear_open(2, INJECT_DISK_FAULT, 99);
-        log.clear_open(1, INJECT_CRASH, 75_000_000);
         assert_eq!(log.entries.len(), 3);
-        assert_eq!(log.entries[0].cleared_us, Some(99));
-        assert_eq!(log.entries[1].cleared_us, Some(75_000_000));
-        assert_eq!(log.entries[2].cleared_us, None);
         // Disk-fault arming is not an incident; the other two are.
         let incidents: Vec<&Injection> = log.incidents().collect();
         assert_eq!(incidents.len(), 2);
         assert!(incidents.iter().all(|i| i.kind != INJECT_DISK_FAULT));
         assert!(!log.is_empty());
         assert!(InjectionLog::default().is_empty());
-    }
-
-    #[test]
-    fn clear_open_targets_latest_open_entry() {
-        let mut log = InjectionLog::default();
-        log.record(10, 0, INJECT_CRASH);
-        log.record(20, 0, INJECT_CRASH);
-        log.clear_open(0, INJECT_CRASH, 30);
-        assert_eq!(log.entries[0].cleared_us, None);
-        assert_eq!(log.entries[1].cleared_us, Some(30));
-        // No open entry left for node 1: no-op, no panic.
-        log.clear_open(1, INJECT_CRASH, 40);
     }
 }

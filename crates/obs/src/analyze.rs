@@ -1,95 +1,19 @@
-//! Trace analysis: per-incident recovery breakdowns and commit-latency
-//! aggregation, reconstructed from a record stream alone.
-//!
-//! This is the paper's recovery decomposition applied to our traces: a
-//! crash incident spans *detection* (crash → watchdog restart),
-//! *re-election* (crash → a surviving coordinator wins a new ballot;
-//! absent when the victim was not the leader), and the restart work —
-//! *checkpoint load* and *log replay* run in parallel, then the replica
-//! re-learns the *backlog* it missed until it announces recovery
-//! complete. All durations come from the records' sim-time stamps, so
-//! the analyzer needs nothing but the JSONL file.
+//! Trace analysis over a [`TraceStore`]: commit-latency aggregation and
+//! failure-detector scoring, plus [`recovery_breakdowns`], the store's
+//! per-crash [`Incident`] rows (the paper's recovery decomposition:
+//! detection, re-election, checkpoint load ∥ log replay, backlog) built
+//! straight from a record stream. All durations come from the records'
+//! sim-time stamps, so the analyzer needs nothing but the JSONL file.
 
 use crate::event::TraceRecord;
 use crate::metrics::Hist;
-use crate::store::TraceStore;
+use crate::store::{Incident, TraceStore};
 
-/// One crash incident reconstructed from a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RecoveryBreakdown {
-    /// The crashed node.
-    pub node: u32,
-    /// Crash time (µs).
-    pub crash_at_us: u64,
-    /// Restart time, if the node came back within the trace.
-    pub restart_at_us: Option<u64>,
-    /// Detection phase: crash → restart (the watchdog delay).
-    pub detection_us: Option<u64>,
-    /// Re-election: crash → first `LeaderElected` anywhere in the
-    /// cluster afterwards. `None` when no election was needed (the
-    /// victim was a follower) or none completed in the trace.
-    pub reelection_us: Option<u64>,
-    /// Checkpoint load start → loaded, on the restarted incarnation.
-    pub checkpoint_load_us: Option<u64>,
-    /// Log replay start → replayed, on the restarted incarnation.
-    pub log_replay_us: Option<u64>,
-    /// Backlog re-learn: local replay done (the later of log replay and
-    /// checkpoint load) → `RecoveryComplete`.
-    pub backlog_replay_us: Option<u64>,
-    /// Whole incident: crash → `RecoveryComplete`.
-    pub total_us: Option<u64>,
-    /// Whether the incident closed with a `RecoveryComplete`.
-    pub complete: bool,
-}
-
-/// Reconstructs all crash incidents from `records` (one run's trace,
-/// in engine order); see [`TraceStore::recovery_breakdowns`].
-pub fn recovery_breakdowns(records: &[TraceRecord]) -> Vec<RecoveryBreakdown> {
-    TraceStore::build(records).recovery_breakdowns()
-}
-
-impl TraceStore<'_> {
-    /// One breakdown per crash incident, ordered by crash time.
-    ///
-    /// A second crash of the same node closes the open incident as
-    /// incomplete and starts a new one. Election and phase events are
-    /// attributed to the oldest open incident they can explain: elections
-    /// to the earliest incident still lacking one, load/replay/complete
-    /// events to the incident of their own node. A phase has a duration
-    /// once both its edges were traced.
-    pub fn recovery_breakdowns(&self) -> Vec<RecoveryBreakdown> {
-        let mut out: Vec<RecoveryBreakdown> = self
-            .incidents
-            .iter()
-            .map(|i| {
-                let since_crash = |t: u64| t.saturating_sub(i.crash_at_us);
-                let duration =
-                    |(start, end): (Option<u64>, Option<u64>)| Some(end?.saturating_sub(start?));
-                let checkpoint_load_us = duration(i.checkpoint_load_us);
-                let log_replay_us = duration(i.log_replay_us);
-                // Local replay ends when both parallel restart reads are
-                // done; the backlog re-learn covers the rest.
-                let local_done = i.restart_at_us.unwrap_or(i.crash_at_us)
-                    + checkpoint_load_us
-                        .unwrap_or(0)
-                        .max(log_replay_us.unwrap_or(0));
-                RecoveryBreakdown {
-                    node: i.node,
-                    crash_at_us: i.crash_at_us,
-                    restart_at_us: i.restart_at_us,
-                    detection_us: i.restart_at_us.map(since_crash),
-                    reelection_us: i.reelected_at_us.map(since_crash),
-                    checkpoint_load_us,
-                    log_replay_us,
-                    backlog_replay_us: i.recovered_at_us.map(|t| t.saturating_sub(local_done)),
-                    total_us: i.recovered_at_us.map(since_crash),
-                    complete: i.recovered_at_us.is_some(),
-                }
-            })
-            .collect();
-        out.sort_by_key(|b| (b.crash_at_us, b.node));
-        out
-    }
+/// Every crash incident of `records` (one run's trace, in engine
+/// order), in trace order: [`TraceStore::incidents`] without the rest of
+/// the store.
+pub fn recovery_breakdowns(records: &[TraceRecord]) -> Vec<Incident> {
+    TraceStore::build(records).incidents
 }
 
 /// Commit-latency aggregation of one run.
@@ -119,12 +43,6 @@ impl LatencySummary {
     }
 }
 
-/// Aggregates consensus round-trip latency and coalescing counters
-/// over one run's records.
-pub fn latency_summary(records: &[TraceRecord]) -> LatencySummary {
-    TraceStore::build(records).latency_summary()
-}
-
 impl TraceStore<'_> {
     /// Commit latency and group-commit coalescing of the run.
     pub fn latency_summary(&self) -> LatencySummary {
@@ -144,45 +62,21 @@ impl TraceStore<'_> {
     }
 }
 
-/// One real crash, as the failure detectors saw it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FdIncident {
-    /// The crashed replica.
-    pub peer: u32,
-    /// Crash time (µs).
-    pub crash_at_us: u64,
-    /// Crash → first `PeerSuspected` of this peer anywhere in the
-    /// cluster. `None` when no detector fired before the peer returned
-    /// (or the trace ended).
-    pub detection_latency_us: Option<u64>,
-    /// The node whose detector fired first.
-    pub detector: Option<u32>,
-}
-
 /// Failure-detector quality over one run: how fast real crashes were
 /// detected, and how often live peers were wrongly suspected — the
-/// completeness/accuracy trade the timeout encodes.
+/// completeness/accuracy trade the timeout encodes. The crashes
+/// themselves, with who suspected each and when, are the store's
+/// [`Incident`] rows.
 #[derive(Debug, Clone, Default)]
 pub struct FdQuality {
-    /// Real crashes, in trace order.
-    pub incidents: Vec<FdIncident>,
-    /// Detection latencies of the incidents that were detected.
+    /// Detection latencies of the crashes that were detected; its count
+    /// is the number of detected crashes.
     pub detection_latency: Hist,
     /// `PeerSuspected` records naming a peer that was up — mistakes.
     pub false_suspicions: u64,
     /// How long each mistake lasted (`PeerCleared.suspected_us` for
     /// suspicions that started while the peer was up).
     pub mistake_duration: Hist,
-}
-
-impl FdQuality {
-    /// Incidents whose crash was detected by at least one peer.
-    pub fn detected(&self) -> usize {
-        self.incidents
-            .iter()
-            .filter(|i| i.detection_latency_us.is_some())
-            .count()
-    }
 }
 
 /// Scores the failure detectors against the trace's ground truth; see
@@ -202,19 +96,8 @@ impl TraceStore<'_> {
             false_suspicions: self.false_suspicions.len() as u64,
             ..FdQuality::default()
         };
-        for i in &self.incidents {
-            let detection = i
-                .suspected
-                .map(|(t, by)| (t.saturating_sub(i.crash_at_us), by));
-            if let Some((latency, _)) = detection {
-                q.detection_latency.observe(latency);
-            }
-            q.incidents.push(FdIncident {
-                peer: i.node,
-                crash_at_us: i.crash_at_us,
-                detection_latency_us: detection.map(|d| d.0),
-                detector: detection.map(|d| d.1),
-            });
+        for latency in self.incidents.iter().filter_map(|i| i.suspected_after_us) {
+            q.detection_latency.observe(latency);
         }
         for lasted in self.false_suspicions.iter().flatten() {
             q.mistake_duration.observe(*lasted);
@@ -338,6 +221,27 @@ mod tests {
         assert_eq!(out[1].reelection_us, Some(1_000));
     }
 
+    /// Rows keep trace order: nodes 3 and 1 crash in the same µs, node 3
+    /// first, and each row carries its own suspicion and phases.
+    #[test]
+    fn same_microsecond_crashes_keep_trace_order() {
+        let trace = vec![
+            crash(1_000, 3),
+            crash(1_000, 1),
+            suspected(1_200, 0, 1),
+            suspected(1_300, 2, 3),
+            restart(2_000, 1),
+            restart(2_500, 3),
+            rec(2_600, 3, TraceEvent::RecoveryComplete { slot: 7 }),
+        ];
+        let out = recovery_breakdowns(&trace);
+        let row = |i: &Incident| (i.node, i.suspected_after_us, i.suspected_by, i.detection_us);
+        assert_eq!(out.len(), 2);
+        assert_eq!(row(&out[0]), (3, Some(300), Some(2), Some(1_500)));
+        assert_eq!(row(&out[1]), (1, Some(200), Some(0), Some(1_000)));
+        assert_eq!((out[0].total_us, out[1].total_us), (Some(1_600), None));
+    }
+
     #[test]
     fn fd_quality_scores_real_and_false_suspicions() {
         let trace = vec![
@@ -354,12 +258,14 @@ mod tests {
             // Clears after restart: real suspicions, not mistakes.
             cleared(4_100, 2, 0, 2_650),
         ];
-        let q = fd_quality(&trace);
-        assert_eq!(q.incidents.len(), 1);
-        assert_eq!(q.detected(), 1);
-        assert_eq!(q.incidents[0].peer, 0);
-        assert_eq!(q.incidents[0].detection_latency_us, Some(450));
-        assert_eq!(q.incidents[0].detector, Some(2));
+        let store = TraceStore::build(&trace);
+        assert_eq!(store.incidents.len(), 1);
+        let i = &store.incidents[0];
+        assert_eq!(
+            (i.node, i.suspected_after_us, i.suspected_by),
+            (0, Some(450), Some(2))
+        );
+        let q = store.fd_quality();
         assert_eq!(q.detection_latency.count(), 1);
         assert_eq!(q.false_suspicions, 1);
         assert_eq!(q.mistake_duration.count(), 1);
@@ -368,10 +274,10 @@ mod tests {
     #[test]
     fn fd_quality_undetected_crash_stays_open() {
         let trace = vec![crash(1_000, 3)];
-        let q = fd_quality(&trace);
-        assert_eq!(q.incidents.len(), 1);
-        assert_eq!(q.detected(), 0);
-        assert_eq!(q.incidents[0].detection_latency_us, None);
+        let out = recovery_breakdowns(&trace);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].suspected_after_us, None);
+        assert_eq!(fd_quality(&trace).detection_latency.count(), 0);
     }
 
     #[test]
@@ -382,7 +288,7 @@ mod tests {
             delivered(50, 0, 0, 0, 40),
             delivered_for(51, 0, 0, 1, 0, 0),
         ];
-        let s = latency_summary(&trace);
+        let s = TraceStore::build(&trace).latency_summary();
         assert_eq!(s.updates_delivered, 2);
         assert_eq!(s.commit_latency.count(), 1, "remote updates not sampled");
         assert_eq!(s.batches, 1);

@@ -21,17 +21,18 @@
 //!   series with (commit latency, detection latency, phase durations);
 //! * [`jsonl`] — a canonical JSONL codec for traces (stdlib only);
 //! * [`TraceStore`] — one run's records indexed in a single pass: the
-//!   commit-path join tables, the send/receive/tag index, and the list
-//!   of crash incidents. Every offline reducer below is a query over it
-//!   (`from_store`), with `from_records` as the build-then-query
-//!   shorthand; the `exp_trace` binary is the command-line front end;
-//! * [`analyze`] — per-incident recovery breakdowns, commit-latency
-//!   tables, and failure-detector scoring ([`fd_quality`]: detection
-//!   latency, false suspicions, mistake durations against the store's
-//!   incident list);
+//!   commit-path join tables, the send/receive/tag index, and one
+//!   [`Incident`] row per crash (detection, re-election, the first
+//!   failure-detector suspicion, checkpoint load ∥ log replay, backlog).
+//!   Every offline reducer below is a query over it; the `exp_trace`
+//!   binary is the command-line front end;
+//! * [`analyze`] — commit-latency tables and failure-detector scoring
+//!   ([`FdQuality`]: detection latency, false suspicions, mistake
+//!   durations against the store's incident rows);
 //! * [`timeline`] — windowed WIPS/commit/resource series with fault
-//!   markers, plus per-crash [`AvailabilityReport`]s (time to detect /
-//!   failover, dip depth, ramp back to 95 % of baseline);
+//!   markers, plus [`AvailabilityReport`]s anchored on crash (or other)
+//!   markers (time to detect / failover, dip depth, ramp back to 95 % of
+//!   baseline);
 //! * [`spans`] — per-update critical-path spans
 //!   (submit→flush→accept→decide→apply→reply) whose phase latencies
 //!   sum exactly to the measured commit latency;
@@ -68,10 +69,7 @@ mod testkit;
 pub mod timeline;
 pub mod tracer;
 
-pub use analyze::{
-    fd_quality, latency_summary, recovery_breakdowns, FdIncident, FdQuality, LatencySummary,
-    RecoveryBreakdown,
-};
+pub use analyze::{fd_quality, recovery_breakdowns, FdQuality, LatencySummary};
 pub use causal::{BlameCategory, BlameSegment, CausalPath, CausalProfile};
 pub use event::{node_u32, TraceEvent, TraceRecord, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
 pub use metrics::Hist;
@@ -80,8 +78,6 @@ pub use monitor::{
     Monitor, MonitorConfig, NodeHealth, Scrape, SUBJECT_CLUSTER,
 };
 pub use spans::{SpanProfile, UpdateSpan, PHASES};
-pub use store::{TraceStore, TAG_NONE};
-pub use timeline::{
-    availability_reports, availability_reports_for, AvailabilityReport, Timeline, TimelineConfig,
-};
+pub use store::{Incident, TraceStore, TAG_NONE};
+pub use timeline::{availability_reports, AvailabilityReport, Timeline, TimelineConfig};
 pub use tracer::{EventBuf, TraceConfig, Tracer, FLIGHT_RECORDS};

@@ -37,26 +37,77 @@ pub(crate) struct Delivery {
     pub latency_us: u64,
 }
 
-/// One crash and the stamps of everything that followed it: the single
-/// answer to "when was this node really down, and what did coming back
-/// cost". An incident is *open* from its crash until the node announces
-/// recovery complete or crashes again.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Incident {
+/// One crash and what coming back cost, cut into the paper's recovery
+/// phases: the single answer to "when was this node really down, and why
+/// did its recovery take as long as it did". An incident is *open* from
+/// its crash until the node announces recovery complete or crashes
+/// again; a phase has a duration once both its edges were traced.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Incident {
+    /// The crashed node.
     pub node: u32,
+    /// Crash time (µs).
     pub crash_at_us: u64,
-    pub restart_at_us: Option<u64>,
-    /// First failure-detector suspicion of the node while it was down:
-    /// `(time, detecting node)`.
-    pub suspected: Option<(u64, u32)>,
-    /// First election won anywhere after the crash (attributed to the
-    /// oldest open incident still lacking one).
-    pub reelected_at_us: Option<u64>,
-    /// `(start, end)` of the restarted incarnation's checkpoint load.
-    pub checkpoint_load_us: (Option<u64>, Option<u64>),
-    /// `(start, end)` of its stable-log replay.
-    pub log_replay_us: (Option<u64>, Option<u64>),
-    pub recovered_at_us: Option<u64>,
+    /// Crash → restart: the watchdog delay. `None` while the node had
+    /// not come back within the trace.
+    pub detection_us: Option<u64>,
+    /// Crash → first `LeaderElected` anywhere in the cluster afterwards,
+    /// attributed to the oldest open incident still lacking one. `None`
+    /// when no election was needed (the victim was a follower) or none
+    /// completed in the trace.
+    pub reelection_us: Option<u64>,
+    /// Crash → first `PeerSuspected` of the node while it was down.
+    /// `None` when no failure detector fired before it restarted.
+    pub suspected_after_us: Option<u64>,
+    /// The node whose failure detector fired first.
+    pub suspected_by: Option<u32>,
+    /// Checkpoint load start → loaded, on the restarted incarnation.
+    pub checkpoint_load_us: Option<u64>,
+    /// Log replay start → replayed, on the restarted incarnation; it
+    /// runs in parallel with the checkpoint load.
+    pub log_replay_us: Option<u64>,
+    /// Backlog re-learn: local replay done (restart + the longer of the
+    /// two restart reads) → `RecoveryComplete`.
+    pub backlog_replay_us: Option<u64>,
+    /// Whole incident: crash → `RecoveryComplete`.
+    pub total_us: Option<u64>,
+    /// Whether the incident closed with a `RecoveryComplete`.
+    pub complete: bool,
+}
+
+/// The start stamps of a restarted incarnation's two parallel reads:
+/// `(checkpoint load, log replay)`.
+type Reads = (Option<u64>, Option<u64>);
+
+/// An open incident while the store is built: its row in
+/// `TraceStore::incidents` and its restart reads' start stamps.
+type Open = (usize, Reads);
+
+impl Incident {
+    /// Times one of the restarted node's own milestones, at `t`, against
+    /// its open incident; returns whether it closed the incident.
+    fn milestone(&mut self, reads: &mut Reads, event: &TraceEvent, t: u64) -> bool {
+        let since = |from: Option<u64>| Some(t.saturating_sub(from?));
+        match event {
+            TraceEvent::Restart { .. } => self.detection_us = since(Some(self.crash_at_us)),
+            TraceEvent::CheckpointLoadStart { .. } => reads.0 = Some(t),
+            TraceEvent::CheckpointLoaded { .. } => self.checkpoint_load_us = since(reads.0),
+            TraceEvent::LogReplayStart { .. } => reads.1 = Some(t),
+            TraceEvent::LogReplayed { .. } => self.log_replay_us = since(reads.1),
+            TraceEvent::RecoveryComplete { .. } => {
+                // Local replay ends when both parallel restart reads are
+                // done; the backlog re-learn covers the rest.
+                let longer_read = self.checkpoint_load_us.max(self.log_replay_us);
+                let local_done =
+                    self.crash_at_us + self.detection_us.unwrap_or(0) + longer_read.unwrap_or(0);
+                self.backlog_replay_us = since(Some(local_done));
+                self.total_us = since(Some(self.crash_at_us));
+                self.complete = true;
+            }
+            _ => {}
+        }
+        self.complete
+    }
 }
 
 /// One transmission: when it left, between whom, and the causal tag its
@@ -118,8 +169,8 @@ pub struct TraceStore<'a> {
     groups: BTreeMap<(u32, &'static str, u32, u64, u64, u64), u64>,
 
     // --- faults ---
-    /// Every crash, in trace order.
-    pub(crate) incidents: Vec<Incident>,
+    /// Every crash, in trace order (which is crash-time order).
+    pub incidents: Vec<Incident>,
     /// Suspicions of a peer that was up, in trace order, each with how
     /// long it lasted once its `peer_cleared` was seen.
     pub(crate) false_suspicions: Vec<Option<u64>>,
@@ -171,8 +222,8 @@ impl<'a> TraceStore<'a> {
         };
         // node → crashes so far.
         let mut incarnations: BTreeMap<u32, u32> = BTreeMap::new();
-        // Open incidents (indices into `s.incidents`), oldest first.
-        let mut open: Vec<usize> = Vec::new();
+        // Open incidents, oldest first.
+        let mut open: Vec<Open> = Vec::new();
         // (observer, peer) → its unresolved entry in `false_suspicions`.
         let mut mistaken: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         let mut recv_ord: u64 = 0;
@@ -184,8 +235,8 @@ impl<'a> TraceStore<'a> {
             }
             let incarnation = || incarnations.get(&node).copied().unwrap_or(0);
             let key = |id: u64| (node, incarnation(), id);
-            let open_of = |s: &TraceStore, open: &[usize], n: u32| {
-                open.iter().position(|&i| s.incidents[i].node == n)
+            let open_of = |s: &TraceStore, open: &[Open], n: u32| {
+                open.iter().position(|o| s.incidents[o.0].node == n)
             };
             match rec.event {
                 TraceEvent::MsgSent { xid, to, .. } => {
@@ -276,8 +327,8 @@ impl<'a> TraceStore<'a> {
                 TraceEvent::Crash => {
                     *incarnations.entry(node).or_default() += 1;
                     // A second crash closes the node's open incident.
-                    open.retain(|&i| s.incidents[i].node != node);
-                    open.push(s.incidents.len());
+                    open.retain(|o| s.incidents[o.0].node != node);
+                    open.push((s.incidents.len(), (None, None)));
                     s.incidents.push(Incident {
                         node,
                         crash_at_us: t,
@@ -285,15 +336,17 @@ impl<'a> TraceStore<'a> {
                     });
                 }
                 TraceEvent::LeaderElected { .. } => {
-                    let waiting = open.iter().copied().find(|&i| {
-                        s.incidents[i].reelected_at_us.is_none() && t >= s.incidents[i].crash_at_us
-                    });
-                    if let Some(i) = waiting {
-                        s.incidents[i].reelected_at_us = Some(t);
+                    let waiting = open
+                        .iter()
+                        .map(|o| &s.incidents[o.0])
+                        .position(|i| i.reelection_us.is_none() && t >= i.crash_at_us);
+                    if let Some(pos) = waiting {
+                        let i = &mut s.incidents[open[pos].0];
+                        i.reelection_us = Some(t - i.crash_at_us);
                     }
                 }
-                // The restarted node's own milestones stamp its open
-                // incident; the last one closes it.
+                // The restarted node's own milestones time the phases of
+                // its open incident; the last one closes it.
                 TraceEvent::Restart { .. }
                 | TraceEvent::CheckpointLoadStart { .. }
                 | TraceEvent::CheckpointLoaded { .. }
@@ -301,29 +354,24 @@ impl<'a> TraceStore<'a> {
                 | TraceEvent::LogReplayed { .. }
                 | TraceEvent::RecoveryComplete { .. } => {
                     if let Some(pos) = open_of(&s, &open, node) {
-                        let i = &mut s.incidents[open[pos]];
-                        let stamp = match rec.event {
-                            TraceEvent::Restart { .. } => &mut i.restart_at_us,
-                            TraceEvent::CheckpointLoadStart { .. } => &mut i.checkpoint_load_us.0,
-                            TraceEvent::CheckpointLoaded { .. } => &mut i.checkpoint_load_us.1,
-                            TraceEvent::LogReplayStart { .. } => &mut i.log_replay_us.0,
-                            TraceEvent::LogReplayed { .. } => &mut i.log_replay_us.1,
-                            _ => {
-                                open.remove(pos);
-                                &mut i.recovered_at_us
-                            }
-                        };
-                        *stamp = Some(t);
+                        let (row, reads) = &mut open[pos];
+                        if s.incidents[*row].milestone(reads, &rec.event, t) {
+                            open.remove(pos);
+                        }
                     }
                 }
                 TraceEvent::PeerSuspected { peer, .. } => {
                     // Down means crashed and not yet restarted.
                     let down = open_of(&s, &open, peer)
-                        .map(|pos| open[pos])
-                        .filter(|&i| s.incidents[i].restart_at_us.is_none());
+                        .map(|pos| open[pos].0)
+                        .filter(|&i| s.incidents[i].detection_us.is_none());
                     match down {
                         Some(i) => {
-                            s.incidents[i].suspected.get_or_insert((t, node));
+                            let i = &mut s.incidents[i];
+                            if i.suspected_by.is_none() {
+                                i.suspected_after_us = Some(t.saturating_sub(i.crash_at_us));
+                                i.suspected_by = Some(node);
+                            }
                         }
                         None => {
                             mistaken.insert((node, peer), s.false_suspicions.len());

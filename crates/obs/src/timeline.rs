@@ -3,8 +3,9 @@
 //! The paper's headline evidence is a *curve*, not an aggregate: WIPS
 //! sampled in short windows across a faultload run, showing the dip at
 //! the crash, the failover plateau, and the recovery ramp (PAPER.md
-//! §5, Figs. 4–8). This module reduces a [`TraceRecord`] stream into
-//! exactly that curve — per-window interaction throughput, committed
+//! §5, Figs. 4–8). This module reduces a
+//! [`TraceRecord`](crate::TraceRecord) stream into exactly that
+//! curve — per-window interaction throughput, committed
 //! updates, commit-latency quantiles, queue depth, disk and network
 //! activity — with fault/recovery markers aligned to window boundaries,
 //! and derives an [`AvailabilityReport`] per crash (time to detect,
@@ -17,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::TraceEvent;
 use crate::metrics::Hist;
 use crate::store::TraceStore;
 
@@ -149,14 +150,8 @@ impl Timeline {
         }
     }
 
-    /// Reduces one run's records into a timeline with `window_us`
-    /// windows. Records must be in engine (time) order, as traced.
-    pub fn from_records(records: &[TraceRecord], window_us: u64) -> Timeline {
-        Timeline::from_store(&TraceStore::build(records), window_us)
-    }
-
-    /// Windows the run's load and resource samples and snaps the
-    /// store's fault markers to their windows.
+    /// Windows the run's load and resource samples into `window_us`
+    /// windows and snaps the store's fault markers to their windows.
     pub fn from_store(store: &TraceStore, window_us: u64) -> Timeline {
         let records = store.records;
         let window_us = window_us.max(1);
@@ -389,19 +384,14 @@ impl AvailabilityReport {
     }
 }
 
-/// Derives one [`AvailabilityReport`] per crash marker in `tl`.
-pub fn availability_reports(tl: &Timeline, cfg: &TimelineConfig) -> Vec<AvailabilityReport> {
-    availability_reports_for(tl, cfg, &["crash"])
-}
-
 /// Derives one [`AvailabilityReport`] per marker whose kind is in
 /// `kinds` — the incident anchors the baseline/degradation analysis.
-/// Besides `"crash"`, useful anchors are `"reconfig_proposed"` (the
-/// operator submits a membership change) and `"epoch_change"` (the
-/// fence delivers). Note several replicas trace the same epoch change,
+/// `&["crash"]` gives one report per crash; other useful anchors are
+/// `"reconfig_proposed"` (the operator submits a membership change) and
+/// `"epoch_change"` (the fence delivers). Note several replicas trace the same epoch change,
 /// one marker each; callers wanting one report per incident should
 /// keep the first report per anchor window.
-pub fn availability_reports_for(
+pub fn availability_reports(
     tl: &Timeline,
     cfg: &TimelineConfig,
     kinds: &[&str],
@@ -485,7 +475,12 @@ pub fn availability_reports_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TraceRecord;
     use crate::testkit::*;
+
+    fn timeline(records: &[TraceRecord]) -> Timeline {
+        Timeline::from_store(&TraceStore::build(records), 5_000_000)
+    }
 
     fn sample(sec: u64, ok: u64) -> TraceRecord {
         rec(
@@ -501,7 +496,7 @@ mod tests {
         // outage windows must exist and read zero, not be skipped.
         let mut records: Vec<TraceRecord> = (0..5).map(|s| sample(s, 10)).collect();
         records.extend((15..20).map(|s| sample(s, 10)));
-        let tl = Timeline::from_records(&records, 5_000_000);
+        let tl = timeline(&records);
         assert_eq!(tl.windows.len(), 5);
         assert_eq!(tl.windows[0].ok, 50);
         assert_eq!(tl.windows[1].ok, 0, "outage window present and empty");
@@ -513,7 +508,7 @@ mod tests {
     #[test]
     fn run_shorter_than_one_window() {
         let records = vec![sample(0, 7), appended(800_000, 0)];
-        let tl = Timeline::from_records(&records, 5_000_000);
+        let tl = timeline(&records);
         assert_eq!(tl.windows.len(), 1);
         assert_eq!(tl.windows[0].ok, 7);
         assert_eq!(tl.windows[0].disk_appends, 1);
@@ -529,14 +524,14 @@ mod tests {
         records.push(crash(10_000_000, 0));
         records.push(restart(12_000_000, 0));
         records.extend((15..20).map(|s| sample(s, 10)));
-        let tl = Timeline::from_records(&records, 5_000_000);
+        let tl = timeline(&records);
         let marker = tl.markers.iter().find(|m| m.kind == "crash").unwrap();
         assert_eq!(
             marker.window, 2,
             "boundary crash lands in the window it starts"
         );
 
-        let reports = availability_reports(&tl, &TimelineConfig::default());
+        let reports = availability_reports(&tl, &TimelineConfig::default(), &["crash"]);
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert_eq!(r.crash_window, 2);
@@ -560,8 +555,8 @@ mod tests {
         records.push(crash(10_500_000, 1));
         // Trace ends while still degraded (a lone empty-window tail).
         records.push(rec(14_000_000, 1, TraceEvent::QueueSample { depth: 3 }));
-        let tl = Timeline::from_records(&records, 5_000_000);
-        let reports = availability_reports(&tl, &TimelineConfig::default());
+        let tl = timeline(&records);
+        let reports = availability_reports(&tl, &TimelineConfig::default(), &["crash"]);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].ramp_to_95pct_us, None);
         assert_eq!(reports[0].time_to_failover_us, None);
@@ -593,7 +588,7 @@ mod tests {
                 },
             ),
         ];
-        let tl = Timeline::from_records(&records, 5_000_000);
+        let tl = timeline(&records);
         let w = &tl.windows[0];
         assert_eq!(w.committed, 1);
         assert_eq!(w.latency.count(), 1);
@@ -615,7 +610,7 @@ mod tests {
         assert_eq!(tl.windows[1].ok, 0);
         assert_eq!(tl.markers.len(), 1);
         assert_eq!(tl.markers[0].window, 1);
-        let reports = availability_reports(&tl, &TimelineConfig::default());
+        let reports = availability_reports(&tl, &TimelineConfig::default(), &["crash"]);
         assert_eq!(reports.len(), 1);
         assert!(reports[0].ramp_to_95pct_us.is_some());
     }
@@ -652,7 +647,7 @@ mod tests {
                 },
             ),
         ];
-        let tl = Timeline::from_records(&records, 5_000_000);
+        let tl = timeline(&records);
         let kinds: Vec<&str> = tl.markers.iter().map(|m| m.kind).collect();
         // Firing and resolve land next to the crash; pending stays out.
         assert_eq!(kinds, ["crash", "alert_firing", "alert_resolved"]);
@@ -662,7 +657,7 @@ mod tests {
     #[test]
     fn csv_and_jsonl_are_stable() {
         let records = vec![sample(0, 3), crash(500_000, 0)];
-        let tl = Timeline::from_records(&records, 5_000_000);
+        let tl = timeline(&records);
         let csv = tl.csv_rows("run A");
         assert_eq!(
             csv,

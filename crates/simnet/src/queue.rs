@@ -15,7 +15,7 @@
 //!   bucket was drained (network-delay-scale offsets); the pop takes
 //!   the minimum of the two heads.
 //! * **wheel** — `NUM_BUCKETS` unsorted `Vec` buckets, each spanning
-//!   [`BUCKET_WIDTH_US`] microseconds of simulated time. A push inside
+//!   `BUCKET_WIDTH_US` microseconds of simulated time. A push inside
 //!   the wheel horizon is an `O(1)` append; ordering is deferred until
 //!   the cursor reaches the bucket and sorts it into `current`.
 //! * **overflow** — entries beyond the wheel horizon (~2 s out: crash

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no registry access, so this shim supplies
 //! the slice of proptest the workspace's property tests use: the
-//! [`Strategy`] trait with `prop_map`, range and tuple strategies,
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`, range and tuple strategies,
 //! [`collection::vec`], [`any`], weighted [`prop_oneof!`], and the
 //! [`proptest!`] test macro. Cases are generated from a deterministic
 //! per-test seed (FNV-1a of the test name), so failures reproduce on
@@ -69,7 +69,7 @@ pub mod strategy {
         }
     }
 
-    /// Weighted choice among boxed strategies (backs [`prop_oneof!`]).
+    /// Weighted choice among boxed strategies (backs [`prop_oneof!`](crate::prop_oneof!)).
     pub struct Union<T> {
         variants: Vec<(u32, Box<dyn Strategy<Value = T>>)>,
         total: u32,

@@ -297,11 +297,15 @@ fn traced_crash_run_explains_itself_from_one_store() {
     let report = run_experiment(&config);
     let store = TraceStore::build(&report.trace);
 
-    let breakdowns = store.recovery_breakdowns();
-    assert_eq!(breakdowns.len(), 1, "one crash incident expected");
-    let b = &breakdowns[0];
+    assert_eq!(store.incidents.len(), 1, "one crash incident expected");
+    let b = &store.incidents[0];
     assert!(b.complete, "recovery must complete in trace: {b:?}");
     assert!(b.detection_us.is_some() && b.backlog_replay_us.is_some());
+    // A peer suspects the victim while it is down, so before its restart.
+    assert!(
+        b.suspected_after_us.is_some() && b.suspected_after_us <= b.detection_us,
+        "the crash must be suspected before the restart: {b:?}"
+    );
 
     let causal = CausalProfile::from_store(&store);
     assert!(!causal.paths.is_empty(), "traced run must yield paths");
