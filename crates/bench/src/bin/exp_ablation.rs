@@ -10,16 +10,15 @@
 //!    this sweep measures both sides.
 
 use bench::render::render_checkpoint_sweep;
-use bench::{base_config, Console, JsonReport, Mode, TraceSink};
+use bench::{base_config, Cli};
 use cluster::run_experiment;
 use faultload::Faultload;
 use tpcw::Profile;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let mut json = JsonReport::new("exp_ablation", mode);
-    let mut trace = TraceSink::from_args();
+    let cli = Cli::parse("exp_ablation", "--full --quiet --json --trace");
+    let (con, mode) = (cli.con, cli.mode);
+    let mut rec = cli.recorder();
 
     con.say("== Ablation 1: Fast Paxos vs classic Paxos ==");
     con.say("  R profile   |  fast AWIPS | fast WIRT | classic AWIPS | classic WIRT");
@@ -27,15 +26,14 @@ fn main() {
         for profile in [Profile::Shopping, Profile::Ordering] {
             let mut results = Vec::new();
             for classic_only in [false, true] {
-                let mut config = base_config(mode, replicas, profile);
+                let mut config = base_config(&cli, replicas, profile);
                 config.ebs = 30;
                 config.rbes = 1_000;
                 config.classic_only = classic_only;
                 let report = run_experiment(&config);
                 let kind = if classic_only { "classic" } else { "fast" };
                 let label = format!("{replicas}r {} {kind}", profile.name());
-                json.push(&label, &report);
-                trace.record_run(&label, &report);
+                rec.record(&label, &report, &[]);
                 results.push((report.awips, report.mean_wirt_ms));
             }
             con.say(format_args!(
@@ -52,15 +50,14 @@ fn main() {
     con.say("\n== Ablation 2: checkpoint interval (5 replicas, shopping, one crash) ==");
     let mut rows = Vec::new();
     for interval in [2_000u64, 20_000, 100_000] {
-        let mut config = base_config(mode, 5, Profile::Shopping);
+        let mut config = base_config(&cli, 5, Profile::Shopping);
         config.ebs = 30;
         config.rbes = 1_000;
         config.checkpoint_interval = interval;
         config.faultload = mode.faultload(Faultload::single_crash());
         let report = run_experiment(&config);
         let label = format!("checkpoint interval {interval}");
-        json.push_with(&label, &report, &[("checkpoint_interval", interval as f64)]);
-        trace.record_run(&label, &report);
+        rec.record(&label, &report, &[("checkpoint_interval", interval as f64)]);
         let recovery = report
             .spans
             .first()
@@ -69,6 +66,5 @@ fn main() {
         rows.push((interval, report.awips, recovery, report.disk_writes));
     }
     con.say(render_checkpoint_sweep(&rows).trim_end());
-    json.write_if_requested();
-    trace.write_if_requested();
+    rec.finish();
 }

@@ -10,20 +10,20 @@
 //! durability ordering and mode discipline were checked end to end.
 
 use bench::render::render_fd_quality;
-use bench::{base_config, Console, FaultRun, JsonReport, Mode, TraceSink};
+use bench::{base_config, Cli, FaultRun, Mode};
 use cluster::run_experiment;
 use faultload::{Faultload, LinkFaultSpec};
 use tpcw::Profile;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
+    let cli = Cli::parse("exp_adversarial", "--full --quiet --json --trace");
+    let (con, mode) = (cli.con, cli.mode);
     let mut seeds = vec![42u64];
     if let Mode::Full = mode {
         seeds.extend(43..52);
     }
 
-    let base = base_config(mode, 5, Profile::Shopping);
+    let base = base_config(&cli, 5, Profile::Shopping);
     let total = base.schedule.total_us();
     let measure = base.schedule.measure_start_us();
     let named: Vec<(&str, Faultload)> = vec![
@@ -50,8 +50,7 @@ fn main() {
         ("adversarial ", Faultload::adversarial_mix(total * 3 / 4)),
     ];
 
-    let mut json = JsonReport::new("exp_adversarial", mode);
-    let mut trace = TraceSink::from_args();
+    let mut rec = cli.recorder();
     let mut runs: Vec<FaultRun> = Vec::new();
     con.say(format_args!(
         "Adversarial faultloads, 5 replicas, shopping mix ({mode:?} schedule):"
@@ -63,8 +62,7 @@ fn main() {
             config.faultload = faultload.clone();
             let report = run_experiment(&config);
             let label = format!("{} seed {seed}", name.trim());
-            json.push_with(&label, &report, &[("seed", seed as f64)]);
-            trace.record_run(&label, &report);
+            rec.record(&label, &report, &[("seed", seed as f64)]);
             let d = &report.dependability;
             con.say(format_args!(
                 "{name} seed {seed:3}: AWIPS {:7.1}  avail {:.5}  acc {:6.3}%  \
@@ -88,6 +86,5 @@ fn main() {
         "Adversarial faultloads: failure-detector quality",
         &runs,
     ));
-    json.write_if_requested();
-    trace.write_if_requested();
+    rec.finish();
 }

@@ -1,118 +1,44 @@
 //! Runs the complete evaluation (Figures 3–8, Tables 1–6) and writes a
 //! markdown-ready report to `--out <path>` (default: stdout only).
-use bench::render::*;
-use bench::report::{out_path_from_args, write_file_or_die};
+use bench::render::{render_recovery_times, render_scaleup, render_speedup};
 use bench::{
-    dependability_grid, fig3_speedup, fig4_scaleup, fig6_recovery_times, Console, JsonReport, Mode,
+    crash_section, fig3_speedup, fig4_scaleup, fig6_recovery_times, Cli, CrashExperiment, Recorder,
+    DELAYED_RECOVERY, ONE_CRASH, TWO_CRASHES,
 };
-use faultload::Faultload;
 use tpcw::Profile;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let mut json = JsonReport::new("exp_all", mode);
-    let out_path = out_path_from_args();
-    let mut report = String::new();
-    let mut emit = |s: String| {
-        con.say(&s);
-        report.push_str(&s);
-        report.push('\n');
-    };
+    let cli = Cli::parse("exp_all", "--full --quiet --json --out");
+    let mut rec = cli.recorder();
 
-    emit(format!("mode: {mode:?}\n"));
-    emit("== Figure 3: speedup ==".into());
+    rec.say(format!("mode: {:?}\n", cli.mode));
+    rec.say("== Figure 3: speedup ==".into());
     for profile in Profile::ALL {
-        let points = fig3_speedup(mode, profile);
+        let points = fig3_speedup(&cli, profile);
         for p in &points {
-            json.push_raw(
-                &format!("fig3 {profile:?} {}r", p.replicas),
-                &[
-                    ("replicas", p.replicas as f64),
-                    ("wips", p.wips),
-                    ("wirt_ms", p.wirt_ms),
-                ],
-            );
+            rec.row(&format!("fig3 {profile:?} {}r", p.replicas), &p.fields());
         }
-        emit(render_speedup(profile, &points));
+        rec.say(render_speedup(profile, &points));
     }
-    emit("== Figure 4: scaleup ==".into());
+    rec.say("== Figure 4: scaleup ==".into());
     for profile in Profile::ALL {
-        let result = fig4_scaleup(mode, profile);
-        emit(render_scaleup(profile, &result));
+        let result = fig4_scaleup(&cli, profile);
+        rec.say(render_scaleup(profile, &result));
     }
-    emit("== One crash (Fig 5, Tables 1-2) ==".into());
-    let runs = dependability_grid(mode, &Faultload::single_crash());
-    for run in &runs {
-        json.push(
-            &format!("one-crash {}r {:?}", run.replicas, run.profile),
-            &run.report,
-        );
-    }
-    for run in runs.iter().filter(|r| r.replicas == 5) {
-        emit(render_fault_histogram(run));
-    }
-    emit(render_performability(
-        "Table 1 — one failure: performability",
-        &runs,
-    ));
-    emit(render_accuracy(
-        "Table 2 — one failure: accuracy (%)",
-        &runs,
-    ));
-    emit(render_autonomy("One failure: availability/autonomy", &runs));
 
-    emit("== Recovery times (Fig 6) ==".into());
-    emit(render_recovery_times(&fig6_recovery_times(mode)));
+    section(&cli, &mut rec, &ONE_CRASH);
+    rec.say("== Recovery times (Fig 6) ==".into());
+    rec.say(render_recovery_times(&fig6_recovery_times(&cli)));
+    section(&cli, &mut rec, &TWO_CRASHES);
+    section(&cli, &mut rec, &DELAYED_RECOVERY);
+    rec.finish();
+}
 
-    emit("== Two overlapped crashes (Fig 7, Tables 3-4) ==".into());
-    let runs = dependability_grid(mode, &Faultload::double_crash());
-    for run in &runs {
-        json.push(
-            &format!("two-crashes {}r {:?}", run.replicas, run.profile),
-            &run.report,
-        );
-    }
-    for run in runs.iter().filter(|r| r.replicas == 5) {
-        emit(render_fault_histogram(run));
-    }
-    emit(render_performability(
-        "Table 3 — two overlapped crashes: performability",
-        &runs,
-    ));
-    emit(render_accuracy(
-        "Table 4 — two overlapped crashes: accuracy (%)",
-        &runs,
-    ));
-    emit(render_autonomy("Two crashes: availability/autonomy", &runs));
-
-    emit("== Delayed recovery (Fig 8, Tables 5-6) ==".into());
-    let runs = dependability_grid(mode, &Faultload::double_crash_delayed());
-    for run in &runs {
-        json.push(
-            &format!("delayed-recovery {}r {:?}", run.replicas, run.profile),
-            &run.report,
-        );
-    }
-    for run in runs.iter().filter(|r| r.replicas == 5) {
-        emit(render_fault_histogram(run));
-    }
-    emit(render_performability_delayed(
-        "Table 5 — delayed recovery: performability",
-        &runs,
-    ));
-    emit(render_accuracy(
-        "Table 6 — delayed recovery: accuracy (%)",
-        &runs,
-    ));
-    emit(render_autonomy(
-        "Delayed recovery: availability/autonomy",
-        &runs,
-    ));
-
-    json.write_if_requested();
-    if let Some(path) = out_path {
-        write_file_or_die(&path, &report);
-        con.note(format_args!("report written to {}", path.display()));
+/// One dependability section of the report: its heading, then
+/// [`crash_section`]'s histograms and first three tables.
+fn section(cli: &Cli, rec: &mut Recorder, exp: &CrashExperiment) {
+    rec.say(exp.heading.into());
+    for block in crash_section(cli, rec, exp, exp.prefix, 3) {
+        rec.say(block);
     }
 }

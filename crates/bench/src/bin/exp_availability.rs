@@ -7,22 +7,21 @@
 //! the whole horizon — plus the consensus traffic bill.
 
 use bench::render::render_availability;
-use bench::{base_config, Console, FaultRun, JsonReport, Mode, TraceSink};
+use bench::{base_config, Cli, FaultRun, Mode};
 use cluster::run_experiment;
 use faultload::{FaultEvent, Faultload, RecoveryKind};
 use tpcw::{Profile, Schedule};
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let interval_secs = match mode {
+    let cli = Cli::parse("exp_availability", "--full --quiet --json --trace");
+    let con = cli.con;
+    let interval_secs = match cli.mode {
         Mode::Quick => 300,
         Mode::Full => 600,
     };
-    let mut json = JsonReport::new("exp_availability", mode);
-    let mut trace = TraceSink::from_args();
+    let mut rec = cli.recorder();
     for profile in [Profile::Browsing, Profile::Shopping] {
-        let mut config = base_config(mode, 5, profile);
+        let mut config = base_config(&cli, 5, profile);
         config.schedule = Schedule::quick(interval_secs);
         config.ebs = 30;
         config.rbes = 1_000;
@@ -43,8 +42,7 @@ fn main() {
         };
         let report = run_experiment(&config);
         let label = format!("{} {faults} crashes", profile.name());
-        json.push(&label, &report);
-        trace.record_run(&label, &report);
+        rec.record(&label, &report, &[]);
         let d = &report.dependability;
         con.say(format_args!(
             "{:9}: {faults} crashes over {interval_secs}s → availability {:.5}, accuracy {:.3}%, autonomy {:.2}, AWIPS {:.1}",
@@ -79,6 +77,5 @@ fn main() {
             &[run],
         ));
     }
-    json.write_if_requested();
-    trace.write_if_requested();
+    rec.finish();
 }

@@ -12,24 +12,23 @@
 //! batch 1 / batch 8 is held at ≥ 1.8× by
 //! `tests/full_stack.rs::group_commit_speeds_up_the_saturated_ordering_mix`.
 
-use bench::{base_config, committed_updates, Console, JsonReport, Mode, TraceSink};
+use bench::{base_config, committed_updates, Cli, Mode};
 use cluster::{estimated_capacity, run_experiment};
 use tpcw::Profile;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
+    let cli = Cli::parse("exp_batching", "--full --quiet --json --trace");
+    let (con, mode) = (cli.con, cli.mode);
     let replicas = 8;
 
-    let mut json = JsonReport::new("exp_batching", mode);
-    let mut trace = TraceSink::from_args();
+    let mut rec = cli.recorder();
     con.say(format_args!(
         "Group-commit batching, {replicas} replicas, saturating load ({mode:?} schedule):"
     ));
     for profile in Profile::ALL {
         let mut baseline: Option<(f64, u64)> = None;
         for batch in [1usize, 2, 4, 8, 16, 32] {
-            let mut config = base_config(mode, replicas, profile);
+            let mut config = base_config(&cli, replicas, profile);
             config.ebs = 50;
             if matches!(mode, Mode::Quick) {
                 // Half-length schedule keeps the quick sweep under a
@@ -68,10 +67,8 @@ fn main() {
                 report.audit.checks,
                 report.audit.total_violations,
             ));
-            json.push_with(&label, &report, &[("batch", batch as f64)]);
-            trace.record_run(&label, &report);
+            rec.record(&label, &report, &[("batch", batch as f64)]);
         }
     }
-    json.write_if_requested();
-    trace.write_if_requested();
+    rec.finish();
 }

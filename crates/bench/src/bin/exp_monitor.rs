@@ -16,75 +16,24 @@
 //! timelines, alert markers included.
 
 use bench::render::render_alert_quality;
-use bench::{base_config, monitor_fields, timeline_from_run, Console, JsonReport, Mode, TraceSink};
+use bench::{incident_config, monitor_fields, Cli, Console, Mode, INCIDENT_REPLICAS};
 use cluster::{run_experiment, RunReport};
-use faultload::Faultload;
 use obs::MonitorConfig;
 
-/// One sensitivity setting of the standard rule set.
-struct Sensitivity {
-    name: &'static str,
-    pending_ticks: u32,
-    threshold_scale_pct: u64,
-}
+/// The sensitivity settings of the standard rule set: each one's name,
+/// pending ticks and threshold scale (%). Quick mode sweeps the first
+/// two.
+const SENSITIVITIES: [(&str, u32, u64); 3] =
+    [("eager", 1, 50), ("default", 2, 100), ("patient", 3, 200)];
 
-const EAGER: Sensitivity = Sensitivity {
-    name: "eager",
-    pending_ticks: 1,
-    threshold_scale_pct: 50,
-};
-const DEFAULT: Sensitivity = Sensitivity {
-    name: "default",
-    pending_ticks: 2,
-    threshold_scale_pct: 100,
-};
-const PATIENT: Sensitivity = Sensitivity {
-    name: "patient",
-    pending_ticks: 3,
-    threshold_scale_pct: 200,
-};
-
-/// The faultload for one incident family, placed mid-interval so the
-/// monitor's windows are warm before anything breaks.
-fn family_faultload(name: &str, schedule: &tpcw::Schedule) -> Faultload {
-    let measure = schedule.measure_start_us();
-    let quarter = schedule.interval_us / 4;
-    let mid = measure + 2 * quarter;
-    match name {
-        "fault-free" => Faultload::none(),
-        "crash" => Faultload::single_crash_at(mid),
-        // Two rounds of cutting a 3-node minority off for 10 s with
-        // 20 s healed between — quorum holds, but enough backends
-        // degrade for the SLO rules to see it.
-        "partition" => Faultload::partition_flap(mid, 2, 10_000_000, 20_000_000, vec![0, 1, 2]),
-        "reconfig" => Faultload::reconfig_replace(mid, 0),
-        other => panic!("unknown incident family {other:?}"),
-    }
-}
-
-fn monitored_config(
-    mode: Mode,
-    replicas: usize,
-    family: &str,
-    interval_us: u64,
-    sens: &Sensitivity,
-) -> cluster::ExperimentConfig {
-    let mut config = base_config(mode, replicas, tpcw::Profile::Ordering);
-    config.ebs = 30;
-    config.rbes = 1_000;
-    config.batch_max_updates = 8;
-    config.batch_window_us = 80_000;
-    if matches!(mode, Mode::Quick) {
-        // Same compromise as exp_reconfig: long enough for warm rule
-        // windows and a full post-incident ramp, short enough for CI.
-        config.schedule = tpcw::Schedule::quick(120);
-    }
-    config.faultload = family_faultload(family, &config.schedule);
-    config.monitor =
-        MonitorConfig::on().with_sensitivity(sens.pending_ticks, sens.threshold_scale_pct);
-    config.monitor.scrape_interval_us = interval_us;
-    config
-}
+/// The incident families: each one's label and the
+/// [`bench::incident_faultload`] it runs.
+const FAMILIES: [(&str, &str); 4] = [
+    ("crash", "crash"),
+    ("partition", "partition"),
+    ("reconfig", "replace"),
+    ("fault-free", "fault-free"),
+];
 
 fn say_fd_side_by_side(con: &Console, report: &RunReport) {
     if report.trace.is_empty() {
@@ -116,39 +65,30 @@ fn say_fd_side_by_side(con: &Console, report: &RunReport) {
 }
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let csv_path = bench::report::csv_path_from_args();
-    let replicas = 8;
-
+    let cli = Cli::parse("exp_monitor", "--full --quiet --json --trace --csv");
+    let (con, mode) = (cli.con, cli.mode);
     let intervals_us: Vec<u64> = match mode {
         Mode::Quick => vec![1_000_000, 5_000_000],
         Mode::Full => vec![500_000, 1_000_000, 5_000_000],
     };
-    let sensitivities: Vec<&Sensitivity> = match mode {
-        Mode::Quick => vec![&EAGER, &DEFAULT],
-        Mode::Full => vec![&EAGER, &DEFAULT, &PATIENT],
+    let sensitivities = match mode {
+        Mode::Quick => &SENSITIVITIES[..2],
+        Mode::Full => &SENSITIVITIES[..],
     };
-    let families = ["crash", "partition", "reconfig", "fault-free"];
-
-    let mut json = JsonReport::new("exp_monitor", mode);
-    let mut trace = TraceSink::from_args();
-    let mut csv = String::from(obs::Timeline::csv_header());
-    csv.push('\n');
+    let mut rec = cli.recorder();
     con.say(format_args!(
-        "Online SLO monitor frontier, {replicas} replicas ({mode:?} schedule):"
+        "Online SLO monitor frontier, {INCIDENT_REPLICAS} replicas ({mode:?} schedule):"
     ));
 
     let mut scored: Vec<(String, RunReport)> = Vec::new();
-    for family in &families {
+    for (family, incident) in FAMILIES {
         for &interval_us in &intervals_us {
-            for sens in &sensitivities {
-                let label = format!(
-                    "{family} scrape={}s sens={}",
-                    interval_us as f64 / 1e6,
-                    sens.name
-                );
-                let config = monitored_config(mode, replicas, family, interval_us, sens);
+            for &(sens, pending_ticks, scale_pct) in sensitivities {
+                let scrape_s = interval_us as f64 / 1e6;
+                let label = format!("{family} scrape={scrape_s}s sens={sens}");
+                let mut config = incident_config(&cli, incident);
+                config.monitor = MonitorConfig::on().with_sensitivity(pending_ticks, scale_pct);
+                config.monitor.scrape_interval_us = interval_us;
                 let report = run_experiment(&config);
                 con.say(format_args!(
                     "{label:<34} AWIPS {:7.1}  availability {:.5}  alerts fired {}",
@@ -160,10 +100,7 @@ fn main() {
 
                 let mut extra = monitor_fields(&report);
                 extra.push(("scrape_interval_us", interval_us as f64));
-                json.push_with(&label, &report, &extra);
-                trace.record_run(&label, &report);
-                let cfg = obs::TimelineConfig::default();
-                csv.push_str(&timeline_from_run(&report, &cfg).csv_rows(&label));
+                rec.record(&label, &report, &extra);
                 scored.push((label, report));
             }
         }
@@ -178,10 +115,5 @@ fn main() {
         &rows,
     ));
 
-    json.write_if_requested();
-    trace.write_if_requested();
-    if let Some(path) = csv_path {
-        bench::report::write_file_or_die(&path, &csv);
-        con.note(format_args!("wrote {}", path.display()));
-    }
+    rec.finish();
 }

@@ -14,12 +14,11 @@
 //! <path>` emits the machine-readable report; `--csv <path>` exports
 //! the windowed availability timelines as one CSV artifact.
 
-use bench::{
-    base_config, reconfig_availability, timeline_from_run, Console, JsonReport, Mode, TraceSink,
-};
+use bench::{availability, incident_config, Cli, Console, INCIDENT_REPLICAS};
 use cluster::{run_experiment, RunReport};
-use faultload::Faultload;
 
+/// The scenarios `--scenarios` picks from, each one of
+/// [`bench::incident_faultload`]'s.
 const SCENARIOS: &[&str] = &[
     "crash",
     "add",
@@ -28,46 +27,6 @@ const SCENARIOS: &[&str] = &[
     "rolling-restart",
     "permanent-loss",
 ];
-
-/// The faultload for one scenario, with times placed relative to the
-/// measurement interval so the 12-window availability baseline sits
-/// entirely in post-ramp-up steady state.
-fn scenario_faultload(name: &str, schedule: &tpcw::Schedule) -> Faultload {
-    let measure = schedule.measure_start_us();
-    let quarter = schedule.interval_us / 4;
-    let mid = measure + 2 * quarter;
-    match name {
-        "crash" => Faultload::single_crash_at(mid),
-        "add" => Faultload::reconfig_add(mid, 1),
-        "remove" => Faultload::reconfig_remove(mid, vec![1]),
-        "replace" => Faultload::reconfig_replace(mid, 0),
-        // Three staggered restarts, one replica at a time.
-        "rolling-restart" => Faultload::rolling_restart(measure + quarter, quarter / 2, 3),
-        "permanent-loss" => Faultload::permanent_loss(measure + quarter, mid),
-        other => panic!("unknown scenario {other:?}"),
-    }
-}
-
-fn scenarios_from_args() -> Vec<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--scenarios" {
-            let Some(list) = args.next() else {
-                eprintln!("--scenarios requires a comma-separated list");
-                std::process::exit(2);
-            };
-            let picked: Vec<String> = list.split(',').map(|s| s.trim().to_string()).collect();
-            for s in &picked {
-                if !SCENARIOS.contains(&s.as_str()) {
-                    eprintln!("unknown scenario {s:?}; known: {SCENARIOS:?}");
-                    std::process::exit(2);
-                }
-            }
-            return picked;
-        }
-    }
-    SCENARIOS.iter().map(|s| s.to_string()).collect()
-}
 
 fn opt_secs(v: Option<u64>) -> String {
     v.map(|us| format!("{:6.1}s", us as f64 / 1e6))
@@ -105,32 +64,26 @@ fn say_incidents(con: &Console, report: &RunReport) {
 }
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let scenarios = scenarios_from_args();
-    let csv_path = bench::report::csv_path_from_args();
-    let replicas = 8;
-
-    let mut json = JsonReport::new("exp_reconfig", mode);
-    let mut trace = TraceSink::from_args();
-    let mut csv = String::from(obs::Timeline::csv_header());
-    csv.push('\n');
+    let cli = Cli::parse(
+        "exp_reconfig",
+        "--full --quiet --json --trace --csv --scenarios",
+    );
+    let scenarios: Vec<&str> = match cli.value("--scenarios") {
+        Some(list) => list.split(',').map(str::trim).collect(),
+        None => SCENARIOS.to_vec(),
+    };
+    if let Some(s) = scenarios.iter().find(|s| !SCENARIOS.contains(s)) {
+        eprintln!("unknown scenario {s:?}; known: {SCENARIOS:?}");
+        std::process::exit(2);
+    }
+    let con = cli.con;
+    let mut rec = cli.recorder();
     con.say(format_args!(
-        "Membership changes vs. crash recovery, {replicas} replicas ({mode:?} schedule):"
+        "Membership changes vs. crash recovery, {INCIDENT_REPLICAS} replicas ({:?} schedule):",
+        cli.mode
     ));
-    for name in &scenarios {
-        let mut config = base_config(mode, replicas, tpcw::Profile::Ordering);
-        config.ebs = 30;
-        config.rbes = 1_000;
-        config.batch_max_updates = 8;
-        config.batch_window_us = 80_000;
-        if matches!(mode, Mode::Quick) {
-            // Long enough for a 60 s pre-incident baseline plus the
-            // full ramp back; short enough for the CI smoke job.
-            config.schedule = tpcw::Schedule::quick(120);
-        }
-        config.faultload = scenario_faultload(name, &config.schedule);
-        let report = &run_experiment(&config);
+    for name in scenarios {
+        let report = &run_experiment(&incident_config(&cli, name));
         con.say(format_args!(
             "{name:<16} AWIPS {:7.1}  availability {:.5}  audit: {} checks, {} violations",
             report.awips,
@@ -139,12 +92,12 @@ fn main() {
             report.audit.total_violations,
         ));
         say_incidents(&con, report);
-        for r in bench::availability_from_run(report) {
+        for r in availability(report, "crash") {
             say_breakdown(&con, &format!("crash of node {}", r.node), &r);
         }
         // One report per submission: every incident in these faultloads
         // occupies its own window.
-        let reconfig_reports = reconfig_availability(report);
+        let reconfig_reports = availability(report, "reconfig_proposed");
         for r in &reconfig_reports {
             say_breakdown(&con, "reconfig (from submit)", r);
         }
@@ -179,15 +132,7 @@ fn main() {
                 .unwrap_or(0);
             extra.push(("reconfig_ramp_to_95pct_us", ramp as f64));
         }
-        json.push_with(name, report, &extra);
-        trace.record_run(name, report);
-        let cfg = obs::TimelineConfig::default();
-        csv.push_str(&timeline_from_run(report, &cfg).csv_rows(name));
+        rec.record(name, report, &extra);
     }
-    json.write_if_requested();
-    trace.write_if_requested();
-    if let Some(path) = csv_path {
-        bench::report::write_file_or_die(&path, &csv);
-        con.note(format_args!("wrote {}", path.display()));
-    }
+    rec.finish();
 }

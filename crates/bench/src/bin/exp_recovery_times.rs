@@ -1,14 +1,13 @@
 //! Figure 6 — recovery times vs state size (300/500/700 MB).
 use bench::render::render_recovery_times;
-use bench::{fig6_recovery_times, Console, JsonReport, Mode};
+use bench::{fig6_recovery_times, Cli};
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let points = fig6_recovery_times(mode);
-    let mut json = JsonReport::new("exp_recovery_times", mode);
+    let cli = Cli::parse("exp_recovery_times", "--full --quiet --json");
+    let mut rec = cli.recorder();
+    let points = fig6_recovery_times(&cli);
     for p in &points {
-        json.push_raw(
+        rec.row(
             &format!("{}r {:?} ebs={}", p.replicas, p.profile, p.ebs),
             &[
                 ("replicas", p.replicas as f64),
@@ -17,6 +16,6 @@ fn main() {
             ],
         );
     }
-    json.write_if_requested();
-    con.say(render_recovery_times(&points));
+    rec.finish();
+    cli.con.say(render_recovery_times(&points));
 }

@@ -1,26 +1,18 @@
 //! Figure 4 — scaleup at 1000 WIPS offered (+ regression/correlation).
-use bench::{fig4_scaleup, render::render_scaleup, Console, JsonReport, Mode};
+use bench::{fig4_scaleup, render::render_scaleup, Cli};
 use tpcw::Profile;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let mut json = JsonReport::new("exp_scaleup", mode);
+    let cli = Cli::parse("exp_scaleup", "--full --quiet --json");
+    let mut rec = cli.recorder();
     for profile in Profile::ALL {
-        let result = fig4_scaleup(mode, profile);
+        let result = fig4_scaleup(&cli, profile);
         for p in &result.points {
-            json.push_raw(
-                &format!("{profile:?} {}r", p.replicas),
-                &[
-                    ("replicas", p.replicas as f64),
-                    ("wips", p.wips),
-                    ("wirt_ms", p.wirt_ms),
-                    ("fit_intercept", result.fit.0),
-                    ("fit_slope", result.fit.1),
-                ],
-            );
+            let mut fields = p.fields();
+            fields.extend([("fit_intercept", result.fit.0), ("fit_slope", result.fit.1)]);
+            rec.row(&format!("{profile:?} {}r", p.replicas), &fields);
         }
-        con.say(render_scaleup(profile, &result));
+        cli.con.say(render_scaleup(profile, &result));
     }
-    json.write_if_requested();
+    rec.finish();
 }

@@ -1,24 +1,16 @@
 //! Figure 3 — speedup experiments (saturated WIPS/WIRT vs replicas).
-use bench::{fig3_speedup, render::render_speedup, Console, JsonReport, Mode};
+use bench::{fig3_speedup, render::render_speedup, Cli};
 use tpcw::Profile;
 
 fn main() {
-    let con = Console::from_args();
-    let mode = Mode::from_args();
-    let mut json = JsonReport::new("exp_speedup", mode);
+    let cli = Cli::parse("exp_speedup", "--full --quiet --json");
+    let mut rec = cli.recorder();
     for profile in Profile::ALL {
-        let points = fig3_speedup(mode, profile);
+        let points = fig3_speedup(&cli, profile);
         for p in &points {
-            json.push_raw(
-                &format!("{profile:?} {}r", p.replicas),
-                &[
-                    ("replicas", p.replicas as f64),
-                    ("wips", p.wips),
-                    ("wirt_ms", p.wirt_ms),
-                ],
-            );
+            rec.row(&format!("{profile:?} {}r", p.replicas), &p.fields());
         }
-        con.say(render_speedup(profile, &points));
+        cli.con.say(render_speedup(profile, &points));
     }
-    json.write_if_requested();
+    rec.finish();
 }

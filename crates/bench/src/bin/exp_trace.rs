@@ -34,10 +34,8 @@
 //!
 //! All exports are byte-identical across same-seed runs.
 
-use std::path::PathBuf;
-
-use bench::report::write_file_or_die;
-use bench::Console;
+use bench::report::write_or_die;
+use bench::{Cli, Console};
 use obs::jsonl::Run;
 use obs::{
     availability_reports, AvailabilityReport, BlameCategory, CausalProfile, Incident, SpanProfile,
@@ -56,12 +54,11 @@ fn usage(why: &str) -> ! {
 }
 
 /// The parsed command line. Every flag belongs to the subcommands that
-/// list it in [`USAGE`]; anywhere else it is an unknown flag.
+/// list it in [`USAGE`]; for any other it is a usage error.
 struct Args {
     subcommand: Subcommand,
+    cli: Cli,
     path: String,
-    csv: Option<String>,
-    jsonl: Option<String>,
     window_us: u64,
     /// The subcommand's CI assertion (`--require-breakdown`,
     /// `--require-one-incident`, `--gate`).
@@ -70,56 +67,38 @@ struct Args {
 
 impl Args {
     fn parse() -> Args {
-        let mut argv = std::env::args().skip(1);
+        let mut argv = bench::cli::args().into_iter();
         let command = argv.next().unwrap_or_else(|| usage("missing subcommand"));
-        // The subcommand, its CI assertion flag, its value-taking flags.
-        let (subcommand, assert_flag, flags): (Subcommand, &str, &[&str]) = match command.as_str() {
-            "breakdown" => (breakdown, "--require-breakdown", &[]),
+        // The subcommand and its flags, its CI assertion first.
+        let (subcommand, flags): (Subcommand, &str) = match command.as_str() {
+            "breakdown" => (breakdown, "--require-breakdown --quiet"),
             "timeline" => (
                 timeline,
-                "--require-one-incident",
-                &["--csv", "--jsonl", "--window-us"],
+                "--require-one-incident --quiet --csv --jsonl --window-us",
             ),
-            "blame" => (blame, "--gate", &["--csv", "--jsonl", "--window-us"]),
+            "blame" => (blame, "--gate --quiet --csv --jsonl --window-us"),
             other => usage(&format!("unknown subcommand {other:?}")),
         };
-        let mut args = Args {
-            subcommand,
-            path: String::new(),
-            csv: None,
-            jsonl: None,
-            window_us: TimelineConfig::default().window_us,
-            assert: false,
+        let cli = Cli::parse_args("exp_trace", flags, argv).unwrap_or_else(|why| usage(&why));
+        let window_us =
+            match cli.value("--window-us") {
+                None => TimelineConfig::default().window_us,
+                Some(v) => v.parse().ok().filter(|us| *us > 0).unwrap_or_else(|| {
+                    usage(&format!("--window-us must be positive (µs), got {v:?}"))
+                }),
+            };
+        let path = match cli.words.as_slice() {
+            [path] => path.clone(),
+            [] => usage("missing input path"),
+            _ => usage("more than one input path"),
         };
-        while let Some(a) = argv.next() {
-            if flags.contains(&a.as_str()) {
-                let Some(v) = argv.next() else {
-                    usage(&format!("{a} requires an argument"));
-                };
-                match a.as_str() {
-                    "--csv" => args.csv = Some(v),
-                    "--jsonl" => args.jsonl = Some(v),
-                    "--window-us" => {
-                        args.window_us = v.parse().ok().filter(|us| *us > 0).unwrap_or_else(|| {
-                            usage(&format!("--window-us must be positive (µs), got {v:?}"))
-                        });
-                    }
-                    _ => unreachable!("{a} is in no subcommand's flag list"),
-                }
-            } else if a == assert_flag {
-                args.assert = true;
-            } else if a.starts_with("--") {
-                if a != "--quiet" {
-                    usage(&format!("unknown flag {a}"));
-                }
-            } else if !std::mem::replace(&mut args.path, a).is_empty() {
-                usage("more than one input path");
-            }
+        Args {
+            subcommand,
+            assert: flags.split(' ').next().is_some_and(|f| cli.has(f)),
+            cli,
+            path,
+            window_us,
         }
-        if args.path.is_empty() {
-            usage("missing input path");
-        }
-        args
     }
 }
 
@@ -128,8 +107,8 @@ impl Args {
 type Subcommand = fn(&Console, &Args, &[Run]) -> Vec<String>;
 
 fn main() {
-    let con = Console::from_args();
     let args = Args::parse();
+    let con = args.cli.con;
     let path = &args.path;
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("exp_trace: cannot read {path}: {e}");
@@ -167,10 +146,10 @@ fn stores(runs: &[Run]) -> impl Iterator<Item = (&str, TraceStore<'_>)> {
     })
 }
 
-fn export(con: &Console, path: &Option<String>, text: &str) {
-    if let Some(p) = path {
-        write_file_or_die(&PathBuf::from(p), text);
-        con.note(format_args!("wrote {p}"));
+/// Writes `text` to the path given with `flag`, if one was.
+fn export(args: &Args, flag: &str, text: &str) {
+    if let Some(path) = args.cli.value(flag) {
+        write_or_die(&args.cli.con, path, text);
     }
 }
 
@@ -283,8 +262,8 @@ fn timeline(con: &Console, args: &Args, runs: &[Run]) -> Vec<String> {
         jsonl.push_str(&tl.to_jsonl(label));
         con.say("");
     }
-    export(con, &args.csv, &csv);
-    export(con, &args.jsonl, &jsonl);
+    export(args, "--csv", &csv);
+    export(args, "--jsonl", &jsonl);
     con.say(format_args!(
         "{} run(s), {runs_with_crash} with crash incident(s), \
          {ramped_incidents} degraded-and-ramped-back incident(s)",
@@ -397,8 +376,8 @@ fn blame(con: &Console, args: &Args, runs: &[Run]) -> Vec<String> {
             ));
         }
     }
-    export(con, &args.csv, &csv);
-    export(con, &args.jsonl, &jsonl);
+    export(args, "--csv", &csv);
+    export(args, "--jsonl", &jsonl);
     con.say(format_args!("{} run(s) profiled", runs.len()));
     if runs.is_empty() {
         failures.push(format!("{}: no runs in trace", args.path));

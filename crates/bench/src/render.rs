@@ -17,19 +17,13 @@ use crate::{FaultRun, RecoveryTimePoint, ScaleupResult, SweepPoint, GRID_REPLICA
 /// stderr.
 #[derive(Debug, Clone, Copy)]
 pub struct Console {
-    quiet: bool,
-    to_stderr: bool,
+    /// `--quiet`: print no tables, plots or notes.
+    pub quiet: bool,
+    /// `--json -`: tables and plots go to stderr.
+    pub to_stderr: bool,
 }
 
 impl Console {
-    /// Builds a console from argv (`--quiet`, `--json -`).
-    pub fn from_args() -> Console {
-        Console {
-            quiet: std::env::args().any(|a| a == "--quiet"),
-            to_stderr: crate::report::json_to_stdout(),
-        }
-    }
-
     /// Prints one human-readable block (suppressed by `--quiet`).
     pub fn say(&self, text: impl std::fmt::Display) {
         if self.quiet {
@@ -264,7 +258,7 @@ pub fn render_autonomy(title: &str, runs: &[FaultRun]) -> String {
 
 /// Renders per-crash availability reports (time to detect/failover,
 /// degraded stretch, dip depth, ramp back to 95 % baseline) for a
-/// faultload grid — the numbers behind the Figure 4/5 curves.
+/// faultload grid — the numbers behind the Figures 5/7/8 curves.
 pub fn render_availability(title: &str, runs: &[FaultRun]) -> String {
     let mut out = format!(
         "{title}\n  R/P   | base WIPS | detect(s) | failover(s) | degraded(s) | dip(%) | ramp95(s)\n"
@@ -274,7 +268,7 @@ pub fn render_availability(title: &str, runs: &[FaultRun]) -> String {
             .unwrap_or_else(|| "        -".to_string())
     };
     for run in runs {
-        let reports = crate::report::availability_from_run(&run.report);
+        let reports = crate::report::availability(&run.report, "crash");
         if reports.is_empty() {
             continue;
         }

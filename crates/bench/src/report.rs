@@ -1,9 +1,11 @@
-//! Machine-readable run reports: every `exp_*` binary accepts
-//! `--json <path>` and writes its [`RunReport`]s there as a single JSON
-//! document (hand-rolled — the repo carries no serialization crates).
+//! What the `exp_*` binaries leave behind besides their console
+//! output: the [`Recorder`], and the per-run derivations it and the
+//! renderers share.
 //!
-//! The document shape is stable so a consumer (CI's artifact upload)
-//! can read it without knowing which experiment produced it:
+//! The `--json` document is hand-rolled (the repo carries no
+//! serialization crates) and its shape is stable, so a consumer (CI's
+//! artifact upload) can read it without knowing which experiment
+//! produced it:
 //!
 //! ```json
 //! {
@@ -16,215 +18,153 @@
 //! ```
 
 use std::io::Write as _;
-use std::path::PathBuf;
 
 use cluster::RunReport;
 use obs::jsonl::quote;
 
+use crate::cli::Cli;
 use crate::render::Console;
 use crate::Mode;
 
-/// Parses `--<flag> <path>` from argv. Returns `None` when absent;
-/// terminates with an error when the flag is given without a path.
-fn path_arg(flag: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            match args.next() {
-                Some(p) => return Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("{flag} requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Parses `--json <path>` from argv (`-` means stdout).
-pub fn json_path_from_args() -> Option<PathBuf> {
-    path_arg("--json")
-}
-
-/// Parses `--trace <path>` from argv: where the run's structured trace
-/// (JSONL) goes. Presence of the flag is also what turns tracing on —
-/// see [`crate::trace_config_from_args`].
-pub fn trace_path_from_args() -> Option<PathBuf> {
-    path_arg("--trace")
-}
-
-/// Parses `--csv <path>` from argv: where a binary's windowed-timeline
-/// CSV export goes (one of the artifacts CI's `experiments` job uploads).
-pub fn csv_path_from_args() -> Option<PathBuf> {
-    path_arg("--csv")
-}
-
-/// Parses `--out <path>` from argv: where `exp_all` writes its
-/// markdown report.
-pub fn out_path_from_args() -> Option<PathBuf> {
-    path_arg("--out")
-}
-
-/// True when `--json -` routes the JSON document to stdout, which
-/// reroutes all human output to stderr (see [`Console`]).
-pub fn json_to_stdout() -> bool {
-    json_path_from_args().is_some_and(|p| p.as_os_str() == "-")
-}
-
-/// Accumulates labelled runs and writes them as one JSON document.
-pub struct JsonReport {
-    experiment: String,
-    mode: Mode,
-    runs: Vec<String>,
-}
-
-impl JsonReport {
-    /// Starts an empty report for one experiment binary.
-    pub fn new(experiment: &str, mode: Mode) -> Self {
-        JsonReport {
-            experiment: experiment.to_string(),
-            mode,
-            runs: Vec::new(),
-        }
-    }
-
-    /// Adds one run under `label`.
-    pub fn push(&mut self, label: &str, report: &RunReport) {
-        self.push_with(label, report, &[]);
-    }
-
-    /// Adds one run with extra numeric fields (e.g. the swept knob).
-    pub fn push_with(&mut self, label: &str, report: &RunReport, extra: &[(&str, f64)]) {
-        let committed = committed_updates(report);
-        let secs = report.schedule.total_us() as f64 / 1e6;
-        let mut fields = vec![
-            format!("\"label\": {}", quote(label)),
-            format!("\"awips\": {}", json_f64(report.awips)),
-            format!("\"mean_wirt_ms\": {}", json_f64(report.mean_wirt_ms)),
-            format!("\"committed_updates\": {committed}"),
-            format!(
-                "\"updates_per_sec\": {}",
-                json_f64(committed as f64 / secs.max(1e-9))
-            ),
-            format!("\"net_messages\": {}", report.net_messages),
-            format!("\"net_bytes\": {}", report.net_bytes),
-            format!("\"disk_writes\": {}", report.disk_writes),
-            format!("\"disk_appends\": {}", report.disk_appends),
-            format!(
-                "\"availability\": {}",
-                json_f64(report.dependability.availability)
-            ),
-            format!(
-                "\"accuracy_percent\": {}",
-                json_f64(report.dependability.accuracy_percent)
-            ),
-            format!("\"audit_checks\": {}", report.audit.checks),
-            format!("\"audit_violations\": {}", report.audit.total_violations),
-        ];
-        fields.extend(availability_fields(report));
-        for (k, v) in extra {
-            fields.push(format!("{}: {}", quote(k), json_f64(*v)));
-        }
-        self.runs.push(format!("    {{{}}}", fields.join(", ")));
-    }
-
-    /// Adds one row of bare numeric fields (sweep experiments that
-    /// aggregate away the underlying [`RunReport`]s).
-    pub fn push_raw(&mut self, label: &str, fields: &[(&str, f64)]) {
-        let mut parts = vec![format!("\"label\": {}", quote(label))];
-        for (k, v) in fields {
-            parts.push(format!("{}: {}", quote(k), json_f64(*v)));
-        }
-        self.runs.push(format!("    {{{}}}", parts.join(", ")));
-    }
-
-    /// Renders the JSON document.
-    pub fn render(&self) -> String {
-        let mode = match self.mode {
-            Mode::Quick => "quick",
-            Mode::Full => "full",
-        };
-        format!(
-            "{{\n  \"experiment\": {},\n  \"mode\": \"{mode}\",\n  \"runs\": [\n{}\n  ]\n}}\n",
-            quote(&self.experiment),
-            self.runs.join(",\n"),
-        )
-    }
-
-    /// Writes the document to the `--json` path, if one was given on the
-    /// command line (`-` prints it to stdout). Terminates with an error
-    /// if the write fails (a CI job consuming a half-written file would
-    /// be worse than a loud failure).
-    pub fn write_if_requested(&self) {
-        let Some(path) = json_path_from_args() else {
-            return;
-        };
-        let doc = self.render();
-        if path.as_os_str() == "-" {
-            print!("{doc}");
-            return;
-        }
-        write_file_or_die(&path, &doc);
-        Console::from_args().note(format_args!("wrote {}", path.display()));
-    }
-}
-
-/// Writes `doc` to `path`, terminating with an error on failure (a CI
-/// job consuming a half-written artifact would be worse than a loud
-/// failure).
-pub fn write_file_or_die(path: &PathBuf, doc: &str) {
-    let write = std::fs::File::create(path).and_then(|mut f| f.write_all(doc.as_bytes()));
-    if let Err(e) = write {
-        eprintln!("failed to write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-}
-
-/// Accumulates per-run trace records and writes them as one JSONL file
-/// when `--trace <path>` was given. Each run's records are preceded by
-/// a `{"run":"label"}` header line so `exp_trace` can split a
-/// multi-configuration file back into runs. The rendering is the
-/// canonical form from [`obs::jsonl`], so two deterministic runs
-/// produce byte-identical files.
-pub struct TraceSink {
-    path: Option<PathBuf>,
+/// What a binary's finished runs leave behind, kept only for the flags
+/// given: a JSON row per run for `--json`, the run's trace under a
+/// `{"run":"label"}` header for `--trace` (so `exp_trace` can split a
+/// multi-run file back into runs), its windowed timeline rows for
+/// `--csv`, and every block [`Recorder::say`] prints for `--out`.
+/// Traces and timelines use the canonical renderings of [`obs::jsonl`]
+/// and [`obs::Timeline`], so two same-seed runs write byte-identical
+/// files. [`Recorder::finish`] writes them.
+pub struct Recorder<'a> {
+    cli: &'a Cli,
+    rows: Vec<String>,
+    trace: String,
+    csv: String,
     out: String,
 }
 
-impl TraceSink {
-    /// Builds a sink from argv; inert (all methods no-ops) without
-    /// `--trace`.
-    pub fn from_args() -> TraceSink {
-        TraceSink {
-            path: trace_path_from_args(),
+impl<'a> Recorder<'a> {
+    pub(crate) fn new(cli: &'a Cli) -> Self {
+        Recorder {
+            cli,
+            rows: Vec::new(),
+            trace: String::new(),
+            csv: String::new(),
             out: String::new(),
         }
     }
 
-    /// Whether `--trace` was given (and so tracing should be on).
-    pub fn active(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// Appends one run's trace under a header line for `label`.
-    pub fn record_run(&mut self, label: &str, report: &RunReport) {
-        if !self.active() {
-            return;
+    /// Records one finished run under `label`; its JSON row also
+    /// carries the numeric fields of `extra` (the swept knob, say).
+    pub fn record(&mut self, label: &str, report: &RunReport, extra: &[(&str, f64)]) {
+        if self.cli.value("--json").is_some() {
+            let committed = committed_updates(report);
+            let secs = report.schedule.total_us() as f64 / 1e6;
+            let d = &report.dependability;
+            let mut fields = vec![
+                ("awips", json_f64(report.awips)),
+                ("mean_wirt_ms", json_f64(report.mean_wirt_ms)),
+                ("committed_updates", committed.to_string()),
+                (
+                    "updates_per_sec",
+                    json_f64(committed as f64 / secs.max(1e-9)),
+                ),
+                ("net_messages", report.net_messages.to_string()),
+                ("net_bytes", report.net_bytes.to_string()),
+                ("disk_writes", report.disk_writes.to_string()),
+                ("disk_appends", report.disk_appends.to_string()),
+                ("availability", json_f64(d.availability)),
+                ("accuracy_percent", json_f64(d.accuracy_percent)),
+                ("audit_checks", report.audit.checks.to_string()),
+                (
+                    "audit_violations",
+                    report.audit.total_violations.to_string(),
+                ),
+            ];
+            fields.extend(availability_fields(report));
+            fields.extend(extra.iter().map(|(k, v)| (*k, json_f64(*v))));
+            self.push_row(label, fields);
         }
-        self.out.push_str(&obs::jsonl::encode_run_header(label));
-        self.out.push('\n');
-        self.out.push_str(&obs::jsonl::encode_all(&report.trace));
+        if self.cli.has("--trace") {
+            self.trace.push_str(&obs::jsonl::encode_run_header(label));
+            self.trace.push('\n');
+            self.trace.push_str(&obs::jsonl::encode_all(&report.trace));
+        }
+        if self.cli.value("--csv").is_some() {
+            let timeline = timeline_from_run(report, &obs::TimelineConfig::default());
+            self.csv.push_str(&timeline.csv_rows(label));
+        }
     }
 
-    /// Writes the accumulated JSONL to the `--trace` path, if any.
-    pub fn write_if_requested(&self) {
-        let Some(path) = &self.path else {
-            return;
-        };
-        write_file_or_die(path, &self.out);
-        Console::from_args().note(format_args!("wrote {}", path.display()));
+    /// Records one JSON row of bare numeric fields: a sweep point whose
+    /// runs were aggregated away.
+    pub fn row(&mut self, label: &str, fields: &[(&str, f64)]) {
+        if self.cli.value("--json").is_some() {
+            self.push_row(
+                label,
+                fields.iter().map(|(k, v)| (*k, json_f64(*v))).collect(),
+            );
+        }
     }
+
+    fn push_row(&mut self, label: &str, fields: Vec<(&str, String)>) {
+        let mut parts = vec![format!("\"label\": {}", quote(label))];
+        parts.extend(fields.iter().map(|(k, v)| format!("{}: {v}", quote(k))));
+        self.rows.push(format!("    {{{}}}", parts.join(", ")));
+    }
+
+    /// Prints one human-readable block and keeps it for `--out`.
+    pub fn say(&mut self, text: String) {
+        self.cli.con.say(&text);
+        if self.cli.value("--out").is_some() {
+            self.out.push_str(&text);
+            self.out.push('\n');
+        }
+    }
+
+    /// Writes what was asked for: the JSON document (`--json -` prints
+    /// it to stdout), the trace, the timeline CSV and the `--out`
+    /// report.
+    pub fn finish(self) {
+        let con = &self.cli.con;
+        if let Some(path) = self.cli.value("--json") {
+            let mode = match self.cli.mode {
+                Mode::Quick => "quick",
+                Mode::Full => "full",
+            };
+            let doc = format!(
+                "{{\n  \"experiment\": {},\n  \"mode\": \"{mode}\",\n  \"runs\": [\n{}\n  ]\n}}\n",
+                quote(self.cli.name),
+                self.rows.join(",\n"),
+            );
+            if path == "-" {
+                print!("{doc}");
+            } else {
+                write_or_die(con, path, &doc);
+            }
+        }
+        if let Some(path) = self.cli.value("--trace") {
+            write_or_die(con, path, &self.trace);
+        }
+        if let Some(path) = self.cli.value("--csv") {
+            let header = obs::Timeline::csv_header();
+            write_or_die(con, path, &format!("{header}\n{}", self.csv));
+        }
+        if let Some(path) = self.cli.value("--out") {
+            write_or_die(con, path, &self.out);
+        }
+    }
+}
+
+/// Writes `doc` to `path` and notes it, terminating with an error on
+/// failure (a CI job consuming a half-written artifact would be worse
+/// than a loud failure).
+pub fn write_or_die(con: &Console, path: &str, doc: &str) {
+    let write = std::fs::File::create(path).and_then(|mut f| f.write_all(doc.as_bytes()));
+    if let Err(e) = write {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    con.note(format_args!("wrote {path}"));
 }
 
 /// The run's committed-update count: the highest `applied` across the
@@ -288,9 +228,9 @@ pub fn run_markers(report: &RunReport) -> Vec<(u64, u32, &'static str)> {
 }
 
 /// Scores the run's alert log against its own ground-truth injection
-/// log ([`RunReport::ground_truth`]).
+/// log.
 pub fn alert_score_from_run(report: &RunReport) -> obs::AlertScore {
-    obs::score_alerts(&report.alerts, &report.ground_truth())
+    obs::score_alerts(&report.alerts, &report.injections)
 }
 
 /// The monitor's JSON fields for a monitored run: alert counts, the
@@ -333,49 +273,32 @@ pub fn timeline_from_run(report: &RunReport, cfg: &obs::TimelineConfig) -> obs::
     )
 }
 
-/// Derives per-crash [`obs::AvailabilityReport`]s from a run's
-/// recorded per-second WIPS series and recovery spans.
-pub fn availability_from_run(report: &RunReport) -> Vec<obs::AvailabilityReport> {
-    if report.spans.is_empty() {
-        return Vec::new();
-    }
+/// One [`obs::AvailabilityReport`] per `kind` marker of the run's
+/// per-second WIPS series: `"crash"` for its recovery spans, or
+/// `"reconfig_proposed"` for its membership changes, anchored on the
+/// operator's submission so the baseline is the pre-submission WIPS and
+/// the dip and ramp measure what the epoch switch cost the service.
+pub fn availability(report: &RunReport, kind: &str) -> Vec<obs::AvailabilityReport> {
     let cfg = obs::TimelineConfig::default();
-    let tl = timeline_from_run(report, &cfg);
-    obs::availability_reports(&tl, &cfg, &["crash"])
-}
-
-/// Derives one [`obs::AvailabilityReport`] per membership change,
-/// anchored on the operator's submission (`reconfig_proposed`): the
-/// baseline is the pre-submission WIPS, and the dip/ramp measure what
-/// the epoch switch cost the service.
-pub fn reconfig_availability(report: &RunReport) -> Vec<obs::AvailabilityReport> {
-    if report.reconfigs.is_empty() {
-        return Vec::new();
-    }
-    let cfg = obs::TimelineConfig::default();
-    let tl = timeline_from_run(report, &cfg);
-    obs::availability_reports(&tl, &cfg, &["reconfig_proposed"])
+    obs::availability_reports(&timeline_from_run(report, &cfg), &cfg, &[kind])
 }
 
 /// The availability-report JSON fields of a run's first crash incident
 /// (empty when the faultload injected none).
-fn availability_fields(report: &RunReport) -> Vec<String> {
-    let reports = availability_from_run(report);
+fn availability_fields(report: &RunReport) -> Vec<(&'static str, String)> {
+    let reports = availability(report, "crash");
     let Some(first) = reports.first() else {
         return Vec::new();
     };
     let opt = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |x| x.to_string());
     vec![
-        format!("\"incidents\": {}", reports.len()),
-        format!("\"baseline_wips\": {}", json_f64(first.baseline_wips)),
-        format!("\"time_to_detect_us\": {}", opt(first.time_to_detect_us)),
-        format!(
-            "\"time_to_failover_us\": {}",
-            opt(first.time_to_failover_us)
-        ),
-        format!("\"degraded_us\": {}", first.degraded_us),
-        format!("\"wips_dip_pct\": {}", json_f64(first.wips_dip_pct)),
-        format!("\"ramp_to_95pct_us\": {}", opt(first.ramp_to_95pct_us)),
+        ("incidents", reports.len().to_string()),
+        ("baseline_wips", json_f64(first.baseline_wips)),
+        ("time_to_detect_us", opt(first.time_to_detect_us)),
+        ("time_to_failover_us", opt(first.time_to_failover_us)),
+        ("degraded_us", first.degraded_us.to_string()),
+        ("wips_dip_pct", json_f64(first.wips_dip_pct)),
+        ("ramp_to_95pct_us", opt(first.ramp_to_95pct_us)),
     ]
 }
 

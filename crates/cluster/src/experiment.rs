@@ -7,8 +7,9 @@
 //! watchdog re-instantiating crashed servers, and returns the per-second
 //! WIPS histogram plus the dependability report.
 
-use faultload::{performability, DependabilityReport, Faultload, InjectionLog, RecoverySpan};
+use faultload::{performability, DependabilityReport, Faultload, RecoverySpan};
 use obs::monitor::{Monitor, MonitorConfig, NodeHealth, Scrape};
+use obs::InjectionLog;
 use simnet::{Event, NodeId, SimDuration, SimTime, TickSchedule};
 use tpcw::{Profile, Recorder, Schedule};
 
@@ -171,22 +172,6 @@ pub struct RunReport {
     /// The online monitor's alert-lifecycle log (empty unless
     /// [`ExperimentConfig::monitor`] enabled it).
     pub alerts: obs::AlertLog,
-}
-
-impl RunReport {
-    /// The run's injection log as the alert scorer's ground truth: one
-    /// entry per operator-visible incident (disk-fault arming excluded —
-    /// see [`InjectionLog::incidents`]).
-    pub fn ground_truth(&self) -> Vec<obs::GroundTruth> {
-        self.injections
-            .incidents()
-            .map(|i| obs::GroundTruth {
-                at_us: i.at_us,
-                node: i.node,
-                kind: i.kind,
-            })
-            .collect()
-    }
 }
 
 /// Runs one experiment to completion (simulated time).

@@ -7,11 +7,10 @@
 //! one way to crash a server and one way to write a fault into the
 //! ledger and the trace.
 
-use faultload::{
-    InjectionLog, INJECT_CLUSTER, INJECT_CRASH, INJECT_DISK_FAULT, INJECT_NET_FAULT,
-    INJECT_PARTITION, INJECT_RECONFIG,
+use obs::{
+    node_u32, InjectionLog, TraceEvent, INJECT_CRASH, INJECT_DISK_FAULT, INJECT_NET_FAULT,
+    INJECT_PARTITION, INJECT_RECONFIG, SUBJECT_CLUSTER,
 };
-use obs::{node_u32, TraceEvent};
 use paxos::ReplicaId;
 use simnet::{Engine, Event, NodeId, SimConfig};
 use tpcw::{PopulationParams, RbeConfig, Recorder};
@@ -239,7 +238,7 @@ impl Testbed {
                     loss_ppm: ppm(f.loss),
                     dup_ppm: ppm(f.duplicate),
                 };
-                self.inject(INJECT_CLUSTER, INJECT_NET_FAULT, Some(event));
+                self.inject(SUBJECT_CLUSTER, INJECT_NET_FAULT, Some(event));
                 for a in 0..self.replicas {
                     for b in (a + 1)..self.replicas {
                         let net = self.engine.network_mut();
@@ -249,7 +248,7 @@ impl Testbed {
             }
             Action::NetFault { fault: None } => {
                 let event = TraceEvent::NetFaultCleared;
-                self.lift(INJECT_CLUSTER, event);
+                self.lift(SUBJECT_CLUSTER, event);
                 self.engine.network_mut().clear_link_faults();
             }
             Action::DiskFault { server, fault } => {
@@ -272,7 +271,7 @@ impl Testbed {
                 let event = TraceEvent::PartitionCut {
                     peers: minority.len() as u64,
                 };
-                self.inject(INJECT_CLUSTER, INJECT_PARTITION, Some(event));
+                self.inject(SUBJECT_CLUSTER, INJECT_PARTITION, Some(event));
                 let majority: Vec<NodeId> = (0..self.replicas)
                     .filter(|i| !minority.contains(i))
                     .map(NodeId)
@@ -282,11 +281,11 @@ impl Testbed {
             }
             Action::Heal => {
                 let event = TraceEvent::PartitionHealed;
-                self.lift(INJECT_CLUSTER, event);
+                self.lift(SUBJECT_CLUSTER, event);
                 self.engine.network_mut().heal_all();
             }
             Action::Reconfig { incident } => {
-                self.inject(INJECT_CLUSTER, INJECT_RECONFIG, None);
+                self.inject(SUBJECT_CLUSTER, INJECT_RECONFIG, None);
                 self.submit_reconfig(plan, incident);
             }
             Action::RetryReconfig { incident } => self.submit_reconfig(plan, incident),
@@ -327,7 +326,7 @@ impl Testbed {
     fn trace_fault(&mut self, node: u32, event: Option<TraceEvent>) {
         let Some(event) = event else { return };
         let node = match node {
-            INJECT_CLUSTER => self.servers.len(),
+            SUBJECT_CLUSTER => self.servers.len(),
             server => server as usize,
         };
         self.engine.trace(NodeId(node), event);

@@ -219,7 +219,7 @@ fn same_seed_alert_logs_are_byte_identical_and_score_the_crash() {
         "the faultload's injections must be recorded as ground truth"
     );
 
-    let score = obs::score_alerts(&a.alerts, &a.ground_truth());
+    let score = obs::score_alerts(&a.alerts, &a.injections);
     assert_eq!(score.incidents.len(), 1, "one crash incident expected");
     assert_eq!(score.missed(), 0, "the crash must be detected");
     assert_eq!(score.false_positives, 0, "no spurious firings");
@@ -251,7 +251,7 @@ fn fault_free_monitored_run_fires_nothing() {
             "fault-free run fired an alert at sensitivity ({pending}, {scale}): {:?}",
             report.alerts.entries
         );
-        let score = obs::score_alerts(&report.alerts, &[]);
+        let score = obs::score_alerts(&report.alerts, &report.injections);
         assert_eq!(score.false_positives, 0);
     }
 }

@@ -10,9 +10,6 @@
 //!   three faultloads are provided as constructors.
 //! * [`DependabilityReport`] — availability, performability (AWIPS, CV,
 //!   PV%), accuracy, and autonomy, exactly as defined in §5.1.
-//! * [`InjectionLog`] — the ground-truth record of when each fault was
-//!   *actually* applied by the driver, the join key for alert-quality
-//!   scoring (detection latency = alert fire − injection time).
 //!
 //! ## Example
 //!
@@ -29,14 +26,9 @@
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![forbid(unsafe_code)]
 
-mod injection;
 mod measures;
 mod spec;
 
-pub use injection::{
-    Injection, InjectionLog, INJECT_CLUSTER, INJECT_CRASH, INJECT_DISK_FAULT, INJECT_NET_FAULT,
-    INJECT_PARTITION, INJECT_RECONFIG,
-};
 pub use measures::{performability, DependabilityReport, PerformabilityWindow, RecoverySpan};
 pub use spec::{
     DiskFaultEvent, FaultEvent, Faultload, LinkFaultSpec, NetFaultEvent, PartitionEvent,

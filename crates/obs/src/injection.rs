@@ -1,13 +1,14 @@
 //! Ground-truth injection log.
 //!
-//! A [`Faultload`](crate::Faultload) *specifies* faults; the experiment
-//! driver *applies* them, sometimes at a different instant than
-//! specified (a disk-fault profile only bites when a write actually
-//! fails; a reconfig retries until a leader accepts it). The
-//! [`InjectionLog`] records the microsecond each fault really hit the
-//! cluster, which is exactly the ground truth an alert-quality scorer
-//! needs: detection latency is *alert-fire minus injection time*, and
-//! only the driver knows the true injection time.
+//! A `faultload::Faultload` *specifies* faults; the experiment driver
+//! *applies* them, sometimes at a different instant than specified (a
+//! disk-fault profile only bites when a write actually fails; a
+//! reconfig retries until a leader accepts it). The [`InjectionLog`]
+//! records the microsecond each fault really hit the cluster, which is
+//! exactly the ground truth an alert-quality scorer needs: detection
+//! latency is *alert-fire minus injection time*, and only the driver
+//! knows the true injection time. [`crate::score_alerts`] is its
+//! reader.
 //!
 //! Entries are appended in application order, so the log of a
 //! deterministic run is itself deterministic.
@@ -24,16 +25,15 @@ pub const INJECT_DISK_FAULT: &str = "disk_fault";
 /// Injection kind tag: a membership change was submitted.
 pub const INJECT_RECONFIG: &str = "reconfig";
 
-/// Node field for cluster-scoped injections (partitions, link faults).
-pub const INJECT_CLUSTER: u32 = u32::MAX;
-
 /// One applied fault, stamped with the simulated microsecond the
 /// driver actually performed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Injection {
     /// Application time, µs of simulated time.
     pub at_us: u64,
-    /// Victim node id, or [`INJECT_CLUSTER`].
+    /// Victim node id, or [`crate::SUBJECT_CLUSTER`] for a
+    /// cluster-scoped fault (partitions, link faults, membership
+    /// changes).
     pub node: u32,
     /// Kind tag (one of the `INJECT_*` constants).
     pub kind: &'static str,
@@ -76,7 +76,7 @@ mod tests {
         let mut log = InjectionLog::default();
         log.record(10, 2, INJECT_DISK_FAULT);
         log.record(45_000_000, 1, INJECT_CRASH);
-        log.record(50_000_000, INJECT_CLUSTER, INJECT_PARTITION);
+        log.record(50_000_000, crate::SUBJECT_CLUSTER, INJECT_PARTITION);
         assert_eq!(log.entries.len(), 3);
         // Disk-fault arming is not an incident; the other two are.
         let incidents: Vec<&Injection> = log.incidents().collect();

@@ -45,7 +45,7 @@
 //!   deterministic scrape ticks during the run (rolling windows,
 //!   threshold + multi-window burn-rate rules, a pending→firing→
 //!   resolved alert lifecycle) plus a scorer that joins fired alerts
-//!   against the faultload's ground-truth injection log.
+//!   against the driver's ground-truth [`InjectionLog`].
 //!
 //! The full trace is gated on [`TraceConfig`], default off; an untraced
 //! run pays one push into the fixed-capacity flight ring per event.
@@ -59,6 +59,7 @@
 pub mod analyze;
 pub mod causal;
 pub mod event;
+pub mod injection;
 pub mod jsonl;
 pub mod metrics;
 pub mod monitor;
@@ -72,10 +73,14 @@ pub mod tracer;
 pub use analyze::{fd_quality, recovery_breakdowns, FdQuality, LatencySummary};
 pub use causal::{BlameCategory, BlameSegment, CausalPath, CausalProfile};
 pub use event::{node_u32, TraceEvent, TraceRecord, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
+pub use injection::{
+    Injection, InjectionLog, INJECT_CRASH, INJECT_DISK_FAULT, INJECT_NET_FAULT, INJECT_PARTITION,
+    INJECT_RECONFIG,
+};
 pub use metrics::Hist;
 pub use monitor::{
-    score_alerts, AlertLog, AlertPhase, AlertScore, AlertTransition, GroundTruth, IncidentScore,
-    Monitor, MonitorConfig, NodeHealth, Scrape, SUBJECT_CLUSTER,
+    score_alerts, AlertLog, AlertPhase, AlertScore, AlertTransition, IncidentScore, Monitor,
+    MonitorConfig, NodeHealth, Scrape, SUBJECT_CLUSTER,
 };
 pub use spans::{SpanProfile, UpdateSpan, PHASES};
 pub use store::{Incident, TraceStore, TAG_NONE};

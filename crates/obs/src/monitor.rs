@@ -50,8 +50,8 @@ const DETECT_HORIZON_US: u64 = 30_000_000;
 /// its aftermath rather than counted as a false positive.
 const CLEAR_GRACE_US: u64 = 120_000_000;
 
-/// Subject id for cluster-scoped alerts (rules that watch aggregate
-/// signals rather than one node).
+/// Subject of a cluster-scoped alert (a rule watching an aggregate
+/// signal) and node of a cluster-scoped [`crate::Injection`].
 pub const SUBJECT_CLUSTER: u32 = u32::MAX;
 
 /// Rule names (the `&'static str` vocabulary carried by alert events).
@@ -641,18 +641,6 @@ fn step(
 // ---------------------------------------------------------------------------
 // Alert-quality scoring against ground truth.
 
-/// One ground-truth fault injection, as recorded by the driver at the
-/// actual microsecond it was applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroundTruth {
-    /// Injection time, µs.
-    pub at_us: u64,
-    /// Victim node, or [`SUBJECT_CLUSTER`] for cluster-wide faults.
-    pub node: u32,
-    /// Injection kind tag (`"crash"`, `"partition"`, …).
-    pub kind: &'static str,
-}
-
 /// One incident's alert-quality verdict.
 #[derive(Debug, Clone)]
 pub struct IncidentScore {
@@ -700,12 +688,13 @@ impl AlertScore {
     }
 }
 
-/// Joins fired alerts against the ground-truth injection log.
+/// Joins fired alerts against the ground-truth injection log's
+/// [`crate::InjectionLog::incidents`].
 ///
 /// Each firing detects at most one injection; injections claim firings
 /// in time order, preferring a firing whose subject matches the victim
 /// node before settling for any unclaimed firing in the horizon.
-pub fn score_alerts(log: &AlertLog, truth: &[GroundTruth]) -> AlertScore {
+pub fn score_alerts(log: &AlertLog, truth: &crate::InjectionLog) -> AlertScore {
     let firings: Vec<(usize, &AlertTransition)> = log
         .entries
         .iter()
@@ -718,7 +707,7 @@ pub fn score_alerts(log: &AlertLog, truth: &[GroundTruth]) -> AlertScore {
         ..AlertScore::default()
     };
 
-    let mut injections: Vec<GroundTruth> = truth.to_vec();
+    let mut injections: Vec<&crate::Injection> = truth.incidents().collect();
     injections.sort_by_key(|i| i.at_us);
     for inj in &injections {
         let in_horizon =
@@ -1002,11 +991,8 @@ mod tests {
                 },
             ],
         };
-        let truth = [GroundTruth {
-            at_us: 45_000_000,
-            node: 3,
-            kind: "crash",
-        }];
+        let mut truth = crate::InjectionLog::default();
+        truth.record(45_000_000, 3, "crash");
         let score = score_alerts(&log, &truth);
         assert_eq!(score.detected(), 1);
         assert_eq!(score.missed(), 0);
@@ -1034,16 +1020,13 @@ mod tests {
             }],
         };
         // Fault-free run: the lone firing is a false positive.
-        let score = score_alerts(&log, &[]);
+        let score = score_alerts(&log, &crate::InjectionLog::default());
         assert_eq!(score.false_positives, 1);
         assert!(score.incidents.is_empty());
         // An injection long after the firing: missed, and the firing
         // (before the injection) stays a false positive.
-        let truth = [GroundTruth {
-            at_us: 200_000_000,
-            node: 0,
-            kind: "crash",
-        }];
+        let mut truth = crate::InjectionLog::default();
+        truth.record(200_000_000, 0, "crash");
         let score = score_alerts(&log, &truth);
         assert_eq!(score.missed(), 1);
         assert_eq!(score.false_positives, 1);

@@ -567,50 +567,15 @@ pub fn extract_calls(tokens: &[Token], body: (usize, usize)) -> Vec<Call> {
     out
 }
 
-/// Keywords and common builtins that look like calls but are not
-/// workspace function calls worth resolving.
+/// `dyn` and the builtins that look like calls but are not workspace
+/// function calls worth resolving.
+const BUILTINS: &[&str] = &[
+    "dyn", "Some", "None", "Ok", "Err", "Box", "Vec", "self", "Self", "super", "crate",
+];
+
+/// Keywords and [`BUILTINS`].
 fn is_keywordish(id: &str) -> bool {
-    matches!(
-        id,
-        "if" | "else"
-            | "match"
-            | "return"
-            | "let"
-            | "mut"
-            | "fn"
-            | "in"
-            | "for"
-            | "while"
-            | "loop"
-            | "break"
-            | "continue"
-            | "as"
-            | "where"
-            | "impl"
-            | "pub"
-            | "use"
-            | "mod"
-            | "struct"
-            | "enum"
-            | "trait"
-            | "type"
-            | "const"
-            | "static"
-            | "ref"
-            | "move"
-            | "unsafe"
-            | "dyn"
-            | "Some"
-            | "None"
-            | "Ok"
-            | "Err"
-            | "Box"
-            | "Vec"
-            | "self"
-            | "Self"
-            | "super"
-            | "crate"
-    )
+    crate::rules::is_keyword(id) || BUILTINS.contains(&id)
 }
 
 #[cfg(test)]

@@ -461,37 +461,15 @@ fn prev_is_path(toks: &[Token], i: usize, prefix: &str) -> bool {
     i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].ident().is_some_and(|id| id == prefix)
 }
 
-fn is_keyword(id: &str) -> bool {
-    matches!(
-        id,
-        "if" | "else"
-            | "match"
-            | "return"
-            | "let"
-            | "mut"
-            | "fn"
-            | "in"
-            | "for"
-            | "while"
-            | "loop"
-            | "break"
-            | "continue"
-            | "as"
-            | "where"
-            | "impl"
-            | "pub"
-            | "use"
-            | "mod"
-            | "struct"
-            | "enum"
-            | "trait"
-            | "type"
-            | "const"
-            | "static"
-            | "ref"
-            | "move"
-            | "unsafe"
-    )
+/// The Rust keywords that can stand where a name is expected.
+const KEYWORDS: &[&str] = &[
+    "if", "else", "match", "return", "let", "mut", "fn", "in", "for", "while", "loop", "break",
+    "continue", "as", "where", "impl", "pub", "use", "mod", "struct", "enum", "trait", "type",
+    "const", "static", "ref", "move", "unsafe",
+];
+
+pub(crate) fn is_keyword(id: &str) -> bool {
+    KEYWORDS.contains(&id)
 }
 
 fn name_is_ordinal(id: &str) -> bool {
