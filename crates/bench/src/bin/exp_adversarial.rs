@@ -12,7 +12,8 @@
 use bench::render::render_fd_quality;
 use bench::{base_config, Cli, FaultRun, Mode};
 use cluster::run_experiment;
-use faultload::{Faultload, LinkFaultSpec};
+use faultload::Faultload;
+use simnet::LinkFault;
 use tpcw::Profile;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
             Faultload::lossy_links(
                 0,
                 total,
-                LinkFaultSpec {
+                LinkFault {
                     loss: 0.02,
                     duplicate: 0.01,
                     reorder: 0.10,

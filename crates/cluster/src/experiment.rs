@@ -181,7 +181,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> RunReport {
     // Ticks cover only the measurement interval, so ramp-up and
     // ramp-down never feed the rule windows.
     let mut scraper = config.monitor.enabled.then(|| Scraper {
-        monitor: Monitor::new(&config.monitor),
+        monitor: Monitor::new(&config.monitor, bed.servers.len()),
         ticks: TickSchedule::new(
             SimTime::from_micros(config.schedule.measure_start_us()),
             SimDuration::from_micros(config.monitor.scrape_interval_us.max(1)),
@@ -309,7 +309,7 @@ fn report(
         bed.recorder.wips_series(),
         measure_start,
         measure_end,
-        plan.spans.clone(),
+        &plan.spans,
         bed.recorder.total_errors(),
         bed.recorder.total_ok() + bed.recorder.total_errors(),
         config.faultload.fault_count(),

@@ -10,10 +10,9 @@
 
 use std::collections::VecDeque;
 
-use faultload::{RecoveryKind, RecoverySpan};
+use faultload::{Fault, RecoveryKind, RecoverySpan};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use simnet::{DiskFault, LinkFault};
 
 use crate::experiment::{ExperimentConfig, ReconfigIncident};
 
@@ -21,40 +20,21 @@ use crate::experiment::{ExperimentConfig, ReconfigIncident};
 #[derive(Debug, PartialEq)]
 pub(crate) enum Action {
     /// Crash the server of recovery span `span`.
-    Crash {
-        span: usize,
-    },
+    Crash { span: usize },
     /// Re-instantiate it.
-    Restart {
-        span: usize,
-    },
-    Cut {
-        minority: Vec<usize>,
-    },
-    Heal,
-    /// Degrade (`Some`) or restore (`None`) every server-to-server link.
-    NetFault {
-        fault: Option<LinkFault>,
-    },
-    /// Arm (`Some`) or disarm (`None`) one server's disk fault model.
-    DiskFault {
-        server: usize,
-        fault: Option<DiskFault>,
-    },
+    Restart { span: usize },
+    /// Arm the fault of window `window`.
+    Arm { window: usize },
+    /// Lift it.
+    Lift { window: usize },
     /// Submit membership change `incident` at some live replica: the
     /// first attempt, which is the one the injection log records.
-    Reconfig {
-        incident: usize,
-    },
+    Reconfig { incident: usize },
     /// Submit it again after no leader accepted it.
-    RetryReconfig {
-        incident: usize,
-    },
+    RetryReconfig { incident: usize },
     /// Poll for membership change `incident` taking effect, then
     /// provision its joiners and take its removed nodes out of rotation.
-    AwaitEpoch {
-        incident: usize,
-    },
+    AwaitEpoch { incident: usize },
 }
 
 /// Everything a faultload prescribes for one run, resolved and ordered.
@@ -65,6 +45,8 @@ pub(crate) struct Plan {
     pub spans: Vec<RecoverySpan>,
     /// One incident per membership change, with its concrete node ids.
     pub incidents: Vec<ReconfigIncident>,
+    /// Each fault window's fault, its victims resolved to server ids.
+    pub windows: Vec<Fault>,
     /// Pending actions, earliest first; same-instant actions run in the
     /// order they were scheduled.
     queue: VecDeque<(u64, Action)>,
@@ -74,8 +56,7 @@ pub(crate) struct Plan {
 impl Plan {
     /// Resolves `config`'s faultload for its ensemble, seed and watchdog
     /// delay. Actions prescribed for the same instant run crashes
-    /// first, then reconfigurations, link faults, disk faults and
-    /// partitions.
+    /// first, then reconfigurations, then windows in table order.
     pub fn new(config: &ExperimentConfig) -> Plan {
         let (faultload, watchdog_delay_us) = (&config.faultload, config.watchdog_delay_us);
         // Distinct victims, picked pseudo-randomly (paper §5.5:
@@ -88,6 +69,7 @@ impl Plan {
         let mut plan = Plan {
             spans: Vec::new(),
             incidents: Vec::new(),
+            windows: Vec::new(),
             queue: VecDeque::new(),
             watchdog_delay_us,
         };
@@ -121,29 +103,23 @@ impl Plan {
             next_spare += rc.add_spares;
             plan.schedule(rc.at_us, Action::Reconfig { incident });
         }
-        for nf in &faultload.net_faults {
-            let fault = LinkFault {
-                loss: nf.fault.loss,
-                duplicate: nf.fault.duplicate,
-                reorder: nf.fault.reorder,
-            };
-            plan.schedule(nf.at_us, Action::NetFault { fault: Some(fault) });
-            plan.schedule(nf.until_us, Action::NetFault { fault: None });
-        }
-        for df in &faultload.disk_faults {
-            let server = victim(df.victim);
-            let fault = Some(DiskFault {
-                write_fail_probability: df.write_fail,
-                torn_tail_on_crash: df.torn_tail,
+        for w in &faultload.windows {
+            let window = plan.windows.len();
+            plan.windows.push(match w.fault {
+                Fault::Partition { ref minority } => Fault::Partition {
+                    minority: minority.iter().map(|v| victim(*v)).collect(),
+                },
+                Fault::Links(links) => Fault::Links(links),
+                Fault::Disk {
+                    victim: v,
+                    write_fail,
+                } => Fault::Disk {
+                    victim: victim(v),
+                    write_fail,
+                },
             });
-            plan.schedule(df.at_us, Action::DiskFault { server, fault });
-            let fault = None;
-            plan.schedule(df.until_us, Action::DiskFault { server, fault });
-        }
-        for partition in &faultload.partitions {
-            let minority = partition.minority.iter().map(|v| victim(*v)).collect();
-            plan.schedule(partition.at_us, Action::Cut { minority });
-            plan.schedule(partition.heal_at_us, Action::Heal);
+            plan.schedule(w.at_us, Action::Arm { window });
+            plan.schedule(w.until_us, Action::Lift { window });
         }
         plan
     }
@@ -198,10 +174,8 @@ impl Plan {
 
 #[cfg(test)]
 mod tests {
-    use faultload::{
-        DiskFaultEvent, FaultEvent, Faultload, LinkFaultSpec, NetFaultEvent, PartitionEvent,
-        ReconfigEvent,
-    };
+    use faultload::{FaultEvent, FaultWindow, Faultload, ReconfigEvent};
+    use simnet::LinkFault;
 
     use super::*;
 
@@ -233,97 +207,65 @@ mod tests {
         }
     }
 
-    fn kind(action: &Action) -> &'static str {
-        match action {
-            Action::Crash { .. } => "crash",
-            Action::Restart { .. } => "restart",
-            Action::Cut { .. } => "cut",
-            Action::Heal => "heal",
-            Action::NetFault { fault: Some(_) } => "net",
-            Action::NetFault { fault: None } => "net-clear",
-            Action::DiskFault { fault: Some(_), .. } => "disk",
-            Action::DiskFault { fault: None, .. } => "disk-clear",
-            Action::Reconfig { .. } => "reconfig",
-            Action::RetryReconfig { .. } => "retry-reconfig",
-            Action::AwaitEpoch { .. } => "await-epoch",
-        }
-    }
-
     #[test]
-    fn same_instant_actions_run_crashes_reconfigs_links_disks_partitions() {
+    fn same_instant_actions_run_crashes_reconfigs_then_windows_in_table_order() {
         // Everything the faultload can prescribe, all at 10 s and all
-        // lifted at 20 s, listed here in the reverse of the order a run
-        // applies them.
+        // lifted at 20 s. Windows, reconfigurations and crashes are
+        // listed in the reverse of the order a run applies them; the
+        // windows themselves run in table order, whatever their kind.
         let (t, u) = (10_000_000, 20_000_000);
-        let fault = LinkFaultSpec {
-            loss: 0.1,
-            duplicate: 0.0,
-            reorder: 0.0,
+        let window = |fault| FaultWindow {
+            at_us: t,
+            until_us: u,
+            fault,
         };
+        let loss = LinkFault {
+            loss: 0.1,
+            ..LinkFault::default()
+        };
+        let (victim, write_fail) = (2, 0.5);
         let faultload = Faultload {
-            partitions: vec![PartitionEvent {
-                at_us: t,
-                heal_at_us: u,
-                minority: vec![1],
-            }],
-            disk_faults: vec![DiskFaultEvent {
-                at_us: t,
-                until_us: u,
-                victim: 2,
-                write_fail: 0.5,
-                torn_tail: true,
-            }],
-            net_faults: vec![NetFaultEvent {
-                at_us: t,
-                until_us: u,
-                fault,
-            }],
-            reconfigs: vec![ReconfigEvent {
-                at_us: t,
-                add_spares: 1,
-                remove: vec![],
-            }],
+            windows: vec![
+                window(Fault::Partition { minority: vec![1] }),
+                window(Fault::Disk { victim, write_fail }),
+                window(Fault::Links(loss)),
+            ],
+            reconfigs: Faultload::reconfig_add(t, 1).reconfigs,
             events: vec![
                 crash(t, 0, RecoveryKind::Manual { at_us: u }),
                 crash(t, 3, RecoveryKind::Autonomous),
             ],
         };
-        let order: Vec<(u64, &str)> = drain(&mut plan(5, faultload))
-            .iter()
-            .map(|(at, action)| (*at, kind(action)))
-            .collect();
+        let mut plan = plan(5, faultload);
+        assert!(matches!(
+            plan.windows[..],
+            [Fault::Partition { .. }, Fault::Disk { .. }, Fault::Links(_)]
+        ));
+        let (arm, lift) = (
+            |window| Action::Arm { window },
+            |window| Action::Lift { window },
+        );
         assert_eq!(
-            order,
+            drain(&mut plan),
             [
-                (t, "crash"),
-                (t, "crash"),
-                (t, "reconfig"),
-                (t, "net"),
-                (t, "disk"),
-                (t, "cut"),
-                (t + WATCHDOG_US, "restart"),
-                (u, "restart"),
-                (u, "net-clear"),
-                (u, "disk-clear"),
-                (u, "heal"),
+                (t, Action::Crash { span: 0 }),
+                (t, Action::Crash { span: 1 }),
+                (t, Action::Reconfig { incident: 0 }),
+                (t, arm(0)),
+                (t, arm(1)),
+                (t, arm(2)),
+                (t + WATCHDOG_US, Action::Restart { span: 1 }),
+                (u, Action::Restart { span: 0 }),
+                (u, lift(0)),
+                (u, lift(1)),
+                (u, lift(2)),
             ]
         );
     }
 
     #[test]
     fn schedule_lands_behind_every_pending_action_due_at_or_before() {
-        let cut = |at_us, heal_at_us| PartitionEvent {
-            at_us,
-            heal_at_us,
-            minority: vec![],
-        };
-        let mut plan = plan(
-            5,
-            Faultload {
-                partitions: vec![cut(10, 20), cut(20, 30)],
-                ..Faultload::default()
-            },
-        );
+        let mut plan = plan(5, Faultload::partition_flap(10, 2, 10, 0, vec![]));
         let poll = |incident| Action::AwaitEpoch { incident };
         plan.schedule(20, poll(1));
         plan.schedule(30, poll(2));
@@ -334,9 +276,9 @@ mod tests {
         assert_eq!(
             due_by_20,
             [
-                Action::Cut { minority: vec![] },
-                Action::Heal,
-                Action::Cut { minority: vec![] },
+                Action::Arm { window: 0 },
+                Action::Lift { window: 0 },
+                Action::Arm { window: 1 },
                 poll(1)
             ]
         );
@@ -351,7 +293,7 @@ mod tests {
                 (5, poll(4)),
                 (20, poll(5)),
                 (25, poll(3)),
-                (30, Action::Heal),
+                (30, Action::Lift { window: 1 }),
                 (30, poll(2))
             ]
         );

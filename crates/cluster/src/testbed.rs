@@ -7,12 +7,13 @@
 //! one way to crash a server and one way to write a fault into the
 //! ledger and the trace.
 
+use faultload::Fault;
 use obs::{
     node_u32, InjectionLog, TraceEvent, INJECT_CRASH, INJECT_DISK_FAULT, INJECT_NET_FAULT,
     INJECT_PARTITION, INJECT_RECONFIG, SUBJECT_CLUSTER,
 };
 use paxos::ReplicaId;
-use simnet::{Engine, Event, NodeId, SimConfig};
+use simnet::{DiskFault, Engine, Event, NodeId, SimConfig};
 use tpcw::{PopulationParams, RbeConfig, Recorder};
 use treplica::TreplicaConfig;
 
@@ -30,6 +31,10 @@ pub(crate) const RECONFIG_POLL_US: u64 = 200_000;
 /// How long the operator waits before submitting a membership change
 /// again when no leader took it (µs).
 pub(crate) const RECONFIG_RETRY_US: u64 = 500_000;
+
+/// A faulty disk also tears the in-flight log append on a crash: every
+/// faultload with a disk window has asked for both.
+const TORN_TAIL: bool = true;
 
 fn replica_ids(nodes: &[usize]) -> Vec<ReplicaId> {
     nodes.iter().map(|&i| ReplicaId(node_u32(i))).collect()
@@ -233,59 +238,10 @@ impl Testbed {
                     ));
                 }
             }
-            Action::NetFault { fault: Some(f) } => {
-                let event = TraceEvent::NetFaultSet {
-                    loss_ppm: ppm(f.loss),
-                    dup_ppm: ppm(f.duplicate),
-                };
-                self.inject(SUBJECT_CLUSTER, INJECT_NET_FAULT, Some(event));
-                for a in 0..self.replicas {
-                    for b in (a + 1)..self.replicas {
-                        let net = self.engine.network_mut();
-                        net.set_link_fault(NodeId(a), NodeId(b), f);
-                    }
-                }
-            }
-            Action::NetFault { fault: None } => {
-                let event = TraceEvent::NetFaultCleared;
-                self.lift(SUBJECT_CLUSTER, event);
-                self.engine.network_mut().clear_link_faults();
-            }
-            Action::DiskFault { server, fault } => {
-                match &fault {
-                    Some(f) => {
-                        let event = TraceEvent::DiskFaultSet {
-                            fail_ppm: ppm(f.write_fail_probability),
-                            torn: f.torn_tail_on_crash,
-                        };
-                        self.inject(node_u32(server), INJECT_DISK_FAULT, Some(event));
-                    }
-                    None => {
-                        let event = TraceEvent::DiskFaultCleared;
-                        self.lift(node_u32(server), event);
-                    }
-                }
-                self.engine.set_disk_fault(NodeId(server), fault);
-            }
-            Action::Cut { minority } => {
-                let event = TraceEvent::PartitionCut {
-                    peers: minority.len() as u64,
-                };
-                self.inject(SUBJECT_CLUSTER, INJECT_PARTITION, Some(event));
-                let majority: Vec<NodeId> = (0..self.replicas)
-                    .filter(|i| !minority.contains(i))
-                    .map(NodeId)
-                    .collect();
-                let isolated: Vec<NodeId> = minority.iter().map(|i| NodeId(*i)).collect();
-                self.engine.network_mut().partition(&majority, &isolated);
-            }
-            Action::Heal => {
-                let event = TraceEvent::PartitionHealed;
-                self.lift(SUBJECT_CLUSTER, event);
-                self.engine.network_mut().heal_all();
-            }
+            Action::Arm { window } => self.arm(&plan.windows[window]),
+            Action::Lift { window } => self.lift(&plan.windows[window]),
             Action::Reconfig { incident } => {
-                self.inject(SUBJECT_CLUSTER, INJECT_RECONFIG, None);
+                self.inject(SUBJECT_CLUSTER, INJECT_RECONFIG);
                 self.submit_reconfig(plan, incident);
             }
             Action::RetryReconfig { incident } => self.submit_reconfig(plan, incident),
@@ -304,27 +260,84 @@ impl Testbed {
         if let Some(span) = plan.incarnation_span(server) {
             span.recovered_at = dying.recovery_completed_at();
         }
-        self.inject(node_u32(server), INJECT_CRASH, None);
+        self.inject(node_u32(server), INJECT_CRASH);
         Some(self.now_us())
     }
 
-    /// Writes a fault into the injection log and its event, if the
-    /// driver owns one (the engine traces crashes, the middleware
-    /// reconfigurations), into the trace — against the afflicted server,
-    /// or the proxy/admin node for a cluster-wide fault.
-    fn inject(&mut self, node: u32, kind: &'static str, event: Option<TraceEvent>) {
-        self.injections.record(self.now_us(), node, kind);
+    /// Arms a window's fault: its injection-log entry, its trace event
+    /// and the engine call.
+    fn arm(&mut self, fault: &Fault) {
+        let (node, kind, event) = match *fault {
+            Fault::Partition { ref minority } => {
+                let majority: Vec<NodeId> = (0..self.replicas)
+                    .filter(|i| !minority.contains(i))
+                    .map(NodeId)
+                    .collect();
+                let isolated: Vec<NodeId> = minority.iter().map(|i| NodeId(*i)).collect();
+                self.engine.network_mut().partition(&majority, &isolated);
+                let peers = minority.len() as u64;
+                let event = TraceEvent::PartitionCut { peers };
+                (SUBJECT_CLUSTER, INJECT_PARTITION, event)
+            }
+            Fault::Links(links) => {
+                for a in 0..self.replicas {
+                    for b in (a + 1)..self.replicas {
+                        let net = self.engine.network_mut();
+                        net.set_link_fault(NodeId(a), NodeId(b), links);
+                    }
+                }
+                let (loss_ppm, dup_ppm) = (ppm(links.loss), ppm(links.duplicate));
+                let event = TraceEvent::NetFaultSet { loss_ppm, dup_ppm };
+                (SUBJECT_CLUSTER, INJECT_NET_FAULT, event)
+            }
+            Fault::Disk { victim, write_fail } => {
+                let disk = DiskFault {
+                    write_fail_probability: write_fail,
+                    torn_tail_on_crash: TORN_TAIL,
+                };
+                self.engine.set_disk_fault(NodeId(victim), Some(disk));
+                let fail_ppm = ppm(write_fail);
+                let event = TraceEvent::DiskFaultSet {
+                    fail_ppm,
+                    torn: TORN_TAIL,
+                };
+                (node_u32(victim), INJECT_DISK_FAULT, event)
+            }
+        };
+        self.inject(node, kind);
         self.trace_fault(node, event);
     }
 
-    /// Traces the lift of a fault on `node`; the injection log records
-    /// only when faults hit.
-    fn lift(&mut self, node: u32, event: TraceEvent) {
-        self.trace_fault(node, Some(event));
+    /// Lifts a window's fault and traces the lift; the injection log
+    /// records only when faults hit.
+    fn lift(&mut self, fault: &Fault) {
+        let (node, event) = match *fault {
+            Fault::Partition { .. } => {
+                self.engine.network_mut().heal_all();
+                (SUBJECT_CLUSTER, TraceEvent::PartitionHealed)
+            }
+            Fault::Links(_) => {
+                self.engine.network_mut().clear_link_faults();
+                (SUBJECT_CLUSTER, TraceEvent::NetFaultCleared)
+            }
+            Fault::Disk { victim, .. } => {
+                self.engine.set_disk_fault(NodeId(victim), None);
+                (node_u32(victim), TraceEvent::DiskFaultCleared)
+            }
+        };
+        self.trace_fault(node, event);
     }
 
-    fn trace_fault(&mut self, node: u32, event: Option<TraceEvent>) {
-        let Some(event) = event else { return };
+    /// Writes a fault into the injection log at its true time. Its trace
+    /// event is the engine's for a crash, the middleware's for a
+    /// reconfiguration, and `arm`'s for a window.
+    fn inject(&mut self, node: u32, kind: &'static str) {
+        self.injections.record(self.now_us(), node, kind);
+    }
+
+    /// Traces a window's set or clear event against the afflicted
+    /// server, or the proxy/admin node for a cluster-wide fault.
+    fn trace_fault(&mut self, node: u32, event: TraceEvent) {
         let node = match node {
             SUBJECT_CLUSTER => self.servers.len(),
             server => server as usize,

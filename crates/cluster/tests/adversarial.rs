@@ -9,7 +9,8 @@ mod common;
 
 use cluster::{run_experiment, ExperimentConfig};
 use common::fingerprint;
-use faultload::{Faultload, LinkFaultSpec};
+use faultload::Faultload;
+use simnet::LinkFault;
 use tpcw::Profile;
 
 fn quick(seed: u64) -> ExperimentConfig {
@@ -26,7 +27,7 @@ fn lossy_duplicating_reordering_links_across_seeds() {
         config.faultload = Faultload::lossy_links(
             0,
             until,
-            LinkFaultSpec {
+            LinkFault {
                 loss: 0.03,
                 duplicate: 0.02,
                 reorder: 0.15,

@@ -182,9 +182,9 @@ proptest! {
         });
         if flap_sel == 1 {
             // One 3s cut of a single-node minority mid-interval.
-            faultload.partitions =
+            faultload.windows =
                 Faultload::partition_flap(measure + 12_000_000, 1, 3_000_000, 3_000_000, vec![2])
-                    .partitions;
+                    .windows;
         }
         config.faultload = faultload;
         // The oracle: run_experiment panics on any auditor violation

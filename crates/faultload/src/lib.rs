@@ -7,7 +7,11 @@
 //! * [`Faultload`] — environment/operator faults injected at precise
 //!   times: abrupt server crashes (process kill) and reboots, either
 //!   autonomous (watchdog-triggered) or operator-delayed. The paper's
-//!   three faultloads are provided as constructors.
+//!   three faultloads are provided as constructors. Beyond the paper, a
+//!   faultload also carries membership changes ([`ReconfigEvent`]) and
+//!   one table of [`FaultWindow`]s: a partition, lossy links
+//!   ([`simnet::LinkFault`]) or a faulty disk ([`Fault`]), armed at
+//!   `at_us` and lifted at `until_us`.
 //! * [`DependabilityReport`] — availability, performability (AWIPS, CV,
 //!   PV%), accuracy, and autonomy, exactly as defined in §5.1.
 //!
@@ -30,7 +34,4 @@ mod measures;
 mod spec;
 
 pub use measures::{performability, DependabilityReport, PerformabilityWindow, RecoverySpan};
-pub use spec::{
-    DiskFaultEvent, FaultEvent, Faultload, LinkFaultSpec, NetFaultEvent, PartitionEvent,
-    ReconfigEvent, RecoveryKind,
-};
+pub use spec::{Fault, FaultEvent, FaultWindow, Faultload, ReconfigEvent, RecoveryKind};

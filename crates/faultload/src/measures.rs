@@ -105,8 +105,6 @@ pub struct DependabilityReport {
     pub accuracy_percent: f64,
     /// Autonomy: `1 − interventions/faults` (1.0 when no faults).
     pub autonomy: f64,
-    /// Observed recovery spans.
-    pub spans: Vec<RecoverySpan>,
 }
 
 impl DependabilityReport {
@@ -121,7 +119,7 @@ impl DependabilityReport {
         series: &[u32],
         measure_from_us: u64,
         measure_to_us: u64,
-        spans: Vec<RecoverySpan>,
+        spans: &[RecoverySpan],
         errors: u64,
         total: u64,
         faults: usize,
@@ -201,7 +199,6 @@ impl DependabilityReport {
             availability,
             accuracy_percent,
             autonomy,
-            spans,
         }
     }
 }
@@ -245,7 +242,7 @@ mod tests {
             recovered_at: Some(60_000_000),
             manual: false,
         }];
-        let r = DependabilityReport::build(&s, 0, 100_000_000, spans, 5, 100_000, 1, 0);
+        let r = DependabilityReport::build(&s, 0, 100_000_000, &spans, 5, 100_000, 1, 0);
         assert!((r.failure_free.awips - 100.0).abs() < 1e-9);
         assert_eq!(r.recovery.len(), 1);
         assert!((r.recovery[0].awips - 60.0).abs() < 1e-9);
@@ -257,7 +254,7 @@ mod tests {
         assert!((r.accuracy_percent - 99.995).abs() < 1e-9);
         assert_eq!(r.autonomy, 1.0);
         assert_eq!(r.availability, 1.0);
-        assert!((r.spans[0].recovery_secs().unwrap() - 18.0).abs() < 1e-9);
+        assert!((spans[0].recovery_secs().unwrap() - 18.0).abs() < 1e-9);
     }
 
     #[test]
@@ -266,7 +263,7 @@ mod tests {
         for b in s.iter_mut().take(30).skip(20) {
             *b = 0;
         }
-        let r = DependabilityReport::build(&s, 0, 100_000_000, vec![], 0, 1_000, 0, 0);
+        let r = DependabilityReport::build(&s, 0, 100_000_000, &[], 0, 1_000, 0, 0);
         assert!((r.availability - 0.9).abs() < 1e-9);
     }
 
@@ -274,11 +271,11 @@ mod tests {
     fn autonomy_and_accuracy_match_paper_definitions() {
         let s = flat_series(10, 1);
         // 99 999 successes and one error read as the paper's 99.999 %.
-        let r = DependabilityReport::build(&s, 0, 10_000_000, vec![], 1, 100_000, 2, 1);
+        let r = DependabilityReport::build(&s, 0, 10_000_000, &[], 1, 100_000, 2, 1);
         assert!((r.autonomy - 0.5).abs() < 1e-9);
         let acc = r.accuracy_percent;
         assert!((acc - 99.999).abs() < 0.0005, "{acc}");
-        let r = DependabilityReport::build(&s, 0, 10_000_000, vec![], 0, 10, 0, 0);
+        let r = DependabilityReport::build(&s, 0, 10_000_000, &[], 0, 10, 0, 0);
         assert_eq!(r.autonomy, 1.0);
     }
 
@@ -292,8 +289,8 @@ mod tests {
             recovered_at: None,
             manual: false,
         }];
-        let r = DependabilityReport::build(&s, 0, 50_000_000, spans, 0, 100, 1, 0);
+        let r = DependabilityReport::build(&s, 0, 50_000_000, &spans, 0, 100, 1, 0);
         assert_eq!(r.recovery[0].to_us, 50_000_000);
-        assert!(r.spans[0].recovery_secs().is_none());
+        assert!(spans[0].recovery_secs().is_none());
     }
 }

@@ -12,6 +12,8 @@
 //! observed within it. Replica choice is pseudo-random ("chosen at
 //! random", §5.5) but deterministic given the run seed.
 
+use simnet::LinkFault;
+
 /// How a crashed replica comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryKind {
@@ -43,65 +45,45 @@ pub struct FaultEvent {
     pub recovery: RecoveryKind,
 }
 
-/// A network partition injected for a bounded interval.
+/// A timed fault: `fault` holds over `[at_us, until_us)`.
 ///
-/// The paper's faultloads crash processes only; partitions extend the
-/// benchmark to the other classic failure class (the consensus layer
-/// must stay safe and the majority side live).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionEvent {
-    /// When the links are cut (µs).
+/// The paper's faultloads crash processes only (§5.1); windows extend
+/// the benchmark to the other classic failure classes — partitions,
+/// lossy links and faulty disks — while the consensus layer must stay
+/// safe and the majority side live.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultWindow {
+    /// When the fault is armed (µs since run start).
     pub at_us: u64,
-    /// When they heal (µs).
-    pub heal_at_us: u64,
-    /// Victim indices (into the run's victim permutation) isolated from
-    /// the rest of the ensemble.
-    pub minority: Vec<usize>,
-}
-
-/// Adversarial per-link message faults applied to every server–server
-/// link for a bounded interval: probabilistic loss, duplication, and
-/// reordering (a message held back so later ones overtake it; the
-/// network model fixes how long).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFaultSpec {
-    /// Per-message loss probability in `[0, 1]`.
-    pub loss: f64,
-    /// Per-message duplication probability in `[0, 1]`.
-    pub duplicate: f64,
-    /// Per-message reorder probability in `[0, 1]`.
-    pub reorder: f64,
-}
-
-/// An interval during which [`LinkFaultSpec`] faults afflict all
-/// replica-to-replica links.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetFaultEvent {
-    /// When the faults start (µs since run start).
-    pub at_us: u64,
-    /// When the links return to nominal behaviour (µs).
+    /// When it is lifted (µs).
     pub until_us: u64,
-    /// The fault profile.
-    pub fault: LinkFaultSpec,
+    /// What holds in between.
+    pub fault: Fault,
 }
 
-/// An interval during which one replica's disk misbehaves: durable
-/// writes may fail (delivered as an fsync error, upon which the server
-/// fail-stops and the watchdog restarts it), and a crash tears the
-/// in-flight log append, leaving a partial record for recovery to
-/// detect and discard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiskFaultEvent {
-    /// When the disk starts misbehaving (µs since run start).
-    pub at_us: u64,
-    /// When the disk returns to nominal behaviour (µs).
-    pub until_us: u64,
-    /// Which replica (an index into the run's victim permutation).
-    pub victim: usize,
-    /// Per-write failure probability in `[0, 1]`.
-    pub write_fail: f64,
-    /// Whether crashes tear the in-flight log append.
-    pub torn_tail: bool,
+/// What a [`FaultWindow`] does while it holds. Replicas are named by
+/// index into the run's victim permutation, like [`FaultEvent::victim`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Fault {
+    /// The `minority` replicas are cut off from the rest of the
+    /// ensemble.
+    Partition {
+        /// Victim indices isolated from the majority.
+        minority: Vec<usize>,
+    },
+    /// Every replica-to-replica link loses, duplicates and reorders
+    /// messages with the given probabilities.
+    Links(LinkFault),
+    /// One replica's durable writes fail with probability `write_fail`
+    /// (delivered as an fsync error, upon which the server fail-stops
+    /// and the watchdog restarts it), and a crash tears the in-flight
+    /// log append, leaving a partial record for recovery to discard.
+    Disk {
+        /// Which replica (an index into the victim permutation).
+        victim: usize,
+        /// Per-write failure probability in `[0, 1]`.
+        write_fail: f64,
+    },
 }
 
 /// An administrative membership change (configuration epoch bump)
@@ -122,7 +104,8 @@ pub struct ReconfigEvent {
     pub remove: Vec<usize>,
 }
 
-/// A faultload: a list of crash events injected during the run.
+/// A faultload: the crashes, membership changes and fault windows
+/// injected during the run.
 ///
 /// ```
 /// use faultload::Faultload;
@@ -133,35 +116,19 @@ pub struct ReconfigEvent {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Faultload {
-    /// The injected faults, in time order.
+    /// The injected crashes, in time order.
     pub events: Vec<FaultEvent>,
-    /// Network partitions, if any.
-    pub partitions: Vec<PartitionEvent>,
-    /// Adversarial link-fault intervals, if any.
-    pub net_faults: Vec<NetFaultEvent>,
-    /// Disk-fault intervals, if any.
-    pub disk_faults: Vec<DiskFaultEvent>,
     /// Administrative membership changes, if any.
     pub reconfigs: Vec<ReconfigEvent>,
+    /// Timed faults, if any. Windows armed or lifted at the same
+    /// instant take effect in table order.
+    pub windows: Vec<FaultWindow>,
 }
 
 impl Faultload {
     /// The failure-free faultload (speedup/scaleup baselines).
     pub fn none() -> Faultload {
         Faultload::default()
-    }
-
-    /// A beyond-the-paper faultload: isolate `minority` replicas for
-    /// `[at_us, heal_at_us)` without crashing anyone.
-    pub fn partition(at_us: u64, heal_at_us: u64, minority: Vec<usize>) -> Faultload {
-        Faultload {
-            partitions: vec![PartitionEvent {
-                at_us,
-                heal_at_us,
-                minority,
-            }],
-            ..Faultload::default()
-        }
     }
 
     /// Paper §5.4: one crash at t=270 s, autonomous recovery.
@@ -225,15 +192,8 @@ impl Faultload {
 
     /// An adversarial faultload afflicting every replica link with the
     /// given loss/duplication/reordering profile for `[at_us, until_us)`.
-    pub fn lossy_links(at_us: u64, until_us: u64, fault: LinkFaultSpec) -> Faultload {
-        Faultload {
-            net_faults: vec![NetFaultEvent {
-                at_us,
-                until_us,
-                fault,
-            }],
-            ..Faultload::default()
-        }
+    pub fn lossy_links(at_us: u64, until_us: u64, fault: LinkFault) -> Faultload {
+        Faultload::from_windows([(at_us, until_us, Fault::Links(fault))])
     }
 
     /// A flapping partition: `cycles` rounds of cutting `minority` off
@@ -247,20 +207,11 @@ impl Faultload {
         heal_us: u64,
         minority: Vec<usize>,
     ) -> Faultload {
-        let mut partitions = Vec::with_capacity(cycles);
-        let mut t = at_us;
-        for _ in 0..cycles {
-            partitions.push(PartitionEvent {
-                at_us: t,
-                heal_at_us: t + cut_us,
-                minority: minority.clone(),
-            });
-            t += cut_us + heal_us;
-        }
-        Faultload {
-            partitions,
-            ..Faultload::default()
-        }
+        Faultload::from_windows((0..cycles as u64).map(|i| {
+            let at_us = at_us + i * (cut_us + heal_us);
+            let minority = minority.clone();
+            (at_us, at_us + cut_us, Fault::Partition { minority })
+        }))
     }
 
     /// A faulty-disk faultload: replica `victim`'s durable writes fail
@@ -268,53 +219,44 @@ impl Faultload {
     /// crash in that window tears the in-flight log append, leaving a
     /// partial record the recovery path must discard.
     pub fn faulty_disk(at_us: u64, until_us: u64, victim: usize, write_fail: f64) -> Faultload {
-        Faultload {
-            disk_faults: vec![DiskFaultEvent {
-                at_us,
-                until_us,
-                victim,
-                write_fail,
-                torn_tail: true,
-            }],
-            ..Faultload::default()
-        }
+        Faultload::from_windows([(at_us, until_us, Fault::Disk { victim, write_fail })])
     }
 
     /// Everything at once, sized relative to the run length `until_us`:
-    /// lossy links throughout, a flapping partition, one faulty disk,
+    /// lossy links throughout, one faulty disk, a flapping partition,
     /// and a crash of the first victim at the two-thirds mark.
     pub fn adversarial_mix(until_us: u64) -> Faultload {
+        let links = LinkFault {
+            loss: 0.02,
+            duplicate: 0.01,
+            reorder: 0.10,
+        };
+        let disk = Faultload::faulty_disk(until_us / 3, until_us, 1, 0.002);
+        let cycle_us = until_us / 20;
+        let flap = Faultload::partition_flap(until_us / 4, 3, cycle_us, cycle_us, vec![2]);
+        let mut mix = Faultload::lossy_links(0, until_us, links);
+        mix.windows
+            .extend(disk.windows.into_iter().chain(flap.windows));
+        mix.events.push(FaultEvent {
+            at_us: until_us * 2 / 3,
+            victim: 0,
+            recovery: RecoveryKind::Autonomous,
+        });
+        mix
+    }
+
+    /// A faultload of `(at_us, until_us, fault)` windows, in order.
+    fn from_windows(windows: impl IntoIterator<Item = (u64, u64, Fault)>) -> Faultload {
         Faultload {
-            events: vec![FaultEvent {
-                at_us: until_us * 2 / 3,
-                victim: 0,
-                recovery: RecoveryKind::Autonomous,
-            }],
-            partitions: Faultload::partition_flap(
-                until_us / 4,
-                3,
-                until_us / 20,
-                until_us / 20,
-                vec![2],
-            )
-            .partitions,
-            net_faults: vec![NetFaultEvent {
-                at_us: 0,
-                until_us,
-                fault: LinkFaultSpec {
-                    loss: 0.02,
-                    duplicate: 0.01,
-                    reorder: 0.10,
-                },
-            }],
-            disk_faults: vec![DiskFaultEvent {
-                at_us: until_us / 3,
-                until_us,
-                victim: 1,
-                write_fail: 0.002,
-                torn_tail: true,
-            }],
-            reconfigs: Vec::new(),
+            windows: windows
+                .into_iter()
+                .map(|(at_us, until_us, fault)| FaultWindow {
+                    at_us,
+                    until_us,
+                    fault,
+                })
+                .collect(),
+            ..Faultload::default()
         }
     }
 
@@ -416,33 +358,6 @@ impl Faultload {
                     },
                 })
                 .collect(),
-            partitions: self
-                .partitions
-                .iter()
-                .map(|p| PartitionEvent {
-                    at_us: p.at_us * num / den,
-                    heal_at_us: p.heal_at_us * num / den,
-                    minority: p.minority.clone(),
-                })
-                .collect(),
-            net_faults: self
-                .net_faults
-                .iter()
-                .map(|f| NetFaultEvent {
-                    at_us: f.at_us * num / den,
-                    until_us: f.until_us * num / den,
-                    fault: f.fault,
-                })
-                .collect(),
-            disk_faults: self
-                .disk_faults
-                .iter()
-                .map(|d| DiskFaultEvent {
-                    at_us: d.at_us * num / den,
-                    until_us: d.until_us * num / den,
-                    ..*d
-                })
-                .collect(),
             reconfigs: self
                 .reconfigs
                 .iter()
@@ -450,6 +365,15 @@ impl Faultload {
                     at_us: r.at_us * num / den,
                     add_spares: r.add_spares,
                     remove: r.remove.clone(),
+                })
+                .collect(),
+            windows: self
+                .windows
+                .iter()
+                .map(|w| FaultWindow {
+                    at_us: w.at_us * num / den,
+                    until_us: w.until_us * num / den,
+                    fault: w.fault.clone(),
                 })
                 .collect(),
         }
@@ -544,46 +468,58 @@ mod tests {
     #[test]
     fn partition_flap_builds_disjoint_cycles() {
         let f = Faultload::partition_flap(100, 3, 10, 20, vec![1, 2]);
-        assert_eq!(f.partitions.len(), 3);
-        assert_eq!(f.partitions[0].at_us, 100);
-        assert_eq!(f.partitions[0].heal_at_us, 110);
-        assert_eq!(f.partitions[1].at_us, 130);
-        assert_eq!(f.partitions[2].at_us, 160);
-        for w in f.partitions.windows(2) {
-            assert!(w[0].heal_at_us <= w[1].at_us, "cycles must not overlap");
-        }
+        let spans: Vec<(u64, u64)> = f.windows.iter().map(|w| (w.at_us, w.until_us)).collect();
+        assert_eq!(spans, [(100, 110), (130, 140), (160, 170)]);
+        let minority = vec![1, 2];
+        assert!(f.windows.iter().all(|w| w.fault
+            == Fault::Partition {
+                minority: minority.clone()
+            }));
     }
 
     #[test]
     fn adversarial_constructors_scale() {
-        let spec = LinkFaultSpec {
+        let spec = LinkFault {
             loss: 0.1,
             duplicate: 0.05,
             reorder: 0.2,
         };
         let f = Faultload::lossy_links(30_000_000, 90_000_000, spec).scaled(1, 3);
-        assert_eq!(f.net_faults[0].at_us, 10_000_000);
-        assert_eq!(f.net_faults[0].until_us, 30_000_000);
-        assert_eq!(f.net_faults[0].fault, spec, "profile survives scaling");
+        assert_eq!(f.windows[0].at_us, 10_000_000);
+        assert_eq!(f.windows[0].until_us, 30_000_000);
+        assert_eq!(
+            f.windows[0].fault,
+            Fault::Links(spec),
+            "profile survives scaling"
+        );
 
         let d = Faultload::faulty_disk(60_000_000, 120_000_000, 1, 0.01).scaled(1, 2);
-        assert_eq!(d.disk_faults[0].at_us, 30_000_000);
-        assert_eq!(d.disk_faults[0].until_us, 60_000_000);
-        assert!(d.disk_faults[0].torn_tail);
-        assert_eq!(d.disk_faults[0].victim, 1);
+        assert_eq!(
+            (d.windows[0].at_us, d.windows[0].until_us),
+            (30_000_000, 60_000_000)
+        );
+        let (victim, write_fail) = (1, 0.01);
+        assert_eq!(d.windows[0].fault, Fault::Disk { victim, write_fail });
     }
 
     #[test]
     fn adversarial_mix_covers_all_fault_classes() {
         let f = Faultload::adversarial_mix(60_000_000);
         assert_eq!(f.fault_count(), 1);
-        assert!(!f.partitions.is_empty());
-        assert!(!f.net_faults.is_empty());
-        assert!(!f.disk_faults.is_empty());
         assert!(f.events[0].at_us < 60_000_000);
-        // Distinct victims: the crashed replica, the faulty disk, and
-        // the partitioned minority do not pile onto one index.
-        assert_ne!(f.events[0].victim, f.disk_faults[0].victim);
-        assert!(!f.partitions[0].minority.contains(&f.events[0].victim));
+        // Links, the disk, then the partition's cycles; distinct victims:
+        // the crashed replica, the faulty disk, and the partitioned
+        // minority do not pile onto one index.
+        let kinds: Vec<&Fault> = f.windows.iter().map(|w| &w.fault).collect();
+        assert!(matches!(
+            kinds[..],
+            [Fault::Links(_), Fault::Disk { victim: 1, .. }, ..]
+        ));
+        let minority = vec![2];
+        assert!(kinds[2..].iter().all(|k| **k
+            == Fault::Partition {
+                minority: minority.clone()
+            }));
+        assert!(!minority.contains(&f.events[0].victim) && f.events[0].victim != 1);
     }
 }

@@ -375,7 +375,7 @@ enum Phase {
 
 /// Per-rule runtime: the lifecycle states (one per subject; cluster
 /// rules use a single slot) plus the rule's learned baseline.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct RuleRt {
     states: Vec<AlertState>,
     /// For [`RuleExpr::WipsDrop`]: the largest baseline-window ok-count
@@ -404,8 +404,10 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor evaluating the rule set under `config`'s sensitivity.
-    pub fn new(config: &MonitorConfig) -> Monitor {
+    /// A monitor evaluating the rule set under `config`'s sensitivity
+    /// over `nodes` server slots, the length of every [`Scrape::nodes`]
+    /// it will be fed. Its state is sized here, once.
+    pub fn new(config: &MonitorConfig, nodes: usize) -> Monitor {
         let window_cap = RULES
             .iter()
             .map(|r| match r.expr {
@@ -426,11 +428,19 @@ impl Monitor {
             .unwrap_or(0) as usize;
         Monitor {
             rules: RULES.map(|rule| rule.tuned(config)),
-            rt: Default::default(),
+            // One lifecycle cell per node for `replica_down`, one for
+            // each cluster-scoped rule.
+            rt: RULES.map(|rule| RuleRt {
+                states: match rule.expr {
+                    RuleExpr::ReplicaDown => vec![AlertState::default(); nodes],
+                    _ => vec![AlertState::default()],
+                },
+                baseline_ok: 0,
+            }),
             window: VecDeque::with_capacity(window_cap),
             window_cap: window_cap.max(1),
             prev_totals: None,
-            ever_ready: Vec::new(),
+            ever_ready: vec![false; nodes],
             log: AlertLog::default(),
         }
     }
@@ -455,9 +465,6 @@ impl Monitor {
         self.prev_totals = Some((scrape.ok_total, scrape.err_total));
 
         // Maintain the liveness watch set.
-        if self.ever_ready.len() < scrape.nodes.len() {
-            self.ever_ready.resize(scrape.nodes.len(), false);
-        }
         for (latch, health) in self.ever_ready.iter_mut().zip(&scrape.nodes) {
             if health.retired {
                 *latch = false; // deliberately decommissioned: stop watching
@@ -472,9 +479,6 @@ impl Monitor {
             };
             match rule.expr {
                 RuleExpr::ReplicaDown => {
-                    if rt.states.len() < scrape.nodes.len() {
-                        rt.states.resize(scrape.nodes.len(), AlertState::default());
-                    }
                     for (node, health) in scrape.nodes.iter().enumerate() {
                         let watched = self.ever_ready.get(node).copied().unwrap_or(false);
                         let breach = watched && !(health.present && health.ready);
@@ -569,9 +573,6 @@ fn window_sums(window: &VecDeque<(u64, u64)>, ticks: u32) -> (u64, u64) {
 
 /// Advances a cluster-scoped rule's single lifecycle slot.
 fn step_single(rt: &mut RuleRt, breach: bool, t_us: u64, rule: &Rule, log: &mut AlertLog) {
-    if rt.states.is_empty() {
-        rt.states.push(AlertState::default());
-    }
     if let Some(state) = rt.states.first_mut() {
         step(state, breach, t_us, rule, SUBJECT_CLUSTER, log);
     }
@@ -805,7 +806,7 @@ mod tests {
     #[test]
     fn replica_down_fires_after_debounce_and_resolves() {
         let cfg = MonitorConfig::on();
-        let mut mon = Monitor::new(&cfg);
+        let mut mon = Monitor::new(&cfg, 3);
         // Three healthy ticks latch the nodes into the watch set.
         steady(&mut mon, 0, 3, 10, 3);
         // Node 1 crashes: pending on the first bad tick, firing on the
@@ -832,7 +833,7 @@ mod tests {
     #[test]
     fn spares_and_retired_nodes_never_alert() {
         let cfg = MonitorConfig::on();
-        let mut mon = Monitor::new(&cfg);
+        let mut mon = Monitor::new(&cfg, 3);
         // Node 2 is an unprovisioned spare (never ready): no alert.
         let mut nodes = nodes_up(3);
         nodes[2] = NodeHealth::default();
@@ -856,7 +857,7 @@ mod tests {
     #[test]
     fn pending_blip_clears_silently() {
         let cfg = MonitorConfig::on();
-        let mut mon = Monitor::new(&cfg);
+        let mut mon = Monitor::new(&cfg, 2);
         steady(&mut mon, 0, 3, 10, 2);
         let mut down = nodes_up(2);
         down[0] = NodeHealth::default();
@@ -879,7 +880,7 @@ mod tests {
     fn burn_rate_needs_both_windows() {
         // Fast burn: 5- and 30-tick windows, 14.4 × the 1 000 ppm budget
         // = 1.44 % of completions failing, fires on the first breach.
-        let mut mon = Monitor::new(&MonitorConfig::on());
+        let mut mon = Monitor::new(&MonitorConfig::on(), 1);
         // Thirty-one clean ticks of 100 fill the long window.
         steady(&mut mon, 0, 31, 100, 1);
         // One bad tick: 20 errors are ≈ 3.8 % of the short window's
@@ -901,7 +902,7 @@ mod tests {
     #[test]
     fn wips_drop_learns_baseline_and_fires_on_collapse() {
         // 5-tick window against the best 30-tick baseline, 50 %.
-        let mut mon = Monitor::new(&MonitorConfig::on());
+        let mut mon = Monitor::new(&MonitorConfig::on(), 1);
         // Ramp from 0, then hold: the baseline is learned only from full
         // windows and never exceeds the current rate, so nothing fires.
         let mut total = 0u64;
@@ -923,7 +924,7 @@ mod tests {
     #[test]
     fn fault_free_traffic_stays_silent() {
         let cfg = MonitorConfig::on();
-        let mut mon = Monitor::new(&cfg);
+        let mut mon = Monitor::new(&cfg, 5);
         // 200 ticks of steady traffic with sporadic sub-budget errors.
         let mut err = 0u64;
         for t in 0..200u64 {
@@ -1035,16 +1036,16 @@ mod tests {
     #[test]
     fn sensitivity_rescaling_moves_thresholds() {
         let rule = |cfg: &MonitorConfig, name: &str| {
-            Monitor::new(cfg)
+            Monitor::new(cfg, 0)
                 .rules
                 .into_iter()
                 .find(|r| r.name == name)
                 .expect("rule")
         };
         // Scale 100 without a debounce override is the table itself.
-        assert_eq!(Monitor::new(&MonitorConfig::on()).rules, RULES);
+        assert_eq!(Monitor::new(&MonitorConfig::on(), 0).rules, RULES);
         let eager = MonitorConfig::on().with_sensitivity(1, 50);
-        assert!(Monitor::new(&eager)
+        assert!(Monitor::new(&eager, 0)
             .rules
             .iter()
             .all(|r| r.pending_ticks == 1));

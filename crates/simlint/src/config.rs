@@ -217,11 +217,6 @@ fn set_root_key(cfg: &mut Config, key: &str, text: &str, lineno: u32) -> Result<
     Ok(())
 }
 
-/// Back-compat helper: parses just the waivers.
-pub fn parse_waivers(src: &str) -> Result<Vec<Waiver>, ConfigError> {
-    parse_config(src).map(|c| c.waivers)
-}
-
 fn finish(w: Waiver, out: &mut Vec<Waiver>) -> Result<(), ConfigError> {
     if w.rule.is_empty() || w.path.is_empty() {
         return Err(ConfigError {
@@ -350,7 +345,7 @@ path = "crates/tpcw/src/population.rs"
 line = 328  # process-global cache
 reason = "cache keyed by params; never iterated"
 "#;
-        let ws = parse_waivers(src).unwrap();
+        let ws = parse_config(src).unwrap().waivers;
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].rule, "wall-clock");
         assert_eq!(ws[0].line, None);
@@ -390,13 +385,13 @@ reason = "compacted by snapshot task"
     #[test]
     fn rejects_missing_reason() {
         let src = "[[waiver]]\nrule = \"x\"\npath = \"y\"\nreason = \"no\"\n";
-        assert!(parse_waivers(src).is_err());
+        assert!(parse_config(src).is_err());
     }
 
     #[test]
     fn rejects_unquoted_and_unknown_keys() {
-        assert!(parse_waivers("[[waiver]]\nrule = wall-clock\n").is_err());
-        assert!(parse_waivers(
+        assert!(parse_config("[[waiver]]\nrule = wall-clock\n").is_err());
+        assert!(parse_config(
             "[[waiver]]\nrule = \"r\"\npath = \"p\"\nreason = \"long enough\"\nfoo = \"bar\"\n"
         )
         .is_err());

@@ -85,15 +85,6 @@ pub struct DiskFault {
     pub torn_tail_on_crash: bool,
 }
 
-impl Default for DiskFault {
-    fn default() -> Self {
-        DiskFault {
-            write_fail_probability: 0.0,
-            torn_tail_on_crash: false,
-        }
-    }
-}
-
 #[derive(Debug)]
 enum Pending<M> {
     Message {
@@ -164,8 +155,6 @@ pub struct Engine<M> {
     disks: Vec<DiskModel>,
     stores: Vec<StableStore>,
     disk_faults: Vec<Option<DiskFault>>,
-    writes_failed: u64,
-    torn_writes: u64,
     dispatched: u64,
     /// Next transmission id. Advances on every send attempt, traced or
     /// not, so a run's xids are identical with tracing on or off.
@@ -190,8 +179,6 @@ impl<M: std::fmt::Debug> Engine<M> {
                 .collect(),
             stores: (0..nodes).map(|_| StableStore::new()).collect(),
             disk_faults: vec![None; nodes],
-            writes_failed: 0,
-            torn_writes: 0,
             dispatched: 0,
             next_xid: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -407,7 +394,6 @@ impl<M: std::fmt::Debug> Engine<M> {
             if fault.write_fail_probability > 0.0
                 && self.rng.gen::<f64>() < fault.write_fail_probability
             {
-                self.writes_failed += 1;
                 // The op is dropped: a failed write persists nothing.
                 self.push(at, Pending::DiskWriteFail { node, inc, token });
                 return;
@@ -428,21 +414,6 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// profile on `node`. Takes effect for writes issued afterwards.
     pub fn set_disk_fault(&mut self, node: NodeId, fault: Option<DiskFault>) {
         self.disk_faults[node.index()] = fault;
-    }
-
-    /// The injected disk fault profile active on `node`, if any.
-    pub fn disk_fault(&self, node: NodeId) -> Option<&DiskFault> {
-        self.disk_faults[node.index()].as_ref()
-    }
-
-    /// Number of injected disk-write failures delivered so far.
-    pub fn disk_writes_failed(&self) -> u64 {
-        self.writes_failed
-    }
-
-    /// Number of log appends torn (partially persisted) by crashes.
-    pub fn disk_writes_torn(&self) -> u64 {
-        self.torn_writes
     }
 
     /// Issues a bulk read of `key` from the node's key/value area; the
@@ -540,9 +511,8 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// An entry shorter than 2 bytes has no non-empty strict prefix, so
     /// nothing reaches the platter: the append is wholly lost, exactly
     /// like an untorn crash. The armed fault still *fired*, though, so
-    /// the tear is counted and traced with `bytes_kept: 0` — otherwise
-    /// a 1-byte append would make the crash invisible in
-    /// [`Engine::disk_writes_torn`] and the trace.
+    /// the tear is traced with `bytes_kept: 0` — otherwise a 1-byte
+    /// append would make the crash invisible in the trace.
     fn tear_in_flight_append(&mut self, node: NodeId, inc: Incarnation) {
         let mut best: Option<(u64, u64, &str, &[u8])> = None;
         for (at, seq, pending) in self.queue.iter() {
@@ -566,7 +536,6 @@ impl<M: std::fmt::Debug> Engine<M> {
                 let log = log.to_string();
                 let keep = self.rng.gen_range(1..bytes.len());
                 let prefix = bytes[..keep].to_vec();
-                self.torn_writes += 1;
                 self.stores[node.index()].apply(StableOp::Append { log, entry: prefix });
                 self.trace(
                     node,
@@ -576,7 +545,6 @@ impl<M: std::fmt::Debug> Engine<M> {
                 );
             } else {
                 // No strict prefix exists: wholly lost, but still a tear.
-                self.torn_writes += 1;
                 self.trace(node, TraceEvent::TornWrite { bytes_kept: 0 });
             }
         }
@@ -722,6 +690,12 @@ mod tests {
 
     fn engine(nodes: usize) -> E {
         Engine::new(nodes, SimConfig::default(), 99)
+    }
+
+    /// The traced events `keep` selects, in trace order.
+    fn traced(e: &mut Engine<u8>, keep: fn(&TraceEvent) -> bool) -> Vec<TraceEvent> {
+        let records = e.tracer_mut().take_records();
+        records.into_iter().map(|r| r.event).filter(keep).collect()
     }
 
     fn drain(e: &mut E, limit: SimTime) -> Vec<(SimTime, Event<u32>)> {
@@ -1038,6 +1012,7 @@ mod tests {
     #[test]
     fn failing_write_persists_nothing_and_reports_failure() {
         let mut e: Engine<u8> = Engine::new(1, SimConfig::default(), 4);
+        e.enable_tracing(TraceConfig::on());
         e.set_disk_fault(
             NodeId(0),
             Some(DiskFault {
@@ -1066,12 +1041,14 @@ mod tests {
             None,
             "failed write persists nothing"
         );
-        assert_eq!(e.disk_writes_failed(), 1);
+        let failed = traced(&mut e, |ev| matches!(ev, TraceEvent::DiskWriteFailed));
+        assert_eq!(failed, [TraceEvent::DiskWriteFailed]);
     }
 
     #[test]
     fn torn_tail_leaves_strict_prefix_of_in_flight_append() {
         let mut e: Engine<u8> = Engine::new(1, SimConfig::default(), 5);
+        e.enable_tracing(TraceConfig::on());
         e.set_disk_fault(
             NodeId(0),
             Some(DiskFault {
@@ -1100,7 +1077,9 @@ mod tests {
             "strict prefix"
         );
         assert_eq!(torn, &entry[..torn.len()]);
-        assert_eq!(e.disk_writes_torn(), 1);
+        let bytes_kept = torn.len() as u64;
+        let tears = traced(&mut e, |ev| matches!(ev, TraceEvent::TornWrite { .. }));
+        assert_eq!(tears, [TraceEvent::TornWrite { bytes_kept }]);
     }
 
     #[test]
@@ -1213,13 +1192,11 @@ mod tests {
             e.store(NodeId(0)).log("wal").is_none(),
             "1-byte entry has no strict prefix: nothing lands"
         );
-        assert_eq!(e.disk_writes_torn(), 1, "the torn fault still counts");
-        let records = e.tracer_mut().take_records();
-        assert!(
-            records
-                .iter()
-                .any(|r| matches!(r.event, TraceEvent::TornWrite { bytes_kept: 0 })),
-            "zero-byte torn write must be traced"
+        let tears = traced(&mut e, |ev| matches!(ev, TraceEvent::TornWrite { .. }));
+        assert_eq!(
+            tears,
+            [TraceEvent::TornWrite { bytes_kept: 0 }],
+            "still a tear"
         );
     }
 

@@ -8,7 +8,8 @@
 
 use proptest::prelude::*;
 use robuststore_repro::cluster::{run_experiment, ExperimentConfig};
-use robuststore_repro::faultload::{Faultload, LinkFaultSpec};
+use robuststore_repro::faultload::Faultload;
+use robuststore_repro::simnet::LinkFault;
 use robuststore_repro::tpcw::Profile;
 
 fn lossy_config(seed: u64, loss: f64, duplicate: f64, reorder: f64) -> ExperimentConfig {
@@ -17,7 +18,7 @@ fn lossy_config(seed: u64, loss: f64, duplicate: f64, reorder: f64) -> Experimen
     config.faultload = Faultload::lossy_links(
         0,
         config.schedule.total_us(),
-        LinkFaultSpec {
+        LinkFault {
             loss,
             duplicate,
             reorder,

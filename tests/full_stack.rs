@@ -217,7 +217,7 @@ fn network_partition_starves_minority_then_heals() {
     // converges with no human intervention.
     let mut config = quick(5, Profile::Shopping);
     config.schedule = Schedule::quick(120);
-    config.faultload = Faultload::partition(50_000_000, 80_000_000, vec![0, 1]);
+    config.faultload = Faultload::partition_flap(50_000_000, 1, 30_000_000, 0, vec![0, 1]);
     let report = run_experiment(&config);
     assert!(report.awips > 150.0, "AWIPS {}", report.awips);
     assert_eq!(report.dependability.autonomy, 1.0);
