@@ -17,6 +17,7 @@
 //! direct function of them.
 
 #![warn(missing_docs)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![forbid(unsafe_code)]
 
 pub mod cli;

@@ -22,8 +22,10 @@ use std::sync::{mpsc, Mutex};
 ///
 /// Falls back to a plain sequential loop when there is a single item or
 /// a single core, so callers need no special casing.
-// Host-side: threads only change which core runs each whole simulation.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host-side: threads only change which core runs each whole simulation"
+)]
 pub fn run_parallel<I, O, F>(points: Vec<I>, run: F) -> Vec<O>
 where
     I: Send,
@@ -98,8 +100,10 @@ mod tests {
     }
 
     #[test]
-    // The sleeps are the point: they make workers finish out of order.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sleeps are the point: they make workers finish out of order"
+    )]
     fn uneven_work_still_fills_every_slot() {
         // Items that sleep different amounts finish out of order; the
         // index plumbing must still reassemble input order.

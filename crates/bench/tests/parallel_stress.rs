@@ -5,8 +5,10 @@
 //! durations that force out-of-order completion — the conditions under
 //! which a bug in the index-reassembly plumbing would actually show.
 
-// Real threads, sleeps and the core count are what these tests exercise.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "real threads, sleeps and the core count are what these tests exercise"
+)]
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};

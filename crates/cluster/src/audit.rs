@@ -22,6 +22,10 @@
 //! is bit-identical to an unaudited one. Violations are collected as
 //! human-readable strings and the experiment asserts there are none.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use paxos::{Ballot, Batch, Mode, Msg, ProposalId, Quorums, Record, ReplicaStatus, Slot};
@@ -159,6 +163,10 @@ impl InvariantAuditor {
     /// A replica issued a durable write. Reads the key of a consensus
     /// record off its bytes so the later completion can be matched
     /// against sends.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a replica index below the `n` the auditor was built for"
+    )]
     pub fn on_disk_write(&mut self, idx: usize, op: &StableOp, token: u64, now_us: u64) {
         self.ensure(idx);
         match op {
@@ -194,6 +202,10 @@ impl InvariantAuditor {
 
     /// A durable write completed. Must be called *before* the server
     /// reacts (the reaction releases the sends this write gates).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a replica index below the `n` the auditor was built for"
+    )]
     pub fn on_disk_write_done(&mut self, idx: usize, token: u64) {
         self.ensure(idx);
         if let Some(key) = self.pending[idx].remove(&token) {
@@ -202,6 +214,10 @@ impl InvariantAuditor {
     }
 
     /// A durable write failed; nothing reached disk.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a replica index below the `n` the auditor was built for"
+    )]
     pub fn on_disk_write_failed(&mut self, idx: usize, token: u64) {
         self.ensure(idx);
         self.pending[idx].remove(&token);
@@ -211,6 +227,10 @@ impl InvariantAuditor {
     /// asked for only when the message is one the mode rule constrains
     /// (`FastPropose`/`Any`): most sends are not, and building a status
     /// costs a failure-detector sweep.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a replica index below the `n` the auditor was built for"
+    )]
     pub fn on_send(
         &mut self,
         idx: usize,
@@ -279,6 +299,10 @@ impl InvariantAuditor {
     /// A replica delivered (applied) one update of a decided batch;
     /// `index` is the update's position inside its slot's batch and
     /// `epoch` is the configuration epoch the slot was decided under.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a replica index below the `n` the auditor was built for"
+    )]
     pub fn on_applied(
         &mut self,
         idx: usize,
@@ -323,6 +347,10 @@ impl InvariantAuditor {
 
     /// A replica crashed: its in-flight writes are lost and the next
     /// incarnation's delivery watermark restarts.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a replica index below the `n` the auditor was built for"
+    )]
     pub fn on_crash(&mut self, idx: usize) {
         self.ensure(idx);
         self.pending[idx].clear();
@@ -332,6 +360,10 @@ impl InvariantAuditor {
     /// A replica is restarting: rebuild its durable set from what
     /// actually survived on disk (truncations and torn tails included).
     /// Torn entries fail to decode and are skipped — they gate nothing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a replica index below the `n` the auditor was built for"
+    )]
     pub fn on_restart(&mut self, idx: usize, store: &StableStore) {
         self.ensure(idx);
         let durable = &mut self.durable[idx];

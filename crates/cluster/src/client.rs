@@ -46,7 +46,10 @@ pub struct ClientNode {
 impl ClientNode {
     /// Creates a client node with `count` browsers and staggers their
     /// first requests across the ramp-up.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one input of the browsers' set-up, and the constructor has one caller"
+    )]
     pub fn new(
         node: NodeId,
         proxy: NodeId,

@@ -22,6 +22,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(clippy::too_many_lines)]
 #![warn(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]

@@ -8,6 +8,10 @@
 //! blocking `execute()` semantics, with the client connection standing
 //! in for the blocked caller.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use obs::node_u32;
@@ -328,6 +332,10 @@ impl ServerNode {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`enqueue` pushes first and `complete_head` checks `front()` first"
+    )]
     fn start_head(&mut self, engine: &mut Engine<ClusterMsg>) {
         let cost = self.queue.front().expect("head present").cost_us + self.cpu_debt_us;
         self.cpu_debt_us = 0;
@@ -381,6 +389,10 @@ impl ServerNode {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "requests are handled only once the middleware is ready, and it then has state"
+    )]
     fn finish_handle(
         &mut self,
         engine: &mut Engine<ClusterMsg>,

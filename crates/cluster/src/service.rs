@@ -14,9 +14,10 @@
 //! The paper measured one testbed, so these are constants (µs of CPU
 //! per unit of work), not settings.
 
-// The capacity estimate is f64 by nature; its integer inputs (µs costs,
-// mix weights, replica counts) are far below 2^52, so no cast rounds.
-#![allow(clippy::cast_precision_loss)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "the capacity estimate is f64 by nature; its integer inputs (µs costs, mix weights, replica counts) are far below 2^52, so no cast rounds"
+)]
 
 use tpcw::{Interaction, Profile};
 

@@ -43,7 +43,10 @@ fn replica_ids(nodes: &[usize]) -> Vec<ReplicaId> {
 /// A fault probability in parts per million, as the trace records it.
 /// Rounded, since `0.29 * 100.0` is 28.999…; a probability in `[0, 1]`
 /// fits a `u64` many times over.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the rounded ppm of a probability in [0, 1] fits a `u64` many times over"
+)]
 fn ppm(p: f64) -> u64 {
     (p * 1e6).round() as u64
 }

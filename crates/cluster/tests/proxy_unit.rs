@@ -1,9 +1,10 @@
 //! Unit tests of the reverse proxy's failover machinery, driven with a
 //! bare engine and hand-fed messages.
 
-// Hash containers here only aggregate assertions inside one test run;
-// their ordering never reaches replicated state or traces.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "hash containers here only aggregate assertions inside one test run; their ordering never reaches replicated state or traces"
+)]
 
 use cluster::{ClusterMsg, ProxyNode};
 use simnet::{Engine, Event, NodeId, SimConfig, SimTime};

@@ -220,7 +220,10 @@ impl Wire for String {
 
 /// A sequence's length, or a position inside one, as the `u32` of the
 /// wire's length prefix. Nothing the protocol encodes holds 2^32 items.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "nothing the protocol encodes holds 2^32 items"
+)]
 #[inline]
 pub(crate) const fn len_u32(len: usize) -> u32 {
     len as u32

@@ -26,6 +26,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(clippy::too_many_lines)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![forbid(unsafe_code)]

@@ -114,7 +114,10 @@ impl DependabilityReport {
     /// `measure` the measurement window (µs); `spans` the observed
     /// recoveries; `errors`/`total` the request counts; `faults` and
     /// `interventions` come from the faultload.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one observable of the run, and the report is built once per run"
+    )]
     pub fn build(
         series: &[u32],
         measure_from_us: u64,

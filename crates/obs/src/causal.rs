@@ -234,6 +234,10 @@ impl CausalProfile {
     }
 
     /// Blame totals bucketed by delivery-time window.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Category::index` is below the five categories a totals array holds"
+    )]
     pub fn windows(&self, window_us: u64) -> Vec<WindowBlame> {
         let window_us = window_us.max(1);
         let mut map: BTreeMap<u64, ([u64; 5], u64)> = BTreeMap::new();
@@ -444,7 +448,10 @@ mod tests {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the `MsgTag` record this helper builds"
+    )]
     fn tag(
         t: u64,
         node: u32,

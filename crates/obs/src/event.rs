@@ -469,7 +469,10 @@ pub struct TraceRecord {
 /// A dense node index, or a count of nodes, as the `u32` that trace
 /// records, replica ids and the injection log carry. A cluster has a
 /// handful of nodes, so the narrowing never drops a bit.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a cluster has a handful of nodes, so the narrowing never drops a bit"
+)]
 #[inline]
 pub const fn node_u32(index: usize) -> u32 {
     index as u32

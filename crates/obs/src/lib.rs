@@ -53,8 +53,12 @@
 //! so every layer of the stack can emit into it.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod analyze;
 pub mod causal;

@@ -20,7 +20,7 @@
 //! thousandths for burn factors): no floats are computed on, so the
 //! evaluation path is deterministic by construction
 //! (`clippy::float_arithmetic` is on for this module); it is also
-//! written panic-free (`panic-taint` covers [`Monitor::on_scrape`]).
+//! written panic-free (`obs` denies clippy's panic lints crate-wide).
 //!
 //! The second half of the module is the *scorer*: it joins fired
 //! alerts against the faultload's ground-truth injection log (the
@@ -695,6 +695,10 @@ impl AlertScore {
 /// Each firing detects at most one injection; injections claim firings
 /// in time order, preferring a firing whose subject matches the victim
 /// node before settling for any unclaimed firing in the horizon.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`slot` enumerates `firings`, as `claimed` does, and `log_idx` enumerates `log.entries`"
+)]
 pub fn score_alerts(log: &AlertLog, truth: &crate::InjectionLog) -> AlertScore {
     let firings: Vec<(usize, &AlertTransition)> = log
         .entries

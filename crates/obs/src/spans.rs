@@ -151,6 +151,11 @@ impl SpanProfile {
     /// length `window_us`, over `windows` windows, attributing each
     /// span to the window of its delivery. Ties resolve to the earlier
     /// pipeline phase; windows with no deliveries report `None`.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "`w` < `windows` = `totals.len()`; a row holds one total per `PHASES` name"
+    )]
     pub fn dominant_phases(&self, window_us: u64, windows: usize) -> Vec<Option<&'static str>> {
         let window_us = window_us.max(1);
         let mut totals = vec![[0u64; 4]; windows];

@@ -215,6 +215,10 @@ fn group_key(send: &Send, tag: Tag) -> (u32, &'static str, u32, u64, u64, u64) {
 
 impl<'a> TraceStore<'a> {
     /// Indexes one run's records (engine order) in a single pass.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rows in `open` index `s.incidents` and `s.false_suspicions`, which only grow"
+    )]
     pub fn build(records: &'a [TraceRecord]) -> TraceStore<'a> {
         let mut s = TraceStore {
             records,

@@ -16,6 +16,11 @@
 //! traces, so the same `(seed, config)` pair renders byte-identical
 //! CSV/JSONL output.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "windows and markers are indexed by positions computed from their own lengths; this module is a trace reducer, off the replica path"
+)]
+
 use std::collections::BTreeMap;
 
 use crate::event::TraceEvent;

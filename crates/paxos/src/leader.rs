@@ -174,7 +174,10 @@ impl<V: Clone + Eq> Leader<V> {
     /// values accepted by a minority while the ensemble was blocked).
     /// When some replicas stay silent, the replica layer calls
     /// [`Leader::finalize_prepare`] after a grace period instead.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the phase-1 plan is spelled out where it is returned: the slots to re-propose and the next free slot"
+    )]
     pub fn on_promise(
         &mut self,
         from: ReplicaId,
@@ -198,7 +201,10 @@ impl<V: Clone + Eq> Leader<V> {
 
     /// Completes phase 1 with the promises gathered so far (the grace
     /// path). Returns `None` if not preparing or below a classic quorum.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the same phase-1 plan `on_promise` returns, completed from the promises so far"
+    )]
     pub fn finalize_prepare(&mut self) -> Option<(Vec<(Slot, Decree<V>)>, Slot)> {
         if self.phase != LeaderPhase::Preparing || self.promises.len() < self.quorums.classic() {
             return None;
@@ -283,7 +289,10 @@ impl<V: Clone + Eq> Leader<V> {
     /// `losers` are the other values reported in the collided round —
     /// the coordinator re-proposes them immediately in fresh slots
     /// rather than leaving them to the proposers' retry timers.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the recovery plan is spelled out where it is returned: the winner and the losers to re-propose"
+    )]
     pub fn on_recovery_promise(
         &mut self,
         from: ReplicaId,

@@ -167,7 +167,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
     /// replica's durable metadata recorded at its last checkpoint. Log
     /// replay and catch-up re-apply any reconfigurations decided after
     /// that point (stale ones are ignored by the epoch check).
-    #[allow(clippy::too_many_arguments)]
     pub fn recover_with_membership<'a, I>(
         id: ReplicaId,
         config: PaxosConfig,

@@ -1,14 +1,12 @@
 //! Configuration: root declarations, `simlint.toml` waivers, and inline
 //! allow comments.
 //!
-//! The `[roots]` table declares the workspace entry points the
-//! transitive rules traverse from (see [`crate::reach`] for pattern
-//! syntax):
+//! The top-level `roots` list declares the workspace entry points whose
+//! `self` types are held state for `state-growth` (see [`crate::reach`]
+//! for pattern syntax):
 //!
 //! ```toml
-//! [roots]
-//! sim      = ["Engine::dispatch", "Middleware::on_tick"]
-//! protocol = ["Replica::on_message", "decode_*"]
+//! roots = ["Engine::*", "Replica::on_message", "decode_*"]
 //! ```
 //!
 //! Two waiver channels, both requiring a written justification:
@@ -55,29 +53,20 @@ pub struct ConfigError {
 #[derive(Debug, Default)]
 pub struct Config {
     pub waivers: Vec<Waiver>,
-    /// `[roots] sim = […]`: entry points of simulated execution, whose
-    /// self types are held state for `state-growth`.
-    pub sim_roots: Vec<String>,
-    /// `[roots] protocol = […]`: protocol step / codec entry points
-    /// (panic wall — `panic-taint`).
-    pub protocol_roots: Vec<String>,
+    /// `roots = […]`: entry points of simulated execution, whose self
+    /// types are held state for `state-growth`.
+    pub roots: Vec<String>,
 }
 
-/// Parses the minimal TOML subset used by `simlint.toml`: a `[roots]`
-/// table with string-array values (multi-line arrays supported) and
-/// `[[waiver]]` tables with `key = "string"` / `key = integer` pairs;
-/// `#` comments anywhere.
+/// Parses the minimal TOML subset used by `simlint.toml`: a top-level
+/// `roots` string array (multi-line arrays supported) and `[[waiver]]`
+/// tables with `key = "string"` / `key = integer` pairs; `#` comments
+/// anywhere.
 pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
-    enum Section {
-        None,
-        Waiver,
-        Roots,
-    }
     let mut cfg = Config::default();
-    let mut section = Section::None;
     let mut current: Option<Waiver> = None;
-    // Multi-line array accumulation for [roots] keys.
-    let mut pending: Option<(String, String, u32)> = None; // (key, text, line)
+    // Multi-line accumulation of the `roots` array: (text, line).
+    let mut pending: Option<(String, u32)> = None;
 
     for (idx, raw) in src.lines().enumerate() {
         let lineno = idx as u32 + 1;
@@ -85,13 +74,12 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if let Some((key, text, decl)) = pending.as_mut() {
+        if let Some((text, decl)) = pending.as_mut() {
             let chunk = strip_comment(line);
             text.push_str(&chunk);
             if chunk.contains(']') {
-                let (key, text, decl) = (key.clone(), text.clone(), *decl);
+                cfg.roots = root_list(text, *decl)?;
                 pending = None;
-                set_root_key(&mut cfg, &key, &text, decl)?;
             }
             continue;
         }
@@ -99,7 +87,6 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
             if let Some(w) = current.take() {
                 finish(w, &mut cfg.waivers)?;
             }
-            section = Section::Waiver;
             current = Some(Waiver {
                 rule: String::new(),
                 path: String::new(),
@@ -109,17 +96,13 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
             });
             continue;
         }
-        if line == "[roots]" {
-            if let Some(w) = current.take() {
-                finish(w, &mut cfg.waivers)?;
-            }
-            section = Section::Roots;
-            continue;
-        }
         if line.starts_with('[') {
             return Err(ConfigError {
                 line: lineno,
-                message: format!("unknown table {line}; only [roots] and [[waiver]] are supported"),
+                message: format!(
+                    "unknown table {line}; only [[waiver]] is supported, and `roots = [ … ]` \
+                     stands above the first one"
+                ),
             });
         }
         let Some((key, value)) = line.split_once('=') else {
@@ -131,52 +114,45 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
         let key = key.trim();
         // Strip trailing same-line comments outside strings.
         let value = strip_comment(value.trim());
-        match section {
-            Section::Roots => {
-                if !value.starts_with('[') {
-                    return Err(ConfigError {
-                        line: lineno,
-                        message: format!("[roots] {key} must be a string array, got {value:?}"),
-                    });
-                }
+        match current.as_mut() {
+            None if key == "roots" => {
                 if value.contains(']') {
-                    set_root_key(&mut cfg, key, &value, lineno)?;
+                    cfg.roots = root_list(&value, lineno)?;
                 } else {
-                    pending = Some((key.to_string(), value, lineno));
+                    pending = Some((value, lineno));
                 }
             }
-            Section::Waiver => {
-                let w = current.as_mut().expect("waiver section implies a table");
-                match key {
-                    "rule" => w.rule = unquote(&value, lineno)?,
-                    "path" => w.path = unquote(&value, lineno)?,
-                    "reason" => w.reason = unquote(&value, lineno)?,
-                    "line" => {
-                        w.line = Some(value.parse().map_err(|_| ConfigError {
-                            line: lineno,
-                            message: format!("line must be an integer, got {value:?}"),
-                        })?)
-                    }
-                    other => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!("unknown waiver key {other:?}"),
-                        })
-                    }
-                }
-            }
-            Section::None => {
+            None => {
                 return Err(ConfigError {
                     line: lineno,
-                    message: "key outside a [roots] or [[waiver]] table".into(),
+                    message: format!(
+                        "unknown key {key:?} outside a [[waiver]] table (expected `roots`)"
+                    ),
                 });
             }
+            Some(w) => match key {
+                "rule" => w.rule = unquote(&value, lineno)?,
+                "path" => w.path = unquote(&value, lineno)?,
+                "reason" => w.reason = unquote(&value, lineno)?,
+                "line" => {
+                    w.line = Some(value.parse().map_err(|_| ConfigError {
+                        line: lineno,
+                        message: format!("line must be an integer, got {value:?}"),
+                    })?)
+                }
+                other => {
+                    return Err(ConfigError {
+                        line: lineno,
+                        message: format!("unknown waiver key {other:?}"),
+                    })
+                }
+            },
         }
     }
-    if let Some((key, _, decl)) = pending {
+    if let Some((_, decl)) = pending {
         return Err(ConfigError {
             line: decl,
-            message: format!("unterminated array for [roots] {key}"),
+            message: "unterminated `roots` array".into(),
         });
     }
     if let Some(w) = current.take() {
@@ -186,35 +162,22 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
 }
 
 /// Splits an accumulated `[ "a", "b" ]` array body into unquoted
-/// strings and stores it under the `[roots]` key.
-fn set_root_key(cfg: &mut Config, key: &str, text: &str, lineno: u32) -> Result<(), ConfigError> {
+/// strings.
+fn root_list(text: &str, lineno: u32) -> Result<Vec<String>, ConfigError> {
     let inner = text
         .trim()
         .strip_prefix('[')
         .and_then(|t| t.strip_suffix(']'))
         .ok_or_else(|| ConfigError {
             line: lineno,
-            message: format!("[roots] {key} must be a `[ … ]` array"),
+            message: "roots must be a `[ … ]` array".into(),
         })?;
-    let mut items = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        items.push(unquote(part, lineno)?);
-    }
-    match key {
-        "sim" => cfg.sim_roots = items,
-        "protocol" => cfg.protocol_roots = items,
-        other => {
-            return Err(ConfigError {
-                line: lineno,
-                message: format!("unknown [roots] key {other:?} (expected `sim` or `protocol`)"),
-            })
-        }
-    }
-    Ok(())
+    inner
+        .split(',')
+        .map(str::trim)
+        .filter(|part| !part.is_empty())
+        .map(|part| unquote(part, lineno))
+        .collect()
 }
 
 fn finish(w: Waiver, out: &mut Vec<Waiver>) -> Result<(), ConfigError> {
@@ -354,10 +317,10 @@ reason = "cache keyed by params; never iterated"
 
     #[test]
     fn parses_roots_single_and_multi_line() {
+        let one = parse_config("roots = [\"Engine::*\", \"decode_*\"]  # inline\n").unwrap();
+        assert_eq!(one.roots, vec!["Engine::*", "decode_*"]);
         let src = r#"
-[roots]
-sim = ["Engine::dispatch", "Middleware::on_tick"]  # inline
-protocol = [
+roots = [
     "Replica::on_message",
     "decode_*",  # codec glob
 ]
@@ -368,18 +331,16 @@ path = "crates/core/src/log.rs"
 reason = "compacted by snapshot task"
 "#;
         let cfg = parse_config(src).unwrap();
-        assert_eq!(
-            cfg.sim_roots,
-            vec!["Engine::dispatch", "Middleware::on_tick"]
-        );
-        assert_eq!(cfg.protocol_roots, vec!["Replica::on_message", "decode_*"]);
+        assert_eq!(cfg.roots, vec!["Replica::on_message", "decode_*"]);
         assert_eq!(cfg.waivers.len(), 1);
     }
 
     #[test]
     fn rejects_unknown_roots_key_and_unterminated_array() {
-        assert!(parse_config("[roots]\nfoo = [\"x\"]\n").is_err());
-        assert!(parse_config("[roots]\nsim = [\n\"x\",\n").is_err());
+        // The two lists of the old `[roots]` table are one now.
+        assert!(parse_config("[roots]\nsim = [\"x\"]\n").is_err());
+        assert!(parse_config("protocol = [\"x\"]\n").is_err());
+        assert!(parse_config("roots = [\n\"x\",\n").is_err());
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub struct Diagnostic {
     pub snippet: String,
     /// Per-rule fix guidance.
     pub help: &'static str,
-    /// For transitive rules: the provenance chain from a declared root
-    /// down to this finding (`label (path:line)` per hop, root first).
-    /// Empty for file-scoped rules.
+    /// For `state-growth`: the chain from a declared root down to the
+    /// held struct (`label (path:line)` per hop, root first). Empty for
+    /// file-scoped rules.
     pub chain: Vec<String>,
 }
 
@@ -41,7 +41,7 @@ pub fn render(d: &Diagnostic) -> String {
     if !d.chain.is_empty() {
         let _ = writeln!(
             s,
-            "{:g$} = note: reachable via {}",
+            "{:g$} = note: held via {}",
             "",
             d.chain.join(" → "),
             g = gutter
@@ -70,8 +70,8 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serializes one diagnostic as a JSON object (schema v2: includes the
-/// `chain` provenance array, empty for file-scoped rules).
+/// Serializes one diagnostic as a JSON object, with the `chain`
+/// provenance array (empty for file-scoped rules).
 pub fn to_json(d: &Diagnostic) -> String {
     let chain = d
         .chain
@@ -115,23 +115,23 @@ mod tests {
         assert!(r.contains("error[simlint::hash-order]"));
         assert!(r.contains("--> crates/x/src/lib.rs:7:5"));
         assert!(r.contains("help: use BTreeMap"));
-        assert!(!r.contains("reachable via"));
+        assert!(!r.contains("held via"));
     }
 
     #[test]
     fn render_and_json_carry_chain() {
         let mut d = sample();
         d.chain = vec![
-            "Replica::on_message (crates/paxos/src/replica.rs:470)".into(),
-            "Replica::advance (crates/paxos/src/replica.rs:500)".into(),
+            "root Replica::on_message (crates/paxos/src/replica.rs:470)".into(),
+            "Replica.log: Log (crates/paxos/src/replica.rs:40)".into(),
         ];
         let r = render(&d);
         assert!(r.contains(
-            "note: reachable via Replica::on_message (crates/paxos/src/replica.rs:470) \
-             → Replica::advance (crates/paxos/src/replica.rs:500)"
+            "note: held via root Replica::on_message (crates/paxos/src/replica.rs:470) \
+             → Replica.log: Log (crates/paxos/src/replica.rs:40)"
         ));
         let j = to_json(&d);
-        assert!(j.contains("\"chain\":[\"Replica::on_message"));
+        assert!(j.contains("\"chain\":[\"root Replica::on_message"));
     }
 
     #[test]

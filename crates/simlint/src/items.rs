@@ -1,22 +1,18 @@
 //! Item extraction: a dependency-free structural pass layered on the
 //! lexer.
 //!
-//! The transitive rules (panic-taint, state-growth) need to know
-//! *which function* a token belongs to and *which functions it calls* —
-//! not just which file.
-//! This module extracts `fn`, `impl`, `mod`, `struct`, and `use` items
-//! from the token stream with exact body token ranges, plus the call
-//! sites inside each body, so [`crate::graph`] can assemble a workspace
-//! call graph.
+//! `state-growth` needs the workspace's functions (to match the
+//! `roots` patterns and find each root's `self` type) and its structs
+//! with their fields (to follow what a root holds). This module
+//! extracts `fn` and `struct` items from the token stream, descending
+//! into `mod`, `impl` and `trait` bodies, so [`crate::graph`] can index
+//! them.
 //!
 //! The parser is deliberately heuristic: no type checking, no macro
-//! expansion. Ambiguity is resolved *conservatively over-approximating*
-//! at the graph layer (a method call links to every workspace function
-//! of that name when the receiver type is unknown). Function bodies
-//! found inside `macro_rules!` templates are parsed like ordinary code:
-//! the template *is* the code of every expansion, so scanning it keeps
-//! macro-generated protocol paths (e.g. the wire codec impls) inside
-//! the lint wall.
+//! expansion. Function bodies found inside `macro_rules!` templates
+//! are parsed like ordinary code: the template *is* the code of every
+//! expansion, so a root pattern such as `decode` also matches the
+//! codec impls a macro generates.
 
 use crate::lexer::{in_spans, match_brace, Token};
 
@@ -27,13 +23,8 @@ pub struct FnItem {
     pub name: String,
     /// The `impl`/`trait` target type name, when inside one.
     pub self_ty: Option<String>,
-    /// Nested in-file module path (`mod a { mod b { … } }` → `["a","b"]`).
-    pub module: Vec<String>,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// Token index range `(open, close)` of the body braces, inclusive
-    /// of both brace tokens; `None` for brace-less trait declarations.
-    pub body: Option<(usize, usize)>,
     /// Whether the item sits inside a `#[cfg(test)]`/`#[test]` span.
     pub is_test: bool,
 }
@@ -58,69 +49,18 @@ pub struct StructItem {
     pub is_test: bool,
 }
 
-/// One `use` declaration leaf: `use a::b::{C, d};` yields leaves `C`
-/// and `d` with prefix `["a","b"]`.
-#[derive(Debug, Clone)]
-pub struct UseItem {
-    pub leaf: String,
-    pub prefix: Vec<String>,
-}
-
 /// Everything extracted from one file.
 #[derive(Debug, Default)]
 pub struct FileItems {
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
-    pub uses: Vec<UseItem>,
-}
-
-/// The receiver shape of a method call, used for heuristic resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Recv {
-    /// `self.method(…)` — resolve within the enclosing impl type first.
-    SelfDirect,
-    /// `self.field.method(…)` — resolve via the field's declared type.
-    SelfField(String),
-    /// Anything else (`expr.method(…)`) — resolve by name workspace-wide.
-    Other,
-}
-
-/// One call site inside a function body.
-#[derive(Debug, Clone)]
-pub enum Call {
-    /// `recv.name(…)`
-    Method { recv: Recv, name: String, line: u32 },
-    /// `qual::name(…)` (`qual` is the last path segment before the
-    /// name, `None` for bare `name(…)` calls).
-    Path {
-        qual: Option<String>,
-        name: String,
-        line: u32,
-    },
-}
-
-impl Call {
-    /// The callee name.
-    pub fn name(&self) -> &str {
-        match self {
-            Call::Method { name, .. } | Call::Path { name, .. } => name,
-        }
-    }
-
-    /// The call site line.
-    pub fn line(&self) -> u32 {
-        match self {
-            Call::Method { line, .. } | Call::Path { line, .. } => *line,
-        }
-    }
 }
 
 /// Parses the items of one lexed file. `spans` are the test spans from
 /// [`crate::lexer::test_spans`], used to mark test-only items.
 pub fn parse_items(tokens: &[Token], spans: &[(u32, u32)]) -> FileItems {
     let mut out = FileItems::default();
-    let mut module = Vec::new();
-    parse_region(tokens, 0, tokens.len(), &mut module, None, spans, &mut out);
+    parse_region(tokens, 0, tokens.len(), None, spans, &mut out);
     out
 }
 
@@ -133,12 +73,10 @@ fn is_punct_at(tokens: &[Token], i: usize, p: &str) -> bool {
 }
 
 /// Scans `lo..hi` for items; recurses into `mod`/`impl`/`trait` bodies.
-#[allow(clippy::too_many_arguments)]
 fn parse_region(
     tokens: &[Token],
     lo: usize,
     hi: usize,
-    module: &mut Vec<String>,
     self_ty: Option<&str>,
     spans: &[(u32, u32)],
     out: &mut FileItems,
@@ -150,21 +88,10 @@ fn parse_region(
             continue;
         };
         match id {
-            "mod" => {
-                let Some(name) = ident_at(tokens, i + 1) else {
-                    i += 1;
-                    continue;
-                };
-                if is_punct_at(tokens, i + 2, "{") {
-                    let end = match_brace(tokens, i + 2).min(hi.saturating_sub(1));
-                    module.push(name.to_string());
-                    parse_region(tokens, i + 3, end, module, None, spans, out);
-                    module.pop();
-                    i = end + 1;
-                } else {
-                    // `mod name;` — out-of-line module, nothing here.
-                    i += 2;
-                }
+            "mod" if is_punct_at(tokens, i + 2, "{") => {
+                let end = match_brace(tokens, i + 2).min(hi.saturating_sub(1));
+                parse_region(tokens, i + 3, end, None, spans, out);
+                i = end + 1;
             }
             "impl" | "trait" => {
                 let is_trait = id == "trait";
@@ -212,7 +139,7 @@ fn parse_region(
                 };
                 if j < hi && is_punct_at(tokens, j, "{") {
                     let end = match_brace(tokens, j).min(hi.saturating_sub(1));
-                    parse_region(tokens, j + 1, end, module, target, spans, out);
+                    parse_region(tokens, j + 1, end, target, spans, out);
                     i = end + 1;
                 } else {
                     i = j + 1;
@@ -231,7 +158,6 @@ fn parse_region(
                 // Rust, but `where` bounds with parens do).
                 let mut j = i + 2;
                 let mut paren: i32 = 0;
-                let mut body = None;
                 while j < hi {
                     let t = &tokens[j];
                     if t.is_punct("(") {
@@ -239,8 +165,7 @@ fn parse_region(
                     } else if t.is_punct(")") {
                         paren -= 1;
                     } else if paren == 0 && t.is_punct("{") {
-                        let end = match_brace(tokens, j).min(hi.saturating_sub(1));
-                        body = Some((j, end));
+                        j = match_brace(tokens, j).min(hi.saturating_sub(1));
                         break;
                     } else if paren == 0 && t.is_punct(";") {
                         break;
@@ -250,15 +175,10 @@ fn parse_region(
                 out.fns.push(FnItem {
                     name: name.to_string(),
                     self_ty: self_ty.map(str::to_string),
-                    module: module.clone(),
                     line,
-                    body,
                     is_test: in_spans(spans, line),
                 });
-                i = match body {
-                    Some((_, end)) => end + 1,
-                    None => j + 1,
-                };
+                i = j + 1;
             }
             "struct" => {
                 let Some(name) = ident_at(tokens, i + 1) else {
@@ -306,39 +226,6 @@ fn parse_region(
                 } else {
                     i = j + 1;
                 }
-            }
-            "use" => {
-                let mut j = i + 1;
-                let mut prefix: Vec<String> = Vec::new();
-                let mut group: Vec<String> = Vec::new();
-                let mut last: Option<String> = None;
-                while j < hi && !is_punct_at(tokens, j, ";") {
-                    let t = &tokens[j];
-                    if let Some(w) = t.ident() {
-                        last = Some(w.to_string());
-                    } else if t.is_punct("::") {
-                        if let Some(l) = last.take() {
-                            prefix.push(l);
-                        }
-                    } else if t.is_punct("{") || t.is_punct(",") || t.is_punct("}") {
-                        if let Some(l) = last.take() {
-                            group.push(l);
-                        }
-                    }
-                    j += 1;
-                }
-                if let Some(l) = last.take() {
-                    group.push(l);
-                }
-                for leaf in group {
-                    if leaf != "self" && leaf != "*" {
-                        out.uses.push(UseItem {
-                            leaf,
-                            prefix: prefix.clone(),
-                        });
-                    }
-                }
-                i = j + 1;
             }
             _ => i += 1,
         }
@@ -470,114 +357,6 @@ fn parse_tuple_fields(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<Fiel
     }
 }
 
-/// Extracts every call site in the body token range `(open, close)`.
-pub fn extract_calls(tokens: &[Token], body: (usize, usize)) -> Vec<Call> {
-    let (open, close) = body;
-    let mut out = Vec::new();
-    let mut i = open;
-    while i <= close && i < tokens.len() {
-        let Some(name) = tokens[i].ident() else {
-            i += 1;
-            continue;
-        };
-        if is_keywordish(name) {
-            i += 1;
-            continue;
-        }
-        // `name(`, or `name::<…>(` (turbofish).
-        let mut call_paren = None;
-        if is_punct_at(tokens, i + 1, "(") {
-            call_paren = Some(i + 1);
-        } else if is_punct_at(tokens, i + 1, "::") && is_punct_at(tokens, i + 2, "<") {
-            // Find the matching `>` of the turbofish.
-            let mut d: i32 = 0;
-            let mut j = i + 2;
-            while j <= close && j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct("<") {
-                    d += 1;
-                } else if t.is_punct(">") {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                } else if t.is_punct(">>") {
-                    d -= 2;
-                    if d <= 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            if is_punct_at(tokens, j + 1, "(") {
-                call_paren = Some(j + 1);
-            }
-        }
-        let Some(_paren) = call_paren else {
-            i += 1;
-            continue;
-        };
-        let line = tokens[i].line;
-        let prev = i.checked_sub(1).map(|p| &tokens[p]);
-        let call = match prev {
-            Some(p) if p.is_punct(".") => {
-                // Method call: classify the receiver.
-                let recv = if i >= 2 && ident_at(tokens, i - 2) == Some("self") {
-                    Recv::SelfDirect
-                } else if i >= 4
-                    && is_punct_at(tokens, i - 3, ".")
-                    && ident_at(tokens, i - 4) == Some("self")
-                {
-                    match ident_at(tokens, i - 2) {
-                        Some(field) => Recv::SelfField(field.to_string()),
-                        None => Recv::Other,
-                    }
-                } else {
-                    Recv::Other
-                };
-                Some(Call::Method {
-                    recv,
-                    name: name.to_string(),
-                    line,
-                })
-            }
-            Some(p) if p.is_punct("::") => {
-                let qual = i
-                    .checked_sub(2)
-                    .and_then(|q| ident_at(tokens, q))
-                    .map(str::to_string);
-                Some(Call::Path {
-                    qual,
-                    name: name.to_string(),
-                    line,
-                })
-            }
-            Some(p) if p.ident() == Some("fn") => None, // nested fn def
-            _ => Some(Call::Path {
-                qual: None,
-                name: name.to_string(),
-                line,
-            }),
-        };
-        if let Some(c) = call {
-            out.push(c);
-        }
-        i += 1;
-    }
-    out
-}
-
-/// `dyn` and the builtins that look like calls but are not workspace
-/// function calls worth resolving.
-const BUILTINS: &[&str] = &[
-    "dyn", "Some", "None", "Ok", "Err", "Box", "Vec", "self", "Self", "super", "crate",
-];
-
-/// Keywords and [`BUILTINS`].
-fn is_keywordish(id: &str) -> bool {
-    crate::rules::is_keyword(id) || BUILTINS.contains(&id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,16 +398,6 @@ impl fmt::Display for Slot {
     }
 
     #[test]
-    fn nested_modules_give_module_paths() {
-        let src = "mod outer { mod inner { fn deep() {} } fn mid() {} } fn top() {}";
-        let items = parse(src);
-        let by_name = |n: &str| items.fns.iter().find(|f| f.name == n).unwrap();
-        assert_eq!(by_name("deep").module, vec!["outer", "inner"]);
-        assert_eq!(by_name("mid").module, vec!["outer"]);
-        assert!(by_name("top").module.is_empty());
-    }
-
-    #[test]
     fn struct_fields_with_generic_types() {
         let src = "
 pub struct Learner<V> {
@@ -667,51 +436,6 @@ pub struct Slot(pub u64);
                 .is_test
         );
         assert!(!items.fns.iter().find(|f| f.name == "real").unwrap().is_test);
-    }
-
-    #[test]
-    fn call_extraction_classifies_receivers() {
-        let src = "
-impl Engine {
-    fn dispatch(&mut self) {
-        self.step();
-        self.queue.push(1);
-        helper();
-        wire::decode_u64(b);
-        Slot::next(s);
-        items.iter().map(|x| x.apply()).collect::<Vec<_>>();
-    }
-}
-";
-        let items = parse(src);
-        let lx = lex(src);
-        let f = &items.fns[0];
-        let calls = extract_calls(&lx.tokens, f.body.unwrap());
-        let shapes: Vec<String> = calls
-            .iter()
-            .map(|c| match c {
-                Call::Method { recv, name, .. } => format!("m:{recv:?}:{name}"),
-                Call::Path { qual, name, .. } => {
-                    format!("p:{}:{name}", qual.clone().unwrap_or_default())
-                }
-            })
-            .collect();
-        assert!(shapes.contains(&"m:SelfDirect:step".to_string()));
-        assert!(shapes.contains(&"m:SelfField(\"queue\"):push".to_string()));
-        assert!(shapes.contains(&"p::helper".to_string()));
-        assert!(shapes.contains(&"p:wire:decode_u64".to_string()));
-        assert!(shapes.contains(&"p:Slot:next".to_string()));
-        assert!(shapes.contains(&"m:Other:apply".to_string()));
-        assert!(shapes.contains(&"m:Other:collect".to_string()));
-    }
-
-    #[test]
-    fn use_items_collect_leaves() {
-        let src = "use a::b::{C, d};\nuse x::Y;\n";
-        let items = parse(src);
-        let leaves: Vec<&str> = items.uses.iter().map(|u| u.leaf.as_str()).collect();
-        assert_eq!(leaves, vec!["C", "d", "Y"]);
-        assert_eq!(items.uses[0].prefix, vec!["a", "b"]);
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! cargo run -p simlint                       # human-readable diagnostics
 //! cargo run -p simlint -- --json -           # JSON report to stdout
 //! cargo run -p simlint -- --json out.json    # JSON report to a file
-//! cargo run -p simlint -- --graph-dot g.dot  # root-reachable call graph
 //! cargo run -p simlint -- --root DIR         # analyze another tree
 //! cargo run -p simlint -- --list-rules       # enumerate rules
 //! ```
 //!
 //! Exit codes: 0 clean, 1 unwaived violations, 2 usage or
 //! configuration error, 3 stale waivers/roots only (the code is clean
-//! but the allowlist or `[roots]` section rotted).
+//! but the allowlist or the `roots` list rotted).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,7 +21,6 @@ struct Args {
     root: PathBuf,
     config: Option<PathBuf>,
     json: Option<String>,
-    graph_dot: Option<String>,
     quiet: bool,
     list_rules: bool,
 }
@@ -32,7 +30,6 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         config: None,
         json: None,
-        graph_dot: None,
         quiet: false,
         list_rules: false,
     };
@@ -44,14 +41,11 @@ fn parse_args() -> Result<Args, String> {
                 args.config = Some(PathBuf::from(it.next().ok_or("--config needs a path")?))
             }
             "--json" => args.json = Some(it.next().ok_or("--json needs a path or `-`")?),
-            "--graph-dot" => {
-                args.graph_dot = Some(it.next().ok_or("--graph-dot needs a path or `-`")?)
-            }
             "--quiet" | "-q" => args.quiet = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 return Err("usage: simlint [--root DIR] [--config simlint.toml] \
-                            [--json PATH|-] [--graph-dot PATH|-] [--quiet] [--list-rules]"
+                            [--json PATH|-] [--quiet] [--list-rules]"
                     .into())
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
@@ -112,18 +106,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(dest) = &args.graph_dot {
-        if dest == "-" {
-            print!("{}", report.dot);
-        } else if let Err(e) = std::fs::write(dest, &report.dot) {
-            eprintln!("simlint: cannot write {dest}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    let human_allowed =
-        !args.quiet && args.json.as_deref() != Some("-") && args.graph_dot.as_deref() != Some("-");
-    if human_allowed {
+    if !args.quiet && args.json.as_deref() != Some("-") {
         for d in &report.errors {
             eprint!("{}", diag::render(d));
             eprintln!();
@@ -135,18 +118,8 @@ fn main() -> ExitCode {
             );
         }
         eprintln!(
-            "simlint: {} files scanned, {} fn(s)/{} edge(s), sim wall {} root(s) → {} \
-             reachable, protocol wall {} root(s) → {} reachable",
+            "simlint: {} files scanned, {} violation(s), {} waived, {} stale waiver(s)/root(s)",
             report.files_scanned,
-            report.stats.functions,
-            report.stats.edges,
-            report.stats.sim_roots,
-            report.stats.sim_reachable,
-            report.stats.protocol_roots,
-            report.stats.protocol_reachable,
-        );
-        eprintln!(
-            "simlint: {} violation(s), {} waived, {} stale waiver(s)/root(s)",
             report.errors.len(),
             report.waived.len(),
             report.stale.len()

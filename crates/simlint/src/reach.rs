@@ -1,7 +1,8 @@
-//! Root declarations and BFS reachability with provenance.
+//! Root declarations, matched against the workspace index.
 //!
-//! `simlint.toml` declares entry points under `[roots]`; patterns come
-//! in three shapes:
+//! `simlint.toml` declares the entry points of simulated execution in
+//! one `roots` list; `state-growth` checks what their `self` types
+//! hold. Patterns come in three shapes:
 //!
 //! * `Type::name` — an exact method (e.g. `Replica::on_message`);
 //! * `name` — a bare function name, matched workspace-wide;
@@ -11,13 +12,11 @@
 //!
 //! A pattern that matches no workspace function is reported as a
 //! *stale root* — exactly like a stale waiver — so deleting or
-//! renaming an entry point cannot silently shrink the lint wall.
-
-use std::collections::VecDeque;
+//! renaming an entry point cannot silently shrink the held state.
 
 use crate::graph::Graph;
 
-/// The outcome of matching a root pattern set against the graph.
+/// The outcome of matching a root pattern set against the index.
 #[derive(Debug, Default)]
 pub struct Roots {
     /// Matched node ids, deduplicated.
@@ -26,7 +25,7 @@ pub struct Roots {
     pub unmatched: Vec<String>,
 }
 
-/// Matches `patterns` against the graph.
+/// Matches `patterns` against the index.
 pub fn match_roots(graph: &Graph, patterns: &[String]) -> Roots {
     let mut out = Roots::default();
     for pat in patterns {
@@ -58,76 +57,21 @@ pub fn match_roots(graph: &Graph, patterns: &[String]) -> Roots {
     out
 }
 
-/// BFS parent pointers: `parents[n] = Some((caller, call line))` for
-/// every reachable non-root `n`; roots get `Some((n, 0))`.
-pub type Parents = Vec<Option<(usize, u32)>>;
-
-/// Computes the set reachable from `roots` over `graph.edges`.
-pub fn reachable(graph: &Graph, roots: &[usize]) -> Parents {
-    let mut parents: Parents = vec![None; graph.nodes.len()];
-    let mut q = VecDeque::new();
-    for &r in roots {
-        if parents[r].is_none() {
-            parents[r] = Some((r, 0));
-            q.push_back(r);
-        }
-    }
-    while let Some(n) = q.pop_front() {
-        for &(callee, line) in &graph.edges[n] {
-            if parents[callee].is_none() {
-                parents[callee] = Some((n, line));
-                q.push_back(callee);
-            }
-        }
-    }
-    parents
-}
-
-/// The call chain from a root down to `node`, rendered as
-/// `label (path:line)` strings, root first. Empty if unreachable.
-pub fn chain(graph: &Graph, parents: &Parents, node: usize) -> Vec<String> {
-    let mut rev = Vec::new();
-    let mut cur = node;
-    loop {
-        let Some((parent, _)) = parents[cur] else {
-            return Vec::new();
-        };
-        let n = &graph.nodes[cur];
-        rev.push(format!("{} ({}:{})", n.label(), n.path, n.line));
-        if parent == cur {
-            break;
-        }
-        cur = parent;
-        if rev.len() > graph.nodes.len() {
-            break; // defensive: malformed parent pointers
-        }
-    }
-    rev.reverse();
-    rev
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{build, FileInput};
-    use crate::items::{extract_calls, parse_items};
+    use crate::items::parse_items;
     use crate::lexer::{lex, test_spans};
 
     fn graph_of(src: &str) -> Graph {
         let lx = lex(src);
         let items = parse_items(&lx.tokens, &test_spans(&lx.tokens));
-        let mut g = build(&[FileInput {
+        build(&[FileInput {
             path: "crates/a/src/lib.rs",
             krate: "a",
             items: &items,
-        }]);
-        for id in 0..g.nodes.len() {
-            if let Some(body) = g.nodes[id].body {
-                let calls = extract_calls(&lx.tokens, body);
-                g.add_calls(id, &calls);
-            }
-        }
-        g
+        }])
     }
 
     const SRC: &str = "
@@ -158,23 +102,6 @@ fn decode_frame() { decode_u64(); }
             vec!["Replica::on_message", "decode_u64", "decode_frame"]
         );
         assert_eq!(r.unmatched, vec!["Ghost::gone"]);
-    }
-
-    #[test]
-    fn reachability_and_chain() {
-        let g = graph_of(SRC);
-        let roots = match_roots(&g, &["Replica::on_message".into()]);
-        let parents = reachable(&g, &roots.ids);
-        let leak = g.nodes.iter().find(|n| n.name == "leak_time").unwrap().id;
-        let unrel = g.nodes.iter().find(|n| n.name == "unrelated").unwrap().id;
-        assert!(parents[leak].is_some());
-        assert!(parents[unrel].is_none());
-        let c = chain(&g, &parents, leak);
-        assert_eq!(c.len(), 3);
-        assert!(c[0].starts_with("Replica::on_message"));
-        assert!(c[1].starts_with("Replica::advance"));
-        assert!(c[2].starts_with("leak_time"));
-        assert!(chain(&g, &parents, unrel).is_empty());
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! The rule set: repo-specific determinism and safety invariants that
 //! clippy cannot express.
 //!
-//! Two rule families:
+//! Two rules:
 //!
-//! * **File-scoped** (`unchecked-slot-arith`) — a token pattern scoped
-//!   by crate role: clippy cannot tell an ordinal from a counter.
-//! * **Transitive** (`panic-taint`, `state-growth`) — run over the
-//!   workspace call graph ([`crate::graph`]) from the `[roots]` declared
-//!   in `simlint.toml`. The wall follows the *call structure*, so a
-//!   helper in an unscoped file can no longer smuggle an `unwrap` into a
-//!   protocol path, and host-side code needs no waiver as long as no
-//!   root reaches it.
+//! * `unchecked-slot-arith` — a token pattern scoped by crate role:
+//!   clippy cannot tell an ordinal from a counter.
+//! * `state-growth` — runs over the workspace index ([`crate::graph`])
+//!   from the `roots` declared in `simlint.toml`: the structs a root's
+//!   `self` type holds, transitively through their fields, must not
+//!   keep a collection that only grows. Clippy has no lint that follows
+//!   a struct's fields to the methods called on them anywhere in the
+//!   workspace.
 //!
-//! Wall-clock, thread and environment calls, narrowing casts and float
-//! arithmetic are clippy's (`clippy.toml`, the crates' cast and float
-//! lints): it resolves paths and types where a token rule guesses.
+//! Wall-clock, thread and environment calls, narrowing casts, float
+//! arithmetic and panics on the replica path are clippy's (`clippy.toml`
+//! and the crates' `lib.rs` lint lines): it resolves paths and types
+//! where a token rule guesses.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +23,6 @@ use crate::diag::Diagnostic;
 use crate::graph::{Graph, StructDef};
 use crate::items::FileItems;
 use crate::lexer::{in_spans, test_spans, Lexed, TokKind, Token};
-use crate::reach::{chain, Parents};
 
 /// Crates that hold consensus ordinals: `unchecked-slot-arith` scans
 /// these.
@@ -94,10 +94,6 @@ pub struct RuleInfo {
 /// All rules, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "panic-taint",
-        summary: "nothing reachable from a [roots] protocol entry may unwrap/expect/panic!/index",
-    },
-    RuleInfo {
         name: "state-growth",
         summary: "root-held collections need a remove/clear/truncate/drain site somewhere",
     },
@@ -112,8 +108,6 @@ pub fn is_known_rule(name: &str) -> bool {
     RULES.iter().any(|r| r.name == name)
 }
 
-const HELP_PANIC_TAINT: &str = "route the failure through a typed error event so the invariant \
-     auditor observes it; use get()/checked access instead of indexing";
 const HELP_STATE_GROWTH: &str = "add a compaction/GC path (remove/clear/truncate/drain) or bound \
      the collection; a root-held collection that only grows leaks across million-event runs and \
      skews the paper's recovery-time measurements";
@@ -205,115 +199,19 @@ pub struct FileData {
     pub items: FileItems,
 }
 
-/// Inputs to the transitive rules.
+/// Inputs to `state-growth`.
 pub struct GraphCtx<'a> {
     pub files: &'a [FileData],
     pub graph: &'a Graph,
-    /// Root node ids of the sim wall (their self types are held state).
-    pub sim_roots: &'a [usize],
-    /// Root node ids and BFS parents for the protocol wall.
-    pub protocol_roots: &'a [usize],
-    pub protocol: &'a Parents,
+    /// Root node ids: their self types are held state.
+    pub roots: &'a [usize],
 }
 
-/// Runs the transitive rules over the workspace graph.
+/// Runs `state-growth` over the workspace index.
 pub fn check_graph(ctx: &GraphCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    panic_taint(ctx, &mut out);
-    // state-growth covers everything a root holds: sim infrastructure
-    // leaks matter too.
-    let held = held_types(ctx, ctx.sim_roots.iter().chain(ctx.protocol_roots));
-    state_growth(ctx, &held, &mut out);
+    state_growth(ctx, &held_types(ctx), &mut out);
     out
-}
-
-/// Body token range iterator helper: yields `(index, token)` strictly
-/// inside the braces.
-fn body_tokens(toks: &[Token], body: (usize, usize)) -> impl Iterator<Item = (usize, &Token)> {
-    let (open, close) = body;
-    toks.iter().enumerate().take(close).skip(open + 1)
-}
-
-/// `panic-taint`: unwrap/expect/panic-macros/indexing in any function
-/// reachable from a protocol root.
-fn panic_taint(ctx: &GraphCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for node in &ctx.graph.nodes {
-        if ctx.protocol[node.id].is_none() {
-            continue;
-        }
-        let Some(body) = node.body else { continue };
-        let f = &ctx.files[node.file];
-        let toks = &f.lexed.tokens;
-        for (i, t) in body_tokens(toks, body) {
-            if let Some(id) = t.ident() {
-                // `.unwrap()` / `.expect(`
-                if (id == "unwrap" || id == "expect")
-                    && i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                {
-                    out.push(Diagnostic {
-                        rule: "panic-taint",
-                        path: node.path.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "`.{id}()` in `{}`, which is reachable from a protocol root: \
-                             a panic here kills the replica outside the fault model",
-                            node.label()
-                        ),
-                        snippet: snippet_of(&f.src, t.line),
-                        help: HELP_PANIC_TAINT,
-                        chain: chain(ctx.graph, ctx.protocol, node.id),
-                    });
-                }
-                // panic-family macros
-                if matches!(id, "panic" | "unreachable" | "todo" | "unimplemented")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-                {
-                    out.push(Diagnostic {
-                        rule: "panic-taint",
-                        path: node.path.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "`{id}!` in `{}`, which is reachable from a protocol root",
-                            node.label()
-                        ),
-                        snippet: snippet_of(&f.src, t.line),
-                        help: HELP_PANIC_TAINT,
-                        chain: chain(ctx.graph, ctx.protocol, node.id),
-                    });
-                }
-            }
-            // Indexing / slicing: `expr[...]` can panic on out-of-range.
-            if t.is_punct("[") && i >= 1 {
-                let prev = &toks[i - 1];
-                let prev_is_expr_end = match &prev.kind {
-                    TokKind::Ident(id) => !is_keyword(id),
-                    TokKind::Punct(p) => *p == "]",
-                    TokKind::Char(c) => *c == ')' || *c == ']' || *c == '?',
-                    _ => false,
-                };
-                if prev_is_expr_end {
-                    out.push(Diagnostic {
-                        rule: "panic-taint",
-                        path: node.path.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "index/slice expression in `{}`, which is reachable from a \
-                             protocol root: can panic on out-of-range input",
-                            node.label()
-                        ),
-                        snippet: snippet_of(&f.src, t.line),
-                        help: HELP_PANIC_TAINT,
-                        chain: chain(ctx.graph, ctx.protocol, node.id),
-                    });
-                }
-            }
-        }
-    }
 }
 
 /// Root-held structs, keyed `(crate, name)`, each with its definition
@@ -321,9 +219,9 @@ fn panic_taint(ctx: &GraphCtx<'_>, out: &mut Vec<Diagnostic>) {
 type HeldTypes<'g> = BTreeMap<(String, String), (&'g StructDef, Vec<String>)>;
 
 /// Computes the set of workspace struct types transitively held by the
-/// given root functions' `self` types, with provenance chains for
+/// root functions' `self` types, with provenance chains for
 /// diagnostics.
-fn held_types<'g>(ctx: &GraphCtx<'g>, roots: impl Iterator<Item = &'g usize>) -> HeldTypes<'g> {
+fn held_types<'g>(ctx: &GraphCtx<'g>) -> HeldTypes<'g> {
     /// Holds `def` (reached via `prov`) unless it is already held.
     fn hold<'g>(
         held: &mut HeldTypes<'g>,
@@ -339,7 +237,7 @@ fn held_types<'g>(ctx: &GraphCtx<'g>, roots: impl Iterator<Item = &'g usize>) ->
     }
     let mut held: HeldTypes = BTreeMap::new();
     let mut queue = Vec::new();
-    for &r in roots {
+    for &r in ctx.roots {
         let node = &ctx.graph.nodes[r];
         let Some(ty) = &node.self_ty else { continue };
         if let Some(def) = ctx.graph.struct_in(&node.krate, ty) {
@@ -468,7 +366,7 @@ const KEYWORDS: &[&str] = &[
     "const", "static", "ref", "move", "unsafe",
 ];
 
-pub(crate) fn is_keyword(id: &str) -> bool {
+fn is_keyword(id: &str) -> bool {
     KEYWORDS.contains(&id)
 }
 
@@ -617,8 +515,8 @@ mod tests {
         )
     }
 
-    /// Lints a tiny in-memory workspace from the given protocol roots.
-    fn check_transitive(files: &[(&str, &str, &str)], protocol: &[&str]) -> Vec<Diagnostic> {
+    /// Lints a tiny in-memory workspace from the given roots.
+    fn check_transitive(files: &[(&str, &str, &str)], roots: &[&str]) -> Vec<Diagnostic> {
         let data: Vec<FileData> = files
             .iter()
             .map(|(rel, krate, src)| {
@@ -634,7 +532,7 @@ mod tests {
             })
             .collect();
         let cfg = Config {
-            protocol_roots: protocol.iter().map(|s| s.to_string()).collect(),
+            roots: roots.iter().map(|s| s.to_string()).collect(),
             ..Config::default()
         };
         analyze_sources(&data, &cfg).errors
@@ -672,49 +570,6 @@ mod tests {
     fn test_code_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(slot: u64) -> u64 { slot + 1 }\n}\n";
         assert_eq!(check("paxos", "crates/paxos/src/x.rs", src).len(), 0);
-    }
-
-    #[test]
-    fn panic_taint_multi_hop() {
-        let d = check_transitive(
-            &[(
-                "crates/paxos/src/replica.rs",
-                "paxos",
-                "impl Replica {
-                    pub fn on_message(&mut self) { self.advance(); }
-                    fn advance(&mut self) { decode_inner(); }
-                }
-                fn decode_inner() { let v: Vec<u8> = Vec::new(); let _ = v[0]; }
-                fn unrelated(x: Option<u8>) { x.unwrap(); }",
-            )],
-            &["Replica::on_message"],
-        );
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "panic-taint");
-        assert_eq!(d[0].chain.len(), 3);
-    }
-
-    /// Most decoders of the workspace are one of two macro bodies: a
-    /// `fn decode` in a `macro_rules!` arm must be a function and a root.
-    #[test]
-    fn panic_taint_reaches_macro_generated_decoders() {
-        let d = check_transitive(
-            &[(
-                "crates/core/src/wire.rs",
-                "treplica",
-                "macro_rules! impl_wire_struct {
-                    ($name:ident { $($field:tt),* }) => { impl Wire for $name {
-                        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-                            Ok($name { $( $field: Wire::decode(input).ok().unwrap(), )* })
-                        }
-                    } };
-                }",
-            )],
-            &["decode"],
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "panic-taint");
-        assert!(d[0].chain[0].contains("decode"), "{:?}", d[0].chain);
     }
 
     #[test]

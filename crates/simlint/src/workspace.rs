@@ -1,6 +1,6 @@
 //! Workspace enumeration and the analysis driver: scan files, build the
-//! call graph, run file-scoped and transitive rules, apply waivers,
-//! detect stale waivers and stale roots, build the report.
+//! workspace index, run both rules, apply waivers, detect stale waivers
+//! and stale roots, build the report.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -8,16 +8,17 @@ use std::path::{Path, PathBuf};
 use crate::config::{inline_allows, parse_config, Config, ConfigError};
 use crate::diag::Diagnostic;
 use crate::graph::{build, FileInput};
-use crate::items::{extract_calls, parse_items};
+use crate::items::parse_items;
 use crate::lexer::{lex, test_spans};
-use crate::reach::{match_roots, reachable};
+use crate::reach::match_roots;
 use crate::rules::{check_file, check_graph, is_known_rule, FileCtx, FileData, GraphCtx};
 
-/// Appended to an unknown-rule error: the five rules simlint retired
+/// Appended to an unknown-rule error: the six rules simlint retired
 /// are clippy's, and the hint says where each one went.
 const UNKNOWN_RULE_HINT: &str = "(`simlint --list-rules` names simlint's rules; clippy owns \
      `hash-order` and `sim-taint` in clippy.toml, `io-println` as the print lints, `lossy-cast` \
-     as cast_possible_truncation and `float-state` as float_arithmetic)";
+     as cast_possible_truncation, `float-state` as float_arithmetic and `panic-taint` as \
+     unwrap_used, expect_used, panic, unreachable, todo, unimplemented and indexing_slicing)";
 
 /// A waiver or root pattern that matched nothing (or is malformed) —
 /// itself an error.
@@ -27,17 +28,6 @@ pub struct StaleWaiver {
     pub declared_at: String,
     pub rule: String,
     pub message: String,
-}
-
-/// Call-graph statistics for the report.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GraphStats {
-    pub functions: usize,
-    pub edges: usize,
-    pub sim_roots: usize,
-    pub sim_reachable: usize,
-    pub protocol_roots: usize,
-    pub protocol_reachable: usize,
 }
 
 /// Full analysis result for one run.
@@ -51,9 +41,6 @@ pub struct Report {
     /// non-zero exit — code 3 when they are the *only* failure).
     pub stale: Vec<StaleWaiver>,
     pub files_scanned: usize,
-    pub stats: GraphStats,
-    /// Graphviz DOT of the root-reachable subgraph (for `--graph-dot`).
-    pub dot: String,
 }
 
 impl Report {
@@ -162,7 +149,7 @@ pub fn analyze_sources(data: &[FileData], cfg: &Config) -> Report {
         ..Report::default()
     };
 
-    // --- call graph + reachability --------------------------------------
+    // --- index + roots ---------------------------------------------------
     let inputs: Vec<FileInput<'_>> = data
         .iter()
         .map(|f| FileInput {
@@ -171,45 +158,18 @@ pub fn analyze_sources(data: &[FileData], cfg: &Config) -> Report {
             items: &f.items,
         })
         .collect();
-    let mut graph = build(&inputs);
-    for id in 0..graph.nodes.len() {
-        let (file, body) = (graph.nodes[id].file, graph.nodes[id].body);
-        if let Some(body) = body {
-            let calls = extract_calls(&data[file].lexed.tokens, body);
-            graph.add_calls(id, &calls);
-        }
-    }
-    let sim_roots = match_roots(&graph, &cfg.sim_roots);
-    let protocol_roots = match_roots(&graph, &cfg.protocol_roots);
-    for (set, pat) in sim_roots
-        .unmatched
-        .iter()
-        .map(|p| ("sim", p))
-        .chain(protocol_roots.unmatched.iter().map(|p| ("protocol", p)))
-    {
+    let graph = build(&inputs);
+    let roots = match_roots(&graph, &cfg.roots);
+    for pat in &roots.unmatched {
         report.stale.push(StaleWaiver {
-            declared_at: format!("simlint.toml [roots] {set}"),
+            declared_at: "simlint.toml roots".into(),
             rule: "roots".into(),
             message: format!(
-                "root pattern {pat:?} matches no workspace function — the lint wall \
+                "root pattern {pat:?} matches no workspace function — the held state \
                  silently shrank (fix the pattern or remove it)"
             ),
         });
     }
-    let sim = reachable(&graph, &sim_roots.ids);
-    let protocol = reachable(&graph, &protocol_roots.ids);
-    report.stats = GraphStats {
-        functions: graph.nodes.len(),
-        edges: graph.edges.iter().map(Vec::len).sum(),
-        sim_roots: sim_roots.ids.len(),
-        sim_reachable: sim.iter().filter(|p| p.is_some()).count(),
-        protocol_roots: protocol_roots.ids.len(),
-        protocol_reachable: protocol.iter().filter(|p| p.is_some()).count(),
-    };
-    let keep: Vec<bool> = (0..graph.nodes.len())
-        .map(|i| sim[i].is_some() || protocol[i].is_some())
-        .collect();
-    report.dot = graph.to_dot(&keep);
 
     // --- run rules -------------------------------------------------------
     let mut per_file: Vec<Vec<Diagnostic>> = data
@@ -225,14 +185,12 @@ pub fn analyze_sources(data: &[FileData], cfg: &Config) -> Report {
             )
         })
         .collect();
-    let transitive = check_graph(&GraphCtx {
+    let growth = check_graph(&GraphCtx {
         files: data,
         graph: &graph,
-        sim_roots: &sim_roots.ids,
-        protocol_roots: &protocol_roots.ids,
-        protocol: &protocol,
+        roots: &roots.ids,
     });
-    for d in transitive {
+    for d in growth {
         if let Some(fi) = data.iter().position(|f| f.rel == d.path) {
             per_file[fi].push(d);
         }

@@ -1,7 +1,7 @@
 //! Seeded-violation fixture (never compiled): a protocol message
-//! handler committing every sin the panic-taint and
-//! unchecked-slot-arith rules exist to catch. The integration suite
-//! asserts simlint flags exactly these sites and exits non-zero.
+//! handler with two unchecked ordinal steps, which simlint must flag.
+//! Its indexing, `unwrap` and `panic!` are for clippy's panic lints to
+//! catch in compiled code; simlint must report none of them.
 
 use std::collections::BTreeMap;
 

@@ -250,6 +250,10 @@ impl<M: std::fmt::Debug> Engine<M> {
     }
 
     /// Lifecycle record of `node`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn node_state(&self, node: NodeId) -> &NodeState {
         &self.nodes[node.index()]
     }
@@ -258,11 +262,19 @@ impl<M: std::fmt::Debug> Engine<M> {
     ///
     /// Reading this does not model latency; use [`Engine::disk_read`] when
     /// the read cost matters (e.g. checkpoint loading during recovery).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn store(&self, node: NodeId) -> &StableStore {
         &self.stores[node.index()]
     }
 
     /// The node's disk statistics.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn disk(&self, node: NodeId) -> &DiskModel {
         &self.disks[node.index()]
     }
@@ -372,6 +384,10 @@ impl<M: std::fmt::Debug> Engine<M> {
 
     /// Sets a timer for the *current incarnation* of `node`; it fires as
     /// [`Event::Timer`] after `after`, unless the node crashes first.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn set_timer(&mut self, node: NodeId, after: SimDuration, token: u64) {
         let inc = self.nodes[node.index()].incarnation;
         let at = self.now + after;
@@ -383,6 +399,10 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// The mutation becomes visible in the node's [`StableStore`] at the
     /// completion time, when [`Event::DiskWriteDone`] is delivered. If the
     /// node crashes before completion the write is lost entirely.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn disk_write(&mut self, node: NodeId, op: StableOp, token: u64) {
         if !self.is_up(node) {
             return;
@@ -412,6 +432,10 @@ impl<M: std::fmt::Debug> Engine<M> {
 
     /// Installs (`Some`) or clears (`None`) an injected disk fault
     /// profile on `node`. Takes effect for writes issued afterwards.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn set_disk_fault(&mut self, node: NodeId, fault: Option<DiskFault>) {
         self.disk_faults[node.index()] = fault;
     }
@@ -419,6 +443,10 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// Issues a bulk read of `key` from the node's key/value area; the
     /// latency is proportional to the key's modeled size (its nominal
     /// override when set). Completes as [`Event::DiskReadDone`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn disk_read(&mut self, node: NodeId, key: &str, token: u64) {
         if !self.is_up(node) {
             return;
@@ -441,6 +469,10 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// Issues a raw bulk read of `bytes` from the node's disk with no key
     /// (e.g. replaying a whole log file); completes as
     /// [`Event::DiskReadDone`] with `value: None`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn disk_read_raw(&mut self, node: NodeId, bytes: u64, token: u64) {
         if !self.is_up(node) {
             return;
@@ -461,6 +493,10 @@ impl<M: std::fmt::Debug> Engine<M> {
 
     /// Durably sets the modeled size of `key` on the node's disk
     /// (latency-free; pair with the write that created the key).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn set_nominal(&mut self, node: NodeId, key: &str, bytes: u64) {
         self.stores[node.index()].set_nominal(key, bytes);
     }
@@ -475,6 +511,10 @@ impl<M: std::fmt::Debug> Engine<M> {
     ///
     /// Panics if the node is already down — faultloads are expressed
     /// against live replicas.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn crash(&mut self, node: NodeId) {
         let state = &mut self.nodes[node.index()];
         assert_eq!(state.status, NodeStatus::Up, "crash of a down node {node}");
@@ -513,6 +553,10 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// like an untorn crash. The armed fault still *fired*, though, so
     /// the tear is traced with `bytes_kept: 0` — otherwise a 1-byte
     /// append would make the crash invisible in the trace.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` indexes the per-node tables, and `keep` is drawn below `bytes.len()`"
+    )]
     fn tear_in_flight_append(&mut self, node: NodeId, inc: Incarnation) {
         let mut best: Option<(u64, u64, &str, &[u8])> = None;
         for (at, seq, pending) in self.queue.iter() {
@@ -556,6 +600,10 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// # Panics
     ///
     /// Panics if the node is already up.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn restart(&mut self, node: NodeId) {
         let state = &mut self.nodes[node.index()];
         assert_eq!(
@@ -579,6 +627,10 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// eagerly by [`Engine::crash`]; the incarnation guards below are
     /// defense in depth.) Returns `None` — with the clock advanced to
     /// `limit` — when no event remains before the limit.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
+    )]
     pub fn next_event_before(&mut self, limit: SimTime) -> Option<(SimTime, Event<M>)> {
         loop {
             let Some((at, _seq, pending)) = self.queue.pop_before(limit.as_micros()) else {
@@ -1127,13 +1179,11 @@ mod tests {
             .find(|r| matches!(r.event, TraceEvent::MsgDropped { .. }))
             .expect("delivery-time drop must be traced");
         assert_eq!(drop.node, 0, "traced against the sender");
-        match drop.event {
-            TraceEvent::MsgDropped { to, reason, .. } => {
-                assert_eq!(to, 1);
-                assert_eq!(reason, "dest_down");
-            }
-            _ => unreachable!(),
-        }
+        let TraceEvent::MsgDropped { to, reason, .. } = drop.event else {
+            panic!("found as a drop above");
+        };
+        assert_eq!(to, 1);
+        assert_eq!(reason, "dest_down");
     }
 
     // Regression: queued_events used to report the raw heap length,

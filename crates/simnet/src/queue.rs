@@ -162,6 +162,10 @@ impl<T> EventWheel<T> {
     /// Pops the minimum `(at, seq)` entry if its time is `<= limit`;
     /// returns `None` (without popping) when the queue is empty or the
     /// earliest entry lies past the limit.
+    #[expect(
+        clippy::expect_used,
+        reason = "each pop takes the entry peeked just above"
+    )]
     pub fn pop_before(&mut self, limit: u64) -> Option<(u64, u64, T)> {
         loop {
             // Entries parked in overflow go stale once the cursor (and
@@ -215,6 +219,10 @@ impl<T> EventWheel<T> {
     /// it the sorted `current` window. Caller guarantees the current
     /// window is drained and `wheel_len > 0`, which bounds the walk to
     /// one revolution.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`cursor` is masked with `BUCKET_MASK`, below `NUM_BUCKETS`"
+    )]
     fn advance_to_next_bucket(&mut self) {
         loop {
             self.cursor_time += BUCKET_WIDTH_US;
@@ -249,6 +257,11 @@ impl<T> EventWheel<T> {
     /// the current window (via `late` — `current` must stay sorted) or
     /// its wheel bucket. The overflow is a min-heap, so this pops
     /// exactly the entries that move and touches nothing else.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "the pop takes the entry peeked just above, and `idx` is masked with `BUCKET_MASK`"
+    )]
     fn redistribute_overflow(&mut self) {
         let horizon = self.horizon();
         while let Some(Reverse(head)) = self.overflow.peek() {
@@ -337,6 +350,10 @@ impl<T> HeapQueue<T> {
     }
 
     /// Pops the minimum `(at, seq)` entry if its time is `<= limit`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the pop takes the entry peeked just above"
+    )]
     pub fn pop_before(&mut self, limit: u64) -> Option<(u64, u64, T)> {
         match self.heap.peek() {
             Some(Reverse(entry)) if entry.at <= limit => {

@@ -35,7 +35,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
 #![forbid(unsafe_code)]
 
 mod interactions;

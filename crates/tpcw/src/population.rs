@@ -136,6 +136,10 @@ fn two_gram(a: u8, b: u8) -> usize {
 
 impl GramIndex {
     /// Indexes `texts`, the `i`-th being the text of item `i`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a gram is below `GRAMS`, the length of `seen`; `starts` and `next` hold one more"
+    )]
     fn build(texts: &[&str]) -> GramIndex {
         // Calls `first(id, gram)` the first time each text shows each
         // gram: `seen[g]` is the last text that showed `g`.
@@ -242,6 +246,10 @@ fn rand_digits(rng: &mut StdRng, len: usize) -> String {
 }
 
 /// Generates a base population (deterministic in `params`).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ids and subjects are generated below the lengths of the tables they index"
+)]
 pub fn generate(params: PopulationParams) -> BasePopulation {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let today: u32 = 14_000; // days since epoch, fixed reference date
@@ -469,6 +477,10 @@ impl BasePopulation {
 }
 
 /// Memoized shared base populations (one per parameter set per process).
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned cache means a generator already panicked"
+)]
 pub fn base_population(params: PopulationParams) -> Arc<BasePopulation> {
     static CACHE: OnceLock<Mutex<BTreeMap<PopulationParams, Arc<BasePopulation>>>> =
         OnceLock::new();

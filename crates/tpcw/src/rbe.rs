@@ -208,6 +208,10 @@ impl Rbe {
     /// Navigation fix-up: purchase interactions sampled without an
     /// active cart degrade to a cart interaction (both are updates, so
     /// the profile's read/write ratio is preserved).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the card index is drawn below the five card names"
+    )]
     pub fn next_request(&mut self) -> WebRequest {
         let mut interaction = self.config.profile.sample(&mut self.rng);
         if matches!(

@@ -311,6 +311,10 @@ impl Bookstore {
     }
 
     /// An order with its lines and payment record.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the base tables hold one row per base order, and `i` is below `orders()`"
+    )]
     pub fn order(&self, id: OrderId) -> Option<(&Order, &[OrderLine], &CcXact)> {
         let base_n = self.base.params.orders();
         if id.0 < base_n {

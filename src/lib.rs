@@ -4,6 +4,7 @@
 //! use a single dependency. See the README for an overview.
 
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub use cluster;
 pub use faultload;

@@ -1,0 +1,186 @@
+//! The replica path denies clippy's panic lints, in tier-1.
+//!
+//! The paper's fault model is crash-stop: a replica stops only where
+//! the faultload crashes it. A panic in a replica's message path would
+//! be a crash outside that model, so every crate a replica runs denies
+//! the seven lints through which code can panic, and so do the two
+//! cluster files that see every protocol message (`server.rs`, which
+//! hosts the middleware, and `audit.rs`, which checks its effects).
+//! Clippy enforces the deny; this test keeps the deny itself from
+//! going missing: it walks the normal `[dependencies]` of `paxos`,
+//! `treplica` and `robuststore` through the `Cargo.toml`s, and fails if
+//! a crate of that closure drops a lint or if module-level opt-outs
+//! grow past their cap.
+
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// The lints that can keep a panic on the replica path.
+const PANIC_LINTS: [&str; 7] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "indexing_slicing",
+];
+
+/// Files outside the closure that deny the lints file-wide.
+const CLUSTER_FILES: [&str; 2] = [
+    "crates/cluster/src/server.rs",
+    "crates/cluster/src/audit.rs",
+];
+
+/// Module-level `#![expect]`/`#![allow]` of a panic lint in the closure.
+/// Policy: the count can only shrink; lower the cap when one goes.
+const MODULE_OPT_OUT_CAP: usize = 2;
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn read(path: &Path) -> String {
+    fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The `key = value` lines of one `[table]` of a `Cargo.toml`.
+fn table<'a>(toml: &'a str, name: &str) -> Vec<(&'a str, &'a str)> {
+    let header = format!("[{name}]");
+    toml.lines()
+        .skip_while(|l| l.trim() != header)
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .filter_map(|l| l.split_once('='))
+        .map(|(k, v)| (k.trim(), v.trim()))
+        .collect()
+}
+
+/// The `path = "…"` of a dependency's inline table, if it has one.
+fn path_of(value: &str) -> Option<&str> {
+    let rest = &value[value.find("path")?..];
+    rest.split('"').nth(1)
+}
+
+/// Directories (relative to the root) of the workspace crates that
+/// `starts` depend on, transitively through normal `[dependencies]`,
+/// keyed by dependency name; vendored `shims/` are skipped.
+fn closure(starts: &[&str]) -> BTreeMap<String, PathBuf> {
+    let root_toml = read(&root().join("Cargo.toml"));
+    let workspace: BTreeMap<&str, &str> = table(&root_toml, "workspace.dependencies")
+        .into_iter()
+        .filter_map(|(k, v)| Some((k, path_of(v)?)))
+        .collect();
+    let mut found = BTreeMap::new();
+    let mut queue: Vec<String> = starts.iter().map(|s| s.to_string()).collect();
+    while let Some(name) = queue.pop() {
+        let Some(dir) = workspace.get(name.as_str()) else {
+            panic!("dependency {name} is not a workspace path dependency");
+        };
+        if dir.starts_with("shims/") || found.contains_key(&name) {
+            continue;
+        }
+        let toml = read(&root().join(dir).join("Cargo.toml"));
+        for (key, _) in table(&toml, "dependencies") {
+            queue.push(key.trim_end_matches(".workspace").to_string());
+        }
+        found.insert(name, PathBuf::from(dir));
+    }
+    found
+}
+
+/// The lints named by the file's inner `#![deny(…)]` attributes.
+fn denied(src: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for chunk in src.split("#![deny(").skip(1) {
+        let body = chunk.split(")]").next().unwrap_or_default();
+        out.extend(
+            body.split(',')
+                .map(|l| l.trim().trim_start_matches("clippy::")),
+        );
+    }
+    out
+}
+
+fn missing_lints(path: &Path) -> Vec<&'static str> {
+    let src = read(path);
+    let denied = denied(&src);
+    PANIC_LINTS
+        .into_iter()
+        .filter(|l| !denied.contains(l))
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, sorted.
+fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Inner `#![expect(…)]`/`#![allow(…)]` attributes naming a panic lint.
+fn module_opt_outs(src: &str) -> usize {
+    src.split("#![")
+        .skip(1)
+        .filter(|attr| attr.starts_with("expect(") || attr.starts_with("allow("))
+        .filter(|attr| {
+            let body = attr.split(")]").next().unwrap_or_default();
+            PANIC_LINTS
+                .iter()
+                .any(|l| body.contains(&format!("clippy::{l}")))
+        })
+        .count()
+}
+
+#[test]
+fn replica_closure_denies_the_panic_lints() {
+    let crates = closure(&["paxos", "treplica", "robuststore"]);
+    // The walk must reach past the three it starts from.
+    for dep in ["obs", "simnet", "tpcw"] {
+        assert!(crates.contains_key(dep), "{dep} missing from {crates:?}");
+    }
+
+    let mut files: Vec<PathBuf> = crates
+        .values()
+        .map(|dir| root().join(dir).join("src/lib.rs"))
+        .collect();
+    files.extend(CLUSTER_FILES.iter().map(|f| root().join(f)));
+    let missing: Vec<String> = files
+        .iter()
+        .map(|f| (f, missing_lints(f)))
+        .filter(|(_, lints)| !lints.is_empty())
+        .map(|(f, lints)| format!("{} lacks {lints:?}", f.display()))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "panic-lint deny missing:\n{}",
+        missing.join("\n")
+    );
+
+    let mut scanned = Vec::new();
+    for dir in crates.values() {
+        sources(&root().join(dir).join("src"), &mut scanned);
+    }
+    scanned.extend(CLUSTER_FILES.iter().map(|f| root().join(f)));
+    let opt_outs: Vec<(String, usize)> = scanned
+        .iter()
+        .map(|f| (f.display().to_string(), module_opt_outs(&read(f))))
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    let total: usize = opt_outs.iter().map(|(_, n)| n).sum();
+    assert!(
+        total <= MODULE_OPT_OUT_CAP,
+        "{total} module-level panic-lint opt-outs, above the cap of {MODULE_OPT_OUT_CAP}; \
+         put an `#[expect]` on the function instead: {opt_outs:?}"
+    );
+}
