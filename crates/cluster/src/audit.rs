@@ -25,6 +25,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 #![deny(clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -148,13 +149,13 @@ impl InvariantAuditor {
     /// against the node whose effects were being audited, giving every
     /// violation causal context in the trace.
     pub fn take_unreported_violations(&mut self) -> u64 {
-        let delta = self.total_violations - self.reported;
+        let delta = self.total_violations.saturating_sub(self.reported);
         self.reported = self.total_violations;
         delta
     }
 
     fn violation(&mut self, text: String) {
-        self.total_violations += 1;
+        self.total_violations = self.total_violations.saturating_add(1);
         if self.violations.len() < MAX_RECORDED {
             self.violations.push(text);
         }
@@ -171,7 +172,7 @@ impl InvariantAuditor {
         self.ensure(idx);
         match op {
             StableOp::Append { log, entry } if log == LOG_NAME => {
-                self.checks += 1;
+                self.checks = self.checks.saturating_add(1);
                 match durable_key::<Unbuilt>(entry) {
                     Ok(key) => {
                         self.pending[idx].insert(token, key);
@@ -184,7 +185,7 @@ impl InvariantAuditor {
                 }
             }
             StableOp::Put { key, value } if key == META_KEY => {
-                self.checks += 1;
+                self.checks = self.checks.saturating_add(1);
                 match Meta::from_bytes(value) {
                     // The meta record re-asserts the promised floor; once
                     // durable it also justifies Promise sends.
@@ -245,7 +246,7 @@ impl InvariantAuditor {
         };
         match m {
             Msg::Promise { ballot, .. } => {
-                self.checks += 1;
+                self.checks = self.checks.saturating_add(1);
                 if !self.durable[idx].contains(&DurableKey::Promise(*ballot)) {
                     self.violation(format!(
                         "[{now_us}us] server {idx}: sent Promise for {ballot:?} before the \
@@ -258,7 +259,7 @@ impl InvariantAuditor {
                 slot,
                 decree,
             } => {
-                self.checks += 1;
+                self.checks = self.checks.saturating_add(1);
                 let key = DurableKey::Accept(*slot, *ballot, decree.proposal_id());
                 if !self.durable[idx].contains(&key) {
                     self.violation(format!(
@@ -268,7 +269,7 @@ impl InvariantAuditor {
                 }
             }
             Msg::FastPropose { .. } | Msg::Any { .. } => {
-                self.checks += 1;
+                self.checks = self.checks.saturating_add(1);
                 let status = sender_status();
                 // The mode rule tracks the sender's *current epoch*: its
                 // fast quorum is ⌈3N/4⌉ of that epoch's ensemble size,
@@ -313,7 +314,7 @@ impl InvariantAuditor {
         now_us: u64,
     ) {
         self.ensure(idx);
-        self.checks += 1;
+        self.checks = self.checks.saturating_add(1);
         match self.chosen.get(&(slot, index)) {
             Some((chosen_pid, chosen_epoch, first_by)) => {
                 if *chosen_pid != Some(pid) {
@@ -333,7 +334,7 @@ impl InvariantAuditor {
                 self.chosen.insert((slot, index), (Some(pid), epoch, idx));
             }
         }
-        self.checks += 1;
+        self.checks = self.checks.saturating_add(1);
         if let Some(last) = self.last_applied[idx] {
             if (slot, index) <= last {
                 self.violation(format!(

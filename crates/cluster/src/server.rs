@@ -11,6 +11,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 #![deny(clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -337,7 +338,12 @@ impl ServerNode {
         reason = "`enqueue` pushes first and `complete_head` checks `front()` first"
     )]
     fn start_head(&mut self, engine: &mut Engine<ClusterMsg>) {
-        let cost = self.queue.front().expect("head present").cost_us + self.cpu_debt_us;
+        let cost = self
+            .queue
+            .front()
+            .expect("head present")
+            .cost_us
+            .saturating_add(self.cpu_debt_us);
         self.cpu_debt_us = 0;
         engine.set_timer(self.node, SimDuration::from_micros(cost), TOKEN_WORK);
     }
@@ -445,7 +451,7 @@ impl ServerNode {
                 // Protocol handling is prompt (Treplica's threads and the
                 // network stack preempt page rendering), but its CPU is
                 // real: charge it as debt against the queued page work.
-                self.cpu_debt_us += service::PER_MSG_US;
+                self.cpu_debt_us = self.cpu_debt_us.saturating_add(service::PER_MSG_US);
                 let now = engine.now().as_micros();
                 let fx = self
                     .mw

@@ -33,7 +33,7 @@ impl<A> Batcher<A> {
     /// Hands an update its id, before the update joins a batch.
     pub(crate) fn next_pid(&mut self) -> ProposalId {
         let pid = self.next;
-        self.next.seq += 1;
+        self.next.seq = self.next.seq.saturating_add(1);
         pid
     }
 
@@ -52,7 +52,8 @@ impl<A> Batcher<A> {
         } else if self.pending.len() >= config.batch_max_updates {
             Some(self.close("size"))
         } else {
-            self.deadline.get_or_insert(now + config.batch_window_us);
+            self.deadline
+                .get_or_insert(now.saturating_add(config.batch_window_us));
             None
         }
     }

@@ -76,7 +76,7 @@ impl LogMirror {
     #[inline]
     pub(crate) fn push(&mut self, slot: Option<Slot>, bytes: u64) {
         self.entries.push((slot, bytes));
-        self.bytes += bytes;
+        self.bytes = self.bytes.saturating_add(bytes);
     }
 
     pub(crate) fn bytes(&self) -> u64 {
@@ -94,18 +94,19 @@ impl LogMirror {
             .entries
             .iter()
             .position(|(slot, _)| slot.is_some_and(|s| s >= cut));
-        self.first_index + kept.unwrap_or(self.entries.len()) as u64
+        self.first_index
+            .saturating_add(kept.unwrap_or(self.entries.len()) as u64)
     }
 
     fn truncate_front(&mut self, keep_from: u64) {
-        if keep_from <= self.first_index {
+        let Some(ahead) = keep_from.checked_sub(self.first_index) else {
             return;
-        }
-        let drop = usize::try_from(keep_from - self.first_index)
+        };
+        let drop = usize::try_from(ahead)
             .unwrap_or(usize::MAX)
             .min(self.entries.len());
         let dropped: u64 = self.entries.drain(..drop).map(|(_, b)| b).sum();
-        self.bytes -= dropped;
+        self.bytes = self.bytes.saturating_sub(dropped);
         self.first_index = keep_from;
     }
 }
@@ -155,7 +156,7 @@ impl Checkpointer {
 
     #[inline]
     pub(crate) fn note_applied(&mut self) {
-        self.applied_since += 1;
+        self.applied_since = self.applied_since.saturating_add(1);
     }
 
     /// Whether the policy wants a checkpoint now: the interval has
@@ -208,7 +209,7 @@ impl Checkpointer {
             return None;
         };
         self.slot = meta.checkpoint_slot;
-        self.completed += 1;
+        self.completed = self.completed.saturating_add(1);
         let keep_from = log.keep_from(meta.checkpoint_slot);
         log.truncate_front(keep_from);
         let log = LOG_NAME.to_string();

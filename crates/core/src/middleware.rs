@@ -423,7 +423,7 @@ impl<App: Application> Middleware<App> {
     /// token completes to no effects.
     fn alloc(&mut self, then: Option<TokenKind>) -> u64 {
         let t = self.next_token;
-        self.next_token += 1;
+        self.next_token = self.next_token.saturating_add(1);
         if let Some(kind) = then {
             self.tokens.insert(t, kind);
         }
@@ -753,7 +753,7 @@ impl<App: Application> Middleware<App> {
                     // The causal sequence advances on every send, traced
                     // or not, so the tag bytes on the wire — and hence
                     // the whole simulation — are identical either way.
-                    self.causal_seq += 1;
+                    self.causal_seq = self.causal_seq.saturating_add(1);
                     let tag = paxos::CausalTag::for_msg(self.id, self.causal_seq, &msg);
                     let msg = MwMsg::Paxos {
                         epoch: self.paxos.config_epoch(),
@@ -815,7 +815,7 @@ impl<App: Application> Middleware<App> {
                 continue;
             };
             let reply = app.apply(action);
-            self.applied += 1;
+            self.applied = self.applied.saturating_add(1);
             self.checkpoint.note_applied();
             // `latency_us` 0 marks an unknown submit time (remote or
             // replayed updates); the analyzer excludes those.

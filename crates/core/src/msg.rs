@@ -57,14 +57,18 @@ impl<A: Wire> MwMsg<A> {
     /// Bytes this message occupies on the wire (headers included); the
     /// snapshot payload is charged at its modeled size.
     pub fn wire_bytes(&self) -> u64 {
-        WIRE_OVERHEAD
-            + match self {
-                MwMsg::Paxos { tag, msg, .. } => 1 + 8 + tag.wire_size() + msg.wire_size(),
-                MwMsg::SnapshotRequest => 1,
-                MwMsg::SnapshotReply {
-                    members, nominal, ..
-                } => 1 + 8 + 8 + 8 + members.wire_size() + *nominal,
+        // Each kind byte is followed by the epoch, by nothing, or by three
+        // snapshot header words.
+        let (header, body) = match self {
+            MwMsg::Paxos { tag, msg, .. } => {
+                (1 + 8, tag.wire_size().saturating_add(msg.wire_size()))
             }
+            MwMsg::SnapshotRequest => (1, 0),
+            MwMsg::SnapshotReply {
+                members, nominal, ..
+            } => (1 + 8 + 8 + 8, members.wire_size().saturating_add(*nominal)),
+        };
+        body.saturating_add(WIRE_OVERHEAD.saturating_add(header))
     }
 }
 

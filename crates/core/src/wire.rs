@@ -66,7 +66,7 @@ pub struct ByteCount(pub u64);
 impl Sink for ByteCount {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len() as u64;
+        self.0 = self.0.saturating_add(bytes.len() as u64);
     }
 }
 

@@ -44,7 +44,7 @@ pub fn choose_decree<V: Clone + Eq>(
     let mut counts: Vec<(&Decree<V>, usize)> = Vec::new();
     for r in &top {
         match counts.iter_mut().find(|(k, _)| *k == &r.decree) {
-            Some((_, n)) => *n += 1,
+            Some((_, n)) => *n = n.saturating_add(1),
             None => counts.push((&r.decree, 1)),
         }
     }
@@ -155,7 +155,7 @@ impl<V: Clone + Eq> Leader<V> {
     /// Starts phase 1 over all slots from `from_slot` with a fresh ballot
     /// of the requested class. Returns the new ballot.
     pub fn start_prepare(&mut self, fast: bool, from_slot: Slot) -> Ballot {
-        self.highest_round += 1;
+        self.highest_round = self.highest_round.saturating_add(1);
         self.ballot = if fast {
             Ballot::fast(self.highest_round, self.id)
         } else {
@@ -269,7 +269,7 @@ impl<V: Clone + Eq> Leader<V> {
         if self.recoveries.contains_key(&slot) {
             return None;
         }
-        self.highest_round += 1;
+        self.highest_round = self.highest_round.saturating_add(1);
         let ballot = Ballot::classic(self.highest_round, self.id);
         self.recoveries.insert(
             slot,

@@ -60,10 +60,12 @@ fn count_votes<V: Eq>(
         if votes.values().take(i).any(|seen| seen == d) {
             return None;
         }
-        Some((
-            d,
-            1 + votes.values().skip(i + 1).filter(|v| *v == d).count(),
-        ))
+        let later = votes
+            .values()
+            .skip(i.saturating_add(1))
+            .filter(|v| *v == d)
+            .count();
+        Some((d, later.saturating_add(1)))
     })
 }
 
@@ -249,8 +251,10 @@ impl<V: Clone + Eq> Learner<V> {
                 }
                 let needed = self.quorums.fast();
                 let top = count_votes(votes).map(|(_, n)| n).max().unwrap_or(0);
-                let unvoted = self.quorums.n() - votes.len();
-                top + unvoted < needed
+                // `votes` may hold ballots cast before a membership
+                // change shrank the ensemble.
+                let unvoted = self.quorums.n().saturating_sub(votes.len());
+                top.saturating_add(unvoted) < needed
             });
             if stale || impossible {
                 out.push(*slot);

@@ -43,6 +43,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 #![deny(clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![forbid(unsafe_code)]
 
 mod acceptor;

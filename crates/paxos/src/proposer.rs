@@ -49,12 +49,12 @@ impl<V: Clone> Proposer<V> {
             epoch: self.epoch,
             seq: self.next_seq,
         };
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.saturating_add(1);
         self.pending.insert(
             pid,
             PendingProposal {
                 value,
-                deadline: now + retry_us,
+                deadline: now.saturating_add(retry_us),
                 attempts: 1,
             },
         );
@@ -75,8 +75,8 @@ impl<V: Clone> Proposer<V> {
         for (pid, p) in self.pending.iter_mut() {
             if now >= p.deadline {
                 let backoff = retry_us.saturating_mul(1 << p.attempts.min(3));
-                p.deadline = now + backoff;
-                p.attempts += 1;
+                p.deadline = now.saturating_add(backoff);
+                p.attempts = p.attempts.saturating_add(1);
                 out.push((*pid, p.value.clone()));
             }
         }

@@ -297,7 +297,10 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             leading: self.leader.is_leading(),
             ballot: self.highest_ballot,
             decided_upto: self.learner.next_deliver(),
-            pending_proposals: self.proposer.pending_len() + parked_for_peers.count(),
+            pending_proposals: self
+                .proposer
+                .pending_len()
+                .saturating_add(parked_for_peers.count()),
             alive: self.fd.alive_count(self.now),
             epoch: self.membership.epoch(),
             n: self.membership.n(),
@@ -386,7 +389,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                     });
                 }
                 let token = self.next_token;
-                self.next_token += 1;
+                self.next_token = self.next_token.saturating_add(1);
                 self.gated.insert(token, out.sends);
                 fx.persist(record, PersistToken(token));
             }

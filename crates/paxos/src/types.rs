@@ -408,12 +408,13 @@ impl Quorums {
 
     /// Classic quorum ⌊N/2⌋+1.
     pub fn classic(self) -> usize {
-        self.n / 2 + 1
+        (self.n / 2).saturating_add(1)
     }
 
-    /// Fast quorum ⌈3N/4⌉.
+    /// Fast quorum ⌈3N/4⌉, computed as `N − ⌊N/4⌋` (equal for every `N`,
+    /// and `3N` never has to fit).
     pub fn fast(self) -> usize {
-        (3 * self.n).div_ceil(4)
+        self.n.saturating_sub(self.n / 4)
     }
 
     /// Minimum overlap between a classic quorum `Q` and any fast quorum:
@@ -421,7 +422,10 @@ impl Quorums {
     /// least this many members of `Q` report having accepted it (Fast
     /// Paxos rule O4); at most one value can reach this bound.
     pub fn recovery_threshold(self, q_size: usize) -> usize {
-        (q_size + self.fast()).saturating_sub(self.n).max(1)
+        q_size
+            .saturating_add(self.fast())
+            .saturating_sub(self.n)
+            .max(1)
     }
 }
 
@@ -453,6 +457,9 @@ mod tests {
         let q12 = Quorums::new(12);
         assert_eq!(q12.classic(), 7);
         assert_eq!(q12.fast(), 9);
+        for n in 1..=64 {
+            assert_eq!(Quorums::new(n).fast(), (3 * n).div_ceil(4), "n = {n}");
+        }
     }
 
     #[test]

@@ -1,34 +1,28 @@
-//! Configuration: root declarations, `simlint.toml` waivers, and inline
-//! allow comments.
+//! Configuration: `simlint.toml`'s root declarations and waivers.
 //!
-//! The top-level `roots` list declares the workspace entry points whose
-//! `self` types are held state for `state-growth` (see [`crate::reach`]
-//! for pattern syntax):
+//! The top-level `roots` list, given once, declares the workspace entry
+//! points whose `self` types are held state for `state-growth` (see
+//! [`crate::reach`] for pattern syntax):
 //!
 //! ```toml
 //! roots = ["Engine::*", "Replica::on_message", "decode_*"]
 //! ```
 //!
-//! Two waiver channels, both requiring a written justification:
+//! A waiver is a `[[waiver]]` table with a written justification; it
+//! covers a whole file, or one line when it names one:
 //!
-//! 1. Inline, next to the code: `// simlint: allow(rule): reason` on the
-//!    flagged line or the line directly above it.
-//! 2. Central, in `simlint.toml` at the workspace root:
-//!
-//!    ```toml
-//!    [[waiver]]
-//!    rule = "state-growth"
-//!    path = "crates/simnet/src/disk.rs"    # whole file …
-//!    line = 295                            # … or one line (optional)
-//!    reason = "StableStore.logs is keyed by the replica's fixed log names"
-//!    ```
+//! ```toml
+//! [[waiver]]
+//! rule = "state-growth"
+//! path = "crates/simnet/src/disk.rs"    # whole file …
+//! line = 295                            # … or one line (optional)
+//! reason = "StableStore.logs is keyed by the replica's fixed log names"
+//! ```
 //!
 //! Waivers that no longer match any diagnostic are *stale* and are
 //! themselves reported as errors, so the allowlist can only shrink as
 //! code is fixed — it cannot silently rot. Root patterns that match no
 //! workspace function are reported the same way.
-
-use crate::lexer::Comment;
 
 /// One `[[waiver]]` entry from `simlint.toml`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +61,8 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
     let mut current: Option<Waiver> = None;
     // Multi-line accumulation of the `roots` array: (text, line).
     let mut pending: Option<(String, u32)> = None;
+    // Where `roots` was first given: a second list would replace it.
+    let mut roots_at: Option<u32> = None;
 
     for (idx, raw) in src.lines().enumerate() {
         let lineno = idx as u32 + 1;
@@ -116,6 +112,15 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
         let value = strip_comment(value.trim());
         match current.as_mut() {
             None if key == "roots" => {
+                if let Some(first) = roots_at.replace(lineno) {
+                    return Err(ConfigError {
+                        line: lineno,
+                        message: format!(
+                            "`roots` is given twice, on lines {first} and {lineno}; list \
+                             every root in one array"
+                        ),
+                    });
+                }
                 if value.contains(']') {
                     cfg.roots = root_list(&value, lineno)?;
                 } else {
@@ -237,61 +242,9 @@ fn unquote(v: &str, lineno: u32) -> Result<String, ConfigError> {
     }
 }
 
-/// An inline `// simlint: allow(rule, …): reason` comment.
-#[derive(Debug, Clone)]
-pub struct InlineAllow {
-    pub line: u32,
-    pub rules: Vec<String>,
-    pub reason: String,
-}
-
-/// Extracts inline allow directives from a file's comments.
-///
-/// Grammar: `simlint: allow(rule[, rule…])` followed by `:` or `--` and a
-/// justification. Directives missing a justification are returned with an
-/// empty `reason`; the driver rejects them.
-pub fn inline_allows(comments: &[Comment]) -> Vec<InlineAllow> {
-    let mut out = Vec::new();
-    for c in comments {
-        let text = c.text.trim();
-        let Some(pos) = text.find("simlint:") else {
-            continue;
-        };
-        let rest = text[pos + "simlint:".len()..].trim_start();
-        let Some(rest) = rest.strip_prefix("allow") else {
-            continue;
-        };
-        let rest = rest.trim_start();
-        let Some(rest) = rest.strip_prefix('(') else {
-            continue;
-        };
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        let rules: Vec<String> = rest[..close]
-            .split(',')
-            .map(|r| r.trim().to_string())
-            .filter(|r| !r.is_empty())
-            .collect();
-        let tail = rest[close + 1..].trim_start();
-        let reason = tail
-            .strip_prefix(':')
-            .or_else(|| tail.strip_prefix("--"))
-            .map(|r| r.trim().to_string())
-            .unwrap_or_default();
-        out.push(InlineAllow {
-            line: c.line,
-            rules,
-            reason,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     #[test]
     fn parses_waiver_tables() {
@@ -341,6 +294,11 @@ reason = "compacted by snapshot task"
         assert!(parse_config("[roots]\nsim = [\"x\"]\n").is_err());
         assert!(parse_config("protocol = [\"x\"]\n").is_err());
         assert!(parse_config("roots = [\n\"x\",\n").is_err());
+        // A second `roots` line would silently replace the first list.
+        let twice = "roots = [\"Replica::on_message\"]\n# more\nroots = [\"Engine::*\"]\n";
+        let err = parse_config(twice).expect_err("duplicate roots");
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("lines 1 and 3"), "{}", err.message);
     }
 
     #[test]
@@ -356,29 +314,5 @@ reason = "compacted by snapshot task"
             "[[waiver]]\nrule = \"r\"\npath = \"p\"\nreason = \"long enough\"\nfoo = \"bar\"\n"
         )
         .is_err());
-    }
-
-    #[test]
-    fn inline_allow_with_reason() {
-        let lx = lex("let t = now(); // simlint: allow(wall-clock): bench-only timer\n");
-        let allows = inline_allows(&lx.comments);
-        assert_eq!(allows.len(), 1);
-        assert_eq!(allows[0].rules, vec!["wall-clock"]);
-        assert_eq!(allows[0].reason, "bench-only timer");
-    }
-
-    #[test]
-    fn inline_allow_without_reason_is_flagged_empty() {
-        let lx = lex("x(); // simlint: allow(panic-path)\n");
-        let allows = inline_allows(&lx.comments);
-        assert_eq!(allows.len(), 1);
-        assert!(allows[0].reason.is_empty());
-    }
-
-    #[test]
-    fn multi_rule_allow() {
-        let lx = lex("// simlint: allow(hash-order, wall-clock) -- fixture exercising both\n");
-        let a = inline_allows(&lx.comments);
-        assert_eq!(a[0].rules.len(), 2);
     }
 }

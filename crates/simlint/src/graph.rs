@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn test_functions_are_excluded() {
         let lx = lex("fn real() {}\n#[cfg(test)]\nmod tests { fn helper() { super::real(); } }");
-        let items = parse_items(&lx.tokens, &test_spans(&lx.tokens));
+        let items = parse_items(&lx, &test_spans(&lx));
         let g = build(&[FileInput {
             path: "crates/a/src/lib.rs",
             krate: "a",

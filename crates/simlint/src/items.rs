@@ -364,8 +364,8 @@ mod tests {
 
     fn parse(src: &str) -> FileItems {
         let lx = lex(src);
-        let spans = test_spans(&lx.tokens);
-        parse_items(&lx.tokens, &spans)
+        let spans = test_spans(&lx);
+        parse_items(&lx, &spans)
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! A self-contained Rust lexer for token-level static analysis.
 //!
-//! Produces a token stream with exact (line, column) spans plus a side
-//! list of comments (for inline waiver detection). Strings, raw strings,
-//! byte strings, char literals, and lifetimes are recognized so that
-//! rule patterns never fire inside literals or doc comments. The lexer
-//! does not build an AST — rules in [`crate::rules`] work over token
-//! windows, which is sufficient for the invariants simlint enforces and
-//! keeps the analyzer dependency-free (the build environment is offline,
-//! so `syn` is not available).
+//! Produces a token stream with exact (line, column) spans; comments
+//! are skipped. Strings, raw strings, byte strings, char literals, and
+//! lifetimes are recognized so that a field name never matches inside a
+//! literal or a comment. The lexer does not build an AST —
+//! [`crate::items`] and `state-growth` in [`crate::rules`] work over
+//! token windows, which is sufficient for the one invariant simlint
+//! enforces and keeps the analyzer dependency-free (the build
+//! environment is offline, so `syn` is not available).
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,31 +55,17 @@ impl Token {
     }
 }
 
-/// A comment with its starting line (text excludes the `//` / `/*` markers).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    pub line: u32,
-    pub text: String,
-}
-
-/// Lexer output: the token stream plus all comments.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
-}
-
 const MULTI_PUNCT: &[&str] = &[
     "..=", "<<=", ">>=", "::", "->", "=>", "..", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
     "<<", ">>", "&&", "||", "==", "!=", "<=", ">=",
 ];
 
-/// Lexes `src` into tokens and comments. Never fails: unterminated
+/// Lexes `src` into tokens. Never fails: unterminated
 /// constructs are consumed to end-of-file (good enough for analysis —
 /// such files will not compile anyway).
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     let bytes: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
     let mut col: u32 = 1;
@@ -111,16 +97,7 @@ pub fn lex(src: &str) -> Lexed {
 
         // Line comment.
         if c == '/' && bytes.get(i + 1) == Some(&'/') {
-            let start = i + 2;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] != '\n' {
-                j += 1;
-            }
-            out.comments.push(Comment {
-                line: tline,
-                text: bytes[start..j].iter().collect(),
-            });
-            while i < j {
+            while i < bytes.len() && bytes[i] != '\n' {
                 bump!();
             }
             continue;
@@ -128,9 +105,8 @@ pub fn lex(src: &str) -> Lexed {
 
         // Block comment (nested).
         if c == '/' && bytes.get(i + 1) == Some(&'*') {
-            let start = i + 2;
             let mut depth = 1;
-            let mut j = start;
+            let mut j = i + 2;
             while j < bytes.len() && depth > 0 {
                 if bytes[j] == '/' && bytes.get(j + 1) == Some(&'*') {
                     depth += 1;
@@ -142,11 +118,6 @@ pub fn lex(src: &str) -> Lexed {
                     j += 1;
                 }
             }
-            let end_text = j.saturating_sub(2).max(start);
-            out.comments.push(Comment {
-                line: tline,
-                text: bytes[start..end_text].iter().collect(),
-            });
             while i < j.min(bytes.len()) {
                 bump!();
             }
@@ -185,7 +156,7 @@ pub fn lex(src: &str) -> Lexed {
                     Some(_) => j += 1,
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Literal,
                 line: tline,
                 col: tcol,
@@ -211,7 +182,7 @@ pub fn lex(src: &str) -> Lexed {
                     Some(_) => j += 1,
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Literal,
                 line: tline,
                 col: tcol,
@@ -256,7 +227,7 @@ pub fn lex(src: &str) -> Lexed {
                         Some(_) => j += 1,
                     }
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Literal,
                     line: tline,
                     col: tcol,
@@ -273,7 +244,7 @@ pub fn lex(src: &str) -> Lexed {
                 {
                     j += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Lifetime,
                     line: tline,
                     col: tcol,
@@ -295,7 +266,7 @@ pub fn lex(src: &str) -> Lexed {
             {
                 j += 1;
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Ident(bytes[i..j].iter().collect()),
                 line: tline,
                 col: tcol,
@@ -320,7 +291,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 j += 1;
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Number(bytes[i..j].iter().collect()),
                 line: tline,
                 col: tcol,
@@ -342,7 +313,7 @@ pub fn lex(src: &str) -> Lexed {
             }
         }
         if let Some(p) = matched {
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Punct(p),
                 line: tline,
                 col: tcol,
@@ -354,7 +325,7 @@ pub fn lex(src: &str) -> Lexed {
             continue;
         }
 
-        out.tokens.push(Token {
+        out.push(Token {
             kind: TokKind::Char(c),
             line: tline,
             col: tcol,
@@ -540,27 +511,15 @@ mod tests {
     fn strings_and_comments_are_opaque() {
         let lx = lex(r##"let s = "HashMap"; // HashMap in comment
 let r = r#"Instant::now()"#; /* SystemTime */ let x = 1;"##);
-        let idents: Vec<_> = lx.tokens.iter().filter_map(|t| t.ident()).collect();
-        assert!(!idents.contains(&"HashMap"));
-        assert!(!idents.contains(&"Instant"));
-        assert!(!idents.contains(&"SystemTime"));
-        assert_eq!(lx.comments.len(), 2);
-        assert!(lx.comments[0].text.contains("HashMap"));
+        let idents: Vec<_> = lx.iter().filter_map(|t| t.ident()).collect();
+        assert_eq!(idents, ["let", "s", "let", "r", "let", "x"]);
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
         let lx = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
-        let lifetimes = lx
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokKind::Lifetime)
-            .count();
-        let chars = lx
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokKind::Literal)
-            .count();
+        let lifetimes = lx.iter().filter(|t| t.kind == TokKind::Lifetime).count();
+        let chars = lx.iter().filter(|t| t.kind == TokKind::Literal).count();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars, 1);
     }
@@ -568,9 +527,9 @@ let r = r#"Instant::now()"#; /* SystemTime */ let x = 1;"##);
     #[test]
     fn multi_char_punct_and_spans() {
         let lx = lex("a += 1;\nb -> c;");
-        assert!(lx.tokens.iter().any(|t| t.is_punct("+=")));
-        assert!(lx.tokens.iter().any(|t| t.is_punct("->")));
-        let arrow = lx.tokens.iter().find(|t| t.is_punct("->")).unwrap();
+        assert!(lx.iter().any(|t| t.is_punct("+=")));
+        assert!(lx.iter().any(|t| t.is_punct("->")));
+        let arrow = lx.iter().find(|t| t.is_punct("->")).unwrap();
         assert_eq!(arrow.line, 2);
     }
 
@@ -578,7 +537,7 @@ let r = r#"Instant::now()"#; /* SystemTime */ let x = 1;"##);
     fn cfg_test_spans_cover_module() {
         let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn after() {}\n";
         let lx = lex(src);
-        let spans = test_spans(&lx.tokens);
+        let spans = test_spans(&lx);
         assert_eq!(spans.len(), 1);
         assert!(in_spans(&spans, 4));
         assert!(!in_spans(&spans, 1));
@@ -589,7 +548,7 @@ let r = r#"Instant::now()"#; /* SystemTime */ let x = 1;"##);
     fn test_attr_fn_span() {
         let src = "#[test]\nfn t() { a.unwrap(); }\nfn real() {}\n";
         let lx = lex(src);
-        let spans = test_spans(&lx.tokens);
+        let spans = test_spans(&lx);
         assert!(in_spans(&spans, 2));
         assert!(!in_spans(&spans, 3));
     }
@@ -598,7 +557,7 @@ let r = r#"Instant::now()"#; /* SystemTime */ let x = 1;"##);
     fn cfg_not_test_is_not_a_test_span() {
         let src = "#[cfg(feature = \"x\")]\nfn real() { a.unwrap(); }\n";
         let lx = lex(src);
-        assert!(test_spans(&lx.tokens).is_empty());
+        assert!(test_spans(&lx).is_empty());
     }
 
     #[test]
@@ -608,14 +567,14 @@ let r = r#"Instant::now()"#; /* SystemTime */ let x = 1;"##);
         // code that only compiles OUTSIDE tests — were silently skipped.
         let src = "#[cfg(not(test))]\nfn real() { a.unwrap(); }\n";
         let lx = lex(src);
-        assert!(test_spans(&lx.tokens).is_empty());
+        assert!(test_spans(&lx).is_empty());
     }
 
     #[test]
     fn cfg_any_with_not_still_sees_bare_test() {
         let src = "#[cfg(any(not(feature_x), test))]\nmod tests { fn t() {} }\n";
         let lx = lex(src);
-        assert_eq!(test_spans(&lx.tokens).len(), 1);
+        assert_eq!(test_spans(&lx).len(), 1);
     }
 
     #[test]
@@ -637,7 +596,7 @@ mod tests {
 fn after() {}
 ";
         let lx = lex(src);
-        let spans = test_spans(&lx.tokens);
+        let spans = test_spans(&lx);
         assert_eq!(spans, vec![(1, 10)]);
         assert!(in_spans(&spans, 6));
         assert!(!in_spans(&spans, 11));
@@ -647,17 +606,16 @@ fn after() {}
     fn byte_offsets_are_strictly_monotone() {
         let src = "fn f() { let s = \"αβγ\"; s.len() + 1 }";
         let lx = lex(src);
-        for w in lx.tokens.windows(2) {
+        for w in lx.windows(2) {
             assert!(w[0].byte < w[1].byte);
         }
-        assert_eq!(lx.tokens[0].byte, 0);
+        assert_eq!(lx[0].byte, 0);
     }
 
     #[test]
     fn raw_string_with_hashes() {
         let lx = lex(r###"let x = r##"quote " inside"##; let y = 2;"###);
         let nums = lx
-            .tokens
             .iter()
             .filter(|t| matches!(t.kind, TokKind::Number(_)))
             .count();

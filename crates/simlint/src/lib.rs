@@ -4,20 +4,19 @@
 //! only because every replica run is deterministic; PR 1 chased
 //! hash-order nondeterminism by hand and PR 3's byte-identical-trace
 //! guarantee turns any future nondeterminism into a silent regression.
-//! simlint mechanically forbids the bug classes the runtime invariant
-//! auditor keeps rediscovering dynamically:
+//! simlint keeps the one invariant clippy cannot express:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `state-growth` | root-held collections have a shrink site somewhere |
-//! | `unchecked-slot-arith` | slot/watermark ordinals use checked ops |
 //!
 //! The rest of the determinism and safety policy is clippy's, which
 //! resolves paths and types where a token rule guesses: hash-ordered
 //! containers and wall-clock, thread and environment calls
 //! (`clippy.toml`), narrowing casts (`cast_possible_truncation`), float
 //! arithmetic in the replicated state machines (`float_arithmetic`),
-//! raw printing from library crates (`print_stdout`, `print_stderr`,
+//! unchecked ordinal arithmetic (`arithmetic_side_effects`), raw
+//! printing from library crates (`print_stdout`, `print_stderr`,
 //! `dbg_macro`) and panics in the crates a replica runs (`unwrap_used`,
 //! `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented` and
 //! `indexing_slicing`).
@@ -29,15 +28,15 @@
 //!
 //! Run with `cargo run -p simlint` (human diagnostics) or
 //! `cargo run -p simlint -- --json -` (machine-readable report, schema
-//! v3). Waivers live in `simlint.toml` or inline
-//! (`// simlint: allow(rule): why`); stale waivers and stale root
-//! patterns are errors, so the allowlist can only shrink.
+//! v3). Waivers are `[[waiver]]` tables in `simlint.toml` ([`config`]);
+//! stale waivers and stale root patterns are errors, so the allowlist
+//! can only shrink.
 //!
 //! The analyzer is dependency-free by design: the build environment is
 //! offline (external crates are vendored shims), so instead of `syn` it
 //! uses a self-contained lexer (see [`lexer`]) that understands
 //! comments, strings, lifetimes, and `#[cfg(test)]` regions — enough
-//! for exact-span token rules and heuristic item extraction.
+//! for heuristic item extraction and field-use scans.
 
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 

@@ -66,7 +66,7 @@ mod tests {
 
     fn graph_of(src: &str) -> Graph {
         let lx = lex(src);
-        let items = parse_items(&lx.tokens, &test_spans(&lx.tokens));
+        let items = parse_items(&lx, &test_spans(&lx));
         build(&[FileInput {
             path: "crates/a/src/lib.rs",
             krate: "a",

@@ -1,35 +1,24 @@
-//! The rule set: repo-specific determinism and safety invariants that
-//! clippy cannot express.
+//! The rule simlint keeps: a repo-specific invariant that clippy
+//! cannot express.
 //!
-//! Two rules:
-//!
-//! * `unchecked-slot-arith` — a token pattern scoped by crate role:
-//!   clippy cannot tell an ordinal from a counter.
-//! * `state-growth` — runs over the workspace index ([`crate::graph`])
-//!   from the `roots` declared in `simlint.toml`: the structs a root's
-//!   `self` type holds, transitively through their fields, must not
-//!   keep a collection that only grows. Clippy has no lint that follows
-//!   a struct's fields to the methods called on them anywhere in the
-//!   workspace.
+//! `state-growth` runs over the workspace index ([`crate::graph`]) from
+//! the `roots` declared in `simlint.toml`: the structs a root's `self`
+//! type holds, transitively through their fields, must not keep a
+//! collection that only grows. Clippy has no lint that follows a
+//! struct's fields to the methods called on them anywhere in the
+//! workspace.
 //!
 //! Wall-clock, thread and environment calls, narrowing casts, float
-//! arithmetic and panics on the replica path are clippy's (`clippy.toml`
-//! and the crates' `lib.rs` lint lines): it resolves paths and types
-//! where a token rule guesses.
+//! arithmetic, ordinal arithmetic and panics on the replica path are
+//! clippy's (`clippy.toml` and the crates' lint lines): it resolves
+//! paths and types where a token rule guesses.
 
 use std::collections::BTreeMap;
 
 use crate::diag::Diagnostic;
 use crate::graph::{Graph, StructDef};
 use crate::items::FileItems;
-use crate::lexer::{in_spans, test_spans, Lexed, TokKind, Token};
-
-/// Crates that hold consensus ordinals: `unchecked-slot-arith` scans
-/// these.
-pub const SIM_STATE_CRATES: &[&str] = &["paxos", "core", "cluster", "simnet"];
-
-/// Identifier fragments that mark consensus-ordinal arithmetic.
-const ORDINAL_NAMES: &[&str] = &["slot", "watermark", "generation"];
+use crate::lexer::Token;
 
 /// Collection type heads whose unbounded growth `state-growth` tracks.
 const COLLECTIONS: &[&str] = &[
@@ -92,16 +81,10 @@ pub struct RuleInfo {
 }
 
 /// All rules, in reporting order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: "state-growth",
-        summary: "root-held collections need a remove/clear/truncate/drain site somewhere",
-    },
-    RuleInfo {
-        name: "unchecked-slot-arith",
-        summary: "slot/watermark/generation arithmetic must use checked or saturating ops",
-    },
-];
+pub const RULES: &[RuleInfo] = &[RuleInfo {
+    name: "state-growth",
+    summary: "root-held collections need a remove/clear/truncate/drain site somewhere",
+}];
 
 /// Whether `name` is a known rule slug.
 pub fn is_known_rule(name: &str) -> bool {
@@ -111,19 +94,6 @@ pub fn is_known_rule(name: &str) -> bool {
 const HELP_STATE_GROWTH: &str = "add a compaction/GC path (remove/clear/truncate/drain) or bound \
      the collection; a root-held collection that only grows leaks across million-event runs and \
      skews the paper's recovery-time measurements";
-const HELP_SLOT_ARITH: &str = "use checked_add/checked_sub/saturating_sub so ordinal overflow \
-     or underflow is an explicit decision, not a silent wrap (or debug panic)";
-
-/// Context for a single file scan.
-pub struct FileCtx<'a> {
-    /// Repo-relative path with forward slashes.
-    pub rel_path: &'a str,
-    /// Crate name derived from the path (`core`, `paxos`, …), or the
-    /// root package marker `"."`.
-    pub crate_name: &'a str,
-    /// Raw source, for snippets.
-    pub src: &'a str,
-}
 
 fn snippet_of(src: &str, line: u32) -> String {
     src.lines()
@@ -132,70 +102,13 @@ fn snippet_of(src: &str, line: u32) -> String {
         .unwrap_or_default()
 }
 
-/// Runs the one file-scoped rule, `unchecked-slot-arith`, over one
-/// lexed file. Only the sim-state crates are in scope, and test spans
-/// (`#[cfg(test)]`, `#[test]`) are exempt.
-pub fn check_file(ctx: &FileCtx<'_>, lexed: &Lexed) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if !SIM_STATE_CRATES.contains(&ctx.crate_name) {
-        return out;
-    }
-    let spans = test_spans(&lexed.tokens);
-    let toks = &lexed.tokens;
-
-    // Spans of `impl … Slot/Watermark …` blocks: inside them, `self`
-    // arithmetic counts as ordinal arithmetic even though the receiver
-    // is spelled `self.0`.
-    let ordinal_impls = ordinal_impl_spans(toks);
-
-    for (i, t) in toks.iter().enumerate() {
-        if in_spans(&spans, t.line) {
-            continue;
-        }
-        let op = match &t.kind {
-            TokKind::Punct(p) if matches!(*p, "+=" | "-=" | "*=") => *p,
-            TokKind::Char('+') => "+",
-            TokKind::Char('-') => "-",
-            TokKind::Char('*') => "*",
-            _ => continue,
-        };
-        // `*` is deref/multiply-ambiguous and `-` can be unary: require
-        // an expression terminator on the left so only binary uses are
-        // considered.
-        let left_end = i.checked_sub(1).map(|j| &toks[j]);
-        let left_is_expr = left_end.is_some_and(|p| match &p.kind {
-            TokKind::Ident(id) => !is_keyword(id),
-            TokKind::Number(_) => true,
-            TokKind::Punct(p) => *p == "]",
-            TokKind::Char(c) => *c == ')' || *c == ']',
-            _ => false,
-        }) || matches!(op, "+=" | "-=" | "*=");
-        if left_is_expr && ordinal_operand(toks, i, &ordinal_impls, t.line) {
-            out.push(Diagnostic {
-                rule: "unchecked-slot-arith",
-                path: ctx.rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "unchecked `{op}` on slot/watermark/generation ordinal: overflow \
-                     wraps in release builds and corrupts consensus ordering"
-                ),
-                snippet: snippet_of(ctx.src, t.line),
-                help: HELP_SLOT_ARITH,
-                chain: Vec::new(),
-            });
-        }
-    }
-    out
-}
-
 /// One scanned file, as assembled by the workspace driver.
 pub struct FileData {
     /// Repo-relative path with forward slashes.
     pub rel: String,
     pub krate: String,
     pub src: String,
-    pub lexed: Lexed,
+    pub tokens: Vec<Token>,
     pub items: FileItems,
 }
 
@@ -313,7 +226,7 @@ fn field_usage(ctx: &GraphCtx<'_>, field: &str) -> (bool, bool) {
     let mut grows = false;
     let mut shrinks = false;
     for f in ctx.files {
-        let toks = &f.lexed.tokens;
+        let toks = &f.tokens;
         for (i, t) in toks.iter().enumerate() {
             let Some(id) = t.ident() else { continue };
             if id == field {
@@ -359,174 +272,26 @@ fn prev_is_path(toks: &[Token], i: usize, prefix: &str) -> bool {
     i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].ident().is_some_and(|id| id == prefix)
 }
 
-/// The Rust keywords that can stand where a name is expected.
-const KEYWORDS: &[&str] = &[
-    "if", "else", "match", "return", "let", "mut", "fn", "in", "for", "while", "loop", "break",
-    "continue", "as", "where", "impl", "pub", "use", "mod", "struct", "enum", "trait", "type",
-    "const", "static", "ref", "move", "unsafe",
-];
-
-fn is_keyword(id: &str) -> bool {
-    KEYWORDS.contains(&id)
-}
-
-fn name_is_ordinal(id: &str) -> bool {
-    let lower = id.to_ascii_lowercase();
-    ORDINAL_NAMES.iter().any(|n| lower.contains(n))
-}
-
-/// Line spans of `impl` blocks whose target type name is ordinal-like
-/// (`impl Slot { … }`): `self` arithmetic inside them is ordinal
-/// arithmetic even without a named operand.
-fn ordinal_impl_spans(toks: &[Token]) -> Vec<(u32, u32)> {
-    let mut spans = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].ident() == Some("impl") {
-            let mut j = i + 1;
-            let mut ordinal = false;
-            while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
-                if let Some(id) = toks[j].ident() {
-                    if name_is_ordinal(id) {
-                        ordinal = true;
-                    }
-                }
-                j += 1;
-            }
-            if ordinal && j < toks.len() && toks[j].is_punct("{") {
-                let mut d = 0;
-                let mut end = j;
-                for (n, t) in toks.iter().enumerate().skip(j) {
-                    if t.is_punct("{") {
-                        d += 1;
-                    } else if t.is_punct("}") {
-                        d -= 1;
-                        if d == 0 {
-                            end = n;
-                            break;
-                        }
-                    }
-                }
-                spans.push((toks[j].line, toks[end].line));
-                i = j + 1;
-                continue;
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    spans
-}
-
-/// Whether the ordinal identifier at `k` is only the *receiver* of a
-/// method call (`slot.wire_size()`): the call's result has an unknown
-/// type, so arithmetic on it is not ordinal arithmetic. Field accesses
-/// (`slot.0`, `meta.generation`) still count.
-fn is_method_receiver(toks: &[Token], k: usize) -> bool {
-    toks.get(k + 1).is_some_and(|t| t.is_punct("."))
-        && toks.get(k + 2).is_some_and(|t| t.ident().is_some())
-        && toks.get(k + 3).is_some_and(|t| t.is_punct("("))
-}
-
-/// Whether the arithmetic at operator index `i` involves an ordinal
-/// operand: an identifier containing slot/watermark/generation within
-/// the postfix chains on either side, or `self` inside an ordinal impl.
-fn ordinal_operand(toks: &[Token], i: usize, ordinal_impls: &[(u32, u32)], line: u32) -> bool {
-    let in_ordinal_impl = in_spans(ordinal_impls, line);
-    // Scan left over a postfix chain: ident . ident . 0 ) ] ?
-    let mut j = i;
-    let mut steps = 0;
-    while j > 0 && steps < 8 {
-        j -= 1;
-        steps += 1;
-        match &toks[j].kind {
-            TokKind::Ident(id) => {
-                if name_is_ordinal(id) && !is_method_receiver(toks, j) {
-                    return true;
-                }
-                if id == "self" && in_ordinal_impl {
-                    return true;
-                }
-                if is_keyword(id) {
-                    break;
-                }
-                // continue through `a.b` chains only when preceded by `.`
-                if j == 0 || !toks[j - 1].is_punct(".") {
-                    break;
-                }
-            }
-            TokKind::Number(_) => {
-                if j == 0 || !toks[j - 1].is_punct(".") {
-                    break;
-                }
-            }
-            TokKind::Punct(p) if *p == "]" => {}
-            TokKind::Char(c) if *c == ')' || *c == ']' || *c == '?' || *c == '.' => {}
-            TokKind::Punct(p) if *p == "." => {}
-            _ => break,
-        }
-    }
-    // Scan right over the first operand after the operator.
-    let mut j = i + 1;
-    let mut steps = 0;
-    while j < toks.len() && steps < 8 {
-        match &toks[j].kind {
-            TokKind::Ident(id) => {
-                if name_is_ordinal(id) && !is_method_receiver(toks, j) {
-                    return true;
-                }
-                if id == "self" && in_ordinal_impl {
-                    // `… + self.0` inside impl Slot
-                    return true;
-                }
-                if is_keyword(id) {
-                    return false;
-                }
-            }
-            TokKind::Number(_) => {}
-            TokKind::Char(c) if *c == '.' || *c == '(' || *c == '&' => {}
-            TokKind::Punct(p) if *p == "::" || *p == "." => {}
-            _ => return false,
-        }
-        j += 1;
-        steps += 1;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Config;
     use crate::items::parse_items;
-    use crate::lexer::lex;
+    use crate::lexer::{lex, test_spans};
     use crate::workspace::analyze_sources;
-
-    fn check(crate_name: &str, rel_path: &str, src: &str) -> Vec<Diagnostic> {
-        let lexed = lex(src);
-        check_file(
-            &FileCtx {
-                rel_path,
-                crate_name,
-                src,
-            },
-            &lexed,
-        )
-    }
 
     /// Lints a tiny in-memory workspace from the given roots.
     fn check_transitive(files: &[(&str, &str, &str)], roots: &[&str]) -> Vec<Diagnostic> {
         let data: Vec<FileData> = files
             .iter()
             .map(|(rel, krate, src)| {
-                let lexed = lex(src);
-                let items = parse_items(&lexed.tokens, &test_spans(&lexed.tokens));
+                let tokens = lex(src);
+                let items = parse_items(&tokens, &test_spans(&tokens));
                 FileData {
                     rel: rel.to_string(),
                     krate: krate.to_string(),
                     src: src.to_string(),
-                    lexed,
+                    tokens,
                     items,
                 }
             })
@@ -539,37 +304,21 @@ mod tests {
     }
 
     #[test]
-    fn slot_arith_flags_bare_ops_in_scope_only() {
-        let src = "fn f(slot: u64) -> u64 { slot + 1 }\n";
-        let d = check("paxos", "crates/paxos/src/x.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "unchecked-slot-arith");
-        assert!(check("tpcw", "crates/tpcw/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn slot_arith_allows_checked() {
-        let src = "fn f(slot: u64) -> Option<u64> { slot.checked_add(1) }\n";
-        assert_eq!(check("paxos", "crates/paxos/src/x.rs", src).len(), 0);
-    }
-
-    #[test]
-    fn slot_arith_in_ordinal_impl_self() {
-        let src = "impl Slot { fn next(self) -> Slot { Slot(self.0 + 1) } }\n";
-        let d = check("paxos", "crates/paxos/src/types.rs", src);
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn plain_counter_arith_not_flagged() {
-        let src = "fn f(count: u64) -> u64 { count + 1 }\n";
-        assert_eq!(check("paxos", "crates/paxos/src/x.rs", src).len(), 0);
-    }
-
-    #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(slot: u64) -> u64 { slot + 1 }\n}\n";
-        assert_eq!(check("paxos", "crates/paxos/src/x.rs", src).len(), 0);
+        // A struct declared in test code is not held state, even under
+        // the name a root's field holds.
+        let d = check_transitive(
+            &[(
+                "crates/paxos/src/replica.rs",
+                "paxos",
+                "pub struct Replica { log: Log }
+                 impl Replica { pub fn on_message(&mut self) { self.log.entries.push(1); } }
+                 #[cfg(test)]
+                 mod tests { pub struct Log { entries: Vec<u8> } }",
+            )],
+            &["Replica::on_message"],
+        );
+        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]

@@ -1,30 +1,31 @@
 //! Workspace enumeration and the analysis driver: scan files, build the
-//! workspace index, run both rules, apply waivers, detect stale waivers
-//! and stale roots, build the report.
+//! workspace index, run `state-growth`, apply waivers, detect stale
+//! waivers and stale roots, build the report.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::config::{inline_allows, parse_config, Config, ConfigError};
+use crate::config::{parse_config, Config, ConfigError};
 use crate::diag::Diagnostic;
 use crate::graph::{build, FileInput};
 use crate::items::parse_items;
 use crate::lexer::{lex, test_spans};
 use crate::reach::match_roots;
-use crate::rules::{check_file, check_graph, is_known_rule, FileCtx, FileData, GraphCtx};
+use crate::rules::{check_graph, is_known_rule, FileData, GraphCtx};
 
-/// Appended to an unknown-rule error: the six rules simlint retired
+/// Appended to an unknown-rule error: the seven rules simlint retired
 /// are clippy's, and the hint says where each one went.
-const UNKNOWN_RULE_HINT: &str = "(`simlint --list-rules` names simlint's rules; clippy owns \
+const UNKNOWN_RULE_HINT: &str = "(`simlint --list-rules` names simlint's rule; clippy owns \
      `hash-order` and `sim-taint` in clippy.toml, `io-println` as the print lints, `lossy-cast` \
-     as cast_possible_truncation, `float-state` as float_arithmetic and `panic-taint` as \
-     unwrap_used, expect_used, panic, unreachable, todo, unimplemented and indexing_slicing)";
+     as cast_possible_truncation, `float-state` as float_arithmetic, `unchecked-slot-arith` as \
+     arithmetic_side_effects and `panic-taint` as unwrap_used, expect_used, panic, unreachable, \
+     todo, unimplemented and indexing_slicing)";
 
 /// A waiver or root pattern that matched nothing (or is malformed) —
 /// itself an error.
 #[derive(Debug, Clone)]
 pub struct StaleWaiver {
-    /// Where it is declared (`simlint.toml:12` or `file.rs:34`).
+    /// Where it is declared (`simlint.toml:12`, `simlint.toml roots`).
     pub declared_at: String,
     pub rule: String,
     pub message: String,
@@ -127,14 +128,13 @@ pub fn analyze(root: &Path, config_src: &str) -> Result<Report, ConfigError> {
         let Ok(src) = fs::read_to_string(&path) else {
             continue;
         };
-        let lexed = lex(&src);
-        let spans = test_spans(&lexed.tokens);
-        let items = parse_items(&lexed.tokens, &spans);
+        let tokens = lex(&src);
+        let items = parse_items(&tokens, &test_spans(&tokens));
         data.push(FileData {
             krate: crate_of(&rel).to_string(),
             rel,
             src,
-            lexed,
+            tokens,
             items,
         });
     }
@@ -171,105 +171,34 @@ pub fn analyze_sources(data: &[FileData], cfg: &Config) -> Report {
         });
     }
 
-    // --- run rules -------------------------------------------------------
-    let mut per_file: Vec<Vec<Diagnostic>> = data
-        .iter()
-        .map(|f| {
-            check_file(
-                &FileCtx {
-                    rel_path: &f.rel,
-                    crate_name: &f.krate,
-                    src: &f.src,
-                },
-                &f.lexed,
-            )
-        })
-        .collect();
-    let growth = check_graph(&GraphCtx {
+    // --- run the rule, in file order ------------------------------------
+    let mut diags = check_graph(&GraphCtx {
         files: data,
         graph: &graph,
         roots: &roots.ids,
     });
-    for d in growth {
-        if let Some(fi) = data.iter().position(|f| f.rel == d.path) {
-            per_file[fi].push(d);
-        }
-    }
-    for diags in &mut per_file {
-        diags.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    }
+    diags.sort_by_cached_key(|d| {
+        let file = data.iter().position(|f| f.rel == d.path);
+        (file, d.line, d.col, d.rule)
+    });
 
     // --- waivers ---------------------------------------------------------
-    let mut waiver_hits = vec![0usize; cfg.waivers.len()];
-    for (f, diags) in data.iter().zip(per_file) {
-        let rel = &f.rel;
-        let allows = inline_allows(&f.lexed.comments);
-
-        // Track inline allow usage for stale detection.
-        let mut allow_hits = vec![0usize; allows.len()];
-        for (ai, a) in allows.iter().enumerate() {
-            for r in &a.rules {
-                if !is_known_rule(r) {
-                    report.stale.push(StaleWaiver {
-                        declared_at: format!("{rel}:{}", a.line),
-                        rule: r.clone(),
-                        message: format!(
-                            "inline allow names unknown rule {r:?} {UNKNOWN_RULE_HINT}"
-                        ),
-                    });
-                }
+    let mut used = vec![false; cfg.waivers.len()];
+    for d in diags {
+        let waiver = cfg.waivers.iter().position(|w| {
+            w.rule == d.rule && w.path == d.path && w.line.is_none_or(|l| l == d.line)
+        });
+        match waiver {
+            Some(wi) => {
+                used[wi] = true;
+                report.waived.push((d, cfg.waivers[wi].reason.clone()));
             }
-            if a.reason.trim().len() < 8 {
-                report.stale.push(StaleWaiver {
-                    declared_at: format!("{rel}:{}", a.line),
-                    rule: a.rules.join(","),
-                    message: "inline allow needs a written justification \
-                              (`// simlint: allow(rule): why`)"
-                        .into(),
-                });
-                // Do not let an unjustified allow suppress anything.
-                allow_hits[ai] = usize::MAX;
-            }
-        }
-
-        'diag: for d in diags {
-            // Inline allows cover the flagged line and the line below the
-            // comment (comment-above style).
-            for (ai, a) in allows.iter().enumerate() {
-                if allow_hits[ai] == usize::MAX {
-                    continue;
-                }
-                if (a.line == d.line || a.line + 1 == d.line) && a.rules.iter().any(|r| r == d.rule)
-                {
-                    allow_hits[ai] += 1;
-                    report.waived.push((d, a.reason.clone()));
-                    continue 'diag;
-                }
-            }
-            // Central waivers.
-            for (wi, w) in cfg.waivers.iter().enumerate() {
-                if w.rule == d.rule && w.path == d.path && w.line.is_none_or(|l| l == d.line) {
-                    waiver_hits[wi] += 1;
-                    report.waived.push((d, w.reason.clone()));
-                    continue 'diag;
-                }
-            }
-            report.errors.push(d);
-        }
-
-        for (ai, a) in allows.iter().enumerate() {
-            if allow_hits[ai] == 0 {
-                report.stale.push(StaleWaiver {
-                    declared_at: format!("{rel}:{}", a.line),
-                    rule: a.rules.join(","),
-                    message: "inline allow matches no diagnostic — remove it (stale waiver)".into(),
-                });
-            }
+            None => report.errors.push(d),
         }
     }
 
-    for (wi, w) in cfg.waivers.iter().enumerate() {
-        if waiver_hits[wi] == 0 {
+    for (w, used) in cfg.waivers.iter().zip(used) {
+        if !used {
             let exists = data.iter().any(|f| f.rel == w.path);
             report.stale.push(StaleWaiver {
                 declared_at: format!("simlint.toml:{}", w.decl_line),
@@ -286,7 +215,7 @@ pub fn analyze_sources(data: &[FileData], cfg: &Config) -> Report {
         }
     }
 
-    // Keep the report deterministic regardless of rule execution order.
+    // Errors read in path order.
     report
         .errors
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));

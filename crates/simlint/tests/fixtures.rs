@@ -1,7 +1,8 @@
-//! Fixture-corpus integration tests: the rules are exercised against
-//! committed mini-workspaces — seeded violations (`bad_ws`) and a clean
-//! twin with one justified inline allow (`good_ws`) — and against
-//! in-memory sources. The CLI binary is run end-to-end for exit codes
+//! Fixture-corpus integration tests: `state-growth` is exercised
+//! against committed mini-workspaces — a seeded grow-only log
+//! (`bad_ws`) and its compacting twin (`good_ws`), each with the
+//! `simlint.toml` that declares its root — and against in-memory
+//! sources. The CLI binary is run end-to-end for exit codes
 //! (including the dedicated stale-only exit 3) and the `--json` schema;
 //! and the real repository is linted with its committed `simlint.toml`
 //! so a new violation or a stale waiver fails `cargo test` as well as
@@ -24,6 +25,15 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// The fixture's own `simlint.toml` (its `roots`), plus `extra`.
+fn fixture_config(name: &str, extra: &str) -> String {
+    let own = std::fs::read_to_string(fixture(name).join("simlint.toml")).expect("fixture config");
+    format!("{own}{extra}")
+}
+
+/// The line of `Log.entries`, the field `bad_ws` seeds as grow-only.
+const SEEDED_LINE: u32 = 10;
+
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -33,13 +43,14 @@ fn repo_root() -> PathBuf {
 
 /// The rules simlint handed to clippy: naming one in a waiver is an
 /// error whose hint points at clippy.
-const RETIRED_TO_CLIPPY: [&str; 6] = [
+const RETIRED_TO_CLIPPY: [&str; 7] = [
     "hash-order",
     "io-println",
     "sim-taint",
     "lossy-cast",
     "float-state",
     "panic-taint",
+    "unchecked-slot-arith",
 ];
 
 fn rule_count(report: &simlint::workspace::Report, rule: &str) -> usize {
@@ -54,17 +65,16 @@ fn only<'a>(report: &'a simlint::workspace::Report, rule: &str) -> &'a Diagnosti
 }
 
 #[test]
-fn bad_workspace_flags_every_seeded_file_scoped_violation() {
-    let report = analyze(&fixture("bad_ws"), "").expect("analyze");
-    assert!(report.failed(), "seeded violations must fail the lint");
-    // Exact counts pin both the detector and its span logic; the
-    // fixture's indexing, unwrap and panic! are clippy's, not simlint's.
+fn bad_workspace_flags_its_seeded_growth() {
+    let report = analyze(&fixture("bad_ws"), &fixture_config("bad_ws", "")).expect("analyze");
+    assert!(report.failed(), "a seeded violation must fail the lint");
+    let d = only(&report, "state-growth");
     assert_eq!(
-        rule_count(&report, "unchecked-slot-arith"),
-        2,
-        "slot + 1, slot - 1"
+        (d.path.as_str(), d.line),
+        ("crates/paxos/src/replica.rs", SEEDED_LINE)
     );
-    assert_eq!(report.errors.len(), 2);
+    assert!(d.message.contains("`Log.entries` (Vec)"), "{}", d.message);
+    assert_eq!(report.errors.len(), 1);
     assert!(report.waived.is_empty());
     assert!(report.stale.is_empty());
 }
@@ -73,7 +83,7 @@ fn bad_workspace_flags_every_seeded_file_scoped_violation() {
 fn deleting_a_root_is_caught_as_stale() {
     // If a declared entry point is renamed or deleted, the held state
     // silently shrinks — simlint must refuse to pass.
-    let roots = r#"roots = ["handle", "Replica::vanished_handler"]"#;
+    let roots = r#"roots = ["Replica::on_message", "Replica::vanished_handler"]"#;
     let report = analyze(&fixture("good_ws"), roots).expect("analyze");
     assert!(report.failed());
     let stale: Vec<_> = report.stale.iter().filter(|s| s.rule == "roots").collect();
@@ -89,13 +99,13 @@ fn deleting_a_root_is_caught_as_stale() {
 
 /// One in-memory source file, loaded the way `analyze` loads a tree.
 fn file_data(rel: &str, src: String) -> FileData {
-    let lexed = lex(&src);
-    let items = parse_items(&lexed.tokens, &test_spans(&lexed.tokens));
+    let tokens = lex(&src);
+    let items = parse_items(&tokens, &test_spans(&tokens));
     FileData {
         rel: rel.into(),
         krate: simlint::workspace::crate_of(rel).into(),
         src,
-        lexed,
+        tokens,
         items,
     }
 }
@@ -132,81 +142,69 @@ fn state_growth_resolves_held_types_in_their_own_crate() {
 }
 
 #[test]
-fn good_workspace_is_clean_with_one_justified_allow() {
-    let report = analyze(&fixture("good_ws"), "").expect("analyze");
-    assert!(
-        !report.failed(),
-        "a waived violation must not fail: {report:?}"
-    );
-    assert!(
-        report.errors.is_empty(),
-        "clean twin: no unwaived diagnostics"
-    );
+fn good_workspace_is_clean() {
+    let report = analyze(&fixture("good_ws"), &fixture_config("good_ws", "")).expect("analyze");
+    assert!(!report.failed(), "{report:?}");
     assert_eq!(report.files_scanned, 1);
-    assert_eq!(report.waived.len(), 1);
-    assert_eq!(report.waived[0].0.rule, "unchecked-slot-arith");
-    assert!(report.waived[0].1.contains("inline waiver path"));
-    assert!(report.stale.is_empty(), "the allow is used, not stale");
-
-    // An inline allow naming a rule clippy now owns waives nothing: it
-    // is reported stale and pointed at clippy.
-    let rel = "crates/paxos/src/replica.rs";
-    let src = std::fs::read_to_string(fixture("good_ws").join(rel)).expect("fixture");
-    for retired in RETIRED_TO_CLIPPY {
-        let with_allow = format!("{src}// simlint: allow({retired}): clippy checks this now\n");
-        let report = analyze_sources(&[file_data(rel, with_allow)], &Config::default());
-        assert!(report.stale_only(), "{retired}: {report:?}");
-        assert!(
-            report
-                .stale
-                .iter()
-                .any(|w| w.message.contains("unknown rule") && w.message.contains("clippy")),
-            "{retired}: {:?}",
-            report.stale
-        );
-    }
+    assert!(report.waived.is_empty());
+    assert!(report.stale.is_empty(), "its root matches `on_message`");
 }
 
 #[test]
 fn toml_waiver_suppresses_matching_diagnostics() {
-    let config = r#"
+    let config = fixture_config(
+        "bad_ws",
+        r#"
         [[waiver]]
-        rule = "unchecked-slot-arith"
+        rule = "state-growth"
         path = "crates/paxos/src/replica.rs"
         reason = "fixture-level exemption used by the waiver test"
-    "#;
-    let report = analyze(&fixture("bad_ws"), config).expect("analyze");
-    assert_eq!(rule_count(&report, "unchecked-slot-arith"), 0);
-    assert_eq!(report.waived.len(), 2);
+    "#,
+    );
+    let report = analyze(&fixture("bad_ws"), &config).expect("analyze");
+    assert_eq!(rule_count(&report, "state-growth"), 0);
+    assert_eq!(report.waived.len(), 1);
+    assert!(report.waived[0].1.contains("fixture-level exemption"));
     assert!(!report.failed(), "{report:?}");
 }
 
 #[test]
 fn line_scoped_toml_waiver_covers_only_that_line() {
-    // replica.rs: `slot + 1` on line 11, `slot - 1` on line 12.
-    let waivers = r#"
-        [[waiver]]
-        rule = "unchecked-slot-arith"
-        path = "crates/paxos/src/replica.rs"
-        line = 11
-        reason = "only the first ordinal step is exempted here"
-    "#;
-    let report = analyze(&fixture("bad_ws"), waivers).expect("analyze");
-    assert_eq!(rule_count(&report, "unchecked-slot-arith"), 1);
-    assert_eq!(report.errors[0].line, 12);
-    assert_eq!(report.waived.len(), 1);
-    assert_eq!(report.waived[0].0.line, 11);
+    let waiver = |line: u32| {
+        fixture_config(
+            "bad_ws",
+            &format!(
+                "[[waiver]]\nrule = \"state-growth\"\npath = \"crates/paxos/src/replica.rs\"\n\
+                 line = {line}\nreason = \"only this line of the fixture is exempted\"\n"
+            ),
+        )
+    };
+    let on_line = analyze(&fixture("bad_ws"), &waiver(SEEDED_LINE)).expect("analyze");
+    assert!(!on_line.failed(), "{on_line:?}");
+    assert_eq!(on_line.waived.len(), 1);
+    assert_eq!(on_line.waived[0].0.line, SEEDED_LINE);
+
+    // One line off, the waiver covers nothing: the finding stands and
+    // the waiver is stale.
+    let off = analyze(&fixture("bad_ws"), &waiver(SEEDED_LINE + 1)).expect("analyze");
+    assert_eq!(rule_count(&off, "state-growth"), 1);
+    assert_eq!(off.errors[0].line, SEEDED_LINE);
+    assert!(off.waived.is_empty());
+    assert_eq!(off.stale.len(), 1, "{:?}", off.stale);
 }
 
 #[test]
 fn stale_toml_waiver_is_an_error() {
-    let waivers = r#"
+    let waivers = fixture_config(
+        "good_ws",
+        r#"
         [[waiver]]
         rule = "state-growth"
         path = "crates/paxos/src/replica.rs"
         reason = "nothing in the clean tree matches this entry"
-    "#;
-    let report = analyze(&fixture("good_ws"), waivers).expect("analyze");
+    "#,
+    );
+    let report = analyze(&fixture("good_ws"), &waivers).expect("analyze");
     assert!(report.failed(), "a waiver matching nothing must fail");
     assert!(report.stale_only(), "clean code + stale waiver = exit 3");
     assert_eq!(report.stale.len(), 1);
@@ -217,7 +215,7 @@ fn stale_toml_waiver_is_an_error() {
 fn waiver_for_missing_file_reports_the_path() {
     let waivers = r#"
         [[waiver]]
-        rule = "unchecked-slot-arith"
+        rule = "state-growth"
         path = "crates/paxos/src/gone.rs"
         reason = "this file was deleted but the waiver lingered"
     "#;
@@ -242,11 +240,24 @@ fn waiver_naming_unknown_rule_is_a_config_error() {
         );
         assert!(err.message.contains("clippy"), "{rule}: {}", err.message);
     }
+    // The hint names where each retired rule went.
+    let err = analyze(
+        &fixture("bad_ws"),
+        "[[waiver]]\nrule = \"unchecked-slot-arith\"\npath = \"crates/paxos/src/replica.rs\"\n\
+         reason = \"long enough reason, retired rule\"\n",
+    )
+    .expect_err("must reject");
+    assert!(
+        err.message
+            .contains("`unchecked-slot-arith` as arithmetic_side_effects"),
+        "{}",
+        err.message
+    );
 }
 
 #[test]
 fn json_report_matches_schema() {
-    let report = analyze(&fixture("bad_ws"), "").expect("analyze");
+    let report = analyze(&fixture("bad_ws"), &fixture_config("bad_ws", "")).expect("analyze");
     let doc = report_to_json(&report);
     // Stable top-level schema the CI job and external tooling key on.
     for key in [
@@ -261,7 +272,8 @@ fn json_report_matches_schema() {
         assert!(doc.contains(key), "missing {key} in:\n{doc}");
     }
     assert!(doc.contains(&format!("\"version\": {JSON_VERSION}")));
-    assert!(doc.contains("\"errors\": 2"));
+    assert!(doc.contains("\"errors\": 1"));
+    assert!(doc.contains("\"rules\": [\"state-growth\"]"), "{doc}");
     // Every diagnostic row carries the fields a consumer needs to
     // locate it, and the provenance chain.
     for field in [
@@ -297,13 +309,11 @@ fn cli_fails_on_seeded_violations_and_passes_clean_tree() {
         .expect("run simlint");
     assert_eq!(good.status.code(), Some(0), "good_ws must exit 0");
     let stdout = String::from_utf8(good.stdout).expect("utf8 json");
-    assert!(stdout.contains("\"errors\": 0"));
     assert!(
         !stdout.contains("simlint: "),
         "--json - must keep stdout pure JSON"
     );
-    // Its justified inline allow is reported, not failed.
-    assert!(stdout.contains("\"errors\": 0, \"waived\": 1"), "{stdout}");
+    assert!(stdout.contains("\"errors\": 0, \"waived\": 0"), "{stdout}");
 }
 
 #[test]

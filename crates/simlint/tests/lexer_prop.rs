@@ -68,9 +68,9 @@ proptest! {
             .map(|&i| FRAGMENTS[i])
             .collect::<Vec<_>>()
             .join(sep);
-        let lexed = lex(&src);
+        let tokens = lex(&src);
         let mut prev: Option<u32> = None;
-        for t in &lexed.tokens {
+        for t in &tokens {
             prop_assert!(
                 (t.byte as usize) < src.len().max(1),
                 "token byte {} out of bounds (len {})", t.byte, src.len()
@@ -83,7 +83,7 @@ proptest! {
         }
         // The test-span pass runs on every lex result; it must be total
         // too, and every span it produces must be well-formed.
-        for (start, end) in test_spans(&lexed.tokens) {
+        for (start, end) in test_spans(&tokens) {
             prop_assert!(start <= end, "inverted span {start}..{end}");
         }
     }
@@ -93,9 +93,9 @@ proptest! {
     #[test]
     fn lexer_survives_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..64)) {
         let src = String::from_utf8_lossy(&bytes);
-        let lexed = lex(&src);
+        let tokens = lex(&src);
         let mut prev: Option<u32> = None;
-        for t in &lexed.tokens {
+        for t in &tokens {
             if let Some(p) = prev {
                 prop_assert!(t.byte > p);
             }
@@ -109,9 +109,8 @@ fn raw_string_with_hash_quote_is_one_token() {
     // `"#` inside an r##-string must not terminate it; the `after`
     // ident must still be seen, at the right line.
     let src = "let s = r##\"has \"# inside\"##;\nafter";
-    let lexed = lex(src);
-    let idents: Vec<_> = lexed
-        .tokens
+    let tokens = lex(src);
+    let idents: Vec<_> = tokens
         .iter()
         .filter_map(|t| match &t.kind {
             TokKind::Ident(id) => Some((id.as_str(), t.line)),
@@ -120,8 +119,7 @@ fn raw_string_with_hash_quote_is_one_token() {
         .collect();
     assert_eq!(idents, vec![("let", 1), ("s", 1), ("after", 2)]);
     assert_eq!(
-        lexed
-            .tokens
+        tokens
             .iter()
             .filter(|t| matches!(t.kind, TokKind::Literal))
             .count(),
@@ -135,14 +133,12 @@ fn char_literals_and_lifetimes_disambiguate() {
     // `'a'` is a char literal; `'a` before an ident boundary is a
     // lifetime; an escaped quote char must not eat the rest.
     let src = "fn f<'a>(x: &'a str) { let c = 'a'; let q = '\\''; }";
-    let lexed = lex(src);
-    let lifetimes = lexed
-        .tokens
+    let tokens = lex(src);
+    let lifetimes = tokens
         .iter()
         .filter(|t| matches!(t.kind, TokKind::Lifetime))
         .count();
-    let literals = lexed
-        .tokens
+    let literals = tokens
         .iter()
         .filter(|t| matches!(t.kind, TokKind::Literal))
         .count();
@@ -150,5 +146,5 @@ fn char_literals_and_lifetimes_disambiguate() {
     assert_eq!(literals, 2, "'a' and '\\''");
     // Nothing after the chars was swallowed: the closing brace is the
     // final token.
-    assert!(lexed.tokens.last().is_some_and(|t| t.is_punct("}")));
+    assert!(tokens.last().is_some_and(|t| t.is_punct("}")));
 }

@@ -1,4 +1,5 @@
-//! The replica path denies clippy's panic lints, in tier-1.
+//! The replica path denies clippy's panic lints and unchecked
+//! arithmetic, in tier-1.
 //!
 //! The paper's fault model is crash-stop: a replica stops only where
 //! the faultload crashes it. A panic in a replica's message path would
@@ -11,6 +12,12 @@
 //! `treplica` and `robuststore` through the `Cargo.toml`s, and fails if
 //! a crate of that closure drops a lint or if module-level opt-outs
 //! grow past their cap.
+//!
+//! Slot, round and generation ordinals index the log every replica
+//! applies in one order; a wrapped ordinal reorders it. So `paxos`,
+//! `treplica` and the two cluster files also deny
+//! `clippy::arithmetic_side_effects` outside test code, with no
+//! module-level opt-out at all.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -36,6 +43,13 @@ const CLUSTER_FILES: [&str; 2] = [
 /// Module-level `#![expect]`/`#![allow]` of a panic lint in the closure.
 /// Policy: the count can only shrink; lower the cap when one goes.
 const MODULE_OPT_OUT_CAP: usize = 2;
+
+/// The deny that keeps ordinals, simulated times, sizes and tallies
+/// from wrapping; test code is exempt.
+const ARITH_DENY: &str = "#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]";
+
+/// Crates whose `lib.rs` carries [`ARITH_DENY`], as do [`CLUSTER_FILES`].
+const ARITH_CRATES: [&str; 2] = ["paxos", "treplica"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -128,16 +142,14 @@ fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Inner `#![expect(…)]`/`#![allow(…)]` attributes naming a panic lint.
-fn module_opt_outs(src: &str) -> usize {
+/// Inner `#![expect(…)]`/`#![allow(…)]` attributes naming one of `lints`.
+fn module_opt_outs(src: &str, lints: &[&str]) -> usize {
     src.split("#![")
         .skip(1)
         .filter(|attr| attr.starts_with("expect(") || attr.starts_with("allow("))
         .filter(|attr| {
             let body = attr.split(")]").next().unwrap_or_default();
-            PANIC_LINTS
-                .iter()
-                .any(|l| body.contains(&format!("clippy::{l}")))
+            lints.iter().any(|l| body.contains(&format!("clippy::{l}")))
         })
         .count()
 }
@@ -174,7 +186,12 @@ fn replica_closure_denies_the_panic_lints() {
     scanned.extend(CLUSTER_FILES.iter().map(|f| root().join(f)));
     let opt_outs: Vec<(String, usize)> = scanned
         .iter()
-        .map(|f| (f.display().to_string(), module_opt_outs(&read(f))))
+        .map(|f| {
+            (
+                f.display().to_string(),
+                module_opt_outs(&read(f), &PANIC_LINTS),
+            )
+        })
         .filter(|&(_, n)| n > 0)
         .collect();
     let total: usize = opt_outs.iter().map(|(_, n)| n).sum();
@@ -182,5 +199,37 @@ fn replica_closure_denies_the_panic_lints() {
         total <= MODULE_OPT_OUT_CAP,
         "{total} module-level panic-lint opt-outs, above the cap of {MODULE_OPT_OUT_CAP}; \
          put an `#[expect]` on the function instead: {opt_outs:?}"
+    );
+
+    let arith_dirs: Vec<PathBuf> = ARITH_CRATES
+        .iter()
+        .map(|c| root().join(&crates[*c]).join("src"))
+        .collect();
+    let mut arith_files: Vec<PathBuf> = arith_dirs.iter().map(|d| d.join("lib.rs")).collect();
+    arith_files.extend(CLUSTER_FILES.iter().map(|f| root().join(f)));
+    let lacking: Vec<String> = arith_files
+        .iter()
+        .filter(|f| !read(f).lines().any(|l| l.trim() == ARITH_DENY))
+        .map(|f| f.display().to_string())
+        .collect();
+    assert!(
+        lacking.is_empty(),
+        "`{ARITH_DENY}` missing from {lacking:?}"
+    );
+
+    let mut arith_scanned = Vec::new();
+    for dir in &arith_dirs {
+        sources(dir, &mut arith_scanned);
+    }
+    arith_scanned.extend(CLUSTER_FILES.iter().map(|f| root().join(f)));
+    let arith_opt_outs: Vec<String> = arith_scanned
+        .iter()
+        .filter(|f| module_opt_outs(&read(f), &["arithmetic_side_effects"]) > 0)
+        .map(|f| f.display().to_string())
+        .collect();
+    assert!(
+        arith_opt_outs.is_empty(),
+        "module-level arithmetic_side_effects opt-outs (cap 0); put an `#[expect]` on \
+         the function instead: {arith_opt_outs:?}"
     );
 }
