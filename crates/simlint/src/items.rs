@@ -29,6 +29,17 @@ pub struct FnItem {
     pub is_test: bool,
 }
 
+/// Where a field can be named from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vis {
+    /// No `pub`: the defining module.
+    Private,
+    /// `pub(crate)`, `pub(super)` or `pub(in …)`: at most the crate.
+    Crate,
+    /// `pub`: anywhere.
+    Pub,
+}
+
 /// One struct field.
 #[derive(Debug, Clone)]
 pub struct FieldItem {
@@ -38,6 +49,7 @@ pub struct FieldItem {
     /// (`BTreeMap<Slot, Vec<u8>>` → `["BTreeMap","Slot","Vec","u8"]`).
     pub ty_idents: Vec<String>,
     pub line: u32,
+    pub vis: Vis,
 }
 
 /// One struct item with its fields.
@@ -251,6 +263,7 @@ fn match_paren(tokens: &[Token], open: usize) -> usize {
 /// Parses `name: Type` fields between `lo..hi` (inside struct braces).
 fn parse_named_fields(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<FieldItem>) {
     let mut i = lo;
+    let mut vis = Vis::Private;
     while i < hi {
         // Skip attributes.
         if is_punct_at(tokens, i, "#") && is_punct_at(tokens, i + 1, "[") {
@@ -270,11 +283,12 @@ fn parse_named_fields(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<Fiel
             i = j + 1;
             continue;
         }
-        // Skip visibility.
         if ident_at(tokens, i) == Some("pub") {
             i += 1;
+            vis = Vis::Pub;
             if is_punct_at(tokens, i, "(") {
                 i = match_paren(tokens, i).min(hi) + 1;
+                vis = Vis::Crate;
             }
             continue;
         }
@@ -307,6 +321,7 @@ fn parse_named_fields(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<Fiel
             name: name.to_string(),
             ty_idents,
             line,
+            vis: std::mem::replace(&mut vis, Vis::Private),
         });
         i = j + 1;
     }
@@ -320,10 +335,17 @@ fn parse_tuple_fields(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<Fiel
     let mut angle: i32 = 0;
     let mut paren: i32 = 0;
     let mut ty_idents: Vec<String> = Vec::new();
+    let mut vis = Vis::Private;
     let mut line = tokens.get(lo).map_or(0, |t| t.line);
     while i < hi {
         let t = &tokens[i];
-        if t.is_punct("<") {
+        if t.ident() == Some("pub") {
+            vis = Vis::Pub;
+            if is_punct_at(tokens, i + 1, "(") {
+                i = match_paren(tokens, i + 1).min(hi);
+                vis = Vis::Crate;
+            }
+        } else if t.is_punct("<") {
             angle += 1;
         } else if t.is_punct(">") {
             angle -= 1;
@@ -338,13 +360,12 @@ fn parse_tuple_fields(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<Fiel
                 name: idx.to_string(),
                 ty_idents: std::mem::take(&mut ty_idents),
                 line,
+                vis: std::mem::replace(&mut vis, Vis::Private),
             });
             idx += 1;
             line = tokens.get(i + 1).map_or(line, |t| t.line);
         } else if let Some(w) = t.ident() {
-            if w != "pub" {
-                ty_idents.push(w.to_string());
-            }
+            ty_idents.push(w.to_string());
         }
         i += 1;
     }
@@ -353,6 +374,7 @@ fn parse_tuple_fields(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<Fiel
             name: idx.to_string(),
             ty_idents,
             line,
+            vis,
         });
     }
 }
@@ -403,7 +425,7 @@ impl fmt::Display for Slot {
 pub struct Learner<V> {
     decided: BTreeMap<Slot, Vec<u8>>,
     pub score: f64,
-    count: u64,
+    pub(crate) count: u64,
 }
 pub struct Slot(pub u64);
 ";
@@ -417,10 +439,14 @@ pub struct Slot(pub u64);
             vec!["BTreeMap", "Slot", "Vec", "u8"]
         );
         assert_eq!(learner.fields[1].ty_idents, vec!["f64"]);
+        assert_eq!(learner.fields[2].ty_idents, vec!["u64"]);
+        let vis: Vec<Vis> = learner.fields.iter().map(|f| f.vis).collect();
+        assert_eq!(vis, [Vis::Private, Vis::Pub, Vis::Crate]);
         let slot = &items.structs[1];
         assert_eq!(slot.fields.len(), 1);
         assert_eq!(slot.fields[0].name, "0");
         assert_eq!(slot.fields[0].ty_idents, vec!["u64"]);
+        assert_eq!(slot.fields[0].vis, Vis::Pub);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Root declarations, matched against the workspace index.
 //!
-//! `simlint.toml` declares the entry points of simulated execution in
-//! one `roots` list; `state-growth` checks what their `self` types
-//! hold. Patterns come in three shapes:
+//! The roots are the entry points of simulated execution, one list of
+//! patterns in [`crate::workspace::Config`]; `state-growth` checks what
+//! their `self` types hold. Patterns come in three shapes:
 //!
 //! * `Type::name` — an exact method (e.g. `Replica::on_message`);
 //! * `name` — a bare function name, matched workspace-wide;
@@ -11,8 +11,8 @@
 //!   every `Engine` method.
 //!
 //! A pattern that matches no workspace function is reported as a
-//! *stale root* — exactly like a stale waiver — so deleting or
-//! renaming an entry point cannot silently shrink the held state.
+//! *stale root*, so deleting or renaming an entry point cannot silently
+//! shrink the held state.
 
 use crate::graph::Graph;
 
@@ -26,13 +26,13 @@ pub struct Roots {
 }
 
 /// Matches `patterns` against the index.
-pub fn match_roots(graph: &Graph, patterns: &[String]) -> Roots {
+pub fn match_roots(graph: &Graph, patterns: &[&str]) -> Roots {
     let mut out = Roots::default();
     for pat in patterns {
         let before = out.ids.len();
         let (ty, name) = match pat.split_once("::") {
             Some((t, n)) => (Some(t), n),
-            None => (None, pat.as_str()),
+            None => (None, *pat),
         };
         let glob = name.strip_suffix('*');
         for node in &graph.nodes {
@@ -49,7 +49,7 @@ pub fn match_roots(graph: &Graph, patterns: &[String]) -> Roots {
             }
         }
         if out.ids.len() == before {
-            out.unmatched.push(pat.clone());
+            out.unmatched.push(pat.to_string());
         }
     }
     out.ids.sort_unstable();
@@ -88,14 +88,7 @@ fn decode_frame() { decode_u64(); }
     #[test]
     fn exact_bare_and_glob_patterns() {
         let g = graph_of(SRC);
-        let r = match_roots(
-            &g,
-            &[
-                "Replica::on_message".into(),
-                "decode_*".into(),
-                "Ghost::gone".into(),
-            ],
-        );
+        let r = match_roots(&g, &["Replica::on_message", "decode_*", "Ghost::gone"]);
         let names: Vec<String> = r.ids.iter().map(|&i| g.nodes[i].label()).collect();
         assert_eq!(
             names,
@@ -107,7 +100,7 @@ fn decode_frame() { decode_u64(); }
     #[test]
     fn glob_on_methods() {
         let g = graph_of(SRC);
-        let r = match_roots(&g, &["Replica::*".into()]);
+        let r = match_roots(&g, &["Replica::*"]);
         assert_eq!(r.ids.len(), 2);
         assert!(r.unmatched.is_empty());
     }

@@ -1,12 +1,13 @@
-//! The rule simlint keeps: a repo-specific invariant that clippy
-//! cannot express.
+//! `state-growth`, the invariant simlint keeps because clippy cannot
+//! express it.
 //!
-//! `state-growth` runs over the workspace index ([`crate::graph`]) from
-//! the `roots` declared in `simlint.toml`: the structs a root's `self`
-//! type holds, transitively through their fields, must not keep a
-//! collection that only grows. Clippy has no lint that follows a
-//! struct's fields to the methods called on them anywhere in the
-//! workspace.
+//! It runs over the workspace index ([`crate::graph`]) from the declared
+//! roots ([`crate::reach`]): the structs a root's `self` type holds,
+//! transitively through their fields, must not keep a collection that
+//! only grows. A field's grow and shrink sites are the `.field.method(…)`
+//! calls in the files that can name it, by its visibility. Clippy has no
+//! lint that follows a struct's fields to the methods called on them
+//! across a workspace.
 //!
 //! Wall-clock, thread and environment calls, narrowing casts, float
 //! arithmetic, ordinal arithmetic and panics on the replica path are
@@ -14,11 +15,12 @@
 //! paths and types where a token rule guesses.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use crate::diag::Diagnostic;
 use crate::graph::{Graph, StructDef};
-use crate::items::FileItems;
-use crate::lexer::Token;
+use crate::items::{parse_items, FieldItem, FileItems, Vis};
+use crate::lexer::{lex, test_spans, Token};
+use crate::workspace::crate_of;
 
 /// Collection type heads whose unbounded growth `state-growth` tracks.
 const COLLECTIONS: &[&str] = &[
@@ -74,42 +76,55 @@ const SHRINK_METHODS: &[&str] = &[
     "truncate",
 ];
 
-/// Metadata for one rule.
-pub struct RuleInfo {
-    pub name: &'static str,
-    pub summary: &'static str,
+/// One finding: a root-held collection field that only grows.
+#[derive(Debug)]
+pub struct Diagnostic {
+    /// Repo-relative path of the field's struct.
+    pub path: String,
+    /// 1-based line of the field.
+    pub line: u32,
+    /// The field as `Type.field`, the name a waiver gives it.
+    pub field: String,
+    pub message: String,
+    /// The chain from a declared root down to the held struct
+    /// (`label (path:line)` per hop, root first).
+    pub chain: Vec<String>,
 }
 
-/// All rules, in reporting order.
-pub const RULES: &[RuleInfo] = &[RuleInfo {
-    name: "state-growth",
-    summary: "root-held collections need a remove/clear/truncate/drain site somewhere",
-}];
-
-/// Whether `name` is a known rule slug.
-pub fn is_known_rule(name: &str) -> bool {
-    RULES.iter().any(|r| r.name == name)
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: {}\n    held via {}",
+            self.path,
+            self.line,
+            self.message,
+            self.chain.join(" → ")
+        )
+    }
 }
 
-const HELP_STATE_GROWTH: &str = "add a compaction/GC path (remove/clear/truncate/drain) or bound \
-     the collection; a root-held collection that only grows leaks across million-event runs and \
-     skews the paper's recovery-time measurements";
-
-fn snippet_of(src: &str, line: u32) -> String {
-    src.lines()
-        .nth(line.saturating_sub(1) as usize)
-        .map(|s| s.to_string())
-        .unwrap_or_default()
-}
-
-/// One scanned file, as assembled by the workspace driver.
+/// One scanned file, lexed and parsed.
 pub struct FileData {
     /// Repo-relative path with forward slashes.
     pub rel: String,
     pub krate: String,
-    pub src: String,
     pub tokens: Vec<Token>,
     pub items: FileItems,
+}
+
+impl FileData {
+    /// Lexes and parses `src`, the file at repo-relative `rel`.
+    pub fn new(rel: &str, src: &str) -> Self {
+        let tokens = lex(src);
+        let items = parse_items(&tokens, &test_spans(&tokens));
+        FileData {
+            rel: rel.to_string(),
+            krate: crate_of(rel).to_string(),
+            tokens,
+            items,
+        }
+    }
 }
 
 /// Inputs to `state-growth`.
@@ -189,29 +204,24 @@ fn collection_head(ty_idents: &[String]) -> Option<&str> {
 }
 
 /// `state-growth`: collection fields of root-held structs with at least
-/// one grow site and no shrink site anywhere in the workspace.
+/// one grow site and no shrink site where the field can be named.
 fn state_growth(ctx: &GraphCtx<'_>, held: &HeldTypes, out: &mut Vec<Diagnostic>) {
     for ((_, ty), (def, prov)) in held {
-        let f = &ctx.files[def.file];
         for fld in &def.item.fields {
             let Some(head) = collection_head(&fld.ty_idents) else {
                 continue;
             };
-            let (grows, shrinks) = field_usage(ctx, &fld.name);
+            let (grows, shrinks) = field_usage(ctx, def, fld);
             if grows && !shrinks {
+                let field = format!("{ty}.{}", fld.name);
                 out.push(Diagnostic {
-                    rule: "state-growth",
-                    path: f.rel.clone(),
+                    path: ctx.files[def.file].rel.clone(),
                     line: fld.line,
-                    col: 1,
                     message: format!(
-                        "`{ty}.{}` ({head}) is root-held state that only grows: insert/push \
-                         sites exist but no remove/clear/truncate/drain anywhere in the \
-                         workspace",
-                        fld.name
+                        "`{field}` ({head}) is root-held state that only grows: insert/push \
+                         sites exist but no remove/clear/truncate/drain where it is visible"
                     ),
-                    snippet: snippet_of(&f.src, fld.line),
-                    help: HELP_STATE_GROWTH,
+                    field,
                     chain: prov.clone(),
                 });
             }
@@ -219,13 +229,37 @@ fn state_growth(ctx: &GraphCtx<'_>, held: &HeldTypes, out: &mut Vec<Diagnostic>)
     }
 }
 
-/// Scans the whole workspace for `.field.grow(…)` / `.field.shrink(…)`
-/// sites, `.field = …` reassignment, and `mem::take/replace(&mut
-/// x.field)` (both count as shrink sites).
-fn field_usage(ctx: &GraphCtx<'_>, field: &str) -> (bool, bool) {
+/// Whether `rel` is its package's `src/lib.rs` or `src/main.rs`, whose
+/// private fields the crate's other files (its child modules) can name.
+fn is_crate_root(rel: &str) -> bool {
+    let in_package = rel
+        .strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .map_or(rel, |(_, r)| r);
+    in_package == "src/lib.rs" || in_package == "src/main.rs"
+}
+
+/// Scans the files that can name `fld` of `def` for `.field.grow(…)` /
+/// `.field.shrink(…)` sites, `.field = …` reassignment, and
+/// `mem::take/replace(&mut x.field)` (both count as shrink sites). A
+/// private field is visible in its defining file (its crate, when that
+/// file is the crate root: no crate here has nested module files), a
+/// `pub(…)` field in its crate and a `pub` field everywhere, so a
+/// same-named field elsewhere never lends its shrink sites.
+fn field_usage(ctx: &GraphCtx<'_>, def: &StructDef, fld: &FieldItem) -> (bool, bool) {
+    let in_root_file = is_crate_root(&ctx.files[def.file].rel);
+    let field = fld.name.as_str();
     let mut grows = false;
     let mut shrinks = false;
-    for f in ctx.files {
+    for (fi, f) in ctx.files.iter().enumerate() {
+        let visible = match fld.vis {
+            Vis::Pub => true,
+            Vis::Private if !in_root_file => fi == def.file,
+            Vis::Private | Vis::Crate => f.krate == def.krate,
+        };
+        if !visible {
+            continue;
+        }
         let toks = &f.tokens;
         for (i, t) in toks.iter().enumerate() {
             let Some(id) = t.ident() else { continue };
@@ -275,29 +309,16 @@ fn prev_is_path(toks: &[Token], i: usize, prefix: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
-    use crate::items::parse_items;
-    use crate::lexer::{lex, test_spans};
-    use crate::workspace::analyze_sources;
+    use crate::workspace::{analyze_sources, Config};
 
     /// Lints a tiny in-memory workspace from the given roots.
-    fn check_transitive(files: &[(&str, &str, &str)], roots: &[&str]) -> Vec<Diagnostic> {
+    fn check_transitive(files: &[(&str, &str)], roots: &[&str]) -> Vec<Diagnostic> {
         let data: Vec<FileData> = files
             .iter()
-            .map(|(rel, krate, src)| {
-                let tokens = lex(src);
-                let items = parse_items(&tokens, &test_spans(&tokens));
-                FileData {
-                    rel: rel.to_string(),
-                    krate: krate.to_string(),
-                    src: src.to_string(),
-                    tokens,
-                    items,
-                }
-            })
+            .map(|(rel, src)| FileData::new(rel, src))
             .collect();
         let cfg = Config {
-            roots: roots.iter().map(|s| s.to_string()).collect(),
+            roots,
             ..Config::default()
         };
         analyze_sources(&data, &cfg).errors
@@ -310,7 +331,6 @@ mod tests {
         let d = check_transitive(
             &[(
                 "crates/paxos/src/replica.rs",
-                "paxos",
                 "pub struct Replica { log: Log }
                  impl Replica { pub fn on_message(&mut self) { self.log.entries.push(1); } }
                  #[cfg(test)]
@@ -326,7 +346,6 @@ mod tests {
         let d = check_transitive(
             &[(
                 "crates/paxos/src/replica.rs",
-                "paxos",
                 "pub struct Replica { log: Log }
                  pub struct Log { entries: Vec<u8>, acked: Vec<u8> }
                  impl Replica { pub fn on_message(&mut self) { self.log.record(1); } }
@@ -337,12 +356,20 @@ mod tests {
             )],
             &["Replica::on_message"],
         );
-        let growth: Vec<&Diagnostic> = d.iter().filter(|d| d.rule == "state-growth").collect();
-        assert_eq!(growth.len(), 1);
-        assert!(growth[0].message.contains("Log.entries"));
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].field, "Log.entries");
         // Chain: root → Replica.log field hop.
-        assert_eq!(growth[0].chain.len(), 2);
-        assert!(growth[0].chain[0].starts_with("root Replica::on_message"));
-        assert!(growth[0].chain[1].starts_with("Replica.log: Log"));
+        assert_eq!(d[0].chain.len(), 2);
+        assert!(d[0].chain[0].starts_with("root Replica::on_message"));
+        assert!(d[0].chain[1].starts_with("Replica.log: Log"));
+    }
+
+    #[test]
+    fn crate_roots_are_lib_and_main() {
+        assert!(is_crate_root("crates/paxos/src/lib.rs"));
+        assert!(is_crate_root("src/lib.rs"));
+        assert!(is_crate_root("crates/bench/src/main.rs"));
+        assert!(!is_crate_root("crates/paxos/src/replica.rs"));
+        assert!(!is_crate_root("crates/bench/src/bin/exp_trace.rs"));
     }
 }

@@ -1,38 +1,78 @@
-//! Fixture-corpus integration tests: `state-growth` is exercised
-//! against committed mini-workspaces — a seeded grow-only log
-//! (`bad_ws`) and its compacting twin (`good_ws`), each with the
-//! `simlint.toml` that declares its root — and against in-memory
-//! sources. The CLI binary is run end-to-end for exit codes
-//! (including the dedicated stale-only exit 3) and the `--json` schema;
-//! and the real repository is linted with its committed `simlint.toml`
-//! so a new violation or a stale waiver fails `cargo test` as well as
-//! CI.
+//! `state-growth` on in-memory inputs and on the repository itself.
+//!
+//! The repository's roots and waivers are Rust data here, and
+//! `repository_is_clean_under_its_committed_waivers` lints the real tree
+//! with them: a new grow-only field, a root pattern that matches
+//! nothing or a waived field that no longer grows fails `cargo test`.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-use simlint::config::Config;
-use simlint::diag::Diagnostic;
-use simlint::items::parse_items;
-use simlint::lexer::{lex, test_spans};
 use simlint::rules::FileData;
-use simlint::workspace::{analyze, analyze_sources};
-use simlint::{report_to_json, JSON_VERSION};
+use simlint::workspace::{analyze, analyze_sources, Config, Report, Waiver};
 
-fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
+/// The entry points of simulated execution: the engine, the node
+/// handlers, the middleware, the replica, the SLO monitor and the codec
+/// and auditor entry points. Their `self` types are held state. Each
+/// entry is `Type::method`, a bare free-fn name, or a trailing-`*` glob
+/// over method names (`Engine::*`).
+const ROOTS: &[&str] = &[
+    "Engine::*",
+    "ServerNode::on_message",
+    "ClientNode::on_message",
+    "ProxyNode::on_message",
+    "Middleware::*",
+    "Replica::on_message",
+    "Replica::on_tick",
+    "Monitor::on_scrape",
+    "decode",
+    "decode_*",
+    "check",
+];
 
-/// The fixture's own `simlint.toml` (its `roots`), plus `extra`.
-fn fixture_config(name: &str, extra: &str) -> String {
-    let own = std::fs::read_to_string(fixture(name).join("simlint.toml")).expect("fixture config");
-    format!("{own}{extra}")
-}
-
-/// The line of `Log.entries`, the field `bad_ws` seeds as grow-only.
-const SEEDED_LINE: u32 = 10;
+/// The root-held fields that only grow, by design: each is bounded by
+/// configuration or append-only on purpose, and each reason records that
+/// retention decision. The list can only shrink: a listed field that
+/// stops growing is a stale waiver, and the repository test caps the
+/// waived findings at today's count.
+const WAIVERS: &[Waiver] = &[
+    Waiver {
+        fields: &[
+            "Overlay.new_customers",
+            "Overlay.new_orders",
+            "Overlay.new_order_lines",
+            "Overlay.new_cc_xacts",
+            "Overlay.item_updates",
+            "Overlay.sessions",
+            "Overlay.last_order",
+        ],
+        reason: "TPC-W defines no delete interactions (its web interactions only insert or \
+                 update); the overlay tables are the replicated database whose growth the \
+                 paper's recovery-time experiments measure, and compacting them would change \
+                 what recovery replays",
+    },
+    Waiver {
+        fields: &["ProxyNode.servers", "InFlight.excluded"],
+        reason: "bounded by the configured backend count: `servers` is the static backend \
+                 list, and `excluded` holds the backends that crashed during one request's \
+                 failover and is dropped with its InFlight entry",
+    },
+    Waiver {
+        fields: &["Recovery.reports"],
+        reason: "bounded by the acceptor count; collected once per view change and dropped \
+                 wholesale when the recovery round completes",
+    },
+    Waiver {
+        fields: &["SlotVotes.by_ballot", "Learner.delivered_pids"],
+        reason: "`by_ballot` holds one slot's competing ballots and is dropped when the slot \
+                 decides; `delivered_pids` is the exactly-once dedup set and cannot be pruned \
+                 without client-session GC (a roadmap item)",
+    },
+    Waiver {
+        fields: &["StableStore.logs"],
+        reason: "keyed by the replica's fixed set of log names, so bounded by the key count; \
+                 the entries within a log are truncated by the snapshot path",
+    },
+];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -41,72 +81,208 @@ fn repo_root() -> PathBuf {
         .expect("repo root")
 }
 
-/// The rules simlint handed to clippy: naming one in a waiver is an
-/// error whose hint points at clippy.
-const RETIRED_TO_CLIPPY: [&str; 7] = [
-    "hash-order",
-    "io-println",
-    "sim-taint",
-    "lossy-cast",
-    "float-state",
-    "panic-taint",
-    "unchecked-slot-arith",
-];
-
-fn rule_count(report: &simlint::workspace::Report, rule: &str) -> usize {
-    report.errors.iter().filter(|d| d.rule == rule).count()
+fn fields(ds: &[simlint::rules::Diagnostic]) -> Vec<&str> {
+    ds.iter().map(|d| d.field.as_str()).collect()
 }
 
-fn only<'a>(report: &'a simlint::workspace::Report, rule: &str) -> &'a Diagnostic {
-    let mut it = report.errors.iter().filter(|d| d.rule == rule);
-    let first = it.next().unwrap_or_else(|| panic!("no {rule} diagnostic"));
-    assert!(it.next().is_none(), "more than one {rule} diagnostic");
-    first
+fn analyze_files(files: &[(&str, &str)], cfg: &Config<'_>) -> Report {
+    let data: Vec<FileData> = files
+        .iter()
+        .map(|(rel, src)| FileData::new(rel, src))
+        .collect();
+    analyze_sources(&data, cfg)
+}
+
+/// A replica whose `on_message` root pushes onto its log (line 5).
+const GROWS: &str = "pub struct Replica {\n    log: Log,\n}\npub struct Log {\n    \
+                     entries: Vec<u64>,\n}\nimpl Replica {\n    \
+                     pub fn on_message(&mut self, slot: u64) {\n        \
+                     self.log.entries.push(slot);\n    }\n}\n";
+
+/// Its twin with the compaction it lacks.
+const COMPACTS: &str = "pub struct Replica {\n    log: Log,\n}\npub struct Log {\n    \
+                        entries: Vec<u64>,\n}\nimpl Replica {\n    \
+                        pub fn on_message(&mut self, slot: u64) {\n        \
+                        self.log.entries.push(slot);\n        \
+                        self.log.entries.truncate(64);\n    }\n}\n";
+
+const REPLICA_RS: &str = "crates/paxos/src/replica.rs";
+
+/// One input of the analysis and what it reports.
+struct Case {
+    what: &'static str,
+    files: &'static [(&'static str, &'static str)],
+    roots: &'static [&'static str],
+    waivers: &'static [Waiver<'static>],
+    /// `Type.field` of each unwaived finding, in order.
+    errors: &'static [&'static str],
+    waived: &'static [&'static str],
+    stale: usize,
+    /// Text the failure message must contain.
+    shows: &'static [&'static str],
+}
+
+const BASE: Case = Case {
+    what: "",
+    files: &[],
+    roots: &["Replica::on_message"],
+    waivers: &[],
+    errors: &[],
+    waived: &[],
+    stale: 0,
+    shows: &[],
+};
+
+/// Analyses one case's files under its roots and waivers and checks
+/// what the report holds.
+fn check(case: &Case) {
+    let cfg = Config {
+        roots: case.roots,
+        waivers: case.waivers,
+    };
+    let report = analyze_files(case.files, &cfg);
+    let what = case.what;
+    assert_eq!(fields(&report.errors), case.errors, "{what}:\n{report}");
+    assert_eq!(fields(&report.waived), case.waived, "{what}");
+    assert_eq!(report.stale.len(), case.stale, "{what}:\n{report}");
+    let text = report.to_string();
+    for needle in case.shows {
+        assert!(text.contains(needle), "{what}: no {needle:?} in:\n{text}");
+    }
 }
 
 #[test]
 fn bad_workspace_flags_its_seeded_growth() {
-    let report = analyze(&fixture("bad_ws"), &fixture_config("bad_ws", "")).expect("analyze");
-    assert!(report.failed(), "a seeded violation must fail the lint");
-    let d = only(&report, "state-growth");
-    assert_eq!(
-        (d.path.as_str(), d.line),
-        ("crates/paxos/src/replica.rs", SEEDED_LINE)
-    );
-    assert!(d.message.contains("`Log.entries` (Vec)"), "{}", d.message);
-    assert_eq!(report.errors.len(), 1);
-    assert!(report.waived.is_empty());
-    assert!(report.stale.is_empty());
+    check(&Case {
+        what: "the seeded grow-only log, with its chain",
+        files: &[(REPLICA_RS, GROWS)],
+        errors: &["Log.entries"],
+        shows: &[
+            "crates/paxos/src/replica.rs:5: `Log.entries` (Vec) is root-held state that only \
+                 grows",
+            "held via root Replica::on_message (crates/paxos/src/replica.rs:8) → Replica.log: \
+                 Log (crates/paxos/src/replica.rs:2)",
+        ],
+        ..BASE
+    });
+}
+
+#[test]
+fn good_workspace_is_clean() {
+    check(&Case {
+        what: "its compacting twin",
+        files: &[(REPLICA_RS, COMPACTS)],
+        ..BASE
+    });
 }
 
 #[test]
 fn deleting_a_root_is_caught_as_stale() {
-    // If a declared entry point is renamed or deleted, the held state
-    // silently shrinks — simlint must refuse to pass.
-    let roots = r#"roots = ["Replica::on_message", "Replica::vanished_handler"]"#;
-    let report = analyze(&fixture("good_ws"), roots).expect("analyze");
-    assert!(report.failed());
-    let stale: Vec<_> = report.stale.iter().filter(|s| s.rule == "roots").collect();
-    assert_eq!(stale.len(), 1);
-    assert!(stale[0].declared_at.contains("roots"));
-    assert!(stale[0].message.contains("matches no workspace function"));
-    assert!(
-        stale[0].message.contains("vanished_handler"),
-        "names the missing pattern: {}",
-        stale[0].message
-    );
+    check(&Case {
+        what: "a root pattern that matches nothing",
+        files: &[(REPLICA_RS, COMPACTS)],
+        roots: &["Replica::on_message", "Replica::vanished_handler"],
+        stale: 1,
+        shows: &["stale root: \"Replica::vanished_handler\" matches no workspace function"],
+        ..BASE
+    });
 }
 
-/// One in-memory source file, loaded the way `analyze` loads a tree.
-fn file_data(rel: &str, src: String) -> FileData {
-    let tokens = lex(&src);
-    let items = parse_items(&tokens, &test_spans(&tokens));
-    FileData {
-        rel: rel.into(),
-        krate: simlint::workspace::crate_of(rel).into(),
-        src,
-        tokens,
-        items,
+#[test]
+fn stale_toml_waiver_is_an_error() {
+    check(&Case {
+        what: "a waiver for a field that does not grow",
+        files: &[(REPLICA_RS, COMPACTS)],
+        waivers: &[Waiver {
+            fields: &["Log.entries"],
+            reason: "nothing in the clean tree grows",
+        }],
+        stale: 1,
+        shows: &["stale waiver: `Log.entries`"],
+        ..BASE
+    });
+}
+
+#[test]
+fn toml_waiver_suppresses_matching_diagnostics() {
+    check(&Case {
+        what: "a waived field beside an unwaived one in the same file",
+        files: &[(
+            REPLICA_RS,
+            "pub struct Replica {\n    log: Log,\n}\npub struct Log {\n    \
+                 entries: Vec<u64>,\n    acked: Vec<u64>,\n}\nimpl Replica {\n    \
+                 pub fn on_message(&mut self, slot: u64) {\n        \
+                 self.log.entries.push(slot);\n        self.log.acked.push(slot);\n    }\n}\n",
+        )],
+        waivers: &[Waiver {
+            fields: &["Log.acked"],
+            reason: "acknowledgements are bounded elsewhere",
+        }],
+        errors: &["Log.entries"],
+        waived: &["Log.acked"],
+        shows: &["crates/paxos/src/replica.rs:5: `Log.entries`"],
+        ..BASE
+    });
+}
+
+const CROSS_FILE_CASES: &[Case] = &[
+    Case {
+        what: "a private field another crate's same-named field shrinks",
+        files: &[
+            (
+                REPLICA_RS,
+                "pub struct Replica {\n    entries: Vec<u64>,\n}\nimpl Replica {\n    \
+                 pub fn on_message(&mut self, slot: u64) {\n        \
+                 self.entries.push(slot);\n    }\n}\n",
+            ),
+            (
+                "crates/simnet/src/disk.rs",
+                "pub struct Disk {\n    entries: Vec<u8>,\n}\nimpl Disk {\n    \
+                 pub fn flush(&mut self) {\n        self.entries.drain(..);\n    }\n}\n",
+            ),
+        ],
+        errors: &["Replica.entries"],
+        shows: &["crates/paxos/src/replica.rs:2: `Replica.entries`"],
+        ..BASE
+    },
+    Case {
+        what: "a pub field shrunk in another crate",
+        files: &[
+            (
+                REPLICA_RS,
+                "pub struct Replica {\n    pub entries: Vec<u64>,\n}\nimpl Replica {\n    \
+                 pub fn on_message(&mut self, slot: u64) {\n        \
+                 self.entries.push(slot);\n    }\n}\n",
+            ),
+            (
+                "crates/core/src/checkpoint.rs",
+                "pub fn compact(r: &mut Replica) {\n    r.entries.clear();\n}\n",
+            ),
+        ],
+        ..BASE
+    },
+    Case {
+        what: "a crate root's private field shrunk in a child module's file",
+        files: &[
+            (
+                "crates/paxos/src/lib.rs",
+                "pub struct Replica {\n    entries: Vec<u64>,\n}\nimpl Replica {\n    \
+                 pub fn on_message(&mut self, slot: u64) {\n        \
+                 self.entries.push(slot);\n    }\n}\n",
+            ),
+            (
+                "crates/paxos/src/compact.rs",
+                "pub fn compact(r: &mut Replica) {\n    r.entries.clear();\n}\n",
+            ),
+        ],
+        ..BASE
+    },
+];
+
+#[test]
+fn state_growth_resolves_fields_across_files() {
+    for case in CROSS_FILE_CASES {
+        check(case);
     }
 }
 
@@ -120,21 +296,20 @@ fn state_growth_resolves_held_types_in_their_own_crate() {
                    pub struct Log {\n    pub entries: Vec<u64>,\n}\n\
                    impl Replica {\n    pub fn on_message(&mut self, slot: u64) {\n        \
                    self.log.entries.push(slot);\n    }\n}\n";
-    let data = [
-        file_data("crates/core/src/helpers.rs", helpers.into()),
-        file_data("crates/paxos/src/replica.rs", replica.into()),
-    ];
     let cfg = Config {
-        roots: vec!["Replica::on_message".into()],
+        roots: &["Replica::on_message"],
         ..Config::default()
     };
-    let report = analyze_sources(&data, &cfg);
-    assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
-    let d = only(&report, "state-growth");
-    assert_eq!(
-        (d.path.as_str(), d.line),
-        ("crates/paxos/src/replica.rs", 5)
+    let report = analyze_files(
+        &[
+            ("crates/core/src/helpers.rs", helpers),
+            (REPLICA_RS, replica),
+        ],
+        &cfg,
     );
+    assert_eq!(report.errors.len(), 1, "{report}");
+    let d = &report.errors[0];
+    assert_eq!((d.path.as_str(), d.line), (REPLICA_RS, 5));
     assert!(d.message.contains("`Log.entries` (Vec)"));
     // The chain is the held-type provenance: the root, then the field.
     assert!(d.chain[0].starts_with("root Replica::on_message ("));
@@ -142,248 +317,29 @@ fn state_growth_resolves_held_types_in_their_own_crate() {
 }
 
 #[test]
-fn good_workspace_is_clean() {
-    let report = analyze(&fixture("good_ws"), &fixture_config("good_ws", "")).expect("analyze");
-    assert!(!report.failed(), "{report:?}");
-    assert_eq!(report.files_scanned, 1);
-    assert!(report.waived.is_empty());
-    assert!(report.stale.is_empty(), "its root matches `on_message`");
-}
-
-#[test]
-fn toml_waiver_suppresses_matching_diagnostics() {
-    let config = fixture_config(
-        "bad_ws",
-        r#"
-        [[waiver]]
-        rule = "state-growth"
-        path = "crates/paxos/src/replica.rs"
-        reason = "fixture-level exemption used by the waiver test"
-    "#,
-    );
-    let report = analyze(&fixture("bad_ws"), &config).expect("analyze");
-    assert_eq!(rule_count(&report, "state-growth"), 0);
-    assert_eq!(report.waived.len(), 1);
-    assert!(report.waived[0].1.contains("fixture-level exemption"));
-    assert!(!report.failed(), "{report:?}");
-}
-
-#[test]
-fn line_scoped_toml_waiver_covers_only_that_line() {
-    let waiver = |line: u32| {
-        fixture_config(
-            "bad_ws",
-            &format!(
-                "[[waiver]]\nrule = \"state-growth\"\npath = \"crates/paxos/src/replica.rs\"\n\
-                 line = {line}\nreason = \"only this line of the fixture is exempted\"\n"
-            ),
-        )
-    };
-    let on_line = analyze(&fixture("bad_ws"), &waiver(SEEDED_LINE)).expect("analyze");
-    assert!(!on_line.failed(), "{on_line:?}");
-    assert_eq!(on_line.waived.len(), 1);
-    assert_eq!(on_line.waived[0].0.line, SEEDED_LINE);
-
-    // One line off, the waiver covers nothing: the finding stands and
-    // the waiver is stale.
-    let off = analyze(&fixture("bad_ws"), &waiver(SEEDED_LINE + 1)).expect("analyze");
-    assert_eq!(rule_count(&off, "state-growth"), 1);
-    assert_eq!(off.errors[0].line, SEEDED_LINE);
-    assert!(off.waived.is_empty());
-    assert_eq!(off.stale.len(), 1, "{:?}", off.stale);
-}
-
-#[test]
-fn stale_toml_waiver_is_an_error() {
-    let waivers = fixture_config(
-        "good_ws",
-        r#"
-        [[waiver]]
-        rule = "state-growth"
-        path = "crates/paxos/src/replica.rs"
-        reason = "nothing in the clean tree matches this entry"
-    "#,
-    );
-    let report = analyze(&fixture("good_ws"), &waivers).expect("analyze");
-    assert!(report.failed(), "a waiver matching nothing must fail");
-    assert!(report.stale_only(), "clean code + stale waiver = exit 3");
-    assert_eq!(report.stale.len(), 1);
-    assert!(report.stale[0].message.contains("stale waiver"));
-}
-
-#[test]
-fn waiver_for_missing_file_reports_the_path() {
-    let waivers = r#"
-        [[waiver]]
-        rule = "state-growth"
-        path = "crates/paxos/src/gone.rs"
-        reason = "this file was deleted but the waiver lingered"
-    "#;
-    let report = analyze(&fixture("good_ws"), waivers).expect("analyze");
-    assert!(report.failed());
-    assert!(report.stale[0].message.contains("missing file"));
-}
-
-#[test]
-fn waiver_naming_unknown_rule_is_a_config_error() {
-    // A typo, and the rules clippy took over.
-    for rule in ["no-such-rule"].iter().chain(&RETIRED_TO_CLIPPY) {
-        let waivers = format!(
-            "[[waiver]]\nrule = \"{rule}\"\npath = \"crates/paxos/src/replica.rs\"\n\
-             reason = \"long enough reason, wrong rule name\"\n"
-        );
-        let err = analyze(&fixture("bad_ws"), &waivers).expect_err("must reject");
-        assert!(
-            err.message.contains("unknown rule"),
-            "{rule}: {}",
-            err.message
-        );
-        assert!(err.message.contains("clippy"), "{rule}: {}", err.message);
-    }
-    // The hint names where each retired rule went.
-    let err = analyze(
-        &fixture("bad_ws"),
-        "[[waiver]]\nrule = \"unchecked-slot-arith\"\npath = \"crates/paxos/src/replica.rs\"\n\
-         reason = \"long enough reason, retired rule\"\n",
-    )
-    .expect_err("must reject");
-    assert!(
-        err.message
-            .contains("`unchecked-slot-arith` as arithmetic_side_effects"),
-        "{}",
-        err.message
-    );
-}
-
-#[test]
-fn json_report_matches_schema() {
-    let report = analyze(&fixture("bad_ws"), &fixture_config("bad_ws", "")).expect("analyze");
-    let doc = report_to_json(&report);
-    // Stable top-level schema the CI job and external tooling key on.
-    for key in [
-        "\"version\"",
-        "\"tool\": \"simlint\"",
-        "\"rules\"",
-        "\"diagnostics\"",
-        "\"waived\"",
-        "\"stale_waivers\"",
-        "\"summary\"",
-    ] {
-        assert!(doc.contains(key), "missing {key} in:\n{doc}");
-    }
-    assert!(doc.contains(&format!("\"version\": {JSON_VERSION}")));
-    assert!(doc.contains("\"errors\": 1"));
-    assert!(doc.contains("\"rules\": [\"state-growth\"]"), "{doc}");
-    // Every diagnostic row carries the fields a consumer needs to
-    // locate it, and the provenance chain.
-    for field in [
-        "\"rule\":",
-        "\"path\":",
-        "\"line\":",
-        "\"col\":",
-        "\"message\":",
-        "\"chain\":[",
-    ] {
-        assert!(doc.contains(field), "diagnostic rows need {field}");
-    }
-    assert!(!doc.contains("\"graph\""), "schema v3 has no graph block");
-}
-
-#[test]
-fn cli_fails_on_seeded_violations_and_passes_clean_tree() {
-    // The negative test the CI job relies on: the binary itself (not
-    // just the library) must exit non-zero on the seeded corpus.
-    let bad = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .args(["--root"])
-        .arg(fixture("bad_ws"))
-        .arg("--quiet")
-        .output()
-        .expect("run simlint");
-    assert_eq!(bad.status.code(), Some(1), "bad_ws must exit 1");
-
-    let good = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .args(["--root"])
-        .arg(fixture("good_ws"))
-        .args(["--json", "-"])
-        .output()
-        .expect("run simlint");
-    assert_eq!(good.status.code(), Some(0), "good_ws must exit 0");
-    let stdout = String::from_utf8(good.stdout).expect("utf8 json");
-    assert!(
-        !stdout.contains("simlint: "),
-        "--json - must keep stdout pure JSON"
-    );
-    assert!(stdout.contains("\"errors\": 0, \"waived\": 0"), "{stdout}");
-}
-
-#[test]
-fn cli_exits_3_when_only_failure_is_staleness() {
-    // Dedicated exit code so CI can tell "code is dirty" (1) apart
-    // from "the allowlist or the lint wall rotted" (3).
-    let cfg = std::env::temp_dir().join("simlint_stale_roots_test.toml");
-    std::fs::write(&cfg, "roots = [\"Replica::vanished_handler\"]\n").expect("write temp config");
-    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .args(["--root"])
-        .arg(fixture("good_ws"))
-        .args(["--config"])
-        .arg(&cfg)
-        .arg("--quiet")
-        .output()
-        .expect("run simlint");
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "stale-only must exit 3, stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
-fn cli_rejects_unknown_arguments_with_usage_exit() {
-    // `--graph-dot` left with the call graph.
-    for args in [&["--frobnicate"][..], &["--graph-dot", "-"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
-            .args(args)
-            .output()
-            .expect("run simlint");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-    }
-}
-
-#[test]
 fn repository_is_clean_under_its_committed_waivers() {
-    // The acceptance criterion as a test: zero unwaived violations and
-    // zero stale waivers on the real tree with the real simlint.toml.
-    // This makes `cargo test` catch a new violation even before CI runs.
-    let root = repo_root();
-    let waiver_src = std::fs::read_to_string(root.join("simlint.toml")).unwrap_or_default();
-    let report = analyze(&root, &waiver_src).expect("analyze repo");
+    let report = analyze(
+        &repo_root(),
+        &Config {
+            roots: ROOTS,
+            waivers: WAIVERS,
+        },
+    );
     assert!(
         report.files_scanned > 50,
         "sanity: expected the real workspace, scanned {}",
         report.files_scanned
     );
     assert!(
-        report.errors.is_empty(),
-        "unwaived simlint violations:\n{}",
-        report
-            .errors
-            .iter()
-            .map(|d| format!("  {}:{} {} — {}", d.path, d.line, d.rule, d.message))
-            .collect::<Vec<_>>()
-            .join("\n")
+        report.errors.is_empty() && report.stale.is_empty(),
+        "{report}"
     );
-    assert!(report.stale.is_empty(), "stale waivers: {:?}", report.stale);
-    // `simlint.toml`'s policy: the waiver list can only shrink. The
-    // ceiling is the current count; lower it when a waiver goes, never
-    // raise it.
+    // The waiver list can only shrink: the ceiling is the current
+    // count; lower it when a waived field goes, never raise it.
     assert!(
         report.waived.len() <= 13,
-        "{} waived diagnostics, above the ceiling of 13",
-        report.waived.len()
-    );
-    assert!(
-        !report.waived.is_empty(),
-        "sanity: state-growth resolves the roots' held state on the real tree"
+        "{} waived findings, above the ceiling of 13: {:?}",
+        report.waived.len(),
+        fields(&report.waived)
     );
 }
