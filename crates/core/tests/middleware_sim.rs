@@ -3,6 +3,8 @@
 //! crash/restart with checkpoint-load + backlog-replay recovery —
 //! driven by the discrete-event engine.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Debug;
 
 use paxos::{Batch, Mode, ProposalId, ReplicaId};
@@ -11,6 +13,55 @@ use treplica::{
     Application, Meta, Middleware, MwEffect, MwMsg, RecoveredDisk, Snapshot, TreplicaConfig, Wire,
     WireError,
 };
+
+thread_local! {
+    /// Bytes this thread allocated and has not freed, modulo 2^64: the
+    /// difference of two readings is what the work between them kept.
+    static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts live bytes per thread, so the tests of this binary can run in
+/// parallel without counting each other's work.
+struct LiveBytes;
+
+fn track(grow: usize, shrink: usize) {
+    // `try_with`: the allocator still runs while a thread's locals are
+    // being torn down; those bytes belong to no test.
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get().wrapping_add(grow).wrapping_sub(shrink)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose `GlobalAlloc` contract the caller already upholds; the counter
+// is a const-initialised thread-local `Cell` with no destructor, so
+// touching it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size(), 0);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        track(layout.size(), 0);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size, layout.size());
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(0, layout.size());
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LiveBytes = LiveBytes;
 
 /// Replicated register log: applies (key, value) writes; state is the
 /// full history length plus a checksum, enough to detect divergence.
@@ -635,5 +686,133 @@ fn crash_during_checkpoint_write_keeps_previous_generation() {
             25,
             "crash point {after}: no update lost"
         );
+    }
+}
+
+/// A sum and a count: application state that stays the same size
+/// however long the run, so what grows is the replica's own.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Tally {
+    sum: u64,
+    count: u64,
+}
+
+impl Application for Tally {
+    type Action = u64;
+    type Reply = usize;
+    fn apply(&mut self, action: &u64) -> usize {
+        self.sum = self.sum.wrapping_add(*action);
+        self.count += 1;
+        self.count as usize
+    }
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::exact((self.sum, self.count).to_bytes())
+    }
+    fn restore(data: &[u8]) -> Result<Self, WireError> {
+        let (sum, count) = <(u64, u64)>::from_bytes(data)?;
+        Ok(Tally { sum, count })
+    }
+}
+
+/// What one replica holds at the end of a run: live heap bytes (what
+/// dropping its `Middleware` frees), durable bytes on its disk, and
+/// records in its consensus log.
+#[derive(Debug)]
+struct Held {
+    heap: usize,
+    disk: u64,
+    log: usize,
+}
+
+/// Runs five replicas through `updates` updates, one every 2 ms, each
+/// run of eight from one replica, with checkpoints every 50 applies and
+/// 100 slots retained behind them. The coordinator crashes after update
+/// 200 and restarts after update 700, so a view change and a recovery
+/// both happen. Returns what each replica holds once the run settles.
+fn held_after(updates: u64, batch_max_updates: usize) -> Vec<Held> {
+    let config = TreplicaConfig {
+        checkpoint_interval: 50,
+        retention_slots: 100,
+        batch_max_updates,
+        batch_window_us: TICK_US,
+        ..TreplicaConfig::lan(5)
+    };
+    let mut c = Cluster::with(Tally::default(), config, 61);
+    let start = SimTime::from_secs(1);
+    c.run_until(start);
+    let coordinator = (0..5)
+        .find(|&i| {
+            c.nodes[i]
+                .as_ref()
+                .is_some_and(|mw| mw.status().paxos.leading)
+        })
+        .expect("a coordinator after the election");
+    for i in 0..updates {
+        match i {
+            200 => c.crash(coordinator),
+            700 => c.restart(coordinator),
+            _ => {}
+        }
+        let preferred = (i / 8 % 5) as usize;
+        let node = (0..5)
+            .map(|k| (preferred + k) % 5)
+            .find(|&n| c.nodes[n].as_ref().is_some_and(|mw| !mw.is_recovering()))
+            .expect("a live replica");
+        c.execute(node, i);
+        c.run_until(start + SimDuration::from_millis(2 * (i + 1)));
+    }
+    c.run_until(start + SimDuration::from_millis(2 * updates + 3_000));
+    assert_eq!(
+        c.recovered[coordinator].len(),
+        1,
+        "the coordinator recovered"
+    );
+    c.assert_replicas_agree();
+    assert_eq!(c.state(0).count, updates, "every update applied");
+    (0..5)
+        .map(|i| {
+            let store = c.engine.store(NodeId(i));
+            let disk = store.bytes();
+            let log = store.log(treplica::LOG_NAME).map_or(0, |l| l.len());
+            let mw = c.nodes[i].take().expect("live replica");
+            let before = LIVE_BYTES.with(Cell::get);
+            drop(mw);
+            let heap = before.wrapping_sub(LIVE_BYTES.with(Cell::get));
+            Held { heap, disk, log }
+        })
+        .collect()
+}
+
+/// Updates in the shorter of the two runs.
+const SHORT_RUN: u64 = 4_000;
+/// How much more one replica may hold after twice the updates. Each
+/// budget is at least twice the largest growth of a correct replica
+/// (under 2 kB of heap, 813 disk bytes and 3 log records from 4 000 to
+/// 8 000 updates) and at most half of a known leak's smallest growth: a
+/// `Vec<u64>` on `paxos::Replica` pushed per message adds 31 kB
+/// (batches of eight) to 261 kB (unbatched), a dedup set with an entry
+/// per update 23 kB to 196 kB, and a disk log never truncated 500
+/// records and 135 kB.
+const HEAP_BUDGET: usize = 8_000;
+const DISK_BUDGET: u64 = 4_000;
+const LOG_BUDGET: usize = 20;
+
+/// Replica state that grows with the run fails here. The run is done
+/// at two lengths, unbatched and in batches of eight, and no replica may
+/// hold more at the longer length than a fixed budget above what it
+/// held at the shorter, in memory or on disk.
+#[test]
+fn replica_state_is_bounded_at_two_run_lengths() {
+    for batch in [1, 8] {
+        let short = held_after(SHORT_RUN, batch);
+        let long = held_after(2 * SHORT_RUN, batch);
+        for (i, (a, b)) in short.iter().zip(&long).enumerate() {
+            let what = format!(
+                "batch {batch}, replica {i}: {a:?} at {SHORT_RUN} updates, {b:?} at twice that"
+            );
+            assert!(b.heap <= a.heap + HEAP_BUDGET, "heap grew: {what}");
+            assert!(b.disk <= a.disk + DISK_BUDGET, "disk grew: {what}");
+            assert!(b.log <= a.log + LOG_BUDGET, "log grew: {what}");
+        }
     }
 }

@@ -5,9 +5,12 @@
 //! quorum — the classic majority for classic ballots, ⌈3N/4⌉ for fast
 //! ballots. Decided decrees are delivered in contiguous slot order; real
 //! values are deduplicated by [`ProposalId`] so collision-recovery
-//! re-proposals and proposer retries stay exactly-once.
+//! re-proposals and proposer retries stay exactly-once. The dedup set
+//! stores runs of consecutive `seq` per proposer incarnation rather than
+//! one entry per id: proposers retry every id until it is delivered, so
+//! gaps close and the set stays as small as the ids still in flight.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use crate::types::{Ballot, Decree, ProposalId, Quorums, Reconfig, ReplicaId, Slot};
@@ -34,6 +37,48 @@ struct SlotVotes<V> {
     first_vote_at: u64,
 }
 
+/// The delivered ids, as runs of consecutive `seq` within one proposer
+/// incarnation `(node, epoch)`: the first id of each run maps to the
+/// run's last `seq`. It answers `insert` and `contains` as a
+/// `BTreeSet<ProposalId>` would, in O(gaps) memory instead of O(ids).
+#[derive(Debug, Default)]
+struct PidRuns {
+    runs: BTreeMap<ProposalId, u64>,
+}
+
+impl PidRuns {
+    /// The run at or before `pid` in its incarnation: its first id and
+    /// last `seq`.
+    fn run_before(&self, pid: ProposalId) -> Option<(ProposalId, u64)> {
+        self.runs
+            .range(..=pid)
+            .next_back()
+            .filter(|(first, _)| first.node == pid.node && first.epoch == pid.epoch)
+            .map(|(first, last)| (*first, *last))
+    }
+
+    fn contains(&self, pid: ProposalId) -> bool {
+        self.run_before(pid)
+            .is_some_and(|(_, last)| pid.seq <= last)
+    }
+
+    /// Adds `pid`; false if it was already there. Extends the run that
+    /// ends just below it, and merges the run that starts just above.
+    fn insert(&mut self, pid: ProposalId) -> bool {
+        let first = match self.run_before(pid) {
+            Some((_, last)) if pid.seq <= last => return false,
+            Some((first, last)) if last.checked_add(1) == Some(pid.seq) => first,
+            _ => pid,
+        };
+        let after = pid
+            .seq
+            .checked_add(1)
+            .and_then(|seq| self.runs.remove(&ProposalId { seq, ..pid }));
+        self.runs.insert(first, after.unwrap_or(pid.seq));
+        true
+    }
+}
+
 /// The learner.
 #[derive(Debug)]
 pub struct Learner<V> {
@@ -41,7 +86,7 @@ pub struct Learner<V> {
     votes: BTreeMap<Slot, SlotVotes<V>>,
     decided: BTreeMap<Slot, Decree<V>>,
     next_deliver: Slot,
-    delivered_pids: BTreeSet<ProposalId>,
+    delivered_pids: PidRuns,
     truncated_below: Slot,
     /// A decided `Reconfig` sitting at the delivery watermark: the
     /// fence. Delivery stops here until the replica applies the
@@ -79,7 +124,7 @@ impl<V: Clone + Eq> Learner<V> {
             votes: BTreeMap::new(),
             decided: BTreeMap::new(),
             next_deliver: start,
-            delivered_pids: BTreeSet::new(),
+            delivered_pids: PidRuns::default(),
             truncated_below: start,
             pending_reconfig: None,
         }
@@ -214,7 +259,7 @@ impl<V: Clone + Eq> Learner<V> {
 
     /// Whether `pid` has been delivered already (proposer retry check).
     pub fn was_delivered(&self, pid: ProposalId) -> bool {
-        self.delivered_pids.contains(&pid)
+        self.delivered_pids.contains(pid)
     }
 
     /// Serves a catch-up request: decided entries from
@@ -750,6 +795,21 @@ mod tests {
         }
     }
 
+    /// An `insert` (or else a `contains`) of an id of one of six
+    /// incarnations. Its `seq` is below 40, so most gaps close and some
+    /// never do, or one of the four largest, where `seq + 1` overflows.
+    fn pid_op() -> impl Strategy<Value = (bool, ProposalId)> {
+        (0u8..2, 0u32..3, 0u64..2, 0u64..44).prop_map(|(insert, node, epoch, seq)| {
+            let seq = seq.checked_sub(40).map_or(seq, |top| u64::MAX - top);
+            let pid = ProposalId {
+                node: ReplicaId(node),
+                epoch,
+                seq,
+            };
+            (insert == 0, pid)
+        })
+    }
+
     proptest! {
         // The CI `miri` job runs this crate's unit tests: a hundredth of
         // the steps there keeps it inside its time limit.
@@ -776,6 +836,37 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+
+        /// `PidRuns` against the set it replaces, fed the same stream of
+        /// `insert` and `contains` calls: duplicates, out-of-order `seq`
+        /// and gaps across several nodes and epochs. Every answer is the
+        /// set's, and there is one run per maximal stretch of the set:
+        /// one per incarnation plus one per gap still open in it.
+        #[test]
+        fn pid_runs_answer_as_the_set_does(
+            ops in proptest::collection::vec(pid_op(), 1..if cfg!(miri) { 60 } else { 400 })
+        ) {
+            let mut runs = PidRuns::default();
+            let mut set = std::collections::BTreeSet::new();
+            for (step, (insert, pid)) in ops.into_iter().enumerate() {
+                if insert {
+                    prop_assert_eq!(runs.insert(pid), set.insert(pid), "step {}, {}", step, pid);
+                }
+                prop_assert_eq!(runs.contains(pid), set.contains(&pid), "step {}, {}", step, pid);
+                let mut stretches = 0;
+                let mut prev: Option<ProposalId> = None;
+                for p in &set {
+                    let extends = prev.is_some_and(|q| {
+                        (q.node, q.epoch) == (p.node, p.epoch) && q.seq.checked_add(1) == Some(p.seq)
+                    });
+                    if !extends {
+                        stretches += 1;
+                    }
+                    prev = Some(*p);
+                }
+                prop_assert_eq!(runs.runs.len(), stretches, "step {}", step);
             }
         }
     }
