@@ -15,7 +15,7 @@
 //! comparison); `--csv <path>` exports the windowed availability
 //! timelines, alert markers included.
 
-use bench::render::render_alert_quality;
+use bench::render::{dur, fd_row, render_alert_quality};
 use bench::{incident_config, monitor_fields, Cli, Console, Mode, INCIDENT_REPLICAS};
 use cluster::{run_experiment, RunReport};
 use obs::MonitorConfig;
@@ -40,26 +40,14 @@ fn say_fd_side_by_side(con: &Console, report: &RunReport) {
         return;
     }
     let store = obs::TraceStore::build(&report.trace);
-    let fd = store.fd_quality();
     let alerts = bench::alert_score_from_run(report);
-    let alert_p50: Vec<u64> = alerts
-        .incidents
-        .iter()
-        .filter_map(|i| i.detection_latency_us)
-        .collect();
-    let alert_mean = if alert_p50.is_empty() {
-        f64::NAN
-    } else {
-        alert_p50.iter().sum::<u64>() as f64 / alert_p50.len() as f64 / 1e6
-    };
+    let det = &alerts.detection_latency;
     con.say(format_args!(
-        "    detector vs. alert: fd p50 {:.1}s ({}/{} crashes) | alert mean {:.1}s \
-         ({}/{} incidents) — gap is the monitor's scrape + debounce cost",
-        fd.detection_latency.quantile(0.5) as f64 / 1e6,
-        fd.detection_latency.count(),
-        store.incidents.len(),
-        alert_mean,
-        alerts.detected(),
+        "    detector vs. alert: {} | alert mean {} ({}/{} incidents) \
+         — gap is the monitor's scrape + debounce cost",
+        fd_row(&store.fd_quality(), store.incidents.len()),
+        dur((det.count() > 0).then(|| det.mean() as u64), "s"),
+        det.count(),
         alerts.incidents.len(),
     ));
 }

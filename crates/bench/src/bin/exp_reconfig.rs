@@ -14,6 +14,7 @@
 //! <path>` emits the machine-readable report; `--csv <path>` exports
 //! the windowed availability timelines as one CSV artifact.
 
+use bench::render::{availability_row, dur, fd_row};
 use bench::{availability, incident_config, Cli, Console, INCIDENT_REPLICAS};
 use cluster::{run_experiment, RunReport};
 
@@ -28,22 +29,6 @@ const SCENARIOS: &[&str] = &[
     "permanent-loss",
 ];
 
-fn opt_secs(v: Option<u64>) -> String {
-    v.map(|us| format!("{:6.1}s", us as f64 / 1e6))
-        .unwrap_or_else(|| "     -".to_string())
-}
-
-/// Prints one incident's availability decomposition.
-fn say_breakdown(con: &Console, what: &str, r: &obs::AvailabilityReport) {
-    con.say(format_args!(
-        "    {what:<24} detect {}  failover {}  dip {:5.1}%  ramp95 {}",
-        opt_secs(r.time_to_detect_us),
-        opt_secs(r.time_to_failover_us),
-        r.wips_dip_pct,
-        opt_secs(r.ramp_to_95pct_us),
-    ));
-}
-
 fn say_incidents(con: &Console, report: &RunReport) {
     for incident in &report.reconfigs {
         let accept = incident
@@ -53,12 +38,12 @@ fn say_incidents(con: &Console, report: &RunReport) {
             .completed_at_us
             .map(|t| t.saturating_sub(incident.submitted_at_us));
         con.say(format_args!(
-            "    epoch {} (+{:?} -{:?})        accept {}  complete {}",
+            "    epoch {} (+{:?} -{:?})        accept {:>6}  complete {:>6}",
             incident.target_epoch,
             incident.add,
             incident.remove,
-            opt_secs(accept),
-            opt_secs(complete),
+            dur(accept, "s"),
+            dur(complete, "s"),
         ));
     }
 }
@@ -93,26 +78,20 @@ fn main() {
         ));
         say_incidents(&con, report);
         for r in availability(report, "crash") {
-            say_breakdown(&con, &format!("crash of node {}", r.node), &r);
+            let what = format!("crash of node {}", r.node);
+            con.say(format_args!("    {what:<24} {}", availability_row(&r)));
         }
         // One report per submission: every incident in these faultloads
         // occupies its own window.
         let reconfig_reports = availability(report, "reconfig_proposed");
         for r in &reconfig_reports {
-            say_breakdown(&con, "reconfig (from submit)", r);
+            let what = "reconfig (from submit)";
+            con.say(format_args!("    {what:<24} {}", availability_row(r)));
         }
         if !report.trace.is_empty() {
             let store = obs::TraceStore::build(&report.trace);
-            let fd = store.fd_quality();
-            con.say(format_args!(
-                "    fd quality: {}/{} crash(es) detected (p50 {:.1}s), \
-                 {} false suspicion(s), mistake p50 {:.1}s",
-                fd.detection_latency.count(),
-                store.incidents.len(),
-                fd.detection_latency.quantile(0.5) as f64 / 1e6,
-                fd.false_suspicions,
-                fd.mistake_duration.quantile(0.5) as f64 / 1e6,
-            ));
+            let fd = fd_row(&store.fd_quality(), store.incidents.len());
+            con.say(format_args!("    {fd}"));
         }
 
         let mut extra: Vec<(&str, f64)> = Vec::new();

@@ -11,8 +11,8 @@ use crate::Mode;
 
 /// Every switch, and every value-taking flag, a binary of this crate
 /// acts on.
-const SWITCHES: &str = "--full --quiet --require-breakdown --require-one-incident --gate";
-const VALUE_FLAGS: &str = "--json --trace --csv --scenarios --out --jsonl --window-us";
+const SWITCHES: &str = "--full --quiet --check";
+const VALUE_FLAGS: &str = "--json --trace --csv --scenarios --out";
 
 /// The process's arguments after the program name: the one place the
 /// binaries of this crate read them.

@@ -256,33 +256,62 @@ pub fn render_autonomy(title: &str, runs: &[FaultRun]) -> String {
     out
 }
 
-/// Renders per-crash availability reports (time to detect/failover,
-/// degraded stretch, dip depth, ramp back to 95 % baseline) for a
-/// faultload grid — the numbers behind the Figures 5/7/8 curves.
+/// An optional duration given in µs, to one decimal in `unit` (`"ms"`
+/// or `"s"`), or `-` when absent: the one format of every optional
+/// duration the binaries print.
+pub fn dur(us: Option<u64>, unit: &str) -> String {
+    match us {
+        Some(us) if unit == "ms" => format!("{:.1}ms", us as f64 / 1e3),
+        Some(us) => format!("{:.1}s", us as f64 / 1e6),
+        None => "-".to_string(),
+    }
+}
+
+/// One incident's [`obs::AvailabilityReport`] on one line: the
+/// pre-incident baseline, the time to the victim's watchdog restart
+/// and to failover, the degraded stretch, its deepest dip and the ramp
+/// back to 95 % of baseline.
+pub fn availability_row(r: &obs::AvailabilityReport) -> String {
+    format!(
+        "base {:6.1} WIPS  restart {:>6}  failover {:>6}  degraded {:>6}  dip {:5.1}%  ramp95 {:>6}",
+        r.baseline_wips,
+        dur(r.time_to_detect_us, "s"),
+        dur(r.time_to_failover_us, "s"),
+        dur(Some(r.degraded_us), "s"),
+        r.wips_dip_pct,
+        dur(r.ramp_to_95pct_us, "s"),
+    )
+}
+
+/// A run's [`obs::FdQuality`] on one line, against its `crashes`: the
+/// crashes the failure detectors suspected, with the p50 and max time
+/// to suspicion, and the false suspicions of live peers with the p50
+/// of how long each lasted.
+pub fn fd_row(fd: &obs::FdQuality, crashes: usize) -> String {
+    let (det, mistakes) = (&fd.detection_latency, &fd.mistake_duration);
+    let q = |h: &obs::Hist, q: f64| dur((h.count() > 0).then(|| h.quantile(q)), "s");
+    format!(
+        "fd: {}/{crashes} crash(es) suspected, p50 {:>5} max {:>5}; \
+         {} false suspicion(s), lasting p50 {:>5}",
+        det.count(),
+        q(det, 0.5),
+        q(det, 1.0),
+        fd.false_suspicions,
+        q(mistakes, 0.5),
+    )
+}
+
+/// Renders per-crash availability reports for a faultload grid — the
+/// numbers behind the Figures 5/7/8 curves.
 pub fn render_availability(title: &str, runs: &[FaultRun]) -> String {
-    let mut out = format!(
-        "{title}\n  R/P   | base WIPS | detect(s) | failover(s) | degraded(s) | dip(%) | ramp95(s)\n"
-    );
-    let secs = |v: Option<u64>| {
-        v.map(|us| format!("{:9.1}", us as f64 / 1e6))
-            .unwrap_or_else(|| "        -".to_string())
-    };
+    let mut out = format!("{title}\n");
     for run in runs {
-        let reports = crate::report::availability(&run.report, "crash");
-        if reports.is_empty() {
-            continue;
-        }
-        for r in &reports {
+        for r in crate::report::availability(&run.report, "crash") {
             out.push_str(&format!(
-                "  {}/{} | {:9.1} | {} | {}   | {:11.1} | {:6.1} | {}\n",
+                "  {}/{} | {}\n",
                 run.replicas,
                 &run.profile.name()[..1],
-                r.baseline_wips,
-                secs(r.time_to_detect_us),
-                secs(r.time_to_failover_us),
-                r.degraded_us as f64 / 1e6,
-                r.wips_dip_pct,
-                secs(r.ramp_to_95pct_us),
+                availability_row(&r),
             ));
         }
     }
@@ -290,14 +319,11 @@ pub fn render_availability(title: &str, runs: &[FaultRun]) -> String {
 }
 
 /// Renders the failure detectors' quality against the trace's ground
-/// truth: detection latency per real crash, plus false suspicions of
-/// live peers and how long those mistakes lasted. Empty when no run was
-/// traced (the metrics are derived from `peer_suspected`/`peer_cleared`
-/// records).
+/// truth per traced run that crashed or suspected a live peer, or a
+/// note when no run was traced (the metrics are derived from
+/// `peer_suspected`/`peer_cleared` records).
 pub fn render_fd_quality(title: &str, runs: &[FaultRun]) -> String {
-    let mut out = format!(
-        "{title}\n  R/P   | crashes | detected | detect p50(s) | detect max(s) | false susp | mistake p50(s)\n"
-    );
+    let mut out = format!("{title}\n");
     let mut any = false;
     for run in runs {
         if run.report.trace.is_empty() {
@@ -309,17 +335,11 @@ pub fn render_fd_quality(title: &str, runs: &[FaultRun]) -> String {
             continue;
         }
         any = true;
-        let secs = |us: u64| us as f64 / 1e6;
         out.push_str(&format!(
-            "  {}/{} | {:7} | {:8} | {:13.1} | {:13.1} | {:10} | {:14.1}\n",
+            "  {}/{} | {}\n",
             run.replicas,
             &run.profile.name()[..1],
-            store.incidents.len(),
-            fd.detection_latency.count(),
-            secs(fd.detection_latency.quantile(0.5)),
-            secs(fd.detection_latency.max()),
-            fd.false_suspicions,
-            secs(fd.mistake_duration.quantile(0.5)),
+            fd_row(&fd, store.incidents.len()),
         ));
     }
     if !any {
@@ -336,46 +356,30 @@ pub fn render_fd_quality(title: &str, runs: &[FaultRun]) -> String {
 /// false-positive column is for.
 pub fn render_alert_quality(title: &str, runs: &[(String, &cluster::RunReport)]) -> String {
     let mut out = format!(
-        "{title}\n  run                            | inc | det | miss |  FP | fired | detect mean(s) | detect max(s) | resolve mean(s)\n"
+        "{title}\n  run                            | inc | det | miss |  FP | fired | detect mean |   max | resolve mean\n"
     );
     for (label, report) in runs {
         let score = crate::report::alert_score_from_run(report);
-        let detected: Vec<u64> = score
-            .incidents
-            .iter()
-            .filter_map(|i| i.detection_latency_us)
-            .collect();
+        let det = &score.detection_latency;
+        let detected = det.count() > 0;
         let resolved: Vec<u64> = score
             .incidents
             .iter()
             .filter_map(|i| i.resolve_latency_us)
             .collect();
-        let mean_s = |v: &[u64]| {
-            if v.is_empty() {
-                "      -".to_string()
-            } else {
-                format!(
-                    "{:7.1}",
-                    v.iter().sum::<u64>() as f64 / v.len() as f64 / 1e6
-                )
-            }
-        };
-        let max_s = detected
-            .iter()
-            .max()
-            .map(|us| format!("{:7.1}", *us as f64 / 1e6))
-            .unwrap_or_else(|| "      -".to_string());
+        let resolve_mean =
+            (!resolved.is_empty()).then(|| resolved.iter().sum::<u64>() / resolved.len() as u64);
         out.push_str(&format!(
-            "  {:<30} | {:3} | {:3} | {:4} | {:3} | {:5} |        {} |       {} |         {}\n",
+            "  {:<30} | {:3} | {:3} | {:4} | {:3} | {:5} | {:>11} | {:>5} | {:>12}\n",
             label,
             score.incidents.len(),
-            score.detected(),
+            det.count(),
             score.missed(),
             score.false_positives,
             score.firings,
-            mean_s(&detected),
-            max_s,
-            mean_s(&resolved),
+            dur(detected.then(|| det.mean() as u64), "s"),
+            dur(detected.then(|| det.max()), "s"),
+            dur(resolve_mean, "s"),
         ));
     }
     out

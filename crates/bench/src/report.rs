@@ -239,31 +239,21 @@ pub fn alert_score_from_run(report: &RunReport) -> obs::AlertScore {
 /// baseline).
 pub fn monitor_fields(report: &RunReport) -> Vec<(&'static str, f64)> {
     let score = alert_score_from_run(report);
-    let detected: Vec<u64> = score
-        .incidents
-        .iter()
-        .filter_map(|i| i.detection_latency_us)
-        .collect();
-    let det_mean = if detected.is_empty() {
-        0.0
-    } else {
-        detected.iter().sum::<u64>() as f64 / detected.len() as f64
-    };
-    let det_max = detected.iter().copied().max().unwrap_or(0) as f64;
+    let detection = &score.detection_latency;
     vec![
         ("monitor_incidents", score.incidents.len() as f64),
         ("monitor_missed_incidents", score.missed() as f64),
         ("monitor_false_positives", score.false_positives as f64),
         ("monitor_alerts_fired", score.firings as f64),
-        ("alert_detection_latency_us", det_mean),
-        ("alert_detection_max_us", det_max),
+        ("alert_detection_latency_us", detection.mean()),
+        ("alert_detection_max_us", detection.max() as f64),
     ]
 }
 
 /// The run's WIPS curve as an [`obs::Timeline`], with the markers from
 /// [`run_markers`] attached — the untraced path to the paper's
-/// availability decomposition (the traced path goes through
-/// `exp_trace timeline` on a full trace).
+/// availability decomposition (the traced path is `exp_trace` on a
+/// full trace).
 pub fn timeline_from_run(report: &RunReport, cfg: &obs::TimelineConfig) -> obs::Timeline {
     obs::Timeline::from_series(
         report.recorder.wips_series(),

@@ -55,7 +55,7 @@ pub enum BlameCategory {
 }
 
 impl BlameCategory {
-    /// All categories in canonical (table/CSV) order.
+    /// All categories in canonical (table) order.
     pub const ALL: [BlameCategory; 5] = [
         BlameCategory::Queueing,
         BlameCategory::CpuService,
@@ -64,7 +64,7 @@ impl BlameCategory {
         BlameCategory::DiskFsync,
     ];
 
-    /// Stable snake_case name for exports.
+    /// Stable snake_case name for tables and metric keys.
     pub fn name(self) -> &'static str {
         match self {
             BlameCategory::Queueing => "queueing",
@@ -131,7 +131,7 @@ pub struct CausalPath {
 impl CausalPath {
     /// The exactness invariant: segments telescope to the measured
     /// commit latency. True by construction; asserted in tests and
-    /// `exp_trace blame --gate`.
+    /// `exp_trace --check`.
     pub fn telescopes(&self) -> bool {
         self.segments.iter().map(|s| s.dur_us).sum::<u64>() == self.total_us
     }
@@ -194,18 +194,13 @@ impl CausalProfile {
         }
     }
 
-    /// `(segments, µs)` of blame per `key`, over every segment of every
-    /// path for which `key` is `Some`.
-    fn blame_by<K: Ord>(
-        &self,
-        key: impl Fn(&BlameSegment) -> Option<K>,
-    ) -> BTreeMap<K, (u64, u64)> {
-        let mut map: BTreeMap<K, (u64, u64)> = BTreeMap::new();
+    /// µs of blame per `key`, over every segment of every path for
+    /// which `key` is `Some`.
+    fn blame_by<K: Ord>(&self, key: impl Fn(&BlameSegment) -> Option<K>) -> BTreeMap<K, u64> {
+        let mut map: BTreeMap<K, u64> = BTreeMap::new();
         for s in self.paths.iter().flat_map(|p| &p.segments) {
             if let Some(k) = key(s) {
-                let e = map.entry(k).or_default();
-                e.0 += 1;
-                e.1 += s.dur_us;
+                *map.entry(k).or_default() += s.dur_us;
             }
         }
         map
@@ -215,13 +210,12 @@ impl CausalProfile {
     /// [`BlameCategory::ALL`] order.
     pub fn blame_by_category(&self) -> [u64; 5] {
         let by_cat = self.blame_by(|s| Some(s.category.index()));
-        std::array::from_fn(|cat| by_cat.get(&cat).map_or(0, |e| e.1))
+        std::array::from_fn(|cat| by_cat.get(&cat).copied().unwrap_or(0))
     }
 
     /// Per-node blame totals (all categories), sorted by node id.
     pub fn blame_by_node(&self) -> Vec<(u32, u64)> {
-        let by_node = self.blame_by(|s| Some(s.node));
-        by_node.into_iter().map(|(k, e)| (k, e.1)).collect()
+        self.blame_by(|s| Some(s.node)).into_iter().collect()
     }
 
     /// Net-transit blame per directed link `(sender, receiver)`.
@@ -230,7 +224,7 @@ impl CausalProfile {
             (BlameCategory::NetTransit, Some(peer)) => Some((s.node, peer)),
             _ => None,
         });
-        by_link.into_iter().map(|(k, e)| (k, e.1)).collect()
+        by_link.into_iter().collect()
     }
 
     /// Blame totals bucketed by delivery-time window.
@@ -265,54 +259,6 @@ impl CausalProfile {
         }
         let sum: u64 = self.paths.iter().map(|p| p.quorum_decide_us()).sum();
         sum as f64 / self.paths.len() as f64
-    }
-
-    /// Canonical per-path JSONL export (write-only analyst format).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for p in &self.paths {
-            out.push_str(&format!(
-                "{{\"node\":{},\"seq\":{},\"slot\":{},\"submit_us\":{},\"flush_us\":{},\"decide_us\":{},\"deliver_us\":{},\"total_us\":{},\"segments\":[",
-                p.node, p.seq, p.slot, p.submit_us, p.flush_us, p.decide_us, p.deliver_us,
-                p.total_us
-            ));
-            for (i, s) in p.segments.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"cat\":\"{}\",\"node\":{}",
-                    s.category.name(),
-                    s.node
-                ));
-                if let Some(peer) = s.peer {
-                    out.push_str(&format!(",\"peer\":{peer}"));
-                }
-                out.push_str(&format!(
-                    ",\"start_us\":{},\"dur_us\":{}}}",
-                    s.start_us, s.dur_us
-                ));
-            }
-            out.push_str("]}\n");
-        }
-        out
-    }
-
-    /// Aggregated blame CSV: `run,category,node,peer,count,total_us`,
-    /// one row per (category, node, peer) with nonzero blame, in
-    /// canonical order.
-    pub fn blame_csv(&self, run: &str) -> String {
-        // `None` (no peer) sorts before every `Some(peer)`.
-        let agg = self.blame_by(|s| Some((s.category, s.node, s.peer)));
-        let mut out = String::from("run,category,node,peer,count,total_us\n");
-        for ((cat, node, peer), (count, total)) in agg {
-            let peer = peer.map_or(String::new(), |p| p.to_string());
-            out.push_str(&format!(
-                "{run},{},{node},{peer},{count},{total}\n",
-                cat.name()
-            ));
-        }
-        out
     }
 }
 
@@ -705,12 +651,6 @@ mod tests {
     #[test]
     fn exports_are_deterministic_and_aggregate_correctly() {
         let profile = CausalProfile::from_records(&classic_trace());
-        assert_eq!(profile.to_jsonl(), profile.to_jsonl());
-        let csv = profile.blame_csv("run-a");
-        assert_eq!(csv, profile.blame_csv("run-a"));
-        assert!(csv.starts_with("run,category,node,peer,count,total_us\n"));
-        assert!(csv.contains("run-a,disk_fsync,2,,1,50\n"), "{csv}");
-        assert!(csv.contains("run-a,net_transit,1,2,1,40\n"), "{csv}");
         let windows = profile.windows(1_000);
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].paths, 1);

@@ -747,7 +747,7 @@ pub fn score_alerts(log: &AlertLog, truth: &crate::InjectionLog) -> AlertScore {
             incident.rule = Some(fire.rule);
             let latency = fire.t_us - inj.at_us;
             incident.detection_latency_us = Some(latency);
-            score.detection_latency.observe(latency.max(1));
+            score.detection_latency.observe(latency);
             incident.resolve_latency_us = log.entries[log_idx..]
                 .iter()
                 .find(|e| {

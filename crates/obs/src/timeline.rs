@@ -14,7 +14,7 @@
 //!
 //! Everything here is integer bucketing over already-deterministic
 //! traces, so the same `(seed, config)` pair renders byte-identical
-//! CSV/JSONL output.
+//! CSV output.
 
 #![expect(
     clippy::indexing_slicing,
@@ -274,46 +274,6 @@ impl Timeline {
                 win.net_bytes,
                 self.dominant_phase.get(w).copied().flatten().unwrap_or(""),
                 events,
-            ));
-        }
-        out
-    }
-
-    /// Renders the windows as JSONL, one object per window, labelled
-    /// with `run`. All values are integers or strings, so the encoding
-    /// is trivially canonical.
-    pub fn to_jsonl(&self, run: &str) -> String {
-        let mut out = String::new();
-        let run = crate::jsonl::quote(run);
-        for (w, win) in self.windows.iter().enumerate() {
-            let phase = match self.dominant_phase.get(w).copied().flatten() {
-                Some(p) => format!("\"{p}\""),
-                None => "null".to_string(),
-            };
-            let events: Vec<String> = self
-                .markers
-                .iter()
-                .filter(|m| m.window == w)
-                .map(|m| format!("\"{}:{}\"", m.kind, m.node))
-                .collect();
-            out.push_str(&format!(
-                "{{\"run\":{run},\"window\":{w},\"start_us\":{},\"ok\":{},\"err\":{},\
-                 \"committed\":{},\"commit_p50_us\":{},\"commit_p95_us\":{},\
-                 \"commit_p99_us\":{},\"queue_depth_max\":{},\"disk_appends\":{},\
-                 \"net_messages\":{},\"net_bytes\":{},\"dominant_phase\":{phase},\
-                 \"events\":[{}]}}\n",
-                win.start_us,
-                win.ok,
-                win.err,
-                win.committed,
-                win.latency.quantile(0.5),
-                win.latency.quantile(0.95),
-                win.latency.quantile(0.99),
-                win.queue_depth_max,
-                win.disk_appends,
-                win.net_messages,
-                win.net_bytes,
-                events.join(","),
             ));
         }
         out
@@ -668,9 +628,6 @@ mod tests {
             csv,
             "run A,0,0.00,0.60,0.00,0.00,0.000,0.000,0.000,0,0,0,0,,crash:0\n"
         );
-        let jsonl = tl.to_jsonl("run A");
-        assert!(jsonl.starts_with("{\"run\":\"run A\",\"window\":0,"));
-        assert!(jsonl.contains("\"events\":[\"crash:0\"]"));
         // Labels with commas stay one CSV field.
         assert!(tl.csv_rows("a,b").starts_with("\"a,b\","));
         assert_eq!(Timeline::csv_header().split(',').count(), 15);
