@@ -480,7 +480,7 @@ mod tests {
                 cc_num: "4111111111111111".into(),
                 cc_name: "Test Buyer".into(),
                 cc_expiry: 15_000,
-                auth_id: format!("AUTH{seq:06}"),
+                auth_id: tpcw::Text::from_fmt(format_args!("AUTH{seq:06}")),
                 country: 7,
             },
             ship_type: 2,

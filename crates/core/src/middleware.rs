@@ -746,7 +746,15 @@ impl<App: Application> Middleware<App> {
         for e in self.paxos.take_trace_events() {
             self.trace.push(e);
         }
-        let mut out = Vec::with_capacity(fx.len());
+        // Room for one effect per consensus effect and one `Applied` per
+        // update that `drain_queue` may apply: the backlog and the
+        // batches delivered now.
+        let delivered = fx.iter().map(|e| match e {
+            PaxosEffect::Deliver { value, .. } => value.len(),
+            _ => 0,
+        });
+        let applies = delivered.fold(self.queue.len(), usize::saturating_add);
+        let mut out = Vec::with_capacity(fx.len().saturating_add(applies));
         for e in fx {
             match e {
                 PaxosEffect::Send { to, msg } => {

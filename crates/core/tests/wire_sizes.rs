@@ -18,7 +18,7 @@ use paxos::{
 use robuststore::{Action, RobustStore};
 use tpcw::{
     AuthorId, CartId, CartLine, CustomerId, Item, ItemId, NewCustomer, Overlay, Payment,
-    PopulationParams,
+    PopulationParams, Text,
 };
 use treplica::{Application, Meta, Wire, WireError, MAX_BATCH_ITEMS};
 
@@ -69,9 +69,9 @@ fn assert_check_agrees_around<T: Wire>(v: &T) {
     }
 }
 
-/// Strings of one- to three-byte characters, so a size that counted
+/// Texts of one- to three-byte characters, so a size that counted
 /// chars instead of bytes would not pass.
-fn arb_string() -> impl Strategy<Value = String> {
+fn arb_text() -> impl Strategy<Value = Text> {
     const ALPHABET: [char; 6] = ['a', 'Z', '7', ' ', 'é', '書'];
     proptest::collection::vec(0usize..ALPHABET.len(), 0..24)
         .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
@@ -104,8 +104,8 @@ fn arb_do_cart() -> impl Strategy<Value = Action> {
 
 fn arb_register() -> impl Strategy<Value = Action> {
     (
-        (arb_string(), arb_string(), arb_string()),
-        (arb_string(), arb_string()),
+        (arb_text(), arb_text(), arb_text()),
+        (arb_text(), arb_text()),
         0u32..40_000,
         0u32..5_000,
         0u64..1_000_000,
@@ -138,7 +138,7 @@ fn arb_refresh() -> impl Strategy<Value = Action> {
 fn arb_buy_confirm() -> impl Strategy<Value = Action> {
     (
         (0u32..8, 1u32..60),
-        (arb_string(), arb_string(), arb_string(), arb_string()),
+        (arb_text(), arb_text(), arb_text(), arb_text()),
         (0u32..40_000, 0u32..92),
         any::<u8>(),
         0u64..1_000_000,
@@ -170,7 +170,7 @@ fn arb_buy_confirm() -> impl Strategy<Value = Action> {
 }
 
 fn arb_admin_update() -> impl Strategy<Value = Action> {
-    (0u32..100, 0u64..100_000, arb_string(), arb_string()).prop_map(
+    (0u32..100, 0u64..100_000, arb_text(), arb_text()).prop_map(
         |(item, cost_cents, image, thumbnail)| Action::AdminUpdate {
             item: ItemId(item),
             cost_cents,
@@ -192,8 +192,8 @@ fn arb_action() -> impl Strategy<Value = Action> {
 
 fn arb_item() -> impl Strategy<Value = Item> {
     (
-        (arb_string(), arb_string(), arb_string(), arb_string()),
-        (arb_string(), arb_string(), arb_string()),
+        (arb_text(), arb_text(), arb_text(), arb_text()),
+        (arb_text(), arb_text(), arb_text()),
         (any::<u32>(), any::<u32>(), any::<u8>(), any::<u8>()),
         (0u64..1_000_000, 0u64..1_000_000, -50i32..500),
         (0u32..100, 0u32..100, 0u32..100, 0u32..100, 0u32..100),

@@ -5,7 +5,7 @@
 //! authorization is sampled *before* the action is constructed and
 //! travels inside it, so all replicas apply identical state changes.
 
-use tpcw::{CartId, CartLine, CustomerId, ItemId, NewCustomer, OrderId, Payment, StoreError};
+use tpcw::{CartId, CartLine, CustomerId, ItemId, NewCustomer, OrderId, Payment, StoreError, Text};
 use treplica::impl_wire_enum;
 
 /// A replicated update to the bookstore.
@@ -58,9 +58,9 @@ pub enum Action {
         /// New cost in cents.
         cost_cents: u64,
         /// New image path (pre-sampled).
-        image: String,
+        image: Text,
         /// New thumbnail path (pre-sampled).
-        thumbnail: String,
+        thumbnail: Text,
     },
 }
 

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use tpcw::{
     Bookstore, Interaction, ItemId, NewCustomer, Payment, RequestBody, SessionUpdate, StoreError,
-    WebRequest,
+    Text, WebRequest,
 };
 
 use crate::action::{Action, Reply};
@@ -54,14 +54,14 @@ pub enum ReadOp {
         /// Subject for kind 0.
         subject: u8,
         /// Term for kinds 1–2.
-        term: String,
+        term: Text,
     },
     /// Static order-inquiry form.
     OrderInquiry,
     /// Order display.
     OrderDisplay {
         /// Customer user name.
-        uname: String,
+        uname: Text,
     },
     /// Admin edit form.
     AdminRequest {
@@ -203,7 +203,10 @@ impl TpcwDatabase {
                         cc_name: cc_name.clone(),
                         cc_expiry: *cc_expiry,
                         // Pre-sampled payment-gateway authorization.
-                        auth_id: format!("AUTH{:012x}", self.rng.gen::<u64>() & 0xFFFF_FFFF_FFFF),
+                        auth_id: Text::from_fmt(format_args!(
+                            "AUTH{:012x}",
+                            self.rng.gen::<u64>() & 0xFFFF_FFFF_FFFF
+                        )),
                         country: *country,
                     },
                     ship_type: *ship_type,
@@ -223,8 +226,8 @@ impl TpcwDatabase {
                 Prepared::Write(Action::AdminUpdate {
                     item: *item,
                     cost_cents: *new_cost_cents,
-                    image: format!("img/full/{}_{n}.gif", item.0),
-                    thumbnail: format!("img/thumb/{}_{n}.gif", item.0),
+                    image: Text::from_fmt(format_args!("img/full/{}_{n}.gif", item.0)),
+                    thumbnail: Text::from_fmt(format_args!("img/thumb/{}_{n}.gif", item.0)),
                 })
             }
         }
@@ -244,7 +247,7 @@ impl TpcwDatabase {
         };
         match op {
             ReadOp::Home { customer } => {
-                let (_name, promos) = store.get_home(*customer);
+                let (_customer, promos) = store.get_home(*customer);
                 ok_page(4_000 + promos.len() as u64 * 400)
             }
             ReadOp::NewProducts { subject } => {
@@ -391,12 +394,12 @@ mod tests {
             client_id: 1,
             body: RequestBody::CustomerRegistration {
                 returning: Some(CustomerId(4)),
-                fname: String::new(),
-                lname: String::new(),
-                phone: String::new(),
-                email: String::new(),
+                fname: Text::new(),
+                lname: Text::new(),
+                phone: Text::new(),
+                email: Text::new(),
                 birthdate: 0,
-                data: String::new(),
+                data: Text::new(),
             },
         };
         assert!(matches!(
@@ -486,7 +489,7 @@ mod tests {
             ReadOp::SearchResults {
                 kind: 0,
                 subject: 1,
-                term: String::new(),
+                term: Text::new(),
             },
             ReadOp::SearchResults {
                 kind: 1,

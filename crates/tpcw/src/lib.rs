@@ -48,6 +48,7 @@ pub mod model;
 pub mod population;
 mod rbe;
 mod store;
+mod text;
 
 pub use interactions::{Interaction, Profile, ALL_INTERACTIONS};
 pub use metrics::{linear_fit, r_squared, Recorder, Schedule};
@@ -59,3 +60,4 @@ pub use model::{
 pub use population::{base_population, c_uname, generate, BasePopulation, PopulationParams};
 pub use rbe::{Rbe, RbeConfig, RequestBody, SessionUpdate, WebRequest};
 pub use store::{Bookstore, NewCustomer, Overlay, Payment, StoreError};
+pub use text::Text;

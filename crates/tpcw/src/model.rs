@@ -8,6 +8,8 @@
 
 use treplica::{impl_wire_enum, impl_wire_struct};
 
+use crate::text::Text;
+
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
@@ -87,13 +89,13 @@ pub struct Author {
     /// Primary key.
     pub id: AuthorId,
     /// First name.
-    pub fname: String,
+    pub fname: Text,
     /// Last name.
-    pub lname: String,
+    pub lname: Text,
     /// Date of birth (days since epoch).
     pub dob: u32,
     /// Short biography.
-    pub bio: String,
+    pub bio: Text,
 }
 impl_wire_struct!(Author {
     id,
@@ -109,21 +111,21 @@ pub struct Item {
     /// Primary key.
     pub id: ItemId,
     /// Title.
-    pub title: String,
+    pub title: Text,
     /// Author.
     pub author: AuthorId,
     /// Publication date (days since epoch).
     pub pub_date: u32,
     /// Publisher name.
-    pub publisher: String,
+    pub publisher: Text,
     /// Subject index into [`SUBJECTS`].
     pub subject: u8,
     /// Description.
-    pub desc: String,
+    pub desc: Text,
     /// Thumbnail image path.
-    pub thumbnail: String,
+    pub thumbnail: Text,
     /// Full image path.
-    pub image: String,
+    pub image: Text,
     /// Suggested retail price in cents.
     pub srp_cents: u64,
     /// Current cost in cents.
@@ -133,13 +135,13 @@ pub struct Item {
     /// Stock on hand.
     pub stock: i32,
     /// ISBN.
-    pub isbn: String,
+    pub isbn: Text,
     /// Page count.
     pub pages: u32,
     /// Binding type index.
     pub backing: u8,
     /// Physical dimensions.
-    pub dimensions: String,
+    pub dimensions: Text,
     /// The five related items shown on the product page.
     pub related: [ItemId; 5],
 }
@@ -171,11 +173,11 @@ pub struct Country {
     /// Primary key.
     pub id: CountryId,
     /// Name.
-    pub name: String,
+    pub name: Text,
     /// Exchange rate ×10⁶ against USD.
     pub exchange_micros: u64,
     /// Currency name.
-    pub currency: String,
+    pub currency: Text,
 }
 impl_wire_struct!(Country {
     id,
@@ -190,15 +192,15 @@ pub struct Address {
     /// Primary key.
     pub id: AddressId,
     /// Street line 1.
-    pub street1: String,
+    pub street1: Text,
     /// Street line 2.
-    pub street2: String,
+    pub street2: Text,
     /// City.
-    pub city: String,
+    pub city: Text,
     /// State or region.
-    pub state: String,
+    pub state: Text,
     /// Postal code.
-    pub zip: String,
+    pub zip: Text,
     /// Country.
     pub country: CountryId,
 }
@@ -218,19 +220,19 @@ pub struct Customer {
     /// Primary key.
     pub id: CustomerId,
     /// Unique user name.
-    pub uname: String,
+    pub uname: Text,
     /// Password.
-    pub passwd: String,
+    pub passwd: Text,
     /// First name.
-    pub fname: String,
+    pub fname: Text,
     /// Last name.
-    pub lname: String,
+    pub lname: Text,
     /// Home address.
     pub addr: AddressId,
     /// Phone number.
-    pub phone: String,
+    pub phone: Text,
     /// Email address.
-    pub email: String,
+    pub email: Text,
     /// Registration date (days since epoch).
     pub since: u32,
     /// Last login (µs timestamp).
@@ -248,7 +250,7 @@ pub struct Customer {
     /// Birthdate (days since epoch).
     pub birthdate: u32,
     /// Free-form data field (TPC-W pads customers with this).
-    pub data: String,
+    pub data: Text,
 }
 impl_wire_struct!(Customer {
     id,
@@ -345,7 +347,7 @@ pub struct OrderLine {
     /// Line discount in basis points.
     pub discount_bp: u32,
     /// Gift-wrap / delivery comments.
-    pub comments: String,
+    pub comments: Text,
 }
 impl_wire_struct!(OrderLine {
     order,
@@ -361,15 +363,15 @@ pub struct CcXact {
     /// The paid order.
     pub order: OrderId,
     /// Card type.
-    pub cc_type: String,
+    pub cc_type: Text,
     /// Card number (test data).
-    pub cc_num: String,
+    pub cc_num: Text,
     /// Cardholder name.
-    pub cc_name: String,
+    pub cc_name: Text,
     /// Expiry (days since epoch).
     pub cc_expiry: u32,
     /// Authorization id issued by the (emulated) payment gateway.
-    pub auth_id: String,
+    pub auth_id: Text,
     /// Amount in cents.
     pub amount_cents: u64,
     /// Transaction timestamp (µs, replica-deterministic).

@@ -27,6 +27,7 @@ use crate::model::{
     nominal, Address, AddressId, Author, AuthorId, CcXact, Country, CountryId, Customer,
     CustomerId, Item, ItemId, Order, OrderId, OrderLine, OrderStatus, SUBJECTS,
 };
+use crate::text::Text;
 
 /// Scaling parameters of a population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -203,18 +204,15 @@ impl GramIndex {
 }
 
 /// TPC-W user name derivation: a digit-letter encoding of the id.
-pub fn c_uname(id: CustomerId) -> String {
-    let mut n = id.0 as u64;
-    let mut s = String::from("U");
-    loop {
-        let d = (n % 26) as u8;
-        s.push((b'A' + d) as char);
-        n /= 26;
-        if n == 0 {
-            break;
-        }
-    }
-    s
+pub fn c_uname(id: CustomerId) -> Text {
+    let digits = std::iter::successors(Some(id.0), |n| Some(n / 26).filter(|q| *q != 0));
+    let letters = digits.map(|n| (b'A' + (n % 26) as u8) as char);
+    std::iter::once('U').chain(letters).collect()
+}
+
+/// A customer's password: the user name in lower case.
+pub(crate) fn c_passwd(uname: &str) -> Text {
+    uname.chars().map(|c| c.to_ascii_lowercase()).collect()
 }
 
 /// Inverse of [`c_uname`]. A name with trailing `A`s (leading zero
@@ -232,16 +230,24 @@ pub(crate) fn uname_id(uname: &str) -> Option<CustomerId> {
     Some(CustomerId(n))
 }
 
-fn rand_string(rng: &mut StdRng, min: usize, max: usize) -> String {
-    let len = rng.gen_range(min..=max);
-    (0..len)
-        .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
-        .collect()
+/// The characters of a random text, and how many.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Chars {
+    /// Letters `a`–`z`, as many as a draw from `min..=max`.
+    Letters(usize, usize),
+    /// This many digits `0`–`9`.
+    Digits(usize),
 }
 
-fn rand_digits(rng: &mut StdRng, len: usize) -> String {
+/// A random text: its length is drawn first (for letters), then each
+/// char in turn, so a given `rng` always yields the same text.
+pub(crate) fn rand_text(rng: &mut StdRng, chars: Chars) -> Text {
+    let (first, span, len) = match chars {
+        Chars::Letters(min, max) => (b'a', 26, rng.gen_range(min..=max)),
+        Chars::Digits(len) => (b'0', 10, len),
+    };
     (0..len)
-        .map(|_| (b'0' + rng.gen_range(0..10u8)) as char)
+        .map(|_| (first + rng.gen_range(0..span)) as char)
         .collect()
 }
 
@@ -251,25 +257,26 @@ fn rand_digits(rng: &mut StdRng, len: usize) -> String {
     reason = "ids and subjects are generated below the lengths of the tables they index"
 )]
 pub fn generate(params: PopulationParams) -> BasePopulation {
+    use Chars::{Digits, Letters};
     let mut rng = StdRng::seed_from_u64(params.seed);
     let today: u32 = 14_000; // days since epoch, fixed reference date
 
     let countries: Vec<Country> = (0..92)
         .map(|i| Country {
             id: CountryId(i),
-            name: format!("Country{i}"),
+            name: Text::from_fmt(format_args!("Country{i}")),
             exchange_micros: 1_000_000 + (i as u64) * 13_337,
-            currency: format!("CUR{i}"),
+            currency: Text::from_fmt(format_args!("CUR{i}")),
         })
         .collect();
 
     let authors: Vec<Author> = (0..params.authors())
         .map(|i| Author {
             id: AuthorId(i),
-            fname: rand_string(&mut rng, 3, 12),
-            lname: rand_string(&mut rng, 3, 15),
+            fname: rand_text(&mut rng, Letters(3, 12)),
+            lname: rand_text(&mut rng, Letters(3, 15)),
             dob: rng.gen_range(1_000..today - 7_300),
-            bio: rand_string(&mut rng, 30, 60),
+            bio: rand_text(&mut rng, Letters(30, 60)),
         })
         .collect();
 
@@ -278,27 +285,27 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
             let srp = rng.gen_range(100..10_000u64);
             Item {
                 id: ItemId(i),
-                title: format!("{} {}", rand_string(&mut rng, 6, 14), i),
+                title: Text::from_fmt(format_args!("{} {i}", rand_text(&mut rng, Letters(6, 14)))),
                 author: AuthorId(rng.gen_range(0..params.authors())),
                 pub_date: rng.gen_range(today - 7_300..today),
-                publisher: rand_string(&mut rng, 8, 16),
+                publisher: rand_text(&mut rng, Letters(8, 16)),
                 subject: rng.gen_range(0..SUBJECTS.len() as u8),
-                desc: rand_string(&mut rng, 40, 80),
-                thumbnail: format!("img/thumb/{i}.gif"),
-                image: format!("img/full/{i}.gif"),
+                desc: rand_text(&mut rng, Letters(40, 80)),
+                thumbnail: Text::from_fmt(format_args!("img/thumb/{i}.gif")),
+                image: Text::from_fmt(format_args!("img/full/{i}.gif")),
                 srp_cents: srp,
                 cost_cents: srp * rng.gen_range(50..90u64) / 100,
                 avail: rng.gen_range(today..today + 30),
                 stock: rng.gen_range(10..31),
-                isbn: rand_digits(&mut rng, 13),
+                isbn: rand_text(&mut rng, Digits(13)),
                 pages: rng.gen_range(20..9_999),
                 backing: rng.gen_range(0..5),
-                dimensions: format!(
+                dimensions: Text::from_fmt(format_args!(
                     "{}x{}x{}",
                     rng.gen_range(1..99u32),
                     rng.gen_range(1..99u32),
                     rng.gen_range(1..99u32)
-                ),
+                )),
                 related: [ItemId(0); 5],
             }
         })
@@ -315,11 +322,11 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
     let addresses: Vec<Address> = (0..params.addresses())
         .map(|i| Address {
             id: AddressId(i),
-            street1: rand_string(&mut rng, 10, 30),
-            street2: rand_string(&mut rng, 5, 20),
-            city: rand_string(&mut rng, 4, 15),
-            state: rand_string(&mut rng, 2, 10),
-            zip: rand_digits(&mut rng, 5),
+            street1: rand_text(&mut rng, Letters(10, 30)),
+            street2: rand_text(&mut rng, Letters(5, 20)),
+            city: rand_text(&mut rng, Letters(4, 15)),
+            state: rand_text(&mut rng, Letters(2, 10)),
+            zip: rand_text(&mut rng, Digits(5)),
             country: CountryId(rng.gen_range(0..92)),
         })
         .collect();
@@ -330,13 +337,16 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
             let uname = c_uname(id);
             Customer {
                 id,
-                passwd: uname.to_lowercase(),
+                passwd: c_passwd(&uname),
                 uname,
-                fname: rand_string(&mut rng, 3, 12),
-                lname: rand_string(&mut rng, 3, 15),
+                fname: rand_text(&mut rng, Letters(3, 12)),
+                lname: rand_text(&mut rng, Letters(3, 15)),
                 addr: AddressId(rng.gen_range(0..params.addresses())),
-                phone: rand_digits(&mut rng, 10),
-                email: format!("{}@example.com", rand_string(&mut rng, 5, 12)),
+                phone: rand_text(&mut rng, Digits(10)),
+                email: Text::from_fmt(format_args!(
+                    "{}@example.com",
+                    rand_text(&mut rng, Letters(5, 12))
+                )),
                 since: rng.gen_range(today - 730..today),
                 last_login: 0,
                 login: 0,
@@ -345,7 +355,7 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
                 balance_cents: 0,
                 ytd_pmt_cents: rng.gen_range(0..1_000_000),
                 birthdate: rng.gen_range(1_000..today - 6_570),
-                data: rand_string(&mut rng, 100, 200),
+                data: rand_text(&mut rng, Letters(100, 200)),
             }
         })
         .collect();
@@ -368,7 +378,7 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
                     item,
                     qty,
                     discount_bp: rng.gen_range(0..300),
-                    comments: rand_string(&mut rng, 5, 20),
+                    comments: rand_text(&mut rng, Letters(5, 20)),
                 }
             })
             .collect();
@@ -393,16 +403,17 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
         };
         cc_xacts.push(CcXact {
             order: OrderId(i),
-            cc_type: ["VISA", "MASTERCARD", "DISCOVER", "AMEX", "DINERS"][rng.gen_range(0..5usize)]
-                .to_string(),
-            cc_num: rand_digits(&mut rng, 16),
-            cc_name: format!(
-                "{} {}",
-                rand_string(&mut rng, 3, 12),
-                rand_string(&mut rng, 3, 15)
+            cc_type: Text::from(
+                ["VISA", "MASTERCARD", "DISCOVER", "AMEX", "DINERS"][rng.gen_range(0..5usize)],
             ),
+            cc_num: rand_text(&mut rng, Digits(16)),
+            cc_name: Text::from_fmt(format_args!(
+                "{} {}",
+                rand_text(&mut rng, Letters(3, 12)),
+                rand_text(&mut rng, Letters(3, 15))
+            )),
             cc_expiry: today + rng.gen_range(10..730),
-            auth_id: rand_string(&mut rng, 15, 15),
+            auth_id: rand_text(&mut rng, Letters(15, 15)),
             amount_cents: order.total_cents,
             date: order.date,
             country: CountryId(rng.gen_range(0..92)),

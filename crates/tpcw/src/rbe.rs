@@ -14,7 +14,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::interactions::{Interaction, Profile};
 use crate::model::{CartId, CartLine, CustomerId, ItemId, SUBJECTS};
-use crate::population::c_uname;
+use crate::population::{c_uname, rand_text, Chars::Digits, Chars::Letters};
+use crate::text::Text;
 
 /// Client-supplied body of one web request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +49,7 @@ pub enum RequestBody {
         /// Subject index (kind 0).
         subject: u8,
         /// Search term (kinds 1–2).
-        term: String,
+        term: Text,
     },
     /// Cart display/update.
     ShoppingCart {
@@ -67,17 +68,17 @@ pub enum RequestBody {
         /// Returning customer (80% of registrations).
         returning: Option<CustomerId>,
         /// New-customer fields (20%).
-        fname: String,
+        fname: Text,
         /// Last name.
-        lname: String,
+        lname: Text,
         /// Phone.
-        phone: String,
+        phone: Text,
         /// Email.
-        email: String,
+        email: Text,
         /// Birthdate.
         birthdate: u32,
         /// Free-form data.
-        data: String,
+        data: Text,
     },
     /// Payment page (refreshes the session).
     BuyRequest {
@@ -93,11 +94,11 @@ pub enum RequestBody {
         /// The cart to purchase.
         cart: Option<CartId>,
         /// Card type.
-        cc_type: String,
+        cc_type: Text,
         /// Card number.
-        cc_num: String,
+        cc_num: Text,
         /// Cardholder.
-        cc_name: String,
+        cc_name: Text,
         /// Expiry.
         cc_expiry: u32,
         /// Issuing country.
@@ -110,7 +111,7 @@ pub enum RequestBody {
     /// Order-status display.
     OrderDisplay {
         /// Customer user name to look up.
-        uname: String,
+        uname: Text,
     },
     /// Admin edit form.
     AdminRequest {
@@ -196,13 +197,6 @@ impl Rbe {
         ItemId(self.rng.gen_range(0..self.config.items))
     }
 
-    fn rand_string(&mut self, min: usize, max: usize) -> String {
-        let len = self.rng.gen_range(min..=max);
-        (0..len)
-            .map(|_| (b'a' + self.rng.gen_range(0..26u8)) as char)
-            .collect()
-    }
-
     /// Emits the next request.
     ///
     /// Navigation fix-up: purchase interactions sampled without an
@@ -240,7 +234,7 @@ impl Rbe {
                 RequestBody::SearchResults {
                     kind,
                     subject: self.rng.gen_range(0..SUBJECTS.len() as u8),
-                    term: self.rand_string(1, 2),
+                    term: rand_text(&mut self.rng, Letters(1, 2)),
                 }
             }
             Interaction::ShoppingCart => {
@@ -273,14 +267,15 @@ impl Rbe {
                 };
                 RequestBody::CustomerRegistration {
                     returning,
-                    fname: self.rand_string(3, 12),
-                    lname: self.rand_string(3, 15),
-                    phone: (0..10)
-                        .map(|_| (b'0' + self.rng.gen_range(0..10u8)) as char)
-                        .collect(),
-                    email: format!("{}@example.com", self.rand_string(5, 10)),
+                    fname: rand_text(&mut self.rng, Letters(3, 12)),
+                    lname: rand_text(&mut self.rng, Letters(3, 15)),
+                    phone: rand_text(&mut self.rng, Digits(10)),
+                    email: Text::from_fmt(format_args!(
+                        "{}@example.com",
+                        rand_text(&mut self.rng, Letters(5, 10))
+                    )),
                     birthdate: self.rng.gen_range(1_000..12_000),
-                    data: self.rand_string(20, 40),
+                    data: rand_text(&mut self.rng, Letters(20, 40)),
                 }
             }
             Interaction::BuyRequest => RequestBody::BuyRequest {
@@ -290,13 +285,16 @@ impl Rbe {
             Interaction::BuyConfirm => RequestBody::BuyConfirm {
                 customer: self.customer,
                 cart: self.cart,
-                cc_type: ["VISA", "MASTERCARD", "DISCOVER", "AMEX", "DINERS"]
-                    [self.rng.gen_range(0..5usize)]
-                .to_string(),
-                cc_num: (0..16)
-                    .map(|_| (b'0' + self.rng.gen_range(0..10u8)) as char)
-                    .collect(),
-                cc_name: format!("{} {}", self.rand_string(3, 10), self.rand_string(3, 12)),
+                cc_type: Text::from(
+                    ["VISA", "MASTERCARD", "DISCOVER", "AMEX", "DINERS"]
+                        [self.rng.gen_range(0..5usize)],
+                ),
+                cc_num: rand_text(&mut self.rng, Digits(16)),
+                cc_name: Text::from_fmt(format_args!(
+                    "{} {}",
+                    rand_text(&mut self.rng, Letters(3, 10)),
+                    rand_text(&mut self.rng, Letters(3, 12))
+                )),
                 cc_expiry: self.rng.gen_range(14_100..15_000),
                 country: self.rng.gen_range(0..92),
                 ship_type: self.rng.gen_range(0..6),

@@ -27,24 +27,27 @@ use crate::model::{
     nominal, Cart, CartId, CartLine, CcXact, Customer, CustomerId, Item, ItemId, Order, OrderId,
     OrderLine, OrderStatus, SUBJECTS,
 };
-use crate::population::{base_population, c_uname, uname_id, BasePopulation, PopulationParams};
+use crate::population::{
+    base_population, c_passwd, c_uname, uname_id, BasePopulation, PopulationParams,
+};
+use crate::text::Text;
 
 /// Fields of a new-customer registration supplied by the web tier
 /// (timestamps and discount pre-sampled for determinism).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NewCustomer {
     /// First name.
-    pub fname: String,
+    pub fname: Text,
     /// Last name.
-    pub lname: String,
+    pub lname: Text,
     /// Phone.
-    pub phone: String,
+    pub phone: Text,
     /// Email.
-    pub email: String,
+    pub email: Text,
     /// Birthdate (days since epoch).
     pub birthdate: u32,
     /// Free-form data.
-    pub data: String,
+    pub data: Text,
     /// Registration discount in basis points — *pre-sampled* by the
     /// caller (the paper's example of removed non-determinism).
     pub discount_bp: u32,
@@ -66,16 +69,16 @@ impl_wire_struct!(NewCustomer {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Payment {
     /// Card type.
-    pub cc_type: String,
+    pub cc_type: Text,
     /// Card number.
-    pub cc_num: String,
+    pub cc_num: Text,
     /// Cardholder.
-    pub cc_name: String,
+    pub cc_name: Text,
     /// Expiry (days since epoch).
     pub cc_expiry: u32,
     /// Authorization id returned by the emulated payment gateway —
     /// pre-sampled (in the original it came from an external call).
-    pub auth_id: String,
+    pub auth_id: Text,
     /// Issuing country.
     pub country: u32,
 }
@@ -111,7 +114,7 @@ pub struct Overlay {
     /// Current stock where it differs from the base.
     pub stock: BTreeMap<u32, i32>,
     /// Admin item updates: id → (cost, image, thumbnail).
-    pub item_updates: BTreeMap<u32, (u64, String, String)>,
+    pub item_updates: BTreeMap<u32, (u64, Text, Text)>,
     /// Session refreshes: customer id → (login, expiration).
     pub sessions: BTreeMap<u32, (u64, u64)>,
     /// Most recent order per customer (covers base + new orders).
@@ -336,15 +339,13 @@ impl Bookstore {
 
     // ----- the 14 interactions' read paths -------------------------------
 
-    /// Home page: customer greeting + promotional items.
-    pub fn get_home(&self, c_id: Option<CustomerId>) -> (Option<String>, Vec<ItemId>) {
-        let name = c_id
-            .and_then(|id| self.customer(id).ok())
-            .map(|c| format!("{} {}", c.fname, c.lname));
+    /// Home page: the customer to greet + promotional items.
+    pub fn get_home(&self, c_id: Option<CustomerId>) -> (Option<&Customer>, Vec<ItemId>) {
+        let customer = c_id.and_then(|id| self.customer(id).ok());
         let promos = (0..5)
             .map(|k| ItemId((k * 37) % self.base.params.items))
             .collect();
-        (name, promos)
+        (customer, promos)
     }
 
     /// New Products: the 50 newest items of a subject.
@@ -498,7 +499,7 @@ impl Bookstore {
         let uname = c_uname(id);
         self.overlay.new_customers.push(Customer {
             id,
-            passwd: uname.to_lowercase(),
+            passwd: c_passwd(&uname),
             uname,
             fname: reg.fname.clone(),
             lname: reg.lname.clone(),
@@ -580,7 +581,7 @@ impl Bookstore {
                 item: l.item,
                 qty: l.qty,
                 discount_bp,
-                comments: String::new(),
+                comments: Text::new(),
             })
             .collect();
         // Stock adjustment per spec.
@@ -615,8 +616,8 @@ impl Bookstore {
         &mut self,
         item: ItemId,
         cost_cents: u64,
-        image: String,
-        thumbnail: String,
+        image: Text,
+        thumbnail: Text,
     ) -> Result<(), StoreError> {
         if !self.has_item(item) {
             return Err(StoreError::NoSuchItem);
@@ -918,8 +919,8 @@ mod tests {
     #[test]
     fn home_page_greets_known_customer() {
         let s = store();
-        let (name, promos) = s.get_home(Some(CustomerId(3)));
-        assert!(name.is_some());
+        let (customer, promos) = s.get_home(Some(CustomerId(3)));
+        assert_eq!(customer.map(|c| c.id), Some(CustomerId(3)));
         assert_eq!(promos.len(), 5);
         let (anon, _) = s.get_home(None);
         assert!(anon.is_none());

@@ -211,7 +211,7 @@ mod oracle {
         let updates: Vec<ItemUpdateWire> = o
             .item_updates
             .iter()
-            .map(|(k, (c, i, t))| (*k, (*c, (i.clone(), t.clone()))))
+            .map(|(k, (c, i, t))| (*k, (*c, (i.to_string(), t.to_string()))))
             .collect();
         updates.encode(&mut buf);
         let sessions: Vec<(u32, (u64, u64))> = o.sessions.iter().map(|(k, v)| (*k, *v)).collect();
@@ -274,7 +274,7 @@ fn assert_reads_match_oracle(store: &Bookstore) {
         .chain([675, 676, 677]) // "UZZ", "UAAB", "UBAB"
         .chain(customers.saturating_sub(4)..customers + 2) // registered during the run, and nobody
         .chain(overlay.last_order.keys().copied());
-    let mut unames: Vec<String> = ids.map(|id| c_uname(CustomerId(id))).collect();
+    let mut unames: Vec<String> = ids.map(|id| c_uname(CustomerId(id)).to_string()).collect();
     // Spelt wrongly: trailing zero digits ("UAA" decodes to the id of
     // "UA"), no digits, no prefix, lower case, not ASCII, too long for
     // an id.

@@ -11,7 +11,7 @@ use robuststore_repro::paxos::{
 use robuststore_repro::robuststore::Action;
 use robuststore_repro::simnet::TraceConfig;
 use robuststore_repro::tpcw::{
-    Bookstore, CustomerId, ItemId, Payment, PopulationParams, Profile, Schedule,
+    Bookstore, CustomerId, ItemId, NewCustomer, Payment, PopulationParams, Profile, Schedule,
 };
 use robuststore_repro::treplica::{Meta, Wire, WireError};
 
@@ -370,7 +370,8 @@ fn encoded<T: Wire>(value: &T) -> String {
 /// (`Msg`), into the acceptor log (`Record`) and into a checkpoint
 /// (`Meta`, `Overlay`; `Item` for the catalogue rows). The literals come
 /// from the hand-written encoders of commit c106ac6, before the codecs
-/// became field tables; neighbouring fields hold different values, so
+/// became field tables (the overlay with a customer from 673e720, while
+/// every text was a `String`); neighbouring fields hold different values, so
 /// swapping two entries of a table moves a byte and fails here. (A
 /// deliberate format change re-pins them, like any golden.)
 #[test]
@@ -427,6 +428,7 @@ fn wire_format_matches_pinned_encodings() {
 
     // Two carts, one updated and bought, then an admin update and a
     // session refresh: every overlay table but `new_customers` has a row.
+    // A registration then fills that one too.
     let mut store = Bookstore::open(PopulationParams {
         items: 100,
         ebs: 1,
@@ -459,4 +461,22 @@ fn wire_format_matches_pinned_encodings() {
     assert_eq!(encoded(&meta), "53:4acc1259b39306ad", "Meta");
     assert_eq!(encoded(&item), "207:5c483932261843e8", "Item");
     assert_eq!(encoded(store.overlay()), "304:aab20fe948507211", "Overlay");
+
+    // Texts on both sides of the 22 bytes that `tpcw::Text` keeps inline.
+    let registered = store.create_customer(&NewCustomer {
+        fname: "Ada".into(),
+        lname: "Lovelace".into(),
+        phone: "5551234567".into(),
+        email: "ada.lovelace@example.com".into(),
+        birthdate: 4_000,
+        data: "é".repeat(12).into(),
+        discount_bp: 250,
+        now: 16,
+    });
+    assert_eq!(registered, CustomerId(2_880));
+    assert_eq!(
+        encoded(store.overlay()),
+        "469:248c740a2b82d236",
+        "Overlay with a customer"
+    );
 }
