@@ -728,8 +728,10 @@ struct Held {
 /// run of eight from one replica, with checkpoints every 50 applies and
 /// 100 slots retained behind them. The coordinator crashes after update
 /// 200 and restarts after update 700, so a view change and a recovery
-/// both happen. Returns what each replica holds once the run settles.
-fn held_after(updates: u64, batch_max_updates: usize) -> Vec<Held> {
+/// both happen. Returns what each replica holds once the run settles,
+/// and then the bytes that dropping the `Engine` (its queue, links and
+/// disks) frees.
+fn held_after(updates: u64, batch_max_updates: usize) -> (Vec<Held>, usize) {
     let config = TreplicaConfig {
         checkpoint_interval: 50,
         retention_slots: 100,
@@ -769,7 +771,7 @@ fn held_after(updates: u64, batch_max_updates: usize) -> Vec<Held> {
     );
     c.assert_replicas_agree();
     assert_eq!(c.state(0).count, updates, "every update applied");
-    (0..5)
+    let replicas = (0..5)
         .map(|i| {
             let store = c.engine.store(NodeId(i));
             let disk = store.bytes();
@@ -780,7 +782,10 @@ fn held_after(updates: u64, batch_max_updates: usize) -> Vec<Held> {
             let heap = before.wrapping_sub(LIVE_BYTES.with(Cell::get));
             Held { heap, disk, log }
         })
-        .collect()
+        .collect();
+    let before = LIVE_BYTES.with(Cell::get);
+    drop(c.engine);
+    (replicas, before.wrapping_sub(LIVE_BYTES.with(Cell::get)))
 }
 
 /// Updates in the shorter of the two runs.
@@ -792,20 +797,27 @@ const SHORT_RUN: u64 = 4_000;
 /// `Vec<u64>` on `paxos::Replica` pushed per message adds 31 kB
 /// (batches of eight) to 261 kB (unbatched), a dedup set with an entry
 /// per update 23 kB to 196 kB, and a disk log never truncated 500
-/// records and 135 kB.
+/// records and 135 kB. The `Engine` grows by its disks' growth (2.2 kB
+/// in batches of eight); an event queue that kept each of 2 048 calendar
+/// buckets at its peak capacity grew it by 455 kB to 724 kB.
 const HEAP_BUDGET: usize = 8_000;
 const DISK_BUDGET: u64 = 4_000;
 const LOG_BUDGET: usize = 20;
+const ENGINE_BUDGET: usize = 8_000;
 
 /// Replica state that grows with the run fails here. The run is done
 /// at two lengths, unbatched and in batches of eight, and no replica may
 /// hold more at the longer length than a fixed budget above what it
-/// held at the shorter, in memory or on disk.
+/// held at the shorter, in memory or on disk; nor may the `Engine`.
 #[test]
 fn replica_state_is_bounded_at_two_run_lengths() {
     for batch in [1, 8] {
-        let short = held_after(SHORT_RUN, batch);
-        let long = held_after(2 * SHORT_RUN, batch);
+        let (short, engine_short) = held_after(SHORT_RUN, batch);
+        let (long, engine_long) = held_after(2 * SHORT_RUN, batch);
+        assert!(
+            engine_long <= engine_short + ENGINE_BUDGET,
+            "engine grew: batch {batch}: {engine_short} B at {SHORT_RUN} updates, {engine_long} B at twice that"
+        );
         for (i, (a, b)) in short.iter().zip(&long).enumerate() {
             let what = format!(
                 "batch {batch}, replica {i}: {a:?} at {SHORT_RUN} updates, {b:?} at twice that"

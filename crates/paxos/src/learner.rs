@@ -335,14 +335,6 @@ impl<V: Clone + Eq> Learner<V> {
             .any(|(_, sv)| now.saturating_sub(sv.first_vote_at) >= timeout_us)
     }
 
-    /// The votes recorded for `slot` at `ballot` (coordinator recovery
-    /// uses these as its phase-1 information source for O4 counting).
-    pub fn votes_at(&self, slot: Slot, ballot: Ballot) -> Option<&BTreeMap<ReplicaId, Decree<V>>> {
-        self.votes
-            .get(&slot)
-            .and_then(|sv| sv.by_ballot.get(&ballot))
-    }
-
     /// Jumps delivery past `slot` after an external state transfer: the
     /// application state now covers everything below `slot`, so decided
     /// entries and votes below it are dropped without delivery.
@@ -586,17 +578,6 @@ mod tests {
         }
         let out = l.on_accepted(ReplicaId(4), b, Slot(0), d, 0);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn votes_at_exposes_recovery_information() {
-        let mut l = learner();
-        let b = Ballot::fast(1, ReplicaId(0));
-        l.on_accepted(ReplicaId(0), b, Slot(0), Decree::Value(pid(0, 1), "a"), 0);
-        l.on_accepted(ReplicaId(1), b, Slot(0), Decree::Value(pid(1, 1), "z"), 0);
-        let votes = l.votes_at(Slot(0), b).unwrap();
-        assert_eq!(votes.len(), 2);
-        assert!(l.votes_at(Slot(1), b).is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use crate::disk::{DiskConfig, DiskModel, StableOp, StableStore};
 use crate::net::{DropReason, NetConfig, Network, Transmission};
 use crate::node::{Incarnation, NodeId, NodeState, NodeStatus};
-use crate::queue::EventWheel;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// An observable event delivered to the driver.
@@ -149,7 +149,7 @@ pub struct SimConfig {
 pub struct Engine<M> {
     now: SimTime,
     seq: u64,
-    queue: EventWheel<Pending<M>>,
+    queue: EventQueue<Pending<M>>,
     nodes: Vec<NodeState>,
     net: Network,
     disks: Vec<DiskModel>,
@@ -171,7 +171,7 @@ impl<M: std::fmt::Debug> Engine<M> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            queue: EventWheel::new(),
+            queue: EventQueue::new(),
             nodes: vec![NodeState::default(); nodes],
             net: Network::new(config.net),
             disks: (0..nodes)
@@ -1251,8 +1251,8 @@ mod tests {
     }
 
     // Crash-heavy stress: after repeated crash/restart churn and a full
-    // drain, the live queue length must return exactly to zero — the
-    // wheel may not leak entries in any of its three regions.
+    // drain, the live queue length must return exactly to zero — no
+    // purged or delivered entry may linger in the queue.
     #[test]
     fn crash_churn_drains_queue_to_zero() {
         let mut e = engine(3);

@@ -191,11 +191,6 @@ impl Network {
         self.link_faults.clear();
     }
 
-    /// The fault profile installed on the `a`–`b` link, if any.
-    pub fn link_fault(&self, a: NodeId, b: NodeId) -> Option<&LinkFault> {
-        self.link_faults.get(&Self::key(a, b))
-    }
-
     /// Computes the fate of a `size_bytes` message from `from` to `to`.
     ///
     /// Draws jitter (and a faulted link's loss, reorder and duplication
