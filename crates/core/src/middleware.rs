@@ -209,6 +209,10 @@ pub struct Middleware<App: Application> {
     /// Reused encode buffer for the per-message persist path (one
     /// exact-sized allocation per record instead of a growth chain).
     scratch: crate::wire::EncodeScratch,
+    /// The consensus core's effect buffer: every call into `paxos`
+    /// appends here and [`Middleware::lower`] drains it, so the buffer
+    /// is allocated once and keeps its working size.
+    fx: Vec<PaxosEffect<Batch<App::Action>>>,
 }
 
 impl<App: Application> Middleware<App> {
@@ -302,6 +306,7 @@ impl<App: Application> Middleware<App> {
             submit_times: BTreeMap::new(),
             causal_seq: 0,
             scratch: crate::wire::EncodeScratch::new(),
+            fx: Vec::new(),
         }
     }
 
@@ -484,9 +489,8 @@ impl<App: Application> Middleware<App> {
             trigger,
             first_seq: items.first().map_or(0, |(pid, _)| pid.seq),
         });
-        let (_batch_pid, fx) = self.paxos.propose(Batch::new(items));
-        let lowered = self.lower(fx);
-        out.extend(lowered);
+        self.paxos.propose_into(Batch::new(items), &mut self.fx);
+        self.lower(out);
     }
 
     /// When the open batch must be flushed, if one is open. The driver
@@ -532,8 +536,9 @@ impl<App: Application> Middleware<App> {
                     }
                     Fence::Ahead => return Vec::new(),
                 }
-                let fx = self.paxos.on_message(from, m, now);
-                let mut out = self.lower(fx);
+                self.paxos.on_message_into(from, m, now, &mut self.fx);
+                let mut out = Vec::new();
+                self.lower(&mut out);
                 self.maybe_request_snapshot(&mut out);
                 out
             }
@@ -583,8 +588,8 @@ impl<App: Application> Middleware<App> {
                         if epoch > self.paxos.config_epoch() && !members.is_empty() {
                             self.paxos.adopt_membership(Membership::new(epoch, members));
                         }
-                        let fx = self.paxos.fast_forward(covers, epoch);
-                        out.extend(self.lower(fx));
+                        self.paxos.fast_forward(covers, epoch, &mut self.fx);
+                        self.lower(&mut out);
                     }
                 }
                 self.check_recovery_done(&mut out);
@@ -608,8 +613,9 @@ impl<App: Application> Middleware<App> {
         if self.is_recovering() {
             return (false, Vec::new());
         }
-        let (ok, fx) = self.paxos.propose_reconfig(add, remove);
-        let out = self.lower(fx);
+        let ok = self.paxos.propose_reconfig_into(add, remove, &mut self.fx);
+        let mut out = Vec::new();
+        self.lower(&mut out);
         (ok, out)
     }
 
@@ -648,8 +654,8 @@ impl<App: Application> Middleware<App> {
             // must not leave updates stranded.
             let flush = self.batcher.expire(self.now);
             self.propose_batch(flush, &mut out);
-            let fx = self.paxos.on_tick(now);
-            out.extend(self.lower(fx));
+            self.paxos.on_tick_into(now, &mut self.fx);
+            self.lower(&mut out);
         }
         self.maybe_request_snapshot(&mut out);
         self.check_recovery_done(&mut out);
@@ -664,8 +670,10 @@ impl<App: Application> Middleware<App> {
         match kind {
             TokenKind::PaxosPersist(pt) => {
                 self.trace.push(TraceEvent::AppendDurable);
-                let fx = self.paxos.on_persisted(pt);
-                self.lower(fx)
+                self.paxos.on_persisted_into(pt, &mut self.fx);
+                let mut out = Vec::new();
+                self.lower(&mut out);
+                out
             }
             TokenKind::CheckpointData => {
                 let Some(op) = self.checkpoint.data_durable(&mut self.scratch) else {
@@ -736,11 +744,13 @@ impl<App: Application> Middleware<App> {
         out
     }
 
-    /// Lowers consensus effects into middleware effects, applying
-    /// committed actions along the way. Decided batches are unpacked
-    /// front to back so every update keeps its own `(slot, index)`
-    /// position in the total order.
-    fn lower(&mut self, fx: Vec<PaxosEffect<Batch<App::Action>>>) -> Vec<MwEffect<App>> {
+    /// Lowers the consensus effects buffered in `self.fx` onto `out`,
+    /// applying committed actions along the way, and leaves the buffer
+    /// empty with its capacity kept. Decided batches are unpacked front
+    /// to back so every update keeps its own `(slot, index)` position in
+    /// the total order.
+    fn lower(&mut self, out: &mut Vec<MwEffect<App>>) {
+        let mut fx = std::mem::take(&mut self.fx);
         // Pull the consensus core's trace events first: they were emitted
         // while producing `fx`, so they precede the lowering below.
         for e in self.paxos.take_trace_events() {
@@ -754,8 +764,8 @@ impl<App: Application> Middleware<App> {
             _ => 0,
         });
         let applies = delivered.fold(self.queue.len(), usize::saturating_add);
-        let mut out = Vec::with_capacity(fx.len().saturating_add(applies));
-        for e in fx {
+        out.reserve(fx.len().saturating_add(applies));
+        for e in fx.drain(..) {
             match e {
                 PaxosEffect::Send { to, msg } => {
                     // The causal sequence advances on every send, traced
@@ -804,8 +814,8 @@ impl<App: Application> Middleware<App> {
                 }
             }
         }
-        self.drain_queue(&mut out);
-        out
+        self.fx = fx;
+        self.drain_queue(out);
     }
 
     /// Applies queued deliveries if the application state is available.

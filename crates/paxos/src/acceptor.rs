@@ -26,35 +26,30 @@ pub enum Dest {
 }
 
 /// What an acceptor handler wants done, with durability ordering:
-/// if `record` is `Some`, the sends must be withheld until the record is
-/// durable.
+/// if `record` is `Some`, the send must be withheld until the record is
+/// durable. Every handler answers with at most one message — a promise
+/// to the coordinator or an acceptance to everyone — so there is no
+/// list to allocate.
 #[derive(Debug)]
 pub struct AcceptorOut<V> {
     /// Record to persist before sending, if any.
     pub record: Option<Record<V>>,
-    /// Messages to emit (after persistence, when `record` is `Some`).
-    pub sends: Vec<(Dest, Msg<V>)>,
+    /// Message to emit (after persistence, when `record` is `Some`).
+    pub send: Option<(Dest, Msg<V>)>,
 }
 
 impl<V> AcceptorOut<V> {
     fn nothing() -> Self {
         AcceptorOut {
             record: None,
-            sends: Vec::new(),
+            send: None,
         }
     }
 
-    fn gated(record: Record<V>, sends: Vec<(Dest, Msg<V>)>) -> Self {
+    fn gated(record: Record<V>, dest: Dest, msg: Msg<V>) -> Self {
         AcceptorOut {
             record: Some(record),
-            sends,
-        }
-    }
-
-    fn immediate(sends: Vec<(Dest, Msg<V>)>) -> Self {
-        AcceptorOut {
-            record: None,
-            sends,
+            send: Some((dest, msg)),
         }
     }
 }
@@ -208,7 +203,7 @@ impl<V: Clone> Acceptor<V> {
                     only_slot,
                     accepted: self.reports_from(from_slot, only_slot),
                 };
-                AcceptorOut::gated(Record::Promised(ballot), vec![(Dest::One(from), promise)])
+                AcceptorOut::gated(Record::Promised(ballot), Dest::One(from), promise)
             }
             None => {
                 if ballot < self.rnd_global {
@@ -231,7 +226,7 @@ impl<V: Clone> Acceptor<V> {
                     only_slot,
                     accepted: self.reports_from(from_slot, only_slot),
                 };
-                AcceptorOut::gated(Record::Promised(ballot), vec![(Dest::One(from), promise)])
+                AcceptorOut::gated(Record::Promised(ballot), Dest::One(from), promise)
             }
         }
     }
@@ -277,7 +272,8 @@ impl<V: Clone> Acceptor<V> {
                 slot,
                 decree,
             },
-            vec![(Dest::All, announce)],
+            Dest::All,
+            announce,
         )
     }
 
@@ -290,7 +286,7 @@ impl<V: Clone> Acceptor<V> {
         if from_slot > self.fast_cursor {
             self.fast_cursor = from_slot;
         }
-        AcceptorOut::immediate(Vec::new())
+        AcceptorOut::nothing()
     }
 
     /// Fast phase 2a: a proposer's value arriving directly.
@@ -335,7 +331,8 @@ impl<V: Clone> Acceptor<V> {
                 slot,
                 decree,
             },
-            vec![(Dest::All, announce)],
+            Dest::All,
+            announce,
         )
     }
 
@@ -386,8 +383,8 @@ mod tests {
         a.on_accept(b1, Slot(0), Decree::Value(pid(0, 1), "x"));
         let b2 = Ballot::classic(2, ReplicaId(1));
         let out = a.on_prepare(ReplicaId(1), b2, Slot::ZERO, None);
-        match &out.sends[0].1 {
-            Msg::Promise { accepted, .. } => {
+        match out.send.as_ref().map(|(_, msg)| msg) {
+            Some(Msg::Promise { accepted, .. }) => {
                 assert_eq!(accepted.len(), 1);
                 assert_eq!(accepted[0].slot, Slot(0));
             }
@@ -411,7 +408,7 @@ mod tests {
             None,
         );
         assert!(out.record.is_none());
-        assert!(out.sends.is_empty());
+        assert!(out.send.is_none());
     }
 
     #[test]
@@ -438,8 +435,7 @@ mod tests {
         a.on_prepare(ReplicaId(0), b, Slot::ZERO, None);
         let out = a.on_accept(b, Slot(0), Decree::Value(pid(0, 1), "x"));
         assert!(matches!(out.record, Some(Record::Accepted { .. })));
-        assert_eq!(out.sends.len(), 1);
-        assert_eq!(out.sends[0].0, Dest::All);
+        assert!(matches!(out.send, Some((Dest::All, Msg::Accepted { .. }))));
     }
 
     #[test]
@@ -553,8 +549,8 @@ mod tests {
             Slot::ZERO,
             None,
         );
-        match &out.sends[0].1 {
-            Msg::Promise { accepted, .. } => {
+        match out.send.as_ref().map(|(_, msg)| msg) {
+            Some(Msg::Promise { accepted, .. }) => {
                 assert_eq!(accepted[0].decree, Decree::Value(pid(1, 1), "new"));
             }
             other => panic!("expected promise, got {other:?}"),

@@ -10,7 +10,8 @@
 //! one entry per id: proposers retry every id until it is delivered, so
 //! gaps close and the set stays as small as the ids still in flight.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use crate::types::{Ballot, Decree, ProposalId, Quorums, Reconfig, ReplicaId, Slot};
@@ -26,15 +27,187 @@ pub struct Delivery<V> {
     pub value: V,
 }
 
-/// Votes gathered for one undecided slot.
+/// The acceptors behind one tally: ids below 64 as the bits of `low`,
+/// any others in `high`. Ensembles are a handful of replicas with small
+/// ids, so a set normally lives in one word; ids of 64 and up, which
+/// replacements can reach, cost a set node but count alike.
+#[derive(Debug, Default)]
+struct Voters {
+    low: u64,
+    high: BTreeSet<ReplicaId>,
+}
+
+impl Voters {
+    fn of(id: ReplicaId) -> Self {
+        let mut voters = Voters::default();
+        voters.insert(id);
+        voters
+    }
+
+    fn insert(&mut self, id: ReplicaId) {
+        match 1u64.checked_shl(id.0) {
+            Some(bit) => self.low |= bit,
+            None => {
+                self.high.insert(id);
+            }
+        }
+    }
+
+    fn remove(&mut self, id: ReplicaId) {
+        match 1u64.checked_shl(id.0) {
+            Some(bit) => self.low &= !bit,
+            None => {
+                self.high.remove(&id);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.high
+            .len()
+            .saturating_add(self.low.count_ones() as usize)
+    }
+
+    /// The lowest voter, if any.
+    fn lowest(&self) -> Option<ReplicaId> {
+        if self.low == 0 {
+            self.high.first().copied()
+        } else {
+            Some(ReplicaId(self.low.trailing_zeros()))
+        }
+    }
+}
+
+/// One distinct decree voted for at a slot, held once whichever ballots
+/// and acceptors voted for it, with its voters per ballot. The first
+/// ballot's tally is inline.
+#[derive(Debug)]
+struct Candidate<V> {
+    decree: Decree<V>,
+    tally: (Ballot, Voters),
+    later: Vec<(Ballot, Voters)>,
+}
+
+impl<V> Candidate<V> {
+    fn new(decree: Decree<V>, ballot: Ballot, from: ReplicaId) -> Self {
+        Candidate {
+            decree,
+            tally: (ballot, Voters::of(from)),
+            later: Vec::new(),
+        }
+    }
+
+    fn tallies(&self) -> impl Iterator<Item = &(Ballot, Voters)> {
+        std::iter::once(&self.tally).chain(&self.later)
+    }
+
+    fn voters(&self, ballot: Ballot) -> Option<&Voters> {
+        self.tallies()
+            .find(|(b, _)| *b == ballot)
+            .map(|(_, voters)| voters)
+    }
+
+    fn voters_mut(&mut self, ballot: Ballot) -> Option<&mut Voters> {
+        std::iter::once(&mut self.tally)
+            .chain(&mut self.later)
+            .find(|(b, _)| *b == ballot)
+            .map(|(_, voters)| voters)
+    }
+}
+
+/// Votes gathered for one undecided slot: each distinct decree once,
+/// the first inline, so the common slot — one value in one ballot —
+/// allocates nothing beyond its map entry, and a vote for a decree
+/// already held compares and drops the incoming copy.
 #[derive(Debug)]
 struct SlotVotes<V> {
-    /// ballot → (acceptor → decree). An acceptor votes at most once per
-    /// ballot for a slot.
-    by_ballot: BTreeMap<Ballot, BTreeMap<ReplicaId, Decree<V>>>,
+    first: Candidate<V>,
+    others: Vec<Candidate<V>>,
     /// First time (driver clock, µs) a vote was recorded — used by the
     /// coordinator's collision timeout.
     first_vote_at: u64,
+}
+
+impl<V: Eq> SlotVotes<V> {
+    fn new(from: ReplicaId, ballot: Ballot, decree: Decree<V>, now: u64) -> Self {
+        SlotVotes {
+            first: Candidate::new(decree, ballot, from),
+            others: Vec::new(),
+            first_vote_at: now,
+        }
+    }
+
+    fn candidates(&self) -> impl Iterator<Item = &Candidate<V>> {
+        std::iter::once(&self.first).chain(&self.others)
+    }
+
+    fn candidates_mut(&mut self) -> impl Iterator<Item = &mut Candidate<V>> {
+        std::iter::once(&mut self.first).chain(&mut self.others)
+    }
+
+    /// Records `from`'s vote for `decree` in `ballot`. An acceptor votes
+    /// at most once per ballot for a slot: a later vote in the same
+    /// ballot replaces its earlier one.
+    fn record(&mut self, from: ReplicaId, ballot: Ballot, decree: Decree<V>) {
+        for candidate in self.candidates_mut() {
+            if let Some(voters) = candidate.voters_mut(ballot) {
+                voters.remove(from);
+            }
+        }
+        if let Some(candidate) = self.candidates_mut().find(|c| c.decree == decree) {
+            match candidate.voters_mut(ballot) {
+                Some(voters) => voters.insert(from),
+                None => candidate.later.push((ballot, Voters::of(from))),
+            }
+            return;
+        }
+        self.others.push(Candidate::new(decree, ballot, from));
+    }
+
+    /// The position of the decree `ballot` decides with `needed` votes.
+    /// Should several reach it (votes cast before the ensemble shrank),
+    /// the one whose lowest voter is lowest wins: the first a scan of the
+    /// ballot's votes in acceptor order meets.
+    fn winner(&self, ballot: Ballot, needed: usize) -> Option<usize> {
+        self.candidates()
+            .enumerate()
+            .filter_map(|(i, c)| {
+                let voters = c.voters(ballot).filter(|v| v.len() >= needed)?;
+                Some((voters.lowest()?, i))
+            })
+            .min()
+            .map(|(_, i)| i)
+    }
+
+    /// The decree at position `i`, moved out.
+    fn into_decree(self, i: usize) -> Option<Decree<V>> {
+        std::iter::once(self.first)
+            .chain(self.others)
+            .nth(i)
+            .map(|c| c.decree)
+    }
+
+    /// Whether enough acceptors voted differently in some fast ballot
+    /// that no decree can still reach `quorums`' fast quorum in it.
+    fn fast_round_lost(&self, quorums: Quorums) -> bool {
+        let needed = quorums.fast();
+        let mut tallies = self.candidates().flat_map(Candidate::tallies);
+        tallies.any(|(ballot, _)| {
+            if !ballot.is_fast() {
+                return false;
+            }
+            let (top, voted) = self
+                .candidates()
+                .filter_map(|c| c.voters(*ballot))
+                .fold((0, 0), |(top, voted): (usize, usize), v| {
+                    (top.max(v.len()), voted.saturating_add(v.len()))
+                });
+            // The ballot may hold votes cast before a membership change
+            // shrank the ensemble.
+            let unvoted = quorums.n().saturating_sub(voted);
+            top.saturating_add(unvoted) < needed
+        })
+    }
 }
 
 /// The delivered ids, as runs of consecutive `seq` within one proposer
@@ -94,26 +267,6 @@ pub struct Learner<V> {
     pending_reconfig: Option<(Slot, Reconfig)>,
 }
 
-/// The distinct decrees among `votes` with their vote counts, in order
-/// of first appearance (acceptor order). Quorums are tiny (N ≤ a handful
-/// of replicas), so each decree is counted by comparing it against the
-/// other votes in place: deterministic, and nothing to allocate.
-fn count_votes<V: Eq>(
-    votes: &BTreeMap<ReplicaId, Decree<V>>,
-) -> impl Iterator<Item = (&Decree<V>, usize)> {
-    votes.values().enumerate().filter_map(move |(i, d)| {
-        if votes.values().take(i).any(|seen| seen == d) {
-            return None;
-        }
-        let later = votes
-            .values()
-            .skip(i.saturating_add(1))
-            .filter(|v| *v == d)
-            .count();
-        Some((d, later.saturating_add(1)))
-    })
-}
-
 impl<V: Clone + Eq> Learner<V> {
     /// Creates a learner for an ensemble of `n` replicas, delivering from
     /// slot `start` (0 for a fresh ensemble; the checkpoint watermark for
@@ -159,8 +312,8 @@ impl<V: Clone + Eq> Learner<V> {
         }
     }
 
-    /// Records an `Accepted` announcement; returns any new in-order
-    /// deliveries it unlocked.
+    /// Records an `Accepted` announcement; pushes onto `out` any new
+    /// in-order deliveries it unlocked.
     pub fn on_accepted(
         &mut self,
         from: ReplicaId,
@@ -168,54 +321,50 @@ impl<V: Clone + Eq> Learner<V> {
         slot: Slot,
         decree: Decree<V>,
         now: u64,
-    ) -> Vec<Delivery<V>> {
+        out: &mut Vec<Delivery<V>>,
+    ) {
         if self.is_decided(slot) {
-            return Vec::new();
+            return;
         }
-        // Decision check for this ballot.
-        let needed = self.required(ballot);
-        let entry = self.votes.entry(slot).or_insert_with(|| SlotVotes {
-            by_ballot: BTreeMap::new(),
-            first_vote_at: now,
-        });
-        let ballot_votes = entry.by_ballot.entry(ballot).or_default();
-        ballot_votes.insert(from, decree);
-
-        // Scan votes in acceptor order, not hash order: at most one
-        // decree can reach the quorum, but replays must take identical
+        // Decision check for this ballot. The tie-break reads acceptor
+        // order, not arrival or hash order, so replays take identical
         // paths bit-for-bit.
-        let winner = count_votes(ballot_votes)
-            .find(|(_, n)| *n >= needed)
-            .map(|(d, _)| d)
-            .cloned();
-        match winner {
-            Some(decree) => {
-                self.votes.remove(&slot);
-                self.record_decided(slot, decree);
-                self.drain_deliveries()
+        let needed = self.required(ballot);
+        let winner = match self.votes.entry(slot) {
+            Entry::Vacant(entry) => entry
+                .insert(SlotVotes::new(from, ballot, decree, now))
+                .winner(ballot, needed),
+            Entry::Occupied(mut entry) => {
+                entry.get_mut().record(from, ballot, decree);
+                entry.get().winner(ballot, needed)
             }
-            None => Vec::new(),
+        };
+        let Some(i) = winner else {
+            return;
+        };
+        if let Some(decree) = self.votes.remove(&slot).and_then(|sv| sv.into_decree(i)) {
+            self.record_decided(slot, decree);
+            self.drain_deliveries(out);
         }
     }
 
     /// Merges externally learned decided entries (catch-up replies);
-    /// returns unlocked deliveries.
-    pub fn on_learned(&mut self, entries: Vec<(Slot, Decree<V>)>) -> Vec<Delivery<V>> {
+    /// pushes unlocked deliveries onto `out`.
+    pub fn on_learned(&mut self, entries: Vec<(Slot, Decree<V>)>, out: &mut Vec<Delivery<V>>) {
         for (slot, decree) in entries {
             if !self.is_decided(slot) {
                 self.votes.remove(&slot);
                 self.record_decided(slot, decree);
             }
         }
-        self.drain_deliveries()
+        self.drain_deliveries(out);
     }
 
     fn record_decided(&mut self, slot: Slot, decree: Decree<V>) {
         self.decided.insert(slot, decree);
     }
 
-    fn drain_deliveries(&mut self) -> Vec<Delivery<V>> {
-        let mut out = Vec::new();
+    fn drain_deliveries(&mut self, out: &mut Vec<Delivery<V>>) {
         while let Some(decree) = self.decided.get(&self.next_deliver) {
             match decree {
                 Decree::Value(pid, value) => {
@@ -239,7 +388,6 @@ impl<V: Clone + Eq> Learner<V> {
             }
             self.next_deliver = self.next_deliver.next();
         }
-        out
     }
 
     /// Takes the reconfiguration decree blocking delivery, if any.
@@ -248,13 +396,13 @@ impl<V: Clone + Eq> Learner<V> {
     }
 
     /// Acknowledges the fence at `slot` after the membership switch was
-    /// applied (or found stale): delivery resumes past it. Returns the
-    /// deliveries unlocked by crossing the fence.
-    pub fn ack_reconfig(&mut self, slot: Slot) -> Vec<Delivery<V>> {
+    /// applied (or found stale): delivery resumes past it. Pushes the
+    /// deliveries unlocked by crossing the fence onto `out`.
+    pub fn ack_reconfig(&mut self, slot: Slot, out: &mut Vec<Delivery<V>>) {
         if self.next_deliver == slot {
             self.next_deliver = slot.next();
         }
-        self.drain_deliveries()
+        self.drain_deliveries(out);
     }
 
     /// Whether `pid` has been delivered already (proposer retry check).
@@ -290,18 +438,7 @@ impl<V: Clone + Eq> Learner<V> {
         let mut out = Vec::new();
         for (slot, sv) in &self.votes {
             let stale = now.saturating_sub(sv.first_vote_at) >= timeout_us;
-            let impossible = sv.by_ballot.iter().any(|(ballot, votes)| {
-                if !ballot.is_fast() {
-                    return false;
-                }
-                let needed = self.quorums.fast();
-                let top = count_votes(votes).map(|(_, n)| n).max().unwrap_or(0);
-                // `votes` may hold ballots cast before a membership
-                // change shrank the ensemble.
-                let unvoted = self.quorums.n().saturating_sub(votes.len());
-                top.saturating_add(unvoted) < needed
-            });
-            if stale || impossible {
+            if stale || sv.fast_round_lost(self.quorums) {
                 out.push(*slot);
             }
         }
@@ -359,10 +496,10 @@ impl<V: Clone + Eq> Learner<V> {
         }
     }
 
-    /// Delivers anything contiguous from the current watermark (used
-    /// after [`Learner::fast_forward`]).
-    pub fn drain(&mut self) -> Vec<Delivery<V>> {
-        self.drain_deliveries()
+    /// Delivers anything contiguous from the current watermark onto
+    /// `out` (used after [`Learner::fast_forward`]).
+    pub fn drain(&mut self, out: &mut Vec<Delivery<V>>) {
+        self.drain_deliveries(out);
     }
 
     /// Drops decided entries below `upto` (after a checkpoint covers
@@ -400,18 +537,52 @@ mod tests {
         Learner::new(Quorums::new(5), Slot::ZERO)
     }
 
+    /// The learner's entry points with their deliveries collected.
+    trait Collected<V> {
+        fn accepted(
+            &mut self,
+            from: ReplicaId,
+            ballot: Ballot,
+            slot: Slot,
+            decree: Decree<V>,
+            now: u64,
+        ) -> Vec<Delivery<V>>;
+        fn learned(&mut self, entries: Vec<(Slot, Decree<V>)>) -> Vec<Delivery<V>>;
+    }
+
+    impl<V: Clone + Eq> Collected<V> for Learner<V> {
+        fn accepted(
+            &mut self,
+            from: ReplicaId,
+            ballot: Ballot,
+            slot: Slot,
+            decree: Decree<V>,
+            now: u64,
+        ) -> Vec<Delivery<V>> {
+            let mut out = Vec::new();
+            self.on_accepted(from, ballot, slot, decree, now, &mut out);
+            out
+        }
+
+        fn learned(&mut self, entries: Vec<(Slot, Decree<V>)>) -> Vec<Delivery<V>> {
+            let mut out = Vec::new();
+            self.on_learned(entries, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn classic_decides_on_majority() {
         let mut l = learner();
         let b = Ballot::classic(1, ReplicaId(0));
         let d = Decree::Value(pid(0, 1), "v");
         assert!(l
-            .on_accepted(ReplicaId(0), b, Slot(0), d.clone(), 0)
+            .accepted(ReplicaId(0), b, Slot(0), d.clone(), 0)
             .is_empty());
         assert!(l
-            .on_accepted(ReplicaId(1), b, Slot(0), d.clone(), 0)
+            .accepted(ReplicaId(1), b, Slot(0), d.clone(), 0)
             .is_empty());
-        let out = l.on_accepted(ReplicaId(2), b, Slot(0), d, 0);
+        let out = l.accepted(ReplicaId(2), b, Slot(0), d, 0);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].slot, Slot(0));
         assert_eq!(out[0].value, "v");
@@ -425,11 +596,11 @@ mod tests {
         let d = Decree::Value(pid(1, 1), "v");
         for i in 0..3 {
             assert!(l
-                .on_accepted(ReplicaId(i), b, Slot(0), d.clone(), 0)
+                .accepted(ReplicaId(i), b, Slot(0), d.clone(), 0)
                 .is_empty());
         }
         // 4th vote = ⌈3·5/4⌉ = 4 → decided.
-        let out = l.on_accepted(ReplicaId(3), b, Slot(0), d, 0);
+        let out = l.accepted(ReplicaId(3), b, Slot(0), d, 0);
         assert_eq!(out.len(), 1);
     }
 
@@ -438,9 +609,9 @@ mod tests {
         let mut l = learner();
         let b = Ballot::classic(1, ReplicaId(0));
         let d = Decree::Value(pid(0, 1), "v");
-        l.on_accepted(ReplicaId(0), b, Slot(0), d.clone(), 0);
-        l.on_accepted(ReplicaId(0), b, Slot(0), d.clone(), 0);
-        let out = l.on_accepted(ReplicaId(0), b, Slot(0), d, 0);
+        l.accepted(ReplicaId(0), b, Slot(0), d.clone(), 0);
+        l.accepted(ReplicaId(0), b, Slot(0), d.clone(), 0);
+        let out = l.accepted(ReplicaId(0), b, Slot(0), d, 0);
         assert!(out.is_empty(), "one acceptor is not a quorum");
     }
 
@@ -450,13 +621,13 @@ mod tests {
         let b = Ballot::classic(1, ReplicaId(0));
         let d1 = Decree::Value(pid(0, 1), "one");
         for i in 0..3 {
-            l.on_accepted(ReplicaId(i), b, Slot(1), d1.clone(), 0);
+            l.accepted(ReplicaId(i), b, Slot(1), d1.clone(), 0);
         }
         assert_eq!(l.next_deliver(), Slot(0), "slot 1 decided but 0 missing");
         let d0 = Decree::Value(pid(0, 2), "zero");
         let mut out = Vec::new();
         for i in 0..3 {
-            out.extend(l.on_accepted(ReplicaId(i), b, Slot(0), d0.clone(), 0));
+            out.extend(l.accepted(ReplicaId(i), b, Slot(0), d0.clone(), 0));
         }
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].value, "zero");
@@ -470,7 +641,7 @@ mod tests {
         let b = Ballot::classic(1, ReplicaId(0));
         let mut out = Vec::new();
         for i in 0..3 {
-            out.extend(l.on_accepted(ReplicaId(i), b, Slot(0), Decree::Noop, 0));
+            out.extend(l.accepted(ReplicaId(i), b, Slot(0), Decree::Noop, 0));
         }
         assert!(out.is_empty());
         assert_eq!(l.next_deliver(), Slot(1));
@@ -483,10 +654,10 @@ mod tests {
         let d = Decree::Value(pid(2, 7), "dup");
         let mut out = Vec::new();
         for i in 0..3 {
-            out.extend(l.on_accepted(ReplicaId(i), b, Slot(0), d.clone(), 0));
+            out.extend(l.accepted(ReplicaId(i), b, Slot(0), d.clone(), 0));
         }
         for i in 0..3 {
-            out.extend(l.on_accepted(ReplicaId(i), b, Slot(1), d.clone(), 0));
+            out.extend(l.accepted(ReplicaId(i), b, Slot(1), d.clone(), 0));
         }
         assert_eq!(out.len(), 1, "same pid decided twice delivers once");
         assert_eq!(l.next_deliver(), Slot(2));
@@ -498,42 +669,63 @@ mod tests {
         let mut l = learner();
         let b = Ballot::fast(1, ReplicaId(0));
         // 5 replicas, fast quorum 4: a 2-2 split with 1 unvoted is stuck.
-        l.on_accepted(ReplicaId(0), b, Slot(0), Decree::Value(pid(0, 1), "a"), 10);
-        l.on_accepted(ReplicaId(1), b, Slot(0), Decree::Value(pid(0, 1), "a"), 10);
-        l.on_accepted(ReplicaId(2), b, Slot(0), Decree::Value(pid(1, 1), "z"), 10);
+        l.accepted(ReplicaId(0), b, Slot(0), Decree::Value(pid(0, 1), "a"), 10);
+        l.accepted(ReplicaId(1), b, Slot(0), Decree::Value(pid(0, 1), "a"), 10);
+        l.accepted(ReplicaId(2), b, Slot(0), Decree::Value(pid(1, 1), "z"), 10);
         assert!(
             l.stuck_slots(10, 1_000_000).is_empty(),
             "3 votes: still winnable"
         );
-        l.on_accepted(ReplicaId(3), b, Slot(0), Decree::Value(pid(1, 1), "z"), 10);
+        l.accepted(ReplicaId(3), b, Slot(0), Decree::Value(pid(1, 1), "z"), 10);
         assert_eq!(l.stuck_slots(10, 1_000_000), vec![Slot(0)]);
     }
 
+    /// Each distinct decree is held once with its voters; a re-vote in
+    /// the same ballot moves the acceptor, a vote in a later ballot adds
+    /// a tally, and ids past 64 count like the others.
     #[test]
     fn votes_are_counted_per_distinct_decree_in_acceptor_order() {
-        let votes: BTreeMap<ReplicaId, Decree<&str>> = ["a", "b", "a", "c", "b", "a"]
-            .into_iter()
-            .zip(0..)
-            .map(|(v, i)| (ReplicaId(i), Decree::Value(pid(0, 1), v)))
-            .collect();
-        let counts: Vec<(&str, usize)> = count_votes(&votes)
-            .map(|(d, n)| match d {
-                Decree::Value(_, v) => (*v, n),
-                other => panic!("only values were cast: {other:?}"),
-            })
-            .collect();
-        assert_eq!(counts, vec![("a", 3), ("b", 2), ("c", 1)]);
-        assert_eq!(
-            count_votes(&BTreeMap::<ReplicaId, Decree<&str>>::new()).count(),
-            0
-        );
+        let b = Ballot::classic(1, ReplicaId(0));
+        let value = |v| Decree::Value(pid(0, 1), v);
+        let mut sv = SlotVotes::new(ReplicaId(0), b, value("a"), 0);
+        for (v, i) in ["b", "a", "c", "b", "a"].into_iter().zip(1..) {
+            sv.record(ReplicaId(i), b, value(v));
+        }
+        sv.record(ReplicaId(70), b, value("c"));
+        sv.record(ReplicaId(65), b, value("c"));
+        let counts = |sv: &SlotVotes<&'static str>, ballot| -> Vec<(&str, usize)> {
+            sv.candidates()
+                .map(|c| match c.decree {
+                    Decree::Value(_, v) => (v, c.voters(ballot).map_or(0, Voters::len)),
+                    ref other => panic!("only values were cast: {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(counts(&sv, b), vec![("a", 3), ("b", 2), ("c", 3)]);
+        // "a" and "c" both reach 3: "a"'s lowest voter (0) is lower.
+        assert_eq!(sv.winner(b, 3), Some(0));
+        assert_eq!(sv.winner(b, 4), None);
+        // Acceptor 0 moves to "c" in the same ballot: now "c" wins 4 to 2.
+        sv.record(ReplicaId(0), b, value("c"));
+        assert_eq!(counts(&sv, b), vec![("a", 2), ("b", 2), ("c", 4)]);
+        assert_eq!(sv.winner(b, 4), Some(2));
+        // A later ballot keeps its own tally over the same decrees.
+        let later = Ballot::classic(2, ReplicaId(1));
+        sv.record(ReplicaId(65), later, value("b"));
+        assert_eq!(counts(&sv, later), vec![("a", 0), ("b", 1), ("c", 0)]);
+        assert_eq!(counts(&sv, b), vec![("a", 2), ("b", 2), ("c", 4)]);
+        assert_eq!(sv.winner(later, 1), Some(1));
+        let Some(Decree::Value(_, won)) = sv.into_decree(1) else {
+            panic!("position 1 holds a value");
+        };
+        assert_eq!(won, "b");
     }
 
     #[test]
     fn stale_votes_reported_after_timeout() {
         let mut l = learner();
         let b = Ballot::fast(1, ReplicaId(0));
-        l.on_accepted(ReplicaId(0), b, Slot(3), Decree::Value(pid(0, 1), "a"), 100);
+        l.accepted(ReplicaId(0), b, Slot(3), Decree::Value(pid(0, 1), "a"), 100);
         assert!(l.stuck_slots(500, 1_000).is_empty());
         assert_eq!(l.stuck_slots(1_200, 1_000), vec![Slot(3)]);
     }
@@ -545,7 +737,7 @@ mod tests {
         for s in 0..6u64 {
             let d = Decree::Value(pid(0, s), "v");
             for i in 0..3 {
-                l.on_accepted(ReplicaId(i), b, Slot(s), d.clone(), 0);
+                l.accepted(ReplicaId(i), b, Slot(s), d.clone(), 0);
             }
         }
         l.truncate(Slot(2));
@@ -559,7 +751,7 @@ mod tests {
     #[test]
     fn on_learned_merges_and_delivers() {
         let mut l = learner();
-        let out = l.on_learned(vec![
+        let out = l.learned(vec![
             (Slot(0), Decree::Value(pid(0, 1), "a")),
             (Slot(1), Decree::Noop),
             (Slot(2), Decree::Value(pid(0, 2), "b")),
@@ -574,9 +766,9 @@ mod tests {
         let b = Ballot::classic(1, ReplicaId(0));
         let d = Decree::Value(pid(0, 1), "v");
         for i in 0..3 {
-            l.on_accepted(ReplicaId(i), b, Slot(0), d.clone(), 0);
+            l.accepted(ReplicaId(i), b, Slot(0), d.clone(), 0);
         }
-        let out = l.on_accepted(ReplicaId(4), b, Slot(0), d, 0);
+        let out = l.accepted(ReplicaId(4), b, Slot(0), d, 0);
         assert!(out.is_empty());
     }
 
@@ -590,7 +782,7 @@ mod tests {
             remove: vec![ReplicaId(4)],
         };
         // Decide slots 0 (value), 1 (reconfig), 2 (value) out of order.
-        let out = l.on_learned(vec![
+        let out = l.learned(vec![
             (Slot(0), Decree::Value(pid(0, 1), "a")),
             (Slot(1), Decree::Reconfig(rc.clone())),
             (Slot(2), Decree::Value(pid(0, 2), "b")),
@@ -604,19 +796,20 @@ mod tests {
         assert_eq!(got, rc);
         // New epoch has N=4: classic quorum drops to 3.
         l.set_quorums(Quorums::new(4));
-        let resumed = l.ack_reconfig(Slot(1));
+        let mut resumed = Vec::new();
+        l.ack_reconfig(Slot(1), &mut resumed);
         assert_eq!(resumed.len(), 1);
         assert_eq!(resumed[0].slot, Slot(2));
         assert_eq!(l.next_deliver(), Slot(3));
         // Quorum rule now follows the new N.
         let d = Decree::Value(pid(0, 3), "c");
         assert!(l
-            .on_accepted(ReplicaId(0), b, Slot(3), d.clone(), 0)
+            .accepted(ReplicaId(0), b, Slot(3), d.clone(), 0)
             .is_empty());
         assert!(l
-            .on_accepted(ReplicaId(1), b, Slot(3), d.clone(), 0)
+            .accepted(ReplicaId(1), b, Slot(3), d.clone(), 0)
             .is_empty());
-        let out = l.on_accepted(ReplicaId(2), b, Slot(3), d, 0);
+        let out = l.accepted(ReplicaId(2), b, Slot(3), d, 0);
         assert_eq!(out.len(), 1, "3 of 4 decides under the new epoch");
     }
 
@@ -647,21 +840,21 @@ mod tests {
         let mut l = learner();
         check(&l, false, "empty");
         // A long decided, delivered prefix retained for catch-up.
-        l.on_learned((0..500).map(|s| (Slot(s), Decree::Noop)).collect());
+        l.learned((0..500).map(|s| (Slot(s), Decree::Noop)).collect());
         assert_eq!((l.next_deliver(), l.decided_len()), (Slot(500), 500));
         check(&l, false, "decided prefix only");
         // A vote at the watermark is not above a hole, however stale.
-        l.on_accepted(ReplicaId(0), b, Slot(500), Decree::Noop, 0);
+        l.accepted(ReplicaId(0), b, Slot(500), Decree::Noop, 0);
         check(&l, false, "stale vote at the watermark");
         // Votes above the hole: gapped once they are stale.
-        l.on_accepted(ReplicaId(0), b, Slot(502), Decree::Noop, 4_500);
+        l.accepted(ReplicaId(0), b, Slot(502), Decree::Noop, 4_500);
         check(&l, false, "fresh vote above the hole");
-        l.on_accepted(ReplicaId(1), b, Slot(503), Decree::Noop, 100);
+        l.accepted(ReplicaId(1), b, Slot(503), Decree::Noop, 100);
         check(&l, true, "stale vote above the hole");
         // A decided slot above the hole: gapped at once.
         let mut l = learner();
-        l.on_learned((0..500).map(|s| (Slot(s), Decree::Noop)).collect());
-        l.on_learned(vec![(Slot(501), Decree::Noop)]);
+        l.learned((0..500).map(|s| (Slot(s), Decree::Noop)).collect());
+        l.learned(vec![(Slot(501), Decree::Noop)]);
         assert!(l.gapped(0, 1_000));
         check(&l, true, "decided slot above the hole");
         // Truncation keeps the slot above the hole; fast-forward closes it.
@@ -672,7 +865,7 @@ mod tests {
         // `Slot::next` saturates: at the last slot "above the watermark"
         // is empty, and a stale vote there is still a vote at it.
         let mut l = Learner::new(Quorums::new(5), Slot(u64::MAX));
-        l.on_accepted(ReplicaId(0), b, Slot(u64::MAX), Decree::Noop, 0);
+        l.accepted(ReplicaId(0), b, Slot(u64::MAX), Decree::Noop, 0);
         check(&l, false, "stale vote at the saturated watermark");
     }
 
@@ -743,11 +936,11 @@ mod tests {
                 };
                 let slot = at(offset);
                 let decree = Decree::Value(pid(value, slot.0), "v");
-                l.on_accepted(ReplicaId(acceptor), ballot, slot, decree, *clock);
+                l.accepted(ReplicaId(acceptor), ballot, slot, decree, *clock);
             }
             Op::Learned { offset, len } => {
                 let from = at(offset).0;
-                l.on_learned(
+                l.learned(
                     (from..from + len)
                         .map(|s| (Slot(s), Decree::Noop))
                         .collect(),
@@ -761,17 +954,17 @@ mod tests {
                     add: vec![],
                     remove: vec![],
                 };
-                l.on_learned(vec![(at(offset), Decree::Reconfig(rc))]);
+                l.learned(vec![(at(offset), Decree::Reconfig(rc))]);
             }
             Op::AckReconfig => {
                 if let Some((slot, _)) = l.take_reconfig() {
-                    l.ack_reconfig(slot);
+                    l.ack_reconfig(slot, &mut Vec::new());
                 }
             }
             Op::Truncate { back } => l.truncate(Slot(l.next_deliver().0.saturating_sub(back))),
             Op::FastForward { ahead } => {
                 l.fast_forward(at(ahead));
-                l.drain();
+                l.drain(&mut Vec::new());
             }
         }
     }
@@ -856,7 +1049,7 @@ mod tests {
     fn learner_starting_at_checkpoint_ignores_older_slots() {
         let mut l: Learner<&str> = Learner::new(Quorums::new(5), Slot(10));
         let b = Ballot::classic(1, ReplicaId(0));
-        let out = l.on_accepted(ReplicaId(0), b, Slot(3), Decree::Value(pid(0, 1), "v"), 0);
+        let out = l.accepted(ReplicaId(0), b, Slot(3), Decree::Value(pid(0, 1), "v"), 0);
         assert!(out.is_empty());
         assert!(
             l.is_decided(Slot(3)),

@@ -285,16 +285,19 @@ pub enum Effect<V> {
     },
 }
 
-/// Convenience collection of effects with builder-style helpers.
+/// Builder-style helpers over a caller's effect buffer: handlers append
+/// to a `Vec` the caller owns and reuses, so producing an effect costs
+/// no allocation of its own once the buffer has grown to its working
+/// size.
 #[derive(Debug)]
-pub struct Effects<V> {
-    inner: Vec<Effect<V>>,
+pub struct Effects<'a, V> {
+    inner: &'a mut Vec<Effect<V>>,
 }
 
-impl<V> Effects<V> {
-    /// An empty effect set.
-    pub fn new() -> Self {
-        Effects { inner: Vec::new() }
+impl<'a, V> Effects<'a, V> {
+    /// Appends to `buffer`, after whatever it already holds.
+    pub fn new(buffer: &'a mut Vec<Effect<V>>) -> Self {
+        Effects { inner: buffer }
     }
 
     /// Queues a unicast.
@@ -344,36 +347,14 @@ impl<V> Effects<V> {
         self.inner.push(Effect::Reconfigured { slot, membership });
     }
 
-    /// Appends all effects from `other`.
-    pub fn extend(&mut self, other: Effects<V>) {
-        self.inner.extend(other.inner);
-    }
-
-    /// Consumes the set, yielding the ordered effect list.
-    pub fn into_vec(self) -> Vec<Effect<V>> {
-        self.inner
-    }
-
-    /// Number of queued effects.
+    /// Number of effects in the buffer.
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
-    /// Whether no effects are queued.
+    /// Whether the buffer holds no effects.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
-    }
-}
-
-impl<V> Default for Effects<V> {
-    fn default() -> Self {
-        Effects::new()
-    }
-}
-
-impl<V> From<Effects<V>> for Vec<Effect<V>> {
-    fn from(e: Effects<V>) -> Self {
-        e.into_vec()
     }
 }
 
@@ -383,17 +364,16 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_all_members_including_self() {
-        let mut fx: Effects<u8> = Effects::new();
+        let mut v: Vec<Effect<u8>> = Vec::new();
         // Sparse member ids (post-reconfiguration): the broadcast follows
         // the list exactly, never the dense 0..n range.
-        fx.broadcast(
+        Effects::new(&mut v).broadcast(
             &[ReplicaId(0), ReplicaId(2), ReplicaId(7)],
             Msg::Alive {
                 ballot: Ballot::BOTTOM,
                 decided_upto: Slot::ZERO,
             },
         );
-        let v = fx.into_vec();
         assert_eq!(v.len(), 3);
         let dests: Vec<u32> = v
             .iter()
@@ -405,24 +385,23 @@ mod tests {
         assert_eq!(dests, vec![0, 2, 7]);
     }
 
+    /// Two handlers writing in turn into one buffer leave their effects
+    /// in call order.
     #[test]
     fn effects_compose() {
-        let mut a: Effects<u8> = Effects::new();
-        a.deliver(
-            Slot(1),
-            ProposalId {
-                node: ReplicaId(0),
-                epoch: 0,
-                seq: 1,
-            },
-            9,
-            0,
-        );
-        let mut b: Effects<u8> = Effects::new();
+        let mut buffer: Vec<Effect<u8>> = Vec::new();
+        let pid = ProposalId {
+            node: ReplicaId(0),
+            epoch: 0,
+            seq: 1,
+        };
+        Effects::new(&mut buffer).deliver(Slot(1), pid, 9, 0);
+        let mut b = Effects::new(&mut buffer);
         b.persist(Record::Promised(Ballot::BOTTOM), PersistToken(7));
-        a.extend(b);
-        assert_eq!(a.len(), 2);
-        assert!(!a.is_empty());
+        assert_eq!(b.len(), 2);
+        assert!(!b.is_empty());
+        assert!(matches!(buffer[0], Effect::Deliver { value: 9, .. }));
+        assert!(matches!(buffer[1], Effect::Persist { .. }));
     }
 
     #[test]
@@ -464,9 +443,9 @@ mod tests {
 
     #[test]
     fn empty_effects_default() {
-        let fx: Effects<u8> = Effects::default();
+        let mut buffer: Vec<Effect<u8>> = Vec::new();
+        let fx = Effects::new(&mut buffer);
         assert!(fx.is_empty());
         assert_eq!(fx.len(), 0);
-        assert!(Vec::from(fx).is_empty());
     }
 }

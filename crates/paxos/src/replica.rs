@@ -6,9 +6,12 @@
 //! leader election and the fast/classic/blocked mode rule, fast-round
 //! collision recovery, proposal retries, and log catch-up.
 //!
-//! Drive it with four entry points — [`Replica::propose`],
-//! [`Replica::on_message`], [`Replica::on_tick`],
-//! [`Replica::on_persisted`] — and apply the returned [`Effect`]s.
+//! Drive it with four entry points — [`Replica::propose_into`],
+//! [`Replica::on_message_into`], [`Replica::on_tick_into`],
+//! [`Replica::on_persisted_into`] — and apply the [`Effect`]s they
+//! append to the caller's buffer. Each has a form that returns a fresh
+//! `Vec` instead ([`Replica::on_message`] and so on), a one-line
+//! wrapper for callers that keep no buffer.
 
 use std::collections::BTreeMap;
 
@@ -60,8 +63,8 @@ pub struct Replica<V> {
     leader: Leader<V>,
     proposer: Proposer<V>,
     fd: FailureDetector,
-    /// Persist-token → messages released on completion.
-    gated: BTreeMap<u64, Vec<(Dest, Msg<V>)>>,
+    /// Persist-token → the message released on completion.
+    gated: BTreeMap<u64, (Dest, Msg<V>)>,
     next_token: u64,
     now: u64,
     last_heartbeat: u64,
@@ -103,6 +106,10 @@ pub struct Replica<V> {
     /// so it tracks the epoch slots were *decided* under, which for a
     /// catching-up joiner lags its own configuration's epoch.
     log_epoch: u64,
+    /// Deliveries the learner unlocked during the current call, moved
+    /// into the effect buffer by [`Replica::handle_deliveries`]: one
+    /// allocation serves every call.
+    delivered: Vec<Delivery<V>>,
     /// Structured trace events (disabled by default: plain construction
     /// keeps every pre-existing test silent). The driver drains this via
     /// [`Replica::take_trace_events`].
@@ -228,6 +235,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             membership,
             pending_reconfig: None,
             reconfig_fence: None,
+            delivered: Vec::new(),
             trace: EventBuf::default(),
             last_mode: Mode::Blocked,
             config,
@@ -370,7 +378,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         }
     }
 
-    /// Converts an acceptor output into effects, gating sends on
+    /// Converts an acceptor output into effects, gating its send on
     /// persistence when a record is present.
     fn gate(&mut self, out: AcceptorOut<V>, fx: &mut Effects<V>) {
         match out.record {
@@ -390,40 +398,51 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 }
                 let token = self.next_token;
                 self.next_token = self.next_token.saturating_add(1);
-                self.gated.insert(token, out.sends);
+                if let Some(send) = out.send {
+                    self.gated.insert(token, send);
+                }
                 fx.persist(record, PersistToken(token));
             }
-            None => self.emit(out.sends, fx),
+            None => self.emit(out.send, fx),
         }
     }
 
-    fn emit(&mut self, sends: Vec<(Dest, Msg<V>)>, fx: &mut Effects<V>) {
-        for (dest, msg) in sends {
-            match dest {
-                Dest::One(to) => fx.send(to, msg),
-                Dest::All => fx.broadcast(self.membership.members(), msg),
-            }
+    fn emit(&self, send: Option<(Dest, Msg<V>)>, fx: &mut Effects<V>) {
+        match send {
+            Some((Dest::One(to), msg)) => fx.send(to, msg),
+            Some((Dest::All, msg)) => fx.broadcast(self.membership.members(), msg),
+            None => {}
         }
     }
 
-    /// A durable write completed: release the gated messages.
+    /// A durable write completed: release the gated message.
     pub fn on_persisted(&mut self, token: PersistToken) -> Vec<Effect<V>> {
-        let mut fx = Effects::new();
-        if let Some(sends) = self.gated.remove(&token.0) {
-            self.emit(sends, &mut fx);
-        }
-        fx.into_vec()
+        let mut out = Vec::new();
+        self.on_persisted_into(token, &mut out);
+        out
+    }
+
+    /// [`Replica::on_persisted`], appending to the caller's buffer.
+    pub fn on_persisted_into(&mut self, token: PersistToken, out: &mut Vec<Effect<V>>) {
+        let send = self.gated.remove(&token.0);
+        self.emit(send, &mut Effects::new(out));
     }
 
     /// Submits a new proposal; returns its id and the immediate effects.
     pub fn propose(&mut self, value: V) -> (ProposalId, Vec<Effect<V>>) {
+        let mut out = Vec::new();
+        (self.propose_into(value, &mut out), out)
+    }
+
+    /// [`Replica::propose`], appending to the caller's buffer; returns
+    /// the proposal's id.
+    pub fn propose_into(&mut self, value: V, out: &mut Vec<Effect<V>>) -> ProposalId {
         let pid = self
             .proposer
             .submit(value.clone(), self.now, PROPOSE_RETRY_US);
         self.trace.push(TraceEvent::ProposalIssued { seq: pid.seq });
-        let mut fx = Effects::new();
-        self.route(pid, value, &mut fx);
-        (pid, fx.into_vec())
+        self.route(pid, value, &mut Effects::new(out));
+        pid
     }
 
     /// Routes a proposal according to the current mode: fast-broadcast to
@@ -454,13 +473,26 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
 
     /// Handles one incoming message.
     pub fn on_message(&mut self, from: ReplicaId, msg: Msg<V>, now: u64) -> Vec<Effect<V>> {
+        let mut out = Vec::new();
+        self.on_message_into(from, msg, now, &mut out);
+        out
+    }
+
+    /// [`Replica::on_message`], appending to the caller's buffer.
+    pub fn on_message_into(
+        &mut self,
+        from: ReplicaId,
+        msg: Msg<V>,
+        now: u64,
+        out: &mut Vec<Effect<V>>,
+    ) {
         self.now = self.now.max(now);
-        let mut fx = Effects::new();
+        let mut fx = Effects::new(out);
         if self.retired() {
             if let Msg::LearnRequest { from_slot } = msg {
                 self.answer_learn(from, from_slot, &mut fx);
             }
-            return fx.into_vec();
+            return;
         }
         self.fd.heard(from, self.now);
         self.trace_edges();
@@ -522,10 +554,9 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 if ballot.is_fast() {
                     self.leader.observe_occupied(slot);
                 }
-                let deliveries = self
-                    .learner
-                    .on_accepted(from, ballot, slot, decree, self.now);
-                self.handle_deliveries(deliveries, &mut fx);
+                self.learner
+                    .on_accepted(from, ballot, slot, decree, self.now, &mut self.delivered);
+                self.handle_deliveries(&mut fx);
                 if self.learner.is_decided(slot) {
                     self.leader.finish_recovery(slot);
                 }
@@ -541,8 +572,8 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 truncated_below,
                 decided_upto,
             } => {
-                let deliveries = self.learner.on_learned(entries);
-                self.handle_deliveries(deliveries, &mut fx);
+                self.learner.on_learned(entries, &mut self.delivered);
+                self.handle_deliveries(&mut fx);
                 if truncated_below > self.learner.next_deliver() {
                     // The responder no longer stores the slots we need:
                     // flag for a middleware-level snapshot transfer.
@@ -552,7 +583,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 }
             }
         }
-        fx.into_vec()
     }
 
     /// A phase-1b reply. A single-slot recovery's decree goes out as
@@ -697,8 +727,8 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
     /// slots below `slot`: delivery resumes there under `epoch` (the
     /// configuration epoch in force at the transfer's watermark), and
     /// any decided entries already known past the new watermark are
-    /// delivered.
-    pub fn fast_forward(&mut self, slot: Slot, epoch: u64) -> Vec<Effect<V>> {
+    /// delivered onto `out`.
+    pub fn fast_forward(&mut self, slot: Slot, epoch: u64, out: &mut Vec<Effect<V>>) {
         self.log_epoch = self.log_epoch.max(epoch);
         self.learner.fast_forward(slot);
         if let Some((_, needed)) = self.snapshot_needed {
@@ -706,10 +736,8 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 self.snapshot_needed = None;
             }
         }
-        let mut fx = Effects::new();
-        let deliveries = self.learner.drain();
-        self.handle_deliveries(deliveries, &mut fx);
-        fx.into_vec()
+        self.learner.drain(&mut self.delivered);
+        self.handle_deliveries(&mut Effects::new(out));
     }
 
     /// Installs a configuration learned out-of-band (a snapshot transfer
@@ -722,12 +750,13 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         self.install_membership(membership, None);
     }
 
-    /// Emits deliveries, applying any reconfiguration fence the learner
-    /// surfaced and resuming delivery past it.
-    fn handle_deliveries(&mut self, deliveries: Vec<Delivery<V>>, fx: &mut Effects<V>) {
-        let mut batch = deliveries;
+    /// Emits the deliveries the learner left in `self.delivered`,
+    /// applying any reconfiguration fence it surfaced and resuming
+    /// delivery past it.
+    fn handle_deliveries(&mut self, fx: &mut Effects<V>) {
+        let mut batch = std::mem::take(&mut self.delivered);
         loop {
-            for d in batch {
+            for d in batch.drain(..) {
                 self.trace.push(TraceEvent::Decided {
                     slot: d.slot.0,
                     noop: false,
@@ -738,11 +767,12 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             match self.learner.take_reconfig() {
                 Some((slot, rc)) => {
                     self.apply_reconfig(slot, rc, fx);
-                    batch = self.learner.ack_reconfig(slot);
+                    self.learner.ack_reconfig(slot, &mut batch);
                 }
                 None => break,
             }
         }
+        self.delivered = batch;
     }
 
     /// Applies a delivered `Reconfig` decree: the fence at `slot` lifts
@@ -804,14 +834,25 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         add: Vec<ReplicaId>,
         remove: Vec<ReplicaId>,
     ) -> (bool, Vec<Effect<V>>) {
-        let mut fx = Effects::new();
+        let mut out = Vec::new();
+        (self.propose_reconfig_into(add, remove, &mut out), out)
+    }
+
+    /// [`Replica::propose_reconfig`], appending to the caller's buffer.
+    pub fn propose_reconfig_into(
+        &mut self,
+        add: Vec<ReplicaId>,
+        remove: Vec<ReplicaId>,
+        out: &mut Vec<Effect<V>>,
+    ) -> bool {
+        let mut fx = Effects::new(out);
         if self.retired()
             || !self.leader.is_leading()
             || self.pending_reconfig.is_some()
             || self.reconfig_fence.is_some()
             || self.fd.mode(self.now) == Mode::Blocked
         {
-            return (false, fx.into_vec());
+            return false;
         }
         let rc = Reconfig {
             epoch: self.membership.epoch().saturating_add(1),
@@ -819,7 +860,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             remove,
         };
         if self.membership.apply(&rc).is_none() {
-            return (false, fx.into_vec());
+            return false;
         }
         self.trace.push(TraceEvent::ReconfigProposed {
             epoch: rc.epoch,
@@ -832,7 +873,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         } else {
             self.assign_reconfig(rc, &mut fx);
         }
-        (true, fx.into_vec())
+        true
     }
 
     /// Assigns a validated reconfiguration its fence slot under the
@@ -974,12 +1015,19 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
     /// collision/recovery timeouts. Call it every few tens of
     /// milliseconds of driver time.
     pub fn on_tick(&mut self, now: u64) -> Vec<Effect<V>> {
+        let mut out = Vec::new();
+        self.on_tick_into(now, &mut out);
+        out
+    }
+
+    /// [`Replica::on_tick`], appending to the caller's buffer.
+    pub fn on_tick_into(&mut self, now: u64, out: &mut Vec<Effect<V>>) {
         self.now = self.now.max(now);
         if self.retired() {
-            return Vec::new();
+            return;
         }
         self.trace_edges();
-        let mut fx = Effects::new();
+        let mut fx = Effects::new(out);
 
         if self.recovering && self.membership.n() == 1 {
             // A singleton ensemble has no peers to learn from: its log
@@ -1024,8 +1072,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
                 self.prepare_slot(slot, &mut fx);
             }
         }
-
-        fx.into_vec()
     }
 
     /// The election rule, run by the failure detector's candidate: start

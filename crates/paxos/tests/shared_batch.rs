@@ -32,10 +32,14 @@ fn a_learned_and_delivered_batch_is_the_proposers_allocation() {
     let mut l: Learner<Value> = Learner::new(Quorums::new(8), Slot::ZERO);
     let b = Ballot::fast(1, ReplicaId(0));
     let mut out = Vec::new();
-    // Each acceptor's `Accepted` carries a clone of what it accepted.
+    // Each acceptor's `Accepted` carries a clone of what it accepted;
+    // the learner keeps the first and drops the others.
     for i in 0..6 {
         assert!(out.is_empty(), "decided before the fast quorum of 6");
-        out.extend(l.on_accepted(ReplicaId(i), b, Slot(0), decree.clone(), 0));
+        l.on_accepted(ReplicaId(i), b, Slot(0), decree.clone(), 0, &mut out);
+        if out.is_empty() {
+            assert_eq!(Arc::strong_count(&proposed.items), 3, "one vote held");
+        }
     }
     assert_eq!(out.len(), 1);
     assert!(Arc::ptr_eq(&out[0].value.items, &proposed.items));
