@@ -74,7 +74,7 @@ fn assert_check_agrees_around<T: Wire>(v: &T) {
 fn arb_text() -> impl Strategy<Value = Text> {
     const ALPHABET: [char; 6] = ['a', 'Z', '7', ' ', 'é', '書'];
     proptest::collection::vec(0usize..ALPHABET.len(), 0..24)
-        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+        .prop_map(|picks| Text::from(picks.into_iter().map(|i| ALPHABET[i]).collect::<String>()))
 }
 
 fn arb_lines() -> impl Strategy<Value = Vec<CartLine>> {

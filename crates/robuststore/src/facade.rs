@@ -266,11 +266,11 @@ impl TpcwDatabase {
                 term,
             } => {
                 let items = match kind {
-                    0 => store.search_by_subject(*subject),
-                    1 => store.search_by_title(term),
-                    _ => store.search_by_author(term),
+                    0 => store.search_by_subject(*subject).len(),
+                    1 => store.search_by_title(term).len(),
+                    _ => store.search_by_author(term).len(),
                 };
-                ok_page(2_000 + items.len() as u64 * 120)
+                ok_page(2_000 + items as u64 * 120)
             }
             ReadOp::OrderInquiry => ok_page(1_200),
             ReadOp::OrderDisplay { uname } => match store.most_recent_order(uname) {

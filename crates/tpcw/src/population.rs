@@ -188,12 +188,14 @@ impl GramIndex {
     /// returns. `text` must give the texts the index was built from.
     pub fn search<'a>(&self, term: &str, text: impl Fn(ItemId) -> &'a str) -> Vec<ItemId> {
         let first = |candidates: &[ItemId], whole_term: bool| {
-            candidates
-                .iter()
-                .copied()
-                .filter(|id| whole_term || text(*id).contains(term))
-                .take(PAGE)
-                .collect()
+            let matches = candidates.iter().copied();
+            let mut found = Vec::with_capacity(PAGE.min(candidates.len()));
+            found.extend(
+                matches
+                    .filter(|id| whole_term || text(*id).contains(term))
+                    .take(PAGE),
+            );
+            found
         };
         match *term.as_bytes() {
             [] => (0..self.texts).take(PAGE).map(ItemId).collect(),
@@ -206,13 +208,16 @@ impl GramIndex {
 /// TPC-W user name derivation: a digit-letter encoding of the id.
 pub fn c_uname(id: CustomerId) -> Text {
     let digits = std::iter::successors(Some(id.0), |n| Some(n / 26).filter(|q| *q != 0));
-    let letters = digits.map(|n| (b'A' + (n % 26) as u8) as char);
-    std::iter::once('U').chain(letters).collect()
+    let letters = digits.map(|n| b'A' + (n % 26) as u8);
+    Draft::<UNAME>::new()
+        .push(std::iter::once(b'U').chain(letters))
+        .text()
 }
 
 /// A customer's password: the user name in lower case.
 pub(crate) fn c_passwd(uname: &str) -> Text {
-    uname.chars().map(|c| c.to_ascii_lowercase()).collect()
+    let lower = uname.bytes().map(|b| b.to_ascii_lowercase());
+    Draft::<UNAME>::new().push(lower).text()
 }
 
 /// Inverse of [`c_uname`]. A name with trailing `A`s (leading zero
@@ -234,21 +239,94 @@ pub(crate) fn uname_id(uname: &str) -> Option<CustomerId> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Chars {
     /// Letters `a`–`z`, as many as a draw from `min..=max`.
-    Letters(usize, usize),
+    Letters(u8, u8),
     /// This many digits `0`–`9`.
-    Digits(usize),
+    Digits(u8),
 }
 
-/// A random text: its length is drawn first (for letters), then each
-/// char in turn, so a given `rng` always yields the same text.
+/// The longest user name: `U` and the seven base-26 digits of a `u32`.
+const UNAME: usize = 8;
+
+/// The longest draw of [`Chars`]: its length is a `u8`.
+const DRAW: usize = u8::MAX as usize;
+
+/// A generated text, written byte by byte on the stack and made into
+/// one [`Text`] at the end. It holds `N` bytes; the sizes used below
+/// leave room for every text they are given.
+struct Draft<const N: usize> {
+    len: usize,
+    bytes: [u8; N],
+}
+
+impl<const N: usize> Draft<N> {
+    fn new() -> Self {
+        Draft {
+            len: 0,
+            bytes: [0; N],
+        }
+    }
+
+    /// Appends `bytes`, which must be ASCII.
+    fn push(&mut self, bytes: impl IntoIterator<Item = u8>) -> &mut Self {
+        for byte in bytes {
+            if let Some(slot) = self.bytes.get_mut(self.len) {
+                *slot = byte;
+                self.len += 1;
+            }
+        }
+        self
+    }
+
+    /// Appends a draw of `chars`: its length first (for letters), then
+    /// each byte in turn, so a given `rng` always yields the same text.
+    fn draw(&mut self, rng: &mut StdRng, chars: Chars) -> &mut Self {
+        match chars {
+            Chars::Letters(min, max) => {
+                let len = rng.gen_range(min..=max);
+                self.fill::<26>(rng, b'a', len)
+            }
+            Chars::Digits(len) => self.fill::<10>(rng, b'0', len),
+        }
+    }
+
+    /// Appends `len` bytes drawn from `first..first + SPAN`. There is
+    /// one copy per alphabet, so each draw divides by a constant.
+    fn fill<const SPAN: u8>(&mut self, rng: &mut StdRng, first: u8, len: u8) -> &mut Self {
+        let room = self.bytes.get_mut(self.len..).unwrap_or_default();
+        for slot in room.iter_mut().take(usize::from(len)) {
+            *slot = first + rng.gen_range(0..SPAN);
+        }
+        self.len = self.len.saturating_add(usize::from(len)).min(N);
+        self
+    }
+
+    fn text(&self) -> Text {
+        let bytes = self.bytes.get(..self.len).unwrap_or_default();
+        Text::from(std::str::from_utf8(bytes).unwrap_or_default())
+    }
+}
+
+/// A random text: one draw of `chars`. Inlined, so the constant
+/// lengths of each call site fold in and the length draw, too, divides
+/// by a constant.
+#[inline]
 pub(crate) fn rand_text(rng: &mut StdRng, chars: Chars) -> Text {
-    let (first, span, len) = match chars {
-        Chars::Letters(min, max) => (b'a', 26, rng.gen_range(min..=max)),
-        Chars::Digits(len) => (b'0', 10, len),
-    };
-    (0..len)
-        .map(|_| (first + rng.gen_range(0..span)) as char)
-        .collect()
+    Draft::<DRAW>::new().draw(rng, chars).text()
+}
+
+/// A random e-mail address: a draw of `chars` at `example.com`.
+#[inline]
+pub(crate) fn rand_email(rng: &mut StdRng, chars: Chars) -> Text {
+    const DOMAIN: [u8; 12] = *b"@example.com";
+    let mut email = Draft::<{ DRAW + DOMAIN.len() }>::new();
+    email.draw(rng, chars).push(DOMAIN).text()
+}
+
+/// A random full name: a draw of `first`, a space, a draw of `last`.
+#[inline]
+pub(crate) fn rand_name(rng: &mut StdRng, first: Chars, last: Chars) -> Text {
+    let mut name = Draft::<{ 2 * DRAW + 1 }>::new();
+    name.draw(rng, first).push([b' ']).draw(rng, last).text()
 }
 
 /// Generates a base population (deterministic in `params`).
@@ -310,7 +388,8 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
             }
         })
         .collect();
-    // Related items: five distinct other items.
+    // Related items: five uniform draws over all items, so one may
+    // repeat or be the item itself.
     for item in items.iter_mut() {
         let mut related = [ItemId(0); 5];
         for r in related.iter_mut() {
@@ -343,10 +422,7 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
                 lname: rand_text(&mut rng, Letters(3, 15)),
                 addr: AddressId(rng.gen_range(0..params.addresses())),
                 phone: rand_text(&mut rng, Digits(10)),
-                email: Text::from_fmt(format_args!(
-                    "{}@example.com",
-                    rand_text(&mut rng, Letters(5, 12))
-                )),
+                email: rand_email(&mut rng, Letters(5, 12)),
                 since: rng.gen_range(today - 730..today),
                 last_login: 0,
                 login: 0,
@@ -407,11 +483,7 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
                 ["VISA", "MASTERCARD", "DISCOVER", "AMEX", "DINERS"][rng.gen_range(0..5usize)],
             ),
             cc_num: rand_text(&mut rng, Digits(16)),
-            cc_name: Text::from_fmt(format_args!(
-                "{} {}",
-                rand_text(&mut rng, Letters(3, 12)),
-                rand_text(&mut rng, Letters(3, 15))
-            )),
+            cc_name: rand_name(&mut rng, Letters(3, 12), Letters(3, 15)),
             cc_expiry: today + rng.gen_range(10..730),
             auth_id: rand_text(&mut rng, Letters(15, 15)),
             amount_cents: order.total_cents,

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::interactions::{Interaction, Profile};
 use crate::model::{CartId, CartLine, CustomerId, ItemId, SUBJECTS};
-use crate::population::{c_uname, rand_text, Chars::Digits, Chars::Letters};
+use crate::population::{c_uname, rand_email, rand_name, rand_text, Chars::Digits, Chars::Letters};
 use crate::text::Text;
 
 /// Client-supplied body of one web request.
@@ -270,10 +270,7 @@ impl Rbe {
                     fname: rand_text(&mut self.rng, Letters(3, 12)),
                     lname: rand_text(&mut self.rng, Letters(3, 15)),
                     phone: rand_text(&mut self.rng, Digits(10)),
-                    email: Text::from_fmt(format_args!(
-                        "{}@example.com",
-                        rand_text(&mut self.rng, Letters(5, 10))
-                    )),
+                    email: rand_email(&mut self.rng, Letters(5, 10)),
                     birthdate: self.rng.gen_range(1_000..12_000),
                     data: rand_text(&mut self.rng, Letters(20, 40)),
                 }
@@ -290,11 +287,7 @@ impl Rbe {
                         [self.rng.gen_range(0..5usize)],
                 ),
                 cc_num: rand_text(&mut self.rng, Digits(16)),
-                cc_name: Text::from_fmt(format_args!(
-                    "{} {}",
-                    rand_text(&mut self.rng, Letters(3, 10)),
-                    rand_text(&mut self.rng, Letters(3, 12))
-                )),
+                cc_name: rand_name(&mut self.rng, Letters(3, 10), Letters(3, 12)),
                 cc_expiry: self.rng.gen_range(14_100..15_000),
                 country: self.rng.gen_range(0..92),
                 ship_type: self.rng.gen_range(0..6),

@@ -340,21 +340,19 @@ impl Bookstore {
     // ----- the 14 interactions' read paths -------------------------------
 
     /// Home page: the customer to greet + promotional items.
-    pub fn get_home(&self, c_id: Option<CustomerId>) -> (Option<&Customer>, Vec<ItemId>) {
+    pub fn get_home(&self, c_id: Option<CustomerId>) -> (Option<&Customer>, [ItemId; 5]) {
         let customer = c_id.and_then(|id| self.customer(id).ok());
-        let promos = (0..5)
-            .map(|k| ItemId((k * 37) % self.base.params.items))
-            .collect();
+        let promos = [0, 1, 2, 3, 4].map(|k| ItemId((k * 37) % self.base.params.items));
         (customer, promos)
     }
 
     /// New Products: the 50 newest items of a subject.
-    pub fn get_new_products(&self, subject: u8) -> Vec<ItemId> {
+    pub fn get_new_products(&self, subject: u8) -> &[ItemId] {
         let page = self
             .base
             .newest_by_subject
             .get(subject as usize % SUBJECTS.len());
-        page.cloned().unwrap_or_default()
+        page.map_or(&[], Vec::as_slice)
     }
 
     /// Best Sellers: top-50 items by quantity over the 3333 most recent
@@ -398,12 +396,12 @@ impl Bookstore {
     }
 
     /// Search by subject: first 50 items of the subject by title.
-    pub fn search_by_subject(&self, subject: u8) -> Vec<ItemId> {
+    pub fn search_by_subject(&self, subject: u8) -> &[ItemId] {
         let page = self
             .base
             .titles_by_subject
             .get(subject as usize % SUBJECTS.len());
-        page.cloned().unwrap_or_default()
+        page.map_or(&[], Vec::as_slice)
     }
 
     /// Search by title substring.

@@ -71,7 +71,7 @@ impl Text {
         if let Some(text) = args.as_str() {
             return Text::from(text);
         }
-        let mut builder = Builder::new(0);
+        let mut builder = Builder::default();
         // `Builder::write_str` never fails.
         let _ = fmt::write(&mut builder, args);
         builder.finish()
@@ -79,6 +79,7 @@ impl Text {
 }
 
 /// A text being built: inline until it outgrows [`INLINE`] bytes.
+#[derive(Default)]
 struct Builder {
     len: usize,
     bytes: [u8; INLINE],
@@ -86,18 +87,7 @@ struct Builder {
 }
 
 impl Builder {
-    /// A builder for a text of at least `min_len` bytes: one that cannot
-    /// be inline starts on the heap with that capacity.
-    fn new(min_len: usize) -> Builder {
-        Builder {
-            len: 0,
-            bytes: [0; INLINE],
-            heap: (min_len > INLINE).then(|| String::with_capacity(min_len)),
-        }
-    }
-
-    /// Appends `s`; `more` bytes are expected after it.
-    fn push(&mut self, s: &str, more: usize) {
+    fn push(&mut self, s: &str) {
         if let Some(heap) = &mut self.heap {
             heap.push_str(s);
             return;
@@ -109,23 +99,11 @@ impl Builder {
                 self.len = end;
             }
             None => {
-                let mut heap = String::with_capacity(end.saturating_add(more));
+                let mut heap = String::with_capacity(end);
                 heap.push_str(self.inline());
                 heap.push_str(s);
                 self.heap = Some(heap);
             }
-        }
-    }
-
-    /// Appends `c`; at least `more` bytes are expected after it.
-    fn push_char(&mut self, c: char, more: usize) {
-        match (&mut self.heap, self.bytes.get_mut(self.len)) {
-            (Some(heap), _) => heap.push(c),
-            (None, Some(slot)) if c.is_ascii() => {
-                *slot = c as u8;
-                self.len = self.len.saturating_add(1);
-            }
-            (None, _) => self.push(c.encode_utf8(&mut [0; 4]), more),
         }
     }
 
@@ -148,7 +126,7 @@ impl Builder {
 
 impl fmt::Write for Builder {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.push(s, 0);
+        self.push(s);
         Ok(())
     }
 }
@@ -187,19 +165,6 @@ impl From<String> for Text {
         } else {
             Text(Repr::Heap(text.into_boxed_str()))
         }
-    }
-}
-
-/// Collects chars inline while they fit; an iterator whose size hint
-/// says it cannot fit goes to the heap at once, with that capacity.
-impl FromIterator<char> for Text {
-    fn from_iter<I: IntoIterator<Item = char>>(chars: I) -> Text {
-        let mut chars = chars.into_iter();
-        let mut builder = Builder::new(chars.size_hint().0);
-        while let Some(c) = chars.next() {
-            builder.push_char(c, chars.size_hint().0);
-        }
-        builder.finish()
     }
 }
 

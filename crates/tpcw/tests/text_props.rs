@@ -63,8 +63,12 @@ proptest! {
         prop_assert_eq!(hash_of(&ta), hash_of(&a));
         prop_assert_eq!(format!("{ta:?}"), format!("{a:?}"));
         prop_assert_eq!(format!("{ta}"), a.clone());
-        // Every way in builds the same text.
-        prop_assert_eq!(a.chars().collect::<Text>(), ta.clone());
+        // Every way in builds the same text, and the bytes of a short
+        // one lie inside the `Text` itself.
+        let at = &tb as *const Text as usize;
+        let inside = (at..at + std::mem::size_of::<Text>()).contains(&(tb.as_ptr() as usize));
+        prop_assert_eq!(tb.as_bytes(), b.as_bytes());
+        prop_assert_eq!(inside, b.len() <= 22);
         prop_assert_eq!(Text::from_fmt(format_args!("{a}{b}")), Text::from(a + &b));
     }
 }
