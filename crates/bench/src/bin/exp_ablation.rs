@@ -9,7 +9,7 @@
 //!    log suffix a recovering replica replays but cost more disk writes;
 //!    this sweep measures both sides.
 
-use bench::render::render_checkpoint_sweep;
+use bench::render::{render_checkpoint_sweep, render_fast_vs_classic};
 use bench::{base_config, Cli};
 use cluster::run_experiment;
 use faultload::Faultload;
@@ -20,12 +20,10 @@ fn main() {
     let (con, mode) = (cli.con, cli.mode);
     let mut rec = cli.recorder();
 
-    con.say("== Ablation 1: Fast Paxos vs classic Paxos ==");
-    con.say("  R profile   |  fast AWIPS | fast WIRT | classic AWIPS | classic WIRT");
+    let mut rows = Vec::new();
     for replicas in [5usize, 8] {
         for profile in [Profile::Shopping, Profile::Ordering] {
-            let mut results = Vec::new();
-            for classic_only in [false, true] {
+            let [(fast, fast_ms), (classic, classic_ms)] = [false, true].map(|classic_only| {
                 let mut config = base_config(&cli, replicas, profile);
                 config.ebs = 30;
                 config.rbes = 1_000;
@@ -34,18 +32,12 @@ fn main() {
                 let kind = if classic_only { "classic" } else { "fast" };
                 let label = format!("{replicas}r {} {kind}", profile.name());
                 rec.record(&label, &report, &[]);
-                results.push((report.awips, report.mean_wirt_ms));
-            }
-            con.say(format_args!(
-                "  {replicas} {:9} | {:11.1} | {:8.1}ms | {:13.1} | {:9.1}ms",
-                profile.name(),
-                results[0].0,
-                results[0].1,
-                results[1].0,
-                results[1].1
-            ));
+                (report.awips, report.mean_wirt_ms)
+            });
+            rows.push((replicas, profile, [fast, fast_ms, classic, classic_ms]));
         }
     }
+    con.say(render_fast_vs_classic(&rows).trim_end());
 
     con.say("\n== Ablation 2: checkpoint interval (5 replicas, shopping, one crash) ==");
     let mut rows = Vec::new();

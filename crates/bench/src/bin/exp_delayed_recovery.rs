@@ -1,5 +1,5 @@
 //! Figure 8 + Tables 5–6 — two crashes, one autonomous and one delayed
 //! (operator-triggered) recovery.
 fn main() {
-    bench::crash_experiment(&bench::DELAYED_RECOVERY);
+    bench::Section::main("exp_delayed_recovery");
 }

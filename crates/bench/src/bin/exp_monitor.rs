@@ -75,8 +75,9 @@ fn main() {
                 let scrape_s = interval_us as f64 / 1e6;
                 let label = format!("{family} scrape={scrape_s}s sens={sens}");
                 let mut config = incident_config(&cli, incident);
-                config.monitor = MonitorConfig::on().with_sensitivity(pending_ticks, scale_pct);
-                config.monitor.scrape_interval_us = interval_us;
+                let mut mon = MonitorConfig::default().with_sensitivity(pending_ticks, scale_pct);
+                mon.scrape_interval_us = interval_us;
+                config.monitor = Some(mon);
                 let report = run_experiment(&config);
                 con.say(format_args!(
                     "{label:<34} AWIPS {:7.1}  availability {:.5}  alerts fired {}",

@@ -17,7 +17,7 @@
 //! every run has causal paths, all telescoping, with nonzero disk-fsync
 //! blame.
 
-use bench::render::{availability_row, dur};
+use bench::render::{self, availability_row, dur};
 use bench::report::write_or_die;
 use bench::Cli;
 use obs::{
@@ -264,52 +264,21 @@ fn crash_block(b: &Incident, report: Option<&AvailabilityReport>) -> String {
 }
 
 fn phase_table(spans: &SpanProfile) -> String {
-    let mut out = String::from("  phase          |      n |  p50(ms) |  p99(ms) | mean(ms)\n");
-    for name in obs::PHASES {
-        let Some(h) = spans.phase(name) else {
-            continue;
-        };
-        out.push_str(&format!(
-            "  {name:14} | {:6} | {:8.3} | {:8.3} | {:8.3}\n",
-            h.count(),
-            h.quantile(0.5) as f64 / 1e3,
-            h.quantile(0.99) as f64 / 1e3,
-            h.mean() / 1e3,
-        ));
-    }
-    let exact = spans
-        .spans
-        .iter()
-        .filter(|s| s.phase_sum_us() == s.total_us)
-        .count();
+    let mut out = render::render_phases(|name| spans.phase(name));
+    let all = &spans.spans;
+    let exact = all.iter().filter(|s| s.phase_sum_us() == s.total_us);
     out.push_str(&format!(
-        "  pipeline phases sum exactly to commit latency for {exact}/{} spans\n",
-        spans.spans.len()
+        "  pipeline phases sum exactly to commit latency for {}/{} spans\n",
+        exact.count(),
+        all.len()
     ));
     out
 }
 
 /// The blame tables: by category, node, link and `window_us` window.
 fn blame_tables(causal: &CausalProfile, window_us: u64) -> String {
-    let by_cat = causal.blame_by_category();
-    let total: u64 = by_cat.iter().sum();
-    let mut out = format!(
-        "  quorum decide mean {:.3} ms\n  category         | total(ms) | share(%)\n",
-        causal.quorum_decide_mean_us() / 1e3
-    );
-    for cat in BlameCategory::ALL {
-        let us = by_cat[cat.index()];
-        let share = if total > 0 {
-            us as f64 * 100.0 / total as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "  {:16} | {:9.1} | {share:7.1}\n",
-            cat.name(),
-            us as f64 / 1e3,
-        ));
-    }
+    let mut out =
+        render::render_blame_categories(causal.quorum_decide_mean_us(), causal.blame_by_category());
     out.push_str("  blame by node:");
     for (node, us) in causal.blame_by_node() {
         out.push_str(&format!(" n{node}={:.1}ms", us as f64 / 1e3));
@@ -322,22 +291,10 @@ fn blame_tables(causal: &CausalProfile, window_us: u64) -> String {
     for ((from, to), us) in links {
         out.push_str(&format!(" {from}->{to}={:.1}ms", us as f64 / 1e3));
     }
-    out.push_str(&format!(
-        "\n  window({}s) | paths | queueing | cpu | net | retransmit | fsync (ms)\n",
-        window_us as f64 / 1e6
+    out.push('\n');
+    out.push_str(&render::render_blame_windows(
+        window_us,
+        &causal.windows(window_us),
     ));
-    for w in causal.windows(window_us) {
-        let ms = |i: usize| w.totals[i] as f64 / 1e3;
-        out.push_str(&format!(
-            "  {:10.0}s | {:5} | {:8.1} | {:3.0} | {:3.0} | {:10.1} | {:5.1}\n",
-            w.start_us as f64 / 1e6,
-            w.paths,
-            ms(0),
-            ms(1),
-            ms(2),
-            ms(3),
-            ms(4),
-        ));
-    }
     out
 }

@@ -1,4 +1,4 @@
 //! Figure 7 + Tables 3–4 — two overlapped crashes, autonomous recoveries.
 fn main() {
-    bench::crash_experiment(&bench::TWO_CRASHES);
+    bench::Section::main("exp_two_crashes");
 }

@@ -1,9 +1,10 @@
 //! # bench — experiment harness regenerating every table and figure
 //!
-//! One function per paper artifact (Figures 3–8, Tables 1–6), each
-//! returning structured results and rendering the paper's layout. The
-//! `exp_*` binaries wrap these; `exp_all` runs the complete evaluation
-//! and writes an `EXPERIMENTS.md`-ready report.
+//! One [`Section`] per paper artifact group (Figures 3–8, Tables 1–6):
+//! each runs its points, records its `--json` rows and renders the
+//! paper's layout. Each figure binary runs one section; `exp_all` runs
+//! every one of [`SECTIONS`] and writes an `EXPERIMENTS.md`-ready
+//! report.
 //!
 //! Two fidelity modes:
 //!
@@ -75,6 +76,12 @@ impl Mode {
 /// The paper's {5, 8}-replica ensembles the dependability grids run on.
 pub const GRID_REPLICAS: [usize; 2] = [5, 8];
 
+/// The dependability grid: each of [`GRID_REPLICAS`] with each profile.
+fn grid() -> impl Iterator<Item = (usize, Profile)> {
+    let replicas = GRID_REPLICAS.into_iter();
+    replicas.flat_map(|r| Profile::ALL.map(|p| (r, p)))
+}
+
 /// Base configuration shared by all experiments in a mode. Tracing is
 /// on when `--trace <path>` was given, so every binary built on this
 /// config records structured traces exactly when there is somewhere to
@@ -129,15 +136,6 @@ fn sweep(
             wips: report.awips,
             wirt_ms: report.mean_wirt_ms,
         }
-    })
-}
-
-/// Figure 3 — speedup: saturated WIPS and WIRT vs. replica count for
-/// each workload, 500 MB initial state.
-pub fn fig3_speedup(cli: &Cli, profile: Profile) -> Vec<SweepPoint> {
-    // Saturating load: 1.35× the analytic capacity estimate.
-    sweep(cli, profile, 50, |replicas| {
-        ((estimated_capacity(profile, replicas) * 1.35) as usize).max(600)
     })
 }
 
@@ -196,133 +194,6 @@ pub fn fault_run(
         profile,
         ebs,
         report,
-    }
-}
-
-/// Figures 5/7/8 + Tables 1–6 — the full dependability grid for one
-/// faultload: replicas {5, 8} × the three profiles, 500 MB state.
-pub fn dependability_grid(cli: &Cli, faultload: &Faultload) -> Vec<FaultRun> {
-    let mut points = Vec::new();
-    for replicas in GRID_REPLICAS {
-        for profile in Profile::ALL {
-            points.push((replicas, profile));
-        }
-    }
-    run_parallel(points, |(replicas, profile)| {
-        fault_run(cli, replicas, profile, 50, faultload.clone())
-    })
-}
-
-/// One of the paper's crash faultloads, as its binary and `exp_all`
-/// run it.
-pub struct CrashExperiment {
-    /// The binary, and the `experiment` of its JSON document.
-    pub name: &'static str,
-    /// `exp_all`'s heading for the section.
-    pub heading: &'static str,
-    /// What `exp_all` puts before each of the section's JSON labels.
-    pub prefix: &'static str,
-    /// The paper's faultload.
-    pub faultload: fn() -> Faultload,
-    /// The performability table's layout.
-    pub performability: fn(&str, &[FaultRun]) -> String,
-    /// The titles of the performability, accuracy, autonomy,
-    /// availability and failure-detector quality tables.
-    pub titles: [&'static str; 5],
-}
-
-/// Figure 5 + Tables 1–2 — one crash, one autonomous recovery.
-pub const ONE_CRASH: CrashExperiment = CrashExperiment {
-    name: "exp_one_crash",
-    heading: "== One crash (Fig 5, Tables 1-2) ==",
-    prefix: "one-crash ",
-    faultload: Faultload::single_crash,
-    performability: render::render_performability,
-    titles: [
-        "Table 1 — one failure: performability",
-        "Table 2 — one failure: accuracy (%)",
-        "One failure: availability/autonomy",
-        "One failure: availability decomposition",
-        "One failure: failure-detector quality",
-    ],
-};
-
-/// Figure 7 + Tables 3–4 — two overlapped crashes, autonomous
-/// recoveries.
-pub const TWO_CRASHES: CrashExperiment = CrashExperiment {
-    name: "exp_two_crashes",
-    heading: "== Two overlapped crashes (Fig 7, Tables 3-4) ==",
-    prefix: "two-crashes ",
-    faultload: Faultload::double_crash,
-    performability: render::render_performability,
-    titles: [
-        "Table 3 — two overlapped crashes: performability",
-        "Table 4 — two overlapped crashes: accuracy (%)",
-        "Two crashes: availability/autonomy",
-        "Two crashes: availability decomposition",
-        "Two crashes: failure-detector quality",
-    ],
-};
-
-/// Figure 8 + Tables 5–6 — two crashes, one autonomous and one delayed
-/// (operator-triggered) recovery.
-pub const DELAYED_RECOVERY: CrashExperiment = CrashExperiment {
-    name: "exp_delayed_recovery",
-    heading: "== Delayed recovery (Fig 8, Tables 5-6) ==",
-    prefix: "delayed-recovery ",
-    faultload: Faultload::double_crash_delayed,
-    performability: render::render_performability_delayed,
-    titles: [
-        "Table 5 — delayed recovery: performability",
-        "Table 6 — delayed recovery: accuracy (%)",
-        "Delayed recovery: availability/autonomy",
-        "Delayed recovery: availability decomposition",
-        "Delayed recovery: failure-detector quality",
-    ],
-};
-
-/// One dependability section: the grid under `exp`'s faultload, each
-/// run recorded as `{prefix}{R}r {profile} ebs={ebs}`, and its
-/// rendering — the 5-replica fault histograms, then the first `tables`
-/// of `exp`'s tables.
-pub fn crash_section(
-    cli: &Cli,
-    rec: &mut Recorder,
-    exp: &CrashExperiment,
-    prefix: &str,
-    tables: usize,
-) -> Vec<String> {
-    let runs = dependability_grid(cli, &(exp.faultload)());
-    for run in &runs {
-        let label = format!(
-            "{prefix}{}r {:?} ebs={}",
-            run.replicas, run.profile, run.ebs
-        );
-        rec.record(&label, &run.report, &[]);
-    }
-    let renderers = [
-        exp.performability,
-        render::render_accuracy,
-        render::render_autonomy,
-        render::render_availability,
-        render::render_fd_quality,
-    ];
-    let histograms = runs.iter().filter(|r| r.replicas == 5);
-    let mut blocks: Vec<String> = histograms.map(render::render_fault_histogram).collect();
-    let titled = exp.titles.iter().zip(renderers).take(tables);
-    blocks.extend(titled.map(|(title, render)| render(title, &runs)));
-    blocks
-}
-
-/// The body of `exp_one_crash`, `exp_two_crashes` and
-/// `exp_delayed_recovery`: [`crash_section`] with all five tables.
-pub fn crash_experiment(exp: &CrashExperiment) {
-    let cli = Cli::parse(exp.name, "--full --quiet --json --trace");
-    let mut rec = cli.recorder();
-    let blocks = crash_section(&cli, &mut rec, exp, "", 5);
-    rec.finish();
-    for block in blocks {
-        cli.con.say(block);
     }
 }
 
@@ -388,15 +259,8 @@ pub struct RecoveryTimePoint {
 /// Figure 6 — recovery times for the single-crash faultload across
 /// state sizes, profiles and replica counts.
 pub fn fig6_recovery_times(cli: &Cli) -> Vec<RecoveryTimePoint> {
-    let mut points = Vec::new();
-    for replicas in GRID_REPLICAS {
-        for profile in Profile::ALL {
-            for ebs in [30u32, 50, 70] {
-                points.push((replicas, profile, ebs));
-            }
-        }
-    }
-    run_parallel(points, |(replicas, profile, ebs)| {
+    let points = grid().flat_map(|(r, p)| [30u32, 50, 70].map(|ebs| (r, p, ebs)));
+    run_parallel(points.collect(), |(replicas, profile, ebs)| {
         let run = fault_run(cli, replicas, profile, ebs, Faultload::single_crash());
         let recovery_secs = run
             .report
@@ -411,4 +275,210 @@ pub fn fig6_recovery_times(cli: &Cli) -> Vec<RecoveryTimePoint> {
             recovery_secs,
         }
     })
+}
+
+/// One paper artifact group: the points it runs, the `--json` rows it
+/// records and the blocks it renders. Its own binary runs it alone
+/// ([`Section::main`]); `exp_all` runs each of [`SECTIONS`] in turn
+/// ([`Section::report`]), with its heading, its labels prefixed and, of
+/// a crash section's five tables, the first three.
+pub struct Section {
+    /// The section's binary, and the `experiment` of its JSON document.
+    name: &'static str,
+    /// `exp_all`'s heading for the section.
+    heading: &'static str,
+    /// What `exp_all` puts before each of the section's JSON labels.
+    prefix: &'static str,
+    body: Body,
+}
+
+/// What a [`Section`] runs and renders.
+enum Body {
+    /// Figure 3 — saturated WIPS and WIRT vs. replica count for each
+    /// workload, 500 MB initial state.
+    Speedup,
+    /// Figure 4 — [`fig4_scaleup`] for each workload.
+    Scaleup,
+    /// Figure 6 — recovery times for the single-crash faultload across
+    /// state sizes, profiles and replica counts.
+    RecoveryTimes,
+    /// Figures 5/7/8 + Tables 1–6 — the `grid` at 500 MB under one
+    /// crash faultload: the 5-replica fault histograms, then Tables
+    /// `table` (performability) and `table + 1` (accuracy) and the
+    /// autonomy, availability and detector tables, named `long`/`short`.
+    Crash {
+        faultload: fn() -> Faultload,
+        performability: fn(&str, &[FaultRun]) -> String,
+        table: u8,
+        long: &'static str,
+        short: &'static str,
+    },
+}
+
+/// The paper's evaluation, in `exp_all`'s order.
+pub const SECTIONS: [Section; 6] = [
+    Section {
+        name: "exp_speedup",
+        heading: "== Figure 3: speedup ==",
+        prefix: "fig3 ",
+        body: Body::Speedup,
+    },
+    Section {
+        name: "exp_scaleup",
+        heading: "== Figure 4: scaleup ==",
+        prefix: "fig4 ",
+        body: Body::Scaleup,
+    },
+    Section {
+        name: "exp_one_crash",
+        heading: "== One crash (Fig 5, Tables 1-2) ==",
+        prefix: "one-crash ",
+        body: Body::Crash {
+            faultload: Faultload::single_crash,
+            performability: render::render_performability,
+            table: 1,
+            long: "one failure",
+            short: "One failure",
+        },
+    },
+    Section {
+        name: "exp_recovery_times",
+        heading: "== Recovery times (Fig 6) ==",
+        prefix: "fig6 ",
+        body: Body::RecoveryTimes,
+    },
+    Section {
+        name: "exp_two_crashes",
+        heading: "== Two overlapped crashes (Fig 7, Tables 3-4) ==",
+        prefix: "two-crashes ",
+        body: Body::Crash {
+            faultload: Faultload::double_crash,
+            performability: render::render_performability,
+            table: 3,
+            long: "two overlapped crashes",
+            short: "Two crashes",
+        },
+    },
+    Section {
+        name: "exp_delayed_recovery",
+        heading: "== Delayed recovery (Fig 8, Tables 5-6) ==",
+        prefix: "delayed-recovery ",
+        body: Body::Crash {
+            faultload: Faultload::double_crash_delayed,
+            performability: render::render_performability_delayed,
+            table: 5,
+            long: "delayed recovery",
+            short: "Delayed recovery",
+        },
+    },
+];
+
+impl Section {
+    /// The whole of the figure binary `name`, which runs the section of
+    /// that name: every JSON row under its bare label, then every block.
+    pub fn main(name: &str) {
+        let section = SECTIONS.iter().find(|s| s.name == name);
+        let section = section.expect("every figure binary has its section");
+        let flags = match section.body {
+            Body::Crash { .. } => "--full --quiet --json --trace",
+            _ => "--full --quiet --json",
+        };
+        let cli = Cli::parse(section.name, flags);
+        let mut rec = cli.recorder();
+        let blocks = section.run(&cli, &mut rec, "", usize::MAX);
+        rec.finish();
+        for block in blocks {
+            cli.con.say(block);
+        }
+    }
+
+    /// The section in `exp_all`'s report: its heading, then its blocks
+    /// (a crash section's first three tables only), its JSON labels
+    /// behind its prefix.
+    pub fn report(&self, cli: &Cli, rec: &mut Recorder) {
+        rec.say(self.heading.into());
+        for block in self.run(cli, rec, self.prefix, 3) {
+            rec.say(block);
+        }
+    }
+
+    /// Runs the section's points, records their rows labelled behind
+    /// `prefix` and returns its blocks, at most `tables` of a crash
+    /// section's five tables among them.
+    fn run(&self, cli: &Cli, rec: &mut Recorder, prefix: &str, tables: usize) -> Vec<String> {
+        match self.body {
+            Body::Speedup => (Profile::ALL.iter())
+                .map(|&profile| {
+                    // Saturating load: 1.35× the analytic capacity estimate.
+                    let points = sweep(cli, profile, 50, |replicas| {
+                        ((estimated_capacity(profile, replicas) * 1.35) as usize).max(600)
+                    });
+                    for p in &points {
+                        rec.row(&format!("{prefix}{profile:?} {}r", p.replicas), &p.fields());
+                    }
+                    render::render_speedup(profile, &points)
+                })
+                .collect(),
+            Body::Scaleup => (Profile::ALL.iter())
+                .map(|&profile| {
+                    let result = fig4_scaleup(cli, profile);
+                    let (intercept, slope) = result.fit;
+                    for p in &result.points {
+                        let mut fields = p.fields();
+                        fields.extend([("fit_intercept", intercept), ("fit_slope", slope)]);
+                        rec.row(&format!("{prefix}{profile:?} {}r", p.replicas), &fields);
+                    }
+                    render::render_scaleup(profile, &result)
+                })
+                .collect(),
+            Body::RecoveryTimes => {
+                let points = fig6_recovery_times(cli);
+                for p in &points {
+                    let (replicas, profile, ebs) = (p.replicas, p.profile, p.ebs);
+                    let label = format!("{prefix}{replicas}r {profile:?} ebs={ebs}");
+                    let (r, e, secs) = (replicas as f64, ebs as f64, p.recovery_secs);
+                    rec.row(
+                        &label,
+                        &[("replicas", r), ("ebs", e), ("recovery_secs", secs)],
+                    );
+                }
+                vec![render::render_recovery_times(&points)]
+            }
+            Body::Crash {
+                faultload,
+                performability,
+                table,
+                long,
+                short,
+            } => {
+                let runs = run_parallel(grid().collect(), |(replicas, profile)| {
+                    fault_run(cli, replicas, profile, 50, faultload())
+                });
+                for run in &runs {
+                    let (replicas, profile, ebs) = (run.replicas, run.profile, run.ebs);
+                    let label = format!("{prefix}{replicas}r {profile:?} ebs={ebs}");
+                    rec.record(&label, &run.report, &[]);
+                }
+                let titles = [
+                    format!("Table {table} — {long}: performability"),
+                    format!("Table {} — {long}: accuracy (%)", table + 1),
+                    format!("{short}: availability/autonomy"),
+                    format!("{short}: availability decomposition"),
+                    format!("{short}: failure-detector quality"),
+                ];
+                let renders: [fn(&str, &[FaultRun]) -> String; 5] = [
+                    performability,
+                    render::render_accuracy,
+                    render::render_autonomy,
+                    render::render_availability,
+                    render::render_fd_quality,
+                ];
+                let histograms = runs.iter().filter(|r| r.replicas == 5);
+                let tables = titles.iter().zip(renders).take(tables);
+                (histograms.map(render::render_fault_histogram))
+                    .chain(tables.map(|(title, render)| render(title, &runs)))
+                    .collect()
+            }
+        }
+    }
 }

@@ -6,15 +6,15 @@
 //! and state — so the only coordination needed is handing out work and
 //! collecting results. [`run_parallel`] does exactly that with the
 //! standard library: the tasks sit in one `Mutex<vec::IntoIter>` the
-//! workers pull from, the results come back over an `mpsc` channel, and
-//! a scoped thread runs per core.
+//! workers pull from, a scoped thread runs per core, and each hands its
+//! `(index, result)` pairs back through `join`.
 //!
 //! Determinism is preserved: each point's *result* is a pure function of
 //! its config/seed regardless of which thread runs it, and results are
 //! reassembled by index, so the output `Vec` is identical to what the
 //! sequential loop produced. Only wall-clock time changes.
 
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 /// Runs `run` over every item of `points` on up to
 /// `available_parallelism` worker threads, returning the results in
@@ -42,14 +42,11 @@ where
 
     let n = points.len();
     let tasks = Mutex::new(points.into_iter().enumerate());
-    let (result_tx, result_rx) = mpsc::channel::<(usize, O)>();
-
     let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let result_tx = result_tx.clone();
-            let (tasks, run) = (&tasks, &run);
-            scope.spawn(move || loop {
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
                 // A statement of its own: the guard is dropped before
                 // `run`, so the lock is held only to take the next task
                 // and a panicking task cannot poison it.
@@ -57,18 +54,20 @@ where
                     .lock()
                     .expect("never poisoned: no task runs under it")
                     .next();
-                let Some((idx, item)) = next else { break };
-                if result_tx.send((idx, run(item))).is_err() {
-                    break;
-                }
-            });
-        }
-        // Only the workers' clones remain: if one dies, `recv` fails
-        // once the others finish instead of blocking forever.
-        drop(result_tx);
-        for _ in 0..n {
-            let (idx, out) = result_rx.recv().expect("workers deliver every result");
-            slots[idx] = Some(out);
+                let Some((idx, item)) = next else { break done };
+                done.push((idx, run(item)));
+            }
+        };
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            // A worker's panic (an audit violation, say) is raised again
+            // as itself.
+            let done = handle
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e));
+            for (idx, out) in done {
+                slots[idx] = Some(out);
+            }
         }
     });
     slots

@@ -8,9 +8,9 @@
 //! WIPS histogram plus the dependability report.
 
 use faultload::{performability, DependabilityReport, Faultload, RecoverySpan};
-use obs::monitor::{Monitor, MonitorConfig, NodeHealth, Scrape};
+use obs::monitor::{Monitor, MonitorConfig};
 use obs::InjectionLog;
-use simnet::{Event, NodeId, SimDuration, SimTime, TickSchedule};
+use simnet::{Event, NodeId, SimTime};
 use tpcw::{Profile, Recorder, Schedule};
 
 use crate::audit::AuditReport;
@@ -59,10 +59,10 @@ pub struct ExperimentConfig {
     /// ring of the [`obs::FLIGHT_RECORDS`] newest records is always on, so
     /// audit-violation panics always dump recent context.
     pub trace: simnet::TraceConfig,
-    /// Online SLO monitoring. Defaults off, and off costs nothing: a
-    /// disabled monitor schedules no scrape ticks, so the engine's event
+    /// Online SLO monitoring. Defaults off (`None`), and off costs
+    /// nothing: the plan then holds no scrape, so the engine's event
     /// stream is byte-identical to an unmonitored run.
-    pub monitor: MonitorConfig,
+    pub monitor: Option<MonitorConfig>,
 }
 
 impl ExperimentConfig {
@@ -87,7 +87,7 @@ impl ExperimentConfig {
             batch_max_updates: 1,
             batch_window_us: 0,
             trace: simnet::TraceConfig::default(),
-            monitor: MonitorConfig::default(),
+            monitor: None,
         }
     }
 
@@ -178,119 +178,32 @@ pub struct RunReport {
 pub fn run_experiment(config: &ExperimentConfig) -> RunReport {
     let mut plan = Plan::new(config);
     let mut bed = Testbed::build(config);
-    // Ticks cover only the measurement interval, so ramp-up and
-    // ramp-down never feed the rule windows.
-    let mut scraper = config.monitor.enabled.then(|| Scraper {
-        monitor: Monitor::new(&config.monitor, bed.servers.len()),
-        ticks: TickSchedule::new(
-            SimTime::from_micros(config.schedule.measure_start_us()),
-            SimDuration::from_micros(config.monitor.scrape_interval_us.max(1)),
-            SimTime::from_micros(config.schedule.measure_end_us()),
-        ),
-    });
-
     let end = SimTime::from_micros(config.schedule.total_us());
     loop {
-        let action_due = plan.next_due().map(SimTime::from_micros);
-        let scrape_due = scraper.as_ref().and_then(|s| s.ticks.next_due());
-        let limit = [action_due, scrape_due]
-            .into_iter()
-            .flatten()
-            .fold(end, SimTime::min);
+        let limit = plan
+            .next_due()
+            .map_or(end, |due| SimTime::from_micros(due).min(end));
         match bed.engine.next_event_before(limit) {
             Some((_, Event::DiskWriteFailed { node, token })) => {
                 bed.disk_write_failed(&mut plan, node, token)
             }
             Some((_, event)) => bed.dispatch(event),
-            // Clock is at `limit`: scrape, apply a due action, or finish.
-            // The scrape runs first so that when a tick and a fault
-            // injection coincide, the monitor samples the pre-fault
-            // state — deterministic either way, but this order keeps
-            // detection latency honest.
+            // Clock is at `limit`: apply a due action, or finish.
             None => {
                 let now = bed.engine.now();
-                match scraper.as_mut() {
-                    Some(scraper) if scrape_due.is_some_and(|due| now >= due) => {
-                        scraper.scrape(&mut bed)
-                    }
-                    _ => match plan.pop_due(now.as_micros()) {
-                        Some(action) => bed.perform(action, &mut plan),
-                        None if now >= end => break,
-                        None => {}
-                    },
+                match plan.pop_due(now.as_micros()) {
+                    Some(action) => bed.perform(action, &mut plan),
+                    None if now >= end => break,
+                    None => {}
                 }
             }
         }
     }
-    let alerts = scraper.map(|s| s.monitor.into_log()).unwrap_or_default();
-    report(config, plan, bed, alerts)
-}
-
-/// Online monitoring. When disabled nothing is constructed and no tick
-/// ever bounds the dispatch loop — literally zero overhead. When
-/// enabled, the engine is paused at exact scrape instants while the
-/// monitor *reads* cluster state, which leaves the event stream
-/// untouched.
-struct Scraper {
-    monitor: Monitor,
-    ticks: TickSchedule,
-}
-
-impl Scraper {
-    /// Consumes the due tick: feeds the monitor its out-of-band view of
-    /// the cluster — cumulative client counters and per-slot
-    /// process/readiness state; pure reads, scraping cannot perturb the
-    /// run — and traces the alert
-    /// transitions it answers with against the proxy/admin node.
-    fn scrape(&mut self, bed: &mut Testbed) {
-        self.ticks.advance();
-        let sample = Scrape {
-            ok_total: bed.recorder.total_ok(),
-            err_total: bed.recorder.total_errors(),
-            nodes: bed
-                .servers
-                .iter()
-                .map(|slot| match slot.as_ref() {
-                    // Crashed, or a spare that was never provisioned.
-                    None => NodeHealth::default(),
-                    Some(server) => NodeHealth {
-                        present: true,
-                        ready: server.is_ready(),
-                        retired: server.is_retired(),
-                    },
-                })
-                .collect(),
-        };
-        let admin_node = NodeId(bed.servers.len());
-        for tr in self.monitor.on_scrape(bed.now_us(), &sample) {
-            let event = match tr.phase {
-                obs::AlertPhase::Pending => obs::TraceEvent::AlertPending {
-                    rule: tr.rule,
-                    subject: tr.subject,
-                },
-                obs::AlertPhase::Firing => obs::TraceEvent::AlertFiring {
-                    rule: tr.rule,
-                    subject: tr.subject,
-                    pending_us: tr.elapsed_us,
-                },
-                obs::AlertPhase::Resolved => obs::TraceEvent::AlertResolved {
-                    rule: tr.rule,
-                    subject: tr.subject,
-                    firing_us: tr.elapsed_us,
-                },
-            };
-            bed.engine.trace(admin_node, event);
-        }
-    }
+    report(config, plan, bed)
 }
 
 /// Reads the run's measures off the testbed and the filled-in plan.
-fn report(
-    config: &ExperimentConfig,
-    mut plan: Plan,
-    mut bed: Testbed,
-    alerts: obs::AlertLog,
-) -> RunReport {
+fn report(config: &ExperimentConfig, mut plan: Plan, mut bed: Testbed) -> RunReport {
     // Incarnations alive at the end: their recovery belongs to the span
     // whose restart started them (the crash path stamped the others).
     for (idx, server) in bed.servers.iter().enumerate() {
@@ -363,6 +276,6 @@ fn report(
         trace: bed.engine.tracer_mut().take_records(),
         engine_events: bed.engine.events_dispatched(),
         injections: bed.injections,
-        alerts,
+        alerts: bed.monitor.map(Monitor::into_log).unwrap_or_default(),
     }
 }

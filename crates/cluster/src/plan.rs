@@ -35,6 +35,8 @@ pub(crate) enum Action {
     /// Poll for membership change `incident` taking effect, then
     /// provision its joiners and take its removed nodes out of rotation.
     AwaitEpoch { incident: usize },
+    /// Feed the online monitor one scrape of the cluster.
+    Scrape,
 }
 
 /// Everything a faultload prescribes for one run, resolved and ordered.
@@ -55,8 +57,10 @@ pub(crate) struct Plan {
 
 impl Plan {
     /// Resolves `config`'s faultload for its ensemble, seed and watchdog
-    /// delay. Actions prescribed for the same instant run crashes
-    /// first, then reconfigurations, then windows in table order.
+    /// delay, beside the monitor's scrapes. Actions prescribed for the
+    /// same instant run scrapes first, so a tick that coincides with a
+    /// fault samples the pre-fault state, then crashes, then
+    /// reconfigurations, then windows in table order.
     pub fn new(config: &ExperimentConfig) -> Plan {
         let (faultload, watchdog_delay_us) = (&config.faultload, config.watchdog_delay_us);
         // Distinct victims, picked pseudo-randomly (paper §5.5:
@@ -73,6 +77,19 @@ impl Plan {
             queue: VecDeque::new(),
             watchdog_delay_us,
         };
+        // One scrape per tick of the measurement interval, its end
+        // included: ramp-up and ramp-down never feed the rule windows.
+        if let Some(monitor) = &config.monitor {
+            let (start, end) = (
+                config.schedule.measure_start_us(),
+                config.schedule.measure_end_us(),
+            );
+            let interval = monitor.scrape_interval_us.max(1);
+            let ticks = std::iter::successors(Some(start), |t| Some(t + interval));
+            for at_us in ticks.take_while(|t| *t <= end) {
+                plan.schedule(at_us, Action::Scrape);
+            }
+        }
         for event in &faultload.events {
             let manual = matches!(event.recovery, RecoveryKind::Manual { .. });
             let span = plan.open_span(victim(event.victim), event.at_us, manual);
@@ -213,6 +230,8 @@ mod tests {
         // lifted at 20 s. Windows, reconfigurations and crashes are
         // listed in the reverse of the order a run applies them; the
         // windows themselves run in table order, whatever their kind.
+        // The monitor scrapes the measurement interval [10 s, 20 s] at
+        // both ends, ahead of everything else due then.
         let (t, u) = (10_000_000, 20_000_000);
         let window = |fault| FaultWindow {
             at_us: t,
@@ -236,7 +255,14 @@ mod tests {
                 crash(t, 3, RecoveryKind::Autonomous),
             ],
         };
-        let mut plan = plan(5, faultload);
+        let mut config = ExperimentConfig::quick(5, tpcw::Profile::Shopping);
+        (config.faultload, config.watchdog_delay_us) = (faultload, WATCHDOG_US);
+        (config.schedule.ramp_up_us, config.schedule.interval_us) = (t, u - t);
+        config.monitor = Some(obs::MonitorConfig {
+            scrape_interval_us: u - t,
+            ..obs::MonitorConfig::default()
+        });
+        let mut plan = Plan::new(&config);
         assert!(matches!(
             plan.windows[..],
             [Fault::Partition { .. }, Fault::Disk { .. }, Fault::Links(_)]
@@ -248,6 +274,7 @@ mod tests {
         assert_eq!(
             drain(&mut plan),
             [
+                (t, Action::Scrape),
                 (t, Action::Crash { span: 0 }),
                 (t, Action::Crash { span: 1 }),
                 (t, Action::Reconfig { incident: 0 }),
@@ -255,6 +282,7 @@ mod tests {
                 (t, arm(1)),
                 (t, arm(2)),
                 (t + WATCHDOG_US, Action::Restart { span: 1 }),
+                (u, Action::Scrape),
                 (u, Action::Restart { span: 0 }),
                 (u, lift(0)),
                 (u, lift(1)),

@@ -8,9 +8,10 @@
 //! ledger and the trace.
 
 use faultload::Fault;
+use obs::monitor::{Monitor, NodeHealth, Scrape};
 use obs::{
-    node_u32, InjectionLog, TraceEvent, INJECT_CRASH, INJECT_DISK_FAULT, INJECT_NET_FAULT,
-    INJECT_PARTITION, INJECT_RECONFIG, SUBJECT_CLUSTER,
+    node_u32, AlertPhase, InjectionLog, TraceEvent, INJECT_CRASH, INJECT_DISK_FAULT,
+    INJECT_NET_FAULT, INJECT_PARTITION, INJECT_RECONFIG, SUBJECT_CLUSTER,
 };
 use paxos::ReplicaId;
 use simnet::{DiskFault, Engine, Event, NodeId, SimConfig};
@@ -62,6 +63,8 @@ pub(crate) struct Testbed {
     pub auditor: InvariantAuditor,
     /// Ground truth for alert scoring: every fault stamped as applied.
     pub injections: InjectionLog,
+    /// The online SLO monitor, when the run is monitored.
+    pub monitor: Option<Monitor>,
     /// The initial ensemble: link faults and partitions span these.
     replicas: usize,
     // What every server incarnation boots with.
@@ -148,6 +151,7 @@ impl Testbed {
             recorder: Recorder::new(config.schedule.total_us()),
             auditor,
             injections: InjectionLog::default(),
+            monitor: (config.monitor.as_ref()).map(|m| Monitor::new(m, server_nodes)),
             replicas,
             params,
             treplica,
@@ -249,6 +253,51 @@ impl Testbed {
             }
             Action::RetryReconfig { incident } => self.submit_reconfig(plan, incident),
             Action::AwaitEpoch { incident } => self.await_epoch(plan, incident),
+            Action::Scrape => self.scrape(),
+        }
+    }
+
+    /// Feeds the monitor its out-of-band view of the cluster —
+    /// cumulative client counters and per-slot process/readiness state;
+    /// pure reads, scraping cannot perturb the run — and traces the
+    /// alert transitions it answers with against the proxy/admin node.
+    fn scrape(&mut self) {
+        let Some(monitor) = self.monitor.as_mut() else {
+            return;
+        };
+        let sample = Scrape {
+            ok_total: self.recorder.total_ok(),
+            err_total: self.recorder.total_errors(),
+            nodes: (self.servers.iter())
+                .map(|slot| match slot.as_ref() {
+                    // Crashed, or a spare that was never provisioned.
+                    None => NodeHealth::default(),
+                    Some(server) => NodeHealth {
+                        present: true,
+                        ready: server.is_ready(),
+                        retired: server.is_retired(),
+                    },
+                })
+                .collect(),
+        };
+        let admin_node = NodeId(self.servers.len());
+        let now_us = self.engine.now().as_micros();
+        for tr in monitor.on_scrape(now_us, &sample) {
+            let (rule, subject) = (tr.rule, tr.subject);
+            let event = match tr.phase {
+                AlertPhase::Pending => TraceEvent::AlertPending { rule, subject },
+                AlertPhase::Firing => TraceEvent::AlertFiring {
+                    rule,
+                    subject,
+                    pending_us: tr.elapsed_us,
+                },
+                AlertPhase::Resolved => TraceEvent::AlertResolved {
+                    rule,
+                    subject,
+                    firing_us: tr.elapsed_us,
+                },
+            };
+            self.engine.trace(admin_node, event);
         }
     }
 

@@ -39,7 +39,9 @@ fn traced() -> &'static [RunReport; 2] {
 
 fn monitored() -> &'static [RunReport; 2] {
     static RUNS: OnceLock<[RunReport; 2]> = OnceLock::new();
-    pair(&RUNS, |config| config.monitor = obs::MonitorConfig::on())
+    pair(&RUNS, |config| {
+        config.monitor = Some(obs::MonitorConfig::default())
+    })
 }
 
 fn untraced() -> &'static RunReport {
@@ -225,7 +227,7 @@ fn same_seed_alert_logs_are_byte_identical_and_score_the_crash() {
 fn fault_free_monitored_run_fires_nothing() {
     for (pending, scale) in [(1u32, 50u64), (2, 100)] {
         let mut config = ExperimentConfig::quick(5, Profile::Shopping);
-        config.monitor = obs::MonitorConfig::on().with_sensitivity(pending, scale);
+        config.monitor = Some(obs::MonitorConfig::default().with_sensitivity(pending, scale));
         let report = run_experiment(&config);
         // 200 RBEs with 1 s think → close to 200 WIPS delivered.
         assert!(report.awips > 150.0, "AWIPS {}", report.awips);

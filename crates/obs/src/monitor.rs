@@ -199,14 +199,12 @@ impl Rule {
     }
 }
 
-/// Monitoring knob carried by experiment configs. Mirrors the tracer's
-/// contract: `enabled: false` (the default) is exactly zero overhead —
-/// the driver schedules no scrape ticks at all, so the engine's event
-/// stream is untouched byte for byte.
+/// The monitor's settings, as an experiment config carries them when
+/// the run is monitored (an unmonitored run carries none, and the
+/// driver then schedules no scrape at all, so the engine's event stream
+/// is untouched byte for byte).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
-    /// Master switch. Off by default.
-    pub enabled: bool,
     /// Scrape period in simulated µs (default 1 s).
     pub scrape_interval_us: u64,
     /// Consecutive breach ticks every rule fires after; `None` (the
@@ -220,7 +218,6 @@ pub struct MonitorConfig {
 impl Default for MonitorConfig {
     fn default() -> MonitorConfig {
         MonitorConfig {
-            enabled: false,
             scrape_interval_us: 1_000_000,
             pending_ticks: None,
             threshold_scale_pct: 100,
@@ -229,14 +226,6 @@ impl Default for MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// A config with monitoring on and the standard rule set.
-    pub fn on() -> MonitorConfig {
-        MonitorConfig {
-            enabled: true,
-            ..MonitorConfig::default()
-        }
-    }
-
     /// Rescales rule sensitivity: every rule fires after
     /// `pending_ticks` and every threshold is scaled by
     /// `threshold_scale_pct`. This is the knob `exp_monitor` sweeps.
@@ -809,7 +798,7 @@ mod tests {
 
     #[test]
     fn replica_down_fires_after_debounce_and_resolves() {
-        let cfg = MonitorConfig::on();
+        let cfg = MonitorConfig::default();
         let mut mon = Monitor::new(&cfg, 3);
         // Three healthy ticks latch the nodes into the watch set.
         steady(&mut mon, 0, 3, 10, 3);
@@ -836,7 +825,7 @@ mod tests {
 
     #[test]
     fn spares_and_retired_nodes_never_alert() {
-        let cfg = MonitorConfig::on();
+        let cfg = MonitorConfig::default();
         let mut mon = Monitor::new(&cfg, 3);
         // Node 2 is an unprovisioned spare (never ready): no alert.
         let mut nodes = nodes_up(3);
@@ -860,7 +849,7 @@ mod tests {
 
     #[test]
     fn pending_blip_clears_silently() {
-        let cfg = MonitorConfig::on();
+        let cfg = MonitorConfig::default();
         let mut mon = Monitor::new(&cfg, 2);
         steady(&mut mon, 0, 3, 10, 2);
         let mut down = nodes_up(2);
@@ -884,7 +873,7 @@ mod tests {
     fn burn_rate_needs_both_windows() {
         // Fast burn: 5- and 30-tick windows, 14.4 × the 1 000 ppm budget
         // = 1.44 % of completions failing, fires on the first breach.
-        let mut mon = Monitor::new(&MonitorConfig::on(), 1);
+        let mut mon = Monitor::new(&MonitorConfig::default(), 1);
         // Thirty-one clean ticks of 100 fill the long window.
         steady(&mut mon, 0, 31, 100, 1);
         // One bad tick: 20 errors are ≈ 3.8 % of the short window's
@@ -906,7 +895,7 @@ mod tests {
     #[test]
     fn wips_drop_learns_baseline_and_fires_on_collapse() {
         // 5-tick window against the best 30-tick baseline, 50 %.
-        let mut mon = Monitor::new(&MonitorConfig::on(), 1);
+        let mut mon = Monitor::new(&MonitorConfig::default(), 1);
         // Ramp from 0, then hold: the baseline is learned only from full
         // windows and never exceeds the current rate, so nothing fires.
         let mut total = 0u64;
@@ -927,7 +916,7 @@ mod tests {
 
     #[test]
     fn fault_free_traffic_stays_silent() {
-        let cfg = MonitorConfig::on();
+        let cfg = MonitorConfig::default();
         let mut mon = Monitor::new(&cfg, 5);
         // 200 ticks of steady traffic with sporadic sub-budget errors.
         let mut err = 0u64;
@@ -1047,13 +1036,13 @@ mod tests {
                 .expect("rule")
         };
         // Scale 100 without a debounce override is the table itself.
-        assert_eq!(Monitor::new(&MonitorConfig::on(), 0).rules, RULES);
-        let eager = MonitorConfig::on().with_sensitivity(1, 50);
+        assert_eq!(Monitor::new(&MonitorConfig::default(), 0).rules, RULES);
+        let eager = MonitorConfig::default().with_sensitivity(1, 50);
         assert!(Monitor::new(&eager, 0)
             .rules
             .iter()
             .all(|r| r.pending_ticks == 1));
-        let patient = MonitorConfig::on().with_sensitivity(3, 200);
+        let patient = MonitorConfig::default().with_sensitivity(3, 200);
         let burn = |cfg| match rule(cfg, RULE_FAST_BURN).expr {
             RuleExpr::BurnRate { factor_x1000, .. } => factor_x1000,
             other => panic!("{other:?}"),
@@ -1071,13 +1060,5 @@ mod tests {
         };
         assert_eq!(fraction(&eager), 75);
         assert_eq!(fraction(&patient), 1); // clamped floor: effectively off
-    }
-
-    #[test]
-    fn disabled_config_is_the_default() {
-        let cfg = MonitorConfig::default();
-        assert!(!cfg.enabled);
-        assert_eq!(cfg.scrape_interval_us, 1_000_000);
-        assert!(MonitorConfig::on().enabled);
     }
 }

@@ -57,7 +57,7 @@ pub use disk::{DiskConfig, DiskModel, StableLog, StableOp, StableStore};
 pub use engine::{DiskFault, Engine, Event, SimConfig};
 pub use net::{DropReason, LinkFault, NetConfig, Network, Transmission, REORDER_HOLD_US};
 pub use node::{Incarnation, NodeId, NodeState, NodeStatus};
-pub use time::{SimDuration, SimTime, TickSchedule};
+pub use time::{SimDuration, SimTime};
 
 // Re-exported so engine drivers can name trace types without adding a
 // direct `obs` dependency.

@@ -92,67 +92,6 @@ impl SimDuration {
     }
 }
 
-/// A deterministic fixed-interval sequence of simulated instants in
-/// `[start, end]` — the scheduling primitive for periodic in-sim work
-/// that must not perturb the event stream (the caller bounds the
-/// engine's dispatch at [`TickSchedule::next_due`] and performs the
-/// tick itself when the engine goes idle at that instant).
-///
-/// ```
-/// use simnet::{SimTime, SimDuration, TickSchedule};
-/// let mut ticks = TickSchedule::new(
-///     SimTime::from_secs(1),
-///     SimDuration::from_secs(2),
-///     SimTime::from_secs(5),
-/// );
-/// assert_eq!(ticks.next_due(), Some(SimTime::from_secs(1)));
-/// ticks.advance();
-/// ticks.advance();
-/// assert_eq!(ticks.next_due(), Some(SimTime::from_secs(5)));
-/// ticks.advance();
-/// assert_eq!(ticks.next_due(), None);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TickSchedule {
-    next: SimTime,
-    interval: SimDuration,
-    end: SimTime,
-}
-
-impl TickSchedule {
-    /// A schedule ticking at `start`, `start + interval`, … up to and
-    /// including `end`. A zero interval is clamped to one microsecond
-    /// so the schedule always terminates.
-    pub fn new(start: SimTime, interval: SimDuration, end: SimTime) -> TickSchedule {
-        let interval = if interval.is_zero() {
-            SimDuration::from_micros(1)
-        } else {
-            interval
-        };
-        TickSchedule {
-            next: start,
-            interval,
-            end,
-        }
-    }
-
-    /// The next tick instant, or `None` once the schedule is spent.
-    pub fn next_due(&self) -> Option<SimTime> {
-        if self.next <= self.end {
-            Some(self.next)
-        } else {
-            None
-        }
-    }
-
-    /// Consumes the current tick, returning the instant it was due.
-    pub fn advance(&mut self) -> Option<SimTime> {
-        let due = self.next_due()?;
-        self.next += self.interval;
-        Some(due)
-    }
-}
-
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
@@ -265,41 +204,5 @@ mod tests {
     fn scalar_mul_div() {
         assert_eq!(SimDuration::from_millis(2) * 3, SimDuration::from_millis(6));
         assert_eq!(SimDuration::from_millis(6) / 3, SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn tick_schedule_covers_inclusive_range() {
-        let mut ticks = TickSchedule::new(
-            SimTime::from_secs(2),
-            SimDuration::from_secs(3),
-            SimTime::from_secs(8),
-        );
-        let mut seen = Vec::new();
-        while let Some(t) = ticks.advance() {
-            seen.push(t.as_micros());
-        }
-        assert_eq!(seen, [2_000_000, 5_000_000, 8_000_000]);
-        assert_eq!(ticks.next_due(), None);
-        assert_eq!(ticks.advance(), None);
-    }
-
-    #[test]
-    fn tick_schedule_clamps_zero_interval() {
-        let mut ticks =
-            TickSchedule::new(SimTime::ZERO, SimDuration::ZERO, SimTime::from_micros(2));
-        assert_eq!(ticks.advance(), Some(SimTime::from_micros(0)));
-        assert_eq!(ticks.advance(), Some(SimTime::from_micros(1)));
-        assert_eq!(ticks.advance(), Some(SimTime::from_micros(2)));
-        assert_eq!(ticks.advance(), None);
-    }
-
-    #[test]
-    fn tick_schedule_can_be_born_spent() {
-        let ticks = TickSchedule::new(
-            SimTime::from_secs(9),
-            SimDuration::from_secs(1),
-            SimTime::from_secs(3),
-        );
-        assert_eq!(ticks.next_due(), None);
     }
 }
