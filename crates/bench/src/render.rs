@@ -369,7 +369,9 @@ pub fn render_fd_quality(title: &str, runs: &[FaultRun]) -> String {
 /// monitored baseline with zero firings is exactly the result the
 /// false-positive column is for.
 pub fn render_alert_quality(title: &str, runs: &[(String, &cluster::RunReport)]) -> String {
-    let cols = "run:<30 | inc:3 | det:3 | miss:4 | FP:3 | fired:5 | detect mean:11 | max:5 | resolve mean:12";
+    // `run` fits `exp_monitor`'s longest label,
+    // `fault-free scrape=0.5s sens=default` (35).
+    let cols = "run:<35 | inc:3 | det:3 | miss:4 | FP:3 | fired:5 | detect mean:11 | max:5 | resolve mean:12";
     table(title, cols, |row| {
         for (label, report) in runs {
             let score = crate::report::alert_score_from_run(report);

@@ -362,9 +362,9 @@ fn alert_quality_table_matches_its_golden() {
     assert_eq!(
         render_alert_quality("Detection-latency / false-positive frontier", &rows),
         "Detection-latency / false-positive frontier
-  run                            | inc | det | miss |  FP | fired | detect mean |   max | resolve mean
-  crash scrape=1s sens=eager     |   1 |   1 |    0 |   0 |     1 |        2.0s |  2.0s |         9.0s
-  fault-free scrape=5s sens=default |   0 |   0 |    0 |   0 |     0 |           - |     - |            -
+  run                                 | inc | det | miss |  FP | fired | detect mean |   max | resolve mean
+  crash scrape=1s sens=eager          |   1 |   1 |    0 |   0 |     1 |        2.0s |  2.0s |         9.0s
+  fault-free scrape=5s sens=default   |   0 |   0 |    0 |   0 |     0 |           - |     - |            -
 "
     );
 }

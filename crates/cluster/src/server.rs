@@ -226,13 +226,15 @@ impl ServerNode {
         }
     }
 
+    /// Carries out the middleware's effects in order, then hands their
+    /// vector back to the middleware for its next entry point to fill.
     fn apply_mw_effects(
         &mut self,
         engine: &mut Engine<ClusterMsg>,
-        fx: Vec<MwEffect<RobustStore>>,
+        mut fx: Vec<MwEffect<RobustStore>>,
         auditor: &mut InvariantAuditor,
     ) {
-        for e in fx {
+        for e in fx.drain(..) {
             match e {
                 MwEffect::Send { to, msg, bytes } => {
                     let now_us = engine.now().as_micros();
@@ -305,6 +307,7 @@ impl ServerNode {
                 }
             }
         }
+        self.mw.recycle(fx);
         self.drain_trace(engine, auditor);
         self.sync_batch_timer(engine);
     }

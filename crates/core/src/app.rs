@@ -42,8 +42,9 @@ impl Snapshot {
 pub trait Application: Sized {
     /// The deterministic action type (a command object).
     type Action: Wire + Clone + Eq + std::hash::Hash + std::fmt::Debug;
-    /// What [`Application::apply`] returns to the local caller.
-    type Reply;
+    /// What [`Application::apply`] returns to the local caller. `Debug`
+    /// like the action, so a middleware prints with the effects it holds.
+    type Reply: std::fmt::Debug;
 
     /// Applies one action, mutating state deterministically.
     fn apply(&mut self, action: &Self::Action) -> Self::Reply;

@@ -2,20 +2,22 @@
 //! batcher decides and returns; proposing a closed batch is the
 //! middleware's job.
 
-use paxos::ProposalId;
+use paxos::{Batch, ProposalId};
 
 use crate::TreplicaConfig;
 
 /// A closed batch, in submission order, and what closed it (the trace's
 /// trigger tag): the batch was full (`size`), its first update waited the
 /// window out (`window`), or batching is off (`single`).
-pub(crate) type Flush<A> = (&'static str, Vec<(ProposalId, A)>);
+pub(crate) type Flush<A> = (&'static str, Batch<A>);
 
 #[derive(Debug)]
 pub(crate) struct Batcher<A> {
     /// Id of the next locally submitted update: this node, this process
     /// incarnation (ids stay unique across restarts), the next sequence.
     next: ProposalId,
+    /// The open batch. It keeps its capacity when the batch closes, so
+    /// it grows once per incarnation, not once per batch.
     pending: Vec<(ProposalId, A)>,
     /// When the open batch must close even if not full.
     deadline: Option<u64>,
@@ -66,9 +68,14 @@ impl<A> Batcher<A> {
             .then(|| self.close("window"))
     }
 
+    /// Moves the open batch into its shared items, allocated once at
+    /// their exact size. Never called with no update pending: `push`
+    /// pushes first, and a deadline is armed only by a push.
     fn close(&mut self, trigger: &'static str) -> Flush<A> {
+        debug_assert!(!self.pending.is_empty(), "a batch carries an update");
         self.deadline = None;
-        (trigger, std::mem::take(&mut self.pending))
+        let items = self.pending.drain(..).collect();
+        (trigger, Batch { items })
     }
 
     pub(crate) fn deadline(&self) -> Option<u64> {
@@ -104,8 +111,8 @@ mod tests {
         b.0.push((pid, action), now, &b.1)
     }
 
-    fn seqs((_, items): &Flush<u64>) -> Vec<(u64, u64)> {
-        items.iter().map(|(pid, a)| (pid.seq, *a)).collect()
+    fn seqs((_, batch): &Flush<u64>) -> Vec<(u64, u64)> {
+        batch.items.iter().map(|(pid, a)| (pid.seq, *a)).collect()
     }
 
     #[test]

@@ -76,7 +76,9 @@ pub use middleware::{Middleware, MwEffect, MwStatus, StillRecovering, TreplicaCo
 pub use msg::MwMsg;
 pub use queue::{PersistentQueue, QueueEntry};
 pub use recovery::RecoveredDisk;
-pub use wire::{check_field, ByteCount, EncodeScratch, Sink, Wire, WireError};
+pub use wire::{
+    check_field, check_slice, encode_slice, ByteCount, EncodeScratch, Sink, Wire, WireError,
+};
 
 /// A single-replica ensemble driven synchronously, for the in-crate
 /// tests that need a whole [`Middleware`] around the part they exercise.

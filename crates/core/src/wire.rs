@@ -231,7 +231,7 @@ pub(crate) const fn len_u32(len: usize) -> u32 {
 
 /// Encodes `items` as a `u32` length prefix and the items in order:
 /// the framing of `Vec<T>` and of every other sequence.
-pub(crate) fn encode_slice<T: Wire, S: Sink>(items: &[T], out: &mut S) {
+pub fn encode_slice<T: Wire, S: Sink>(items: &[T], out: &mut S) {
     len_u32(items.len()).encode(out);
     for item in items {
         item.encode(out);
@@ -240,7 +240,11 @@ pub(crate) fn encode_slice<T: Wire, S: Sink>(items: &[T], out: &mut S) {
 
 /// Checks a sequence framed by [`encode_slice`] and returns how many
 /// items it holds.
-pub(crate) fn check_slice<T: Wire>(input: &mut &[u8]) -> Result<usize, WireError> {
+///
+/// # Errors
+///
+/// Returns the first item's [`WireError`], or the length prefix's.
+pub fn check_slice<T: Wire>(input: &mut &[u8]) -> Result<usize, WireError> {
     let len = u32::decode(input)? as usize;
     for _ in 0..len {
         T::check(input)?;

@@ -42,6 +42,7 @@
 #![deny(clippy::todo, clippy::unimplemented)]
 #![forbid(unsafe_code)]
 
+mod cart;
 mod interactions;
 mod metrics;
 pub mod model;
@@ -50,6 +51,7 @@ mod rbe;
 mod store;
 mod text;
 
+pub use cart::CartLines;
 pub use interactions::{Interaction, Profile, ALL_INTERACTIONS};
 pub use metrics::{linear_fit, r_squared, Recorder, Schedule};
 pub use model::{
@@ -57,7 +59,9 @@ pub use model::{
     Customer, CustomerId, Item, ItemId, Order, OrderId, OrderLine, OrderStatus, SHIP_TYPES,
     SUBJECTS,
 };
-pub use population::{base_population, c_uname, generate, BasePopulation, PopulationParams};
+pub use population::{
+    base_population, c_uname, generate, BasePopulation, PopulationParams, SearchPage,
+};
 pub use rbe::{Rbe, RbeConfig, RequestBody, SessionUpdate, WebRequest};
 pub use store::{Bookstore, NewCustomer, Overlay, Payment, StoreError};
 pub use text::Text;

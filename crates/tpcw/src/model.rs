@@ -8,6 +8,7 @@
 
 use treplica::{impl_wire_enum, impl_wire_struct};
 
+use crate::cart::CartLines;
 use crate::text::Text;
 
 macro_rules! id_type {
@@ -409,7 +410,7 @@ pub struct Cart {
     /// Creation/refresh timestamp (µs, replica-deterministic).
     pub time: u64,
     /// Current contents.
-    pub lines: Vec<CartLine>,
+    pub lines: CartLines,
 }
 impl_wire_struct!(Cart { id, time, lines });
 
@@ -550,7 +551,8 @@ mod tests {
             lines: vec![CartLine {
                 item: ItemId(1),
                 qty: 2,
-            }],
+            }]
+            .into(),
         };
         assert_eq!(Cart::from_bytes(&cart.to_bytes()).unwrap(), cart);
     }

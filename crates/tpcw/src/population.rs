@@ -17,11 +17,13 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treplica::impl_wire_struct;
+use treplica::{encode_slice, impl_wire_struct, Sink, Wire, WireError};
 
 use crate::model::{
     nominal, Address, AddressId, Author, AuthorId, CcXact, Country, CountryId, Customer,
@@ -186,22 +188,93 @@ impl GramIndex {
     /// The first [`PAGE`] items, in id order, whose text contains
     /// `term` — what a scan of `text(id).contains(term)` over all items
     /// returns. `text` must give the texts the index was built from.
-    pub fn search<'a>(&self, term: &str, text: impl Fn(ItemId) -> &'a str) -> Vec<ItemId> {
+    pub fn search<'a>(&self, term: &str, text: impl Fn(ItemId) -> &'a str) -> SearchPage {
         let first = |candidates: &[ItemId], whole_term: bool| {
             let matches = candidates.iter().copied();
-            let mut found = Vec::with_capacity(PAGE.min(candidates.len()));
-            found.extend(
-                matches
-                    .filter(|id| whole_term || text(*id).contains(term))
-                    .take(PAGE),
-            );
-            found
+            matches
+                .filter(|id| whole_term || text(*id).contains(term))
+                .collect()
         };
         match *term.as_bytes() {
-            [] => (0..self.texts).take(PAGE).map(ItemId).collect(),
+            [] => (0..self.texts).map(ItemId).collect(),
             [b] => first(self.postings(b as usize), true),
             [a, b, ref rest @ ..] => first(self.postings(two_gram(a, b)), rest.is_empty()),
         }
+    }
+}
+
+/// The items a search found: the first [`PAGE`], kept on the stack.
+///
+/// A search page is counted and priced, never stored, so it takes no
+/// heap block. It reads as a `[ItemId]` (`Deref`) and prints and encodes
+/// as the `Vec<ItemId>` of the same ids.
+pub struct SearchPage {
+    len: usize,
+    ids: [ItemId; PAGE],
+}
+
+impl SearchPage {
+    const EMPTY: SearchPage = SearchPage {
+        len: 0,
+        ids: [ItemId(0); PAGE],
+    };
+
+    /// The ids in the order found.
+    pub fn as_slice(&self) -> &[ItemId] {
+        self.ids.get(..self.len).unwrap_or_default()
+    }
+}
+
+/// The first [`PAGE`] ids of `iter`; the rest are not drawn.
+impl FromIterator<ItemId> for SearchPage {
+    fn from_iter<I: IntoIterator<Item = ItemId>>(iter: I) -> SearchPage {
+        let mut page = SearchPage::EMPTY;
+        for (slot, id) in page.ids.iter_mut().zip(iter) {
+            *slot = id;
+            page.len += 1;
+        }
+        page
+    }
+}
+
+impl Deref for SearchPage {
+    type Target = [ItemId];
+
+    fn deref(&self) -> &[ItemId] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq<Vec<ItemId>> for SearchPage {
+    fn eq(&self, other: &Vec<ItemId>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for SearchPage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The bytes of `impl Wire for Vec<ItemId>`; a sequence of more than
+/// [`PAGE`] ids is no page.
+impl Wire for SearchPage {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        encode_slice(self, out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        let len = u32::decode(input)? as usize;
+        if len > PAGE {
+            return Err(WireError::Invalid("search page longer than PAGE"));
+        }
+        let mut page = SearchPage::EMPTY;
+        for slot in page.ids.iter_mut().take(len) {
+            *slot = ItemId::decode(input)?;
+        }
+        page.len = len;
+        Ok(page)
     }
 }
 
@@ -578,6 +651,19 @@ pub fn base_population(params: PopulationParams) -> Arc<BasePopulation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_search_page_encodes_as_a_vec_of_at_most_a_page() {
+        let ids: Vec<ItemId> = (0..60).map(ItemId).collect();
+        let page: SearchPage = ids.iter().copied().collect();
+        assert_eq!(page, ids[..PAGE].to_vec(), "the first PAGE ids");
+        let bytes = ids[..PAGE].to_vec().to_bytes();
+        assert_eq!(page.to_bytes(), bytes);
+        let decoded = SearchPage::from_bytes(&bytes);
+        assert_eq!(decoded.map(|p| p.to_vec()), Ok(ids[..PAGE].to_vec()));
+        let long = SearchPage::from_bytes(&ids.to_bytes());
+        assert!(matches!(long, Err(WireError::Invalid(_))), "{long:?}");
+    }
 
     fn tiny() -> PopulationParams {
         PopulationParams {

@@ -23,12 +23,13 @@ use std::sync::Arc;
 
 use treplica::impl_wire_struct;
 
+use crate::cart::CartLines;
 use crate::model::{
     nominal, Cart, CartId, CartLine, CcXact, Customer, CustomerId, Item, ItemId, Order, OrderId,
     OrderLine, OrderStatus, SUBJECTS,
 };
 use crate::population::{
-    base_population, c_passwd, c_uname, uname_id, BasePopulation, PopulationParams,
+    base_population, c_passwd, c_uname, uname_id, BasePopulation, PopulationParams, SearchPage,
 };
 use crate::text::Text;
 
@@ -405,7 +406,7 @@ impl Bookstore {
     }
 
     /// Search by title substring.
-    pub fn search_by_title(&self, term: &str) -> Vec<ItemId> {
+    pub fn search_by_title(&self, term: &str) -> SearchPage {
         self.base.title_grams.search(term, |id| {
             let item = self.base.items.get(id.0 as usize);
             item.map_or("", |i| &i.title)
@@ -413,7 +414,7 @@ impl Bookstore {
     }
 
     /// Search by author last-name substring.
-    pub fn search_by_author(&self, term: &str) -> Vec<ItemId> {
+    pub fn search_by_author(&self, term: &str) -> SearchPage {
         self.base.author_grams.search(term, |id| {
             let item = self.base.items.get(id.0 as usize);
             let author = item.and_then(|i| self.base.authors.get(i.author.0 as usize));
@@ -451,7 +452,7 @@ impl Bookstore {
             Cart {
                 id,
                 time: now,
-                lines: Vec::new(),
+                lines: CartLines::new(),
             },
         );
         id
