@@ -15,7 +15,7 @@
 //! comparison); `--csv <path>` exports the windowed availability
 //! timelines, alert markers included.
 
-use bench::render::{dur, fd_row, render_alert_quality};
+use bench::render::{dur, fd_row, render_alert_quality, MONITOR_LABEL};
 use bench::{incident_config, monitor_fields, Cli, Console, Mode, INCIDENT_REPLICAS};
 use cluster::{run_experiment, RunReport};
 use obs::MonitorConfig;
@@ -80,7 +80,7 @@ fn main() {
                 config.monitor = Some(mon);
                 let report = run_experiment(&config);
                 con.say(format_args!(
-                    "{label:<34} AWIPS {:7.1}  availability {:.5}  alerts fired {}",
+                    "{label:<MONITOR_LABEL$} AWIPS {:7.1}  availability {:.5}  alerts fired {}",
                     report.awips,
                     report.dependability.availability,
                     report.alerts.firings(),

@@ -362,6 +362,10 @@ pub fn render_fd_quality(title: &str, runs: &[FaultRun]) -> String {
     out
 }
 
+/// The width of an `exp_monitor` run label: its longest,
+/// `fault-free scrape=0.5s sens=default`, is 35 characters.
+pub const MONITOR_LABEL: usize = 35;
+
 /// Renders the online monitor's alert quality per run: ground-truth
 /// incidents vs detected/missed, mean/max detection latency, false
 /// positives, and the mean time-to-resolve. Rows whose runs were not
@@ -369,10 +373,10 @@ pub fn render_fd_quality(title: &str, runs: &[FaultRun]) -> String {
 /// monitored baseline with zero firings is exactly the result the
 /// false-positive column is for.
 pub fn render_alert_quality(title: &str, runs: &[(String, &cluster::RunReport)]) -> String {
-    // `run` fits `exp_monitor`'s longest label,
-    // `fault-free scrape=0.5s sens=default` (35).
-    let cols = "run:<35 | inc:3 | det:3 | miss:4 | FP:3 | fired:5 | detect mean:11 | max:5 | resolve mean:12";
-    table(title, cols, |row| {
+    let cols = format!(
+        "run:<{MONITOR_LABEL} | inc:3 | det:3 | miss:4 | FP:3 | fired:5 | detect mean:11 | max:5 | resolve mean:12"
+    );
+    table(title, &cols, |row| {
         for (label, report) in runs {
             let score = crate::report::alert_score_from_run(report);
             let latency = &score.detection_latency;

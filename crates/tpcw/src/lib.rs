@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 
 mod cart;
+mod inline;
 mod interactions;
 mod metrics;
 pub mod model;
@@ -52,6 +53,7 @@ mod store;
 mod text;
 
 pub use cart::CartLines;
+pub use inline::Inline;
 pub use interactions::{Interaction, Profile, ALL_INTERACTIONS};
 pub use metrics::{linear_fit, r_squared, Recorder, Schedule};
 pub use model::{

@@ -393,7 +393,7 @@ impl_wire_struct!(CcXact {
 });
 
 /// One line in a shopping cart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CartLine {
     /// The item.
     pub item: ItemId,

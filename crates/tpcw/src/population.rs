@@ -17,19 +17,18 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::fmt;
-use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treplica::{encode_slice, impl_wire_struct, Sink, Wire, WireError};
+use treplica::impl_wire_struct;
 
+use crate::inline::Inline;
 use crate::model::{
     nominal, Address, AddressId, Author, AuthorId, CcXact, Country, CountryId, Customer,
     CustomerId, Item, ItemId, Order, OrderId, OrderLine, OrderStatus, SUBJECTS,
 };
-use crate::text::Text;
+use crate::text::{Chars, Text, TextWriter};
 
 /// Scaling parameters of a population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -206,91 +205,27 @@ impl GramIndex {
 /// The items a search found: the first [`PAGE`], kept on the stack.
 ///
 /// A search page is counted and priced, never stored, so it takes no
-/// heap block. It reads as a `[ItemId]` (`Deref`) and prints and encodes
-/// as the `Vec<ItemId>` of the same ids.
-pub struct SearchPage {
-    len: usize,
-    ids: [ItemId; PAGE],
-}
-
-impl SearchPage {
-    const EMPTY: SearchPage = SearchPage {
-        len: 0,
-        ids: [ItemId(0); PAGE],
-    };
-
-    /// The ids in the order found.
-    pub fn as_slice(&self) -> &[ItemId] {
-        self.ids.get(..self.len).unwrap_or_default()
-    }
-}
-
-/// The first [`PAGE`] ids of `iter`; the rest are not drawn.
-impl FromIterator<ItemId> for SearchPage {
-    fn from_iter<I: IntoIterator<Item = ItemId>>(iter: I) -> SearchPage {
-        let mut page = SearchPage::EMPTY;
-        for (slot, id) in page.ids.iter_mut().zip(iter) {
-            *slot = id;
-            page.len += 1;
-        }
-        page
-    }
-}
-
-impl Deref for SearchPage {
-    type Target = [ItemId];
-
-    fn deref(&self) -> &[ItemId] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq<Vec<ItemId>> for SearchPage {
-    fn eq(&self, other: &Vec<ItemId>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl fmt::Debug for SearchPage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// The bytes of `impl Wire for Vec<ItemId>`; a sequence of more than
-/// [`PAGE`] ids is no page.
-impl Wire for SearchPage {
-    fn encode<S: Sink>(&self, out: &mut S) {
-        encode_slice(self, out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u32::decode(input)? as usize;
-        if len > PAGE {
-            return Err(WireError::Invalid("search page longer than PAGE"));
-        }
-        let mut page = SearchPage::EMPTY;
-        for slot in page.ids.iter_mut().take(len) {
-            *slot = ItemId::decode(input)?;
-        }
-        page.len = len;
-        Ok(page)
-    }
-}
+/// heap block.
+pub type SearchPage = Inline<ItemId, PAGE>;
 
 /// TPC-W user name derivation: a digit-letter encoding of the id.
 pub fn c_uname(id: CustomerId) -> Text {
     let digits = std::iter::successors(Some(id.0), |n| Some(n / 26).filter(|q| *q != 0));
-    let letters = digits.map(|n| b'A' + (n % 26) as u8);
-    Draft::<UNAME>::new()
-        .push(std::iter::once(b'U').chain(letters))
-        .text()
+    let mut uname = TextWriter::<UNAME>::default();
+    uname.push(b"U");
+    for n in digits {
+        uname.push(&[b'A' + (n % 26) as u8]);
+    }
+    uname.text()
 }
 
 /// A customer's password: the user name in lower case.
 pub(crate) fn c_passwd(uname: &str) -> Text {
-    let lower = uname.bytes().map(|b| b.to_ascii_lowercase());
-    Draft::<UNAME>::new().push(lower).text()
+    let mut passwd = TextWriter::<UNAME>::default();
+    for b in uname.bytes() {
+        passwd.push(&[b.to_ascii_lowercase()]);
+    }
+    passwd.text()
 }
 
 /// Inverse of [`c_uname`]. A name with trailing `A`s (leading zero
@@ -308,98 +243,38 @@ pub(crate) fn uname_id(uname: &str) -> Option<CustomerId> {
     Some(CustomerId(n))
 }
 
-/// The characters of a random text, and how many.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Chars {
-    /// Letters `a`–`z`, as many as a draw from `min..=max`.
-    Letters(u8, u8),
-    /// This many digits `0`–`9`.
-    Digits(u8),
-}
-
 /// The longest user name: `U` and the seven base-26 digits of a `u32`.
 const UNAME: usize = 8;
 
-/// The longest draw of [`Chars`]: its length is a `u8`.
+/// The stack of a random text's writer: the longest draw of [`Chars`],
+/// whose length is a `u8`. A longer name or address moves to the heap.
 const DRAW: usize = u8::MAX as usize;
-
-/// A generated text, written byte by byte on the stack and made into
-/// one [`Text`] at the end. It holds `N` bytes; the sizes used below
-/// leave room for every text they are given.
-struct Draft<const N: usize> {
-    len: usize,
-    bytes: [u8; N],
-}
-
-impl<const N: usize> Draft<N> {
-    fn new() -> Self {
-        Draft {
-            len: 0,
-            bytes: [0; N],
-        }
-    }
-
-    /// Appends `bytes`, which must be ASCII.
-    fn push(&mut self, bytes: impl IntoIterator<Item = u8>) -> &mut Self {
-        for byte in bytes {
-            if let Some(slot) = self.bytes.get_mut(self.len) {
-                *slot = byte;
-                self.len += 1;
-            }
-        }
-        self
-    }
-
-    /// Appends a draw of `chars`: its length first (for letters), then
-    /// each byte in turn, so a given `rng` always yields the same text.
-    fn draw(&mut self, rng: &mut StdRng, chars: Chars) -> &mut Self {
-        match chars {
-            Chars::Letters(min, max) => {
-                let len = rng.gen_range(min..=max);
-                self.fill::<26>(rng, b'a', len)
-            }
-            Chars::Digits(len) => self.fill::<10>(rng, b'0', len),
-        }
-    }
-
-    /// Appends `len` bytes drawn from `first..first + SPAN`. There is
-    /// one copy per alphabet, so each draw divides by a constant.
-    fn fill<const SPAN: u8>(&mut self, rng: &mut StdRng, first: u8, len: u8) -> &mut Self {
-        let room = self.bytes.get_mut(self.len..).unwrap_or_default();
-        for slot in room.iter_mut().take(usize::from(len)) {
-            *slot = first + rng.gen_range(0..SPAN);
-        }
-        self.len = self.len.saturating_add(usize::from(len)).min(N);
-        self
-    }
-
-    fn text(&self) -> Text {
-        let bytes = self.bytes.get(..self.len).unwrap_or_default();
-        Text::from(std::str::from_utf8(bytes).unwrap_or_default())
-    }
-}
 
 /// A random text: one draw of `chars`. Inlined, so the constant
 /// lengths of each call site fold in and the length draw, too, divides
 /// by a constant.
 #[inline]
 pub(crate) fn rand_text(rng: &mut StdRng, chars: Chars) -> Text {
-    Draft::<DRAW>::new().draw(rng, chars).text()
+    TextWriter::<DRAW>::default().draw(rng, chars).text()
 }
 
 /// A random e-mail address: a draw of `chars` at `example.com`.
 #[inline]
 pub(crate) fn rand_email(rng: &mut StdRng, chars: Chars) -> Text {
-    const DOMAIN: [u8; 12] = *b"@example.com";
-    let mut email = Draft::<{ DRAW + DOMAIN.len() }>::new();
-    email.draw(rng, chars).push(DOMAIN).text()
+    TextWriter::<DRAW>::default()
+        .draw(rng, chars)
+        .push(b"@example.com")
+        .text()
 }
 
 /// A random full name: a draw of `first`, a space, a draw of `last`.
 #[inline]
 pub(crate) fn rand_name(rng: &mut StdRng, first: Chars, last: Chars) -> Text {
-    let mut name = Draft::<{ 2 * DRAW + 1 }>::new();
-    name.draw(rng, first).push([b' ']).draw(rng, last).text()
+    TextWriter::<DRAW>::default()
+        .draw(rng, first)
+        .push(b" ")
+        .draw(rng, last)
+        .text()
 }
 
 /// Generates a base population (deterministic in `params`).
@@ -651,19 +526,6 @@ pub fn base_population(params: PopulationParams) -> Arc<BasePopulation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_search_page_encodes_as_a_vec_of_at_most_a_page() {
-        let ids: Vec<ItemId> = (0..60).map(ItemId).collect();
-        let page: SearchPage = ids.iter().copied().collect();
-        assert_eq!(page, ids[..PAGE].to_vec(), "the first PAGE ids");
-        let bytes = ids[..PAGE].to_vec().to_bytes();
-        assert_eq!(page.to_bytes(), bytes);
-        let decoded = SearchPage::from_bytes(&bytes);
-        assert_eq!(decoded.map(|p| p.to_vec()), Ok(ids[..PAGE].to_vec()));
-        let long = SearchPage::from_bytes(&ids.to_bytes());
-        assert!(matches!(long, Err(WireError::Invalid(_))), "{long:?}");
-    }
 
     fn tiny() -> PopulationParams {
         PopulationParams {

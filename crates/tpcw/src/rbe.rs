@@ -14,7 +14,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::interactions::{Interaction, Profile};
 use crate::model::{CartId, CartLine, CustomerId, ItemId, SUBJECTS};
-use crate::population::{c_uname, rand_email, rand_name, rand_text, Chars::Digits, Chars::Letters};
+use crate::population::{c_uname, rand_email, rand_name, rand_text};
+use crate::text::Chars::{Digits, Letters};
 use crate::text::Text;
 
 /// Client-supplied body of one web request.

@@ -550,7 +550,7 @@ impl Bookstore {
             return Err(StoreError::EmptyCart);
         }
         let mut subtotal = 0u64;
-        for l in &cart.lines {
+        for l in cart.lines.iter() {
             subtotal += self.item_cost(l.item)? * l.qty as u64;
         }
         let subtotal = subtotal * (10_000 - discount_bp as u64) / 10_000;
@@ -584,7 +584,7 @@ impl Bookstore {
             })
             .collect();
         // Stock adjustment per spec.
-        for l in &cart.lines {
+        for l in cart.lines.iter() {
             let current = self.stock(l.item)?;
             let after = current - l.qty as i32;
             let after = if after < 10 { after + 21 } else { after };

@@ -1,4 +1,5 @@
-//! The text type of the bookstore's rows, requests and actions.
+//! The text type of the bookstore's rows, requests and actions, and
+//! the one writer every formatted or generated text is built with.
 //!
 //! The store keeps the whole population in memory (paper §4), and most
 //! of its texts are short: at 50 EBs 91 % of its 3.4 M texts are at most
@@ -13,7 +14,11 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 
+use rand::rngs::StdRng;
+use rand::Rng;
 use treplica::{Sink, Wire, WireError};
+
+use crate::inline::Inline;
 
 /// The longest text kept inline, in bytes.
 const INLINE: usize = 22;
@@ -37,30 +42,21 @@ pub struct Text(Repr);
 
 #[derive(Clone)]
 enum Repr {
-    /// The text is `bytes[..len]`, valid UTF-8 by construction.
-    Inline {
-        len: u8,
-        bytes: [u8; INLINE],
-    },
+    /// Valid UTF-8 by construction.
+    Inline(Inline<u8, INLINE>),
     Heap(Box<str>),
 }
 
 impl Text {
     /// The empty text.
-    pub const fn new() -> Text {
-        Text(Repr::Inline {
-            len: 0,
-            bytes: [0; INLINE],
-        })
+    pub fn new() -> Text {
+        Text(Repr::Inline(Inline::default()))
     }
 
     /// The text as a `str`.
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            Repr::Inline { len, bytes } => bytes
-                .get(..usize::from(*len))
-                .and_then(|b| std::str::from_utf8(b).ok())
-                .unwrap_or_default(),
+            Repr::Inline(bytes) => std::str::from_utf8(bytes).unwrap_or_default(),
             Repr::Heap(text) => text,
         }
     }
@@ -68,65 +64,89 @@ impl Text {
     /// The text `format!` would make of `args`, with no heap block when
     /// it is short.
     pub fn from_fmt(args: fmt::Arguments<'_>) -> Text {
-        if let Some(text) = args.as_str() {
-            return Text::from(text);
-        }
-        let mut builder = Builder::default();
-        // `Builder::write_str` never fails.
-        let _ = fmt::write(&mut builder, args);
-        builder.finish()
+        let mut writer = TextWriter::<INLINE>::default();
+        // `TextWriter::write_str` never fails.
+        let _ = fmt::write(&mut writer, args);
+        writer.text()
     }
 }
 
-/// A text being built: inline until it outgrows [`INLINE`] bytes.
+/// The characters of a random text, and how many.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Chars {
+    /// Letters `a`–`z`, as many as a draw from `min..=max`.
+    Letters(u8, u8),
+    /// This many digits `0`–`9`.
+    Digits(u8),
+}
+
+/// A text being written: on the stack while it fits in `N` bytes, moved
+/// to the heap when it outgrows them. No byte is ever dropped.
 #[derive(Default)]
-struct Builder {
-    len: usize,
-    bytes: [u8; INLINE],
-    heap: Option<String>,
+pub(crate) struct TextWriter<const N: usize> {
+    stack: Inline<u8, N>,
+    heap: Option<Vec<u8>>,
 }
 
-impl Builder {
-    fn push(&mut self, s: &str) {
-        if let Some(heap) = &mut self.heap {
-            heap.push_str(s);
-            return;
+impl<const N: usize> TextWriter<N> {
+    /// `count` more bytes at the end of the text, to be written.
+    #[inline]
+    fn grow(&mut self, count: usize) -> &mut [u8] {
+        if self.heap.is_none() && count <= N - self.stack.len() {
+            return self.stack.grow(count).unwrap_or_default();
         }
-        let end = self.len.saturating_add(s.len());
-        match self.bytes.get_mut(self.len..end) {
-            Some(room) => {
-                room.copy_from_slice(s.as_bytes());
-                self.len = end;
+        self.spill(count)
+    }
+
+    /// `count` more bytes on the heap, where the text stays once moved.
+    #[cold]
+    fn spill(&mut self, count: usize) -> &mut [u8] {
+        let heap = self.heap.get_or_insert_with(|| self.stack.to_vec());
+        let start = heap.len();
+        heap.resize(start + count, 0);
+        heap.get_mut(start..).unwrap_or_default()
+    }
+
+    /// Appends `bytes`; the whole text must end up UTF-8.
+    pub(crate) fn push(&mut self, bytes: &[u8]) -> &mut Self {
+        self.grow(bytes.len()).copy_from_slice(bytes);
+        self
+    }
+
+    /// Appends a draw of `chars`: its length first (for letters), then
+    /// each byte in turn, so a given `rng` always yields the same text.
+    /// Inlined, so that a call site's constant `chars` folds in.
+    #[inline]
+    pub(crate) fn draw(&mut self, rng: &mut StdRng, chars: Chars) -> &mut Self {
+        match chars {
+            Chars::Letters(min, max) => {
+                let len = rng.gen_range(min..=max);
+                self.fill::<26>(rng, b'a', len)
             }
-            None => {
-                let mut heap = String::with_capacity(end);
-                heap.push_str(self.inline());
-                heap.push_str(s);
-                self.heap = Some(heap);
-            }
+            Chars::Digits(len) => self.fill::<10>(rng, b'0', len),
         }
     }
 
-    fn inline(&self) -> &str {
-        let bytes = self.bytes.get(..self.len).unwrap_or_default();
-        std::str::from_utf8(bytes).unwrap_or_default()
+    /// Appends `len` bytes drawn from `first..first + SPAN`. There is
+    /// one copy per alphabet, so each draw divides by a constant.
+    fn fill<const SPAN: u8>(&mut self, rng: &mut StdRng, first: u8, len: u8) -> &mut Self {
+        for byte in self.grow(usize::from(len)) {
+            *byte = first + rng.gen_range(0..SPAN);
+        }
+        self
     }
 
-    fn finish(self) -> Text {
-        match (self.heap, u8::try_from(self.len)) {
-            (Some(heap), _) => Text::from(heap),
-            (None, Ok(len)) => Text(Repr::Inline {
-                len,
-                bytes: self.bytes,
-            }),
-            (None, Err(_)) => Text::new(),
-        }
+    /// The text written so far.
+    #[inline]
+    pub(crate) fn text(&self) -> Text {
+        let bytes = self.heap.as_deref().unwrap_or(&self.stack);
+        Text::from(std::str::from_utf8(bytes).unwrap_or_default())
     }
 }
 
-impl fmt::Write for Builder {
+impl<const N: usize> fmt::Write for TextWriter<N> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.push(s);
+        self.push(s.as_bytes());
         Ok(())
     }
 }
@@ -147,13 +167,13 @@ impl Deref for Text {
 
 impl From<&str> for Text {
     fn from(text: &str) -> Text {
-        let mut bytes = [0; INLINE];
-        match (bytes.get_mut(..text.len()), u8::try_from(text.len())) {
-            (Some(room), Ok(len)) => {
+        let mut bytes = Inline::default();
+        match bytes.grow(text.len()) {
+            Some(room) => {
                 room.copy_from_slice(text.as_bytes());
-                Text(Repr::Inline { len, bytes })
+                Text(Repr::Inline(bytes))
             }
-            _ => Text(Repr::Heap(Box::from(text))),
+            None => Text(Repr::Heap(Box::from(text))),
         }
     }
 }
@@ -237,5 +257,24 @@ impl Wire for Text {
 
     fn check(input: &mut &[u8]) -> Result<(), WireError> {
         split_text(input).map(drop)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::population::rand_name;
+
+    #[test]
+    fn a_text_longer_than_the_writers_stack_keeps_every_byte() {
+        let longest = Chars::Letters(u8::MAX, u8::MAX);
+        let name = rand_name(&mut StdRng::seed_from_u64(7), longest, longest);
+        let (first, last) = name.split_once(' ').expect("two names");
+        for part in [first, last] {
+            assert_eq!(part.len(), 255);
+            assert!(part.bytes().all(|b| b.is_ascii_lowercase()), "{part}");
+        }
     }
 }

@@ -114,6 +114,13 @@ proptest! {
     }
 }
 
+/// Four lines, their one-byte length and the arm's tag: the shared
+/// inline type makes no cart bigger.
+#[test]
+fn cart_lines_are_40_bytes() {
+    assert_eq!(std::mem::size_of::<CartLines>(), 40);
+}
+
 #[test]
 fn five_lines_spill_and_four_decode_inline() {
     let line = |item| CartLine {
