@@ -5,12 +5,11 @@
 //! [`ClientNode`] drives its browsers through think-time timers and
 //! records completions/errors into the experiment's [`Recorder`].
 
-use std::collections::BTreeMap;
-
+use paxos::SeqRing;
 use simnet::{Engine, NodeId, SimDuration};
 use tpcw::{Interaction, Rbe, RbeConfig, Recorder};
 
-use crate::msg::ClusterMsg;
+use crate::msg::{split_req_id, ClusterMsg, REQ_SEQ_BITS};
 
 /// Timer token for the stale-request sweep (RBE tokens are their
 /// indices, which stay far below this).
@@ -31,9 +30,11 @@ pub struct ClientNode {
     node: NodeId,
     proxy: NodeId,
     slots: Vec<Slot>,
-    /// Ordered so the timeout sweep visits requests in req-id order —
-    /// hash-order sweeps break bit-identical seeded replays.
-    outstanding: BTreeMap<u64, usize>,
+    /// The browser waiting on each request, keyed by its number here
+    /// (`next_seq` when issued). Ordered so the timeout sweep visits
+    /// requests in req-id order — hash-order sweeps break bit-identical
+    /// seeded replays.
+    outstanding: SeqRing<usize>,
     next_seq: u64,
     /// The second the open trace sample covers (tracing only).
     sample_sec: u64,
@@ -76,7 +77,7 @@ impl ClientNode {
             node,
             proxy,
             slots,
-            outstanding: BTreeMap::new(),
+            outstanding: SeqRing::new(),
             next_seq: 0,
             sample_sec: 0,
             sample_ok: 0,
@@ -136,9 +137,14 @@ impl ClientNode {
         }
         let request = slot.rbe.next_request();
         self.next_seq += 1;
-        let req_id = (self.node.index() as u64) << 40 | self.next_seq;
-        slot.waiting = Some((req_id, now, request.interaction));
-        self.outstanding.insert(req_id, idx);
+        let req_id = (self.node.index() as u64) << REQ_SEQ_BITS | self.next_seq;
+        if self.outstanding.insert(self.next_seq, idx).is_err() {
+            // The sweep keeps the window far below `RING_SPAN`; should
+            // it not, the browser drops this request and thinks again.
+            self.think_again(engine, idx);
+            return;
+        }
+        self.slots[idx].waiting = Some((req_id, now, request.interaction));
         engine.send_sized(
             self.node,
             self.proxy,
@@ -165,10 +171,10 @@ impl ClientNode {
                         .map(|(_, sent, _)| now.saturating_sub(sent) > CLIENT_TIMEOUT_US)
                         .unwrap_or(false)
                 })
-                .map(|(id, _)| *id)
+                .map(|(seq, _)| seq)
                 .collect();
-            for req_id in stale {
-                if let Some(idx) = self.outstanding.remove(&req_id) {
+            for seq in stale {
+                if let Some(idx) = self.outstanding.remove(seq) {
                     self.slots[idx].waiting = None;
                     rec.record_error(now);
                     self.trace_completion(engine, now, false);
@@ -200,7 +206,7 @@ impl ClientNode {
                 session,
                 ..
             } => {
-                if let Some(idx) = self.outstanding.remove(&req_id) {
+                if let Some(idx) = self.take(req_id) {
                     if let Some((_, sent_at, sent_interaction)) = self.slots[idx].waiting.take() {
                         if ok {
                             rec.record_ok(now, now - sent_at, sent_interaction);
@@ -214,7 +220,7 @@ impl ClientNode {
                 }
             }
             ClusterMsg::ConnError { req_id } => {
-                if let Some(idx) = self.outstanding.remove(&req_id) {
+                if let Some(idx) = self.take(req_id) {
                     self.slots[idx].waiting = None;
                     rec.record_error(now);
                     self.trace_completion(engine, now, false);
@@ -223,6 +229,15 @@ impl ClientNode {
             }
             _ => {}
         }
+    }
+
+    /// The browser that waits on `req_id`, no longer outstanding.
+    fn take(&mut self, req_id: u64) -> Option<usize> {
+        let (node, seq) = split_req_id(req_id);
+        if node != self.node.index() as u64 {
+            return None;
+        }
+        self.outstanding.remove(seq)
     }
 
     /// Number of requests currently awaiting responses.

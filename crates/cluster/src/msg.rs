@@ -5,6 +5,15 @@ use robuststore::Action;
 use tpcw::{Interaction, SessionUpdate, WebRequest};
 use treplica::MwMsg;
 
+/// A `req_id` holds its client node's index above this many bits and the
+/// request's number at that node below them.
+pub(crate) const REQ_SEQ_BITS: u32 = 40;
+
+/// The client node index and the request number that make up `req_id`.
+pub(crate) fn split_req_id(req_id: u64) -> (u64, u64) {
+    (req_id >> REQ_SEQ_BITS, req_id & ((1 << REQ_SEQ_BITS) - 1))
+}
+
 /// Everything that travels over the experimental setup's switch
 /// (Figure 2): replication traffic among servers, HTTP between clients,
 /// proxy and servers, and the proxy's health probes.
@@ -15,7 +24,8 @@ pub enum ClusterMsg {
     Mw(MwMsg<Batch<Action>>),
     /// An HTTP request (client → proxy, or proxy → chosen server).
     Request {
-        /// Globally unique request id (client-node namespaced).
+        /// Globally unique request id: the client node's index above
+        /// 40 bits, the request's number at that node below them.
         req_id: u64,
         /// The web interaction.
         request: WebRequest,

@@ -7,11 +7,10 @@
 //! client identifier; and a server dying mid-request surfaces as a
 //! connection error at the client.
 
-use std::collections::BTreeMap;
-
+use paxos::SeqRing;
 use simnet::{Engine, NodeId, SimDuration};
 
-use crate::msg::ClusterMsg;
+use crate::msg::{split_req_id, ClusterMsg, REQ_SEQ_BITS};
 
 /// Timer token: probe round + timeout sweep.
 pub const TOKEN_PROBE: u64 = 0;
@@ -58,15 +57,56 @@ struct InFlight {
     attempts: u32,
 }
 
+/// The requests in flight: one ring per client node, indexed by the
+/// node's index, each keyed by the request's number at its node.
+#[derive(Debug, Default)]
+struct Flights {
+    by_client: Vec<SeqRing<InFlight>>,
+}
+
+impl Flights {
+    /// Stores `flight` under `req_id`; false, and `flight` dropped, if
+    /// its client's ring does not admit it.
+    fn insert(&mut self, req_id: u64, flight: InFlight) -> bool {
+        let (client, seq) = split_req_id(req_id);
+        let Ok(client) = usize::try_from(client) else {
+            return false;
+        };
+        if self.by_client.len() <= client {
+            self.by_client.resize_with(client + 1, SeqRing::new);
+        }
+        self.by_client[client].insert(seq, flight).is_ok()
+    }
+
+    fn remove(&mut self, req_id: u64) -> Option<InFlight> {
+        let (client, seq) = split_req_id(req_id);
+        let ring = self.by_client.get_mut(usize::try_from(client).ok()?)?;
+        ring.remove(seq)
+    }
+
+    /// The ids of the flights `pick` selects, in req-id order: by client
+    /// node, then by number — hash-order sweeps would break
+    /// bit-identical seeded replays.
+    fn ids_where(&self, pick: impl Fn(&InFlight) -> bool) -> Vec<u64> {
+        let per_client = self.by_client.iter().enumerate();
+        per_client
+            .flat_map(|(client, ring)| {
+                let client = (client as u64) << REQ_SEQ_BITS;
+                ring.iter()
+                    .filter(|(_, f)| pick(f))
+                    .map(move |(seq, _)| client | seq)
+            })
+            .collect()
+    }
+}
+
 /// The proxy node.
 #[derive(Debug)]
 pub struct ProxyNode {
     node: NodeId,
     servers: Vec<ServerHealth>,
     seq: u64,
-    /// Ordered so timeout/kill sweeps emit errors in req-id order —
-    /// hash-order sweeps break bit-identical seeded replays.
-    in_flight: BTreeMap<u64, InFlight>,
+    in_flight: Flights,
     errors_emitted: u64,
 }
 
@@ -92,7 +132,7 @@ impl ProxyNode {
                 })
                 .collect(),
             seq: 0,
-            in_flight: BTreeMap::new(),
+            in_flight: Flights::default(),
             errors_emitted: 0,
         }
     }
@@ -157,16 +197,10 @@ impl ProxyNode {
     }
 
     fn kill_in_flight(&mut self, engine: &mut Engine<ClusterMsg>, server: usize) {
-        let dead: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|(_, f)| f.server == server)
-            .map(|(id, _)| *id)
-            .collect();
+        let dead = self.in_flight.ids_where(|f| f.server == server);
         for req_id in dead {
-            let f = self.in_flight.remove(&req_id).expect("listed");
-            self.errors_emitted += 1;
-            engine.send(self.node, f.client, ClusterMsg::ConnError { req_id });
+            let f = self.in_flight.remove(req_id).expect("listed");
+            self.refuse(engine, req_id, f.client);
         }
     }
 
@@ -198,8 +232,11 @@ impl ProxyNode {
     fn connect(&mut self, engine: &mut Engine<ClusterMsg>, req_id: u64, mut flight: InFlight) {
         if engine.is_up(self.servers[flight.server].node) {
             let target = self.servers[flight.server].node;
-            let request = flight.request.clone();
-            self.in_flight.insert(req_id, flight);
+            let (request, client) = (flight.request.clone(), flight.client);
+            if !self.in_flight.insert(req_id, flight) {
+                self.refuse(engine, req_id, client);
+                return;
+            }
             engine.send_sized(
                 self.node,
                 target,
@@ -212,7 +249,11 @@ impl ProxyNode {
         flight.attempts += 1;
         if flight.attempts <= REDISPATCH_RETRIES {
             // Park and retry the same server after the retry delay.
-            self.in_flight.insert(req_id, flight);
+            let client = flight.client;
+            if !self.in_flight.insert(req_id, flight) {
+                self.refuse(engine, req_id, client);
+                return;
+            }
             engine.set_timer(
                 self.node,
                 SimDuration::from_micros(RETRY_DELAY_US),
@@ -228,11 +269,14 @@ impl ProxyNode {
                 flight.server = server;
                 self.connect(engine, req_id, flight);
             }
-            _ => {
-                self.errors_emitted += 1;
-                engine.send(self.node, flight.client, ClusterMsg::ConnError { req_id });
-            }
+            _ => self.refuse(engine, req_id, flight.client),
         }
+    }
+
+    /// Answers `req_id` with a connection error.
+    fn refuse(&mut self, engine: &mut Engine<ClusterMsg>, req_id: u64, client: NodeId) {
+        self.errors_emitted += 1;
+        engine.send(self.node, client, ClusterMsg::ConnError { req_id });
     }
 
     /// Handles a timer: settle last round's probes, launch a new round,
@@ -240,7 +284,7 @@ impl ProxyNode {
     pub fn on_timer(&mut self, engine: &mut Engine<ClusterMsg>, token: u64) {
         if token & TOKEN_RETRY_FLAG != 0 {
             let req_id = token & !TOKEN_RETRY_FLAG;
-            if let Some(flight) = self.in_flight.remove(&req_id) {
+            if let Some(flight) = self.in_flight.remove(req_id) {
                 self.connect(engine, req_id, flight);
             }
             return;
@@ -271,16 +315,12 @@ impl ProxyNode {
         }
         // Request timeouts.
         let now = engine.now().as_micros();
-        let stale: Vec<u64> = self
+        let stale = self
             .in_flight
-            .iter()
-            .filter(|(_, f)| now.saturating_sub(f.sent_at) > REQUEST_TIMEOUT_US)
-            .map(|(id, _)| *id)
-            .collect();
+            .ids_where(|f| now.saturating_sub(f.sent_at) > REQUEST_TIMEOUT_US);
         for req_id in stale {
-            let f = self.in_flight.remove(&req_id).expect("listed");
-            self.errors_emitted += 1;
-            engine.send(self.node, f.client, ClusterMsg::ConnError { req_id });
+            let f = self.in_flight.remove(req_id).expect("listed");
+            self.refuse(engine, req_id, f.client);
         }
         engine.set_timer(
             self.node,
@@ -305,10 +345,7 @@ impl ProxyNode {
                         };
                         self.connect(engine, req_id, flight);
                     }
-                    None => {
-                        self.errors_emitted += 1;
-                        engine.send(self.node, from, ClusterMsg::ConnError { req_id });
-                    }
+                    None => self.refuse(engine, req_id, from),
                 }
             }
             ClusterMsg::Response {
@@ -318,7 +355,7 @@ impl ProxyNode {
                 session,
                 bytes,
             } => {
-                if let Some(f) = self.in_flight.remove(&req_id) {
+                if let Some(f) = self.in_flight.remove(req_id) {
                     engine.send_sized(
                         self.node,
                         f.client,
@@ -336,7 +373,7 @@ impl ProxyNode {
             ClusterMsg::ConnError { req_id } => {
                 // The server refused the HTTP request (still booting /
                 // recovering): redispatch to another server.
-                if let Some(mut f) = self.in_flight.remove(&req_id) {
+                if let Some(mut f) = self.in_flight.remove(req_id) {
                     f.excluded.push(f.server);
                     f.attempts = 0;
                     if f.excluded.len() < self.servers.len() {
@@ -346,8 +383,7 @@ impl ProxyNode {
                             return;
                         }
                     }
-                    self.errors_emitted += 1;
-                    engine.send(self.node, f.client, ClusterMsg::ConnError { req_id });
+                    self.refuse(engine, req_id, f.client);
                 }
             }
             ClusterMsg::ProbeReply { seq, server, ready } => {

@@ -13,10 +13,10 @@
 #![deny(clippy::todo, clippy::unimplemented)]
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use obs::node_u32;
-use paxos::{ProposalId, ReplicaId};
+use paxos::{ProposalId, ReplicaId, SeqRing};
 use robuststore::{Prepared, Reply, RobustStore, TpcwDatabase};
 use simnet::{Engine, NodeId, SimDuration, StableOp};
 use tpcw::{Interaction, PopulationParams, WebRequest};
@@ -65,7 +65,11 @@ pub struct ServerNode {
     facade: TpcwDatabase,
     queue: VecDeque<WorkItem>,
     busy: bool,
-    outstanding: BTreeMap<ProposalId, (u64, NodeId, Interaction)>,
+    /// Updates this incarnation executed and has not answered yet, with
+    /// the request each answers, keyed by `pid.seq`: the middleware
+    /// numbers its updates one after another. A pid of another
+    /// incarnation finds no entry or one with a different pid.
+    outstanding: SeqRing<(ProposalId, u64, NodeId, Interaction)>,
     ready: bool,
     /// Protocol CPU consumed since the last work item started: Treplica's
     /// threads preempt page rendering (OS time-slicing), so their cost is
@@ -162,7 +166,7 @@ impl ServerNode {
             facade: TpcwDatabase::new(0x00fa_cade ^ idx as u64 ^ (epoch << 32)),
             queue: VecDeque::new(),
             busy: false,
-            outstanding: BTreeMap::new(),
+            outstanding: SeqRing::new(),
             ready: !mw.is_recovering(),
             mw,
             cpu_debt_us: 0,
@@ -368,7 +372,11 @@ impl ServerNode {
                 self.finish_handle(engine, req_id, from, request, auditor);
             }
             WorkKind::Apply { pid, reply } => {
-                if let Some((req_id, from, interaction)) = self.outstanding.remove(&pid) {
+                let waiting = match self.outstanding.get(pid.seq) {
+                    Some(entry) if entry.0 == pid => self.outstanding.remove(pid.seq),
+                    _ => None,
+                };
+                if let Some((_, req_id, from, interaction)) = waiting {
                     let page = TpcwDatabase::write_result(interaction, &reply);
                     engine.send_sized(
                         self.node,
@@ -431,7 +439,13 @@ impl ServerNode {
             }
             Prepared::Write(action) => match self.mw.execute(action, now) {
                 Ok((pid, fx)) => {
-                    self.outstanding.insert(pid, (req_id, from, interaction));
+                    let entry = (pid, req_id, from, interaction);
+                    if self.outstanding.insert(pid.seq, entry).is_err() {
+                        // Far more updates than ever wait at once: the
+                        // update still commits, but its client hears an
+                        // error instead of the page.
+                        engine.send(self.node, from, ClusterMsg::ConnError { req_id });
+                    }
                     self.apply_mw_effects(engine, fx, auditor);
                 }
                 Err(_) => {

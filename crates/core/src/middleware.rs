@@ -43,7 +43,10 @@ pub struct TreplicaConfig {
     /// Decided history retained in memory *behind* the checkpoint so
     /// recovering peers can learn their backlog without a full state
     /// transfer. If a peer falls further behind than this, the snapshot
-    /// transfer path ([`MwMsg::SnapshotRequest`]) takes over.
+    /// transfer path ([`MwMsg::SnapshotRequest`]) takes over. Keep it
+    /// well below [`paxos::RING_SPAN`]: the consensus core's slot
+    /// tables span the retained slots plus those in flight, and refuse
+    /// slots beyond.
     pub retention_slots: u64,
     /// Group commit: maximum updates coalesced into one consensus
     /// decree. `1` disables batching (every update is its own decree,

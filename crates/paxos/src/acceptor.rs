@@ -14,6 +14,7 @@
 use std::collections::BTreeMap;
 
 use crate::msg::{AcceptedReport, Msg, Record};
+use crate::ring::SeqRing;
 use crate::types::{Ballot, Decree, ProposalId, ReplicaId, Slot};
 
 /// Destination of a message an acceptor wants to send.
@@ -61,15 +62,20 @@ pub struct Acceptor<V> {
     rnd_global: Ballot,
     /// Per-slot promise overrides from single-slot (recovery) prepares.
     slot_rnd: BTreeMap<Slot, Ballot>,
-    /// Accepted decree per slot, with the ballot of acceptance.
-    accepted: BTreeMap<Slot, (Ballot, Decree<V>)>,
+    /// Accepted decree per slot, with the ballot of acceptance: the
+    /// slots from the truncation watermark on, in one ring. A slot the
+    /// ring does not admit (one [`crate::RING_SPAN`] or more from the
+    /// others) is declined, as if its message were lost.
+    accepted: SeqRing<(Ballot, Decree<V>)>,
     /// When `rnd_global` is fast and an `Any` arrived: fast accepts are
     /// allowed at free slots at or after this point.
     any_from: Option<Slot>,
     /// Monotone cursor for assigning fast proposals to slots.
     fast_cursor: Slot,
-    /// Proposals already fast-accepted (undecided): a proposer retry for
-    /// one of these is ignored instead of burning a fresh slot.
+    /// Proposals fast-accepted in the current fast round, until a new
+    /// ballot, a recovery that overwrites their slot, or `truncate`
+    /// drops them: a proposer retry for one of these is ignored instead
+    /// of burning a fresh slot.
     fast_pids: BTreeMap<ProposalId, Slot>,
 }
 
@@ -79,7 +85,7 @@ impl<V: Clone> Acceptor<V> {
         Acceptor {
             rnd_global: Ballot::BOTTOM,
             slot_rnd: BTreeMap::new(),
-            accepted: BTreeMap::new(),
+            accepted: SeqRing::new(),
             any_from: None,
             fast_cursor: Slot::ZERO,
             fast_pids: BTreeMap::new(),
@@ -114,12 +120,19 @@ impl<V: Clone> Acceptor<V> {
                     slot,
                     decree,
                 } => {
-                    let replace = match a.accepted.get(slot) {
+                    let replace = match a.accepted.get(slot.0) {
                         Some((b, _)) => ballot >= b,
                         None => true,
                     };
-                    if replace {
-                        a.accepted.insert(*slot, (*ballot, decree.clone()));
+                    // Each record was admitted when it was written, and
+                    // the log is cut at every checkpoint, so its slots
+                    // span far less than `RING_SPAN`: none is refused.
+                    if replace
+                        && a.accepted
+                            .insert(slot.0, (*ballot, decree.clone()))
+                            .is_err()
+                    {
+                        continue;
                     }
                     if *slot >= a.fast_cursor {
                         a.fast_cursor = slot.next();
@@ -158,7 +171,7 @@ impl<V: Clone> Acceptor<V> {
         match only_slot {
             Some(s) => self
                 .accepted
-                .get(&s)
+                .get(s.0)
                 .map(|(b, d)| {
                     vec![AcceptedReport {
                         slot: s,
@@ -169,9 +182,9 @@ impl<V: Clone> Acceptor<V> {
                 .unwrap_or_default(),
             None => self
                 .accepted
-                .range(from_slot..)
+                .range_from(from_slot.0)
                 .map(|(s, (b, d))| AcceptedReport {
-                    slot: *s,
+                    slot: Slot(s),
                     ballot: *b,
                     decree: d.clone(),
                 })
@@ -239,7 +252,7 @@ impl<V: Clone> Acceptor<V> {
         if ballot < self.effective_rnd(slot) {
             return AcceptorOut::nothing();
         }
-        if let Some((prior, prior_decree)) = self.accepted.get(&slot) {
+        if let Some((prior, prior_decree)) = self.accepted.get(slot.0) {
             if ballot == *prior && decree != *prior_decree {
                 // An acceptor votes at most once per round per slot; a
                 // same-ballot conflict (e.g. a coordinator re-proposal
@@ -248,16 +261,18 @@ impl<V: Clone> Acceptor<V> {
                 return AcceptorOut::nothing();
             }
         }
+        let Ok(prior) = self.accepted.insert(slot.0, (ballot, decree.clone())) else {
+            return AcceptorOut::nothing();
+        };
         self.slot_rnd.insert(slot, ballot);
         // If a collision recovery overwrites this slot with a different
         // decree, the previously fast-accepted proposal is orphaned here:
         // clear its dedup entry so the proposer's retry can land again.
-        if let Some((_, Decree::Value(old_pid, _))) = self.accepted.get(&slot) {
-            if decree.proposal_id() != Some(*old_pid) {
-                self.fast_pids.remove(old_pid);
+        if let Some((_, Decree::Value(old_pid, _))) = prior {
+            if decree.proposal_id() != Some(old_pid) {
+                self.fast_pids.remove(&old_pid);
             }
         }
-        self.accepted.insert(slot, (ballot, decree.clone()));
         if slot >= self.fast_cursor {
             self.fast_cursor = slot.next();
         }
@@ -311,15 +326,21 @@ impl<V: Clone> Acceptor<V> {
         }
         let ballot = self.rnd_global;
         let mut slot = self.fast_cursor.max(any_from);
-        while self.accepted.contains_key(&slot)
+        while self.accepted.get(slot.0).is_some()
             || self.slot_rnd.get(&slot).is_some_and(|b| *b > ballot)
         {
             slot = slot.next();
         }
+        let decree = Decree::Value(pid, value);
+        if self
+            .accepted
+            .insert(slot.0, (ballot, decree.clone()))
+            .is_err()
+        {
+            return AcceptorOut::nothing();
+        }
         self.fast_cursor = slot.next();
         self.fast_pids.insert(pid, slot);
-        let decree = Decree::Value(pid, value);
-        self.accepted.insert(slot, (ballot, decree.clone()));
         let announce = Msg::Accepted {
             ballot,
             slot,
@@ -339,7 +360,7 @@ impl<V: Clone> Acceptor<V> {
     /// Drops accepted state below `upto` (coordinated with application
     /// checkpoints by the middleware layer).
     pub fn truncate(&mut self, upto: Slot) {
-        self.accepted = self.accepted.split_off(&upto);
+        self.accepted.drop_below(upto.0);
         self.slot_rnd.retain(|s, _| *s >= upto);
         self.fast_pids.retain(|_, s| *s >= upto);
         if self.fast_cursor < upto {
@@ -634,6 +655,25 @@ mod tests {
             "retry must land under the new round"
         );
     }
+    #[test]
+    fn a_slot_the_ring_does_not_admit_is_declined() {
+        let (mut a, b) = fast_ready(1);
+        a.on_fast_propose(pid(1, 1), "v"); // slot 0
+        let far = Slot(crate::RING_SPAN);
+        let out = a.on_accept(b, far, Decree::Value(pid(2, 1), "w"));
+        assert!(out.record.is_none() && out.send.is_none(), "declined");
+        // A fast proposal that would land that far is declined too, and
+        // leaves the cursor and the dedup set as they were.
+        a.on_any(b, far);
+        let out = a.on_fast_propose(pid(3, 1), "x");
+        assert!(out.record.is_none() && out.send.is_none(), "declined");
+        assert_eq!(a.accepted_len(), 1);
+        // Once truncation empties the ring, the slot is accepted.
+        a.truncate(Slot(1));
+        let out = a.on_fast_propose(pid(3, 1), "x");
+        assert!(matches!(out.record, Some(Record::Accepted { slot, .. }) if slot == far));
+    }
+
     #[test]
     fn never_votes_twice_in_one_round() {
         let mut a: Acceptor<&str> = Acceptor::new();

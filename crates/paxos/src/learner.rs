@@ -14,6 +14,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
+use crate::ring::SeqRing;
 use crate::types::{Ballot, Decree, ProposalId, Quorums, Reconfig, ReplicaId, Slot};
 
 /// One delivery produced by the learner.
@@ -257,7 +258,10 @@ impl PidRuns {
 pub struct Learner<V> {
     quorums: Quorums,
     votes: BTreeMap<Slot, SlotVotes<V>>,
-    decided: BTreeMap<Slot, Decree<V>>,
+    /// Decided slots from the truncation watermark on, in one ring. A
+    /// slot the ring does not admit (one [`crate::RING_SPAN`] or more
+    /// from the others) is ignored; catch-up learns it later.
+    decided: SeqRing<Decree<V>>,
     next_deliver: Slot,
     delivered_pids: PidRuns,
     truncated_below: Slot,
@@ -275,7 +279,7 @@ impl<V: Clone + Eq> Learner<V> {
         Learner {
             quorums,
             votes: BTreeMap::new(),
-            decided: BTreeMap::new(),
+            decided: SeqRing::new(),
             next_deliver: start,
             delivered_pids: PidRuns::default(),
             truncated_below: start,
@@ -296,7 +300,7 @@ impl<V: Clone + Eq> Learner<V> {
 
     /// Whether `slot` is known decided.
     pub fn is_decided(&self, slot: Slot) -> bool {
-        slot < self.next_deliver || self.decided.contains_key(&slot)
+        slot < self.next_deliver || self.decided.get(slot.0).is_some()
     }
 
     /// Number of retained decided entries (metrics/tests).
@@ -323,7 +327,7 @@ impl<V: Clone + Eq> Learner<V> {
         now: u64,
         out: &mut Vec<Delivery<V>>,
     ) {
-        if self.is_decided(slot) {
+        if self.is_decided(slot) || !self.decided.admits(slot.0) {
             return;
         }
         // Decision check for this ballot. The tie-break reads acceptor
@@ -343,8 +347,10 @@ impl<V: Clone + Eq> Learner<V> {
             return;
         };
         if let Some(decree) = self.votes.remove(&slot).and_then(|sv| sv.into_decree(i)) {
-            self.record_decided(slot, decree);
-            self.drain_deliveries(out);
+            // Admitted above, and nothing has moved the ring since.
+            if self.decided.insert(slot.0, decree).is_ok() {
+                self.drain_deliveries(out);
+            }
         }
     }
 
@@ -352,20 +358,15 @@ impl<V: Clone + Eq> Learner<V> {
     /// pushes unlocked deliveries onto `out`.
     pub fn on_learned(&mut self, entries: Vec<(Slot, Decree<V>)>, out: &mut Vec<Delivery<V>>) {
         for (slot, decree) in entries {
-            if !self.is_decided(slot) {
+            if !self.is_decided(slot) && self.decided.insert(slot.0, decree).is_ok() {
                 self.votes.remove(&slot);
-                self.record_decided(slot, decree);
             }
         }
         self.drain_deliveries(out);
     }
 
-    fn record_decided(&mut self, slot: Slot, decree: Decree<V>) {
-        self.decided.insert(slot, decree);
-    }
-
     fn drain_deliveries(&mut self, out: &mut Vec<Delivery<V>>) {
-        while let Some(decree) = self.decided.get(&self.next_deliver) {
+        while let Some(decree) = self.decided.get(self.next_deliver.0) {
             match decree {
                 Decree::Value(pid, value) => {
                     if self.delivered_pids.insert(*pid) {
@@ -418,9 +419,9 @@ impl<V: Clone + Eq> Learner<V> {
         let start = from_slot.max(self.truncated_below);
         let entries: Vec<(Slot, Decree<V>)> = self
             .decided
-            .range(start..)
+            .range_from(start.0)
             .take(cap)
-            .map(|(s, d)| (*s, d.clone()))
+            .map(|(s, d)| (Slot(s), d.clone()))
             .collect();
         (entries, self.truncated_below, self.next_deliver)
     }
@@ -451,9 +452,9 @@ impl<V: Clone + Eq> Learner<V> {
     /// votes have been sitting above an undelivered hole for longer
     /// than `timeout_us`.
     ///
-    /// Asked on every tick, so it reads the two map ends that decide the
+    /// Asked on every tick, so it reads the two table ends that decide the
     /// answer instead of the retained history. It relies on two facts:
-    /// both maps are sorted by slot, so `decided` has a key above the
+    /// both tables are sorted by slot, so `decided` has a key above the
     /// watermark iff its last key is one; and `votes` holds undecided
     /// slots only (a slot leaves it when it decides), so the range above
     /// the watermark is the in-flight window, however much of `decided`
@@ -462,8 +463,8 @@ impl<V: Clone + Eq> Learner<V> {
     pub fn gapped(&self, now: u64, timeout_us: u64) -> bool {
         if self
             .decided
-            .last_key_value()
-            .is_some_and(|(s, _)| *s > self.next_deliver)
+            .last_key()
+            .is_some_and(|s| s > self.next_deliver.0)
         {
             return true;
         }
@@ -479,7 +480,7 @@ impl<V: Clone + Eq> Learner<V> {
         if slot <= self.next_deliver {
             return;
         }
-        self.decided = self.decided.split_off(&slot);
+        self.decided.drop_below(slot.0);
         self.votes = self.votes.split_off(&slot);
         self.next_deliver = slot;
         if self.truncated_below < slot {
@@ -508,7 +509,7 @@ impl<V: Clone + Eq> Learner<V> {
         if upto <= self.truncated_below {
             return;
         }
-        self.decided = self.decided.split_off(&upto);
+        self.decided.drop_below(upto.0);
         self.votes = self.votes.split_off(&upto);
         self.truncated_below = upto;
     }
@@ -816,7 +817,7 @@ mod tests {
     /// `gapped` as it was while it walked everything retained: the
     /// oracle the two-ended read is compared against.
     fn gapped_by_scan(l: &Learner<&'static str>, now: u64, timeout_us: u64) -> bool {
-        if l.decided.keys().any(|s| *s > l.next_deliver) {
+        if l.decided.iter().any(|(s, _)| s > l.next_deliver.0) {
             return true;
         }
         l.votes.iter().any(|(s, sv)| {
@@ -1056,5 +1057,34 @@ mod tests {
             "pre-checkpoint slots count as decided"
         );
         assert_eq!(l.next_deliver(), Slot(10));
+    }
+
+    #[test]
+    fn a_slot_the_ring_does_not_admit_is_ignored() {
+        let mut l = learner();
+        let b = Ballot::classic(1, ReplicaId(0));
+        for from in 0..3 {
+            l.accepted(
+                ReplicaId(from),
+                b,
+                Slot(0),
+                Decree::Value(pid(0, 1), "v"),
+                0,
+            );
+        }
+        assert_eq!(l.next_deliver(), Slot(1));
+        let far = Slot(crate::RING_SPAN);
+        for from in 0..5 {
+            let out = l.accepted(ReplicaId(from), b, far, Decree::Value(pid(1, 1), "w"), 0);
+            assert!(out.is_empty());
+        }
+        assert!(!l.is_decided(far), "no quorum is counted for it");
+        assert!(l.stuck_slots(u64::MAX, 0).is_empty(), "no vote is kept");
+        assert!(l.learned(vec![(far, Decree::Noop)]).is_empty());
+        assert!(!l.is_decided(far) && !l.gapped(0, 1), "nor is it learned");
+        // Once truncation empties the ring, the same slot is learned.
+        l.truncate(Slot(1));
+        assert!(l.learned(vec![(far, Decree::Noop)]).is_empty());
+        assert!(l.is_decided(far));
     }
 }

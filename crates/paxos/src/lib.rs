@@ -54,6 +54,7 @@ mod learner;
 mod msg;
 mod proposer;
 mod replica;
+mod ring;
 mod types;
 
 pub use acceptor::{Acceptor, AcceptorOut, Dest};
@@ -64,6 +65,7 @@ pub use learner::{Delivery, Learner};
 pub use msg::{AcceptedReport, CausalTag, Effect, Effects, Msg, PersistToken, Record};
 pub use proposer::{PendingProposal, Proposer};
 pub use replica::{Replica, ReplicaStatus};
+pub use ring::{SeqRing, RING_SPAN};
 pub use types::{
     Ballot, BallotClass, Batch, Decree, Membership, ProposalId, Quorums, Reconfig, ReplicaId, Slot,
 };

@@ -58,8 +58,8 @@ pub use interactions::{Interaction, Profile, ALL_INTERACTIONS};
 pub use metrics::{linear_fit, r_squared, Recorder, Schedule};
 pub use model::{
     Address, AddressId, Author, AuthorId, Cart, CartId, CartLine, CcXact, Country, CountryId,
-    Customer, CustomerId, Item, ItemId, Order, OrderId, OrderLine, OrderStatus, SHIP_TYPES,
-    SUBJECTS,
+    Customer, CustomerId, Item, ItemId, Order, OrderId, OrderLine, OrderLines, OrderStatus,
+    SHIP_TYPES, SUBJECTS,
 };
 pub use population::{
     base_population, c_uname, generate, BasePopulation, PopulationParams, SearchPage,

@@ -6,7 +6,11 @@
 //! transaction, and shopping cart. Field sets follow the TPC-W v1.8
 //! schema closely (names shortened to Rust conventions).
 
-use treplica::{impl_wire_enum, impl_wire_struct};
+use std::fmt;
+
+use treplica::{
+    check_slice, encode_slice, impl_wire_enum, impl_wire_struct, Sink, Wire, WireError,
+};
 
 use crate::cart::CartLines;
 use crate::text::Text;
@@ -357,6 +361,110 @@ impl_wire_struct!(OrderLine {
     discount_bp,
     comments
 });
+
+/// The lines of a run of orders, in one table: order `i`'s lines are
+/// the `i`th run of `lines`, the one that ends at `ends[i]`. Orders
+/// only ever join the end, so one buffer holds every line.
+///
+/// It prints and encodes as the `Vec<Vec<OrderLine>>` of the same
+/// lines, so a checkpoint or a population digest moves no byte.
+#[derive(Clone, Default, PartialEq)]
+pub struct OrderLines {
+    lines: Vec<OrderLine>,
+    ends: Vec<usize>,
+}
+
+impl OrderLines {
+    /// An empty table with room for `orders` orders and `lines` lines.
+    pub(crate) fn with_capacity(orders: usize, lines: usize) -> Self {
+        OrderLines {
+            lines: Vec::with_capacity(lines),
+            ends: Vec::with_capacity(orders),
+        }
+    }
+
+    /// Number of orders.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there is no order.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Number of lines, over every order.
+    pub fn line_count(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// The lines of order `i` (counted from the table's first order).
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&[OrderLine]> {
+        let start = match i.checked_sub(1) {
+            Some(before) => *self.ends.get(before)?,
+            None => 0,
+        };
+        self.lines.get(start..*self.ends.get(i)?)
+    }
+
+    /// Each order's lines, in order. Best Sellers walks it on every
+    /// read, so it inlines into the store's loops.
+    #[inline]
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &[OrderLine]> {
+        (0..self.len()).filter_map(|i| self.get(i))
+    }
+
+    /// Appends an order whose lines are `lines`.
+    pub fn push(&mut self, lines: impl IntoIterator<Item = OrderLine>) {
+        self.lines.extend(lines);
+        self.ends.push(self.lines.len());
+    }
+
+    /// Gives back the room no line took.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.lines.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+}
+
+impl fmt::Debug for OrderLines {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The bytes of `impl Wire for Vec<Vec<OrderLine>>`: the number of
+/// orders, then each order's lines as a sequence.
+impl Wire for OrderLines {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (self.len() as u32).encode(out);
+        for lines in self.iter() {
+            encode_slice(lines, out);
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        let orders = u32::decode(input)? as usize;
+        let mut table = OrderLines::with_capacity(orders.min(1 << 16), 0);
+        for _ in 0..orders {
+            let lines = u32::decode(input)?;
+            for _ in 0..lines {
+                table.lines.push(OrderLine::decode(input)?);
+            }
+            table.ends.push(table.lines.len());
+        }
+        Ok(table)
+    }
+
+    fn check(input: &mut &[u8]) -> Result<(), WireError> {
+        let orders = u32::decode(input)?;
+        for _ in 0..orders {
+            check_slice::<OrderLine>(input)?;
+        }
+        Ok(())
+    }
+}
 
 /// A credit-card transaction (TPC-W `CC_XACTS`).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -26,7 +26,7 @@ use treplica::impl_wire_struct;
 use crate::inline::Inline;
 use crate::model::{
     nominal, Address, AddressId, Author, AuthorId, CcXact, Country, CountryId, Customer,
-    CustomerId, Item, ItemId, Order, OrderId, OrderLine, OrderStatus, SUBJECTS,
+    CustomerId, Item, ItemId, Order, OrderId, OrderLine, OrderLines, OrderStatus, SUBJECTS,
 };
 use crate::text::{Chars, Text, TextWriter};
 
@@ -92,7 +92,7 @@ pub struct BasePopulation {
     /// Initial orders, indexed by id.
     pub orders: Vec<Order>,
     /// Order lines grouped per order (same index as `orders`).
-    pub order_lines: Vec<Vec<OrderLine>>,
+    pub order_lines: OrderLines,
     /// One credit-card transaction per order (same index).
     pub cc_xacts: Vec<CcXact>,
     /// Items per subject, in id order.
@@ -386,26 +386,25 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
 
     let num_orders = params.orders();
     let mut orders = Vec::with_capacity(num_orders as usize);
-    let mut order_lines = Vec::with_capacity(num_orders as usize);
+    // An order has at most five lines, so the table never grows.
+    let mut order_lines = OrderLines::with_capacity(num_orders as usize, 5 * num_orders as usize);
     let mut cc_xacts = Vec::with_capacity(num_orders as usize);
     for i in 0..num_orders {
         let customer = CustomerId(rng.gen_range(0..params.customers()));
         let n_lines = rng.gen_range(1..=5usize);
         let mut subtotal = 0u64;
-        let lines: Vec<OrderLine> = (0..n_lines)
-            .map(|_| {
-                let item = ItemId(rng.gen_range(0..params.items));
-                let qty = rng.gen_range(1..=4u32);
-                subtotal += items[item.0 as usize].cost_cents * qty as u64;
-                OrderLine {
-                    order: OrderId(i),
-                    item,
-                    qty,
-                    discount_bp: rng.gen_range(0..300),
-                    comments: rand_text(&mut rng, Letters(5, 20)),
-                }
-            })
-            .collect();
+        order_lines.push((0..n_lines).map(|_| {
+            let item = ItemId(rng.gen_range(0..params.items));
+            let qty = rng.gen_range(1..=4u32);
+            subtotal += items[item.0 as usize].cost_cents * qty as u64;
+            OrderLine {
+                order: OrderId(i),
+                item,
+                qty,
+                discount_bp: rng.gen_range(0..300),
+                comments: rand_text(&mut rng, Letters(5, 20)),
+            }
+        }));
         let tax = subtotal * 825 / 10_000;
         let order = Order {
             id: OrderId(i),
@@ -439,8 +438,8 @@ pub fn generate(params: PopulationParams) -> BasePopulation {
             country: CountryId(rng.gen_range(0..92)),
         });
         orders.push(order);
-        order_lines.push(lines);
     }
+    order_lines.shrink_to_fit();
 
     let mut by_subject: Vec<Vec<ItemId>> = vec![Vec::new(); SUBJECTS.len()];
     for item in &items {
@@ -495,7 +494,7 @@ impl BasePopulation {
     /// the paper's 30/50/70 EB populations land near 300/500/700 MB.
     pub fn nominal_bytes(&self) -> u64 {
         let p = &self.params;
-        let lines: u64 = self.order_lines.iter().map(|l| l.len() as u64).sum();
+        let lines = self.order_lines.line_count() as u64;
         p.customers() as u64 * nominal::CUSTOMER
             + p.addresses() as u64 * nominal::ADDRESS
             + p.orders() as u64 * nominal::ORDER

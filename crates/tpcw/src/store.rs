@@ -26,7 +26,7 @@ use treplica::impl_wire_struct;
 use crate::cart::CartLines;
 use crate::model::{
     nominal, Cart, CartId, CartLine, CcXact, Customer, CustomerId, Item, ItemId, Order, OrderId,
-    OrderLine, OrderStatus, SUBJECTS,
+    OrderLine, OrderLines, OrderStatus, SUBJECTS,
 };
 use crate::population::{
     base_population, c_passwd, c_uname, uname_id, BasePopulation, PopulationParams, SearchPage,
@@ -109,7 +109,7 @@ pub struct Overlay {
     /// Orders placed during the run (id ≥ base count).
     pub new_orders: Vec<Order>,
     /// Lines of the new orders (parallel to `new_orders`).
-    pub new_order_lines: Vec<Vec<OrderLine>>,
+    pub new_order_lines: OrderLines,
     /// Credit-card transactions of the new orders (parallel).
     pub new_cc_xacts: Vec<CcXact>,
     /// Current stock where it differs from the base.
@@ -214,7 +214,7 @@ impl Bookstore {
     /// The modeled in-memory size: base population plus workload growth.
     pub fn nominal_bytes(&self) -> u64 {
         let o = &self.overlay;
-        let new_lines: u64 = o.new_order_lines.iter().map(|l| l.len() as u64).sum();
+        let new_lines = o.new_order_lines.line_count() as u64;
         let cart_lines: u64 = o.carts.values().map(|c| c.lines.len() as u64).sum();
         self.base.nominal_bytes()
             + o.new_customers.len() as u64 * (nominal::CUSTOMER + nominal::ADDRESS)
@@ -325,7 +325,7 @@ impl Bookstore {
             let i = id.0 as usize;
             Some((
                 &self.base.orders[i],
-                &self.base.order_lines[i],
+                self.base.order_lines.get(i)?,
                 &self.base.cc_xacts[i],
             ))
         } else {
@@ -572,17 +572,6 @@ impl Bookstore {
             ship_addr: customer_addr,
             status: OrderStatus::Pending,
         };
-        let lines: Vec<OrderLine> = cart
-            .lines
-            .iter()
-            .map(|l| OrderLine {
-                order: order_id,
-                item: l.item,
-                qty: l.qty,
-                discount_bp,
-                comments: Text::new(),
-            })
-            .collect();
         // Stock adjustment per spec.
         for l in cart.lines.iter() {
             let current = self.stock(l.item)?;
@@ -602,7 +591,15 @@ impl Bookstore {
             country: crate::model::CountryId(payment.country % 92),
         });
         self.overlay.new_orders.push(order);
-        self.overlay.new_order_lines.push(lines);
+        self.overlay
+            .new_order_lines
+            .push(cart.lines.iter().map(|l| OrderLine {
+                order: order_id,
+                item: l.item,
+                qty: l.qty,
+                discount_bp,
+                comments: Text::new(),
+            }));
         self.overlay.last_order.insert(c_id.0, order_id.0);
         self.overlay.carts.remove(&cart_id.0);
         Ok(order_id)

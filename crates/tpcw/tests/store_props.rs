@@ -6,9 +6,9 @@ use proptest::prelude::*;
 
 use tpcw::{
     base_population, c_uname, Bookstore, CartId, CartLine, CustomerId, ItemId, NewCustomer,
-    Overlay, Payment, PopulationParams,
+    OrderId, OrderLine, OrderLines, Overlay, Payment, PopulationParams, Text,
 };
-use treplica::Wire;
+use treplica::{Wire, WireError};
 
 const ITEMS: u32 = 120;
 
@@ -345,7 +345,8 @@ proptest! {
         prop_assert_eq!(overlay.new_orders.len(), overlay.new_order_lines.len());
         prop_assert_eq!(overlay.new_orders.len(), overlay.new_cc_xacts.len());
         for (i, order) in overlay.new_orders.iter().enumerate() {
-            prop_assert!(!overlay.new_order_lines[i].is_empty(), "order without lines");
+            let lines = overlay.new_order_lines.get(i);
+            prop_assert!(lines.is_some_and(|l| !l.is_empty()), "order without lines");
             prop_assert_eq!(overlay.new_cc_xacts[i].order, order.id);
             prop_assert_eq!(overlay.new_cc_xacts[i].amount_cents, order.total_cents);
             prop_assert!(order.total_cents >= order.subtotal_cents + order.tax_cents);
@@ -374,6 +375,51 @@ proptest! {
             assert_reads_match_oracle(&store);
             assert_reads_match_oracle(&Bookstore::from_parts(params, store.overlay().clone()));
             prop_assert_eq!(store.overlay().to_bytes(), oracle::encode_overlay(store.overlay()));
+        }
+    }
+}
+
+/// A random order-lines table, as the `Vec` of each order's lines: up
+/// to six orders of up to five lines, comments inline and on the heap.
+fn order_tables() -> impl Strategy<Value = Vec<Vec<OrderLine>>> {
+    let line = (0u32..8, 0u32..9, 1u32..5, 0u32..300, 0usize..40).prop_map(
+        |(order, item, qty, discount_bp, comment)| OrderLine {
+            order: OrderId(order),
+            item: ItemId(item),
+            qty,
+            discount_bp,
+            comments: Text::from("c".repeat(comment)),
+        },
+    );
+    proptest::collection::vec(proptest::collection::vec(line, 0..6), 0..7)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An `OrderLines` table reads, prints and encodes as the
+    /// `Vec<Vec<OrderLine>>` of the same lines, decodes back equal, and
+    /// fails to decode or check every torn prefix as the `Vec` does.
+    #[test]
+    fn order_lines_are_the_vec_of_each_orders_lines(orders in order_tables()) {
+        let mut table = OrderLines::default();
+        for lines in &orders {
+            table.push(lines.iter().cloned());
+        }
+        prop_assert_eq!(table.len(), orders.len());
+        prop_assert_eq!(table.line_count(), orders.iter().map(Vec::len).sum::<usize>());
+        prop_assert!(table.iter().eq(orders.iter().map(Vec::as_slice)));
+        prop_assert_eq!(table.get(orders.len()), None);
+        prop_assert_eq!(format!("{table:?}"), format!("{orders:?}"));
+        let bytes = orders.to_bytes();
+        prop_assert_eq!(table.to_bytes(), bytes.clone());
+        prop_assert_eq!(table.wire_size(), orders.wire_size());
+        prop_assert_eq!(OrderLines::from_bytes(&bytes), Ok(table));
+        for end in 0..bytes.len() {
+            let torn = &bytes[..end];
+            let want: Result<(), WireError> = Vec::<Vec<OrderLine>>::from_bytes(torn).map(drop);
+            prop_assert_eq!(OrderLines::from_bytes(torn).map(drop), want.clone());
+            prop_assert_eq!(OrderLines::check(&mut { torn }), want);
         }
     }
 }

@@ -180,14 +180,17 @@ fn decoding_an_order_allocates_nothing() {
     assert_eq!(allocations, 0, "a short text decodes inline");
 }
 
-/// Measured 21 609 for the 1-EB population at the paper's 10 000 items
-/// when the budget was set (184 500 while every text had its own heap
-/// block); the budget leaves 25 %.
-const BUDGET_POPULATION_ALLOCS: u64 = 27_011;
+/// Measured 19 019 for the 1-EB population at the paper's 10 000 items
+/// when the budget was set; 21 609 when it was set before that, while
+/// each of the 2 592 base orders kept its lines in a `Vec` of its own,
+/// and 184 500 while every text had its own heap block. The budget
+/// leaves 25 %.
+const BUDGET_POPULATION_ALLOCS: u64 = 23_773;
 
-/// Only a text longer than 22 bytes takes a heap block, so generating a
-/// population allocates for its tables, its indexes and its long texts
-/// (the customers' data, the descriptions, the biographies).
+/// Only a text longer than 22 bytes takes a heap block, and the order
+/// lines are one table, so generating a population allocates for its
+/// tables, its indexes and its long texts (the customers' data, the
+/// descriptions, the biographies).
 #[test]
 fn generating_a_population_allocates_only_its_long_texts() {
     let params = PopulationParams {
@@ -295,7 +298,11 @@ fn run_cost(config: &ExperimentConfig) -> (u64, u64) {
     (allocations, applied)
 }
 
-/// Measured 8.3 when the budget was last set (13.7 at its parent, while
+/// Measured 6.0 when the budget was last set (8.3 at its parent, while
+/// the client's, the proxy's and the server's request tables, the
+/// acceptor's accepted decrees and the learner's decided log were
+/// `BTreeMap`s and each new order's lines took a `Vec` on every
+/// replica); 8.3 when it was set before that (13.7 at that parent, while
 /// each middleware entry point returned its effects in a fresh `Vec`, a
 /// cart's first line took a heap block and the batcher rebuilt its
 /// buffer and copied it per batch); 14.5 when it was set before that
@@ -315,7 +322,7 @@ fn run_cost(config: &ExperimentConfig) -> (u64, u64) {
 /// still collected the usable servers into a `Vec` per request; 394.3
 /// before that, while sizes came from encoding and batches were
 /// deep-copied. The budget leaves 25 %.
-const BUDGET_ALLOCS_PER_UPDATE: f64 = 10.4;
+const BUDGET_ALLOCS_PER_UPDATE: f64 = 7.5;
 
 /// Whole-stack budget: what one more committed update costs the host in
 /// allocations — clients, proxy, page handling, eight replicas'
@@ -449,15 +456,18 @@ impl Bus {
     }
 }
 
-/// Measured 0.500 when the budget was set; 8.700 before, while every
-/// entry point returned a fresh `Vec` of effects, the learner kept a
-/// decree per vote in nested maps and each acceptor answer came in a
-/// `Vec` of messages. The budget leaves 25 %.
-const BUDGET_CORE_ALLOCS_PER_SLOT: f64 = 0.625;
+/// Measured 0.169 when the budget was set (0.500 at its parent, while
+/// the acceptor's accepted decrees and the learner's decided log were
+/// `BTreeMap`s); 0.500 when it was set before that, and 8.700 before
+/// that, while every entry point returned a fresh `Vec` of effects, the
+/// learner kept a decree per vote in nested maps and each acceptor
+/// answer came in a `Vec` of messages. The budget leaves 25 %.
+const BUDGET_CORE_ALLOCS_PER_SLOT: f64 = 0.211;
 
 /// The consensus core's own cost per committed slot per replica on the
 /// fast path: what the proposer, acceptor and learner keep per slot
-/// (the accepted, decided and dedup maps grow a node every few slots),
+/// (the fast-proposal dedup map and the vote table grow a node every
+/// few slots; the accepted and decided rings only when they double),
 /// and nothing per message.
 #[test]
 fn consensus_core_allocates_little_per_committed_slot() {
