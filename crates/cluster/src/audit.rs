@@ -90,6 +90,28 @@ pub struct AuditReport {
     pub total_violations: u64,
 }
 
+/// What the auditor knows of one replica.
+#[derive(Debug)]
+struct ReplicaAudit {
+    /// Records known durable on its disk.
+    durable: BTreeSet<DurableKey>,
+    /// Records in flight to disk, keyed by write token.
+    pending: BTreeMap<u64, DurableKey>,
+    /// Last `(slot, index)` applied by this incarnation.
+    last_applied: Option<(Slot, u32)>,
+}
+
+impl ReplicaAudit {
+    /// A fresh acceptor has implicitly promised ⊥ without writing.
+    fn new() -> ReplicaAudit {
+        ReplicaAudit {
+            durable: BTreeSet::from([DurableKey::Promise(Ballot::BOTTOM)]),
+            pending: BTreeMap::new(),
+            last_applied: None,
+        }
+    }
+}
+
 /// Run-wide safety monitor for the replicated server ensemble.
 #[derive(Debug)]
 pub struct InvariantAuditor {
@@ -99,12 +121,9 @@ pub struct InvariantAuditor {
     /// two replicas must not only deliver the same decree at a slot,
     /// they must deliver it under the same configuration.
     chosen: BTreeMap<(Slot, u32), (Option<ProposalId>, u64, usize)>,
-    /// Per replica: records known durable on its disk.
-    durable: Vec<BTreeSet<DurableKey>>,
-    /// Per replica: records in flight to disk, keyed by write token.
-    pending: Vec<BTreeMap<u64, DurableKey>>,
-    /// Per replica: last `(slot, index)` applied by this incarnation.
-    last_applied: Vec<Option<(Slot, u32)>>,
+    /// Per replica index: spares a reconfiguration provisions are added
+    /// on their first event.
+    replicas: BTreeMap<usize, ReplicaAudit>,
     checks: u64,
     violations: Vec<String>,
     total_violations: u64,
@@ -120,12 +139,7 @@ impl InvariantAuditor {
     pub fn new(n: usize) -> InvariantAuditor {
         InvariantAuditor {
             chosen: BTreeMap::new(),
-            // A fresh acceptor has implicitly promised ⊥ without writing.
-            durable: (0..n)
-                .map(|_| BTreeSet::from([DurableKey::Promise(Ballot::BOTTOM)]))
-                .collect(),
-            pending: (0..n).map(|_| BTreeMap::new()).collect(),
-            last_applied: vec![None; n],
+            replicas: (0..n).map(|idx| (idx, ReplicaAudit::new())).collect(),
             checks: 0,
             violations: Vec::new(),
             total_violations: 0,
@@ -133,15 +147,9 @@ impl InvariantAuditor {
         }
     }
 
-    /// Grows the per-replica state to cover replica `idx` (spares
-    /// provisioned by a reconfiguration).
-    fn ensure(&mut self, idx: usize) {
-        while self.durable.len() <= idx {
-            self.durable
-                .push(BTreeSet::from([DurableKey::Promise(Ballot::BOTTOM)]));
-            self.pending.push(BTreeMap::new());
-            self.last_applied.push(None);
-        }
+    /// What the auditor knows of replica `idx`, added on first sight.
+    fn replica(&mut self, idx: usize) -> &mut ReplicaAudit {
+        self.replicas.entry(idx).or_insert_with(ReplicaAudit::new)
     }
 
     /// Violations found since the last call. The server driver polls
@@ -164,18 +172,13 @@ impl InvariantAuditor {
     /// A replica issued a durable write. Reads the key of a consensus
     /// record off its bytes so the later completion can be matched
     /// against sends.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is a replica index below the `n` the auditor was built for"
-    )]
     pub fn on_disk_write(&mut self, idx: usize, op: &StableOp, token: u64, now_us: u64) {
-        self.ensure(idx);
         match op {
             StableOp::Append { log, entry } if log == LOG_NAME => {
                 self.checks = self.checks.saturating_add(1);
                 match durable_key::<Unbuilt>(entry) {
                     Ok(key) => {
-                        self.pending[idx].insert(token, key);
+                        self.replica(idx).pending.insert(token, key);
                     }
                     Err(_) => self.violation(format!(
                         "[{now_us}us] server {idx}: appended undecodable consensus record \
@@ -190,7 +193,8 @@ impl InvariantAuditor {
                     // The meta record re-asserts the promised floor; once
                     // durable it also justifies Promise sends.
                     Ok(meta) => {
-                        self.pending[idx].insert(token, DurableKey::Promise(meta.promised));
+                        let key = DurableKey::Promise(meta.promised);
+                        self.replica(idx).pending.insert(token, key);
                     }
                     Err(_) => self.violation(format!(
                         "[{now_us}us] server {idx}: wrote undecodable metadata record"
@@ -203,35 +207,22 @@ impl InvariantAuditor {
 
     /// A durable write completed. Must be called *before* the server
     /// reacts (the reaction releases the sends this write gates).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is a replica index below the `n` the auditor was built for"
-    )]
     pub fn on_disk_write_done(&mut self, idx: usize, token: u64) {
-        self.ensure(idx);
-        if let Some(key) = self.pending[idx].remove(&token) {
-            self.durable[idx].insert(key);
+        let replica = self.replica(idx);
+        if let Some(key) = replica.pending.remove(&token) {
+            replica.durable.insert(key);
         }
     }
 
     /// A durable write failed; nothing reached disk.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is a replica index below the `n` the auditor was built for"
-    )]
     pub fn on_disk_write_failed(&mut self, idx: usize, token: u64) {
-        self.ensure(idx);
-        self.pending[idx].remove(&token);
+        self.replica(idx).pending.remove(&token);
     }
 
     /// A replica is sending a middleware message. `sender_status` is
     /// asked for only when the message is one the mode rule constrains
     /// (`FastPropose`/`Any`): most sends are not, and building a status
     /// costs a failure-detector sweep.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is a replica index below the `n` the auditor was built for"
-    )]
     pub fn on_send(
         &mut self,
         idx: usize,
@@ -239,7 +230,6 @@ impl InvariantAuditor {
         sender_status: impl FnOnce() -> ReplicaStatus,
         now_us: u64,
     ) {
-        self.ensure(idx);
         let m = match msg {
             MwMsg::Paxos { msg: m, .. } => m,
             _ => return,
@@ -247,7 +237,11 @@ impl InvariantAuditor {
         match m {
             Msg::Promise { ballot, .. } => {
                 self.checks = self.checks.saturating_add(1);
-                if !self.durable[idx].contains(&DurableKey::Promise(*ballot)) {
+                let durable = self
+                    .replica(idx)
+                    .durable
+                    .contains(&DurableKey::Promise(*ballot));
+                if !durable {
                     self.violation(format!(
                         "[{now_us}us] server {idx}: sent Promise for {ballot:?} before the \
                          promise record was durable"
@@ -261,7 +255,8 @@ impl InvariantAuditor {
             } => {
                 self.checks = self.checks.saturating_add(1);
                 let key = DurableKey::Accept(*slot, *ballot, decree.proposal_id());
-                if !self.durable[idx].contains(&key) {
+                let durable = self.replica(idx).durable.contains(&key);
+                if !durable {
                     self.violation(format!(
                         "[{now_us}us] server {idx}: sent Accepted for slot {slot:?} under \
                          {ballot:?} before the acceptance record was durable"
@@ -300,10 +295,6 @@ impl InvariantAuditor {
     /// A replica delivered (applied) one update of a decided batch;
     /// `index` is the update's position inside its slot's batch and
     /// `epoch` is the configuration epoch the slot was decided under.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is a replica index below the `n` the auditor was built for"
-    )]
     pub fn on_applied(
         &mut self,
         idx: usize,
@@ -313,7 +304,6 @@ impl InvariantAuditor {
         epoch: u64,
         now_us: u64,
     ) {
-        self.ensure(idx);
         self.checks = self.checks.saturating_add(1);
         match self.chosen.get(&(slot, index)) {
             Some((chosen_pid, chosen_epoch, first_by)) => {
@@ -335,7 +325,8 @@ impl InvariantAuditor {
             }
         }
         self.checks = self.checks.saturating_add(1);
-        if let Some(last) = self.last_applied[idx] {
+        let last = self.replica(idx).last_applied.replace((slot, index));
+        if let Some(last) = last {
             if (slot, index) <= last {
                 self.violation(format!(
                     "[{now_us}us] server {idx}: delivery watermark went backwards \
@@ -343,31 +334,21 @@ impl InvariantAuditor {
                 ));
             }
         }
-        self.last_applied[idx] = Some((slot, index));
     }
 
     /// A replica crashed: its in-flight writes are lost and the next
     /// incarnation's delivery watermark restarts.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is a replica index below the `n` the auditor was built for"
-    )]
     pub fn on_crash(&mut self, idx: usize) {
-        self.ensure(idx);
-        self.pending[idx].clear();
-        self.last_applied[idx] = None;
+        let replica = self.replica(idx);
+        replica.pending.clear();
+        replica.last_applied = None;
     }
 
     /// A replica is restarting: rebuild its durable set from what
     /// actually survived on disk (truncations and torn tails included).
     /// Torn entries fail to decode and are skipped — they gate nothing.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is a replica index below the `n` the auditor was built for"
-    )]
     pub fn on_restart(&mut self, idx: usize, store: &StableStore) {
-        self.ensure(idx);
-        let durable = &mut self.durable[idx];
+        let durable = &mut self.replica(idx).durable;
         durable.clear();
         durable.insert(DurableKey::Promise(Ballot::BOTTOM));
         if let Some(bytes) = store.get(META_KEY) {
@@ -523,7 +504,8 @@ mod tests {
             let entry = record.to_bytes();
             let oracle = durable_key::<ActionBatch>(&entry).expect("a valid record");
             audit.on_disk_write(1, &append(entry), token, 10);
-            assert_eq!(audit.pending[1].get(&token), Some(&oracle), "{record:?}");
+            let pending = &audit.replica(1).pending;
+            assert_eq!(pending.get(&token), Some(&oracle), "{record:?}");
         }
         assert_eq!(audit.report().total_violations, 0);
         assert_eq!(audit.report().checks, records.len() as u64);
@@ -575,7 +557,8 @@ mod tests {
                 text.contains("appended undecodable consensus record"),
                 "{what:?}: {text}"
             );
-            assert!(audit.pending[0].is_empty(), "{what:?} gates nothing");
+            let pending = &audit.replica(0).pending;
+            assert!(pending.is_empty(), "{what:?} gates nothing");
         }
     }
 

@@ -21,8 +21,8 @@
 
 use tpcw::{Interaction, Profile};
 
-/// CPU to render the page of each read interaction, indexed in
-/// [`tpcw::ALL_INTERACTIONS`] order.
+/// CPU to render the page of each read interaction, indexed by the
+/// interaction's discriminant ([`tpcw::ALL_INTERACTIONS`] order).
 pub(crate) const READ_CPU_US: [u64; 14] = [
     3_000, // Home
     4_000, // NewProducts
@@ -54,14 +54,11 @@ pub(crate) const PER_MSG_US: u64 = 130;
 
 /// CPU to handle (parse + render) `interaction` at the front end.
 pub(crate) fn handle_cost_us(interaction: Interaction) -> u64 {
-    let idx = tpcw::ALL_INTERACTIONS
-        .iter()
-        .position(|i| *i == interaction)
-        .expect("interaction in table");
+    let page = READ_CPU_US[interaction as usize];
     if interaction.is_update() {
-        READ_CPU_US[idx] / 2 + WRITE_PREP_US
+        page / 2 + WRITE_PREP_US
     } else {
-        READ_CPU_US[idx]
+        page
     }
 }
 

@@ -74,15 +74,42 @@ fn disk_write_failures_and_torn_tails_across_seeds() {
     }
 }
 
+/// FNV-1a-64 of `text`, with its length: a fingerprint small enough to
+/// pin in source.
+fn fnv1a(text: &str) -> (u64, usize) {
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (hash, text.len())
+}
+
+/// The mix's bits are pinned, as recorded at commit 0a8200a, not only
+/// repeated: a refactor that moves one draw of the engine's seeded RNG
+/// must fail here. Seed 1 reaches both fault draws of `simnet::Engine`:
+/// seven writes on the faulty disk fail (each a fail-stop), and three
+/// of those crashes tear an in-flight append. (Seed 7's mix never tears
+/// one.)
 #[test]
 fn adversarial_mix_survives_and_recovers() {
-    let mut config = quick(7);
+    let mut config = quick(1);
     config.faultload = Faultload::adversarial_mix(config.schedule.total_us() * 3 / 4);
     let report = run_experiment(&config);
     assert_eq!(
-        fingerprint(&report),
-        fingerprint(&run_experiment(&config)),
-        "a same-seed run must repeat bit for bit under injected faults"
+        (
+            report.engine_events,
+            report.net_bytes,
+            report.recorder.total_ok(),
+            report.awips.to_bits(),
+            fnv1a(&fingerprint(&report)),
+        ),
+        (
+            305_384,
+            193_686_057,
+            15_912,
+            4_640_459_797_921_634_714,
+            (0xd72e_0b70_a26d_7e26, 3202)
+        ),
+        "a same-seed run must repeat the recorded bits under injected faults"
     );
     assert!(report.audit.checks > 1_000, "auditor must be active");
     // The mix crashes one replica (plus any fsync-failure fail-stops);

@@ -100,28 +100,38 @@ enum Pending<M> {
         /// one send share the id.
         xid: u64,
     },
-    Timer {
+    /// Work one incarnation of `node` scheduled for itself: it completes
+    /// only while that incarnation is still up.
+    Local {
         node: NodeId,
         inc: Incarnation,
         token: u64,
+        work: Work,
     },
-    DiskWrite {
-        node: NodeId,
-        inc: Incarnation,
-        token: u64,
-        op: StableOp,
-    },
-    DiskWriteFail {
-        node: NodeId,
-        inc: Incarnation,
-        token: u64,
-    },
-    DiskRead {
-        node: NodeId,
-        inc: Incarnation,
-        token: u64,
-        key: String,
-    },
+}
+
+/// What a node-local `Pending` entry completes as.
+#[derive(Debug)]
+enum Work {
+    Timer,
+    /// A durable write, applied to the store at completion.
+    Write(StableOp),
+    /// A durable write that fails: nothing reaches the platter.
+    WriteFailed,
+    /// A bulk read of one key.
+    Read(String),
+    /// A bulk read of bytes with no key: the latency without the data.
+    RawRead,
+}
+
+/// Everything the engine keeps for one node slot.
+#[derive(Debug)]
+struct Node {
+    state: NodeState,
+    disk: DiskModel,
+    /// Survives crashes.
+    store: StableStore,
+    fault: Option<DiskFault>,
 }
 
 /// Configuration of a simulation run.
@@ -150,11 +160,8 @@ pub struct Engine<M> {
     now: SimTime,
     seq: u64,
     queue: EventQueue<Pending<M>>,
-    nodes: Vec<NodeState>,
+    nodes: Vec<Node>,
     net: Network,
-    disks: Vec<DiskModel>,
-    stores: Vec<StableStore>,
-    disk_faults: Vec<Option<DiskFault>>,
     dispatched: u64,
     /// Next transmission id. Advances on every send attempt, traced or
     /// not, so a run's xids are identical with tracing on or off.
@@ -172,13 +179,15 @@ impl<M: std::fmt::Debug> Engine<M> {
             now: SimTime::ZERO,
             seq: 0,
             queue: EventQueue::new(),
-            nodes: vec![NodeState::default(); nodes],
-            net: Network::new(config.net),
-            disks: (0..nodes)
-                .map(|_| DiskModel::new(config.disk.clone()))
+            nodes: (0..nodes)
+                .map(|_| Node {
+                    state: NodeState::default(),
+                    disk: DiskModel::new(config.disk.clone()),
+                    store: StableStore::new(),
+                    fault: None,
+                })
                 .collect(),
-            stores: (0..nodes).map(|_| StableStore::new()).collect(),
-            disk_faults: vec![None; nodes],
+            net: Network::new(config.net),
             dispatched: 0,
             next_xid: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -246,37 +255,41 @@ impl<M: std::fmt::Debug> Engine<M> {
     pub fn is_up(&self, node: NodeId) -> bool {
         self.nodes
             .get(node.index())
-            .is_some_and(|n| n.status == NodeStatus::Up)
+            .is_some_and(|n| n.state.status == NodeStatus::Up)
+    }
+
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are the dense slots `Engine::new` made, and a run's topology is fixed"
+    )]
+    fn node(&self, node: NodeId) -> &Node {
+        &self.nodes[node.index()]
+    }
+
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are the dense slots `Engine::new` made, and a run's topology is fixed"
+    )]
+    fn node_mut(&mut self, node: NodeId) -> &mut Node {
+        &mut self.nodes[node.index()]
     }
 
     /// Lifecycle record of `node`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn node_state(&self, node: NodeId) -> &NodeState {
-        &self.nodes[node.index()]
+        &self.node(node).state
     }
 
     /// Synchronous view of a node's durable storage.
     ///
     /// Reading this does not model latency; use [`Engine::disk_read`] when
     /// the read cost matters (e.g. checkpoint loading during recovery).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn store(&self, node: NodeId) -> &StableStore {
-        &self.stores[node.index()]
+        &self.node(node).store
     }
 
     /// The node's disk statistics.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn disk(&self, node: NodeId) -> &DiskModel {
-        &self.disks[node.index()]
+        &self.node(node).disk
     }
 
     fn push(&mut self, at: SimTime, pending: Pending<M>) {
@@ -384,14 +397,51 @@ impl<M: std::fmt::Debug> Engine<M> {
 
     /// Sets a timer for the *current incarnation* of `node`; it fires as
     /// [`Event::Timer`] after `after`, unless the node crashes first.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn set_timer(&mut self, node: NodeId, after: SimDuration, token: u64) {
-        let inc = self.nodes[node.index()].incarnation;
+        let inc = self.node(node).state.incarnation;
+        self.push_local(after, node, inc, token, Work::Timer);
+    }
+
+    /// Queues `work` of incarnation `inc` of `node`, due after `after`.
+    fn push_local(
+        &mut self,
+        after: SimDuration,
+        node: NodeId,
+        inc: Incarnation,
+        token: u64,
+        work: Work,
+    ) {
         let at = self.now + after;
-        self.push(at, Pending::Timer { node, inc, token });
+        self.push(
+            at,
+            Pending::Local {
+                node,
+                inc,
+                token,
+                work,
+            },
+        );
+    }
+
+    /// Queues disk work for the running incarnation of `node`: `issue`
+    /// charges the operation to the node's disk and returns its latency
+    /// and what it completes as. A down process issues nothing.
+    fn issue_disk(
+        &mut self,
+        node: NodeId,
+        token: u64,
+        issue: impl FnOnce(&mut Node, &mut StdRng) -> (SimDuration, Work),
+    ) {
+        let Some(n) = self
+            .nodes
+            .get_mut(node.index())
+            .filter(|n| n.state.status == NodeStatus::Up)
+        else {
+            return;
+        };
+        let inc = n.state.incarnation;
+        let (latency, work) = issue(n, &mut self.rng);
+        self.push_local(latency, node, inc, token, work);
     }
 
     /// Issues a durable write for the current incarnation of `node`.
@@ -399,106 +449,51 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// The mutation becomes visible in the node's [`StableStore`] at the
     /// completion time, when [`Event::DiskWriteDone`] is delivered. If the
     /// node crashes before completion the write is lost entirely.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn disk_write(&mut self, node: NodeId, op: StableOp, token: u64) {
-        if !self.is_up(node) {
-            return;
-        }
-        let inc = self.nodes[node.index()].incarnation;
-        let latency = self.disks[node.index()].write_latency(&op);
-        let at = self.now + latency;
-        if let Some(fault) = self.disk_faults[node.index()] {
-            if fault.write_fail_probability > 0.0
-                && self.rng.gen::<f64>() < fault.write_fail_probability
-            {
-                // The op is dropped: a failed write persists nothing.
-                self.push(at, Pending::DiskWriteFail { node, inc, token });
-                return;
-            }
-        }
-        self.push(
-            at,
-            Pending::DiskWrite {
-                node,
-                inc,
-                token,
-                op,
-            },
-        );
+        self.issue_disk(node, token, |n, rng| {
+            let latency = n.disk.write_latency(&op);
+            let fails = n.fault.is_some_and(|f| {
+                f.write_fail_probability > 0.0 && rng.gen::<f64>() < f.write_fail_probability
+            });
+            // A failed write drops the op: it persists nothing.
+            let work = if fails {
+                Work::WriteFailed
+            } else {
+                Work::Write(op)
+            };
+            (latency, work)
+        });
     }
 
     /// Installs (`Some`) or clears (`None`) an injected disk fault
     /// profile on `node`. Takes effect for writes issued afterwards.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn set_disk_fault(&mut self, node: NodeId, fault: Option<DiskFault>) {
-        self.disk_faults[node.index()] = fault;
+        self.node_mut(node).fault = fault;
     }
 
     /// Issues a bulk read of `key` from the node's key/value area; the
     /// latency is proportional to the key's modeled size (its nominal
     /// override when set). Completes as [`Event::DiskReadDone`].
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn disk_read(&mut self, node: NodeId, key: &str, token: u64) {
-        if !self.is_up(node) {
-            return;
-        }
-        let inc = self.nodes[node.index()].incarnation;
-        let bytes = self.stores[node.index()].nominal_size(key);
-        let latency = self.disks[node.index()].read_latency(bytes);
-        let at = self.now + latency;
-        self.push(
-            at,
-            Pending::DiskRead {
-                node,
-                inc,
-                token,
-                key: key.to_string(),
-            },
-        );
+        self.issue_disk(node, token, |n, _| {
+            let latency = n.disk.read_latency(n.store.nominal_size(key));
+            (latency, Work::Read(key.to_string()))
+        });
     }
 
     /// Issues a raw bulk read of `bytes` from the node's disk with no key
     /// (e.g. replaying a whole log file); completes as
     /// [`Event::DiskReadDone`] with `value: None`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn disk_read_raw(&mut self, node: NodeId, bytes: u64, token: u64) {
-        if !self.is_up(node) {
-            return;
-        }
-        let inc = self.nodes[node.index()].incarnation;
-        let latency = self.disks[node.index()].read_latency(bytes);
-        let at = self.now + latency;
-        self.push(
-            at,
-            Pending::DiskRead {
-                node,
-                inc,
-                token,
-                key: String::new(),
-            },
-        );
+        self.issue_disk(node, token, |n, _| {
+            (n.disk.read_latency(bytes), Work::RawRead)
+        });
     }
 
     /// Durably sets the modeled size of `key` on the node's disk
     /// (latency-free; pair with the write that created the key).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn set_nominal(&mut self, node: NodeId, key: &str, bytes: u64) {
-        self.stores[node.index()].set_nominal(key, bytes);
+        self.node_mut(node).store.set_nominal(key, bytes);
     }
 
     /// Crashes `node`: its volatile state is gone (the driver must drop
@@ -511,20 +506,14 @@ impl<M: std::fmt::Debug> Engine<M> {
     ///
     /// Panics if the node is already down — faultloads are expressed
     /// against live replicas.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn crash(&mut self, node: NodeId) {
-        let state = &mut self.nodes[node.index()];
+        let Node { state, fault, .. } = self.node_mut(node);
         assert_eq!(state.status, NodeStatus::Up, "crash of a down node {node}");
         let inc = state.incarnation;
         state.status = NodeStatus::Down;
         state.crashes += 1;
+        let torn = fault.is_some_and(|f| f.torn_tail_on_crash);
         self.trace(node, TraceEvent::Crash);
-        let torn = self.disk_faults[node.index()]
-            .map(|f| f.torn_tail_on_crash)
-            .unwrap_or(false);
         if torn {
             self.tear_in_flight_append(node, inc);
         }
@@ -534,13 +523,8 @@ impl<M: std::fmt::Debug> Engine<M> {
         // the node stay queued — they are genuinely in the network and
         // may still be delivered if the node restarts before they
         // arrive (or dropped as `dest_down` if it does not).
-        self.queue.retain(|pending| match pending {
-            Pending::Message { .. } => true,
-            Pending::Timer { node: n, .. }
-            | Pending::DiskWrite { node: n, .. }
-            | Pending::DiskWriteFail { node: n, .. }
-            | Pending::DiskRead { node: n, .. } => *n != node,
-        });
+        self.queue
+            .retain(|pending| !matches!(pending, Pending::Local { node: n, .. } if *n == node));
     }
 
     /// Torn-tail injection: the in-flight log append closest to
@@ -553,45 +537,40 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// like an untorn crash. The armed fault still *fired*, though, so
     /// the tear is traced with `bytes_kept: 0` — otherwise a 1-byte
     /// append would make the crash invisible in the trace.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` indexes the per-node tables, and `keep` is drawn below `bytes.len()`"
-    )]
     fn tear_in_flight_append(&mut self, node: NodeId, inc: Incarnation) {
-        let mut best: Option<(u64, u64, &str, &[u8])> = None;
-        for (at, seq, pending) in self.queue.iter() {
-            if let Pending::DiskWrite {
-                node: n,
-                inc: i,
-                op: StableOp::Append { log, entry: bytes },
-                ..
-            } = pending
-            {
-                if *n == node
-                    && *i == inc
-                    && best.map(|(a, s, ..)| (at, seq) < (a, s)).unwrap_or(true)
-                {
-                    best = Some((at, seq, log, bytes));
-                }
-            }
+        let first = self
+            .queue
+            .iter()
+            .filter_map(|(at, seq, pending)| match pending {
+                Pending::Local {
+                    node: n,
+                    inc: i,
+                    work: Work::Write(StableOp::Append { log, entry }),
+                    ..
+                } if *n == node && *i == inc => Some(((at, seq), log, entry)),
+                _ => None,
+            })
+            .min_by_key(|(due, ..)| *due);
+        let Some((_, log, entry)) = first else {
+            return;
+        };
+        let keep = match entry.len() {
+            0 | 1 => 0,
+            len => self.rng.gen_range(1..len),
+        };
+        if keep > 0 {
+            let prefix = StableOp::Append {
+                log: log.clone(),
+                entry: entry.iter().take(keep).copied().collect(),
+            };
+            self.node_mut(node).store.apply(prefix);
         }
-        if let Some((_, _, log, bytes)) = best {
-            if bytes.len() >= 2 {
-                let log = log.to_string();
-                let keep = self.rng.gen_range(1..bytes.len());
-                let prefix = bytes[..keep].to_vec();
-                self.stores[node.index()].apply(StableOp::Append { log, entry: prefix });
-                self.trace(
-                    node,
-                    TraceEvent::TornWrite {
-                        bytes_kept: keep as u64,
-                    },
-                );
-            } else {
-                // No strict prefix exists: wholly lost, but still a tear.
-                self.trace(node, TraceEvent::TornWrite { bytes_kept: 0 });
-            }
-        }
+        self.trace(
+            node,
+            TraceEvent::TornWrite {
+                bytes_kept: keep as u64,
+            },
+        );
     }
 
     /// Restarts `node` with a fresh incarnation. The driver must construct
@@ -600,12 +579,8 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// # Panics
     ///
     /// Panics if the node is already up.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn restart(&mut self, node: NodeId) {
-        let state = &mut self.nodes[node.index()];
+        let state = &mut self.node_mut(node).state;
         assert_eq!(
             state.status,
             NodeStatus::Down,
@@ -623,14 +598,9 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// whose destination is down at delivery time are dropped here —
     /// counted against the network's drop statistics and traced with
     /// reason `dest_down` — and the loop continues to the next entry.
-    /// (Timers and disk completions of dead incarnations are purged
-    /// eagerly by [`Engine::crash`]; the incarnation guards below are
-    /// defense in depth.) Returns `None` — with the clock advanced to
+    /// Node-local work completes only while the incarnation that
+    /// scheduled it is up. Returns `None` — with the clock advanced to
     /// `limit` — when no event remains before the limit.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `NodeId` comes from `add_node`, so it indexes the per-node tables"
-    )]
     pub fn next_event_before(&mut self, limit: SimTime) -> Option<(SimTime, Event<M>)> {
         loop {
             let Some((at, _seq, pending)) = self.queue.pop_before(limit.as_micros()) else {
@@ -672,48 +642,50 @@ impl<M: std::fmt::Debug> Engine<M> {
                         },
                     );
                 }
-                Pending::Timer { node, inc, token } => {
-                    if self.is_up(node) && self.nodes[node.index()].incarnation == inc {
-                        self.dispatched += 1;
-                        return Some((self.now, Event::Timer { node, token }));
-                    }
-                }
-                Pending::DiskWrite {
+                Pending::Local {
                     node,
                     inc,
                     token,
-                    op,
+                    work,
                 } => {
-                    if self.is_up(node) && self.nodes[node.index()].incarnation == inc {
-                        self.stores[node.index()].apply(op);
+                    // The one incarnation guard. A crash purges its
+                    // incarnation's entries, so what this still stops is
+                    // a timer set while the node was down: it carries the
+                    // dead incarnation.
+                    let live = self.nodes.get(node.index()).is_some_and(|n| {
+                        n.state.status == NodeStatus::Up && n.state.incarnation == inc
+                    });
+                    if live {
                         self.dispatched += 1;
-                        return Some((self.now, Event::DiskWriteDone { node, token }));
-                    }
-                }
-                Pending::DiskWriteFail { node, inc, token } => {
-                    if self.is_up(node) && self.nodes[node.index()].incarnation == inc {
-                        self.trace(node, TraceEvent::DiskWriteFailed);
-                        self.dispatched += 1;
-                        return Some((self.now, Event::DiskWriteFailed { node, token }));
-                    }
-                }
-                Pending::DiskRead {
-                    node,
-                    inc,
-                    token,
-                    key,
-                } => {
-                    if self.is_up(node) && self.nodes[node.index()].incarnation == inc {
-                        let value = if key.is_empty() {
-                            None
-                        } else {
-                            self.stores[node.index()].get(&key).map(<[u8]>::to_vec)
-                        };
-                        self.dispatched += 1;
-                        return Some((self.now, Event::DiskReadDone { node, token, value }));
+                        let event = self.complete(node, token, work);
+                        return Some((self.now, event));
                     }
                 }
             }
+        }
+    }
+
+    /// Completes `work` that the running incarnation of `node` scheduled.
+    fn complete(&mut self, node: NodeId, token: u64, work: Work) -> Event<M> {
+        match work {
+            Work::Timer => Event::Timer { node, token },
+            Work::Write(op) => {
+                self.node_mut(node).store.apply(op);
+                Event::DiskWriteDone { node, token }
+            }
+            Work::WriteFailed => {
+                self.trace(node, TraceEvent::DiskWriteFailed);
+                Event::DiskWriteFailed { node, token }
+            }
+            Work::Read(key) => {
+                let value = self.node(node).store.get(&key).map(<[u8]>::to_vec);
+                Event::DiskReadDone { node, token, value }
+            }
+            Work::RawRead => Event::DiskReadDone {
+                node,
+                token,
+                value: None,
+            },
         }
     }
 

@@ -193,6 +193,11 @@ mod tests {
 
     #[test]
     fn weights_cover_all_interactions() {
+        // Positional tables (these weights, the cluster's page costs)
+        // read an interaction's row at its discriminant.
+        for (i, interaction) in ALL_INTERACTIONS.into_iter().enumerate() {
+            assert_eq!(interaction as usize, i, "{interaction:?}");
+        }
         for p in Profile::ALL {
             let w = p.weights();
             assert_eq!(w.len(), 14);

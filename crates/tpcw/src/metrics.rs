@@ -159,32 +159,21 @@ impl Recorder {
 
     /// Mean WIRT (µs) over `[from, to)` completion times.
     pub fn mean_wirt(&self, from: u64, to: u64) -> f64 {
-        let samples: Vec<u32> = self
-            .wirt
-            .iter()
-            .filter(|(t, _, _)| *t >= from && *t < to)
-            .map(|(_, rt, _)| *rt)
-            .collect();
-        if samples.is_empty() {
+        let (sum, count) = self
+            .wirt_in(from, to)
+            .fold((0.0, 0u64), |(sum, count), (rt, _)| {
+                (sum + rt as f64, count + 1)
+            });
+        if count == 0 {
             return 0.0;
         }
-        samples.iter().map(|r| *r as f64).sum::<f64>() / samples.len() as f64
+        sum / count as f64
     }
 
     /// WIRT percentile (0–100) over `[from, to)`.
     pub fn wirt_percentile(&self, from: u64, to: u64, pct: f64) -> u64 {
-        let mut samples: Vec<u32> = self
-            .wirt
-            .iter()
-            .filter(|(t, _, _)| *t >= from && *t < to)
-            .map(|(_, rt, _)| *rt)
-            .collect();
-        if samples.is_empty() {
-            return 0;
-        }
-        samples.sort_unstable();
-        let idx = ((pct / 100.0) * (samples.len() - 1) as f64).round() as usize;
-        samples[idx.min(samples.len() - 1)] as u64
+        let samples = self.wirt_in(from, to).map(|(rt, _)| rt);
+        nearest_rank(samples, pct / 100.0).unwrap_or(0)
     }
 
     /// TPC-W clause 5.3.1: 90 % of each interaction's responses must
@@ -194,23 +183,36 @@ impl Recorder {
     pub fn wirt_compliance(&self, from: u64, to: u64) -> Vec<(crate::Interaction, u64, u64, bool)> {
         let mut out = Vec::new();
         for interaction in crate::ALL_INTERACTIONS {
-            let mut samples: Vec<u32> = self
-                .wirt
-                .iter()
-                .filter(|(t, _, i)| *t >= from && *t < to && *i == interaction)
-                .map(|(_, rt, _)| *rt)
-                .collect();
-            if samples.is_empty() {
-                continue;
+            let samples = self
+                .wirt_in(from, to)
+                .filter(|(_, i)| *i == interaction)
+                .map(|(rt, _)| rt);
+            if let Some(p90) = nearest_rank(samples, 0.9) {
+                let limit = wirt_limit_us(interaction);
+                out.push((interaction, p90, limit, p90 <= limit));
             }
-            samples.sort_unstable();
-            let idx = ((samples.len() - 1) as f64 * 0.9).round() as usize;
-            let p90 = samples[idx] as u64;
-            let limit = wirt_limit_us(interaction);
-            out.push((interaction, p90, limit, p90 <= limit));
         }
         out
     }
+
+    /// `(response time µs, interaction)` of the successes completed in
+    /// `[from, to)`.
+    fn wirt_in(&self, from: u64, to: u64) -> impl Iterator<Item = (u32, crate::Interaction)> + '_ {
+        self.wirt
+            .iter()
+            .filter(move |(t, ..)| *t >= from && *t < to)
+            .map(|(_, rt, i)| (*rt, *i))
+    }
+}
+
+/// The nearest-rank sample at `share` (0–1) of `samples`, or `None` if
+/// there are none.
+fn nearest_rank(samples: impl Iterator<Item = u32>, share: f64) -> Option<u64> {
+    let mut samples: Vec<u32> = samples.collect();
+    let last = samples.len().checked_sub(1)?;
+    samples.sort_unstable();
+    let idx = (share * last as f64).round() as usize;
+    Some(samples[idx.min(last)] as u64)
 }
 
 /// TPC-W clause 5.3.1.1 response-time limits (µs) per interaction.

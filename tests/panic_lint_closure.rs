@@ -10,8 +10,9 @@
 //! Clippy enforces the deny; this test keeps the deny itself from
 //! going missing: it walks the normal `[dependencies]` of `paxos`,
 //! `treplica` and `robuststore` through the `Cargo.toml`s, and fails if
-//! a crate of that closure drops a lint or if module-level opt-outs
-//! grow past their cap.
+//! a crate of that closure drops a lint, if module-level opt-outs
+//! grow past their cap, or if the item-level waivers of
+//! `indexing_slicing` do.
 //!
 //! Slot, round and generation ordinals index the log every replica
 //! applies in one order; a wrapped ordinal reorders it. So `paxos`,
@@ -43,6 +44,11 @@ const CLUSTER_FILES: [&str; 2] = [
 /// Module-level `#![expect]`/`#![allow]` of a panic lint in the closure.
 /// Policy: the count can only shrink; lower the cap when one goes.
 const MODULE_OPT_OUT_CAP: usize = 2;
+
+/// Item-level `#[expect(clippy::indexing_slicing, …)]` sites in the
+/// closure and [`CLUSTER_FILES`]: each claims an index in range by
+/// construction. Same policy as [`MODULE_OPT_OUT_CAP`].
+const INDEXING_WAIVER_CAP: usize = 10;
 
 /// The deny that keeps ordinals, simulated times, sizes and tallies
 /// from wrapping; test code is exempt.
@@ -142,9 +148,10 @@ fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Inner `#![expect(…)]`/`#![allow(…)]` attributes naming one of `lints`.
-fn module_opt_outs(src: &str, lints: &[&str]) -> usize {
-    src.split("#![")
+/// Attributes opened by `open` (`"#!["` inner, `"#["` outer) that
+/// `#[expect]` or `#[allow]` one of `lints`.
+fn waivers(src: &str, open: &str, lints: &[&str]) -> usize {
+    src.split(open)
         .skip(1)
         .filter(|attr| attr.starts_with("expect(") || attr.starts_with("allow("))
         .filter(|attr| {
@@ -189,7 +196,7 @@ fn replica_closure_denies_the_panic_lints() {
         .map(|f| {
             (
                 f.display().to_string(),
-                module_opt_outs(&read(f), &PANIC_LINTS),
+                waivers(&read(f), "#![", &PANIC_LINTS),
             )
         })
         .filter(|&(_, n)| n > 0)
@@ -199,6 +206,21 @@ fn replica_closure_denies_the_panic_lints() {
         total <= MODULE_OPT_OUT_CAP,
         "{total} module-level panic-lint opt-outs, above the cap of {MODULE_OPT_OUT_CAP}; \
          put an `#[expect]` on the function instead: {opt_outs:?}"
+    );
+
+    let indexing: Vec<(String, usize)> = scanned
+        .iter()
+        .map(|f| {
+            let n = waivers(&read(f), "#[", &["indexing_slicing"]);
+            (f.display().to_string(), n)
+        })
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    let total: usize = indexing.iter().map(|(_, n)| n).sum();
+    assert!(
+        total <= INDEXING_WAIVER_CAP,
+        "{total} item-level indexing_slicing waivers, above the cap of \
+         {INDEXING_WAIVER_CAP}; reach the value through `get` or an iterator: {indexing:?}"
     );
 
     let arith_dirs: Vec<PathBuf> = ARITH_CRATES
@@ -224,7 +246,7 @@ fn replica_closure_denies_the_panic_lints() {
     arith_scanned.extend(CLUSTER_FILES.iter().map(|f| root().join(f)));
     let arith_opt_outs: Vec<String> = arith_scanned
         .iter()
-        .filter(|f| module_opt_outs(&read(f), &["arithmetic_side_effects"]) > 0)
+        .filter(|f| waivers(&read(f), "#![", &["arithmetic_side_effects"]) > 0)
         .map(|f| f.display().to_string())
         .collect();
     assert!(
