@@ -547,12 +547,17 @@ impl ServerNode {
 
     /// A durable write completed. The auditor marks the record durable
     /// *first* — the middleware's reaction releases the sends it gates.
+    /// An append's buffers go back to the middleware for its next record.
     pub fn on_disk_write_done(
         &mut self,
         engine: &mut Engine<ClusterMsg>,
         token: u64,
+        buffers: Option<(String, Vec<u8>)>,
         auditor: &mut InvariantAuditor,
     ) {
+        if let Some((log, entry)) = buffers {
+            self.mw.recycle_append(log, entry);
+        }
         auditor.on_disk_write_done(self.idx, token);
         let fx = self.mw.on_disk_write_done(token);
         self.apply_mw_effects(engine, fx, auditor);

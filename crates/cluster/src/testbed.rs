@@ -180,8 +180,8 @@ impl Testbed {
                     server.on_message(engine, from, payload, auditor)
                 }
                 Event::Timer { token, .. } => server.on_timer(engine, token, auditor),
-                Event::DiskWriteDone { token, .. } => {
-                    server.on_disk_write_done(engine, token, auditor)
+                Event::DiskWriteDone { token, buffers, .. } => {
+                    server.on_disk_write_done(engine, token, buffers, auditor)
                 }
                 Event::DiskReadDone { token, value, .. } => {
                     server.on_disk_read_done(engine, token, value, auditor)

@@ -168,7 +168,9 @@ pub(crate) mod testkit {
                         if let (Some(nom), StableOp::Put { key, .. }) = (nominal, &op) {
                             store.set_nominal(key, nom);
                         }
-                        store.apply(op);
+                        if let Some((log, entry)) = store.apply(op) {
+                            mw.recycle_append(log, entry);
+                        }
                         next.extend(mw.on_disk_write_done(token));
                     }
                     MwEffect::DiskRead { key, token } => {

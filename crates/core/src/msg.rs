@@ -165,7 +165,9 @@ mod tests {
                         next.extend(mw.on_message(ReplicaId(0), msg, 0));
                     }
                     MwEffect::DiskWrite { op, token, .. } => {
-                        store.apply(op);
+                        if let Some((log, entry)) = store.apply(op) {
+                            mw.recycle_append(log, entry);
+                        }
                         next.extend(mw.on_disk_write_done(token));
                     }
                     MwEffect::Reconfigured { epoch, members, .. } => {

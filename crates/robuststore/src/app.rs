@@ -122,7 +122,10 @@ impl Application for RobustStore {
 mod tests {
     use super::*;
     use crate::facade::{Prepared, TpcwDatabase};
-    use tpcw::{CartId, CustomerId, ItemId, Payment, Profile, Rbe, RbeConfig, SessionUpdate};
+    use tpcw::{
+        Cart, CartId, CartLines, CustomerId, ItemId, Payment, Profile, Rbe, RbeConfig,
+        SessionUpdate,
+    };
 
     fn tiny() -> PopulationParams {
         PopulationParams {
@@ -257,6 +260,62 @@ mod tests {
             "nominal {}",
             snap.nominal_bytes
         );
+    }
+
+    /// A catalogue past 65 536 items sells its last item, and the one
+    /// live cart is the last of 70 001 created: a replica restores both
+    /// from its checkpoint.
+    #[test]
+    fn restore_takes_high_item_and_cart_ids() {
+        let params = PopulationParams {
+            items: 70_000,
+            ebs: 1,
+            seed: 3,
+        };
+        let high = ItemId(params.items - 1);
+        let mut a = RobustStore::new(params);
+        let before = a.store().stock(high).unwrap();
+        a.apply(&Action::DoCart {
+            cart: None,
+            add: Some((high, 2)),
+            updates: vec![],
+            default_item: ItemId(0),
+            now: 10,
+        });
+        let bought = a.apply(&Action::BuyConfirm {
+            cart: CartId(0),
+            customer: CustomerId(7),
+            payment: Payment {
+                cc_type: "VISA".into(),
+                cc_num: "4111".into(),
+                cc_name: "N".into(),
+                cc_expiry: 15_000,
+                auth_id: "AUTH1".into(),
+                country: 2,
+            },
+            ship_type: 1,
+            now: 20,
+        });
+        assert!(matches!(bought, Reply::Order(_)), "{bought:?}");
+        assert_ne!(a.store().stock(high).unwrap(), before);
+        let mut overlay = a.store().overlay().clone();
+        let last = CartId(70_000);
+        overlay.carts.insert(
+            last.0,
+            Cart {
+                id: last,
+                time: 30,
+                lines: CartLines::new(),
+            },
+        );
+        overlay.next_cart = last.0 + 1;
+        let a = RobustStore {
+            store: Bookstore::from_parts(params, overlay),
+        };
+        let b = RobustStore::restore(&a.snapshot().data).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(b.store().stock(high), a.store().stock(high));
+        assert!(b.store().cart(last).is_ok());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! applies the mutation. This is the conservative reading of an
 //! `fsync`-gated write.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::time::SimDuration;
 
@@ -196,11 +196,35 @@ impl DiskModel {
     }
 }
 
+/// Bytes of one chunk of a [`StableLog`]. An entry never straddles two
+/// chunks: one that does not fit in what is left of the last chunk
+/// starts a new one, of its own size if it is larger than this.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Where a retained entry lies: `len` bytes from `start` in chunk
+/// number `chunk`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    chunk: u64,
+    start: usize,
+    len: usize,
+}
+
 /// A log with stable indexes across truncation.
+///
+/// Entry bytes are copied into fixed-size chunks, so an append stores
+/// no heap block of its own and leaves the appended buffer to its
+/// writer; truncation drops the chunks no retained entry lies in.
 #[derive(Debug, Clone, Default)]
 pub struct StableLog {
     first_index: u64,
-    entries: Vec<Vec<u8>>,
+    /// One span per retained entry, oldest first.
+    spans: VecDeque<Span>,
+    /// Chunk number `first_chunk + i` is `chunks[i]`.
+    chunks: VecDeque<Vec<u8>>,
+    first_chunk: u64,
+    /// Sum of the retained entries' lengths.
+    bytes: u64,
 }
 
 impl StableLog {
@@ -211,40 +235,60 @@ impl StableLog {
 
     /// Index one past the last entry ever appended.
     pub fn next_index(&self) -> u64 {
-        self.first_index + self.entries.len() as u64
+        self.first_index + self.spans.len() as u64
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.spans.len()
     }
 
     /// Whether no entries are retained.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.spans.is_empty()
     }
 
     /// The entry at stable index `index`, if retained.
     pub fn get(&self, index: u64) -> Option<&[u8]> {
-        if index < self.first_index {
-            return None;
-        }
-        self.entries
-            .get(usize::try_from(index - self.first_index).unwrap_or(usize::MAX))
-            .map(Vec::as_slice)
+        let offset = usize::try_from(index.checked_sub(self.first_index)?).ok()?;
+        self.spans.get(offset).and_then(|span| self.bytes_of(*span))
     }
 
     /// Iterates over `(index, entry)` pairs of retained entries.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.entries
-            .iter()
-            .enumerate()
-            .map(move |(i, e)| (self.first_index + i as u64, e.as_slice()))
+        (self.first_index..)
+            .zip(&self.spans)
+            .map(|(index, span)| (index, self.bytes_of(*span).unwrap_or_default()))
     }
 
-    fn append(&mut self, entry: Vec<u8>) -> u64 {
-        self.entries.push(entry);
-        self.next_index() - 1
+    fn bytes_of(&self, span: Span) -> Option<&[u8]> {
+        let chunk = usize::try_from(span.chunk.checked_sub(self.first_chunk)?).ok()?;
+        self.chunks
+            .get(chunk)?
+            .get(span.start..span.start + span.len)
+    }
+
+    /// Copies `entry` in at the next index.
+    fn append(&mut self, entry: &[u8]) {
+        let fits = self
+            .chunks
+            .back()
+            .is_some_and(|c| c.capacity() - c.len() >= entry.len());
+        if !fits {
+            self.chunks
+                .push_back(Vec::with_capacity(entry.len().max(CHUNK_BYTES)));
+        }
+        let chunk = self.first_chunk + self.chunks.len() as u64 - 1;
+        if let Some(last) = self.chunks.back_mut() {
+            let start = last.len();
+            last.extend_from_slice(entry);
+            self.spans.push_back(Span {
+                chunk,
+                start,
+                len: entry.len(),
+            });
+            self.bytes += entry.len() as u64;
+        }
     }
 
     fn truncate_front(&mut self, keep_from: u64) {
@@ -253,14 +297,20 @@ impl StableLog {
         }
         let drop = usize::try_from(keep_from - self.first_index)
             .unwrap_or(usize::MAX)
-            .min(self.entries.len());
-        self.entries.drain(..drop);
+            .min(self.spans.len());
+        for span in self.spans.drain(..drop) {
+            self.bytes -= span.len as u64;
+        }
         self.first_index += drop as u64;
+        let live_from = self.spans.front().map_or(u64::MAX, |s| s.chunk);
+        while self.first_chunk < live_from && self.chunks.pop_front().is_some() {
+            self.first_chunk += 1;
+        }
     }
 
     /// Total retained bytes.
     pub fn bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.len() as u64).sum()
+        self.bytes
     }
 }
 
@@ -281,14 +331,21 @@ impl StableStore {
         StableStore::default()
     }
 
-    /// Applies a durable mutation (called by the engine at completion time).
-    pub fn apply(&mut self, op: StableOp) {
+    /// Applies a durable mutation (called by the engine at completion
+    /// time). An append copies its entry into the log and hands back the
+    /// op's log name and entry buffer, as they were, for the writer's
+    /// next record; every other op hands back nothing.
+    pub fn apply(&mut self, op: StableOp) -> Option<(String, Vec<u8>)> {
         match op {
             StableOp::Put { key, value } => {
                 self.kv.insert(key, value);
             }
             StableOp::Append { log, entry } => {
-                self.logs.entry(log).or_default().append(entry);
+                match self.logs.get_mut(&log) {
+                    Some(l) => l.append(&entry),
+                    None => self.logs.entry(log.clone()).or_default().append(&entry),
+                }
+                return Some((log, entry));
             }
             StableOp::TruncateLog { log, keep_from } => {
                 self.logs.entry(log).or_default().truncate_front(keep_from);
@@ -298,6 +355,7 @@ impl StableStore {
                 self.nominal.remove(&key);
             }
         }
+        None
     }
 
     /// Reads a key from the key/value area.

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::disk::{DiskConfig, DiskModel, StableOp, StableStore};
 use crate::net::{DropReason, NetConfig, Network, Transmission};
-use crate::node::{Incarnation, NodeId, NodeState, NodeStatus};
+use crate::node::{NodeId, NodeState, NodeStatus};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
@@ -48,6 +48,10 @@ pub enum Event<M> {
         node: NodeId,
         /// Caller-chosen token identifying the write.
         token: u64,
+        /// For a log append, the op's log name and entry buffer, as the
+        /// writer filled them: the log keeps a copy of the bytes, so the
+        /// writer may refill these for its next record.
+        buffers: Option<(String, Vec<u8>)>,
     },
     /// A bulk disk read has completed.
     DiskReadDone {
@@ -100,11 +104,11 @@ enum Pending<M> {
         /// one send share the id.
         xid: u64,
     },
-    /// Work one incarnation of `node` scheduled for itself: it completes
-    /// only while that incarnation is still up.
+    /// Work the running incarnation of `node` scheduled for itself. Only
+    /// an up node schedules any, and [`Engine::crash`] purges it, so it
+    /// always belongs to the incarnation that is up when it is due.
     Local {
         node: NodeId,
-        inc: Incarnation,
         token: u64,
         work: Work,
     },
@@ -396,31 +400,18 @@ impl<M: std::fmt::Debug> Engine<M> {
     }
 
     /// Sets a timer for the *current incarnation* of `node`; it fires as
-    /// [`Event::Timer`] after `after`, unless the node crashes first.
+    /// [`Event::Timer`] after `after`, unless the node crashes first. A
+    /// down node sets none.
     pub fn set_timer(&mut self, node: NodeId, after: SimDuration, token: u64) {
-        let inc = self.node(node).state.incarnation;
-        self.push_local(after, node, inc, token, Work::Timer);
+        if self.is_up(node) {
+            self.push_local(after, node, token, Work::Timer);
+        }
     }
 
-    /// Queues `work` of incarnation `inc` of `node`, due after `after`.
-    fn push_local(
-        &mut self,
-        after: SimDuration,
-        node: NodeId,
-        inc: Incarnation,
-        token: u64,
-        work: Work,
-    ) {
+    /// Queues `work` of `node`, due after `after`.
+    fn push_local(&mut self, after: SimDuration, node: NodeId, token: u64, work: Work) {
         let at = self.now + after;
-        self.push(
-            at,
-            Pending::Local {
-                node,
-                inc,
-                token,
-                work,
-            },
-        );
+        self.push(at, Pending::Local { node, token, work });
     }
 
     /// Queues disk work for the running incarnation of `node`: `issue`
@@ -439,9 +430,8 @@ impl<M: std::fmt::Debug> Engine<M> {
         else {
             return;
         };
-        let inc = n.state.incarnation;
         let (latency, work) = issue(n, &mut self.rng);
-        self.push_local(latency, node, inc, token, work);
+        self.push_local(latency, node, token, work);
     }
 
     /// Issues a durable write for the current incarnation of `node`.
@@ -509,13 +499,12 @@ impl<M: std::fmt::Debug> Engine<M> {
     pub fn crash(&mut self, node: NodeId) {
         let Node { state, fault, .. } = self.node_mut(node);
         assert_eq!(state.status, NodeStatus::Up, "crash of a down node {node}");
-        let inc = state.incarnation;
         state.status = NodeStatus::Down;
         state.crashes += 1;
         let torn = fault.is_some_and(|f| f.torn_tail_on_crash);
         self.trace(node, TraceEvent::Crash);
         if torn {
-            self.tear_in_flight_append(node, inc);
+            self.tear_in_flight_append(node);
         }
         // Purge the dead incarnation's queued work eagerly instead of
         // discarding it lazily at pop time: [`Engine::queued_events`]
@@ -537,17 +526,16 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// like an untorn crash. The armed fault still *fired*, though, so
     /// the tear is traced with `bytes_kept: 0` — otherwise a 1-byte
     /// append would make the crash invisible in the trace.
-    fn tear_in_flight_append(&mut self, node: NodeId, inc: Incarnation) {
+    fn tear_in_flight_append(&mut self, node: NodeId) {
         let first = self
             .queue
             .iter()
             .filter_map(|(at, seq, pending)| match pending {
                 Pending::Local {
                     node: n,
-                    inc: i,
                     work: Work::Write(StableOp::Append { log, entry }),
                     ..
-                } if *n == node && *i == inc => Some(((at, seq), log, entry)),
+                } if *n == node => Some(((at, seq), log, entry)),
                 _ => None,
             })
             .min_by_key(|(due, ..)| *due);
@@ -598,8 +586,8 @@ impl<M: std::fmt::Debug> Engine<M> {
     /// whose destination is down at delivery time are dropped here —
     /// counted against the network's drop statistics and traced with
     /// reason `dest_down` — and the loop continues to the next entry.
-    /// Node-local work completes only while the incarnation that
-    /// scheduled it is up. Returns `None` — with the clock advanced to
+    /// Node-local work always completes: only an up node schedules any,
+    /// and a crash purges it. Returns `None` — with the clock advanced to
     /// `limit` — when no event remains before the limit.
     pub fn next_event_before(&mut self, limit: SimTime) -> Option<(SimTime, Event<M>)> {
         loop {
@@ -642,24 +630,10 @@ impl<M: std::fmt::Debug> Engine<M> {
                         },
                     );
                 }
-                Pending::Local {
-                    node,
-                    inc,
-                    token,
-                    work,
-                } => {
-                    // The one incarnation guard. A crash purges its
-                    // incarnation's entries, so what this still stops is
-                    // a timer set while the node was down: it carries the
-                    // dead incarnation.
-                    let live = self.nodes.get(node.index()).is_some_and(|n| {
-                        n.state.status == NodeStatus::Up && n.state.incarnation == inc
-                    });
-                    if live {
-                        self.dispatched += 1;
-                        let event = self.complete(node, token, work);
-                        return Some((self.now, event));
-                    }
+                Pending::Local { node, token, work } => {
+                    self.dispatched += 1;
+                    let event = self.complete(node, token, work);
+                    return Some((self.now, event));
                 }
             }
         }
@@ -670,8 +644,12 @@ impl<M: std::fmt::Debug> Engine<M> {
         match work {
             Work::Timer => Event::Timer { node, token },
             Work::Write(op) => {
-                self.node_mut(node).store.apply(op);
-                Event::DiskWriteDone { node, token }
+                let buffers = self.node_mut(node).store.apply(op);
+                Event::DiskWriteDone {
+                    node,
+                    token,
+                    buffers,
+                }
             }
             Work::WriteFailed => {
                 self.trace(node, TraceEvent::DiskWriteFailed);
@@ -811,6 +789,16 @@ mod tests {
     }
 
     #[test]
+    fn down_node_sets_no_timer() {
+        let mut e = engine(1);
+        e.crash(NodeId(0));
+        e.set_timer(NodeId(0), SimDuration::from_millis(1), 42);
+        assert_eq!(e.queued_events(), 0, "nothing queued for a down node");
+        e.restart(NodeId(0));
+        assert!(drain(&mut e, SimTime::from_secs(1)).is_empty());
+    }
+
+    #[test]
     fn disk_write_durable_only_at_completion() {
         let mut e = engine(1);
         e.disk_write(
@@ -827,10 +815,32 @@ mod tests {
             ev,
             Event::DiskWriteDone {
                 node: NodeId(0),
-                token: 5
+                token: 5,
+                buffers: None,
             }
         );
         assert_eq!(e.store(NodeId(0)).get("k"), Some(&b"v"[..]));
+    }
+
+    #[test]
+    fn completed_append_hands_its_buffers_back() {
+        let mut e = engine(1);
+        let entry = b"record".to_vec();
+        let at = entry.as_ptr();
+        let log = String::from("wal");
+        e.disk_write(NodeId(0), StableOp::Append { log, entry }, 6);
+        let (_, ev) = e.next_event_before(SimTime::from_secs(1)).unwrap();
+        let Event::DiskWriteDone {
+            buffers: Some((log, entry)),
+            ..
+        } = ev
+        else {
+            panic!("an append completes with its buffers: {ev:?}");
+        };
+        assert_eq!((log.as_str(), entry.as_slice()), ("wal", &b"record"[..]));
+        assert_eq!(entry.as_ptr(), at, "the same block, not a copy");
+        let stored = e.store(NodeId(0)).log("wal").unwrap().get(0);
+        assert_eq!(stored, Some(&b"record"[..]), "the log keeps its own copy");
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod model;
 pub mod population;
 mod rbe;
 mod store;
+mod table;
 mod text;
 
 pub use cart::CartLines;
@@ -66,4 +67,5 @@ pub use population::{
 };
 pub use rbe::{Rbe, RbeConfig, RequestBody, SessionUpdate, WebRequest};
 pub use store::{Bookstore, NewCustomer, Overlay, Payment, StoreError};
+pub use table::IdTable;
 pub use text::Text;

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use treplica::impl_wire_struct;
+use treplica::{check_field, impl_wire_struct, Sink, Wire, WireError};
 
 use crate::cart::CartLines;
 use crate::model::{
@@ -31,6 +31,7 @@ use crate::model::{
 use crate::population::{
     base_population, c_passwd, c_uname, uname_id, BasePopulation, PopulationParams, SearchPage,
 };
+use crate::table::IdTable;
 use crate::text::Text;
 
 /// Fields of a new-customer registration supplied by the web tier
@@ -94,14 +95,15 @@ impl_wire_struct!(Payment {
 
 /// The mutable part of the store (everything the workload changes).
 ///
-/// The maps are `BTreeMap` so the overlay — which is replicated state
-/// and feeds the checkpoint encoding below — iterates in key order by
-/// construction; the encoder needs no sorting pass and two overlays
-/// that are `==` always encode to identical bytes.
+/// The maps are `BTreeMap`s and the carts, keyed by an id the store
+/// hands out densely, are an [`IdTable`], so the overlay — which is
+/// replicated state and feeds the checkpoint encoding below — iterates
+/// in key order by construction; the encoder needs no sorting pass and
+/// two overlays that are `==` always encode to identical bytes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Overlay {
-    /// Live shopping carts.
-    pub carts: BTreeMap<u32, Cart>,
+    /// Live shopping carts, by cart id.
+    pub carts: IdTable<Cart>,
     /// Next cart id.
     pub next_cart: u32,
     /// Customers registered during the run (id ≥ base count).
@@ -122,18 +124,54 @@ pub struct Overlay {
     pub last_order: BTreeMap<u32, u32>,
 }
 
-impl_wire_struct!(Overlay {
-    carts,
-    next_cart,
-    new_customers,
-    new_orders,
-    new_order_lines,
-    new_cc_xacts,
-    stock,
-    item_updates,
-    sessions,
-    last_order
-});
+/// The fields in declaration order. The carts are read as their
+/// `(id, cart)` pairs and become a table once `next_cart` is read: no
+/// cart's id reaches it, so a decode builds no table wider than the
+/// carts the store had created.
+impl Wire for Overlay {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.carts.encode(out);
+        self.next_cart.encode(out);
+        self.new_customers.encode(out);
+        self.new_orders.encode(out);
+        self.new_order_lines.encode(out);
+        self.new_cc_xacts.encode(out);
+        self.stock.encode(out);
+        self.item_updates.encode(out);
+        self.sessions.encode(out);
+        self.last_order.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        let carts = Vec::decode(input)?;
+        let next_cart = u32::decode(input)?;
+        Ok(Overlay {
+            carts: IdTable::from_rows(carts, next_cart)?,
+            next_cart,
+            new_customers: Wire::decode(input)?,
+            new_orders: Wire::decode(input)?,
+            new_order_lines: Wire::decode(input)?,
+            new_cc_xacts: Wire::decode(input)?,
+            stock: Wire::decode(input)?,
+            item_updates: Wire::decode(input)?,
+            sessions: Wire::decode(input)?,
+            last_order: Wire::decode(input)?,
+        })
+    }
+
+    fn check(input: &mut &[u8]) -> Result<(), WireError> {
+        let highest = IdTable::<Cart>::check_rows(input)?;
+        IdTable::<Cart>::check_end(highest, u32::decode(input)?)?;
+        check_field(|o: &Self| Some(&o.new_customers), input)?;
+        check_field(|o: &Self| Some(&o.new_orders), input)?;
+        check_field(|o: &Self| Some(&o.new_order_lines), input)?;
+        check_field(|o: &Self| Some(&o.new_cc_xacts), input)?;
+        check_field(|o: &Self| Some(&o.stock), input)?;
+        check_field(|o: &Self| Some(&o.item_updates), input)?;
+        check_field(|o: &Self| Some(&o.sessions), input)?;
+        check_field(|o: &Self| Some(&o.last_order), input)
+    }
+}
 
 /// Errors from bookstore operations (malformed requests surface to the
 /// client as HTTP errors, not replica failures).
@@ -438,7 +476,7 @@ impl Bookstore {
 
     /// Fetches a cart.
     pub fn cart(&self, id: CartId) -> Result<&Cart, StoreError> {
-        self.overlay.carts.get(&id.0).ok_or(StoreError::NoSuchCart)
+        self.overlay.carts.get(id.0).ok_or(StoreError::NoSuchCart)
     }
 
     // ----- update paths (deterministic; used by replicated actions) ------
@@ -471,11 +509,11 @@ impl Bookstore {
         now: u64,
     ) -> Result<CartId, StoreError> {
         let id = match cart_id {
-            Some(id) if self.overlay.carts.contains_key(&id.0) => id,
+            Some(id) if self.overlay.carts.contains_key(id.0) => id,
             Some(_) => return Err(StoreError::NoSuchCart),
             None => self.create_cart(now),
         };
-        let Some(cart) = self.overlay.carts.get_mut(&id.0) else {
+        let Some(cart) = self.overlay.carts.get_mut(id.0) else {
             return Err(StoreError::NoSuchCart);
         };
         if let Some((item, qty)) = add {
@@ -544,7 +582,7 @@ impl Bookstore {
         let cart = self
             .overlay
             .carts
-            .get(&cart_id.0)
+            .get(cart_id.0)
             .ok_or(StoreError::NoSuchCart)?;
         if cart.lines.is_empty() {
             return Err(StoreError::EmptyCart);
@@ -601,7 +639,7 @@ impl Bookstore {
                 comments: Text::new(),
             }));
         self.overlay.last_order.insert(c_id.0, order_id.0);
-        self.overlay.carts.remove(&cart_id.0);
+        self.overlay.carts.remove(cart_id.0);
         Ok(order_id)
     }
 

@@ -198,7 +198,7 @@ mod oracle {
 
     pub fn encode_overlay(o: &Overlay) -> Vec<u8> {
         let mut buf = Vec::new();
-        let carts: Vec<(u32, Cart)> = o.carts.iter().map(|(k, c)| (*k, c.clone())).collect();
+        let carts: Vec<(u32, Cart)> = o.carts.iter().map(|(k, c)| (k, c.clone())).collect();
         carts.encode(&mut buf);
         o.next_cart.encode(&mut buf);
         o.new_customers.encode(&mut buf);

@@ -112,8 +112,17 @@ fn main() {
                     }
                 }
                 Event::Timer { .. } => {}
-                Event::DiskWriteDone { node, token } => {
+                Event::DiskWriteDone {
+                    node,
+                    token,
+                    buffers,
+                } => {
                     if let Some(mw) = nodes[node.index()].as_mut() {
+                        // The disk kept a copy of an append's bytes: its
+                        // buffers serve the replica's next log record.
+                        if let Some((log, entry)) = buffers {
+                            mw.recycle_append(log, entry);
+                        }
                         let fx = mw.on_disk_write_done(token);
                         apply_effects(engine, node.index(), fx, applied);
                     }
