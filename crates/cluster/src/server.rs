@@ -20,7 +20,7 @@ use paxos::{ProposalId, ReplicaId, SeqRing};
 use robuststore::{Prepared, Reply, RobustStore, TpcwDatabase};
 use simnet::{Engine, NodeId, SimDuration, StableOp};
 use tpcw::{Interaction, PopulationParams, WebRequest};
-use treplica::{Middleware, MwEffect, RecoveredDisk, TreplicaConfig};
+use treplica::{Middleware, MwEffect, TreplicaConfig};
 
 use crate::audit::InvariantAuditor;
 use crate::msg::ClusterMsg;
@@ -85,25 +85,13 @@ pub struct ServerNode {
 }
 
 impl ServerNode {
-    /// Boots a fresh replica (first start, empty disk) under the initial
-    /// member set and arms its middleware tick.
-    pub fn new(
-        idx: usize,
-        params: PopulationParams,
-        config: TreplicaConfig,
-        engine: &mut Engine<ClusterMsg>,
-        auditor: &mut InvariantAuditor,
-    ) -> ServerNode {
-        let membership = paxos::Membership::initial(config.paxos.n);
-        Self::join(idx, params, config, membership, engine, auditor)
-    }
-
-    /// Boots a brand-new replica joining an already-running ensemble
-    /// under `membership` (a spare provisioned by a reconfiguration).
-    /// The membership must already contain this node's id — it is the
-    /// *post*-reconfig configuration. The joiner starts from an empty
-    /// disk and catches up via log shipping / snapshot transfer.
-    pub fn join(
+    /// Boots a fresh replica (first start, empty disk) under
+    /// `membership` and arms its middleware tick: the initial member set
+    /// at the start of a run, or the *post*-reconfig configuration for a
+    /// spare joining a running ensemble. That configuration must contain
+    /// this node's id; the joiner catches up via log shipping / snapshot
+    /// transfer.
+    pub fn boot(
         idx: usize,
         params: PopulationParams,
         config: TreplicaConfig,
@@ -111,7 +99,7 @@ impl ServerNode {
         engine: &mut Engine<ClusterMsg>,
         auditor: &mut InvariantAuditor,
     ) -> ServerNode {
-        let (mw, boot_fx) = Middleware::bootstrap_with_membership(
+        let (mw, boot_fx) = Middleware::bootstrap(
             ReplicaId(node_u32(idx)),
             RobustStore::new(params),
             config,
@@ -133,17 +121,13 @@ impl ServerNode {
         auditor: &mut InvariantAuditor,
     ) -> ServerNode {
         let node = NodeId(idx);
-        auditor.on_restart(idx, engine.store(node));
-        let disk = RecoveredDisk::from_store(engine.store(node)).unwrap_or(RecoveredDisk {
-            meta: None,
-            log_entries: Vec::new(),
-            log_first_index: 0,
-            log_bytes: 0,
-        });
+        let store = engine.store(node);
+        auditor.on_restart(idx, store);
         let epoch = engine.node_state(node).incarnation.0;
         let now = engine.now().as_micros();
-        let (mut mw, fx) = Middleware::recover(ReplicaId(node_u32(idx)), disk, config, epoch, now);
-        mw.install_initial_state(RobustStore::new(params));
+        let id = ReplicaId(node_u32(idx));
+        let initial = RobustStore::new(params);
+        let (mw, fx) = Middleware::recover(id, store, initial, config, epoch, now);
         let mut server = Self::start(idx, mw, epoch, engine);
         server.apply_mw_effects(engine, fx, auditor);
         server
@@ -406,10 +390,6 @@ impl ServerNode {
         }
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "requests are handled only once the middleware is ready, and it then has state"
-    )]
     fn finish_handle(
         &mut self,
         engine: &mut Engine<ClusterMsg>,
@@ -422,8 +402,7 @@ impl ServerNode {
         let interaction = request.interaction;
         match self.facade.prepare(&request, now) {
             Prepared::Read(op) => {
-                let state = self.mw.state().expect("ready server has state");
-                let page = TpcwDatabase::perform_read(state.store(), &op);
+                let page = TpcwDatabase::perform_read(self.mw.state().store(), &op);
                 engine.send_sized(
                     self.node,
                     from,

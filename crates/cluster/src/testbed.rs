@@ -109,7 +109,15 @@ impl Testbed {
         let servers = (0..server_nodes)
             .map(|i| {
                 (i < replicas).then(|| {
-                    ServerNode::new(i, params, treplica.clone(), &mut engine, &mut auditor)
+                    let membership = paxos::Membership::initial(replicas);
+                    ServerNode::boot(
+                        i,
+                        params,
+                        treplica.clone(),
+                        membership,
+                        &mut engine,
+                        &mut auditor,
+                    )
                 })
             })
             .collect();
@@ -439,7 +447,7 @@ impl Testbed {
         change.completed_at_us = Some(now_us);
         for &idx in &change.add {
             if self.servers[idx].is_none() {
-                self.servers[idx] = Some(ServerNode::join(
+                self.servers[idx] = Some(ServerNode::boot(
                     idx,
                     self.params,
                     self.treplica.clone(),

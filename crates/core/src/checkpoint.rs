@@ -229,8 +229,9 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::replay;
     use crate::testkit::{active_single, config, execute_all, tear_last_record, Counter};
-    use crate::{Middleware, RecoveredDisk, Wire};
+    use crate::{Middleware, Wire};
     use proptest::prelude::*;
 
     fn sum(m: &LogMirror) -> u64 {
@@ -295,12 +296,14 @@ mod tests {
         execute_all(&mut mw, &mut store, 1..=5);
         drop(mw);
         tear_last_record(&mut store);
-        let disk = RecoveredDisk::from_store(&store).expect("disk");
-        let log_bytes = disk.log_bytes;
-        let (_records, recovered) = disk.replay::<u64>();
+        let log = store.log(LOG_NAME).expect("log");
+        let log_bytes = log.bytes();
+        let (_records, recovered) = replay::<u64>(&store);
         assert!(recovered.len() >= 2);
+        assert_eq!(recovered.first_index, log.first_index());
         assert_eq!((recovered.bytes(), sum(&recovered)), (log_bytes, log_bytes));
-        let (mw2, _fx) = Middleware::<Counter>::recover(ReplicaId(0), disk, config(), 1, 0);
+        let initial = Counter { total: 0 };
+        let (mw2, _fx) = Middleware::recover(ReplicaId(0), &store, initial, config(), 1, 0);
         assert_eq!(mw2.status().log_bytes, log_bytes);
     }
 

@@ -17,7 +17,10 @@
 //! Recovery (§2) is fully transparent: on restart the node reloads its
 //! newest checkpoint from disk *in parallel with* re-learning the
 //! missed queue suffix from the live replicas, then resumes as if it
-//! had never crashed.
+//! had never crashed. A node boots with [`Middleware::bootstrap`] and
+//! restarts with [`Middleware::recover`], which reads its disk itself;
+//! both take the application's initial state, so a node always holds
+//! one.
 //!
 //! The crate is sans-io like its `paxos` core: drivers feed events and
 //! apply [`MwEffect`]s. The `cluster` crate runs it on the `simnet`
@@ -75,7 +78,6 @@ pub use codec::MAX_BATCH_ITEMS;
 pub use middleware::{Middleware, MwEffect, MwStatus, StillRecovering, TreplicaConfig};
 pub use msg::MwMsg;
 pub use queue::{PersistentQueue, QueueEntry};
-pub use recovery::RecoveredDisk;
 pub use wire::{
     check_field, check_slice, encode_slice, ByteCount, EncodeScratch, Sink, Wire, WireError,
 };
@@ -84,12 +86,11 @@ pub use wire::{
 /// tests that need a whole [`Middleware`] around the part they exercise.
 #[cfg(test)]
 pub(crate) mod testkit {
-    use paxos::ReplicaId;
+    use paxos::{Membership, ReplicaId};
     use simnet::{StableOp, StableStore};
 
     use crate::{
-        Application, Middleware, MwEffect, RecoveredDisk, Snapshot, TreplicaConfig, Wire,
-        WireError, LOG_NAME,
+        Application, Middleware, MwEffect, Snapshot, TreplicaConfig, Wire, WireError, LOG_NAME,
     };
 
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,7 +197,9 @@ pub(crate) mod testkit {
 
     pub(crate) fn active_single_with(config: TreplicaConfig) -> (Middleware<Counter>, StableStore) {
         let mut store = StableStore::new();
-        let (mut mw, boot) = Middleware::bootstrap(ReplicaId(0), Counter { total: 0 }, config, 0);
+        let membership = Membership::initial(config.paxos.n);
+        let (mut mw, boot) =
+            Middleware::bootstrap(ReplicaId(0), Counter { total: 0 }, config, membership, 0);
         drain(&mut mw, boot, &mut store);
         // Single-replica ensemble elects itself on the first tick.
         let fx = mw.on_tick(0);
@@ -228,8 +231,8 @@ pub(crate) mod testkit {
         config: TreplicaConfig,
         epoch: u64,
     ) -> (Middleware<Counter>, Vec<u64>) {
-        let disk = RecoveredDisk::from_store(store).expect("disk");
-        let (mut mw, fx) = Middleware::recover(ReplicaId(0), disk, config, epoch, 0);
+        let initial = Counter { total: 0 };
+        let (mut mw, fx) = Middleware::recover(ReplicaId(0), store, initial, config, epoch, 0);
         let mut replayed = drain(&mut mw, fx, store);
         for t in 1..50u64 {
             let fx = mw.on_tick(t * 100_000);

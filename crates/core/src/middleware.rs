@@ -24,14 +24,14 @@ use paxos::{
     Ballot, Batch, Effect as PaxosEffect, Membership, Mode, PaxosConfig, PersistToken, ProposalId,
     Replica, ReplicaId, ReplicaStatus, Slot,
 };
-use simnet::StableOp;
+use simnet::{StableOp, StableStore};
 
 use crate::app::{Application, Snapshot};
 use crate::batcher::{Batcher, Flush};
 use crate::checkpoint::{Checkpointer, LogMirror, Meta, LOG_NAME};
 use crate::msg::{fence, Fence, MwMsg};
 use crate::queue::PersistentQueue;
-use crate::recovery::{RecoveredDisk, Recovery};
+use crate::recovery::{self, Recovery};
 use crate::wire::Wire;
 
 /// Middleware tuning knobs.
@@ -187,7 +187,7 @@ pub struct Middleware<App: Application> {
     id: ReplicaId,
     config: TreplicaConfig,
     paxos: Replica<Batch<App::Action>>,
-    app: Option<App>,
+    app: App,
     queue: PersistentQueue<App::Action>,
     recovery: Recovery,
     /// Completions this node waits on.
@@ -243,64 +243,40 @@ const SPARE_MAX: usize = 64;
 const APPEND_SPARE_MAX: usize = 8;
 
 impl<App: Application> Middleware<App> {
-    /// Creates a fresh replica (first boot, empty disk) hosting `app`,
-    /// and immediately checkpoints the initial state (the populated
-    /// database is durable before the service opens, so any later
-    /// recovery pays the full state reload the paper measures).
+    /// Creates a fresh replica (first boot, empty disk) hosting `app`
+    /// under `membership`, and immediately checkpoints the initial state
+    /// (the populated database is durable before the service opens, so
+    /// any later recovery pays the full state reload the paper
+    /// measures). A node joining mid-run is handed the cluster's current
+    /// configuration, and catch-up (log shipping or snapshot transfer)
+    /// fills its state.
     pub fn bootstrap(
-        id: ReplicaId,
-        app: App,
-        config: TreplicaConfig,
-        now: u64,
-    ) -> (Self, Vec<MwEffect<App>>) {
-        let membership = Membership::initial(config.paxos.n);
-        Self::bootstrap_with_membership(id, app, config, membership, now)
-    }
-
-    /// Like [`Middleware::bootstrap`], but under an explicit (possibly
-    /// post-reconfiguration) member set — how the driver provisions a
-    /// node joining mid-run: hand it the cluster's current configuration
-    /// and let catch-up (log shipping or snapshot transfer) fill its
-    /// state.
-    pub fn bootstrap_with_membership(
         id: ReplicaId,
         app: App,
         config: TreplicaConfig,
         membership: Membership,
         now: u64,
     ) -> (Self, Vec<MwEffect<App>>) {
-        let mut mw = Self::new_with_membership(id, app, config, membership, now);
+        let paxos = Replica::new_with_membership(id, config.paxos.clone(), membership, now);
+        let mut mw = Self::base(id, app, config, paxos, 0, now);
         let mut out = Vec::new();
         mw.start_checkpoint(&mut out);
         (mw, out)
     }
 
-    /// Creates a fresh replica (first boot, empty disk) hosting `app`.
+    /// Creates a fresh replica (first boot, empty disk) hosting `app`
+    /// under the initial member set, without checkpointing it.
     pub fn new(id: ReplicaId, app: App, config: TreplicaConfig, now: u64) -> Self {
-        let membership = Membership::initial(config.paxos.n);
-        Self::new_with_membership(id, app, config, membership, now)
+        let paxos = Replica::new(id, config.paxos.clone(), now);
+        Self::base(id, app, config, paxos, 0, now)
     }
 
-    /// [`Middleware::new`] under an explicit member set.
-    pub fn new_with_membership(
-        id: ReplicaId,
-        app: App,
-        config: TreplicaConfig,
-        membership: Membership,
-        now: u64,
-    ) -> Self {
-        let paxos = Replica::new_with_membership(id, config.paxos.clone(), membership, now);
-        Middleware {
-            app: Some(app),
-            ..Self::base(id, config, paxos, 0, now)
-        }
-    }
-
-    /// Incarnation `epoch` of a node at time `now` around `paxos` with
-    /// nothing hosted, applied, checkpointed or in flight: what
-    /// `new_with_membership` and `recover` both start from.
+    /// Incarnation `epoch` of a node at time `now` hosting `app` around
+    /// `paxos` with nothing applied, checkpointed or in flight: what
+    /// `bootstrap`, `new` and `recover` all start from.
     fn base(
         id: ReplicaId,
+        app: App,
         config: TreplicaConfig,
         mut paxos: Replica<Batch<App::Action>>,
         epoch: u64,
@@ -318,7 +294,7 @@ impl<App: Application> Middleware<App> {
             id,
             config,
             paxos,
-            app: None,
+            app,
             queue: PersistentQueue::new(),
             recovery: Recovery::ACTIVE,
             tokens: BTreeMap::new(),
@@ -339,7 +315,12 @@ impl<App: Application> Middleware<App> {
         }
     }
 
-    /// Restarts a replica from its durable disk contents.
+    /// Restarts a replica from its durable disk `store`, hosting `app`:
+    /// the same deterministic initial state every replica booted with.
+    /// The newest checkpoint replaces it once loaded; with none on disk
+    /// (a crash before the first checkpoint completed, or metadata that
+    /// does not decode) it stays, and the backlog replays everything on
+    /// top.
     ///
     /// `epoch` must strictly exceed the crashed incarnation's (the driver
     /// uses the simulator's incarnation counter). Returns the middleware
@@ -347,12 +328,13 @@ impl<App: Application> Middleware<App> {
     /// checkpoint load and the log replay, which proceed in parallel.
     pub fn recover(
         id: ReplicaId,
-        disk: RecoveredDisk,
+        store: &StableStore,
+        app: App,
         config: TreplicaConfig,
         epoch: u64,
         now: u64,
     ) -> (Self, Vec<MwEffect<App>>) {
-        let meta = disk.meta.clone();
+        let meta = recovery::read_meta(store);
         let start_slot = meta
             .as_ref()
             .map(|m| m.checkpoint_slot)
@@ -368,7 +350,8 @@ impl<App: Application> Middleware<App> {
 
         // The modeled read latency of the log is charged via the
         // DiskReadRaw effect below.
-        let (records, mirror) = disk.replay();
+        let (records, mirror) = recovery::replay(store);
+        let log_bytes = mirror.bytes();
         let floor_record = paxos::Record::Promised(promised_floor);
         let paxos = Replica::recover_with_membership(
             id,
@@ -383,20 +366,16 @@ impl<App: Application> Middleware<App> {
             recovery: Recovery::restarted(meta.is_some()),
             log: mirror,
             checkpoint: Checkpointer::resume(start_slot, meta.as_ref().map_or(0, |m| m.generation)),
-            ..Self::base(id, config, paxos, epoch, now)
+            ..Self::base(id, app, config, paxos, epoch, now)
         };
         let mut fx = Vec::new();
         let log_token = mw.alloc(Some(TokenKind::LogRead));
-        mw.trace.push(TraceEvent::LogReplayStart {
-            bytes: disk.log_bytes,
-        });
+        mw.trace
+            .push(TraceEvent::LogReplayStart { bytes: log_bytes });
         fx.push(MwEffect::DiskReadRaw {
-            bytes: disk.log_bytes,
+            bytes: log_bytes,
             token: log_token,
         });
-        // With nothing ever checkpointed the application starts empty and
-        // replays everything through the queue; the caller must provide
-        // the initial state via `install_initial_state`.
         if let Some(m) = meta {
             let ckpt_token = mw.alloc(Some(TokenKind::CheckpointRead));
             mw.trace.push(TraceEvent::CheckpointLoadStart { bytes: 0 });
@@ -408,20 +387,10 @@ impl<App: Application> Middleware<App> {
         (mw, fx)
     }
 
-    /// Supplies the application for a recovery that found no checkpoint
-    /// (e.g. a crash before the first checkpoint completed). The state
-    /// must be the same deterministic initial state all replicas booted
-    /// with; the queue backlog replays everything on top.
-    pub fn install_initial_state(&mut self, app: App) {
-        if self.app.is_none() {
-            self.app = Some(app);
-        }
-    }
-
-    /// The hosted application (the paper's `getState()`', None only
-    /// while a recovery's checkpoint is still loading).
-    pub fn state(&self) -> Option<&App> {
-        self.app.as_ref()
+    /// The hosted application (the paper's `getState()`). While a
+    /// recovery's checkpoint is still loading it is the initial state.
+    pub fn state(&self) -> &App {
+        &self.app
     }
 
     /// Whether this node is still recovering.
@@ -573,29 +542,27 @@ impl<App: Application> Middleware<App> {
             }
             MwMsg::SnapshotRequest => {
                 let mut out = self.take_spare();
-                if let Some(app) = self.app.as_ref() {
-                    if !self.is_recovering() {
-                        let Snapshot {
-                            data,
-                            nominal_bytes,
-                        } = app.snapshot();
-                        let reply = MwMsg::SnapshotReply {
-                            covers: self.paxos.decided_upto(),
-                            // The epoch in force at `covers` (the
-                            // delivery watermark), which is what the
-                            // receiver resumes replay under.
-                            epoch: self.paxos.log_epoch(),
-                            members: self.paxos.membership().members().to_vec(),
-                            data,
-                            nominal: nominal_bytes,
-                        };
-                        let bytes = reply.wire_bytes();
-                        out.push(MwEffect::Send {
-                            to: from,
-                            msg: reply,
-                            bytes,
-                        });
-                    }
+                if !self.is_recovering() {
+                    let Snapshot {
+                        data,
+                        nominal_bytes,
+                    } = self.app.snapshot();
+                    let reply = MwMsg::SnapshotReply {
+                        covers: self.paxos.decided_upto(),
+                        // The epoch in force at `covers` (the delivery
+                        // watermark), which is what the receiver resumes
+                        // replay under.
+                        epoch: self.paxos.log_epoch(),
+                        members: self.paxos.membership().members().to_vec(),
+                        data,
+                        nominal: nominal_bytes,
+                    };
+                    let bytes = reply.wire_bytes();
+                    out.push(MwEffect::Send {
+                        to: from,
+                        msg: reply,
+                        bytes,
+                    });
                 }
                 out
             }
@@ -609,7 +576,7 @@ impl<App: Application> Middleware<App> {
                 let mut out = self.take_spare();
                 if covers > self.paxos.decided_upto() {
                     if let Ok(app) = App::restore(&data) {
-                        self.app = Some(app);
+                        self.app = app;
                         self.recovery.checkpoint_loaded = true;
                         // Adopt the sender's configuration along with its
                         // state: slots at `covers` and above were decided
@@ -749,14 +716,11 @@ impl<App: Application> Middleware<App> {
                 // heartbeat and trigger backlog catch-up.
             }
             TokenKind::CheckpointRead => {
+                // A corrupt checkpoint counts as absent: the initial state
+                // stays, and the full replay reconstructs on top of it.
                 if let Some(bytes) = value {
-                    match App::restore(&bytes) {
-                        Ok(app) => self.app = Some(app),
-                        Err(_) => {
-                            // Corrupt checkpoint: treat as absent; the
-                            // caller's initial state + full replay will
-                            // reconstruct (install_initial_state).
-                        }
+                    if let Ok(app) = App::restore(&bytes) {
+                        self.app = app;
                     }
                 }
                 self.trace.push(TraceEvent::CheckpointLoaded {
@@ -878,21 +842,18 @@ impl<App: Application> Middleware<App> {
         self.drain_queue(out);
     }
 
-    /// Applies queued deliveries if the application state is available.
+    /// Applies queued deliveries once the checkpoint is loaded.
     fn drain_queue(&mut self, out: &mut Vec<MwEffect<App>>) {
         if !self.recovery.checkpoint_loaded {
             return; // hold the backlog.
         }
-        let Some(app) = self.app.as_mut() else {
-            return;
-        };
         out.reserve(self.queue.len());
         while let Some(entry) = self.queue.try_dequeue() {
             let Some(action) = entry.action() else {
                 debug_assert!(false, "queue entry outside its batch");
                 continue;
             };
-            let reply = app.apply(action);
+            let reply = self.app.apply(action);
             self.applied = self.applied.saturating_add(1);
             self.checkpoint.note_applied();
             // `latency_us` 0 marks an unknown submit time (remote or
@@ -923,17 +884,10 @@ impl<App: Application> Middleware<App> {
     }
 
     fn start_checkpoint(&mut self, out: &mut Vec<MwEffect<App>>) {
-        // Only active nodes hold application state; a checkpoint request
-        // on a recovering node is a phase-tracking bug — skip it rather
-        // than panic on a protocol-driven path.
-        let Some(app) = self.app.as_ref() else {
-            debug_assert!(false, "start_checkpoint without application state");
-            return;
-        };
         let Snapshot {
             data,
             nominal_bytes,
-        } = app.snapshot();
+        } = self.app.snapshot();
         let slot = self.paxos.decided_upto();
         let paxos = &self.paxos;
         let cover = |generation| Meta {
@@ -958,10 +912,7 @@ impl<App: Application> Middleware<App> {
     }
 
     fn check_recovery_done(&mut self, out: &mut Vec<MwEffect<App>>) {
-        if self
-            .recovery
-            .try_complete(self.app.is_some(), !self.paxos.is_recovering())
-        {
+        if self.recovery.try_complete(!self.paxos.is_recovering()) {
             self.recovery_completed_at = Some(self.now);
             self.trace.push(TraceEvent::RecoveryComplete {
                 slot: self.paxos.decided_upto().0,

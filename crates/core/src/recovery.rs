@@ -10,68 +10,38 @@ use paxos::{Batch, Record};
 use simnet::StableStore;
 
 use crate::checkpoint::{LogMirror, Meta, LOG_NAME, META_KEY};
-use crate::wire::{Wire, WireError};
+use crate::wire::Wire;
 
-/// The durable state found on disk at restart.
-#[derive(Debug)]
-pub struct RecoveredDisk {
-    /// Decoded checkpoint metadata, if a checkpoint completed before the
-    /// crash.
-    pub meta: Option<Meta>,
-    /// Raw log entries (decoded lazily after the modeled log read).
-    pub log_entries: Vec<Vec<u8>>,
-    /// Stable index of the first surviving log entry; keeps the in-memory
-    /// mirror aligned with the durable log across restarts so later
-    /// checkpoint truncations cut at the right place.
-    pub log_first_index: u64,
-    /// Total log bytes (sizes the modeled read).
-    pub log_bytes: u64,
+/// The newest checkpoint's metadata on a restarted node's disk, if one
+/// completed. Metadata that does not decode counts as absent, as the
+/// auditor reads it: the node then starts from its initial state and
+/// replays the whole log. No run reaches that case, since the auditor
+/// flags a metadata record that does not decode when it is written.
+pub(crate) fn read_meta(store: &StableStore) -> Option<Meta> {
+    store
+        .get(META_KEY)
+        .and_then(|bytes| Meta::from_bytes(bytes).ok())
 }
 
-impl RecoveredDisk {
-    /// Inspects a node's stable store after restart.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the metadata record is corrupt.
-    pub fn from_store(store: &StableStore) -> Result<RecoveredDisk, WireError> {
-        let meta = match store.get(META_KEY) {
-            Some(bytes) => Some(Meta::from_bytes(bytes)?),
-            None => None,
-        };
-        let (log_entries, log_first_index, log_bytes) = match store.log(LOG_NAME) {
-            Some(log) => (
-                log.iter().map(|(_, e)| e.to_vec()).collect(),
-                log.first_index(),
-                log.bytes(),
-            ),
-            None => (Vec::new(), 0, 0),
-        };
-        Ok(RecoveredDisk {
-            meta,
-            log_entries,
-            log_first_index,
-            log_bytes,
-        })
+/// Decodes the records of a restarted node's log, straight from the
+/// store, and mirrors the log's shape. A crash mid-append can leave a
+/// torn (truncated) record: its decode fails, but it still occupies a
+/// stable log index, so it is mirrored as a slot-less placeholder —
+/// dropping it would misalign every later entry's index and make
+/// checkpoint truncation cut the wrong records. Records appended by
+/// later incarnations after a torn tail keep replaying.
+pub(crate) fn replay<A: Wire>(store: &StableStore) -> (Vec<Record<Batch<A>>>, LogMirror) {
+    let Some(log) = store.log(LOG_NAME) else {
+        return (Vec::new(), LogMirror::default());
+    };
+    let mut records = Vec::with_capacity(log.len());
+    let mut mirror = LogMirror::starting_at(log.first_index());
+    for (_, entry) in log.iter() {
+        let record = Record::from_bytes(entry).ok();
+        mirror.push(record.as_ref().and_then(Record::slot), entry.len() as u64);
+        records.extend(record);
     }
-
-    /// Decodes the surviving log records and mirrors the log's shape.
-    /// A crash mid-append can leave a torn (truncated) record: its decode
-    /// fails, but it still occupies a stable log index, so it is mirrored
-    /// as a slot-less placeholder — dropping it would misalign every
-    /// later entry's index and make checkpoint truncation cut the wrong
-    /// records. Records appended by later incarnations after a torn tail
-    /// keep replaying.
-    pub(crate) fn replay<A: Wire>(&self) -> (Vec<Record<Batch<A>>>, LogMirror) {
-        let mut records = Vec::new();
-        let mut mirror = LogMirror::starting_at(self.log_first_index);
-        for entry in &self.log_entries {
-            let record = Record::from_bytes(entry).ok();
-            mirror.push(record.as_ref().and_then(Record::slot), entry.len() as u64);
-            records.extend(record);
-        }
-        (records, mirror)
-    }
+    (records, mirror)
 }
 
 /// The restart join: three flags that only ever turn true. A node that
@@ -96,8 +66,8 @@ impl Recovery {
     };
 
     /// The state right after a restart. A disk without a checkpoint has
-    /// nothing to load: the caller installs the initial state and the
-    /// backlog replays everything on top.
+    /// nothing to load: the node keeps its initial state and the backlog
+    /// replays everything on top.
     pub(crate) fn restarted(has_checkpoint: bool) -> Self {
         Recovery {
             log_replayed: false,
@@ -111,16 +81,13 @@ impl Recovery {
         !self.complete
     }
 
-    /// Completes the recovery, once: when both transfers are in, the
-    /// application state exists and the consensus core has re-learned the
-    /// backlog. Returns whether this call completed it.
+    /// Completes the recovery, once: when both transfers are in and the
+    /// consensus core has re-learned the backlog. Returns whether this
+    /// call completed it.
     #[inline]
-    pub(crate) fn try_complete(&mut self, has_state: bool, backlog_learned: bool) -> bool {
-        let done = self.is_recovering()
-            && self.log_replayed
-            && self.checkpoint_loaded
-            && has_state
-            && backlog_learned;
+    pub(crate) fn try_complete(&mut self, backlog_learned: bool) -> bool {
+        let done =
+            self.is_recovering() && self.log_replayed && self.checkpoint_loaded && backlog_learned;
         self.complete |= done;
         done
     }
@@ -135,6 +102,7 @@ mod tests {
     };
     use crate::Middleware;
     use paxos::{Ballot, Decree, ProposalId, ReplicaId, Slot};
+    use simnet::StableOp;
 
     #[test]
     fn join_completes_once_when_both_transfers_and_the_backlog_are_in() {
@@ -144,18 +112,17 @@ mod tests {
         // The two transfers finish in either order; neither suffices.
         for log_first in [true, false] {
             let mut r = restarted;
-            assert!(!r.try_complete(true, true), "both transfers still out");
+            assert!(!r.try_complete(true), "both transfers still out");
             r.log_replayed = log_first;
             r.checkpoint_loaded = !log_first;
-            assert!(!r.try_complete(true, true), "one transfer still out");
+            assert!(!r.try_complete(true), "one transfer still out");
             r.log_replayed = true;
             r.checkpoint_loaded = true;
-            assert!(!r.try_complete(false, true), "no application state yet");
-            assert!(!r.try_complete(true, false), "backlog not re-learned yet");
+            assert!(!r.try_complete(false), "backlog not re-learned yet");
             assert!(r.is_recovering());
-            assert!(r.try_complete(true, true));
+            assert!(r.try_complete(true));
             assert_eq!(r, Recovery::ACTIVE);
-            assert!(!r.try_complete(true, true), "recovery completes once");
+            assert!(!r.try_complete(true), "recovery completes once");
         }
     }
 
@@ -164,12 +131,12 @@ mod tests {
         let mut r = Recovery::restarted(false);
         assert!(!r.log_replayed && r.checkpoint_loaded);
         r.log_replayed = true;
-        assert!(r.try_complete(true, true));
+        assert!(r.try_complete(true));
 
         // A node that never crashed waits for nothing and completes nothing.
         let mut active = Recovery::ACTIVE;
         assert!(!active.is_recovering() && active.log_replayed && active.checkpoint_loaded);
-        assert!(!active.try_complete(true, true));
+        assert!(!active.try_complete(true));
     }
 
     #[test]
@@ -189,24 +156,36 @@ mod tests {
         let mut log_entries: Vec<Vec<u8>> = records.iter().map(Wire::to_bytes).collect();
         let torn = log_entries[1][..log_entries[1].len() - 1].to_vec();
         log_entries.insert(2, torn);
-        let disk = RecoveredDisk {
-            meta: None,
-            log_bytes: log_entries.iter().map(|e| e.len() as u64).sum(),
-            log_entries,
-            log_first_index: 30,
+        // The log's first 30 entries were cut by an earlier checkpoint.
+        let mut store = StableStore::new();
+        let append = |entry: Vec<u8>| StableOp::Append {
+            log: LOG_NAME.to_string(),
+            entry,
         };
-        let (replayed, mirror) = disk.replay::<u64>();
+        for _ in 0..30 {
+            store.apply(append(Vec::new()));
+        }
+        store.apply(StableOp::TruncateLog {
+            log: LOG_NAME.to_string(),
+            keep_from: 30,
+        });
+        for entry in log_entries {
+            store.apply(append(entry));
+        }
+        let log = store.log(LOG_NAME).expect("log");
+        assert_eq!((log.first_index(), log.len()), (30, 4));
+        let (replayed, mirror) = replay::<u64>(&store);
         assert_eq!(replayed, records, "records past the torn entry replay");
-        assert_eq!((mirror.len(), mirror.bytes()), (4, disk.log_bytes));
+        assert_eq!((mirror.len(), mirror.bytes()), (4, log.bytes()));
     }
 
     #[test]
     fn execute_rejected_while_recovering() {
         let (mut mw, mut store) = active_single();
         execute_all(&mut mw, &mut store, 42..=42);
-        let disk = RecoveredDisk::from_store(&store).expect("disk");
+        let initial = Counter { total: 0 };
         let (mut recovering, _fx) =
-            Middleware::<Counter>::recover(ReplicaId(0), disk, config(), 1, 0);
+            Middleware::recover(ReplicaId(0), &store, initial, config(), 1, 0);
         assert!(recovering.is_recovering());
         assert!(
             recovering.execute(1, 0).is_err(),
@@ -219,17 +198,10 @@ mod tests {
         let (mut mw, mut store) = active_single();
         execute_all(&mut mw, &mut store, 1..=5);
         drop(mw);
-        assert!(RecoveredDisk::from_store(&store)
-            .expect("disk")
-            .meta
-            .is_some());
+        assert!(read_meta(&store).is_some());
         let (mw2, _) = recover_from(&mut store, config(), 1);
         assert!(!mw2.is_recovering(), "single-replica recovery completes");
-        assert_eq!(
-            mw2.state().expect("state").total,
-            15,
-            "sum of 1..=5 restored"
-        );
+        assert_eq!(mw2.state().total, 15, "sum of 1..=5 restored");
     }
 
     #[test]
@@ -240,11 +212,7 @@ mod tests {
         tear_last_record(&mut store);
         let (mw2, _) = recover_from(&mut store, config(), 1);
         assert!(!mw2.is_recovering(), "torn tail must not wedge recovery");
-        assert_eq!(
-            mw2.state().expect("state").total,
-            15,
-            "no durable decision lost"
-        );
+        assert_eq!(mw2.state().total, 15, "no durable decision lost");
     }
 
     #[test]
@@ -265,11 +233,7 @@ mod tests {
         // stopping at the first undecodable record would lose them.
         let (mw3, _) = recover_from(&mut store, config(), 2);
         assert!(!mw3.is_recovering());
-        assert_eq!(
-            mw3.state().expect("state").total,
-            15,
-            "post-torn appends replayed"
-        );
+        assert_eq!(mw3.state().total, 15, "post-torn appends replayed");
     }
 
     #[test]
@@ -280,8 +244,6 @@ mod tests {
         let truncated_first = store.log(LOG_NAME).expect("log").first_index();
         assert!(truncated_first > 0, "checkpointing truncated the log");
 
-        let disk = RecoveredDisk::from_store(&store).expect("disk");
-        assert_eq!(disk.log_first_index, truncated_first);
         let (mut mw2, _) = recover_from(&mut store, config(), 1);
         assert!(!mw2.is_recovering());
         // Keep executing so post-recovery checkpoints truncate again; a
@@ -293,6 +255,25 @@ mod tests {
             first_after > truncated_first,
             "post-recovery truncation must advance: {first_after} vs {truncated_first}"
         );
+    }
+
+    #[test]
+    fn metadata_that_does_not_decode_counts_as_absent_and_the_log_replays() {
+        // Checkpoints only at boot: the log holds every update.
+        let config = batching_config(1, 0);
+        let (mut mw, mut store) = active_single_with(config.clone());
+        execute_all(&mut mw, &mut store, 1..=5);
+        drop(mw);
+        let meta = store.get(META_KEY).expect("the boot checkpoint").to_vec();
+        store.apply(StableOp::Put {
+            key: META_KEY.to_string(),
+            value: meta[..meta.len() - 1].to_vec(),
+        });
+        assert!(read_meta(&store).is_none(), "a torn metadata record");
+        let (mw2, replayed) = recover_from(&mut store, config, 1);
+        assert!(!mw2.is_recovering(), "nothing to load, the log replays");
+        assert_eq!(replayed, vec![1, 3, 6, 10, 15], "over the initial state");
+        assert_eq!(mw2.state().total, 15);
     }
 
     #[test]
@@ -308,6 +289,6 @@ mod tests {
         // original intra-batch position (the queue would panic on any
         // (slot, index) regression).
         assert_eq!(replayed, vec![1, 3, 6, 10, 15]);
-        assert_eq!(mw2.state().expect("state").total, 15);
+        assert_eq!(mw2.state().total, 15);
     }
 }

@@ -10,8 +10,7 @@ use std::fmt::Debug;
 use paxos::{Batch, Mode, ProposalId, ReplicaId};
 use simnet::{Engine, Event, LinkFault, NodeId, SimConfig, SimDuration, SimTime, StableOp};
 use treplica::{
-    Application, Meta, Middleware, MwEffect, MwMsg, RecoveredDisk, Snapshot, TreplicaConfig, Wire,
-    WireError,
+    Application, Meta, Middleware, MwEffect, MwMsg, Snapshot, TreplicaConfig, Wire, WireError,
 };
 
 thread_local! {
@@ -296,17 +295,15 @@ impl<A: Application<Action = u64, Reply = usize> + Clone> Cluster<A> {
 
     fn restart(&mut self, node: usize) {
         self.engine.restart(NodeId(node));
-        let disk =
-            RecoveredDisk::from_store(self.engine.store(NodeId(node))).expect("readable disk");
         let epoch = self.engine.node_state(NodeId(node)).incarnation.0;
-        let (mut mw, fx) = Middleware::recover(
+        let (mw, fx) = Middleware::recover(
             ReplicaId(node as u32),
-            disk,
+            self.engine.store(NodeId(node)),
+            self.app.clone(),
             self.config.clone(),
             epoch,
             self.engine.now().as_micros(),
         );
-        mw.install_initial_state(self.app.clone());
         self.nodes[node] = Some(mw);
         self.apply_effects(node, fx);
         self.engine
@@ -314,11 +311,7 @@ impl<A: Application<Action = u64, Reply = usize> + Clone> Cluster<A> {
     }
 
     fn state(&self, node: usize) -> &A {
-        self.nodes[node]
-            .as_ref()
-            .expect("live")
-            .state()
-            .expect("has state")
+        self.nodes[node].as_ref().expect("live").state()
     }
 
     fn assert_replicas_agree(&self)

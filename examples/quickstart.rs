@@ -11,8 +11,7 @@
 use robuststore_repro::paxos::{Batch, ProposalId, ReplicaId};
 use robuststore_repro::simnet::{Engine, Event, NodeId, SimConfig, SimDuration, SimTime};
 use robuststore_repro::treplica::{
-    Application, Middleware, MwEffect, MwMsg, RecoveredDisk, Snapshot, TreplicaConfig, Wire,
-    WireError,
+    Application, Middleware, MwEffect, MwMsg, Snapshot, TreplicaConfig, Wire, WireError,
 };
 
 /// The replicated application: a counter with an operation log length.
@@ -154,7 +153,7 @@ fn main() {
     }
     println!(
         "after 4 increments: node0 total = {}",
-        nodes[0].as_ref().unwrap().state().unwrap().total
+        nodes[0].as_ref().unwrap().state().total
     );
 
     // Crash replica 2 and keep working (majority survives).
@@ -173,11 +172,15 @@ fn main() {
     // missed suffix; nothing else is required of the application.
     println!("[{}] restarting node 2", engine.now());
     engine.restart(NodeId(2));
-    let disk = RecoveredDisk::from_store(engine.store(NodeId(2))).expect("disk");
     let epoch = engine.node_state(NodeId(2)).incarnation.0;
-    let (mut mw, fx) =
-        Middleware::recover(ReplicaId(2), disk, config, epoch, engine.now().as_micros());
-    mw.install_initial_state(Counter { total: 0, ops: 0 });
+    let (mw, fx) = Middleware::recover(
+        ReplicaId(2),
+        engine.store(NodeId(2)),
+        Counter { total: 0, ops: 0 },
+        config,
+        epoch,
+        engine.now().as_micros(),
+    );
     nodes[2] = Some(mw);
     apply_effects(&mut engine, 2, fx, &mut applied);
     engine.set_timer(NodeId(2), SimDuration::from_micros(TICK), TICK_TOKEN);
@@ -188,7 +191,7 @@ fn main() {
         SimTime::from_secs(10),
     );
 
-    let recovered = nodes[2].as_ref().unwrap().state().unwrap();
+    let recovered = nodes[2].as_ref().unwrap().state();
     println!(
         "node 2 after recovery: total = {}, ops = {}",
         recovered.total, recovered.ops

@@ -16,7 +16,8 @@ use std::collections::VecDeque;
 
 use robuststore_repro::cluster::{run_experiment, ExperimentConfig};
 use robuststore_repro::paxos::{
-    Ballot, Batch, Decree, Effect, Msg, PaxosConfig, ProposalId, Record, Replica, ReplicaId, Slot,
+    Ballot, Batch, Decree, Effect, Membership, Msg, PaxosConfig, ProposalId, Record, Replica,
+    ReplicaId, Slot,
 };
 use robuststore_repro::robuststore::Action;
 use robuststore_repro::simnet::{StableOp, StableStore, TraceConfig};
@@ -25,7 +26,7 @@ use robuststore_repro::tpcw::{
     Schedule, Text,
 };
 use robuststore_repro::treplica::{
-    Application, Middleware, MwEffect, MwMsg, Snapshot, TreplicaConfig, Wire, WireError,
+    Application, Middleware, MwEffect, MwMsg, Snapshot, TreplicaConfig, Wire, WireError, LOG_NAME,
 };
 
 thread_local! {
@@ -549,7 +550,8 @@ impl Solo {
             checkpoint_interval: 1_000_000,
             ..TreplicaConfig::lan(1)
         };
-        let (mw, boot) = Middleware::bootstrap(ReplicaId(0), Sum(0), config, 0);
+        let membership = Membership::initial(1);
+        let (mw, boot) = Middleware::bootstrap(ReplicaId(0), Sum(0), config, membership, 0);
         let mut solo = Solo {
             mw,
             store: StableStore::new(),
@@ -646,5 +648,55 @@ fn a_steady_consensus_append_allocates_nothing() {
     assert!(
         dropped >= kept + 2 * appends,
         "handing the buffers back saves two blocks an append"
+    );
+}
+
+/// What restarting over `n` logged updates costs: the allocations of
+/// `Middleware::recover` on the disk a replica left after executing
+/// them, and of decoding the same log entries alone.
+fn restart_cost(n: u64) -> (u64, u64) {
+    let mut solo = Solo::new(true);
+    solo.execute(0..n);
+    let store = solo.store;
+    let log = store.log(LOG_NAME).expect("the replica logged its updates");
+    assert!(log.len() as u64 > n, "a promise and one record per update");
+    let config = TreplicaConfig::lan(1);
+    let (recover, _) = counted(|| Middleware::recover(ReplicaId(0), &store, Sum(0), config, 1, 0));
+    let (decode, ()) = counted(|| {
+        for (_, entry) in log.iter() {
+            let _ = Record::<Batch<u64>>::from_bytes(entry);
+        }
+    });
+    (recover, decode)
+}
+
+/// Blocks a restart may allocate beyond decoding its log: the replica
+/// around the records, the records' vector and the growth of the
+/// acceptor's slot ring and of the log mirror. Read 27 over 200 updates
+/// and 29 over 400; a copy of each entry would add one per record.
+const BUDGET_RESTART_EXTRA_ALLOCS: u64 = 32;
+
+/// A restart decodes its log straight from the disk: reading N or 2N
+/// records costs what decoding them costs and a few blocks more, not a
+/// copy of each entry. Doubling the log grows the slot ring and the
+/// mirror once more each, and adds nothing else.
+#[test]
+fn a_restart_allocates_only_what_decoding_its_log_does() {
+    let extra = [200, 400].map(|n| {
+        let (recover, decode) = restart_cost(n);
+        println!("restart over {n} updates: {recover} allocations, decoding alone {decode}");
+        recover.saturating_sub(decode)
+    });
+    for e in extra {
+        assert!(
+            e <= BUDGET_RESTART_EXTRA_ALLOCS,
+            "{e} allocations beyond decoding, budget {BUDGET_RESTART_EXTRA_ALLOCS}"
+        );
+    }
+    assert!(
+        extra[1] <= extra[0] + 2,
+        "doubling the log took the blocks beyond decoding from {} to {}",
+        extra[0],
+        extra[1]
     );
 }
