@@ -239,19 +239,13 @@ fn report(config: &ExperimentConfig, mut plan: Plan, mut bed: Testbed) -> RunRep
         // trace records that runs even when full tracing is off, so a
         // violation always comes with its causal context.
         let context = bed.engine.tracer().flight_jsonl();
-        let flight = bed.engine.tracer().flight_records().len();
         panic!(
             "consensus invariants violated (seed {}): {} violation(s), first: {}\n\
-             flight recorder ({} records):\n{}",
+             flight recorder ({} records):\n{context}",
             config.seed,
             audit.total_violations,
             audit.violations.first().map(String::as_str).unwrap_or(""),
-            flight,
-            if context.is_empty() {
-                "(flight recorder empty — re-run with tracing for context)"
-            } else {
-                &context
-            }
+            context.lines().count(),
         );
     }
 

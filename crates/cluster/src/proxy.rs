@@ -230,46 +230,52 @@ impl ProxyNode {
     /// (RST); the proxy waits `retry_delay` and retries the *same*
     /// server up to `retries` times, then redispatches to another.
     fn connect(&mut self, engine: &mut Engine<ClusterMsg>, req_id: u64, mut flight: InFlight) {
-        if engine.is_up(self.servers[flight.server].node) {
-            let target = self.servers[flight.server].node;
-            let (request, client) = (flight.request.clone(), flight.client);
-            if !self.in_flight.insert(req_id, flight) {
-                self.refuse(engine, req_id, client);
+        let target = self.servers[flight.server].node;
+        let up = engine.is_up(target);
+        if !up {
+            // Connection refused: park and retry the same server after
+            // the retry delay, until the retries run out.
+            flight.attempts += 1;
+            if flight.attempts > REDISPATCH_RETRIES {
+                self.redispatch(engine, req_id, flight);
                 return;
             }
-            engine.send_sized(
-                self.node,
-                target,
-                ClusterMsg::Request { req_id, request },
-                600,
-            );
+        }
+        let (request, client) = (up.then(|| flight.request.clone()), flight.client);
+        if !self.in_flight.insert(req_id, flight) {
+            self.refuse(engine, req_id, client);
             return;
         }
-        // Connection refused.
-        flight.attempts += 1;
-        if flight.attempts <= REDISPATCH_RETRIES {
-            // Park and retry the same server after the retry delay.
-            let client = flight.client;
-            if !self.in_flight.insert(req_id, flight) {
-                self.refuse(engine, req_id, client);
-                return;
+        match request {
+            Some(request) => {
+                engine.send_sized(
+                    self.node,
+                    target,
+                    ClusterMsg::Request { req_id, request },
+                    600,
+                );
             }
-            engine.set_timer(
+            None => engine.set_timer(
                 self.node,
                 SimDuration::from_micros(RETRY_DELAY_US),
                 TOKEN_RETRY_FLAG | req_id,
-            );
-            return;
+            ),
         }
-        // Retries exhausted: redispatch once to a different server.
+    }
+
+    /// Gives up on the flight's server: connects to another one the
+    /// request has not been excluded from, or refuses it when none is
+    /// left. `excluded` only ever gains the current server, which was
+    /// picked outside it, so each server is excluded at most once.
+    fn redispatch(&mut self, engine: &mut Engine<ClusterMsg>, req_id: u64, mut flight: InFlight) {
         flight.excluded.push(flight.server);
         flight.attempts = 0;
         match self.pick_server(flight.request.client_id, &flight.excluded) {
-            Some(server) if flight.excluded.len() <= self.servers.len() => {
+            Some(server) => {
                 flight.server = server;
                 self.connect(engine, req_id, flight);
             }
-            _ => self.refuse(engine, req_id, flight.client),
+            None => self.refuse(engine, req_id, flight.client),
         }
     }
 
@@ -373,17 +379,8 @@ impl ProxyNode {
             ClusterMsg::ConnError { req_id } => {
                 // The server refused the HTTP request (still booting /
                 // recovering): redispatch to another server.
-                if let Some(mut f) = self.in_flight.remove(req_id) {
-                    f.excluded.push(f.server);
-                    f.attempts = 0;
-                    if f.excluded.len() < self.servers.len() {
-                        if let Some(server) = self.pick_server(f.request.client_id, &f.excluded) {
-                            f.server = server;
-                            self.connect(engine, req_id, f);
-                            return;
-                        }
-                    }
-                    self.refuse(engine, req_id, f.client);
+                if let Some(flight) = self.in_flight.remove(req_id) {
+                    self.redispatch(engine, req_id, flight);
                 }
             }
             ClusterMsg::ProbeReply { seq, server, ready } => {

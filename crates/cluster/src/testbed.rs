@@ -33,10 +33,6 @@ pub(crate) const RECONFIG_POLL_US: u64 = 200_000;
 /// again when no leader took it (µs).
 pub(crate) const RECONFIG_RETRY_US: u64 = 500_000;
 
-/// A faulty disk also tears the in-flight log append on a crash: every
-/// faultload with a disk window has asked for both.
-const TORN_TAIL: bool = true;
-
 fn replica_ids(nodes: &[usize]) -> Vec<ReplicaId> {
     nodes.iter().map(|&i| ReplicaId(node_u32(i))).collect()
 }
@@ -353,13 +349,14 @@ impl Testbed {
             Fault::Disk { victim, write_fail } => {
                 let disk = DiskFault {
                     write_fail_probability: write_fail,
-                    torn_tail_on_crash: TORN_TAIL,
                 };
                 self.engine.set_disk_fault(NodeId(victim), Some(disk));
                 let fail_ppm = ppm(write_fail);
+                // A faulty disk always tears its in-flight append on a
+                // crash.
                 let event = TraceEvent::DiskFaultSet {
                     fail_ppm,
-                    torn: TORN_TAIL,
+                    torn: true,
                 };
                 (node_u32(victim), INJECT_DISK_FAULT, event)
             }

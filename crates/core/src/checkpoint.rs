@@ -298,7 +298,8 @@ mod tests {
         tear_last_record(&mut store);
         let log = store.log(LOG_NAME).expect("log");
         let log_bytes = log.bytes();
-        let (_records, recovered) = replay::<u64>(&store);
+        let mut recovered = LogMirror::default();
+        replay::<u64>(&store, &mut recovered).for_each(drop);
         assert!(recovered.len() >= 2);
         assert_eq!(recovered.first_index, log.first_index());
         assert_eq!((recovered.bytes(), sum(&recovered)), (log_bytes, log_bytes));

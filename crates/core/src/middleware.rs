@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use obs::{EventBuf, TraceEvent};
+use obs::TraceEvent;
 use paxos::{
     Ballot, Batch, Effect as PaxosEffect, Membership, Mode, PaxosConfig, PersistToken, ProposalId,
     Replica, ReplicaId, ReplicaStatus, Slot,
@@ -199,10 +199,6 @@ pub struct Middleware<App: Application> {
     now: u64,
     recovery_completed_at: Option<u64>,
     batcher: Batcher<App::Action>,
-    /// Structured trace events (middleware-level, interleaved with the
-    /// consensus core's in emission order). Drained by the driver via
-    /// [`Middleware::take_trace`].
-    trace: EventBuf,
     /// Submit times of locally-issued updates, for commit-latency trace
     /// points.
     submit_times: BTreeMap<ProposalId, u64>,
@@ -278,13 +274,10 @@ impl<App: Application> Middleware<App> {
         id: ReplicaId,
         app: App,
         config: TreplicaConfig,
-        mut paxos: Replica<Batch<App::Action>>,
+        paxos: Replica<Batch<App::Action>>,
         epoch: u64,
         now: u64,
     ) -> Self {
-        // Every experiment tracer keeps a flight ring, so the buffers
-        // always run; the driver drains them after each handler.
-        paxos.set_tracing(true);
         let first = ProposalId {
             node: id,
             epoch,
@@ -305,7 +298,6 @@ impl<App: Application> Middleware<App> {
             now,
             recovery_completed_at: None,
             batcher: Batcher::new(first),
-            trace: EventBuf::new(true),
             submit_times: BTreeMap::new(),
             causal_seq: 0,
             scratch: crate::wire::EncodeScratch::new(),
@@ -350,18 +342,18 @@ impl<App: Application> Middleware<App> {
 
         // The modeled read latency of the log is charged via the
         // DiskReadRaw effect below.
-        let (records, mirror) = recovery::replay(store);
-        let log_bytes = mirror.bytes();
-        let floor_record = paxos::Record::Promised(promised_floor);
+        let mut mirror = LogMirror::default();
+        let records = recovery::replay(store, &mut mirror);
         let paxos = Replica::recover_with_membership(
             id,
             config.paxos.clone(),
             membership,
-            std::iter::once(&floor_record).chain(records.iter()),
+            std::iter::once(paxos::Record::Promised(promised_floor)).chain(records),
             start_slot,
             epoch,
             now,
         );
+        let log_bytes = mirror.bytes();
         let mut mw = Middleware {
             recovery: Recovery::restarted(meta.is_some()),
             log: mirror,
@@ -370,15 +362,16 @@ impl<App: Application> Middleware<App> {
         };
         let mut fx = Vec::new();
         let log_token = mw.alloc(Some(TokenKind::LogRead));
-        mw.trace
-            .push(TraceEvent::LogReplayStart { bytes: log_bytes });
+        mw.paxos
+            .push_trace(TraceEvent::LogReplayStart { bytes: log_bytes });
         fx.push(MwEffect::DiskReadRaw {
             bytes: log_bytes,
             token: log_token,
         });
         if let Some(m) = meta {
             let ckpt_token = mw.alloc(Some(TokenKind::CheckpointRead));
-            mw.trace.push(TraceEvent::CheckpointLoadStart { bytes: 0 });
+            mw.paxos
+                .push_trace(TraceEvent::CheckpointLoadStart { bytes: 0 });
             fx.push(MwEffect::DiskRead {
                 key: Meta::ckpt_key(m.generation),
                 token: ckpt_token,
@@ -467,8 +460,8 @@ impl<App: Application> Middleware<App> {
         self.now = self.now.max(now);
         let pid = self.batcher.next_pid();
         self.submit_times.insert(pid, self.now);
-        self.trace
-            .push(TraceEvent::UpdateSubmitted { seq: pid.seq });
+        self.paxos
+            .push_trace(TraceEvent::UpdateSubmitted { seq: pid.seq });
         let mut out = self.take_spare();
         let flush = self.batcher.push((pid, action), self.now, &self.config);
         self.propose_batch(flush, &mut out);
@@ -482,7 +475,7 @@ impl<App: Application> Middleware<App> {
         let Some((trigger, batch)) = flush else {
             return;
         };
-        self.trace.push(TraceEvent::BatchFlushed {
+        self.paxos.push_trace(TraceEvent::BatchFlushed {
             updates: batch.len() as u64,
             trigger,
             first_seq: batch.items.first().map_or(0, |(pid, _)| pid.seq),
@@ -525,7 +518,7 @@ impl<App: Application> Middleware<App> {
                 match fence(&m, epoch, local) {
                     Fence::Admit => {}
                     Fence::Stale => {
-                        self.trace.push(TraceEvent::StaleEpochRejected {
+                        self.paxos.push_trace(TraceEvent::StaleEpochRejected {
                             from: from.0,
                             msg_epoch: epoch,
                             local_epoch: local,
@@ -666,7 +659,7 @@ impl<App: Application> Middleware<App> {
         let mut out = self.take_spare();
         match kind {
             TokenKind::PaxosPersist(pt) => {
-                self.trace.push(TraceEvent::AppendDurable);
+                self.paxos.push_trace(TraceEvent::AppendDurable);
                 self.paxos.on_persisted_into(pt, &mut self.fx);
                 self.lower(&mut out);
             }
@@ -681,7 +674,7 @@ impl<App: Application> Middleware<App> {
                 else {
                     return out;
                 };
-                self.trace.push(TraceEvent::CheckpointDurable {
+                self.paxos.push_trace(TraceEvent::CheckpointDurable {
                     generation: meta.generation,
                 });
                 // Drop the consensus layer's decided history the
@@ -708,7 +701,7 @@ impl<App: Application> Middleware<App> {
         let mut out = self.take_spare();
         match kind {
             TokenKind::LogRead => {
-                self.trace.push(TraceEvent::LogReplayed {
+                self.paxos.push_trace(TraceEvent::LogReplayed {
                     records: self.log.len() as u64,
                 });
                 self.recovery.log_replayed = true;
@@ -723,7 +716,7 @@ impl<App: Application> Middleware<App> {
                         self.app = app;
                     }
                 }
-                self.trace.push(TraceEvent::CheckpointLoaded {
+                self.paxos.push_trace(TraceEvent::CheckpointLoaded {
                     slot: self.checkpoint.slot().0,
                 });
                 self.recovery.checkpoint_loaded = true;
@@ -772,11 +765,6 @@ impl<App: Application> Middleware<App> {
     /// the total order.
     fn lower(&mut self, out: &mut Vec<MwEffect<App>>) {
         let mut fx = std::mem::take(&mut self.fx);
-        // Pull the consensus core's trace events first: they were emitted
-        // while producing `fx`, so they precede the lowering below.
-        for e in self.paxos.take_trace_events() {
-            self.trace.push(e);
-        }
         // Room for one effect per consensus effect and one `Applied` per
         // update that `drain_queue` may apply: the backlog and the
         // batches delivered now.
@@ -808,7 +796,7 @@ impl<App: Application> Middleware<App> {
                     log.push_str(LOG_NAME);
                     entry.clear();
                     record.encode(&mut entry);
-                    self.trace.push(TraceEvent::LogAppend {
+                    self.paxos.push_trace(TraceEvent::LogAppend {
                         bytes: entry.len() as u64,
                     });
                     self.log.push(record.slot(), entry.len() as u64);
@@ -863,7 +851,7 @@ impl<App: Application> Middleware<App> {
                 .remove(&entry.pid)
                 .map(|t0| self.now.saturating_sub(t0))
                 .unwrap_or(0);
-            self.trace.push(TraceEvent::UpdateDelivered {
+            self.paxos.push_trace(TraceEvent::UpdateDelivered {
                 slot: entry.slot.0,
                 index: u64::from(entry.index),
                 submitter: entry.pid.node.0,
@@ -898,7 +886,7 @@ impl<App: Application> Middleware<App> {
             members: paxos.membership().members().to_vec(),
         };
         let (generation, op) = self.checkpoint.begin(cover, data);
-        self.trace.push(TraceEvent::CheckpointWrite {
+        self.paxos.push_trace(TraceEvent::CheckpointWrite {
             generation,
             slot: slot.0,
             bytes: nominal_bytes,
@@ -914,7 +902,7 @@ impl<App: Application> Middleware<App> {
     fn check_recovery_done(&mut self, out: &mut Vec<MwEffect<App>>) {
         if self.recovery.try_complete(!self.paxos.is_recovering()) {
             self.recovery_completed_at = Some(self.now);
-            self.trace.push(TraceEvent::RecoveryComplete {
+            self.paxos.push_trace(TraceEvent::RecoveryComplete {
                 slot: self.paxos.decided_upto().0,
             });
             out.push(MwEffect::RecoveryComplete);
@@ -922,14 +910,12 @@ impl<App: Application> Middleware<App> {
     }
 
     /// Drains the trace events buffered since the last call (middleware
-    /// and consensus core interleaved in emission order). The driver
-    /// stamps them with its clock and node id; one that never drains
-    /// keeps every event.
+    /// and consensus core interleaved in emission order: the middleware
+    /// pushes its own onto the core's buffer). The driver stamps them
+    /// with its clock and node id; one that never drains keeps every
+    /// event.
     pub fn take_trace(&mut self) -> std::vec::Drain<'_, TraceEvent> {
-        for e in self.paxos.take_trace_events() {
-            self.trace.push(e);
-        }
-        self.trace.take()
+        self.paxos.take_trace_events()
     }
 }
 

@@ -24,24 +24,26 @@ pub(crate) fn read_meta(store: &StableStore) -> Option<Meta> {
 }
 
 /// Decodes the records of a restarted node's log, straight from the
-/// store, and mirrors the log's shape. A crash mid-append can leave a
+/// store, and mirrors the log's shape into `mirror` as they go by: the
+/// mirror is whole once the records are. A crash mid-append can leave a
 /// torn (truncated) record: its decode fails, but it still occupies a
 /// stable log index, so it is mirrored as a slot-less placeholder —
 /// dropping it would misalign every later entry's index and make
 /// checkpoint truncation cut the wrong records. Records appended by
 /// later incarnations after a torn tail keep replaying.
-pub(crate) fn replay<A: Wire>(store: &StableStore) -> (Vec<Record<Batch<A>>>, LogMirror) {
-    let Some(log) = store.log(LOG_NAME) else {
-        return (Vec::new(), LogMirror::default());
-    };
-    let mut records = Vec::with_capacity(log.len());
-    let mut mirror = LogMirror::starting_at(log.first_index());
-    for (_, entry) in log.iter() {
-        let record = Record::from_bytes(entry).ok();
-        mirror.push(record.as_ref().and_then(Record::slot), entry.len() as u64);
-        records.extend(record);
-    }
-    (records, mirror)
+pub(crate) fn replay<'a, A: Wire>(
+    store: &'a StableStore,
+    mirror: &'a mut LogMirror,
+) -> impl Iterator<Item = Record<Batch<A>>> + 'a {
+    let log = store.log(LOG_NAME);
+    *mirror = LogMirror::starting_at(log.map_or(0, |log| log.first_index()));
+    log.into_iter()
+        .flat_map(|log| log.iter())
+        .filter_map(move |(_, entry)| {
+            let record = Record::from_bytes(entry).ok();
+            mirror.push(record.as_ref().and_then(Record::slot), entry.len() as u64);
+            record
+        })
 }
 
 /// The restart join: three flags that only ever turn true. A node that
@@ -174,7 +176,8 @@ mod tests {
         }
         let log = store.log(LOG_NAME).expect("log");
         assert_eq!((log.first_index(), log.len()), (30, 4));
-        let (replayed, mirror) = replay::<u64>(&store);
+        let mut mirror = LogMirror::default();
+        let replayed: Vec<_> = replay::<u64>(&store, &mut mirror).collect();
         assert_eq!(replayed, records, "records past the torn entry replay");
         assert_eq!((mirror.len(), mirror.bytes()), (4, log.bytes()));
     }

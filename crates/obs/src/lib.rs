@@ -15,8 +15,6 @@
 //!   trace of a `(seed, config)` pair is bit-identical across runs. It
 //!   keeps the full record vector when [`TraceConfig`] enables it, and a
 //!   ring of the [`FLIGHT_RECORDS`] newest records always;
-//! * [`EventBuf`] — a deferred buffer for sans-io actors that cannot see
-//!   the engine; drivers drain it into the tracer after each handler;
 //! * [`Hist`] — the log₂ histogram the reducers below summarise value
 //!   series with (commit latency, detection latency, phase durations);
 //! * [`jsonl`] — a canonical JSONL codec for traces (stdlib only);
@@ -89,4 +87,4 @@ pub use monitor::{
 pub use spans::{SpanProfile, UpdateSpan, PHASES};
 pub use store::{Incident, TraceStore, TAG_NONE};
 pub use timeline::{availability_reports, AvailabilityReport, Timeline, TimelineConfig};
-pub use tracer::{EventBuf, TraceConfig, Tracer, FLIGHT_RECORDS};
+pub use tracer::{TraceConfig, Tracer, FLIGHT_RECORDS};

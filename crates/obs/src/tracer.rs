@@ -1,4 +1,4 @@
-//! The trace sink and the actor-local event buffers feeding it.
+//! The trace sink.
 //!
 //! One [`Tracer`] lives inside the simulation engine, which stamps every
 //! event with the current simulated time at the moment it reaches the
@@ -7,9 +7,10 @@
 //! JSONL rendering — is bit-identical across runs of the same seed.
 //!
 //! Sans-io protocol actors (acceptor, learner, leader, middleware)
-//! cannot see the engine; they push into an [`EventBuf`] that their
-//! driver drains into the tracer right after the handler returns, so
-//! buffered events are stamped with the handler's dispatch time.
+//! cannot see the engine; they push into a plain event vector that
+//! their driver drains into the tracer right after the handler
+//! returns, so buffered events are stamped with the handler's dispatch
+//! time.
 //!
 //! Two sinks share the `emit` entry point:
 //!
@@ -20,9 +21,6 @@
 //!   audit violation can dump the moments leading up to it. The ring is
 //!   a fixed-capacity `VecDeque`; steady-state cost is one push + one
 //!   pop per event with no allocation.
-//!
-//! Only [`Tracer::disabled`], the raw engine's default, keeps neither:
-//! its `emit` short-circuits on a single bool.
 
 use std::collections::VecDeque;
 
@@ -49,27 +47,18 @@ impl TraceConfig {
 
 /// The run-global trace sink: an append-only record vector and the
 /// bounded flight-recorder ring.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
-    /// Whether the flight ring runs: false only for [`Tracer::disabled`].
-    flight_on: bool,
     records: Vec<TraceRecord>,
     flight: VecDeque<TraceRecord>,
 }
 
 impl Tracer {
-    /// A fully disabled tracer (no records, no flight ring — the
-    /// zero-cost engine default for raw-engine users).
-    pub fn disabled() -> Tracer {
-        Tracer::default()
-    }
-
     /// A tracer honoring `config`, with the flight ring on.
     pub fn new(config: TraceConfig) -> Tracer {
         Tracer {
             enabled: config.enabled,
-            flight_on: true,
             records: Vec::new(),
             flight: VecDeque::with_capacity(FLIGHT_RECORDS),
         }
@@ -82,12 +71,9 @@ impl Tracer {
     }
 
     /// Records `event` at time `t_us` on `node`: into the flight ring,
-    /// and into the full trace when enabled. No-op when disabled.
+    /// and into the full trace when enabled.
     #[inline]
     pub fn emit(&mut self, t_us: u64, node: u32, event: TraceEvent) {
-        if !self.flight_on {
-            return;
-        }
         if self.flight.len() == FLIGHT_RECORDS {
             self.flight.pop_front();
         }
@@ -111,12 +97,6 @@ impl Tracer {
         std::mem::take(&mut self.records)
     }
 
-    /// The flight-recorder ring: the most recent records (oldest
-    /// first), at most [`FLIGHT_RECORDS`]. Empty for a disabled tracer.
-    pub fn flight_records(&self) -> Vec<TraceRecord> {
-        self.flight.iter().cloned().collect()
-    }
-
     /// The flight ring rendered as canonical JSONL (one line per
     /// record, oldest first) — the crash-dump format.
     pub fn flight_jsonl(&self) -> String {
@@ -129,65 +109,9 @@ impl Tracer {
     }
 }
 
-/// A deferred event buffer for sans-io actors that cannot reach the
-/// engine-owned [`Tracer`] directly.
-///
-/// Disabled by default (`Default`), so actors constructed in unit tests
-/// trace nothing; the owning driver switches it on and drains it.
-#[derive(Debug, Default)]
-pub struct EventBuf {
-    enabled: bool,
-    events: Vec<TraceEvent>,
-}
-
-impl EventBuf {
-    /// A buffer with the given state.
-    pub fn new(enabled: bool) -> EventBuf {
-        EventBuf {
-            enabled,
-            events: Vec::new(),
-        }
-    }
-
-    /// Switches buffering on or off.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether pushes are being kept.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Buffers `event` (no-op when disabled).
-    #[inline]
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.enabled {
-            self.events.push(event);
-        }
-    }
-
-    /// Drains the buffered events in order (nothing when disabled). The
-    /// buffer keeps its capacity, so the pushes after a drain do not
-    /// allocate again.
-    pub fn take(&mut self) -> std::vec::Drain<'_, TraceEvent> {
-        self.events.drain(..)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::disabled();
-        t.emit(5, 0, TraceEvent::Crash);
-        assert!(t.records().is_empty());
-        assert!(t.flight_records().is_empty());
-        assert!(t.flight_jsonl().is_empty());
-    }
 
     #[test]
     fn enabled_tracer_records_every_event() {
@@ -196,7 +120,7 @@ mod tests {
         t.emit(11, 2, TraceEvent::Crash);
         assert_eq!(t.records().len(), 2);
         assert_eq!(t.records()[0].t_us, 10);
-        assert_eq!(t.flight_records(), t.records());
+        assert!(t.flight.iter().eq(t.records()));
     }
 
     #[test]
@@ -209,38 +133,12 @@ mod tests {
             t.emit(i, 0, TraceEvent::UpdateSubmitted { seq: i });
         }
         assert!(t.records().is_empty(), "full trace stays off");
-        let tail = t.flight_records();
+        let tail: Vec<_> = t.flight.iter().collect();
         assert_eq!(tail.len(), FLIGHT_RECORDS);
         assert_eq!(tail[0].t_us, 10, "oldest surviving record");
         assert_eq!(tail[FLIGHT_RECORDS - 1].t_us, n - 1);
         let jsonl = t.flight_jsonl();
         assert_eq!(jsonl.lines().count(), FLIGHT_RECORDS);
         assert!(jsonl.starts_with("{\"t\":10,"), "canonical JSONL: {jsonl}");
-    }
-
-    #[test]
-    fn event_buf_respects_enabled_flag() {
-        let mut b = EventBuf::default();
-        b.push(TraceEvent::Crash);
-        assert_eq!(b.take().len(), 0);
-        b.set_enabled(true);
-        b.push(TraceEvent::Crash);
-        assert_eq!(b.take().len(), 1);
-        assert_eq!(b.take().len(), 0, "take drains");
-    }
-
-    #[test]
-    fn event_buf_keeps_its_capacity_across_drains() {
-        let mut b = EventBuf::new(true);
-        b.push(TraceEvent::Crash);
-        let capacity = b.events.capacity();
-        assert!(capacity > 0);
-        drop(b.take());
-        assert_eq!(b.events.capacity(), capacity, "drained in place");
-        // A drain dropped half-way still empties the buffer.
-        b.push(TraceEvent::Crash);
-        b.push(TraceEvent::Crash);
-        b.take().next();
-        assert_eq!(b.take().len(), 0);
     }
 }

@@ -98,10 +98,9 @@ impl<V: Clone> Acceptor<V> {
     /// design — after a crash the acceptor must hear a fresh `Any` before
     /// fast-accepting again, which is safe (it merely declines the fast
     /// path until the coordinator refreshes it).
-    pub fn recover<'a, I>(records: I) -> Self
+    pub fn recover<I>(records: I) -> Self
     where
-        I: IntoIterator<Item = &'a Record<V>>,
-        V: 'a,
+        I: IntoIterator<Item = Record<V>>,
     {
         let mut a = Acceptor::new();
         for record in records {
@@ -111,8 +110,8 @@ impl<V: Clone> Acceptor<V> {
                         // never produced; defensive
                         continue;
                     }
-                    if *ballot > a.rnd_global {
-                        a.rnd_global = *ballot;
+                    if ballot > a.rnd_global {
+                        a.rnd_global = ballot;
                     }
                 }
                 Record::Accepted {
@@ -121,20 +120,16 @@ impl<V: Clone> Acceptor<V> {
                     decree,
                 } => {
                     let replace = match a.accepted.get(slot.0) {
-                        Some((b, _)) => ballot >= b,
+                        Some((b, _)) => ballot >= *b,
                         None => true,
                     };
                     // Each record was admitted when it was written, and
                     // the log is cut at every checkpoint, so its slots
                     // span far less than `RING_SPAN`: none is refused.
-                    if replace
-                        && a.accepted
-                            .insert(slot.0, (*ballot, decree.clone()))
-                            .is_err()
-                    {
+                    if replace && a.accepted.insert(slot.0, (ballot, decree)).is_err() {
                         continue;
                     }
-                    if *slot >= a.fast_cursor {
+                    if slot >= a.fast_cursor {
                         a.fast_cursor = slot.next();
                     }
                 }
@@ -559,7 +554,7 @@ mod tests {
                 decree: Decree::Value(pid(1, 1), "new"),
             },
         ];
-        let a = Acceptor::recover(records.iter());
+        let a = Acceptor::recover(records);
         assert_eq!(a.promised(), b);
         assert_eq!(a.accepted_len(), 1);
         // Reports must reflect the *latest* acceptance.
@@ -582,7 +577,7 @@ mod tests {
     fn recover_does_not_reopen_fast_window() {
         let b = Ballot::fast(1, ReplicaId(0));
         let records: Vec<Record<&str>> = vec![Record::Promised(b)];
-        let mut a = Acceptor::recover(records.iter());
+        let mut a = Acceptor::recover(records);
         assert!(!a.fast_window_open());
         let out = a.on_fast_propose(pid(1, 1), "v");
         assert!(out.record.is_none());

@@ -303,11 +303,6 @@ impl<V: Clone + Eq> Learner<V> {
         slot < self.next_deliver || self.decided.get(slot.0).is_some()
     }
 
-    /// Number of retained decided entries (metrics/tests).
-    pub fn decided_len(&self) -> usize {
-        self.decided.len()
-    }
-
     fn required(&self, ballot: Ballot) -> usize {
         if ballot.is_fast() {
             self.quorums.fast()
@@ -842,7 +837,7 @@ mod tests {
         check(&l, false, "empty");
         // A long decided, delivered prefix retained for catch-up.
         l.learned((0..500).map(|s| (Slot(s), Decree::Noop)).collect());
-        assert_eq!((l.next_deliver(), l.decided_len()), (Slot(500), 500));
+        assert_eq!((l.next_deliver(), l.decided.len()), (Slot(500), 500));
         check(&l, false, "decided prefix only");
         // A vote at the watermark is not above a hole, however stale.
         l.accepted(ReplicaId(0), b, Slot(500), Decree::Noop, 0);

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use obs::{node_u32, EventBuf, TraceEvent, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
+use obs::{node_u32, TraceEvent, MODE_BLOCKED, MODE_CLASSIC, MODE_FAST};
 
 use crate::acceptor::{Acceptor, AcceptorOut, Dest};
 use crate::config::{
@@ -110,12 +110,11 @@ pub struct Replica<V> {
     /// into the effect buffer by [`Replica::handle_deliveries`]: one
     /// allocation serves every call.
     delivered: Vec<Delivery<V>>,
-    /// Structured trace events (disabled by default: plain construction
-    /// keeps every pre-existing test silent). The driver drains this via
-    /// [`Replica::take_trace_events`].
-    trace: EventBuf,
+    /// Structured trace events, the consensus core's and those its host
+    /// adds through [`Replica::push_trace`], in emission order. The
+    /// driver drains them via [`Replica::take_trace_events`].
+    trace: Vec<TraceEvent>,
     /// Mode at the last trace check, for `ModeSwitch` edge detection.
-    /// Only maintained while tracing is enabled.
     last_mode: Mode,
 }
 
@@ -167,14 +166,17 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         V: 'a,
     {
         let membership = Membership::initial(config.n);
+        let records = records.into_iter().cloned();
         Self::recover_with_membership(id, config, membership, records, start_slot, epoch, now)
     }
 
     /// [`Replica::recover`] with an explicit configuration — the one the
     /// replica's durable metadata recorded at its last checkpoint. Log
     /// replay and catch-up re-apply any reconfigurations decided after
-    /// that point (stale ones are ignored by the epoch check).
-    pub fn recover_with_membership<'a, I>(
+    /// that point (stale ones are ignored by the epoch check). It takes
+    /// the records by value, so a log decoded on the way in is never
+    /// copied.
+    pub fn recover_with_membership<I>(
         id: ReplicaId,
         config: PaxosConfig,
         membership: Membership,
@@ -184,8 +186,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         now: u64,
     ) -> Self
     where
-        I: IntoIterator<Item = &'a Record<V>>,
-        V: 'a,
+        I: IntoIterator<Item = Record<V>>,
     {
         let acceptor = Acceptor::recover(records);
         let mut r = Self::with_state(id, config, membership, acceptor, start_slot, epoch, now);
@@ -205,6 +206,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         let quorums = membership.quorums();
         let mut fd = FailureDetector::new(id, quorums, FD_TIMEOUT_US, now);
         fd.set_membership(&membership, now);
+        let last_mode = fd.mode(now);
         Replica {
             id,
             acceptor,
@@ -236,39 +238,34 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             pending_reconfig: None,
             reconfig_fence: None,
             delivered: Vec::new(),
-            trace: EventBuf::default(),
-            last_mode: Mode::Blocked,
+            trace: Vec::new(),
+            last_mode,
             config,
         }
     }
 
-    /// Enables or disables structured trace emission. Off by default;
-    /// when off no event is ever constructed or buffered.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.trace.set_enabled(on);
-        if on {
-            self.last_mode = self.fd.mode(self.now);
-        }
+    /// Buffers a trace event of the host process (the middleware) after
+    /// the consensus core's own, so one buffer holds the process's
+    /// events in the order they happened.
+    #[inline]
+    pub fn push_trace(&mut self, event: TraceEvent) {
+        self.trace.push(event);
     }
 
     /// Drains the trace events buffered since the last call, in the
-    /// order the protocol emitted them.
+    /// order they were emitted. The buffer keeps its capacity, so the
+    /// pushes after a drain do not allocate again.
     pub fn take_trace_events(&mut self) -> std::vec::Drain<'_, TraceEvent> {
-        self.trace.take()
+        self.trace.drain(..)
     }
 
     /// Records the failure detector's edges since the last check: a
     /// `ModeSwitch` if the mode changed, then each suspicion edge
-    /// ([`crate::FdTransition`] → `peer_suspected`/`peer_cleared`). One
-    /// branch when the buffer is off; it is on whenever the flight ring
-    /// is, which is the default, so the mode rule must stay
+    /// ([`crate::FdTransition`] → `peer_suspected`/`peer_cleared`). It
+    /// runs on every tick and message, so the mode rule must stay
     /// allocation-free. Pure observation: the edges never feed back
-    /// into `mode()` or any protocol decision, so tracing on or off
-    /// cannot perturb a run.
+    /// into `mode()` or any protocol decision.
     fn trace_edges(&mut self) {
-        if !self.trace.enabled() {
-            return;
-        }
         let mode = self.fd.mode(self.now);
         if mode != self.last_mode {
             self.trace.push(TraceEvent::ModeSwitch {
@@ -383,19 +380,17 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
     fn gate(&mut self, out: AcceptorOut<V>, fx: &mut Effects<V>) {
         match out.record {
             Some(record) => {
-                if self.trace.enabled() {
-                    self.trace.push(match &record {
-                        Record::Promised(b) => TraceEvent::Promised {
-                            round: b.round,
-                            by: self.id.0,
-                        },
-                        Record::Accepted { ballot, slot, .. } => TraceEvent::Accepted {
-                            slot: slot.0,
-                            round: ballot.round,
-                            fast: ballot.is_fast(),
-                        },
-                    });
-                }
+                self.trace.push(match &record {
+                    Record::Promised(b) => TraceEvent::Promised {
+                        round: b.round,
+                        by: self.id.0,
+                    },
+                    Record::Accepted { ballot, slot, .. } => TraceEvent::Accepted {
+                        slot: slot.0,
+                        round: ballot.round,
+                        fast: ballot.is_fast(),
+                    },
+                });
                 let token = self.next_token;
                 self.next_token = self.next_token.saturating_add(1);
                 if let Some(send) = out.send {

@@ -11,6 +11,7 @@
 mod common;
 
 use common::{Ensemble, TICK};
+use obs::{TraceEvent, MODE_CLASSIC, MODE_FAST};
 use paxos::{Effect, Mode, PaxosConfig, Slot};
 
 type Value = u64;
@@ -105,6 +106,20 @@ fn fast_falls_back_to_classic_below_fast_quorum() {
     e.crash(4);
     e.run(40, TICK);
     assert_eq!(e.live_status(0).mode, Mode::Classic);
+    // A bare replica records as the middleware's does: the coordinator
+    // traced its election and the switch.
+    let trace: Vec<_> = e.replicas[0]
+        .as_mut()
+        .unwrap()
+        .take_trace_events()
+        .collect();
+    assert!(trace
+        .iter()
+        .any(|t| matches!(t, TraceEvent::LeaderElected { .. })));
+    assert!(trace.contains(&TraceEvent::ModeSwitch {
+        from: MODE_FAST,
+        to: MODE_CLASSIC
+    }));
     e.propose(1, 42);
     e.run(20, TICK);
     e.assert_agreement();

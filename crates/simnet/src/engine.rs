@@ -81,12 +81,11 @@ pub enum Event<M> {
 pub struct DiskFault {
     /// Probability in `[0, 1]` that a durable write fails instead of
     /// completing ([`Event::DiskWriteFailed`] is delivered and nothing
-    /// is persisted).
+    /// is persisted). A faulty disk also tears its earliest in-flight
+    /// log append on a crash: a strict prefix of the entry reaches the
+    /// platter instead of the write being wholly lost, and recovery must
+    /// detect and discard the tail.
     pub write_fail_probability: f64,
-    /// On crash, the earliest in-flight log append is *torn*: a strict
-    /// prefix of the entry reaches the platter instead of the write
-    /// being wholly lost. Recovery must detect and discard the tail.
-    pub torn_tail_on_crash: bool,
 }
 
 #[derive(Debug)]
@@ -196,18 +195,21 @@ impl<M: std::fmt::Debug> Engine<M> {
             next_xid: 0,
             rng: StdRng::seed_from_u64(seed),
             default_msg_bytes: 512,
-            tracer: Tracer::disabled(),
+            tracer: Tracer::new(TraceConfig::default()),
         }
     }
 
-    /// Installs the run's trace sink in place of the disabled default:
-    /// the flight ring, plus the full trace when `config` enables it.
+    /// Switches the full trace on when `config` enables it, before the
+    /// run starts; the flight ring, which every engine keeps from
+    /// [`Engine::new`], runs either way.
     ///
     /// The engine owns the tracer so records are appended in its
     /// deterministic dispatch order: the trace of a `(seed, config)`
     /// pair is bit-identical across runs.
     pub fn enable_tracing(&mut self, config: TraceConfig) {
-        self.tracer = Tracer::new(config);
+        if config.enabled {
+            self.tracer = Tracer::new(config);
+        }
     }
 
     /// The run's trace sink.
@@ -228,7 +230,7 @@ impl<M: std::fmt::Debug> Engine<M> {
     }
 
     /// Records `event` against `node`, stamped with the current
-    /// simulated time. No-op on the raw engine's disabled tracer.
+    /// simulated time.
     #[inline]
     pub fn trace(&mut self, node: NodeId, event: TraceEvent) {
         self.tracer
@@ -501,7 +503,7 @@ impl<M: std::fmt::Debug> Engine<M> {
         assert_eq!(state.status, NodeStatus::Up, "crash of a down node {node}");
         state.status = NodeStatus::Down;
         state.crashes += 1;
-        let torn = fault.is_some_and(|f| f.torn_tail_on_crash);
+        let torn = fault.is_some();
         self.trace(node, TraceEvent::Crash);
         if torn {
             self.tear_in_flight_append(node);
@@ -1051,7 +1053,6 @@ mod tests {
             NodeId(0),
             Some(DiskFault {
                 write_fail_probability: 1.0,
-                torn_tail_on_crash: false,
             }),
         );
         e.disk_write(
@@ -1087,7 +1088,6 @@ mod tests {
             NodeId(0),
             Some(DiskFault {
                 write_fail_probability: 0.0,
-                torn_tail_on_crash: true,
             }),
         );
         let entry: Vec<u8> = (0..64).collect();
@@ -1206,7 +1206,6 @@ mod tests {
             NodeId(0),
             Some(DiskFault {
                 write_fail_probability: 0.0,
-                torn_tail_on_crash: true,
             }),
         );
         e.disk_write(

@@ -181,11 +181,6 @@ impl Network {
         }
     }
 
-    /// Removes the fault profile from the link between `a` and `b`.
-    pub fn clear_link_fault(&mut self, a: NodeId, b: NodeId) {
-        self.link_faults.remove(&Self::key(a, b));
-    }
-
     /// Removes every installed fault profile.
     pub fn clear_link_faults(&mut self) {
         self.link_faults.clear();
@@ -388,7 +383,7 @@ mod tests {
             net.transmit(&mut r, NodeId(0), NodeId(2), 1),
             Transmission::Deliver(_)
         ));
-        net.clear_link_fault(NodeId(1), NodeId(0));
+        net.clear_link_faults();
         assert!(matches!(
             net.transmit(&mut r, NodeId(0), NodeId(1), 1),
             Transmission::Deliver(_)

@@ -417,8 +417,10 @@ impl Bus {
     }
 
     /// Applies what `node` left in the effect buffer, and what the
-    /// persistence it asked for releases.
+    /// persistence it asked for releases. Drains the replica's trace
+    /// after each call, as the middleware's driver does.
     fn apply(&mut self, node: usize) {
+        self.replicas[node].take_trace_events();
         while !self.fx.is_empty() {
             std::mem::swap(&mut self.fx, &mut self.spare);
             for effect in self.spare.drain(..) {
@@ -428,6 +430,7 @@ impl Bus {
                     }
                     Effect::Persist { token, .. } => {
                         self.replicas[node].on_persisted_into(token, &mut self.fx);
+                        self.replicas[node].take_trace_events();
                     }
                     Effect::Deliver { .. } => self.delivered += 1,
                     Effect::Reconfigured { .. } => {}
@@ -671,10 +674,11 @@ fn restart_cost(n: u64) -> (u64, u64) {
 }
 
 /// Blocks a restart may allocate beyond decoding its log: the replica
-/// around the records, the records' vector and the growth of the
-/// acceptor's slot ring and of the log mirror. Read 27 over 200 updates
-/// and 29 over 400; a copy of each entry would add one per record.
-const BUDGET_RESTART_EXTRA_ALLOCS: u64 = 32;
+/// around the records and the growth of the acceptor's slot ring and of
+/// the log mirror. Read 26 over 200 updates and 28 over 400 (27 and 29
+/// while the records were collected into a vector first); a copy of
+/// each entry would add one per record.
+const BUDGET_RESTART_EXTRA_ALLOCS: u64 = 31;
 
 /// A restart decodes its log straight from the disk: reading N or 2N
 /// records costs what decoding them costs and a few blocks more, not a
