@@ -767,12 +767,18 @@ impl<App: Application> Middleware<App> {
         let mut fx = std::mem::take(&mut self.fx);
         // Room for one effect per consensus effect and one `Applied` per
         // update that `drain_queue` may apply: the backlog and the
-        // batches delivered now.
-        let delivered = fx.iter().map(|e| match e {
-            PaxosEffect::Deliver { value, .. } => value.len(),
-            _ => 0,
-        });
-        let applies = delivered.fold(self.queue.len(), usize::saturating_add);
+        // batches delivered now, once the checkpoint is loaded. Before,
+        // `drain_queue` holds them, and room for them would only make
+        // the vector too large to recycle.
+        let applies = if self.recovery.checkpoint_loaded {
+            let delivered = fx.iter().map(|e| match e {
+                PaxosEffect::Deliver { value, .. } => value.len(),
+                _ => 0,
+            });
+            delivered.fold(self.queue.len(), usize::saturating_add)
+        } else {
+            0
+        };
         out.reserve(fx.len().saturating_add(applies));
         for e in fx.drain(..) {
             match e {

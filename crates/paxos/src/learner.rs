@@ -430,15 +430,16 @@ impl<V: Clone + Eq> Learner<V> {
     ///   value can still reach the fast quorum;
     /// * **staleness** — votes have sat for `timeout_us` without a
     ///   decision (covers lost messages and crashed acceptors).
-    pub fn stuck_slots(&self, now: u64, timeout_us: u64) -> Vec<Slot> {
-        let mut out = Vec::new();
+    ///
+    /// Appends them to `out`, which the caller keeps between calls: a
+    /// fast coordinator asks on every message.
+    pub fn stuck_slots(&self, now: u64, timeout_us: u64, out: &mut Vec<Slot>) {
         for (slot, sv) in &self.votes {
             let stale = now.saturating_sub(sv.first_vote_at) >= timeout_us;
             if stale || sv.fast_round_lost(self.quorums) {
                 out.push(*slot);
             }
         }
-        out
     }
 
     /// Whether delivery is blocked by a gap: some slot above the
@@ -544,6 +545,7 @@ mod tests {
             now: u64,
         ) -> Vec<Delivery<V>>;
         fn learned(&mut self, entries: Vec<(Slot, Decree<V>)>) -> Vec<Delivery<V>>;
+        fn stuck(&self, now: u64, timeout_us: u64) -> Vec<Slot>;
     }
 
     impl<V: Clone + Eq> Collected<V> for Learner<V> {
@@ -563,6 +565,12 @@ mod tests {
         fn learned(&mut self, entries: Vec<(Slot, Decree<V>)>) -> Vec<Delivery<V>> {
             let mut out = Vec::new();
             self.on_learned(entries, &mut out);
+            out
+        }
+
+        fn stuck(&self, now: u64, timeout_us: u64) -> Vec<Slot> {
+            let mut out = Vec::new();
+            self.stuck_slots(now, timeout_us, &mut out);
             out
         }
     }
@@ -668,12 +676,9 @@ mod tests {
         l.accepted(ReplicaId(0), b, Slot(0), Decree::Value(pid(0, 1), "a"), 10);
         l.accepted(ReplicaId(1), b, Slot(0), Decree::Value(pid(0, 1), "a"), 10);
         l.accepted(ReplicaId(2), b, Slot(0), Decree::Value(pid(1, 1), "z"), 10);
-        assert!(
-            l.stuck_slots(10, 1_000_000).is_empty(),
-            "3 votes: still winnable"
-        );
+        assert!(l.stuck(10, 1_000_000).is_empty(), "3 votes: still winnable");
         l.accepted(ReplicaId(3), b, Slot(0), Decree::Value(pid(1, 1), "z"), 10);
-        assert_eq!(l.stuck_slots(10, 1_000_000), vec![Slot(0)]);
+        assert_eq!(l.stuck(10, 1_000_000), vec![Slot(0)]);
     }
 
     /// Each distinct decree is held once with its voters; a re-vote in
@@ -722,8 +727,8 @@ mod tests {
         let mut l = learner();
         let b = Ballot::fast(1, ReplicaId(0));
         l.accepted(ReplicaId(0), b, Slot(3), Decree::Value(pid(0, 1), "a"), 100);
-        assert!(l.stuck_slots(500, 1_000).is_empty());
-        assert_eq!(l.stuck_slots(1_200, 1_000), vec![Slot(3)]);
+        assert!(l.stuck(500, 1_000).is_empty());
+        assert_eq!(l.stuck(1_200, 1_000), vec![Slot(3)]);
     }
 
     #[test]
@@ -1074,7 +1079,7 @@ mod tests {
             assert!(out.is_empty());
         }
         assert!(!l.is_decided(far), "no quorum is counted for it");
-        assert!(l.stuck_slots(u64::MAX, 0).is_empty(), "no vote is kept");
+        assert!(l.stuck(u64::MAX, 0).is_empty(), "no vote is kept");
         assert!(l.learned(vec![(far, Decree::Noop)]).is_empty());
         assert!(!l.is_decided(far) && !l.gapped(0, 1), "nor is it learned");
         // Once truncation empties the ring, the same slot is learned.

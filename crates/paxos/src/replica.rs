@@ -110,6 +110,9 @@ pub struct Replica<V> {
     /// into the effect buffer by [`Replica::handle_deliveries`]: one
     /// allocation serves every call.
     delivered: Vec<Delivery<V>>,
+    /// The slots a fast coordinator found stuck, kept empty between
+    /// calls so that one allocation serves every call.
+    stuck: Vec<Slot>,
     /// Structured trace events, the consensus core's and those its host
     /// adds through [`Replica::push_trace`], in emission order. The
     /// driver drains them via [`Replica::take_trace_events`].
@@ -238,6 +241,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
             pending_reconfig: None,
             reconfig_fence: None,
             delivered: Vec::new(),
+            stuck: Vec::new(),
             trace: Vec::new(),
             last_mode,
             config,
@@ -998,12 +1002,15 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         if !self.leader.is_leading() || !self.leader.ballot.is_fast() {
             return;
         }
-        let stuck = self.learner.stuck_slots(self.now, COLLISION_TIMEOUT_US);
-        for slot in stuck {
+        let mut stuck = std::mem::take(&mut self.stuck);
+        self.learner
+            .stuck_slots(self.now, COLLISION_TIMEOUT_US, &mut stuck);
+        for slot in stuck.drain(..) {
             if !self.learner.is_decided(slot) {
                 self.prepare_slot(slot, fx);
             }
         }
+        self.stuck = stuck;
     }
 
     /// Periodic driver callback: heartbeats, election, retries, and

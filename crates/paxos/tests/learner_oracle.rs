@@ -372,8 +372,10 @@ proptest! {
             }
             // `u64::MAX` leaves the impossibility trigger alone.
             for timeout_us in [u64::MAX, 0, 300, 1_000] {
+                let mut stuck = Vec::new();
+                l.stuck_slots(clock, timeout_us, &mut stuck);
                 prop_assert_eq!(
-                    l.stuck_slots(clock, timeout_us),
+                    stuck,
                     o.stuck_slots(clock, timeout_us),
                     "step {}, timeout {}", step, timeout_us
                 );

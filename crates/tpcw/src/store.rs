@@ -18,6 +18,7 @@
 //! arguments: determinism is the caller's job (the `robuststore` facade
 //! samples them before building actions — the paper's task II).
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -210,10 +211,46 @@ impl std::error::Error for StoreError {}
 /// assert_eq!(store.cart(cart)?.units(), 2);
 /// # Ok::<(), tpcw::StoreError>(())
 /// ```
-#[derive(Debug, Clone)]
 pub struct Bookstore {
     base: Arc<BasePopulation>,
     overlay: Overlay,
+    /// Scratch state of [`Bookstore::get_best_sellers`]: derived from the
+    /// order history on every read, so it is never encoded or compared,
+    /// and a clone starts it empty. A read takes it and puts it back.
+    best_sellers: Cell<BestSellerTally>,
+}
+
+/// What a best-seller read keeps between reads, so that counting its
+/// window and ranking a subject allocate nothing once every item sold
+/// has an entry.
+#[derive(Default)]
+struct BestSellerTally {
+    /// Reads so far: an entry stamped with an older read is stale.
+    read: u64,
+    /// Per item, the read that last counted it and the quantity that
+    /// read counted.
+    qty: BTreeMap<ItemId, (u64, u64)>,
+    /// The read's subject items, ranked.
+    ranked: Vec<(ItemId, u64)>,
+}
+
+impl Clone for Bookstore {
+    fn clone(&self) -> Self {
+        Bookstore {
+            base: Arc::clone(&self.base),
+            overlay: self.overlay.clone(),
+            best_sellers: Cell::default(),
+        }
+    }
+}
+
+impl std::fmt::Debug for Bookstore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Bookstore")
+            .field("base", &self.base)
+            .field("overlay", &self.overlay)
+            .finish()
+    }
 }
 
 impl PartialEq for Bookstore {
@@ -228,6 +265,7 @@ impl Bookstore {
         Bookstore {
             base: base_population(params),
             overlay: Overlay::default(),
+            best_sellers: Cell::default(),
         }
     }
 
@@ -246,6 +284,7 @@ impl Bookstore {
         Bookstore {
             base: base_population(params),
             overlay,
+            best_sellers: Cell::default(),
         }
     }
 
@@ -396,42 +435,50 @@ impl Bookstore {
 
     /// Best Sellers: top-50 items by quantity over the 3333 most recent
     /// orders, restricted to a subject (TPC-W clause 2.7).
+    ///
+    /// The window is counted afresh into the store's tally: an entry
+    /// left from an earlier read restarts at zero when this read first
+    /// touches it, and only entries this read touched are ranked. Once
+    /// every item sold has an entry, a read allocates only its page.
     pub fn get_best_sellers(&self, subject: u8) -> Vec<(ItemId, u64)> {
         let subject = subject as usize % SUBJECTS.len();
-        let mut qty: BTreeMap<ItemId, u64> = BTreeMap::new();
-        let recent = 3_333usize;
-        // Walk new orders newest-first, then base orders.
-        let mut seen = 0usize;
-        for lines in self.overlay.new_order_lines.iter().rev() {
-            if seen >= recent {
-                break;
-            }
-            seen += 1;
+        let mut tally = self.best_sellers.take();
+        tally.read += 1;
+        let read = tally.read;
+        // New orders newest-first, then base orders.
+        let new_orders = self.overlay.new_order_lines.iter().rev();
+        let window = new_orders.chain(self.base.order_lines.iter().rev());
+        for lines in window.take(3_333) {
             for l in lines {
-                *qty.entry(l.item).or_default() += l.qty as u64;
+                let (stamp, qty) = tally.qty.entry(l.item).or_default();
+                if *stamp != read {
+                    *stamp = read;
+                    *qty = 0;
+                }
+                *qty += l.qty as u64;
             }
         }
-        for lines in self.base.order_lines.iter().rev() {
-            if seen >= recent {
-                break;
-            }
-            seen += 1;
-            for l in lines {
-                *qty.entry(l.item).or_default() += l.qty as u64;
-            }
-        }
-        let mut v: Vec<(ItemId, u64)> = qty
-            .into_iter()
-            .filter(|(id, _)| {
-                self.base
-                    .items
-                    .get(id.0 as usize)
-                    .is_some_and(|it| it.subject as usize == subject)
-            })
-            .collect();
-        v.sort_by_key(|(id, q)| (std::cmp::Reverse(*q), *id));
-        v.truncate(50);
-        v
+        let of_subject = |id: &ItemId| {
+            self.base
+                .items
+                .get(id.0 as usize)
+                .is_some_and(|it| it.subject as usize == subject)
+        };
+        tally.ranked.clear();
+        tally.ranked.extend(
+            tally
+                .qty
+                .iter()
+                .filter(|(id, (stamp, _))| *stamp == read && of_subject(id))
+                .map(|(id, (_, qty))| (*id, *qty)),
+        );
+        // Ids are unique, so the unstable sort ranks as a stable one.
+        tally
+            .ranked
+            .sort_unstable_by_key(|(id, q)| (std::cmp::Reverse(*q), *id));
+        let page = tally.ranked.iter().take(50).copied().collect();
+        self.best_sellers.set(tally);
+        page
     }
 
     /// Search by subject: first 50 items of the subject by title.

@@ -128,9 +128,12 @@ fn apply(store: &mut Bookstore, op: &Op, t: u64) {
 }
 
 /// The scans the store answered its reads with before the base
-/// population was indexed, and the copying checkpoint encoder: the
-/// reference the indexed store is held to.
+/// population was indexed, the best-seller count it built afresh for
+/// every read before it kept a tally, and the copying checkpoint
+/// encoder: the reference the indexed store is held to.
 mod oracle {
+    use std::collections::BTreeMap;
+
     use tpcw::{
         BasePopulation, Cart, Customer, CustomerId, ItemId, OrderId, Overlay, StoreError, SUBJECTS,
     };
@@ -156,6 +159,33 @@ mod oracle {
                 .title
                 .cmp(&base.items[b.0 as usize].title)
         });
+        v.truncate(50);
+        v
+    }
+
+    /// A new map over the 3 333 newest orders, new ones newest first
+    /// and then the base's.
+    pub fn best_sellers(
+        base: &BasePopulation,
+        overlay: &Overlay,
+        subject: u8,
+    ) -> Vec<(ItemId, u64)> {
+        let subject = subject as usize % SUBJECTS.len();
+        let mut qty: BTreeMap<ItemId, u64> = BTreeMap::new();
+        let newest_first = overlay.new_order_lines.iter().rev();
+        for lines in newest_first
+            .chain(base.order_lines.iter().rev())
+            .take(3_333)
+        {
+            for l in lines {
+                *qty.entry(l.item).or_default() += l.qty as u64;
+            }
+        }
+        let mut v: Vec<(ItemId, u64)> = qty
+            .into_iter()
+            .filter(|(id, _)| base.items[id.0 as usize].subject as usize == subject)
+            .collect();
+        v.sort_by_key(|(id, q)| (std::cmp::Reverse(*q), *id));
         v.truncate(50);
         v
     }
@@ -239,6 +269,11 @@ fn assert_reads_match_oracle(store: &Bookstore) {
             store.search_by_subject(subject),
             oracle::search_by_subject(&base, subject),
             "titles of subject {subject}"
+        );
+        assert_eq!(
+            store.get_best_sellers(subject),
+            oracle::best_sellers(&base, overlay, subject),
+            "best sellers of subject {subject}"
         );
     }
 
@@ -377,6 +412,37 @@ proptest! {
             prop_assert_eq!(store.overlay().to_bytes(), oracle::encode_overlay(store.overlay()));
         }
     }
+}
+
+/// More new orders than the best-seller window holds, with reads
+/// between the purchases: the window slides out of the base population
+/// entirely, so the base's items leave it, while the few items bought
+/// again and again stay and are counted afresh by every read.
+#[test]
+fn best_sellers_follow_the_window_out_of_the_base() {
+    let mut store = Bookstore::open(params());
+    let base = base_population(params());
+    for t in 0..3_400u64 {
+        let lines = vec![
+            ((t % 7 * 3) as u32, 1 + (t % 3) as u32),
+            ((t % 11) as u32, 2),
+        ];
+        apply(&mut store, &Op::Purchase(lines, (t % 100) as u32), t);
+        if t % 25 == 0 {
+            let subject = (t / 25 % 24) as u8;
+            assert_eq!(
+                store.get_best_sellers(subject),
+                oracle::best_sellers(&base, store.overlay(), subject),
+                "best sellers of subject {subject} after {} new orders",
+                t + 1
+            );
+        }
+    }
+    assert!(
+        store.overlay().new_orders.len() > 3_333,
+        "the window left the base"
+    );
+    assert_reads_match_oracle(&store);
 }
 
 /// A random order-lines table, as the `Vec` of each order's lines: up
