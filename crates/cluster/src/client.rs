@@ -90,9 +90,6 @@ impl ClientNode {
     /// one. Aggregating per second keeps traced runs from carrying one
     /// record per interaction.
     fn trace_completion(&mut self, engine: &mut Engine<ClusterMsg>, now: u64, ok: bool) {
-        if !engine.trace_enabled() {
-            return;
-        }
         let sec = now / 1_000_000;
         if sec != self.sample_sec {
             self.emit_sample(engine);
@@ -124,9 +121,7 @@ impl ClientNode {
     /// Flushes the trailing partial-second sample at end of run (the
     /// experiment driver calls this before extracting the trace).
     pub fn flush_trace(&mut self, engine: &mut Engine<ClusterMsg>) {
-        if engine.trace_enabled() {
-            self.emit_sample(engine);
-        }
+        self.emit_sample(engine);
     }
 
     fn issue(&mut self, engine: &mut Engine<ClusterMsg>, idx: usize) {

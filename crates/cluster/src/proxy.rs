@@ -301,11 +301,9 @@ impl ProxyNode {
         // The proxy outlives every fault, so it carries the cumulative
         // network counters into the trace; the timeline differences
         // consecutive samples into per-window traffic.
-        if engine.trace_enabled() {
-            let messages = engine.network().messages_sent();
-            let bytes = engine.network().bytes_carried();
-            engine.trace(self.node, obs::TraceEvent::NetSample { messages, bytes });
-        }
+        let messages = engine.network().messages_sent();
+        let bytes = engine.network().bytes_carried();
+        engine.trace(self.node, obs::TraceEvent::NetSample { messages, bytes });
         // Settle: unanswered probes count as failures.
         for i in 0..self.servers.len() {
             if self.servers[i].awaiting.take().is_some() {

@@ -62,9 +62,13 @@ pub struct ServerNode {
     pub idx: usize,
     node: NodeId,
     mw: Middleware<RobustStore>,
+    /// The effect buffer every middleware call appends to and
+    /// `apply_mw_effects` drains: it keeps the capacity of the largest
+    /// burst.
+    fx: Vec<MwEffect<RobustStore>>,
     facade: TpcwDatabase,
+    /// The CPU's work; its head is in service.
     queue: VecDeque<WorkItem>,
-    busy: bool,
     /// Updates this incarnation executed and has not answered yet, with
     /// the request each answers, keyed by `pid.seq`: the middleware
     /// numbers its updates one after another. A pid of another
@@ -106,8 +110,8 @@ impl ServerNode {
             membership,
             engine.now().as_micros(),
         );
-        let mut server = Self::start(idx, mw, 0, engine);
-        server.apply_mw_effects(engine, boot_fx, auditor);
+        let mut server = Self::start(idx, mw, boot_fx, 0, engine);
+        server.apply_mw_effects(engine, auditor);
         server
     }
 
@@ -128,17 +132,19 @@ impl ServerNode {
         let id = ReplicaId(node_u32(idx));
         let initial = RobustStore::new(params);
         let (mw, fx) = Middleware::recover(id, store, initial, config, epoch, now);
-        let mut server = Self::start(idx, mw, epoch, engine);
-        server.apply_mw_effects(engine, fx, auditor);
+        let mut server = Self::start(idx, mw, fx, epoch, engine);
+        server.apply_mw_effects(engine, auditor);
         server
     }
 
-    /// The idle node around `mw`, its middleware tick armed; ready
-    /// unless `mw` is recovering. `epoch` is the incarnation (0 on first
-    /// boot) and goes into the facade's sampling seed.
+    /// The idle node around `mw`, its middleware tick armed and `fx`
+    /// its effect buffer; ready unless `mw` is recovering. `epoch` is
+    /// the incarnation (0 on first boot) and goes into the facade's
+    /// sampling seed.
     fn start(
         idx: usize,
         mw: Middleware<RobustStore>,
+        fx: Vec<MwEffect<RobustStore>>,
         epoch: u64,
         engine: &mut Engine<ClusterMsg>,
     ) -> ServerNode {
@@ -147,9 +153,9 @@ impl ServerNode {
         ServerNode {
             idx,
             node,
+            fx,
             facade: TpcwDatabase::new(0x00fa_cade ^ idx as u64 ^ (epoch << 32)),
             queue: VecDeque::new(),
-            busy: false,
             outstanding: SeqRing::new(),
             ready: !mw.is_recovering(),
             mw,
@@ -185,8 +191,10 @@ impl ServerNode {
         auditor: &mut InvariantAuditor,
     ) -> bool {
         let now = engine.now().as_micros();
-        let (ok, fx) = self.mw.execute_reconfig(add, remove, now);
-        self.apply_mw_effects(engine, fx, auditor);
+        let ok = self
+            .mw
+            .execute_reconfig_into(add, remove, now, &mut self.fx);
+        self.apply_mw_effects(engine, auditor);
         ok
     }
 
@@ -214,14 +222,14 @@ impl ServerNode {
         }
     }
 
-    /// Carries out the middleware's effects in order, then hands their
-    /// vector back to the middleware for its next entry point to fill.
+    /// Carries out the effects in the buffer in order and leaves it
+    /// empty, its capacity kept for the next middleware call.
     fn apply_mw_effects(
         &mut self,
         engine: &mut Engine<ClusterMsg>,
-        mut fx: Vec<MwEffect<RobustStore>>,
         auditor: &mut InvariantAuditor,
     ) {
+        let mut fx = std::mem::take(&mut self.fx);
         for e in fx.drain(..) {
             match e {
                 MwEffect::Send { to, msg, bytes } => {
@@ -295,7 +303,7 @@ impl ServerNode {
                 }
             }
         }
-        self.mw.recycle(fx);
+        self.fx = fx;
         self.drain_trace(engine, auditor);
         self.sync_batch_timer(engine);
     }
@@ -317,36 +325,30 @@ impl ServerNode {
     }
 
     fn enqueue(&mut self, engine: &mut Engine<ClusterMsg>, item: WorkItem) {
+        let idle = self.queue.is_empty();
+        let cost_us = item.cost_us;
         self.queue.push_back(item);
-        if !self.busy {
-            self.busy = true;
-            self.start_head(engine);
+        if idle {
+            self.start_head(engine, cost_us);
         }
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "`enqueue` pushes first and `complete_head` checks `front()` first"
-    )]
-    fn start_head(&mut self, engine: &mut Engine<ClusterMsg>) {
-        let cost = self
-            .queue
-            .front()
-            .expect("head present")
-            .cost_us
-            .saturating_add(self.cpu_debt_us);
+    /// Puts the head, which costs `cost_us`, into service, charging it
+    /// the protocol CPU spent since the last start.
+    fn start_head(&mut self, engine: &mut Engine<ClusterMsg>, cost_us: u64) {
+        let cost = cost_us.saturating_add(self.cpu_debt_us);
         self.cpu_debt_us = 0;
         engine.set_timer(self.node, SimDuration::from_micros(cost), TOKEN_WORK);
     }
 
     fn complete_head(&mut self, engine: &mut Engine<ClusterMsg>, auditor: &mut InvariantAuditor) {
-        let item = match self.queue.pop_front() {
-            Some(i) => i,
-            None => {
-                self.busy = false;
-                return;
-            }
+        let Some(item) = self.queue.pop_front() else {
+            return;
         };
+        // The item waiting behind this one starts once its handling is
+        // done; work the handling enqueues onto an empty queue starts in
+        // `enqueue`.
+        let next_cost_us = self.queue.front().map(|next| next.cost_us);
         match item.kind {
             WorkKind::Handle {
                 req_id,
@@ -377,16 +379,12 @@ impl ServerNode {
                     // The blocked client is answered: the end of the
                     // paper's blocking execute() path, and the reply
                     // edge of this update's critical-path span.
-                    if engine.trace_enabled() {
-                        engine.trace(self.node, obs::TraceEvent::ReplySent { seq: pid.seq });
-                    }
+                    engine.trace(self.node, obs::TraceEvent::ReplySent { seq: pid.seq });
                 }
             }
         }
-        if self.queue.front().is_some() {
-            self.start_head(engine);
-        } else {
-            self.busy = false;
+        if let Some(cost_us) = next_cost_us {
+            self.start_head(engine, cost_us);
         }
     }
 
@@ -416,8 +414,8 @@ impl ServerNode {
                     page.page_bytes,
                 );
             }
-            Prepared::Write(action) => match self.mw.execute(action, now) {
-                Ok((pid, fx)) => {
+            Prepared::Write(action) => match self.mw.execute_into(action, now, &mut self.fx) {
+                Ok(pid) => {
                     let entry = (pid, req_id, from, interaction);
                     if self.outstanding.insert(pid.seq, entry).is_err() {
                         // Far more updates than ever wait at once: the
@@ -425,7 +423,7 @@ impl ServerNode {
                         // error instead of the page.
                         engine.send(self.node, from, ClusterMsg::ConnError { req_id });
                     }
-                    self.apply_mw_effects(engine, fx, auditor);
+                    self.apply_mw_effects(engine, auditor);
                 }
                 Err(_) => {
                     engine.send(self.node, from, ClusterMsg::ConnError { req_id });
@@ -449,10 +447,9 @@ impl ServerNode {
                 // real: charge it as debt against the queued page work.
                 self.cpu_debt_us = self.cpu_debt_us.saturating_add(service::PER_MSG_US);
                 let now = engine.now().as_micros();
-                let fx = self
-                    .mw
-                    .on_message(ReplicaId(node_u32(from.index())), m, now);
-                self.apply_mw_effects(engine, fx, auditor);
+                let from = ReplicaId(node_u32(from.index()));
+                self.mw.on_message_into(from, m, now, &mut self.fx);
+                self.apply_mw_effects(engine, auditor);
             }
             ClusterMsg::Probe { seq } => {
                 engine.send(
@@ -502,23 +499,21 @@ impl ServerNode {
                 // Sample the work-queue depth once per second for the
                 // timeline's per-node load series (the per-enqueue
                 // histogram already captures the distribution).
-                if engine.trace_enabled() {
-                    let sec = now / 1_000_000;
-                    if sec > self.queue_sampled_sec {
-                        self.queue_sampled_sec = sec;
-                        let depth = self.queue.len() as u64;
-                        engine.trace(self.node, obs::TraceEvent::QueueSample { depth });
-                    }
+                let sec = now / 1_000_000;
+                if sec > self.queue_sampled_sec {
+                    self.queue_sampled_sec = sec;
+                    let depth = self.queue.len() as u64;
+                    engine.trace(self.node, obs::TraceEvent::QueueSample { depth });
                 }
-                let fx = self.mw.on_tick(now);
-                self.apply_mw_effects(engine, fx, auditor);
+                self.mw.on_tick_into(now, &mut self.fx);
+                self.apply_mw_effects(engine, auditor);
             }
             TOKEN_WORK => self.complete_head(engine, auditor),
             TOKEN_BATCH => {
                 self.batch_timer_armed = None;
                 let now = engine.now().as_micros();
-                let fx = self.mw.on_batch_timer(now);
-                self.apply_mw_effects(engine, fx, auditor);
+                self.mw.on_batch_timer_into(now, &mut self.fx);
+                self.apply_mw_effects(engine, auditor);
             }
             _ => {}
         }
@@ -538,8 +533,8 @@ impl ServerNode {
             self.mw.recycle_append(log, entry);
         }
         auditor.on_disk_write_done(self.idx, token);
-        let fx = self.mw.on_disk_write_done(token);
-        self.apply_mw_effects(engine, fx, auditor);
+        self.mw.on_disk_write_done_into(token, &mut self.fx);
+        self.apply_mw_effects(engine, auditor);
     }
 
     /// A bulk read completed.
@@ -550,7 +545,7 @@ impl ServerNode {
         value: Option<Vec<u8>>,
         auditor: &mut InvariantAuditor,
     ) {
-        let fx = self.mw.on_disk_read_done(token, value);
-        self.apply_mw_effects(engine, fx, auditor);
+        self.mw.on_disk_read_done_into(token, value, &mut self.fx);
+        self.apply_mw_effects(engine, auditor);
     }
 }

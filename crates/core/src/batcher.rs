@@ -206,10 +206,11 @@ mod tests {
         let (_pid, fx) = mw.execute(7, 0).expect("active");
         assert!(fx.is_empty(), "update waits for company");
         let deadline = mw.batch_deadline().expect("window armed");
-        let early = mw.on_batch_timer(deadline - 1);
-        assert!(early.is_empty(), "stale timer fire is a no-op");
+        let mut fx = Vec::new();
+        mw.on_batch_timer_into(deadline - 1, &mut fx);
+        assert!(fx.is_empty(), "stale timer fire is a no-op");
         assert_eq!(mw.status().pending_batch, 1);
-        let fx = mw.on_batch_timer(deadline);
+        mw.on_batch_timer_into(deadline, &mut fx);
         let applied = drain(&mut mw, fx, &mut store);
         assert_eq!(applied, vec![7], "window expiry proposes the partial batch");
         assert_eq!(mw.batch_deadline(), None);

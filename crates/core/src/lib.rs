@@ -160,7 +160,7 @@ pub(crate) mod testkit {
             for e in queue {
                 match e {
                     MwEffect::Send { msg, .. } => {
-                        next.extend(mw.on_message(ReplicaId(0), msg, 0));
+                        mw.on_message_into(ReplicaId(0), msg, 0, &mut next);
                     }
                     MwEffect::DiskWrite { op, token, nominal } => {
                         if matches!(op, StableOp::Append { .. }) {
@@ -172,14 +172,14 @@ pub(crate) mod testkit {
                         if let Some((log, entry)) = store.apply(op) {
                             mw.recycle_append(log, entry);
                         }
-                        next.extend(mw.on_disk_write_done(token));
+                        mw.on_disk_write_done_into(token, &mut next);
                     }
                     MwEffect::DiskRead { key, token } => {
                         let value = store.get(&key).map(<[u8]>::to_vec);
-                        next.extend(mw.on_disk_read_done(token, value));
+                        mw.on_disk_read_done_into(token, value, &mut next);
                     }
                     MwEffect::DiskReadRaw { token, .. } => {
-                        next.extend(mw.on_disk_read_done(token, None));
+                        mw.on_disk_read_done_into(token, None, &mut next);
                     }
                     MwEffect::Applied { reply, .. } => applied.push(reply),
                     MwEffect::RecoveryComplete => {}

@@ -3,9 +3,16 @@
 //!
 //! One [`Middleware`] instance runs per replica process. Like the
 //! `paxos` core it is sans-io: the driver (the `cluster` crate, on
-//! `simnet`) feeds it network messages, disk completions and ticks, and
-//! applies the [`MwEffect`]s it returns. This is where the paper's
-//! recovery story lives (§2, "Recovery"):
+//! `simnet`) feeds it network messages, disk completions and ticks
+//! through [`Middleware::execute_into`], [`Middleware::on_message_into`],
+//! [`Middleware::on_tick_into`], [`Middleware::on_batch_timer_into`],
+//! [`Middleware::on_disk_write_done_into`] and
+//! [`Middleware::on_disk_read_done_into`], and applies the [`MwEffect`]s
+//! they append to the caller's buffer. `execute`, `on_message`,
+//! `on_tick` and `on_disk_write_done` also have a form that returns a
+//! fresh `Vec` instead, a one-line wrapper for callers that keep no
+//! buffer. This is where the paper's recovery story lives (§2,
+//! "Recovery"):
 //!
 //! * every acceptor record is appended to the durable `paxos.log`
 //!   *before* its protocol message leaves the node;
@@ -96,7 +103,7 @@ pub enum MwEffect<App: Application> {
         nominal: Option<u64>,
     },
     /// Issue a bulk keyed read; completion via
-    /// [`Middleware::on_disk_read_done`].
+    /// [`Middleware::on_disk_read_done_into`].
     DiskRead {
         /// Key to read.
         key: String,
@@ -104,7 +111,7 @@ pub enum MwEffect<App: Application> {
         token: u64,
     },
     /// Issue a raw read of `bytes` (log replay); completion via
-    /// [`Middleware::on_disk_read_done`] with `value: None`.
+    /// [`Middleware::on_disk_read_done_into`] with `value: None`.
     DiskReadRaw {
         /// Bytes to read.
         bytes: u64,
@@ -217,19 +224,7 @@ pub struct Middleware<App: Application> {
     /// appends here and [`Middleware::lower`] drains it, so the buffer
     /// is allocated once and keeps its working size.
     fx: Vec<PaxosEffect<Batch<App::Action>>>,
-    /// The empty vector the next entry point returns its effects in:
-    /// the last one handed back through [`Middleware::recycle`] and not
-    /// taken since, or one without capacity.
-    spare: Vec<MwEffect<App>>,
 }
-
-/// The most effects a vector kept by [`Middleware::recycle`] has room
-/// for. A vector keeps the capacity of its largest burst (a backlog
-/// applied at once after a restart). On the repo benchmark's two-crash
-/// run, keeping every vector read 1.7 % more peak memory than keeping
-/// only those up to this size, which read no more than handing none
-/// back; on its saturated ordering run both save the same allocations.
-const SPARE_MAX: usize = 64;
 
 /// The most append buffers [`Middleware::recycle_append`] keeps. One
 /// comes back per completed append, and an acceptor has only a few in
@@ -303,7 +298,6 @@ impl<App: Application> Middleware<App> {
             scratch: crate::wire::EncodeScratch::new(),
             appends: Vec::new(),
             fx: Vec::new(),
-            spare: Vec::new(),
         }
     }
 
@@ -444,7 +438,7 @@ impl<App: Application> Middleware<App> {
     /// [`TreplicaConfig::batch_max_updates`] updates or its
     /// [`TreplicaConfig::batch_window_us`] window expires (the driver
     /// polls [`Middleware::batch_deadline`] and calls
-    /// [`Middleware::on_batch_timer`]).
+    /// [`Middleware::on_batch_timer_into`]).
     ///
     /// # Errors
     ///
@@ -454,6 +448,23 @@ impl<App: Application> Middleware<App> {
         action: App::Action,
         now: u64,
     ) -> Result<(ProposalId, Vec<MwEffect<App>>), StillRecovering> {
+        let mut out = Vec::new();
+        self.execute_into(action, now, &mut out)
+            .map(|pid| (pid, out))
+    }
+
+    /// [`Middleware::execute`], appending to the caller's buffer;
+    /// returns the update's id.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StillRecovering`] until recovery completes.
+    pub fn execute_into(
+        &mut self,
+        action: App::Action,
+        now: u64,
+        out: &mut Vec<MwEffect<App>>,
+    ) -> Result<ProposalId, StillRecovering> {
         if self.is_recovering() {
             return Err(StillRecovering);
         }
@@ -462,10 +473,9 @@ impl<App: Application> Middleware<App> {
         self.submit_times.insert(pid, self.now);
         self.paxos
             .push_trace(TraceEvent::UpdateSubmitted { seq: pid.seq });
-        let mut out = self.take_spare();
         let flush = self.batcher.push((pid, action), self.now, &self.config);
-        self.propose_batch(flush, &mut out);
-        Ok((pid, out))
+        self.propose_batch(flush, out);
+        Ok(pid)
     }
 
     /// Proposes a batch the batcher closed, if it closed one, as one
@@ -486,19 +496,18 @@ impl<App: Application> Middleware<App> {
 
     /// When the open batch must be flushed, if one is open. The driver
     /// arms a timer for this instant and calls
-    /// [`Middleware::on_batch_timer`] when it fires.
+    /// [`Middleware::on_batch_timer_into`] when it fires.
     pub fn batch_deadline(&self) -> Option<u64> {
         self.batcher.deadline()
     }
 
-    /// The group-commit window expired: propose whatever accumulated.
-    /// Safe to call spuriously (stale timers are no-ops).
-    pub fn on_batch_timer(&mut self, now: u64) -> Vec<MwEffect<App>> {
+    /// The group-commit window expired: propose whatever accumulated,
+    /// appending the effects to the caller's buffer. Safe to call
+    /// spuriously (stale timers are no-ops).
+    pub fn on_batch_timer_into(&mut self, now: u64, out: &mut Vec<MwEffect<App>>) {
         self.now = self.now.max(now);
-        let mut out = self.take_spare();
         let flush = self.batcher.expire(self.now);
-        self.propose_batch(flush, &mut out);
-        out
+        self.propose_batch(flush, out);
     }
 
     /// Feeds an incoming middleware message.
@@ -508,9 +517,22 @@ impl<App: Application> Middleware<App> {
         msg: MwMsg<Batch<App::Action>>,
         now: u64,
     ) -> Vec<MwEffect<App>> {
+        let mut out = Vec::new();
+        self.on_message_into(from, msg, now, &mut out);
+        out
+    }
+
+    /// [`Middleware::on_message`], appending to the caller's buffer.
+    pub fn on_message_into(
+        &mut self,
+        from: ReplicaId,
+        msg: MwMsg<Batch<App::Action>>,
+        now: u64,
+        out: &mut Vec<MwEffect<App>>,
+    ) {
         self.now = self.now.max(now);
         if !self.recovery.log_replayed {
-            return Vec::new();
+            return;
         }
         match msg {
             MwMsg::Paxos { epoch, msg: m, .. } => {
@@ -523,18 +545,15 @@ impl<App: Application> Middleware<App> {
                             msg_epoch: epoch,
                             local_epoch: local,
                         });
-                        return Vec::new();
+                        return;
                     }
-                    Fence::Ahead => return Vec::new(),
+                    Fence::Ahead => return,
                 }
                 self.paxos.on_message_into(from, m, now, &mut self.fx);
-                let mut out = self.take_spare();
-                self.lower(&mut out);
-                self.maybe_request_snapshot(&mut out);
-                out
+                self.lower(out);
+                self.maybe_request_snapshot(out);
             }
             MwMsg::SnapshotRequest => {
-                let mut out = self.take_spare();
                 if !self.is_recovering() {
                     let Snapshot {
                         data,
@@ -557,7 +576,6 @@ impl<App: Application> Middleware<App> {
                         bytes,
                     });
                 }
-                out
             }
             MwMsg::SnapshotReply {
                 covers,
@@ -566,7 +584,6 @@ impl<App: Application> Middleware<App> {
                 data,
                 ..
             } => {
-                let mut out = self.take_spare();
                 if covers > self.paxos.decided_upto() {
                     if let Ok(app) = App::restore(&data) {
                         self.app = app;
@@ -578,11 +595,10 @@ impl<App: Application> Middleware<App> {
                             self.paxos.adopt_membership(Membership::new(epoch, members));
                         }
                         self.paxos.fast_forward(covers, epoch, &mut self.fx);
-                        self.lower(&mut out);
+                        self.lower(out);
                     }
                 }
-                self.check_recovery_done(&mut out);
-                out
+                self.check_recovery_done(out);
             }
         }
     }
@@ -591,21 +607,22 @@ impl<App: Application> Middleware<App> {
     /// node" operation). Succeeds only on the current leader with no
     /// other reconfiguration in flight; the driver retries elsewhere on
     /// `false`. Completion arrives as [`MwEffect::Reconfigured`] at every
-    /// member once the decree passes its fence.
-    pub fn execute_reconfig(
+    /// member once the decree passes its fence. Appends the effects to
+    /// the caller's buffer.
+    pub fn execute_reconfig_into(
         &mut self,
         add: Vec<ReplicaId>,
         remove: Vec<ReplicaId>,
         now: u64,
-    ) -> (bool, Vec<MwEffect<App>>) {
+        out: &mut Vec<MwEffect<App>>,
+    ) -> bool {
         self.now = self.now.max(now);
         if self.is_recovering() {
-            return (false, Vec::new());
+            return false;
         }
         let ok = self.paxos.propose_reconfig_into(add, remove, &mut self.fx);
-        let mut out = Vec::new();
-        self.lower(&mut out);
-        (ok, out)
+        self.lower(out);
+        ok
     }
 
     /// The configuration (epoch + member set) this node currently runs
@@ -635,44 +652,56 @@ impl<App: Application> Middleware<App> {
 
     /// Periodic tick (heartbeats, elections, retries, checkpoint policy).
     pub fn on_tick(&mut self, now: u64) -> Vec<MwEffect<App>> {
+        let mut out = Vec::new();
+        self.on_tick_into(now, &mut out);
+        out
+    }
+
+    /// [`Middleware::on_tick`], appending to the caller's buffer.
+    pub fn on_tick_into(&mut self, now: u64, out: &mut Vec<MwEffect<App>>) {
         self.now = self.now.max(now);
-        let mut out = self.take_spare();
         if self.recovery.log_replayed {
             // Backstop for the group-commit window: the dedicated batch
             // timer normally flushes first, but a tick past the deadline
             // must not leave updates stranded.
             let flush = self.batcher.expire(self.now);
-            self.propose_batch(flush, &mut out);
+            self.propose_batch(flush, out);
             self.paxos.on_tick_into(now, &mut self.fx);
-            self.lower(&mut out);
+            self.lower(out);
         }
-        self.maybe_request_snapshot(&mut out);
-        self.check_recovery_done(&mut out);
-        out
+        self.maybe_request_snapshot(out);
+        self.check_recovery_done(out);
     }
 
     /// A durable write completed.
     pub fn on_disk_write_done(&mut self, token: u64) -> Vec<MwEffect<App>> {
+        let mut out = Vec::new();
+        self.on_disk_write_done_into(token, &mut out);
+        out
+    }
+
+    /// [`Middleware::on_disk_write_done`], appending to the caller's
+    /// buffer.
+    pub fn on_disk_write_done_into(&mut self, token: u64, out: &mut Vec<MwEffect<App>>) {
         let Some(kind) = self.tokens.remove(&token) else {
-            return Vec::new();
+            return;
         };
-        let mut out = self.take_spare();
         match kind {
             TokenKind::PaxosPersist(pt) => {
                 self.paxos.push_trace(TraceEvent::AppendDurable);
                 self.paxos.on_persisted_into(pt, &mut self.fx);
-                self.lower(&mut out);
+                self.lower(out);
             }
             TokenKind::CheckpointData => {
                 let Some(op) = self.checkpoint.data_durable(&mut self.scratch) else {
-                    return out;
+                    return;
                 };
                 out.push(self.disk_write(op, Some(TokenKind::MetaWrite)));
             }
             TokenKind::MetaWrite => {
                 let Some((meta, [truncate, delete])) = self.checkpoint.meta_durable(&mut self.log)
                 else {
-                    return out;
+                    return;
                 };
                 self.paxos.push_trace(TraceEvent::CheckpointDurable {
                     generation: meta.generation,
@@ -690,15 +719,19 @@ impl<App: Application> Middleware<App> {
             }
             TokenKind::CheckpointRead | TokenKind::LogRead => {}
         }
-        out
     }
 
-    /// A bulk read completed.
-    pub fn on_disk_read_done(&mut self, token: u64, value: Option<Vec<u8>>) -> Vec<MwEffect<App>> {
+    /// A bulk read completed: appends the effects to the caller's
+    /// buffer.
+    pub fn on_disk_read_done_into(
+        &mut self,
+        token: u64,
+        value: Option<Vec<u8>>,
+        out: &mut Vec<MwEffect<App>>,
+    ) {
         let Some(kind) = self.tokens.remove(&token) else {
-            return Vec::new();
+            return;
         };
-        let mut out = self.take_spare();
         match kind {
             TokenKind::LogRead => {
                 self.paxos.push_trace(TraceEvent::LogReplayed {
@@ -720,25 +753,11 @@ impl<App: Application> Middleware<App> {
                     slot: self.checkpoint.slot().0,
                 });
                 self.recovery.checkpoint_loaded = true;
-                self.drain_queue(&mut out);
+                self.drain_queue(out);
             }
             TokenKind::PaxosPersist(_) | TokenKind::CheckpointData | TokenKind::MetaWrite => {}
         }
-        self.check_recovery_done(&mut out);
-        out
-    }
-
-    /// Takes back an effect vector an entry point returned, once the
-    /// driver has applied its effects: the next entry point returns its
-    /// effects in it instead of in a new vector. A vector with room for
-    /// more than `SPARE_MAX` effects is dropped, so a burst does not stay
-    /// allocated. Handing nothing back is correct too; every entry
-    /// point then allocates its own vector, as before.
-    pub fn recycle(&mut self, mut fx: Vec<MwEffect<App>>) {
-        if fx.capacity() <= SPARE_MAX {
-            fx.clear();
-            self.spare = fx;
-        }
+        self.check_recovery_done(out);
     }
 
     /// Takes back the log name and entry buffer of a completed append
@@ -752,12 +771,6 @@ impl<App: Application> Middleware<App> {
         }
     }
 
-    /// The vector an entry point fills: the one handed back last, if it
-    /// has not been taken since.
-    fn take_spare(&mut self) -> Vec<MwEffect<App>> {
-        std::mem::take(&mut self.spare)
-    }
-
     /// Lowers the consensus effects buffered in `self.fx` onto `out`,
     /// applying committed actions along the way, and leaves the buffer
     /// empty with its capacity kept. Decided batches are unpacked front
@@ -765,21 +778,6 @@ impl<App: Application> Middleware<App> {
     /// the total order.
     fn lower(&mut self, out: &mut Vec<MwEffect<App>>) {
         let mut fx = std::mem::take(&mut self.fx);
-        // Room for one effect per consensus effect and one `Applied` per
-        // update that `drain_queue` may apply: the backlog and the
-        // batches delivered now, once the checkpoint is loaded. Before,
-        // `drain_queue` holds them, and room for them would only make
-        // the vector too large to recycle.
-        let applies = if self.recovery.checkpoint_loaded {
-            let delivered = fx.iter().map(|e| match e {
-                PaxosEffect::Deliver { value, .. } => value.len(),
-                _ => 0,
-            });
-            delivered.fold(self.queue.len(), usize::saturating_add)
-        } else {
-            0
-        };
-        out.reserve(fx.len().saturating_add(applies));
         for e in fx.drain(..) {
             match e {
                 PaxosEffect::Send { to, msg } => {
@@ -841,7 +839,6 @@ impl<App: Application> Middleware<App> {
         if !self.recovery.checkpoint_loaded {
             return; // hold the backlog.
         }
-        out.reserve(self.queue.len());
         while let Some(entry) = self.queue.try_dequeue() {
             let Some(action) = entry.action() else {
                 debug_assert!(false, "queue entry outside its batch");
@@ -928,7 +925,107 @@ impl<App: Application> Middleware<App> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::active_single;
+    use crate::testkit::{
+        active_single, active_single_with, batching_config, config, drain, Counter,
+    };
+
+    /// A buffer that already holds an effect: one with a token no node
+    /// hands out.
+    fn held() -> Vec<MwEffect<Counter>> {
+        vec![MwEffect::DiskReadRaw {
+            bytes: 0,
+            token: u64::MAX,
+        }]
+    }
+
+    /// What a call appended to a [`held`] buffer, once the held effect
+    /// is seen still first.
+    fn appended(mut buf: Vec<MwEffect<Counter>>) -> Vec<MwEffect<Counter>> {
+        let first = buf.first();
+        let kept = matches!(first, Some(MwEffect::DiskReadRaw { token, .. }) if *token == u64::MAX);
+        assert!(kept, "the call appends after what the buffer held: {buf:?}");
+        buf.split_off(1)
+    }
+
+    #[test]
+    fn buffer_forms_append_what_the_vec_forms_return() {
+        // Two identical nodes: `a` is driven through the `Vec` forms and
+        // `b` through the buffer forms.
+        let (mut a, mut disk_a) = active_single();
+        let (mut b, mut disk_b) = active_single();
+        let (pid, fx) = a.execute(5, 0).expect("active");
+        let mut buf = held();
+        assert_eq!(b.execute_into(5, 0, &mut buf), Ok(pid));
+        let mut pending = vec![(fx, appended(buf))];
+        let mut handled = 0;
+        while let Some((fx_a, fx_b)) = pending.pop() {
+            assert_eq!(format!("{fx_a:?}"), format!("{fx_b:?}"));
+            for (ea, eb) in fx_a.into_iter().zip(fx_b) {
+                let mut buf = held();
+                let fx = match (ea, eb) {
+                    (MwEffect::Send { msg: ma, .. }, MwEffect::Send { msg: mb, .. }) => {
+                        b.on_message_into(ReplicaId(0), mb, 0, &mut buf);
+                        a.on_message(ReplicaId(0), ma, 0)
+                    }
+                    (
+                        MwEffect::DiskWrite { op: oa, token, .. },
+                        MwEffect::DiskWrite { op: ob, .. },
+                    ) => {
+                        disk_a.apply(oa);
+                        disk_b.apply(ob);
+                        b.on_disk_write_done_into(token, &mut buf);
+                        a.on_disk_write_done(token)
+                    }
+                    _ => continue,
+                };
+                handled += 1;
+                pending.push((fx, appended(buf)));
+            }
+        }
+        assert!(handled >= 2, "a write completed and a message arrived");
+        assert_eq!(
+            (a.state(), b.state()),
+            (&Counter { total: 5 }, &Counter { total: 5 })
+        );
+        let mut buf = held();
+        b.on_tick_into(400_000, &mut buf);
+        let ticked = a.on_tick(400_000);
+        assert_eq!(format!("{ticked:?}"), format!("{:?}", appended(buf)));
+
+        // The forms without a `Vec` form.
+        let mut buf = held();
+        assert!(b.execute_reconfig_into(vec![ReplicaId(1)], vec![], 0, &mut buf));
+        assert!(!appended(buf).is_empty(), "the reconfiguration is proposed");
+        let (mut batching, _) = active_single_with(batching_config(8, 5_000));
+        let (_, fx) = batching.execute(7, 0).expect("active");
+        assert!(fx.is_empty(), "the update waits for its window");
+        let deadline = batching.batch_deadline().expect("window armed");
+        let mut buf = held();
+        batching.on_batch_timer_into(deadline, &mut buf);
+        assert!(!appended(buf).is_empty(), "the window's batch is proposed");
+        // A restart reads its log, re-learns the update on a tick, and
+        // applies it once its checkpoint is read.
+        let initial = Counter { total: 0 };
+        let (mut restarted, reads) =
+            Middleware::recover(ReplicaId(0), &disk_a, initial, config(), 1, 0);
+        let [MwEffect::DiskReadRaw { token: log, .. }, MwEffect::DiskRead { key, token }] =
+            &reads[..]
+        else {
+            panic!("a log read and a checkpoint read: {reads:?}");
+        };
+        let mut buf = held();
+        restarted.on_disk_read_done_into(*log, None, &mut buf);
+        appended(buf);
+        let fx = restarted.on_tick(100_000);
+        drain(&mut restarted, fx, &mut disk_a);
+        let mut buf = held();
+        let checkpoint = disk_a.get(key).map(<[u8]>::to_vec);
+        restarted.on_disk_read_done_into(*token, checkpoint, &mut buf);
+        assert!(
+            !appended(buf).is_empty(),
+            "the checkpoint read applies the update"
+        );
+    }
 
     #[test]
     fn snapshot_request_answered_only_when_active() {

@@ -147,7 +147,8 @@ mod tests {
         let _ = mw.take_trace();
         assert_eq!(mw.membership().epoch(), 0);
 
-        let (ok, fx) = mw.execute_reconfig(vec![ReplicaId(1)], vec![], 0);
+        let mut fx = Vec::new();
+        let ok = mw.execute_reconfig_into(vec![ReplicaId(1)], vec![], 0, &mut fx);
         assert!(ok, "the leader accepts a reconfig proposal");
         // Drive to completion: only messages addressed to this node loop
         // back (the new member does not exist in this test).
@@ -162,13 +163,13 @@ mod tests {
                         msg,
                         ..
                     } => {
-                        next.extend(mw.on_message(ReplicaId(0), msg, 0));
+                        mw.on_message_into(ReplicaId(0), msg, 0, &mut next);
                     }
                     MwEffect::DiskWrite { op, token, .. } => {
                         if let Some((log, entry)) = store.apply(op) {
                             mw.recycle_append(log, entry);
                         }
-                        next.extend(mw.on_disk_write_done(token));
+                        mw.on_disk_write_done_into(token, &mut next);
                     }
                     MwEffect::Reconfigured { epoch, members, .. } => {
                         reconfigured = Some((epoch, members));

@@ -268,7 +268,8 @@ impl<A: Application<Action = u64, Reply = usize> + Clone> Cluster<A> {
                 }
                 Event::DiskReadDone { node, token, value } => {
                     if let Some(mw) = self.nodes[node.index()].as_mut() {
-                        let fx = mw.on_disk_read_done(token, value);
+                        let mut fx = Vec::new();
+                        mw.on_disk_read_done_into(token, value, &mut fx);
                         self.apply_effects(node.index(), fx);
                     }
                 }

@@ -64,12 +64,6 @@ impl Tracer {
         }
     }
 
-    /// Whether the *full* trace is being recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records `event` at time `t_us` on `node`: into the flight ring,
     /// and into the full trace when enabled.
     #[inline]
@@ -127,7 +121,7 @@ mod tests {
     fn flight_ring_keeps_only_the_tail() {
         // The default config: full trace off, ring on.
         let mut t = Tracer::new(TraceConfig::default());
-        assert!(!t.enabled());
+        assert!(!t.enabled);
         let n = FLIGHT_RECORDS as u64 + 10;
         for i in 0..n {
             t.emit(i, 0, TraceEvent::UpdateSubmitted { seq: i });

@@ -222,13 +222,6 @@ impl<M: std::fmt::Debug> Engine<M> {
         &mut self.tracer
     }
 
-    /// Whether the full trace is on — lets drivers skip building events
-    /// whose construction is not free.
-    #[inline]
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// Records `event` against `node`, stamped with the current
     /// simulated time.
     #[inline]

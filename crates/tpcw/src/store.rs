@@ -25,12 +25,14 @@ use std::sync::Arc;
 use treplica::{check_field, impl_wire_struct, Sink, Wire, WireError};
 
 use crate::cart::CartLines;
+use crate::inline::Inline;
 use crate::model::{
     nominal, Cart, CartId, CartLine, CcXact, Customer, CustomerId, Item, ItemId, Order, OrderId,
     OrderLine, OrderLines, OrderStatus, SUBJECTS,
 };
 use crate::population::{
     base_population, c_passwd, c_uname, uname_id, BasePopulation, PopulationParams, SearchPage,
+    PAGE,
 };
 use crate::table::IdTable;
 use crate::text::Text;
@@ -439,8 +441,9 @@ impl Bookstore {
     /// The window is counted afresh into the store's tally: an entry
     /// left from an earlier read restarts at zero when this read first
     /// touches it, and only entries this read touched are ranked. Once
-    /// every item sold has an entry, a read allocates only its page.
-    pub fn get_best_sellers(&self, subject: u8) -> Vec<(ItemId, u64)> {
+    /// every item sold has an entry, a read allocates nothing: the page
+    /// is held in place.
+    pub fn get_best_sellers(&self, subject: u8) -> Inline<(ItemId, u64), PAGE> {
         let subject = subject as usize % SUBJECTS.len();
         let mut tally = self.best_sellers.take();
         tally.read += 1;
@@ -476,7 +479,7 @@ impl Bookstore {
         tally
             .ranked
             .sort_unstable_by_key(|(id, q)| (std::cmp::Reverse(*q), *id));
-        let page = tally.ranked.iter().take(50).copied().collect();
+        let page = tally.ranked.iter().copied().collect();
         self.best_sellers.set(tally);
         page
     }
@@ -935,8 +938,11 @@ mod tests {
             .unwrap();
         s.buy_confirm(cart, CustomerId(5), &payment(), 1, 5_000)
             .unwrap();
-        let best_sellers =
-            |s: &Bookstore| (0..24).map(|k| s.get_best_sellers(k)).collect::<Vec<_>>();
+        let best_sellers = |s: &Bookstore| {
+            (0..24)
+                .map(|k| s.get_best_sellers(k).to_vec())
+                .collect::<Vec<_>>()
+        };
         let lists = best_sellers(&s);
         let mut expected = s.overlay().clone();
         s.admin_update(ItemId(7), 1234, "new.gif".into(), "new_t.gif".into())

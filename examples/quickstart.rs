@@ -128,7 +128,8 @@ fn main() {
                 }
                 Event::DiskReadDone { node, token, value } => {
                     if let Some(mw) = nodes[node.index()].as_mut() {
-                        let fx = mw.on_disk_read_done(token, value);
+                        let mut fx = Vec::new();
+                        mw.on_disk_read_done_into(token, value, &mut fx);
                         apply_effects(engine, node.index(), fx, applied);
                     }
                 }
